@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-collectives bench-lb bench-bigsim bench-ampi bench-eventmigrate bench-transport bench-all repro repro-quick examples cover clean
+.PHONY: all build vet test race bench-check bench bench-collectives bench-lb bench-bigsim bench-ampi bench-eventmigrate bench-transport bench-all repro repro-quick examples cover clean
 
 all: build vet test
 
@@ -17,6 +17,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is its own module (BENCHMARK.json's contract), so tier-1 never
+# compiles it: run this beside tier-1 whenever an exported internal/
+# signature changes.
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 # Hot-path benchmarks; writes BENCH_hotpath.json (name → ns/op,
 # allocs/op) so before/after numbers ride along with each PR.

@@ -1,10 +1,9 @@
 package ampi
 
-// The aggregation VT-invariance property: streaming aggregation —
-// including MaxDelay deadline flushes and the Adaptive backpressure
-// mode — is a wall-clock optimization only. Whatever envelopes the
-// policy composes, every rank's virtual time must equal the
-// unaggregated run bit for bit, because VT is computed per message
+// The aggregation VT-invariance property: streaming aggregation is a
+// wall-clock optimization only. Whatever envelopes the policy
+// composes, every rank's virtual time must equal the unaggregated
+// run bit for bit, because VT is computed per message
 // (consume charges VTime + Cost(len)) and never sees envelope
 // boundaries. A policy that leaked into VT would desync the sharded
 // equivalence suite in ways this test catches at the source.
@@ -13,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"migflow/internal/comm"
 )
@@ -38,9 +36,8 @@ func jacobiVT(t *testing.T, cfg JacobiConfig) []uint64 {
 }
 
 // TestAggregationPolicyVTInvariance is the property test across
-// random policies: tiny and huge thresholds, zero and short MaxDelay
-// deadlines, adaptive on and off — all must reproduce the
-// unaggregated per-rank VT exactly.
+// random policies: tiny and huge payload and byte thresholds all must
+// reproduce the unaggregated per-rank VT exactly.
 func TestAggregationPolicyVTInvariance(t *testing.T) {
 	base := JacobiConfig{
 		Mode: ModeULT, Ranks: 24, Iters: 8, PEs: 4,
@@ -53,8 +50,6 @@ func TestAggregationPolicyVTInvariance(t *testing.T) {
 		pol := comm.AggPolicy{
 			MaxPayloads: 1 + rng.Intn(32),
 			MaxBytes:    32 + rng.Intn(1<<14),
-			MaxDelay:    time.Duration(rng.Intn(3)) * time.Millisecond,
-			Adaptive:    rng.Intn(2) == 1,
 		}
 		cfg := base
 		cfg.Aggregate = true

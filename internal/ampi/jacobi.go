@@ -100,10 +100,9 @@ type JacobiConfig struct {
 
 	// Aggregate routes halo sends through comm's streaming
 	// aggregation (Options.Aggregate; ULT mode only). AggPolicy tunes
-	// the flush thresholds — including MaxDelay deadlines and the
-	// Adaptive backpressure mode, neither of which may change any
-	// rank's virtual time (the invariance property test runs random
-	// policies through here).
+	// the flush thresholds, which may not change any rank's virtual
+	// time (the invariance property test runs random policies through
+	// here).
 	Aggregate bool
 	AggPolicy comm.AggPolicy
 

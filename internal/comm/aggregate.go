@@ -27,26 +27,11 @@
 // rely on cross-path ordering.
 package comm
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // AggPolicy sets an endpoint's coalescing flush thresholds. The zero
 // value of a field selects its default; an explicit Flush is always
 // available regardless of policy.
-//
-// MaxDelay and Adaptive steer only *wall-clock* behaviour: when a
-// bucket flushes (and so how payloads group into envelopes) becomes
-// timing-dependent, which moves the comm-level Arrival stamps and PE
-// clocks, but never the program-model virtual time — a program rank's
-// VT is computed from each message's own VTime and size
-// (ampi/program.go consume), independent of envelope composition. The
-// property test in ampi asserts per-rank VT is bitwise identical
-// across random MaxDelay/Adaptive policies. Layers that need strictly
-// modeled envelope timing (the thread-API latency benchmarks) should
-// keep MaxDelay = 0 and Adaptive = false, which is the default and
-// bit-for-bit the old behaviour.
 type AggPolicy struct {
 	// MaxPayloads flushes a destination buffer when it holds this
 	// many messages (default 16).
@@ -54,33 +39,12 @@ type AggPolicy struct {
 	// MaxBytes flushes a destination buffer when its payload bytes
 	// reach this (default 8192).
 	MaxBytes int
-	// MaxDelay bounds how long a buffered payload may wait for its
-	// bucket to fill: a Nagle-style per-destination deadline after
-	// which a background flush pushes the bucket out with no explicit
-	// Flush call. 0 disables the deadline (flush only on thresholds
-	// or Flush).
-	MaxDelay time.Duration
-	// Adaptive scales the effective thresholds by transport
-	// backpressure (Backlogger): batches widen up to
-	// adaptiveMaxFactor× while the wire is backed up and shrink
-	// toward prompt dispatch when it is idle.
-	Adaptive bool
 }
 
 // Defaults for AggPolicy zero fields.
 const (
 	DefaultAggMaxPayloads = 16
 	DefaultAggMaxBytes    = 8192
-)
-
-// Adaptive-mode tuning: thresholds widen by one configured batch per
-// adaptiveBacklogUnit bytes of unconsumed wire backlog (capped at
-// adaptiveMaxFactor×) and shrink to 1/adaptiveIdleShrink of the
-// configured batch when the wire is idle.
-const (
-	adaptiveBacklogUnit = 4096
-	adaptiveMaxFactor   = 8
-	adaptiveIdleShrink  = 4
 )
 
 func (p AggPolicy) normalized() AggPolicy {
@@ -90,9 +54,6 @@ func (p AggPolicy) normalized() AggPolicy {
 	if p.MaxBytes <= 0 {
 		p.MaxBytes = DefaultAggMaxBytes
 	}
-	if p.MaxDelay < 0 {
-		p.MaxDelay = 0
-	}
 	return p
 }
 
@@ -100,8 +61,7 @@ func (p AggPolicy) normalized() AggPolicy {
 type aggBucket struct {
 	msgs     []*Message
 	bytes    int
-	sendTime float64   // latest payload SendTime — the envelope departure
-	since    time.Time // wall time the first payload was buffered
+	sendTime float64 // latest payload SendTime — the envelope departure
 }
 
 // aggregator is an endpoint's streaming state: one bucket per
@@ -110,38 +70,6 @@ type aggBucket struct {
 type aggregator struct {
 	policy  AggPolicy
 	buckets []aggBucket
-
-	// Deadline-flush state (MaxDelay > 0): one timer per endpoint,
-	// armed for the earliest pending bucket deadline. deadline is
-	// what the timer is currently set for (zero = unarmed). deferred
-	// holds an error from a background flush until the next
-	// SendStream/Flush can surface it.
-	timer    *time.Timer
-	deadline time.Time
-	deferred error
-}
-
-// effective returns the thresholds this send should flush at: the
-// configured policy, or — in Adaptive mode — the policy scaled by the
-// transport's backlog. x is the network's transport (possibly nil on
-// the in-process backend, which reports as an idle wire).
-func (a *aggregator) effective(x Transport) (maxPayloads, maxBytes int) {
-	p := a.policy
-	if !p.Adaptive {
-		return p.MaxPayloads, p.MaxBytes
-	}
-	backlog := 0
-	if bl, ok := x.(Backlogger); ok {
-		backlog = bl.Backlog()
-	}
-	if backlog <= 0 {
-		return max(1, p.MaxPayloads/adaptiveIdleShrink), max(1, p.MaxBytes/adaptiveIdleShrink)
-	}
-	f := 1 + backlog/adaptiveBacklogUnit
-	if f > adaptiveMaxFactor {
-		f = adaptiveMaxFactor
-	}
-	return p.MaxPayloads * f, p.MaxBytes * f
 }
 
 // EnableAggregation turns on streaming aggregation for SendStream
@@ -201,70 +129,12 @@ func (e *Endpoint) SendStream(msg *Message) error {
 	if msg.SendTime > b.sendTime {
 		b.sendTime = msg.SendTime
 	}
-	if len(b.msgs) == 1 && e.agg.policy.MaxDelay > 0 {
-		b.since = time.Now()
-		e.armTimerLocked(b.since.Add(e.agg.policy.MaxDelay))
-	}
 	var ferr error
-	maxPayloads, maxBytes := e.agg.effective(e.net.xport)
-	if len(b.msgs) >= maxPayloads || b.bytes >= maxBytes {
+	if len(b.msgs) >= e.agg.policy.MaxPayloads || b.bytes >= e.agg.policy.MaxBytes {
 		ferr = e.flushBucketLocked(dest)
-	}
-	if d := e.agg.deferred; d != nil && ferr == nil {
-		e.agg.deferred, ferr = nil, d
 	}
 	e.aggMu.Unlock()
 	return ferr
-}
-
-// armTimerLocked makes sure the endpoint's deadline timer fires no
-// later than deadline. Caller holds aggMu.
-func (e *Endpoint) armTimerLocked(deadline time.Time) {
-	a := e.agg
-	if a.timer == nil {
-		a.timer = time.AfterFunc(time.Until(deadline), e.autoFlush)
-		a.deadline = deadline
-		return
-	}
-	if a.deadline.IsZero() || deadline.Before(a.deadline) {
-		a.timer.Reset(time.Until(deadline))
-		a.deadline = deadline
-	}
-}
-
-// autoFlush is the MaxDelay timer body: flush every bucket whose
-// oldest payload has waited out the deadline, then re-arm for the
-// next pending one. Errors park in agg.deferred for the next
-// foreground call — a background goroutine has no caller to hand them
-// to (transport-level failures still panic inside the flush, per the
-// delivery contract).
-func (e *Endpoint) autoFlush() {
-	e.aggMu.Lock()
-	defer e.aggMu.Unlock()
-	a := e.agg
-	if a == nil || a.policy.MaxDelay <= 0 {
-		return
-	}
-	a.deadline = time.Time{}
-	now := time.Now()
-	var next time.Time
-	for pe := range a.buckets {
-		b := &a.buckets[pe]
-		if len(b.msgs) == 0 {
-			continue
-		}
-		due := b.since.Add(a.policy.MaxDelay)
-		if !due.After(now) {
-			if err := e.flushBucketLocked(pe); err != nil && a.deferred == nil {
-				a.deferred = err
-			}
-		} else if next.IsZero() || due.Before(next) {
-			next = due
-		}
-	}
-	if !next.IsZero() {
-		e.armTimerLocked(next)
-	}
 }
 
 // Flush sends every buffered payload on its way immediately,
@@ -279,9 +149,6 @@ func (e *Endpoint) Flush() error {
 		return nil
 	}
 	var first error
-	if d := e.agg.deferred; d != nil {
-		e.agg.deferred, first = nil, d
-	}
 	for pe := range e.agg.buckets {
 		if err := e.flushBucketLocked(pe); err != nil && first == nil {
 			first = err
@@ -317,7 +184,7 @@ func (e *Endpoint) flushBucketLocked(pe int) error {
 		return nil
 	}
 	msgs, bytes, departs := b.msgs, b.bytes, b.sendTime
-	b.msgs, b.bytes, b.sendTime, b.since = nil, 0, 0, time.Time{}
+	b.msgs, b.bytes, b.sendTime = nil, 0, 0
 	arrival := departs + e.net.lat.Cost(bytes)
 	e.net.envelopes.Add(1)
 	e.net.aggPayloads.Add(uint64(len(msgs)))

@@ -1,16 +1,12 @@
-// ShmTransport: the shared-memory fabric for co-located workers. The
-// PR 9 socket transport made the Machine shard across OS processes,
-// but priced every cross-worker Send at a writev + read pair — a
-// ~120x tax over the in-process path. Processes on one host do not
-// need the kernel to move bytes between them: this backend maps one
-// file per ordered worker pair (created at rendezvous by
-// CreateShmMesh, before any worker starts) and runs a lock-free
-// single-producer/single-consumer byte ring in each, so a Deliver is
-// an envelope encode plus a memcpy into the peer's ring, and a
-// receive is a memcpy out. Framing and codec are exactly the socket
-// wire's — `u32 len | u8 type | body` around the PUP envelope image —
-// so everything above the fabric (shard protocol, equivalence suites)
-// runs unchanged.
+// The shared-memory link, for co-located workers. Processes on one
+// host do not need the kernel to move bytes between them (the socket
+// link prices every cross-worker Send at a writev + read pair — a
+// ~120x tax over the in-process path): this fabric maps one file per
+// ordered worker pair (created at rendezvous by CreateShmMesh, before
+// any worker starts) and runs a lock-free single-producer/
+// single-consumer byte ring in each, so a push is a memcpy into the
+// peer's ring and a read is a memcpy out. A link is the pair's two
+// rings: out (self → peer) and in (peer → self).
 //
 // Ring layout (one mmap'd file, header page + data):
 //
@@ -31,23 +27,17 @@
 // serialize on a local mutex per ring (the SPSC "single producer" is
 // the process, not a goroutine).
 //
-// Wakeup is futex-free spin-then-park, in three rungs: an empty-ring
-// reader first yields the Go scheduler for a short burst (frames
-// already in flight land here), then surrenders its kernel timeslice
-// with sched_yield — co-located workers share cores, and the peer
-// process needs this one to produce the next frame — and only after
-// ~a millisecond of emptiness parks in timer sleeps. Wakes/Parks in
-// SocketStats count the sleep transitions, and a parked reader's wake
-// latency is bounded by one nap — no descriptor, no syscall on the
-// send side at all.
+// Wakeup is futex-free spin-then-park: an empty-ring reader and a
+// full-ring writer wait on the Backoff ladder (backoff.go).
+// Wakes/Parks in SocketStats count the reader's sleep transitions,
+// and a parked reader's wake latency is bounded by one nap — no
+// descriptor, no syscall on the send side at all.
 //
-// Teardown follows the socket transport's Retire-before-Close
-// contract. Close marks every outbound ring wclosed *before* waiting
-// for the local readers, so two workers closing concurrently unblock
-// each other: a reader exits once its inbound ring is closed and
-// drained (or its own transport's Close is underway). Ring faults
-// after Retire are teardown noise; before it they panic, same hard
-// failure policy as the socket fabric.
+// Unlike a socket, a ring can say "the peer closed in good order":
+// close marks the outbound ring wclosed under the producer mutex, so
+// every accepted frame is published before the peer can observe the
+// mark, and a reader that finds its inbound ring wclosed and drained
+// ends without a fault.
 package comm
 
 import (
@@ -55,11 +45,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"syscall"
-	"time"
 	"unsafe"
 )
 
@@ -80,40 +67,12 @@ const (
 	// single-publish affair.
 	DefaultShmRingBytes = 4 << 20
 
-	// Spin-then-park tuning, three rungs per empty poll streak.
-	// Rung 1: shmSpinYields runtime.Gosched calls — cheap (~150ns),
-	// catches frames already in flight from another local goroutine's
-	// perspective. Rung 2: shmYieldSpins sched_yield calls — when the
-	// reader is the only runnable goroutine, Gosched returns instantly
-	// and the reader would busy-burn its whole OS quantum, starving
-	// the co-located peer process that is producing the very frame it
-	// waits for; sched_yield (~340ns, not a futex) hands the core to
-	// that peer while keeping wake latency at one scheduling round.
-	// Rung 3: timer sleeps — Linux timer granularity makes any
-	// sub-millisecond request sleep ~1ms regardless, so the nap is an
-	// honest millisecond and is entered only after the yield phase has
-	// kept the ring warm for over a millisecond of emptiness; a truly
-	// idle reader then costs ~0.1% of a core.
+	// Backoff rungs for ring polls (backoff.go): 64 Gosched calls, then
+	// 4096 OS yields — over a millisecond of keeping the ring warm —
+	// before the first nap.
 	shmSpinYields = 64
 	shmYieldSpins = 4096
-	shmParkNap    = time.Millisecond
 )
-
-// OSYield surrenders the rest of this thread's kernel timeslice via
-// sched_yield, then rotates the local run queue too. runtime.Gosched
-// alone only rotates goroutines within this process — when a spinner
-// is the only runnable goroutine it returns instantly and the spin
-// burns the whole OS quantum a co-located peer process needs; the
-// OS yield alone would conversely starve same-process goroutines
-// (the in-process harnesses run both workers in one runtime). Both
-// together cost ~500ns and give everyone else a turn. Any busy-wait
-// that can face a co-located process on the other end of the fabric
-// (ring readers here, the shard migration driver) should use this
-// instead of bare Gosched.
-func OSYield() {
-	syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0)
-	runtime.Gosched()
-}
 
 // shmRing is one mapped SPSC ring (either direction of a pair).
 type shmRing struct {
@@ -251,7 +210,7 @@ func (r *shmRing) readable() uint64 { return r.tail.Load() - r.head.Load() }
 
 // tryPush copies frame into the ring and publishes it with one
 // release-store of tail; false when the ring lacks space. Caller is
-// the single producer (holds the transport's per-ring mutex).
+// the single producer (holds the link's producer mutex).
 func (r *shmRing) tryPush(frame []byte) bool {
 	need := uint64(len(frame))
 	tail := r.tail.Load()
@@ -304,311 +263,128 @@ func (r *shmRing) copyOut(dst []byte, pos uint64) {
 	copy(dst[n1:], r.data)
 }
 
-// ShmTransport implements ShardTransport over the mapped ring mesh.
-type ShmTransport struct {
-	self    int
-	workers int
-	owner   func(pe int) int
-	network *Network
-	ctrl    ControlHandler
+// shmLink is the pair of rings shared with one peer worker.
+type shmLink struct {
+	peer  int
+	out   *shmRing // self → peer; this process is its single producer
+	in    *shmRing // peer → self; the reader goroutine is its consumer
+	stats *linkCounters
 
-	out   []*shmRing // out[w]: self → w (nil for self)
-	outMu []sync.Mutex
-	in    []*shmRing // in[w]: w → self
-
-	done    chan struct{}
-	closed  atomic.Bool
-	retired atomic.Bool
-	wgR     sync.WaitGroup
-
-	framesSent   atomic.Uint64
-	bytesWritten atomic.Uint64
-	framesRecv   atomic.Uint64
-	bytesRead    atomic.Uint64
-	wakes        atomic.Uint64
-	parks        atomic.Uint64
+	// mu serializes local senders (SPSC's single producer) and orders
+	// push against close, which takes it before marking out wclosed.
+	mu sync.Mutex
+	// stop is set when close begins: a pusher blocked on a full ring
+	// gives up (it holds mu, which close is waiting for) and the reader
+	// ends.
+	stop atomic.Bool
+	idle Backoff // the reader's ladder
 }
 
 // NewShmTransport opens worker self's half of the ring mesh under dir
-// (created beforehand by CreateShmMesh). owner maps a global PE index
-// to its owning worker, exactly as for NewSocketTransport; it may be
-// nil for a control-only transport that never Delivers envelopes.
-func NewShmTransport(self, workers int, owner func(pe int) int, dir string) (*ShmTransport, error) {
+// (created beforehand by CreateShmMesh): one shm link per peer. owner
+// maps a global PE index to its owning worker, exactly as for
+// NewSocketTransport; it may be nil for a control-only transport that
+// never Delivers envelopes.
+func NewShmTransport(self, workers int, owner func(pe int) int, dir string) (*LinkTransport, error) {
 	if self < 0 || self >= workers || workers < 2 {
 		return nil, fmt.Errorf("comm: NewShmTransport: worker %d of %d", self, workers)
 	}
-	t := &ShmTransport{
-		self: self, workers: workers, owner: owner,
-		out: make([]*shmRing, workers), outMu: make([]sync.Mutex, workers),
-		in:   make([]*shmRing, workers),
-		done: make(chan struct{}),
-	}
-	fail := func(err error) (*ShmTransport, error) {
-		for _, r := range t.out {
-			if r != nil {
-				r.close()
-			}
-		}
-		for _, r := range t.in {
-			if r != nil {
-				r.close()
-			}
-		}
-		return nil, err
-	}
+	t := newLinkTransport(self, workers, owner)
 	for w := 0; w < workers; w++ {
-		if w == t.self {
+		if w == self {
 			continue
 		}
+		l := &shmLink{peer: w, stats: &t.stats, idle: NewBackoff(shmSpinYields, shmYieldSpins)}
 		var err error
-		if t.out[w], err = openShmRing(ShmRingPath(dir, self, w)); err != nil {
-			return fail(err)
+		if l.out, err = openShmRing(ShmRingPath(dir, self, w)); err == nil {
+			if l.in, err = openShmRing(ShmRingPath(dir, w, self)); err != nil {
+				l.out.close()
+			}
 		}
-		if t.in[w], err = openShmRing(ShmRingPath(dir, w, self)); err != nil {
-			return fail(err)
+		if err != nil {
+			for _, opened := range t.links {
+				if opened != nil {
+					opened.release()
+				}
+			}
+			return nil, err
 		}
+		t.links[w] = l
 	}
 	return t, nil
 }
 
-// SetControlHandler installs the control-frame callback (before
-// Start). Same borrow-only payload rule as the socket transport.
-func (t *ShmTransport) SetControlHandler(h ControlHandler) { t.ctrl = h }
-
-// Attach shards n onto this transport: PEs [peLo, peHi) are local.
-func (t *ShmTransport) Attach(n *Network, peLo, peHi int) error {
-	if err := n.SetTransport(t, peLo, peHi); err != nil {
-		return err
-	}
-	t.network = n
-	return nil
-}
-
-// Start launches one reader goroutine per inbound ring. Unlike the
-// socket transport, a nil network is allowed: a control-only
-// ShmTransport (no Attach) carries SendControl traffic — the sharded
-// BigSim step exchange uses one — and an envelope frame arriving on
-// it is a protocol error.
-func (t *ShmTransport) Start() error {
-	for w, r := range t.in {
-		if r == nil {
-			continue
-		}
-		t.wgR.Add(1)
-		go t.readLoop(w, r)
-	}
-	return nil
-}
-
-// Deliver implements Transport: encode one envelope frame into a
-// recycled buffer and publish it into the destination worker's ring.
-func (t *ShmTransport) Deliver(pe int, msgs []*Message) error {
-	w := t.owner(pe)
-	if w == t.self || w < 0 || w >= t.workers {
-		return fmt.Errorf("comm: Deliver(%d): PE maps to worker %d (self %d)", pe, w, t.self)
-	}
-	frame, err := envelopeFrame(pe, msgs)
-	if err != nil {
-		return err
-	}
-	err = t.writeFrame(w, frame)
-	putBuf(frame)
-	return err
-}
-
-// SendControl publishes a control frame for peer worker w. FIFO with
-// any envelopes previously published for w (same ring).
-func (t *ShmTransport) SendControl(w int, kind uint32, payload []byte) error {
-	if w == t.self || w < 0 || w >= t.workers {
-		return fmt.Errorf("comm: SendControl(%d): invalid peer", w)
-	}
-	frame, err := controlFrame(t.self, kind, payload)
-	if err != nil {
-		return err
-	}
-	err = t.writeFrame(w, frame)
-	putBuf(frame)
-	return err
-}
-
-// Broadcast sends a control frame to every peer.
-func (t *ShmTransport) Broadcast(kind uint32, payload []byte) error {
-	for w := range t.out {
-		if w == t.self {
-			continue
-		}
-		if err := t.SendControl(w, kind, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeFrame publishes one frame into the ring to w, waiting out a
-// full ring with the same yield-then-nap backoff the readers use. The
-// per-ring mutex both serializes local senders (SPSC's single
-// producer) and orders against Close, which acquires it before
-// marking the ring closed: a frame accepted here is published before
-// the peer can observe wclosed.
-func (t *ShmTransport) writeFrame(w int, frame []byte) error {
-	r := t.out[w]
+// push publishes one frame into the outbound ring, waiting out a full
+// ring on the backoff ladder: a full ring means the reader's process
+// is behind, and the OS-yield rung gives it the core so it can drain.
+func (l *shmLink) push(frame []byte) error {
+	defer putBuf(frame)
+	r := l.out
 	if uint64(len(frame)) > r.capacity {
 		return fmt.Errorf("comm: frame of %d bytes exceeds shm ring capacity %d", len(frame), r.capacity)
 	}
-	t.outMu[w].Lock()
-	defer t.outMu[w].Unlock()
-	if t.closed.Load() {
-		return fmt.Errorf("comm: shm transport closed")
-	}
-	for idle := 0; !r.tryPush(frame); idle++ {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	full := NewBackoff(shmSpinYields, shmYieldSpins)
+	for {
+		if l.stop.Load() {
+			return errLinkClosed
+		}
+		if r.tryPush(frame) {
+			l.stats.writeBatches.Add(1)
+			return nil
+		}
 		if r.rclosed.Load() != 0 {
-			return fmt.Errorf("comm: shm ring to worker %d: reader detached", w)
+			return fmt.Errorf("comm: shm ring to worker %d: reader detached", l.peer)
 		}
-		select {
-		case <-t.done:
-			return fmt.Errorf("comm: shm transport closed")
-		default:
-		}
-		switch {
-		case idle < shmSpinYields:
-			runtime.Gosched()
-		case idle < shmSpinYields+shmYieldSpins:
-			// A full ring means the reader's process is behind;
-			// give it the core so it can drain.
-			OSYield()
-		default:
-			time.Sleep(shmParkNap)
-		}
+		full.Wait()
 	}
-	t.framesSent.Add(1)
-	t.bytesWritten.Add(uint64(len(frame)))
-	return nil
 }
 
-// readLoop drains one inbound ring: spin-then-park when empty, pop
-// and dispatch otherwise. Exits when the peer closed the ring and it
-// is drained, or when the local transport is closing.
-func (t *ShmTransport) readLoop(w int, r *shmRing) {
-	defer t.wgR.Done()
-	defer r.rclosed.Store(1)
-	idle := 0
+// read pops the next frame off the inbound ring, spin-then-parking
+// while it is empty. It ends when the peer closed the ring and it is
+// drained, or when the local close began; every way out detaches the
+// reader (rclosed) so a peer blocked on a full ring stops waiting.
+func (l *shmLink) read() ([]byte, error) {
+	r := l.in
 	for {
 		buf, ok, err := r.readFrame()
 		if err != nil {
-			t.ringFailed(w, err)
-			return
+			r.rclosed.Store(1)
+			return nil, err
 		}
-		if !ok {
-			if r.wclosed.Load() != 0 {
-				if r.readable() == 0 {
-					return // peer closed and drained
-				}
-				continue // frames published before the close: drain them
+		if ok {
+			if l.idle.Reset() {
+				l.stats.wakes.Add(1)
 			}
-			select {
-			case <-t.done:
-				return
-			default:
+			return buf, nil
+		}
+		if r.wclosed.Load() != 0 {
+			// The cursors are re-read now that the close is visible:
+			// frames published before it are drained, not abandoned.
+			if r.readable() != 0 {
+				continue
 			}
-			idle++
-			switch {
-			case idle <= shmSpinYields:
-				runtime.Gosched()
-			case idle <= shmSpinYields+shmYieldSpins:
-				OSYield()
-			default:
-				if idle == shmSpinYields+shmYieldSpins+1 {
-					t.parks.Add(1)
-				}
-				time.Sleep(shmParkNap)
+		} else if !l.stop.Load() {
+			if l.idle.Wait() {
+				l.stats.parks.Add(1)
 			}
 			continue
 		}
-		if idle > shmSpinYields+shmYieldSpins {
-			t.wakes.Add(1)
-		}
-		idle = 0
-		t.framesRecv.Add(1)
-		t.bytesRead.Add(uint64(4 + len(buf)))
-		if err := dispatchFrame(t.network, t.ctrl, buf); err != nil {
-			t.ringFailed(w, err)
-			return
-		}
-		putBuf(buf)
+		r.rclosed.Store(1)
+		return nil, errLinkEnded
 	}
 }
 
-// ringFailed enforces the hard-error policy, mirroring the socket
-// transport's linkFailed.
-func (t *ShmTransport) ringFailed(w int, err error) {
-	if t.closed.Load() || t.retired.Load() {
-		return // expected teardown noise
-	}
-	panic(fmt.Sprintf("comm: shm transport worker %d: ring with worker %d failed: %v", t.self, w, err))
+func (l *shmLink) close() {
+	l.stop.Store(true)
+	l.mu.Lock()
+	l.out.wclosed.Store(1)
+	l.mu.Unlock()
 }
 
-// Retire marks the run complete: ring faults after this point are
-// expected teardown noise. Call once the termination barrier has been
-// crossed, before Close.
-func (t *ShmTransport) Retire() { t.retired.Store(true) }
-
-// Close implements Transport: mark every outbound ring closed (under
-// its mutex, so in-flight writes finish publishing first), stop the
-// readers, then unmap. Outbound rings close before the reader wait so
-// two workers closing concurrently cannot deadlock: each side's
-// readers see the peer's wclosed (or their own done) and exit.
-func (t *ShmTransport) Close() error {
-	if t.closed.Swap(true) {
-		return nil
-	}
-	close(t.done)
-	for w, r := range t.out {
-		if r == nil {
-			continue
-		}
-		t.outMu[w].Lock()
-		r.wclosed.Store(1)
-		t.outMu[w].Unlock()
-	}
-	t.wgR.Wait()
-	t.retired.Store(true)
-	for _, r := range t.out {
-		if r != nil {
-			r.close()
-		}
-	}
-	for _, r := range t.in {
-		if r != nil {
-			r.close()
-		}
-	}
-	return nil
-}
-
-// Backlog reports bytes published to peers but not yet consumed — the
-// adaptive aggregation backpressure signal (Backlogger).
-func (t *ShmTransport) Backlog() int {
-	var n uint64
-	for _, r := range t.out {
-		if r != nil {
-			n += r.readable()
-		}
-	}
-	return int(n)
-}
-
-// SocketStats returns the ring counters in the shared multi-process
-// stats shape. WriteSyscalls stays zero — the whole point — and every
-// frame is its own publish, so WriteBatches == FramesSent.
-func (t *ShmTransport) SocketStats() SocketStats {
-	fs := t.framesSent.Load()
-	return SocketStats{
-		WriteBatches: fs,
-		FramesSent:   fs,
-		BytesWritten: t.bytesWritten.Load(),
-		FramesRecv:   t.framesRecv.Load(),
-		BytesRead:    t.bytesRead.Load(),
-		Wakes:        t.wakes.Load(),
-		Parks:        t.parks.Load(),
-	}
+func (l *shmLink) release() {
+	l.in.rclosed.Store(1)
+	l.out.close()
+	l.in.close()
 }

@@ -3,215 +3,28 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 )
 
-// twoShmShards mirrors twoShards over the shared-memory fabric: two
-// sharded 4-PE networks in one process, linked by a ring mesh in a
-// temp directory. ringBytes sizes the rings (0 = a small 64 KiB so
-// tests exercise realistic occupancy).
-func twoShmShards(t *testing.T, ringBytes int) (n0, n1 *Network, t0, t1 *ShmTransport) {
-	t.Helper()
-	if ringBytes == 0 {
-		ringBytes = 1 << 16
-	}
-	dir := t.TempDir()
-	if err := CreateShmMesh(dir, 2, ringBytes); err != nil {
-		t.Fatal(err)
-	}
-	owner := func(pe int) int { return pe / 2 }
-	lat := LatencyModel{Alpha: 100, BetaPerByte: 1}
-	n0, n1 = NewNetwork(4, lat), NewNetwork(4, lat)
-	var err error
-	if t0, err = NewShmTransport(0, 2, owner, dir); err != nil {
-		t.Fatal(err)
-	}
-	if t1, err = NewShmTransport(1, 2, owner, dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := t0.Attach(n0, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := t1.Attach(n1, 2, 4); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		t0.Retire()
-		t1.Retire()
-		t0.Close()
-		t1.Close()
-	})
-	return n0, n1, t0, t1
-}
-
-func shmStart(t *testing.T, t0, t1 *ShmTransport) {
-	t.Helper()
-	if err := t0.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := t1.Start(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShmTransportSend is TestSocketTransportSend over the ring
-// fabric: bit-identical delivery, same latency accounting, in order.
-func TestShmTransportSend(t *testing.T) {
-	n0, n1, t0, t1 := twoShmShards(t, 0)
-	for _, n := range []*Network{n0, n1} {
-		if err := n.Register(EntityID(9), 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shmStart(t, t0, t1)
-
-	const count = 50
-	for i := 0; i < count; i++ {
-		msg := &Message{To: 9, From: 1, Tag: i, Data: []byte{byte(i), 2, 3, 4}, SendTime: float64(i) * 10, VTime: float64(i)}
-		if err := n0.Endpoint(0).Send(msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dst := n1.Endpoint(2)
-	waitFor(t, "cross-ring delivery", func() bool { return dst.Pending() == count })
-	for i := 0; i < count; i++ {
-		m := dst.Poll()
-		if m.Tag != i {
-			t.Fatalf("out of order: got tag %d at position %d", m.Tag, i)
-		}
-		wantArrival := float64(i)*10 + n0.Latency().Cost(4)
-		if m.Arrival != wantArrival || m.Hops != 1 || m.VTime != float64(i) {
-			t.Fatalf("msg %d: arrival %v want %v, hops %d, vtime %v", i, m.Arrival, wantArrival, m.Hops, m.VTime)
-		}
-	}
-	if s := n0.Snapshot(); s.RemoteEnvelopes != count || s.RemotePayloads != count {
-		t.Fatalf("sender snapshot: %+v", s)
-	}
-	if st := t0.SocketStats(); st.FramesSent != count || st.WriteSyscalls != 0 {
-		t.Fatalf("shm stats (no syscalls, one frame per send): %+v", st)
-	}
-}
-
-// TestShmTransportAggregated checks a flushed TRAM bucket crosses the
-// ring as one frame.
-func TestShmTransportAggregated(t *testing.T) {
-	n0, n1, t0, t1 := twoShmShards(t, 0)
-	for _, n := range []*Network{n0, n1} {
-		for i := 0; i < 8; i++ {
-			if err := n.Register(EntityID(100+i), 3); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	n0.EnableAggregation(AggPolicy{MaxPayloads: 8})
-	shmStart(t, t0, t1)
-
-	src := n0.Endpoint(1)
-	for i := 0; i < 8; i++ {
-		if err := src.SendStream(&Message{To: EntityID(100 + i), From: 1, Data: []byte("abcd")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dst := n1.Endpoint(3)
-	waitFor(t, "aggregated delivery", func() bool { return dst.Pending() == 8 })
-	if s := n0.Snapshot(); s.RemoteEnvelopes != 1 || s.RemotePayloads != 8 {
-		t.Fatalf("remote envelope should carry all 8 payloads in one frame: %+v", s)
-	}
-	if st := t0.SocketStats(); st.FramesSent != 1 {
-		t.Fatalf("ring frames: %+v", st)
-	}
-}
-
-// TestShmTransportForward chases a migrated entity across the rings.
-func TestShmTransportForward(t *testing.T) {
-	n0, n1, t0, t1 := twoShmShards(t, 0)
-	base := PinnedEntity | EntityID(1<<20)
-	for _, n := range []*Network{n0, n1} {
-		if err := n.RegisterRange(base, []int{1, 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shmStart(t, t0, t1)
-
-	msg := &Message{To: base, From: 99, Data: []byte("chase me"), SendTime: 5}
-	if err := n1.Endpoint(2).Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	old := n0.Endpoint(1)
-	waitFor(t, "first hop", func() bool { return old.Pending() == 1 })
-	got := old.Poll()
-
-	for _, n := range []*Network{n0, n1} {
-		if err := n.MoveRangeBatch(base, []RangeMove{{Index: 0, To: 3}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := old.Forward(got); err != nil {
-		t.Fatal(err)
-	}
-	dst := n1.Endpoint(3)
-	waitFor(t, "forwarded delivery", func() bool { return dst.Pending() == 1 })
-	m := dst.Poll()
-	if m.Hops != 2 || string(m.Data) != "chase me" {
-		t.Fatalf("forwarded message: hops %d, data %q", m.Hops, m.Data)
-	}
-}
-
-// TestShmTransportControl checks ring FIFO: an envelope published
-// before a control frame is delivered before it.
-func TestShmTransportControl(t *testing.T) {
-	n0, n1, t0, t1 := twoShmShards(t, 0)
-	for _, n := range []*Network{n0, n1} {
-		if err := n.Register(EntityID(5), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var mu sync.Mutex
-	var got []string
-	t0.SetControlHandler(func(from int, kind uint32, payload []byte) {
-		mu.Lock()
-		got = append(got, fmt.Sprintf("%d/%d/%s", from, kind, payload))
-		mu.Unlock()
-	})
-	shmStart(t, t0, t1)
-
-	if err := n1.Endpoint(3).Send(&Message{To: 5, From: 2, Data: []byte("d")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := t1.SendControl(0, 7, []byte("done")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "control frame", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 1
-	})
-	if n0.Endpoint(0).Pending() != 1 {
-		t.Fatal("envelope must precede the control frame in ring FIFO")
-	}
-	mu.Lock()
-	if got[0] != "1/7/done" {
-		t.Fatalf("control frame: %q", got[0])
-	}
-	mu.Unlock()
-}
+// The ring-specific tests: everything the contract suite
+// (transport_test.go) cannot reach because it depends on a ring's
+// size, layout or mapped image.
 
 // TestShmTransportWrapAround drives far more bytes than the ring
 // holds through a deliberately tiny ring, so the cursors wrap many
 // times and frames straddle the boundary — order and content must
 // survive, with the writer blocking (not corrupting) when full.
 func TestShmTransportWrapAround(t *testing.T) {
-	n0, n1, t0, t1 := twoShmShards(t, shmMinRing)
+	t0, t1 := shmPair(t, ownerByPair, shmMinRing)
+	n0, n1 := twoWorkers(t, t0, t1)
 	for _, n := range []*Network{n0, n1} {
 		if err := n.Register(EntityID(9), 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	shmStart(t, t0, t1)
+	startBoth(t, t0, t1)
 
 	const count = 500
 	payload := make([]byte, 100) // ~172-byte frames vs a 4 KiB ring
@@ -249,8 +62,9 @@ func TestShmTransportWrapAround(t *testing.T) {
 // TestShmFrameTooLarge checks a frame that cannot ever fit the ring
 // is rejected instead of deadlocking the writer.
 func TestShmFrameTooLarge(t *testing.T) {
-	_, _, t0, t1 := twoShmShards(t, shmMinRing)
-	shmStart(t, t0, t1)
+	t0, t1 := shmPair(t, nil, shmMinRing)
+	t.Cleanup(func() { retireAndClose(t0, t1) })
+	startBoth(t, t0, t1)
 	if err := t0.SendControl(1, 9, make([]byte, 2*shmMinRing)); err == nil {
 		t.Fatal("oversized frame must be rejected")
 	}

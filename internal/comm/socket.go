@@ -1,23 +1,16 @@
-// SocketTransport: the multi-process Transport backend. Worker
-// processes hold one stream connection (unix-domain or TCP — anything
-// net.Conn) to every peer; envelopes encoded by wire.go cross as
-// length-prefixed frames. Each peer link has a dedicated writer
-// goroutine that drains every frame queued since its last write into
-// a single net.Buffers write — the writev-style coalescing that turns
-// a burst of fine-grained envelopes into one syscall — and a reader
-// goroutine that decodes frames and injects them with DeliverLocal.
-// Per (sender, link) frame order is the enqueue order, so the
-// transport contract's in-order guarantee falls out of stream FIFO.
+// The socket link: one stream connection (unix-domain or TCP —
+// anything net.Conn) to a peer worker. push appends the frame to a
+// pending queue; a dedicated writer goroutine drains every frame
+// queued since its last write into a single net.Buffers write — the
+// writev-style coalescing that turns a burst of fine-grained
+// envelopes into one syscall — and read pulls length-prefixed frames
+// through a bufio.Reader. Frame order on the link is push order, so
+// the skeleton's FIFO guarantee falls out of stream FIFO.
 //
-// Besides envelopes the wire carries control frames — small typed
-// blobs for the orchestration layer (termination barriers, migration
-// records, step exchanges). Control frames share the link FIFO with
-// envelopes, which the shard layer exploits: a DONE sent after the
-// last data frame is received after it too.
-//
-// Failure policy: a peer error (or EOF) before Retire marks the run
-// broken and panics — a worker process dying mid-run is a hard error
-// for now, there is no restart or rebalance protocol.
+// A stream socket has no in-band "peer closed in good order" signal:
+// EOF before Retire is indistinguishable from a dead worker and is
+// reported as a fault. An asynchronous write error reaches the
+// transport's failure policy through the link's fail callback.
 package comm
 
 import (
@@ -27,225 +20,81 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
-// Frame types on a socket link.
-const (
-	frameEnvelope byte = 1
-	frameControl  byte = 2
-)
-
-// maxFrameLen caps a claimed frame length (hostile-input guard: a
-// forged prefix cannot make the reader allocate unbounded memory).
-const maxFrameLen = 64 << 20
-
-// ControlHandler receives control frames: the sending worker's index,
-// the frame kind, and its payload. It runs on the link's reader
-// goroutine — keep it quick and thread-safe. The payload slice is a
-// view into a recycled read buffer and is valid only for the duration
-// of the call: a handler that keeps the bytes must copy them.
-type ControlHandler func(from int, kind uint32, payload []byte)
-
-// SocketTransport bridges this process's PEs to its peers over stream
-// sockets. Construct with NewSocketTransport, add one connection per
-// peer with AddPeer, wire it to the network with Attach, then Start.
-type SocketTransport struct {
-	self    int
-	workers int
-	owner   func(pe int) int // global PE → owning worker index
-	network *Network
-	peers   []*sockPeer
-	ctrl    ControlHandler
-
-	done    chan struct{}
-	closed  atomic.Bool
-	retired atomic.Bool
-	wgW     sync.WaitGroup
-	wgR     sync.WaitGroup
-
-	writeBatches  atomic.Uint64
-	writeSyscalls atomic.Uint64
-	framesSent    atomic.Uint64
-	bytesWritten  atomic.Uint64
-	framesRecv    atomic.Uint64
-	bytesRead     atomic.Uint64
-	qbytes        atomic.Int64 // frame bytes queued, not yet written
-}
-
-// sockPeer is one link: a connection plus the pending frame queue its
-// writer goroutine drains. Queued frames live in recycled buffers
-// (bufpool.go); ownership passes enqueue → drain, which returns them
-// to the pool once the writev completes. spare/scratch are the
+// sockLink is a connection plus the pending frame queue its writer
+// goroutine drains. Queued frames live in recycled buffers
+// (bufpool.go); ownership passes push → drain, which returns them to
+// the pool once the writev completes. spare/scratch are the
 // writer-side slice recycling: spare is the previous batch's queue
 // slice handed back for reuse, scratch the net.Buffers copy WriteTo
 // is allowed to consume (it reslices its argument in place, and we
 // still need the original frame pointers to recycle them).
-type sockPeer struct {
-	index   int
-	conn    net.Conn
-	mu      sync.Mutex
-	q       net.Buffers
+type sockLink struct {
+	conn  net.Conn
+	br    *bufio.Reader
+	hdr   [4]byte // read's prefix scratch (a local would escape per frame)
+	stats *linkCounters
+	fail  func(error) // a write failed on the writer goroutine
+
+	mu     sync.Mutex
+	q      net.Buffers
+	closed bool // under mu, so it orders against the writer's final drain
+
 	kick    chan struct{}
+	done    chan struct{} // close: flush and stop the writer
+	flushed chan struct{} // the writer has exited
 	spare   net.Buffers
 	scratch net.Buffers
 }
 
 // NewSocketTransport builds a transport for worker self of workers
-// total; owner maps a global PE index to the worker owning it.
-func NewSocketTransport(self, workers int, owner func(pe int) int) *SocketTransport {
-	return &SocketTransport{
-		self:    self,
-		workers: workers,
-		owner:   owner,
-		peers:   make([]*sockPeer, workers),
-		done:    make(chan struct{}),
-	}
+// total whose links are stream sockets, added one per peer with
+// AddPeer. owner maps a global PE index to the worker owning it; it
+// may be nil for a control-only transport that never Delivers
+// envelopes.
+func NewSocketTransport(self, workers int, owner func(pe int) int) *LinkTransport {
+	return newLinkTransport(self, workers, owner)
 }
 
-// AddPeer attaches the connection to peer worker idx. Must be called
-// for every peer before Start.
-func (t *SocketTransport) AddPeer(idx int, conn net.Conn) error {
+// AddPeer makes conn the link to peer worker idx and starts its
+// writer. Must be called for every peer before Start.
+func (t *LinkTransport) AddPeer(idx int, conn net.Conn) error {
 	if idx < 0 || idx >= t.workers || idx == t.self {
 		return fmt.Errorf("comm: AddPeer(%d): invalid peer for worker %d of %d", idx, t.self, t.workers)
 	}
-	if t.peers[idx] != nil {
+	if t.links[idx] != nil {
 		return fmt.Errorf("comm: AddPeer(%d): duplicate peer", idx)
 	}
-	t.peers[idx] = &sockPeer{index: idx, conn: conn, kick: make(chan struct{}, 1)}
+	l := &sockLink{
+		conn:    conn,
+		br:      bufio.NewReaderSize(conn, 1<<16),
+		stats:   &t.stats,
+		fail:    func(err error) { t.linkFailed(idx, err) },
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		flushed: make(chan struct{}),
+	}
+	go l.writeLoop()
+	t.links[idx] = l
 	return nil
 }
 
-// SetControlHandler installs the control-frame callback (before
-// Start).
-func (t *SocketTransport) SetControlHandler(h ControlHandler) { t.ctrl = h }
-
-// Attach shards n onto this transport: PEs [peLo, peHi) are local.
-func (t *SocketTransport) Attach(n *Network, peLo, peHi int) error {
-	if err := n.SetTransport(t, peLo, peHi); err != nil {
-		return err
-	}
-	t.network = n
-	return nil
-}
-
-// Start launches the per-link reader and writer goroutines. Every
-// peer must have been added.
-func (t *SocketTransport) Start() error {
-	for idx, p := range t.peers {
-		if idx == t.self {
-			continue
-		}
-		if p == nil {
-			return fmt.Errorf("comm: Start: missing peer %d", idx)
-		}
-	}
-	if t.network == nil {
-		return fmt.Errorf("comm: Start: transport not attached to a network")
-	}
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		t.wgW.Add(1)
-		go t.writeLoop(p)
-		t.wgR.Add(1)
-		go t.readLoop(p)
-	}
-	return nil
-}
-
-// Deliver implements Transport: encode msgs as one envelope frame —
-// appended straight into a recycled buffer, no intermediate body
-// slice — and queue it on the link to the worker owning pe.
-func (t *SocketTransport) Deliver(pe int, msgs []*Message) error {
-	w := t.owner(pe)
-	if w == t.self || w < 0 || w >= t.workers {
-		return fmt.Errorf("comm: Deliver(%d): PE maps to worker %d (self %d)", pe, w, t.self)
-	}
-	frame, err := envelopeFrame(pe, msgs)
-	if err != nil {
-		return err
-	}
-	return t.enqueueFrame(t.peers[w], frame)
-}
-
-// envelopeFrame builds a complete envelope frame (length prefix, type
-// byte, envelope image) in a recycled buffer. Shared by both
-// multi-process transports; the caller owns the buffer and must
-// putBuf it once it is off the wire.
-func envelopeFrame(pe int, msgs []*Message) ([]byte, error) {
-	n := 1 + envelopeWireSize(msgs)
-	if n > maxFrameLen {
-		return nil, fmt.Errorf("comm: frame of %d bytes exceeds the %d limit", n, maxFrameLen)
-	}
-	frame := getBuf(4 + n)
-	frame = appendU32(frame, uint32(n))
-	frame = append(frame, frameEnvelope)
-	frame = appendEnvelope(frame, pe, msgs)
-	return frame, nil
-}
-
-// controlFrame builds a complete control frame in a recycled buffer.
-func controlFrame(self int, kind uint32, payload []byte) ([]byte, error) {
-	n := 1 + 8 + len(payload)
-	if n > maxFrameLen {
-		return nil, fmt.Errorf("comm: frame of %d bytes exceeds the %d limit", n, maxFrameLen)
-	}
-	frame := getBuf(4 + n)
-	frame = appendU32(frame, uint32(n))
-	frame = append(frame, frameControl)
-	frame = appendU32(frame, uint32(self))
-	frame = appendU32(frame, kind)
-	frame = append(frame, payload...)
-	return frame, nil
-}
-
-// SendControl queues a control frame for peer worker w. FIFO with any
-// envelopes previously queued for w.
-func (t *SocketTransport) SendControl(w int, kind uint32, payload []byte) error {
-	if w == t.self || w < 0 || w >= t.workers {
-		return fmt.Errorf("comm: SendControl(%d): invalid peer", w)
-	}
-	frame, err := controlFrame(t.self, kind, payload)
-	if err != nil {
-		return err
-	}
-	return t.enqueueFrame(t.peers[w], frame)
-}
-
-// Broadcast sends a control frame to every peer.
-func (t *SocketTransport) Broadcast(kind uint32, payload []byte) error {
-	for idx := range t.peers {
-		if idx == t.self {
-			continue
-		}
-		if err := t.SendControl(idx, kind, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// enqueueFrame hands a ready frame (built in a recycled buffer, whose
-// ownership transfers here) to the link's writer.
-func (t *SocketTransport) enqueueFrame(p *sockPeer, frame []byte) error {
-	p.mu.Lock()
-	// The closed check lives under p.mu so it orders against Close's
-	// final drain (which takes the same lock after flipping closed): a
-	// frame appended here is either flushed by that drain or rejected,
-	// never silently dropped between the writer's last pass and the
-	// connection teardown.
-	if t.closed.Load() {
-		p.mu.Unlock()
+func (l *sockLink) push(frame []byte) error {
+	l.mu.Lock()
+	// A frame appended here is flushed by close's final drain, which
+	// runs after closed was set under this lock; one that finds closed
+	// set is rejected — never silently dropped between the writer's
+	// last pass and the connection teardown.
+	if l.closed {
+		l.mu.Unlock()
 		putBuf(frame)
-		return fmt.Errorf("comm: socket transport closed")
+		return errLinkClosed
 	}
-	p.q = append(p.q, frame)
-	p.mu.Unlock()
-	t.qbytes.Add(int64(len(frame)))
+	l.q = append(l.q, frame)
+	l.mu.Unlock()
 	select {
-	case p.kick <- struct{}{}:
+	case l.kick <- struct{}{}:
 	default:
 	}
 	return nil
@@ -254,14 +103,14 @@ func (t *SocketTransport) enqueueFrame(p *sockPeer, frame []byte) error {
 // writeLoop drains the pending queue into single net.Buffers writes —
 // on unix/TCP connections Go issues these as writev, so every frame
 // queued between two wakeups coalesces into (usually) one syscall.
-func (t *SocketTransport) writeLoop(p *sockPeer) {
-	defer t.wgW.Done()
+func (l *sockLink) writeLoop() {
+	defer close(l.flushed)
 	for {
 		select {
-		case <-p.kick:
-			t.drain(p)
-		case <-t.done:
-			t.drain(p) // final flush before teardown
+		case <-l.kick:
+			l.drain()
+		case <-l.done:
+			l.drain() // final flush before teardown
 			return
 		}
 	}
@@ -272,188 +121,66 @@ func (t *SocketTransport) writeLoop(p *sockPeer) {
 // WriteTo goes through a scratch copy of the batch because
 // net.Buffers consumes (reslices) the slice it writes from — the
 // original batch keeps the frame pointers the pool needs back.
-func (t *SocketTransport) drain(p *sockPeer) {
+func (l *sockLink) drain() {
 	for {
-		p.mu.Lock()
-		batch := p.q
-		p.q = p.spare[:0]
-		p.spare = nil
-		p.mu.Unlock()
+		l.mu.Lock()
+		batch := l.q
+		l.q = l.spare[:0]
+		l.spare = nil
+		l.mu.Unlock()
 		if len(batch) == 0 {
-			p.spare = batch // hand the empty slice back for reuse
+			l.spare = batch // hand the empty slice back for reuse
 			return
 		}
-		var bytes uint64
-		for _, b := range batch {
-			bytes += uint64(len(b))
-		}
-		t.writeBatches.Add(1)
+		l.stats.writeBatches.Add(1)
 		// Go's net.Buffers issues writev in chunks of up to 1024
 		// iovecs, so the syscall count is derivable from the batch
 		// size (partial writes can add more; this is the floor).
-		t.writeSyscalls.Add(uint64((len(batch) + 1023) / 1024))
-		t.framesSent.Add(uint64(len(batch)))
-		t.bytesWritten.Add(bytes)
-		t.qbytes.Add(-int64(bytes))
+		l.stats.writeSyscalls.Add(uint64((len(batch) + 1023) / 1024))
 		// wb and scratch share a backing array; WriteTo consumes wb
 		// (advancing both the slice and its elements), scratch keeps
 		// the original header so its capacity survives for next time.
-		scratch := append(p.scratch[:0], batch...)
+		scratch := append(l.scratch[:0], batch...)
 		wb := scratch
-		_, err := wb.WriteTo(p.conn)
-		p.scratch = scratch[:0]
+		_, err := wb.WriteTo(l.conn)
+		l.scratch = scratch[:0]
 		if err != nil {
-			t.linkFailed(p, err)
+			l.fail(err)
 			return
 		}
 		for i := range batch {
 			putBuf(batch[i])
 			batch[i] = nil
 		}
-		p.spare = batch[:0]
+		l.spare = batch[:0]
 	}
 }
 
-// readLoop decodes frames off the link: envelopes go to DeliverLocal,
-// control frames to the handler.
-func (t *SocketTransport) readLoop(p *sockPeer) {
-	defer t.wgR.Done()
-	br := bufio.NewReaderSize(p.conn, 1<<16)
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			t.linkFailed(p, err)
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n == 0 || n > maxFrameLen {
-			t.linkFailed(p, fmt.Errorf("frame length %d out of range", n))
-			return
-		}
-		// Recycled read buffer: dispatchFrame's consumers fully copy
-		// out of it (DecodeEnvelope's payloads are fresh allocations,
-		// control handlers must not retain — see ControlHandler), so
-		// it goes straight back to the pool.
-		buf := getBuf(int(n))[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			t.linkFailed(p, err)
-			return
-		}
-		t.framesRecv.Add(1)
-		t.bytesRead.Add(uint64(4 + n))
-		if err := dispatchFrame(t.network, t.ctrl, buf); err != nil {
-			t.linkFailed(p, err)
-			return
-		}
+func (l *sockLink) read() ([]byte, error) {
+	if _, err := io.ReadFull(l.br, l.hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(l.hdr[:])
+	if n == 0 || n > maxFrameLen {
+		return nil, fmt.Errorf("frame length %d out of range", n)
+	}
+	buf := getBuf(int(n))[:n]
+	if _, err := io.ReadFull(l.br, buf); err != nil {
 		putBuf(buf)
+		return nil, err
 	}
+	return buf, nil
 }
 
-// dispatchFrame routes one decoded frame (type byte + body): envelopes
-// to DeliverLocal, control frames to the handler. Shared by both
-// multi-process transports. The buffer is only borrowed: by the time
-// dispatchFrame returns nothing retains it.
-func dispatchFrame(network *Network, ctrl ControlHandler, buf []byte) error {
-	switch buf[0] {
-	case frameEnvelope:
-		pe, msgs, err := DecodeEnvelope(buf[1:])
-		if err != nil {
-			return err
-		}
-		if network == nil {
-			return fmt.Errorf("comm: envelope frame on a control-only transport")
-		}
-		return network.DeliverLocal(pe, msgs)
-	case frameControl:
-		if len(buf) < 9 {
-			return fmt.Errorf("control frame truncated: %d bytes", len(buf))
-		}
-		from := int(binary.LittleEndian.Uint32(buf[1:5]))
-		kind := binary.LittleEndian.Uint32(buf[5:9])
-		if ctrl != nil {
-			ctrl(from, kind, buf[9:])
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown frame type %d", buf[0])
-	}
+// close stops the writer after one last drain, then closes the
+// connection, which is what unblocks the reader.
+func (l *sockLink) close() {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
+	close(l.done)
+	<-l.flushed
+	l.conn.Close()
 }
 
-// linkFailed enforces the hard-error policy: any link fault before
-// Retire kills the process.
-func (t *SocketTransport) linkFailed(p *sockPeer, err error) {
-	if t.closed.Load() || t.retired.Load() {
-		return // expected teardown noise
-	}
-	panic(fmt.Sprintf("comm: socket transport worker %d: link to worker %d failed: %v", t.self, p.index, err))
-}
-
-// Retire marks the run complete: link errors after this point (peers
-// closing their side first) are expected and ignored. Call once the
-// termination barrier has been crossed, before Close.
-func (t *SocketTransport) Retire() { t.retired.Store(true) }
-
-// Close implements Transport: flush every pending frame, stop the
-// writers, then tear the links down.
-func (t *SocketTransport) Close() error {
-	if t.closed.Swap(true) {
-		return nil
-	}
-	close(t.done)
-	t.wgW.Wait() // writers flush their queues on the way out
-	// One more pass per link: an enqueue that read closed==false could
-	// have appended after its writer's final drain; the lock ordering
-	// in enqueue guarantees any such frame is visible here.
-	for _, p := range t.peers {
-		if p != nil {
-			t.drain(p)
-		}
-	}
-	t.retired.Store(true)
-	for _, p := range t.peers {
-		if p != nil {
-			p.conn.Close()
-		}
-	}
-	t.wgR.Wait()
-	return nil
-}
-
-// SocketStats snapshots the link counters of a multi-process
-// transport (both fabrics report the same shape).
-// FramesSent/WriteSyscalls is the mean envelopes coalesced per
-// syscall — the amortization the per-link writer bought; on the
-// shared-memory fabric WriteSyscalls is zero (no syscalls at all) and
-// Wakes/Parks describe the spin-then-park reader instead.
-type SocketStats struct {
-	WriteBatches  uint64 // whole-queue drain passes (socket: net.Buffers writes)
-	WriteSyscalls uint64 // writev syscalls issued (1024-iovec chunks; 0 on shm)
-	FramesSent    uint64 // frames written to the links
-	BytesWritten  uint64 // wire bytes written (frames + prefixes)
-	FramesRecv    uint64 // frames decoded off the links
-	BytesRead     uint64 // wire bytes read
-	Wakes         uint64 // shm readers finding data after having parked
-	Parks         uint64 // shm reader transitions from spinning to sleeping
-}
-
-// SocketStats returns the current link counters.
-func (t *SocketTransport) SocketStats() SocketStats {
-	return SocketStats{
-		WriteBatches:  t.writeBatches.Load(),
-		WriteSyscalls: t.writeSyscalls.Load(),
-		FramesSent:    t.framesSent.Load(),
-		BytesWritten:  t.bytesWritten.Load(),
-		FramesRecv:    t.framesRecv.Load(),
-		BytesRead:     t.bytesRead.Load(),
-	}
-}
-
-// Backlog reports the frame bytes queued on the links but not yet
-// written — the backpressure signal the adaptive aggregation policy
-// keys on (Backlogger).
-func (t *SocketTransport) Backlog() int {
-	if n := t.qbytes.Load(); n > 0 {
-		return int(n)
-	}
-	return 0
-}
+func (l *sockLink) release() {}

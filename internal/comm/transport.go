@@ -43,9 +43,9 @@ type Transport interface {
 
 // ShardTransport is the full surface a multi-process worker needs
 // from its fabric: envelope delivery (Transport) plus the control
-// plane and lifecycle shared by the socket and shared-memory
-// backends. shard.Worker holds one of these, so a run picks its
-// fabric at rendezvous time.
+// plane and lifecycle. LinkTransport (link.go) is the implementation,
+// over socket or shared-memory links; shard.Worker holds one of
+// these, so a run picks its fabric at rendezvous time.
 type ShardTransport interface {
 	Transport
 	Attach(n *Network, peLo, peHi int) error
@@ -55,15 +55,6 @@ type ShardTransport interface {
 	Broadcast(kind uint32, payload []byte) error
 	Retire()
 	SocketStats() SocketStats
-}
-
-// Backlogger is implemented by transports that can report how many
-// frame bytes are queued (or published) but not yet consumed by the
-// far side that they know about. The adaptive aggregation policy
-// (AggPolicy.Adaptive) uses it as its backpressure signal; zero means
-// the wire is keeping up.
-type Backlogger interface {
-	Backlog() int
 }
 
 // SetTransport makes the network sharded: endpoints in [peLo, peHi)

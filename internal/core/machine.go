@@ -63,7 +63,7 @@ type Config struct {
 	// entity IDs, placements, and virtual-time accounting are identical
 	// to an unsharded run. Both zero (the default) means every PE is
 	// local. A sharded machine needs a comm.Transport attached to its
-	// network (see comm.SocketTransport) before traffic flows, and is
+	// network (see comm.LinkTransport) before traffic flows, and is
 	// incompatible with work stealing — a remote PE's ready queue is in
 	// another process.
 	LocalPELo, LocalPEHi int

@@ -32,7 +32,7 @@ func BenchmarkLBPlan(b *testing.B) {
 		name string
 		s    Strategy
 	}{
-		{"linear", LinearGreedyLB{}},
+		{"linear", linearGreedyLB{}},
 		{"heap", GreedyLB{}},
 		{"hier", HierarchicalLB{}},
 	}

@@ -250,46 +250,6 @@ func (h *peHeap) addToMin(load float64) {
 	}
 }
 
-// LinearGreedyLB is the seed GreedyLB: identical assignment policy,
-// but each item rescans all P PEs for the minimum — O(n·P). It is kept
-// (unregistered in ByName) as the reference implementation the heap
-// version is property-tested and benchmarked against.
-type LinearGreedyLB struct{}
-
-// Name implements Strategy.
-func (LinearGreedyLB) Name() string { return "greedy-linear" }
-
-// Plan implements Strategy. The body is the seed verbatim (including
-// its sort.Slice), so benchmarks against it measure the real
-// before/after of the heap rewrite.
-func (LinearGreedyLB) Plan(items []Item, numPEs int) Plan {
-	if numPEs <= 0 {
-		return Plan{}
-	}
-	sorted := append([]Item(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Load != sorted[j].Load {
-			return sorted[i].Load > sorted[j].Load
-		}
-		return sorted[i].ID < sorted[j].ID // deterministic ties
-	})
-	loads := make([]float64, numPEs)
-	plan := make(Plan, len(items))
-	for _, it := range sorted {
-		best := 0
-		for pe := 1; pe < numPEs; pe++ {
-			if loads[pe] < loads[best] {
-				best = pe
-			}
-		}
-		loads[best] += it.Load
-		if best != it.PE {
-			plan[it.ID] = best
-		}
-	}
-	return plan
-}
-
 // RefineLB only moves items off PEs whose load exceeds Threshold ×
 // average, preferring the smallest sufficient items — fewer
 // migrations than GreedyLB at slightly worse balance.

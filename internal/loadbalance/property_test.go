@@ -2,8 +2,49 @@ package loadbalance
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// linearGreedyLB is the seed GreedyLB: identical assignment policy,
+// but each item rescans all P PEs for the minimum — O(n·P). It is the
+// reference implementation the heap version is property-tested and
+// benchmarked against, and lives only in the tests.
+type linearGreedyLB struct{}
+
+// Name implements Strategy.
+func (linearGreedyLB) Name() string { return "greedy-linear" }
+
+// Plan implements Strategy. The body is the seed verbatim (including
+// its sort.Slice), so benchmarks against it measure the real
+// before/after of the heap rewrite.
+func (linearGreedyLB) Plan(items []Item, numPEs int) Plan {
+	if numPEs <= 0 {
+		return Plan{}
+	}
+	sorted := append([]Item(nil), items...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Load != sorted[j].Load {
+			return sorted[i].Load > sorted[j].Load
+		}
+		return sorted[i].ID < sorted[j].ID // deterministic ties
+	})
+	loads := make([]float64, numPEs)
+	plan := make(Plan, len(items))
+	for _, it := range sorted {
+		best := 0
+		for pe := 1; pe < numPEs; pe++ {
+			if loads[pe] < loads[best] {
+				best = pe
+			}
+		}
+		loads[best] += it.Load
+		if best != it.PE {
+			plan[it.ID] = best
+		}
+	}
+	return plan
+}
 
 // randomItems draws a load database with deliberate tie pressure: half
 // the trials draw loads from a small integer set so equal loads (the
@@ -46,7 +87,7 @@ func TestHeapGreedyMatchesLinear(t *testing.T) {
 		p := 1 + rng.Intn(64)
 		items := randomItems(rng, n, p)
 		heapPlan := GreedyLB{}.Plan(items, p)
-		linPlan := LinearGreedyLB{}.Plan(items, p)
+		linPlan := linearGreedyLB{}.Plan(items, p)
 		if !plansEqual(heapPlan, linPlan) {
 			t.Fatalf("trial %d (n=%d p=%d): heap plan diverges from seed linear plan\nheap: %v\nlinear: %v",
 				trial, n, p, heapPlan, linPlan)
@@ -66,7 +107,7 @@ func TestHeapGreedyMatchesLinear(t *testing.T) {
 func TestStrategiesDeterministicAndInRange(t *testing.T) {
 	strategies := []Strategy{
 		GreedyLB{},
-		LinearGreedyLB{},
+		linearGreedyLB{},
 		HierarchicalLB{},
 		HierarchicalLB{GroupSize: 3, Threshold: 1.02},
 	}

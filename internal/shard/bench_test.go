@@ -36,7 +36,7 @@ func spinUntil(pending func() int) {
 
 // benchShards mirrors comm's twoShards helper for benchmarks: two
 // 4-PE sharded networks joined by one unix socket.
-func benchShards(b *testing.B) (n0, n1 *comm.Network, t0, t1 *comm.SocketTransport) {
+func benchShards(b *testing.B) (n0, n1 *comm.Network, t0, t1 *comm.LinkTransport) {
 	b.Helper()
 	c0, c1 := pairConns(b)
 	owner := func(pe int) int { return pe / 2 }
@@ -105,7 +105,7 @@ func reportWireMetrics(b *testing.B, st comm.SocketStats) {
 
 // benchShmShards mirrors benchShards over the shared-memory fabric:
 // two 4-PE sharded networks joined by mmap'd rings on tmpfs.
-func benchShmShards(b *testing.B) (n0, n1 *comm.Network, t0, t1 *comm.ShmTransport) {
+func benchShmShards(b *testing.B) (n0, n1 *comm.Network, t0, t1 *comm.LinkTransport) {
 	b.Helper()
 	dir, err := os.MkdirTemp(comm.ShmDir(), "migflow-bench-*")
 	if err != nil {

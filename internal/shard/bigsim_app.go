@@ -2,21 +2,17 @@ package shard
 
 // BigSim across processes: each worker drives a slab of the
 // simulating PEs (bigsim.Shard) and the per-step delta frames cross
-// the worker mesh as length-prefixed blobs directly on the rendezvous
-// sockets — BigSim has its own clocks and mailboxes, so it needs the
-// wire, not a comm.Network. On the shm fabric the same blobs travel
-// as ctrlBlob control frames through a control-only ShmTransport
-// (no comm.Network attached). Every worker reconstructs the identical
+// the worker mesh as ctrlBlob control frames through a control-only
+// transport (no comm.Network attached) — BigSim has its own clocks and
+// mailboxes, so it needs the wire, not a comm.Network. The path is
+// the same on every fabric. Every worker reconstructs the identical
 // merged StepStats stream, and that stream must match the 1-process
 // simulator bit for bit.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"net"
 
 	"migflow/internal/bigsim"
 	"migflow/internal/comm"
@@ -59,72 +55,14 @@ type BigSimReport struct {
 	Steps  []StepWire
 }
 
-// frameLimit bounds a peer frame's claimed size (hostile-input guard;
-// a 200k-target paper-scale frontier is well under 1 MiB).
-const frameLimit = 64 << 20
-
-// writeBlob / readBlob are the u32-length-prefixed frame transport.
-func writeBlob(c net.Conn, b []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := c.Write(b)
-	return err
-}
-
-func readBlob(c net.Conn) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > frameLimit {
-		return nil, fmt.Errorf("shard: peer frame claims %d bytes", n)
-	}
-	b := make([]byte, n)
-	_, err := io.ReadFull(c, b)
-	return b, err
-}
-
-// socketExchange builds the step-frame exchange over the socket mesh.
-func socketExchange(workers int, conns map[int]net.Conn) func(out [][]byte) ([][]byte, error) {
-	return func(out [][]byte) ([][]byte, error) {
-		// Writes drain on a separate goroutine: with every worker
-		// sending before receiving, two full socket buffers would
-		// deadlock a synchronous write-then-read at paper scale.
-		werr := make(chan error, 1)
-		go func() {
-			for w, c := range conns {
-				if err := writeBlob(c, out[w]); err != nil {
-					werr <- fmt.Errorf("shard: frame to worker %d: %w", w, err)
-					return
-				}
-			}
-			werr <- nil
-		}()
-		in := make([][]byte, workers)
-		for w, c := range conns {
-			b, err := readBlob(c)
-			if err != nil {
-				return nil, fmt.Errorf("shard: frame from worker %d: %w", w, err)
-			}
-			in[w] = b
-		}
-		if err := <-werr; err != nil {
-			return nil, err
-		}
-		return in, nil
-	}
-}
-
-// shmExchange ships step frames as ctrlBlob control frames through a
-// control-only ShmTransport. The handler runs on the per-peer ring
-// reader goroutines with a borrowed payload, so it copies before
-// queueing; channel depth 4 is generous — the step barrier keeps any
-// peer at most one frame ahead.
-func shmExchange(index, workers int, t *comm.ShmTransport) func(out [][]byte) ([][]byte, error) {
+// ctrlExchange builds the all-to-all step-frame exchange over a
+// control-only transport. The handler runs on the per-link reader
+// goroutines with a borrowed payload, so it copies before queueing;
+// channel depth 4 is generous — the step barrier keeps any peer at
+// most one frame ahead. Sends never wait on the receive side (socket
+// links queue, ring links are drained by the readers), so every
+// worker sending before receiving cannot deadlock.
+func ctrlExchange(index, workers int, t comm.ShardTransport) func(out [][]byte) ([][]byte, error) {
 	in := make([]chan []byte, workers)
 	for p := range in {
 		in[p] = make(chan []byte, 4)
@@ -165,22 +103,14 @@ func RunBigSimWorker(index, workers int, fab Fabric, spec BigSimSpec) (*BigSimRe
 	if err != nil {
 		return nil, err
 	}
-	var exchange func(out [][]byte) ([][]byte, error)
-	if fab.Net == "shm" {
-		t, err := comm.NewShmTransport(index, workers, nil, fab.Dir)
-		if err != nil {
-			return nil, err
-		}
-		exchange = shmExchange(index, workers, t)
-		if err := t.Start(); err != nil {
-			return nil, err
-		}
-		defer func() {
-			t.Retire()
-			t.Close()
-		}()
-	} else {
-		exchange = socketExchange(workers, fab.Conns)
+	t, err := fabricTransport(index, workers, nil, fab)
+	if err != nil {
+		return nil, err
+	}
+	defer t.Close()
+	exchange := ctrlExchange(index, workers, t)
+	if err := t.Start(); err != nil {
+		return nil, err
 	}
 	rep := &BigSimReport{Worker: index}
 	for s := 0; s < spec.Steps; s++ {
@@ -189,6 +119,15 @@ func RunBigSimWorker(index, workers int, fab Fabric, spec BigSimSpec) (*BigSimRe
 			return nil, err
 		}
 		rep.Steps = append(rep.Steps, stepWire(st))
+	}
+	// Leave together. A peer that has its last step frame may close
+	// while this worker still waits on a third, and a socket link
+	// cannot tell an orderly close from a dead worker — so every worker
+	// retires first and then trades one empty frame: by the time anyone
+	// has all of them, and closes, everyone has retired.
+	t.Retire()
+	if _, err := exchange(make([][]byte, workers)); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

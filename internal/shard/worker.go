@@ -1,8 +1,8 @@
 // Package shard runs one Machine as a group of OS processes: each
 // worker owns a contiguous PE range of the SAME machine configuration
-// and bridges the rest over unix-domain or TCP sockets
-// (comm.SocketTransport) or, for co-located workers, shared-memory
-// rings (comm.ShmTransport). Every worker builds the identical job —
+// and bridges the rest through one comm.LinkTransport whose links are
+// unix-domain or TCP sockets or, for co-located workers,
+// shared-memory rings. Every worker builds the identical job —
 // directories, entity IDs, and the program tree are deterministic
 // functions of the config — so the only cross-process state is
 // message envelopes, migration records, and the control frames of the
@@ -28,10 +28,8 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"migflow/internal/ampi"
 	"migflow/internal/comm"
@@ -45,7 +43,7 @@ const (
 	ctrlMoved      uint32 = 3 // u32 rank, u32 toPE → workers not party to a move
 	ctrlAck        uint32 = 4 // destination → source: record installed
 	ctrlStop       uint32 = 5 // coordinator → all: global termination
-	ctrlBlob       uint32 = 6 // bigsim step frame over the shm fabric
+	ctrlBlob       uint32 = 6 // bigsim step frame
 )
 
 // Cut returns the first PE of worker i under the standard contiguous
@@ -91,16 +89,17 @@ type Worker struct {
 	peerExtra []uint64
 }
 
-// fabricTransport builds the ShardTransport the fabric selects:
-// shared-memory rings when fab.Net is "shm", a socket transport over
-// fab.Conns otherwise.
-func fabricTransport(index, workers int, owner func(pe int) int, fab Fabric) (comm.ShardTransport, error) {
+// fabricTransport builds the transport over the links the fabric
+// selects: shared-memory rings when fab.Net is "shm", the sockets in
+// fab.Conns otherwise. A nil owner makes it control-only.
+func fabricTransport(index, workers int, owner func(pe int) int, fab Fabric) (*comm.LinkTransport, error) {
 	if fab.Net == "shm" {
 		return comm.NewShmTransport(index, workers, owner, fab.Dir)
 	}
 	t := comm.NewSocketTransport(index, workers, owner)
 	for p, c := range fab.Conns {
 		if err := t.AddPeer(p, c); err != nil {
+			t.Close()
 			return nil, err
 		}
 	}
@@ -125,10 +124,12 @@ func NewWorker(index, workers, numPEs int, fab Fabric, build func(*core.Machine)
 		return nil, err
 	}
 	if err := t.Attach(m.Network(), lo, hi); err != nil {
+		t.Close()
 		return nil, err
 	}
 	job, err := build(m)
 	if err != nil {
+		t.Close()
 		return nil, err
 	}
 	w := &Worker{
@@ -138,6 +139,7 @@ func NewWorker(index, workers, numPEs int, fab Fabric, build func(*core.Machine)
 	}
 	t.SetControlHandler(w.control)
 	if err := t.Start(); err != nil {
+		t.Close()
 		return nil, err
 	}
 	return w, nil
@@ -208,6 +210,9 @@ func (w *Worker) noteDone(from int, installs, extracts uint64) {
 	}
 	w.coordMu.Unlock()
 	if allDone && sumInst == sumExtra && !w.stop.Load() {
+		// Retire before the STOP leaves: a peer may act on it, finish and
+		// hang up before this goroutine runs again.
+		w.T.Retire()
 		if err := w.T.Broadcast(ctrlStop, nil); err != nil {
 			panic(fmt.Sprintf("shard: coordinator: broadcasting stop: %v", err))
 		}
@@ -253,12 +258,9 @@ func (w *Worker) Run() {
 // worker.
 func (w *Worker) Close() error { return w.T.Close() }
 
-// Backoff for MigrateRanks' unproductive scans, mirroring the shm
-// reader's ladder: a few scheduler yields, then OS yields (a bare
-// Gosched spin starves the netpoller and co-located worker processes
-// of the very CPU that would make a rank migratable — on one core it
-// degrades each wait to sysmon's 10ms forced preemption), then
-// millisecond naps once the job has been quiet for a while.
+// Backoff rungs for MigrateRanks' unproductive scans (comm.Backoff):
+// a few scheduler yields, then OS yields, then millisecond naps once
+// the job has been quiet for a while.
 const (
 	migSpinYields = 16
 	migYieldSpins = 256
@@ -274,7 +276,8 @@ func (w *Worker) MigrateRanks(n, toWorker int) int {
 		return 0
 	}
 	toPE := Cut(w.NumPEs, w.Workers, toWorker)
-	moved, idle := 0, 0
+	moved := 0
+	idle := comm.NewBackoff(migSpinYields, migYieldSpins)
 	for moved < n && !w.stop.Load() && !w.Job.Done() {
 		progressed := false
 		for r := 0; r < w.Job.Size() && moved < n; r++ {
@@ -308,17 +311,9 @@ func (w *Worker) MigrateRanks(n, toWorker int) int {
 			progressed = true
 		}
 		if progressed {
-			idle = 0
-			continue
-		}
-		idle++
-		switch {
-		case idle <= migSpinYields:
-			runtime.Gosched()
-		case idle <= migSpinYields+migYieldSpins:
-			comm.OSYield()
-		default:
-			time.Sleep(time.Millisecond)
+			idle.Reset()
+		} else {
+			idle.Wait()
 		}
 	}
 	w.movedOut.Add(int64(moved))
