@@ -48,9 +48,11 @@ const (
 	// the tree and results broadcast down, so no rank serializes more
 	// than k messages per phase.
 	CollTree CollAlgo = iota
-	// CollFlat is the paper-era flat algorithm: every rank talks
-	// directly to the root, which serializes O(P) messages. Kept for
-	// A/B comparison against the trees.
+	// CollFlat is the paper-era flat topology: a one-level star in
+	// which every rank talks directly to the root, which serializes
+	// O(P) messages. It runs on the same collective schedule as the
+	// trees, so flat versus tree compares two topologies, not two
+	// executors.
 	CollFlat
 	// CollTopoTree builds the spanning tree along the machine's
 	// torus/PE-group hierarchy (Options.Topo) instead of rank order:
@@ -206,12 +208,10 @@ type Job struct {
 	pcs  []*PC
 	ev   *eventEngine
 
-	mu       sync.Mutex
-	lbPlans  map[uint64]loadbalance.Plan // epoch → plan
-	lbEpochs map[uint64]int              // epoch → ranks arrived
-	traffic  map[[2]int]float64          // rank pair (lo,hi) → bytes
+	mu      sync.Mutex
+	traffic map[[2]int]float64 // rank pair (lo,hi) → bytes
 
-	// LB-gate state for program jobs (the Migrate Proc): every rank
+	// LB-gate state (Rank.Migrate and the Migrate Proc): every rank
 	// parks at the gate; the Run/RunParallel driver services it at
 	// quiescence and resumes the ranks post-plan.
 	gateMu       sync.Mutex
@@ -232,8 +232,6 @@ type Rank struct {
 	mu      sync.Mutex
 	mbox    []*comm.Message
 	waiting *matchSpec
-
-	epoch uint64 // MPI_Migrate epochs completed
 }
 
 type matchSpec struct {
@@ -263,11 +261,9 @@ func NewJob(m *core.Machine, size int, opts Options, body func(*Rank)) (*Job, er
 		}, func(c *converse.Ctx) {
 			rank.ctx = c
 			j.body(rank)
-			if j.opts.Aggregate {
-				// A rank that exits without ever blocking again must
-				// not strand coalesced messages in its PE's buffers.
-				rank.flushStream()
-			}
+			// A rank that exits without ever blocking again must not
+			// strand coalesced messages in its PE's buffers.
+			rank.flushStream()
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ampi: creating rank %d: %w", r, err)
@@ -337,9 +333,7 @@ func newJobCommon(m *core.Machine, size int, opts *Options) (*Job, error) {
 	}
 	return &Job{
 		m: m, opts: *opts, size: size,
-		lbPlans:  make(map[uint64]loadbalance.Plan),
-		lbEpochs: make(map[uint64]int),
-		traffic:  make(map[[2]int]float64),
+		traffic: make(map[[2]int]float64),
 	}, nil
 }
 
@@ -438,8 +432,8 @@ func (j *Job) RunParallel() {
 	}
 }
 
-// gateSetStrategy records the gate's strategy (every rank passes the
-// same Migrate node of the shared tree, so last-write-wins is fine).
+// gateSetStrategy records the gate's strategy (Migrate is collective:
+// every rank names the same strategy, so last-write-wins is fine).
 func (j *Job) gateSetStrategy(s loadbalance.Strategy) {
 	j.gateMu.Lock()
 	j.gateStrategy = s
@@ -629,10 +623,13 @@ func (r *Rank) sendEdge(dest, tag int, data []byte) error {
 }
 
 // flushStream pushes any coalesced messages buffered on the rank's
-// current PE onto the wire. Called before every block and at exit so
-// streamed traffic cannot deadlock: whenever every rank is parked,
-// every buffer has been flushed.
+// current PE onto the wire (a no-op without Options.Aggregate). Called
+// before every block and at exit so streamed traffic cannot deadlock:
+// whenever every rank is parked, every buffer has been flushed.
 func (r *Rank) flushStream() {
+	if !r.job.opts.Aggregate {
+		return
+	}
 	if err := r.job.m.Network().Endpoint(r.ctx.PE().Index).Flush(); err != nil {
 		// AMPI never deregisters live ranks, so a flush error is a
 		// runtime invariant violation, not an application condition.
@@ -703,11 +700,9 @@ func (r *Rank) recv(src, tag int) *comm.Message {
 		}
 		r.waiting = spec
 		r.mu.Unlock()
-		if r.job.opts.Aggregate {
-			// About to park: force out coalesced messages so a peer
-			// waiting on them can run (explicit-flush-on-idle).
-			r.flushStream()
-		}
+		// About to park: force out coalesced messages so a peer
+		// waiting on them can run (explicit-flush-on-idle).
+		r.flushStream()
 		r.ctx.Suspend()
 	}
 }
@@ -720,67 +715,28 @@ func (r *Rank) senderRank(m *comm.Message) int {
 }
 
 // Barrier blocks until every rank has entered it: a gather-release
-// over the job's collective topology (spanning tree by default, flat
-// through rank 0 with Options.Collectives == CollFlat).
+// over the job's collective topology (Options.Collectives; a spanning
+// tree by default).
 func (r *Rank) Barrier() error {
-	n := len(r.job.ranks)
-	if n == 1 {
-		return nil
-	}
-	if r.job.opts.Collectives != CollFlat {
-		return r.barrierTree()
-	}
-	if r.rank == 0 {
-		for i := 1; i < n; i++ {
-			r.recv(AnySource, tagBarrier)
-		}
-		for i := 1; i < n; i++ {
-			if err := r.send(i, tagBarrierRelease, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := r.send(0, tagBarrier, nil); err != nil {
+	q, err := r.Ibarrier()
+	if err != nil {
 		return err
 	}
-	r.recv(0, tagBarrierRelease)
-	return nil
+	return q.Wait()
 }
 
 // Allreduce combines each rank's value with op ("sum", "max", "min")
 // and returns the result on every rank, over the job's collective
 // topology.
 func (r *Rank) Allreduce(op string, v float64) (float64, error) {
-	combine, err := combiner(op)
+	q, err := r.Iallreduce(op, v)
 	if err != nil {
 		return 0, err
 	}
-	n := len(r.job.ranks)
-	if n == 1 {
-		return v, nil
-	}
-	if r.job.opts.Collectives != CollFlat {
-		return r.allreduceTree(combine, v)
-	}
-	if r.rank == 0 {
-		acc := v
-		for i := 1; i < n; i++ {
-			m := r.recv(AnySource, tagReduce)
-			acc = combine(acc, f64(m.Data))
-		}
-		for i := 1; i < n; i++ {
-			if err := r.send(i, tagReduceResult, f64bytes(acc)); err != nil {
-				return 0, err
-			}
-		}
-		return acc, nil
-	}
-	if err := r.send(0, tagReduce, f64bytes(v)); err != nil {
+	if err := q.Wait(); err != nil {
 		return 0, err
 	}
-	m := r.recv(0, tagReduceResult)
-	return f64(m.Data), nil
+	return q.Value, nil
 }
 
 func f64bytes(v float64) []byte {

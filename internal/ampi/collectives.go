@@ -1,9 +1,6 @@
 package ampi
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Additional internal collective tags (continuing the block in
 // ampi.go; user tags are ≥ 0).
@@ -17,73 +14,42 @@ const (
 
 // Bcast broadcasts root's data to every rank and returns the received
 // copy (root returns its own data), over the job's collective
-// topology (spanning tree by default; CollFlat selects the paper-era
-// flat loop at the root).
+// topology.
 func (r *Rank) Bcast(root int, data []byte) ([]byte, error) {
-	if root < 0 || root >= len(r.job.ranks) {
-		return nil, fmt.Errorf("ampi: Bcast root %d of %d", root, len(r.job.ranks))
+	q, err := r.Ibcast(root, data)
+	if err != nil {
+		return nil, err
 	}
-	if r.job.opts.Collectives != CollFlat {
-		return r.bcastTree(root, data)
+	if err := q.Wait(); err != nil {
+		return nil, err
 	}
-	if r.rank == root {
-		for i := range r.job.ranks {
-			if i == root {
-				continue
-			}
-			if err := r.send(i, tagBcast, data); err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
-	}
-	m := r.recv(root, tagBcast)
-	return m.Data, nil
+	return q.Data, nil
 }
 
 // Reduce combines every rank's value at root with op ("sum", "max",
 // "min"); only root receives the result (other ranks get 0).
 func (r *Rank) Reduce(root int, op string, v float64) (float64, error) {
-	combine, err := combiner(op)
+	q, err := r.Ireduce(root, op, v)
 	if err != nil {
 		return 0, err
 	}
-	if root < 0 || root >= len(r.job.ranks) {
-		return 0, fmt.Errorf("ampi: Reduce root %d of %d", root, len(r.job.ranks))
+	if err := q.Wait(); err != nil {
+		return 0, err
 	}
-	if r.job.opts.Collectives != CollFlat {
-		return r.reduceTree(root, combine, v)
-	}
-	if r.rank != root {
-		return 0, r.send(root, tagReduceRoot, f64bytes(v))
-	}
-	acc := v
-	for i := 1; i < len(r.job.ranks); i++ {
-		m := r.recv(AnySource, tagReduceRoot)
-		acc = combine(acc, f64(m.Data))
-	}
-	return acc, nil
+	return q.Value, nil
 }
 
 // Gather collects every rank's data at root, indexed by rank; only
 // root receives the slice (others get nil).
 func (r *Rank) Gather(root int, data []byte) ([][]byte, error) {
-	if root < 0 || root >= len(r.job.ranks) {
-		return nil, fmt.Errorf("ampi: Gather root %d of %d", root, len(r.job.ranks))
+	q, err := r.Igather(root, data)
+	if err != nil {
+		return nil, err
 	}
-	if r.job.opts.Collectives != CollFlat {
-		return r.gatherTree(root, data)
+	if err := q.Wait(); err != nil {
+		return nil, err
 	}
-	if r.rank != root {
-		return nil, r.send(root, tagGather, data)
-	}
-	out := make([][]byte, len(r.job.ranks))
-	out[root] = data
-	for i := 1; i < len(r.job.ranks); i++ {
-		m := r.recv(AnySource, tagGather)
-		out[r.senderRank(m)] = m.Data
-	}
-	return out, nil
+	return q.Parts, nil
 }
 
 // Scatter distributes chunks[i] from root to rank i and returns the
@@ -113,7 +79,8 @@ func (r *Rank) Scatter(root int, chunks [][]byte) ([]byte, error) {
 
 // Alltoall exchanges chunks[i] with every rank i and returns the
 // received chunks indexed by sender. Every rank must pass Size()
-// chunks.
+// chunks. Receives match each peer by source, in rank order, so the
+// exchange is deterministic and payloads travel unwrapped.
 func (r *Rank) Alltoall(chunks [][]byte) ([][]byte, error) {
 	n := len(r.job.ranks)
 	if len(chunks) != n {
@@ -121,29 +88,18 @@ func (r *Rank) Alltoall(chunks [][]byte) ([][]byte, error) {
 	}
 	out := make([][]byte, n)
 	out[r.rank] = chunks[r.rank]
-	for i := 0; i < n; i++ {
+	for i, c := range chunks {
 		if i == r.rank {
 			continue
 		}
-		// Tag the payload with the sender rank (AnySource arrival
-		// order is arbitrary).
-		buf := make([]byte, 4+len(chunks[i]))
-		binary.LittleEndian.PutUint32(buf, uint32(r.rank))
-		copy(buf[4:], chunks[i])
-		if err := r.send(i, tagAlltoall, buf); err != nil {
+		if err := r.send(i, tagAlltoall, c); err != nil {
 			return nil, err
 		}
 	}
-	for i := 0; i < n-1; i++ {
-		m := r.recv(AnySource, tagAlltoall)
-		if len(m.Data) < 4 {
-			return nil, fmt.Errorf("ampi: Alltoall: runt message")
+	for i := range out {
+		if i != r.rank {
+			out[i] = r.recv(i, tagAlltoall).Data
 		}
-		from := int(binary.LittleEndian.Uint32(m.Data))
-		if from < 0 || from >= n {
-			return nil, fmt.Errorf("ampi: Alltoall: bad sender %d", from)
-		}
-		out[from] = m.Data[4:]
 	}
 	return out, nil
 }

@@ -10,63 +10,40 @@ import (
 )
 
 // Migrate is MPI_Migrate: a collective load-balancing point. Every
-// rank must call it. The runtime measures each rank's CPU time since
-// the previous Migrate, runs the strategy once per epoch, and each
-// rank then migrates to its assigned PE (threads move with isomalloc
-// + swap-global, so the "application" code above this call never
-// changes — the §4.5 configuration). It returns the number of ranks
-// the plan moved.
+// rank must call it. The rank parks at the job's LB gate — the same
+// gate the Migrate Proc uses — and when the last rank arrives the
+// Run/RunParallel driver measures each rank's CPU time since the
+// previous gate, plans once with strategy, moves the parked threads
+// (isomalloc + swap-global, so the "application" code above this call
+// never changes — the §4.5 configuration) and resumes every rank on
+// its assigned PE. It returns the number of ranks that step moved.
 func (r *Rank) Migrate(strategy loadbalance.Strategy) (int, error) {
 	if strategy == nil {
 		return 0, fmt.Errorf("ampi: Migrate: nil strategy")
 	}
-	// Everyone must have finished the epoch's work before loads are
-	// read.
-	if err := r.Barrier(); err != nil {
-		return 0, err
-	}
-	epoch := r.epoch
-	r.epoch++
-	plan := r.job.planForEpoch(epoch, strategy)
-	moved := 0
-	for _, to := range plan {
-		_ = to
-		moved++
-	}
-	if dest, ok := plan[uint64(r.th.ID())]; ok && dest != r.PE() {
-		r.ctx.MigrateTo(dest)
-	}
-	// Re-synchronize so no rank races ahead while others are still
-	// in flight, then reset the load measurements for the next epoch.
-	if err := r.Barrier(); err != nil {
-		return 0, err
-	}
-	r.th.ResetCPUTime()
-	return moved, nil
+	// No gate is serviced before this rank arrives, so the total read
+	// here is the same on every rank.
+	before := r.job.LBMoved()
+	r.job.gateSetStrategy(strategy)
+	r.parkAtGate()
+	return r.job.LBMoved() - before, nil
 }
 
-// planForEpoch computes (once per epoch) the strategy's plan from the
-// measured per-rank loads. The load database is exactly what the
-// paper's runtime gathers: thread id, current PE, consumed CPU time.
-// The measurement walk is a single pass (one LoadSample per thread)
-// into a pooled buffer, so an LB step allocates no database.
-func (j *Job) planForEpoch(epoch uint64, strategy loadbalance.Strategy) loadbalance.Plan {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if p, ok := j.lbPlans[epoch]; ok {
-		return p
-	}
-	buf := loadbalance.AcquireItems()
-	*buf = j.collectLoads(*buf)
-	p := strategy.Plan(*buf, j.m.NumPEs())
-	loadbalance.ReleaseItems(buf)
-	j.lbPlans[epoch] = p
-	return p
+// parkAtGate suspends the rank's thread at the LB gate until the
+// driver's serviceGate has rebalanced (moving it, suspended, through
+// the ordinary bulk path) and Awakens it. Coalesced sends are flushed
+// first: the gate is a block like any other, and it is serviced only
+// once nothing is left in flight.
+func (r *Rank) parkAtGate() {
+	r.flushStream()
+	r.job.gateArrive()
+	r.ctx.Suspend()
 }
 
 // collectLoads appends every rank's (id, PE, load) sample to buf — the
-// single-pass measurement walk shared by the MPI_Migrate and
-// runtime-driven balancing paths.
+// load database the paper's runtime gathers (thread id, current PE,
+// consumed CPU time), read in a single pass into the caller's pooled
+// buffer so an LB step allocates no database.
 func (j *Job) collectLoads(buf []loadbalance.Item) []loadbalance.Item {
 	for _, rk := range j.ranks {
 		pe, load := rk.th.LoadSample()

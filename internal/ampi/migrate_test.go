@@ -102,6 +102,28 @@ func TestMigrationEquivalence(t *testing.T) {
 	}
 }
 
+// TestGateFlushesAggregation: the LB gate is a block like any other,
+// so a rank parking there must first flush its PE's coalesced sends.
+// Rank 0's only message is still buffered when it reaches the gate;
+// unflushed, rank 1 waits for it forever and the gate never fills.
+func TestGateFlushesAggregation(t *testing.T) {
+	prog := Call(func(pc *PC) Proc {
+		if pc.Rank() == 0 {
+			return Do(func(pc *PC) { pc.Send(1, 1, []byte{7}) })
+		}
+		return Recv(0, 1, nil)
+	})
+	m := newMachine(t, 2, nil)
+	job, err := NewProgram(m, 2, Options{Aggregate: true}, Seq(prog, Migrate(loadbalance.GreedyLB{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Run()
+	if !job.Done() {
+		t.Fatal("a send buffered behind the LB gate was never flushed")
+	}
+}
+
 // TestEventGateMovesRecords: a skewed event-mode Jacobi with one
 // Migrate gate actually moves ranks, moves them as small records
 // (hundreds of bytes, not stack images), keeps the directory

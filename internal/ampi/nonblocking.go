@@ -85,10 +85,10 @@ func (r *Rank) Waitall(qs []*Request) error {
 // Ixxx call runs the schedule's leading sends — with eager buffering
 // a leaf's contribution is on the wire before the call returns — and
 // Wait executes the rest (receives and the sends that depend on
-// them). Because the blocking collectives execute the *same* schedule
-// front to back, a blocking call is exactly Ixxx + Wait: results and
-// virtual-time charges are bit-identical by construction, and the gap
-// between start and wait is where compute overlaps communication.
+// them). The blocking collectives (ampi.go, collectives.go) are
+// literally Ixxx + Wait, so results and virtual-time charges are
+// bit-identical by construction, and the gap between start and wait
+// is where compute overlaps communication.
 //
 // Like MPI, collectives of the same kind must complete in program
 // order: do not start another collective that shares this one's tags
@@ -96,12 +96,13 @@ func (r *Rank) Waitall(qs []*Request) error {
 
 // CollRequest is a nonblocking-collective handle. After Wait, the
 // operation's result is in Value (reductions), Data (Bcast), or
-// Parts (Gather, root only).
+// Parts (Gather, root only). Value and Data double as the schedule's
+// accumulators, so before Wait returns they hold partial state.
 type CollRequest struct {
 	r      *Rank
 	acts   []collAct
 	next   int
-	finish func()
+	finish func() // fixes up the result fields at completion (nil = nothing to do)
 	done   bool
 
 	Value float64  // Iallreduce / Ireduce (root) result
@@ -109,31 +110,20 @@ type CollRequest struct {
 	Parts [][]byte // Igather result (root only)
 }
 
-// startColl builds the request and runs the schedule's leading sends.
-func (r *Rank) startColl(acts []collAct, finish func()) (*CollRequest, error) {
-	q := &CollRequest{r: r, acts: acts, finish: finish}
-	for q.next < len(acts) && acts[q.next].send {
-		a := acts[q.next]
-		var payload []byte
-		if a.data != nil {
-			payload = a.data()
-		}
-		if err := r.sendEdge(a.peer, a.tag, payload); err != nil {
-			return nil, err
-		}
-		q.next++
+// start runs the schedule's leading sends.
+func (q *CollRequest) start() (*CollRequest, error) {
+	if err := q.advance(false); err != nil {
+		return nil, err
 	}
 	return q, nil
 }
 
-// Wait completes the collective: remaining receives block (in
-// schedule order), dependent sends go out, and the result fields are
-// filled. Waiting twice is a no-op.
-func (q *CollRequest) Wait() error {
-	if q.done {
-		return nil
-	}
-	for q.next < len(q.acts) {
+// advance executes the schedule from the cursor: sends go out (their
+// payloads computed now, from whatever earlier receives combined) and
+// receives block in schedule order — or, with block false (the start
+// half), stop the walk at the first one.
+func (q *CollRequest) advance(block bool) error {
+	for ; q.next < len(q.acts); q.next++ {
 		a := q.acts[q.next]
 		if a.send {
 			var payload []byte
@@ -143,15 +133,30 @@ func (q *CollRequest) Wait() error {
 			if err := q.r.sendEdge(a.peer, a.tag, payload); err != nil {
 				return err
 			}
-		} else {
-			m := q.r.recv(a.peer, a.tag)
-			if a.on != nil {
-				if err := a.on(m.Data); err != nil {
-					return err
-				}
+			continue
+		}
+		if !block {
+			return nil
+		}
+		m := q.r.recv(a.peer, a.tag)
+		if a.on != nil {
+			if err := a.on(m.Data); err != nil {
+				return err
 			}
 		}
-		q.next++
+	}
+	return nil
+}
+
+// Wait completes the collective: remaining receives block (in
+// schedule order), dependent sends go out, and the result fields are
+// filled. Waiting twice is a no-op.
+func (q *CollRequest) Wait() error {
+	if q.done {
+		return nil
+	}
+	if err := q.advance(true); err != nil {
+		return err
 	}
 	q.done = true
 	if q.finish != nil {
@@ -167,7 +172,8 @@ func (q *CollRequest) Done() bool { return q.done }
 // has entered it.
 func (r *Rank) Ibarrier() (*CollRequest, error) {
 	parent, children := r.family(0)
-	return r.startColl(barrierActs(parent, children), nil)
+	q := &CollRequest{r: r, acts: barrierActs(parent, children)}
+	return q.start()
 }
 
 // Iallreduce starts a nonblocking Allreduce of v under op ("sum",
@@ -178,11 +184,9 @@ func (r *Rank) Iallreduce(op string, v float64) (*CollRequest, error) {
 		return nil, err
 	}
 	parent, children := r.family(0)
-	acc := new(float64)
-	*acc = v
-	var q *CollRequest
-	q, err = r.startColl(allreduceActs(parent, children, acc, combine), func() { q.Value = *acc })
-	return q, err
+	q := &CollRequest{r: r, Value: v}
+	q.acts = allreduceActs(parent, children, &q.Value, combine)
+	return q.start()
 }
 
 // Ireduce starts a nonblocking Reduce at root; Wait fills Value on
@@ -193,51 +197,46 @@ func (r *Rank) Ireduce(root int, op string, v float64) (*CollRequest, error) {
 		return nil, err
 	}
 	if root < 0 || root >= len(r.job.ranks) {
-		return nil, fmt.Errorf("ampi: Ireduce root %d of %d", root, len(r.job.ranks))
+		return nil, fmt.Errorf("ampi: Reduce root %d of %d", root, len(r.job.ranks))
 	}
 	parent, children := r.family(root)
-	acc := new(float64)
-	*acc = v
-	var q *CollRequest
-	q, err = r.startColl(reduceActs(parent, children, acc, combine), func() {
-		if parent < 0 {
-			q.Value = *acc
-		}
-	})
-	return q, err
+	q := &CollRequest{r: r, Value: v}
+	q.acts = reduceActs(parent, children, &q.Value, combine)
+	if parent >= 0 {
+		// Only the root's accumulator is the result.
+		q.finish = func() { q.Value = 0 }
+	}
+	return q.start()
 }
 
 // Ibcast starts a nonblocking broadcast of root's data; Wait fills
 // Data on every rank (root keeps its own copy).
 func (r *Rank) Ibcast(root int, data []byte) (*CollRequest, error) {
 	if root < 0 || root >= len(r.job.ranks) {
-		return nil, fmt.Errorf("ampi: Ibcast root %d of %d", root, len(r.job.ranks))
+		return nil, fmt.Errorf("ampi: Bcast root %d of %d", root, len(r.job.ranks))
 	}
 	parent, children := r.family(root)
-	buf := new([]byte)
-	*buf = data
-	var q *CollRequest
-	q, err := r.startColl(bcastActs(parent, children, buf), func() { q.Data = *buf })
-	return q, err
+	q := &CollRequest{r: r, Data: data}
+	q.acts = bcastActs(parent, children, &q.Data)
+	return q.start()
 }
 
 // Igather starts a nonblocking Gather at root; Wait fills Parts
 // (indexed by rank) on the root only.
 func (r *Rank) Igather(root int, data []byte) (*CollRequest, error) {
 	if root < 0 || root >= len(r.job.ranks) {
-		return nil, fmt.Errorf("ampi: Igather root %d of %d", root, len(r.job.ranks))
+		return nil, fmt.Errorf("ampi: Gather root %d of %d", root, len(r.job.ranks))
 	}
 	parent, children := r.family(root)
 	entries := &[]gatherEntry{{rank: r.rank, data: data}}
-	var q *CollRequest
-	q, err := r.startColl(gatherActs(parent, children, entries, len(r.job.ranks)), func() {
-		if parent < 0 {
-			out := make([][]byte, len(r.job.ranks))
+	q := &CollRequest{r: r, acts: gatherActs(parent, children, entries, len(r.job.ranks))}
+	if parent < 0 {
+		q.finish = func() {
+			q.Parts = make([][]byte, len(r.job.ranks))
 			for _, e := range *entries {
-				out[e.rank] = e.data
+				q.Parts[e.rank] = e.data
 			}
-			q.Parts = out
 		}
-	})
-	return q, err
+	}
+	return q.start()
 }

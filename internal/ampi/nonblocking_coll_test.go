@@ -22,15 +22,15 @@ type ncOut struct {
 // TestThreadNonblockingMatchesBlocking runs the full collective set
 // through the thread (Rank) API twice — once blocking, once as
 // Ixxx + Wait — and demands identical results and identical modeled
-// time: the blocking calls execute the same schedules, so splitting
-// them may not change a single charge.
+// time under every topology: the blocking calls are their start plus
+// wait, so splitting them may not change a single charge.
 func TestThreadNonblockingMatchesBlocking(t *testing.T) {
 	const ranks, root = 12, 3
-	run := func(split bool) ([]ncOut, float64) {
+	run := func(algo CollAlgo, split bool) ([]ncOut, float64) {
 		m := newMachine(t, 4, nil)
 		out := make([]ncOut, ranks)
 		var mu sync.Mutex
-		j, err := NewJob(m, ranks, Options{Collectives: CollTree, TreeArity: 2, MsgOverheadNs: 500}, func(r *Rank) {
+		j, err := NewJob(m, ranks, Options{Collectives: algo, TreeArity: 2, MsgOverheadNs: 500}, func(r *Rank) {
 			var o ncOut
 			var seed []byte
 			if r.Rank() == root {
@@ -117,20 +117,22 @@ func TestThreadNonblockingMatchesBlocking(t *testing.T) {
 		}
 		return out, m.MaxTime()
 	}
-	blk, blkT := run(false)
-	spl, splT := run(true)
-	if math.Float64bits(blkT) != math.Float64bits(splT) {
-		t.Errorf("modeled time diverged: blocking %g, split %g", blkT, splT)
-	}
-	for rk := range blk {
-		if blk[rk].allred != spl[rk].allred || blk[rk].red != spl[rk].red {
-			t.Errorf("rank %d reductions diverged: %+v vs %+v", rk, blk[rk], spl[rk])
+	for _, algo := range []CollAlgo{CollTree, CollFlat, CollTopoTree} {
+		blk, blkT := run(algo, false)
+		spl, splT := run(algo, true)
+		if math.Float64bits(blkT) != math.Float64bits(splT) {
+			t.Errorf("%s: modeled time diverged: blocking %g, split %g", algoName(algo), blkT, splT)
 		}
-		if !bytes.Equal(blk[rk].bcast, spl[rk].bcast) {
-			t.Errorf("rank %d bcast diverged: %q vs %q", rk, blk[rk].bcast, spl[rk].bcast)
-		}
-		if len(blk[rk].parts) != len(spl[rk].parts) {
-			t.Errorf("rank %d gather diverged", rk)
+		for rk := range blk {
+			if blk[rk].allred != spl[rk].allred || blk[rk].red != spl[rk].red {
+				t.Errorf("%s: rank %d reductions diverged: %+v vs %+v", algoName(algo), rk, blk[rk], spl[rk])
+			}
+			if !bytes.Equal(blk[rk].bcast, spl[rk].bcast) {
+				t.Errorf("%s: rank %d bcast diverged: %q vs %q", algoName(algo), rk, blk[rk].bcast, spl[rk].bcast)
+			}
+			if len(blk[rk].parts) != len(spl[rk].parts) {
+				t.Errorf("%s: rank %d gather diverged", algoName(algo), rk)
+			}
 		}
 	}
 }

@@ -440,9 +440,8 @@ func Sendrecv(dest, sendTag int, data func(*PC) []byte, src, recvTag int, then f
 // treeFamily — per-source-matched tree edges, deterministic child
 // order — so a reduction combines in the same order in every mode and
 // on every PE count, keeping results (and therefore vt) bit-identical.
-// CollFlat selects the paper-era flat topology; the program variant
-// receives from specific sources in rank order (deterministic by
-// construction, unlike the thread API's AnySource flat loops).
+// CollFlat selects the paper-era flat topology: the same schedule over
+// a one-level star, the root receiving in rank order.
 
 // family returns pc's parent and children in the job's collective
 // topology rooted at root: the k-ary tree for CollTree, the
@@ -667,7 +666,7 @@ func Ibcast(root int, val func(*PC) []byte, then func(*PC, []byte)) (start, wait
 
 // Gather collects every rank's data (from val) at root, indexed by
 // rank; then runs on root only. Subtrees pack their entries into one
-// message per edge, like the thread API's gatherTree.
+// message per edge (gatherActs).
 func Gather(root int, val func(*PC) []byte, then func(*PC, [][]byte)) Proc {
 	start, wait := icoll("Gather", func(pc *PC) *collRun { return gatherRun(pc, root, val, then) })
 	return Seq(start, wait)
@@ -790,9 +789,7 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 		}, func(c *converse.Ctx) {
 			rank.ctx = c
 			runProgram(pc, j.prog)
-			if j.opts.Aggregate {
-				rank.flushStream()
-			}
+			rank.flushStream()
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ampi: creating rank %d: %w", r, err)
@@ -838,12 +835,8 @@ func (b ultBE) work(pc *PC, ns float64) { b.r.ctx.Work(ns) }
 
 func (b ultBE) pe(pc *PC) int { return b.r.ctx.PE().Index }
 
-// lbpoint suspends the rank's thread at the gate; the driver's
-// serviceGate migrates it (as a suspended thread, via the ordinary
-// bulk path) and Awakens it on the destination.
 func (b ultBE) lbpoint(pc *PC, k func()) {
-	pc.job.gateArrive()
-	b.r.ctx.Suspend()
+	b.r.parkAtGate()
 	k()
 }
 

@@ -9,16 +9,15 @@ import (
 // runs over a k-ary tree of ranks rooted at the operation's root:
 // partial values combine up the tree and results broadcast down, so
 // no rank ever serializes more than k messages per phase — the
-// production Charm++/AMPI shape, versus the paper-era flat algorithms
-// (CollFlat) that funnel O(P) messages through one inbox.
+// production Charm++/AMPI shape, versus the paper-era flat topology
+// (CollFlat), a one-level star that funnels O(P) messages through one
+// inbox.
 //
-// Beyond latency, the tree algorithms are *stronger* than the flat
-// ones: every tree edge is a specific (parent, child) pair matched by
-// source rank, and in-order delivery per (sender, destination) pair
-// means back-to-back collectives of the same kind cannot steal each
-// other's contributions. The flat Reduce/Gather match AnySource, so a
-// fast rank's epoch-N+1 message can be consumed into the root's
-// epoch-N combine; they are kept, unchanged, for A/B comparison.
+// Every edge of every topology is a specific (parent, child) pair
+// matched by source rank, and delivery is in order per (sender,
+// destination) pair, so back-to-back collectives of the same kind
+// cannot steal each other's contributions — under the star as under
+// the trees.
 //
 // CollTopoTree replaces the rank-order shape with a topology-aware
 // one (topoFamily): tree edges follow the torus/PE-group hierarchy,
@@ -164,9 +163,8 @@ func topoFamily(rank, n, k, root int, t Topology, block bool) (parent int, child
 // collFamily returns rank's parent and children in the job's
 // collective topology rooted at root: the rank-order k-ary tree
 // (CollTree), the topology-aware tree (CollTopoTree), or the
-// one-level star (CollFlat; children in rank order, so star
-// collectives built on it are deterministic, unlike the blocking flat
-// loops' AnySource matching).
+// one-level star (CollFlat; children in rank order, so the root
+// combines in a fixed order whatever the arrival order).
 func collFamily(rank, n int, opts *Options, root int) (parent int, children []int) {
 	switch opts.Collectives {
 	case CollFlat:
@@ -197,12 +195,11 @@ func (r *Rank) family(root int) (parent int, children []int) {
 // A collective, for one rank, is a fixed sequence of edge actions:
 // sends to and receives from its family, in an order that encodes the
 // up-combine/down-broadcast dance. The builders below emit that
-// sequence once; the blocking thread collectives (runActs), the
-// nonblocking thread requests (CollRequest, nonblocking.go), and both
-// program backends (collWaitProc, program.go) all execute the same
-// schedule — which is what makes blocking and nonblocking collectives
-// bit-identical by construction: a blocking collective IS its
-// nonblocking start followed immediately by its wait.
+// sequence once; the thread requests (CollRequest, nonblocking.go) and
+// both program backends (collWaitProc, program.go) execute the same
+// schedule, and a blocking collective IS its nonblocking start
+// followed immediately by its wait — which is what makes the two
+// forms bit-identical by construction.
 
 // collAct is one edge action of a collective schedule. Send payloads
 // are computed at execution time (an up-phase send depends on data
@@ -310,96 +307,6 @@ func gatherActs(parent int, children []int, entries *[]gatherEntry, nranks int) 
 		acts = append(acts, collAct{send: true, peer: parent, tag: tagGather, data: func() []byte { return packGather(*entries) }})
 	}
 	return acts
-}
-
-// runActs executes a collective schedule synchronously — the blocking
-// thread collectives.
-func (r *Rank) runActs(acts []collAct) error {
-	for _, a := range acts {
-		if a.send {
-			var payload []byte
-			if a.data != nil {
-				payload = a.data()
-			}
-			if err := r.sendEdge(a.peer, a.tag, payload); err != nil {
-				return err
-			}
-			continue
-		}
-		m := r.recv(a.peer, a.tag)
-		if a.on != nil {
-			if err := a.on(m.Data); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------
-// Blocking tree collectives: schedule + immediate execution.
-
-func (r *Rank) barrierTree() error {
-	parent, children := r.family(0)
-	return r.runActs(barrierActs(parent, children))
-}
-
-// allreduceTree combines partial values up the tree rooted at rank 0
-// and broadcasts the result down the same edges.
-func (r *Rank) allreduceTree(combine func(a, b float64) float64, v float64) (float64, error) {
-	parent, children := r.family(0)
-	acc := new(float64)
-	*acc = v
-	if err := r.runActs(allreduceActs(parent, children, acc, combine)); err != nil {
-		return 0, err
-	}
-	return *acc, nil
-}
-
-// reduceTree combines partial values up the tree; only root gets the
-// result (others return 0, like the flat Reduce).
-func (r *Rank) reduceTree(root int, combine func(a, b float64) float64, v float64) (float64, error) {
-	parent, children := r.family(root)
-	acc := new(float64)
-	*acc = v
-	if err := r.runActs(reduceActs(parent, children, acc, combine)); err != nil {
-		return 0, err
-	}
-	if parent >= 0 {
-		return 0, nil
-	}
-	return *acc, nil
-}
-
-// bcastTree forwards root's data down the tree.
-func (r *Rank) bcastTree(root int, data []byte) ([]byte, error) {
-	parent, children := r.family(root)
-	buf := new([]byte)
-	*buf = data
-	if err := r.runActs(bcastActs(parent, children, buf)); err != nil {
-		return nil, err
-	}
-	return *buf, nil
-}
-
-// gatherTree merges (rank, data) entries up the tree: each node packs
-// its own entry with its children's subtrees and sends one message to
-// its parent, so the root receives exactly its k children's packed
-// subtrees instead of P-1 individual messages.
-func (r *Rank) gatherTree(root int, data []byte) ([][]byte, error) {
-	parent, children := r.family(root)
-	entries := &[]gatherEntry{{rank: r.rank, data: data}}
-	if err := r.runActs(gatherActs(parent, children, entries, len(r.job.ranks))); err != nil {
-		return nil, err
-	}
-	if parent >= 0 {
-		return nil, nil
-	}
-	out := make([][]byte, len(r.job.ranks))
-	for _, e := range *entries {
-		out[e.rank] = e.data
-	}
-	return out, nil
 }
 
 // gatherEntry is one rank's contribution riding a packed subtree

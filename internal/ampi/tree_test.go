@@ -180,38 +180,40 @@ func TestFlatVsTreeResultsAgree(t *testing.T) {
 	}
 }
 
-// TestTreeBackToBackReduce pins the robustness the tree buys: with
-// per-edge source-matched messages, consecutive Reduce epochs cannot
-// steal each other's contributions even though no release phase
-// separates them. (The flat AnySource algorithm cannot make this
-// guarantee — the reason it is not the default.)
+// TestTreeBackToBackReduce pins the robustness source-matched edges
+// buy: consecutive Reduce epochs cannot steal each other's
+// contributions even though no release phase separates them — under
+// every topology, the flat star included (its root matches each child
+// by rank, never AnySource).
 func TestTreeBackToBackReduce(t *testing.T) {
-	m := newMachine(t, 2, nil)
 	const ranks, epochs = 6, 5
-	var mu sync.Mutex
-	got := make([]float64, epochs)
-	j, err := NewJob(m, ranks, Options{Collectives: CollTree, TreeArity: 2}, func(r *Rank) {
-		for e := 0; e < epochs; e++ {
-			v, err := r.Reduce(0, "sum", float64(r.Rank())+float64(e*100))
-			if err != nil {
-				t.Errorf("epoch %d: %v", e, err)
-				return
+	for _, algo := range []CollAlgo{CollTree, CollFlat, CollTopoTree} {
+		m := newMachine(t, 2, nil)
+		var mu sync.Mutex
+		got := make([]float64, epochs)
+		j, err := NewJob(m, ranks, Options{Collectives: algo, TreeArity: 2}, func(r *Rank) {
+			for e := 0; e < epochs; e++ {
+				v, err := r.Reduce(0, "sum", float64(r.Rank())+float64(e*100))
+				if err != nil {
+					t.Errorf("%s epoch %d: %v", algoName(algo), e, err)
+					return
+				}
+				if r.Rank() == 0 {
+					mu.Lock()
+					got[e] = v
+					mu.Unlock()
+				}
 			}
-			if r.Rank() == 0 {
-				mu.Lock()
-				got[e] = v
-				mu.Unlock()
-			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	for e := 0; e < epochs; e++ {
-		want := float64(0+1+2+3+4+5) + float64(e*100*ranks)
-		if got[e] != want {
-			t.Errorf("epoch %d sum = %g, want %g", e, got[e], want)
+		j.Run()
+		for e := 0; e < epochs; e++ {
+			want := float64(0+1+2+3+4+5) + float64(e*100*ranks)
+			if got[e] != want {
+				t.Errorf("%s epoch %d sum = %g, want %g", algoName(algo), e, got[e], want)
+			}
 		}
 	}
 }

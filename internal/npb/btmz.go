@@ -257,10 +257,10 @@ type Result struct {
 	// PredictedNs is the program-mode virtual-time makespan (max rank
 	// VT) — placement-invariant, so it is bit-identical across modes
 	// and across LB decisions (zero in legacy mode, which has no VT).
-	PredictedNs float64
-	CommNs      float64   // halo-exchange component of TimeNs
-	PELoads    []float64 // measured per-PE work (current placement)
-	Imbalance  float64   // max/avg of PELoads
+	PredictedNs   float64
+	CommNs        float64   // halo-exchange component of TimeNs
+	PELoads       []float64 // measured per-PE work (current placement)
+	Imbalance     float64   // max/avg of PELoads
 	Migrations    uint64
 	MigratedBytes uint64
 	MovedRanks    int
@@ -279,13 +279,17 @@ type Result struct {
 	Trace *trace.Log
 }
 
-// Run executes the benchmark on a fresh machine.
-func Run(p Params) (*Result, error) {
+// normalized validates p and fills its defaults — the one block Run
+// (both execution paths) and ProgramJob share.
+func (p Params) normalized() (Params, error) {
 	if p.NProcs < 1 || p.NPEs < 1 {
-		return nil, fmt.Errorf("npb: bad params %+v", p)
+		return p, fmt.Errorf("npb: bad params %+v", p)
 	}
 	if p.NProcs > p.Class.NumZones() {
-		return nil, fmt.Errorf("npb: %d ranks exceed %d zones", p.NProcs, p.Class.NumZones())
+		return p, fmt.Errorf("npb: %d ranks exceed %d zones", p.NProcs, p.Class.NumZones())
+	}
+	if p.ReduceEvery < 0 {
+		return p, fmt.Errorf("npb: ReduceEvery %d must be ≥ 0", p.ReduceEvery)
 	}
 	if p.Steps == 0 {
 		p.Steps = 10
@@ -293,8 +297,14 @@ func Run(p Params) (*Result, error) {
 	if p.HaloBytes == 0 {
 		p.HaloBytes = 4096
 	}
-	if p.ReduceEvery < 0 {
-		return nil, fmt.Errorf("npb: ReduceEvery %d must be ≥ 0", p.ReduceEvery)
+	return p, nil
+}
+
+// Run executes the benchmark on a fresh machine.
+func Run(p Params) (*Result, error) {
+	p, err := p.normalized()
+	if err != nil {
+		return nil, err
 	}
 	if p.Mode != "" {
 		return runProgram(p)
@@ -310,35 +320,15 @@ func Run(p Params) (*Result, error) {
 	if p.Trace {
 		tlog = m.EnableTracing()
 	}
-	sizes := p.Class.ZoneSizes()
-	zones := AssignZones(sizes, p.NProcs)
 	// Zone ownership and per-rank halo pattern: one message per
 	// zone-neighbour pair that crosses ranks (both directions).
-	owner := make([]int, p.Class.NumZones())
-	for r, zs := range zones {
-		for _, z := range zs {
-			owner[z] = r
-		}
-	}
-	sendTo := make([][]int, p.NProcs) // rank → destination ranks, one per crossing pair
-	expectIn := make([]int, p.NProcs) // rank → inbound halo messages per step
-	for r, zs := range zones {
-		for _, z := range zs {
-			for _, nb := range p.Class.ZoneNeighbors(z) {
-				if owner[nb] != r {
-					sendTo[r] = append(sendTo[r], owner[nb])
-					expectIn[owner[nb]]++
-				}
-			}
-		}
-	}
+	t := buildTopology(p)
 
 	spinScale := p.SpinScale
 	if spinScale <= 0 {
 		spinScale = DefaultSpinScale
 	}
 	var mu sync.Mutex
-	moved := 0
 	// stepBusy[step][pe] accumulates solver work as it actually ran:
 	// the per-step parallel time is its max over PEs. stepComm[step]
 	// is the critical-path exchange cost: the worst rank's outbound
@@ -371,10 +361,8 @@ func Run(p Params) (*Result, error) {
 		// NOTE: the GOT is per-PE (part of the process image), so it
 		// must be re-fetched after any potential migration.
 		got := func() *swapglobal.GOT { return r.Ctx().GlobalsGOT() }
-		var myWork float64
-		for _, z := range zones[r.Rank()] {
-			myWork += sizes[z] * p.Class.WorkPerPointNs
-		}
+		myWork, sendTo := t.myWork[r.Rank()], t.sendTo[r.Rank()]
+		expectIn := len(t.recvFrom[r.Rank()]) // inbound halo messages per step
 		halo := make([]byte, p.HaloBytes)
 		// Pipelined residual reduction (Overlap + ReduceEvery): the
 		// reduction started at the previous reduce step is collected
@@ -425,7 +413,7 @@ func Run(p Params) (*Result, error) {
 			// for.
 			var reqs []*ampi.Request
 			if p.Overlap {
-				for i := 0; i < expectIn[r.Rank()]; i++ {
+				for i := 0; i < expectIn; i++ {
 					q, err := r.Irecv(ampi.AnySource, 1)
 					if err != nil {
 						fail(err)
@@ -433,7 +421,7 @@ func Run(p Params) (*Result, error) {
 					}
 					reqs = append(reqs, q)
 				}
-				for _, dest := range sendTo[r.Rank()] {
+				for _, dest := range sendTo {
 					if _, err := r.Isend(dest, 1, halo); err != nil {
 						fail(err)
 						return
@@ -442,7 +430,7 @@ func Run(p Params) (*Result, error) {
 			}
 			solve()
 			if !p.Overlap {
-				for _, dest := range sendTo[r.Rank()] {
+				for _, dest := range sendTo {
 					if _, err := r.Isend(dest, 1, halo); err != nil {
 						fail(err)
 						return
@@ -453,18 +441,18 @@ func Run(p Params) (*Result, error) {
 			// rank's outbound halo cost. Aggregation coalesces one
 			// envelope per destination PE under the current placement
 			// (stable during the exchange — migration happens only at
-			// the step-0 barrier below).
+			// the step-0 LB gate below).
 			var commCost float64
 			if p.Aggregate {
 				perPE := make(map[int]int)
-				for _, dest := range sendTo[r.Rank()] {
+				for _, dest := range sendTo {
 					perPE[job.PEOf(dest)] += p.HaloBytes
 				}
 				for _, bytes := range perPE {
 					commCost += lat.Cost(bytes)
 				}
 			} else {
-				commCost = float64(len(sendTo[r.Rank()])) * lat.Cost(p.HaloBytes)
+				commCost = float64(len(sendTo)) * lat.Cost(p.HaloBytes)
 			}
 			mu.Lock()
 			if commCost > stepComm[step] {
@@ -477,7 +465,7 @@ func Run(p Params) (*Result, error) {
 					return
 				}
 			} else {
-				for i := 0; i < expectIn[r.Rank()]; i++ {
+				for i := 0; i < expectIn; i++ {
 					if _, _, err := r.Recv(ampi.AnySource, 1); err != nil {
 						fail(err)
 						return
@@ -508,16 +496,10 @@ func Run(p Params) (*Result, error) {
 			}
 			// After the first (measurement) step, rebalance.
 			if step == 0 && p.LB != nil {
-				n, err := r.Migrate(p.LB)
-				if err != nil {
+				if _, err := r.Migrate(p.LB); err != nil {
 					fail(err)
 					return
 				}
-				mu.Lock()
-				if n > moved {
-					moved = n
-				}
-				mu.Unlock()
 			}
 			if v, err := got().LoadUint64("step"); err != nil || v != uint64(step) {
 				fail(fmt.Errorf("rank %d: privatized step = %d/%v, want %d", r.Rank(), v, err, step))
@@ -538,8 +520,7 @@ func Run(p Params) (*Result, error) {
 	if p.Steal {
 		// Wall-clock parallel driver: one goroutine per PE, idle PEs
 		// steal ready ranks before blocking on their wake gates.
-		job.Start()
-		m.RunParallel(job.Done)
+		job.RunParallel()
 	} else {
 		job.Run()
 	}
@@ -549,48 +530,60 @@ func Run(p Params) (*Result, error) {
 	if !job.Done() {
 		return nil, fmt.Errorf("npb: job did not complete (deadlock?)")
 	}
-	migs, migBytes := m.MigrationStats()
 	var total, commTotal float64
 	for step, busy := range stepBusy {
-		var max float64
-		for _, b := range busy {
-			if b > max {
-				max = b
-			}
-		}
-		if p.Overlap {
-			// Split-phase exchange: the halos fly while the solve
-			// runs, so a step costs whichever is longer, not the sum.
-			total += math.Max(max, stepComm[step])
-		} else {
-			total += max + stepComm[step]
-		}
+		total += stepNs(busy, stepComm[step], p.Overlap)
 		commTotal += stepComm[step]
-	}
-	// Migration transfers cross the network once, spread over PEs.
-	if migs > 0 {
-		total += lat.Cost(int(migBytes)) / float64(p.NPEs)
 	}
 	// Per-PE measured work under the current (post-LB if any)
 	// placement: CPU time since the last Migrate reset.
-	loads := job.PELoads()
+	res := newResult(p, job, total, commTotal, job.PELoads())
+	res.Trace = tlog
+	return res, nil
+}
+
+// stepNs is one step's modeled parallel time: the busiest PE's solver
+// work plus the exchange's critical path — or, with a split-phase
+// exchange (overlap), whichever is longer, because the halos fly
+// while the solve runs.
+func stepNs(busy []float64, comm float64, overlap bool) float64 {
+	var max float64
+	for _, b := range busy {
+		if b > max {
+			max = b
+		}
+	}
+	if overlap {
+		return math.Max(max, comm)
+	}
+	return max + comm
+}
+
+// newResult assembles what both execution paths report from a
+// completed job: stepsNs is the summed step times, to which the
+// one-time migration transfers are added — they cross the network
+// once, spread over PEs.
+func newResult(p Params, job *ampi.Job, stepsNs, commNs float64, loads []float64) *Result {
+	m := job.Machine()
+	migs, migBytes := m.MigrationStats()
+	if migs > 0 {
+		stepsNs += m.Network().Latency().Cost(int(migBytes)) / float64(p.NPEs)
+	}
 	stats := m.Network().Snapshot()
-	res := &Result{
-		Params:      p,
-		TimeNs:      total,
-		CommNs:      commTotal,
-		PELoads:     loads,
+	return &Result{
+		Params:        p,
+		TimeNs:        stepsNs,
+		CommNs:        commNs,
+		PELoads:       loads,
 		Imbalance:     loadbalance.Imbalance(loads),
 		Migrations:    migs,
 		MigratedBytes: migBytes,
-		MovedRanks:    moved,
-		Envelopes:   stats.Envelopes,
-		AggPayloads: stats.AggPayloads,
-		Steals:      m.StealStats(),
-		TopoHops:    m.Network().TopoHops(),
-		Trace:       tlog,
+		MovedRanks:    job.LBMoved(),
+		Envelopes:     stats.Envelopes,
+		AggPayloads:   stats.AggPayloads,
+		Steals:        m.StealStats(),
+		TopoHops:      m.Network().TopoHops(),
 	}
-	return res, nil
 }
 
 // spinWall occupies the calling goroutine for ns wall-clock

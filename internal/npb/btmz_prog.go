@@ -12,12 +12,10 @@ package npb
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"migflow/internal/ampi"
 	"migflow/internal/core"
-	"migflow/internal/loadbalance"
 )
 
 // GradedClass builds a custom zone grid with BT-MZ's geometric size
@@ -35,18 +33,17 @@ var ClassZ4K = GradedClass("Z4K", 64, 64, 1<<22, 20, 50)
 // btmzTopology is the zone→rank assignment and the per-rank halo
 // pattern both Run paths derive from a Params.
 type btmzTopology struct {
-	sizes    []float64
-	zones    [][]int
 	myWork   []float64 // modeled solver ns per rank per step
 	sendTo   [][]int   // rank → destination ranks, one per crossing pair
 	recvFrom [][]int   // rank → source ranks (with multiplicity), sorted
 }
 
 func buildTopology(p Params) btmzTopology {
-	t := btmzTopology{sizes: p.Class.ZoneSizes()}
-	t.zones = AssignZones(t.sizes, p.NProcs)
+	var t btmzTopology
+	sizes := p.Class.ZoneSizes()
+	zones := AssignZones(sizes, p.NProcs)
 	owner := make([]int, p.Class.NumZones())
-	for r, zs := range t.zones {
+	for r, zs := range zones {
 		for _, z := range zs {
 			owner[z] = r
 		}
@@ -54,9 +51,9 @@ func buildTopology(p Params) btmzTopology {
 	t.myWork = make([]float64, p.NProcs)
 	t.sendTo = make([][]int, p.NProcs)
 	t.recvFrom = make([][]int, p.NProcs)
-	for r, zs := range t.zones {
+	for r, zs := range zones {
 		for _, z := range zs {
-			t.myWork[r] += t.sizes[z] * p.Class.WorkPerPointNs
+			t.myWork[r] += sizes[z] * p.Class.WorkPerPointNs
 			for _, nb := range p.Class.ZoneNeighbors(z) {
 				if owner[nb] != r {
 					t.sendTo[r] = append(t.sendTo[r], owner[nb])
@@ -158,44 +155,22 @@ func ProgramJob(m *core.Machine, p Params) (*ampi.Job, error) {
 	if p.Mode == "" {
 		return nil, fmt.Errorf("npb: ProgramJob needs a program Mode")
 	}
-	if p.NProcs < 1 || p.NPEs < 1 || p.NPEs != m.NumPEs() {
-		return nil, fmt.Errorf("npb: bad params for machine with %d PEs: %+v", m.NumPEs(), p)
-	}
-	if p.NProcs > p.Class.NumZones() {
-		return nil, fmt.Errorf("npb: %d ranks exceed %d zones", p.NProcs, p.Class.NumZones())
-	}
-	if p.Steps == 0 {
-		p.Steps = 10
-	}
-	if p.HaloBytes == 0 {
-		p.HaloBytes = 4096
-	}
-	t := buildTopology(p)
-	workPE := make([][]int32, p.Steps)
-	for i := range workPE {
-		workPE[i] = make([]int32, p.NProcs)
-	}
-	return ampi.NewProgram(m, p.NProcs, ampi.Options{
-		Mode:           p.Mode,
-		BlockPlacement: true,
-		Collectives:    p.Collectives,
-		Topo:           p.Topo,
-	}, btmzProgram(p, t, workPE))
-}
-
-// runProgram is the Params.Mode != "" execution path.
-func runProgram(p Params) (*Result, error) {
-	if p.Mode != ampi.ModeULT && p.Mode != ampi.ModeEvent {
-		return nil, fmt.Errorf("npb: unknown mode %q (want %q or %q)", p.Mode, ampi.ModeULT, ampi.ModeEvent)
-	}
-	if p.Steal || p.Aggregate || p.Trace {
-		return nil, fmt.Errorf("npb: program mode does not support Steal/Aggregate/Trace")
-	}
-	t := buildTopology(p)
-	m, err := core.NewMachine(core.Config{NumPEs: p.NPEs})
+	p, err := p.normalized()
 	if err != nil {
 		return nil, err
 	}
+	if p.NPEs != m.NumPEs() {
+		return nil, fmt.Errorf("npb: bad params for machine with %d PEs: %+v", m.NumPEs(), p)
+	}
+	job, _, _, err := programJob(m, p)
+	return job, err
+}
+
+// programJob builds the job for validated params, and also returns
+// what runProgram's makespan needs: the topology and the per-step
+// record of where each rank's solve ran.
+func programJob(m *core.Machine, p Params) (*ampi.Job, btmzTopology, [][]int32, error) {
+	t := buildTopology(p)
 	workPE := make([][]int32, p.Steps)
 	for i := range workPE {
 		workPE[i] = make([]int32, p.NProcs)
@@ -206,6 +181,22 @@ func runProgram(p Params) (*Result, error) {
 		Collectives:    p.Collectives,
 		Topo:           p.Topo,
 	}, btmzProgram(p, t, workPE))
+	return job, t, workPE, err
+}
+
+// runProgram is the Params.Mode != "" execution path.
+func runProgram(p Params) (*Result, error) {
+	if p.Mode != ampi.ModeULT && p.Mode != ampi.ModeEvent {
+		return nil, fmt.Errorf("npb: unknown mode %q (want %q or %q)", p.Mode, ampi.ModeULT, ampi.ModeEvent)
+	}
+	if p.Steal || p.Aggregate || p.Trace {
+		return nil, fmt.Errorf("npb: program mode does not support Steal/Aggregate/Trace")
+	}
+	m, err := core.NewMachine(core.Config{NumPEs: p.NPEs})
+	if err != nil {
+		return nil, err
+	}
+	job, t, workPE, err := programJob(m, p)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +211,6 @@ func runProgram(p Params) (*Result, error) {
 			commStep = c
 		}
 	}
-	migs, migBytes := m.MigrationStats()
 	var total float64
 	busy := make([]float64, p.NPEs)
 	for _, pes := range workPE {
@@ -230,21 +220,7 @@ func runProgram(p Params) (*Result, error) {
 		for r, pe := range pes {
 			busy[pe] += t.myWork[r]
 		}
-		max := 0.0
-		for _, b := range busy {
-			if b > max {
-				max = b
-			}
-		}
-		if p.Overlap {
-			// Split-phase steps cost the longer of solve and exchange.
-			total += math.Max(max, commStep)
-		} else {
-			total += max + commStep
-		}
-	}
-	if migs > 0 {
-		total += lat.Cost(int(migBytes)) / float64(p.NPEs)
+		total += stepNs(busy, commStep, p.Overlap)
 	}
 	// Modeled per-PE load under the final placement (one step's
 	// solver work) — the Imbalance the balancer left behind.
@@ -252,16 +228,7 @@ func runProgram(p Params) (*Result, error) {
 	for r := range t.myWork {
 		loads[job.PEOf(r)] += t.myWork[r]
 	}
-	return &Result{
-		Params:      p,
-		TimeNs:      total,
-		CommNs:      commStep * float64(p.Steps),
-		PredictedNs: job.PredictedNs(),
-		PELoads:     loads,
-		Imbalance:     loadbalance.Imbalance(loads),
-		Migrations:    migs,
-		MigratedBytes: migBytes,
-		MovedRanks:    job.LBMoved(),
-		TopoHops:      m.Network().TopoHops(),
-	}, nil
+	res := newResult(p, job, total, commStep*float64(p.Steps), loads)
+	res.PredictedNs = job.PredictedNs()
+	return res, nil
 }

@@ -134,6 +134,22 @@ func TestLBImprovesA84(t *testing.T) {
 	}
 }
 
+// TestStealWithLB: the wall-clock steal driver must service the
+// MPI_Migrate gate too — a driver that only pumps the machine leaves
+// every rank parked there forever.
+func TestStealWithLB(t *testing.T) {
+	res, err := Run(Params{
+		Class: ClassA, NProcs: 8, NPEs: 4, Steps: 2,
+		Steal: true, WorkChunks: 2, LB: loadbalance.GreedyLB{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MovedRanks == 0 {
+		t.Error("the LB gate moved no ranks")
+	}
+}
+
 // TestClassBConvergence is Figure 12's headline observation: "for all
 // three class B tests on 8 processors ... the execution times after
 // load balancing are about the same, while there is a dramatic
