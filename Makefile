@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-check bench bench-collectives bench-lb bench-bigsim bench-ampi bench-eventmigrate bench-transport bench-all repro repro-quick examples cover clean
+.PHONY: all build vet test race bench-check bench-pair bench bench-collectives bench-lb bench-bigsim bench-ampi bench-eventmigrate bench-transport bench-all repro repro-quick examples cover clean
 
 all: build vet test
 
@@ -24,6 +24,17 @@ race:
 bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
+
+# The evidence a performance claim needs (ROADMAP "Open items"): N
+# alternating parent/change pairs of one BENCHMARK.json workload —
+# working tree against BASE, exported to a temporary directory — with
+# each side's median and quartiles and the pair wins per end-to-end
+# metric. About 40 s per pair. `make bench-pair W=btmz_ult_lb N=10`.
+N ?= 10
+BASE ?= HEAD
+
+bench-pair:
+	$(GO) run ./cmd/benchpair -w $(W) -n $(N) -base $(BASE)
 
 # Hot-path benchmarks; writes BENCH_hotpath.json (name → ns/op,
 # allocs/op) so before/after numbers ride along with each PR.

@@ -167,6 +167,9 @@ func BenchmarkFig10MinimalSwap(b *testing.B) {
 		b.StopTimer()
 		close(ping)
 	})
+	b.Run("coroutine-switch", func(b *testing.B) {
+		converse.SwitchRoundTrips(b.N)
+	})
 }
 
 // ---------------------------------------------------------------

@@ -95,7 +95,7 @@ type Topology struct {
 // itself).
 const (
 	// ModeULT (default): one migratable user-level thread per rank —
-	// a parked goroutine with an isomalloc stack, charged the
+	// a converse coroutine with an isomalloc stack, charged the
 	// platform's thread-switch curve per activation.
 	ModeULT = "ult"
 	// ModeEvent: one small state struct per rank in a contiguous

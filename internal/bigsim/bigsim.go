@@ -118,7 +118,12 @@ func DefaultConfig() Config {
 // tproc is one simulated target processor owning one torus cell. In
 // ULT mode it is the state of a parked goroutine (resume/parked are
 // its handoff channels); in event mode it is the whole flow — a plain
-// state struct whose step body the owning PE runs inline.
+// state struct whose step body the owning PE runs inline. The
+// hand-off stays on channels although converse threads moved to a
+// coroutine switch: a target flow is activated only a few dozen times,
+// and iter.Pull costs 13 allocations to create against 5 for two
+// channels and a goroutine (DESIGN.md, "Intrusive ready queue,
+// coroutine switch").
 type tproc struct {
 	id     int32
 	simPE  int32

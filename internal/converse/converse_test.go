@@ -604,3 +604,27 @@ func TestThreadStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestThreadPanicReachesSchedulerCaller: a panic in a thread body
+// surfaces on the goroutine driving the scheduler — where the caller
+// can recover it — naming the thread and the PE.
+func TestThreadPanicReachesSchedulerCaller(t *testing.T) {
+	pe := onePE(t)
+	th, err := pe.Sched.CthCreate(converse.ThreadOptions{Strategy: migrate.Isomalloc{}}, func(c *converse.Ctx) {
+		c.Yield()
+		panic("boom")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe.Sched.Start(th)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		pe.Sched.RunUntilIdle()
+	}()
+	want := fmt.Sprintf("converse: thread %d on PE 0 panicked: boom", th.ID())
+	if got != want {
+		t.Errorf("recovered %v, want %q", got, want)
+	}
+}

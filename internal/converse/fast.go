@@ -13,11 +13,8 @@ import (
 // the floor the migratable strategies are compared against in the
 // ablation benchmarks.
 type FastThread struct {
-	id     ID
-	body   func(*FastCtx)
-	resume chan struct{}
-	parked chan outcome
-	done   bool
+	id ID
+	co coroutine
 }
 
 // FastScheduler round-robins FastThreads. The zero value is unusable;
@@ -32,18 +29,8 @@ func NewFastScheduler() *FastScheduler { return &FastScheduler{} }
 
 // Create makes a fast thread; Start it to make it runnable.
 func (s *FastScheduler) Create(body func(*FastCtx)) *FastThread {
-	t := &FastThread{
-		id:     ID(nextThreadID.Add(1)),
-		body:   body,
-		resume: make(chan struct{}),
-		parked: make(chan outcome),
-	}
-	go func() {
-		<-t.resume
-		t.body(&FastCtx{t: t})
-		t.done = true
-		t.parked <- outExit
-	}()
+	t := &FastThread{id: ID(nextThreadID.Add(1))}
+	t.co.start(func() { body(&FastCtx{t: t}) })
 	return t
 }
 
@@ -66,9 +53,7 @@ func (s *FastScheduler) RunUntilIdle() {
 		s.ready = s.ready[1:]
 		s.mu.Unlock()
 
-		t.resume <- struct{}{}
-		out := <-t.parked
-		if out == outYield {
+		if t.co.resume() == outYield {
 			s.mu.Lock()
 			s.ready = append(s.ready, t)
 			s.mu.Unlock()
@@ -93,10 +78,7 @@ type FastCtx struct{ t *FastThread }
 func (c *FastCtx) ID() ID { return c.t.id }
 
 // Yield hands the processor to the next ready thread.
-func (c *FastCtx) Yield() {
-	c.t.parked <- outYield
-	<-c.t.resume
-}
+func (c *FastCtx) Yield() { c.t.co.park(outYield) }
 
 // String aids debugging.
 func (t *FastThread) String() string { return fmt.Sprintf("FastThread(%d)", t.id) }

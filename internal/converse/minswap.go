@@ -13,7 +13,9 @@ package converse
 // register file: the minimal callee-saved swap, a save-everything
 // swap (the "fear or ignorance" version), and a save-everything swap
 // that also pays a simulated signal-mask system call.
-// BenchmarkFig10MinimalSwap measures all three in wall-clock time.
+// BenchmarkFig10MinimalSwap measures all three in wall-clock time,
+// beside SwitchRoundTrips: the coroutine switch that actually carries
+// this package's threads.
 
 // CalleeSavedRegs is the number of registers the x86-64 calling
 // convention requires a subroutine to preserve (Figure 10b saves
@@ -88,5 +90,19 @@ func syscallWork(mask *uint64) {
 	*mask = frame[0] | 1
 	for i := range frame {
 		syscallKernelRegs[FullRegs+i] = frame[i]
+	}
+}
+
+// SwitchRoundTrips makes n round trips (2n control transfers) between
+// the caller and one coroutine: the switch under every thread of this
+// package, bare of scheduler, queue and stack strategy.
+func SwitchRoundTrips(n int) {
+	var c coroutine
+	c.start(func() {
+		for i := 0; i < n; i++ {
+			c.park(outYield)
+		}
+	})
+	for c.resume() != outExit {
 	}
 }

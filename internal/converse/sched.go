@@ -1,10 +1,9 @@
 package converse
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,17 +29,14 @@ var ErrNotEvictable = errors.New("thread not evictable")
 type Scheduler struct {
 	pe *PE
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	ready    readyQueue
-	byThread map[*Thread]*readyItem // ready-queue membership, for O(log n) removal
-	seq      uint64                 // FIFO tiebreak within a priority
-	live     int                    // threads created and not yet exited/migrated away
-	threads  map[ID]*Thread
-	current  *Thread
-	stop     bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	ready   readyQueue
+	live    int // threads created and not yet exited/migrated away
+	threads map[ID]*Thread
+	stop    bool
 
-	// readyDepth mirrors ready.Len() so a work-stealing thief can peek
+	// readyDepth mirrors ready.n so a work-stealing thief can peek
 	// at queue depth without contending for mu; refreshed under mu on
 	// every queue mutation.
 	readyDepth atomic.Int64
@@ -72,7 +68,7 @@ type Scheduler struct {
 }
 
 func newScheduler(pe *PE) *Scheduler {
-	s := &Scheduler{pe: pe, threads: make(map[ID]*Thread), byThread: make(map[*Thread]*readyItem)}
+	s := &Scheduler{pe: pe, threads: make(map[ID]*Thread)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -110,7 +106,7 @@ func (s *Scheduler) Live() int {
 func (s *Scheduler) ReadyLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ready.Len()
+	return s.ready.n
 }
 
 // SetMigrateHandler wires the machine-level migration engine.
@@ -175,8 +171,6 @@ func (s *Scheduler) CthCreate(opts ThreadOptions, body func(*Ctx)) (*Thread, err
 		prio:     opts.Priority,
 		state:    Created,
 		sched:    s,
-		resume:   make(chan struct{}),
-		parked:   make(chan outcome),
 		strategy: opts.Strategy,
 		stack:    stack,
 		sp:       stack.Base().Add(size), // empty stack: sp at the top
@@ -202,7 +196,7 @@ func (s *Scheduler) CthCreate(opts ThreadOptions, body func(*Ctx)) (*Thread, err
 	s.threads[t.id] = t
 	s.mu.Unlock()
 	s.trace(trace.EvCreate, t, uint64(size))
-	go t.run()
+	t.co.start(t.main)
 	return t, nil
 }
 
@@ -227,11 +221,8 @@ func (s *Scheduler) Start(t *Thread) {
 // enqueue adds a Ready thread to the priority queue.
 func (s *Scheduler) enqueue(t *Thread) {
 	s.mu.Lock()
-	s.seq++
-	it := &readyItem{t: t, prio: t.prio, seq: s.seq}
-	heap.Push(&s.ready, it)
-	s.byThread[t] = it
-	s.readyDepth.Store(int64(s.ready.Len()))
+	s.ready.push(t)
+	s.readyDepth.Store(int64(s.ready.n))
 	s.cond.Broadcast()
 	wake := s.onWake
 	s.mu.Unlock()
@@ -240,13 +231,16 @@ func (s *Scheduler) enqueue(t *Thread) {
 	}
 }
 
-// popLocked removes and returns the highest-priority ready thread.
-// Caller holds s.mu and has checked the queue is non-empty.
-func (s *Scheduler) popLocked() *Thread {
-	it := heap.Pop(&s.ready).(*readyItem)
-	delete(s.byThread, it.t)
-	s.readyDepth.Store(int64(s.ready.Len()))
-	return it.t
+// popLocked removes the next thread in run order and counts the
+// context switch it is about to get, returning it with the queue depth
+// its switch-in is charged for (itself included). Caller holds s.mu
+// and has checked the queue is non-empty.
+func (s *Scheduler) popLocked() (t *Thread, depth int) {
+	depth = s.ready.n
+	t = s.ready.pop()
+	s.readyDepth.Store(int64(s.ready.n))
+	s.switches++
+	return t, depth
 }
 
 // Evict prepares a non-running thread for external (forced)
@@ -284,20 +278,14 @@ func (s *Scheduler) Evict(t *Thread) (wasSuspended bool, err error) {
 		t.id, t.state, ErrNotEvictable)
 }
 
-// removeReady deletes t from the ready queue. The membership map
-// makes this O(log n) — an Evict of one Ready thread among thousands
-// no longer scans the whole queue.
+// removeReady unlinks t from the ready queue, reporting whether it
+// was queued here.
 func (s *Scheduler) removeReady(t *Thread) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, ok := s.byThread[t]
-	if !ok {
-		return false
-	}
-	heap.Remove(&s.ready, it.index)
-	delete(s.byThread, t)
-	s.readyDepth.Store(int64(s.ready.Len()))
-	return true
+	removed := s.ready.remove(t)
+	s.readyDepth.Store(int64(s.ready.n))
+	return removed
 }
 
 // ReadyLenHint returns the ready-queue depth without taking the
@@ -347,7 +335,7 @@ func (s *Scheduler) TryStealHalf(max int) []*Thread {
 		return nil
 	}
 	s.mu.Lock()
-	depth := s.ready.Len()
+	depth := s.ready.n
 	want := depth / 2
 	if s.donate != nil {
 		want = s.donate(depth)
@@ -362,20 +350,9 @@ func (s *Scheduler) TryStealHalf(max int) []*Thread {
 		s.mu.Unlock()
 		return nil
 	}
-	// Snapshot the tail of the priority order: sort a copy of the heap
-	// slice so the victim's next-to-run threads stay put.
-	cand := make([]*readyItem, depth)
-	copy(cand, s.ready)
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].prio != cand[j].prio {
-			return cand[i].prio > cand[j].prio
-		}
-		return cand[i].seq > cand[j].seq
-	})
-	victims := make([]*Thread, want)
-	for i, it := range cand[:want] {
-		victims[i] = it.t
-	}
+	// Snapshot the tail of the run order, last to run first, so the
+	// victim's next-to-run threads stay put.
+	victims := s.ready.tail(want)
 	s.mu.Unlock()
 
 	// Evict outside s.mu: Evict takes t.mu then s.mu (the established
@@ -470,11 +447,14 @@ func (s *Scheduler) Disown(t *Thread) {
 // multi-PE machines use Run with an idle handler.
 func (s *Scheduler) RunUntilIdle() {
 	for {
-		t := s.tryDequeue()
-		if t == nil {
+		s.mu.Lock()
+		if s.ready.n == 0 {
+			s.mu.Unlock()
 			return
 		}
-		s.runThread(t)
+		t, depth := s.popLocked()
+		s.mu.Unlock()
+		s.runThread(t, depth)
 	}
 }
 
@@ -483,7 +463,7 @@ func (s *Scheduler) RunUntilIdle() {
 func (s *Scheduler) Run() {
 	for {
 		s.mu.Lock()
-		for s.ready.Len() == 0 && !s.stop {
+		for s.ready.n == 0 && !s.stop {
 			idle := s.onIdle
 			if idle != nil {
 				s.mu.Unlock()
@@ -499,9 +479,9 @@ func (s *Scheduler) Run() {
 			s.mu.Unlock()
 			return
 		}
-		t := s.popLocked()
+		t, depth := s.popLocked()
 		s.mu.Unlock()
-		s.runThread(t)
+		s.runThread(t, depth)
 	}
 }
 
@@ -513,20 +493,11 @@ func (s *Scheduler) Stop() {
 	s.mu.Unlock()
 }
 
-func (s *Scheduler) tryDequeue() *Thread {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ready.Len() == 0 {
-		return nil
-	}
-	return s.popLocked()
-}
-
-// runThread performs one full context switch cycle: switch the thread
-// in, run it until it stops, switch it out, and dispatch on why it
-// stopped.
-func (s *Scheduler) runThread(t *Thread) {
-	if err := s.switchIn(t); err != nil {
+// runThread performs one full context switch cycle for a thread just
+// popped at queue depth depth: switch it in, run it until it stops,
+// switch it out, and dispatch on why it stopped.
+func (s *Scheduler) runThread(t *Thread, depth int) {
+	if err := s.switchIn(t, depth); err != nil {
 		// A switch-in failure is a runtime bug (e.g. two exclusive
 		// threads); surface it loudly.
 		panic(fmt.Sprintf("converse: PE %d switch-in of thread %d: %v", s.pe.Index, t.id, err))
@@ -534,8 +505,7 @@ func (s *Scheduler) runThread(t *Thread) {
 	t.mu.Lock()
 	t.state = Running
 	t.mu.Unlock()
-	t.resume <- struct{}{}
-	out := <-t.parked
+	out := s.resume(t)
 	s.switchOut(t)
 
 	switch out {
@@ -573,10 +543,22 @@ func (s *Scheduler) runThread(t *Thread) {
 	}
 }
 
+// resume hands the processor to t until it parks or exits. A panic in
+// the thread body surfaces here, on the goroutine driving the
+// scheduler; it is re-raised naming the thread and PE.
+func (s *Scheduler) resume(t *Thread) outcome {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("converse: thread %d on PE %d panicked: %v", t.id, s.pe.Index, r))
+		}
+	}()
+	return t.co.resume()
+}
+
 // switchIn makes t's world visible: stack (strategy), globals (GOT
 // swap), heap (interposer), and charges the platform's per-switch
-// cost for a migratable ULT.
-func (s *Scheduler) switchIn(t *Thread) error {
+// cost for a migratable ULT among depth ready threads.
+func (s *Scheduler) switchIn(t *Thread, depth int) error {
 	if t.strategy.Exclusive() {
 		if err := s.pe.acquireExclusive(t); err != nil {
 			return err
@@ -591,16 +573,11 @@ func (s *Scheduler) switchIn(t *Thread) error {
 		}
 	}
 	s.pe.Inter.Enter(t.heap)
-	s.mu.Lock()
-	n := s.ready.Len() + 1
-	s.current = t
-	s.switches++
-	s.mu.Unlock()
 	cost, err := s.pe.Prof.SwitchCost(t.CostKind())
 	if err != nil {
 		return err
 	}
-	s.pe.Clock.Advance(cost.At(n))
+	s.pe.Clock.Advance(cost.At(depth))
 	s.trace(trace.EvSwitchIn, t, 0)
 	return nil
 }
@@ -629,9 +606,6 @@ func (s *Scheduler) switchOut(t *Thread) {
 	if t.strategy.Exclusive() {
 		s.pe.releaseExclusive(t)
 	}
-	s.mu.Lock()
-	s.current = nil
-	s.mu.Unlock()
 }
 
 // reap releases an exited thread's resources. Stacks and heap slabs
@@ -650,41 +624,88 @@ func (s *Scheduler) reap(t *Thread) {
 	s.mu.Unlock()
 }
 
-// readyQueue is a priority heap: lower priority value runs first,
-// FIFO within a priority. Items carry their heap index so the
-// byThread map can remove an arbitrary thread in O(log n).
-type readyItem struct {
-	t     *Thread
-	prio  int
-	seq   uint64
-	index int
+// readyQueue is the run order: lower priority value first, FIFO
+// within a priority. It is intrusive — one doubly linked list per
+// priority level, threaded through Thread.qnext/qprev — so push, pop,
+// removing an arbitrary thread and walking the tail are O(1) per
+// thread and allocate nothing. Levels stay sorted and are never
+// dropped: a scheduler sees a handful of distinct priorities (usually
+// one), so finding a level is a short scan.
+type readyQueue struct {
+	levels []readyLevel // ascending prio; a level may be empty
+	n      int          // queued threads
 }
 
-type readyQueue []*readyItem
+type readyLevel struct {
+	prio       int
+	head, tail *Thread
+}
 
-func (q readyQueue) Len() int { return len(q) }
-func (q readyQueue) Less(i, j int) bool {
-	if q[i].prio != q[j].prio {
-		return q[i].prio < q[j].prio
+// level returns the list for prio, creating it on first use.
+func (q *readyQueue) level(prio int) *readyLevel {
+	i := 0
+	for i < len(q.levels) && q.levels[i].prio < prio {
+		i++
 	}
-	return q[i].seq < q[j].seq
+	if i == len(q.levels) || q.levels[i].prio != prio {
+		q.levels = slices.Insert(q.levels, i, readyLevel{prio: prio})
+	}
+	return &q.levels[i]
 }
-func (q readyQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+func (q *readyQueue) push(t *Thread) {
+	l := q.level(t.prio)
+	t.qprev, t.qnext, t.queued = l.tail, nil, true
+	if l.tail != nil {
+		l.tail.qnext = t
+	} else {
+		l.head = t
+	}
+	l.tail = t
+	q.n++
 }
-func (q *readyQueue) Push(x any) {
-	it := x.(*readyItem)
-	it.index = len(*q)
-	*q = append(*q, it)
+
+// remove unlinks t wherever it sits, reporting whether it was queued.
+func (q *readyQueue) remove(t *Thread) bool {
+	if !t.queued {
+		return false
+	}
+	l := q.level(t.prio)
+	if t.qprev != nil {
+		t.qprev.qnext = t.qnext
+	} else {
+		l.head = t.qnext
+	}
+	if t.qnext != nil {
+		t.qnext.qprev = t.qprev
+	} else {
+		l.tail = t.qprev
+	}
+	t.qprev, t.qnext, t.queued = nil, nil, false
+	q.n--
+	return true
 }
-func (q *readyQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = -1
-	*q = old[:n-1]
-	return it
+
+// pop removes and returns the first thread in run order (nil if
+// empty).
+func (q *readyQueue) pop() *Thread {
+	for i := range q.levels {
+		if t := q.levels[i].head; t != nil {
+			q.remove(t)
+			return t
+		}
+	}
+	return nil
+}
+
+// tail returns the last k threads of the run order (fewer if the
+// queue is shorter), last to run first, without removing them.
+func (q *readyQueue) tail(k int) []*Thread {
+	out := make([]*Thread, 0, k)
+	for i := len(q.levels) - 1; i >= 0; i-- {
+		for t := q.levels[i].tail; t != nil && len(out) < k; t = t.qprev {
+			out = append(out, t)
+		}
+	}
+	return out
 }

@@ -5,9 +5,10 @@
 // §3.4 (stack copying, isomalloc, memory aliasing — implemented in
 // internal/migrate) plug into the context switch path.
 //
-// A thread's control flow is carried by a parked goroutine (the
-// documented Go substitution for machine-stack switching), but every
-// byte of *migratable* state — stack frames, heap blocks, privatized
+// A thread's control flow is carried by a coroutine (coroutine.go: the
+// runtime's direct goroutine-to-goroutine switch, the documented Go
+// substitution for machine-stack switching), but every byte of
+// *migratable* state — stack frames, heap blocks, privatized
 // globals — lives in simulated memory reached through the Ctx API, so
 // the three techniques move real bytes between real (simulated)
 // address spaces and their costs and failure modes are faithful.

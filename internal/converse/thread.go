@@ -61,7 +61,7 @@ func (s State) String() string {
 }
 
 // outcome is what a thread reports to the scheduler when it stops
-// running.
+// running (outExit: its body returned).
 type outcome int
 
 const (
@@ -103,8 +103,13 @@ type Thread struct {
 	wakePending bool
 	sched       *Scheduler // current owner
 
-	resume chan struct{} // scheduler -> thread
-	parked chan outcome  // thread -> scheduler
+	// co carries the thread's control flow; the scheduler resumes it
+	// and the thread parks it again with the reason it stopped.
+	co coroutine
+
+	// Ready-queue links (see readyQueue), guarded by sched.mu.
+	qnext, qprev *Thread
+	queued       bool
 
 	// Migratable state substrate.
 	strategy  StackStrategy
@@ -253,15 +258,13 @@ func (t *Thread) Awaken() {
 	t.mu.Unlock()
 }
 
-// run is the thread goroutine: it carries control flow only; all
-// migratable state lives in simulated memory.
-func (t *Thread) run() {
-	<-t.resume
+// main is the thread's coroutine body: it carries control flow only;
+// all migratable state lives in simulated memory.
+func (t *Thread) main() {
 	t.body(&t.ctx)
 	t.mu.Lock()
 	t.state = Exited
 	t.mu.Unlock()
-	t.parked <- outExit
 }
 
 // Ctx is the API surface a thread body sees. It is only valid while
@@ -282,7 +285,7 @@ func (c *Ctx) Space() *vmem.Space { return c.t.sched.pe.Space }
 
 // Yield gives up the processor, keeping the thread runnable
 // (CthYield).
-func (c *Ctx) Yield() { c.t.stopRunning(outYield) }
+func (c *Ctx) Yield() { c.t.co.park(outYield) }
 
 // Suspend parks the thread until Awaken (CthSuspend). If an Awaken
 // raced in while running, Suspend returns immediately.
@@ -295,7 +298,7 @@ func (c *Ctx) Suspend() {
 		return
 	}
 	t.mu.Unlock()
-	t.stopRunning(outSuspend)
+	t.co.park(outSuspend)
 }
 
 // MigrateTo asks the runtime to move the thread to PE dest; the call
@@ -307,14 +310,7 @@ func (c *Ctx) MigrateTo(dest int) {
 		return
 	}
 	t.migrateTo = dest
-	t.stopRunning(outMigrate)
-}
-
-// stopRunning hands control back to the scheduler and blocks until
-// resumed.
-func (t *Thread) stopRunning(out outcome) {
-	t.parked <- out
-	<-t.resume
+	t.co.park(outMigrate)
 }
 
 // Malloc allocates from the thread's migratable heap via the PE's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -247,5 +248,59 @@ func TestRunParallelWithMigration(t *testing.T) {
 	m.RunParallel(done.Load)
 	if endPE != 1 {
 		t.Errorf("thread ended on PE %d", endPE)
+	}
+}
+
+// TestMigrateToRoundTripsAcrossPEGoroutines: under RunParallel every
+// PE is its own goroutine, so a thread that calls MigrateTo parks on
+// one goroutine and is resumed by another. Threads bounce between two
+// PEs many times, each checking it woke where it asked to and that the
+// value it left on its simulated stack came along.
+func TestMigrateToRoundTripsAcrossPEGoroutines(t *testing.T) {
+	m, err := NewMachine(Config{NumPEs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threads, trips = 4, 50
+	var done atomic.Int64
+	var fail atomic.Value
+	for i := 0; i < threads; i++ {
+		home := i % 2
+		th, err := m.PE(home).Sched.CthCreate(converse.ThreadOptions{Strategy: migrate.Isomalloc{}}, func(c *converse.Ctx) {
+			defer done.Add(1)
+			frame, err := c.PushFrame(8)
+			if err != nil {
+				fail.Store(err.Error())
+				return
+			}
+			for k := uint64(0); k < 2*trips; k++ {
+				dest := 1 - c.PE().Index
+				_ = c.Space().WriteUint64(frame, k)
+				c.MigrateTo(dest)
+				if c.PE().Index != dest {
+					fail.Store(fmt.Sprintf("hop %d: woke on PE %d, want %d", k, c.PE().Index, dest))
+				}
+				if v, err := c.Space().ReadUint64(frame); err != nil || v != k {
+					fail.Store(fmt.Sprintf("hop %d: frame = %d/%v", k, v, err))
+				}
+				c.Yield()
+			}
+			if c.PE().Index != home {
+				fail.Store(fmt.Sprintf("ended on PE %d after %d round trips from PE %d", c.PE().Index, trips, home))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.PE(home).Sched.Start(th)
+	}
+	m.RunParallel(func() bool { return done.Load() == threads })
+	if msg := fail.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	for pe := 0; pe < 2; pe++ {
+		if n := m.PE(pe).Sched.Switches(); n < threads*trips {
+			t.Errorf("PE %d performed %d switches, want at least %d", pe, n, threads*trips)
+		}
 	}
 }

@@ -23,15 +23,24 @@ func TestStealRedistributes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 16
-	var done atomic.Int64
-	ranOn := make([]atomic.Int64, 4)
+	// Every thread runs at least 8 slices and then keeps going until
+	// some slice has run off PE 0: the whole job is a few hundred
+	// microseconds of wall time, which PE 0 can finish before the
+	// other PEs' goroutines are first scheduled. The cap turns a
+	// broken steal path into a failure below instead of a hang.
+	const maxSlices = 1 << 16
+	var done, onHome, offHome atomic.Int64
 	for i := 0; i < n; i++ {
 		th, err := m.PE(0).Sched.CthCreate(converse.ThreadOptions{
 			Strategy: migrate.Isomalloc{},
 		}, func(c *converse.Ctx) {
-			for k := 0; k < 8; k++ {
+			for k := 0; k < 8 || (offHome.Load() == 0 && k < maxSlices); k++ {
 				c.Work(50_000)
-				ranOn[c.PE().Index].Add(1)
+				if c.PE().Index == 0 {
+					onHome.Add(1)
+				} else {
+					offHome.Add(1)
+				}
 				// Yield the OS thread too: modeled Work is wall-instant,
 				// so without this PE 0 drains its whole queue before the
 				// woken thieves ever get scheduled to probe it.
@@ -70,14 +79,11 @@ func TestStealRedistributes(t *testing.T) {
 	if st.Moved == 0 {
 		t.Fatalf("no threads stolen from a 16-deep queue: %+v", st)
 	}
-	var elsewhere int64
-	for pe := 1; pe < 4; pe++ {
-		elsewhere += ranOn[pe].Load()
-	}
+	elsewhere := offHome.Load()
 	if elsewhere == 0 {
 		t.Errorf("all work slices ran on PE 0 despite %d steals", st.Moved)
 	}
-	t.Logf("steals: %+v, slices off PE0: %d/%d", st, elsewhere, n*8)
+	t.Logf("steals: %+v, slices off PE0: %d/%d", st, elsewhere, elsewhere+onHome.Load())
 }
 
 // TestStealDisabledByDefault: without Config.Steal the idle handler

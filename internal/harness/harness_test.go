@@ -153,6 +153,9 @@ func TestFigure10(t *testing.T) {
 		t.Errorf("ordering broken: minimal=%g full=%g sigmask=%g",
 			res.MinimalNs, res.FullNs, res.SigmaskNs)
 	}
+	if res.CoroutineNs <= 0 || !strings.Contains(buf.String(), "coroutine switch") {
+		t.Errorf("coroutine switch row missing: %g ns\n%s", res.CoroutineNs, buf.String())
+	}
 }
 
 func TestFigure11(t *testing.T) {
