@@ -7,8 +7,7 @@ import (
 
 // collBench drives b.N back-to-back collectives through one job and
 // reports both wall time (ns/op) and modeled virtual time per
-// collective (vns/op, from the machine's max PE clock). Sub-benchmark
-// names avoid '-' so benchjson's name/GOMAXPROCS split stays clean.
+// collective (vns/op, from the machine's max PE clock).
 func collBench(b *testing.B, ranks int, algo CollAlgo, op func(*Rank) error) {
 	m := newMachine(b, 8, nil)
 	j, err := NewJob(m, ranks, Options{Collectives: algo, MsgOverheadNs: 1000}, func(r *Rank) {
@@ -35,7 +34,10 @@ func collBench(b *testing.B, ranks int, algo CollAlgo, op func(*Rank) error) {
 // BenchmarkCollBarrier A/Bs the flat rank-0 barrier against the k-ary
 // tree at P ∈ {8, 64, 256} on 8 PEs. The vns/op metric shows the
 // modeled win (root serialization is O(P) flat, O(k·log_k P) tree);
-// ns/op shows the host-side cost of the extra tree phases.
+// ns/op shows the host-side cost of the extra tree phases. bench/
+// runs tree collectives only, from event-mode Procs
+// (ampi.allreduce_ns_per_rank): the flat algorithm and the thread API
+// are timed nowhere else.
 func BenchmarkCollBarrier(b *testing.B) {
 	for _, algo := range []CollAlgo{CollFlat, CollTree} {
 		for _, p := range []int{8, 64, 256} {

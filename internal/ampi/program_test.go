@@ -112,7 +112,7 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 		pc.Local = &mixState{x: float64(pc.rank + 1)}
 	}))
 	for p := 0; p < phases; p++ {
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
 		case 0: // ring exchange via Sendrecv
 			tagA := rng.Intn(4)
 			ps = append(ps, Call(func(pc *PC) Proc {
@@ -188,6 +188,22 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 					}),
 				)
 			}))
+		case 8:
+			ps = append(ps, Alltoall(
+				func(pc *PC) [][]byte {
+					chunks := make([][]byte, pc.Size())
+					for i := range chunks {
+						chunks[i] = f64bytes(pc.Local.(*mixState).x + float64(i))
+					}
+					return chunks
+				},
+				func(pc *PC, parts [][]byte) {
+					s := 0.0
+					for from, p := range parts {
+						s += f64(p) * float64(from+1)
+					}
+					acc(pc, s)
+				}))
 		}
 		if s, ok := gates[p]; ok {
 			ps = append(ps, Migrate(s))

@@ -86,14 +86,6 @@ func (e *Endpoint) EnableAggregation(p AggPolicy) {
 	e.agg.policy = p.normalized()
 }
 
-// AggregationEnabled reports whether SendStream coalesces on this
-// endpoint.
-func (e *Endpoint) AggregationEnabled() bool {
-	e.aggMu.Lock()
-	defer e.aggMu.Unlock()
-	return e.agg != nil
-}
-
 // EnableAggregation enables streaming aggregation on every endpoint.
 func (n *Network) EnableAggregation(p AggPolicy) {
 	for _, e := range n.endpoints {

@@ -10,7 +10,7 @@ import (
 // on a distinct receiver PE. This is the contention profile of a
 // scaling run: every sender resolves the directory and touches stats
 // on every message, so a serializing directory lock shows up directly
-// in ns/op.
+// in ns/op. The single-sender baseline is bench/'s comm.send_ns.
 func BenchmarkSend(b *testing.B) {
 	const senders = 8
 	n := NewNetwork(2*senders, LatencyModel{Alpha: 100, BetaPerByte: 1})
@@ -45,109 +45,9 @@ func BenchmarkSend(b *testing.B) {
 	})
 }
 
-// BenchmarkSendSerial is the single-sender baseline for BenchmarkSend:
-// the same path with zero cross-PE contention.
-func BenchmarkSendSerial(b *testing.B) {
-	n := NewNetwork(2, LatencyModel{Alpha: 100, BetaPerByte: 1})
-	if err := n.Register(1, 1); err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 64)
-	src, dst := n.Endpoint(0), n.Endpoint(1)
-	msg := &Message{To: 1, From: 100, Data: payload}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg.Hops = 0
-		if err := src.Send(msg); err != nil {
-			b.Fatal(err)
-		}
-		if dst.Poll() == nil {
-			b.Fatal("message not delivered")
-		}
-	}
-}
-
-// BenchmarkInbox measures the endpoint queue alone: a burst of
-// deliveries followed by a full drain, the pattern a pumping PE sees.
-func BenchmarkInbox(b *testing.B) {
-	n := NewNetwork(2, LatencyModel{})
-	if err := n.Register(1, 1); err != nil {
-		b.Fatal(err)
-	}
-	src, dst := n.Endpoint(0), n.Endpoint(1)
-	const burst = 64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < burst; j++ {
-			if err := src.Send(&Message{To: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for j := 0; j < burst; j++ {
-			if dst.Poll() == nil {
-				b.Fatal("lost message")
-			}
-		}
-	}
-}
-
-// BenchmarkAggExchange compares a ghost-exchange-shaped burst — 64
-// small messages to entities packed on one destination PE — routed
-// per-message (direct) versus through streaming aggregation (agg).
-// Aggregation pays the inbox lock and wakeup once per envelope
-// instead of once per payload, so the wall-clock win shows up here;
-// the modeled-latency win (one Alpha per envelope) shows up in the
-// workload numbers.
-func BenchmarkAggExchange(b *testing.B) {
-	const burst = 64
-	run := func(b *testing.B, stream bool) {
-		n := NewNetwork(2, LatencyModel{Alpha: 10_000, BetaPerByte: 4})
-		for i := 0; i < 8; i++ {
-			if err := n.Register(EntityID(i+1), 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		src, dst := n.Endpoint(0), n.Endpoint(1)
-		if stream {
-			src.EnableAggregation(AggPolicy{MaxPayloads: 16, MaxBytes: 1 << 20})
-		}
-		payload := make([]byte, 32)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < burst; j++ {
-				msg := &Message{To: EntityID(j%8 + 1), Data: payload}
-				var err error
-				if stream {
-					err = src.SendStream(msg)
-				} else {
-					err = src.Send(msg)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if stream {
-				if err := src.Flush(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for j := 0; j < burst; j++ {
-				if dst.Poll() == nil {
-					b.Fatal("lost message")
-				}
-			}
-		}
-	}
-	b.Run("direct", func(b *testing.B) { run(b, false) })
-	b.Run("agg", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkLocate measures directory lookup throughput with 8
 // concurrent readers — the pure read-side scaling of the location
-// directory.
+// directory (serial lookups are bench/'s comm.locate_ns).
 func BenchmarkLocate(b *testing.B) {
 	const entities = 1024
 	n := NewNetwork(8, LatencyModel{})

@@ -261,73 +261,6 @@ func (n *Network) Deregister(id EntityID) {
 	s.m.Store(&next)
 }
 
-// RegisterBatch places entities base..base+n-1 on pes[0..n-1] (one PE
-// per entity) in one pass: each directory shard is cloned at most
-// once, instead of once per entity. Registering a million event-mode
-// ranks one by one would clone ever-growing shard maps quadratically;
-// the batch is linear. Any already-registered id fails the whole
-// batch before anything is stored.
-func (n *Network) RegisterBatch(base EntityID, pes []int) error {
-	for i, pe := range pes {
-		if pe < 0 || pe >= len(n.endpoints) {
-			return fmt.Errorf("comm: RegisterBatch(%d+%d): PE %d out of range", base, i, pe)
-		}
-	}
-	// Lock shards in index order (every Register/Deregister path takes
-	// at most one shard lock, so ordering only matters batch-vs-batch).
-	for si := range n.shards {
-		n.shards[si].mu.Lock()
-	}
-	defer func() {
-		for si := range n.shards {
-			n.shards[si].mu.Unlock()
-		}
-	}()
-	for i := range pes {
-		id := base + EntityID(i)
-		if m := n.shard(id).m.Load(); m != nil {
-			if old, ok := (*m)[id]; ok {
-				return fmt.Errorf("comm: entity %d already registered on PE %d", id, old)
-			}
-		}
-	}
-	// Clone each touched shard once, sized for its share of the batch.
-	var adds [locShards]int
-	for i := range pes {
-		adds[uint64(base+EntityID(i))&(locShards-1)]++
-	}
-	var next [locShards]map[EntityID]int
-	for si := range n.shards {
-		if adds[si] == 0 {
-			continue
-		}
-		old := n.shards[si].m.Load()
-		sz := adds[si]
-		if old != nil {
-			sz += len(*old)
-		}
-		m := make(map[EntityID]int, sz)
-		if old != nil {
-			for k, v := range *old {
-				m[k] = v
-			}
-		}
-		next[si] = m
-	}
-	for i, pe := range pes {
-		id := base + EntityID(i)
-		next[uint64(id)&(locShards-1)][id] = pe
-	}
-	for si := range n.shards {
-		if next[si] == nil {
-			continue
-		}
-		m := next[si]
-		n.shards[si].m.Store(&m)
-	}
-	return nil
-}
-
 // DeregisterBatch removes a set of entities, cloning each directory
 // shard at most once (the exit path of a finished event-mode job).
 // Ids living in range tables are tombstoned in place — no clone at
@@ -421,7 +354,7 @@ func (n *Network) rangeOf(id EntityID) *rangeLoc {
 
 // RegisterRange places the dense entity block base..base+len(pes)-1
 // in a new range location table: entity base+i lives on PE pes[i].
-// Compared with RegisterBatch's shard maps, a range table costs 4
+// Compared with Register's shard maps, a range table costs 4
 // bytes per entity, locates with array arithmetic instead of a map
 // probe, and — the point — supports batched location updates, so
 // range entities are migratable. The block must not overlap an

@@ -75,10 +75,6 @@ func (n *Network) SetTransport(t Transport, peLo, peHi int) error {
 	return nil
 }
 
-// Transport returns the configured transport (nil on the default
-// in-process backend).
-func (n *Network) Transport() Transport { return n.xport }
-
 // LocalPE reports whether pe is owned by this process (always true on
 // the in-process backend).
 func (n *Network) LocalPE(pe int) bool {

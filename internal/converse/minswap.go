@@ -13,7 +13,7 @@ package converse
 // register file: the minimal callee-saved swap, a save-everything
 // swap (the "fear or ignorance" version), and a save-everything swap
 // that also pays a simulated signal-mask system call.
-// BenchmarkFig10MinimalSwap measures all three in wall-clock time,
+// harness.Figure10 measures all three in wall-clock time,
 // beside SwitchRoundTrips: the coroutine switch that actually carries
 // this package's threads.
 

@@ -129,19 +129,10 @@ type Thread struct {
 	ctx Ctx
 }
 
-// CPUTime returns the virtual nanoseconds this thread has run since
-// creation or the last ResetCPUTime.
-func (t *Thread) CPUTime() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cpuNs
-}
-
 // LoadSample returns the thread's current PE index and measured CPU
-// time in one lock acquisition — the unit of the load balancer's
-// measurement walk. Sampling every thread is a single pass with one
-// mutex operation each, instead of the separate Scheduler() and
-// CPUTime() round trips.
+// time (virtual nanoseconds run since creation or the last
+// ResetCPUTime) in one lock acquisition — the unit of the load
+// balancer's measurement walk.
 func (t *Thread) LoadSample() (pe int, cpuNs float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -210,10 +201,6 @@ func (t *Thread) StackBytesUsed() uint64 {
 // migratable threads pay the "ampi" curve (isomalloc + privatization
 // overhead), matching the paper's Cth-vs-AMPI split in Figures 4-8.
 func (t *Thread) CostKind() string { return "ampi" }
-
-// MigrationTarget returns the destination PE of an in-flight
-// migration (meaningful only in the Migrating state).
-func (t *Thread) MigrationTarget() int { return t.migrateTo }
 
 // Reinstall replaces the thread's migratable state after the
 // migration engine has deserialized it on the destination PE: the

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"migflow/internal/comm"
-	"migflow/internal/converse"
-	"migflow/internal/migrate"
 )
 
 // BenchmarkPump measures the message dispatch path under PE
 // concurrency: 8 PEs, each sending to its own local entity and
 // pumping its own inbox. A per-message global handler-table lock
-// serializes all 8 PEs; the benchmark exposes that directly.
+// serializes all 8 PEs; the benchmark exposes that directly. (One PE
+// pumping a dense entity range is bench/'s core.pump_ns.)
 func BenchmarkPump(b *testing.B) {
 	const pes = 8
 	m, err := NewMachine(Config{NumPEs: pes})
@@ -47,39 +46,4 @@ func BenchmarkPump(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkMigrate measures one end-to-end machine-level migration:
-// eviction, PUP round trip, install, directory update, and network
-// cost charging, with the thread's comm entity registered so the
-// location directory is updated on every hop.
-func BenchmarkMigrate(b *testing.B) {
-	m, err := NewMachine(Config{NumPEs: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := b.N
-	th, err := m.PE(0).Sched.CthCreate(converse.ThreadOptions{
-		Strategy:  migrate.Isomalloc{},
-		StackSize: 16 << 10,
-	}, func(c *converse.Ctx) {
-		for i := 0; i < n; i++ {
-			c.MigrateTo(1 - c.PE().Index)
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.Network().Register(comm.EntityID(th.ID()), 0); err != nil {
-		b.Fatal(err)
-	}
-	m.PE(0).Sched.Start(th)
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.RunUntilQuiescent()
-	b.StopTimer()
-	count, _ := m.MigrationStats()
-	if count < uint64(n) {
-		b.Fatalf("only %d of %d migrations ran", count, n)
-	}
 }

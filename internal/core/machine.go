@@ -53,9 +53,6 @@ type Config struct {
 	// StealAttempts bounds how many two-choice probes an idle PE makes
 	// per idle episode before giving up and blocking; default 2.
 	StealAttempts int
-	// StealMax caps the threads taken per successful steal; 0 means
-	// half the victim's ready queue.
-	StealMax int
 
 	// LocalPELo/LocalPEHi shard the machine across OS processes: this
 	// process drives only PEs [LocalPELo, LocalPEHi) while the full
@@ -183,10 +180,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 // NumPEs returns the processor count.
 func (m *Machine) NumPEs() int { return len(m.pes) }
 
-// LocalPEs returns the [lo, hi) range of PEs this process drives —
-// [0, NumPEs) unless the machine is sharded.
-func (m *Machine) LocalPEs() (lo, hi int) { return m.cfg.LocalPELo, m.cfg.LocalPEHi }
-
 // Sharded reports whether this machine drives only a subset of its
 // PEs (other subsets live in other OS processes).
 func (m *Machine) Sharded() bool {
@@ -276,7 +269,7 @@ type entityRange struct {
 // RegisterEntityRange routes pumped messages for every entity in
 // [lo, hi] (inclusive) through handler. It does NOT touch the network
 // directory — the caller registers the entities' locations (usually
-// with comm's RegisterBatch). One range entry replaces what would be
+// with comm's RegisterRange). One range entry replaces what would be
 // hi-lo+1 sync.Map entries and closures for a large event-mode job.
 func (m *Machine) RegisterEntityRange(lo, hi comm.EntityID, handler func(pe int, msg *comm.Message)) error {
 	if hi < lo {

@@ -52,7 +52,7 @@ func (m *Machine) stealInto(thief int, rng *rand.Rand) bool {
 		if m.pes[victim].Sched.BusyNs() <= m.pes[thief].Sched.BusyNs() {
 			continue // victim is no more loaded than us — not a steal target
 		}
-		stolen := m.pes[victim].Sched.TryStealHalf(m.cfg.StealMax)
+		stolen := m.pes[victim].Sched.TryStealHalf(0)
 		if len(stolen) == 0 {
 			continue
 		}

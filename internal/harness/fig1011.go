@@ -118,23 +118,21 @@ type Fig11Point struct {
 	EnvelopesPerStep float64
 }
 
-// Figure11 sweeps simulating-PE counts for a fixed target machine.
+// Figure11 sweeps simulating-PE counts for a fixed target machine
+// with the paper's configuration: one ULT per target, per-ghost
+// messages.
 func Figure11(w io.Writer, x, y, z, steps int, peCounts []int) ([]Fig11Point, error) {
-	return Figure11Opt(w, x, y, z, steps, peCounts, false)
+	return Figure11Backend(w, x, y, z, steps, peCounts, false, bigsim.ModeULT)
 }
 
-// Figure11Opt is Figure11 with the ghost exchange optionally routed
-// through streaming aggregation (one envelope per (src,dst) simulating
-// PE pair per step instead of one message per ghost).
-func Figure11Opt(w io.Writer, x, y, z, steps int, peCounts []int, aggregate bool) ([]Fig11Point, error) {
-	return Figure11Backend(w, x, y, z, steps, peCounts, aggregate, bigsim.ModeULT)
-}
-
-// Figure11Backend is Figure11Opt with a selectable execution backend:
-// bigsim.ModeULT (one parked goroutine per target processor, the
-// paper's user-level thread) or bigsim.ModeEvent (step bodies
-// dispatched inline as event-driven objects — the only backend that
-// reaches the paper's 200,000-target scale in modest memory).
+// Figure11Backend is Figure11 with the ghost exchange optionally
+// routed through streaming aggregation (one envelope per (src,dst)
+// simulating PE pair per step instead of one message per ghost) and a
+// selectable execution backend: bigsim.ModeULT (one parked goroutine
+// per target processor, the paper's user-level thread) or
+// bigsim.ModeEvent (step bodies dispatched inline as event-driven
+// objects — the only backend that reaches the paper's 200,000-target
+// scale in modest memory).
 func Figure11Backend(w io.Writer, x, y, z, steps int, peCounts []int, aggregate bool, mode string) ([]Fig11Point, error) {
 	targets := x * y * z
 	opt := ""

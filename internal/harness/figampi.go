@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"migflow/internal/ampi"
 )
@@ -122,30 +121,4 @@ func JacobiMode(w io.Writer, ranks, iters int, peCounts []int, migrateAt int, ov
 		})
 	}
 	return out, nil
-}
-
-// RankFootprint builds (without running) a Jacobi job in cfg's mode
-// and returns the marginal resident bytes (heap + goroutine stacks)
-// and goroutines per rank — FlowFootprint's question asked of AMPI's
-// two rank backends.
-func RankFootprint(cfg ampi.JacobiConfig) (bytesPerRank, goroutinesPerRank float64, err error) {
-	runtime.GC()
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	g0 := runtime.NumGoroutine()
-	_, job, err := ampi.NewJacobi(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	runtime.GC()
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	g1 := runtime.NumGoroutine()
-	ranks := float64(cfg.Ranks)
-	resident := int64(m1.HeapInuse+m1.StackInuse) - int64(m0.HeapInuse+m0.StackInuse)
-	if resident < 0 {
-		resident = 0
-	}
-	job.Run() // drain the job so ULT goroutines exit before returning
-	return float64(resident) / ranks, float64(g1-g0) / ranks, nil
 }

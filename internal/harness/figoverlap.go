@@ -4,8 +4,7 @@ package harness
 // same skewed BT-MZ zone job run with blocking and with split-phase
 // (nonblocking) halo exchange + pipelined residual reduction, on both
 // flow backends, plus the rank-order-vs-topology spanning-tree hop
-// comparison. This is the table `flowbench -overlap` and the
-// bench-collectives JSON derive from.
+// comparison. This is the table `flowbench -overlap` prints.
 
 import (
 	"fmt"

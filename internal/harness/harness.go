@@ -219,14 +219,7 @@ func Figure9(w io.Writer, sizes []uint64, switches int) ([]Fig9Point, error) {
 
 // Figure12 runs the BT-MZ cases with and without LB.
 func Figure12(w io.Writer, steps int) ([][2]*npb.Result, error) {
-	return Figure12Opt(w, steps, ampi.CollTree, false, comm.AggPolicy{})
-}
-
-// Figure12Opt is Figure12 with the collective algorithm, boundary-
-// exchange aggregation, and flush policy selectable; aggregated runs
-// report the envelope traffic alongside the timing columns.
-func Figure12Opt(w io.Writer, steps int, coll ampi.CollAlgo, aggregate bool, pol comm.AggPolicy) ([][2]*npb.Result, error) {
-	return Figure12With(w, steps, Fig12Config{Coll: coll, Aggregate: aggregate, AggPolicy: pol})
+	return Figure12With(w, steps, Fig12Config{})
 }
 
 // Fig12Config selects the optional mechanisms for a Figure 12 run:
@@ -257,10 +250,10 @@ type Fig12Config struct {
 	Topo ampi.Topology
 }
 
-// Figure12With is the fully-configurable Figure 12 driver. With the
-// zero Fig12Config (plus a Coll choice) its output is byte-identical
-// to Figure12Opt; enabling Steal appends a per-case stolen-threads
-// column from the runtime's steal counters.
+// Figure12With is the fully-configurable Figure 12 driver; aggregated
+// runs report the envelope traffic alongside the timing columns, and
+// enabling Steal appends a per-case stolen-threads column from the
+// runtime's steal counters.
 func Figure12With(w io.Writer, steps int, cfg Fig12Config) ([][2]*npb.Result, error) {
 	strat := cfg.LB
 	if strat == nil {

@@ -116,26 +116,6 @@ func Imbalance(loads []float64) float64 {
 	return max / avg
 }
 
-// Assignment is one realized plan entry: item ID moves to PE Dest.
-type Assignment struct {
-	ID   uint64
-	Dest int
-}
-
-// Moves materializes a plan against the load database as the ordered
-// list of items that actually change PE (items the plan leaves in
-// place, or does not mention, are omitted) — the input shape a bulk
-// migration step consumes.
-func (p Plan) Moves(items []Item) []Assignment {
-	var out []Assignment
-	for _, it := range items {
-		if to, ok := p[it.ID]; ok && to != it.PE {
-			out = append(out, Assignment{ID: it.ID, Dest: to})
-		}
-	}
-	return out
-}
-
 // Migrations counts items a plan actually moves.
 func Migrations(items []Item, plan Plan) int {
 	n := 0

@@ -4,52 +4,29 @@ import (
 	"testing"
 
 	"migflow/internal/converse"
-	"migflow/internal/vmem"
 )
 
-// benchStack is the benchmark stack size: the ISSUE's "mostly-idle
-// 64 KiB stack".
+// benchStack is the benchmark stack size: a mostly-idle 64 KiB stack.
 const benchStack = 64 << 10
 
-// suspendedThread parks one thread with a benchStack-sized stack on
-// m.pes[0]. full=false leaves the stack mostly idle (one live frame,
-// one dirty page); full=true dirties every page first — the
-// worst-case image that matches what the dense path always shipped.
-func suspendedThread(b *testing.B, m *machine, strat converse.StackStrategy, full bool) *converse.Thread {
-	return suspendedThreadOn(b, m, m.pes[0], strat, full)
-}
-
-// suspendedThreadOn is suspendedThread with an explicit home PE, so
-// batch benchmarks can spread their fixtures instead of funnelling
-// every source-side extract through one scheduler lock.
-func suspendedThreadOn(b *testing.B, m *machine, pe *converse.PE, strat converse.StackStrategy, full bool) *converse.Thread {
+// suspendedThreadOn parks one thread with a benchStack-sized, mostly
+// idle stack (one live frame, one dirty page) on pe, so the batch
+// benchmark spreads its fixtures instead of funnelling every
+// source-side extract through one scheduler lock.
+func suspendedThreadOn(b *testing.B, m *machine, pe *converse.PE) *converse.Thread {
 	b.Helper()
 	th, err := pe.Sched.CthCreate(converse.ThreadOptions{
-		Strategy:  strat,
+		Strategy:  Isomalloc{},
 		StackSize: benchStack,
 	}, func(c *converse.Ctx) {
-		if full {
-			frame, err := c.PushFrame(benchStack - 4*vmem.PageSize)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			for off := uint64(0); off < benchStack-5*vmem.PageSize; off += vmem.PageSize {
-				if err := c.Space().WriteUint64(frame.Add(off), off); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		} else {
-			frame, err := c.PushFrame(64)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if err := c.Space().WriteUint64(frame, 0x1D1E); err != nil {
-				b.Error(err)
-				return
-			}
+		frame, err := c.PushFrame(64)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		if err := c.Space().WriteUint64(frame, 0x1D1E); err != nil {
+			b.Error(err)
+			return
 		}
 		c.Suspend()
 	})
@@ -64,54 +41,20 @@ func suspendedThreadOn(b *testing.B, m *machine, pe *converse.PE, strat converse
 	return th
 }
 
-// benchMigrate ping-pongs one suspended thread between two PEs
-// through the full external-migration path (evict, extract, PUP round
-// trip, install, re-adopt).
-func benchMigrate(b *testing.B, strat converse.StackStrategy, full bool) {
-	m := newMachine(b, 2, nil)
-	th := suspendedThread(b, m, strat, full)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src, dst := m.pes[i%2], m.pes[1-i%2]
-		if _, err := MigrateExternal(th, src, dst, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Per-strategy migration benchmarks. The "idle64k" variant is the
-// sparse path's showcase (a 64 KiB stack with one live page); the
-// "full64k" variant dirties every page, which is what the dense path
-// shipped for EVERY stack regardless of use.
-
-func BenchmarkMigrateStackCopy(b *testing.B) {
-	b.Run("idle64k", func(b *testing.B) { benchMigrate(b, StackCopy{}, false) })
-	b.Run("full64k", func(b *testing.B) { benchMigrate(b, StackCopy{}, true) })
-}
-
-func BenchmarkMigrateIsomalloc(b *testing.B) {
-	b.Run("idle64k", func(b *testing.B) { benchMigrate(b, Isomalloc{}, false) })
-	b.Run("full64k", func(b *testing.B) { benchMigrate(b, Isomalloc{}, true) })
-}
-
-func BenchmarkMigrateMemAlias(b *testing.B) {
-	b.Run("idle64k", func(b *testing.B) { benchMigrate(b, MemoryAlias{}, false) })
-	b.Run("full64k", func(b *testing.B) { benchMigrate(b, MemoryAlias{}, true) })
-}
-
 // BenchmarkLBStep compares one load-balancer step moving a whole
 // batch of threads serially (N MigrateExternal calls) against the
 // pipelined BulkMigrate — the number that matters for measurement-
 // based LB at scale. Each op is a full eviction + sparse extract +
-// PUP + install of an idle 64 KiB-stack thread.
+// PUP + install of an idle 64 KiB-stack thread. bench/ times only the
+// batched path (migrate.iso_ns_per_rank); batch32 measuring slower
+// than serial32 is a row ROADMAP item 9 (d) owes a verdict.
 func BenchmarkLBStep(b *testing.B) {
 	const batch = 32
 	setup := func(b *testing.B) (*machine, []*converse.Thread) {
 		m := newMachine(b, 4, nil)
 		threads := make([]*converse.Thread, batch)
 		for i := range threads {
-			threads[i] = suspendedThreadOn(b, m, m.pes[i%4], Isomalloc{}, false)
+			threads[i] = suspendedThreadOn(b, m, m.pes[i%4])
 		}
 		return m, threads
 	}

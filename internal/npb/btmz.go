@@ -128,33 +128,32 @@ func (c Class) ZoneSizes() []float64 {
 
 // AssignZones reproduces BT-MZ's own zone-to-process balancing:
 // zones sorted by size descending, each assigned greedily to the
-// least-loaded rank. Per-rank balance is good when ranks hold several
-// zones and degrades as ranks approach one-zone granularity — which,
-// combined with AMPI's block rank-to-PE mapping, produces the
-// "dramatic variation in execution times before load balancing"
-// across B.16/B.32/B.64 that Figure 12 shows.
+// least-loaded rank (loadbalance.GreedyLB's heap, ties to the lower
+// rank). Per-rank balance is good when ranks hold several zones and
+// degrades as ranks approach one-zone granularity — which, combined
+// with AMPI's block rank-to-PE mapping, produces the "dramatic
+// variation in execution times before load balancing" across
+// B.16/B.32/B.64 that Figure 12 shows.
 func AssignZones(sizes []float64, nranks int) [][]int {
+	items := make([]loadbalance.Item, len(sizes))
 	idx := make([]int, len(sizes))
-	for i := range idx {
-		idx[i] = i
+	for z, size := range sizes {
+		// PE -1: no zone starts anywhere, so the plan names every zone.
+		items[z] = loadbalance.Item{ID: uint64(z), PE: -1, Load: size}
+		idx[z] = z
 	}
+	plan := loadbalance.GreedyLB{}.Plan(items, nranks)
+	// A rank lists its zones in the order the greedy placed them.
 	sort.Slice(idx, func(a, b int) bool {
 		if sizes[idx[a]] != sizes[idx[b]] {
 			return sizes[idx[a]] > sizes[idx[b]]
 		}
 		return idx[a] < idx[b]
 	})
-	loads := make([]float64, nranks)
 	out := make([][]int, nranks)
 	for _, z := range idx {
-		best := 0
-		for r := 1; r < nranks; r++ {
-			if loads[r] < loads[best] {
-				best = r
-			}
-		}
-		loads[best] += sizes[z]
-		out[best] = append(out[best], z)
+		r := plan[uint64(z)]
+		out[r] = append(out[r], z)
 	}
 	return out
 }
@@ -221,18 +220,15 @@ type Params struct {
 	// solver's directional sweeps and is what gives the stealer
 	// re-placement points mid-step.
 	WorkChunks int
-	// SpinScale is the steal-mode execution rate: modeled solver
-	// nanoseconds per wall-clock nanosecond of actual spinning (default
-	// DefaultSpinScale). Stealing is driven by real idleness, so in
-	// steal mode each work slice occupies the PE's scheduler goroutine
-	// for slice/SpinScale of wall time — that is what makes a PE
-	// holding 10x the modeled work actually finish last, and its ready
-	// ranks actually available to idle thieves. Ignored unless Steal.
-	SpinScale float64
 }
 
-// DefaultSpinScale compresses modeled solver time 50:1 into wall
-// time for steal-mode runs.
+// DefaultSpinScale is the steal-mode execution rate: modeled solver
+// nanoseconds per wall-clock nanosecond of actual spinning. Stealing
+// is driven by real idleness, so in steal mode each work slice
+// occupies the PE's scheduler goroutine for slice/DefaultSpinScale of
+// wall time — that is what makes a PE holding 10x the modeled work
+// actually finish last, and its ready ranks actually available to
+// idle thieves.
 const DefaultSpinScale = 50
 
 // Label renders the paper's case naming ("A.8,4PE"), suffixed with
@@ -324,10 +320,6 @@ func Run(p Params) (*Result, error) {
 	// zone-neighbour pair that crosses ranks (both directions).
 	t := buildTopology(p)
 
-	spinScale := p.SpinScale
-	if spinScale <= 0 {
-		spinScale = DefaultSpinScale
-	}
 	var mu sync.Mutex
 	// stepBusy[step][pe] accumulates solver work as it actually ran:
 	// the per-step parallel time is its max over PEs. stepComm[step]
@@ -394,7 +386,7 @@ func Run(p Params) (*Result, error) {
 						// Occupy the PE for wall time proportional to the
 						// modeled slice, so real idleness tracks modeled
 						// load and thieves pull from genuinely busy PEs.
-						spinWall(slice / spinScale)
+						spinWall(slice / DefaultSpinScale)
 					}
 					mu.Lock()
 					stepBusy[step][r.PE()] += slice

@@ -1,65 +1,10 @@
 package npb
 
 import (
-	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"migflow/internal/ampi"
-	"migflow/internal/loadbalance"
 )
-
-// BenchmarkBTMZEventLB is the skewed-zone LB study at event scale:
-// one zone per event rank on the graded 64×64 class (and, at full
-// EVENTMIG_RANKS, a 320×320 = 102,400-zone grid — territory where a
-// thread per zone is not a configuration anyone runs). Each case
-// reports the modeled makespan with and without the LB gate plus the
-// migration traffic the improvement cost.
-func BenchmarkBTMZEventLB(b *testing.B) {
-	full := 1_000_000
-	if s := os.Getenv("EVENTMIG_RANKS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			b.Fatalf("bad EVENTMIG_RANKS %q", s)
-		}
-		full = n
-	}
-	classes := []Class{ClassZ4K}
-	if full >= 100_000 {
-		classes = append(classes, GradedClass("Z100K", 320, 320, 1<<27, 20, 50))
-	}
-	for _, class := range classes {
-		b.Run(fmt.Sprintf("%s/z%d", class.Name, class.NumZones()), func(b *testing.B) {
-			base := Params{
-				Class: class, NProcs: class.NumZones(), NPEs: 8,
-				Steps: 3, Mode: ampi.ModeEvent,
-			}
-			var before, after *Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if before, err = Run(base); err != nil {
-					b.Fatal(err)
-				}
-				p := base
-				p.LB = loadbalance.GreedyLB{}
-				if after, err = Run(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if after.MovedRanks == 0 || after.TimeNs >= before.TimeNs {
-				b.Fatalf("LB did not improve makespan: %.0f → %.0f ns (%d moved)",
-					before.TimeNs, after.TimeNs, after.MovedRanks)
-			}
-			b.ReportMetric(before.TimeNs/1e6, "noLB-ms")
-			b.ReportMetric(after.TimeNs/1e6, "LB-ms")
-			b.ReportMetric(float64(after.MovedRanks), "moved")
-			b.ReportMetric(float64(after.MigratedBytes)/float64(after.MovedRanks), "B/rank")
-		})
-	}
-}
 
 // BenchmarkBTMZOverlap is the split-phase A/B on the skewed graded
 // class, per flow backend: the same zone job with the halo exchange

@@ -3,6 +3,9 @@ package npb
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"migflow/internal/loadbalance"
@@ -87,6 +90,70 @@ func TestAssignZones(t *testing.T) {
 	}
 	if ib := loadbalance.Imbalance(loads); ib < 2 {
 		t.Errorf("one-zone ranks should be imbalanced, got %g", ib)
+	}
+}
+
+// scanAssignZones is the seed AssignZones: the same size-descending
+// order, the least-loaded rank found by an O(ranks) first-strictly-
+// smaller scan per zone. Kept as the oracle AssignZones must match
+// exactly, list order included.
+func scanAssignZones(sizes []float64, nranks int) [][]int {
+	idx := make([]int, len(sizes))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if sizes[idx[a]] != sizes[idx[b]] {
+			return sizes[idx[a]] > sizes[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	loads := make([]float64, nranks)
+	out := make([][]int, nranks)
+	for _, z := range idx {
+		best := 0
+		for r := 1; r < nranks; r++ {
+			if loads[r] < loads[best] {
+				best = r
+			}
+		}
+		loads[best] += sizes[z]
+		out[best] = append(out[best], z)
+	}
+	return out
+}
+
+// TestAssignZonesMatchesScan: the heap greedy reproduces the scan's
+// assignment exactly on every Figure 12 case, on the one-zone-per-rank
+// and several-zones-per-rank study shapes, at the bench's 32k-zone
+// scale (graded: runs of equal sizes along each anti-diagonal;
+// equal-size: every comparison a tie), and on random size multisets
+// dense with ties.
+func TestAssignZonesMatchesScan(t *testing.T) {
+	check := func(name string, sizes []float64, nranks int) {
+		t.Helper()
+		if got, want := AssignZones(sizes, nranks), scanAssignZones(sizes, nranks); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d zones on %d ranks: heap assignment differs from the scan", name, len(sizes), nranks)
+		}
+	}
+	for _, p := range Cases(1, nil) {
+		check(p.Label(), p.Class.ZoneSizes(), p.NProcs)
+	}
+	z4k := ClassZ4K.ZoneSizes()
+	check("Z4K", z4k, 4096)
+	check("Z4K", z4k, 1000)
+	check("graded-32k", GradedClass("Z32K", 256, 128, 1<<25, 20, 50).ZoneSizes(), 8192)
+	check("equal-32k", GradedClass("E32K", 256, 128, 1<<25, 1, 50).ZoneSizes(), 4096)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		sizes := make([]float64, 1+rng.Intn(300))
+		for z := range sizes {
+			sizes[z] = float64(1 + rng.Intn(8)) // few distinct values: mostly ties
+			if rng.Intn(4) == 0 {
+				sizes[z] += rng.Float64()
+			}
+		}
+		check(fmt.Sprintf("random-%d", i), sizes, 1+rng.Intn(len(sizes)))
 	}
 }
 

@@ -1,14 +1,16 @@
 package shard
 
-// Transport benchmarks behind make bench-transport: in-process versus
-// cross-process Send cost, envelope coalescing per syscall, and the
-// price of shipping an event-rank record across a socket. Both shard
-// endpoints live in this process (real unix sockets, separate
-// Networks), so the numbers include the full wire path — PUP encode,
-// writev, read, decode — without subprocess-spawn noise.
+// Transport benchmarks for the scenarios bench/ does not time (its
+// comm.xsend_* probes stream un-aggregated messages and wait once at
+// the end; shard.xmigrate_* move ranks in batches under live traffic):
+// the lone cross-worker round trip, TRAM-aggregated streams over a
+// real fabric, and a single record's migration latency. Both shard
+// endpoints live in this process (real unix sockets or shm rings,
+// separate Networks), so the numbers include the full wire path — PUP
+// encode, writev or ring publish, read, decode — without
+// subprocess-spawn noise.
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -34,60 +36,41 @@ func spinUntil(pending func() int) {
 	}
 }
 
-// benchShards mirrors comm's twoShards helper for benchmarks: two
-// 4-PE sharded networks joined by one unix socket.
-func benchShards(b *testing.B) (n0, n1 *comm.Network, t0, t1 *comm.LinkTransport) {
+// benchShards builds two 4-PE sharded networks joined by one link of
+// the given fabric (a unix socket, or mmap'd rings on tmpfs), with
+// entity 9 registered on PE 2 — the far side — in both directories.
+func benchShards(b *testing.B, netKind string) (n0, n1 *comm.Network, t0, t1 *comm.LinkTransport) {
 	b.Helper()
-	c0, c1 := pairConns(b)
+	fabs := pairFabrics(b, netKind)
 	owner := func(pe int) int { return pe / 2 }
-	lat := comm.LatencyModel{Alpha: 1000, BetaPerByte: 0.4}
-	n0, n1 = comm.NewNetwork(4, lat), comm.NewNetwork(4, lat)
-	t0, t1 = comm.NewSocketTransport(0, 2, owner), comm.NewSocketTransport(1, 2, owner)
-	if err := t0.AddPeer(1, c0); err != nil {
-		b.Fatal(err)
-	}
-	if err := t1.AddPeer(0, c1); err != nil {
-		b.Fatal(err)
-	}
-	if err := t0.Attach(n0, 0, 2); err != nil {
-		b.Fatal(err)
-	}
-	if err := t1.Attach(n1, 2, 4); err != nil {
-		b.Fatal(err)
-	}
-	if err := t0.Start(); err != nil {
-		b.Fatal(err)
-	}
-	if err := t1.Start(); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		t0.Retire()
-		t1.Retire()
-		t0.Close()
-		t1.Close()
-	})
-	return n0, n1, t0, t1
-}
-
-// BenchmarkTransportSendLocal is the baseline: Send + Poll on the
-// default in-process ring-buffer transport.
-func BenchmarkTransportSendLocal(b *testing.B) {
-	n := comm.NewNetwork(4, comm.LatencyModel{Alpha: 1000, BetaPerByte: 0.4})
-	if err := n.Register(comm.EntityID(9), 1); err != nil {
-		b.Fatal(err)
-	}
-	src, dst := n.Endpoint(0), n.Endpoint(1)
-	data := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := src.Send(&comm.Message{To: 9, From: 1, Data: data}); err != nil {
+	var nets [2]*comm.Network
+	var ts [2]*comm.LinkTransport
+	for i := range nets {
+		nets[i] = comm.NewNetwork(4, comm.LatencyModel{Alpha: 1000, BetaPerByte: 0.4})
+		t, err := fabricTransport(i, 2, owner, fabs[i])
+		if err != nil {
 			b.Fatal(err)
 		}
-		spinUntil(dst.Pending)
-		dst.Poll()
+		ts[i] = t
+		if err := t.Attach(nets[i], 2*i, 2*i+2); err != nil {
+			b.Fatal(err)
+		}
+		if err := nets[i].Register(comm.EntityID(9), 2); err != nil {
+			b.Fatal(err)
+		}
 	}
+	for _, t := range ts {
+		if err := t.Start(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Cleanup(func() {
+		ts[0].Retire()
+		ts[1].Retire()
+		ts[0].Close()
+		ts[1].Close()
+	})
+	return nets[0], nets[1], ts[0], ts[1]
 }
 
 // reportWireMetrics turns the transport counters into the syscall-
@@ -103,58 +86,12 @@ func reportWireMetrics(b *testing.B, st comm.SocketStats) {
 	}
 }
 
-// benchShmShards mirrors benchShards over the shared-memory fabric:
-// two 4-PE sharded networks joined by mmap'd rings on tmpfs.
-func benchShmShards(b *testing.B) (n0, n1 *comm.Network, t0, t1 *comm.LinkTransport) {
-	b.Helper()
-	dir, err := os.MkdirTemp(comm.ShmDir(), "migflow-bench-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	if err := comm.CreateShmMesh(dir, 2, 0); err != nil {
-		b.Fatal(err)
-	}
-	owner := func(pe int) int { return pe / 2 }
-	lat := comm.LatencyModel{Alpha: 1000, BetaPerByte: 0.4}
-	n0, n1 = comm.NewNetwork(4, lat), comm.NewNetwork(4, lat)
-	if t0, err = comm.NewShmTransport(0, 2, owner, dir); err != nil {
-		b.Fatal(err)
-	}
-	if t1, err = comm.NewShmTransport(1, 2, owner, dir); err != nil {
-		b.Fatal(err)
-	}
-	if err := t0.Attach(n0, 0, 2); err != nil {
-		b.Fatal(err)
-	}
-	if err := t1.Attach(n1, 2, 4); err != nil {
-		b.Fatal(err)
-	}
-	if err := t0.Start(); err != nil {
-		b.Fatal(err)
-	}
-	if err := t1.Start(); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		t0.Retire()
-		t1.Retire()
-		t0.Close()
-		t1.Close()
-	})
-	return n0, n1, t0, t1
-}
-
-// BenchmarkTransportSendCross sends PE0→PE2 across a real unix
-// socket and waits for delivery on the far Network — one message per
-// wire envelope, the anti-coalescing worst case.
-func BenchmarkTransportSendCross(b *testing.B) {
-	n0, n1, t0, _ := benchShards(b)
-	for _, n := range []*comm.Network{n0, n1} {
-		if err := n.Register(comm.EntityID(9), 2); err != nil {
-			b.Fatal(err)
-		}
-	}
+// benchSendCross sends PE0→PE2 across a real fabric and waits for
+// delivery on the far Network before the next send — one message per
+// wire envelope and one wakeup per message, the anti-coalescing worst
+// case (the lone cross-worker Send ROADMAP item 4 quotes).
+func benchSendCross(b *testing.B, netKind string) {
+	n0, n1, t0, t1 := benchShards(b, netKind)
 	src, dst := n0.Endpoint(0), n1.Endpoint(2)
 	data := make([]byte, 64)
 	b.ReportAllocs()
@@ -168,53 +105,31 @@ func BenchmarkTransportSendCross(b *testing.B) {
 	}
 	b.StopTimer()
 	reportWireMetrics(b, t0.SocketStats())
+	// Receiver-side parks: how often the shm reader gave up spinning
+	// and napped before the next frame landed (0 on sockets).
+	b.ReportMetric(float64(t1.SocketStats().Parks)/float64(b.N), "parks/op")
 }
+
+// BenchmarkTransportSendCross is the round trip over a unix socket.
+func BenchmarkTransportSendCross(b *testing.B) { benchSendCross(b, "unix") }
 
 // BenchmarkTransportSendCrossShm is the same ping-per-iteration
 // workload over the shared-memory rings — the co-located wire-tax
 // headline number against the socket baseline above.
-func BenchmarkTransportSendCrossShm(b *testing.B) {
-	n0, n1, t0, t1 := benchShmShards(b)
-	for _, n := range []*comm.Network{n0, n1} {
-		if err := n.Register(comm.EntityID(9), 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-	src, dst := n0.Endpoint(0), n1.Endpoint(2)
-	data := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := src.Send(&comm.Message{To: 9, From: 1, Data: data}); err != nil {
-			b.Fatal(err)
-		}
-		spinUntil(dst.Pending)
-		dst.Poll()
-	}
-	b.StopTimer()
-	reportWireMetrics(b, t0.SocketStats())
-	// Receiver-side parks: how often the reader gave up spinning and
-	// napped before the next frame landed.
-	b.ReportMetric(float64(t1.SocketStats().Parks)/float64(b.N), "parks/op")
-}
+func BenchmarkTransportSendCrossShm(b *testing.B) { benchSendCross(b, "shm") }
 
-// BenchmarkTransportSendCrossStream drives the same wire through the
-// TRAM aggregator: buckets of coalesced payloads cross as single
-// frames and the writer drains whole queues per writev, so the
-// envelopes-per-syscall metric is what the coalescing buys.
-func BenchmarkTransportSendCrossStream(b *testing.B) {
-	n0, n1, t0, _ := benchShards(b)
-	for _, n := range []*comm.Network{n0, n1} {
-		if err := n.Register(comm.EntityID(9), 2); err != nil {
-			b.Fatal(err)
-		}
-	}
+// benchSendCrossStream drives the same wire through the TRAM
+// aggregator: buckets of coalesced payloads cross as single frames and
+// the socket writer drains whole queues per writev (shm frames publish
+// with no syscall at all), so envelopes/syscall and payloads/envelope
+// are what the coalescing buys.
+func benchSendCrossStream(b *testing.B, netKind string) {
+	n0, n1, t0, _ := benchShards(b, netKind)
 	n0.EnableAggregation(comm.AggPolicy{MaxPayloads: 16})
 	src, dst := n0.Endpoint(0), n1.Endpoint(2)
 	data := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
-	got := 0
 	for i := 0; i < b.N; i++ {
 		if err := src.SendStream(&comm.Message{To: 9, From: 1, Data: data}); err != nil {
 			b.Fatal(err)
@@ -223,10 +138,9 @@ func BenchmarkTransportSendCrossStream(b *testing.B) {
 	if err := src.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	for got < b.N {
+	for got := 0; got < b.N; got++ {
 		spinUntil(dst.Pending)
 		dst.Poll()
-		got++
 	}
 	b.StopTimer()
 	reportWireMetrics(b, t0.SocketStats())
@@ -235,41 +149,13 @@ func BenchmarkTransportSendCrossStream(b *testing.B) {
 	}
 }
 
-// BenchmarkTransportSendCrossStreamShm drives the TRAM aggregator
-// over the shared-memory rings: coalesced frames publish with no
-// syscalls at all.
-func BenchmarkTransportSendCrossStreamShm(b *testing.B) {
-	n0, n1, t0, _ := benchShmShards(b)
-	for _, n := range []*comm.Network{n0, n1} {
-		if err := n.Register(comm.EntityID(9), 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-	n0.EnableAggregation(comm.AggPolicy{MaxPayloads: 16})
-	src, dst := n0.Endpoint(0), n1.Endpoint(2)
-	data := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	got := 0
-	for i := 0; i < b.N; i++ {
-		if err := src.SendStream(&comm.Message{To: 9, From: 1, Data: data}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := src.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	for got < b.N {
-		spinUntil(dst.Pending)
-		dst.Poll()
-		got++
-	}
-	b.StopTimer()
-	reportWireMetrics(b, t0.SocketStats())
-	if s := n0.Snapshot(); s.RemotePayloads > 0 && s.RemoteEnvelopes > 0 {
-		b.ReportMetric(float64(s.RemotePayloads)/float64(s.RemoteEnvelopes), "payloads/envelope")
-	}
-}
+// BenchmarkTransportSendCrossStream is the aggregated stream over a
+// unix socket.
+func BenchmarkTransportSendCrossStream(b *testing.B) { benchSendCrossStream(b, "unix") }
+
+// BenchmarkTransportSendCrossStreamShm is the aggregated stream over
+// the shared-memory rings.
+func BenchmarkTransportSendCrossStreamShm(b *testing.B) { benchSendCrossStream(b, "shm") }
 
 // benchRecordPingPong isolates the migration protocol itself: two
 // single-PE workers joined by a real fabric run a one-rank program
@@ -278,8 +164,9 @@ func BenchmarkTransportSendCrossStreamShm(b *testing.B) {
 // MigrateRanks path. Each move is the full chain a mid-run migration
 // pays: extract, record encode, wire frame, install, scheduler wake,
 // re-park, and the ack back. ns/rank-moved here is pure protocol +
-// fabric latency with no application compute charged to it (the
-// Jacobi variants below give the under-live-traffic picture).
+// fabric latency with no application compute charged to it; bench/'s
+// shard.xmigrate_*_us_per_rank is the batched, under-live-traffic
+// picture (512 ranks racing a running Jacobi).
 func benchRecordPingPong(b *testing.B, netKind string) {
 	fabs := pairFabrics(b, netKind)
 	// Rank 0 is the shuttle: parked at a plain Recv, the only
@@ -351,36 +238,3 @@ func BenchmarkCrossProcessMigration(b *testing.B) { benchRecordPingPong(b, "unix
 // BenchmarkCrossProcessMigrationShm is the same record protocol over
 // shared-memory rings.
 func BenchmarkCrossProcessMigrationShm(b *testing.B) { benchRecordPingPong(b, "shm") }
-
-// benchMigrationJacobi runs the full 2-worker Jacobi with the
-// migration driver racing it and charges the whole run to the ranks
-// that crossed the fabric. The app's event-engine compute dominates
-// this number on any fabric — it contextualizes the protocol
-// benchmarks above, it does not isolate the wire.
-func benchMigrationJacobi(b *testing.B, netKind string) {
-	cfg := ampi.JacobiConfig{
-		Mode: ampi.ModeEvent, Ranks: 64, Iters: 50, PEs: 4,
-		HaloBytes: 8, WorkNs: 1000, BlockPlacement: true,
-	}
-	spec := JacobiSpec{Cfg: cfg, Migrate: 16}
-	moved := int64(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reps := runPairJacobi(b, spec, netKind)
-		moved += reps[0].Moved + reps[1].Moved
-	}
-	b.StopTimer()
-	if moved > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/rank-moved")
-		b.ReportMetric(float64(moved)/float64(b.N), "ranks-moved/op")
-	}
-}
-
-// BenchmarkCrossProcessMigrationJacobi is migration under live Jacobi
-// traffic on the socket fabric.
-func BenchmarkCrossProcessMigrationJacobi(b *testing.B) { benchMigrationJacobi(b, "unix") }
-
-// BenchmarkCrossProcessMigrationJacobiShm is the same run over
-// shared-memory rings.
-func BenchmarkCrossProcessMigrationJacobiShm(b *testing.B) { benchMigrationJacobi(b, "shm") }

@@ -5,73 +5,14 @@ import (
 	"testing"
 )
 
-// BenchmarkSpaceRW measures a 64 KiB cross-page copy (write, then
-// read back) performed in 256-byte pieces, the access pattern of the
-// paths that actually hammer simulated memory: PUP serialization,
-// stack frame push/pop, and the typed accessors all issue small
-// accesses, not page-sized blocks. The window starts mid-page so
-// pieces straddle page boundaries. Per-access page-table overhead
-// (lock + one map probe per touched page) dominates here; the raw
-// byte copy is a minor term.
-func BenchmarkSpaceRW(b *testing.B) {
-	const (
-		winSize = 64 << 10
-		piece   = 256
-	)
-	s := NewSpace(0)
-	base := Addr(0x100000)
-	if err := s.Map(base, winSize+2*PageSize, ProtRW); err != nil {
-		b.Fatal(err)
-	}
-	start := base.Add(PageSize / 2)
-	buf := make([]byte, piece)
-	b.SetBytes(2 * winSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for off := uint64(0); off < winSize; off += piece {
-			if err := s.Write(start.Add(off), buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for off := uint64(0); off < winSize; off += piece {
-			if err := s.Read(start.Add(off), buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkSpaceRWBlock is the block-at-once variant: one 64 KiB
-// write plus one 64 KiB read per op. At this size the copy itself is
-// memory-bandwidth bound, so this reports the substrate's ceiling
-// rather than page-table overhead.
-func BenchmarkSpaceRWBlock(b *testing.B) {
-	const winSize = 64 << 10
-	s := NewSpace(0)
-	base := Addr(0x100000)
-	if err := s.Map(base, winSize+2*PageSize, ProtRW); err != nil {
-		b.Fatal(err)
-	}
-	a := base.Add(PageSize / 2)
-	buf := make([]byte, winSize)
-	b.SetBytes(2 * winSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Write(a, buf); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Read(a, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSpaceRWParallel runs the chunked 64 KiB copy with 8
-// workers in disjoint windows of one shared Space — the multi-reader
-// contention profile of parallel PEs (meaningful on multi-core hosts;
-// on a single core it tracks BenchmarkSpaceRW).
+// BenchmarkSpaceRWParallel runs a 64 KiB cross-page copy (write, then
+// read back) in 256-byte pieces — the access size of PUP
+// serialization, frame push/pop and the typed accessors, where
+// per-access page-table overhead dominates the byte copy — with 8
+// workers in disjoint windows of one shared Space: the multi-reader
+// contention profile of parallel PEs. Windows start mid-page so pieces
+// straddle page boundaries. The serial substrate cost is bench/'s
+// vmem.rw_ns_per_kb and vmem.map_unmap_ns.
 func BenchmarkSpaceRWParallel(b *testing.B) {
 	const (
 		workers = 8
@@ -110,22 +51,4 @@ func BenchmarkSpaceRWParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkMapUnmap measures the page-table churn path (frame
-// allocation and release) that stack creation and stack-copy context
-// switches exercise.
-func BenchmarkMapUnmap(b *testing.B) {
-	s := NewSpace(0)
-	const length = 16 * PageSize
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Map(0x100000, length, ProtRW); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Unmap(0x100000, length); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -17,7 +17,7 @@ import (
 // happens inside a Space method).
 //
 // Each frame additionally carries a dirty bit: set by every store
-// through Space.Write/CopyIn (and by MarkDirty for callers that
+// through Space.Write (and by MarkDirty for callers that
 // mutate Data directly), cleared when the frame is recycled zeroed.
 // The invariant the migration data path relies on is: a mapped frame
 // that is NOT dirty holds all zeroes, so sparse snapshots

@@ -332,13 +332,6 @@ func (s *Space) Write(a Addr, p []byte) error {
 	return s.access(a, p, OpWrite)
 }
 
-// CopyIn is Write under the name the migration data path uses: it
-// installs an incoming image's bytes, dirtying the pages so a later
-// onward migration ships them again.
-func (s *Space) CopyIn(a Addr, p []byte) error {
-	return s.access(a, p, OpWrite)
-}
-
 // access is the shared Read/Write engine. It resolves the extent
 // covering a — from the TLB when possible, from the page table under
 // a read lock otherwise — checks protection once per extent, and then
