@@ -1,40 +1,42 @@
 package ampi
 
 // The event-mode backend: each rank is one eventRank struct in a
-// contiguous per-job store — no goroutine, no channel, no stack. A
-// blocking point stores a continuation in the rank's slot and returns
-// to the owning PE's loop; message delivery (through the machine's
-// Pump) resumes exactly the waiting continuation, charging the
+// contiguous per-job store — no thread, no stack image. Its suspended
+// state is an explicit record the runtime can read and ship, the one
+// thing (paper §2.4, §3.2) that separates an event-driven flow from a
+// thread: the frame stack in its PC says which statements it is inside,
+// the slot which message it waits for. A blocking point leaves both as
+// they are and returns to the owning PE's loop; message delivery
+// (through the machine's Pump) hands the matching message to the
+// parked statement and re-enters the interpreter, charging the
 // platform's EventDispatch curve per activation instead of a thread
-// switch. This is BigSim's tproc store applied to AMPI itself, and
-// the reason a million-rank job fits where the ULT backend needs a
-// stack and a goroutine per rank.
+// switch. This is BigSim's tproc store applied to AMPI itself, and the
+// reason a million-rank job fits where the ULT backend needs a
+// coroutine and an isomalloc stack per rank.
 //
 // Migration: an event rank's migratable state is its continuation
 // RECORD — rank number, virtual time, measured load, the pending
 // receive spec, and any buffered messages: ~180 bytes, serialized
 // faithfully through pup (eventRecord implements migrate.Record).
-// The continuation closure itself (kont) and the program's Local
-// state are SHARED CODE plus state reachable from the record, the
-// CPC argument: because every rank runs the same immutable program
-// tree, the destination PE needs no stack or code image, only the
-// record. Moving a rank is therefore: batch-update the comm range
-// table (one epoch bump per LB step), flip the engine's owner word,
-// and round-trip the record through Extract/Install — no eviction,
-// no vmem image, no adoption.
+// The frame stack and the program's Local state are SHARED CODE plus
+// state reachable from the record, the CPC argument: because every
+// rank runs the same immutable program tree, the destination PE needs
+// no stack or code image, only the record. Moving a rank is therefore:
+// batch-update the comm range table (one epoch bump per LB step), flip
+// the engine's owner word, and round-trip the record through
+// Extract/Install — no eviction, no vmem image, no adoption.
 //
 // Concurrency: each rank carries its own mutex. The owning PE's
-// dispatch paths (dispatchStart, deliver, resumeGate) hold it while
-// running the rank's continuation, and migration's Extract/Install
-// take it too — so a mover never observes a half-run activation, and
-// a dispatcher never runs a rank that is mid-flight. The lock is
-// per-rank, not per-PE, because ownership itself changes: a per-PE
-// lock names a PE, and the name goes stale at exactly the moment it
-// matters. In-flight messages that raced a move are chased: deliver
-// re-checks the owner word (one atomic load; in-process runs skip it
-// until the first LB step — migEpoch gates the check — while sharded
-// runs always check, since a peer's move can outrun its notice) and
-// forwards losers with Endpoint.Forward.
+// dispatch paths (kick, deliver) hold it for the whole activation, and
+// migration's Extract/Install take it too — so a mover never observes
+// a half-run activation, and a dispatcher never runs a rank that is
+// mid-flight. The lock is per-rank, not per-PE, because ownership
+// itself changes: a per-PE lock names a PE, and the name goes stale at
+// exactly the moment it matters. In-flight messages that raced a move
+// are chased: deliver re-checks the owner word (one atomic load;
+// in-process runs skip it until the first LB step — migEpoch gates the
+// check — while sharded runs always check, since a peer's move can
+// outrun its notice) and forwards losers with Endpoint.Forward.
 
 import (
 	"fmt"
@@ -47,7 +49,6 @@ import (
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
 	"migflow/internal/pup"
-	"migflow/internal/sdag"
 )
 
 // deregBatchSize bounds how many finished ranks accumulate per PE
@@ -55,38 +56,32 @@ import (
 // tombstones range-table entries in place).
 const deregBatchSize = 4096
 
-// eventRank is one rank's entire flow-of-control state: ~180 bytes
-// plus whatever the program keeps in pc.Local, versus a goroutine,
-// two channels, and an isomalloc stack for a ULT rank.
+// eventRank is one rank's entire flow-of-control state: ~180 bytes, a
+// frame stack from its first activation on, and whatever the program
+// keeps in pc.Local — versus a coroutine and an isomalloc stack.
 type eventRank struct {
-	mu sync.Mutex // guards every field; held while the rank's continuation runs
+	mu sync.Mutex // guards every field; held for the whole of an activation
 
-	pc eventPC
+	// pc is embedded so &er.pc goes to the interpreter without a
+	// separate allocation per rank; pc.stack is where the rank resumes.
+	pc PC
 
 	// mbox buffers messages that arrived before a matching Recv,
 	// consumed from head so takes do not shift the slice.
 	mbox []*comm.Message
 	head int
 
-	// waiting + kont are the stored continuation of a blocked Recv.
+	// waiting is what the statement the rank is parked inside asked
+	// for; got is the matched delivery on its way to that statement: set
+	// by acceptLocked, taken by the recv call the re-run step makes.
 	waiting matchSpec
 	hasWait bool
-	kont    func(*comm.Message)
-
-	// lbKont is the continuation parked at a Migrate gate, resumed by
-	// the runtime after the LB step.
-	lbKont func()
+	got     *comm.Message
 
 	// busy accumulates Work nanoseconds since the last LB step — the
 	// event-mode load measurement (the record's analogue of a thread's
 	// consumed CPU time).
 	busy float64
-
-	// tramp is the rank's continuation trampoline (CPS backedges).
-	// Per-rank rather than per-PE because it is only ever touched
-	// under er.mu: a per-PE trampoline would be shared by whichever
-	// goroutines happen to dispatch residents mid-migration.
-	tramp sdag.Tramp
 
 	// seq counts activations and buffered deliveries. A migration
 	// record carries the seq it was extracted at; if the rank ran
@@ -94,11 +89,6 @@ type eventRank struct {
 	// races live traffic, never at a quiescent gate), the snapshot is
 	// stale and Install yields to the newer in-slot state.
 	seq uint64
-
-	// hasReseek marks a slot freshly installed from another process
-	// (shard.go): pc.seek holds the shipped tree path, and the next
-	// tagReseek activation re-descends the program to the blocked Recv.
-	hasReseek bool
 
 	// sendSeq/recvSeq number the per-peer payload streams and held
 	// parks out-of-order arrivals, all nil until a sharded run needs
@@ -111,10 +101,6 @@ type eventRank struct {
 
 	done bool
 }
-
-// eventPC embeds the shared program context so &er.pc can be handed
-// to the interpreter without a separate allocation per rank.
-type eventPC = PC
 
 // eventEngine is the per-job store and dispatcher.
 type eventEngine struct {
@@ -146,8 +132,7 @@ type eventEngine struct {
 	// whose owner PE is local. remaining then counts LOCAL unfinished
 	// ranks (adjusted by cross-process moves), finish never deregisters
 	// or releases the store (peers still forward through the
-	// directory), and every rank tracks its program-tree path so a
-	// blocked continuation can be re-seeked on another process.
+	// directory).
 	sharded bool
 
 	// lbMu serializes Rebalance steps (plan → table batch → records).
@@ -181,38 +166,26 @@ func newEventEngine(j *Job) (*eventEngine, error) {
 		dispatch:  make([]atomic.Uint64, numPEs),
 		pendDereg: make([][]comm.EntityID, numPEs),
 	}
-	e.remaining.Store(int64(size))
+	e.sharded = j.m.Sharded()
 
 	store := make([]eventRank, size)
 	flows := make([]int, numPEs)
 	pes := make([]int, size)
+	local := int64(0) // every rank, unless the machine is sharded
 	for r := 0; r < size; r++ {
 		pes[r] = placePE(r, size, numPEs, j.opts.BlockPlacement)
 		e.pes[r].Store(int32(pes[r]))
 		flows[pes[r]]++
+		if j.m.LocalPE(pes[r]) {
+			local++
+		}
+		pc := &store[r].pc
+		pc.job, pc.rank, pc.be = j, r, e
 	}
+	e.remaining.Store(local)
 	for p := 0; p < numPEs; p++ {
 		if flows[p] > 0 {
 			e.dispatch[p].Store(math.Float64bits(j.m.PE(p).Prof.EventDispatch.At(flows[p])))
-		}
-	}
-	e.sharded = j.m.Sharded()
-	if e.sharded {
-		local := int64(0)
-		for r := 0; r < size; r++ {
-			if j.m.LocalPE(pes[r]) {
-				local++
-			}
-		}
-		e.remaining.Store(local)
-	}
-	for r := 0; r < size; r++ {
-		pc := &store[r].pc
-		pc.job, pc.rank = j, r
-		pc.be = e
-		pc.tramp = &store[r].tramp
-		if e.sharded {
-			pc.path = make([]int32, 0, 8)
 		}
 	}
 	e.ranks.Store(&store)
@@ -257,16 +230,12 @@ func (e *eventEngine) store() []eventRank {
 // work runs on the owning PE under both Run drivers (and in parallel
 // under RunParallel).
 func (e *eventEngine) start() {
-	if e.sharded {
-		e.bootstrap(func(r int) bool { return e.job.m.LocalPE(e.peOf(r)) }, e.dispatchStart)
-		return
-	}
-	e.bootstrap(func(r int) bool { return true }, e.dispatchStart)
+	e.bootstrap(func(r int) bool { return e.job.m.LocalPE(e.peOf(r)) })
 }
 
-// bootstrap runs fn(r) for every rank selected by want, grouped by
-// current owner PE on a short-lived thread per PE.
-func (e *eventEngine) bootstrap(want func(r int) bool, fn func(r int)) {
+// bootstrap kicks every rank selected by want, grouped by current
+// owner PE on a short-lived thread per PE.
+func (e *eventEngine) bootstrap(want func(r int) bool) {
 	numPEs := e.job.m.NumPEs()
 	perPE := make([][]int, numPEs)
 	for r := 0; r < e.size; r++ {
@@ -285,7 +254,7 @@ func (e *eventEngine) bootstrap(want func(r int) bool, fn func(r int)) {
 			Strategy: e.job.opts.Strategy,
 		}, func(*converse.Ctx) {
 			for _, r := range list {
-				fn(r)
+				e.kick(r)
 			}
 		})
 		if err != nil {
@@ -295,27 +264,40 @@ func (e *eventEngine) bootstrap(want func(r int) bool, fn func(r int)) {
 	}
 }
 
-// dispatchStart runs rank r's program until its first blocking point
-// (or completion), charging one activation. The rank's lock is held
-// for the whole activation.
-func (e *eventEngine) dispatchStart(r int) {
+// kick activates rank r on its owner PE without a message: the
+// program's start, or the resume after an LB gate.
+func (e *eventEngine) kick(r int) {
 	er := &e.store()[r]
 	er.mu.Lock()
 	defer er.mu.Unlock()
+	e.activateLocked(er, e.peOf(r))
+}
+
+// activateLocked charges one EventDispatch on pe and runs the rank
+// from its resume point (the program's root, the first time) until it
+// parks again or its program completes. er.mu held throughout.
+func (e *eventEngine) activateLocked(er *eventRank, pe int) {
 	er.seq++
-	p := e.peOf(r)
-	e.job.m.PE(p).Clock.Advance(e.dispatchNs(p))
-	er.tramp.Schedule(func() {
-		e.job.prog.run(&er.pc, func() { e.finish(r) })
-	})
-	er.tramp.Drain()
+	e.job.m.PE(pe).Clock.Advance(e.dispatchNs(pe))
+	if er.pc.stack == nil {
+		er.pc.start(e.job.prog)
+	}
+	e.execLocked(er)
+}
+
+// execLocked re-enters the interpreter where the rank left off and
+// retires the rank if that was the rest of its program.
+func (e *eventEngine) execLocked(er *eventRank) {
+	if er.pc.exec() {
+		e.finish(er.pc.rank)
+	}
 }
 
 // deliver is the shared range handler: it runs on the destination
-// PE's goroutine via Machine.Pump. A message either resumes the
-// rank's stored continuation (one EventDispatch activation), buffers
-// in its slot, or — when the rank moved after the message was sent —
-// is forwarded to chase it.
+// PE's goroutine via Machine.Pump. A message either resumes the rank
+// at the statement waiting for it (one EventDispatch activation),
+// buffers in its slot, or — when the rank moved after the message was
+// sent — is forwarded to chase it.
 func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 	ranks := e.store()
 	if ranks == nil {
@@ -327,12 +309,16 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 	}
 	er := &ranks[r]
 	er.mu.Lock()
-	if msg.Tag == tagReseek {
-		// Internal activation injected by ShardInstall: re-seek the
-		// installed continuation on the owning PE's own goroutine, then
-		// drain any held arrivals the record's stream state made
-		// in-order (the re-parked Recv may be waiting on exactly one).
-		e.reseekLocked(er, pe)
+	if msg.Tag == tagInstalled {
+		// Injected by ShardInstall so the rank's first step here runs on
+		// the owning PE's own goroutine. The rebuilt stack sits at its
+		// Recv, not yet parked on it: the step consumes an already
+		// delivered match or parks. Then drain any held arrivals the
+		// record's stream state made in-order (the re-parked Recv may be
+		// waiting on exactly one).
+		if er.pc.stack != nil && !er.hasWait {
+			e.activateLocked(er, pe)
+		}
 		e.releaseHeldLocked(er, pe)
 		er.mu.Unlock()
 		return
@@ -380,23 +366,20 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 	er.mu.Unlock()
 }
 
-// acceptLocked hands one in-order message to the rank: resume the
-// stored continuation if it matches the parked Recv, else buffer.
-// er.mu held.
+// acceptLocked hands one in-order message to the rank: if it matches
+// what the parked statement waits for, that statement's next recv
+// call gets it and the rank runs on; else buffer. er.mu held.
 func (e *eventEngine) acceptLocked(er *eventRank, pe int, msg *comm.Message) {
 	er.seq++
 	if er.hasWait && e.matches(er.waiting, msg) {
-		er.hasWait = false
-		k := er.kont
-		er.kont = nil
+		er.hasWait, er.got = false, msg
 		p := e.job.m.PE(pe)
-		p.Clock.Advance(e.dispatchNs(pe)) // the activation: continuation re-enters the loop
+		p.Clock.Advance(e.dispatchNs(pe)) // the activation: the rank re-enters the loop
 		p.Clock.AdvanceTo(msg.Arrival)
 		if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
 			p.Clock.Advance(ovh)
 		}
-		er.tramp.Schedule(func() { k(msg) })
-		er.tramp.Drain()
+		e.execLocked(er)
 		return
 	}
 	er.mbox = append(er.mbox, msg)
@@ -465,9 +448,9 @@ func (er *eventRank) take(e *eventEngine, spec matchSpec) *comm.Message {
 // ---------------------------------------------------------------
 // backend interface
 //
-// send/recv/work/lbpoint are always called from a continuation
-// already running under the rank's lock (dispatchStart, deliver, or
-// resumeGate holds it), so they never lock the rank themselves.
+// send/recv/work/lbpoint are always called from inside an activation,
+// which holds the rank's lock (kick or deliver took it), so they never
+// lock the rank themselves.
 
 func (e *eventEngine) send(pc *PC, dest, tag int, data []byte) {
 	if dest < 0 || dest >= e.size {
@@ -503,8 +486,12 @@ func (e *eventEngine) send(pc *PC, dest, tag int, data []byte) {
 	}
 }
 
-func (e *eventEngine) recv(pc *PC, src, tag int, k func(*comm.Message)) {
+func (e *eventEngine) recv(pc *PC, src, tag int) *comm.Message {
 	er := &e.store()[pc.rank]
+	if m := er.got; m != nil {
+		er.got = nil // the delivery this call parked for; acceptLocked charged it
+		return m
+	}
 	spec := matchSpec{src: src, tag: tag}
 	if m := er.take(e, spec); m != nil {
 		// Consuming a buffered message is not a fresh activation (the
@@ -515,10 +502,10 @@ func (e *eventEngine) recv(pc *PC, src, tag int, k func(*comm.Message)) {
 		if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
 			p.Clock.Advance(ovh)
 		}
-		k(m)
-		return
+		return m
 	}
-	er.waiting, er.hasWait, er.kont = spec, true, k
+	er.waiting, er.hasWait = spec, true
+	return nil
 }
 
 func (e *eventEngine) work(pc *PC, ns float64) {
@@ -532,15 +519,15 @@ func (e *eventEngine) pe(pc *PC) int { return e.peOf(pc.rank) }
 // record; there is no stack to reserve or dirty.
 func (e *eventEngine) usestack(pc *PC, n uint64) {}
 
-// lbpoint parks the rank at the job's LB gate: the continuation goes
-// into lbKont (the record analogue of a thread suspending in
-// MPI_Migrate) and the arrival is registered. The runtime resumes it
-// — possibly on a different PE — after the plan is applied. A gate
-// sends no messages and never touches vt, so predicted time stays
-// bit-identical with and without migration.
-func (e *eventEngine) lbpoint(pc *PC, k func()) {
-	e.store()[pc.rank].lbKont = k
+// lbpoint registers the rank's arrival at the job's LB gate; the
+// Migrate frame on top of its stack is what marks it parked there (the
+// record analogue of a thread suspending in MPI_Migrate) until the
+// runtime resumes it, possibly on a different PE. A gate sends no
+// messages and never touches vt, so predicted time stays bit-identical
+// with and without migration.
+func (e *eventEngine) lbpoint(pc *PC) bool {
 	pc.job.gateArrive()
+	return false
 }
 
 // ---------------------------------------------------------------
@@ -589,8 +576,8 @@ func (rec eventRecord) Install(data []byte) error {
 }
 
 // pupLocked packs or unpacks the rank's migratable state; er.mu held.
-// kont/lbKont (closures over the shared program tree) and pc.Local
-// travel by reference — they are reachable state, not wire bytes; the
+// pc.stack (frames over the shared program tree) and pc.Local travel
+// by reference — they are reachable state, not wire bytes; the
 // wire image is what a distributed implementation would send, and its
 // size is what the migration benchmarks report.
 func (er *eventRank) pupLocked(p *pup.PUPer) error {
@@ -743,34 +730,18 @@ func (e *eventEngine) resumeGate() {
 	e.bootstrap(func(r int) bool {
 		er := &ranks[r]
 		er.mu.Lock()
-		parked := er.lbKont != nil
+		_, parked := er.pc.parkedIn().(migrateProc)
 		er.mu.Unlock()
 		return parked
-	}, e.dispatchResume)
-}
-
-// dispatchResume runs rank r's gate continuation under its lock.
-func (e *eventEngine) dispatchResume(r int) {
-	er := &e.store()[r]
-	er.mu.Lock()
-	defer er.mu.Unlock()
-	k := er.lbKont
-	if k == nil {
-		return
-	}
-	er.lbKont = nil
-	er.seq++
-	p := e.peOf(r)
-	e.job.m.PE(p).Clock.Advance(e.dispatchNs(p))
-	er.tramp.Schedule(k)
-	er.tramp.Drain()
+	})
 }
 
 // ---------------------------------------------------------------
 // Completion
 
-// finish retires rank r: its slot's buffers, continuation, and
-// program state are released immediately, and its directory entry
+// finish retires rank r: its slot's buffers and program state are
+// released immediately (exec already dropped the frame stack and the
+// collective map), and its directory entry
 // joins the owning PE's batched deregistration — so a completed
 // million-rank job walks the Machine back to its idle footprint.
 // Called with er.mu held (from within the rank's final activation).
@@ -778,8 +749,7 @@ func (e *eventEngine) finish(r int) {
 	er := &e.store()[r]
 	er.done = true
 	er.mbox, er.head = nil, 0
-	er.kont, er.hasWait = nil, false
-	er.lbKont = nil
+	er.hasWait = false
 	er.pc.Local = nil
 	er.sendSeq, er.recvSeq, er.held = nil, nil, nil
 	if e.sharded {

@@ -12,9 +12,15 @@ package ampi
 //     API, and each activation pays the platform's thread-switch
 //     curve.
 //   - ModeEvent: each rank is a small state struct in a contiguous
-//     per-job store (event.go); every blocking point stores a
-//     continuation and returns to the owning PE's loop, and each
-//     activation pays the (much cheaper) EventDispatch curve.
+//     per-job store (event.go); a blocking point leaves the rank's
+//     frame stack where it is and returns to the owning PE's loop, and
+//     each activation pays the (much cheaper) EventDispatch curve.
+//
+// Both run the one interpreter loop PC.exec over an explicit frame
+// stack — the lambda-lifted continuation of Continuation-Passing C: a
+// resume point is a flat record of (statement, cursor) pairs, not a
+// chain of closures. The backends differ only in what recv does with
+// nothing buffered: block the thread, or return nil so exec parks.
 //
 // Because all communication, computation, and virtual-time accounting
 // live in this shared layer, a program's predicted virtual time (VT)
@@ -30,36 +36,50 @@ import (
 	"migflow/internal/converse"
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
-	"migflow/internal/sdag"
 	"migflow/internal/vmem"
 )
 
-// Proc is one statement of a continuation program. Implementations
-// run by either completing inline and invoking k, or storing k (via
-// the backend) to be resumed by a message.
+// Proc is one statement of a continuation program. step makes one move
+// of the interpreter loop: it returns a child to run next, reports the
+// statement done, both (a tail call), or neither — the rank is parked
+// inside it, and the same step runs again when the rank is resumed.
 type Proc interface {
-	run(pc *PC, k func())
+	step(pc *PC, f *frame) (child Proc, done bool)
+}
+
+// frame is one entry of a rank's resume point: a statement that has
+// started and not finished, and how far into it the rank is.
+type frame struct {
+	p Proc
+	// i is the cursor: Seq/For — index of the NEXT child (the running
+	// one is i-1); Waitall — next request; Migrate — gate entered.
+	i    int
+	reqs []*Req // Waitall's list, evaluated on entry: the only leaf state
 }
 
 // backend is what a Proc needs from the flow-of-control mechanism
 // behind a rank. Exactly two implementations exist: ultBE (thread
-// blocks) and *eventEngine (continuation parks).
+// blocks) and *eventEngine (the rank parks on its frame stack).
 type backend interface {
 	// send transmits data to dest, stamping pc.vt into the message's
 	// VTime and charging the simulating PE's clock for send overhead.
 	send(pc *PC, dest, tag int, data []byte)
-	// recv arranges for k to run with the oldest message matching
-	// (src, tag), suspending the flow if none is buffered, and
-	// synchronizes the simulating PE clock with the message's arrival.
-	recv(pc *PC, src, tag int, k func(*comm.Message))
+	// recv returns the oldest message matching (src, tag), synchronizing
+	// the simulating PE clock with its arrival. With none buffered the
+	// ULT backend blocks its thread and never returns nil; the event
+	// backend records the match spec and returns nil, and the call the
+	// re-run step makes after a matching delivery returns that message.
+	recv(pc *PC, src, tag int) *comm.Message
 	// work charges ns nanoseconds of computation to the simulating PE.
 	work(pc *PC, ns float64)
 	// pe reports which simulating PE the rank currently runs on —
 	// placement-dependent by design (per-PE makespan accounting).
 	pe(pc *PC) int
-	// lbpoint parks the flow at the job's collective LB gate; the
-	// runtime resumes k after the rebalance, possibly on another PE.
-	lbpoint(pc *PC, k func())
+	// lbpoint registers the rank at the job's collective LB gate and
+	// reports whether it already resumed: true from the ULT backend (the
+	// thread slept through the rebalance), false from the event backend
+	// (the runtime re-enters exec afterwards, possibly on another PE).
+	lbpoint(pc *PC) (resumed bool)
 	// usestack models per-rank live frames: ULT ranks push and dirty
 	// a frame of n bytes (which every later migration must carry);
 	// event ranks have no stack, so it is a no-op — the asymmetry the
@@ -93,71 +113,50 @@ type PC struct {
 	// migration between its start and wait halves.
 	colls map[*collDef]*collRun
 
-	be    backend
-	tramp *sdag.Tramp
+	be backend
 
-	// path, when non-nil, tracks the rank's structural position in the
-	// shared program tree: one frame per enclosing Seq/For giving the
-	// current statement/iteration index. Cross-process migration ships
-	// it so the destination can re-seek the blocked continuation by
-	// re-descending the (identical) tree — closures don't cross a
-	// process boundary, tree coordinates do. Nil (the default) costs
-	// one nil check per structural node; sharded event jobs enable it.
-	path []int32
-
-	// seek/seekPos replay a shipped path during a reseek descent:
-	// every Seq/For consumes one frame to jump straight to the blocked
-	// statement without re-running completed ones. Exhausted (or nil)
-	// outside a reseek.
-	seek    []int32
-	seekPos int
-
-	// blockKind records which combinator parked the rank (only
-	// maintained when path tracking is on): cross-process migration is
-	// supported at a plain Recv, whose spec the record carries; a
-	// collective wait or Waitall holds closure state that cannot be
-	// re-derived from tree coordinates alone.
-	blockKind uint8
+	// stack is the rank's resume point: the statements it is inside,
+	// outermost first, from its first activation to completion. An
+	// in-process move carries it by reference; a cross-process move ships
+	// its cursors and rebuilds it from the identical tree (shard.go).
+	stack []frame
 }
 
-// blockKind values.
-const (
-	blockNone uint8 = iota
-	blockRecv
-	blockColl
-	blockWaitall
-)
-
-// pathPush opens a structural frame (Seq/For entry).
-func (pc *PC) pathPush() {
-	if pc.path != nil {
-		pc.path = append(pc.path, 0)
-	}
+// start makes prog's root the rank's whole resume point.
+func (pc *PC) start(prog Proc) {
+	pc.stack = append(make([]frame, 0, 8), frame{p: prog})
 }
 
-// pathSet updates the innermost frame's index.
-func (pc *PC) pathSet(v int32) {
-	if pc.path != nil {
-		pc.path[len(pc.path)-1] = v
+// exec is the interpreter: it steps the innermost frame until the
+// program completes (true) or a step parks the rank (false), leaving
+// the stack as the resume point for the next call — a ULT rank makes
+// one call, from its thread; an event rank one per activation. Popped
+// frames are zeroed so what they held is collectable mid-run.
+func (pc *PC) exec() bool {
+	for n := len(pc.stack); n > 0; n = len(pc.stack) {
+		f := &pc.stack[n-1]
+		child, done := f.p.step(pc, f)
+		if done {
+			*f = frame{}
+			pc.stack = pc.stack[:n-1]
+		}
+		if child != nil {
+			pc.stack = append(pc.stack, frame{p: child})
+		} else if !done {
+			return false
+		}
 	}
+	pc.stack, pc.colls = nil, nil
+	return true
 }
 
-// pathPop closes the innermost frame (Seq/For completion).
-func (pc *PC) pathPop() {
-	if pc.path != nil {
-		pc.path = pc.path[:len(pc.path)-1]
+// parkedIn returns the innermost statement of the rank's resume point,
+// or nil before the first activation and after completion.
+func (pc *PC) parkedIn() Proc {
+	if n := len(pc.stack); n > 0 {
+		return pc.stack[n-1].p
 	}
-}
-
-// seekFrame consumes one replay frame during a reseek descent, or
-// returns 0 (start from the beginning) when not seeking.
-func (pc *PC) seekFrame() int {
-	if pc.seekPos < len(pc.seek) {
-		v := pc.seek[pc.seekPos]
-		pc.seekPos++
-		return int(v)
-	}
-	return 0
+	return nil
 }
 
 // Rank returns the rank number.
@@ -281,9 +280,9 @@ type doProc struct{ fn func(*PC) }
 // sdag.Atomic.
 func Do(fn func(*PC)) Proc { return doProc{fn} }
 
-func (p doProc) run(pc *PC, k func()) {
+func (p doProc) step(pc *PC, _ *frame) (Proc, bool) {
 	p.fn(pc)
-	k()
+	return nil, true
 }
 
 type seqProc struct{ ps []Proc }
@@ -292,21 +291,12 @@ type seqProc struct{ ps []Proc }
 // completes.
 func Seq(ps ...Proc) Proc { return seqProc{ps} }
 
-func (s seqProc) run(pc *PC, k func()) {
-	pc.pathPush()
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(s.ps) {
-			pc.pathPop()
-			k()
-			return
-		}
-		pc.pathSet(int32(i))
-		s.ps[i].run(pc, func() {
-			pc.tramp.Schedule(func() { step(i + 1) })
-		})
+func (s seqProc) step(_ *PC, f *frame) (Proc, bool) {
+	if f.i >= len(s.ps) {
+		return nil, true
 	}
-	step(pc.seekFrame())
+	f.i++
+	return s.ps[f.i-1], false
 }
 
 type forProc struct {
@@ -315,25 +305,16 @@ type forProc struct {
 }
 
 // For runs body(0) … body(n-1) in sequence — the outer iteration loop
-// of a stencil program. The loop backedge goes through the rank's
-// trampoline, so deep iteration counts cost no stack.
+// of a stencil program. The backedge is one cursor increment in the
+// loop's frame, so deep iteration counts cost neither stack nor heap.
 func For(n int, body func(i int) Proc) Proc { return forProc{n, body} }
 
-func (f forProc) run(pc *PC, k func()) {
-	pc.pathPush()
-	var iter func(i int)
-	iter = func(i int) {
-		if i >= f.n {
-			pc.pathPop()
-			k()
-			return
-		}
-		pc.pathSet(int32(i))
-		f.body(i).run(pc, func() {
-			pc.tramp.Schedule(func() { iter(i + 1) })
-		})
+func (l forProc) step(_ *PC, f *frame) (Proc, bool) {
+	if f.i >= l.n {
+		return nil, true
 	}
-	iter(pc.seekFrame())
+	f.i++
+	return l.body(f.i - 1), false
 }
 
 type callProc struct{ gen func(*PC) Proc }
@@ -341,11 +322,13 @@ type callProc struct{ gen func(*PC) Proc }
 // Call generates a statement per rank at run time — how one shared
 // program expresses rank-dependent structure (a tree collective's
 // node has its own parent and children; closures generated here carry
-// per-execution state safely).
+// per-execution state safely). gen must depend on the rank and its tree
+// position only: a cross-process install calls it again (rebuildStack).
 func Call(gen func(*PC) Proc) Proc { return callProc{gen} }
 
-func (c callProc) run(pc *PC, k func()) {
-	c.gen(pc).run(pc, k)
+// step is a tail call: a Call never appears in a resume point.
+func (c callProc) step(pc *PC, _ *frame) (Proc, bool) {
+	return c.gen(pc), true
 }
 
 type recvProc struct {
@@ -360,15 +343,16 @@ func Recv(src, tag int, then func(pc *PC, data []byte, from int)) Proc {
 	return recvProc{src: src, tag: tag, then: then}
 }
 
-func (r recvProc) run(pc *PC, k func()) {
-	pc.blockKind = blockRecv
-	pc.be.recv(pc, r.src, r.tag, func(m *comm.Message) {
-		pc.consume(m)
-		if r.then != nil {
-			r.then(pc, m.Data, pc.job.senderOf(m.From))
-		}
-		k()
-	})
+func (r recvProc) step(pc *PC, _ *frame) (Proc, bool) {
+	m := pc.be.recv(pc, r.src, r.tag)
+	if m == nil {
+		return nil, false
+	}
+	pc.consume(m)
+	if r.then != nil {
+		r.then(pc, m.Data, pc.job.senderOf(m.From))
+	}
+	return nil, true
 }
 
 type waitallProc struct{ reqs func(*PC) []*Req }
@@ -378,26 +362,23 @@ type waitallProc struct{ reqs func(*PC) []*Req }
 // Data/From; nil or completed entries are skipped.
 func Waitall(reqs func(*PC) []*Req) Proc { return waitallProc{reqs} }
 
-func (wp waitallProc) run(pc *PC, k func()) {
-	rs := wp.reqs(pc)
-	var step func(i int)
-	step = func(i int) {
-		for i < len(rs) && (rs[i] == nil || rs[i].done || !rs[i].isRecv) {
-			i++
-		}
-		if i >= len(rs) {
-			k()
-			return
-		}
-		q := rs[i]
-		pc.blockKind = blockWaitall
-		pc.be.recv(pc, q.src, q.tag, func(m *comm.Message) {
-			pc.consume(m)
-			q.done, q.Data, q.From = true, m.Data, pc.job.senderOf(m.From)
-			pc.tramp.Schedule(func() { step(i + 1) })
-		})
+func (wp waitallProc) step(pc *PC, f *frame) (Proc, bool) {
+	if f.reqs == nil {
+		f.reqs = wp.reqs(pc)
 	}
-	step(0)
+	for ; f.i < len(f.reqs); f.i++ {
+		q := f.reqs[f.i]
+		if q == nil || q.done || !q.isRecv {
+			continue
+		}
+		m := pc.be.recv(pc, q.src, q.tag)
+		if m == nil {
+			return nil, false
+		}
+		pc.consume(m)
+		q.done, q.Data, q.From = true, m.Data, pc.job.senderOf(m.From)
+	}
+	return nil, true
 }
 
 type migrateProc struct{ strategy loadbalance.Strategy }
@@ -419,9 +400,13 @@ func Migrate(strategy loadbalance.Strategy) Proc {
 	return migrateProc{strategy}
 }
 
-func (mp migrateProc) run(pc *PC, k func()) {
-	pc.job.gateSetStrategy(mp.strategy)
-	pc.be.lbpoint(pc, k)
+func (mp migrateProc) step(pc *PC, f *frame) (Proc, bool) {
+	if f.i == 0 {
+		f.i = 1
+		pc.job.gateSetStrategy(mp.strategy)
+		return nil, pc.be.lbpoint(pc)
+	}
+	return nil, true // resumed after the rebalance
 }
 
 // Sendrecv is the halo-exchange primitive: an eager send followed by
@@ -508,41 +493,37 @@ func (pc *PC) startColl(d *collDef, run *collRun) {
 }
 
 // collWaitProc completes a started collective: remaining receives
-// park the flow (one at a time — the event backend holds a single
-// continuation), dependent sends go out, and finish delivers the
-// result.
+// park the flow one at a time, dependent sends go out, and finish
+// delivers the result. Progress is the collRun's cursor, not the frame's.
 type collWaitProc struct{ d *collDef }
 
-func (wp collWaitProc) run(pc *PC, k func()) {
+func (wp collWaitProc) step(pc *PC, _ *frame) (Proc, bool) {
 	run, ok := pc.colls[wp.d]
 	if !ok {
 		panic(fmt.Sprintf("ampi: rank %d: wait for %s with no matching start", pc.rank, wp.d.name))
 	}
-	var step func()
-	step = func() {
+	for {
 		run.sendPrefix(pc)
 		if run.next >= len(run.acts) {
 			delete(pc.colls, wp.d)
 			if run.finish != nil {
 				run.finish(pc)
 			}
-			k()
-			return
+			return nil, true
 		}
 		a := run.acts[run.next]
-		pc.blockKind = blockColl
-		pc.be.recv(pc, a.peer, a.tag, func(m *comm.Message) {
-			pc.consume(m)
-			if a.on != nil {
-				if err := a.on(m.Data); err != nil {
-					panic(err)
-				}
+		m := pc.be.recv(pc, a.peer, a.tag)
+		if m == nil {
+			return nil, false
+		}
+		pc.consume(m)
+		if a.on != nil {
+			if err := a.on(m.Data); err != nil {
+				panic(err)
 			}
-			run.next++
-			pc.tramp.Schedule(step)
-		})
+		}
+		run.next++
 	}
-	step()
 }
 
 // icoll builds a (start, wait) Proc pair around a run constructor.
@@ -778,7 +759,7 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 	j.pcs = make([]*PC, size)
 	for r := 0; r < size; r++ {
 		rank := &Rank{job: j, rank: r}
-		pc := &PC{job: j, rank: r, tramp: &sdag.Tramp{}}
+		pc := &PC{job: j, rank: r}
 		pc.be = ultBE{rank}
 		j.pcs[r] = pc
 		pe := m.PE(placePE(r, size, m.NumPEs(), j.opts.BlockPlacement))
@@ -805,14 +786,12 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 }
 
 // runProgram interprets prog to completion on the calling thread (the
-// ULT backend): blocking points suspend the thread, and the
-// trampoline keeps CPS depth bounded between them.
+// ULT backend): blocking points suspend the thread inside a step, so
+// the one exec call returns only when the program is over.
 func runProgram(pc *PC, prog Proc) {
-	done := false
-	pc.tramp.Schedule(func() { prog.run(pc, func() { done = true }) })
-	pc.tramp.Drain()
-	if !done {
-		panic(fmt.Sprintf("ampi: rank %d program stopped before completion (a Recv with no matching sender?)", pc.rank))
+	pc.start(prog)
+	if !pc.exec() {
+		panic(fmt.Sprintf("ampi: rank %d parked inside %T on the thread backend", pc.rank, pc.parkedIn()))
 	}
 }
 
@@ -827,17 +806,17 @@ func (b ultBE) send(pc *PC, dest, tag int, data []byte) {
 	}
 }
 
-func (b ultBE) recv(pc *PC, src, tag int, k func(*comm.Message)) {
-	k(b.r.recv(src, tag))
+func (b ultBE) recv(pc *PC, src, tag int) *comm.Message {
+	return b.r.recv(src, tag)
 }
 
 func (b ultBE) work(pc *PC, ns float64) { b.r.ctx.Work(ns) }
 
 func (b ultBE) pe(pc *PC) int { return b.r.ctx.PE().Index }
 
-func (b ultBE) lbpoint(pc *PC, k func()) {
+func (b ultBE) lbpoint(pc *PC) bool {
 	b.r.parkAtGate()
-	k()
+	return true
 }
 
 func (b ultBE) usestack(pc *PC, n uint64) {

@@ -164,8 +164,9 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 			ps = append(ps, Reduce(root, op,
 				func(pc *PC) float64 { return pc.Local.(*mixState).x },
 				func(pc *PC, v float64) { acc(pc, v) }))
-		case 7: // nonblocking pair exchange + work
+		case 7: // nonblocking pair exchange + work on a live stack frame
 			work := float64(rng.Intn(5000))
+			live := uint64(rng.Intn(4)) * 512 // ≤ 8 phases × 1.5 KiB fits every caller's stack
 			tag := 9
 			ps = append(ps, Call(func(pc *PC) Proc {
 				n := pc.Size()
@@ -176,6 +177,9 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 				return Seq(
 					Do(func(pc *PC) {
 						st := pc.Local.(*mixState)
+						// ULT ranks carry the frame through every later
+						// gate; event ranks keep nothing. Neither may move vt.
+						pc.UseStack(live)
 						pc.Work(work)
 						pc.Isend(peer, tag, f64bytes(st.x))
 						st.reqs = []*Req{pc.Irecv(peer, tag)}
@@ -183,6 +187,9 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 					Waitall(func(pc *PC) []*Req { return pc.Local.(*mixState).reqs }),
 					Do(func(pc *PC) {
 						st := pc.Local.(*mixState)
+						if !st.reqs[0].Done() {
+							panic("Waitall completed with its receive still pending")
+						}
 						acc(pc, f64(st.reqs[0].Data)+float64(st.reqs[0].From))
 						st.reqs = nil
 					}),
@@ -282,6 +289,45 @@ func TestCrossBackendEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInterpreterBackedgeAllocatesNothing pins what the deleted
+// trampoline was for. A loop backedge is a cursor increment in a frame
+// that already exists, so a million iterations over a pre-built
+// statement allocate O(1) in total, in both modes (the closure-CPS
+// interpreter built at least three closures per iteration); and
+// nesting depth is frame-stack depth, never Go recursion, so a
+// 10,000-deep Seq completes.
+func TestInterpreterBackedgeAllocatesNothing(t *testing.T) {
+	for _, mode := range []string{ModeULT, ModeEvent} {
+		const iters = 1 << 20
+		n := 0
+		body := Do(func(*PC) { n++ })
+		deep := Do(func(*PC) { n += iters })
+		for i := 0; i < 10_000; i++ {
+			deep = Seq(deep)
+		}
+		m := newMachine(t, 1, nil)
+		job, err := NewProgram(m, 1, Options{Mode: mode, StackSize: 32 << 10},
+			Seq(For(iters, func(int) Proc { return body }), deep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		job.Run()
+		runtime.ReadMemStats(&after)
+		if !job.Done() || n != 2*iters {
+			t.Fatalf("%s: done=%v, body ran %d times, want %d", mode, job.Done(), n, 2*iters)
+		}
+		// The constant covers starting the rank and growing its frame
+		// stack to 10,000 entries by doubling.
+		allocs := after.Mallocs - before.Mallocs
+		t.Logf("%s: %d iterations, %d allocations", mode, iters, allocs)
+		if allocs > 512 {
+			t.Fatalf("%s: %d iterations allocated %d objects, want O(1)", mode, iters, allocs)
+		}
 	}
 }
 
@@ -399,8 +445,46 @@ func TestEventStress(t *testing.T) {
 
 // TestEventFootprintReleased: a completed event job must return the
 // Machine to its idle footprint — directory entries gone, the shared
-// handler range gone, and the contiguous store released.
+// handler range gone, and the contiguous store released. A rank that
+// completes while the store lives on (every rank of a sharded run)
+// drops its frame stack and its collective map by itself, and a
+// running rank's popped frames hold on to nothing.
 func TestEventFootprintReleased(t *testing.T) {
+	{
+		m := newMachine(t, 2, nil)
+		reqs := []*Req{{done: true}}
+		job, err := NewProgram(m, 2, Options{Mode: ModeEvent}, Seq(
+			Allreduce("sum", func(pc *PC) float64 { return 1 }, nil),
+			Seq(Seq(Waitall(func(*PC) []*Req { return reqs }))),
+			Call(func(pc *PC) Proc {
+				if pc.rank == 0 {
+					return Do(func(*PC) {})
+				}
+				return Recv(0, 99, nil) // never sent: rank 1 stays parked
+			}),
+		))
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Run()
+		ranks := job.ev.store()
+		if ranks == nil || !ranks[0].done || ranks[1].done {
+			t.Fatal("want rank 0 finished and rank 1 parked in a live store")
+		}
+		if pc := &ranks[0].pc; pc.stack != nil || pc.colls != nil {
+			t.Fatalf("finished rank keeps stack %v and collective map %v", pc.stack, pc.colls)
+		}
+		st := ranks[1].pc.stack
+		if len(st) != 2 || cap(st) < 4 {
+			t.Fatalf("parked rank: stack len %d cap %d, want 2 frames of a deeper history", len(st), cap(st))
+		}
+		for _, f := range st[len(st):cap(st)] {
+			if f.p != nil || f.reqs != nil {
+				t.Fatalf("popped frame still references %T / %d requests", f.p, len(f.reqs))
+			}
+		}
+	}
+
 	const ranks = 50_000
 	m := newMachine(t, 2, nil)
 	baseEntities := m.Network().NumEntities()

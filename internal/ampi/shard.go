@@ -2,35 +2,39 @@ package ampi
 
 // Cross-process migration for sharded event jobs: the continuation
 // analogue of shipping a thread's stack image over the socket. An
-// in-process move rides eventRecord — the closure (kont) and pc.Local
+// in-process move rides eventRecord — the frame stack and pc.Local
 // stay reachable by reference. Across an OS process boundary nothing
 // is reachable, so the record must carry everything the destination
-// needs to REBUILD the continuation:
+// needs to REBUILD the stack:
 //
-//   - the rank's tree PATH — its structural coordinates in the shared
-//     immutable program (one index per enclosing Seq/For). Because
-//     every worker holds the identical tree, the destination re-seeks
-//     by re-descending it: structural nodes consume path frames and
-//     jump straight to the blocked statement, so no completed work
-//     re-runs and virtual time is untouched.
+//   - the rank's tree PATH — the stack's cursors, read off at extract
+//     time: for every Seq/For frame, outermost first, the index of the
+//     child the rank is inside (cursor-1); a Call never leaves a frame
+//     and the innermost one, the Recv, has no cursor. Because every
+//     worker holds the identical tree, the destination rebuilds the
+//     stack by one validating descent from the root (rebuildStack).
+//     Only Call generators and For bodies run during it, and they only
+//     build statements, so no completed work re-runs and virtual time
+//     is untouched.
 //   - the blocked Recv's match spec, virtual time, measured load, and
 //     buffered messages (the same fields eventRecord pups).
 //   - pc.Local, serialized by the program's Options.LocalPUP hook.
 //
-// Only a rank parked at a plain Recv can cross: a collective wait or
-// Waitall holds closure state (accumulator pointers, request slices)
-// that tree coordinates cannot re-derive, and ShardExtract refuses.
+// Only a rank parked at a plain Recv can cross: a Waitall frame's
+// request list and a collective's accumulator in pc.colls have no wire
+// form yet, so ShardExtract refuses.
 //
 // Protocol (driven by the shard orchestration layer): the source
 // worker calls ShardExtract — which atomically flips the directory,
 // owner word, and epoch, so stragglers start chasing over the socket —
 // and ships the record bytes to the destination worker (a control
 // frame) plus a move notice to every other worker (ShardNoteMove).
-// The destination calls ShardInstall, which merges the record's
-// pending messages AHEAD of anything that already chased its way into
-// the slot (the record's are older: they arrived before the move),
-// then injects a tagReseek activation through the normal delivery
-// path so the re-descent runs on the owning PE's own goroutine.
+// The destination calls ShardInstall, which validates the whole record
+// before it changes anything, merges the record's pending messages
+// AHEAD of anything that already chased its way into the slot (the
+// record's are older: they arrived before the move), then injects a
+// tagInstalled activation through the normal delivery path so the
+// rank's first step runs on the owning PE's own goroutine.
 // Link FIFO guarantees the destination sees the record before any
 // message the source forwards after flipping its table. It cannot
 // order two different routes, though: a sender that learns the new
@@ -48,13 +52,9 @@ import (
 	"migflow/internal/pup"
 )
 
-// tagReseek is the internal activation injected by ShardInstall
+// tagInstalled is the internal activation injected by ShardInstall
 // (user tags are ≥ 0; collective tags live in the -100 block).
-const tagReseek = -150
-
-// shardPathMax bounds a record's claimed path length (hostile-input
-// guard; real programs nest a handful of Seq/For levels).
-const shardPathMax = 1 << 16
+const tagInstalled = -150
 
 // ShardOwns reports whether rank r currently resides in this process
 // (sharded event jobs).
@@ -67,8 +67,7 @@ func (j *Job) ShardOwns(r int) bool {
 }
 
 // ShardMigratable reports whether rank r could be extracted right
-// now: resident here, unfinished, and parked at a plain blocking Recv
-// with no in-flight collectives.
+// now: resident here and shippable.
 func (j *Job) ShardMigratable(r int) bool {
 	e := j.ev
 	if e == nil || !e.sharded || r < 0 || r >= e.size {
@@ -81,8 +80,27 @@ func (j *Job) ShardMigratable(r int) bool {
 	er := &ranks[r]
 	er.mu.Lock()
 	defer er.mu.Unlock()
-	return !er.done && er.hasWait && er.pc.blockKind == blockRecv &&
-		len(er.pc.colls) == 0 && (er.pc.Local == nil || j.opts.LocalPUP != nil)
+	return e.shippableLocked(er) == nil
+}
+
+// shippableLocked says why a record cannot describe the rank right
+// now, or nil: it must be unfinished and parked with a plain Recv as
+// its innermost frame, hold no in-flight collective, and keep no
+// program state the job cannot serialize. Read off the stack, not
+// tracked. er.mu held.
+func (e *eventEngine) shippableLocked(er *eventRank) error {
+	_, atRecv := er.pc.parkedIn().(recvProc)
+	switch {
+	case er.done:
+		return fmt.Errorf("already finished")
+	case !atRecv || !er.hasWait:
+		return fmt.Errorf("not parked at a plain Recv")
+	case len(er.pc.colls) != 0:
+		return fmt.Errorf("has in-flight nonblocking collectives")
+	case er.pc.Local != nil && e.job.opts.LocalPUP == nil:
+		return fmt.Errorf("has program state but the job has no LocalPUP")
+	}
+	return nil
 }
 
 // ShardExtract serializes rank's continuation record for another
@@ -112,17 +130,8 @@ func (j *Job) ShardExtract(rank, toPE int) ([]byte, error) {
 	if !j.m.LocalPE(srcPE) {
 		return nil, fmt.Errorf("ampi: ShardExtract: rank %d resides on PE %d, not in this process", rank, srcPE)
 	}
-	if er.done {
-		return nil, fmt.Errorf("ampi: ShardExtract: rank %d already finished", rank)
-	}
-	if !er.hasWait || er.pc.blockKind != blockRecv {
-		return nil, fmt.Errorf("ampi: ShardExtract: rank %d is not parked at a plain Recv", rank)
-	}
-	if len(er.pc.colls) != 0 {
-		return nil, fmt.Errorf("ampi: ShardExtract: rank %d has in-flight nonblocking collectives", rank)
-	}
-	if er.pc.Local != nil && j.opts.LocalPUP == nil {
-		return nil, fmt.Errorf("ampi: ShardExtract: rank %d has program state but the job has no LocalPUP", rank)
+	if err := e.shippableLocked(er); err != nil {
+		return nil, fmt.Errorf("ampi: ShardExtract: rank %d %w", rank, err)
 	}
 
 	p := pup.NewGrowPacker()
@@ -139,7 +148,7 @@ func (j *Job) ShardExtract(rank, toPE int) ([]byte, error) {
 	}
 	e.pes[rank].Store(int32(toPE))
 	e.migEpoch.Add(1)
-	er.hasWait, er.kont = false, nil
+	er.hasWait, er.pc.stack = false, nil
 	er.waiting = matchSpec{}
 	er.mbox, er.head = nil, 0
 	er.sendSeq, er.recvSeq, er.held = nil, nil, nil
@@ -171,11 +180,14 @@ func (j *Job) ShardNoteMove(rank, toPE int) error {
 	return nil
 }
 
-// ShardInstall adopts a record extracted by another process: it flips
-// the local directory, rebuilds the rank's slot, merges the record's
-// buffered messages ahead of any that chased here first, charges the
-// machine's migration bookkeeping, and schedules the reseek
-// activation on the owning PE. Returns the installed rank.
+// ShardInstall adopts a record extracted by another process: it
+// rebuilds the rank's frame stack from the shipped path, flips the
+// local directory, fills the rank's slot, merges the record's buffered
+// messages ahead of any that chased here first, charges the machine's
+// migration bookkeeping, and schedules the rank's first activation on
+// the owning PE. Whatever can reject the record (codec, LocalPUP, path)
+// runs before the first change, so an error leaves the job as it was.
+// Returns the installed rank.
 func (j *Job) ShardInstall(data []byte) (int, error) {
 	e := j.ev
 	if e == nil || !e.sharded {
@@ -199,6 +211,13 @@ func (j *Job) ShardInstall(data []byte) (int, error) {
 			return -1, fmt.Errorf("ampi: ShardInstall: LocalPUP: %w", err)
 		}
 	}
+	er := &e.store()[rec.rank]
+	er.mu.Lock()
+	stack, err := er.pc.rebuildStack(j.prog, rec.path, rec.waiting)
+	er.mu.Unlock()
+	if err != nil {
+		return -1, fmt.Errorf("ampi: ShardInstall: rank %d: %w", rec.rank, err)
+	}
 
 	if e.peOf(rec.rank) != rec.toPE {
 		if err := j.m.Network().MoveRangeBatch(e.base, []comm.RangeMove{{Index: rec.rank, To: rec.toPE}}); err != nil {
@@ -208,14 +227,12 @@ func (j *Job) ShardInstall(data []byte) (int, error) {
 	}
 	e.migEpoch.Add(1)
 
-	er := &e.store()[rec.rank]
 	er.mu.Lock()
 	er.pc.vt = rec.vt
 	er.busy = rec.busy
 	er.waiting = rec.waiting
-	er.hasWait, er.kont = false, nil
-	er.hasReseek = true
-	er.pc.seek, er.pc.seekPos = rec.path, 0
+	er.hasWait = false // the activation below parks the Recv afresh
+	er.pc.stack = stack
 	er.pc.Local = local
 	if len(rec.pending) > 0 {
 		// The record's messages arrived at the source before the move;
@@ -230,7 +247,7 @@ func (j *Job) ShardInstall(data []byte) (int, error) {
 	// record's snapshot or parking in held. Per-key max keeps both
 	// sides' acceptances; the release then drains anything the merged
 	// state made in-order — hasWait is false here, so releases only
-	// buffer into mbox for the reseek to consume.
+	// buffer into mbox for the first step to consume.
 	er.sendSeq = mergeSeqMax(er.sendSeq, rec.sendSeq)
 	er.recvSeq = mergeSeqMax(er.recvSeq, rec.recvSeq)
 	er.held = append(er.held, rec.held...)
@@ -239,36 +256,70 @@ func (j *Job) ShardInstall(data []byte) (int, error) {
 	e.remaining.Add(1)
 	j.m.FinishRemoteMigration(e.idOf(rec.rank), rec.toPE, rec.depart, len(data))
 
-	// The reseek runs as a normal delivery on the owning PE's
-	// goroutine — ShardInstall may be called from a transport reader.
-	act := &comm.Message{To: e.idOf(rec.rank), From: e.idOf(rec.rank), Tag: tagReseek}
+	// The rank's first step here runs as a normal delivery on the
+	// owning PE's goroutine — ShardInstall may be called from a
+	// transport reader — and charges one activation, like any dispatch.
+	// Virtual time only moves if a message is consumed: the same
+	// instants it would have moved at on the source.
+	act := &comm.Message{To: e.idOf(rec.rank), From: e.idOf(rec.rank), Tag: tagInstalled}
 	if err := j.m.Network().DeliverLocal(rec.toPE, []*comm.Message{act}); err != nil {
-		return rec.rank, fmt.Errorf("ampi: ShardInstall: scheduling reseek: %w", err)
+		return rec.rank, fmt.Errorf("ampi: ShardInstall: scheduling activation: %w", err)
 	}
 	return rec.rank, nil
 }
 
-// reseekLocked re-runs the program from the root with pc.seek set, so
-// the descent jumps straight to the blocked Recv: already-delivered
-// matches consume immediately, otherwise the rank re-parks with a
-// freshly built continuation. One activation is charged, like any
-// dispatch; virtual time only moves if a message is consumed — the
-// same instants it would have moved at on the source. er.mu held.
-func (e *eventEngine) reseekLocked(er *eventRank, pe int) {
-	if !er.hasReseek || er.done {
-		return
+// treePath reads the rank's tree coordinates off its stack: for every
+// Seq/For frame, outermost first, the index of the child the rank is
+// inside.
+func (pc *PC) treePath() []int {
+	var path []int
+	for i := range pc.stack {
+		switch pc.stack[i].p.(type) {
+		case seqProc, forProc:
+			path = append(path, pc.stack[i].i-1)
+		}
 	}
-	er.hasReseek = false
-	er.seq++
-	e.job.m.PE(pe).Clock.Advance(e.dispatchNs(pe))
-	pc := &er.pc
-	pc.path = pc.path[:0]
-	pc.blockKind = blockNone
-	er.tramp.Schedule(func() {
-		e.job.prog.run(pc, func() { e.finish(pc.rank) })
-	})
-	er.tramp.Drain()
-	pc.seek, pc.seekPos = nil, 0
+	return path
+}
+
+// rebuildStack is treePath's inverse: one descent of prog that turns a
+// shipped path back into the stack of a rank parked at a plain Recv.
+// The path crossed an untrusted wire: every index is checked against
+// the arity of its Seq/For, the path must be used up exactly on arrival
+// at a Recv, and that Recv must be the one the record waits in.
+func (pc *PC) rebuildStack(prog Proc, path []int, want matchSpec) ([]frame, error) {
+	stack := make([]frame, 0, len(path)+1)
+	for p := prog; ; {
+		var arity int
+		var child func(i int) Proc
+		switch s := p.(type) {
+		case callProc:
+			p = s.gen(pc)
+			continue
+		case recvProc:
+			if len(path) != 0 {
+				return nil, fmt.Errorf("tree path reaches a Recv with %d frames unused", len(path))
+			}
+			if got := (matchSpec{src: s.src, tag: s.tag}); got != want {
+				return nil, fmt.Errorf("tree path leads to Recv(%d, %d) but the record waits for (%d, %d)", got.src, got.tag, want.src, want.tag)
+			}
+			return append(stack, frame{p: p}), nil
+		case seqProc:
+			arity, child = len(s.ps), func(i int) Proc { return s.ps[i] }
+		case forProc:
+			arity, child = s.n, s.body
+		default:
+			return nil, fmt.Errorf("tree path leads to %T, not a plain Recv", p)
+		}
+		if len(path) == 0 {
+			return nil, fmt.Errorf("tree path ends inside a %d-way %T at depth %d", arity, p, len(stack))
+		}
+		i := path[0]
+		if i < 0 || i >= arity {
+			return nil, fmt.Errorf("tree path index %d at depth %d is outside a %d-way %T", i, len(stack), arity, p)
+		}
+		stack, path, p = append(stack, frame{p: p, i: i + 1}), path[1:], child(i)
+	}
 }
 
 // shardWire is the decoded cross-process record.
@@ -279,7 +330,7 @@ type shardWire struct {
 	vt       float64
 	busy     float64
 	waiting  matchSpec
-	path     []int32
+	path     []int
 	hasLocal bool
 	localImg []byte
 	pending  []*comm.Message
@@ -426,13 +477,13 @@ func (e *eventEngine) packWireLocked(p *pup.PUPer, er *eventRank, toPE int, depa
 	if err := p.Int(&er.waiting.tag); err != nil {
 		return err
 	}
-	plen := len(er.pc.path)
+	path := er.pc.treePath()
+	plen := len(path)
 	if err := p.Int(&plen); err != nil {
 		return err
 	}
-	for i := 0; i < plen; i++ {
-		v := int(er.pc.path[i])
-		if err := p.Int(&v); err != nil {
+	for i := range path {
+		if err := p.Int(&path[i]); err != nil {
 			return err
 		}
 	}
@@ -512,16 +563,14 @@ func (e *eventEngine) unpackWire(p *pup.PUPer) (*shardWire, error) {
 	if err := p.Int(&plen); err != nil {
 		return nil, err
 	}
-	if plen < 0 || plen > shardPathMax || plen*8 > p.Remaining() {
+	if plen < 0 || plen > p.Remaining()/8 {
 		return nil, fmt.Errorf("record claims path of %d frames with %d bytes remaining", plen, p.Remaining())
 	}
-	rec.path = make([]int32, plen)
+	rec.path = make([]int, plen)
 	for i := range rec.path {
-		var v int
-		if err := p.Int(&v); err != nil {
+		if err := p.Int(&rec.path[i]); err != nil {
 			return nil, err
 		}
-		rec.path[i] = int32(v)
 	}
 	if err := p.Bool(&rec.hasLocal); err != nil {
 		return nil, err

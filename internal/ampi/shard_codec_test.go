@@ -5,19 +5,24 @@ package ampi
 // overflowing the product and attempting a huge allocation.
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"migflow/internal/core"
 	"migflow/internal/pup"
 )
 
-func newShardedEventJob(t *testing.T) *Job {
+// newShardedEventJob builds (without starting) a 4-rank event job on
+// a 4-PE machine of which this process owns PEs 0 and 1 — ranks 2 and
+// 3 live "elsewhere", so records for them can be installed here.
+func newShardedEventJob(t *testing.T, prog Proc) *Job {
 	t.Helper()
 	m, err := core.NewMachine(core.Config{NumPEs: 4, LocalPELo: 0, LocalPEHi: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := NewProgram(m, 4, Options{Mode: ModeEvent}, Seq())
+	j, err := NewProgram(m, 4, Options{Mode: ModeEvent}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +30,7 @@ func newShardedEventJob(t *testing.T) *Job {
 }
 
 func TestShardRecordHostileCounts(t *testing.T) {
-	e := newShardedEventJob(t).ev
+	e := newShardedEventJob(t, Seq()).ev
 
 	// n*16 would overflow to exactly 0 for 1<<60, slipping past a
 	// multiplied bound; the division form must reject it.
@@ -53,10 +58,118 @@ func TestShardRecordHostileCounts(t *testing.T) {
 }
 
 func TestShardInstallRejectsGarbage(t *testing.T) {
-	j := newShardedEventJob(t)
+	j := newShardedEventJob(t, Seq())
 	for _, data := range [][]byte{nil, {1}, {1, 2, 3}, make([]byte, 64)} {
 		if _, err := j.ShardInstall(data); err == nil {
 			t.Fatalf("ShardInstall accepted %d-byte garbage record", len(data))
+		}
+	}
+}
+
+// wireRecord packs a well-formed cross-process record for rank 3 → PE 1
+// with the given tree path and match spec and nothing buffered: what a
+// peer that controls only those two fields can send.
+func wireRecord(t *testing.T, path []int, spec matchSpec) []byte {
+	t.Helper()
+	p := pup.NewGrowPacker()
+	rank, to, zero := uint64(3), uint64(1), 0.0
+	plen, hasLocal, none := len(path), false, 0
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(p.Uint64(&rank))
+	must(p.Uint64(&to))
+	for i := 0; i < 3; i++ { // depart, vt, busy
+		must(p.Float64(&zero))
+	}
+	must(p.Int(&spec.src))
+	must(p.Int(&spec.tag))
+	must(p.Int(&plen))
+	for i := range path {
+		must(p.Int(&path[i]))
+	}
+	must(p.Bool(&hasLocal))
+	for i := 0; i < 4; i++ { // pending, held, sendSeq, recvSeq
+		must(p.Int(&none))
+	}
+	return p.PackedBytes()
+}
+
+// TestShardInstallRejectsHostilePath: the tree path crosses the same
+// untrusted wire as the rest of the record. Every path that does not
+// lead, exactly, to the plain Recv the record claims to wait in is a
+// named error that leaves the job untouched — the rank stays foreign,
+// no epoch or remaining-count change — and the owning PE's next pump
+// finds nothing to trip over. The one honest record then installs and
+// parks.
+func TestShardInstallRejectsHostilePath(t *testing.T) {
+	start, wait := Ibarrier()
+	prog := Seq(
+		Do(func(*PC) {}),
+		Recv(0, 7, nil),
+		Waitall(func(*PC) []*Req { return nil }),
+		Seq(start, wait),
+		For(3, func(int) Proc { return Call(func(*PC) Proc { return Recv(0, 8, nil) }) }),
+	)
+	j := newShardedEventJob(t, prog)
+	e := j.ev
+	epoch, remaining := e.migEpoch.Load(), e.remaining.Load()
+	for _, tc := range []struct {
+		name string
+		path []int
+		spec matchSpec
+		want string
+	}{
+		{"negative index", []int{-1}, matchSpec{0, 7}, "index -1 at depth 0 is outside a 5-way"},
+		{"index past the Seq", []int{5}, matchSpec{0, 7}, "index 5 at depth 0 is outside a 5-way"},
+		{"index past the For", []int{4, 3}, matchSpec{0, 8}, "index 3 at depth 1 is outside a 3-way"},
+		{"truncated int32 alias of a valid index", []int{1 << 32}, matchSpec{0, 7}, "outside a 5-way"},
+		{"empty path", nil, matchSpec{0, 7}, "ends inside a 5-way"},
+		{"short path", []int{4}, matchSpec{0, 8}, "ends inside a 3-way"},
+		{"over-long path", []int{1, 0}, matchSpec{0, 7}, "reaches a Recv with 1 frames unused"},
+		{"leads to a Do", []int{0}, matchSpec{0, 7}, "not a plain Recv"},
+		{"leads to a Waitall", []int{2}, matchSpec{0, 7}, "ampi.waitallProc, not a plain Recv"},
+		{"leads to a collective wait", []int{3, 1}, matchSpec{0, 7}, "ampi.collWaitProc, not a plain Recv"},
+		{"spec mismatch", []int{1}, matchSpec{0, 9}, "leads to Recv(0, 7) but the record waits for (0, 9)"},
+		{"spec mismatch under For/Call", []int{4, 2}, matchSpec{0, 7}, "leads to Recv(0, 8)"},
+	} {
+		_, err := j.ShardInstall(wireRecord(t, tc.path, tc.spec))
+		if err == nil || !strings.Contains(err.Error(), "tree path") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: ShardInstall error = %v, want a tree-path error containing %q", tc.name, err, tc.want)
+		}
+		if j.ShardOwns(3) {
+			t.Fatalf("%s: rejected record still flipped rank 3 into this process", tc.name)
+		}
+		if e.migEpoch.Load() != epoch || e.remaining.Load() != remaining {
+			t.Fatalf("%s: rejected record moved epoch %d→%d, remaining %d→%d",
+				tc.name, epoch, e.migEpoch.Load(), remaining, e.remaining.Load())
+		}
+		if er := &e.store()[3]; er.pc.stack != nil || er.pc.Local != nil || er.hasWait {
+			t.Fatalf("%s: rejected record left state in rank 3's slot", tc.name)
+		}
+		j.m.RunUntilQuiescent() // must not panic
+	}
+
+	for _, path := range [][]int{{1}, {4, 2}} {
+		j := newShardedEventJob(t, prog)
+		spec := matchSpec{0, 7 + len(path) - 1}
+		if r, err := j.ShardInstall(wireRecord(t, path, spec)); err != nil || r != 3 {
+			t.Fatalf("path %v: honest record: (%d, %v)", path, r, err)
+		}
+		if !j.ShardOwns(3) || j.ShardMigratable(3) {
+			t.Fatalf("path %v: after install owns=%v migratable=%v, want true/false until the first activation", path, j.ShardOwns(3), j.ShardMigratable(3))
+		}
+		j.m.RunUntilQuiescent()
+		er := &j.ev.store()[3]
+		if !j.ShardMigratable(3) || er.waiting != spec {
+			t.Fatalf("path %v: installed rank did not park at its Recv (waiting %+v)", path, er.waiting)
+		}
+		// What installs must be what extracts: the path read back off
+		// the rebuilt stack is the path that built it.
+		if got := er.pc.treePath(); !reflect.DeepEqual(got, path) {
+			t.Fatalf("tree path round trip: built from %v, reads back %v", path, got)
 		}
 	}
 }

@@ -34,29 +34,28 @@ type Stmt interface {
 	start(ex *Executor, done func())
 }
 
-// Tramp is a reusable continuation trampoline: Schedule enqueues a
-// continuation, Drain runs enqueued continuations (and whatever they
+// tramp is a reusable continuation trampoline: schedule enqueues a
+// continuation, drain runs enqueued continuations (and whatever they
 // enqueue) to quiescence from a bounded stack. Deeply nested
-// event-driven control flow — SDAG For loops, AMPI continuation
-// programs — becomes iteration instead of recursion. The queue is
-// walked with a head index and truncated once empty, so one backing
-// array is reused across the whole program instead of re-slicing (and
-// eventually re-allocating) on every continuation. A Tramp is not
-// safe for concurrent use; each executing flow (or each owning PE)
-// gets its own.
-type Tramp struct {
+// event-driven control flow — SDAG For loops — becomes iteration
+// instead of recursion. The queue is walked with a head index and
+// truncated once empty, so one backing array is reused across the
+// whole program instead of re-slicing (and eventually re-allocating)
+// on every continuation. A tramp is not safe for concurrent use; each
+// Executor owns one.
+type tramp struct {
 	work     []func()
 	head     int // next work entry to run; the buffer is reused across drains
 	draining bool
 }
 
-// Schedule enqueues fn to run in the current (or next) Drain.
-func (t *Tramp) Schedule(fn func()) { t.work = append(t.work, fn) }
+// schedule enqueues fn to run in the current (or next) drain.
+func (t *tramp) schedule(fn func()) { t.work = append(t.work, fn) }
 
-// Drain runs queued continuations to quiescence. Re-entrant calls
+// drain runs queued continuations to quiescence. Re-entrant calls
 // (a continuation delivering a message that schedules more work) are
-// no-ops: the outermost Drain picks the new work up.
-func (t *Tramp) Drain() {
+// no-ops: the outermost drain picks the new work up.
+func (t *tramp) drain() {
 	if t.draining {
 		return
 	}
@@ -78,7 +77,7 @@ func (t *Tramp) Drain() {
 type Executor struct {
 	waiting  map[int][]*waiter
 	buffered map[int]*msgQueue
-	tramp    Tramp // trampoline queue: avoids unbounded recursion
+	tramp    tramp // trampoline queue: avoids unbounded recursion
 	finished bool
 }
 
@@ -223,11 +222,11 @@ func (ex *Executor) takeWaiter(tag int, ref uint64) *waiter {
 	return found
 }
 
-func (ex *Executor) schedule(fn func()) { ex.tramp.Schedule(fn) }
+func (ex *Executor) schedule(fn func()) { ex.tramp.schedule(fn) }
 
 // drain runs queued continuations to quiescence (a trampoline: deep
 // For loops become iteration, not recursion).
-func (ex *Executor) drain() { ex.tramp.Drain() }
+func (ex *Executor) drain() { ex.tramp.drain() }
 
 // ---------------------------------------------------------------
 // Constructs

@@ -166,9 +166,10 @@ func TestCrossProcessJacobiTCP(t *testing.T) {
 }
 
 // TestCrossProcessJacobiMigration ships event ranks across a live
-// socket mid-run (worker 0 extracts parked ranks, worker 1 installs
-// and reseeks them); the per-rank VT must still match the in-process
-// run bit for bit — migration is free in virtual time by design.
+// socket mid-run (worker 0 extracts parked ranks, worker 1 rebuilds
+// their frame stacks and installs them); the per-rank VT must still
+// match the in-process run bit for bit — migration is free in virtual
+// time by design.
 func TestCrossProcessJacobiMigration(t *testing.T) {
 	cfg := ampi.JacobiConfig{
 		Mode: ampi.ModeEvent, Ranks: 64, Iters: 40, PEs: 4,
