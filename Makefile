@@ -39,7 +39,8 @@ bench-check:
 # alternating parent/change pairs of one BENCHMARK.json workload —
 # working tree against BASE, exported to a temporary directory — with
 # each side's median and quartiles and the pair wins per end-to-end
-# metric. About 40 s per pair. `make bench-pair W=btmz_ult_lb N=10`.
+# metric. About 40 s per pair. `make bench-pair W=btmz_ult_lb N=10`;
+# W=all runs every workload in turn and prints one table.
 N ?= 10
 BASE ?= HEAD
 

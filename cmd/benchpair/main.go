@@ -1,10 +1,12 @@
 // Command benchpair gathers the evidence ROADMAP asks of every
 // performance claim: alternating parent/change pairs of one
-// BENCHMARK.json workload. The host clock drifts 20–30 % for minutes
-// at a time, so only runs taken back to back, with the order
-// alternating, compare fairly.
+// BENCHMARK.json workload, or with -w all of every workload in turn —
+// one table, so "no metric worse anywhere" is one command. The host
+// clock drifts 20–30 % for minutes at a time, so only runs taken back
+// to back, with the order alternating, compare fairly.
 //
 //	go run ./cmd/benchpair -w btmz_ult_lb -n 10 [-base HEAD]
+//	go run ./cmd/benchpair -w all -n 10
 //
 // The change is the working tree; the parent is -base, exported with
 // git archive into a temporary directory that is removed on exit. Both
@@ -43,7 +45,7 @@ type result struct {
 }
 
 func main() {
-	workload := flag.String("w", "", "workload name from BENCHMARK.json")
+	workload := flag.String("w", "", "workload name from BENCHMARK.json, or all")
 	pairs := flag.Int("n", 10, "parent/change pairs")
 	base := flag.String("base", "HEAD", "parent revision")
 	flag.Parse()
@@ -62,10 +64,20 @@ func run(workload string, pairs int, base string) error {
 		return err
 	}
 	var decl struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
 		EndToEnd []metricDecl `json:"end_to_end"`
 	}
 	if err := json.Unmarshal(raw, &decl); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	workloads := []string{workload}
+	if workload == "all" {
+		workloads = workloads[:0]
+		for _, w := range decl.Workloads {
+			workloads = append(workloads, w.Name)
+		}
 	}
 	parentDir, err := os.MkdirTemp("", "benchpair-parent-")
 	if err != nil {
@@ -78,14 +90,45 @@ func run(workload string, pairs int, base string) error {
 		return fmt.Errorf("exporting %s: %w", base, err)
 	}
 
-	sides := [2]string{parentDir, "."} // 0 = parent, 1 = change
+	fmt.Printf("%d alternating pairs per workload, parent %s vs working tree\n", pairs, base)
+	fmt.Printf("%-18s %-30s %12s %25s %12s %25s %8s %6s\n", "workload", "metric", "parent med", "[q1, q3]", "change med", "[q1, q3]", "delta", "wins")
+	for _, w := range workloads {
+		values, err := runPairs([2]string{parentDir, "."}, w, pairs)
+		if err != nil {
+			return fmt.Errorf("%s: %w", w, err)
+		}
+		for _, d := range decl.EndToEnd {
+			v := values[d.Name]
+			if v == nil {
+				continue
+			}
+			wins := 0
+			for i := range v[0] {
+				if (d.Better == "lower") == (v[1][i] < v[0][i]) && v[1][i] != v[0][i] {
+					wins++
+				}
+			}
+			pm, p1, p3 := summarize(v[0])
+			cm, c1, c3 := summarize(v[1])
+			fmt.Printf("%-18s %-30s %12s %25s %12s %25s %+7.1f%% %3d/%d\n", w, d.Name+" ("+d.Unit+")",
+				num(pm), "["+num(p1)+", "+num(p3)+"]", num(cm), "["+num(c1)+", "+num(c3)+"]",
+				100*(cm-pm)/pm, wins, pairs)
+		}
+	}
+	return nil
+}
+
+// runPairs runs workload pairs times on each side (0 = parent, 1 =
+// change), alternating which goes first, and returns every metric's
+// values per side.
+func runPairs(sides [2]string, workload string, pairs int) (map[string]*[2][]float64, error) {
 	values := map[string]*[2][]float64{}
 	for i := 1; i <= pairs; i++ {
 		for k := 0; k < 2; k++ {
 			side := (i + k) % 2 // odd pairs run the change first, even pairs the parent
 			res, err := runOnce(sides[side], workload, i)
 			if err != nil {
-				return fmt.Errorf("pair %d, %s: %w", i, sideName(side), err)
+				return nil, fmt.Errorf("pair %d, %s: %w", i, sideName(side), err)
 			}
 			for name, m := range res.Metrics {
 				if values[name] == nil {
@@ -93,30 +136,10 @@ func run(workload string, pairs int, base string) error {
 				}
 				values[name][side] = append(values[name][side], m.Value)
 			}
-			fmt.Fprintf(os.Stderr, "pair %d/%d %-6s wall_s=%.3f\n", i, pairs, sideName(side), res.Metrics["wall_s"].Value)
+			fmt.Fprintf(os.Stderr, "%s pair %d/%d %-6s wall_s=%.3f\n", workload, i, pairs, sideName(side), res.Metrics["wall_s"].Value)
 		}
 	}
-
-	fmt.Printf("%s: %d alternating pairs, parent %s vs working tree\n", workload, pairs, base)
-	fmt.Printf("%-30s %12s %25s %12s %25s %8s %6s\n", "metric", "parent med", "[q1, q3]", "change med", "[q1, q3]", "delta", "wins")
-	for _, d := range decl.EndToEnd {
-		v := values[d.Name]
-		if v == nil {
-			continue
-		}
-		wins := 0
-		for i := range v[0] {
-			if (d.Better == "lower") == (v[1][i] < v[0][i]) && v[1][i] != v[0][i] {
-				wins++
-			}
-		}
-		pm, p1, p3 := summarize(v[0])
-		cm, c1, c3 := summarize(v[1])
-		fmt.Printf("%-30s %12s %25s %12s %25s %+7.1f%% %3d/%d\n", d.Name+" ("+d.Unit+")",
-			num(pm), "["+num(p1)+", "+num(p3)+"]", num(cm), "["+num(c1)+", "+num(c3)+"]",
-			100*(cm-pm)/pm, wins, pairs)
-	}
-	return nil
+	return values, nil
 }
 
 func sideName(side int) string { return [2]string{"parent", "change"}[side] }

@@ -157,9 +157,11 @@ type jacobiState struct {
 	global      float64 // last Allreduce result
 }
 
-// JacobiProgram builds the shared step-body program. iters and the
-// exchange/relax/reduce structure are identical for every rank; the
-// per-rank neighbours come from Call.
+// JacobiProgram builds the shared program. Every statement is built
+// here, once: the few per-iteration variants of the step body (with or
+// without the residual reduction, its pipelined wait, the LB gate) are
+// laid out per iteration in steps, and the ring neighbours are RecvFrom
+// operands read off the rank — so a rank running a step builds nothing.
 func JacobiProgram(cfg JacobiConfig) Proc {
 	pack := func(v float64) []byte {
 		b := make([]byte, cfg.HaloBytes)
@@ -172,16 +174,20 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 		}
 		return cfg.WorkNs * (1 + cfg.WorkSkew*float64(pc.rank)/float64(cfg.Ranks-1))
 	}
-	// One pipelined residual reduction site for overlap mode: the
-	// reducing iteration starts it after relaxing, the next iteration
-	// collects it under its own work (or the epilogue does, when the
-	// last iteration is the reducing one). One site suffices — at most
-	// one reduction is ever outstanding.
-	var arStart, arWait Proc
-	if cfg.Overlap && cfg.ReduceEvery > 0 {
-		arStart, arWait = Iallreduce("max",
-			func(pc *PC) float64 { return pc.Local.(*jacobiState).resid },
-			func(pc *PC, v float64) { pc.Local.(*jacobiState).global = v })
+	resid := func(pc *PC) float64 { return pc.Local.(*jacobiState).resid }
+	setGlobal := func(pc *PC, v float64) { pc.Local.(*jacobiState).global = v }
+	// One residual reduction site, shared by every rank and iteration.
+	// In overlap mode it is pipelined: the reducing iteration starts it
+	// after relaxing, the next iteration collects it under its own work
+	// (or the epilogue does, when the last iteration is the reducing
+	// one) — at most one reduction is ever outstanding.
+	var allreduce, arStart, arWait Proc
+	if cfg.ReduceEvery > 0 {
+		if cfg.Overlap {
+			arStart, arWait = Iallreduce("max", resid, setGlobal)
+		} else {
+			allreduce = Allreduce("max", resid, setGlobal)
+		}
 	}
 	sendHalos := Do(func(pc *PC) {
 		n := pc.Size()
@@ -189,56 +195,58 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 		pc.Send((pc.rank-1+n)%n, tagHaloLeft, pack(st.x))
 		pc.Send((pc.rank+1)%n, tagHaloRight, pack(st.x))
 	})
+	// The message my right neighbour sent "toward the left" is mine,
+	// and symmetrically for the left.
+	recvRight := RecvFrom(func(pc *PC) int { return (pc.rank + 1) % pc.Size() }, tagHaloLeft,
+		func(pc *PC, data []byte, _ int) { pc.Local.(*jacobiState).right = f64(data) })
+	recvLeft := RecvFrom(func(pc *PC) int { n := pc.Size(); return (pc.rank - 1 + n) % n }, tagHaloRight,
+		func(pc *PC, data []byte, _ int) { pc.Local.(*jacobiState).left = f64(data) })
 	relax := func(pc *PC) {
 		st := pc.Local.(*jacobiState)
 		next := (st.left + st.x + st.right) / 3
 		st.resid = math.Abs(next - st.x)
 		st.x = next
 	}
-	step := func(i int) Proc {
-		return Call(func(pc *PC) Proc {
-			n := pc.Size()
-			left := (pc.rank - 1 + n) % n
-			right := (pc.rank + 1) % n
-			// The message my right neighbour sent "toward the left"
-			// is mine, and symmetrically for the left.
-			recvRight := Recv(right, tagHaloLeft, func(pc *PC, data []byte, _ int) {
-				pc.Local.(*jacobiState).right = f64(data)
-			})
-			recvLeft := Recv(left, tagHaloRight, func(pc *PC, data []byte, _ int) {
-				pc.Local.(*jacobiState).left = f64(data)
-			})
-			reduceNow := cfg.ReduceEvery > 0 && (i+1)%cfg.ReduceEvery == 0
+	work := Do(func(pc *PC) { pc.Work(workOf(pc)) })
+	relaxThenWork := Do(func(pc *PC) {
+		relax(pc)
+		pc.Work(workOf(pc))
+	})
+	type variant struct{ collect, reduce, gate bool }
+	built := map[variant]Proc{}
+	steps := make([]Proc, cfg.Iters)
+	for i := range steps {
+		v := variant{
+			collect: cfg.Overlap && cfg.ReduceEvery > 0 && i > 0 && i%cfg.ReduceEvery == 0,
+			reduce:  cfg.ReduceEvery > 0 && (i+1)%cfg.ReduceEvery == 0,
+			gate:    cfg.MigrateAt > 0 && i+1 == cfg.MigrateAt,
+		}
+		if built[v] == nil {
 			var ps []Proc
 			if cfg.Overlap {
 				// Split-phase: halos fly while this iteration's work
 				// runs; the previous iteration's reduction (if any)
 				// completes under that work too.
-				ps = append(ps, sendHalos, Do(func(pc *PC) { pc.Work(workOf(pc)) }))
-				if cfg.ReduceEvery > 0 && i > 0 && i%cfg.ReduceEvery == 0 {
+				ps = append(ps, sendHalos, work)
+				if v.collect {
 					ps = append(ps, arWait)
 				}
 				ps = append(ps, recvRight, recvLeft, Do(relax))
-				if reduceNow {
+				if v.reduce {
 					ps = append(ps, arStart)
 				}
 			} else {
-				ps = append(ps, sendHalos, recvRight, recvLeft,
-					Do(func(pc *PC) {
-						relax(pc)
-						pc.Work(workOf(pc))
-					}))
-				if reduceNow {
-					ps = append(ps, Allreduce("max",
-						func(pc *PC) float64 { return pc.Local.(*jacobiState).resid },
-						func(pc *PC, v float64) { pc.Local.(*jacobiState).global = v }))
+				ps = append(ps, sendHalos, recvRight, recvLeft, relaxThenWork)
+				if v.reduce {
+					ps = append(ps, allreduce)
 				}
 			}
-			if cfg.MigrateAt > 0 && i+1 == cfg.MigrateAt {
+			if v.gate {
 				ps = append(ps, Migrate(cfg.LB))
 			}
-			return Seq(ps...)
-		})
+			built[v] = Seq(ps...)
+		}
+		steps[i] = built[v]
 	}
 	body := []Proc{
 		Do(func(pc *PC) {
@@ -246,7 +254,7 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 			pc.Local = &jacobiState{x: float64(pc.rank%97) / 97}
 			pc.UseStack(cfg.StackUse)
 		}),
-		For(cfg.Iters, step),
+		For(cfg.Iters, func(i int) Proc { return steps[i] }),
 	}
 	if cfg.Overlap && cfg.ReduceEvery > 0 && cfg.Iters%cfg.ReduceEvery == 0 {
 		// The last iteration started a reduction; collect it.

@@ -96,22 +96,23 @@ func (r *Rank) Waitall(qs []*Request) error {
 
 // CollRequest is a nonblocking-collective handle. After Wait, the
 // operation's result is in Value (reductions), Data (Bcast), or
-// Parts (Gather, root only). Value and Data double as the schedule's
-// accumulators, so before Wait returns they hold partial state.
+// Parts (Gather, root only).
 type CollRequest struct {
-	r      *Rank
-	acts   []collAct
-	next   int
-	finish func() // fixes up the result fields at completion (nil = nothing to do)
-	done   bool
+	r    *Rank
+	st   collState // the schedule, its cursor and its accumulator
+	done bool
 
 	Value float64  // Iallreduce / Ireduce (root) result
 	Data  []byte   // Ibcast result
 	Parts [][]byte // Igather result (root only)
 }
 
-// start runs the schedule's leading sends.
-func (q *CollRequest) start() (*CollRequest, error) {
+// icoll starts kind rooted at root from the accumulators preset in st:
+// it derives the rank's schedule and runs its leading sends.
+func (r *Rank) icoll(kind collKind, root int, st collState) (*CollRequest, error) {
+	q := &CollRequest{r: r, st: st}
+	q.st.kind = kind
+	q.st.parent, q.st.children = r.family(root)
 	if err := q.advance(false); err != nil {
 		return nil, err
 	}
@@ -123,29 +124,26 @@ func (q *CollRequest) start() (*CollRequest, error) {
 // receives block in schedule order — or, with block false (the start
 // half), stop the walk at the first one.
 func (q *CollRequest) advance(block bool) error {
-	for ; q.next < len(q.acts); q.next++ {
-		a := q.acts[q.next]
-		if a.send {
-			var payload []byte
-			if a.data != nil {
-				payload = a.data()
-			}
-			if err := q.r.sendEdge(a.peer, a.tag, payload); err != nil {
-				return err
-			}
-			continue
-		}
-		if !block {
+	for {
+		a, ok := q.st.at(q.st.next)
+		if !ok {
 			return nil
 		}
-		m := q.r.recv(a.peer, a.tag)
-		if a.on != nil {
-			if err := a.on(m.Data); err != nil {
+		if a.send {
+			if err := q.r.sendEdge(a.peer, a.tag, q.st.payload()); err != nil {
+				return err
+			}
+		} else {
+			if !block {
+				return nil
+			}
+			m := q.r.recv(a.peer, a.tag)
+			if err := q.st.absorb(a, m.Data, len(q.r.job.ranks)); err != nil {
 				return err
 			}
 		}
+		q.st.next++
 	}
-	return nil
 }
 
 // Wait completes the collective: remaining receives block (in
@@ -159,8 +157,19 @@ func (q *CollRequest) Wait() error {
 		return err
 	}
 	q.done = true
-	if q.finish != nil {
-		q.finish()
+	switch root := q.st.parent < 0; q.st.kind {
+	case collAllreduce:
+		q.Value = q.st.val
+	case collReduce:
+		if root { // only the root's accumulator is the result
+			q.Value = q.st.val
+		}
+	case collBcast:
+		q.Data = q.st.data
+	case collGather:
+		if root {
+			q.Parts = q.st.parts(len(q.r.job.ranks))
+		}
 	}
 	return nil
 }
@@ -171,9 +180,7 @@ func (q *CollRequest) Done() bool { return q.done }
 // Ibarrier starts a nonblocking barrier; Wait returns once every rank
 // has entered it.
 func (r *Rank) Ibarrier() (*CollRequest, error) {
-	parent, children := r.family(0)
-	q := &CollRequest{r: r, acts: barrierActs(parent, children)}
-	return q.start()
+	return r.icoll(collBarrier, 0, collState{})
 }
 
 // Iallreduce starts a nonblocking Allreduce of v under op ("sum",
@@ -183,10 +190,7 @@ func (r *Rank) Iallreduce(op string, v float64) (*CollRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	parent, children := r.family(0)
-	q := &CollRequest{r: r, Value: v}
-	q.acts = allreduceActs(parent, children, &q.Value, combine)
-	return q.start()
+	return r.icoll(collAllreduce, 0, collState{val: v, combine: combine})
 }
 
 // Ireduce starts a nonblocking Reduce at root; Wait fills Value on
@@ -199,14 +203,7 @@ func (r *Rank) Ireduce(root int, op string, v float64) (*CollRequest, error) {
 	if root < 0 || root >= len(r.job.ranks) {
 		return nil, fmt.Errorf("ampi: Reduce root %d of %d", root, len(r.job.ranks))
 	}
-	parent, children := r.family(root)
-	q := &CollRequest{r: r, Value: v}
-	q.acts = reduceActs(parent, children, &q.Value, combine)
-	if parent >= 0 {
-		// Only the root's accumulator is the result.
-		q.finish = func() { q.Value = 0 }
-	}
-	return q.start()
+	return r.icoll(collReduce, root, collState{val: v, combine: combine})
 }
 
 // Ibcast starts a nonblocking broadcast of root's data; Wait fills
@@ -215,10 +212,7 @@ func (r *Rank) Ibcast(root int, data []byte) (*CollRequest, error) {
 	if root < 0 || root >= len(r.job.ranks) {
 		return nil, fmt.Errorf("ampi: Bcast root %d of %d", root, len(r.job.ranks))
 	}
-	parent, children := r.family(root)
-	q := &CollRequest{r: r, Data: data}
-	q.acts = bcastActs(parent, children, &q.Data)
-	return q.start()
+	return r.icoll(collBcast, root, collState{data: data})
 }
 
 // Igather starts a nonblocking Gather at root; Wait fills Parts
@@ -227,16 +221,5 @@ func (r *Rank) Igather(root int, data []byte) (*CollRequest, error) {
 	if root < 0 || root >= len(r.job.ranks) {
 		return nil, fmt.Errorf("ampi: Gather root %d of %d", root, len(r.job.ranks))
 	}
-	parent, children := r.family(root)
-	entries := &[]gatherEntry{{rank: r.rank, data: data}}
-	q := &CollRequest{r: r, acts: gatherActs(parent, children, entries, len(r.job.ranks))}
-	if parent < 0 {
-		q.finish = func() {
-			q.Parts = make([][]byte, len(r.job.ranks))
-			for _, e := range *entries {
-				q.Parts[e.rank] = e.data
-			}
-		}
-	}
-	return q.start()
+	return r.icoll(collGather, root, collState{entries: []gatherEntry{{rank: r.rank, data: data}}})
 }

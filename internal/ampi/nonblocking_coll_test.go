@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -311,5 +312,37 @@ func TestNonblockingCollEquivalence(t *testing.T) {
 	if !(overlap[ranks-1].vt < serial[ranks-1].vt+extra) {
 		t.Errorf("overlap bought nothing: split VT %g vs blocking-then-work %g",
 			overlap[ranks-1].vt, serial[ranks-1].vt+extra)
+	}
+}
+
+// TestFinishWithCollectiveOutstanding: a program that starts a
+// nonblocking collective and never waits for it is a bug its peers
+// would otherwise pay for by hanging in theirs. Finishing names the
+// rank and the site, and the panic reaches whoever called Run — from a
+// rank's first activation (the bare start) as from one resumed by a
+// delivery (the ring exchange after it), in both modes.
+func TestFinishWithCollectiveOutstanding(t *testing.T) {
+	ring := Seq(
+		Do(func(pc *PC) { pc.Send((pc.Rank()+1)%pc.Size(), 0, nil) }),
+		RecvFrom(func(pc *PC) int { return (pc.Rank() + pc.Size() - 1) % pc.Size() }, 0, nil),
+	)
+	for _, mode := range []string{ModeULT, ModeEvent} {
+		for name, tail := range map[string]Proc{"first activation": Seq(), "after a delivery": ring} {
+			start, _ := Iallreduce("sum", func(*PC) float64 { return 1 }, nil)
+			m := newMachine(t, 2, nil)
+			job, err := NewProgram(m, 3, Options{Mode: mode, StackSize: 32 << 10}, Seq(start, tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				job.Run()
+			}()
+			msg := fmt.Sprint(got)
+			if got == nil || !strings.Contains(msg, "finished with Iallreduce outstanding") || !strings.Contains(msg, "ampi: rank ") {
+				t.Fatalf("%s, %s: Run returned %v, want a panic naming the rank and the Iallreduce site", mode, name, got)
+			}
+		}
 	}
 }

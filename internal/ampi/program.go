@@ -4,7 +4,9 @@ package ampi
 // events through continuations") applied to AMPI ranks. A Program is
 // an immutable tree of Proc combinators — Do/Seq/For/Recv/collectives
 // — shared by every rank of a job, the way bigsim.stepBody is shared
-// by both BigSim backends. The SAME tree is interpreted by two
+// by both BigSim backends. What differs per rank is an operand read off
+// the PC when a statement runs (RecvFrom, RecvEach, pc.Rank() in a Do),
+// so a step body is built once and running it builds nothing. The SAME tree is interpreted by two
 // backends selected with Options.Mode:
 //
 //   - ModeULT: each rank is a migratable user-level thread; Recv and
@@ -52,7 +54,8 @@ type Proc interface {
 type frame struct {
 	p Proc
 	// i is the cursor: Seq/For — index of the NEXT child (the running
-	// one is i-1); Waitall — next request; Migrate — gate entered.
+	// one is i-1); RecvEach — index of the source being waited for;
+	// Waitall — next request; Migrate — gate entered.
 	i    int
 	reqs []*Req // Waitall's list, evaluated on entry: the only leaf state
 }
@@ -107,11 +110,12 @@ type PC struct {
 	// completes.
 	Local any
 
-	// colls holds the rank's in-flight nonblocking collectives, keyed
-	// by their program-tree site (collDef). Like Local it rides the
-	// rank's slot by reference, so an outstanding collective survives
-	// migration between its start and wait halves.
-	colls map[*collDef]*collRun
+	// colls lists the rank's collective runs, one per program-tree site
+	// it has started (collRun). Like Local it rides the rank's slot by
+	// reference, so an outstanding collective survives migration between
+	// its start and wait halves. One pointer: the slot does not grow
+	// with the number of sites.
+	colls *collRun
 
 	be backend
 
@@ -131,7 +135,9 @@ func (pc *PC) start(prog Proc) {
 // program completes (true) or a step parks the rank (false), leaving
 // the stack as the resume point for the next call — a ULT rank makes
 // one call, from its thread; an event rank one per activation. Popped
-// frames are zeroed so what they held is collectable mid-run.
+// frames are zeroed so what they held is collectable mid-run. Finishing
+// with a collective started and never waited for is a program bug that
+// would leave the peers hanging in theirs, so it panics by name.
 func (pc *PC) exec() bool {
 	for n := len(pc.stack); n > 0; n = len(pc.stack) {
 		f := &pc.stack[n-1]
@@ -145,6 +151,9 @@ func (pc *PC) exec() bool {
 		} else if !done {
 			return false
 		}
+	}
+	if site := pc.outstanding(); site != nil {
+		panic(fmt.Sprintf("ampi: rank %d finished with %s outstanding", pc.rank, site.name))
 	}
 	pc.stack, pc.colls = nil, nil
 	return true
@@ -320,10 +329,14 @@ func (l forProc) step(_ *PC, f *frame) (Proc, bool) {
 type callProc struct{ gen func(*PC) Proc }
 
 // Call generates a statement per rank at run time — how one shared
-// program expresses rank-dependent structure (a tree collective's
-// node has its own parent and children; closures generated here carry
-// per-execution state safely). gen must depend on the rank and its tree
-// position only: a cross-process install calls it again (rebuildStack).
+// program expresses rank-dependent STRUCTURE (Scatter's root runs a
+// different statement from everyone else; closures generated here carry
+// per-execution state safely). It is the slow path: every execution
+// builds and allocates its statements again, so a step body that only
+// needs a rank-dependent operand uses RecvFrom/RecvEach (or reads
+// pc.Rank() inside a Do) over a tree built once. gen must be pure in
+// the rank and its tree position: a cross-process install calls it
+// again, before Local is installed (rebuildStack).
 func Call(gen func(*PC) Proc) Proc { return callProc{gen} }
 
 // step is a tail call: a Call never appears in a resume point.
@@ -333,6 +346,7 @@ func (c callProc) step(pc *PC, _ *frame) (Proc, bool) {
 
 type recvProc struct {
 	src, tag int
+	srcOf    func(*PC) int // RecvFrom: the source, per rank (nil = src)
 	then     func(pc *PC, data []byte, from int)
 }
 
@@ -343,14 +357,61 @@ func Recv(src, tag int, then func(pc *PC, data []byte, from int)) Proc {
 	return recvProc{src: src, tag: tag, then: then}
 }
 
+// RecvFrom is Recv with the source a function of the rank, evaluated
+// when the statement runs — so one statement, built once, serves every
+// rank and every iteration (a ring's "my left neighbour"). src carries
+// Call's contract: pure in the rank and the statement's tree position,
+// and a cross-process install calls it again before Local is installed.
+func RecvFrom(src func(*PC) int, tag int, then func(pc *PC, data []byte, from int)) Proc {
+	return recvProc{srcOf: src, tag: tag, then: then}
+}
+
+// source resolves the statement's source for pc.
+func (r recvProc) source(pc *PC) int {
+	if r.srcOf != nil {
+		return r.srcOf(pc)
+	}
+	return r.src
+}
+
 func (r recvProc) step(pc *PC, _ *frame) (Proc, bool) {
-	m := pc.be.recv(pc, r.src, r.tag)
+	m := pc.be.recv(pc, r.source(pc), r.tag)
 	if m == nil {
 		return nil, false
 	}
 	pc.consume(m)
 	if r.then != nil {
 		r.then(pc, m.Data, pc.job.senderOf(m.From))
+	}
+	return nil, true
+}
+
+type recvEachProc struct {
+	srcs func(*PC) []int
+	tag  int
+	then func(pc *PC, data []byte, from int)
+}
+
+// RecvEach receives one message with tag from each rank of srcs(pc), in
+// that order (a source listed twice is received from twice), running
+// then (if non-nil) after each — a zone's whole halo intake as one
+// statement built once. srcs carries RecvFrom's contract and is read
+// again on every resume, so the frame stays (statement, cursor); the
+// slice it returns is only read.
+func RecvEach(srcs func(*PC) []int, tag int, then func(pc *PC, data []byte, from int)) Proc {
+	return recvEachProc{srcs: srcs, tag: tag, then: then}
+}
+
+func (r recvEachProc) step(pc *PC, f *frame) (Proc, bool) {
+	for srcs := r.srcs(pc); f.i < len(srcs); f.i++ {
+		m := pc.be.recv(pc, srcs[f.i], r.tag)
+		if m == nil {
+			return nil, false
+		}
+		pc.consume(m)
+		if r.then != nil {
+			r.then(pc, m.Data, pc.job.senderOf(m.From))
+		}
 	}
 	return nil, true
 }
@@ -428,14 +489,6 @@ func Sendrecv(dest, sendTag int, data func(*PC) []byte, src, recvTag int, then f
 // CollFlat selects the paper-era flat topology: the same schedule over
 // a one-level star, the root receiving in rank order.
 
-// family returns pc's parent and children in the job's collective
-// topology rooted at root: the k-ary tree for CollTree, the
-// topology-aware tree for CollTopoTree, or the one-level star for
-// CollFlat.
-func family(pc *PC, root int) (parent int, children []int) {
-	return collFamily(pc.rank, pc.Size(), &pc.job.opts, root)
-}
-
 // Every collective executes a collective schedule (tree.go): a fixed
 // per-rank sequence of tree-edge sends and receives. The blocking
 // form is literally its nonblocking start half followed immediately
@@ -452,73 +505,73 @@ func family(pc *PC, root int) (parent int, children []int) {
 // consume the in-flight contributions. Different kinds interleave
 // freely.
 
-// collDef identifies one collective site in the program tree. Each
-// rank keys its in-flight run state by the site, so one shared
-// definition serves every rank and every loop iteration.
-type collDef struct{ name string }
+// collSite is one collective site in the program tree: everything
+// about the operation that is the same for every rank and every
+// execution. begin loads the rank's contribution into a fresh run's
+// accumulator; end (nil = nothing to deliver) hands the result to the
+// program's then.
+type collSite struct {
+	name    string
+	kind    collKind
+	root    int
+	combine func(a, b float64) float64
+	begin   func(*PC, *collState)
+	end     func(*PC, *collState)
+}
 
-// collRun is one rank's in-flight collective: the schedule, the
-// cursor, and the completion callback.
+// collRun is one rank's state at one site, found by site pointer on
+// the rank's list (PC.colls). It is made by the site's first start and
+// kept: the schedule is a pure function of (rank, site), so later
+// executions reset the cursor and allocate nothing.
 type collRun struct {
-	acts   []collAct
-	next   int
-	finish func(*PC)
+	collState
+	site   *collSite
+	active bool // started, wait not yet complete
+	link   *collRun
 }
 
-// sendPrefix executes the schedule's pending leading sends.
-func (run *collRun) sendPrefix(pc *PC) {
-	for run.next < len(run.acts) && run.acts[run.next].send {
-		a := run.acts[run.next]
-		var payload []byte
-		if a.data != nil {
-			payload = a.data()
+// collAt returns the rank's run at site, or nil before its first start.
+func (pc *PC) collAt(site *collSite) *collRun {
+	for run := pc.colls; run != nil; run = run.link {
+		if run.site == site {
+			return run
 		}
-		pc.sendEdge(a.peer, a.tag, payload)
-		run.next++
 	}
+	return nil
 }
 
-// startColl registers the run under its site and fires its leading
-// sends — with eager buffering the rank's contribution is in flight
-// before the start Proc completes.
-func (pc *PC) startColl(d *collDef, run *collRun) {
-	if pc.colls == nil {
-		pc.colls = make(map[*collDef]*collRun)
+// outstanding returns a site the rank has started and not waited for,
+// or nil.
+func (pc *PC) outstanding() *collSite {
+	for run := pc.colls; run != nil; run = run.link {
+		if run.active {
+			return run.site
+		}
 	}
-	if _, dup := pc.colls[d]; dup {
-		panic(fmt.Sprintf("ampi: rank %d: %s started again before its wait completed", pc.rank, d.name))
-	}
-	run.sendPrefix(pc)
-	pc.colls[d] = run
+	return nil
 }
 
-// collWaitProc completes a started collective: remaining receives
-// park the flow one at a time, dependent sends go out, and finish
-// delivers the result. Progress is the collRun's cursor, not the frame's.
-type collWaitProc struct{ d *collDef }
-
-func (wp collWaitProc) step(pc *PC, _ *frame) (Proc, bool) {
-	run, ok := pc.colls[wp.d]
-	if !ok {
-		panic(fmt.Sprintf("ampi: rank %d: wait for %s with no matching start", pc.rank, wp.d.name))
-	}
+// advance executes the schedule from the cursor and reports whether it
+// reached the end: sends go out, receives park the flow one at a time
+// — or, with block false (the start half), stop the walk at the first.
+func (run *collRun) advance(pc *PC, block bool) bool {
 	for {
-		run.sendPrefix(pc)
-		if run.next >= len(run.acts) {
-			delete(pc.colls, wp.d)
-			if run.finish != nil {
-				run.finish(pc)
+		a, ok := run.at(run.next)
+		if !ok {
+			return true
+		}
+		if a.send {
+			pc.sendEdge(a.peer, a.tag, run.payload())
+		} else {
+			if !block {
+				return false
 			}
-			return nil, true
-		}
-		a := run.acts[run.next]
-		m := pc.be.recv(pc, a.peer, a.tag)
-		if m == nil {
-			return nil, false
-		}
-		pc.consume(m)
-		if a.on != nil {
-			if err := a.on(m.Data); err != nil {
+			m := pc.be.recv(pc, a.peer, a.tag)
+			if m == nil {
+				return false
+			}
+			pc.consume(m)
+			if err := run.absorb(a, m.Data, pc.Size()); err != nil {
 				panic(err)
 			}
 		}
@@ -526,102 +579,133 @@ func (wp collWaitProc) step(pc *PC, _ *frame) (Proc, bool) {
 	}
 }
 
-// icoll builds a (start, wait) Proc pair around a run constructor.
-func icoll(name string, build func(*PC) *collRun) (start, wait Proc) {
-	d := &collDef{name}
-	return Do(func(pc *PC) { pc.startColl(d, build(pc)) }), collWaitProc{d}
-}
+// collStartProc is a collective's start half: it loads the rank's
+// contribution and fires the schedule's leading sends — with eager
+// buffering the contribution is in flight before the statement
+// completes.
+type collStartProc struct{ site *collSite }
 
-func barrierRun(pc *PC) *collRun {
-	parent, children := family(pc, 0)
-	return &collRun{acts: barrierActs(parent, children)}
-}
-
-func reduceRun(pc *PC, root int, op string, val func(*PC) float64, then func(*PC, float64)) *collRun {
-	combine := mustCombiner(op)
-	parent, children := family(pc, root)
-	acc := new(float64)
-	*acc = val(pc)
-	run := &collRun{acts: reduceActs(parent, children, acc, combine)}
-	if then != nil && parent < 0 {
-		run.finish = func(pc *PC) { then(pc, *acc) }
+func (sp collStartProc) step(pc *PC, _ *frame) (Proc, bool) {
+	site := sp.site
+	run := pc.collAt(site)
+	if run == nil {
+		run = &collRun{site: site, link: pc.colls}
+		run.kind, run.combine = site.kind, site.combine
+		run.parent, run.children = collFamily(pc.rank, pc.Size(), &pc.job.opts, site.root)
+		pc.colls = run
+	} else if run.active {
+		panic(fmt.Sprintf("ampi: rank %d: %s started again before its wait completed", pc.rank, site.name))
 	}
-	return run
+	run.active, run.next = true, 0
+	if site.begin != nil {
+		site.begin(pc, &run.collState)
+	}
+	run.advance(pc, false)
+	return nil, true
 }
 
-func allreduceRun(pc *PC, op string, val func(*PC) float64, then func(*PC, float64)) *collRun {
-	combine := mustCombiner(op)
-	parent, children := family(pc, 0)
-	acc := new(float64)
-	*acc = val(pc)
-	run := &collRun{acts: allreduceActs(parent, children, acc, combine)}
+// collWaitProc completes a started collective: remaining receives
+// park the flow one at a time, dependent sends go out, and the site's
+// end delivers the result. Progress is the run's cursor, not the
+// frame's.
+type collWaitProc struct{ site *collSite }
+
+func (wp collWaitProc) step(pc *PC, _ *frame) (Proc, bool) {
+	run := pc.collAt(wp.site)
+	if run == nil || !run.active {
+		panic(fmt.Sprintf("ampi: rank %d: wait for %s with no matching start", pc.rank, wp.site.name))
+	}
+	if !run.advance(pc, true) {
+		return nil, false
+	}
+	run.active = false
+	if wp.site.end != nil {
+		wp.site.end(pc, &run.collState)
+	}
+	run.data, run.entries = nil, nil // the payloads are the program's now
+	return nil, true
+}
+
+// icoll is a site's (start, wait) pair; blocking is the two in sequence.
+func icoll(site *collSite) (start, wait Proc) {
+	return collStartProc{site}, collWaitProc{site}
+}
+
+func blocking(site *collSite) Proc {
+	start, wait := icoll(site)
+	return Seq(start, wait)
+}
+
+func barrierSite(name string) *collSite {
+	return &collSite{name: name, kind: collBarrier}
+}
+
+func reduceSite(name string, kind collKind, root int, op string, val func(*PC) float64, then func(*PC, float64)) *collSite {
+	site := &collSite{name: name, kind: kind, root: root, combine: mustCombiner(op),
+		begin: func(pc *PC, st *collState) { st.val = val(pc) }}
 	if then != nil {
-		run.finish = func(pc *PC) { then(pc, *acc) }
-	}
-	return run
-}
-
-func bcastRun(pc *PC, root int, val func(*PC) []byte, then func(*PC, []byte)) *collRun {
-	parent, children := family(pc, root)
-	data := new([]byte)
-	if parent < 0 {
-		*data = val(pc)
-	}
-	run := &collRun{acts: bcastActs(parent, children, data)}
-	if then != nil {
-		run.finish = func(pc *PC) { then(pc, *data) }
-	}
-	return run
-}
-
-func gatherRun(pc *PC, root int, val func(*PC) []byte, then func(*PC, [][]byte)) *collRun {
-	parent, children := family(pc, root)
-	entries := &[]gatherEntry{{rank: pc.rank, data: val(pc)}}
-	run := &collRun{acts: gatherActs(parent, children, entries, pc.Size())}
-	if then != nil && parent < 0 {
-		run.finish = func(pc *PC) {
-			out := make([][]byte, pc.Size())
-			for _, e := range *entries {
-				out[e.rank] = e.data
+		site.end = func(pc *PC, st *collState) {
+			if kind == collAllreduce || st.parent < 0 {
+				then(pc, st.val)
 			}
-			then(pc, out)
 		}
 	}
-	return run
+	return site
+}
+
+func bcastSite(name string, root int, val func(*PC) []byte, then func(*PC, []byte)) *collSite {
+	site := &collSite{name: name, kind: collBcast, root: root,
+		begin: func(pc *PC, st *collState) {
+			if st.parent < 0 {
+				st.data = val(pc)
+			}
+		}}
+	if then != nil {
+		site.end = func(pc *PC, st *collState) { then(pc, st.data) }
+	}
+	return site
+}
+
+func gatherSite(name string, root int, val func(*PC) []byte, then func(*PC, [][]byte)) *collSite {
+	site := &collSite{name: name, kind: collGather, root: root,
+		begin: func(pc *PC, st *collState) {
+			st.entries = []gatherEntry{{rank: pc.rank, data: val(pc)}}
+		}}
+	if then != nil {
+		site.end = func(pc *PC, st *collState) {
+			if st.parent < 0 {
+				then(pc, st.parts(pc.Size()))
+			}
+		}
+	}
+	return site
 }
 
 // Barrier blocks until every rank has entered it: arrivals combine up
 // the topology, the release broadcasts down.
-func Barrier() Proc {
-	start, wait := icoll("Barrier", barrierRun)
-	return Seq(start, wait)
-}
+func Barrier() Proc { return blocking(barrierSite("Barrier")) }
 
 // Ibarrier is the nonblocking Barrier: start fires the rank's arrival
 // up the tree, wait blocks until the release comes down. Statements
 // between the two run while other ranks are still arriving.
-func Ibarrier() (start, wait Proc) {
-	return icoll("Ibarrier", barrierRun)
-}
+func Ibarrier() (start, wait Proc) { return icoll(barrierSite("Ibarrier")) }
 
 // Reduce combines every rank's value (from val) at root with op
 // ("sum", "max", "min"); then runs on root only.
 func Reduce(root int, op string, val func(*PC) float64, then func(*PC, float64)) Proc {
-	start, wait := icoll("Reduce", func(pc *PC) *collRun { return reduceRun(pc, root, op, val, then) })
-	return Seq(start, wait)
+	return blocking(reduceSite("Reduce", collReduce, root, op, val, then))
 }
 
 // Ireduce is the nonblocking Reduce: val is read at start, then runs
 // (on root) at wait.
 func Ireduce(root int, op string, val func(*PC) float64, then func(*PC, float64)) (start, wait Proc) {
-	return icoll("Ireduce", func(pc *PC) *collRun { return reduceRun(pc, root, op, val, then) })
+	return icoll(reduceSite("Ireduce", collReduce, root, op, val, then))
 }
 
 // Allreduce combines every rank's value with op and delivers the
 // result to then on every rank.
 func Allreduce(op string, val func(*PC) float64, then func(*PC, float64)) Proc {
-	start, wait := icoll("Allreduce", func(pc *PC) *collRun { return allreduceRun(pc, op, val, then) })
-	return Seq(start, wait)
+	return blocking(reduceSite("Allreduce", collAllreduce, 0, op, val, then))
 }
 
 // Iallreduce is the nonblocking Allreduce: val is read at start (a
@@ -629,34 +713,32 @@ func Allreduce(op string, val func(*PC) float64, then func(*PC, float64)) Proc {
 // runs with the combined result at wait — so Work placed between the
 // two halves overlaps the reduction's tree latency.
 func Iallreduce(op string, val func(*PC) float64, then func(*PC, float64)) (start, wait Proc) {
-	return icoll("Iallreduce", func(pc *PC) *collRun { return allreduceRun(pc, op, val, then) })
+	return icoll(reduceSite("Iallreduce", collAllreduce, 0, op, val, then))
 }
 
 // Bcast broadcasts root's data (from val, called on root only) down
 // the topology; then runs on every rank with the received copy.
 func Bcast(root int, val func(*PC) []byte, then func(*PC, []byte)) Proc {
-	start, wait := icoll("Bcast", func(pc *PC) *collRun { return bcastRun(pc, root, val, then) })
-	return Seq(start, wait)
+	return blocking(bcastSite("Bcast", root, val, then))
 }
 
 // Ibcast is the nonblocking Bcast: root's sends fire at start, every
 // rank's then runs at wait.
 func Ibcast(root int, val func(*PC) []byte, then func(*PC, []byte)) (start, wait Proc) {
-	return icoll("Ibcast", func(pc *PC) *collRun { return bcastRun(pc, root, val, then) })
+	return icoll(bcastSite("Ibcast", root, val, then))
 }
 
 // Gather collects every rank's data (from val) at root, indexed by
 // rank; then runs on root only. Subtrees pack their entries into one
-// message per edge (gatherActs).
+// message per edge.
 func Gather(root int, val func(*PC) []byte, then func(*PC, [][]byte)) Proc {
-	start, wait := icoll("Gather", func(pc *PC) *collRun { return gatherRun(pc, root, val, then) })
-	return Seq(start, wait)
+	return blocking(gatherSite("Gather", root, val, then))
 }
 
 // Igather is the nonblocking Gather: leaf contributions fire at
 // start, the root's then runs at wait.
 func Igather(root int, val func(*PC) []byte, then func(*PC, [][]byte)) (start, wait Proc) {
-	return icoll("Igather", func(pc *PC) *collRun { return gatherRun(pc, root, val, then) })
+	return icoll(gatherSite("Igather", root, val, then))
 }
 
 // Scatter distributes chunks (from val, called on root only; one

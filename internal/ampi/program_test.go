@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"migflow/internal/loadbalance"
 )
@@ -112,7 +114,7 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 		pc.Local = &mixState{x: float64(pc.rank + 1)}
 	}))
 	for p := 0; p < phases; p++ {
-		switch rng.Intn(9) {
+		switch rng.Intn(11) {
 		case 0: // ring exchange via Sendrecv
 			tagA := rng.Intn(4)
 			ps = append(ps, Call(func(pc *PC) Proc {
@@ -211,6 +213,32 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 					}
 					acc(pc, s)
 				}))
+		case 9: // ring exchange over a static tree: the neighbour is a RecvFrom operand
+			tag := rng.Intn(4)
+			ps = append(ps,
+				Do(func(pc *PC) { pc.Send((pc.rank+1)%pc.Size(), tag, f64bytes(pc.Local.(*mixState).x)) }),
+				RecvFrom(func(pc *PC) int { return (pc.rank - 1 + pc.Size()) % pc.Size() }, tag,
+					func(pc *PC, data []byte, from int) { acc(pc, f64(data)+float64(from)) }))
+		case 10: // multi-source intake as one RecvEach, one source listed twice
+			tag := 4 + rng.Intn(4)
+			hops := []int{1, 1 + rng.Intn(3), 1} // rank r sends to r+hops[k], in this order
+			srcs := make([][]int, size)
+			for r := range srcs {
+				for _, h := range hops {
+					srcs[(r+h)%size] = append(srcs[(r+h)%size], r)
+				}
+			}
+			for r := range srcs {
+				sort.Ints(srcs[r])
+			}
+			ps = append(ps,
+				Do(func(pc *PC) {
+					for k, h := range hops {
+						pc.Send((pc.rank+h)%pc.Size(), tag, f64bytes(pc.Local.(*mixState).x+float64(k)))
+					}
+				}),
+				RecvEach(func(pc *PC) []int { return srcs[pc.rank] }, tag,
+					func(pc *PC, data []byte, from int) { acc(pc, f64(data)*float64(from+1)) }))
 		}
 		if s, ok := gates[p]; ok {
 			ps = append(ps, Migrate(s))
@@ -327,6 +355,51 @@ func TestInterpreterBackedgeAllocatesNothing(t *testing.T) {
 		t.Logf("%s: %d iterations, %d allocations", mode, iters, allocs)
 		if allocs > 512 {
 			t.Fatalf("%s: %d iterations allocated %d objects, want O(1)", mode, iters, allocs)
+		}
+	}
+}
+
+// TestSteadyStateStepAllocations pins "a rank-step builds no program".
+// Once a rank has made its first pass (frame stack, Local, mailbox,
+// its collective run and schedule), a Jacobi step allocates its
+// messages and their payloads and nothing else: the difference between
+// a 2- and a 10-iteration run, per rank-step, stays within one
+// allocation of that count. A per-step Call, a rebuilt Recv or a
+// per-execution collective closure each cost several. The slot a rank
+// occupies is pinned too — the collective list is one pointer in it.
+func TestSteadyStateStepAllocations(t *testing.T) {
+	if got := unsafe.Sizeof(eventRank{}); got != 224 {
+		t.Errorf("eventRank is %d bytes, want 224: the per-rank slot changed size", got)
+	}
+	const ranks, short, long = 4096, 2, 10
+	for _, overlap := range []bool{false, true} {
+		run := func(iters int) (mallocs, msgs uint64) {
+			m, job, err := NewJacobi(JacobiConfig{
+				Ranks: ranks, Iters: iters, PEs: 4, Mode: ModeEvent,
+				ReduceEvery: 2, Overlap: overlap, BlockPlacement: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			job.Run()
+			runtime.ReadMemStats(&after)
+			if !job.Done() {
+				t.Fatalf("overlap=%v: %d-iteration job did not complete", overlap, iters)
+			}
+			return after.Mallocs - before.Mallocs, m.Network().Snapshot().Sent
+		}
+		m0, s0 := run(short)
+		m1, s1 := run(long)
+		steps := float64(ranks * (long - short))
+		perStep := float64(m1-m0) / steps
+		// Every Jacobi message (halo or reduction edge) is one
+		// comm.Message and one freshly packed payload.
+		bound := 2*float64(s1-s0)/steps + 1
+		t.Logf("overlap=%v: %.2f allocations per steady-state rank-step (messages + payloads = %.2f)", overlap, perStep, bound-1)
+		if perStep > bound {
+			t.Errorf("overlap=%v: %.2f allocations per steady-state rank-step, want ≤ %.2f", overlap, perStep, bound)
 		}
 	}
 }

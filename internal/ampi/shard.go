@@ -9,20 +9,23 @@ package ampi
 //
 //   - the rank's tree PATH — the stack's cursors, read off at extract
 //     time: for every Seq/For frame, outermost first, the index of the
-//     child the rank is inside (cursor-1); a Call never leaves a frame
-//     and the innermost one, the Recv, has no cursor. Because every
-//     worker holds the identical tree, the destination rebuilds the
-//     stack by one validating descent from the root (rebuildStack).
-//     Only Call generators and For bodies run during it, and they only
-//     build statements, so no completed work re-runs and virtual time
-//     is untouched.
+//     child the rank is inside (cursor-1); a Call never leaves a frame;
+//     the innermost frame adds nothing if it is a Recv/RecvFrom and its
+//     cursor — the index of the source being waited for — if it is a
+//     RecvEach. Because every worker holds the identical tree, the
+//     destination rebuilds the stack by one validating descent from the
+//     root (rebuildStack). Only Call generators, For bodies and the
+//     RecvFrom/RecvEach operand functions run during it, and they only
+//     build statements or name ranks, so no completed work re-runs and
+//     virtual time is untouched.
 //   - the blocked Recv's match spec, virtual time, measured load, and
 //     buffered messages (the same fields eventRecord pups).
 //   - pc.Local, serialized by the program's Options.LocalPUP hook.
 //
-// Only a rank parked at a plain Recv can cross: a Waitall frame's
-// request list and a collective's accumulator in pc.colls have no wire
-// form yet, so ShardExtract refuses.
+// Only a rank parked at a plain receive (Recv, RecvFrom, RecvEach) can
+// cross: a Waitall frame's request list and an outstanding collective's
+// cursor and accumulator have no wire form yet, so ShardExtract
+// refuses.
 //
 // Protocol (driven by the shard orchestration layer): the source
 // worker calls ShardExtract — which atomically flips the directory,
@@ -84,18 +87,22 @@ func (j *Job) ShardMigratable(r int) bool {
 }
 
 // shippableLocked says why a record cannot describe the rank right
-// now, or nil: it must be unfinished and parked with a plain Recv as
-// its innermost frame, hold no in-flight collective, and keep no
+// now, or nil: it must be unfinished and parked with a plain receive
+// as its innermost frame, hold no in-flight collective, and keep no
 // program state the job cannot serialize. Read off the stack, not
 // tracked. er.mu held.
 func (e *eventEngine) shippableLocked(er *eventRank) error {
-	_, atRecv := er.pc.parkedIn().(recvProc)
+	atRecv := false
+	switch er.pc.parkedIn().(type) {
+	case recvProc, recvEachProc:
+		atRecv = true
+	}
 	switch {
 	case er.done:
 		return fmt.Errorf("already finished")
 	case !atRecv || !er.hasWait:
 		return fmt.Errorf("not parked at a plain Recv")
-	case len(er.pc.colls) != 0:
+	case er.pc.outstanding() != nil:
 		return fmt.Errorf("has in-flight nonblocking collectives")
 	case er.pc.Local != nil && e.job.opts.LocalPUP == nil:
 		return fmt.Errorf("has program state but the job has no LocalPUP")
@@ -148,7 +155,7 @@ func (j *Job) ShardExtract(rank, toPE int) ([]byte, error) {
 	}
 	e.pes[rank].Store(int32(toPE))
 	e.migEpoch.Add(1)
-	er.hasWait, er.pc.stack = false, nil
+	er.hasWait, er.pc.stack, er.pc.colls = false, nil, nil
 	er.waiting = matchSpec{}
 	er.mbox, er.head = nil, 0
 	er.sendSeq, er.recvSeq, er.held = nil, nil, nil
@@ -270,55 +277,78 @@ func (j *Job) ShardInstall(data []byte) (int, error) {
 
 // treePath reads the rank's tree coordinates off its stack: for every
 // Seq/For frame, outermost first, the index of the child the rank is
-// inside.
+// inside, then a RecvEach's cursor.
 func (pc *PC) treePath() []int {
 	var path []int
 	for i := range pc.stack {
 		switch pc.stack[i].p.(type) {
 		case seqProc, forProc:
 			path = append(path, pc.stack[i].i-1)
+		case recvEachProc:
+			path = append(path, pc.stack[i].i)
 		}
 	}
 	return path
 }
 
 // rebuildStack is treePath's inverse: one descent of prog that turns a
-// shipped path back into the stack of a rank parked at a plain Recv.
+// shipped path back into the stack of a rank parked at a plain receive.
 // The path crossed an untrusted wire: every index is checked against
-// the arity of its Seq/For, the path must be used up exactly on arrival
-// at a Recv, and that Recv must be the one the record waits in.
+// the arity of its Seq/For/RecvEach, the path must be used up exactly
+// on arrival at the receive, and the (src, tag) it resolves to there —
+// the operand functions run on pc, whose Local is not installed yet —
+// must be the one the record waits for.
 func (pc *PC) rebuildStack(prog Proc, path []int, want matchSpec) ([]frame, error) {
 	stack := make([]frame, 0, len(path)+1)
-	for p := prog; ; {
-		var arity int
-		var child func(i int) Proc
-		switch s := p.(type) {
-		case callProc:
-			p = s.gen(pc)
-			continue
-		case recvProc:
-			if len(path) != 0 {
-				return nil, fmt.Errorf("tree path reaches a Recv with %d frames unused", len(path))
-			}
-			if got := (matchSpec{src: s.src, tag: s.tag}); got != want {
-				return nil, fmt.Errorf("tree path leads to Recv(%d, %d) but the record waits for (%d, %d)", got.src, got.tag, want.src, want.tag)
-			}
-			return append(stack, frame{p: p}), nil
-		case seqProc:
-			arity, child = len(s.ps), func(i int) Proc { return s.ps[i] }
-		case forProc:
-			arity, child = s.n, s.body
-		default:
-			return nil, fmt.Errorf("tree path leads to %T, not a plain Recv", p)
-		}
+	// index takes the next path entry as an index into arity-way p.
+	index := func(p Proc, arity int) (int, error) {
 		if len(path) == 0 {
-			return nil, fmt.Errorf("tree path ends inside a %d-way %T at depth %d", arity, p, len(stack))
+			return 0, fmt.Errorf("tree path ends inside a %d-way %T at depth %d", arity, p, len(stack))
 		}
 		i := path[0]
 		if i < 0 || i >= arity {
-			return nil, fmt.Errorf("tree path index %d at depth %d is outside a %d-way %T", i, len(stack), arity, p)
+			return 0, fmt.Errorf("tree path index %d at depth %d is outside a %d-way %T", i, len(stack), arity, p)
 		}
-		stack, path, p = append(stack, frame{p: p, i: i + 1}), path[1:], child(i)
+		path = path[1:]
+		return i, nil
+	}
+	// arrive ends the descent at receive p, which resolves to got.
+	arrive := func(p Proc, cursor int, got matchSpec) ([]frame, error) {
+		if len(path) != 0 {
+			return nil, fmt.Errorf("tree path reaches a Recv with %d frames unused", len(path))
+		}
+		if got != want {
+			return nil, fmt.Errorf("tree path leads to Recv(%d, %d) but the record waits for (%d, %d)", got.src, got.tag, want.src, want.tag)
+		}
+		return append(stack, frame{p: p, i: cursor}), nil
+	}
+	for p := prog; ; {
+		var i int
+		var err error
+		switch s := p.(type) {
+		case callProc:
+			p = s.gen(pc)
+		case recvProc:
+			return arrive(p, 0, matchSpec{src: s.source(pc), tag: s.tag})
+		case recvEachProc:
+			srcs := s.srcs(pc)
+			if i, err = index(p, len(srcs)); err != nil {
+				return nil, err
+			}
+			return arrive(p, i, matchSpec{src: srcs[i], tag: s.tag})
+		case seqProc:
+			if i, err = index(p, len(s.ps)); err != nil {
+				return nil, err
+			}
+			stack, p = append(stack, frame{p: p, i: i + 1}), s.ps[i]
+		case forProc:
+			if i, err = index(p, s.n); err != nil {
+				return nil, err
+			}
+			stack, p = append(stack, frame{p: p, i: i + 1}), s.body(i)
+		default:
+			return nil, fmt.Errorf("tree path leads to %T, not a plain Recv", p)
+		}
 	}
 }
 

@@ -36,12 +36,11 @@ func treeFamily(rank, n, k, root int) (parent int, children []int) {
 	if rel != 0 {
 		parent = ((rel-1)/k + root) % n
 	}
-	for i := 1; i <= k; i++ {
-		c := k*rel + i
-		if c >= n {
-			break
+	if first := k*rel + 1; first < n {
+		children = make([]int, min(k, n-first))
+		for i := range children {
+			children[i] = (first + i + root) % n
 		}
-		children = append(children, (c+root)%n)
 	}
 	return parent, children
 }
@@ -194,119 +193,141 @@ func (r *Rank) family(root int) (parent int, children []int) {
 //
 // A collective, for one rank, is a fixed sequence of edge actions:
 // sends to and receives from its family, in an order that encodes the
-// up-combine/down-broadcast dance. The builders below emit that
-// sequence once; the thread requests (CollRequest, nonblocking.go) and
-// both program backends (collWaitProc, program.go) execute the same
-// schedule, and a blocking collective IS its nonblocking start
-// followed immediately by its wait — which is what makes the two
-// forms bit-identical by construction.
+// up-combine/down-broadcast dance. Nothing is built per execution: the
+// schedule is three values (kind, parent, children) and action i is
+// derived from the cursor. The thread requests (CollRequest,
+// nonblocking.go) and both program backends (collRun, program.go)
+// execute the same collState, and a blocking collective IS its
+// nonblocking start followed immediately by its wait — which is what
+// makes the two forms bit-identical by construction.
 
-// collAct is one edge action of a collective schedule. Send payloads
-// are computed at execution time (an up-phase send depends on data
-// combined from earlier receives); receive handlers fold the payload
-// into the rank's accumulator.
+// collKind names a collective's dance: which of the two phases it has
+// and the tag each runs under.
+type collKind uint8
+
+const (
+	collBarrier   collKind = iota // arrivals combine up, the release broadcasts down
+	collAllreduce                 // partial values combine up, the result broadcasts down
+	collReduce                    // up only: the root's accumulator is the result
+	collBcast                     // down only: the root's data is forwarded
+	collGather                    // up only: packed (rank, data) subtrees merge
+)
+
+var collKinds = [...]struct {
+	up, down       bool
+	upTag, downTag int
+}{
+	collBarrier:   {true, true, tagBarrier, tagBarrierRelease},
+	collAllreduce: {true, true, tagReduce, tagReduceResult},
+	collReduce:    {up: true, upTag: tagReduceRoot},
+	collBcast:     {down: true, downTag: tagBcast},
+	collGather:    {up: true, upTag: tagGather},
+}
+
+// collSched is one rank's schedule for one collective. Depth is
+// ceil(log_k P) under the trees, and every rank handles at most k+1
+// messages per phase.
+type collSched struct {
+	kind     collKind
+	parent   int // -1 at the root
+	children []int
+}
+
+// collAct is one edge action of a schedule: a send to or a receive
+// from peer, in the up or the down phase.
 type collAct struct {
-	send bool
-	peer int
-	tag  int
-	data func() []byte      // send payload (nil = empty message)
-	on   func([]byte) error // receive handler (nil = discard)
+	send, down bool
+	peer, tag  int
 }
 
-// barrierActs: arrivals combine up the tree, the release broadcasts
-// down. Depth is ceil(log_k P), and every rank handles at most k+1
-// messages.
-func barrierActs(parent int, children []int) []collAct {
-	var acts []collAct
-	for _, c := range children {
-		acts = append(acts, collAct{peer: c, tag: tagBarrier})
-	}
-	if parent >= 0 {
-		acts = append(acts,
-			collAct{send: true, peer: parent, tag: tagBarrier},
-			collAct{peer: parent, tag: tagBarrierRelease})
-	}
-	for _, c := range children {
-		acts = append(acts, collAct{send: true, peer: c, tag: tagBarrierRelease})
-	}
-	return acts
-}
-
-// allreduceActs combines partial values up the tree into *acc and
-// broadcasts the result down the same edges.
-func allreduceActs(parent int, children []int, acc *float64, combine func(a, b float64) float64) []collAct {
-	var acts []collAct
-	for _, c := range children {
-		acts = append(acts, collAct{peer: c, tag: tagReduce, on: func(d []byte) error {
-			*acc = combine(*acc, f64(d))
-			return nil
-		}})
-	}
-	if parent >= 0 {
-		acts = append(acts,
-			collAct{send: true, peer: parent, tag: tagReduce, data: func() []byte { return f64bytes(*acc) }},
-			collAct{peer: parent, tag: tagReduceResult, on: func(d []byte) error {
-				*acc = f64(d)
-				return nil
-			}})
-	}
-	for _, c := range children {
-		acts = append(acts, collAct{send: true, peer: c, tag: tagReduceResult, data: func() []byte { return f64bytes(*acc) }})
-	}
-	return acts
-}
-
-// reduceActs combines partial values up the tree into *acc; only the
-// root's *acc ends up meaningful.
-func reduceActs(parent int, children []int, acc *float64, combine func(a, b float64) float64) []collAct {
-	var acts []collAct
-	for _, c := range children {
-		acts = append(acts, collAct{peer: c, tag: tagReduceRoot, on: func(d []byte) error {
-			*acc = combine(*acc, f64(d))
-			return nil
-		}})
-	}
-	if parent >= 0 {
-		acts = append(acts, collAct{send: true, peer: parent, tag: tagReduceRoot, data: func() []byte { return f64bytes(*acc) }})
-	}
-	return acts
-}
-
-// bcastActs forwards *data (pre-set on the root) down the tree.
-func bcastActs(parent int, children []int, data *[]byte) []collAct {
-	var acts []collAct
-	if parent >= 0 {
-		acts = append(acts, collAct{peer: parent, tag: tagBcast, on: func(d []byte) error {
-			*data = d
-			return nil
-		}})
-	}
-	for _, c := range children {
-		acts = append(acts, collAct{send: true, peer: c, tag: tagBcast, data: func() []byte { return *data }})
-	}
-	return acts
-}
-
-// gatherActs merges (rank, data) entries up the tree: *entries starts
-// with the rank's own contribution, children's packed subtrees append
-// to it, and one packed message goes to the parent — so the root
-// receives exactly its children's subtrees instead of P-1 messages.
-func gatherActs(parent int, children []int, entries *[]gatherEntry, nranks int) []collAct {
-	var acts []collAct
-	for _, c := range children {
-		acts = append(acts, collAct{peer: c, tag: tagGather, on: func(d []byte) error {
-			sub, err := unpackGather(d, nranks)
-			if err != nil {
-				return err
+// at derives action i from the cursor: receive from each child and send
+// to the parent (up), then receive from the parent and send to each
+// child (down). ok is false past the schedule's end.
+func (s *collSched) at(i int) (a collAct, ok bool) {
+	k := &collKinds[s.kind]
+	if k.up {
+		if i < len(s.children) {
+			return collAct{peer: s.children[i], tag: k.upTag}, true
+		}
+		i -= len(s.children)
+		if s.parent >= 0 {
+			if i == 0 {
+				return collAct{send: true, peer: s.parent, tag: k.upTag}, true
 			}
-			*entries = append(*entries, sub...)
-			return nil
-		}})
+			i--
+		}
 	}
-	if parent >= 0 {
-		acts = append(acts, collAct{send: true, peer: parent, tag: tagGather, data: func() []byte { return packGather(*entries) }})
+	if k.down {
+		if s.parent >= 0 {
+			if i == 0 {
+				return collAct{down: true, peer: s.parent, tag: k.downTag}, true
+			}
+			i--
+		}
+		if i < len(s.children) {
+			return collAct{send: true, down: true, peer: s.children[i], tag: k.downTag}, true
+		}
 	}
-	return acts
+	return collAct{}, false
+}
+
+// collState is one execution of a schedule by one rank: the cursor and,
+// inline, whichever accumulator the kind uses — val (reductions; only
+// the root's is meaningful after a Reduce), data (Bcast; pre-set on the
+// root) or entries (Gather; starts with the rank's own contribution).
+type collState struct {
+	collSched
+	next    int
+	val     float64
+	combine func(a, b float64) float64
+	data    []byte
+	entries []gatherEntry
+}
+
+// payload is what a send carries, computed when it goes out: an
+// up-phase send depends on what earlier receives combined.
+func (c *collState) payload() []byte {
+	switch c.kind {
+	case collAllreduce, collReduce:
+		return f64bytes(c.val)
+	case collBcast:
+		return c.data
+	case collGather:
+		// One packed message per edge, so the root receives exactly its
+		// children's subtrees instead of P-1 messages.
+		return packGather(c.entries)
+	}
+	return nil
+}
+
+// absorb folds a received payload into the accumulator.
+func (c *collState) absorb(a collAct, d []byte, nranks int) error {
+	switch c.kind {
+	case collAllreduce, collReduce:
+		if a.down {
+			c.val = f64(d)
+		} else {
+			c.val = c.combine(c.val, f64(d))
+		}
+	case collBcast:
+		c.data = d
+	case collGather:
+		sub, err := unpackGather(d, nranks)
+		if err != nil {
+			return err
+		}
+		c.entries = append(c.entries, sub...)
+	}
+	return nil
+}
+
+// parts is a completed Gather's result at the root, indexed by rank.
+func (c *collState) parts(nranks int) [][]byte {
+	out := make([][]byte, nranks)
+	for _, e := range c.entries {
+		out[e.rank] = e.data
+	}
+	return out
 }
 
 // gatherEntry is one rank's contribution riding a packed subtree

@@ -3,6 +3,7 @@ package ampi
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -308,5 +309,110 @@ func TestGatherUnpackHostile(t *testing.T) {
 	entries, err := unpackGather(good, 4)
 	if err != nil || len(entries) != 2 || entries[1].rank != 2 || string(entries[1].data) != "hi" {
 		t.Errorf("round trip failed: %v %v", entries, err)
+	}
+}
+
+// TestDerivedScheduleMatchesBuilders pins collSched.at against the five
+// per-kind closure builders it replaced (one []collAct of data/on
+// closures per execution): for every kind × position in the family ×
+// topology, the (send, peer, tag) sequence below is the deleted
+// builders' output, copied here before they went. The flat star has no
+// interior rank. Columns: algo, position, kind, ranks, rank, root.
+func TestDerivedScheduleMatchesBuilders(t *testing.T) {
+	type edge struct {
+		send      bool
+		peer, tag int
+	}
+	algos := map[string]Options{
+		"tree": {Collectives: CollTree, TreeArity: 3},
+		"flat": {Collectives: CollFlat, TreeArity: 3},
+		"topo": {Collectives: CollTopoTree, TreeArity: 2, Topo: Topology{Nodes: 4, GroupSize: 2}, BlockPlacement: true},
+	}
+	kinds := map[string]collKind{
+		"barrier": collBarrier, "allreduce": collAllreduce, "reduce": collReduce,
+		"bcast": collBcast, "gather": collGather,
+	}
+	for _, tc := range []struct {
+		algo, where, kind string
+		size, rank, root  int
+		want              []edge
+	}{
+		{"tree", "root", "barrier", 13, 0, 0, []edge{{false, 1, -100}, {false, 2, -100}, {false, 3, -100}, {true, 1, -101}, {true, 2, -101}, {true, 3, -101}}},
+		{"tree", "root", "allreduce", 13, 0, 0, []edge{{false, 1, -102}, {false, 2, -102}, {false, 3, -102}, {true, 1, -103}, {true, 2, -103}, {true, 3, -103}}},
+		{"tree", "root", "reduce", 13, 2, 2, []edge{{false, 3, -201}, {false, 4, -201}, {false, 5, -201}}},
+		{"tree", "root", "bcast", 13, 2, 2, []edge{{true, 3, -200}, {true, 4, -200}, {true, 5, -200}}},
+		{"tree", "root", "gather", 13, 2, 2, []edge{{false, 3, -202}, {false, 4, -202}, {false, 5, -202}}},
+		{"tree", "interior", "barrier", 13, 1, 0, []edge{{false, 4, -100}, {false, 5, -100}, {false, 6, -100}, {true, 0, -100}, {false, 0, -101}, {true, 4, -101}, {true, 5, -101}, {true, 6, -101}}},
+		{"tree", "interior", "allreduce", 13, 1, 0, []edge{{false, 4, -102}, {false, 5, -102}, {false, 6, -102}, {true, 0, -102}, {false, 0, -103}, {true, 4, -103}, {true, 5, -103}, {true, 6, -103}}},
+		{"tree", "interior", "reduce", 13, 3, 2, []edge{{false, 6, -201}, {false, 7, -201}, {false, 8, -201}, {true, 2, -201}}},
+		{"tree", "interior", "bcast", 13, 3, 2, []edge{{false, 2, -200}, {true, 6, -200}, {true, 7, -200}, {true, 8, -200}}},
+		{"tree", "interior", "gather", 13, 3, 2, []edge{{false, 6, -202}, {false, 7, -202}, {false, 8, -202}, {true, 2, -202}}},
+		{"tree", "leaf", "barrier", 13, 4, 0, []edge{{true, 1, -100}, {false, 1, -101}}},
+		{"tree", "leaf", "allreduce", 13, 4, 0, []edge{{true, 1, -102}, {false, 1, -103}}},
+		{"tree", "leaf", "reduce", 13, 0, 2, []edge{{true, 5, -201}}},
+		{"tree", "leaf", "bcast", 13, 0, 2, []edge{{false, 5, -200}}},
+		{"tree", "leaf", "gather", 13, 0, 2, []edge{{true, 5, -202}}},
+		{"tree", "single", "barrier", 1, 0, 0, []edge{}},
+		{"tree", "single", "allreduce", 1, 0, 0, []edge{}},
+		{"tree", "single", "reduce", 1, 0, 0, []edge{}},
+		{"tree", "single", "bcast", 1, 0, 0, []edge{}},
+		{"tree", "single", "gather", 1, 0, 0, []edge{}},
+		{"flat", "root", "barrier", 13, 0, 0, []edge{{false, 1, -100}, {false, 2, -100}, {false, 3, -100}, {false, 4, -100}, {false, 5, -100}, {false, 6, -100}, {false, 7, -100}, {false, 8, -100}, {false, 9, -100}, {false, 10, -100}, {false, 11, -100}, {false, 12, -100}, {true, 1, -101}, {true, 2, -101}, {true, 3, -101}, {true, 4, -101}, {true, 5, -101}, {true, 6, -101}, {true, 7, -101}, {true, 8, -101}, {true, 9, -101}, {true, 10, -101}, {true, 11, -101}, {true, 12, -101}}},
+		{"flat", "root", "allreduce", 13, 0, 0, []edge{{false, 1, -102}, {false, 2, -102}, {false, 3, -102}, {false, 4, -102}, {false, 5, -102}, {false, 6, -102}, {false, 7, -102}, {false, 8, -102}, {false, 9, -102}, {false, 10, -102}, {false, 11, -102}, {false, 12, -102}, {true, 1, -103}, {true, 2, -103}, {true, 3, -103}, {true, 4, -103}, {true, 5, -103}, {true, 6, -103}, {true, 7, -103}, {true, 8, -103}, {true, 9, -103}, {true, 10, -103}, {true, 11, -103}, {true, 12, -103}}},
+		{"flat", "root", "reduce", 13, 2, 2, []edge{{false, 0, -201}, {false, 1, -201}, {false, 3, -201}, {false, 4, -201}, {false, 5, -201}, {false, 6, -201}, {false, 7, -201}, {false, 8, -201}, {false, 9, -201}, {false, 10, -201}, {false, 11, -201}, {false, 12, -201}}},
+		{"flat", "root", "bcast", 13, 2, 2, []edge{{true, 0, -200}, {true, 1, -200}, {true, 3, -200}, {true, 4, -200}, {true, 5, -200}, {true, 6, -200}, {true, 7, -200}, {true, 8, -200}, {true, 9, -200}, {true, 10, -200}, {true, 11, -200}, {true, 12, -200}}},
+		{"flat", "root", "gather", 13, 2, 2, []edge{{false, 0, -202}, {false, 1, -202}, {false, 3, -202}, {false, 4, -202}, {false, 5, -202}, {false, 6, -202}, {false, 7, -202}, {false, 8, -202}, {false, 9, -202}, {false, 10, -202}, {false, 11, -202}, {false, 12, -202}}},
+		{"flat", "leaf", "barrier", 13, 1, 0, []edge{{true, 0, -100}, {false, 0, -101}}},
+		{"flat", "leaf", "allreduce", 13, 1, 0, []edge{{true, 0, -102}, {false, 0, -103}}},
+		{"flat", "leaf", "reduce", 13, 0, 2, []edge{{true, 2, -201}}},
+		{"flat", "leaf", "bcast", 13, 0, 2, []edge{{false, 2, -200}}},
+		{"flat", "leaf", "gather", 13, 0, 2, []edge{{true, 2, -202}}},
+		{"flat", "single", "barrier", 1, 0, 0, []edge{}},
+		{"flat", "single", "allreduce", 1, 0, 0, []edge{}},
+		{"flat", "single", "reduce", 1, 0, 0, []edge{}},
+		{"flat", "single", "bcast", 1, 0, 0, []edge{}},
+		{"flat", "single", "gather", 1, 0, 0, []edge{}},
+		{"topo", "root", "barrier", 13, 0, 0, []edge{{false, 1, -100}, {false, 2, -100}, {false, 4, -100}, {false, 7, -100}, {true, 1, -101}, {true, 2, -101}, {true, 4, -101}, {true, 7, -101}}},
+		{"topo", "root", "allreduce", 13, 0, 0, []edge{{false, 1, -102}, {false, 2, -102}, {false, 4, -102}, {false, 7, -102}, {true, 1, -103}, {true, 2, -103}, {true, 4, -103}, {true, 7, -103}}},
+		{"topo", "root", "reduce", 13, 2, 2, []edge{{false, 3, -201}, {false, 4, -201}, {false, 6, -201}, {false, 9, -201}}},
+		{"topo", "root", "bcast", 13, 2, 2, []edge{{true, 3, -200}, {true, 4, -200}, {true, 6, -200}, {true, 9, -200}}},
+		{"topo", "root", "gather", 13, 2, 2, []edge{{false, 3, -202}, {false, 4, -202}, {false, 6, -202}, {false, 9, -202}}},
+		{"topo", "interior", "barrier", 13, 1, 0, []edge{{false, 3, -100}, {true, 0, -100}, {false, 0, -101}, {true, 3, -101}}},
+		{"topo", "interior", "allreduce", 13, 1, 0, []edge{{false, 3, -102}, {true, 0, -102}, {false, 0, -103}, {true, 3, -103}}},
+		{"topo", "interior", "reduce", 13, 3, 2, []edge{{false, 5, -201}, {true, 2, -201}}},
+		{"topo", "interior", "bcast", 13, 3, 2, []edge{{false, 2, -200}, {true, 5, -200}}},
+		{"topo", "interior", "gather", 13, 3, 2, []edge{{false, 5, -202}, {true, 2, -202}}},
+		{"topo", "leaf", "barrier", 13, 2, 0, []edge{{true, 0, -100}, {false, 0, -101}}},
+		{"topo", "leaf", "allreduce", 13, 2, 0, []edge{{true, 0, -102}, {false, 0, -103}}},
+		{"topo", "leaf", "reduce", 13, 0, 2, []edge{{true, 12, -201}}},
+		{"topo", "leaf", "bcast", 13, 0, 2, []edge{{false, 12, -200}}},
+		{"topo", "leaf", "gather", 13, 0, 2, []edge{{true, 12, -202}}},
+		{"topo", "single", "barrier", 1, 0, 0, []edge{}},
+		{"topo", "single", "allreduce", 1, 0, 0, []edge{}},
+		{"topo", "single", "reduce", 1, 0, 0, []edge{}},
+		{"topo", "single", "bcast", 1, 0, 0, []edge{}},
+		{"topo", "single", "gather", 1, 0, 0, []edge{}},
+	} {
+		opts := algos[tc.algo]
+		s := collSched{kind: kinds[tc.kind]}
+		s.parent, s.children = collFamily(tc.rank, tc.size, &opts, tc.root)
+		got := []edge{}
+		for i := 0; ; i++ {
+			a, ok := s.at(i)
+			if !ok {
+				break
+			}
+			got = append(got, edge{a.send, a.peer, a.tag})
+			// The down phase is exactly the release/result/bcast tags.
+			if wantDown := a.tag == tagBarrierRelease || a.tag == tagReduceResult || a.tag == tagBcast; a.down != wantDown {
+				t.Errorf("%s %s %s: action %d (tag %d) has down=%v", tc.algo, tc.where, tc.kind, i, a.tag, a.down)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s %s %s (rank %d of %d, root %d):\n got %v\nwant %v", tc.algo, tc.where, tc.kind, tc.rank, tc.size, tc.root, got, tc.want)
+		}
+		if _, ok := s.at(len(got) + 1); ok {
+			t.Errorf("%s %s %s: schedule resumes past its end", tc.algo, tc.where, tc.kind)
+		}
 	}
 }

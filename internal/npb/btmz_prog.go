@@ -72,72 +72,78 @@ func buildTopology(p Params) btmzTopology {
 	return t
 }
 
-// btmzProgram builds the shared step body. workPE[step][rank]
-// records where each rank's solve actually ran; the makespan sums
-// are taken in rank order afterwards, so the per-PE totals are a
-// pure function of placement — not of the two backends' different
-// scheduling (and float-accumulation) orders. The halo-exchange
-// critical path is len(sendTo[r])·Cost(HaloBytes),
+// btmzProgram builds the shared program: every statement is built here,
+// once per step (the solve records into workPE[step]), and what differs
+// per rank — its work, its destinations, its sources — is read off the
+// rank when a statement runs, so a rank running a step builds nothing.
+// workPE[step][rank] records where each rank's solve actually ran; the
+// makespan sums are taken in rank order afterwards, so the per-PE
+// totals are a pure function of placement — not of the two backends'
+// different scheduling (and float-accumulation) orders. The
+// halo-exchange critical path is len(sendTo[r])·Cost(HaloBytes),
 // placement-independent.
 func btmzProgram(p Params, t btmzTopology, workPE [][]int32) ampi.Proc {
 	halo := make([]byte, p.HaloBytes)
-	// One pipelined residual-reduction site (Overlap + ReduceEvery):
-	// the reduce step starts it, the next reduce step (or the
-	// epilogue) collects it — at most one outstanding at a time.
-	var arStart, arWait ampi.Proc
-	if p.Overlap && p.ReduceEvery > 0 {
-		arStart, arWait = ampi.Iallreduce("max",
-			func(pc *ampi.PC) float64 { return t.myWork[pc.Rank()] }, nil)
+	sendHalos := func(pc *ampi.PC) {
+		for _, dest := range t.sendTo[pc.Rank()] {
+			pc.Send(dest, 1, halo)
+		}
 	}
-	step := func(i int) ampi.Proc {
-		return ampi.Call(func(pc *ampi.PC) ampi.Proc {
-			r := pc.Rank()
-			reduceNow := p.ReduceEvery > 0 && (i+1)%p.ReduceEvery == 0
-			var ps []ampi.Proc
+	recvHalos := ampi.RecvEach(func(pc *ampi.PC) []int { return t.recvFrom[pc.Rank()] }, 1, nil)
+	// One residual-reduction site, shared by every rank and step. With
+	// Overlap it is pipelined: the reduce step starts it, the next
+	// reduce step (or the epilogue) collects it — at most one
+	// outstanding at a time.
+	work := func(pc *ampi.PC) float64 { return t.myWork[pc.Rank()] }
+	var allreduce, arStart, arWait ampi.Proc
+	if p.ReduceEvery > 0 {
+		if p.Overlap {
+			arStart, arWait = ampi.Iallreduce("max", work, nil)
+		} else {
+			allreduce = ampi.Allreduce("max", work, nil)
+		}
+	}
+	steps := make([]ampi.Proc, p.Steps)
+	for i := range steps {
+		solve := func(pc *ampi.PC) {
+			pc.Work(work(pc))
+			workPE[i][pc.Rank()] = int32(pc.PE())
+		}
+		var ps []ampi.Proc
+		if p.Overlap {
+			// Split-phase: halos leave before the solve, so their
+			// flight time hides under it; a reduction started last
+			// reduce step completes under this solve too.
+			ps = append(ps, ampi.Do(func(pc *ampi.PC) {
+				sendHalos(pc)
+				solve(pc)
+			}))
+			if p.ReduceEvery > 0 && i > 0 && i%p.ReduceEvery == 0 {
+				ps = append(ps, arWait)
+			}
+		} else {
+			ps = append(ps, ampi.Do(func(pc *ampi.PC) {
+				solve(pc)
+				sendHalos(pc)
+			}))
+		}
+		ps = append(ps, recvHalos)
+		if p.ReduceEvery > 0 && (i+1)%p.ReduceEvery == 0 {
 			if p.Overlap {
-				// Split-phase: halos leave before the solve, so their
-				// flight time hides under it; a reduction started last
-				// reduce step completes under this solve too.
-				ps = append(ps, ampi.Do(func(pc *ampi.PC) {
-					for _, dest := range t.sendTo[r] {
-						pc.Send(dest, 1, halo)
-					}
-					pc.Work(t.myWork[r])
-					workPE[i][r] = int32(pc.PE())
-				}))
-				if p.ReduceEvery > 0 && i > 0 && i%p.ReduceEvery == 0 {
-					ps = append(ps, arWait)
-				}
+				ps = append(ps, arStart)
 			} else {
-				ps = append(ps, ampi.Do(func(pc *ampi.PC) {
-					pc.Work(t.myWork[r])
-					workPE[i][r] = int32(pc.PE())
-					for _, dest := range t.sendTo[r] {
-						pc.Send(dest, 1, halo)
-					}
-				}))
+				ps = append(ps, allreduce)
 			}
-			for _, src := range t.recvFrom[r] {
-				ps = append(ps, ampi.Recv(src, 1, nil))
-			}
-			if reduceNow {
-				if p.Overlap {
-					ps = append(ps, arStart)
-				} else {
-					ps = append(ps, ampi.Allreduce("max",
-						func(pc *ampi.PC) float64 { return t.myWork[pc.Rank()] }, nil))
-				}
-			}
-			// After the first (measurement) step, everyone meets at
-			// the LB gate — threads move as stacks, event ranks as
-			// records, one plan either way.
-			if i == 0 && p.LB != nil {
-				ps = append(ps, ampi.Migrate(p.LB))
-			}
-			return ampi.Seq(ps...)
-		})
+		}
+		// After the first (measurement) step, everyone meets at
+		// the LB gate — threads move as stacks, event ranks as
+		// records, one plan either way.
+		if i == 0 && p.LB != nil {
+			ps = append(ps, ampi.Migrate(p.LB))
+		}
+		steps[i] = ampi.Seq(ps...)
 	}
-	body := []ampi.Proc{ampi.For(p.Steps, step)}
+	body := []ampi.Proc{ampi.For(p.Steps, func(i int) ampi.Proc { return steps[i] })}
 	if p.Overlap && p.ReduceEvery > 0 && p.Steps%p.ReduceEvery == 0 {
 		// The last step started a reduction; collect it.
 		body = append(body, arWait)

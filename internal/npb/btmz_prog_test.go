@@ -2,9 +2,11 @@ package npb
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"migflow/internal/ampi"
+	"migflow/internal/core"
 	"migflow/internal/loadbalance"
 )
 
@@ -171,5 +173,49 @@ func TestProgramModeRejectsBadCombos(t *testing.T) {
 	}
 	if _, err := Run(Params{Class: ClassA, NProcs: 8, NPEs: 4, ReduceEvery: -1}); err == nil {
 		t.Error("negative ReduceEvery accepted")
+	}
+}
+
+// TestSteadyStateStepAllocations is ampi's test of the same name for
+// the BT-MZ program: one zone per event rank on the 64×64 graded class,
+// a GreedyLB gate after the first step and a residual reduction every
+// second. After a rank's first pass a step allocates one comm.Message
+// per halo (the payload is shared) and a Message plus an 8-byte payload
+// per reduction edge — the difference between a 2- and a 10-step run,
+// per rank-step, stays within one allocation of that count.
+func TestSteadyStateStepAllocations(t *testing.T) {
+	const short, long = 2, 10
+	ranks := ClassZ4K.NumZones()
+	run := func(steps int) (mallocs, msgs uint64) {
+		p := Params{Class: ClassZ4K, NProcs: ranks, NPEs: 4, Steps: steps,
+			Mode: ampi.ModeEvent, LB: loadbalance.GreedyLB{}, ReduceEvery: 2}
+		m, err := core.NewMachine(core.Config{NumPEs: p.NPEs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := ProgramJob(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		job.Run()
+		runtime.ReadMemStats(&after)
+		if !job.Done() {
+			t.Fatalf("%d-step job did not complete", steps)
+		}
+		return after.Mallocs - before.Mallocs, m.Network().Snapshot().Sent
+	}
+	m0, s0 := run(short)
+	m1, s1 := run(long)
+	rankSteps := float64(ranks * (long - short))
+	perStep := float64(m1-m0) / rankSteps
+	// The extra steps hold (long-short)/2 reductions of 2·(ranks-1) edge
+	// messages, each with its own payload.
+	payloads := float64((long - short) / 2 * 2 * (ranks - 1))
+	bound := (float64(s1-s0)+payloads)/rankSteps + 1
+	t.Logf("%.2f allocations per steady-state rank-step (messages + payloads = %.2f)", perStep, bound-1)
+	if perStep > bound {
+		t.Errorf("%.2f allocations per steady-state rank-step, want ≤ %.2f", perStep, bound)
 	}
 }

@@ -219,6 +219,26 @@ func TestCrossProcessBTMZEquivalence(t *testing.T) {
 	compareReports(t, ref, merged, p.NProcs)
 }
 
+// TestCrossProcessBTMZMigration ships zone-ranks across a live socket
+// mid-run. A BT-MZ rank parks inside its RecvEach, so the record's tree
+// path ends in that statement's cursor and the destination resumes the
+// intake at the source it was waiting for; per-rank VT must still match
+// the in-process run bit for bit.
+func TestCrossProcessBTMZMigration(t *testing.T) {
+	p := npb.Params{
+		Class: npb.GradedClass("T64", 8, 8, 1<<12, 8, 20),
+		Mode:  ampi.ModeEvent, NProcs: 64, NPEs: 4, Steps: 30, HaloBytes: 256,
+	}
+	ref, err := RunBTMZReference(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := runSharded(t, ProcSpec{App: "btmz", Workers: 2, Net: "unix",
+		Payload: BTMZSpec{Params: p, Migrate: 8}}, p.NProcs)
+	compareReports(t, ref, merged, p.NProcs)
+	t.Logf("migrated %d ranks across the socket", merged.Moved)
+}
+
 // bigsimEqual demands two report step streams match bit for bit.
 func bigsimEqual(t *testing.T, name string, ref, got *BigSimReport) {
 	t.Helper()
