@@ -198,9 +198,7 @@ func (e *Endpoint) flushBucketLocked(pe int) error {
 		}
 		if actual != pe {
 			e.net.forwards.Add(1)
-			if e.net.xport == nil {
-				e.noteLocation(m.To, actual)
-			}
+			e.cachedOrNote(m.To, actual)
 			m.SendTime = arrival // forwarding leaves on arrival
 			if err := e.net.forwardTo(m, actual); err != nil && first == nil {
 				first = err

@@ -15,12 +15,13 @@
 // count instead of serializing on one lock:
 //
 //   - the location directory is striped into shards, and each shard
-//     is a copy-on-write map: Locate is one atomic load plus a map
-//     probe, with no lock; Register/MigrateEntity/Deregister copy the
-//     (small) shard under a per-shard mutex;
-//   - per-endpoint location caches are copy-on-write too, so a send
-//     reads its cache without locking and only writes it when the
-//     entry actually changes (first contact or after a migration);
+//     is a locTable (loctable.go): Locate is one atomic load plus a
+//     probe of atomic slots, with no lock; Register/MigrateEntity/
+//     Deregister write one slot under a per-shard mutex;
+//   - per-endpoint location caches are the same table, so a send
+//     reads its cache without locking and only writes it — one slot —
+//     when the entry actually changes (first contact or after a
+//     migration);
 //   - message counters are atomics, not a mutex-guarded struct;
 //   - each inbox is a growable power-of-two ring buffer, so Poll does
 //     not shift (and re-allocate) a slice, and the condvar is only
@@ -40,13 +41,13 @@ type EntityID uint64
 // PinnedEntity is an EntityID bit marking a *directly addressed*
 // entity (event-mode AMPI ranks: millions of small state structs in
 // dense ID blocks). Sends to one skip the per-endpoint location cache
-// entirely — the authoritative lookup Send already performs is the
-// final answer — so first contact with each of a million ranks does
-// not clone a million-entry cache map per sender. Such entities live
-// in range location tables (RegisterRange) where a lookup is O(1)
-// array arithmetic, and they migrate through batched MoveRangeBatch
-// updates (one epoch bump per LB step), never through the per-entity
-// MigrateEntity path — which still refuses them.
+// entirely: such entities live in range location tables
+// (RegisterRange) where the authoritative lookup Send already performs
+// is O(1) array arithmetic and current as of that instant, so a cached
+// copy could only be staler — and a million-rank job keeps no
+// per-sender entry for any of them. They migrate through batched
+// MoveRangeBatch updates (one epoch bump per LB step), never through
+// the per-entity MigrateEntity path — which still refuses them.
 const PinnedEntity EntityID = 1 << 63
 
 // Pinned reports whether id carries the PinnedEntity bit.
@@ -102,23 +103,12 @@ var DefaultLatency = LatencyModel{Alpha: 10_000, BetaPerByte: 4}
 // bits spreads them evenly.
 const locShards = 64
 
-// locShard is one directory stripe: a copy-on-write map. Readers load
-// the current map with one atomic; writers clone it under the shard
-// mutex. Directory updates (registration, migration) are orders of
-// magnitude rarer than lookups, which makes the clone cost a good
-// trade for lock-free reads.
-type locShard struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[EntityID]int]
-}
-
 // rangeLoc is one dense ID block's location table: entity base+i
 // lives on PE pes[i]. Lookups are array arithmetic (no map, no lock);
 // entries are atomics so a batched LB-step update (MoveRangeBatch)
-// publishes new locations without cloning a million-entry structure —
-// the clone-per-batch COW discipline of the shard maps would move
-// megabytes per deregistration batch at event-job scale. A negative
-// entry is a tombstone (deregistered entity). epoch counts completed
+// publishes new locations in place, with no hashing and 4 bytes per
+// entity where a locTable slot takes 16. A negative entry is a
+// tombstone (deregistered entity). epoch counts completed
 // move batches; receivers use it as the "has anything ever moved"
 // fast check before comparing per-entity locations.
 type rangeLoc struct {
@@ -143,7 +133,7 @@ type RangeMove struct {
 type Network struct {
 	lat       LatencyModel
 	endpoints []*Endpoint
-	shards    [locShards]locShard
+	shards    [locShards]locTable // directory stripes, by the id's low bits
 
 	// ranges holds the dense range location tables (COW slice of
 	// pointers: the slice is rewritten under rangesMu when a table is
@@ -218,7 +208,7 @@ func (n *Network) Endpoint(pe int) *Endpoint { return n.endpoints[pe] }
 // Latency returns the network's latency model.
 func (n *Network) Latency() LatencyModel { return n.lat }
 
-func (n *Network) shard(id EntityID) *locShard {
+func (n *Network) shard(id EntityID) *locTable {
 	return &n.shards[uint64(id)&(locShards-1)]
 }
 
@@ -231,12 +221,10 @@ func (n *Network) Register(id EntityID, pe int) error {
 	s := n.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m := s.m.Load(); m != nil {
-		if old, ok := (*m)[id]; ok {
-			return fmt.Errorf("comm: entity %d already registered on PE %d", id, old)
-		}
+	if old, ok := s.get(id); ok {
+		return fmt.Errorf("comm: entity %d already registered on PE %d", id, old)
 	}
-	s.store(id, pe)
+	s.set(id, pe)
 	return nil
 }
 
@@ -244,92 +232,36 @@ func (n *Network) Register(id EntityID, pe int) error {
 func (n *Network) Deregister(id EntityID) {
 	s := n.shard(id)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.m.Load()
-	if old == nil {
-		return
-	}
-	if _, ok := (*old)[id]; !ok {
-		return
-	}
-	next := make(map[EntityID]int, len(*old))
-	for k, v := range *old {
-		if k != id {
-			next[k] = v
-		}
-	}
-	s.m.Store(&next)
+	s.del(id)
+	s.mu.Unlock()
 }
 
-// DeregisterBatch removes a set of entities, cloning each directory
-// shard at most once (the exit path of a finished event-mode job).
-// Ids living in range tables are tombstoned in place — no clone at
-// all. Unregistered ids are ignored.
+// DeregisterBatch removes a set of entities (the exit path of a
+// finished event-mode job). Ids living in range tables are tombstoned
+// in place, the rest go through Deregister. Unregistered ids are
+// ignored.
 func (n *Network) DeregisterBatch(ids []EntityID) {
-	if len(ids) == 0 {
-		return
-	}
-	if n.ranges.Load() != nil {
-		inShards := ids[:0:0]
-		for _, id := range ids {
-			if rl := n.rangeOf(id); rl != nil {
-				i := int(id - rl.base)
-				if rl.pes[i].Load() >= 0 {
-					rl.pes[i].Store(-1)
-					rl.live.Add(-1)
-				}
-				continue
-			}
-			inShards = append(inShards, id)
-		}
-		if len(inShards) == 0 {
-			return
-		}
-		ids = inShards
-	}
-	for si := range n.shards {
-		n.shards[si].mu.Lock()
-	}
-	defer func() {
-		for si := range n.shards {
-			n.shards[si].mu.Unlock()
-		}
-	}()
-	// Group ids by shard so untouched shards are not cloned.
-	var drop [locShards][]EntityID
 	for _, id := range ids {
-		si := uint64(id) & (locShards - 1)
-		drop[si] = append(drop[si], id)
-	}
-	for si := range n.shards {
-		if len(drop[si]) == 0 {
+		if rl := n.rangeOf(id); rl != nil {
+			i := int(id - rl.base)
+			if rl.pes[i].Load() >= 0 {
+				rl.pes[i].Store(-1)
+				rl.live.Add(-1)
+			}
 			continue
 		}
-		old := n.shards[si].m.Load()
-		if old == nil {
-			continue
-		}
-		m := make(map[EntityID]int, len(*old))
-		for k, v := range *old {
-			m[k] = v
-		}
-		for _, id := range drop[si] {
-			delete(m, id)
-		}
-		n.shards[si].m.Store(&m)
+		n.Deregister(id)
 	}
 }
 
 // NumEntities returns how many entities are currently registered
-// (shard maps plus live range-table entries) — a footprint
+// (shard tables plus live range-table entries) — a footprint
 // diagnostic: a completed job should leave the directory at its
 // pre-job size.
 func (n *Network) NumEntities() int {
 	total := 0
 	for si := range n.shards {
-		if m := n.shards[si].m.Load(); m != nil {
-			total += len(*m)
-		}
+		total += n.shards[si].len()
 	}
 	if rs := n.ranges.Load(); rs != nil {
 		for _, rl := range *rs {
@@ -354,11 +286,11 @@ func (n *Network) rangeOf(id EntityID) *rangeLoc {
 
 // RegisterRange places the dense entity block base..base+len(pes)-1
 // in a new range location table: entity base+i lives on PE pes[i].
-// Compared with Register's shard maps, a range table costs 4
-// bytes per entity, locates with array arithmetic instead of a map
+// Compared with Register's shard tables, a range table costs 4
+// bytes per entity, locates with array arithmetic instead of a hash
 // probe, and — the point — supports batched location updates, so
 // range entities are migratable. The block must not overlap an
-// existing range; ids also present in the shard maps would shadow the
+// existing range; ids also present in the shard tables would shadow the
 // range (shards are consulted first) and are the caller's mistake.
 func (n *Network) RegisterRange(base EntityID, pes []int) error {
 	if len(pes) == 0 {
@@ -446,31 +378,13 @@ func (n *Network) DeregisterRange(base EntityID) {
 	n.ranges.Store(&next)
 }
 
-// store clones the shard map with id set to pe. Caller holds s.mu.
-func (s *locShard) store(id EntityID, pe int) {
-	old := s.m.Load()
-	var next map[EntityID]int
-	if old == nil {
-		next = map[EntityID]int{id: pe}
-	} else {
-		next = make(map[EntityID]int, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-		next[id] = pe
-	}
-	s.m.Store(&next)
-}
-
 // Locate returns the authoritative location of id. It takes no lock:
-// one atomic load of the entity's directory shard plus a map probe,
+// one atomic load of the entity's directory shard plus a slot probe,
 // or — for range-table entities — one atomic table load plus array
 // arithmetic.
 func (n *Network) Locate(id EntityID) (int, error) {
-	if m := n.shard(id).m.Load(); m != nil {
-		if pe, ok := (*m)[id]; ok {
-			return pe, nil
-		}
+	if pe, ok := n.shard(id).get(id); ok {
+		return pe, nil
 	}
 	if rl := n.rangeOf(id); rl != nil {
 		if pe := rl.pes[id-rl.base].Load(); pe >= 0 {
@@ -493,14 +407,10 @@ func (n *Network) MigrateEntity(id EntityID, to int) error {
 	s := n.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.m.Load()
-	if m == nil {
+	if _, ok := s.get(id); !ok {
 		return fmt.Errorf("comm: entity %d is not registered", id)
 	}
-	if _, ok := (*m)[id]; !ok {
-		return fmt.Errorf("comm: entity %d is not registered", id)
-	}
-	s.store(id, to)
+	s.set(id, to)
 	return nil
 }
 
@@ -517,12 +427,11 @@ type Endpoint struct {
 	net *Network
 	pe  int
 
-	// cache is the PE's copy-on-write location cache: reads are one
-	// atomic load, and the map is cloned (under cacheMu) only when an
-	// entry actually changes — first contact with an entity, or the
-	// correction after a forwarding hop.
-	cacheMu sync.Mutex
-	cache   atomic.Pointer[map[EntityID]int]
+	// cache is the PE's location cache: a send reads it without a lock
+	// and writes one slot only when an entry actually changes — first
+	// contact with an entity, or the correction after a forwarding hop.
+	// Entries are never removed; see cachedOrNote for who bypasses it.
+	cache locTable
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -548,28 +457,19 @@ func (e *Endpoint) SetWakeHook(fn func()) {
 	e.mu.Unlock()
 }
 
-// noteLocation records id→pe in the location cache if the entry is
-// new or changed.
-func (e *Endpoint) noteLocation(id EntityID, pe int) {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
-	old := e.cache.Load()
-	if old != nil {
-		if cur, ok := (*old)[id]; ok && cur == pe {
-			return
-		}
+// cachedOrNote returns the PE this endpoint's location cache held for
+// id — actual itself on first contact — and leaves the cache holding
+// actual, the directory's current answer. Two kinds of send neither
+// read nor write the cache and always get actual back: pinned ids (the
+// range-table lookup that produced actual is O(1) and authoritative; if
+// the entity moves while the message is in flight, the receiver's owner
+// check catches it and Forward chases) and every id on a sharded
+// network (a stale cached PE could belong to another process).
+func (e *Endpoint) cachedOrNote(id EntityID, actual int) int {
+	if id.Pinned() || e.net.xport != nil {
+		return actual
 	}
-	var next map[EntityID]int
-	if old == nil {
-		next = map[EntityID]int{id: pe}
-	} else {
-		next = make(map[EntityID]int, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-		next[id] = pe
-	}
-	e.cache.Store(&next)
+	return e.cache.lookupOrNote(id, actual)
 }
 
 // Send routes msg from this endpoint's PE toward msg.To, charging one
@@ -595,43 +495,16 @@ func (e *Endpoint) Send(msg *Message) error {
 	e.net.sent.Add(1)
 	e.net.bytes.Add(uint64(len(msg.Data)))
 
-	if msg.To.Pinned() {
-		// Directly addressed entities: the authoritative range-table
-		// lookup above is O(1) and current as of this instant, so skip
-		// the location cache on both the read and write side. A
-		// million-rank event job neither consults nor grows any sender's
-		// cache. If the entity moves while this message is in flight,
-		// the receiver's owner check catches it and Forward chases.
-		msg.Hops++
-		msg.Arrival = msg.SendTime + e.net.lat.Cost(len(msg.Data))
-		e.net.deliverTo(actual, msg)
-		return nil
-	}
-	dest, cached := actual, false
-	if e.net.xport == nil {
-		// Sharded networks skip the per-endpoint cache entirely (read
-		// and write): the authoritative answer above is current, and a
-		// stale cached PE could belong to another process.
-		if m := e.cache.Load(); m != nil {
-			if d, ok := (*m)[msg.To]; ok {
-				dest, cached = d, true
-			}
-		}
-	}
 	msg.Hops++
 	msg.Arrival = msg.SendTime + e.net.lat.Cost(len(msg.Data))
-	if dest != actual {
-		// Stale: the wrong PE received it and forwards. Correct our
-		// cache and re-send from the wrong PE, costing another hop.
+	if e.cachedOrNote(msg.To, actual) != actual {
+		// Stale: the wrong PE received it and forwards (the cache is
+		// already corrected), re-sending from there for another hop.
 		e.net.forwards.Add(1)
-		e.noteLocation(msg.To, actual)
 		msg.SendTime = msg.Arrival // forwarding leaves on arrival
 		return e.net.forwardTo(msg, actual)
 	}
-	if !cached && e.net.xport == nil {
-		e.noteLocation(msg.To, actual)
-	}
-	e.net.deliverTo(dest, msg)
+	e.net.deliverTo(actual, msg)
 	return nil
 }
 

@@ -99,9 +99,9 @@ type Machine struct {
 
 	// ranges routes pumped messages for dense entity-ID blocks that
 	// share one handler (event-mode AMPI jobs: a million ranks, one
-	// dispatch function). A copy-on-write slice — consulted only after
-	// a handlers miss, read with one atomic load, rewritten under mu
-	// on the rare register/deregister.
+	// dispatch function). A copy-on-write slice — read with one atomic
+	// load, rewritten under mu on the rare register/deregister; see
+	// handlerOf for when it is consulted.
 	ranges atomic.Pointer[[]entityRange]
 
 	// idlePolls counts idle-handler iterations in RunParallel that
@@ -414,19 +414,35 @@ func (m *Machine) Pump(pe int) int {
 		if msg == nil {
 			return n
 		}
-		var fn func(int, *comm.Message)
-		if h, ok := m.handlers.Load(msg.To); ok {
-			fn = h.(func(int, *comm.Message))
-		} else if rh := m.rangeHandler(msg.To); rh != nil {
-			fn = rh
-		} else if p := m.delivery.Load(); p != nil {
-			fn = *p
-		}
-		if fn != nil {
+		if fn := m.handlerOf(msg.To); fn != nil {
 			fn(pe, msg)
 		}
 		n++
 	}
+}
+
+// handlerOf resolves a pumped message's handler: the entity's own,
+// else the range handler covering it, else the delivery fallback. A
+// pinned id is tried against the ranges first — event-mode ranks are
+// pinned ids in one range, and looking there first spares every one of
+// their deliveries a miss in the per-entity map; a pinned id outside
+// every range still finds the handler RegisterEntity gave it.
+func (m *Machine) handlerOf(id comm.EntityID) func(pe int, msg *comm.Message) {
+	if id.Pinned() {
+		if rh := m.rangeHandler(id); rh != nil {
+			return rh
+		}
+	}
+	if h, ok := m.handlers.Load(id); ok {
+		return h.(func(int, *comm.Message))
+	}
+	if rh := m.rangeHandler(id); rh != nil {
+		return rh
+	}
+	if p := m.delivery.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // RunUntilQuiescent drives all PEs deterministically from one
