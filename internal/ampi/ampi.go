@@ -718,22 +718,16 @@ func (r *Rank) senderRank(m *comm.Message) int {
 // over the job's collective topology (Options.Collectives; a spanning
 // tree by default).
 func (r *Rank) Barrier() error {
-	q, err := r.Ibarrier()
-	if err != nil {
-		return err
-	}
-	return q.Wait()
+	_, err := waited(r.Ibarrier())
+	return err
 }
 
 // Allreduce combines each rank's value with op ("sum", "max", "min")
 // and returns the result on every rank, over the job's collective
 // topology.
 func (r *Rank) Allreduce(op string, v float64) (float64, error) {
-	q, err := r.Iallreduce(op, v)
+	q, err := waited(r.Iallreduce(op, v))
 	if err != nil {
-		return 0, err
-	}
-	if err := q.Wait(); err != nil {
 		return 0, err
 	}
 	return q.Value, nil

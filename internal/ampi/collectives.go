@@ -16,11 +16,8 @@ const (
 // copy (root returns its own data), over the job's collective
 // topology.
 func (r *Rank) Bcast(root int, data []byte) ([]byte, error) {
-	q, err := r.Ibcast(root, data)
+	q, err := waited(r.Ibcast(root, data))
 	if err != nil {
-		return nil, err
-	}
-	if err := q.Wait(); err != nil {
 		return nil, err
 	}
 	return q.Data, nil
@@ -29,11 +26,8 @@ func (r *Rank) Bcast(root int, data []byte) ([]byte, error) {
 // Reduce combines every rank's value at root with op ("sum", "max",
 // "min"); only root receives the result (other ranks get 0).
 func (r *Rank) Reduce(root int, op string, v float64) (float64, error) {
-	q, err := r.Ireduce(root, op, v)
+	q, err := waited(r.Ireduce(root, op, v))
 	if err != nil {
-		return 0, err
-	}
-	if err := q.Wait(); err != nil {
 		return 0, err
 	}
 	return q.Value, nil
@@ -42,11 +36,8 @@ func (r *Rank) Reduce(root int, op string, v float64) (float64, error) {
 // Gather collects every rank's data at root, indexed by rank; only
 // root receives the slice (others get nil).
 func (r *Rank) Gather(root int, data []byte) ([][]byte, error) {
-	q, err := r.Igather(root, data)
+	q, err := waited(r.Igather(root, data))
 	if err != nil {
-		return nil, err
-	}
-	if err := q.Wait(); err != nil {
 		return nil, err
 	}
 	return q.Parts, nil
@@ -56,25 +47,22 @@ func (r *Rank) Gather(root int, data []byte) ([][]byte, error) {
 // caller's chunk. Root must pass len(chunks) == Size(); other ranks
 // pass nil.
 func (r *Rank) Scatter(root int, chunks [][]byte) ([]byte, error) {
-	if root < 0 || root >= len(r.job.ranks) {
-		return nil, fmt.Errorf("ampi: Scatter root %d of %d", root, len(r.job.ranks))
+	n := len(r.job.ranks)
+	if root < 0 || root >= n {
+		return nil, fmt.Errorf("ampi: Scatter root %d of %d", root, n)
 	}
+	var st collState
 	if r.rank == root {
-		if len(chunks) != len(r.job.ranks) {
-			return nil, fmt.Errorf("ampi: Scatter: %d chunks for %d ranks", len(chunks), len(r.job.ranks))
+		if len(chunks) != n {
+			return nil, fmt.Errorf("ampi: Scatter: %d chunks for %d ranks", len(chunks), n)
 		}
-		for i, c := range chunks {
-			if i == root {
-				continue
-			}
-			if err := r.send(i, tagScatter, c); err != nil {
-				return nil, err
-			}
-		}
-		return chunks[root], nil
+		st.chunks, st.data = chunks, chunks[root]
 	}
-	m := r.recv(root, tagScatter)
-	return m.Data, nil
+	q, err := waited(r.icoll(collScatter, root, st))
+	if err != nil {
+		return nil, err
+	}
+	return q.Data, nil
 }
 
 // Alltoall exchanges chunks[i] with every rank i and returns the
@@ -82,26 +70,14 @@ func (r *Rank) Scatter(root int, chunks [][]byte) ([]byte, error) {
 // chunks. Receives match each peer by source, in rank order, so the
 // exchange is deterministic and payloads travel unwrapped.
 func (r *Rank) Alltoall(chunks [][]byte) ([][]byte, error) {
-	n := len(r.job.ranks)
-	if len(chunks) != n {
+	if n := len(r.job.ranks); len(chunks) != n {
 		return nil, fmt.Errorf("ampi: Alltoall: %d chunks for %d ranks", len(chunks), n)
 	}
-	out := make([][]byte, n)
-	out[r.rank] = chunks[r.rank]
-	for i, c := range chunks {
-		if i == r.rank {
-			continue
-		}
-		if err := r.send(i, tagAlltoall, c); err != nil {
-			return nil, err
-		}
+	q, err := waited(r.icoll(collAlltoall, r.rank, collState{chunks: append([][]byte(nil), chunks...)}))
+	if err != nil {
+		return nil, err
 	}
-	for i := range out {
-		if i != r.rank {
-			out[i] = r.recv(i, tagAlltoall).Data
-		}
-	}
-	return out, nil
+	return q.Parts, nil
 }
 
 // Sendrecv performs a simultaneous send and receive — the halo-

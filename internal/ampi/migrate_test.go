@@ -107,12 +107,19 @@ func TestMigrationEquivalence(t *testing.T) {
 // Rank 0's only message is still buffered when it reaches the gate;
 // unflushed, rank 1 waits for it forever and the gate never fills.
 func TestGateFlushesAggregation(t *testing.T) {
-	prog := Call(func(pc *PC) Proc {
-		if pc.Rank() == 0 {
-			return Do(func(pc *PC) { pc.Send(1, 1, []byte{7}) })
-		}
-		return Recv(0, 1, nil)
-	})
+	prog := Seq(
+		Do(func(pc *PC) {
+			if pc.Rank() == 0 {
+				pc.Send(1, 1, []byte{7})
+			}
+		}),
+		RecvEach(func(pc *PC) []int {
+			if pc.Rank() == 0 {
+				return nil
+			}
+			return []int{0}
+		}, 1, nil),
+	)
 	m := newMachine(t, 2, nil)
 	job, err := NewProgram(m, 2, Options{Aggregate: true}, Seq(prog, Migrate(loadbalance.GreedyLB{})))
 	if err != nil {
@@ -290,15 +297,12 @@ func TestEventRecordRoundTrip(t *testing.T) {
 			pc.Work(100 * float64(pc.Rank()+1))
 		}),
 		Migrate(loadbalance.RotateLB{}),
-		Call(func(pc *PC) Proc {
+		RecvEach(func(pc *PC) []int {
 			if pc.Rank() != 1 {
-				return Do(func(*PC) {})
+				return nil
 			}
-			return Seq(
-				Recv(0, 7, nil),
-				Recv(0, 7, nil),
-			)
-		}),
+			return []int{0, 0}
+		}, 7, nil),
 	)
 	job, err := NewProgram(m, 2, Options{Mode: ModeEvent}, prog)
 	if err != nil {

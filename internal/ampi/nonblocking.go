@@ -95,16 +95,16 @@ func (r *Rank) Waitall(qs []*Request) error {
 // (the same Ixxx kind, or its blocking form) before Wait returns.
 
 // CollRequest is a nonblocking-collective handle. After Wait, the
-// operation's result is in Value (reductions), Data (Bcast), or
-// Parts (Gather, root only).
+// operation's result is in Value (reductions), Data (Bcast, Scatter),
+// or Parts (Gather at the root, Alltoall).
 type CollRequest struct {
 	r    *Rank
 	st   collState // the schedule, its cursor and its accumulator
 	done bool
 
 	Value float64  // Iallreduce / Ireduce (root) result
-	Data  []byte   // Ibcast result
-	Parts [][]byte // Igather result (root only)
+	Data  []byte   // Ibcast / Scatter result
+	Parts [][]byte // Igather (root only) / Alltoall result
 }
 
 // icoll starts kind rooted at root from the accumulators preset in st:
@@ -112,7 +112,7 @@ type CollRequest struct {
 func (r *Rank) icoll(kind collKind, root int, st collState) (*CollRequest, error) {
 	q := &CollRequest{r: r, st: st}
 	q.st.kind = kind
-	q.st.parent, q.st.children = r.family(root)
+	q.st.parent, q.st.children = collFamily(kind, r.rank, len(r.job.ranks), &r.job.opts, root)
 	if err := q.advance(false); err != nil {
 		return nil, err
 	}
@@ -130,7 +130,11 @@ func (q *CollRequest) advance(block bool) error {
 			return nil
 		}
 		if a.send {
-			if err := q.r.sendEdge(a.peer, a.tag, q.st.payload()); err != nil {
+			send := q.r.sendEdge
+			if collKinds[q.st.kind].direct {
+				send = q.r.send
+			}
+			if err := send(a.peer, a.tag, q.st.payload(a)); err != nil {
 				return err
 			}
 		} else {
@@ -164,14 +168,25 @@ func (q *CollRequest) Wait() error {
 		if root { // only the root's accumulator is the result
 			q.Value = q.st.val
 		}
-	case collBcast:
+	case collBcast, collScatter:
 		q.Data = q.st.data
 	case collGather:
 		if root {
 			q.Parts = q.st.parts(len(q.r.job.ranks))
 		}
+	case collAlltoall:
+		q.Parts = q.st.chunks
 	}
 	return nil
+}
+
+// waited is a blocking collective: the request its start returned,
+// after Wait.
+func waited(q *CollRequest, err error) (*CollRequest, error) {
+	if err == nil {
+		err = q.Wait()
+	}
+	return q, err
 }
 
 // Done reports whether the collective has completed (Wait returned).

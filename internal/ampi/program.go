@@ -6,8 +6,11 @@ package ampi
 // — shared by every rank of a job, the way bigsim.stepBody is shared
 // by both BigSim backends. What differs per rank is an operand read off
 // the PC when a statement runs (RecvFrom, RecvEach, pc.Rank() in a Do),
-// so a step body is built once and running it builds nothing. The SAME tree is interpreted by two
-// backends selected with Options.Mode:
+// so a step body is built once and running it builds nothing. Programs
+// are closed: what one execution accumulates lives where the runtime
+// can see it — pc.Local, the frame stack, the collective runs — never
+// in a closure the tree makes as it runs. The SAME tree is interpreted
+// by two backends selected with Options.Mode:
 //
 //   - ModeULT: each rank is a migratable user-level thread; Recv and
 //     the collectives block the thread exactly like the classic Rank
@@ -326,24 +329,6 @@ func (l forProc) step(_ *PC, f *frame) (Proc, bool) {
 	return l.body(f.i - 1), false
 }
 
-type callProc struct{ gen func(*PC) Proc }
-
-// Call generates a statement per rank at run time — how one shared
-// program expresses rank-dependent STRUCTURE (Scatter's root runs a
-// different statement from everyone else; closures generated here carry
-// per-execution state safely). It is the slow path: every execution
-// builds and allocates its statements again, so a step body that only
-// needs a rank-dependent operand uses RecvFrom/RecvEach (or reads
-// pc.Rank() inside a Do) over a tree built once. gen must be pure in
-// the rank and its tree position: a cross-process install calls it
-// again, before Local is installed (rebuildStack).
-func Call(gen func(*PC) Proc) Proc { return callProc{gen} }
-
-// step is a tail call: a Call never appears in a resume point.
-func (c callProc) step(pc *PC, _ *frame) (Proc, bool) {
-	return c.gen(pc), true
-}
-
 type recvProc struct {
 	src, tag int
 	srcOf    func(*PC) int // RecvFrom: the source, per rank (nil = src)
@@ -359,9 +344,9 @@ func Recv(src, tag int, then func(pc *PC, data []byte, from int)) Proc {
 
 // RecvFrom is Recv with the source a function of the rank, evaluated
 // when the statement runs — so one statement, built once, serves every
-// rank and every iteration (a ring's "my left neighbour"). src carries
-// Call's contract: pure in the rank and the statement's tree position,
-// and a cross-process install calls it again before Local is installed.
+// rank and every iteration (a ring's "my left neighbour"). src must be
+// pure in the rank and the statement's tree position: a cross-process
+// install evaluates it before Local is installed.
 func RecvFrom(src func(*PC) int, tag int, then func(pc *PC, data []byte, from int)) Proc {
 	return recvProc{srcOf: src, tag: tag, then: then}
 }
@@ -395,9 +380,11 @@ type recvEachProc struct {
 // RecvEach receives one message with tag from each rank of srcs(pc), in
 // that order (a source listed twice is received from twice), running
 // then (if non-nil) after each — a zone's whole halo intake as one
-// statement built once. srcs carries RecvFrom's contract and is read
-// again on every resume, so the frame stays (statement, cursor); the
-// slice it returns is only read.
+// statement built once; a rank that takes no part returns no sources.
+// srcs must be pure in the rank and the statement's tree position: a
+// cross-process install evaluates it before Local is installed. It is
+// read again on every resume, so the frame stays (statement, cursor);
+// the slice it returns is only read.
 func RecvEach(srcs func(*PC) []int, tag int, then func(pc *PC, data []byte, from int)) Proc {
 	return recvEachProc{srcs: srcs, tag: tag, then: then}
 }
@@ -482,12 +469,13 @@ func Sendrecv(dest, sendTag int, data func(*PC) []byte, src, recvTag int, then f
 // ---------------------------------------------------------------
 // Collectives
 //
-// Every collective is compiled from the primitives above plus
-// treeFamily — per-source-matched tree edges, deterministic child
-// order — so a reduction combines in the same order in every mode and
-// on every PE count, keeping results (and therefore vt) bit-identical.
-// CollFlat selects the paper-era flat topology: the same schedule over
-// a one-level star, the root receiving in rank order.
+// Every collective runs a schedule derived from its family
+// (collFamily) — per-source-matched edges, deterministic child order —
+// so a reduction combines in the same order in every mode and on every
+// PE count, keeping results (and therefore vt) bit-identical. CollFlat
+// selects the paper-era flat topology: the same schedule over a
+// one-level star, the root receiving in rank order. Scatter and
+// Alltoall always use the star and charge no torus hops.
 
 // Every collective executes a collective schedule (tree.go): a fixed
 // per-rank sequence of tree-edge sends and receives. The blocking
@@ -561,7 +549,11 @@ func (run *collRun) advance(pc *PC, block bool) bool {
 			return true
 		}
 		if a.send {
-			pc.sendEdge(a.peer, a.tag, run.payload())
+			if collKinds[run.kind].direct {
+				pc.sendRaw(a.peer, a.tag, run.payload(a))
+			} else {
+				pc.sendEdge(a.peer, a.tag, run.payload(a))
+			}
 		} else {
 			if !block {
 				return false
@@ -591,7 +583,7 @@ func (sp collStartProc) step(pc *PC, _ *frame) (Proc, bool) {
 	if run == nil {
 		run = &collRun{site: site, link: pc.colls}
 		run.kind, run.combine = site.kind, site.combine
-		run.parent, run.children = collFamily(pc.rank, pc.Size(), &pc.job.opts, site.root)
+		run.parent, run.children = collFamily(site.kind, pc.rank, pc.Size(), &pc.job.opts, site.root)
 		pc.colls = run
 	} else if run.active {
 		panic(fmt.Sprintf("ampi: rank %d: %s started again before its wait completed", pc.rank, site.name))
@@ -622,7 +614,7 @@ func (wp collWaitProc) step(pc *PC, _ *frame) (Proc, bool) {
 	if wp.site.end != nil {
 		wp.site.end(pc, &run.collState)
 	}
-	run.data, run.entries = nil, nil // the payloads are the program's now
+	run.data, run.entries, run.chunks = nil, nil, nil // the payloads are the program's now
 	return nil, true
 }
 
@@ -744,29 +736,17 @@ func Igather(root int, val func(*PC) []byte, then func(*PC, [][]byte)) (start, w
 // Scatter distributes chunks (from val, called on root only; one
 // chunk per rank) from root; then runs on every rank with its chunk.
 func Scatter(root int, val func(*PC) [][]byte, then func(*PC, []byte)) Proc {
-	return Call(func(pc *PC) Proc {
-		if pc.rank == root {
-			return Do(func(pc *PC) {
-				chunks := val(pc)
-				if len(chunks) != pc.Size() {
-					panic(fmt.Sprintf("ampi: Scatter: %d chunks for %d ranks", len(chunks), pc.Size()))
-				}
-				for i, c := range chunks {
-					if i != root {
-						pc.sendRaw(i, tagScatter, c)
-					}
-				}
-				if then != nil {
-					then(pc, chunks[root])
-				}
-			})
-		}
-		return Recv(root, tagScatter, func(pc *PC, data []byte, _ int) {
-			if then != nil {
-				then(pc, data)
+	site := &collSite{name: "Scatter", kind: collScatter, root: root,
+		begin: func(pc *PC, st *collState) {
+			if st.parent < 0 {
+				st.chunks = mustChunks("Scatter", pc, val(pc))
+				st.data = st.chunks[root]
 			}
-		})
-	})
+		}}
+	if then != nil {
+		site.end = func(pc *PC, st *collState) { then(pc, st.data) }
+	}
+	return blocking(site)
 }
 
 // Alltoall exchanges chunks[i] (from val; one per rank) with every
@@ -774,36 +754,22 @@ func Scatter(root int, val func(*PC) [][]byte, then func(*PC, []byte)) Proc {
 // Receives match each peer specifically, in rank order, so no payload
 // prefix is needed and the exchange is deterministic.
 func Alltoall(val func(*PC) [][]byte, then func(*PC, [][]byte)) Proc {
-	return Call(func(pc *PC) Proc {
-		out := new([][]byte)
-		var ps []Proc
-		ps = append(ps, Do(func(pc *PC) {
-			chunks := val(pc)
-			if len(chunks) != pc.Size() {
-				panic(fmt.Sprintf("ampi: Alltoall: %d chunks for %d ranks", len(chunks), pc.Size()))
-			}
-			*out = make([][]byte, pc.Size())
-			(*out)[pc.rank] = chunks[pc.rank]
-			for i, c := range chunks {
-				if i != pc.rank {
-					pc.sendRaw(i, tagAlltoall, c)
-				}
-			}
-		}))
-		for i := 0; i < pc.Size(); i++ {
-			if i == pc.rank {
-				continue
-			}
-			i := i
-			ps = append(ps, Recv(i, tagAlltoall, func(pc *PC, data []byte, _ int) {
-				(*out)[i] = data
-			}))
-		}
-		if then != nil {
-			ps = append(ps, Do(func(pc *PC) { then(pc, *out) }))
-		}
-		return Seq(ps...)
-	})
+	site := &collSite{name: "Alltoall", kind: collAlltoall,
+		begin: func(pc *PC, st *collState) {
+			st.chunks = append([][]byte(nil), mustChunks("Alltoall", pc, val(pc))...)
+		}}
+	if then != nil {
+		site.end = func(pc *PC, st *collState) { then(pc, st.chunks) }
+	}
+	return blocking(site)
+}
+
+// mustChunks checks that a rank's chunk list has one entry per rank.
+func mustChunks(name string, pc *PC, chunks [][]byte) [][]byte {
+	if len(chunks) != pc.Size() {
+		panic(fmt.Sprintf("ampi: %s: %d chunks for %d ranks", name, len(chunks), pc.Size()))
+	}
+	return chunks
 }
 
 func mustCombiner(op string) func(a, b float64) float64 {

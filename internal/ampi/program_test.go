@@ -117,15 +117,10 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 		switch rng.Intn(11) {
 		case 0: // ring exchange via Sendrecv
 			tagA := rng.Intn(4)
-			ps = append(ps, Call(func(pc *PC) Proc {
-				n := pc.Size()
-				right := (pc.rank + 1) % n
-				left := (pc.rank - 1 + n) % n
-				return Sendrecv(right, tagA,
-					func(pc *PC) []byte { return f64bytes(pc.Local.(*mixState).x) },
-					left, tagA,
-					func(pc *PC, data []byte, from int) { acc(pc, f64(data)+float64(from)) })
-			}))
+			ps = append(ps, Seq(
+				Do(func(pc *PC) { pc.Send((pc.rank+1)%pc.Size(), tagA, f64bytes(pc.Local.(*mixState).x)) }),
+				RecvFrom(func(pc *PC) int { return (pc.rank - 1 + pc.Size()) % pc.Size() }, tagA,
+					func(pc *PC, data []byte, from int) { acc(pc, f64(data)+float64(from)) })))
 		case 1:
 			ps = append(ps, Barrier())
 		case 2:
@@ -170,33 +165,30 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 			work := float64(rng.Intn(5000))
 			live := uint64(rng.Intn(4)) * 512 // ≤ 8 phases × 1.5 KiB fits every caller's stack
 			tag := 9
-			ps = append(ps, Call(func(pc *PC) Proc {
-				n := pc.Size()
-				peer := pc.rank ^ 1
-				if peer >= n {
-					peer = pc.rank
-				}
-				return Seq(
-					Do(func(pc *PC) {
-						st := pc.Local.(*mixState)
-						// ULT ranks carry the frame through every later
-						// gate; event ranks keep nothing. Neither may move vt.
-						pc.UseStack(live)
-						pc.Work(work)
-						pc.Isend(peer, tag, f64bytes(st.x))
-						st.reqs = []*Req{pc.Irecv(peer, tag)}
-					}),
-					Waitall(func(pc *PC) []*Req { return pc.Local.(*mixState).reqs }),
-					Do(func(pc *PC) {
-						st := pc.Local.(*mixState)
-						if !st.reqs[0].Done() {
-							panic("Waitall completed with its receive still pending")
-						}
-						acc(pc, f64(st.reqs[0].Data)+float64(st.reqs[0].From))
-						st.reqs = nil
-					}),
-				)
-			}))
+			ps = append(ps, Seq(
+				Do(func(pc *PC) {
+					st := pc.Local.(*mixState)
+					peer := pc.rank ^ 1
+					if peer >= pc.Size() {
+						peer = pc.rank
+					}
+					// ULT ranks carry the frame through every later
+					// gate; event ranks keep nothing. Neither may move vt.
+					pc.UseStack(live)
+					pc.Work(work)
+					pc.Isend(peer, tag, f64bytes(st.x))
+					st.reqs = []*Req{pc.Irecv(peer, tag)}
+				}),
+				Waitall(func(pc *PC) []*Req { return pc.Local.(*mixState).reqs }),
+				Do(func(pc *PC) {
+					st := pc.Local.(*mixState)
+					if !st.reqs[0].Done() {
+						panic("Waitall completed with its receive still pending")
+					}
+					acc(pc, f64(st.reqs[0].Data)+float64(st.reqs[0].From))
+					st.reqs = nil
+				}),
+			))
 		case 8:
 			ps = append(ps, Alltoall(
 				func(pc *PC) [][]byte {
@@ -404,28 +396,72 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 	}
 }
 
+// TestCollectiveSiteSteadyStateAllocations extends the pin to the two
+// collectives with per-peer payloads: a loop over one prebuilt Alltoall
+// site and one prebuilt Scatter site, on 64 event ranks with chunk
+// tables built once, allocates per rank-iteration at most its messages
+// plus one — the Alltoall's result slice, every other iteration. A
+// collective that rebuilt its statements per execution costs several
+// allocations per peer.
+func TestCollectiveSiteSteadyStateAllocations(t *testing.T) {
+	const ranks, short, long = 64, 4, 20
+	table := make([][][]byte, ranks)
+	for r := range table {
+		table[r] = make([][]byte, ranks)
+		for i := range table[r] {
+			table[r][i] = f64bytes(float64(r*ranks + i))
+		}
+	}
+	val := func(pc *PC) [][]byte { return table[pc.Rank()] }
+	sites := []Proc{Alltoall(val, func(*PC, [][]byte) {}), Scatter(5, val, func(*PC, []byte) {})}
+	run := func(iters int) (mallocs, msgs uint64) {
+		m := newMachine(t, 2, nil)
+		job, err := NewProgram(m, ranks, Options{Mode: ModeEvent},
+			For(iters, func(i int) Proc { return sites[i%2] }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		job.Run()
+		runtime.ReadMemStats(&after)
+		if !job.Done() {
+			t.Fatalf("%d-iteration job did not complete", iters)
+		}
+		return after.Mallocs - before.Mallocs, m.Network().Snapshot().Sent
+	}
+	m0, s0 := run(short)
+	m1, s1 := run(long)
+	steps := float64(ranks * (long - short))
+	perStep := float64(m1-m0) / steps
+	bound := float64(s1-s0)/steps + 1
+	t.Logf("%.2f allocations per steady-state rank-iteration (messages = %.2f)", perStep, bound-1)
+	if perStep > bound {
+		t.Errorf("%.2f allocations per steady-state rank-iteration, want ≤ %.2f", perStep, bound)
+	}
+}
+
 // TestEventWildcardRecvOrder: wildcard receives in event mode match
 // the OLDEST buffered message, and a by-source receive takes from the
 // middle of the buffer without disturbing arrival order.
 func TestEventWildcardRecvOrder(t *testing.T) {
 	m := newMachine(t, 1, nil)
 	var order []int
-	prog := Call(func(pc *PC) Proc {
-		if pc.Rank() != 0 {
-			return Do(func(pc *PC) { pc.Send(0, pc.Rank(), f64bytes(float64(pc.Rank()))) })
-		}
-		return Seq(
-			Recv(2, AnyTag, func(_ *PC, data []byte, from int) {
-				order = append(order, from)
-			}),
-			Recv(AnySource, AnyTag, func(_ *PC, data []byte, from int) {
-				order = append(order, from)
-			}),
-			Recv(AnySource, AnyTag, func(_ *PC, data []byte, from int) {
-				order = append(order, from)
-			}),
-		)
-	})
+	prog := Seq(
+		Do(func(pc *PC) {
+			if pc.Rank() != 0 {
+				pc.Send(0, pc.Rank(), f64bytes(float64(pc.Rank())))
+			}
+		}),
+		RecvEach(func(pc *PC) []int {
+			if pc.Rank() != 0 {
+				return nil
+			}
+			return []int{2, AnySource, AnySource}
+		}, AnyTag, func(_ *PC, data []byte, from int) {
+			order = append(order, from)
+		}),
+	)
 	job, err := NewProgram(m, 4, Options{Mode: ModeEvent}, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -449,28 +485,24 @@ func TestEventIrecvWaitallAcrossPEs(t *testing.T) {
 	const size = 64
 	m := newMachine(t, 4, nil)
 	got := make([]float64, size)
-	prog := Call(func(pc *PC) Proc {
-		n := pc.Size()
-		near := (pc.rank + 1) % n
-		far := (pc.rank + n/2) % n
-		return Seq(
-			Do(func(pc *PC) {
-				st := &mixState{}
-				pc.Local = st
-				st.reqs = []*Req{
-					pc.Irecv((pc.rank-1+n)%n, 5),
-					pc.Irecv((pc.rank-n/2+n)%n, 6),
-				}
-				pc.Send(near, 5, f64bytes(float64(pc.rank)))
-				pc.Send(far, 6, f64bytes(float64(pc.rank)*10))
-			}),
-			Waitall(func(pc *PC) []*Req { return pc.Local.(*mixState).reqs }),
-			Do(func(pc *PC) {
-				rs := pc.Local.(*mixState).reqs
-				got[pc.rank] = f64(rs[0].Data) + f64(rs[1].Data)
-			}),
-		)
-	})
+	prog := Seq(
+		Do(func(pc *PC) {
+			n := pc.Size()
+			st := &mixState{}
+			pc.Local = st
+			st.reqs = []*Req{
+				pc.Irecv((pc.rank-1+n)%n, 5),
+				pc.Irecv((pc.rank-n/2+n)%n, 6),
+			}
+			pc.Send((pc.rank+1)%n, 5, f64bytes(float64(pc.rank)))
+			pc.Send((pc.rank+n/2)%n, 6, f64bytes(float64(pc.rank)*10))
+		}),
+		Waitall(func(pc *PC) []*Req { return pc.Local.(*mixState).reqs }),
+		Do(func(pc *PC) {
+			rs := pc.Local.(*mixState).reqs
+			got[pc.rank] = f64(rs[0].Data) + f64(rs[1].Data)
+		}),
+	)
 	job, err := NewProgram(m, size, Options{Mode: ModeEvent}, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -529,12 +561,12 @@ func TestEventFootprintReleased(t *testing.T) {
 		job, err := NewProgram(m, 2, Options{Mode: ModeEvent}, Seq(
 			Allreduce("sum", func(pc *PC) float64 { return 1 }, nil),
 			Seq(Seq(Waitall(func(*PC) []*Req { return reqs }))),
-			Call(func(pc *PC) Proc {
+			RecvEach(func(pc *PC) []int {
 				if pc.rank == 0 {
-					return Do(func(*PC) {})
+					return nil
 				}
-				return Recv(0, 99, nil) // never sent: rank 1 stays parked
-			}),
+				return []int{0} // never sent: rank 1 stays parked
+			}, 99, nil),
 		))
 		if err != nil {
 			t.Fatal(err)

@@ -9,23 +9,22 @@ package ampi
 //
 //   - the rank's tree PATH — the stack's cursors, read off at extract
 //     time: for every Seq/For frame, outermost first, the index of the
-//     child the rank is inside (cursor-1); a Call never leaves a frame;
-//     the innermost frame adds nothing if it is a Recv/RecvFrom and its
-//     cursor — the index of the source being waited for — if it is a
-//     RecvEach. Because every worker holds the identical tree, the
-//     destination rebuilds the stack by one validating descent from the
-//     root (rebuildStack). Only Call generators, For bodies and the
-//     RecvFrom/RecvEach operand functions run during it, and they only
-//     build statements or name ranks, so no completed work re-runs and
-//     virtual time is untouched.
+//     child the rank is inside (cursor-1); the innermost frame adds
+//     nothing if it is a Recv/RecvFrom and its cursor — the index of
+//     the source being waited for — if it is a RecvEach. Because every
+//     worker holds the identical tree, the destination rebuilds the
+//     stack by one validating descent from the root (rebuildStack).
+//     Only For bodies and the RecvFrom/RecvEach operand functions run
+//     during it, and they only pick statements or name ranks, so no
+//     completed work re-runs and virtual time is untouched.
 //   - the blocked Recv's match spec, virtual time, measured load, and
 //     buffered messages (the same fields eventRecord pups).
 //   - pc.Local, serialized by the program's Options.LocalPUP hook.
 //
-// Only a rank parked at a plain receive (Recv, RecvFrom, RecvEach) can
-// cross: a Waitall frame's request list and an outstanding collective's
-// cursor and accumulator have no wire form yet, so ShardExtract
-// refuses.
+// Only a rank parked at a plain receive (Recv, RecvFrom, RecvEach) and
+// inside no collective can cross: a Waitall frame's request list and a
+// collective run's cursor and accumulator have no wire form yet, so
+// ShardExtract refuses, naming the collective site.
 //
 // Protocol (driven by the shard orchestration layer): the source
 // worker calls ShardExtract — which atomically flips the directory,
@@ -87,9 +86,10 @@ func (j *Job) ShardMigratable(r int) bool {
 }
 
 // shippableLocked says why a record cannot describe the rank right
-// now, or nil: it must be unfinished and parked with a plain receive
-// as its innermost frame, hold no in-flight collective, and keep no
-// program state the job cannot serialize. Read off the stack, not
+// now, or nil: it must be unfinished, inside no collective (neither
+// parked in a blocking one nor between a nonblocking one's start and
+// wait), parked with a plain receive as its innermost frame, and keep
+// no program state the job cannot serialize. Read off the stack, not
 // tracked. er.mu held.
 func (e *eventEngine) shippableLocked(er *eventRank) error {
 	atRecv := false
@@ -97,13 +97,14 @@ func (e *eventEngine) shippableLocked(er *eventRank) error {
 	case recvProc, recvEachProc:
 		atRecv = true
 	}
+	site := er.pc.outstanding()
 	switch {
 	case er.done:
 		return fmt.Errorf("already finished")
+	case site != nil:
+		return fmt.Errorf("inside collective %s", site.name)
 	case !atRecv || !er.hasWait:
 		return fmt.Errorf("not parked at a plain Recv")
-	case er.pc.outstanding() != nil:
-		return fmt.Errorf("has in-flight nonblocking collectives")
 	case er.pc.Local != nil && e.job.opts.LocalPUP == nil:
 		return fmt.Errorf("has program state but the job has no LocalPUP")
 	}
@@ -326,8 +327,6 @@ func (pc *PC) rebuildStack(prog Proc, path []int, want matchSpec) ([]frame, erro
 		var i int
 		var err error
 		switch s := p.(type) {
-		case callProc:
-			p = s.gen(pc)
 		case recvProc:
 			return arrive(p, 0, matchSpec{src: s.source(pc), tag: s.tag})
 		case recvEachProc:

@@ -108,12 +108,13 @@ func wireRecord(t *testing.T, path []int, spec matchSpec) []byte {
 // parks.
 func TestShardInstallRejectsHostilePath(t *testing.T) {
 	start, wait := Ibarrier()
+	recv8 := Recv(0, 8, nil)
 	prog := Seq(
 		Do(func(*PC) {}),
 		Recv(0, 7, nil),
 		Waitall(func(*PC) []*Req { return nil }),
 		Seq(start, wait),
-		For(3, func(int) Proc { return Call(func(*PC) Proc { return Recv(0, 8, nil) }) }),
+		For(3, func(int) Proc { return recv8 }),
 		RecvEach(func(pc *PC) []int { return []int{0, pc.rank - 1, 0} }, 9, nil),
 		RecvFrom(func(pc *PC) int { return pc.rank - 2 }, 10, nil),
 	)
@@ -137,7 +138,7 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 		{"leads to a Waitall", []int{2}, matchSpec{0, 7}, "ampi.waitallProc, not a plain Recv"},
 		{"leads to a collective wait", []int{3, 1}, matchSpec{0, 7}, "ampi.collWaitProc, not a plain Recv"},
 		{"spec mismatch", []int{1}, matchSpec{0, 9}, "leads to Recv(0, 7) but the record waits for (0, 9)"},
-		{"spec mismatch under For/Call", []int{4, 2}, matchSpec{0, 7}, "leads to Recv(0, 8)"},
+		{"spec mismatch under For", []int{4, 2}, matchSpec{0, 7}, "leads to Recv(0, 8)"},
 		{"RecvEach without its cursor", []int{5}, matchSpec{0, 9}, "ends inside a 3-way ampi.recvEachProc at depth 1"},
 		{"RecvEach cursor -1", []int{5, -1}, matchSpec{0, 9}, "index -1 at depth 1 is outside a 3-way ampi.recvEachProc"},
 		{"RecvEach cursor = len", []int{5, 3}, matchSpec{0, 9}, "index 3 at depth 1 is outside a 3-way ampi.recvEachProc"},

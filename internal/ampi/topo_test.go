@@ -3,14 +3,15 @@ package ampi
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
 
-// topoJob builds an offline Job literal just big enough for family()
-// and edgeHops() — the same pattern TestTreeFamilyShape uses.
+// topoJob builds an offline Job literal just big enough for collFamily
+// and edgeHops().
 func topoJob(n, k, nodes, gsize int, block bool) *Job {
-	j := &Job{
+	return &Job{
 		size: n,
 		opts: Options{
 			Collectives:    CollTopoTree,
@@ -18,12 +19,7 @@ func topoJob(n, k, nodes, gsize int, block bool) *Job {
 			Topo:           Topology{Nodes: nodes, GroupSize: gsize},
 			BlockPlacement: block,
 		},
-		ranks: make([]*Rank, n),
 	}
-	for i := range j.ranks {
-		j.ranks[i] = &Rank{job: j, rank: i}
-	}
-	return j
 }
 
 // TestTopoFamilyShape checks the topology-aware tree is a well-formed
@@ -45,7 +41,7 @@ func TestTopoFamilyShape(t *testing.T) {
 								n, k, nodes, gsize, block, root)
 							parents := make(map[int]int)
 							for i := 0; i < n; i++ {
-								p, children := j.ranks[i].family(root)
+								p, children := collFamily(collBarrier, i, n, &j.opts, root)
 								if i == root && p != -1 {
 									t.Fatalf("%s: root has parent %d", label, p)
 								}
@@ -66,7 +62,7 @@ func TestTopoFamilyShape(t *testing.T) {
 								t.Fatalf("%s: %d edges, want %d", label, len(parents), n-1)
 							}
 							for c, p := range parents {
-								gotP, _ := j.ranks[c].family(root)
+								gotP, _ := collFamily(collBarrier, c, n, &j.opts, root)
 								if gotP != p {
 									t.Fatalf("%s: rank %d sees parent %d, parent list says %d", label, c, gotP, p)
 								}
@@ -91,8 +87,8 @@ func TestTopoFamilyShape(t *testing.T) {
 // collective algorithm on j's topology.
 func treeEdgeHops(j *Job, root int) int {
 	total := 0
-	for i := range j.ranks {
-		p, _ := j.ranks[i].family(root)
+	for i := 0; i < j.size; i++ {
+		p, _ := collFamily(collBarrier, i, j.size, &j.opts, root)
 		if p >= 0 {
 			total += j.edgeHops(i, p)
 		}
@@ -209,6 +205,52 @@ func TestTopoTreeCollectivesAgree(t *testing.T) {
 			if !bytes.Equal(topo[rk].gather[i], rank[rk].gather[i]) {
 				t.Errorf("rank %d gather[%d]: topo %v rank-order %v", rk, i, topo[rk].gather[i], rank[rk].gather[i])
 			}
+		}
+	}
+}
+
+// TestDirectCollectivesChargeNoHops pins the virtual time of Scatter
+// and Alltoall under a torus topology, in both modes, to the values
+// the per-rank generated programs they replaced produced: both send
+// straight to their peers, so only the closing Allreduce's tree edges
+// charge hops. A direct row that started charging hops would move
+// every VT below and the hop count.
+func TestDirectCollectivesChargeNoHops(t *testing.T) {
+	want := []uint64{0x40e7d78000000000, 0x40ecdcc000000000, 0x40ec7f0000000000, 0x40ecbd8000000000,
+		0x40ecdcc000000000, 0x40f0a2e000000000, 0x40f0c22000000000, 0x40f0f10000000000}
+	const wantHops = 14
+	chunks := func(pc *PC) [][]byte {
+		c := make([][]byte, pc.Size())
+		for i := range c {
+			c[i] = f64bytes(float64(pc.Rank()*100 + i))
+		}
+		return c
+	}
+	prog := Seq(
+		Do(func(pc *PC) { pc.Work(50 * float64(pc.Rank()+1)) }),
+		Scatter(3, chunks, nil),
+		Alltoall(chunks, nil),
+		Allreduce("sum", func(pc *PC) float64 { return pc.VT() }, nil),
+	)
+	for _, mode := range []string{ModeULT, ModeEvent} {
+		m := newMachine(t, 3, nil)
+		job, err := NewProgram(m, len(want), Options{
+			Mode: mode, Topo: Topology{Nodes: 4, GroupSize: 2}, MsgOverheadNs: 250, StackSize: 32 << 10,
+		}, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Run()
+		if !job.Done() {
+			t.Fatalf("%s: job did not complete", mode)
+		}
+		for r, w := range want {
+			if got := math.Float64bits(job.VT(r)); got != w {
+				t.Errorf("%s: rank %d VT %#x, want %#x", mode, r, got, w)
+			}
+		}
+		if got := m.Network().TopoHops(); got != wantHops {
+			t.Errorf("%s: %d topology hops charged, want %d", mode, got, wantHops)
 		}
 	}
 }

@@ -159,33 +159,40 @@ func topoFamily(rank, n, k, root int, t Topology, block bool) (parent int, child
 	return parent, children
 }
 
-// collFamily returns rank's parent and children in the job's
-// collective topology rooted at root: the rank-order k-ary tree
-// (CollTree), the topology-aware tree (CollTopoTree), or the
-// one-level star (CollFlat; children in rank order, so the root
-// combines in a fixed order whatever the arrival order).
-func collFamily(rank, n int, opts *Options, root int) (parent int, children []int) {
-	switch opts.Collectives {
-	case CollFlat:
-		if rank == root {
-			children = make([]int, 0, n-1)
-			for i := 0; i < n; i++ {
-				if i != root {
-					children = append(children, i)
-				}
-			}
-			return -1, children
-		}
+// starFamily returns rank's parent and children in the one-level star
+// of n ranks rooted at root: the root's children are every other rank
+// in rank order, so it combines in a fixed order whatever the arrival
+// order.
+func starFamily(rank, n, root int) (parent int, children []int) {
+	if rank != root {
 		return root, nil
-	case CollTopoTree:
+	}
+	children = make([]int, 0, n-1)
+	for i := 0; i < n; i++ {
+		if i != root {
+			children = append(children, i)
+		}
+	}
+	return -1, children
+}
+
+// collFamily returns rank's parent and children for collective kind
+// rooted at root. A direct kind talks to its peers over the star
+// whatever Options.Collectives says (an Alltoall's star is rooted at
+// the rank itself); every other kind uses the job's topology: the
+// rank-order k-ary tree (CollTree), the topology-aware tree
+// (CollTopoTree) or the star (CollFlat).
+func collFamily(kind collKind, rank, n int, opts *Options, root int) (parent int, children []int) {
+	switch {
+	case kind == collAlltoall:
+		return starFamily(rank, n, rank)
+	case collKinds[kind].direct || opts.Collectives == CollFlat:
+		return starFamily(rank, n, root)
+	case opts.Collectives == CollTopoTree:
 		return topoFamily(rank, n, opts.TreeArity, root, opts.Topo, opts.BlockPlacement)
 	default:
 		return treeFamily(rank, n, opts.TreeArity, root)
 	}
-}
-
-func (r *Rank) family(root int) (parent int, children []int) {
-	return collFamily(r.rank, len(r.job.ranks), &r.job.opts, root)
 }
 
 // ---------------------------------------------------------------
@@ -199,10 +206,12 @@ func (r *Rank) family(root int) (parent int, children []int) {
 // nonblocking.go) and both program backends (collRun, program.go)
 // execute the same collState, and a blocking collective IS its
 // nonblocking start followed immediately by its wait — which is what
-// makes the two forms bit-identical by construction.
+// makes the two forms bit-identical by construction. Scatter and
+// Alltoall are the same machinery with per-peer payloads: two direct
+// rows whose star carries each rank's chunk straight to it.
 
-// collKind names a collective's dance: which of the two phases it has
-// and the tag each runs under.
+// collKind names a collective's dance: which of the two phases it has,
+// in which order, and the tag each runs under.
 type collKind uint8
 
 const (
@@ -211,17 +220,27 @@ const (
 	collReduce                    // up only: the root's accumulator is the result
 	collBcast                     // down only: the root's data is forwarded
 	collGather                    // up only: packed (rank, data) subtrees merge
+	collScatter                   // down only: the root sends each rank its own chunk
+	collAlltoall                  // down then up: a chunk to every peer, then one from each
 )
 
 var collKinds = [...]struct {
 	up, down       bool
 	upTag, downTag int
+	// downFirst runs the down phase before the up phase: a rank at the
+	// root of its own star sends to every peer, then receives from each.
+	downFirst bool
+	// direct kinds send straight to their peers: over the star whatever
+	// Options.Collectives says (collFamily), with no torus hops charged.
+	direct bool
 }{
-	collBarrier:   {true, true, tagBarrier, tagBarrierRelease},
-	collAllreduce: {true, true, tagReduce, tagReduceResult},
+	collBarrier:   {up: true, down: true, upTag: tagBarrier, downTag: tagBarrierRelease},
+	collAllreduce: {up: true, down: true, upTag: tagReduce, downTag: tagReduceResult},
 	collReduce:    {up: true, upTag: tagReduceRoot},
 	collBcast:     {down: true, downTag: tagBcast},
 	collGather:    {up: true, upTag: tagGather},
+	collScatter:   {down: true, downTag: tagScatter, direct: true},
+	collAlltoall:  {up: true, down: true, upTag: tagAlltoall, downTag: tagAlltoall, downFirst: true, direct: true},
 }
 
 // collSched is one rank's schedule for one collective. Depth is
@@ -242,39 +261,49 @@ type collAct struct {
 
 // at derives action i from the cursor: receive from each child and send
 // to the parent (up), then receive from the parent and send to each
-// child (down). ok is false past the schedule's end.
+// child (down) — the two phases swapped for a downFirst kind. ok is
+// false past the schedule's end.
 func (s *collSched) at(i int) (a collAct, ok bool) {
+	first := collKinds[s.kind].downFirst
+	a, n, ok := s.phase(first, i)
+	if !ok {
+		a, _, ok = s.phase(!first, i-n)
+	}
+	return a, ok
+}
+
+// phase returns action i of the up or the down phase, or ok false and
+// the phase's length n.
+func (s *collSched) phase(down bool, i int) (a collAct, n int, ok bool) {
 	k := &collKinds[s.kind]
-	if k.up {
-		if i < len(s.children) {
-			return collAct{peer: s.children[i], tag: k.upTag}, true
-		}
-		i -= len(s.children)
-		if s.parent >= 0 {
-			if i == 0 {
-				return collAct{send: true, peer: s.parent, tag: k.upTag}, true
-			}
-			i--
-		}
+	if down && !k.down || !down && !k.up {
+		return collAct{}, 0, false
 	}
-	if k.down {
-		if s.parent >= 0 {
-			if i == 0 {
-				return collAct{down: true, peer: s.parent, tag: k.downTag}, true
-			}
-			i--
-		}
-		if i < len(s.children) {
-			return collAct{send: true, down: true, peer: s.children[i], tag: k.downTag}, true
-		}
+	n = len(s.children)
+	if s.parent >= 0 {
+		n++
 	}
-	return collAct{}, false
+	switch {
+	case i >= n:
+		return collAct{}, n, false
+	case !down && i < len(s.children):
+		return collAct{peer: s.children[i], tag: k.upTag}, n, true
+	case !down:
+		return collAct{send: true, peer: s.parent, tag: k.upTag}, n, true
+	case s.parent < 0:
+		return collAct{send: true, down: true, peer: s.children[i], tag: k.downTag}, n, true
+	case i == 0:
+		return collAct{down: true, peer: s.parent, tag: k.downTag}, n, true
+	}
+	return collAct{send: true, down: true, peer: s.children[i-1], tag: k.downTag}, n, true
 }
 
 // collState is one execution of a schedule by one rank: the cursor and,
 // inline, whichever accumulator the kind uses — val (reductions; only
-// the root's is meaningful after a Reduce), data (Bcast; pre-set on the
-// root) or entries (Gather; starts with the rank's own contribution).
+// the root's is meaningful after a Reduce), data (Bcast and Scatter;
+// pre-set on the root), entries (Gather; starts with the rank's own
+// contribution) or chunks (Scatter's root and Alltoall: one payload per
+// rank, indexed by rank).
 type collState struct {
 	collSched
 	next    int
@@ -282,11 +311,14 @@ type collState struct {
 	combine func(a, b float64) float64
 	data    []byte
 	entries []gatherEntry
+	// chunks is an Alltoall's result too: each receive replaces the
+	// sender's entry, whose own send has already gone out.
+	chunks [][]byte
 }
 
-// payload is what a send carries, computed when it goes out: an
+// payload is what send a carries, computed when it goes out: an
 // up-phase send depends on what earlier receives combined.
-func (c *collState) payload() []byte {
+func (c *collState) payload(a collAct) []byte {
 	switch c.kind {
 	case collAllreduce, collReduce:
 		return f64bytes(c.val)
@@ -296,6 +328,8 @@ func (c *collState) payload() []byte {
 		// One packed message per edge, so the root receives exactly its
 		// children's subtrees instead of P-1 messages.
 		return packGather(c.entries)
+	case collScatter, collAlltoall:
+		return c.chunks[a.peer]
 	}
 	return nil
 }
@@ -309,7 +343,7 @@ func (c *collState) absorb(a collAct, d []byte, nranks int) error {
 		} else {
 			c.val = c.combine(c.val, f64(d))
 		}
-	case collBcast:
+	case collBcast, collScatter:
 		c.data = d
 	case collGather:
 		sub, err := unpackGather(d, nranks)
@@ -317,6 +351,8 @@ func (c *collState) absorb(a collAct, d []byte, nranks int) error {
 			return err
 		}
 		c.entries = append(c.entries, sub...)
+	case collAlltoall:
+		c.chunks[a.peer] = d
 	}
 	return nil
 }

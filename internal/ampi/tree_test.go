@@ -19,13 +19,10 @@ func TestTreeFamilyShape(t *testing.T) {
 				if root < 0 || root >= n {
 					continue
 				}
-				j := &Job{opts: Options{TreeArity: k}, ranks: make([]*Rank, n)}
-				for i := range j.ranks {
-					j.ranks[i] = &Rank{job: j, rank: i}
-				}
+				opts := Options{TreeArity: k}
 				parents := make(map[int]int)
 				for i := 0; i < n; i++ {
-					p, children := j.ranks[i].family(root)
+					p, children := collFamily(collBarrier, i, n, &opts, root)
 					if i == root && p != -1 {
 						t.Fatalf("n=%d k=%d root=%d: root has parent %d", n, k, root, p)
 					}
@@ -46,7 +43,7 @@ func TestTreeFamilyShape(t *testing.T) {
 					t.Fatalf("n=%d k=%d root=%d: %d edges, want %d", n, k, root, len(parents), n-1)
 				}
 				for c, p := range parents {
-					gotP, _ := j.ranks[c].family(root)
+					gotP, _ := collFamily(collBarrier, c, n, &opts, root)
 					if gotP != p {
 						t.Fatalf("n=%d k=%d root=%d: rank %d sees parent %d, parent list says %d", n, k, root, c, gotP, p)
 					}
@@ -317,7 +314,10 @@ func TestGatherUnpackHostile(t *testing.T) {
 // closures per execution): for every kind × position in the family ×
 // topology, the (send, peer, tag) sequence below is the deleted
 // builders' output, copied here before they went. The flat star has no
-// interior rank. Columns: algo, position, kind, ranks, rank, root.
+// interior rank. The scatter and alltoall rows are the send/receive
+// order of the per-rank generated programs those two replaced, and
+// are the same under every algorithm: both always use the star.
+// Columns: algo, position, kind, ranks, rank, root.
 func TestDerivedScheduleMatchesBuilders(t *testing.T) {
 	type edge struct {
 		send      bool
@@ -330,7 +330,7 @@ func TestDerivedScheduleMatchesBuilders(t *testing.T) {
 	}
 	kinds := map[string]collKind{
 		"barrier": collBarrier, "allreduce": collAllreduce, "reduce": collReduce,
-		"bcast": collBcast, "gather": collGather,
+		"bcast": collBcast, "gather": collGather, "scatter": collScatter, "alltoall": collAlltoall,
 	}
 	for _, tc := range []struct {
 		algo, where, kind string
@@ -357,6 +357,12 @@ func TestDerivedScheduleMatchesBuilders(t *testing.T) {
 		{"tree", "single", "reduce", 1, 0, 0, []edge{}},
 		{"tree", "single", "bcast", 1, 0, 0, []edge{}},
 		{"tree", "single", "gather", 1, 0, 0, []edge{}},
+		{"tree", "root", "scatter", 13, 2, 2, []edge{{true, 0, -203}, {true, 1, -203}, {true, 3, -203}, {true, 4, -203}, {true, 5, -203}, {true, 6, -203}, {true, 7, -203}, {true, 8, -203}, {true, 9, -203}, {true, 10, -203}, {true, 11, -203}, {true, 12, -203}}},
+		{"tree", "leaf", "scatter", 13, 0, 2, []edge{{false, 2, -203}}},
+		{"tree", "middle", "scatter", 13, 6, 2, []edge{{false, 2, -203}}},
+		{"tree", "first", "alltoall", 13, 0, 2, []edge{{true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 6, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {true, 12, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 6, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}, {false, 12, -204}}},
+		{"tree", "middle", "alltoall", 13, 6, 2, []edge{{true, 0, -204}, {true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {true, 12, -204}, {false, 0, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}, {false, 12, -204}}},
+		{"tree", "last", "alltoall", 13, 12, 2, []edge{{true, 0, -204}, {true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 6, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {false, 0, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 6, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}}},
 		{"flat", "root", "barrier", 13, 0, 0, []edge{{false, 1, -100}, {false, 2, -100}, {false, 3, -100}, {false, 4, -100}, {false, 5, -100}, {false, 6, -100}, {false, 7, -100}, {false, 8, -100}, {false, 9, -100}, {false, 10, -100}, {false, 11, -100}, {false, 12, -100}, {true, 1, -101}, {true, 2, -101}, {true, 3, -101}, {true, 4, -101}, {true, 5, -101}, {true, 6, -101}, {true, 7, -101}, {true, 8, -101}, {true, 9, -101}, {true, 10, -101}, {true, 11, -101}, {true, 12, -101}}},
 		{"flat", "root", "allreduce", 13, 0, 0, []edge{{false, 1, -102}, {false, 2, -102}, {false, 3, -102}, {false, 4, -102}, {false, 5, -102}, {false, 6, -102}, {false, 7, -102}, {false, 8, -102}, {false, 9, -102}, {false, 10, -102}, {false, 11, -102}, {false, 12, -102}, {true, 1, -103}, {true, 2, -103}, {true, 3, -103}, {true, 4, -103}, {true, 5, -103}, {true, 6, -103}, {true, 7, -103}, {true, 8, -103}, {true, 9, -103}, {true, 10, -103}, {true, 11, -103}, {true, 12, -103}}},
 		{"flat", "root", "reduce", 13, 2, 2, []edge{{false, 0, -201}, {false, 1, -201}, {false, 3, -201}, {false, 4, -201}, {false, 5, -201}, {false, 6, -201}, {false, 7, -201}, {false, 8, -201}, {false, 9, -201}, {false, 10, -201}, {false, 11, -201}, {false, 12, -201}}},
@@ -372,6 +378,12 @@ func TestDerivedScheduleMatchesBuilders(t *testing.T) {
 		{"flat", "single", "reduce", 1, 0, 0, []edge{}},
 		{"flat", "single", "bcast", 1, 0, 0, []edge{}},
 		{"flat", "single", "gather", 1, 0, 0, []edge{}},
+		{"flat", "root", "scatter", 13, 2, 2, []edge{{true, 0, -203}, {true, 1, -203}, {true, 3, -203}, {true, 4, -203}, {true, 5, -203}, {true, 6, -203}, {true, 7, -203}, {true, 8, -203}, {true, 9, -203}, {true, 10, -203}, {true, 11, -203}, {true, 12, -203}}},
+		{"flat", "leaf", "scatter", 13, 0, 2, []edge{{false, 2, -203}}},
+		{"flat", "middle", "scatter", 13, 6, 2, []edge{{false, 2, -203}}},
+		{"flat", "first", "alltoall", 13, 0, 2, []edge{{true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 6, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {true, 12, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 6, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}, {false, 12, -204}}},
+		{"flat", "middle", "alltoall", 13, 6, 2, []edge{{true, 0, -204}, {true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {true, 12, -204}, {false, 0, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}, {false, 12, -204}}},
+		{"flat", "last", "alltoall", 13, 12, 2, []edge{{true, 0, -204}, {true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 6, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {false, 0, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 6, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}}},
 		{"topo", "root", "barrier", 13, 0, 0, []edge{{false, 1, -100}, {false, 2, -100}, {false, 4, -100}, {false, 7, -100}, {true, 1, -101}, {true, 2, -101}, {true, 4, -101}, {true, 7, -101}}},
 		{"topo", "root", "allreduce", 13, 0, 0, []edge{{false, 1, -102}, {false, 2, -102}, {false, 4, -102}, {false, 7, -102}, {true, 1, -103}, {true, 2, -103}, {true, 4, -103}, {true, 7, -103}}},
 		{"topo", "root", "reduce", 13, 2, 2, []edge{{false, 3, -201}, {false, 4, -201}, {false, 6, -201}, {false, 9, -201}}},
@@ -392,10 +404,16 @@ func TestDerivedScheduleMatchesBuilders(t *testing.T) {
 		{"topo", "single", "reduce", 1, 0, 0, []edge{}},
 		{"topo", "single", "bcast", 1, 0, 0, []edge{}},
 		{"topo", "single", "gather", 1, 0, 0, []edge{}},
+		{"topo", "root", "scatter", 13, 2, 2, []edge{{true, 0, -203}, {true, 1, -203}, {true, 3, -203}, {true, 4, -203}, {true, 5, -203}, {true, 6, -203}, {true, 7, -203}, {true, 8, -203}, {true, 9, -203}, {true, 10, -203}, {true, 11, -203}, {true, 12, -203}}},
+		{"topo", "leaf", "scatter", 13, 0, 2, []edge{{false, 2, -203}}},
+		{"topo", "middle", "scatter", 13, 6, 2, []edge{{false, 2, -203}}},
+		{"topo", "first", "alltoall", 13, 0, 2, []edge{{true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 6, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {true, 12, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 6, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}, {false, 12, -204}}},
+		{"topo", "middle", "alltoall", 13, 6, 2, []edge{{true, 0, -204}, {true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {true, 12, -204}, {false, 0, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}, {false, 12, -204}}},
+		{"topo", "last", "alltoall", 13, 12, 2, []edge{{true, 0, -204}, {true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 6, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {false, 0, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 6, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}}},
 	} {
 		opts := algos[tc.algo]
 		s := collSched{kind: kinds[tc.kind]}
-		s.parent, s.children = collFamily(tc.rank, tc.size, &opts, tc.root)
+		s.parent, s.children = collFamily(s.kind, tc.rank, tc.size, &opts, tc.root)
 		got := []edge{}
 		for i := 0; ; i++ {
 			a, ok := s.at(i)
@@ -403,8 +421,13 @@ func TestDerivedScheduleMatchesBuilders(t *testing.T) {
 				break
 			}
 			got = append(got, edge{a.send, a.peer, a.tag})
-			// The down phase is exactly the release/result/bcast tags.
-			if wantDown := a.tag == tagBarrierRelease || a.tag == tagReduceResult || a.tag == tagBcast; a.down != wantDown {
+			// The down phase is exactly the release/result/bcast/scatter
+			// tags and an Alltoall's sends.
+			wantDown := a.tag == tagBarrierRelease || a.tag == tagReduceResult || a.tag == tagBcast || a.tag == tagScatter
+			if a.tag == tagAlltoall {
+				wantDown = a.send
+			}
+			if a.down != wantDown {
 				t.Errorf("%s %s %s: action %d (tag %d) has down=%v", tc.algo, tc.where, tc.kind, i, a.tag, a.down)
 			}
 		}

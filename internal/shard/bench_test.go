@@ -169,19 +169,23 @@ func BenchmarkTransportSendCrossStreamShm(b *testing.B) { benchSendCrossStream(b
 // picture (512 ranks racing a running Jacobi).
 func benchRecordPingPong(b *testing.B, netKind string) {
 	fabs := pairFabrics(b, netKind)
-	// Rank 0 is the shuttle: parked at a plain Recv, the only
-	// migratable rank in the job. Ranks 1-3 are ballast parked at a
-	// Waitall (not a plain Recv, so never migratable) — they keep
-	// every worker's job un-done so MigrateRanks keeps waiting for
-	// the shuttle instead of declaring completion.
-	prog := ampi.Call(func(pc *ampi.PC) ampi.Proc {
-		if pc.Rank() == 0 {
-			return ampi.Recv(1, 7, nil)
-		}
-		return ampi.Waitall(func(pc *ampi.PC) []*ampi.Req {
+	// Rank 0 is the shuttle: parked at a plain receive, the only
+	// migratable rank in the job. Ranks 1-3 have nothing to receive
+	// there and park at a Waitall instead (not a plain receive, so
+	// never migratable) — they keep every worker's job un-done so
+	// MigrateRanks keeps waiting for the shuttle instead of declaring
+	// completion.
+	prog := ampi.Seq(
+		ampi.RecvEach(func(pc *ampi.PC) []int {
+			if pc.Rank() == 0 {
+				return []int{1}
+			}
+			return nil
+		}, 7, nil),
+		ampi.Waitall(func(pc *ampi.PC) []*ampi.Req {
 			return []*ampi.Req{pc.Irecv(0, 9)}
-		})
-	})
+		}),
+	)
 	build := func(m *core.Machine) (*ampi.Job, error) {
 		return ampi.NewProgram(m, 4, ampi.Options{Mode: ampi.ModeEvent, BlockPlacement: true}, prog)
 	}
