@@ -2,8 +2,10 @@
 // and without AMPI thread-migration load balancing, across the
 // paper's problem classes and rank/PE configurations.
 //
-// Usage: btmz [-steps 20] [-lb greedy] [-coll tree|flat|topo] [-agg off|on|N:B]
-//             [-steal off|on] [-chunks N] [-overlap] [-reduce N]
+// Usage:
+//
+//	btmz [-steps 20] [-lb greedy] [-coll tree|flat|topo] [-agg off|on|N:B]
+//	     [-steal off|on] [-chunks N] [-overlap] [-reduce N]
 //
 // -overlap makes the halo exchange split-phase (receives posted and
 // halos sent before the solve, completed after it) and pipelines the

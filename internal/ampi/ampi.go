@@ -229,9 +229,12 @@ type Rank struct {
 	th   *converse.Thread
 	ctx  *converse.Ctx
 
-	mu      sync.Mutex
-	mbox    []*comm.Message
-	waiting *matchSpec
+	mu   sync.Mutex
+	mbox []*comm.Message
+	// waiting is what a parked recv asked for, valid while hasWait —
+	// held by value, like eventRank's, so a receive allocates nothing.
+	waiting matchSpec
+	hasWait bool
 }
 
 type matchSpec struct {
@@ -642,9 +645,9 @@ func (r *Rank) flushStream() {
 func (r *Rank) deliver(_ int, msg *comm.Message) {
 	r.mu.Lock()
 	r.mbox = append(r.mbox, msg)
-	wake := r.waiting != nil && r.matchesLocked(r.waiting, msg)
+	wake := r.hasWait && r.matchesLocked(r.waiting, msg)
 	if wake {
-		r.waiting = nil
+		r.hasWait = false
 	}
 	r.mu.Unlock()
 	if wake {
@@ -652,7 +655,7 @@ func (r *Rank) deliver(_ int, msg *comm.Message) {
 	}
 }
 
-func (r *Rank) matchesLocked(spec *matchSpec, m *comm.Message) bool {
+func (r *Rank) matchesLocked(spec matchSpec, m *comm.Message) bool {
 	if spec.tag != AnyTag && spec.tag != m.Tag {
 		return false
 	}
@@ -663,7 +666,7 @@ func (r *Rank) matchesLocked(spec *matchSpec, m *comm.Message) bool {
 }
 
 // takeLocked removes and returns the oldest matching message.
-func (r *Rank) takeLocked(spec *matchSpec) *comm.Message {
+func (r *Rank) takeLocked(spec matchSpec) *comm.Message {
 	for i, m := range r.mbox {
 		if r.matchesLocked(spec, m) {
 			r.mbox = append(r.mbox[:i], r.mbox[i+1:]...)
@@ -684,7 +687,7 @@ func (r *Rank) Recv(src, tag int) ([]byte, int, error) {
 }
 
 func (r *Rank) recv(src, tag int) *comm.Message {
-	spec := &matchSpec{src: src, tag: tag}
+	spec := matchSpec{src: src, tag: tag}
 	for {
 		r.mu.Lock()
 		if m := r.takeLocked(spec); m != nil {
@@ -698,7 +701,7 @@ func (r *Rank) recv(src, tag int) *comm.Message {
 			}
 			return m
 		}
-		r.waiting = spec
+		r.waiting, r.hasWait = spec, true
 		r.mu.Unlock()
 		// About to park: force out coalesced messages so a peer
 		// waiting on them can run (explicit-flush-on-idle).

@@ -45,7 +45,7 @@ func (q *Request) Test() bool {
 	q.rank.mu.Lock()
 	defer q.rank.mu.Unlock()
 	for _, m := range q.rank.mbox {
-		if q.rank.matchesLocked(q.recv, m) {
+		if q.rank.matchesLocked(*q.recv, m) {
 			return true
 		}
 	}

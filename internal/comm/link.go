@@ -21,10 +21,13 @@
 //     after Close is rejected;
 //   - two workers closing concurrently cannot deadlock: Close hangs up
 //     every link before it waits for any reader;
-//   - a link fault (or a frame that does not decode) before Retire
-//     panics — a worker process dying mid-run is a hard error for now,
-//     there is no restart or rebalance protocol; after Retire or Close
-//     faults are teardown noise;
+//   - Close ends every link with a BYE frame, after every frame it
+//     accepted. A reader that has seen BYE takes the hang-up that
+//     follows as the link's orderly end. A hang-up without BYE, a
+//     frame after BYE, or a frame that does not decode is a link fault
+//     and panics — a worker process dying mid-run is a hard error for
+//     now, there is no restart or rebalance protocol. After the local
+//     Close, faults are teardown noise;
 //   - a transport never attached to a Network is control-only: it
 //     carries SendControl/Broadcast, Deliver on it is an error, and an
 //     envelope frame arriving on it is a link fault.
@@ -36,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -44,6 +48,9 @@ import (
 const (
 	frameEnvelope byte = 1
 	frameControl  byte = 2
+	// frameBye is a link's last frame: its sender hangs up in good
+	// order. It has no body.
+	frameBye byte = 3
 )
 
 // maxFrameLen caps a claimed frame length (hostile-input guard: a
@@ -70,13 +77,16 @@ type link interface {
 	// read blocks for the next frame and returns its type byte and
 	// body in a recycled buffer the caller putBufs. A length prefix of
 	// zero or beyond maxFrameLen is an error, rejected before any
-	// buffer is drawn. errLinkEnded reports an orderly end — close was
-	// called here, or the fabric can tell the peer closed and the link
-	// is drained; every other error is a fault.
+	// buffer is drawn. errLinkEnded reports that close was called
+	// here, io.EOF that the peer hung up and the link is drained.
+	// Whether that hang-up was orderly is the skeleton's call: it was
+	// if a BYE frame came first.
 	read() ([]byte, error)
-	// close puts every accepted frame on the wire, refuses further
-	// ones, and makes a blocked or later read return.
-	close()
+	// close puts every accepted frame on the wire, then bye (a BYE
+	// frame in a recycled buffer the link now owns) as the last one,
+	// refuses further frames, and makes a blocked or later read
+	// return.
+	close(bye []byte)
 	// release frees the link's OS resources. Called after close, once
 	// no read is in progress.
 	release()
@@ -115,9 +125,11 @@ type LinkTransport struct {
 	links   []link // links[w]: the link to worker w; nil for self
 
 	closed  atomic.Bool
-	retired atomic.Bool
 	readers sync.WaitGroup
 	stats   linkCounters
+	// onFault replaces the panic of the failure policy (linkFailed);
+	// nil outside tests.
+	onFault func(w int, err error)
 }
 
 func newLinkTransport(self, workers int, owner func(pe int) int) *LinkTransport {
@@ -223,22 +235,38 @@ func (t *LinkTransport) send(w int, frame []byte) error {
 // DecodeEnvelope's payloads are fresh allocations and control handlers
 // must not retain (see ControlHandler) — so it goes back to the pool
 // on every path.
+//
+// After the peer's BYE, whatever error the hang-up reads as ends the
+// link quietly: EOF, or ECONNRESET from a unix socket whose closer
+// left frames of ours unread.
 func (t *LinkTransport) readLoop(w int, l link) {
 	defer t.readers.Done()
+	bye := false
 	for {
 		buf, err := l.read()
-		if err == nil {
+		switch {
+		case err == nil && bye:
+			err = fmt.Errorf("frame type %d after BYE", buf[0])
+			putBuf(buf)
+		case err == nil && buf[0] == frameBye:
+			putBuf(buf)
+			bye = true
+			continue
+		case err == nil:
 			t.stats.framesRecv.Add(1)
 			t.stats.bytesRead.Add(uint64(4 + len(buf)))
 			err = dispatchFrame(t.network, t.ctrl, buf)
 			putBuf(buf)
-		}
-		if err != nil {
-			if err != errLinkEnded {
-				t.linkFailed(w, err)
+			if err == nil {
+				continue
 			}
+		case err == errLinkEnded || bye:
 			return
+		case err == io.EOF:
+			err = errors.New("peer hung up without BYE")
 		}
+		t.linkFailed(w, err)
+		return
 	}
 }
 
@@ -270,29 +298,34 @@ func dispatchFrame(network *Network, ctrl ControlHandler, buf []byte) error {
 	}
 }
 
-// linkFailed enforces the hard-error policy: any link fault before
-// Retire kills the process.
+// linkFailed enforces the hard-error policy: a link fault before the
+// local Close kills the process.
 func (t *LinkTransport) linkFailed(w int, err error) {
-	if t.closed.Load() || t.retired.Load() {
+	if t.closed.Load() {
 		return // expected teardown noise
+	}
+	if t.onFault != nil {
+		t.onFault(w, err)
+		return
 	}
 	panic(fmt.Sprintf("comm: worker %d: link to worker %d failed: %v", t.self, w, err))
 }
 
-// Retire marks the run complete: link faults after this point (peers
-// closing their side first) are expected and ignored. Call once the
-// termination barrier has been crossed, before Close.
-func (t *LinkTransport) Retire() { t.retired.Store(true) }
+// Retire does nothing. Close's BYE frame is what tells a peer that a
+// hang-up is orderly; the method stays for the bench module, which
+// still calls it before Close.
+func (t *LinkTransport) Retire() {}
 
-// Close implements Transport: flush and hang up every link, wait for
-// the readers, then release the links.
+// Close implements Transport: flush every link, end it with BYE and
+// hang up, wait for the readers, then release the links.
 func (t *LinkTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
 	for _, l := range t.links {
 		if l != nil {
-			l.close()
+			bye, _ := newFrame(frameBye, 0)
+			l.close(bye)
 		}
 	}
 	t.readers.Wait()

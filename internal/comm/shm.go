@@ -33,16 +33,17 @@
 // and a parked reader's wake latency is bounded by one nap — no
 // descriptor, no syscall on the send side at all.
 //
-// Unlike a socket, a ring can say "the peer closed in good order":
-// close marks the outbound ring wclosed under the producer mutex, so
-// every accepted frame is published before the peer can observe the
-// mark, and a reader that finds its inbound ring wclosed and drained
-// ends without a fault.
+// close publishes the skeleton's BYE frame and then marks the outbound
+// ring wclosed, both under the producer mutex, so every accepted frame
+// is published before the peer can observe the mark. A reader that
+// finds its inbound ring wclosed and drained reports the peer's
+// hang-up as io.EOF, exactly as a socket does.
 package comm
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -365,7 +366,10 @@ func (l *shmLink) read() ([]byte, error) {
 			if r.readable() != 0 {
 				continue
 			}
-		} else if !l.stop.Load() {
+			r.rclosed.Store(1)
+			return nil, io.EOF
+		}
+		if !l.stop.Load() {
 			if l.idle.Wait() {
 				l.stats.parks.Add(1)
 			}
@@ -376,11 +380,19 @@ func (l *shmLink) read() ([]byte, error) {
 	}
 }
 
-func (l *shmLink) close() {
+// close stops blocked pushers, then publishes bye and marks the ring
+// closed. bye waits out a full ring like any frame, unless the peer's
+// reader has detached and nobody is left to read it.
+func (l *shmLink) close(bye []byte) {
+	defer putBuf(bye)
 	l.stop.Store(true)
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	full := NewBackoff(shmSpinYields, shmYieldSpins)
+	for !l.out.tryPush(bye) && l.out.rclosed.Load() == 0 {
+		full.Wait()
+	}
 	l.out.wclosed.Store(1)
-	l.mu.Unlock()
 }
 
 func (l *shmLink) release() {

@@ -63,7 +63,7 @@ func TestShmTransportWrapAround(t *testing.T) {
 // is rejected instead of deadlocking the writer.
 func TestShmFrameTooLarge(t *testing.T) {
 	t0, t1 := shmPair(t, nil, shmMinRing)
-	t.Cleanup(func() { retireAndClose(t0, t1) })
+	t.Cleanup(func() { closeBoth(t0, t1) })
 	startBoth(t, t0, t1)
 	if err := t0.SendControl(1, 9, make([]byte, 2*shmMinRing)); err == nil {
 		t.Fatal("oversized frame must be rejected")

@@ -7,10 +7,10 @@
 // through a bufio.Reader. Frame order on the link is push order, so
 // the skeleton's FIFO guarantee falls out of stream FIFO.
 //
-// A stream socket has no in-band "peer closed in good order" signal:
-// EOF before Retire is indistinguishable from a dead worker and is
-// reported as a fault. An asynchronous write error reaches the
-// transport's failure policy through the link's fail callback.
+// A stream socket has no out-of-band "peer closed in good order"
+// signal: the skeleton's BYE frame is it, and read hands EOF up as
+// is. An asynchronous write error reaches the transport's failure
+// policy through the link's fail callback.
 package comm
 
 import (
@@ -172,11 +172,13 @@ func (l *sockLink) read() ([]byte, error) {
 	return buf, nil
 }
 
-// close stops the writer after one last drain, then closes the
-// connection, which is what unblocks the reader.
-func (l *sockLink) close() {
+// close queues bye behind every accepted frame, stops the writer after
+// one last drain, then closes the connection, which is what unblocks
+// the reader.
+func (l *sockLink) close(bye []byte) {
 	l.mu.Lock()
 	l.closed = true
+	l.q = append(l.q, bye)
 	l.mu.Unlock()
 	close(l.done)
 	<-l.flushed

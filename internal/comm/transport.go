@@ -53,6 +53,7 @@ type ShardTransport interface {
 	Start() error
 	SendControl(w int, kind uint32, payload []byte) error
 	Broadcast(kind uint32, payload []byte) error
+	// Retire does nothing (see LinkTransport.Retire).
 	Retire()
 	SocketStats() SocketStats
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,12 +23,26 @@ type fabric struct {
 	name     string
 	syscalls bool // frames cross through the kernel
 	pair     func(t *testing.T, owner func(pe int) int) (t0, t1 *LinkTransport)
+	// die makes tr's link to worker 1-self behave like a worker process
+	// that dies: the raw bytes of partial reach the peer, then the link
+	// hangs up with no BYE.
+	die func(tr *LinkTransport, partial []byte)
 }
 
 var (
-	unixFabric = fabric{name: "unix", syscalls: true, pair: unixPair}
-	shmFabric  = fabric{name: "shm", pair: func(t *testing.T, owner func(pe int) int) (*LinkTransport, *LinkTransport) {
+	unixFabric = fabric{name: "unix", syscalls: true, pair: unixPair, die: func(tr *LinkTransport, partial []byte) {
+		c := tr.links[1-tr.self].(*sockLink).conn
+		c.Write(partial)
+		c.Close()
+	}}
+	shmFabric = fabric{name: "shm", pair: func(t *testing.T, owner func(pe int) int) (*LinkTransport, *LinkTransport) {
 		return shmPair(t, owner, 1<<16) // small rings, so tests see realistic occupancy
+	}, die: func(tr *LinkTransport, partial []byte) {
+		r := tr.links[1-tr.self].(*shmLink).out
+		tail := r.tail.Load()
+		copy(r.data[tail&(r.capacity-1):], partial)
+		r.tail.Store(tail + uint64(len(partial)))
+		r.wclosed.Store(1) // the OS reclaiming a dead writer's side
 	}}
 	fabrics = []fabric{unixFabric, shmFabric}
 )
@@ -80,13 +95,33 @@ func shmPair(t *testing.T, owner func(pe int) int, ringBytes int) (t0, t1 *LinkT
 	return t0, t1
 }
 
-// retireAndClose is every test's teardown: retire both ends first, so
-// neither reader takes the other's hang-up for a fault.
-func retireAndClose(t0, t1 *LinkTransport) {
-	t0.Retire()
-	t1.Retire()
+// closeBoth is every test's teardown. The first Close ends its links
+// with BYE, so the second transport's readers take that hang-up for an
+// orderly end, not a fault.
+func closeBoth(t0, t1 *LinkTransport) {
 	t0.Close()
 	t1.Close()
+}
+
+// faultLog replaces a transport's failure panic with a record of the
+// faults, so a test can assert on them.
+type faultLog struct {
+	mu   sync.Mutex
+	errs []error
+}
+
+func (f *faultLog) watch(tr *LinkTransport) {
+	tr.onFault = func(_ int, err error) {
+		f.mu.Lock()
+		f.errs = append(f.errs, err)
+		f.mu.Unlock()
+	}
+}
+
+func (f *faultLog) snapshot() []error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]error(nil), f.errs...)
 }
 
 // twoWorkers builds two sharded 4-PE networks in one test process —
@@ -103,7 +138,7 @@ func twoWorkers(t *testing.T, t0, t1 *LinkTransport) (n0, n1 *Network) {
 	if err := t1.Attach(n1, 2, 4); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { retireAndClose(t0, t1) })
+	t.Cleanup(func() { closeBoth(t0, t1) })
 	return n0, n1
 }
 
@@ -327,6 +362,9 @@ func TestTransportContract(t *testing.T) {
 		{"SendAfterClose", contractSendAfterClose},
 		{"ConcurrentClose", contractConcurrentClose},
 		{"BadFrameRecyclesBuffer", contractBadFrameRecyclesBuffer},
+		{"PeerClosedCleanly", contractPeerClosedCleanly},
+		{"PeerDiedMidFrame", contractPeerDiedMidFrame},
+		{"PeerHungUpWithoutBye", contractPeerHungUpWithoutBye},
 	}
 	for _, f := range fabrics {
 		for _, c := range cases {
@@ -340,7 +378,7 @@ func TestTransportContract(t *testing.T) {
 // named error, not a nil dereference.
 func contractControlOnly(t *testing.T, f fabric) {
 	t0, t1 := f.pair(t, nil)
-	t.Cleanup(func() { retireAndClose(t0, t1) })
+	t.Cleanup(func() { closeBoth(t0, t1) })
 	var log0, log1 ctrlLog
 	t0.SetControlHandler(log0.handle)
 	t1.SetControlHandler(log1.handle)
@@ -386,7 +424,6 @@ func contractSendAfterClose(t *testing.T, f fabric) {
 			t.Fatal(err)
 		}
 	}
-	t0.Retire() // worker 1 hanging up first is now expected
 	if err := t1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -418,8 +455,6 @@ func contractConcurrentClose(t *testing.T, f fabric) {
 			t.Fatal(err)
 		}
 	}
-	t0.Retire()
-	t1.Retire()
 	closed := make(chan error, 2)
 	for _, tr := range []*LinkTransport{t0, t1} {
 		go func() { closed <- tr.Close() }()
@@ -449,9 +484,10 @@ func smallBufsFree() int {
 // reader, and the read buffer still goes back to the pool.
 func contractBadFrameRecyclesBuffer(t *testing.T, f fabric) {
 	t0, t1 := f.pair(t, nil)
-	t.Cleanup(func() { retireAndClose(t0, t1) })
+	t.Cleanup(func() { closeBoth(t0, t1) })
+	var faults faultLog
+	faults.watch(t0) // the fault below is recorded instead of panicking
 	startBoth(t, t0, t1)
-	t0.Retire() // the fault below is then teardown noise, not a panic
 
 	// Frame and read buffer both come from the 64-byte class; spares
 	// are parked first so gets and puts both move its free count.
@@ -468,6 +504,84 @@ func contractBadFrameRecyclesBuffer(t *testing.T, f fabric) {
 	}
 	t0.readers.Wait() // the reader gives up on the bad frame
 	waitFor(t, "both buffers back in the pool", func() bool { return smallBufsFree() == before })
+	if errs := faults.snapshot(); len(errs) != 1 {
+		t.Fatalf("bad frame: faults %v, want exactly one", errs)
+	}
+}
+
+// contractPeerClosedCleanly: a peer that closes first ends the link in
+// good order. Every frame it sent is delivered, then this side's
+// reader ends by itself, with no fault, before this side closes.
+func contractPeerClosedCleanly(t *testing.T, f fabric) {
+	t0, t1 := f.pair(t, nil)
+	var log ctrlLog
+	var faults faultLog
+	t0.SetControlHandler(log.handle)
+	faults.watch(t0)
+	startBoth(t, t0, t1)
+	const count = 64
+	for i := 0; i < count; i++ {
+		if err := t1.SendControl(0, uint32(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := t1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t0.readers.Wait() // the reader ends on the BYE'd hang-up, unprompted
+	if got := len(log.snapshot()); got != count {
+		t.Fatalf("delivered %d of %d frames before the hang-up", got, count)
+	}
+	if errs := faults.snapshot(); len(errs) != 0 {
+		t.Fatalf("orderly close reported as faults: %v", errs)
+	}
+	if err := t0.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// contractPeerDiedMidFrame: a peer that dies halfway through a frame
+// is a link fault, even though the frames before it were delivered.
+func contractPeerDiedMidFrame(t *testing.T, f fabric) {
+	torn := appendU32(nil, 100)
+	torn = append(torn, frameControl, 1, 2, 3)
+	// A ring names the torn frame itself; a socket reads it as an
+	// unexpected EOF.
+	want := map[string]string{"unix": "unexpected EOF", "shm": "torn"}[f.name]
+	peerDied(t, f, torn, want)
+}
+
+// contractPeerHungUpWithoutBye: a hang-up at a frame boundary is still
+// a fault when no BYE came first — a dead worker, not a finished one.
+func contractPeerHungUpWithoutBye(t *testing.T, f fabric) {
+	peerDied(t, f, nil, "without BYE")
+}
+
+// peerDied sends one whole frame from worker 1, kills its link with
+// partial as the last bytes, and checks worker 0 records exactly one
+// fault mentioning want.
+func peerDied(t *testing.T, f fabric, partial []byte, want string) {
+	t0, t1 := f.pair(t, nil)
+	t.Cleanup(func() { closeBoth(t0, t1) })
+	var log ctrlLog
+	var faults, peerFaults faultLog
+	t0.SetControlHandler(log.handle)
+	faults.watch(t0)
+	peerFaults.watch(t1) // the dead side's own reader errors are noise
+	startBoth(t, t0, t1)
+	if err := t1.SendControl(0, 9, []byte("last words")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the whole frame", func() bool { return len(log.snapshot()) == 1 })
+	f.die(t1, partial)
+	t0.readers.Wait()
+	errs := faults.snapshot()
+	if len(errs) != 1 {
+		t.Fatalf("faults %v, want exactly one", errs)
+	}
+	if !strings.Contains(errs[0].Error(), want) {
+		t.Fatalf("fault %q does not mention %q", errs[0], want)
+	}
 }
 
 // TestSockLinkReadHostile feeds the socket link's reader forged

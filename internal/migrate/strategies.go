@@ -304,8 +304,9 @@ func (Isomalloc) Name() string { return NameIsomalloc }
 func (Isomalloc) Exclusive() bool { return false }
 
 // New carves a slab of globally-unique addresses from the PE's
-// isomalloc slot and maps it. On 32-bit platforms this is where
-// address space runs out.
+// isomalloc slot and maps it: address space claimed, no frame yet —
+// each stack page gets one when the thread first touches it. On 32-bit
+// platforms this is where address space runs out.
 func (Isomalloc) New(pe *converse.PE, size uint64) (converse.StackRef, error) {
 	if err := checkSupported(pe, platform.Isomalloc); err != nil {
 		return nil, err
@@ -346,8 +347,8 @@ func (Isomalloc) SwitchOut(pe *converse.PE, s converse.StackRef, used uint64) er
 // Extract copies the stack's dirty pages out as sparse runs and
 // unmaps the slab locally; the addresses stay reserved machine-wide,
 // so the destination can map the same range. Pages the thread never
-// wrote are still zero (Map guarantees zero fill) and ship as
-// nothing.
+// wrote are still zero (never touched, or touched by reads only) and
+// ship as nothing.
 func (Isomalloc) Extract(pe *converse.PE, s converse.StackRef) (*converse.StackImage, error) {
 	r := s.(*isoRef)
 	runs, err := pe.Space.CopyOutRuns(r.base, r.size)
@@ -369,9 +370,10 @@ func (Isomalloc) Extract(pe *converse.PE, s converse.StackRef) (*converse.StackI
 	}, nil
 }
 
-// Install maps the same unique addresses on the destination (zero
-// filled) and writes the shipped runs back — no pointer inside the
-// stack needs updating, and unshipped pages are already zero.
+// Install maps the same unique addresses on the destination, which
+// costs no frames, and writes the shipped runs back, which gives
+// exactly their pages frames — no pointer inside the stack needs
+// updating, and unshipped pages read as zero.
 func (Isomalloc) Install(pe *converse.PE, im *converse.StackImage) (converse.StackRef, error) {
 	if err := checkSupported(pe, platform.Isomalloc); err != nil {
 		return nil, err

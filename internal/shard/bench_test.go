@@ -65,8 +65,6 @@ func benchShards(b *testing.B, netKind string) (n0, n1 *comm.Network, t0, t1 *co
 		}
 	}
 	b.Cleanup(func() {
-		ts[0].Retire()
-		ts[1].Retire()
 		ts[0].Close()
 		ts[1].Close()
 	})

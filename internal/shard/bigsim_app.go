@@ -120,15 +120,9 @@ func RunBigSimWorker(index, workers int, fab Fabric, spec BigSimSpec) (*BigSimRe
 		}
 		rep.Steps = append(rep.Steps, stepWire(st))
 	}
-	// Leave together. A peer that has its last step frame may close
-	// while this worker still waits on a third, and a socket link
-	// cannot tell an orderly close from a dead worker — so every worker
-	// retires first and then trades one empty frame: by the time anyone
-	// has all of them, and closes, everyone has retired.
-	t.Retire()
-	if _, err := exchange(make([][]byte, workers)); err != nil {
-		return nil, err
-	}
+	// A peer that has its last step frame may close while this worker
+	// still waits on a third: its links end with BYE, so that is no
+	// fault.
 	return rep, nil
 }
 

@@ -184,10 +184,9 @@ func (w *Worker) control(from int, kind uint32, payload []byte) {
 	}
 }
 
-// enterStop marks global termination: the transport is retired first
-// so peers tearing down concurrently no longer count as link faults.
+// enterStop marks global termination. Peers that stop first and hang
+// up are no fault: their links end with BYE.
 func (w *Worker) enterStop() {
-	w.T.Retire()
 	w.stop.Store(true)
 	w.M.Wake()
 }
@@ -210,9 +209,6 @@ func (w *Worker) noteDone(from int, installs, extracts uint64) {
 	}
 	w.coordMu.Unlock()
 	if allDone && sumInst == sumExtra && !w.stop.Load() {
-		// Retire before the STOP leaves: a peer may act on it, finish and
-		// hang up before this goroutine runs again.
-		w.T.Retire()
 		if err := w.T.Broadcast(ctrlStop, nil); err != nil {
 			panic(fmt.Sprintf("shard: coordinator: broadcasting stop: %v", err))
 		}

@@ -5,11 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// Frame is one page of simulated physical memory. Frames are
-// reference-counted so that memory-aliasing threads (§3.4.3) can map
-// the same physical page at two virtual addresses (the thread's
-// backing-store address and the canonical stack address) without
-// copying.
+// Frame is one page of simulated physical memory. A Space gives an
+// anonymous page its frame on first touch, so frames are the physical
+// footprint. Frames are reference-counted so that memory-aliasing
+// threads (§3.4.3) can map the same physical page at two virtual
+// addresses (the thread's backing-store address and the canonical
+// stack address) without copying.
 //
 // Reference counts are manipulated only under the owning Space's lock
 // (or, for frames shared across spaces, under the locks of each space
@@ -19,9 +20,10 @@ import (
 // Each frame additionally carries a dirty bit: set by every store
 // through Space.Write (and by MarkDirty for callers that
 // mutate Data directly), cleared when the frame is recycled zeroed.
-// The invariant the migration data path relies on is: a mapped frame
-// that is NOT dirty holds all zeroes, so sparse snapshots
-// (Space.CopyOutRuns) may omit it and the destination can zero-fill.
+// The invariant the migration data path relies on is: a mapped page
+// with no frame reads as zero, and a frame that is NOT dirty holds all
+// zeroes, so sparse snapshots (Space.CopyOutRuns) may omit both and the
+// destination can zero-fill.
 // The bit is atomic because the Read/Write fast path mutates it
 // lock-free through cached extents.
 type Frame struct {
@@ -31,18 +33,18 @@ type Frame struct {
 }
 
 // NewFrame allocates one zeroed frame with a zero reference count; the
-// first Map that installs it takes the first reference.
+// first MapFrames that installs it takes the first reference.
 func NewFrame() *Frame { return new(Frame) }
 
-// framePool recycles frames that a Space allocated for anonymous Map
-// and fully unmapped again — stack-copy context switches and
+// framePool recycles frames that a Space gave to touched anonymous
+// pages and fully unmapped again — stack-copy context switches and
 // short-lived arenas churn frames at a rate worth keeping off the
 // garbage collector. Frames installed by callers through MapFrames
 // are never pooled (see Space.Unmap).
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
-// newPooledFrame returns a zeroed frame from the pool; Map promises
-// zero-filled memory, and pooled frames carry old contents and old
+// newPooledFrame returns a zeroed frame from the pool; an untouched
+// page reads as zero, and pooled frames carry old contents and old
 // dirty bits.
 func newPooledFrame() *Frame {
 	f := framePool.Get().(*Frame)
@@ -77,9 +79,10 @@ func (f *Frame) markDirty() {
 // Refs returns the current mapping count (for tests and accounting).
 func (f *Frame) Refs() int { return f.refs }
 
-// mapping is one page-table entry: a frame plus its protection.
-// owned marks frames the space allocated itself (anonymous Map), the
-// only ones eligible for pooling when their last mapping goes away.
+// mapping is one page-table entry, held by value: a protection plus
+// the frame, nil until the page is first touched. owned marks frames
+// the space allocated itself (touched anonymous pages), the only ones
+// eligible for pooling when their last mapping goes away.
 type mapping struct {
 	frame *Frame
 	prot  Prot

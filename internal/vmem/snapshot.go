@@ -75,9 +75,9 @@ func (im *SpaceImage) Bytes() int {
 }
 
 // Snapshot serializes the whole space: limit, reservations, and every
-// mapped page with its protection and contents. Aliased frames are
-// deep-copied (the destination gets private pages, like fork-and-ship
-// process migration).
+// mapped page with its protection and contents — zeroes for a page
+// not yet touched. Aliased frames are deep-copied (the destination
+// gets private pages, like fork-and-ship process migration).
 func (s *Space) Snapshot() *SpaceImage {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -91,7 +91,9 @@ func (s *Space) Snapshot() *SpaceImage {
 	for _, vpn := range vpns {
 		m := s.pages[vpn]
 		data := make([]byte, PageSize)
-		copy(data, m.frame.data[:])
+		if m.frame != nil {
+			copy(data, m.frame.data[:])
+		}
 		im.Pages = append(im.Pages, SpacePage{VPN: vpn, Prot: m.prot, Data: data})
 	}
 	return im

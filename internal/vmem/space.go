@@ -8,8 +8,14 @@ import (
 )
 
 // Space is one simulated virtual address space: a page table mapping
-// virtual page numbers to physical frames, plus reservation accounting
-// against a configurable virtual-size limit.
+// virtual page numbers to their protection and, once touched, their
+// physical frames, plus reservation accounting against a configurable
+// virtual-size limit.
+//
+// Anonymous mappings are demand-zero, like real mmap: Map records
+// pages, and a page gets its frame on first access. Until then it
+// costs one page-table entry and reads as zero. So an isomalloc stack
+// costs the pages its thread touches, not the pages it reserved.
 //
 // In the simulated machine each OS process (and therefore each PE's
 // user-level-thread job) owns one Space. The Limit models the
@@ -24,7 +30,8 @@ type Space struct {
 	// limit is the virtual-size budget in bytes (0 = unlimited).
 	limit uint64
 
-	pages map[uint64]*mapping
+	// pages holds entries by value: mapping a page allocates nothing.
+	pages map[uint64]mapping
 
 	// reserved is a sorted, non-overlapping set of reserved ranges.
 	reserved []Range
@@ -40,7 +47,7 @@ type Space struct {
 	gen atomic.Uint64
 
 	// tlb caches recently resolved extents — maximal runs of
-	// contiguous mapped pages with uniform protection — so the
+	// contiguous touched pages with uniform protection — so the
 	// Read/Write hot path resolves a run once instead of probing the
 	// page map (under the lock) once per touched page.
 	tlbClock atomic.Uint32
@@ -53,13 +60,16 @@ const (
 	// streams (stack walk, PUP of one region, heap arena) touch a
 	// handful of distinct runs.
 	tlbSlots = 4
-	// maxExtentPages caps how far an extent resolves in one fill, so
-	// building one stays cheap even inside a multi-megabyte mapping.
+	// maxExtentPages caps how far an extent resolves in one fill, and
+	// so how many pages one fault gives frames, so building one stays
+	// cheap even inside a multi-megabyte mapping.
 	maxExtentPages = 512
 )
 
-// extent is one resolved run of pages: frames[i] backs page vpn0+i,
-// all with protection prot, valid while the space's gen is unchanged.
+// extent is one resolved run of touched pages: frames[i] backs page
+// vpn0+i, all with protection prot, valid while the space's gen is
+// unchanged. Giving an untouched page its frame does not bump gen: no
+// extent covers an untouched page.
 type extent struct {
 	start, end Addr // [start, end) byte range
 	vpn0       uint64
@@ -93,7 +103,7 @@ func (r Range) String() string {
 // NewSpace creates an address space with the given virtual-size limit
 // in bytes; limit 0 means unlimited (a 64-bit machine).
 func NewSpace(limit uint64) *Space {
-	return &Space{limit: limit, pages: make(map[uint64]*mapping)}
+	return &Space{limit: limit, pages: make(map[uint64]mapping)}
 }
 
 // Limit returns the configured virtual-size limit (0 = unlimited).
@@ -111,11 +121,25 @@ func (s *Space) virtualInUseLocked() uint64 {
 	return s.reservedBytes + s.mappedOutside*PageSize
 }
 
-// MappedPages returns the number of pages with frames installed.
+// MappedPages returns the number of mapped pages, touched or not.
 func (s *Space) MappedPages() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.pages)
+}
+
+// ResidentPages returns the number of mapped pages that have a frame:
+// the space's physical footprint, in pages.
+func (s *Space) ResidentPages() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, m := range s.pages {
+		if m.frame != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // inReserved reports whether virtual page vpn lies inside a reserved
@@ -176,9 +200,11 @@ func (s *Space) Unreserve(a Addr, length uint64) error {
 	return fmt.Errorf("vmem: Unreserve(%s, %d): no such reservation", a, length)
 }
 
-// Map installs fresh zeroed frames over [a, a+length) with the given
-// protection, like anonymous mmap. The range must be page-aligned and
-// entirely unmapped.
+// Map maps [a, a+length) with the given protection, like anonymous
+// mmap: the pages read as zero, and each gets a frame on its first
+// access, not here. A page that is never touched — a ProtNone guard
+// page, the unused depth of a stack — never gets one. The range must be
+// page-aligned and entirely unmapped.
 func (s *Space) Map(a Addr, length uint64, prot Prot) error {
 	return s.mapFrames(a, length, prot, nil)
 }
@@ -214,15 +240,12 @@ func (s *Space) mapFrames(a Addr, length uint64, prot Prot, frames []*Frame) err
 		return &ErrExhausted{Limit: s.limit, Requested: outside * PageSize, InUse: s.virtualInUseLocked()}
 	}
 	for i := uint64(0); i < n; i++ {
-		var f *Frame
-		owned := frames == nil
-		if owned {
-			f = newPooledFrame()
-		} else {
-			f = frames[i]
+		m := mapping{prot: prot}
+		if frames != nil {
+			m.frame = frames[i]
+			m.frame.refs++
 		}
-		f.refs++
-		s.pages[first+i] = &mapping{frame: f, prot: prot, owned: owned}
+		s.pages[first+i] = m
 	}
 	s.mappedOutside += outside
 	s.gen.Add(1)
@@ -245,14 +268,15 @@ func (s *Space) Unmap(a Addr, length uint64) error {
 		}
 	}
 	for vpn := first; vpn < first+n; vpn++ {
-		m := s.pages[vpn]
-		m.frame.refs--
-		if m.frame.refs == 0 && m.owned {
-			// Only frames this space allocated itself are recycled:
-			// frames installed via MapFrames may be retained by the
-			// caller (memory-aliasing stacks keep theirs across
-			// switch-out) and must stay untouched after unmap.
-			framePool.Put(m.frame)
+		if f := s.pages[vpn].frame; f != nil {
+			f.refs--
+			if f.refs == 0 && s.pages[vpn].owned {
+				// Only frames this space allocated itself are recycled:
+				// frames installed via MapFrames may be retained by the
+				// caller (memory-aliasing stacks keep theirs across
+				// switch-out) and must stay untouched after unmap.
+				framePool.Put(f)
+			}
 		}
 		delete(s.pages, vpn)
 		if !s.inReservedLocked(vpn) {
@@ -277,7 +301,9 @@ func (s *Space) Protect(a Addr, length uint64, prot Prot) error {
 		}
 	}
 	for vpn := first; vpn < first+n; vpn++ {
-		s.pages[vpn].prot = prot
+		m := s.pages[vpn]
+		m.prot = prot
+		s.pages[vpn] = m
 	}
 	s.gen.Add(1)
 	return nil
@@ -285,23 +311,37 @@ func (s *Space) Protect(a Addr, length uint64, prot Prot) error {
 
 // Frames returns the frames backing [a, a+length) in order, for
 // aliasing into another location or extracting for migration. The
-// range must be page-aligned and fully mapped.
+// range must be page-aligned and fully mapped; its untouched pages get
+// their frames first, so an alias shares every page from the start.
 func (s *Space) Frames(a Addr, length uint64) ([]*Frame, error) {
 	if a.Offset() != 0 || length%PageSize != 0 || length == 0 {
 		return nil, fmt.Errorf("vmem: Frames(%s, %d): range must be non-empty and page-aligned", a, length)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	first, n := a.PageNum(), length/PageSize
-	out := make([]*Frame, 0, n)
 	for vpn := first; vpn < first+n; vpn++ {
-		m, ok := s.pages[vpn]
-		if !ok {
+		if _, ok := s.pages[vpn]; !ok {
 			return nil, &Fault{Op: OpRead, Addr: Addr(vpn << PageShift), Reason: "not mapped"}
 		}
-		out = append(out, m.frame)
+	}
+	out := make([]*Frame, n)
+	for i := range out {
+		out[i] = s.touchLocked(first + uint64(i))
 	}
 	return out, nil
+}
+
+// touchLocked returns the frame of mapped page vpn, giving an untouched
+// page a fresh zeroed one first. Caller holds the write lock.
+func (s *Space) touchLocked(vpn uint64) *Frame {
+	m := s.pages[vpn]
+	if m.frame == nil {
+		m.frame, m.owned = newPooledFrame(), true
+		m.frame.refs = 1
+		s.pages[vpn] = m
+	}
+	return m.frame
 }
 
 // Mapped reports whether every page of [a, a+length) is mapped.
@@ -320,7 +360,8 @@ func (s *Space) Mapped(a Addr, length uint64) bool {
 }
 
 // Read copies len(p) bytes starting at a into p, faulting on unmapped
-// or non-readable pages.
+// or non-readable pages. Untouched pages read as zero (and get their
+// frames).
 func (s *Space) Read(a Addr, p []byte) error {
 	return s.access(a, p, OpRead)
 }
@@ -333,9 +374,9 @@ func (s *Space) Write(a Addr, p []byte) error {
 }
 
 // access is the shared Read/Write engine. It resolves the extent
-// covering a — from the TLB when possible, from the page table under
-// a read lock otherwise — checks protection once per extent, and then
-// copies page-by-page without touching the lock or the page map.
+// covering a — from the TLB when possible, from the page table
+// otherwise — checks protection once per extent, and then copies
+// page-by-page without touching the lock or the page map.
 //
 // The fast path is lock-free: an extent is trusted only while the
 // space's gen matches the gen it was built at, so any map, unmap or
@@ -351,7 +392,7 @@ func (s *Space) access(a Addr, p []byte, op AccessOp) error {
 		e := s.tlbFind(a)
 		if e == nil {
 			var err error
-			e, err = s.tlbFill(a, op)
+			e, err = s.tlbFill(a, a.Add(uint64(len(p))-1).PageNum(), op)
 			if err != nil {
 				return err
 			}
@@ -389,23 +430,59 @@ func (s *Space) tlbFind(a Addr) *extent {
 }
 
 // tlbFill resolves the extent containing a from the page table and
-// caches it, evicting round-robin. It faults if a is unmapped.
-func (s *Space) tlbFill(a Addr, op AccessOp) (*extent, error) {
+// caches it, evicting round-robin. It faults if a is unmapped or its
+// protection forbids op. A touched page resolves under the read lock.
+// An untouched one is a page fault: under the write lock, every
+// untouched page from a to page last — the span the access reaches —
+// gets its frame in the same pass, up to maxExtentPages, so a large
+// copy into fresh memory (stack copy's switch-in) faults once per
+// extent, not once per page.
+func (s *Space) tlbFill(a Addr, last uint64, op AccessOp) (*extent, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
+	e, err := s.extentLocked(a, last, op, false)
+	s.mu.RUnlock()
+	if e == nil && err == nil {
+		s.mu.Lock()
+		e, err = s.extentLocked(a, last, op, true)
+		s.mu.Unlock()
+	}
+	if err != nil {
+		return nil, err
+	}
+	slot := s.tlbClock.Add(1) % tlbSlots
+	s.tlb[slot].Store(e)
+	return e, nil
+}
+
+// extentLocked builds the extent containing a. Without touch (read
+// lock held) it returns nil, nil when a's page is untouched; with touch
+// (write lock held) it gives frames to the untouched pages up to last.
+func (s *Space) extentLocked(a Addr, last uint64, op AccessOp, touch bool) (*extent, error) {
 	vpn := a.PageNum()
 	m, ok := s.pages[vpn]
 	if !ok {
 		return nil, &Fault{Op: op, Addr: a, Reason: "unmapped"}
 	}
+	need := ProtRead
+	if op == OpWrite {
+		need = ProtWrite
+	}
+	if m.prot&need == 0 {
+		// Before any frame is made: a guard page never gets one.
+		return nil, &Fault{Op: op, Addr: a, Reason: "protection"}
+	}
+	if m.frame == nil && !touch {
+		return nil, nil
+	}
 	prot := m.prot
 	// Grow the run backward a little and forward a lot (forward is the
-	// streaming direction), stopping at unmapped pages, protection
-	// changes, or the size cap.
+	// streaming direction), stopping at unmapped or untouched pages
+	// (untouched ones inside the access span excepted when touching),
+	// protection changes, or the size cap.
 	lo := vpn
 	for vpn-lo < maxExtentPages/2 && lo > 0 {
 		mm, ok := s.pages[lo-1]
-		if !ok || mm.prot != prot {
+		if !ok || mm.prot != prot || mm.frame == nil {
 			break
 		}
 		lo--
@@ -413,7 +490,7 @@ func (s *Space) tlbFill(a Addr, op AccessOp) (*extent, error) {
 	hi := vpn
 	for hi-lo+1 < maxExtentPages {
 		mm, ok := s.pages[hi+1]
-		if !ok || mm.prot != prot {
+		if !ok || mm.prot != prot || mm.frame == nil && !(touch && hi+1 <= last) {
 			break
 		}
 		hi++
@@ -425,14 +502,16 @@ func (s *Space) tlbFill(a Addr, op AccessOp) (*extent, error) {
 		prot:   prot,
 		frames: make([]*Frame, hi-lo+1),
 		// gen is stable here: mutators hold the write lock when they
-		// bump it, and we hold the read lock.
+		// bump it, and we hold a lock.
 		gen: s.gen.Load(),
 	}
 	for i := range e.frames {
-		e.frames[i] = s.pages[lo+uint64(i)].frame
+		if touch {
+			e.frames[i] = s.touchLocked(lo + uint64(i))
+		} else {
+			e.frames[i] = s.pages[lo+uint64(i)].frame
+		}
 	}
-	slot := s.tlbClock.Add(1) % tlbSlots
-	s.tlb[slot].Store(e)
 	return e, nil
 }
 

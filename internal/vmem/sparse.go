@@ -99,10 +99,11 @@ func DenseFromRuns(runs []Run, base Addr, size uint64) []byte {
 
 // CopyOutRuns reads the dirty pages of [a, a+length) as maximal
 // contiguous runs, copying their contents out. Pages that were never
-// written since they were mapped zeroed (clean pages) and pages that
-// are not mapped at all are skipped — the caller reconstructs them as
-// zeroes (for stacks) or re-maps them on demand (for heap arenas).
-// Dirty pages must be readable; the range must be page-aligned.
+// written since they were mapped (clean or untouched pages) and pages
+// that are not mapped at all are skipped — the caller reconstructs
+// them as zeroes (for stacks) or re-maps them on demand (for heap
+// arenas). Dirty pages must be readable; the range must be
+// page-aligned. It gives no page a frame.
 //
 // This is the sparse-snapshot primitive behind migration: one pass
 // under a read lock, no per-page locking, bytes out ∝ dirtied pages.
@@ -116,8 +117,8 @@ func (s *Space) CopyOutRuns(a Addr, length uint64) ([]Run, error) {
 	var cur *Run
 	first, n := a.PageNum(), length/PageSize
 	for vpn := first; vpn < first+n; vpn++ {
-		m, ok := s.pages[vpn]
-		if !ok || !m.frame.Dirty() {
+		m := s.pages[vpn]
+		if m.frame == nil || !m.frame.Dirty() {
 			cur = nil
 			continue
 		}
@@ -134,13 +135,13 @@ func (s *Space) CopyOutRuns(a Addr, length uint64) ([]Run, error) {
 }
 
 // DirtyPages counts the dirty mapped pages in [a, a+length) (for
-// tests and accounting).
+// tests and accounting); an untouched page is clean.
 func (s *Space) DirtyPages(a Addr, length uint64) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
 	for vpn := a.PageNum(); vpn < a.Add(length).PageNum(); vpn++ {
-		if m, ok := s.pages[vpn]; ok && m.frame.Dirty() {
+		if f := s.pages[vpn].frame; f != nil && f.Dirty() {
 			n++
 		}
 	}
@@ -155,8 +156,8 @@ func (s *Space) ClearDirty(a Addr, length uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for vpn := a.PageNum(); vpn < a.Add(length).PageNum(); vpn++ {
-		if m, ok := s.pages[vpn]; ok {
-			m.frame.dirty.Store(false)
+		if f := s.pages[vpn].frame; f != nil {
+			f.dirty.Store(false)
 		}
 	}
 }

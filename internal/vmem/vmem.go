@@ -1,7 +1,9 @@
 // Package vmem implements a page-granular simulated virtual memory
 // system: address spaces with mmap-like mapping, unmap, protection,
 // page aliasing (shared frames), reservation accounting, and faulting
-// byte-level access.
+// byte-level access. Anonymous mappings are demand-zero, as with real
+// mmap: a page gets its physical frame on first touch, so a space's
+// footprint is the pages it touched, not the pages it mapped.
 //
 // It is the substrate under every migratable-thread technique in this
 // repository. The paper's stack-copying, isomalloc and memory-aliasing
