@@ -21,8 +21,8 @@
 //
 // -migrate N inserts one collective LB gate after Jacobi iteration N
 // (with a deterministic work skew so the balancer has something to
-// fix): ULT ranks migrate as threads, event ranks as ~180-byte
-// continuation records.
+// fix): ULT ranks migrate as threads, event ranks as continuation
+// records (181 B for a Jacobi rank at the gate).
 //
 // -overlap switches the Jacobi runs to the split-phase schedule
 // (halos and the pipelined residual Iallreduce fly under the

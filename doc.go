@@ -10,8 +10,8 @@
 // Beyond the thread techniques, the AMPI layer gives every MPI rank a
 // choice of two flow backends behind one programming model
 // (internal/ampi): ULT mode runs each rank on a migratable user-level
-// thread, event mode compiles the same rank program to a ~180-byte
-// continuation record dispatched inline by its simulating PE — the
+// thread, event mode compiles the same rank program to a continuation
+// record of ~140 bytes dispatched inline by its simulating PE — the
 // configuration that scales to a million ranks, with BigSim's
 // event-driven backend (internal/bigsim) doing the same for target
 // flows. Both backends interpret one shared program tree, so

@@ -172,16 +172,16 @@ type Options struct {
 	// requires a continuation Program — see NewProgram — and does not
 	// support Aggregate. Event ranks migrate like ULT ranks (the
 	// Migrate gate, or a runtime-driven Rebalance), but move as
-	// ~180-byte continuation records instead of stack images.
+	// continuation records instead of stack images.
 	Mode string
 
-	// LocalPUP serializes a rank's PC.Local across a process boundary
-	// for sharded runs (shard.go). Packing: called with the rank's
-	// Local (never nil) and a packing PUPer; returns the same value.
+	// LocalPUP serializes an event rank's PC.Local into its migration
+	// record (shard.go), for a move between PEs of one process as for
+	// one across processes. Packing: called with the rank's Local
+	// (never nil) and a packing PUPer; returns the same value.
 	// Unpacking: called with nil and an unpacking PUPer; returns the
-	// reconstructed state. Sharded cross-process migration of a rank
-	// whose Local is non-nil fails without it. In-process migration
-	// never needs it — Local rides the rank's slot by reference.
+	// reconstructed state. Moving a rank whose Local is non-nil fails
+	// without it, by name.
 	LocalPUP func(p *pup.PUPer, local any) (any, error)
 }
 

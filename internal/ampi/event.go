@@ -15,28 +15,34 @@ package ampi
 // coroutine and an isomalloc stack per rank.
 //
 // Migration: an event rank's migratable state is its continuation
-// RECORD — rank number, virtual time, measured load, the pending
-// receive spec, and any buffered messages: ~180 bytes, serialized
-// faithfully through pup (eventRecord implements migrate.Record).
-// The frame stack and the program's Local state are SHARED CODE plus
-// state reachable from the record, the CPC argument: because every
-// rank runs the same immutable program tree, the destination PE needs
-// no stack or code image, only the record. Moving a rank is therefore:
-// batch-update the comm range table (one epoch bump per LB step), flip
-// the engine's owner word, and round-trip the record through
-// Extract/Install — no eviction, no vmem image, no adoption.
+// RECORD (shard.go) — rank number, virtual time, measured load, the
+// receive it waits for, its Local (through Options.LocalPUP), its
+// active collective runs, one cursor per frame of its stack, and any
+// buffered messages — serialized through pup by ONE codec, whether the
+// rank moves between PEs of this process (eventRecord implements
+// migrate.Record) or to another process (ShardExtract/ShardInstall).
+// The stack itself is SHARED CODE plus those cursors, the CPC argument:
+// every rank runs the same immutable program tree, so the destination
+// needs no stack or code image, only the record, and rebuilds the
+// stack by one validating descent of the tree. Moving a rank is
+// therefore: batch-update the comm range table (one epoch bump per LB
+// step), flip the engine's owner word, and round-trip the record
+// through Extract/Install — no eviction, no vmem image, no adoption.
 //
 // Concurrency: each rank carries its own mutex. The owning PE's
 // dispatch paths (kick, deliver) hold it for the whole activation, and
 // migration's Extract/Install take it too — so a mover never observes
-// a half-run activation, and a dispatcher never runs a rank that is
-// mid-flight. The lock is per-rank, not per-PE, because ownership
-// itself changes: a per-PE lock names a PE, and the name goes stale at
-// exactly the moment it matters. In-flight messages that raced a move
-// are chased: deliver re-checks the owner word (one atomic load;
-// in-process runs skip it until the first LB step — migEpoch gates the
-// check — while sharded runs always check, since a peer's move can
-// outrun its notice) and forwards losers with Endpoint.Forward.
+// a half-run activation. Extract empties the slot and marks it moving
+// until Install refills it: a delivery that lands in between only
+// buffers (behind the record's own messages), a kick waits, and the
+// rank never counts as finished. The lock is per-rank, not per-PE,
+// because ownership itself changes: a per-PE lock names a PE, and the
+// name goes stale at exactly the moment it matters. In-flight messages
+// that raced a move are chased: deliver re-checks the owner word (one
+// atomic load; in-process runs skip it until the first LB step —
+// migEpoch gates the check — while sharded runs always check, since a
+// peer's move can outrun its notice) and forwards losers with
+// Endpoint.Forward.
 
 import (
 	"fmt"
@@ -56,9 +62,9 @@ import (
 // tombstones range-table entries in place).
 const deregBatchSize = 4096
 
-// eventRank is one rank's entire flow-of-control state: ~180 bytes, a
-// frame stack from its first activation on, and whatever the program
-// keeps in pc.Local — versus a coroutine and an isomalloc stack.
+// eventRank is one rank's entire flow-of-control state: a 216-byte
+// slot, a frame stack from its first activation on, and whatever the
+// program keeps in pc.Local — versus a coroutine and an isomalloc stack.
 type eventRank struct {
 	mu sync.Mutex // guards every field; held for the whole of an activation
 
@@ -83,13 +89,6 @@ type eventRank struct {
 	// consumed CPU time).
 	busy float64
 
-	// seq counts activations and buffered deliveries. A migration
-	// record carries the seq it was extracted at; if the rank ran
-	// again before the record installs (possible only when an LB step
-	// races live traffic, never at a quiescent gate), the snapshot is
-	// stale and Install yields to the newer in-slot state.
-	seq uint64
-
 	// sendSeq/recvSeq number the per-peer payload streams and held
 	// parks out-of-order arrivals, all nil until a sharded run needs
 	// them: a message routed straight to a rank's new owner can
@@ -100,6 +99,9 @@ type eventRank struct {
 	held    []*comm.Message
 
 	done bool
+	// moving: an in-process move extracted the record and has not yet
+	// installed it.
+	moving bool
 }
 
 // eventEngine is the per-job store and dispatcher.
@@ -135,6 +137,11 @@ type eventEngine struct {
 	// directory).
 	sharded bool
 
+	// sites numbers the program's collective sites and siteNum inverts
+	// it (numberSites): a record names a site by number.
+	sites   []*collSite
+	siteNum map[*collSite]int
+
 	// lbMu serializes Rebalance steps (plan → table batch → records).
 	lbMu sync.Mutex
 
@@ -167,6 +174,7 @@ func newEventEngine(j *Job) (*eventEngine, error) {
 		pendDereg: make([][]comm.EntityID, numPEs),
 	}
 	e.sharded = j.m.Sharded()
+	e.sites, e.siteNum = numberSites(j.prog)
 
 	store := make([]eventRank, size)
 	flows := make([]int, numPEs)
@@ -252,9 +260,9 @@ func (e *eventEngine) bootstrap(want func(r int) bool) {
 		pe := e.job.m.PE(p)
 		th, err := pe.Sched.CthCreate(converse.ThreadOptions{
 			Strategy: e.job.opts.Strategy,
-		}, func(*converse.Ctx) {
+		}, func(c *converse.Ctx) {
 			for _, r := range list {
-				e.kick(r)
+				e.kick(c, r)
 			}
 		})
 		if err != nil {
@@ -265,21 +273,30 @@ func (e *eventEngine) bootstrap(want func(r int) bool) {
 }
 
 // kick activates rank r on its owner PE without a message: the
-// program's start, or the resume after an LB gate.
-func (e *eventEngine) kick(r int) {
+// program's start, or the resume after an LB gate. It waits out an
+// in-process move, and skips a rank that already finished or that a
+// sharded move took to another process (its first activation there
+// starts it).
+func (e *eventEngine) kick(c *converse.Ctx, r int) {
 	er := &e.store()[r]
 	er.mu.Lock()
-	defer er.mu.Unlock()
-	e.activateLocked(er, e.peOf(r))
+	for er.moving {
+		er.mu.Unlock()
+		c.Yield()
+		er.mu.Lock()
+	}
+	if pe := e.peOf(r); !er.done && e.job.m.LocalPE(pe) {
+		e.activateLocked(er, pe)
+	}
+	er.mu.Unlock()
 }
 
 // activateLocked charges one EventDispatch on pe and runs the rank
 // from its resume point (the program's root, the first time) until it
 // parks again or its program completes. er.mu held throughout.
 func (e *eventEngine) activateLocked(er *eventRank, pe int) {
-	er.seq++
 	e.job.m.PE(pe).Clock.Advance(e.dispatchNs(pe))
-	if er.pc.stack == nil {
+	if len(er.pc.stack) == 0 {
 		er.pc.start(e.job.prog)
 	}
 	e.execLocked(er)
@@ -309,20 +326,6 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 	}
 	er := &ranks[r]
 	er.mu.Lock()
-	if msg.Tag == tagInstalled {
-		// Injected by ShardInstall so the rank's first step here runs on
-		// the owning PE's own goroutine. The rebuilt stack sits at its
-		// Recv, not yet parked on it: the step consumes an already
-		// delivered match or parks. Then drain any held arrivals the
-		// record's stream state made in-order (the re-parked Recv may be
-		// waiting on exactly one).
-		if er.pc.stack != nil && !er.hasWait {
-			e.activateLocked(er, pe)
-		}
-		e.releaseHeldLocked(er, pe)
-		er.mu.Unlock()
-		return
-	}
 	// Owner check BEFORE the done check: free until the first move
 	// ever happens, one atomic load after. A message that raced a move
 	// chases the rank to its new PE; the extra hop shows up in Hops
@@ -348,20 +351,32 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 		er.mu.Unlock()
 		return // a straggler for a finished rank (program bug); drop like a closed mailbox
 	}
-	if msg.Seq != 0 {
+	src := e.rankIdx(msg.From)
+	switch {
+	case msg.Tag == tagInstalled:
+		// Posted by an install (scheduleActivation) so the rank's first
+		// step in its new home runs on the owning PE's own goroutine: the
+		// rebuilt stack sits at its receive, not yet parked on it, and the
+		// step consumes an already delivered match or parks (a sharded
+		// rank that had not started starts). A duplicate — the rank moved
+		// again before this one ran — finds it parked and does nothing.
+		if !er.hasWait && !er.moving && !er.pc.atGate() {
+			e.activateLocked(er, pe)
+		}
+	case msg.Seq != 0 && msg.Seq != er.recvSeq[src]+1:
 		// Sequenced stream (sharded runs): accept strictly in send
 		// order. A message that crossed a migration on the direct route
 		// while an older one is still chasing through the old owner
 		// would otherwise match a Recv meant for its predecessor.
-		src := e.rankIdx(msg.From)
-		if msg.Seq != er.recvSeq[src]+1 {
-			er.held = append(er.held, msg)
-			er.mu.Unlock()
-			return
+		er.held = append(er.held, msg)
+		er.mu.Unlock()
+		return
+	default:
+		if msg.Seq != 0 {
+			er.noteSeq(src, msg.Seq)
 		}
-		er.noteSeq(src, msg.Seq)
+		e.acceptLocked(er, pe, msg)
 	}
-	e.acceptLocked(er, pe, msg)
 	e.releaseHeldLocked(er, pe)
 	er.mu.Unlock()
 }
@@ -370,7 +385,6 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 // what the parked statement waits for, that statement's next recv
 // call gets it and the rank runs on; else buffer. er.mu held.
 func (e *eventEngine) acceptLocked(er *eventRank, pe int, msg *comm.Message) {
-	er.seq++
 	if er.hasWait && e.matches(er.waiting, msg) {
 		er.hasWait, er.got = false, msg
 		p := e.job.m.PE(pe)
@@ -533,122 +547,59 @@ func (e *eventEngine) lbpoint(pc *PC) bool {
 // ---------------------------------------------------------------
 // Migration
 
-// eventRecord is rank r's migratable continuation record — the
-// migrate.Record the LB batch hands to core.Machine.MigrateMany. Its
-// Extract/Install round trip is a faithful PUP of everything a
-// destination PE needs that is not shared program code: identity,
-// virtual time, measured load, the pending receive spec, and
-// buffered messages.
+// eventRecord is rank r's move from PE src to its new owner inside
+// this process — the migrate.Record the LB batch hands to
+// core.Machine.MigrateMany. Extract and Install are the cross-process
+// pack and unpack (shard.go); the slot stays empty and marked moving
+// between them.
 type eventRecord struct {
-	e *eventEngine
-	r int
+	e      *eventEngine
+	r, src int
 }
 
 func (rec eventRecord) ID() uint64 { return uint64(rec.e.idOf(rec.r)) }
 
-// Extract serializes the record under the rank's lock (so a mover
-// never sees a half-run activation).
+// Extract packs the record under the rank's lock (so a mover never
+// sees a half-run activation) and empties the slot. A rank that
+// finished after the plan was made is not moved (ErrNotEvictable).
 func (rec eventRecord) Extract(p *pup.PUPer) error {
-	ranks := rec.e.store()
+	e := rec.e
+	ranks := e.store()
 	if ranks == nil {
 		return fmt.Errorf("ampi: rank %d migrated after job completion", rec.r)
 	}
 	er := &ranks[rec.r]
 	er.mu.Lock()
 	defer er.mu.Unlock()
-	return er.pupLocked(p)
+	if er.done {
+		return fmt.Errorf("ampi: rank %d finished before its move: %w", rec.r, converse.ErrNotEvictable)
+	}
+	if err := e.extractLocked(p, er, e.peOf(rec.r), e.job.m.PE(rec.src).Clock.Now()); err != nil {
+		return fmt.Errorf("ampi: rank %d %w", rec.r, err)
+	}
+	er.moving = true
+	return nil
 }
 
-// Install overwrites the rank's state from a prior Extract — the
-// other half of the round trip. The slot is addressed by rank, so
-// "where the record lands" is the owner word and the comm range
-// table, both already flipped by the LB batch.
+// Install refills the slot from Extract's bytes. The owner word and
+// the comm range table were already flipped by the LB batch. A rank
+// parked at a receive takes its first step on its new PE's goroutine;
+// one parked at the gate waits for the gate to resume it.
 func (rec eventRecord) Install(data []byte) error {
-	ranks := rec.e.store()
+	e := rec.e
+	ranks := e.store()
 	if ranks == nil {
 		return fmt.Errorf("ampi: rank %d installed after job completion", rec.r)
 	}
 	er := &ranks[rec.r]
 	er.mu.Lock()
 	defer er.mu.Unlock()
-	u := pup.NewUnpacker(data)
-	return er.pupLocked(u)
-}
-
-// pupLocked packs or unpacks the rank's migratable state; er.mu held.
-// pc.stack (frames over the shared program tree) and pc.Local travel
-// by reference — they are reachable state, not wire bytes; the
-// wire image is what a distributed implementation would send, and its
-// size is what the migration benchmarks report.
-func (er *eventRank) pupLocked(p *pup.PUPer) error {
-	rank := uint64(er.pc.rank)
-	if err := p.Uint64(&rank); err != nil {
-		return err
+	er.moving = false
+	if _, err := e.installLocked(er, data); err != nil {
+		return fmt.Errorf("ampi: rank %d: %w", rec.r, err)
 	}
-	if p.IsUnpacking() && rank != uint64(er.pc.rank) {
-		return fmt.Errorf("ampi: record for rank %d installed into slot %d", rank, er.pc.rank)
-	}
-	seq := er.seq
-	if err := p.Uint64(&seq); err != nil {
-		return err
-	}
-	if p.IsUnpacking() && (er.done || seq != er.seq) {
-		// The rank ran (or finished) after this snapshot was
-		// extracted — only possible when an LB step races live
-		// traffic; a quiescent gate never gets here. The slot already
-		// holds the newer state, so the stale image is discarded.
-		return nil
-	}
-	if err := p.Float64(&er.pc.vt); err != nil {
-		return err
-	}
-	if err := p.Float64(&er.busy); err != nil {
-		return err
-	}
-	if err := p.Bool(&er.hasWait); err != nil {
-		return err
-	}
-	if err := p.Int(&er.waiting.src); err != nil {
-		return err
-	}
-	if err := p.Int(&er.waiting.tag); err != nil {
-		return err
-	}
-	pending := len(er.mbox) - er.head
-	if err := p.Int(&pending); err != nil {
-		return err
-	}
-	if p.IsUnpacking() {
-		er.mbox, er.head = make([]*comm.Message, pending), 0
-		for i := range er.mbox {
-			er.mbox[i] = &comm.Message{To: er.pc.job.ev.idOf(er.pc.rank)}
-		}
-	}
-	for i := 0; i < pending; i++ {
-		m := er.mbox[er.head+i]
-		from := uint64(m.From)
-		if err := p.Uint64(&from); err != nil {
-			return err
-		}
-		m.From = comm.EntityID(from)
-		if err := p.Int(&m.Tag); err != nil {
-			return err
-		}
-		if err := p.Int(&m.Hops); err != nil {
-			return err
-		}
-		if err := p.Float64(&m.SendTime); err != nil {
-			return err
-		}
-		if err := p.Float64(&m.Arrival); err != nil {
-			return err
-		}
-		if err := p.Float64(&m.VTime); err != nil {
-			return err
-		}
-		if err := p.Bytes(&m.Data); err != nil {
-			return err
-		}
+	if len(er.pc.stack) > 0 && !er.pc.atGate() {
+		return e.scheduleActivation(rec.r, e.peOf(rec.r))
 	}
 	return nil
 }
@@ -724,13 +675,15 @@ func (e *eventEngine) resetLoads() {
 }
 
 // resumeGate re-dispatches every rank parked at the LB gate, on its
-// (possibly new) owner PE, charging one activation each.
+// (possibly new) owner PE, charging one activation each. A rank an
+// outside Rebalance has in transit is kicked too: the kick waits for
+// its Install.
 func (e *eventEngine) resumeGate() {
 	ranks := e.store()
 	e.bootstrap(func(r int) bool {
 		er := &ranks[r]
 		er.mu.Lock()
-		_, parked := er.pc.parkedIn().(migrateProc)
+		parked := er.moving || er.pc.atGate()
 		er.mu.Unlock()
 		return parked
 	})

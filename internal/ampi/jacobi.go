@@ -269,19 +269,14 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 	return Seq(body...)
 }
 
-// jacobiLocalPUP serializes jacobiState for cross-process migration
+// jacobiLocalPUP serializes jacobiState into a moving rank's record
 // (Options.LocalPUP).
 func jacobiLocalPUP(p *pup.PUPer, local any) (any, error) {
 	st, _ := local.(*jacobiState)
 	if st == nil {
 		st = &jacobiState{}
 	}
-	for _, f := range []*float64{&st.x, &st.left, &st.right, &st.resid, &st.global} {
-		if err := p.Float64(f); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
+	return st, pupFields(p, &st.x, &st.left, &st.right, &st.resid, &st.global)
 }
 
 // JacobiResult reports one run.

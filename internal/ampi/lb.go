@@ -103,10 +103,10 @@ func (j *Job) Rebalance(strategy loadbalance.Strategy) (int, error) {
 // rank's accumulated busy time (under its lock), plan, then commit —
 // ONE comm range-table batch (a single epoch bump re-arms the
 // deliver-side owner check), the engine's owner words and dispatch
-// charges, and one MigrateMany batch of ~180-byte continuation
-// records. The records' PUP round trips and network charges go
-// through exactly the machinery a thread move uses, minus eviction,
-// vmem imaging, and adoption.
+// charges, and one MigrateMany batch of continuation records — the
+// same record a cross-process move ships. The records' PUP round trips
+// and network charges go through exactly the machinery a thread move
+// uses, minus eviction, vmem imaging, and adoption.
 func (j *Job) rebalanceEvent(strategy loadbalance.Strategy) (int, error) {
 	e := j.ev
 	e.lbMu.Lock()
@@ -132,7 +132,7 @@ func (j *Job) rebalanceEvent(strategy loadbalance.Strategy) (int, error) {
 			continue
 		}
 		rmoves = append(rmoves, comm.RangeMove{Index: r, To: dest})
-		moves = append(moves, core.Move{R: eventRecord{e, r}, Src: src, Dest: dest})
+		moves = append(moves, core.Move{R: eventRecord{e, r, src}, Src: src, Dest: dest})
 	}
 	moved, err := e.applyMoves(moves, rmoves)
 	e.resetLoads()

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"migflow/internal/comm"
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
+	"migflow/internal/pup"
 )
 
 // TestMigrationEquivalence is the property test: a randomized
@@ -18,7 +21,8 @@ import (
 // run, in BOTH modes and across PE counts. The gate migrates at a
 // quiescent point with zero in-flight messages and never touches vt,
 // so the flow mechanism AND its placement history are invisible to
-// the simulated program.
+// the simulated program. Every event rank that moves crosses as the
+// wire record, its mixState through mixLocalPUP.
 func TestMigrationEquivalence(t *testing.T) {
 	peChoices := []int{2, 3, 4, 5, 8}
 	strategies := []loadbalance.Strategy{
@@ -50,6 +54,7 @@ func TestMigrationEquivalence(t *testing.T) {
 				MsgOverheadNs:  float64(rng.Intn(3)) * 175,
 				BlockPlacement: rng.Intn(2) == 0,
 				StackSize:      32 << 10,
+				LocalPUP:       mixLocalPUP,
 			}
 			type result struct {
 				vts, out []float64
@@ -186,7 +191,7 @@ func TestEventGateMovesRecords(t *testing.T) {
 // TestEventExternalRebalance drives the runtime-initiated path: park
 // every event rank at a gate via RunUntilQuiescent, rotate all of
 // them externally with Job.Rebalance, then let the gate's own step
-// run and the program finish. Exercises eventRecord's PUP round trip,
+// run and the program finish. Exercises the record round trip,
 // MoveRangeBatch, owner-word flips, and post-move resumption on the
 // new PEs.
 func TestEventExternalRebalance(t *testing.T) {
@@ -279,17 +284,30 @@ func TestEventMigrateRaceStress(t *testing.T) {
 	}
 }
 
-// TestEventRecordRoundTrip pushes one rank's record through
-// Extract/Install directly and checks the wire image is both
-// faithful and small — the ~180 B the headline benchmark banks on.
+// moveRank moves rank r of an event job to PE to the way one LB step
+// does — applyMoves → MigrateMany → eventRecord — and fails the test
+// unless exactly that rank moved.
+func moveRank(t *testing.T, j *Job, r, to int) {
+	t.Helper()
+	e := j.ev
+	from := e.peOf(r)
+	moves := []core.Move{{R: eventRecord{e, r, from}, Src: from, Dest: to}}
+	if moved, err := e.applyMoves(moves, []comm.RangeMove{{Index: r, To: to}}); err != nil || moved != 1 {
+		t.Fatalf("moving rank %d from PE %d to %d: (%d, %v)", r, from, to, moved, err)
+	}
+}
+
+// TestEventRecordRoundTrip pushes one rank's record through the LB
+// batch by hand and checks the trip is faithful — virtual time, load,
+// buffered messages in order, Local through LocalPUP, the frame stack
+// rebuilt at the gate — and that the slot is the one it was.
 func TestEventRecordRoundTrip(t *testing.T) {
 	m := newMachine(t, 2, nil)
-	// A program that parks rank 1 in a Recv that never completes
-	// while holding buffered state: rank 0 sends two unmatched-tag
-	// messages first, then everyone waits at a gate.
+	// Rank 0 sends two messages rank 1 only takes after the gate, so
+	// rank 1 reaches the gate with both buffered.
 	prog := Seq(
 		Do(func(pc *PC) {
-			pc.Local = &mixState{x: 1.5}
+			pc.Local = &mixState{x: 1.5 * float64(pc.Rank()+1)}
 			if pc.Rank() == 0 {
 				pc.Send(1, 7, []byte("abcdefgh"))
 				pc.Send(1, 7, []byte("ijklmnop"))
@@ -304,7 +322,7 @@ func TestEventRecordRoundTrip(t *testing.T) {
 			return []int{0, 0}
 		}, 7, nil),
 	)
-	job, err := NewProgram(m, 2, Options{Mode: ModeEvent}, prog)
+	job, err := NewProgram(m, 2, Options{Mode: ModeEvent, LocalPUP: mixLocalPUP}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,32 +331,28 @@ func TestEventRecordRoundTrip(t *testing.T) {
 	if !job.gateReady() {
 		t.Fatal("ranks did not reach the gate")
 	}
-	// Rank 1 sits at the gate with two buffered messages. Move it by
-	// hand through the record path and compare state across the trip.
 	e := job.ev
 	er := &e.store()[1]
-	er.mu.Lock()
-	vtBefore, busyBefore, pending := er.pc.vt, er.busy, len(er.mbox)-er.head
-	er.mu.Unlock()
+	vtBefore, busyBefore, pending, depth := er.pc.vt, er.busy, len(er.mbox)-er.head, len(er.pc.stack)
+	local := er.pc.Local.(*mixState)
 	if pending != 2 {
 		t.Fatalf("rank 1 buffered %d messages, want 2", pending)
 	}
-	moves := []core.Move{{R: eventRecord{e, 1}, Src: job.PEOf(1), Dest: (job.PEOf(1) + 1) % 2}}
-	moved, err := m.MigrateMany(moves)
-	if err != nil || moved != 1 {
-		t.Fatalf("MigrateMany: (%d, %v)", moved, err)
+	moveRank(t, job, 1, (job.PEOf(1)+1)%2)
+	count, bytes := m.MigrationStats()
+	if count != 1 || bytes == 0 || bytes > 512 {
+		t.Fatalf("MigrationStats = (%d, %d B), want one record of (0, 512] B", count, bytes)
 	}
-	_, bytes := m.MigrationStats()
-	if bytes == 0 || bytes > 512 {
-		t.Fatalf("record image = %d B, want (0, 512]", bytes)
+	t.Logf("record: %d B for a gate-parked rank with two buffered 8-byte messages and a 1-request Local", bytes)
+	if er.moving || er.hasWait || !er.pc.atGate() || len(er.pc.stack) != depth {
+		t.Fatalf("after the trip: moving=%v hasWait=%v, stack %d frames at gate=%v, want %d at the gate",
+			er.moving, er.hasWait, len(er.pc.stack), er.pc.atGate(), depth)
 	}
-	er.mu.Lock()
-	defer er.mu.Unlock()
-	if math.Float64bits(er.pc.vt) != math.Float64bits(vtBefore) {
-		t.Fatalf("vt changed across round trip: %v vs %v", er.pc.vt, vtBefore)
+	if math.Float64bits(er.pc.vt) != math.Float64bits(vtBefore) || er.busy != busyBefore {
+		t.Fatalf("vt/busy changed across the trip: %v/%v vs %v/%v", er.pc.vt, er.busy, vtBefore, busyBefore)
 	}
-	if er.busy != busyBefore {
-		t.Fatalf("busy changed across round trip: %v vs %v", er.busy, busyBefore)
+	if got, ok := er.pc.Local.(*mixState); !ok || got == local || got.x != local.x {
+		t.Fatalf("Local after the trip: %#v, want a fresh copy of %#v", er.pc.Local, local)
 	}
 	if got := len(er.mbox) - er.head; got != 2 {
 		t.Fatalf("buffered messages after round trip: %d, want 2", got)
@@ -348,5 +362,104 @@ func TestEventRecordRoundTrip(t *testing.T) {
 	}
 	if er.mbox[er.head].From != e.idOf(0) {
 		t.Fatalf("mbox sender lost: %v", er.mbox[er.head].From)
+	}
+	job.serviceGate()
+	m.RunUntilQuiescent()
+	if !job.Done() {
+		t.Fatal("job did not complete after the moved rank's gate resumed")
+	}
+}
+
+// TestMoveNamesWhatCannotCross: a record carries every blocking point,
+// so only two things stop a live rank from moving, and each is a named
+// error from the LB step rather than a rank that resumes wrong: a Local
+// in a job without LocalPUP, and a collective run whose site the
+// program's numbering never met (here a For body builds a fresh
+// Iallreduce per iteration, so the site at run time is not the one the
+// walk numbered).
+func TestMoveNamesWhatCannotCross(t *testing.T) {
+	fresh := For(1, func(int) Proc {
+		start, wait := Iallreduce("sum", func(*PC) float64 { return 1 }, nil)
+		return Seq(start, Migrate(loadbalance.RotateLB{}), wait)
+	})
+	for _, tc := range []struct {
+		name string
+		prog Proc
+		want string
+	}{
+		{"Local without LocalPUP", Seq(Do(func(pc *PC) { pc.Local = &mixState{} }), Migrate(loadbalance.RotateLB{})),
+			"has program state but the job has no LocalPUP"},
+		{"unnumbered collective site", fresh, "inside collective Iallreduce, whose site the program's numbering never met"},
+	} {
+		m := newMachine(t, 2, nil)
+		job, err := NewProgram(m, 4, Options{Mode: ModeEvent}, tc.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Start()
+		m.RunUntilQuiescent()
+		if !job.gateReady() {
+			t.Fatalf("%s: ranks did not park at the gate", tc.name)
+		}
+		if _, err := job.Rebalance(loadbalance.RotateLB{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Rebalance error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestDeliveryDuringTransit: between an in-process Extract and its
+// Install the slot is empty and marked moving, and the rank does not
+// count as finished. A message delivered then can only buffer — there
+// is no stack for it to run — and after Install it queues behind the
+// record's older messages.
+func TestDeliveryDuringTransit(t *testing.T) {
+	m := newMachine(t, 2, nil)
+	prog := Seq(
+		Do(func(pc *PC) {
+			if pc.Rank() == 0 {
+				pc.Send(1, 7, []byte("first"))
+				pc.Send(1, 7, []byte("second"))
+			}
+		}),
+		Migrate(loadbalance.RotateLB{}),
+		RecvEach(func(pc *PC) []int {
+			if pc.Rank() != 1 {
+				return nil
+			}
+			return []int{0, 0, 0}
+		}, 7, nil),
+	)
+	job, err := NewProgram(m, 2, Options{Mode: ModeEvent}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Start()
+	m.RunUntilQuiescent()
+	e := job.ev
+	er := &e.store()[1]
+	rec := eventRecord{e, 1, job.PEOf(1)}
+	p := pup.NewGrowPacker()
+	if err := rec.Extract(p); err != nil {
+		t.Fatal(err)
+	}
+	if !er.moving || len(er.pc.stack) != 0 || len(er.mbox) != 0 || er.done || job.Done() {
+		t.Fatalf("in transit: moving=%v, %d frames, %d buffered, done=%v/%v; want an empty, unfinished slot marked moving",
+			er.moving, len(er.pc.stack), len(er.mbox), er.done, job.Done())
+	}
+	e.deliver(job.PEOf(1), &comm.Message{To: e.idOf(1), From: e.idOf(0), Tag: 7, Data: []byte("third")})
+	if err := rec.Install(p.PackedBytes()); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, msg := range er.mbox[er.head:] {
+		got = append(got, string(msg.Data))
+	}
+	if fmt.Sprint(got) != "[first second third]" {
+		t.Fatalf("buffered after the move: %v, want the record's two, then the one that arrived in transit", got)
+	}
+	job.serviceGate()
+	m.RunUntilQuiescent()
+	if !job.Done() {
+		t.Fatal("job did not complete")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"migflow/internal/loadbalance"
+	"migflow/internal/pup"
 )
 
 // ncOut is one rank's collective results in the equivalence tests.
@@ -18,6 +19,34 @@ type ncOut struct {
 	bcast  []byte
 	parts  [][]byte
 	vt     float64
+}
+
+// ncOutPUP is ncOut's Options.LocalPUP: the "migrate" gap moves event
+// ranks with their results half collected.
+func ncOutPUP(p *pup.PUPer, local any) (any, error) {
+	o, _ := local.(*ncOut)
+	if o == nil {
+		o = &ncOut{}
+	}
+	n := len(o.parts)
+	if err := pupFields(p, &o.allred, &o.red, &o.bcast, &o.vt, &n); err != nil {
+		return nil, err
+	}
+	if p.IsUnpacking() {
+		if n < 0 || n > p.Remaining()/4 {
+			return nil, fmt.Errorf("ncOut claims %d gather parts", n)
+		}
+		o.parts = nil
+		if n > 0 {
+			o.parts = make([][]byte, n)
+		}
+	}
+	for i := range o.parts {
+		if err := pupFields(p, &o.parts[i]); err != nil {
+			return nil, err
+		}
+	}
+	return o, nil
 }
 
 // TestThreadNonblockingMatchesBlocking runs the full collective set
@@ -265,6 +294,7 @@ func TestNonblockingCollEquivalence(t *testing.T) {
 		j, err := NewProgram(m, ranks, Options{
 			Mode: mode, MsgOverheadNs: 250, BlockPlacement: true,
 			Collectives: CollTopoTree, Topo: Topology{Nodes: 6, GroupSize: 2},
+			LocalPUP: ncOutPUP,
 		}, ncProgram(gap, &out, &mu))
 		if err != nil {
 			t.Fatal(err)

@@ -9,8 +9,9 @@ package ampi
 // so a step body is built once and running it builds nothing. Programs
 // are closed: what one execution accumulates lives where the runtime
 // can see it — pc.Local, the frame stack, the collective runs — never
-// in a closure the tree makes as it runs. The SAME tree is interpreted
-// by two backends selected with Options.Mode:
+// in a closure the tree makes as it runs, so one record (shard.go)
+// carries a rank parked anywhere to any PE of any process. The SAME
+// tree is interpreted by two backends selected with Options.Mode:
 //
 //   - ModeULT: each rank is a migratable user-level thread; Recv and
 //     the collectives block the thread exactly like the classic Rank
@@ -41,6 +42,7 @@ import (
 	"migflow/internal/converse"
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
+	"migflow/internal/pup"
 	"migflow/internal/vmem"
 )
 
@@ -58,9 +60,10 @@ type frame struct {
 	p Proc
 	// i is the cursor: Seq/For — index of the NEXT child (the running
 	// one is i-1); RecvEach — index of the source being waited for;
-	// Waitall — next request; Migrate — gate entered.
+	// Waitall — next request; Migrate — gate entered. A record ships
+	// exactly these, one per frame (shard.go).
 	i    int
-	reqs []*Req // Waitall's list, evaluated on entry: the only leaf state
+	reqs []*Req // Waitall's list, read from the rank on entry and again after a move
 }
 
 // backend is what a Proc needs from the flow-of-control mechanism
@@ -110,22 +113,22 @@ type PC struct {
 
 	// Local is the rank's program-private state (halo buffers, loop
 	// accumulators). The event engine frees it when the rank's program
-	// completes.
+	// completes, and an event rank that moves carries it through
+	// Options.LocalPUP.
 	Local any
 
 	// colls lists the rank's collective runs, one per program-tree site
-	// it has started (collRun). Like Local it rides the rank's slot by
-	// reference, so an outstanding collective survives migration between
-	// its start and wait halves. One pointer: the slot does not grow
-	// with the number of sites.
+	// it has started (collRun). A move ships the active ones — site
+	// number, cursor, accumulator — so an outstanding collective survives
+	// migration between its start and wait halves. One pointer: the slot
+	// does not grow with the number of sites.
 	colls *collRun
 
 	be backend
 
 	// stack is the rank's resume point: the statements it is inside,
-	// outermost first, from its first activation to completion. An
-	// in-process move carries it by reference; a cross-process move ships
-	// its cursors and rebuilds it from the identical tree (shard.go).
+	// outermost first, from its first activation to completion. A move
+	// ships its cursors and rebuilds it from the shared tree (shard.go).
 	stack []frame
 }
 
@@ -169,6 +172,12 @@ func (pc *PC) parkedIn() Proc {
 		return pc.stack[n-1].p
 	}
 	return nil
+}
+
+// atGate reports whether the rank is parked at an LB gate.
+func (pc *PC) atGate() bool {
+	_, ok := pc.parkedIn().(migrateProc)
+	return ok
 }
 
 // Rank returns the rank number.
@@ -264,6 +273,13 @@ type Req struct {
 // Done reports whether the request has completed.
 func (q *Req) Done() bool { return q.done }
 
+// Pup moves the request through p. A program whose Waitall reads its
+// requests from PC.Local packs them with this in its LocalPUP, so the
+// Waitall finds them again after the rank moves.
+func (q *Req) Pup(p *pup.PUPer) error {
+	return pupFields(p, &q.done, &q.isRecv, &q.src, &q.tag, &q.Data, &q.From)
+}
+
 // Isend sends eagerly and returns an already-completed request.
 func (pc *PC) Isend(dest, tag int, data []byte) *Req {
 	if tag < 0 {
@@ -345,8 +361,8 @@ func Recv(src, tag int, then func(pc *PC, data []byte, from int)) Proc {
 // RecvFrom is Recv with the source a function of the rank, evaluated
 // when the statement runs — so one statement, built once, serves every
 // rank and every iteration (a ring's "my left neighbour"). src must be
-// pure in the rank and the statement's tree position: a cross-process
-// install evaluates it before Local is installed.
+// pure in the rank, its Local and the statement's tree position: a move
+// evaluates it again on arrival to check where the rank waits.
 func RecvFrom(src func(*PC) int, tag int, then func(pc *PC, data []byte, from int)) Proc {
 	return recvProc{srcOf: src, tag: tag, then: then}
 }
@@ -381,10 +397,9 @@ type recvEachProc struct {
 // that order (a source listed twice is received from twice), running
 // then (if non-nil) after each — a zone's whole halo intake as one
 // statement built once; a rank that takes no part returns no sources.
-// srcs must be pure in the rank and the statement's tree position: a
-// cross-process install evaluates it before Local is installed. It is
-// read again on every resume, so the frame stays (statement, cursor);
-// the slice it returns is only read.
+// srcs must be pure in the rank, its Local and the statement's tree
+// position. It is read again on every resume and after a move, so the
+// frame stays (statement, cursor); the slice it returns is only read.
 func RecvEach(srcs func(*PC) []int, tag int, then func(pc *PC, data []byte, from int)) Proc {
 	return recvEachProc{srcs: srcs, tag: tag, then: then}
 }
@@ -407,7 +422,8 @@ type waitallProc struct{ reqs func(*PC) []*Req }
 
 // Waitall completes every request returned by reqs, in order (like
 // the thread API's Waitall): pending receives block and fill their
-// Data/From; nil or completed entries are skipped.
+// Data/From; nil or completed entries are skipped. reqs is read again
+// after a move, so it must return requests kept in Local (see Req.Pup).
 func Waitall(reqs func(*PC) []*Req) Proc { return waitallProc{reqs} }
 
 func (wp waitallProc) step(pc *PC, f *frame) (Proc, bool) {
@@ -436,8 +452,8 @@ type migrateProc struct{ strategy loadbalance.Strategy }
 // some rank exits first deadlocks, as in MPI). When the last rank
 // arrives the runtime — the Run/RunParallel driver, at quiescence —
 // measures per-rank loads, plans with strategy, moves ULT ranks as
-// threads and event ranks as ~180-byte continuation records through
-// the same core.Machine.MigrateMany batch, and resumes every rank on
+// threads and event ranks as continuation records through the same
+// core.Machine.MigrateMany batch, and resumes every rank on
 // its assigned PE. The gate sends no messages and never advances vt,
 // so predicted time stays bit-identical whether or not anything
 // moved.
@@ -497,7 +513,9 @@ func Sendrecv(dest, sendTag int, data func(*PC) []byte, src, recvTag int, then f
 // about the operation that is the same for every rank and every
 // execution. begin loads the rank's contribution into a fresh run's
 // accumulator; end (nil = nothing to deliver) hands the result to the
-// program's then.
+// program's then. An event job numbers its sites once (numberSites), so
+// a record names a site by number, not by a pointer that means nothing
+// in another process.
 type collSite struct {
 	name    string
 	kind    collKind
@@ -516,6 +534,41 @@ type collRun struct {
 	site   *collSite
 	active bool // started, wait not yet complete
 	link   *collRun
+}
+
+// numberSites numbers every collective site of prog once, by identity,
+// in the order one depth-first walk meets their starts — the same
+// numbers in every process that builds the same tree. The walk runs
+// each For body once per iteration and a Seq shared by several parents
+// once.
+func numberSites(prog Proc) ([]*collSite, map[*collSite]int) {
+	var sites []*collSite
+	nums := map[*collSite]int{}
+	seen := map[*Proc]bool{}
+	var walk func(Proc)
+	walk = func(p Proc) {
+		switch s := p.(type) {
+		case seqProc:
+			if len(s.ps) == 0 || seen[&s.ps[0]] {
+				return
+			}
+			seen[&s.ps[0]] = true
+			for _, c := range s.ps {
+				walk(c)
+			}
+		case forProc:
+			for i := 0; i < s.n; i++ {
+				walk(s.body(i))
+			}
+		case collStartProc:
+			if _, ok := nums[s.site]; !ok {
+				nums[s.site] = len(sites)
+				sites = append(sites, s.site)
+			}
+		}
+	}
+	walk(prog)
+	return sites, nums
 }
 
 // collAt returns the rank's run at site, or nil before its first start.

@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"migflow/internal/loadbalance"
+	"migflow/internal/pup"
 )
 
 // mixState is the per-rank Local state the randomized mix and the
@@ -17,6 +18,35 @@ import (
 type mixState struct {
 	x    float64
 	reqs []*Req
+}
+
+// mixLocalPUP is mixState's Options.LocalPUP: the value, then the
+// request list through Req.Pup, so a Waitall reading it finds the same
+// requests after a move.
+func mixLocalPUP(p *pup.PUPer, local any) (any, error) {
+	st, _ := local.(*mixState)
+	if st == nil {
+		st = &mixState{}
+	}
+	n := len(st.reqs)
+	if err := pupFields(p, &st.x, &n); err != nil {
+		return nil, err
+	}
+	if p.IsUnpacking() {
+		if n < 0 || n > p.Remaining()/8 {
+			return nil, fmt.Errorf("mixState claims %d requests", n)
+		}
+		st.reqs = nil
+		for i := 0; i < n; i++ {
+			st.reqs = append(st.reqs, &Req{})
+		}
+	}
+	for _, q := range st.reqs {
+		if err := q.Pup(p); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
 }
 
 // TestModeValidation: unknown Mode strings are rejected everywhere,
@@ -360,8 +390,8 @@ func TestInterpreterBackedgeAllocatesNothing(t *testing.T) {
 // per-execution collective closure each cost several. The slot a rank
 // occupies is pinned too — the collective list is one pointer in it.
 func TestSteadyStateStepAllocations(t *testing.T) {
-	if got := unsafe.Sizeof(eventRank{}); got != 224 {
-		t.Errorf("eventRank is %d bytes, want 224: the per-rank slot changed size", got)
+	if got := unsafe.Sizeof(eventRank{}); got != 216 {
+		t.Errorf("eventRank is %d bytes, want 216: the per-rank slot changed size", got)
 	}
 	const ranks, short, long = 4096, 2, 10
 	rows := []struct {

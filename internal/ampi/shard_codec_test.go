@@ -1,15 +1,19 @@
 package ampi
 
-// Hostile-input hardening for the cross-process record codec: claimed
-// counts near MaxInt64 must fail the bound check cleanly instead of
-// overflowing the product and attempting a huge allocation.
+// Hostile-input hardening for the record codec: claimed counts near
+// MaxInt64 must fail the bound check cleanly instead of overflowing the
+// product and attempting a huge allocation, and a tree path must lead,
+// exactly, to a statement the rank can be parked in.
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 
+	"migflow/internal/comm"
 	"migflow/internal/core"
+	"migflow/internal/loadbalance"
 	"migflow/internal/pup"
 )
 
@@ -29,30 +33,46 @@ func newShardedEventJob(t *testing.T, prog Proc) *Job {
 	return j
 }
 
+// cursors reads a rank's stack back as the record ships it.
+func cursors(pc *PC) []int {
+	var path []int
+	for _, f := range pc.stack {
+		path = append(path, f.i)
+	}
+	return path
+}
+
 func TestShardRecordHostileCounts(t *testing.T) {
 	e := newShardedEventJob(t, Seq()).ev
-
+	count := func(n int) *pup.PUPer {
+		p := pup.NewGrowPacker()
+		if err := p.Int(&n); err != nil {
+			t.Fatal(err)
+		}
+		return pup.NewUnpacker(p.PackedBytes())
+	}
 	// n*16 would overflow to exactly 0 for 1<<60, slipping past a
 	// multiplied bound; the division form must reject it.
 	for _, n := range []int{-1, 1 << 60, 1<<63 - 1} {
-		p := pup.NewGrowPacker()
-		v := n
-		if err := p.Int(&v); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.unpackSeqMap(pup.NewUnpacker(p.PackedBytes())); err == nil {
-			t.Fatalf("unpackSeqMap accepted hostile count %d", n)
+		var mp map[int]uint64
+		if err := e.pupSeqMap(count(n), &mp); err == nil {
+			t.Fatalf("pupSeqMap accepted hostile count %d", n)
 		}
 	}
 	// n*recMsgMin overflows to 0 for 1<<62 (recMsgMin = 60 = 4·15).
 	for _, n := range []int{-1, 1 << 62, 1<<63 - 1} {
-		p := pup.NewGrowPacker()
-		v := n
-		if err := p.Int(&v); err != nil {
-			t.Fatal(err)
+		var msgs []*comm.Message
+		if err := e.pupMsgs(count(n), &msgs, 0); err == nil {
+			t.Fatalf("pupMsgs accepted hostile count %d", n)
 		}
-		if _, err := e.unpackMsgs(pup.NewUnpacker(p.PackedBytes()), 0, "pending"); err == nil {
-			t.Fatalf("unpackMsgs accepted hostile count %d", n)
+	}
+	for _, n := range []int{-1, 1 << 61, 1<<63 - 1} {
+		var r record
+		if err := e.pupRuns(count(n), &r, &e.store()[0].pc); err == nil {
+			t.Fatalf("pupRuns accepted hostile count %d", n)
+		}
+		if err := e.pupPath(count(n), &r, &e.store()[0].pc); err == nil {
+			t.Fatalf("pupPath accepted hostile count %d", n)
 		}
 	}
 }
@@ -66,46 +86,31 @@ func TestShardInstallRejectsGarbage(t *testing.T) {
 	}
 }
 
-// wireRecord packs a well-formed cross-process record for rank 3 → PE 1
-// with the given tree path and match spec and nothing buffered: what a
-// peer that controls only those two fields can send.
+// wireRecord packs a well-formed record for rank 3 → PE 1 with the
+// given frame cursors and match spec and nothing else: what a peer that
+// controls only those two fields can send.
 func wireRecord(t *testing.T, path []int, spec matchSpec) []byte {
 	t.Helper()
 	p := pup.NewGrowPacker()
-	rank, to, zero := uint64(3), uint64(1), 0.0
-	plen, hasLocal, none := len(path), false, 0
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(p.Uint64(&rank))
-	must(p.Uint64(&to))
-	for i := 0; i < 3; i++ { // depart, vt, busy
-		must(p.Float64(&zero))
-	}
-	must(p.Int(&spec.src))
-	must(p.Int(&spec.tag))
-	must(p.Int(&plen))
+	rank, to, zero, hasLocal, none, plen := uint64(3), uint64(1), 0.0, false, 0, len(path)
+	fields := []any{&rank, &to, &zero, &zero, &zero, &spec.src, &spec.tag, &hasLocal, &none, &plen}
 	for i := range path {
-		must(p.Int(&path[i]))
+		fields = append(fields, &path[i])
 	}
-	must(p.Bool(&hasLocal))
-	for i := 0; i < 4; i++ { // pending, held, sendSeq, recvSeq
-		must(p.Int(&none))
+	fields = append(fields, &none, &none, &none, &none) // pending, held, sendSeq, recvSeq
+	if err := pupFields(p, fields...); err != nil {
+		t.Fatal(err)
 	}
 	return p.PackedBytes()
 }
 
 // TestShardInstallRejectsHostilePath: the tree path crosses the same
 // untrusted wire as the rest of the record. Every path that does not
-// lead, exactly, to the plain receive the record claims to wait in — a
-// Recv, what a RecvFrom resolves to for this rank, or the source a
-// RecvEach cursor points at — is a named error that leaves the job
-// untouched — the rank stays foreign,
-// no epoch or remaining-count change — and the owning PE's next pump
-// finds nothing to trip over. The one honest record then installs and
-// parks.
+// lead, exactly, to a statement a rank can be parked in — at a cursor
+// it can be parked at, waiting for what the record says — is a named
+// error that leaves the job untouched: the rank stays foreign, no epoch
+// or remaining-count change, and the owning PE's next pump finds
+// nothing to trip over. The honest records then install and park.
 func TestShardInstallRejectsHostilePath(t *testing.T) {
 	start, wait := Ibarrier()
 	recv8 := Recv(0, 8, nil)
@@ -117,6 +122,7 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 		For(3, func(int) Proc { return recv8 }),
 		RecvEach(func(pc *PC) []int { return []int{0, pc.rank - 1, 0} }, 9, nil),
 		RecvFrom(func(pc *PC) int { return pc.rank - 2 }, 10, nil),
+		Migrate(loadbalance.RotateLB{}),
 	)
 	j := newShardedEventJob(t, prog)
 	e := j.ev
@@ -127,26 +133,27 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 		spec matchSpec
 		want string
 	}{
-		{"negative index", []int{-1}, matchSpec{0, 7}, "index -1 at depth 0 is outside a 7-way"},
-		{"index past the Seq", []int{7}, matchSpec{0, 7}, "index 7 at depth 0 is outside a 7-way"},
-		{"index past the For", []int{4, 3}, matchSpec{0, 8}, "index 3 at depth 1 is outside a 3-way"},
-		{"truncated int32 alias of a valid index", []int{1 << 32}, matchSpec{0, 7}, "outside a 7-way"},
-		{"empty path", nil, matchSpec{0, 7}, "ends inside a 7-way"},
-		{"short path", []int{4}, matchSpec{0, 8}, "ends inside a 3-way"},
-		{"over-long path", []int{1, 0}, matchSpec{0, 7}, "reaches a Recv with 1 frames unused"},
-		{"leads to a Do", []int{0}, matchSpec{0, 7}, "not a plain Recv"},
-		{"leads to a Waitall", []int{2}, matchSpec{0, 7}, "ampi.waitallProc, not a plain Recv"},
-		{"leads to a collective wait", []int{3, 1}, matchSpec{0, 7}, "ampi.collWaitProc, not a plain Recv"},
-		{"spec mismatch", []int{1}, matchSpec{0, 9}, "leads to Recv(0, 7) but the record waits for (0, 9)"},
-		{"spec mismatch under For", []int{4, 2}, matchSpec{0, 7}, "leads to Recv(0, 8)"},
-		{"RecvEach without its cursor", []int{5}, matchSpec{0, 9}, "ends inside a 3-way ampi.recvEachProc at depth 1"},
-		{"RecvEach cursor -1", []int{5, -1}, matchSpec{0, 9}, "index -1 at depth 1 is outside a 3-way ampi.recvEachProc"},
-		{"RecvEach cursor = len", []int{5, 3}, matchSpec{0, 9}, "index 3 at depth 1 is outside a 3-way ampi.recvEachProc"},
-		{"RecvEach trailing path", []int{5, 1, 0}, matchSpec{2, 9}, "reaches a Recv with 1 frames unused"},
-		{"RecvEach wrong source for its cursor", []int{5, 1}, matchSpec{0, 9}, "leads to Recv(2, 9) but the record waits for (0, 9)"},
-		{"RecvEach wrong tag", []int{5, 0}, matchSpec{0, 8}, "leads to Recv(0, 9) but the record waits for (0, 8)"},
-		{"RecvFrom with a cursor", []int{6, 0}, matchSpec{1, 10}, "reaches a Recv with 1 frames unused"},
-		{"RecvFrom resolves elsewhere for this rank", []int{6}, matchSpec{3, 10}, "leads to Recv(1, 10) but the record waits for (3, 10)"},
+		{"cursor 0 into a Seq", []int{0, 0}, matchSpec{0, 7}, "cursor 0 at depth 0 is outside a 8-way Seq"},
+		{"cursor past the Seq", []int{9, 0}, matchSpec{0, 7}, "cursor 9 at depth 0 is outside a 8-way Seq"},
+		{"cursor past the For", []int{5, 4, 0}, matchSpec{0, 8}, "cursor 4 at depth 1 is outside a 3-way For"},
+		{"truncated int32 alias of a valid cursor", []int{1<<32 + 2, 0}, matchSpec{0, 7}, "outside a 8-way Seq"},
+		{"path ends in a Seq", []int{2}, matchSpec{0, 7}, "ends inside a ampi.seqProc at depth 0"},
+		{"path ends in a For", []int{5, 2}, matchSpec{0, 8}, "ends inside a ampi.forProc at depth 1"},
+		{"over-long path", []int{2, 0, 0}, matchSpec{0, 7}, "reaches a ampi.recvProc at depth 1 with 1 frames unused"},
+		{"leads to a Do", []int{1, 0}, matchSpec{0, 7}, "leads to a ampi.doProc, which never parks"},
+		{"leads to a collective start", []int{4, 1, 0}, matchSpec{0, 7}, "leads to a ampi.collStartProc, which never parks"},
+		{"Waitall with no pending request", []int{3, 0}, matchSpec{0, 7}, "parks in a ampi.waitallProc at cursor 0, where it cannot wait"},
+		{"collective wait with no run", []int{4, 2, 0}, matchSpec{0, 7}, "parks in a ampi.collWaitProc at cursor 0, where it cannot wait"},
+		{"Recv with a cursor", []int{2, 1}, matchSpec{0, 7}, "parks in a ampi.recvProc at cursor 1"},
+		{"gate without its cursor", []int{8, 0}, matchSpec{}, "parks at the LB gate with cursor 0"},
+		{"spec mismatch", []int{2, 0}, matchSpec{0, 9}, "leads to a receive from (0, 7) but the record waits for (0, 9)"},
+		{"spec mismatch under For", []int{5, 3, 0}, matchSpec{0, 7}, "leads to a receive from (0, 8)"},
+		{"RecvEach cursor -1", []int{6, -1}, matchSpec{0, 9}, "parks in a ampi.recvEachProc at cursor -1"},
+		{"RecvEach cursor = len", []int{6, 3}, matchSpec{0, 9}, "parks in a ampi.recvEachProc at cursor 3"},
+		{"RecvEach trailing path", []int{6, 1, 0}, matchSpec{2, 9}, "reaches a ampi.recvEachProc at depth 1 with 1 frames unused"},
+		{"RecvEach wrong source for its cursor", []int{6, 1}, matchSpec{0, 9}, "leads to a receive from (2, 9) but the record waits for (0, 9)"},
+		{"RecvEach wrong tag", []int{6, 0}, matchSpec{0, 8}, "leads to a receive from (0, 9) but the record waits for (0, 8)"},
+		{"RecvFrom resolves elsewhere for this rank", []int{7, 0}, matchSpec{3, 10}, "leads to a receive from (1, 10) but the record waits for (3, 10)"},
 	} {
 		_, err := j.ShardInstall(wireRecord(t, tc.path, tc.spec))
 		if err == nil || !strings.Contains(err.Error(), "tree path") || !strings.Contains(err.Error(), tc.want) {
@@ -159,7 +166,7 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 			t.Fatalf("%s: rejected record moved epoch %d→%d, remaining %d→%d",
 				tc.name, epoch, e.migEpoch.Load(), remaining, e.remaining.Load())
 		}
-		if er := &e.store()[3]; er.pc.stack != nil || er.pc.Local != nil || er.hasWait {
+		if er := &e.store()[3]; len(er.pc.stack) != 0 || er.pc.Local != nil || er.hasWait {
 			t.Fatalf("%s: rejected record left state in rank 3's slot", tc.name)
 		}
 		j.m.RunUntilQuiescent() // must not panic
@@ -169,28 +176,29 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 		path []int
 		spec matchSpec
 	}{
-		{[]int{1}, matchSpec{0, 7}},
-		{[]int{4, 2}, matchSpec{0, 8}},
-		{[]int{5, 1}, matchSpec{2, 9}}, // RecvEach, waiting for its second source
-		{[]int{6}, matchSpec{1, 10}},   // RecvFrom, resolved for rank 3
+		{nil, matchSpec{0, 7}}, // not started: its first activation starts it, and it parks in the Recv
+		{[]int{2, 0}, matchSpec{0, 7}},
+		{[]int{5, 3, 0}, matchSpec{0, 8}},
+		{[]int{6, 1}, matchSpec{2, 9}},  // RecvEach, waiting for its second source
+		{[]int{7, 0}, matchSpec{1, 10}}, // RecvFrom, resolved for rank 3
 	} {
 		path, spec := honest.path, honest.spec
 		j := newShardedEventJob(t, prog)
 		if r, err := j.ShardInstall(wireRecord(t, path, spec)); err != nil || r != 3 {
 			t.Fatalf("path %v: honest record: (%d, %v)", path, r, err)
 		}
-		if !j.ShardOwns(3) || j.ShardMigratable(3) {
-			t.Fatalf("path %v: after install owns=%v migratable=%v, want true/false until the first activation", path, j.ShardOwns(3), j.ShardMigratable(3))
+		if !j.ShardOwns(3) {
+			t.Fatalf("path %v: installed rank is not owned here", path)
 		}
 		j.m.RunUntilQuiescent()
 		er := &j.ev.store()[3]
-		if !j.ShardMigratable(3) || er.waiting != spec {
-			t.Fatalf("path %v: installed rank did not park at its Recv (waiting %+v)", path, er.waiting)
+		if !er.hasWait || er.waiting != spec {
+			t.Fatalf("path %v: installed rank did not park at its receive (waiting %+v, parked %v)", path, er.waiting, er.hasWait)
 		}
-		// What installs must be what extracts: the path read back off
-		// the rebuilt stack is the path that built it.
-		if got := er.pc.treePath(); !reflect.DeepEqual(got, path) {
-			t.Fatalf("tree path round trip: built from %v, reads back %v", path, got)
+		// What installs must be what extracts: the cursors read back off
+		// the rebuilt stack are the ones that built it.
+		if got := cursors(&er.pc); path != nil && !reflect.DeepEqual(got, path) {
+			t.Fatalf("path round trip: built from %v, reads back %v", path, got)
 		}
 	}
 }
@@ -223,8 +231,8 @@ func TestShardRecvEachRoundTrip(t *testing.T) {
 	if !a.ShardMigratable(0) || era.waiting != (matchSpec{3, 5}) {
 		t.Fatalf("rank 0 on worker A: migratable=%v waiting %+v, want parked for (3, 5)", a.ShardMigratable(0), era.waiting)
 	}
-	if path := era.pc.treePath(); !reflect.DeepEqual(path, []int{1, 1}) {
-		t.Fatalf("rank 0's tree path is %v, want [1 1]: the Seq child, then the RecvEach cursor", path)
+	if path := cursors(&era.pc); !reflect.DeepEqual(path, []int{2, 1}) {
+		t.Fatalf("rank 0's cursors are %v, want [2 1]: inside the Seq's second child, then the RecvEach cursor", path)
 	}
 	data, err := a.ShardExtract(0, 2)
 	if err != nil {
@@ -251,20 +259,56 @@ func TestShardRecvEachRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMergeSeqMax(t *testing.T) {
-	if got := mergeSeqMax(nil, nil); got != nil {
-		t.Fatalf("merge of two nils = %v", got)
-	}
-	src := map[int]uint64{1: 5, 2: 3}
-	if got := mergeSeqMax(nil, src); len(got) != 2 || got[1] != 5 {
-		t.Fatalf("merge into nil = %v", got)
-	}
-	dst := map[int]uint64{1: 7, 3: 1}
-	got := mergeSeqMax(dst, src)
-	want := map[int]uint64{1: 7, 2: 3, 3: 1}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("merged[%d] = %d, want %d (full: %v)", k, got[k], v, got)
+// FuzzRecord throws bytes at the record codec: a decoded record is
+// either a named error or, installed into its slot, extracts again
+// byte-identically, and decoding never panics. The seeds are records
+// extracted at every blocking point of blockingPoints; row picks the
+// program a record is decoded against.
+func FuzzRecord(f *testing.F) {
+	opts := Options{Mode: ModeEvent, MsgOverheadNs: 250, LocalPUP: mixLocalPUP}
+	points := blockingPoints()
+	for i, bp := range points {
+		m := newMachine(f, 4, nil)
+		j, err := NewProgram(m, 4, opts, bp.prog(make([]float64, 4)))
+		if err != nil {
+			f.Fatal(err)
 		}
+		j.Start()
+		runPEs(m, 0, 1)
+		er := &j.ev.store()[0]
+		p := pup.NewGrowPacker()
+		er.mu.Lock()
+		err = j.ev.extractLocked(p, er, 3, 1234.5)
+		er.mu.Unlock()
+		if err != nil {
+			f.Fatalf("%s: %v", bp.name, err)
+		}
+		f.Add(uint8(i), p.PackedBytes())
 	}
+	f.Fuzz(func(t *testing.T, row uint8, data []byte) {
+		bp := points[int(row)%len(points)]
+		j, err := NewProgram(newMachine(t, 4, nil), 4, opts, bp.prog(make([]float64, 4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := j.ev
+		var rank uint64
+		if err := pup.NewUnpacker(data).Uint64(&rank); err != nil || rank >= 4 {
+			return
+		}
+		er := &e.store()[rank]
+		er.mu.Lock()
+		defer er.mu.Unlock()
+		r, err := e.installLocked(er, data)
+		if err != nil {
+			return
+		}
+		p := pup.NewGrowPacker()
+		if err := e.extractLocked(p, er, r.toPE, r.depart); err != nil {
+			t.Fatalf("%s: an installed record does not extract: %v", bp.name, err)
+		}
+		if got := p.PackedBytes(); !bytes.Equal(got, data) {
+			t.Fatalf("%s: record re-encodes differently:\n in  %x\n out %x", bp.name, data, got)
+		}
+	})
 }

@@ -350,7 +350,9 @@ func decodeFrame(data []byte) (*shardFrame, error) {
 	if err := p.Int(&ncells); err != nil {
 		return nil, err
 	}
-	if ncells < 0 || ncells*frameCellMin > p.Remaining() {
+	// Division, not ncells*frameCellMin: a hostile count near MaxInt64
+	// would overflow the product and slip past the bound.
+	if ncells < 0 || ncells > p.Remaining()/frameCellMin {
 		return nil, fmt.Errorf("frame claims %d cells with %d bytes remaining", ncells, p.Remaining())
 	}
 	f.cells = make([]cellDelta, ncells)
@@ -363,7 +365,7 @@ func decodeFrame(data []byte) (*shardFrame, error) {
 	if err := p.Int(&nagg); err != nil {
 		return nil, err
 	}
-	if nagg < 0 || nagg*frameAggMin > p.Remaining() {
+	if nagg < 0 || nagg > p.Remaining()/frameAggMin {
 		return nil, fmt.Errorf("frame claims %d envelopes with %d bytes remaining", nagg, p.Remaining())
 	}
 	f.agg = make([]aggDelta, nagg)

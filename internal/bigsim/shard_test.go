@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"migflow/internal/pup"
 )
 
 func stepEqual(a, b StepStats) bool {
@@ -119,6 +121,38 @@ func TestShardOddSplit(t *testing.T) {
 	for s := range want {
 		if !stepEqual(want[s], got[s]) {
 			t.Fatalf("step %d: serial %+v, sharded %+v", s, want[s], got[s])
+		}
+	}
+}
+
+// TestDecodeFrameHostileCounts: a frame's cell and envelope counts are
+// bounded by the bytes that follow them. 768,614,336,404,564,651 × 24
+// wraps to 8, so a product bound lets that count through to a
+// make([]cellDelta, n) that panics; the division form refuses it, and
+// the other counts that would wrap, by name.
+func TestDecodeFrameHostileCounts(t *testing.T) {
+	const wraps = 768_614_336_404_564_651 // ×24 ≡ 8 (mod 2^64)
+	frame := func(counts ...int) []byte {
+		p := pup.NewGrowPacker()
+		if err := pupFrameHeader(p, &shardFrame{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range counts {
+			if err := p.Int(&counts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var pad uint64
+		if err := p.Uint64(&pad); err != nil {
+			t.Fatal(err)
+		}
+		return p.PackedBytes()
+	}
+	for _, n := range []int{-1, wraps, 1 << 62, math.MaxInt64} {
+		for name, data := range map[string][]byte{"cells": frame(n), "envelopes": frame(0, n)} {
+			if _, err := decodeFrame(data); err == nil {
+				t.Errorf("decodeFrame accepted %d %s", n, name)
+			}
 		}
 	}
 }

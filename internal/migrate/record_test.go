@@ -121,7 +121,7 @@ func TestBulkMigrateRecords(t *testing.T) {
 		if string(r.payload) != fmt.Sprintf("continuation-%d", i) {
 			t.Errorf("record %d payload = %q", i, r.payload)
 		}
-		// A continuation record is ~180 B, not a stack image.
+		// A continuation record is a few hundred bytes, not a stack image.
 		if results[i].Bytes > 512 {
 			t.Errorf("record %d image is %d bytes — record path should not carry pages", i, results[i].Bytes)
 		}

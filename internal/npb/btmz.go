@@ -170,7 +170,7 @@ type Params struct {
 	// ampi.ModeULT and ampi.ModeEvent run the same zone step as a
 	// continuation Program on the respective flow backend. Program
 	// mode is what reaches 10^5+ zones: each zone-rank is then a
-	// ~180-byte record instead of a stack. Incompatible with
+	// 137-byte record at the LB gate instead of a stack. Incompatible with
 	// Steal/Aggregate/Trace.
 	Mode string
 	// LB, when non-nil, triggers MPI_Migrate with this strategy after

@@ -2,7 +2,7 @@ package npb
 
 // Program-mode BT-MZ: the zone step expressed once as an ampi.Proc
 // and interpreted by either flow backend — Params.Mode "ult" runs it
-// on migratable threads, "event" on ~180-byte continuation records.
+// on migratable threads, "event" on continuation records.
 // The step body (solve → halo sends → deterministic specific-source
 // receives → optional LB gate) is shared verbatim, so the predicted
 // makespan is bit-identical across modes; only the migration

@@ -253,7 +253,8 @@ func (p *PUPer) Float64(v *float64) error {
 	return nil
 }
 
-// Bool visits a bool as one byte.
+// Bool visits a bool as one byte, 0 or 1; unpacking refuses any other
+// byte, so an image that unpacks always packs back to itself.
 func (p *PUPer) Bool(v *bool) error {
 	var b byte
 	if *v {
@@ -263,7 +264,10 @@ func (p *PUPer) Bool(v *bool) error {
 		return err
 	}
 	if p.mode == Unpacking {
-		*v = b != 0
+		if b > 1 {
+			return fmt.Errorf("pup: corrupt image: bool byte %d", b)
+		}
+		*v = b == 1
 	}
 	return nil
 }
