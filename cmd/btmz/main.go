@@ -5,7 +5,8 @@
 // Usage:
 //
 //	btmz [-steps 20] [-lb greedy] [-coll tree|flat|topo] [-agg off|on|N:B]
-//	     [-steal off|on] [-chunks N] [-overlap] [-reduce N]
+//	     [-steal off|on] [-chunks N] [-overlap] [-reduce N] [-trace]
+//	     [-mode ult|event] [-class Z4K] [-npes 8]
 //
 // -overlap makes the halo exchange split-phase (receives posted and
 // halos sent before the solve, completed after it) and pipelines the
@@ -14,11 +15,13 @@
 // torus/PE-group hierarchy instead of rank order and reports the
 // logical hops the tree edges crossed.
 //
-// With -mode ult|event the zone step runs as a continuation Program
-// on the chosen flow backend instead of the legacy thread job: one
-// zone per rank on the skewed class (-class, default Z4K), reported
-// with and without the LB gate. Event mode is the configuration that
-// scales past 10^5 zones, moving 137-byte records instead of stacks.
+// Every run executes the same zone-step program. Without -mode it runs
+// in Figure 12's configuration: ULT ranks with privatized globals. With
+// -mode ult|event it runs on the chosen flow backend, one zone per rank
+// on the skewed class (-class, default Z4K), reported with and without
+// the LB gate. Event mode is the configuration that scales past 10^5
+// zones, moving 137-byte records instead of stacks; it refuses -agg,
+// -steal and -trace, which need threads.
 package main
 
 import (
@@ -47,7 +50,7 @@ func main() {
 	aggSpec := flag.String("agg", "off", "boundary-exchange aggregation: off | on | maxPayloads:maxBytes (e.g. 16:8192)")
 	stealSpec := flag.String("steal", "off", "idle-cycle work stealing: off (deterministic pump) | on (parallel runner)")
 	chunks := flag.Int("chunks", 0, "split each rank's per-step solve into N yieldable slices (steal points); 0 keeps one slice")
-	mode := flag.String("mode", "", "program-mode flow backend: ult | event (empty = legacy thread job)")
+	mode := flag.String("mode", "", "flow backend for the one-zone-per-rank study: ult | event (empty = Figure 12's configuration: ULT ranks with privatized globals)")
 	className := flag.String("class", "Z4K", "problem class for -mode runs: A | B | SP-A | LU-A | Z4K")
 	npes := flag.Int("npes", 8, "PE count for -mode runs")
 	flag.Parse()
@@ -56,13 +59,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *mode != "" {
-		if err := programReport(*mode, *className, *steps, *lbName, *npes, coll, *overlap, *reduceEvery); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	aggregate, pol, err := parseAgg(*aggSpec)
 	if err != nil {
 		log.Fatal(err)
@@ -70,6 +66,24 @@ func main() {
 	steal, err := parseSteal(*stealSpec)
 	if err != nil {
 		log.Fatal(err)
+	}
+
+	if *mode != "" {
+		class, err := npb.ClassByName(*className)
+		if err != nil {
+			log.Fatal(err)
+		}
+		base := npb.Params{
+			Class: class, NProcs: class.NumZones(), NPEs: *npes,
+			Steps: *steps, Mode: *mode,
+			Collectives: coll, Overlap: *overlap, ReduceEvery: *reduceEvery,
+			Aggregate: aggregate, AggPolicy: pol,
+			Steal: steal, WorkChunks: *chunks, Trace: *showTrace,
+		}
+		if err := programReport(base, *lbName); err != nil {
+			log.Fatal(err)
+		}
+		return
 	}
 
 	if *showTrace {
@@ -95,19 +109,10 @@ func main() {
 
 // programReport runs the one-zone-per-rank program-mode study: the
 // graded class without LB, then with the chosen strategy's gate.
-func programReport(mode, className string, steps int, lbName string, npes int, coll ampi.CollAlgo, overlap bool, reduceEvery int) error {
-	class, err := npb.ClassByName(className)
-	if err != nil {
-		return err
-	}
+func programReport(base npb.Params, lbName string) error {
 	strat, err := loadbalance.ByName(lbName)
 	if err != nil {
 		return err
-	}
-	base := npb.Params{
-		Class: class, NProcs: class.NumZones(), NPEs: npes,
-		Steps: steps, Mode: mode,
-		Collectives: coll, Overlap: overlap, ReduceEvery: reduceEvery,
 	}
 	before, err := npb.Run(base)
 	if err != nil {
@@ -120,15 +125,26 @@ func programReport(mode, className string, steps int, lbName string, npes int, c
 		return err
 	}
 	variant := ""
-	if overlap {
+	if base.Overlap {
 		variant = ", split-phase overlap"
 	}
-	fmt.Printf("%s — %d zone-ranks on %d PEs, %d steps%s\n", with.Label(), base.NProcs, npes, steps, variant)
+	fmt.Printf("%s — %d zone-ranks on %d PEs, %d steps%s\n", with.Label(), base.NProcs, base.NPEs, base.Steps, variant)
 	fmt.Printf("  no LB:            %10.2f ms  (imbalance %.3f)\n", before.TimeNs/1e6, before.Imbalance)
 	fmt.Printf("  with %-10s   %10.2f ms  (imbalance %.3f, moved %d ranks, %d B migrated)\n",
 		strat.Name()+" LB:", after.TimeNs/1e6, after.Imbalance, after.MovedRanks, after.MigratedBytes)
 	if after.TopoHops > 0 || before.TopoHops > 0 {
 		fmt.Printf("  collective tree hops: %d (noLB) / %d (LB)\n", before.TopoHops, after.TopoHops)
+	}
+	if base.Aggregate {
+		fmt.Printf("  envelopes: %d (noLB) / %d (LB)\n", before.Envelopes, after.Envelopes)
+	}
+	if base.Steal {
+		fmt.Printf("  stolen ranks: %d (noLB) / %d (LB)\n", before.Steals.Moved, after.Steals.Moved)
+	}
+	if base.Trace {
+		fmt.Println()
+		printTrace(before.Params.Label()+" without LB", before)
+		printTrace(with.Label()+" with "+strat.Name()+" LB", after)
 	}
 	return nil
 }
@@ -198,13 +214,20 @@ func traceReport(steps int, lbName string, coll ampi.CollAlgo, aggregate bool, p
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("B.64,8PE %s — per-PE utilization (busy fraction of span):\n", label)
-		for _, st := range trace.Utilization(r.Trace, p.NPEs) {
-			bar := strings.Repeat("#", int(st.Fraction()*40))
-			fmt.Printf("  PE %d %6.1f%% %-40s (%d switches)\n", st.PE, st.Fraction()*100, bar, st.Switches)
-		}
-		c := r.Trace.Counts()
-		fmt.Printf("  events: %d switches, %d migrations; modeled time %.1f ms\n\n",
-			c[trace.EvSwitchIn], c[trace.EvMigrateOut], r.TimeNs/1e6)
+		printTrace("B.64,8PE "+label, r)
 	}
+}
+
+// printTrace prints a traced run's per-PE utilization — a
+// Projections-style summary from the trace subsystem — and its event
+// counts.
+func printTrace(title string, r *npb.Result) {
+	fmt.Printf("%s — per-PE utilization (busy fraction of span):\n", title)
+	for _, st := range trace.Utilization(r.Trace, r.Params.NPEs) {
+		bar := strings.Repeat("#", int(st.Fraction()*40))
+		fmt.Printf("  PE %d %6.1f%% %-40s (%d switches)\n", st.PE, st.Fraction()*100, bar, st.Switches)
+	}
+	c := r.Trace.Counts()
+	fmt.Printf("  events: %d switches, %d migrations; modeled time %.1f ms\n\n",
+		c[trace.EvSwitchIn], c[trace.EvMigrateOut], r.TimeNs/1e6)
 }

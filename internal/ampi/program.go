@@ -43,6 +43,7 @@ import (
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
 	"migflow/internal/pup"
+	"migflow/internal/swapglobal"
 	"migflow/internal/vmem"
 )
 
@@ -200,6 +201,28 @@ func (pc *PC) PE() int { return pc.be.pe(pc) }
 // migration ships it); event ranks keep nothing — a continuation has
 // no stack to carry. No effect on virtual time in either mode.
 func (pc *PC) UseStack(n uint64) { pc.be.usestack(pc, n) }
+
+// Globals returns the table through which a ULT rank reads and writes
+// its privatized globals (Options.Globals). Their storage travels with
+// the thread, so a value stored before a move is read back after it.
+// An event rank has no thread and gets nil, as does a job without
+// globals.
+func (pc *PC) Globals() *swapglobal.GOT {
+	if b, ok := pc.be.(ultBE); ok {
+		return b.r.ctx.GlobalsGOT()
+	}
+	return nil
+}
+
+// Yield is MPI_Yield inside a statement: a ULT rank gives the other
+// ranks on its PE the processor and stays runnable — an idle PE may
+// steal it, so PE can change across the call. An event rank runs a
+// statement to completion; for it Yield does nothing.
+func (pc *PC) Yield() {
+	if b, ok := pc.be.(ultBE); ok {
+		b.r.ctx.Yield()
+	}
+}
 
 // Work models ns nanoseconds of local computation: it advances the
 // rank's predicted time and charges the simulating PE.

@@ -9,8 +9,10 @@
 //
 // A stream socket has no out-of-band "peer closed in good order"
 // signal: the skeleton's BYE frame is it, and read hands EOF up as
-// is. An asynchronous write error reaches the transport's failure
-// policy through the link's fail callback.
+// is. A write error is not judged where it happens: it means the peer
+// has hung up, which the link's reader is bound to see as well, and
+// only the reader knows whether a BYE came first. So the writer stops
+// writing and leaves the verdict to the reader.
 package comm
 
 import (
@@ -35,7 +37,9 @@ type sockLink struct {
 	br    *bufio.Reader
 	hdr   [4]byte // read's prefix scratch (a local would escape per frame)
 	stats *linkCounters
-	fail  func(error) // a write failed on the writer goroutine
+	// broken is set by the writer goroutine (its only user) on a write
+	// error: later batches are recycled unwritten.
+	broken bool
 
 	mu     sync.Mutex
 	q      net.Buffers
@@ -70,7 +74,6 @@ func (t *LinkTransport) AddPeer(idx int, conn net.Conn) error {
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 1<<16),
 		stats:   &t.stats,
-		fail:    func(err error) { t.linkFailed(idx, err) },
 		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		flushed: make(chan struct{}),
@@ -117,7 +120,8 @@ func (l *sockLink) writeLoop() {
 }
 
 // drain writes every queued frame in one batch, repeating until the
-// queue stays empty, and recycles the frame buffers afterwards. The
+// queue stays empty, and recycles the frame buffers afterwards; once a
+// write has failed it only recycles them (see the file comment). The
 // WriteTo goes through a scratch copy of the batch because
 // net.Buffers consumes (reslices) the slice it writes from — the
 // original batch keeps the frame pointers the pool needs back.
@@ -132,6 +136,10 @@ func (l *sockLink) drain() {
 			l.spare = batch // hand the empty slice back for reuse
 			return
 		}
+		if l.broken {
+			l.recycle(batch)
+			continue
+		}
 		l.stats.writeBatches.Add(1)
 		// Go's net.Buffers issues writev in chunks of up to 1024
 		// iovecs, so the syscall count is derivable from the batch
@@ -144,16 +152,19 @@ func (l *sockLink) drain() {
 		wb := scratch
 		_, err := wb.WriteTo(l.conn)
 		l.scratch = scratch[:0]
-		if err != nil {
-			l.fail(err)
-			return
-		}
-		for i := range batch {
-			putBuf(batch[i])
-			batch[i] = nil
-		}
-		l.spare = batch[:0]
+		l.broken = err != nil
+		l.recycle(batch)
 	}
+}
+
+// recycle returns a written (or abandoned) batch's frames to the pool
+// and keeps the emptied slice for the next batch.
+func (l *sockLink) recycle(batch net.Buffers) {
+	for i := range batch {
+		putBuf(batch[i])
+		batch[i] = nil
+	}
+	l.spare = batch[:0]
 }
 
 func (l *sockLink) read() ([]byte, error) {

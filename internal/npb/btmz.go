@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"migflow/internal/ampi"
@@ -165,13 +165,14 @@ type Params struct {
 	NProcs int // AMPI ranks
 	NPEs   int // physical processors
 	Steps  int // solver timesteps
-	// Mode selects the execution path: "" is the legacy thread job
-	// (NewJob rank bodies, byte-identical to prior releases);
-	// ampi.ModeULT and ampi.ModeEvent run the same zone step as a
-	// continuation Program on the respective flow backend. Program
-	// mode is what reaches 10^5+ zones: each zone-rank is then a
-	// 137-byte record at the LB gate instead of a stack. Incompatible with
-	// Steal/Aggregate/Trace.
+	// Mode selects the flow backend that runs the zone step program
+	// (btmzProgram). "" is Figure 12's configuration: ULT ranks with
+	// privatized globals (isomalloc stacks plus a swap-global step
+	// counter, the §4.5 setup). ampi.ModeULT runs the same program on
+	// ULT ranks without globals, ampi.ModeEvent on continuation
+	// records — what reaches 10^5+ zones: each zone-rank is then a
+	// 137-byte record at the LB gate instead of a stack. Event mode
+	// refuses Steal, Trace and Aggregate, which need threads.
 	Mode string
 	// LB, when non-nil, triggers MPI_Migrate with this strategy after
 	// the warm-up step.
@@ -250,12 +251,12 @@ type Result struct {
 	// migrations), plus halo-exchange latency, plus the one-time
 	// migration transfer cost.
 	TimeNs float64
-	// PredictedNs is the program-mode virtual-time makespan (max rank
-	// VT) — placement-invariant, so it is bit-identical across modes
-	// and across LB decisions (zero in legacy mode, which has no VT).
+	// PredictedNs is the virtual-time makespan (max rank VT) —
+	// placement-invariant, so it is bit-identical across modes and
+	// across LB decisions.
 	PredictedNs   float64
 	CommNs        float64   // halo-exchange component of TimeNs
-	PELoads       []float64 // measured per-PE work (current placement)
+	PELoads       []float64 // per-PE work, final placement: measured (ULT) or modeled (event)
 	Imbalance     float64   // max/avg of PELoads
 	Migrations    uint64
 	MigratedBytes uint64
@@ -276,10 +277,24 @@ type Result struct {
 }
 
 // normalized validates p and fills its defaults — the one block Run
-// (both execution paths) and ProgramJob share.
+// and ProgramJob share.
 func (p Params) normalized() (Params, error) {
 	if p.NProcs < 1 || p.NPEs < 1 {
 		return p, fmt.Errorf("npb: bad params %+v", p)
+	}
+	switch p.Mode {
+	case "", ampi.ModeULT:
+	case ampi.ModeEvent:
+		for _, f := range [...]struct {
+			set  bool
+			name string
+		}{{p.Steal, "Steal"}, {p.Trace, "Trace"}, {p.Aggregate, "Aggregate"}} {
+			if f.set {
+				return p, fmt.Errorf("npb: %s needs ULT ranks; %q mode does not support it", f.name, p.Mode)
+			}
+		}
+	default:
+		return p, fmt.Errorf("npb: unknown mode %q (want \"\", %q or %q)", p.Mode, ampi.ModeULT, ampi.ModeEvent)
 	}
 	if p.NProcs > p.Class.NumZones() {
 		return p, fmt.Errorf("npb: %d ranks exceed %d zones", p.NProcs, p.Class.NumZones())
@@ -293,22 +308,28 @@ func (p Params) normalized() (Params, error) {
 	if p.HaloBytes == 0 {
 		p.HaloBytes = 4096
 	}
+	if p.WorkChunks < 1 {
+		p.WorkChunks = 1
+	}
 	return p, nil
 }
 
-// Run executes the benchmark on a fresh machine.
+// Run executes the benchmark on a fresh machine: btmzProgram on the
+// flow backend Mode selects, driven to completion, then the modeled
+// makespan read off where every solve slice ran.
 func Run(p Params) (*Result, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
 	}
-	if p.Mode != "" {
-		return runProgram(p)
+	cfg := core.Config{NumPEs: p.NPEs, Steal: p.Steal}
+	if p.Mode == "" {
+		// Figure 12 as the paper ran it: the solver's step counter is a
+		// swap-global privatized global, so it travels in the images of
+		// the ranks the balancer moves.
+		cfg.Globals = btmzGlobals()
 	}
-	layout := swapglobal.NewLayout()
-	layout.Declare("step", 8) // the solver's "global" iteration counter
-	layout.Declare("residual", 8)
-	m, err := core.NewMachine(core.Config{NumPEs: p.NPEs, Globals: layout, Steal: p.Steal})
+	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -316,196 +337,7 @@ func Run(p Params) (*Result, error) {
 	if p.Trace {
 		tlog = m.EnableTracing()
 	}
-	// Zone ownership and per-rank halo pattern: one message per
-	// zone-neighbour pair that crosses ranks (both directions).
-	t := buildTopology(p)
-
-	var mu sync.Mutex
-	// stepBusy[step][pe] accumulates solver work as it actually ran:
-	// the per-step parallel time is its max over PEs. stepComm[step]
-	// is the critical-path exchange cost: the worst rank's outbound
-	// halo traffic, per-message or per dest-PE envelope.
-	stepBusy := make([][]float64, p.Steps)
-	for i := range stepBusy {
-		stepBusy[i] = make([]float64, p.NPEs)
-	}
-	stepComm := make([]float64, p.Steps)
-	lat := m.Network().Latency()
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	var job *ampi.Job // captured: rank bodies consult placement via PEOf
-	opts := ampi.Options{
-		Globals:        layout,
-		BlockPlacement: true,
-		Collectives:    p.Collectives,
-		Topo:           p.Topo,
-		Aggregate:      p.Aggregate,
-		AggPolicy:      p.AggPolicy,
-	}
-	job, err = ampi.NewJob(m, p.NProcs, opts, func(r *ampi.Rank) {
-		// NOTE: the GOT is per-PE (part of the process image), so it
-		// must be re-fetched after any potential migration.
-		got := func() *swapglobal.GOT { return r.Ctx().GlobalsGOT() }
-		myWork, sendTo := t.myWork[r.Rank()], t.sendTo[r.Rank()]
-		expectIn := len(t.recvFrom[r.Rank()]) // inbound halo messages per step
-		halo := make([]byte, p.HaloBytes)
-		// Pipelined residual reduction (Overlap + ReduceEvery): the
-		// reduction started at the previous reduce step is collected
-		// just before the next one starts, so its tree latency hides
-		// under the intervening solves.
-		var ar *ampi.CollRequest
-		for step := 0; step < p.Steps; step++ {
-			// Privatized global: each rank tracks its own step
-			// counter, unchanged application style under AMPI.
-			if err := got().StoreUint64("step", uint64(step)); err != nil {
-				fail(err)
-				return
-			}
-			// Solve the rank's zones. With WorkChunks > 1 the solve is
-			// sliced into directional sweeps separated by yields — each
-			// yield is a point where an idle PE may steal this rank, so
-			// the remaining sweeps run (and are charged) where the free
-			// cycles are. chunks == 1 charges the whole solve at once,
-			// byte-identical to the unsliced model.
-			solve := func() {
-				chunks := p.WorkChunks
-				if chunks < 1 {
-					chunks = 1
-				}
-				slice := myWork / float64(chunks)
-				for k := 0; k < chunks; k++ {
-					r.Work(slice)
-					if p.Steal {
-						// Occupy the PE for wall time proportional to the
-						// modeled slice, so real idleness tracks modeled
-						// load and thieves pull from genuinely busy PEs.
-						spinWall(slice / DefaultSpinScale)
-					}
-					mu.Lock()
-					stepBusy[step][r.PE()] += slice
-					mu.Unlock()
-					if chunks > 1 {
-						r.Yield()
-					}
-				}
-			}
-			// Boundary exchange along the real zone adjacency: one
-			// halo message per crossing zone-neighbour pair, sent
-			// nonblocking, then receive the expected inbound count.
-			// With Overlap the receives are posted and the halos sent
-			// BEFORE the solve, and the exchange completes after it —
-			// the MPI-3 split-phase pattern the request objects exist
-			// for.
-			var reqs []*ampi.Request
-			if p.Overlap {
-				for i := 0; i < expectIn; i++ {
-					q, err := r.Irecv(ampi.AnySource, 1)
-					if err != nil {
-						fail(err)
-						return
-					}
-					reqs = append(reqs, q)
-				}
-				for _, dest := range sendTo {
-					if _, err := r.Isend(dest, 1, halo); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}
-			solve()
-			if !p.Overlap {
-				for _, dest := range sendTo {
-					if _, err := r.Isend(dest, 1, halo); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}
-			// Critical-path exchange model for this step: the worst
-			// rank's outbound halo cost. Aggregation coalesces one
-			// envelope per destination PE under the current placement
-			// (stable during the exchange — migration happens only at
-			// the step-0 LB gate below).
-			var commCost float64
-			if p.Aggregate {
-				perPE := make(map[int]int)
-				for _, dest := range sendTo {
-					perPE[job.PEOf(dest)] += p.HaloBytes
-				}
-				for _, bytes := range perPE {
-					commCost += lat.Cost(bytes)
-				}
-			} else {
-				commCost = float64(len(sendTo)) * lat.Cost(p.HaloBytes)
-			}
-			mu.Lock()
-			if commCost > stepComm[step] {
-				stepComm[step] = commCost
-			}
-			mu.Unlock()
-			if p.Overlap {
-				if err := r.Waitall(reqs); err != nil {
-					fail(err)
-					return
-				}
-			} else {
-				for i := 0; i < expectIn; i++ {
-					if _, _, err := r.Recv(ampi.AnySource, 1); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}
-			// Residual-proxy reduction every ReduceEvery steps:
-			// blocking, or started now and collected a period later
-			// under Overlap.
-			if p.ReduceEvery > 0 && (step+1)%p.ReduceEvery == 0 {
-				if p.Overlap {
-					if ar != nil {
-						if err := ar.Wait(); err != nil {
-							fail(err)
-							return
-						}
-					}
-					q, err := r.Iallreduce("max", myWork)
-					if err != nil {
-						fail(err)
-						return
-					}
-					ar = q
-				} else if _, err := r.Allreduce("max", myWork); err != nil {
-					fail(err)
-					return
-				}
-			}
-			// After the first (measurement) step, rebalance.
-			if step == 0 && p.LB != nil {
-				if _, err := r.Migrate(p.LB); err != nil {
-					fail(err)
-					return
-				}
-			}
-			if v, err := got().LoadUint64("step"); err != nil || v != uint64(step) {
-				fail(fmt.Errorf("rank %d: privatized step = %d/%v, want %d", r.Rank(), v, err, step))
-				return
-			}
-		}
-		// Collect the reduction the last reduce step left in flight.
-		if ar != nil {
-			if err := ar.Wait(); err != nil {
-				fail(err)
-				return
-			}
-		}
-	})
+	job, run, err := programJob(m, p)
 	if err != nil {
 		return nil, err
 	}
@@ -516,56 +348,54 @@ func Run(p Params) (*Result, error) {
 	} else {
 		job.Run()
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err := run.err.Load(); err != nil {
+		return nil, *err
 	}
 	if !job.Done() {
 		return nil, fmt.Errorf("npb: job did not complete (deadlock?)")
 	}
+	// Per step: the busiest PE's solver work plus the exchange's critical
+	// path — or, split-phase (Overlap), whichever is longer, because the
+	// halos fly while the solve runs.
+	stepComm := run.exchangeNs(p, m.Network().Latency())
 	var total, commTotal float64
-	for step, busy := range stepBusy {
-		total += stepNs(busy, stepComm[step], p.Overlap)
+	busy := make([]float64, p.NPEs)
+	for step, pes := range run.workPE {
+		clear(busy)
+		for i, pe := range pes {
+			busy[pe] += run.myWork[i/run.chunks] / float64(run.chunks)
+		}
+		if p.Overlap {
+			total += math.Max(slices.Max(busy), stepComm[step])
+		} else {
+			total += slices.Max(busy) + stepComm[step]
+		}
 		commTotal += stepComm[step]
 	}
-	// Per-PE measured work under the current (post-LB if any)
-	// placement: CPU time since the last Migrate reset.
-	res := newResult(p, job, total, commTotal, job.PELoads())
-	res.Trace = tlog
-	return res, nil
-}
-
-// stepNs is one step's modeled parallel time: the busiest PE's solver
-// work plus the exchange's critical path — or, with a split-phase
-// exchange (overlap), whichever is longer, because the halos fly
-// while the solve runs.
-func stepNs(busy []float64, comm float64, overlap bool) float64 {
-	var max float64
-	for _, b := range busy {
-		if b > max {
-			max = b
-		}
-	}
-	if overlap {
-		return math.Max(max, comm)
-	}
-	return max + comm
-}
-
-// newResult assembles what both execution paths report from a
-// completed job: stepsNs is the summed step times, to which the
-// one-time migration transfers are added — they cross the network
-// once, spread over PEs.
-func newResult(p Params, job *ampi.Job, stepsNs, commNs float64, loads []float64) *Result {
-	m := job.Machine()
+	// The one-time migration transfers cross the network once, spread
+	// over the PEs.
 	migs, migBytes := m.MigrationStats()
 	if migs > 0 {
-		stepsNs += m.Network().Latency().Cost(int(migBytes)) / float64(p.NPEs)
+		total += m.Network().Latency().Cost(int(migBytes)) / float64(p.NPEs)
+	}
+	var loads []float64
+	if job.Mode() == ampi.ModeULT {
+		// Measured: each thread's CPU time since the LB gate reset it.
+		loads = job.PELoads()
+	} else {
+		// Modeled: one step's solver work under the final placement
+		// (PELoads measures thread CPU time; an event rank has none).
+		loads = make([]float64, p.NPEs)
+		for r, w := range run.myWork {
+			loads[job.PEOf(r)] += w
+		}
 	}
 	stats := m.Network().Snapshot()
 	return &Result{
 		Params:        p,
-		TimeNs:        stepsNs,
-		CommNs:        commNs,
+		TimeNs:        total,
+		PredictedNs:   job.PredictedNs(),
+		CommNs:        commTotal,
 		PELoads:       loads,
 		Imbalance:     loadbalance.Imbalance(loads),
 		Migrations:    migs,
@@ -575,7 +405,17 @@ func newResult(p Params, job *ampi.Job, stepsNs, commNs float64, loads []float64
 		AggPayloads:   stats.AggPayloads,
 		Steals:        m.StealStats(),
 		TopoHops:      m.Network().TopoHops(),
-	}
+		Trace:         tlog,
+	}, nil
+}
+
+// btmzGlobals is the solver's module of globals, privatized per rank by
+// swap-global: its iteration counter and a residual.
+func btmzGlobals() *swapglobal.Layout {
+	layout := swapglobal.NewLayout()
+	layout.Declare("step", 8)
+	layout.Declare("residual", 8)
+	return layout
 }
 
 // spinWall occupies the calling goroutine for ns wall-clock

@@ -1,20 +1,22 @@
 package npb
 
-// Program-mode BT-MZ: the zone step expressed once as an ampi.Proc
-// and interpreted by either flow backend — Params.Mode "ult" runs it
-// on migratable threads, "event" on continuation records.
-// The step body (solve → halo sends → deterministic specific-source
-// receives → optional LB gate) is shared verbatim, so the predicted
-// makespan is bit-identical across modes; only the migration
-// mechanism differs. This is the configuration that scales the
-// paper's Figure 12 study to zone counts (10^5+) where per-zone
-// threads stop being affordable and per-zone event ranks do not.
+// The BT-MZ zone step, expressed once as an ampi.Proc and interpreted
+// by either flow backend — ULT ranks (Params.Mode "" and "ult") run it
+// on migratable threads, "event" on continuation records. The step body
+// (solve → halo sends → deterministic specific-source receives →
+// optional LB gate) is shared verbatim, so the predicted makespan is
+// bit-identical across modes; only the migration mechanism differs.
+// Event mode is the configuration that scales the paper's Figure 12
+// study to zone counts (10^5+) where per-zone threads stop being
+// affordable and per-zone event ranks do not.
 
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"migflow/internal/ampi"
+	"migflow/internal/comm"
 	"migflow/internal/core"
 )
 
@@ -30,16 +32,21 @@ func GradedClass(name string, nx, ny int, points, ratio, workPerPointNs float64)
 // per rank, graded 20:1, sized so CI-scale runs stay fast.
 var ClassZ4K = GradedClass("Z4K", 64, 64, 1<<22, 20, 50)
 
-// btmzTopology is the zone→rank assignment and the per-rank halo
-// pattern both Run paths derive from a Params.
-type btmzTopology struct {
+// btmzRun is one job's zone→rank assignment and per-rank halo pattern,
+// plus what its makespan model reads afterwards: where every solve
+// slice ran, and the first error a rank's step-counter check found.
+type btmzRun struct {
 	myWork   []float64 // modeled solver ns per rank per step
 	sendTo   [][]int   // rank → destination ranks, one per crossing pair
 	recvFrom [][]int   // rank → source ranks (with multiplicity), sorted
+	chunks   int       // solve slices per rank-step (Params.WorkChunks)
+	// workPE[step][rank·chunks+k] is the PE slice k of rank's solve ran
+	// on in step — a steal can move a rank between its slices.
+	workPE [][]int32
+	err    atomic.Pointer[error] // the first step-counter failure
 }
 
-func buildTopology(p Params) btmzTopology {
-	var t btmzTopology
+func newBTMZRun(p Params) *btmzRun {
 	sizes := p.Class.ZoneSizes()
 	zones := AssignZones(sizes, p.NProcs)
 	owner := make([]int, p.Class.NumZones())
@@ -48,16 +55,20 @@ func buildTopology(p Params) btmzTopology {
 			owner[z] = r
 		}
 	}
-	t.myWork = make([]float64, p.NProcs)
-	t.sendTo = make([][]int, p.NProcs)
-	t.recvFrom = make([][]int, p.NProcs)
+	run := &btmzRun{
+		myWork:   make([]float64, p.NProcs),
+		sendTo:   make([][]int, p.NProcs),
+		recvFrom: make([][]int, p.NProcs),
+		chunks:   p.WorkChunks,
+		workPE:   make([][]int32, p.Steps),
+	}
 	for r, zs := range zones {
 		for _, z := range zs {
-			t.myWork[r] += sizes[z] * p.Class.WorkPerPointNs
+			run.myWork[r] += sizes[z] * p.Class.WorkPerPointNs
 			for _, nb := range p.Class.ZoneNeighbors(z) {
 				if owner[nb] != r {
-					t.sendTo[r] = append(t.sendTo[r], owner[nb])
-					t.recvFrom[owner[nb]] = append(t.recvFrom[owner[nb]], r)
+					run.sendTo[r] = append(run.sendTo[r], owner[nb])
+					run.recvFrom[owner[nb]] = append(run.recvFrom[owner[nb]], r)
 				}
 			}
 		}
@@ -66,35 +77,66 @@ func buildTopology(p Params) btmzTopology {
 	// sequence is then a pure function of the topology, not of
 	// message arrival races — what makes the makespan reproducible
 	// and mode-invariant.
-	for r := range t.recvFrom {
-		sort.Ints(t.recvFrom[r])
+	for r := range run.recvFrom {
+		sort.Ints(run.recvFrom[r])
 	}
-	return t
+	for i := range run.workPE {
+		run.workPE[i] = make([]int32, p.NProcs*p.WorkChunks)
+	}
+	return run
+}
+
+// exchangeNs is each step's critical-path halo-exchange cost: the worst
+// rank's outbound traffic, one message per halo — or, aggregated, one
+// envelope per destination PE under the placement the step's solves
+// ran on (the gate moves ranks only between steps).
+func (run *btmzRun) exchangeNs(p Params, lat comm.LatencyModel) []float64 {
+	stepComm := make([]float64, p.Steps)
+	perPE := make([]int, p.NPEs)
+	for step, pes := range run.workPE {
+		for _, dests := range run.sendTo {
+			c := float64(len(dests)) * lat.Cost(p.HaloBytes)
+			if p.Aggregate {
+				c = 0
+				for _, dest := range dests {
+					perPE[pes[(dest+1)*run.chunks-1]] += p.HaloBytes
+				}
+				for pe, bytes := range perPE {
+					if bytes > 0 {
+						c += lat.Cost(bytes)
+						perPE[pe] = 0
+					}
+				}
+			}
+			stepComm[step] = max(stepComm[step], c)
+		}
+	}
+	return stepComm
 }
 
 // btmzProgram builds the shared program: every statement is built here,
-// once per step (the solve records into workPE[step]), and what differs
-// per rank — its work, its destinations, its sources — is read off the
-// rank when a statement runs, so a rank running a step builds nothing.
-// workPE[step][rank] records where each rank's solve actually ran; the
-// makespan sums are taken in rank order afterwards, so the per-PE
-// totals are a pure function of placement — not of the two backends'
-// different scheduling (and float-accumulation) orders. The
-// halo-exchange critical path is len(sendTo[r])·Cost(HaloBytes),
-// placement-independent.
-func btmzProgram(p Params, t btmzTopology, workPE [][]int32) ampi.Proc {
+// once per step, and what differs per rank — its work, its destinations,
+// its sources — is read off the rank when a statement runs, so a rank
+// running a step builds nothing. The solve records where each of its
+// slices ran into run.workPE; the makespan sums are taken in rank order
+// afterwards, so the per-PE totals are a pure function of placement —
+// not of the two backends' different scheduling (and float-accumulation)
+// orders. With counted set (the machine carries btmzGlobals' layout)
+// each solve also checks and advances the rank's privatized step
+// counter.
+func btmzProgram(p Params, run *btmzRun, counted bool) ampi.Proc {
 	halo := make([]byte, p.HaloBytes)
 	sendHalos := func(pc *ampi.PC) {
-		for _, dest := range t.sendTo[pc.Rank()] {
+		for _, dest := range run.sendTo[pc.Rank()] {
 			pc.Send(dest, 1, halo)
 		}
 	}
-	recvHalos := ampi.RecvEach(func(pc *ampi.PC) []int { return t.recvFrom[pc.Rank()] }, 1, nil)
+	recvHalos := ampi.RecvEach(func(pc *ampi.PC) []int { return run.recvFrom[pc.Rank()] }, 1, nil)
 	// One residual-reduction site, shared by every rank and step. With
 	// Overlap it is pipelined: the reduce step starts it, the next
 	// reduce step (or the epilogue) collects it — at most one
 	// outstanding at a time.
-	work := func(pc *ampi.PC) float64 { return t.myWork[pc.Rank()] }
+	work := func(pc *ampi.PC) float64 { return run.myWork[pc.Rank()] }
 	var allreduce, arStart, arWait ampi.Proc
 	if p.ReduceEvery > 0 {
 		if p.Overlap {
@@ -105,9 +147,31 @@ func btmzProgram(p Params, t btmzTopology, workPE [][]int32) ampi.Proc {
 	}
 	steps := make([]ampi.Proc, p.Steps)
 	for i := range steps {
+		workPE := run.workPE[i]
+		// The solve is WorkChunks slices — the solver's directional
+		// sweeps — with a yield after each when there are several: each
+		// yield is a point where an idle PE may steal a ULT rank, so the
+		// remaining sweeps run (and are charged) where the free cycles
+		// are.
 		solve := func(pc *ampi.PC) {
-			pc.Work(work(pc))
-			workPE[i][pc.Rank()] = int32(pc.PE())
+			r := pc.Rank()
+			if counted {
+				countStep(pc, run, i)
+			}
+			slice := run.myWork[r] / float64(run.chunks)
+			for k := 0; k < run.chunks; k++ {
+				pc.Work(slice)
+				if p.Steal {
+					// Occupy the PE for wall time proportional to the
+					// modeled slice, so real idleness tracks modeled load
+					// and thieves pull from genuinely busy PEs.
+					spinWall(slice / DefaultSpinScale)
+				}
+				workPE[r*run.chunks+k] = int32(pc.PE())
+				if run.chunks > 1 {
+					pc.Yield()
+				}
+			}
 		}
 		var ps []ampi.Proc
 		if p.Overlap {
@@ -151,16 +215,38 @@ func btmzProgram(p Params, t btmzTopology, workPE [][]int32) ampi.Proc {
 	return ampi.Seq(body...)
 }
 
-// ProgramJob builds the program-mode BT-MZ job on an existing machine
-// without running it — the entry point sharded workers use, where the
-// machine carries a local PE range and a socket transport. The same
-// deterministic topology and program tree are built in every process,
-// which is what makes the per-rank VT of a 2-process run bitwise
-// equal to the in-process one. Defaults mirror Run's.
-func ProgramJob(m *core.Machine, p Params) (*ampi.Job, error) {
-	if p.Mode == "" {
-		return nil, fmt.Errorf("npb: ProgramJob needs a program Mode")
+// countStep is the solver's privatized global, unchanged application
+// style under AMPI: the counter must still hold the previous step —
+// whichever PE the gate moved the rank to — and then takes this one.
+// The store dirties the rank's globals, which every later move of the
+// thread ships. Event ranks have no globals and skip it.
+func countStep(pc *ampi.PC, run *btmzRun, step int) {
+	got := pc.Globals()
+	if got == nil {
+		return
 	}
+	v, err := got.LoadUint64("step")
+	if err == nil && step > 0 && v != uint64(step-1) {
+		err = fmt.Errorf("holds %d, want %d", v, step-1)
+	}
+	if err == nil {
+		err = got.StoreUint64("step", uint64(step))
+	}
+	if err != nil {
+		err = fmt.Errorf("npb: rank %d, step %d: privatized step counter: %w", pc.Rank(), step, err)
+		run.err.CompareAndSwap(nil, &err)
+	}
+}
+
+// ProgramJob builds the BT-MZ job on an existing machine without
+// running it — the entry point sharded workers use, where the machine
+// carries a local PE range and a socket transport. The same
+// deterministic topology and program tree are built in every process,
+// which is what makes the per-rank VT of a 2-process run bitwise equal
+// to the in-process one. Defaults mirror Run's; on a machine booted
+// with a globals layout ULT ranks keep Figure 12's privatized step
+// counter.
+func ProgramJob(m *core.Machine, p Params) (*ampi.Job, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
@@ -168,73 +254,22 @@ func ProgramJob(m *core.Machine, p Params) (*ampi.Job, error) {
 	if p.NPEs != m.NumPEs() {
 		return nil, fmt.Errorf("npb: bad params for machine with %d PEs: %+v", m.NumPEs(), p)
 	}
-	job, _, _, err := programJob(m, p)
+	job, _, err := programJob(m, p)
 	return job, err
 }
 
-// programJob builds the job for validated params, and also returns
-// what runProgram's makespan needs: the topology and the per-step
-// record of where each rank's solve ran.
-func programJob(m *core.Machine, p Params) (*ampi.Job, btmzTopology, [][]int32, error) {
-	t := buildTopology(p)
-	workPE := make([][]int32, p.Steps)
-	for i := range workPE {
-		workPE[i] = make([]int32, p.NProcs)
-	}
+// programJob builds the job for validated params, and also returns the
+// run record Run's makespan reads.
+func programJob(m *core.Machine, p Params) (*ampi.Job, *btmzRun, error) {
+	run := newBTMZRun(p)
 	job, err := ampi.NewProgram(m, p.NProcs, ampi.Options{
 		Mode:           p.Mode,
+		Globals:        m.Layout(),
 		BlockPlacement: true,
 		Collectives:    p.Collectives,
 		Topo:           p.Topo,
-	}, btmzProgram(p, t, workPE))
-	return job, t, workPE, err
-}
-
-// runProgram is the Params.Mode != "" execution path.
-func runProgram(p Params) (*Result, error) {
-	if p.Mode != ampi.ModeULT && p.Mode != ampi.ModeEvent {
-		return nil, fmt.Errorf("npb: unknown mode %q (want %q or %q)", p.Mode, ampi.ModeULT, ampi.ModeEvent)
-	}
-	if p.Steal || p.Aggregate || p.Trace {
-		return nil, fmt.Errorf("npb: program mode does not support Steal/Aggregate/Trace")
-	}
-	m, err := core.NewMachine(core.Config{NumPEs: p.NPEs})
-	if err != nil {
-		return nil, err
-	}
-	job, t, workPE, err := programJob(m, p)
-	if err != nil {
-		return nil, err
-	}
-	job.Run()
-	if !job.Done() {
-		return nil, fmt.Errorf("npb: program-mode job did not complete (deadlock?)")
-	}
-	lat := m.Network().Latency()
-	commStep := 0.0
-	for r := range t.sendTo {
-		if c := float64(len(t.sendTo[r])) * lat.Cost(p.HaloBytes); c > commStep {
-			commStep = c
-		}
-	}
-	var total float64
-	busy := make([]float64, p.NPEs)
-	for _, pes := range workPE {
-		for i := range busy {
-			busy[i] = 0
-		}
-		for r, pe := range pes {
-			busy[pe] += t.myWork[r]
-		}
-		total += stepNs(busy, commStep, p.Overlap)
-	}
-	// Modeled per-PE load under the final placement (one step's
-	// solver work) — the Imbalance the balancer left behind.
-	loads := make([]float64, p.NPEs)
-	for r := range t.myWork {
-		loads[job.PEOf(r)] += t.myWork[r]
-	}
-	res := newResult(p, job, total, commStep*float64(p.Steps), loads)
-	res.PredictedNs = job.PredictedNs()
-	return res, nil
+		Aggregate:      p.Aggregate,
+		AggPolicy:      p.AggPolicy,
+	}, btmzProgram(p, run, m.Layout() != nil))
+	return job, run, err
 }

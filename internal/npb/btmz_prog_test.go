@@ -3,6 +3,7 @@ package npb
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"migflow/internal/ampi"
@@ -107,10 +108,11 @@ func TestEventLBImprovesSkewedMakespan(t *testing.T) {
 
 // TestBTMZOverlapImproves is the split-phase acceptance at CI scale:
 // on the skewed graded class the overlapped schedule (nonblocking
-// halo exchange + pipelined residual Iallreduce) must beat blocking
-// in every execution path — the legacy thread job and both program
-// backends — and the program backends must still agree bit-for-bit
-// with each other under overlap.
+// halo exchange + pipelined residual Iallreduce) must beat blocking,
+// in makespan and in predicted time, on every flow backend — Figure
+// 12's ULT ranks with globals, plain ULT ranks and event ranks — and
+// the plain ULT and event backends must still agree bit-for-bit with
+// each other under overlap.
 func TestBTMZOverlapImproves(t *testing.T) {
 	class := GradedClass("Z256", 16, 16, 1<<17, 20, 50)
 	base := Params{
@@ -134,7 +136,7 @@ func TestBTMZOverlapImproves(t *testing.T) {
 		if !(on.TimeNs < off.TimeNs) {
 			t.Errorf("mode=%q: overlap did not improve makespan: %.0f → %.0f ns", mode, off.TimeNs, on.TimeNs)
 		}
-		if mode != "" && !(on.PredictedNs < off.PredictedNs) {
+		if !(on.PredictedNs < off.PredictedNs) {
 			t.Errorf("mode=%q: overlap did not lower predicted time: %.0f → %.0f ns", mode, off.PredictedNs, on.PredictedNs)
 		}
 		if on.TopoHops == 0 {
@@ -163,13 +165,28 @@ func TestBTMZOverlapImproves(t *testing.T) {
 }
 
 // TestProgramModeRejectsBadCombos: mode validation happens before any
-// machine is built.
+// machine is built, and event mode names each thread-only option it
+// refuses.
 func TestProgramModeRejectsBadCombos(t *testing.T) {
 	if _, err := Run(Params{Class: ClassA, NProcs: 8, NPEs: 4, Mode: "fiber"}); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if _, err := Run(Params{Class: ClassA, NProcs: 8, NPEs: 4, Mode: ampi.ModeEvent, Steal: true}); err == nil {
-		t.Error("event mode + Steal accepted")
+	for _, tc := range []struct {
+		name string
+		set  func(*Params)
+	}{
+		{"Steal", func(p *Params) { p.Steal = true }},
+		{"Trace", func(p *Params) { p.Trace = true }},
+		{"Aggregate", func(p *Params) { p.Aggregate = true }},
+	} {
+		p := Params{Class: ClassA, NProcs: 8, NPEs: 4, Mode: ampi.ModeEvent}
+		tc.set(&p)
+		_, err := Run(p)
+		if err == nil {
+			t.Errorf("event mode + %s accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("event mode + %s: error %q does not name it", tc.name, err)
+		}
 	}
 	if _, err := Run(Params{Class: ClassA, NProcs: 8, NPEs: 4, ReduceEvery: -1}); err == nil {
 		t.Error("negative ReduceEvery accepted")
@@ -177,45 +194,62 @@ func TestProgramModeRejectsBadCombos(t *testing.T) {
 }
 
 // TestSteadyStateStepAllocations is ampi's test of the same name for
-// the BT-MZ program: one zone per event rank on the 64×64 graded class,
-// a GreedyLB gate after the first step and a residual reduction every
-// second. After a rank's first pass a step allocates one comm.Message
-// per halo (the payload is shared) and a Message plus an 8-byte payload
-// per reduction edge — the difference between a 2- and a 10-step run,
-// per rank-step, stays within one allocation of that count.
+// the BT-MZ program, on two rows: one zone per event rank on the 64×64
+// graded class, and Figure 12's A.16,8PE on ULT ranks with privatized
+// globals — whose step-counter load and store must allocate nothing.
+// (Two ranks per PE keep each PE's globals pages inside vmem's 4-extent
+// TLB; from four up, as in B.64,8PE, refilling it costs about two
+// allocations per rank-step.)
+// Both have a GreedyLB gate after the first step and a residual
+// reduction every second. After a rank's first pass a step allocates
+// one comm.Message per halo (the payload is shared) and a Message plus
+// an 8-byte payload per reduction edge — the difference between a 2-
+// and a 10-step run, per rank-step, stays within one allocation of that
+// count.
 func TestSteadyStateStepAllocations(t *testing.T) {
 	const short, long = 2, 10
-	ranks := ClassZ4K.NumZones()
-	run := func(steps int) (mallocs, msgs uint64) {
-		p := Params{Class: ClassZ4K, NProcs: ranks, NPEs: 4, Steps: steps,
-			Mode: ampi.ModeEvent, LB: loadbalance.GreedyLB{}, ReduceEvery: 2}
-		m, err := core.NewMachine(core.Config{NumPEs: p.NPEs})
-		if err != nil {
-			t.Fatal(err)
+	for _, row := range []struct {
+		name string
+		p    Params
+		cfg  core.Config
+	}{
+		{"event Z4K", Params{Class: ClassZ4K, NProcs: ClassZ4K.NumZones(), NPEs: 4, Mode: ampi.ModeEvent},
+			core.Config{NumPEs: 4}},
+		{"Figure 12 A.16,8PE", Params{Class: ClassA, NProcs: 16, NPEs: 8},
+			core.Config{NumPEs: 8, Globals: btmzGlobals()}},
+	} {
+		ranks := row.p.NProcs
+		run := func(steps int) (mallocs, msgs uint64) {
+			p := row.p
+			p.Steps, p.LB, p.ReduceEvery = steps, loadbalance.GreedyLB{}, 2
+			m, err := core.NewMachine(row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, err := ProgramJob(m, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			job.Run()
+			runtime.ReadMemStats(&after)
+			if !job.Done() {
+				t.Fatalf("%s: %d-step job did not complete", row.name, steps)
+			}
+			return after.Mallocs - before.Mallocs, m.Network().Snapshot().Sent
 		}
-		job, err := ProgramJob(m, p)
-		if err != nil {
-			t.Fatal(err)
+		m0, s0 := run(short)
+		m1, s1 := run(long)
+		rankSteps := float64(ranks * (long - short))
+		perStep := float64(m1-m0) / rankSteps
+		// The extra steps hold (long-short)/2 reductions of 2·(ranks-1) edge
+		// messages, each with its own payload.
+		payloads := float64((long - short) / 2 * 2 * (ranks - 1))
+		bound := (float64(s1-s0)+payloads)/rankSteps + 1
+		t.Logf("%s: %.2f allocations per steady-state rank-step (messages + payloads = %.2f)", row.name, perStep, bound-1)
+		if perStep > bound {
+			t.Errorf("%s: %.2f allocations per steady-state rank-step, want ≤ %.2f", row.name, perStep, bound)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		job.Run()
-		runtime.ReadMemStats(&after)
-		if !job.Done() {
-			t.Fatalf("%d-step job did not complete", steps)
-		}
-		return after.Mallocs - before.Mallocs, m.Network().Snapshot().Sent
-	}
-	m0, s0 := run(short)
-	m1, s1 := run(long)
-	rankSteps := float64(ranks * (long - short))
-	perStep := float64(m1-m0) / rankSteps
-	// The extra steps hold (long-short)/2 reductions of 2·(ranks-1) edge
-	// messages, each with its own payload.
-	payloads := float64((long - short) / 2 * 2 * (ranks - 1))
-	bound := (float64(s1-s0)+payloads)/rankSteps + 1
-	t.Logf("%.2f allocations per steady-state rank-step (messages + payloads = %.2f)", perStep, bound-1)
-	if perStep > bound {
-		t.Errorf("%.2f allocations per steady-state rank-step, want ≤ %.2f", perStep, bound)
 	}
 }

@@ -203,17 +203,21 @@ func TestLBImprovesA84(t *testing.T) {
 
 // TestStealWithLB: the wall-clock steal driver must service the
 // MPI_Migrate gate too — a driver that only pumps the machine leaves
-// every rank parked there forever.
+// every rank parked there forever — and with the solve sliced, idle PEs
+// must actually steal ranks between the slices.
 func TestStealWithLB(t *testing.T) {
 	res, err := Run(Params{
-		Class: ClassA, NProcs: 8, NPEs: 4, Steps: 2,
-		Steal: true, WorkChunks: 2, LB: loadbalance.GreedyLB{},
+		Class: ClassB, NProcs: 32, NPEs: 8, Steps: 2,
+		Steal: true, WorkChunks: 4, LB: loadbalance.GreedyLB{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MovedRanks == 0 {
 		t.Error("the LB gate moved no ranks")
+	}
+	if res.Steals.Moved == 0 {
+		t.Errorf("no rank stolen with a 4-slice solve: %+v", res.Steals)
 	}
 }
 
