@@ -241,6 +241,16 @@ type matchSpec struct {
 	src, tag int
 }
 
+// matchesTag reports whether a message tagged tag satisfies the spec.
+// AnyTag matches application tags only: as in MPI, a wildcard receive
+// never takes the runtime's own (negative-tagged) collective traffic.
+func (s matchSpec) matchesTag(tag int) bool {
+	if s.tag == AnyTag {
+		return tag >= 0
+	}
+	return s.tag == tag
+}
+
 // NewJob creates size ranks on machine m. Rank r is born on PE
 // r mod NumPEs ("AMPI requires the number of AMPI migratable threads
 // to be much larger than the actual number of processors").
@@ -568,8 +578,10 @@ func (r *Rank) Work(ns float64) { r.ctx.Work(ns) }
 // (the clock of whichever PE the rank currently runs on).
 func (r *Rank) Wtime() float64 { return r.ctx.PE().Clock.Now() / 1e9 }
 
-// Send sends data to rank dest with the given tag (tag ≥ 0). It is
-// buffered-asynchronous, like an eager-protocol MPI_Send.
+// Send sends data to rank dest with the given tag (tag ≥ 0) and
+// returns without waiting for the receiver. A payload of at most
+// comm.InlineBytes is copied, so data is free again once Send returns;
+// a longer one is lent to the receiver and must not be modified.
 func (r *Rank) Send(dest, tag int, data []byte) error {
 	if tag < 0 {
 		return fmt.Errorf("ampi: Send tag %d must be ≥ 0", tag)
@@ -600,14 +612,10 @@ func (r *Rank) sendv(dest, tag int, data []byte, vtime float64) error {
 	if ovh := r.job.opts.MsgOverheadNs; ovh > 0 {
 		pe.Clock.Advance(ovh)
 	}
-	msg := &comm.Message{
-		To:       r.job.entity(dest),
-		From:     r.job.entity(r.rank),
-		Tag:      tag,
-		Data:     data,
-		SendTime: pe.Clock.Now(),
-		VTime:    vtime,
-	}
+	msg := comm.NewMessage()
+	msg.To, msg.From, msg.Tag = r.job.entity(dest), r.job.entity(r.rank), tag
+	msg.SendTime, msg.VTime = pe.Clock.Now(), vtime
+	msg.SetData(data)
 	ep := r.job.m.Network().Endpoint(pe.Index)
 	if r.job.opts.Aggregate && tag >= 0 {
 		return ep.SendStream(msg)
@@ -656,13 +664,7 @@ func (r *Rank) deliver(_ int, msg *comm.Message) {
 }
 
 func (r *Rank) matchesLocked(spec matchSpec, m *comm.Message) bool {
-	if spec.tag != AnyTag && spec.tag != m.Tag {
-		return false
-	}
-	if spec.src != AnySource && r.job.entity(spec.src) != m.From {
-		return false
-	}
-	return true
+	return spec.matchesTag(m.Tag) && (spec.src == AnySource || r.job.entity(spec.src) == m.From)
 }
 
 // takeLocked removes and returns the oldest matching message.
@@ -677,7 +679,8 @@ func (r *Rank) takeLocked(spec matchSpec) *comm.Message {
 }
 
 // Recv blocks until a message from src (or AnySource) with tag (or
-// AnyTag) arrives and returns its payload and sender rank.
+// AnyTag, which matches tags ≥ 0 only) arrives and returns its payload
+// and sender rank. The payload is the caller's to keep.
 func (r *Rank) Recv(src, tag int) ([]byte, int, error) {
 	if tag < 0 && tag != AnyTag {
 		return nil, 0, fmt.Errorf("ampi: Recv tag %d must be ≥ 0 or AnyTag", tag)

@@ -349,7 +349,8 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 	}
 	if er.done {
 		er.mu.Unlock()
-		return // a straggler for a finished rank (program bug); drop like a closed mailbox
+		msg.Free() // a straggler for a finished rank (program bug); drop like a closed mailbox
+		return
 	}
 	src := e.rankIdx(msg.From)
 	switch {
@@ -360,6 +361,7 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 		// step consumes an already delivered match or parks (a sharded
 		// rank that had not started starts). A duplicate — the rank moved
 		// again before this one ran — finds it parked and does nothing.
+		msg.Free()
 		if !er.hasWait && !er.moving && !er.pc.atGate() {
 			e.activateLocked(er, pe)
 		}
@@ -433,13 +435,7 @@ func (e *eventEngine) releaseHeldLocked(er *eventRank, pe int) {
 }
 
 func (e *eventEngine) matches(spec matchSpec, m *comm.Message) bool {
-	if spec.tag != AnyTag && spec.tag != m.Tag {
-		return false
-	}
-	if spec.src != AnySource && e.idOf(spec.src) != m.From {
-		return false
-	}
-	return true
+	return spec.matchesTag(m.Tag) && (spec.src == AnySource || e.idOf(spec.src) == m.From)
 }
 
 // take removes and returns the oldest buffered message matching spec.
@@ -474,14 +470,10 @@ func (e *eventEngine) send(pc *PC, dest, tag int, data []byte) {
 	if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
 		p.Clock.Advance(ovh)
 	}
-	msg := &comm.Message{
-		To:       e.idOf(dest),
-		From:     e.idOf(pc.rank),
-		Tag:      tag,
-		Data:     data,
-		SendTime: p.Clock.Now(),
-		VTime:    pc.vt,
-	}
+	msg := comm.NewMessage()
+	msg.To, msg.From, msg.Tag = e.idOf(dest), e.idOf(pc.rank), tag
+	msg.SendTime, msg.VTime = p.Clock.Now(), pc.vt
+	msg.SetData(data)
 	if e.sharded {
 		// Number the stream so the receiver can restore send order if
 		// this message and a predecessor take different routes across a

@@ -155,6 +155,9 @@ type jacobiState struct {
 	left, right float64 // received halos
 	resid       float64 // |Δx| of the last relaxation
 	global      float64 // last Allreduce result
+	// halo is where a halo of at most comm.InlineBytes is packed: the
+	// send copies it into the message, so one buffer serves every send.
+	halo [comm.InlineBytes]byte
 }
 
 // JacobiProgram builds the shared program. Every statement is built
@@ -163,9 +166,16 @@ type jacobiState struct {
 // laid out per iteration in steps, and the ring neighbours are RecvFrom
 // operands read off the rank — so a rank running a step builds nothing.
 func JacobiProgram(cfg JacobiConfig) Proc {
-	pack := func(v float64) []byte {
-		b := make([]byte, cfg.HaloBytes)
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+	// A longer halo is lent to its receiver, so it needs a fresh buffer
+	// per send.
+	pack := func(st *jacobiState) []byte {
+		var b []byte
+		if cfg.HaloBytes <= comm.InlineBytes {
+			b = st.halo[:cfg.HaloBytes]
+		} else {
+			b = make([]byte, cfg.HaloBytes)
+		}
+		binary.LittleEndian.PutUint64(b, math.Float64bits(st.x))
 		return b
 	}
 	workOf := func(pc *PC) float64 {
@@ -192,8 +202,8 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 	sendHalos := Do(func(pc *PC) {
 		n := pc.Size()
 		st := pc.Local.(*jacobiState)
-		pc.Send((pc.rank-1+n)%n, tagHaloLeft, pack(st.x))
-		pc.Send((pc.rank+1)%n, tagHaloRight, pack(st.x))
+		pc.Send((pc.rank-1+n)%n, tagHaloLeft, pack(st))
+		pc.Send((pc.rank+1)%n, tagHaloRight, pack(st))
 	})
 	// The message my right neighbour sent "toward the left" is mine,
 	// and symmetrically for the left.

@@ -142,8 +142,12 @@ func (q *CollRequest) advance(block bool) error {
 				return nil
 			}
 			m := q.r.recv(a.peer, a.tag)
-			if err := q.st.absorb(a, m.Data, len(q.r.job.ranks)); err != nil {
+			kept, err := q.st.absorb(a, m.Data, len(q.r.job.ranks))
+			if err != nil {
 				return err
+			}
+			if !kept {
+				m.Free()
 			}
 		}
 		q.st.next++

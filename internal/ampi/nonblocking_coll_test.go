@@ -376,3 +376,88 @@ func TestFinishWithCollectiveOutstanding(t *testing.T) {
 		}
 	}
 }
+
+// TestWildcardSkipsCollectiveTraffic: a wildcard receive matches
+// application tags only, as in MPI. Rank 1 starts an Allreduce — its
+// contribution is on the wire to the root, rank 0 — and then sends
+// rank 0 one byte with tag 7; rank 0 posts Recv(AnySource, AnyTag)
+// before joining the reduction. The receive must take the tag-7 byte,
+// not the runtime's own negative-tagged edge, and the reduction must
+// still complete, through the thread API and the program API in both
+// modes.
+func TestWildcardSkipsCollectiveTraffic(t *testing.T) {
+	const tag = 7
+	type result struct {
+		data []byte
+		from int
+		sums [2]float64
+	}
+	check := func(name string, job *Job, got *result) {
+		t.Helper()
+		job.Run()
+		if !job.Done() {
+			t.Errorf("%s: job did not complete", name)
+		}
+		if !bytes.Equal(got.data, []byte{tag}) || got.from != 1 {
+			t.Errorf("%s: wildcard receive got %v from rank %d, want [%d] from rank 1", name, got.data, got.from, tag)
+		}
+		if got.sums != [2]float64{3, 3} {
+			t.Errorf("%s: Allreduce results %v, want [3 3]", name, got.sums)
+		}
+	}
+
+	var thread result
+	job, err := NewJob(newMachine(t, 2, nil), 2, Options{}, func(r *Rank) {
+		if r.Rank() == 0 {
+			data, from, err := r.Recv(AnySource, AnyTag)
+			if err != nil {
+				panic(err)
+			}
+			thread.data, thread.from = bytes.Clone(data), from
+		}
+		q, err := r.Iallreduce("sum", float64(r.Rank()+1))
+		if err != nil {
+			panic(err)
+		}
+		if r.Rank() == 1 {
+			if err := r.Send(0, tag, []byte{tag}); err != nil {
+				panic(err)
+			}
+		}
+		if err := q.Wait(); err != nil {
+			panic(err)
+		}
+		thread.sums[r.Rank()] = q.Value
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("thread API", job, &thread)
+
+	for _, mode := range []string{ModeULT, ModeEvent} {
+		var prog result
+		// The root's start sends nothing, so rank 0 receives before it
+		// has taken any part in the reduction.
+		start, wait := Iallreduce("sum", func(pc *PC) float64 { return float64(pc.Rank() + 1) },
+			func(pc *PC, v float64) { prog.sums[pc.Rank()] = v })
+		job, err := NewProgram(newMachine(t, 2, nil), 2, Options{Mode: mode}, Seq(
+			start,
+			Do(func(pc *PC) {
+				if pc.Rank() == 1 {
+					pc.Send(0, tag, []byte{tag})
+				}
+			}),
+			RecvEach(func(pc *PC) []int {
+				if pc.Rank() == 0 {
+					return []int{AnySource}
+				}
+				return nil
+			}, AnyTag, func(_ *PC, data []byte, from int) { prog.data, prog.from = bytes.Clone(data), from }),
+			wait,
+		))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("program API, "+mode, job, &prog)
+	}
+}

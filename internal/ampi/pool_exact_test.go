@@ -1,0 +1,7 @@
+//go:build !race && !msgpoison
+
+package ampi
+
+// lossyPool: see pool_lossy_test.go. Here every freed message goes back
+// to the pool.
+const lossyPool = false

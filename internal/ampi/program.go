@@ -231,9 +231,11 @@ func (pc *PC) Work(ns float64) {
 	pc.be.work(pc, ns)
 }
 
-// Send sends data to rank dest with tag ≥ 0 (eager-buffered, like
-// MPI_Send). Invalid destinations panic: a program is trusted code,
-// not a fallible caller.
+// Send sends data to rank dest with tag ≥ 0 and returns without waiting
+// for the receiver. A payload of at most comm.InlineBytes is copied, so
+// data is free again once Send returns; a longer one is lent to the
+// receiver and must not be modified. Invalid destinations panic: a
+// program is trusted code, not a fallible caller.
 func (pc *PC) Send(dest, tag int, data []byte) {
 	if tag < 0 {
 		panic(fmt.Sprintf("ampi: program Send tag %d must be ≥ 0", tag))
@@ -375,8 +377,10 @@ type recvProc struct {
 }
 
 // Recv blocks until a message from src (or AnySource) with tag (or
-// AnyTag) arrives, applies the receive cost model, and runs then (if
-// non-nil) with the payload and sender rank.
+// AnyTag, which matches tags ≥ 0 only) arrives, applies the receive
+// cost model, and runs then (if non-nil) with the payload and sender
+// rank. data is valid until then returns: the message goes back to the
+// runtime after it, so a then that keeps the bytes copies them.
 func Recv(src, tag int, then func(pc *PC, data []byte, from int)) Proc {
 	return recvProc{src: src, tag: tag, then: then}
 }
@@ -385,7 +389,8 @@ func Recv(src, tag int, then func(pc *PC, data []byte, from int)) Proc {
 // when the statement runs — so one statement, built once, serves every
 // rank and every iteration (a ring's "my left neighbour"). src must be
 // pure in the rank, its Local and the statement's tree position: a move
-// evaluates it again on arrival to check where the rank waits.
+// evaluates it again on arrival to check where the rank waits. As with
+// Recv, then's data is valid until then returns.
 func RecvFrom(src func(*PC) int, tag int, then func(pc *PC, data []byte, from int)) Proc {
 	return recvProc{srcOf: src, tag: tag, then: then}
 }
@@ -407,6 +412,7 @@ func (r recvProc) step(pc *PC, _ *frame) (Proc, bool) {
 	if r.then != nil {
 		r.then(pc, m.Data, pc.job.senderOf(m.From))
 	}
+	m.Free()
 	return nil, true
 }
 
@@ -423,6 +429,7 @@ type recvEachProc struct {
 // srcs must be pure in the rank, its Local and the statement's tree
 // position. It is read again on every resume and after a move, so the
 // frame stays (statement, cursor); the slice it returns is only read.
+// Each then's data is valid until that then returns.
 func RecvEach(srcs func(*PC) []int, tag int, then func(pc *PC, data []byte, from int)) Proc {
 	return recvEachProc{srcs: srcs, tag: tag, then: then}
 }
@@ -437,6 +444,7 @@ func (r recvEachProc) step(pc *PC, f *frame) (Proc, bool) {
 		if r.then != nil {
 			r.then(pc, m.Data, pc.job.senderOf(m.From))
 		}
+		m.Free()
 	}
 	return nil, true
 }
@@ -639,8 +647,12 @@ func (run *collRun) advance(pc *PC, block bool) bool {
 				return false
 			}
 			pc.consume(m)
-			if err := run.absorb(a, m.Data, pc.Size()); err != nil {
+			kept, err := run.absorb(a, m.Data, pc.Size())
+			if err != nil {
 				panic(err)
+			}
+			if !kept {
+				m.Free()
 			}
 		}
 		run.next++

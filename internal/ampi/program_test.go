@@ -1,14 +1,17 @@
 package ampi
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"unsafe"
 
+	"migflow/internal/comm"
 	"migflow/internal/loadbalance"
 	"migflow/internal/pup"
 )
@@ -381,19 +384,39 @@ func TestInterpreterBackedgeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSteadyStateStepAllocations pins "a rank-step builds no program".
-// Once a rank has made its first pass (frame stack, Local, mailbox,
-// its collective run and schedule), a Jacobi step allocates its
-// messages and their payloads and nothing else: the difference between
-// a 2- and a 10-iteration run, per rank-step, stays within one
-// allocation of that count. A per-step Call, a rebuilt Recv or a
-// per-execution collective closure each cost several. The slot a rank
-// occupies is pinned too — the collective list is one pointer in it.
+// pooledPair measures what steady state costs once the message pool is
+// warm: a warm-up run as long as the long one, so the pool holds the
+// most messages that are ever in flight at once, then a short and a
+// long run, with the collector off so the pool keeps what the runs hand
+// back. It returns the extra allocations and network sends of the long
+// run over the short one. Without the warm-up the difference comes out
+// negative: the long run reuses the messages the short one made.
+func pooledPair(run func(iters int) (mallocs, msgs uint64), short, long int) (mallocs, msgs float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run(long)
+	m0, s0 := run(short)
+	m1, s1 := run(long)
+	return float64(m1) - float64(m0), float64(s1) - float64(s0)
+}
+
+// TestSteadyStateStepAllocations pins "a rank-step builds no program"
+// and "a message is recycled". Once a rank has made its first pass
+// (frame stack, Local, mailbox, its collective run and schedule) and
+// the message pool is warm, a Jacobi step allocates nothing: its halos
+// and reduction values ride inside pooled messages, and a ULT rank's
+// receive parks on a match spec held by value. The difference between
+// a 2- and a 10-iteration run stays within 0.1 allocations per
+// rank-step (plus one per message where the pool drops what it is
+// given: under the race detector and the msgpoison tag). A per-step
+// Call, a rebuilt Recv, a per-execution collective closure or an
+// unpooled message each cost at least one.
+// The slot a rank occupies is pinned too — the collective list is one
+// pointer in it.
 func TestSteadyStateStepAllocations(t *testing.T) {
 	if got := unsafe.Sizeof(eventRank{}); got != 216 {
 		t.Errorf("eventRank is %d bytes, want 216: the per-rank slot changed size", got)
 	}
-	const ranks, short, long = 4096, 2, 10
+	const ranks, short, long = 4096, 4, 12
 	rows := []struct {
 		mode    string
 		overlap bool
@@ -416,18 +439,15 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 			}
 			return after.Mallocs - before.Mallocs, m.Network().Snapshot().Sent
 		}
-		m0, s0 := run(short)
-		m1, s1 := run(long)
+		dm, ds := pooledPair(run, short, long)
 		steps := float64(ranks * (long - short))
-		perStep := float64(m1-m0) / steps
-		// Every Jacobi message (halo or reduction edge) is one
-		// comm.Message and one freshly packed payload. A ULT rank's
-		// receive allocates nothing either: it parks on a match spec held
-		// by value.
-		bound := 2*float64(s1-s0)/steps + 1
-		t.Logf("%+v: %.2f allocations per steady-state rank-step (messages + payloads = %.2f)", row, perStep, bound-1)
+		perStep, bound := dm/steps, 0.1
+		if lossyPool {
+			bound += ds / steps
+		}
+		t.Logf("%+v: %.3f allocations per steady-state rank-step (%.2f messages)", row, perStep, ds/steps)
 		if perStep > bound {
-			t.Errorf("%+v: %.2f allocations per steady-state rank-step, want ≤ %.2f", row, perStep, bound)
+			t.Errorf("%+v: %.3f allocations per steady-state rank-step, want ≤ %.2f", row, perStep, bound)
 		}
 	}
 }
@@ -436,9 +456,10 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 // collectives with per-peer payloads: a loop over one prebuilt Alltoall
 // site and one prebuilt Scatter site, on 64 event ranks with chunk
 // tables built once, allocates per rank-iteration at most its messages
-// plus one — the Alltoall's result slice, every other iteration. A
-// collective that rebuilt its statements per execution costs several
-// allocations per peer.
+// plus one — the Alltoall's result slice, every other iteration. Their
+// messages are not recycled: each received chunk is a payload the
+// program keeps. A collective that rebuilt its statements per execution
+// costs several allocations per peer.
 func TestCollectiveSiteSteadyStateAllocations(t *testing.T) {
 	const ranks, short, long = 64, 4, 20
 	table := make([][][]byte, ranks)
@@ -466,11 +487,10 @@ func TestCollectiveSiteSteadyStateAllocations(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs, m.Network().Snapshot().Sent
 	}
-	m0, s0 := run(short)
-	m1, s1 := run(long)
+	dm, ds := pooledPair(run, short, long)
 	steps := float64(ranks * (long - short))
-	perStep := float64(m1-m0) / steps
-	bound := float64(s1-s0)/steps + 1
+	perStep := dm / steps
+	bound := ds/steps + 1
 	t.Logf("%.2f allocations per steady-state rank-iteration (messages = %.2f)", perStep, bound-1)
 	if perStep > bound {
 		t.Errorf("%.2f allocations per steady-state rank-iteration, want ≤ %.2f", perStep, bound)
@@ -672,5 +692,51 @@ func TestEventFootprintReleased(t *testing.T) {
 	// headroom without being flaky.
 	if limit := int64(ranks * 64); delta > limit {
 		t.Fatalf("heap grew %d bytes after a completed %d-rank job (limit %d)", delta, ranks, limit)
+	}
+}
+
+// TestSendPayloadRegimes pins Send's ownership rule in both backends.
+// A payload of at most comm.InlineBytes is copied into the message, so
+// a sender that overwrites its buffer right after Send does not change
+// what the receiver gets; a longer one is lent, and in-process the
+// receiver sees the sender's very bytes.
+func TestSendPayloadRegimes(t *testing.T) {
+	for _, mode := range []string{ModeULT, ModeEvent} {
+		var short, long []byte
+		fromRank0 := func(pc *PC) []int {
+			if pc.Rank() == 1 {
+				return []int{0}
+			}
+			return nil
+		}
+		job, err := NewProgram(newMachine(t, 2, nil), 2, Options{Mode: mode}, Seq(
+			Do(func(pc *PC) {
+				if pc.Rank() != 0 {
+					return
+				}
+				short = bytes.Repeat([]byte{1}, comm.InlineBytes)
+				pc.Send(1, 1, short)
+				clear(short)
+				long = bytes.Repeat([]byte{2}, comm.InlineBytes+1)
+				pc.Send(1, 2, long)
+			}),
+			RecvEach(fromRank0, 1, func(_ *PC, data []byte, _ int) {
+				if !bytes.Equal(data, bytes.Repeat([]byte{1}, comm.InlineBytes)) {
+					t.Errorf("%s: %d-byte payload arrived as %v after the sender cleared its buffer", mode, comm.InlineBytes, data)
+				}
+			}),
+			RecvEach(fromRank0, 2, func(_ *PC, data []byte, _ int) {
+				if len(data) != len(long) || &data[0] != &long[0] {
+					t.Errorf("%s: %d-byte payload was copied, want it lent by reference", mode, len(long))
+				}
+			}),
+		))
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Run()
+		if !job.Done() {
+			t.Fatalf("%s: job did not complete", mode)
+		}
 	}
 }

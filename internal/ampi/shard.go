@@ -212,7 +212,8 @@ func (j *Job) ShardInstall(data []byte) (int, error) {
 // goroutine, not the installer's. Virtual time only moves if a message
 // is consumed: at the same instants it would have without the move.
 func (e *eventEngine) scheduleActivation(r, pe int) error {
-	act := &comm.Message{To: e.idOf(r), From: e.idOf(r), Tag: tagInstalled}
+	act := comm.NewMessage()
+	act.To, act.From, act.Tag = e.idOf(r), e.idOf(r), tagInstalled
 	return e.job.m.Network().DeliverLocal(pe, []*comm.Message{act})
 }
 
@@ -251,6 +252,11 @@ func (e *eventEngine) extractLocked(p *pup.PUPer, er *eventRank, toPE int, depar
 	}
 	if err := e.pupRecord(p, &r, pc); err != nil {
 		return err
+	}
+	for _, msgs := range [][]*comm.Message{r.pending, r.held} {
+		for _, m := range msgs {
+			m.Free() // the record carries a copy
+		}
 	}
 	clear(pc.stack)
 	pc.stack, pc.Local = pc.stack[:0], nil
@@ -593,7 +599,8 @@ func (e *eventEngine) pupMsgs(p *pup.PUPer, msgs *[]*comm.Message, rank int) err
 		}
 		*msgs = make([]*comm.Message, n)
 		for i := range *msgs {
-			(*msgs)[i] = &comm.Message{To: e.idOf(rank)}
+			(*msgs)[i] = comm.NewMessage()
+			(*msgs)[i].To = e.idOf(rank)
 		}
 	}
 	for _, m := range *msgs {

@@ -3,6 +3,7 @@ package ampi
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Spanning-tree collectives (CollTree, the default). Every collective
@@ -314,6 +315,9 @@ type collState struct {
 	// chunks is an Alltoall's result too: each receive replaces the
 	// sender's entry, whose own send has already gone out.
 	chunks [][]byte
+	// word holds a reduction send's value; the send copies it into the
+	// message (comm.InlineBytes), so the next send may overwrite it.
+	word [8]byte
 }
 
 // payload is what send a carries, computed when it goes out: an
@@ -321,7 +325,8 @@ type collState struct {
 func (c *collState) payload(a collAct) []byte {
 	switch c.kind {
 	case collAllreduce, collReduce:
-		return f64bytes(c.val)
+		binary.LittleEndian.PutUint64(c.word[:], math.Float64bits(c.val))
+		return c.word[:]
 	case collBcast:
 		return c.data
 	case collGather:
@@ -334,8 +339,11 @@ func (c *collState) payload(a collAct) []byte {
 	return nil
 }
 
-// absorb folds a received payload into the accumulator.
-func (c *collState) absorb(a collAct, d []byte, nranks int) error {
+// absorb folds a received payload into the accumulator and reports
+// whether the accumulator kept d (Bcast, Scatter, Alltoall and Gather
+// hand it to the program): only a payload that was not kept lets its
+// message go back to the pool.
+func (c *collState) absorb(a collAct, d []byte, nranks int) (kept bool, err error) {
 	switch c.kind {
 	case collAllreduce, collReduce:
 		if a.down {
@@ -345,16 +353,19 @@ func (c *collState) absorb(a collAct, d []byte, nranks int) error {
 		}
 	case collBcast, collScatter:
 		c.data = d
+		return true, nil
 	case collGather:
 		sub, err := unpackGather(d, nranks)
 		if err != nil {
-			return err
+			return false, err
 		}
 		c.entries = append(c.entries, sub...)
+		return true, nil
 	case collAlltoall:
 		c.chunks[a.peer] = d
+		return true, nil
 	}
-	return nil
+	return false, nil
 }
 
 // parts is a completed Gather's result at the root, indexed by rank.

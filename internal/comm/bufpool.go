@@ -3,8 +3,8 @@
 // frame into) a buffer drawn from these free lists, so the steady
 // state of a sharded run allocates nothing per frame: a buffer's
 // lifetime is enqueue → writev (or read → dispatch) → putBuf, and the
-// decode side copies payloads out (pup.Bytes allocates fresh slices),
-// which is what makes the recycling safe.
+// decode side copies payloads out (into the messages or a fresh
+// arena), which is what makes the recycling safe.
 //
 // The lists are plain mutex-guarded stacks rather than sync.Pool:
 // putting a []byte into a sync.Pool boxes the slice header (one

@@ -53,11 +53,14 @@ const PinnedEntity EntityID = 1 << 63
 // Pinned reports whether id carries the PinnedEntity bit.
 func (id EntityID) Pinned() bool { return id&PinnedEntity != 0 }
 
-// Message is one network message.
+// Message is one network message. The runtime's own messages come from
+// a pool (NewMessage) and go back to it when consumed (pool.go).
 type Message struct {
 	To   EntityID
 	From EntityID
 	Tag  int
+	// Data is the payload: set through SetData, it points into the
+	// message itself when it is at most InlineBytes long.
 	Data []byte
 
 	// SendTime is the sender's virtual clock at Send; Arrival is
@@ -82,6 +85,8 @@ type Message struct {
 	// new owner overtakes an older one still chasing through the old
 	// owner's Forward path — per-link FIFO cannot order two routes.
 	Seq uint64
+
+	inline [InlineBytes]byte // a short payload's bytes (SetData)
 }
 
 // LatencyModel charges alpha + beta*bytes nanoseconds per hop — the

@@ -168,7 +168,8 @@ func (t *LinkTransport) Start() error {
 
 // Deliver implements Transport: encode msgs as one envelope frame —
 // appended straight into a recycled buffer, no intermediate body
-// slice — and push it onto the link to the worker owning pe.
+// slice — free the messages, and push the frame onto the link to the
+// worker owning pe.
 func (t *LinkTransport) Deliver(pe int, msgs []*Message) error {
 	if t.owner == nil || t.network == nil {
 		return errControlOnly
@@ -177,7 +178,11 @@ func (t *LinkTransport) Deliver(pe int, msgs []*Message) error {
 	if err != nil {
 		return err
 	}
-	return t.send(t.owner(pe), appendEnvelope(frame, pe, msgs))
+	frame = appendEnvelope(frame, pe, msgs)
+	for _, m := range msgs {
+		m.Free()
+	}
+	return t.send(t.owner(pe), frame)
 }
 
 // SendControl sends a control frame to peer worker w, FIFO with any
@@ -232,7 +237,7 @@ func (t *LinkTransport) send(w int, frame []byte) error {
 
 // readLoop pulls frames off one link and dispatches them until the
 // link ends or fails. The read buffer is only lent to dispatchFrame —
-// DecodeEnvelope's payloads are fresh allocations and control handlers
+// DecodeEnvelope copies every payload out and control handlers
 // must not retain (see ControlHandler) — so it goes back to the pool
 // on every path.
 //

@@ -35,7 +35,8 @@ import "fmt"
 // See the package comment above for the full contract.
 type Transport interface {
 	// Deliver ships msgs to remote PE pe (one envelope). The
-	// implementation owns the slice after the call returns.
+	// implementation owns the slice and the messages after the call
+	// returns: it may Free them once they are encoded, or keep them.
 	Deliver(pe int, msgs []*Message) error
 	// Close tears the transport down.
 	Close() error

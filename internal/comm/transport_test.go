@@ -365,11 +365,66 @@ func TestTransportContract(t *testing.T) {
 		{"PeerClosedCleanly", contractPeerClosedCleanly},
 		{"PeerDiedMidFrame", contractPeerDiedMidFrame},
 		{"PeerHungUpWithoutBye", contractPeerHungUpWithoutBye},
+		{"PayloadSizes", contractPayloadSizes},
 	}
 	for _, f := range fabrics {
 		for _, c := range cases {
 			t.Run(f.name+"/"+c.name, func(t *testing.T) { c.run(t, f) })
 		}
+	}
+}
+
+// contractPayloadSizes sends payloads on both sides of InlineBytes
+// across the link, one per envelope and then coalesced into one, and
+// checks every field and byte of each decoded message: a payload of at
+// most InlineBytes lands inside its message, a longer one in the
+// envelope's arena, each capped at its own length.
+func contractPayloadSizes(t *testing.T, f fabric) {
+	t0, t1 := f.pair(t, ownerByPair)
+	n0, n1 := twoWorkers(t, t0, t1)
+	for _, n := range []*Network{n0, n1} {
+		if err := n.Register(EntityID(9), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n0.EnableAggregation(AggPolicy{MaxPayloads: 2})
+	startBoth(t, t0, t1)
+
+	sizes := []int{InlineBytes, InlineBytes + 1, InlineBytes, InlineBytes + 1}
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, sizes[i]) }
+	src := n0.Endpoint(0)
+	for i := range sizes {
+		msg := &Message{To: 9, From: 1, Tag: i, Data: payload(i), SendTime: float64(i) * 10, VTime: float64(i) + 0.5, Seq: uint64(i + 1)}
+		send := src.Send
+		if i >= 2 {
+			send = src.SendStream
+		}
+		if err := send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := n1.Endpoint(2)
+	waitFor(t, "cross-worker delivery", func() bool { return dst.Pending() == len(sizes) })
+	for i, n := range sizes {
+		m := dst.Poll()
+		arrival := float64(i)*10 + n0.Latency().Cost(n)
+		if i >= 2 { // the coalesced envelope leaves with its last payload
+			arrival = 30 + n0.Latency().Cost(sizes[2]+sizes[3])
+		}
+		want := Message{To: 9, From: 1, Tag: i, Hops: 1, SendTime: float64(i) * 10,
+			Arrival: arrival, VTime: float64(i) + 0.5, Seq: uint64(i + 1), Data: payload(i)}
+		if !msgEqual(m, &want) {
+			t.Fatalf("message %d (%d B): got %+v, want %+v", i, n, *m, want)
+		}
+		if cap(m.Data) != n {
+			t.Errorf("message %d: payload capacity %d, want %d", i, cap(m.Data), n)
+		}
+		if inline := &m.Data[0] == &m.inline[0]; inline != (n <= InlineBytes) {
+			t.Errorf("message %d (%d B): payload inside the message = %v", i, n, inline)
+		}
+	}
+	if s := n0.Snapshot(); s.RemoteEnvelopes != 3 || s.RemotePayloads != 4 {
+		t.Fatalf("want two single envelopes and one of two: %+v", s)
 	}
 }
 

@@ -137,38 +137,55 @@ func appendEnvelope(dst []byte, pe int, msgs []*Message) []byte {
 	return dst
 }
 
-// DecodeEnvelope unpacks one envelope. The claimed message count is
-// validated against the remaining bytes (each message needs at least
-// msgWireMin) before the slice is sized, and each payload's length
-// prefix is validated by pup.Bytes before its allocation, so a
-// hostile or truncated image errors without amplification. Trailing
-// garbage after the last message is an error too — an envelope is
-// exactly its contents.
+// DecodeEnvelope unpacks one envelope into pooled messages, which the
+// receiver frees like any other (pool.go). The claimed message count
+// is validated against the remaining bytes (each message needs at
+// least msgWireMin) before anything is sized, and a first pass checks
+// every payload's length prefix against the bytes left for it, so a
+// hostile or truncated image errors without amplification and before
+// a message leaves the pool. Trailing garbage after the last message
+// is an error too — an envelope is exactly its contents.
+//
+// Allocation: one pointer slice per envelope, plus one shared arena
+// when some payload is longer than InlineBytes — shorter ones are
+// copied into their messages. Holding one decoded message's long
+// payload alive keeps its envelope-mates' long payloads reachable too;
+// receivers that retain payloads long-term should copy.
 func DecodeEnvelope(data []byte) (pe int, msgs []*Message, err error) {
 	if len(data) < envWireMin {
 		return 0, nil, fmt.Errorf("comm: envelope truncated: %d bytes", len(data))
 	}
 	dst := binary.LittleEndian.Uint32(data)
-	count := binary.LittleEndian.Uint32(data[4:])
+	count := int(binary.LittleEndian.Uint32(data[4:]))
 	rest := data[envWireMin:]
 	if int64(count)*msgWireMin > int64(len(rest)) {
 		return 0, nil, fmt.Errorf("comm: corrupt envelope: claims %d messages with %d bytes remaining", count, len(rest))
 	}
-	// Batch allocation: one Message block, one pointer slice, one
-	// shared data arena — three allocations per envelope no matter how
-	// many payloads it coalesced, which is what keeps the streamed
-	// receive path near zero allocs per message. The arena is sized
-	// from the envelope arithmetic (whatever isn't fixed fields is
-	// payload), so a forged dataLen can only fail the bounds checks
-	// below, never oversize an allocation. Holding one decoded
-	// message's Data alive keeps its envelope-mates' data reachable
-	// too; receivers that retain payloads long-term should copy.
-	block := make([]Message, count)
+	off, long := 0, 0
+	for i := 0; i < count; i++ {
+		n := int(binary.LittleEndian.Uint32(rest[off+msgWireMin-4:]))
+		off += msgWireMin
+		// Remaining fixed fields bound the payload room left: a forged
+		// length that would eat another message's fields fails here.
+		if n > len(rest)-off-(count-1-i)*msgWireMin {
+			return 0, nil, fmt.Errorf("comm: corrupt envelope message %d: data length %d", i, n)
+		}
+		if n > InlineBytes {
+			long += n
+		}
+		off += n
+	}
+	if off != len(rest) {
+		return 0, nil, fmt.Errorf("comm: envelope carries %d trailing bytes", len(rest)-off)
+	}
 	msgs = make([]*Message, count)
-	arena := make([]byte, len(rest)-int(count)*msgWireMin)
+	var arena []byte
+	if long > 0 {
+		arena = make([]byte, long)
+	}
 	off, ao := 0, 0
-	for i := range block {
-		m := &block[i]
+	for i := range msgs {
+		m := NewMessage()
 		f := rest[off:]
 		m.To = EntityID(binary.LittleEndian.Uint64(f))
 		m.From = EntityID(binary.LittleEndian.Uint64(f[8:]))
@@ -180,19 +197,15 @@ func DecodeEnvelope(data []byte) (pe int, msgs []*Message, err error) {
 		m.VTime = math.Float64frombits(binary.LittleEndian.Uint64(f[56:]))
 		n := int(binary.LittleEndian.Uint32(f[64:]))
 		off += msgWireMin
-		// Remaining fixed fields bound the payload room left: a forged
-		// length that would eat another message's fields fails here.
-		if n > len(rest)-off-(len(block)-1-i)*msgWireMin || n > len(arena)-ao {
-			return 0, nil, fmt.Errorf("comm: corrupt envelope message %d: data length %d", i, n)
+		payload := rest[off : off+n]
+		if n > InlineBytes {
+			payload = arena[ao : ao+n : ao+n]
+			copy(payload, rest[off:])
+			ao += n
 		}
-		m.Data = arena[ao : ao+n : ao+n]
-		copy(m.Data, rest[off:off+n])
+		m.SetData(payload)
 		off += n
-		ao += n
 		msgs[i] = m
-	}
-	if off != len(rest) {
-		return 0, nil, fmt.Errorf("comm: envelope carries %d trailing bytes", len(rest)-off)
 	}
 	return int(dst), msgs, nil
 }

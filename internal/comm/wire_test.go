@@ -102,6 +102,16 @@ func FuzzWireEnvelope(f *testing.F) {
 	empty, _ := EncodeEnvelope(0, nil)
 	f.Add(empty)
 	f.Add([]byte{1, 0, 0, 0, 255, 255, 255, 255})
+	// Payloads on both sides of InlineBytes, alone and in one envelope.
+	var mixed []*Message
+	for _, n := range []int{0, InlineBytes, InlineBytes + 1, 4096} {
+		m := &Message{To: 7, From: 3, Tag: n, Hops: 1, SendTime: 4, Arrival: 5, VTime: 6, Seq: 9, Data: bytes.Repeat([]byte{0xa5}, n)}
+		one, _ := EncodeEnvelope(2, []*Message{m})
+		f.Add(one)
+		mixed = append(mixed, m)
+	}
+	all, _ := EncodeEnvelope(2, mixed)
+	f.Add(all)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pe, msgs, err := DecodeEnvelope(data)
 		if err != nil {
