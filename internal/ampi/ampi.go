@@ -1,19 +1,21 @@
-// Package ampi is an Adaptive-MPI-like layer (§4.1, §4.5): each MPI
-// rank is a migratable user-level thread (isomalloc stack + heap,
-// privatized globals via swap-global), so ranks vastly outnumber
-// processors and the runtime migrates them for load balance without
-// any change to "application" code.
+// Package ampi is an Adaptive-MPI-like layer (§4.1, §4.5): MPI ranks
+// vastly outnumber processors, and the runtime migrates them for load
+// balance without any change to "application" code.
 //
-// The API mirrors the MPI calls the paper names: blocking send and
-// receive, barrier, allreduce, MPI_Yield, and MPI_Migrate — the
+// A rank runs a program: a tree of Proc combinators (program.go) that
+// mirrors the MPI calls the paper names — blocking and nonblocking
+// send and receive, the collectives, MPI_Yield, and MPI_Migrate, the
 // collective that measures per-rank loads, runs a balancer, and moves
-// threads.
+// ranks. Options.Mode picks the flow of control behind each rank: a
+// migratable user-level thread (isomalloc stack + heap, privatized
+// globals via swap-global), or a continuation record dispatched by its
+// PE's loop (event.go). NewJob keeps §2's blocking-thread style — a
+// plain func body over a Rank handle — as a one-statement program on
+// thread ranks.
 package ampi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"migflow/internal/comm"
@@ -29,14 +31,6 @@ import (
 const (
 	AnySource = -1
 	AnyTag    = -1
-)
-
-// Internal tags (user tags must be ≥ 0).
-const (
-	tagBarrier = -100 - iota
-	tagBarrierRelease
-	tagReduce
-	tagReduceResult
 )
 
 // CollAlgo selects the collective-communication topology.
@@ -185,17 +179,16 @@ type Options struct {
 	LocalPUP func(p *pup.PUPer, local any) (any, error)
 }
 
-// Job is one AMPI program: size ranks running body, mapped
-// round-robin over the machine's PEs.
+// Job is one AMPI program: size ranks running it, mapped round-robin
+// (or in blocks) over the machine's PEs.
 type Job struct {
 	m    *core.Machine
 	opts Options
-	body func(*Rank)
 
 	size  int
 	ranks []*Rank
 
-	// rankOf inverts entity → rank for ULT jobs. Built once at NewJob
+	// rankOf inverts entity → rank for ULT jobs. Built once at NewProgram
 	// and never mutated (migration moves a thread, not its identity),
 	// so reads are lock-free; it replaces an O(size) scan per Recv.
 	rankOf map[comm.EntityID]int
@@ -211,21 +204,24 @@ type Job struct {
 	mu      sync.Mutex
 	traffic map[[2]int]float64 // rank pair (lo,hi) → bytes
 
-	// LB-gate state (Rank.Migrate and the Migrate Proc): every rank
-	// parks at the gate; the Run/RunParallel driver services it at
-	// quiescence and resumes the ranks post-plan.
+	// LB-gate state (the Migrate Proc): every rank parks at the gate;
+	// the Run/RunParallel driver services it at quiescence and resumes
+	// the ranks post-plan.
 	gateMu       sync.Mutex
 	gateArrived  int
 	gateStrategy loadbalance.Strategy
 	lbMoved      int
 }
 
-// Rank is one MPI rank: a migratable thread plus a tag/source-matched
-// mailbox. The methods on Rank are the MPI interface; they may only
-// be called from inside the rank's own body.
+// Rank is one thread rank: a migratable thread plus a tag/source-matched
+// mailbox, the state the ULT backend (ultBE) blocks against. Its
+// exported methods are the handle a NewJob body gets; they may only be
+// called from inside that body, and each runs on the rank's program
+// context, charging what the matching Proc statement charges.
 type Rank struct {
 	job  *Job
 	rank int
+	pc   *PC
 	th   *converse.Thread
 	ctx  *converse.Ctx
 
@@ -251,48 +247,18 @@ func (s matchSpec) matchesTag(tag int) bool {
 	return s.tag == tag
 }
 
-// NewJob creates size ranks on machine m. Rank r is born on PE
-// r mod NumPEs ("AMPI requires the number of AMPI migratable threads
-// to be much larger than the actual number of processors").
+// NewJob creates size thread ranks on machine m, each running body — §2's
+// blocking-thread style — as the one statement of a program (NewProgram).
+// A func body blocks on its thread's stack, so Mode "event" is refused.
 func NewJob(m *core.Machine, size int, opts Options, body func(*Rank)) (*Job, error) {
-	j, err := newJobCommon(m, size, &opts)
-	if err != nil {
-		return nil, err
-	}
 	if opts.Mode == ModeEvent {
 		return nil, fmt.Errorf("ampi: Mode %q needs a continuation program; use NewProgram (a raw func body cannot be suspended without a stack)", ModeEvent)
 	}
-	j.body = body
-	j.rankOf = make(map[comm.EntityID]int, size)
-	for r := 0; r < size; r++ {
-		rank := &Rank{job: j, rank: r}
-		pe := m.PE(placePE(r, size, m.NumPEs(), opts.BlockPlacement))
-		th, err := pe.Sched.CthCreate(converse.ThreadOptions{
-			Strategy:  opts.Strategy,
-			StackSize: opts.StackSize,
-			Globals:   opts.Globals,
-		}, func(c *converse.Ctx) {
-			rank.ctx = c
-			j.body(rank)
-			// A rank that exits without ever blocking again must not
-			// strand coalesced messages in its PE's buffers.
-			rank.flushStream()
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ampi: creating rank %d: %w", r, err)
-		}
-		rank.th = th
-		j.ranks = append(j.ranks, rank)
-		j.rankOf[comm.EntityID(th.ID())] = r
-		if err := m.RegisterEntity(comm.EntityID(th.ID()), pe.Index, rank.deliver); err != nil {
-			return nil, err
-		}
-	}
-	return j, nil
+	return NewProgram(m, size, opts, Do(func(pc *PC) { body(pc.be.(ultBE).r) }))
 }
 
-// newJobCommon validates options shared by NewJob and NewProgram and
-// returns the empty job shell.
+// newJobCommon validates and defaults NewProgram's options and returns
+// the empty job shell.
 func newJobCommon(m *core.Machine, size int, opts *Options) (*Job, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("ampi: size %d must be ≥ 1", size)
@@ -389,17 +355,6 @@ func (j *Job) edgeHops(a, b int) int {
 	na := placePE(a, j.size, eff, j.opts.BlockPlacement)
 	nb := placePE(b, j.size, eff, j.opts.BlockPlacement)
 	return ringDist(na, nb, eff)
-}
-
-// chargeHops records a tree edge's hop count in comm stats and
-// returns the virtual-time cost to add.
-func (j *Job) chargeHops(a, b int) float64 {
-	h := j.edgeHops(a, b)
-	if h == 0 {
-		return 0
-	}
-	j.m.Network().ChargeTopoHops(uint64(h))
-	return float64(h) * j.opts.Topo.HopNs
 }
 
 // Start makes every rank runnable.
@@ -515,10 +470,7 @@ func (j *Job) Size() int { return j.size }
 // Mode returns the job's (normalized) execution mode.
 func (j *Job) Mode() string { return j.opts.Mode }
 
-// Machine returns the underlying machine.
-func (j *Job) Machine() *core.Machine { return j.m }
-
-// Rank returns rank r's handle (for inspection in tests/harnesses).
+// Rank returns thread rank r's handle (for inspection in tests/harnesses).
 func (j *Job) Rank(r int) *Rank { return j.ranks[r] }
 
 // PEOf returns the PE rank r's thread currently runs on — the
@@ -551,13 +503,10 @@ func (j *Job) entity(rank int) comm.EntityID {
 }
 
 // ---------------------------------------------------------------
-// Rank: the MPI interface
+// Rank: the thread-style handle
 
 // Rank returns the caller's rank number.
 func (r *Rank) Rank() int { return r.rank }
-
-// Size returns the job's rank count.
-func (r *Rank) Size() int { return len(r.job.ranks) }
 
 // PE returns the processor the rank currently runs on.
 func (r *Rank) PE() int { return r.ctx.PE().Index }
@@ -565,37 +514,54 @@ func (r *Rank) PE() int { return r.ctx.PE().Index }
 // Thread exposes the underlying migratable thread.
 func (r *Rank) Thread() *converse.Thread { return r.th }
 
-// Ctx exposes the converse context (stack frames, malloc, work).
-func (r *Rank) Ctx() *converse.Ctx { return r.ctx }
+// Work models ns nanoseconds of local computation (PC.Work).
+func (r *Rank) Work(ns float64) { r.pc.Work(ns) }
 
-// Yield is MPI_Yield: give other ranks on this PE the processor.
-func (r *Rank) Yield() { r.ctx.Yield() }
-
-// Work models ns nanoseconds of local computation.
-func (r *Rank) Work(ns float64) { r.ctx.Work(ns) }
-
-// Wtime is MPI_Wtime: the rank's current virtual time in seconds
-// (the clock of whichever PE the rank currently runs on).
-func (r *Rank) Wtime() float64 { return r.ctx.PE().Clock.Now() / 1e9 }
-
-// Send sends data to rank dest with the given tag (tag ≥ 0) and
-// returns without waiting for the receiver. A payload of at most
-// comm.InlineBytes is copied, so data is free again once Send returns;
-// a longer one is lent to the receiver and must not be modified.
+// Send is PC.Send with a bad tag or destination returned as an error.
 func (r *Rank) Send(dest, tag int, data []byte) error {
 	if tag < 0 {
 		return fmt.Errorf("ampi: Send tag %d must be ≥ 0", tag)
 	}
-	return r.send(dest, tag, data)
+	if dest < 0 || dest >= r.job.size {
+		return fmt.Errorf("ampi: Send to rank %d of %d", dest, r.job.size)
+	}
+	r.pc.sendRaw(dest, tag, data)
+	return nil
 }
 
-func (r *Rank) send(dest, tag int, data []byte) error { return r.sendv(dest, tag, data, 0) }
+// Recv blocks until a message from src (or AnySource) with tag (or
+// AnyTag, which matches tags ≥ 0 only) arrives, applies the Recv
+// statement's cost model, and returns the payload and sender rank. The
+// payload is the caller's to keep.
+func (r *Rank) Recv(src, tag int) ([]byte, int, error) {
+	if tag < 0 && tag != AnyTag {
+		return nil, 0, fmt.Errorf("ampi: Recv tag %d must be ≥ 0 or AnyTag", tag)
+	}
+	m := r.recv(src, tag)
+	r.pc.consume(m)
+	return m.Data, r.job.senderOf(m.From), nil
+}
 
-// sendv is send carrying an application-level virtual timestamp (the
-// continuation-program layer's mode-independent predicted time).
+// Allreduce combines each rank's value with op ("sum", "max", "min")
+// and returns the result on every rank: the Allreduce combinator's
+// schedule, run on the rank's program context by the one collective
+// executor (collRun.advance).
+func (r *Rank) Allreduce(op string, v float64) (float64, error) {
+	combine, err := combiner(op)
+	if err != nil {
+		return 0, err
+	}
+	run := r.pc.newRun(&collSite{name: "Allreduce", kind: collAllreduce, combine: combine})
+	run.val = v
+	run.advance(r.pc, true)
+	return run.val, nil
+}
+
+// sendv is the ULT backend's send: an eager message stamped with the
+// sender's predicted time vtime, charged to the simulating PE's clock.
 func (r *Rank) sendv(dest, tag int, data []byte, vtime float64) error {
-	if dest < 0 || dest >= len(r.job.ranks) {
-		return fmt.Errorf("ampi: Send to rank %d of %d", dest, len(r.job.ranks))
+	if dest < 0 || dest >= r.job.size {
+		return fmt.Errorf("ampi: Send to rank %d of %d", dest, r.job.size)
 	}
 	if tag >= 0 && dest != r.rank {
 		// Application traffic feeds the communication graph the
@@ -621,16 +587,6 @@ func (r *Rank) sendv(dest, tag int, data []byte, vtime float64) error {
 		return ep.SendStream(msg)
 	}
 	return ep.Send(msg)
-}
-
-// sendEdge is send along a collective tree edge: when a topology is
-// configured it charges the edge's torus hops to the rank's clock and
-// the comm hop counter before the ordinary eager send.
-func (r *Rank) sendEdge(dest, tag int, data []byte) error {
-	if ns := r.job.chargeHops(r.rank, dest); ns > 0 {
-		r.ctx.PE().Clock.Advance(ns)
-	}
-	return r.send(dest, tag, data)
 }
 
 // flushStream pushes any coalesced messages buffered on the rank's
@@ -678,17 +634,6 @@ func (r *Rank) takeLocked(spec matchSpec) *comm.Message {
 	return nil
 }
 
-// Recv blocks until a message from src (or AnySource) with tag (or
-// AnyTag, which matches tags ≥ 0 only) arrives and returns its payload
-// and sender rank. The payload is the caller's to keep.
-func (r *Rank) Recv(src, tag int) ([]byte, int, error) {
-	if tag < 0 && tag != AnyTag {
-		return nil, 0, fmt.Errorf("ampi: Recv tag %d must be ≥ 0 or AnyTag", tag)
-	}
-	m := r.recv(src, tag)
-	return m.Data, r.senderRank(m), nil
-}
-
 func (r *Rank) recv(src, tag int) *comm.Message {
 	spec := matchSpec{src: src, tag: tag}
 	for {
@@ -712,37 +657,3 @@ func (r *Rank) recv(src, tag int) *comm.Message {
 		r.ctx.Suspend()
 	}
 }
-
-func (r *Rank) senderRank(m *comm.Message) int {
-	if i, ok := r.job.rankOf[m.From]; ok {
-		return i
-	}
-	return -1
-}
-
-// Barrier blocks until every rank has entered it: a gather-release
-// over the job's collective topology (Options.Collectives; a spanning
-// tree by default).
-func (r *Rank) Barrier() error {
-	_, err := waited(r.Ibarrier())
-	return err
-}
-
-// Allreduce combines each rank's value with op ("sum", "max", "min")
-// and returns the result on every rank, over the job's collective
-// topology.
-func (r *Rank) Allreduce(op string, v float64) (float64, error) {
-	q, err := waited(r.Iallreduce(op, v))
-	if err != nil {
-		return 0, err
-	}
-	return q.Value, nil
-}
-
-func f64bytes(v float64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	return b[:]
-}
-
-func f64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }

@@ -1,7 +1,10 @@
 package ampi
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,6 +22,56 @@ func newMachine(t testing.TB, pes int, layout *swapglobal.Layout) *core.Machine 
 		t.Fatal(err)
 	}
 	return m
+}
+
+// runProg runs prog on size ranks of a fresh pes-PE machine and fails
+// the test unless the job completes.
+func runProg(t testing.TB, pes, size int, opts Options, prog Proc) (*Job, *core.Machine) {
+	t.Helper()
+	m := newMachine(t, pes, opts.Globals)
+	j, err := NewProgram(m, size, opts, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Run()
+	if !j.Done() {
+		t.Fatalf("%d-rank job on %d PEs did not complete", size, pes)
+	}
+	return j, m
+}
+
+// f64bytes is a reduction payload: v's bits, little-endian (f64's
+// inverse).
+func f64bytes(v float64) []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	return b[:]
+}
+
+// panicOf runs fn and returns what it panicked with, or nil.
+func panicOf(fn func()) (got any) {
+	defer func() { got = recover() }()
+	fn()
+	return nil
+}
+
+// runPanics runs prog on size ranks of a one-PE machine and returns
+// what Run panicked with, or nil.
+func runPanics(t *testing.T, size int, prog Proc) any {
+	t.Helper()
+	j, err := NewProgram(newMachine(t, 1, nil), size, Options{}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return panicOf(j.Run)
+}
+
+// wantPanic fails the test unless got is a panic whose text holds want.
+func wantPanic(t *testing.T, what string, got any, want string) {
+	t.Helper()
+	if msg := fmt.Sprint(got); got == nil || !strings.Contains(msg, want) {
+		t.Errorf("%s: panicked with %v, want a panic naming %q", what, got, want)
+	}
 }
 
 func TestJobValidation(t *testing.T) {
@@ -49,8 +102,8 @@ func TestRoundRobinPlacement(t *testing.T) {
 			t.Errorf("rank %d on PE %d, want %d", rank, pe, rank%2)
 		}
 	}
-	if j.Size() != 5 || j.Machine() != m {
-		t.Error("accessors wrong")
+	if j.Size() != 5 {
+		t.Errorf("Size = %d, want 5", j.Size())
 	}
 }
 
@@ -113,7 +166,7 @@ func TestRecvWildcardsAndOrdering(t *testing.T) {
 // recvTag is a test helper: receive anything, return the tag.
 func (r *Rank) recvTag() (int, int, error) {
 	m := r.recv(AnySource, AnyTag)
-	return m.Tag, r.senderRank(m), nil
+	return m.Tag, r.job.senderOf(m.From), nil
 }
 
 func TestSendValidation(t *testing.T) {
@@ -136,39 +189,26 @@ func TestSendValidation(t *testing.T) {
 }
 
 func TestBarrier(t *testing.T) {
-	m := newMachine(t, 3, nil)
 	const ranks = 7
 	var mu sync.Mutex
 	phase := make([]int, ranks)
-	minPhaseAtExit := ranks
-	j, err := NewJob(m, ranks, Options{}, func(r *Rank) {
-		mu.Lock()
-		phase[r.Rank()] = 1
-		mu.Unlock()
-		if err := r.Barrier(); err != nil {
-			t.Errorf("barrier: %v", err)
-			return
-		}
+	minPhaseAtExit := 1
+	runProg(t, 3, ranks, Options{}, Seq(
+		Do(func(pc *PC) {
+			mu.Lock()
+			phase[pc.Rank()] = 1
+			mu.Unlock()
+		}),
+		Barrier(),
 		// After the barrier, every rank must have reached phase 1.
-		mu.Lock()
-		min := 1
-		for _, p := range phase {
-			if p < min {
-				min = p
+		Do(func(pc *PC) {
+			mu.Lock()
+			for _, p := range phase {
+				minPhaseAtExit = min(minPhaseAtExit, p)
 			}
-		}
-		if min < minPhaseAtExit {
-			minPhaseAtExit = min
-		}
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if !j.Done() {
-		t.Fatal("barrier deadlocked")
-	}
+			mu.Unlock()
+		}),
+	))
 	if minPhaseAtExit != 1 {
 		t.Errorf("a rank left the barrier before all entered (min phase %d)", minPhaseAtExit)
 	}
@@ -211,14 +251,98 @@ func TestAllreduce(t *testing.T) {
 	}
 }
 
-func TestSingleRankCollectives(t *testing.T) {
-	m := newMachine(t, 1, nil)
-	j, err := NewJob(m, 1, Options{}, func(r *Rank) {
-		if err := r.Barrier(); err != nil {
-			t.Errorf("barrier: %v", err)
+// TestThreadAllreduceIsProgramAllreduce pins the one collective
+// executor: Rank.Allreduce inside a NewJob body and the Allreduce
+// combinator on ULT ranks run the same schedule through
+// collRun.advance, so on a torus topology they agree on the result
+// bits, the hops charged, every rank's VT and every PE's clock. Hop
+// time is charged into VT only, never to a PE clock.
+func TestThreadAllreduceIsProgramAllreduce(t *testing.T) {
+	const ranks, pes = 12, 3
+	opts := Options{
+		Collectives: CollTopoTree, Topo: Topology{Nodes: 4, GroupSize: 2}, MsgOverheadNs: 250,
+	}
+	work := func(rank int) float64 { return float64(100 * (rank + 1)) }
+	val := func(rank int) float64 { return 1/float64(rank+3) + float64(rank)*0.1 }
+	type outcome struct {
+		sums   []float64
+		vts    []float64
+		clocks []float64
+		hops   uint64
+	}
+	finish := func(j *Job, m *core.Machine, sums []float64) outcome {
+		t.Helper()
+		j.Run()
+		if !j.Done() {
+			t.Fatal("job did not complete")
 		}
+		o := outcome{sums: sums, hops: m.Network().TopoHops()}
+		for r := 0; r < ranks; r++ {
+			o.vts = append(o.vts, j.VT(r))
+		}
+		for p := 0; p < pes; p++ {
+			o.clocks = append(o.clocks, m.PE(p).Clock.Now())
+		}
+		return o
+	}
+
+	threadSums := make([]float64, ranks)
+	m := newMachine(t, pes, nil)
+	j, err := NewJob(m, ranks, opts, func(r *Rank) {
+		r.Work(work(r.Rank()))
+		v, err := r.Allreduce("sum", val(r.Rank()))
+		if err != nil {
+			t.Error(err)
+		}
+		threadSums[r.Rank()] = v
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thread := finish(j, m, threadSums)
+
+	progSums := make([]float64, ranks)
+	m = newMachine(t, pes, nil)
+	j, err = NewProgram(m, ranks, opts, Seq(
+		Do(func(pc *PC) { pc.Work(work(pc.Rank())) }),
+		Allreduce("sum", func(pc *PC) float64 { return val(pc.Rank()) },
+			func(pc *PC, v float64) { progSums[pc.Rank()] = v }),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := finish(j, m, progSums)
+
+	if thread.hops == 0 || thread.hops != prog.hops {
+		t.Errorf("topology hops: thread %d, program %d (want equal and non-zero)", thread.hops, prog.hops)
+	}
+	for r := 0; r < ranks; r++ {
+		if math.Float64bits(thread.sums[r]) != math.Float64bits(prog.sums[r]) {
+			t.Errorf("rank %d: result %x (thread) vs %x (program)", r, math.Float64bits(thread.sums[r]), math.Float64bits(prog.sums[r]))
+		}
+		if math.Float64bits(thread.vts[r]) != math.Float64bits(prog.vts[r]) {
+			t.Errorf("rank %d: VT %g (thread) vs %g (program)", r, thread.vts[r], prog.vts[r])
+		}
+	}
+	for p := 0; p < pes; p++ {
+		if math.Float64bits(thread.clocks[p]) != math.Float64bits(prog.clocks[p]) {
+			t.Errorf("PE %d: clock %g (thread) vs %g (program)", p, thread.clocks[p], prog.clocks[p])
+		}
+	}
+}
+
+func TestSingleRankCollectives(t *testing.T) {
+	var got float64
+	runProg(t, 1, 1, Options{}, Seq(
+		Barrier(),
+		Allreduce("sum", func(*PC) float64 { return 3 }, func(_ *PC, v float64) { got = v }),
+	))
+	if got != 3 {
+		t.Errorf("program allreduce = %g", got)
+	}
+	j, err := NewJob(newMachine(t, 1, nil), 1, Options{}, func(r *Rank) {
 		if v, err := r.Allreduce("sum", 3); err != nil || v != 3 {
-			t.Errorf("allreduce = %g/%v", v, err)
+			t.Errorf("Rank.Allreduce = %g/%v", v, err)
 		}
 	})
 	if err != nil {
@@ -227,61 +351,50 @@ func TestSingleRankCollectives(t *testing.T) {
 	j.Run()
 }
 
+// heavyEven is the imbalanced load of the LB tests: the even ranks,
+// all born on PE 0 under round-robin placement on two PEs, are heavy.
+func heavyEven(pc *PC) float64 {
+	if pc.Rank()%2 == 0 {
+		return 100000
+	}
+	return 1000
+}
+
 // TestMigrateBalancesLoad is the §4.5 story in miniature: imbalanced
-// ranks (rank 0..2 heavy on PE 0/1) call MPI_Migrate with GreedyLB;
-// afterwards the measured per-PE loads even out and messaging still
-// works.
+// thread ranks pass a Migrate gate with GreedyLB; afterwards the
+// measured per-PE loads even out, a privatized global written before
+// the gate reads back after it, and messaging still works.
 func TestMigrateBalancesLoad(t *testing.T) {
 	layout := swapglobal.NewLayout()
 	layout.Declare("iter", 8)
-	m := newMachine(t, 2, layout)
 	const ranks = 8
-	var mu sync.Mutex
-	endPEs := make(map[int]int)
-	var moved int
-	j, err := NewJob(m, ranks, Options{Globals: layout}, func(r *Rank) {
-		// Heavy work on low ranks: all land on both PEs round-robin,
-		// but the heavy ones (0,2,4,6) are all even → all on PE 0.
-		work := 1000.0
-		if r.Rank()%2 == 0 {
-			work = 100000
-		}
-		r.Work(work)
-		n, err := r.Migrate(loadbalance.GreedyLB{})
-		if err != nil {
-			t.Errorf("rank %d Migrate: %v", r.Rank(), err)
-			return
-		}
-		mu.Lock()
-		if n > moved {
-			moved = n
-		}
-		mu.Unlock()
-		// Post-migration: second work phase and a token ring to prove
-		// communication survives migration.
-		r.Work(work)
-		next := (r.Rank() + 1) % r.Size()
-		prev := (r.Rank() + r.Size() - 1) % r.Size()
-		if err := r.Send(next, 1, []byte{byte(r.Rank())}); err != nil {
-			t.Errorf("ring send: %v", err)
-			return
-		}
-		data, _, err := r.Recv(prev, 1)
-		if err != nil || len(data) != 1 || int(data[0]) != prev {
-			t.Errorf("rank %d ring recv = %v/%v", r.Rank(), data, err)
-		}
-		mu.Lock()
-		endPEs[r.Rank()] = r.PE()
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if !j.Done() {
-		t.Fatal("job hung")
-	}
-	if moved == 0 {
+	endPEs := make([]int, ranks)
+	j, m := runProg(t, 2, ranks, Options{Globals: layout}, Seq(
+		Do(func(pc *PC) {
+			pc.Work(heavyEven(pc))
+			if err := pc.Globals().StoreUint64("iter", uint64(pc.Rank()+1)); err != nil {
+				t.Errorf("rank %d store: %v", pc.Rank(), err)
+			}
+		}),
+		Migrate(loadbalance.GreedyLB{}),
+		// Post-migration: the global, a second work phase and a token
+		// ring to prove communication survives migration.
+		Do(func(pc *PC) {
+			if v, err := pc.Globals().LoadUint64("iter"); err != nil || v != uint64(pc.Rank()+1) {
+				t.Errorf("rank %d global after the gate = %d/%v", pc.Rank(), v, err)
+			}
+			pc.Work(heavyEven(pc))
+			pc.Send((pc.Rank()+1)%pc.Size(), 1, []byte{byte(pc.Rank())})
+		}),
+		RecvFrom(func(pc *PC) int { return (pc.Rank() + pc.Size() - 1) % pc.Size() }, 1,
+			func(pc *PC, data []byte, from int) {
+				if len(data) != 1 || int(data[0]) != from {
+					t.Errorf("rank %d ring recv = %v from %d", pc.Rank(), data, from)
+				}
+				endPEs[pc.Rank()] = pc.PE()
+			}),
+	))
+	if j.LBMoved() == 0 {
 		t.Error("no ranks migrated despite imbalance")
 	}
 	// The heavy ranks must have spread across both PEs.
@@ -299,54 +412,36 @@ func TestMigrateBalancesLoad(t *testing.T) {
 	if ib := loadbalance.Imbalance(loads); ib > 1.3 {
 		t.Errorf("post-LB imbalance = %g (loads %v)", ib, loads)
 	}
-	count, _ := m.MigrationStats()
-	if count == 0 {
+	if count, _ := m.MigrationStats(); count == 0 {
 		t.Error("machine recorded no migrations")
 	}
 }
 
 func TestMigrateWithStackCopyThreads(t *testing.T) {
 	// The same LB flow works with the other stack techniques.
-	m := newMachine(t, 2, nil)
-	j, err := NewJob(m, 4, Options{Strategy: migrate.MemoryAlias{}}, func(r *Rank) {
-		r.Work(float64((r.Rank() + 1) * 10000))
-		if _, err := r.Migrate(loadbalance.GreedyLB{}); err != nil {
-			t.Errorf("Migrate: %v", err)
-		}
-		if err := r.Barrier(); err != nil {
-			t.Errorf("post barrier: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if !j.Done() {
-		t.Fatal("job hung")
-	}
+	runProg(t, 2, 4, Options{Strategy: migrate.MemoryAlias{}}, Seq(
+		Do(func(pc *PC) { pc.Work(float64((pc.Rank() + 1) * 10000)) }),
+		Migrate(loadbalance.GreedyLB{}),
+		Barrier(),
+	))
 }
 
 // TestRebalanceExternal drives the runtime-initiated LB mode: ranks
-// never call MPI_Migrate; the runtime moves them while they are
+// never pass a Migrate gate; the runtime moves them while they are
 // parked in Recv, and messaging resumes on the new placement.
 func TestRebalanceExternal(t *testing.T) {
 	m := newMachine(t, 2, nil)
 	const ranks = 8
-	var mu sync.Mutex
-	endPE := make(map[int]int)
-	j, err := NewJob(m, ranks, Options{}, func(r *Rank) {
-		work := 1000.0
-		if r.Rank()%2 == 0 {
-			work = 100000 // heavy ranks all born on PE 0 (round robin)
-		}
-		r.Work(work)
+	endPE := make([]int, ranks)
+	j, err := NewProgram(m, ranks, Options{}, Seq(
+		Do(func(pc *PC) { pc.Work(heavyEven(pc)) }),
 		// Park waiting for the controller's post-LB "go" token.
-		_, _, _ = r.Recv(AnySource, 1)
-		r.Work(work)
-		mu.Lock()
-		endPE[r.Rank()] = r.PE()
-		mu.Unlock()
-	})
+		Recv(AnySource, 1, nil),
+		Do(func(pc *PC) {
+			pc.Work(heavyEven(pc))
+			endPE[pc.Rank()] = pc.PE()
+		}),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +477,7 @@ func TestRebalanceExternal(t *testing.T) {
 	if heavy[0] == 4 || heavy[1] == 4 {
 		t.Errorf("heavy ranks not spread: %v", heavy)
 	}
-	if err2 := func() error { _, err := j.Rebalance(nil); return err }(); err2 == nil {
+	if _, err := j.Rebalance(nil); err == nil {
 		t.Error("nil strategy accepted")
 	}
 }
@@ -392,26 +487,19 @@ func TestRebalanceExternal(t *testing.T) {
 // neighbours; plain greedy ignores the graph. Cross-PE traffic under
 // the comm-aware placement must be lower.
 func TestCommAwareRebalance(t *testing.T) {
+	const ranks = 16
+	payload := make([]byte, 4096)
+	prog := Seq(
+		// Phase 1: ring exchange to populate the traffic graph.
+		Do(func(pc *PC) { pc.Send((pc.Rank()+1)%pc.Size(), 1, payload) }),
+		RecvFrom(func(pc *PC) int { return (pc.Rank() + pc.Size() - 1) % pc.Size() }, 1, nil),
+		Do(func(pc *PC) { pc.Work(10000) }),
+		// Park for the controller-driven rebalance.
+		Recv(AnySource, 9, nil),
+	)
 	run := func(strategy loadbalance.Strategy) float64 {
 		m := newMachine(t, 4, nil)
-		const ranks = 16
-		j, err := NewJob(m, ranks, Options{}, func(r *Rank) {
-			// Phase 1: ring exchange to populate the traffic graph.
-			next := (r.Rank() + 1) % r.Size()
-			prev := (r.Rank() + r.Size() - 1) % r.Size()
-			payload := make([]byte, 4096)
-			if err := r.Send(next, 1, payload); err != nil {
-				t.Errorf("send: %v", err)
-				return
-			}
-			if _, _, err := r.Recv(prev, 1); err != nil {
-				t.Errorf("recv: %v", err)
-				return
-			}
-			r.Work(10000)
-			// Park for the controller-driven rebalance.
-			_, _, _ = r.Recv(AnySource, 9)
-		})
+		j, err := NewProgram(m, ranks, Options{}, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +509,7 @@ func TestCommAwareRebalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Measure the ring's cross-PE traffic under the new placement.
-		cross := loadbalance.CrossTraffic(j.LoadDatabase(), j.CommGraph(), nil)
+		cross := loadbalance.CrossTraffic(j.collectLoads(nil), j.CommGraph(), nil)
 		// Release and finish.
 		for i := 0; i < j.Size(); i++ {
 			msg := &comm.Message{To: comm.EntityID(j.Rank(i).Thread().ID()), Tag: 9}
@@ -453,46 +541,28 @@ func (c countingLB) Plan(items []loadbalance.Item, numPEs int) loadbalance.Plan 
 	return c.GreedyLB.Plan(items, numPEs)
 }
 
-// TestMultipleEpochs calls MPI_Migrate twice: each epoch computes its
-// own plan — once, not once per rank — from loads measured since the
-// previous one, and the machinery stays consistent across repeated
-// migrations.
+// TestMultipleEpochs passes two Migrate gates on thread ranks: each
+// epoch computes its own plan — once, not once per rank — from loads
+// measured since the previous one, and the machinery stays consistent
+// across repeated migrations.
 func TestMultipleEpochs(t *testing.T) {
-	m := newMachine(t, 2, nil)
 	const ranks = 6
-	var mu sync.Mutex
-	finished := 0
-	nplans := 0
+	finished, nplans := 0, 0
 	lb := countingLB{plans: &nplans}
-	j, err := NewJob(m, ranks, Options{}, func(r *Rank) {
-		// Epoch 1: even ranks heavy.
-		work := 1000.0
-		if r.Rank()%2 == 0 {
-			work = 50000
-		}
-		r.Work(work)
-		if _, err := r.Migrate(lb); err != nil {
-			t.Errorf("epoch 1: %v", err)
-			return
-		}
-		// Epoch 2: odd ranks heavy — the opposite skew.
-		work = 1000.0
-		if r.Rank()%2 == 1 {
-			work = 50000
-		}
-		r.Work(work)
-		if _, err := r.Migrate(lb); err != nil {
-			t.Errorf("epoch 2: %v", err)
-			return
-		}
-		mu.Lock()
-		finished++
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
+	skew := func(heavy int) Proc {
+		return Do(func(pc *PC) {
+			if pc.Rank()%2 == heavy {
+				pc.Work(50000)
+			} else {
+				pc.Work(1000)
+			}
+		})
 	}
-	j.Run()
+	_, m := runProg(t, 2, ranks, Options{}, Seq(
+		skew(0), Migrate(lb), // epoch 1: even ranks heavy
+		skew(1), Migrate(lb), // epoch 2: odd ranks heavy — the opposite skew
+		Do(func(*PC) { finished++ }),
+	))
 	if finished != ranks {
 		t.Fatalf("finished = %d", finished)
 	}
@@ -500,23 +570,11 @@ func TestMultipleEpochs(t *testing.T) {
 	if nplans != 2 {
 		t.Errorf("epochs planned = %d, want 2", nplans)
 	}
-	count, _ := m.MigrationStats()
-	if count == 0 {
+	if count, _ := m.MigrationStats(); count == 0 {
 		t.Error("no migrations across epochs")
 	}
 }
 
 func TestMigrateNilStrategy(t *testing.T) {
-	m := newMachine(t, 1, nil)
-	var got error
-	j, err := NewJob(m, 1, Options{}, func(r *Rank) {
-		_, got = r.Migrate(nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if got == nil {
-		t.Error("nil strategy accepted")
-	}
+	wantPanic(t, "Migrate(nil)", panicOf(func() { Migrate(nil) }), "nil strategy")
 }

@@ -3,33 +3,15 @@ package ampi
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 )
 
 func TestBcast(t *testing.T) {
-	m := newMachine(t, 2, nil)
 	const ranks = 5
-	var mu sync.Mutex
 	got := make([][]byte, ranks)
-	j, err := NewJob(m, ranks, Options{}, func(r *Rank) {
-		var data []byte
-		if r.Rank() == 2 {
-			data = []byte("from root two")
-		}
-		out, err := r.Bcast(2, data)
-		if err != nil {
-			t.Errorf("rank %d Bcast: %v", r.Rank(), err)
-			return
-		}
-		mu.Lock()
-		got[r.Rank()] = out
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
+	runProg(t, 2, ranks, Options{}, Bcast(2,
+		func(*PC) []byte { return []byte("from root two") },
+		func(pc *PC, b []byte) { got[pc.Rank()] = b }))
 	for rk, d := range got {
 		if string(d) != "from root two" {
 			t.Errorf("rank %d got %q", rk, d)
@@ -37,82 +19,47 @@ func TestBcast(t *testing.T) {
 	}
 }
 
+// TestBcastBadRoot: a collective rooted outside the job is a program
+// bug, reported by name when the rank starts it.
 func TestBcastBadRoot(t *testing.T) {
-	m := newMachine(t, 1, nil)
-	var errs error
-	j, err := NewJob(m, 1, Options{}, func(r *Rank) {
-		_, errs = r.Bcast(5, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if errs == nil {
-		t.Error("bad root accepted")
-	}
+	got := runPanics(t, 1, Bcast(5, func(*PC) []byte { return nil }, nil))
+	wantPanic(t, "Bcast(5) on 1 rank", got, "Bcast root 5 of 1")
 }
 
 func TestReduceAtRoot(t *testing.T) {
-	m := newMachine(t, 2, nil)
 	const ranks = 6
-	var rootGot float64
-	j, err := NewJob(m, ranks, Options{}, func(r *Rank) {
-		v, err := r.Reduce(0, "max", float64(r.Rank()*10))
-		if err != nil {
-			t.Errorf("Reduce: %v", err)
-			return
-		}
-		if r.Rank() == 0 {
+	rootGot, calls := -1.0, 0
+	runProg(t, 2, ranks, Options{}, Reduce(0, "max",
+		func(pc *PC) float64 { return float64(pc.Rank() * 10) },
+		func(pc *PC, v float64) {
+			calls++
+			if pc.Rank() != 0 {
+				t.Errorf("non-root rank %d got %g", pc.Rank(), v)
+			}
 			rootGot = v
-		} else if v != 0 {
-			t.Errorf("non-root rank %d got %g", r.Rank(), v)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if rootGot != 50 {
-		t.Errorf("root max = %g, want 50", rootGot)
+		}))
+	if rootGot != 50 || calls != 1 {
+		t.Errorf("root max = %g after %d deliveries, want 50 once", rootGot, calls)
 	}
 }
 
 func TestGatherScatter(t *testing.T) {
-	m := newMachine(t, 3, nil)
 	const ranks = 4
 	var gathered [][]byte
-	var mu sync.Mutex
-	scattered := make(map[int]string)
-	j, err := NewJob(m, ranks, Options{}, func(r *Rank) {
+	scattered := make([]string, ranks)
+	runProg(t, 3, ranks, Options{}, Seq(
 		// Gather rank names at root 1.
-		out, err := r.Gather(1, []byte(fmt.Sprintf("rank-%d", r.Rank())))
-		if err != nil {
-			t.Errorf("Gather: %v", err)
-			return
-		}
-		if r.Rank() == 1 {
-			gathered = out
-		}
+		Gather(1, func(pc *PC) []byte { return []byte(fmt.Sprintf("rank-%d", pc.Rank())) },
+			func(_ *PC, parts [][]byte) { gathered = parts }),
 		// Scatter chunks from root 1.
-		var chunks [][]byte
-		if r.Rank() == 1 {
-			for i := 0; i < ranks; i++ {
+		Scatter(1, func(pc *PC) [][]byte {
+			var chunks [][]byte
+			for i := 0; i < pc.Size(); i++ {
 				chunks = append(chunks, []byte(fmt.Sprintf("chunk-%d", i)))
 			}
-		}
-		c, err := r.Scatter(1, chunks)
-		if err != nil {
-			t.Errorf("Scatter: %v", err)
-			return
-		}
-		mu.Lock()
-		scattered[r.Rank()] = string(c)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
+			return chunks
+		}, func(pc *PC, c []byte) { scattered[pc.Rank()] = string(c) }),
+	))
 	if len(gathered) != ranks {
 		t.Fatalf("gathered %d", len(gathered))
 	}
@@ -128,52 +75,23 @@ func TestGatherScatter(t *testing.T) {
 	}
 }
 
+// TestScatterValidation: a root whose chunk list does not hold one
+// chunk per rank stops the job, by name.
 func TestScatterValidation(t *testing.T) {
-	m := newMachine(t, 1, nil)
-	var err1 error
-	j, err := NewJob(m, 2, Options{}, func(r *Rank) {
-		if r.Rank() == 0 {
-			_, err1 = r.Scatter(0, [][]byte{{1}}) // wrong chunk count
-			// Unblock rank 1 (its Scatter waits for a chunk).
-			_ = r.Send(1, 0, nil)
-		} else {
-			_, _, _ = r.Recv(0, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rank 1 would block in Scatter; to keep it simple rank 1 never
-	// calls Scatter in this test.
-	j.Run()
-	if err1 == nil {
-		t.Error("wrong chunk count accepted")
-	}
+	got := runPanics(t, 2, Scatter(0, func(*PC) [][]byte { return [][]byte{{1}} }, nil))
+	wantPanic(t, "Scatter with 1 chunk for 2 ranks", got, "Scatter: 1 chunks for 2 ranks")
 }
 
 func TestAlltoall(t *testing.T) {
-	m := newMachine(t, 2, nil)
 	const ranks = 4
-	var mu sync.Mutex
-	results := make(map[int][][]byte)
-	j, err := NewJob(m, ranks, Options{}, func(r *Rank) {
-		chunks := make([][]byte, ranks)
+	results := make([][][]byte, ranks)
+	runProg(t, 2, ranks, Options{}, Alltoall(func(pc *PC) [][]byte {
+		chunks := make([][]byte, pc.Size())
 		for i := range chunks {
-			chunks[i] = []byte(fmt.Sprintf("%d->%d", r.Rank(), i))
+			chunks[i] = []byte(fmt.Sprintf("%d->%d", pc.Rank(), i))
 		}
-		out, err := r.Alltoall(chunks)
-		if err != nil {
-			t.Errorf("Alltoall: %v", err)
-			return
-		}
-		mu.Lock()
-		results[r.Rank()] = out
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
+		return chunks
+	}, func(pc *PC, out [][]byte) { results[pc.Rank()] = out }))
 	for rk := 0; rk < ranks; rk++ {
 		for from := 0; from < ranks; from++ {
 			want := fmt.Sprintf("%d->%d", from, rk)
@@ -184,30 +102,22 @@ func TestAlltoall(t *testing.T) {
 	}
 }
 
+// TestSendrecvRing is the halo-exchange pattern Sendrecv names, with
+// per-rank peers: an eager send to the next rank, then a blocking
+// receive from the previous one, is deadlock-free on a ring.
 func TestSendrecvRing(t *testing.T) {
-	m := newMachine(t, 2, nil)
 	const ranks = 5
-	var mu sync.Mutex
-	froms := make(map[int]int)
-	j, err := NewJob(m, ranks, Options{}, func(r *Rank) {
-		next := (r.Rank() + 1) % ranks
-		prev := (r.Rank() + ranks - 1) % ranks
-		data, from, err := r.Sendrecv(next, 3, []byte{byte(r.Rank())}, prev, 3)
-		if err != nil {
-			t.Errorf("Sendrecv: %v", err)
-			return
-		}
-		if int(data[0]) != prev {
-			t.Errorf("rank %d payload from %d", r.Rank(), data[0])
-		}
-		mu.Lock()
-		froms[r.Rank()] = from
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
+	froms := make([]int, ranks)
+	runProg(t, 2, ranks, Options{}, Seq(
+		Do(func(pc *PC) { pc.Send((pc.Rank()+1)%ranks, 3, []byte{byte(pc.Rank())}) }),
+		RecvFrom(func(pc *PC) int { return (pc.Rank() + ranks - 1) % ranks }, 3,
+			func(pc *PC, data []byte, from int) {
+				if int(data[0]) != from {
+					t.Errorf("rank %d payload %d from %d", pc.Rank(), data[0], from)
+				}
+				froms[pc.Rank()] = from
+			}),
+	))
 	for rk, from := range froms {
 		if from != (rk+ranks-1)%ranks {
 			t.Errorf("rank %d got from %d", rk, from)
@@ -215,101 +125,85 @@ func TestSendrecvRing(t *testing.T) {
 	}
 }
 
+// TestNonblocking: an eager Isend is complete at once; an Irecv posted
+// before compute completes at Waitall, and waiting again changes
+// nothing.
 func TestNonblocking(t *testing.T) {
-	m := newMachine(t, 2, nil)
-	j, err := NewJob(m, 2, Options{}, func(r *Rank) {
-		if r.Rank() == 0 {
-			req, err := r.Isend(1, 9, []byte("overlapped"))
-			if err != nil {
-				t.Errorf("Isend: %v", err)
-				return
+	var first []byte
+	reqs := func(pc *PC) []*Req { return pc.Local.(*mixState).reqs }
+	runProg(t, 2, 2, Options{}, Seq(
+		Do(func(pc *PC) {
+			var q *Req
+			if pc.Rank() == 0 {
+				if q = pc.Isend(1, 9, []byte("overlapped")); !q.Done() {
+					t.Error("eager Isend should be complete")
+				}
+			} else {
+				q = pc.Irecv(0, 9)
+				pc.Work(1000) // "overlap" computation
 			}
-			if !req.Test() {
-				t.Error("eager Isend should be complete")
+			pc.Local = &mixState{reqs: []*Req{q}}
+		}),
+		Waitall(reqs),
+		Do(func(pc *PC) {
+			if q := reqs(pc)[0]; pc.Rank() == 1 {
+				if !q.Done() || string(q.Data) != "overlapped" || q.From != 0 {
+					t.Errorf("Waitall = %v/%q/%d", q.Done(), q.Data, q.From)
+				}
+				first = q.Data
 			}
-			if err := r.Waitall([]*Request{req}); err != nil {
-				t.Errorf("Waitall: %v", err)
+		}),
+		// Waiting again returns the same completed result.
+		Waitall(reqs),
+		Do(func(pc *PC) {
+			if q := reqs(pc)[0]; pc.Rank() == 1 && !bytes.Equal(q.Data, first) {
+				t.Error("second Waitall changed the result")
 			}
-		} else {
-			req, err := r.Irecv(0, 9)
-			if err != nil {
-				t.Errorf("Irecv: %v", err)
-				return
-			}
-			r.Work(1000) // "overlap" computation
-			data, from, err := r.Wait(req)
-			if err != nil || string(data) != "overlapped" || from != 0 {
-				t.Errorf("Wait = %q/%d/%v", data, from, err)
-			}
-			// Waiting again returns the same completed result.
-			if d2, _, _ := r.Wait(req); !bytes.Equal(d2, data) {
-				t.Error("second Wait changed result")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if !j.Done() {
-		t.Fatal("job hung")
-	}
+		}),
+	))
 }
 
+// TestNonblockingValidation: program sends and receives take user tags
+// only, and a negative one panics by name.
 func TestNonblockingValidation(t *testing.T) {
-	m := newMachine(t, 1, nil)
-	j, err := NewJob(m, 2, Options{}, func(r *Rank) {
-		if r.Rank() != 0 {
+	runProg(t, 1, 2, Options{}, Do(func(pc *PC) {
+		if pc.Rank() != 0 {
 			return
 		}
-		if _, err := r.Isend(1, -1, nil); err == nil {
-			t.Error("negative Isend tag accepted")
-		}
-		if _, err := r.Irecv(0, -5); err == nil {
-			t.Error("negative Irecv tag accepted")
-		}
-		// Wait on another rank's request.
-		other := &Request{rank: r.job.Rank(1)}
-		if _, _, err := r.Wait(other); err == nil {
-			t.Error("cross-rank Wait accepted")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
+		wantPanic(t, "Isend tag -1", panicOf(func() { pc.Isend(1, -1, nil) }), "Isend tag -1")
+		wantPanic(t, "Irecv tag -5", panicOf(func() { pc.Irecv(0, -5) }), "Irecv tag -5")
+	}))
 }
 
+// TestIrecvTestBeforeArrival: a posted receive is not done before its
+// message exists, and completes at Waitall once the peer sends.
 func TestIrecvTestBeforeArrival(t *testing.T) {
-	m := newMachine(t, 2, nil)
-	j, err := NewJob(m, 2, Options{}, func(r *Rank) {
-		if r.Rank() == 1 {
-			req, err := r.Irecv(0, 4)
-			if err != nil {
-				t.Error(err)
-				return
+	reqs := func(pc *PC) []*Req { return pc.Local.(*mixState).reqs }
+	runProg(t, 2, 2, Options{}, Seq(
+		Do(func(pc *PC) {
+			pc.Local = &mixState{}
+			if pc.Rank() == 1 {
+				q := pc.Irecv(0, 4)
+				if q.Done() {
+					t.Error("Irecv done before any message")
+				}
+				pc.Local.(*mixState).reqs = []*Req{q}
+				pc.Send(0, 5, nil) // tell rank 0 to send, then wait
 			}
-			if req.Test() {
-				t.Error("Test true before any message")
+		}),
+		RecvEach(func(pc *PC) []int {
+			if pc.Rank() == 0 {
+				return []int{1}
 			}
-			// Tell rank 0 to send, then wait.
-			if err := r.Send(0, 5, nil); err != nil {
-				t.Error(err)
-				return
+			return nil
+		}, 5, func(pc *PC, _ []byte, _ int) { pc.Send(1, 4, []byte("now")) }),
+		Waitall(reqs),
+		Do(func(pc *PC) {
+			if pc.Rank() == 1 {
+				if q := reqs(pc)[0]; !q.Done() || string(q.Data) != "now" {
+					t.Errorf("Waitall = %v/%q", q.Done(), q.Data)
+				}
 			}
-			if _, _, err := r.Wait(req); err != nil {
-				t.Error(err)
-			}
-		} else {
-			_, _, _ = r.Recv(1, 5)
-			_ = r.Send(1, 4, []byte("now"))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if !j.Done() {
-		t.Fatal("job hung")
-	}
+		}),
+	))
 }

@@ -9,31 +9,11 @@ import (
 	"migflow/internal/loadbalance"
 )
 
-// Migrate is MPI_Migrate: a collective load-balancing point. Every
-// rank must call it. The rank parks at the job's LB gate — the same
-// gate the Migrate Proc uses — and when the last rank arrives the
-// Run/RunParallel driver measures each rank's CPU time since the
-// previous gate, plans once with strategy, moves the parked threads
-// (isomalloc + swap-global, so the "application" code above this call
-// never changes — the §4.5 configuration) and resumes every rank on
-// its assigned PE. It returns the number of ranks that step moved.
-func (r *Rank) Migrate(strategy loadbalance.Strategy) (int, error) {
-	if strategy == nil {
-		return 0, fmt.Errorf("ampi: Migrate: nil strategy")
-	}
-	// No gate is serviced before this rank arrives, so the total read
-	// here is the same on every rank.
-	before := r.job.LBMoved()
-	r.job.gateSetStrategy(strategy)
-	r.parkAtGate()
-	return r.job.LBMoved() - before, nil
-}
-
-// parkAtGate suspends the rank's thread at the LB gate until the
-// driver's serviceGate has rebalanced (moving it, suspended, through
-// the ordinary bulk path) and Awakens it. Coalesced sends are flushed
-// first: the gate is a block like any other, and it is serviced only
-// once nothing is left in flight.
+// parkAtGate suspends the rank's thread at the LB gate (the Migrate
+// Proc, MPI_Migrate) until the driver's serviceGate has rebalanced
+// (moving it, suspended, through the ordinary bulk path) and Awakens
+// it. Coalesced sends are flushed first: the gate is a block like any
+// other, and it is serviced only once nothing is left in flight.
 func (r *Rank) parkAtGate() {
 	r.flushStream()
 	r.job.gateArrive()
@@ -55,7 +35,7 @@ func (j *Job) collectLoads(buf []loadbalance.Item) []loadbalance.Item {
 // Rebalance is the runtime-driven balancing mode: called from
 // *outside* the job at a quiescent point (or by the Migrate gate's
 // driver), it plans over the measured loads and moves ranks with
-// forced migration — no MPI_Migrate call appears in the application
+// forced migration — no Migrate statement appears in the application
 // at all. One strategy serves both backends: ULT ranks move as
 // threads (stack images through the bulk pipeline), event ranks as
 // continuation records — the SAME core.Machine.MigrateMany batch
@@ -154,12 +134,6 @@ func (j *Job) CommGraph() []loadbalance.Edge {
 		})
 	}
 	return edges
-}
-
-// LoadDatabase returns the current measured loads (for harness
-// reporting). The returned slice is the caller's to keep.
-func (j *Job) LoadDatabase() []loadbalance.Item {
-	return j.collectLoads(make([]loadbalance.Item, 0, len(j.ranks)))
 }
 
 // PELoads sums the measured load per PE.

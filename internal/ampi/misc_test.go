@@ -1,25 +1,23 @@
 package ampi
 
-import (
-	"testing"
+import "testing"
 
-	"migflow/internal/loadbalance"
-)
-
+// TestYieldAndWtime: MPI_Yield inside a statement interleaves two
+// single-rank thread jobs on one PE, and the PE clock MPI_Wtime reads
+// advances by the work done in between.
 func TestYieldAndWtime(t *testing.T) {
 	m := newMachine(t, 1, nil)
 	var order []int
 	var t0, t1 float64
 	for id := 0; id < 2; id++ {
-		id := id
-		j, err := NewJob(m, 1, Options{}, func(r *Rank) {
+		j, err := NewProgram(m, 1, Options{}, Do(func(pc *PC) {
 			order = append(order, id)
-			t0 = r.Wtime()
-			r.Yield() // MPI_Yield: let the other job's rank run
-			r.Work(1e6)
-			t1 = r.Wtime()
+			t0 = m.PE(pc.PE()).Clock.Now()
+			pc.Yield() // let the other job's rank run
+			pc.Work(1e6)
+			t1 = m.PE(pc.PE()).Clock.Now()
 			order = append(order, id)
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,11 +31,8 @@ func TestYieldAndWtime(t *testing.T) {
 	if order[0] == order[1] {
 		t.Errorf("no interleave: %v", order)
 	}
-	if !(t1 > t0) {
-		t.Errorf("Wtime did not advance: %g → %g", t0, t1)
-	}
-	if t1-t0 < 1e-3 { // 1e6 ns = 1e-3 s
-		t.Errorf("Wtime delta %g s, want ≥ 0.001", t1-t0)
+	if t1-t0 < 1e6 {
+		t.Errorf("PE clock advanced %g ns across Work(1e6)", t1-t0)
 	}
 }
 
@@ -75,54 +70,28 @@ func TestCombinerOps(t *testing.T) {
 	}
 }
 
+// TestReduceBadRootAndOp: an unknown op fails when the statement is
+// built; a root outside the job, or an Alltoall without one chunk per
+// rank, when a rank runs it.
 func TestReduceBadRootAndOp(t *testing.T) {
-	m := newMachine(t, 1, nil)
-	j, err := NewJob(m, 1, Options{}, func(r *Rank) {
-		if _, err := r.Reduce(9, "sum", 1); err == nil {
-			t.Error("bad Reduce root accepted")
-		}
-		if _, err := r.Reduce(0, "median", 1); err == nil {
-			t.Error("bad Reduce op accepted")
-		}
-		if _, err := r.Gather(9, nil); err == nil {
-			t.Error("bad Gather root accepted")
-		}
-		if _, err := r.Scatter(9, nil); err == nil {
-			t.Error("bad Scatter root accepted")
-		}
-		if _, err := r.Alltoall(nil); err == nil {
-			t.Error("bad Alltoall chunks accepted")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
+	val := func(*PC) float64 { return 1 }
+	wantPanic(t, "Reduce(0, median)", panicOf(func() { Reduce(0, "median", val, nil) }), `unknown reduction op "median"`)
+	wantPanic(t, "Reduce(9)", runPanics(t, 1, Reduce(9, "sum", val, nil)), "Reduce root 9 of 1")
+	wantPanic(t, "Gather(9)", runPanics(t, 1, Gather(9, func(*PC) []byte { return nil }, nil)), "Gather root 9 of 1")
+	wantPanic(t, "Scatter(9)", runPanics(t, 1, Scatter(9, func(*PC) [][]byte { return nil }, nil)), "Scatter root 9 of 1")
+	wantPanic(t, "Alltoall(nil)", runPanics(t, 1, Alltoall(func(*PC) [][]byte { return nil }, nil)), "Alltoall: 0 chunks for 1 ranks")
 }
 
 func TestSendrecvBadArgs(t *testing.T) {
-	m := newMachine(t, 1, nil)
-	j, err := NewJob(m, 1, Options{}, func(r *Rank) {
-		if _, _, err := r.Sendrecv(99, 1, nil, 0, 1); err == nil {
-			t.Error("bad Sendrecv dest accepted")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
+	got := runPanics(t, 1, Sendrecv(99, 1, func(*PC) []byte { return nil }, 0, 1, nil))
+	wantPanic(t, "Sendrecv to rank 99", got, "rank 99 of 1")
 }
 
+// TestLoadDatabaseShape: the load database an LB step reads holds one
+// sample per rank carrying the work it did, and sums per PE.
 func TestLoadDatabaseShape(t *testing.T) {
-	m := newMachine(t, 2, nil)
-	j, err := NewJob(m, 4, Options{}, func(r *Rank) {
-		r.Work(float64(1000 * (r.Rank() + 1)))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	db := j.LoadDatabase()
+	j, _ := runProg(t, 2, 4, Options{}, Do(func(pc *PC) { pc.Work(float64(1000 * (pc.Rank() + 1))) }))
+	db := j.collectLoads(nil)
 	if len(db) != 4 {
 		t.Fatalf("db = %v", db)
 	}
@@ -133,8 +102,8 @@ func TestLoadDatabaseShape(t *testing.T) {
 	if total != 1000+2000+3000+4000 {
 		t.Errorf("total load = %g", total)
 	}
-	if loads := j.PELoads(); len(loads) != 2 {
+	loads := j.PELoads()
+	if len(loads) != 2 || loads[0]+loads[1] != total {
 		t.Errorf("PELoads = %v", loads)
 	}
-	_ = loadbalance.Imbalance(j.PELoads())
 }

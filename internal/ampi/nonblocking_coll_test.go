@@ -49,111 +49,56 @@ func ncOutPUP(p *pup.PUPer, local any) (any, error) {
 	return o, nil
 }
 
-// TestThreadNonblockingMatchesBlocking runs the full collective set
-// through the thread (Rank) API twice — once blocking, once as
-// Ixxx + Wait — and demands identical results and identical modeled
-// time under every topology: the blocking calls are their start plus
-// wait, so splitting them may not change a single charge.
+// TestThreadNonblockingMatchesBlocking runs the full collective set on
+// thread (ULT) ranks twice — once through the blocking combinators,
+// once as each one's (start, wait) pair back to back — and demands
+// identical results, per-rank VT and PE clocks under every topology:
+// a blocking collective is its start plus its wait, so splitting it
+// may not change a single charge.
 func TestThreadNonblockingMatchesBlocking(t *testing.T) {
 	const ranks, root = 12, 3
-	run := func(algo CollAlgo, split bool) ([]ncOut, float64) {
-		m := newMachine(t, 4, nil)
+	val := func(k int) func(*PC) float64 { return func(pc *PC) float64 { return float64(pc.Rank() * k) } }
+	seed := func(*PC) []byte { return []byte("split-phase") }
+	mine := func(pc *PC) []byte { return []byte{byte(pc.Rank())} }
+	setAll := func(pc *PC, v float64) { pc.Local.(*ncOut).allred = v }
+	setRed := func(pc *PC, v float64) { pc.Local.(*ncOut).red = v }
+	setBc := func(pc *PC, b []byte) { pc.Local.(*ncOut).bcast = b }
+	setGa := func(pc *PC, parts [][]byte) { pc.Local.(*ncOut).parts = parts }
+	split := func(start, wait Proc) Proc { return Seq(start, wait) }
+	run := func(algo CollAlgo, body Proc) ([]ncOut, float64) {
 		out := make([]ncOut, ranks)
-		var mu sync.Mutex
-		j, err := NewJob(m, ranks, Options{Collectives: algo, TreeArity: 2, MsgOverheadNs: 500}, func(r *Rank) {
-			var o ncOut
-			var seed []byte
-			if r.Rank() == root {
-				seed = []byte("split-phase")
-			}
-			if split {
-				if q, err := r.Ibarrier(); err != nil {
-					t.Error(err)
-					return
-				} else if err := q.Wait(); err != nil {
-					t.Error(err)
-					return
-				}
-				q, err := r.Iallreduce("sum", float64(r.Rank()+1))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := q.Wait(); err != nil {
-					t.Error(err)
-					return
-				}
-				o.allred = q.Value
-				if q, err = r.Ireduce(root, "max", float64(r.Rank()*3)); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := q.Wait(); err != nil {
-					t.Error(err)
-					return
-				}
-				o.red = q.Value
-				if q, err = r.Ibcast(root, seed); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := q.Wait(); err != nil {
-					t.Error(err)
-					return
-				}
-				o.bcast = q.Data
-				if q, err = r.Igather(root, []byte{byte(r.Rank())}); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := q.Wait(); err != nil {
-					t.Error(err)
-					return
-				}
-				o.parts = q.Parts
-			} else {
-				if err := r.Barrier(); err != nil {
-					t.Error(err)
-					return
-				}
-				var err error
-				if o.allred, err = r.Allreduce("sum", float64(r.Rank()+1)); err != nil {
-					t.Error(err)
-					return
-				}
-				if o.red, err = r.Reduce(root, "max", float64(r.Rank()*3)); err != nil {
-					t.Error(err)
-					return
-				}
-				if o.bcast, err = r.Bcast(root, seed); err != nil {
-					t.Error(err)
-					return
-				}
-				if o.parts, err = r.Gather(root, []byte{byte(r.Rank())}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			mu.Lock()
-			out[r.Rank()] = o
-			mu.Unlock()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.Run()
-		if !j.Done() {
-			t.Fatal("job deadlocked")
-		}
+		_, m := runProg(t, 4, ranks, Options{Collectives: algo, TreeArity: 2, MsgOverheadNs: 500}, Seq(
+			Do(func(pc *PC) { pc.Local = &ncOut{} }),
+			body,
+			Do(func(pc *PC) {
+				out[pc.Rank()] = *pc.Local.(*ncOut)
+				out[pc.Rank()].vt = pc.VT()
+			}),
+		))
 		return out, m.MaxTime()
 	}
 	for _, algo := range []CollAlgo{CollTree, CollFlat, CollTopoTree} {
-		blk, blkT := run(algo, false)
-		spl, splT := run(algo, true)
+		blk, blkT := run(algo, Seq(
+			Barrier(),
+			Allreduce("sum", val(1), setAll),
+			Reduce(root, "max", val(3), setRed),
+			Bcast(root, seed, setBc),
+			Gather(root, mine, setGa),
+		))
+		spl, splT := run(algo, Seq(
+			split(Ibarrier()),
+			split(Iallreduce("sum", val(1), setAll)),
+			split(Ireduce(root, "max", val(3), setRed)),
+			split(Ibcast(root, seed, setBc)),
+			split(Igather(root, mine, setGa)),
+		))
 		if math.Float64bits(blkT) != math.Float64bits(splT) {
-			t.Errorf("%s: modeled time diverged: blocking %g, split %g", algoName(algo), blkT, splT)
+			t.Errorf("%s: PE clocks diverged: blocking %g, split %g", algoName(algo), blkT, splT)
 		}
 		for rk := range blk {
+			if math.Float64bits(blk[rk].vt) != math.Float64bits(spl[rk].vt) {
+				t.Errorf("%s: rank %d VT diverged: %g vs %g", algoName(algo), rk, blk[rk].vt, spl[rk].vt)
+			}
 			if blk[rk].allred != spl[rk].allred || blk[rk].red != spl[rk].red {
 				t.Errorf("%s: rank %d reductions diverged: %+v vs %+v", algoName(algo), rk, blk[rk], spl[rk])
 			}
@@ -167,56 +112,27 @@ func TestThreadNonblockingMatchesBlocking(t *testing.T) {
 	}
 }
 
-// TestThreadIcollOverlapWindow pins the point of the split: Test on
-// an unfinished CollRequest is answerable (Done is false before Wait,
-// true after), a leaf's contribution is already in flight at start,
-// and interleaving independent point-to-point traffic between start
-// and wait neither corrupts the collective nor the messages.
+// TestThreadIcollOverlapWindow pins the point of the split on thread
+// ranks: a leaf's contribution is in flight at start, and interleaving
+// independent point-to-point traffic between start and wait corrupts
+// neither the collective nor the messages.
 func TestThreadIcollOverlapWindow(t *testing.T) {
 	const ranks = 8
-	m := newMachine(t, 2, nil)
-	var mu sync.Mutex
 	sums := make([]float64, ranks)
-	j, err := NewJob(m, ranks, Options{Collectives: CollTree}, func(r *Rank) {
-		q, err := r.Iallreduce("sum", 1)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if q.Done() {
-			t.Errorf("rank %d: request done before Wait", r.Rank())
-		}
+	start, wait := Iallreduce("sum", func(*PC) float64 { return 1 },
+		func(pc *PC, v float64) { sums[pc.Rank()] = v })
+	runProg(t, 2, ranks, Options{Collectives: CollTree}, Seq(
+		start,
 		// Unrelated halo traffic inside the overlap window.
-		peer := (r.Rank() + 1) % ranks
-		if err := r.Send(peer, 7, []byte{byte(r.Rank())}); err != nil {
-			t.Error(err)
-			return
-		}
-		if data, _, err := r.Recv((r.Rank()+ranks-1)%ranks, 7); err != nil || data[0] != byte((r.Rank()+ranks-1)%ranks) {
-			t.Errorf("rank %d: halo inside window broken: %v %v", r.Rank(), data, err)
-			return
-		}
-		if err := q.Wait(); err != nil {
-			t.Error(err)
-			return
-		}
-		if !q.Done() {
-			t.Errorf("rank %d: request not done after Wait", r.Rank())
-		}
-		if err := q.Wait(); err != nil { // second Wait is a no-op
-			t.Error(err)
-		}
-		mu.Lock()
-		sums[r.Rank()] = q.Value
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if !j.Done() {
-		t.Fatal("job deadlocked")
-	}
+		Do(func(pc *PC) { pc.Send((pc.Rank()+1)%ranks, 7, []byte{byte(pc.Rank())}) }),
+		RecvFrom(func(pc *PC) int { return (pc.Rank() + ranks - 1) % ranks }, 7,
+			func(pc *PC, data []byte, from int) {
+				if len(data) != 1 || int(data[0]) != from {
+					t.Errorf("rank %d: halo inside window broken: %v from %d", pc.Rank(), data, from)
+				}
+			}),
+		wait,
+	))
 	for rk, v := range sums {
 		if v != ranks {
 			t.Errorf("rank %d sum = %g, want %d", rk, v, ranks)
@@ -383,8 +299,7 @@ func TestFinishWithCollectiveOutstanding(t *testing.T) {
 // rank 0 one byte with tag 7; rank 0 posts Recv(AnySource, AnyTag)
 // before joining the reduction. The receive must take the tag-7 byte,
 // not the runtime's own negative-tagged edge, and the reduction must
-// still complete, through the thread API and the program API in both
-// modes.
+// still complete, in both modes.
 func TestWildcardSkipsCollectiveTraffic(t *testing.T) {
 	const tag = 7
 	type result struct {
@@ -405,34 +320,6 @@ func TestWildcardSkipsCollectiveTraffic(t *testing.T) {
 			t.Errorf("%s: Allreduce results %v, want [3 3]", name, got.sums)
 		}
 	}
-
-	var thread result
-	job, err := NewJob(newMachine(t, 2, nil), 2, Options{}, func(r *Rank) {
-		if r.Rank() == 0 {
-			data, from, err := r.Recv(AnySource, AnyTag)
-			if err != nil {
-				panic(err)
-			}
-			thread.data, thread.from = bytes.Clone(data), from
-		}
-		q, err := r.Iallreduce("sum", float64(r.Rank()+1))
-		if err != nil {
-			panic(err)
-		}
-		if r.Rank() == 1 {
-			if err := r.Send(0, tag, []byte{tag}); err != nil {
-				panic(err)
-			}
-		}
-		if err := q.Wait(); err != nil {
-			panic(err)
-		}
-		thread.sums[r.Rank()] = q.Value
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("thread API", job, &thread)
 
 	for _, mode := range []string{ModeULT, ModeEvent} {
 		var prog result

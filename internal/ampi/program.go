@@ -14,9 +14,8 @@ package ampi
 // tree is interpreted by two backends selected with Options.Mode:
 //
 //   - ModeULT: each rank is a migratable user-level thread; Recv and
-//     the collectives block the thread exactly like the classic Rank
-//     API, and each activation pays the platform's thread-switch
-//     curve.
+//     the collectives block the thread, and each activation pays the
+//     platform's thread-switch curve.
 //   - ModeEvent: each rank is a small state struct in a contiguous
 //     per-job store (event.go); a blocking point leaves the rank's
 //     frame stack where it is and returns to the owning PE's loop, and
@@ -255,13 +254,14 @@ func (pc *PC) sendRaw(dest, tag int, data []byte) {
 }
 
 // sendEdge is sendRaw along a collective tree edge: when a topology
-// is configured, the edge's torus hops are charged into vt and the
-// comm hop counter before the send. Hop distance is a pure function
-// of the two ranks and the job options, keeping vt mode-, placement-
-// and PE-count-invariant.
+// is configured, the edge's torus hops are charged into vt — never to
+// a PE clock — and counted in the comm hop counter before the send.
+// Hop distance is a pure function of the two ranks and the job
+// options, keeping vt mode-, placement- and PE-count-invariant.
 func (pc *PC) sendEdge(peer, tag int, data []byte) {
-	if ns := pc.job.chargeHops(pc.rank, peer); ns > 0 {
-		pc.vt += ns
+	if h := pc.job.edgeHops(pc.rank, peer); h > 0 {
+		pc.job.m.Network().ChargeTopoHops(uint64(h))
+		pc.vt += float64(h) * pc.job.opts.Topo.HopNs
 	}
 	pc.sendRaw(peer, tag, data)
 }
@@ -282,9 +282,8 @@ func (pc *PC) consume(m *comm.Message) {
 	}
 }
 
-// Req is a nonblocking-operation handle inside a program (the
-// continuation analogue of Rank's Request). Completed receives expose
-// Data and From.
+// Req is a nonblocking-operation handle inside a program (MPI_Request).
+// Completed receives expose Data and From.
 type Req struct {
 	done   bool
 	isRecv bool
@@ -314,8 +313,9 @@ func (pc *PC) Isend(dest, tag int, data []byte) *Req {
 	return &Req{done: true}
 }
 
-// Irecv posts a nonblocking receive for (src, tag) — matching happens
-// at Waitall, like the thread API's Irecv/Wait.
+// Irecv posts a nonblocking receive for (src, tag); matching happens
+// at Waitall. (Real MPI matches at arrival; for the post-compute-wait
+// pattern the semantics coincide.)
 func (pc *PC) Irecv(src, tag int) *Req {
 	if tag < 0 && tag != AnyTag {
 		panic(fmt.Sprintf("ampi: program Irecv tag %d must be ≥ 0 or AnyTag", tag))
@@ -451,10 +451,10 @@ func (r recvEachProc) step(pc *PC, f *frame) (Proc, bool) {
 
 type waitallProc struct{ reqs func(*PC) []*Req }
 
-// Waitall completes every request returned by reqs, in order (like
-// the thread API's Waitall): pending receives block and fill their
-// Data/From; nil or completed entries are skipped. reqs is read again
-// after a move, so it must return requests kept in Local (see Req.Pup).
+// Waitall completes every request returned by reqs, in order: pending
+// receives block and fill their Data/From; nil or completed entries are
+// skipped. reqs is read again after a move, so it must return requests
+// kept in Local (see Req.Pup).
 func Waitall(reqs func(*PC) []*Req) Proc { return waitallProc{reqs} }
 
 func (wp waitallProc) step(pc *PC, f *frame) (Proc, bool) {
@@ -623,9 +623,25 @@ func (pc *PC) outstanding() *collSite {
 	return nil
 }
 
+// newRun makes the rank's state for site: its family in the job's
+// topology and the cursor at the start. A root outside the job is a
+// program bug, so it panics by name.
+func (pc *PC) newRun(site *collSite) *collRun {
+	if site.root < 0 || site.root >= pc.Size() {
+		panic(fmt.Sprintf("ampi: rank %d: %s root %d of %d", pc.rank, site.name, site.root, pc.Size()))
+	}
+	run := &collRun{site: site}
+	run.kind, run.combine = site.kind, site.combine
+	run.parent, run.children = collFamily(site.kind, pc.rank, pc.Size(), &pc.job.opts, site.root)
+	return run
+}
+
 // advance executes the schedule from the cursor and reports whether it
 // reached the end: sends go out, receives park the flow one at a time
 // — or, with block false (the start half), stop the walk at the first.
+// It is the one collective executor: both backends run every
+// combinator through it, and Rank.Allreduce runs its schedule to the
+// end in one call.
 func (run *collRun) advance(pc *PC, block bool) bool {
 	for {
 		a, ok := run.at(run.next)
@@ -669,10 +685,8 @@ func (sp collStartProc) step(pc *PC, _ *frame) (Proc, bool) {
 	site := sp.site
 	run := pc.collAt(site)
 	if run == nil {
-		run = &collRun{site: site, link: pc.colls}
-		run.kind, run.combine = site.kind, site.combine
-		run.parent, run.children = collFamily(site.kind, pc.rank, pc.Size(), &pc.job.opts, site.root)
-		pc.colls = run
+		run = pc.newRun(site)
+		run.link, pc.colls = pc.colls, run
 	} else if run.active {
 		panic(fmt.Sprintf("ampi: rank %d: %s started again before its wait completed", pc.rank, site.name))
 	}
@@ -872,10 +886,12 @@ func mustCombiner(op string) func(a, b float64) float64 {
 // Job plumbing
 
 // NewProgram creates size ranks on machine m, each running the shared
-// continuation program prog under the mode selected by opts.Mode. In
-// ULT mode every rank is a migratable thread interpreting prog; in
-// event mode ranks are contiguous state structs dispatched by their
-// PEs' loops (event.go).
+// continuation program prog under the mode selected by opts.Mode,
+// placed round-robin (or in blocks) over the PEs: "AMPI requires the
+// number of AMPI migratable threads to be much larger than the actual
+// number of processors". In ULT mode every rank is a migratable thread
+// interpreting prog; in event mode ranks are contiguous state structs
+// dispatched by their PEs' loops (event.go).
 func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("ampi: NewProgram: nil program")
@@ -894,8 +910,8 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 	j.rankOf = make(map[comm.EntityID]int, size)
 	j.pcs = make([]*PC, size)
 	for r := 0; r < size; r++ {
-		rank := &Rank{job: j, rank: r}
 		pc := &PC{job: j, rank: r}
+		rank := &Rank{job: j, rank: r, pc: pc}
 		pc.be = ultBE{rank}
 		j.pcs[r] = pc
 		pe := m.PE(placePE(r, size, m.NumPEs(), j.opts.BlockPlacement))
@@ -904,8 +920,13 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 			StackSize: j.opts.StackSize,
 			Globals:   j.opts.Globals,
 		}, func(c *converse.Ctx) {
+			// Blocking points suspend the thread inside a step, so the
+			// one exec call returns only when the program is over.
 			rank.ctx = c
-			runProgram(pc, j.prog)
+			pc.start(j.prog)
+			if !pc.exec() {
+				panic(fmt.Sprintf("ampi: rank %d parked inside %T on the thread backend", pc.rank, pc.parkedIn()))
+			}
 			rank.flushStream()
 		})
 		if err != nil {
@@ -921,19 +942,9 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 	return j, nil
 }
 
-// runProgram interprets prog to completion on the calling thread (the
-// ULT backend): blocking points suspend the thread inside a step, so
-// the one exec call returns only when the program is over.
-func runProgram(pc *PC, prog Proc) {
-	pc.start(prog)
-	if !pc.exec() {
-		panic(fmt.Sprintf("ampi: rank %d parked inside %T on the thread backend", pc.rank, pc.parkedIn()))
-	}
-}
-
 // ultBE interprets program blocking points against the rank's thread:
-// recv parks the thread via the classic mailbox path, so the
-// scheduler charges the usual thread-switch curve per activation.
+// recv parks the thread on the rank's mailbox, so the scheduler charges
+// the usual thread-switch curve per activation.
 type ultBE struct{ r *Rank }
 
 func (b ultBE) send(pc *PC, dest, tag int, data []byte) {

@@ -1,10 +1,8 @@
 package ampi
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -135,78 +133,16 @@ func TestTopoHopsAtMostRankOrder(t *testing.T) {
 // exact in float64, so combine-order differences cannot hide behind
 // rounding.)
 func TestTopoTreeCollectivesAgree(t *testing.T) {
-	type outcome struct {
-		allred float64
-		red    float64
-		bcast  []byte
-		gather [][]byte
-	}
-	run := func(algo CollAlgo) []outcome {
-		m := newMachine(t, 4, nil)
-		const ranks, root = 24, 5
-		out := make([]outcome, ranks)
-		var mu sync.Mutex
-		j, err := NewJob(m, ranks, Options{
+	const ranks, root = 24, 5
+	run := func(algo CollAlgo) []collOutcome {
+		out := make([]collOutcome, ranks)
+		runProg(t, 4, ranks, Options{
 			Collectives: algo, TreeArity: 2, BlockPlacement: true,
 			Topo: Topology{Nodes: 4, GroupSize: 2},
-		}, func(r *Rank) {
-			ar, err := r.Allreduce("sum", float64(r.Rank()+1))
-			if err != nil {
-				t.Errorf("Allreduce: %v", err)
-				return
-			}
-			rd, err := r.Reduce(root, "max", float64(r.Rank()*2))
-			if err != nil {
-				t.Errorf("Reduce: %v", err)
-				return
-			}
-			var seed []byte
-			if r.Rank() == root {
-				seed = []byte("topo-vs-rank-order")
-			}
-			bc, err := r.Bcast(root, seed)
-			if err != nil {
-				t.Errorf("Bcast: %v", err)
-				return
-			}
-			ga, err := r.Gather(root, []byte{byte(r.Rank())})
-			if err != nil {
-				t.Errorf("Gather: %v", err)
-				return
-			}
-			mu.Lock()
-			out[r.Rank()] = outcome{allred: ar, red: rd, bcast: bc, gather: ga}
-			mu.Unlock()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.Run()
-		if !j.Done() {
-			t.Fatalf("algo %d: job deadlocked", algo)
-		}
+		}, collSet(root, "topo-vs-rank-order", out))
 		return out
 	}
-	topo, rank := run(CollTopoTree), run(CollTree)
-	for rk := range topo {
-		if topo[rk].allred != rank[rk].allred || topo[rk].allred != 300 {
-			t.Errorf("rank %d allreduce: topo %g rank-order %g want 300", rk, topo[rk].allred, rank[rk].allred)
-		}
-		if topo[rk].red != rank[rk].red {
-			t.Errorf("rank %d reduce: topo %g rank-order %g", rk, topo[rk].red, rank[rk].red)
-		}
-		if !bytes.Equal(topo[rk].bcast, rank[rk].bcast) {
-			t.Errorf("rank %d bcast: topo %q rank-order %q", rk, topo[rk].bcast, rank[rk].bcast)
-		}
-		if (rk == 5) != (topo[rk].gather != nil) {
-			t.Errorf("rank %d gather presence wrong", rk)
-		}
-		for i := range topo[rk].gather {
-			if !bytes.Equal(topo[rk].gather[i], rank[rk].gather[i]) {
-				t.Errorf("rank %d gather[%d]: topo %v rank-order %v", rk, i, topo[rk].gather[i], rank[rk].gather[i])
-			}
-		}
-	}
+	sameOutcomes(t, "topo", "rank-order", run(CollTopoTree), run(CollTree), root, 300)
 }
 
 // TestDirectCollectivesChargeNoHops pins the virtual time of Scatter
@@ -266,33 +202,11 @@ func TestTopoOptionValidation(t *testing.T) {
 	if _, err := NewJob(m, 2, Options{Topo: Topology{Nodes: 2, GroupSize: -3}}, func(*Rank) {}); err == nil {
 		t.Error("negative Topo.GroupSize accepted")
 	}
-	j, err := NewJob(m, 4, Options{Collectives: CollTopoTree}, func(r *Rank) {
-		if err := r.Barrier(); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Run()
-	if !j.Done() {
-		t.Fatal("CollTopoTree job with defaulted topology deadlocked")
-	}
-	if hops := m.Network().TopoHops(); hops == 0 {
+	// A defaulted CollTopoTree charges hops; a zero topology none.
+	if _, m := runProg(t, 2, 4, Options{Collectives: CollTopoTree}, Barrier()); m.Network().TopoHops() == 0 {
 		t.Error("defaulted CollTopoTree charged no hops")
 	}
-	// Zero topology = no hop accounting.
-	m2 := newMachine(t, 2, nil)
-	j2, err := NewJob(m2, 4, Options{}, func(r *Rank) {
-		if err := r.Barrier(); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Run()
-	if hops := m2.Network().TopoHops(); hops != 0 {
-		t.Errorf("topology-blind job charged %d hops", hops)
+	if _, m := runProg(t, 2, 4, Options{}, Barrier()); m.Network().TopoHops() != 0 {
+		t.Errorf("topology-blind job charged %d hops", m.Network().TopoHops())
 	}
 }

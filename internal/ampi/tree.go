@@ -28,9 +28,7 @@ import (
 // treeFamily returns rank's parent (-1 for the root) and children in
 // the k-ary collective tree of n ranks rooted at root. Ranks are
 // renumbered relative to root, so any root yields the same shape. It
-// is placement- and mode-independent — both the thread collectives
-// below and the continuation-program collectives (program.go) build
-// their trees here.
+// is placement- and mode-independent.
 func treeFamily(rank, n, k, root int) (parent int, children []int) {
 	rel := (rank - root + n) % n
 	parent = -1
@@ -203,13 +201,30 @@ func collFamily(kind collKind, rank, n int, opts *Options, root int) (parent int
 // sends to and receives from its family, in an order that encodes the
 // up-combine/down-broadcast dance. Nothing is built per execution: the
 // schedule is three values (kind, parent, children) and action i is
-// derived from the cursor. The thread requests (CollRequest,
-// nonblocking.go) and both program backends (collRun, program.go)
-// execute the same collState, and a blocking collective IS its
-// nonblocking start followed immediately by its wait — which is what
-// makes the two forms bit-identical by construction. Scatter and
-// Alltoall are the same machinery with per-peer payloads: two direct
-// rows whose star carries each rank's chunk straight to it.
+// derived from the cursor. One executor runs it, collRun.advance
+// (program.go), for both program backends and for Rank.Allreduce, and a
+// blocking collective IS its nonblocking start followed immediately by
+// its wait — which is what makes the two forms bit-identical by
+// construction. Scatter and Alltoall are the same machinery with
+// per-peer payloads: two direct rows whose star carries each rank's
+// chunk straight to it.
+
+// Collective tags: negative, so they never meet an application tag
+// (user tags are ≥ 0, and AnyTag matches those only).
+const (
+	tagBarrier = -100 - iota
+	tagBarrierRelease
+	tagReduce
+	tagReduceResult
+)
+
+const (
+	tagBcast = -200 - iota
+	tagReduceRoot
+	tagGather
+	tagScatter
+	tagAlltoall
+)
 
 // collKind names a collective's dance: which of the two phases it has,
 // in which order, and the tag each runs under.
@@ -367,6 +382,32 @@ func (c *collState) absorb(a collAct, d []byte, nranks int) (kept bool, err erro
 	}
 	return false, nil
 }
+
+// combiner returns the reduction op ("sum", "max", "min") every
+// reduction entry point names.
+func combiner(op string) (func(a, b float64) float64, error) {
+	switch op {
+	case "sum":
+		return func(a, b float64) float64 { return a + b }, nil
+	case "max":
+		return func(a, b float64) float64 {
+			if a > b {
+				return a
+			}
+			return b
+		}, nil
+	case "min":
+		return func(a, b float64) float64 {
+			if a < b {
+				return a
+			}
+			return b
+		}, nil
+	}
+	return nil, fmt.Errorf("ampi: unknown reduction op %q", op)
+}
+
+func f64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // parts is a completed Gather's result at the root, indexed by rank.
 func (c *collState) parts(nranks int) [][]byte {

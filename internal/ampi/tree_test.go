@@ -66,40 +66,86 @@ func TestTreeFamilyShape(t *testing.T) {
 // tree arities, including the degenerate chain (k=1).
 func TestTreeBarrierArities(t *testing.T) {
 	for _, arity := range []int{1, 2, 3, 8} {
-		arity := arity
 		t.Run(fmt.Sprintf("k%d", arity), func(t *testing.T) {
-			m := newMachine(t, 3, nil)
 			const ranks, rounds = 9, 4
 			var mu sync.Mutex
 			phase := make([]int, ranks)
-			j, err := NewJob(m, ranks, Options{Collectives: CollTree, TreeArity: arity}, func(r *Rank) {
-				for round := 0; round < rounds; round++ {
-					mu.Lock()
-					phase[r.Rank()] = round
-					mu.Unlock()
-					if err := r.Barrier(); err != nil {
-						t.Errorf("rank %d: %v", r.Rank(), err)
-						return
-					}
-					// After the barrier no rank may still be in an
-					// earlier round.
-					mu.Lock()
-					for rk, ph := range phase {
-						if ph < round {
-							t.Errorf("arity %d round %d: rank %d still at %d", arity, round, rk, ph)
+			round := func(i int) Proc {
+				return Seq(
+					Do(func(pc *PC) {
+						mu.Lock()
+						phase[pc.Rank()] = i
+						mu.Unlock()
+					}),
+					Barrier(),
+					// After the barrier no rank may still be in an earlier
+					// round.
+					Do(func(*PC) {
+						mu.Lock()
+						for rk, ph := range phase {
+							if ph < i {
+								t.Errorf("arity %d round %d: rank %d still at %d", arity, i, rk, ph)
+							}
 						}
-					}
-					mu.Unlock()
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+						mu.Unlock()
+					}),
+				)
 			}
-			j.Run()
-			if !j.Done() {
-				t.Fatal("job deadlocked")
+			steps := make([]Proc, rounds)
+			for i := range steps {
+				steps[i] = round(i)
 			}
+			runProg(t, 3, ranks, Options{Collectives: CollTree, TreeArity: arity},
+				For(rounds, func(i int) Proc { return steps[i] }))
 		})
+	}
+}
+
+// collOutcome is one rank's results from collSet.
+type collOutcome struct {
+	allred, red float64
+	bcast       []byte
+	gather      [][]byte
+}
+
+// collSet is the full collective set — Allreduce, then Reduce, Bcast
+// and Gather rooted at root — recording each rank's results in out.
+func collSet(root int, seed string, out []collOutcome) Proc {
+	return Seq(
+		Allreduce("sum", func(pc *PC) float64 { return float64(pc.Rank() + 1) },
+			func(pc *PC, v float64) { out[pc.Rank()].allred = v }),
+		Reduce(root, "max", func(pc *PC) float64 { return float64(pc.Rank() * 2) },
+			func(pc *PC, v float64) { out[pc.Rank()].red = v }),
+		Bcast(root, func(*PC) []byte { return []byte(seed) },
+			func(pc *PC, b []byte) { out[pc.Rank()].bcast = b }),
+		Gather(root, func(pc *PC) []byte { return []byte{byte(pc.Rank()), byte(pc.Rank() * 3)} },
+			func(pc *PC, parts [][]byte) { out[pc.Rank()].gather = parts }),
+	)
+}
+
+// sameOutcomes reports every rank where two runs of collSet disagree,
+// and checks the allreduce against want and the gather's presence at
+// root only.
+func sameOutcomes(t *testing.T, aName, bName string, a, b []collOutcome, root int, want float64) {
+	t.Helper()
+	for rk := range a {
+		if a[rk].allred != b[rk].allred || a[rk].allred != want {
+			t.Errorf("rank %d allreduce: %s %g %s %g want %g", rk, aName, a[rk].allred, bName, b[rk].allred, want)
+		}
+		if a[rk].red != b[rk].red {
+			t.Errorf("rank %d reduce: %s %g %s %g", rk, aName, a[rk].red, bName, b[rk].red)
+		}
+		if !bytes.Equal(a[rk].bcast, b[rk].bcast) {
+			t.Errorf("rank %d bcast: %s %q %s %q", rk, aName, a[rk].bcast, bName, b[rk].bcast)
+		}
+		if (rk == root) != (a[rk].gather != nil) || len(a[rk].gather) != len(b[rk].gather) {
+			t.Errorf("rank %d gather presence wrong", rk)
+		}
+		for i := range a[rk].gather {
+			if !bytes.Equal(a[rk].gather[i], b[rk].gather[i]) {
+				t.Errorf("rank %d gather[%d]: %s %v %s %v", rk, i, aName, a[rk].gather[i], bName, b[rk].gather[i])
+			}
+		}
 	}
 }
 
@@ -107,75 +153,13 @@ func TestTreeBarrierArities(t *testing.T) {
 // algorithms — including a non-zero root — and demands identical
 // results.
 func TestFlatVsTreeResultsAgree(t *testing.T) {
-	type outcome struct {
-		allred float64
-		red    float64
-		bcast  []byte
-		gather [][]byte
-	}
-	run := func(algo CollAlgo) []outcome {
-		m := newMachine(t, 4, nil)
-		const ranks, root = 10, 3
-		out := make([]outcome, ranks)
-		var mu sync.Mutex
-		j, err := NewJob(m, ranks, Options{Collectives: algo, TreeArity: 3}, func(r *Rank) {
-			ar, err := r.Allreduce("sum", float64(r.Rank()+1))
-			if err != nil {
-				t.Errorf("Allreduce: %v", err)
-				return
-			}
-			rd, err := r.Reduce(root, "max", float64(r.Rank()*2))
-			if err != nil {
-				t.Errorf("Reduce: %v", err)
-				return
-			}
-			var seed []byte
-			if r.Rank() == root {
-				seed = []byte("tree-vs-flat")
-			}
-			bc, err := r.Bcast(root, seed)
-			if err != nil {
-				t.Errorf("Bcast: %v", err)
-				return
-			}
-			ga, err := r.Gather(root, []byte{byte(r.Rank()), byte(r.Rank() * 3)})
-			if err != nil {
-				t.Errorf("Gather: %v", err)
-				return
-			}
-			mu.Lock()
-			out[r.Rank()] = outcome{allred: ar, red: rd, bcast: bc, gather: ga}
-			mu.Unlock()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.Run()
-		if !j.Done() {
-			t.Fatalf("algo %d: job deadlocked", algo)
-		}
+	const ranks, root = 10, 3
+	run := func(algo CollAlgo) []collOutcome {
+		out := make([]collOutcome, ranks)
+		runProg(t, 4, ranks, Options{Collectives: algo, TreeArity: 3}, collSet(root, "tree-vs-flat", out))
 		return out
 	}
-	tree, flat := run(CollTree), run(CollFlat)
-	for rk := range tree {
-		if tree[rk].allred != flat[rk].allred || tree[rk].allred != 55 {
-			t.Errorf("rank %d allreduce: tree %g flat %g want 55", rk, tree[rk].allred, flat[rk].allred)
-		}
-		if tree[rk].red != flat[rk].red {
-			t.Errorf("rank %d reduce: tree %g flat %g", rk, tree[rk].red, flat[rk].red)
-		}
-		if !bytes.Equal(tree[rk].bcast, flat[rk].bcast) {
-			t.Errorf("rank %d bcast: tree %q flat %q", rk, tree[rk].bcast, flat[rk].bcast)
-		}
-		if (rk == 3) != (tree[rk].gather != nil) {
-			t.Errorf("rank %d gather presence wrong", rk)
-		}
-		for i := range tree[rk].gather {
-			if !bytes.Equal(tree[rk].gather[i], flat[rk].gather[i]) {
-				t.Errorf("rank %d gather[%d]: tree %v flat %v", rk, i, tree[rk].gather[i], flat[rk].gather[i])
-			}
-		}
-	}
+	sameOutcomes(t, "tree", "flat", run(CollTree), run(CollFlat), root, 55)
 }
 
 // TestTreeBackToBackReduce pins the robustness source-matched edges
@@ -186,27 +170,14 @@ func TestFlatVsTreeResultsAgree(t *testing.T) {
 func TestTreeBackToBackReduce(t *testing.T) {
 	const ranks, epochs = 6, 5
 	for _, algo := range []CollAlgo{CollTree, CollFlat, CollTopoTree} {
-		m := newMachine(t, 2, nil)
-		var mu sync.Mutex
 		got := make([]float64, epochs)
-		j, err := NewJob(m, ranks, Options{Collectives: algo, TreeArity: 2}, func(r *Rank) {
-			for e := 0; e < epochs; e++ {
-				v, err := r.Reduce(0, "sum", float64(r.Rank())+float64(e*100))
-				if err != nil {
-					t.Errorf("%s epoch %d: %v", algoName(algo), e, err)
-					return
-				}
-				if r.Rank() == 0 {
-					mu.Lock()
-					got[e] = v
-					mu.Unlock()
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
+		steps := make([]Proc, epochs)
+		for e := range steps {
+			steps[e] = Reduce(0, "sum", func(pc *PC) float64 { return float64(pc.Rank()) + float64(e*100) },
+				func(_ *PC, v float64) { got[e] = v })
 		}
-		j.Run()
+		runProg(t, 2, ranks, Options{Collectives: algo, TreeArity: 2},
+			For(epochs, func(e int) Proc { return steps[e] }))
 		for e := 0; e < epochs; e++ {
 			want := float64(0+1+2+3+4+5) + float64(e*100*ranks)
 			if got[e] != want {
@@ -217,14 +188,13 @@ func TestTreeBackToBackReduce(t *testing.T) {
 }
 
 // TestUnknownReductionOp is the negative test for the shared combiner:
-// every reduction entry point must reject an unknown op.
+// every reduction entry point must reject an unknown op — Rank.Allreduce
+// with an error, the combinators when the statement is built.
 func TestUnknownReductionOp(t *testing.T) {
-	m := newMachine(t, 1, nil)
-	var allredErr, redErr error
-	j, err := NewJob(m, 2, Options{}, func(r *Rank) {
+	var allredErr error
+	j, err := NewJob(newMachine(t, 1, nil), 2, Options{}, func(r *Rank) {
 		if r.Rank() == 0 {
 			_, allredErr = r.Allreduce("median", 1)
-			_, redErr = r.Reduce(0, "avg", 1)
 		}
 	})
 	if err != nil {
@@ -232,10 +202,16 @@ func TestUnknownReductionOp(t *testing.T) {
 	}
 	j.Run()
 	if allredErr == nil {
-		t.Error("Allreduce accepted unknown op")
+		t.Error("Rank.Allreduce accepted unknown op")
 	}
-	if redErr == nil {
-		t.Error("Reduce accepted unknown op")
+	val := func(*PC) float64 { return 1 }
+	for name, build := range map[string]func(){
+		"Allreduce":  func() { Allreduce("median", val, nil) },
+		"Iallreduce": func() { Iallreduce("median", val, nil) },
+		"Reduce":     func() { Reduce(0, "avg", val, nil) },
+		"Ireduce":    func() { Ireduce(0, "avg", val, nil) },
+	} {
+		wantPanic(t, name, panicOf(build), "unknown reduction op")
 	}
 }
 
@@ -251,29 +227,16 @@ func TestJobOptionValidation(t *testing.T) {
 
 // TestFlatRootSerializes is the virtual-time A/B the trees exist for:
 // with a per-message software overhead, the flat barrier's root
-// consumes P-1 messages serially — O(P) on its clock — while the tree
-// charges O(k·log_k P) per rank. The tree must finish the same
+// consumes P-1 messages serially — O(P) in its predicted time — while
+// the tree charges O(k·log_k P) per rank. The tree must finish the same
 // barriers in substantially less virtual time.
 func TestFlatRootSerializes(t *testing.T) {
 	const ranks, rounds, ovh = 48, 3, 8000.0
 	elapsed := func(algo CollAlgo) float64 {
-		m := newMachine(t, 4, nil)
-		j, err := NewJob(m, ranks, Options{Collectives: algo, MsgOverheadNs: ovh}, func(r *Rank) {
-			for i := 0; i < rounds; i++ {
-				if err := r.Barrier(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.Run()
-		if !j.Done() {
-			t.Fatal("deadlock")
-		}
-		return m.MaxTime()
+		barrier := Barrier()
+		j, _ := runProg(t, 4, ranks, Options{Collectives: algo, MsgOverheadNs: ovh},
+			For(rounds, func(int) Proc { return barrier }))
+		return j.PredictedNs()
 	}
 	flat, tree := elapsed(CollFlat), elapsed(CollTree)
 	if !(tree < flat) {

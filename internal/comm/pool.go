@@ -19,8 +19,8 @@ import (
 //     into its accumulator, a rank move once the record holds a copy of
 //     the rank's buffered messages;
 //   - LinkTransport.Deliver, once the message is encoded into a frame;
-//   - nobody, for a consumer that keeps the payload (a thread-API
-//     Recv, a request's Data, a Bcast/Gather/Scatter/Alltoall result):
+//   - nobody, for a consumer that keeps the payload (ampi's Rank.Recv,
+//     a request's Data, a Bcast/Gather/Scatter/Alltoall result):
 //     the collector reclaims such a message like any other object.
 //
 // A payload of at most InlineBytes rides inside the message (SetData

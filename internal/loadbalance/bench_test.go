@@ -25,7 +25,7 @@ func benchItems(n, numPEs int) []Item {
 // BenchmarkLBPlan A/Bs the planning cost of the heap greedy
 // (O(n log P)) against the two-level hierarchical strategy at
 // P ∈ {64, 256} × n ∈ {1k, 16k} items — the regime where HierarchicalLB
-// loses (ROADMAP item 9 (c) owes it a verdict). bench/ plans on 8 PEs
+// loses (ROADMAP item 13 owes it a verdict). bench/ plans on 8 PEs
 // only (loadbalance.plan_greedy_ms, loadbalance.plan_hier_ms).
 func BenchmarkLBPlan(b *testing.B) {
 	strategies := []struct {

@@ -47,7 +47,7 @@ func suspendedThreadOn(b *testing.B, m *machine, pe *converse.PE) *converse.Thre
 // based LB at scale. Each op is a full eviction + sparse extract +
 // PUP + install of an idle 64 KiB-stack thread. bench/ times only the
 // batched path (migrate.iso_ns_per_rank); batch32 measuring slower
-// than serial32 is a row ROADMAP item 9 (d) owes a verdict.
+// than serial32 is a row ROADMAP item 13 owes a verdict.
 func BenchmarkLBStep(b *testing.B) {
 	const batch = 32
 	setup := func(b *testing.B) (*machine, []*converse.Thread) {

@@ -87,7 +87,7 @@ func reportWireMetrics(b *testing.B, st comm.SocketStats) {
 // benchSendCross sends PE0→PE2 across a real fabric and waits for
 // delivery on the far Network before the next send — one message per
 // wire envelope and one wakeup per message, the anti-coalescing worst
-// case (the lone cross-worker Send ROADMAP item 4 quotes).
+// case (the lone cross-worker Send ROADMAP item 10 quotes).
 func benchSendCross(b *testing.B, netKind string) {
 	n0, n1, t0, t1 := benchShards(b, netKind)
 	src, dst := n0.Endpoint(0), n1.Endpoint(2)
