@@ -15,7 +15,9 @@
 package ampi
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"migflow/internal/comm"
@@ -196,10 +198,20 @@ type Job struct {
 	// Continuation-program state (NewProgram). prog is the shared
 	// immutable Proc tree both modes interpret; pcs are the per-rank
 	// program contexts in ULT mode; ev is the event engine in event
-	// mode (exactly one of ranks/ev is populated for program jobs).
+	// mode (exactly one of ranks/ev is populated for program jobs), and
+	// be the backend every rank's blocking points go to: ultBE or ev.
 	prog Proc
 	pcs  []*PC
 	ev   *eventEngine
+	be   backend
+
+	// sites numbers prog's collective sites and siteNum inverts it: a
+	// record names a site by number. depth is the deepest frame stack a
+	// rank running prog holds, the capacity its stack is allocated at.
+	// All three come from one walk of the tree (numberSites).
+	sites   []*collSite
+	siteNum map[*collSite]int
+	depth   int
 
 	mu      sync.Mutex
 	traffic map[[2]int]float64 // rank pair (lo,hi) → bytes
@@ -233,8 +245,29 @@ type Rank struct {
 	hasWait bool
 }
 
+// matchSpec is what a receive waits for. Both fields are 32 bits, so
+// the spec packs into one word of the slot: job sizes and tags are
+// bounded by math.MaxInt32 where they enter (newJobCommon, the tag
+// checks), and newSpec refuses a source beyond it by name.
 type matchSpec struct {
-	src, tag int
+	src, tag int32
+}
+
+// newSpec narrows a receive's (src, tag) to its match spec. A value
+// that does not fit would alias another rank or tag, so it panics: the
+// checks where tags and sizes enter make this unreachable for a valid
+// program.
+func newSpec(src, tag int) matchSpec {
+	if int(int32(src)) != src || int(int32(tag)) != tag {
+		panic(fmt.Sprintf("ampi: receive from (%d, %d) exceeds the 32-bit match spec", src, tag))
+	}
+	return matchSpec{src: int32(src), tag: int32(tag)}
+}
+
+// wideTag names a tag no receive can match: beyond math.MaxInt32, the
+// widest a match spec holds.
+func wideTag(what string, tag int) string {
+	return fmt.Sprintf("ampi: %s tag %d exceeds math.MaxInt32, the widest tag a receive matches", what, tag)
 }
 
 // matchesTag reports whether a message tagged tag satisfies the spec.
@@ -244,7 +277,7 @@ func (s matchSpec) matchesTag(tag int) bool {
 	if s.tag == AnyTag {
 		return tag >= 0
 	}
-	return s.tag == tag
+	return int(s.tag) == tag
 }
 
 // NewJob creates size thread ranks on machine m, each running body — §2's
@@ -254,7 +287,7 @@ func NewJob(m *core.Machine, size int, opts Options, body func(*Rank)) (*Job, er
 	if opts.Mode == ModeEvent {
 		return nil, fmt.Errorf("ampi: Mode %q needs a continuation program; use NewProgram (a raw func body cannot be suspended without a stack)", ModeEvent)
 	}
-	return NewProgram(m, size, opts, Do(func(pc *PC) { body(pc.be.(ultBE).r) }))
+	return NewProgram(m, size, opts, Do(func(pc *PC) { body(ultBE{}.thread(pc)) }))
 }
 
 // newJobCommon validates and defaults NewProgram's options and returns
@@ -262,6 +295,9 @@ func NewJob(m *core.Machine, size int, opts Options, body func(*Rank)) (*Job, er
 func newJobCommon(m *core.Machine, size int, opts *Options) (*Job, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("ampi: size %d must be ≥ 1", size)
+	}
+	if size > math.MaxInt32 {
+		return nil, fmt.Errorf("ampi: size %d exceeds math.MaxInt32, the widest rank a match spec holds", size)
 	}
 	mode, err := normalizeMode(opts.Mode)
 	if err != nil {
@@ -522,6 +558,9 @@ func (r *Rank) Send(dest, tag int, data []byte) error {
 	if tag < 0 {
 		return fmt.Errorf("ampi: Send tag %d must be ≥ 0", tag)
 	}
+	if tag > math.MaxInt32 {
+		return errors.New(wideTag("Send", tag))
+	}
 	if dest < 0 || dest >= r.job.size {
 		return fmt.Errorf("ampi: Send to rank %d of %d", dest, r.job.size)
 	}
@@ -536,6 +575,9 @@ func (r *Rank) Send(dest, tag int, data []byte) error {
 func (r *Rank) Recv(src, tag int) ([]byte, int, error) {
 	if tag < 0 && tag != AnyTag {
 		return nil, 0, fmt.Errorf("ampi: Recv tag %d must be ≥ 0 or AnyTag", tag)
+	}
+	if tag > math.MaxInt32 {
+		return nil, 0, errors.New(wideTag("Recv", tag))
 	}
 	m := r.recv(src, tag)
 	r.pc.consume(m)
@@ -620,7 +662,7 @@ func (r *Rank) deliver(_ int, msg *comm.Message) {
 }
 
 func (r *Rank) matchesLocked(spec matchSpec, m *comm.Message) bool {
-	return spec.matchesTag(m.Tag) && (spec.src == AnySource || r.job.entity(spec.src) == m.From)
+	return spec.matchesTag(m.Tag) && (spec.src == AnySource || r.job.entity(int(spec.src)) == m.From)
 }
 
 // takeLocked removes and returns the oldest matching message.
@@ -635,7 +677,7 @@ func (r *Rank) takeLocked(spec matchSpec) *comm.Message {
 }
 
 func (r *Rank) recv(src, tag int) *comm.Message {
-	spec := matchSpec{src: src, tag: tag}
+	spec := newSpec(src, tag)
 	for {
 		r.mu.Lock()
 		if m := r.takeLocked(spec); m != nil {

@@ -188,6 +188,62 @@ func TestSendValidation(t *testing.T) {
 	}
 }
 
+// TestTagBeyondInt32Rejected: a match spec holds a tag in 32 bits, so a
+// wider tag would silently alias another. Every place a tag enters
+// refuses it by name — the thread handle's Send and Recv with an error,
+// the program's Send, Isend and Irecv with a panic inside the running
+// statement on both backends, and the receive statements when they are
+// built — and a job too large for a 32-bit rank is refused outright.
+func TestTagBeyondInt32Rejected(t *testing.T) {
+	const wide, want = math.MaxInt32 + 1, "exceeds math.MaxInt32"
+	var errSend, errRecv error
+	j, err := NewJob(newMachine(t, 1, nil), 1, Options{}, func(r *Rank) {
+		errSend = r.Send(0, wide, nil)
+		_, _, errRecv = r.Recv(0, wide)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Run()
+	for what, err := range map[string]error{"thread Send": errSend, "thread Recv": errRecv} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s of tag %d: error %v, want one naming %q", what, wide, err, want)
+		}
+	}
+	// The widest tag still fits, on both sides.
+	j, err = NewJob(newMachine(t, 1, nil), 1, Options{}, func(r *Rank) {
+		errSend = r.Send(0, math.MaxInt32, nil)
+		_, _, errRecv = r.Recv(0, math.MaxInt32)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Run()
+	if errSend != nil || errRecv != nil || !j.Done() {
+		t.Errorf("tag MaxInt32: Send %v, Recv %v, done %v", errSend, errRecv, j.Done())
+	}
+
+	for _, mode := range []string{ModeULT, ModeEvent} {
+		got := map[string]any{}
+		prog := Do(func(pc *PC) {
+			got["Send"] = panicOf(func() { pc.Send(0, wide, nil) })
+			got["Isend"] = panicOf(func() { pc.Isend(0, wide, nil) })
+			got["Irecv"] = panicOf(func() { pc.Irecv(0, wide) })
+		})
+		runProg(t, 2, 2, Options{Mode: mode}, prog)
+		for _, what := range []string{"Send", "Isend", "Irecv"} {
+			wantPanic(t, mode+" program "+what, got[what], want)
+		}
+		m := newMachine(t, 1, nil)
+		if _, err := NewProgram(m, math.MaxInt32+1, Options{Mode: mode}, Seq()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: a %d-rank job: error %v, want one naming %q", mode, math.MaxInt32+1, err, want)
+		}
+	}
+	wantPanic(t, "Recv", panicOf(func() { Recv(0, wide, nil) }), want)
+	wantPanic(t, "RecvFrom", panicOf(func() { RecvFrom(func(*PC) int { return 0 }, wide, nil) }), want)
+	wantPanic(t, "RecvEach", panicOf(func() { RecvEach(func(*PC) []int { return nil }, wide, nil) }), want)
+}
+
 func TestBarrier(t *testing.T) {
 	const ranks = 7
 	var mu sync.Mutex

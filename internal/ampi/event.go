@@ -62,9 +62,11 @@ import (
 // tombstones range-table entries in place).
 const deregBatchSize = 4096
 
-// eventRank is one rank's entire flow-of-control state: a 216-byte
-// slot, a frame stack from its first activation on, and whatever the
-// program keeps in pc.Local — versus a coroutine and an isomalloc stack.
+// eventRank is one rank's entire flow-of-control state: a 136-byte
+// slot, a frame stack sized to the program from its first activation
+// on, and whatever the program keeps in pc.Local — versus a coroutine
+// and an isomalloc stack. The 32-bit fields and the flags share the
+// slot's last two words.
 type eventRank struct {
 	mu sync.Mutex // guards every field; held for the whole of an activation
 
@@ -75,33 +77,39 @@ type eventRank struct {
 	// mbox buffers messages that arrived before a matching Recv,
 	// consumed from head so takes do not shift the slice.
 	mbox []*comm.Message
-	head int
 
-	// waiting is what the statement the rank is parked inside asked
-	// for; got is the matched delivery on its way to that statement: set
-	// by acceptLocked, taken by the recv call the re-run step makes.
-	waiting matchSpec
-	hasWait bool
-	got     *comm.Message
+	// got is the matched delivery on its way to the statement the rank
+	// is parked inside: set by acceptLocked, taken by the recv call the
+	// re-run step makes.
+	got *comm.Message
 
 	// busy accumulates Work nanoseconds since the last LB step — the
 	// event-mode load measurement (the record's analogue of a thread's
 	// consumed CPU time).
 	busy float64
 
-	// sendSeq/recvSeq number the per-peer payload streams and held
-	// parks out-of-order arrivals, all nil until a sharded run needs
-	// them: a message routed straight to a rank's new owner can
-	// overtake an older one still chasing through the old owner, and
-	// matching is by send order, not arrival order (see deliver).
-	sendSeq map[int]uint64
-	recvSeq map[int]uint64
-	held    []*comm.Message
+	// waiting is what the parked statement asked for, valid while
+	// hasWait.
+	waiting matchSpec
+	head    int32
 
-	done bool
+	hasWait bool
+	done    bool
 	// moving: an in-process move extracted the record and has not yet
 	// installed it.
 	moving bool
+}
+
+// rankSeq is one rank's stream state in a sharded run, kept beside the
+// slot (eventEngine.seq) and guarded by the rank's mu: sendSeq/recvSeq
+// number the per-peer payload streams and held parks out-of-order
+// arrivals. A message routed straight to a rank's new owner can
+// overtake an older one still chasing through the old owner, and
+// matching is by send order, not arrival order (see deliver).
+type rankSeq struct {
+	sendSeq map[int]uint64
+	recvSeq map[int]uint64
+	held    []*comm.Message
 }
 
 // eventEngine is the per-job store and dispatcher.
@@ -137,10 +145,10 @@ type eventEngine struct {
 	// directory).
 	sharded bool
 
-	// sites numbers the program's collective sites and siteNum inverts
-	// it (numberSites): a record names a site by number.
-	sites   []*collSite
-	siteNum map[*collSite]int
+	// seq[r] is rank r's stream state, allocated with the store in a
+	// sharded run and nil in-process, where delivery order is already
+	// send order.
+	seq []rankSeq
 
 	// lbMu serializes Rebalance steps (plan → table batch → records).
 	lbMu sync.Mutex
@@ -174,7 +182,9 @@ func newEventEngine(j *Job) (*eventEngine, error) {
 		pendDereg: make([][]comm.EntityID, numPEs),
 	}
 	e.sharded = j.m.Sharded()
-	e.sites, e.siteNum = numberSites(j.prog)
+	if e.sharded {
+		e.seq = make([]rankSeq, size)
+	}
 
 	store := make([]eventRank, size)
 	flows := make([]int, numPEs)
@@ -188,7 +198,7 @@ func newEventEngine(j *Job) (*eventEngine, error) {
 			local++
 		}
 		pc := &store[r].pc
-		pc.job, pc.rank, pc.be = j, r, e
+		pc.job, pc.rank = j, int32(r)
 	}
 	e.remaining.Store(local)
 	for p := 0; p < numPEs; p++ {
@@ -306,7 +316,7 @@ func (e *eventEngine) activateLocked(er *eventRank, pe int) {
 // retires the rank if that was the rest of its program.
 func (e *eventEngine) execLocked(er *eventRank) {
 	if er.pc.exec() {
-		e.finish(er.pc.rank)
+		e.finish(er.pc.Rank())
 	}
 }
 
@@ -365,17 +375,17 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 		if !er.hasWait && !er.moving && !er.pc.atGate() {
 			e.activateLocked(er, pe)
 		}
-	case msg.Seq != 0 && msg.Seq != er.recvSeq[src]+1:
+	case msg.Seq != 0 && msg.Seq != e.seq[r].recvSeq[src]+1:
 		// Sequenced stream (sharded runs): accept strictly in send
 		// order. A message that crossed a migration on the direct route
 		// while an older one is still chasing through the old owner
 		// would otherwise match a Recv meant for its predecessor.
-		er.held = append(er.held, msg)
+		e.seq[r].held = append(e.seq[r].held, msg)
 		er.mu.Unlock()
 		return
 	default:
 		if msg.Seq != 0 {
-			er.noteSeq(src, msg.Seq)
+			e.seq[r].noteSeq(src, msg.Seq)
 		}
 		e.acceptLocked(er, pe, msg)
 	}
@@ -402,11 +412,11 @@ func (e *eventEngine) acceptLocked(er *eventRank, pe int, msg *comm.Message) {
 }
 
 // noteSeq records the acceptance of seq from peer rank src.
-func (er *eventRank) noteSeq(src int, seq uint64) {
-	if er.recvSeq == nil {
-		er.recvSeq = make(map[int]uint64)
+func (s *rankSeq) noteSeq(src int, seq uint64) {
+	if s.recvSeq == nil {
+		s.recvSeq = make(map[int]uint64)
 	}
-	er.recvSeq[src] = seq
+	s.recvSeq[src] = seq
 }
 
 // releaseHeldLocked re-examines held arrivals after an acceptance
@@ -414,19 +424,23 @@ func (er *eventRank) noteSeq(src int, seq uint64) {
 // sender's order; each acceptance can close another gap. A rank that
 // finished mid-release drops the rest like its mailbox. er.mu held.
 func (e *eventEngine) releaseHeldLocked(er *eventRank, pe int) {
-	for progress := len(er.held) > 0; progress; {
+	if e.seq == nil {
+		return
+	}
+	s := &e.seq[er.pc.rank]
+	for progress := len(s.held) > 0; progress; {
 		progress = false
 		if er.done {
-			er.held = nil
+			s.held = nil
 			return
 		}
-		for i, m := range er.held {
+		for i, m := range s.held {
 			src := e.rankIdx(m.From)
-			if m.Seq != er.recvSeq[src]+1 {
+			if m.Seq != s.recvSeq[src]+1 {
 				continue
 			}
-			er.held = append(er.held[:i], er.held[i+1:]...)
-			er.noteSeq(src, m.Seq)
+			s.held = append(s.held[:i], s.held[i+1:]...)
+			s.noteSeq(src, m.Seq)
 			e.acceptLocked(er, pe, m)
 			progress = true
 			break
@@ -435,18 +449,18 @@ func (e *eventEngine) releaseHeldLocked(er *eventRank, pe int) {
 }
 
 func (e *eventEngine) matches(spec matchSpec, m *comm.Message) bool {
-	return spec.matchesTag(m.Tag) && (spec.src == AnySource || e.idOf(spec.src) == m.From)
+	return spec.matchesTag(m.Tag) && (spec.src == AnySource || e.idOf(int(spec.src)) == m.From)
 }
 
 // take removes and returns the oldest buffered message matching spec.
 func (er *eventRank) take(e *eventEngine, spec matchSpec) *comm.Message {
-	for i := er.head; i < len(er.mbox); i++ {
+	for i := int(er.head); i < len(er.mbox); i++ {
 		if e.matches(spec, er.mbox[i]) {
 			m := er.mbox[i]
 			copy(er.mbox[er.head+1:i+1], er.mbox[er.head:i])
 			er.mbox[er.head] = nil
 			er.head++
-			if er.head == len(er.mbox) {
+			if int(er.head) == len(er.mbox) {
 				er.mbox, er.head = er.mbox[:0], 0
 			}
 			return m
@@ -466,12 +480,12 @@ func (e *eventEngine) send(pc *PC, dest, tag int, data []byte) {
 	if dest < 0 || dest >= e.size {
 		panic(fmt.Sprintf("ampi: program Send to rank %d of %d", dest, e.size))
 	}
-	p := e.job.m.PE(e.peOf(pc.rank))
+	p := e.job.m.PE(e.peOf(pc.Rank()))
 	if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
 		p.Clock.Advance(ovh)
 	}
 	msg := comm.NewMessage()
-	msg.To, msg.From, msg.Tag = e.idOf(dest), e.idOf(pc.rank), tag
+	msg.To, msg.From, msg.Tag = e.idOf(dest), e.idOf(pc.Rank()), tag
 	msg.SendTime, msg.VTime = p.Clock.Now(), pc.vt
 	msg.SetData(data)
 	if e.sharded {
@@ -480,12 +494,12 @@ func (e *eventEngine) send(pc *PC, dest, tag int, data []byte) {
 		// migration. Non-sharded runs only move ranks at quiescent
 		// gates, so their delivery order is already send order — they
 		// skip the map work and their envelopes stay byte-identical.
-		er := &e.store()[pc.rank]
-		if er.sendSeq == nil {
-			er.sendSeq = make(map[int]uint64)
+		s := &e.seq[pc.rank]
+		if s.sendSeq == nil {
+			s.sendSeq = make(map[int]uint64)
 		}
-		er.sendSeq[dest]++
-		msg.Seq = er.sendSeq[dest]
+		s.sendSeq[dest]++
+		msg.Seq = s.sendSeq[dest]
 	}
 	if err := e.job.m.Network().Endpoint(p.Index).Send(msg); err != nil {
 		panic(fmt.Sprintf("ampi: event send: %v", err))
@@ -498,12 +512,12 @@ func (e *eventEngine) recv(pc *PC, src, tag int) *comm.Message {
 		er.got = nil // the delivery this call parked for; acceptLocked charged it
 		return m
 	}
-	spec := matchSpec{src: src, tag: tag}
+	spec := newSpec(src, tag)
 	if m := er.take(e, spec); m != nil {
 		// Consuming a buffered message is not a fresh activation (the
 		// rank is already running); only the arrival constraint and
 		// software overhead are charged, mirroring the thread path.
-		p := e.job.m.PE(e.peOf(pc.rank))
+		p := e.job.m.PE(e.peOf(pc.Rank()))
 		p.Clock.AdvanceTo(m.Arrival)
 		if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
 			p.Clock.Advance(ovh)
@@ -516,10 +530,10 @@ func (e *eventEngine) recv(pc *PC, src, tag int) *comm.Message {
 
 func (e *eventEngine) work(pc *PC, ns float64) {
 	e.store()[pc.rank].busy += ns
-	e.job.m.PE(e.peOf(pc.rank)).Clock.Advance(ns)
+	e.job.m.PE(e.peOf(pc.Rank())).Clock.Advance(ns)
 }
 
-func (e *eventEngine) pe(pc *PC) int { return e.peOf(pc.rank) }
+func (e *eventEngine) pe(pc *PC) int { return e.peOf(pc.Rank()) }
 
 // usestack is a no-op: an event rank's entire migratable state is its
 // record; there is no stack to reserve or dirty.
@@ -696,8 +710,8 @@ func (e *eventEngine) finish(r int) {
 	er.mbox, er.head = nil, 0
 	er.hasWait = false
 	er.pc.Local = nil
-	er.sendSeq, er.recvSeq, er.held = nil, nil, nil
 	if e.sharded {
+		e.seq[r] = rankSeq{}
 		// Peers may still Forward stragglers through this worker's
 		// directory, so entries are never deregistered and the store
 		// is never released; the process exit reclaims both. remaining

@@ -5,6 +5,7 @@ package ampi
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"migflow/internal/vmem"
 )
@@ -56,7 +57,7 @@ func TestUseStackTouchesItsPages(t *testing.T) {
 		m := newMachine(t, 1, nil)
 		got := -1
 		job, err := NewProgram(m, 1, Options{Mode: ModeULT, StackSize: 64 << 10}, Do(func(pc *PC) {
-			space := pc.be.(ultBE).r.ctx.Space()
+			space := ultBE{}.thread(pc).ctx.Space()
 			before := space.ResidentPages()
 			pc.UseStack(n)
 			got = space.ResidentPages() - before
@@ -69,4 +70,46 @@ func TestUseStackTouchesItsPages(t *testing.T) {
 			t.Errorf("UseStack(%d) gave %d pages frames, want %d", n, got, want)
 		}
 	}
+}
+
+// TestEventRankFootprint: an event rank costs its slot and its two
+// 4-byte owner words — the engine's and the comm range table's — and
+// nothing else until it runs. Building 65,536 event Jacobi ranks grows
+// the live heap by at most unsafe.Sizeof(eventRank{}) + 8 bytes per
+// rank more than building 1,024 does: the difference leaves out what a
+// job costs once (its program tree, site numbering, per-PE tables). The
+// windows may also catch a few hundred bytes the runtime allocates for
+// itself, so 1 KiB in all is allowed for that; one more word per rank
+// would be 504 KiB.
+func TestEventRankFootprint(t *testing.T) {
+	const small, large, runtimeSlack = 1 << 10, 1 << 16, 1 << 10
+	m := newMachine(t, 4, nil)
+	// Two collections: the second empties the message pool's victim
+	// cache, which would otherwise drain in the middle of a window.
+	liveHeap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	var jobs []*Job // kept live across both windows
+	growth := func(ranks int) float64 {
+		before := liveHeap()
+		job, err := NewJacobiOn(m, JacobiConfig{Mode: ModeEvent, Ranks: ranks, Iters: 2, PEs: 4, BlockPlacement: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+		return liveHeap() - before
+	}
+	gSmall, gLarge := growth(small), growth(large)
+	perRank := (gLarge - gSmall - runtimeSlack) / (large - small)
+	bound := float64(unsafe.Sizeof(eventRank{}) + 8)
+	t.Logf("event ranks: %.0f B for %d, %.0f B for %d: %.2f B of live heap per rank (bound %.0f)",
+		gSmall, small, gLarge, large, perRank, bound)
+	if perRank > bound {
+		t.Errorf("%.2f B of live heap per event rank before the job ran, want ≤ %.0f", perRank, bound)
+	}
+	runtime.KeepAlive(jobs)
 }

@@ -182,7 +182,7 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 		if cfg.WorkSkew == 0 || cfg.Ranks < 2 {
 			return cfg.WorkNs
 		}
-		return cfg.WorkNs * (1 + cfg.WorkSkew*float64(pc.rank)/float64(cfg.Ranks-1))
+		return cfg.WorkNs * (1 + cfg.WorkSkew*float64(pc.Rank())/float64(cfg.Ranks-1))
 	}
 	resid := func(pc *PC) float64 { return pc.Local.(*jacobiState).resid }
 	setGlobal := func(pc *PC, v float64) { pc.Local.(*jacobiState).global = v }
@@ -202,14 +202,14 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 	sendHalos := Do(func(pc *PC) {
 		n := pc.Size()
 		st := pc.Local.(*jacobiState)
-		pc.Send((pc.rank-1+n)%n, tagHaloLeft, pack(st))
-		pc.Send((pc.rank+1)%n, tagHaloRight, pack(st))
+		pc.Send((pc.Rank()-1+n)%n, tagHaloLeft, pack(st))
+		pc.Send((pc.Rank()+1)%n, tagHaloRight, pack(st))
 	})
 	// The message my right neighbour sent "toward the left" is mine,
 	// and symmetrically for the left.
-	recvRight := RecvFrom(func(pc *PC) int { return (pc.rank + 1) % pc.Size() }, tagHaloLeft,
+	recvRight := RecvFrom(func(pc *PC) int { return (pc.Rank() + 1) % pc.Size() }, tagHaloLeft,
 		func(pc *PC, data []byte, _ int) { pc.Local.(*jacobiState).right = f64(data) })
-	recvLeft := RecvFrom(func(pc *PC) int { n := pc.Size(); return (pc.rank - 1 + n) % n }, tagHaloRight,
+	recvLeft := RecvFrom(func(pc *PC) int { n := pc.Size(); return (pc.Rank() - 1 + n) % n }, tagHaloRight,
 		func(pc *PC, data []byte, _ int) { pc.Local.(*jacobiState).left = f64(data) })
 	relax := func(pc *PC) {
 		st := pc.Local.(*jacobiState)
@@ -261,7 +261,7 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 	body := []Proc{
 		Do(func(pc *PC) {
 			// Deterministic per-rank initial condition.
-			pc.Local = &jacobiState{x: float64(pc.rank%97) / 97}
+			pc.Local = &jacobiState{x: float64(pc.Rank()%97) / 97}
 			pc.UseStack(cfg.StackUse)
 		}),
 		For(cfg.Iters, func(i int) Proc { return steps[i] }),
@@ -273,7 +273,7 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 	if cfg.Observe != nil {
 		body = append(body, Do(func(pc *PC) {
 			st := pc.Local.(*jacobiState)
-			cfg.Observe(pc.rank, JacobiCell{X: st.x, Resid: st.resid, Global: st.global})
+			cfg.Observe(pc.Rank(), JacobiCell{X: st.x, Resid: st.resid, Global: st.global})
 		}))
 	}
 	return Seq(body...)

@@ -333,7 +333,7 @@ func TestEventRecordRoundTrip(t *testing.T) {
 	}
 	e := job.ev
 	er := &e.store()[1]
-	vtBefore, busyBefore, pending, depth := er.pc.vt, er.busy, len(er.mbox)-er.head, len(er.pc.stack)
+	vtBefore, busyBefore, pending, depth := er.pc.vt, er.busy, len(er.mbox)-int(er.head), len(er.pc.stack)
 	local := er.pc.Local.(*mixState)
 	if pending != 2 {
 		t.Fatalf("rank 1 buffered %d messages, want 2", pending)
@@ -354,7 +354,7 @@ func TestEventRecordRoundTrip(t *testing.T) {
 	if got, ok := er.pc.Local.(*mixState); !ok || got == local || got.x != local.x {
 		t.Fatalf("Local after the trip: %#v, want a fresh copy of %#v", er.pc.Local, local)
 	}
-	if got := len(er.mbox) - er.head; got != 2 {
+	if got := len(er.mbox) - int(er.head); got != 2 {
 		t.Fatalf("buffered messages after round trip: %d, want 2", got)
 	}
 	if string(er.mbox[er.head].Data) != "abcdefgh" || string(er.mbox[er.head+1].Data) != "ijklmnop" {

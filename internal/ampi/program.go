@@ -36,6 +36,7 @@ package ampi
 
 import (
 	"fmt"
+	"math"
 
 	"migflow/internal/comm"
 	"migflow/internal/converse"
@@ -97,12 +98,13 @@ type backend interface {
 }
 
 // PC is one rank's program context: its identity, its predicted
-// virtual time, and its backend. Program callbacks receive the PC and
-// may call its Send/Work/Isend/Irecv methods; blocking is expressed
-// only through Proc combinators, never by a callback that waits.
+// virtual time, and its resume point; its backend is the job's
+// (Job.be). Program callbacks receive the PC and may call its
+// Send/Work/Isend/Irecv methods; blocking is expressed only through
+// Proc combinators, never by a callback that waits.
 type PC struct {
 	job  *Job
-	rank int
+	rank int32 // newJobCommon bounds the size by math.MaxInt32
 
 	// vt is the rank's predicted virtual time in nanoseconds — the
 	// mode- and placement-independent clock of the *target* program,
@@ -124,17 +126,22 @@ type PC struct {
 	// does not grow with the number of sites.
 	colls *collRun
 
-	be backend
-
 	// stack is the rank's resume point: the statements it is inside,
-	// outermost first, from its first activation to completion. A move
-	// ships its cursors and rebuilds it from the shared tree (shard.go).
+	// outermost first, from its first activation to completion. It is
+	// allocated once, at the program's depth (Job.depth), so it never
+	// grows. A move ships its cursors and rebuilds it from the shared
+	// tree (shard.go).
 	stack []frame
 }
 
-// start makes prog's root the rank's whole resume point.
+// start makes prog's root the rank's whole resume point, in the frame
+// array the slot already has (an installed record that had not
+// started) or in one sized to the program's depth.
 func (pc *PC) start(prog Proc) {
-	pc.stack = append(make([]frame, 0, 8), frame{p: prog})
+	if cap(pc.stack) == 0 {
+		pc.stack = make([]frame, 0, pc.job.depth)
+	}
+	pc.stack = append(pc.stack[:0], frame{p: prog})
 }
 
 // exec is the interpreter: it steps the innermost frame until the
@@ -181,7 +188,7 @@ func (pc *PC) atGate() bool {
 }
 
 // Rank returns the rank number.
-func (pc *PC) Rank() int { return pc.rank }
+func (pc *PC) Rank() int { return int(pc.rank) }
 
 // Size returns the job's rank count.
 func (pc *PC) Size() int { return pc.job.size }
@@ -193,13 +200,13 @@ func (pc *PC) VT() float64 { return pc.vt }
 // it is placement-dependent — it changes when the rank migrates —
 // and exists precisely for per-PE accounting (a zone step charging
 // its busy time to the processor that executed it).
-func (pc *PC) PE() int { return pc.be.pe(pc) }
+func (pc *PC) PE() int { return pc.job.be.pe(pc) }
 
 // UseStack models the rank holding n bytes of live stack frames from
 // here on: ULT ranks really push and dirty the frame (so every later
 // migration ships it); event ranks keep nothing — a continuation has
 // no stack to carry. No effect on virtual time in either mode.
-func (pc *PC) UseStack(n uint64) { pc.be.usestack(pc, n) }
+func (pc *PC) UseStack(n uint64) { pc.job.be.usestack(pc, n) }
 
 // Globals returns the table through which a ULT rank reads and writes
 // its privatized globals (Options.Globals). Their storage travels with
@@ -207,8 +214,8 @@ func (pc *PC) UseStack(n uint64) { pc.be.usestack(pc, n) }
 // An event rank has no thread and gets nil, as does a job without
 // globals.
 func (pc *PC) Globals() *swapglobal.GOT {
-	if b, ok := pc.be.(ultBE); ok {
-		return b.r.ctx.GlobalsGOT()
+	if b, ok := pc.job.be.(ultBE); ok {
+		return b.thread(pc).ctx.GlobalsGOT()
 	}
 	return nil
 }
@@ -218,8 +225,8 @@ func (pc *PC) Globals() *swapglobal.GOT {
 // steal it, so PE can change across the call. An event rank runs a
 // statement to completion; for it Yield does nothing.
 func (pc *PC) Yield() {
-	if b, ok := pc.be.(ultBE); ok {
-		b.r.ctx.Yield()
+	if b, ok := pc.job.be.(ultBE); ok {
+		b.thread(pc).ctx.Yield()
 	}
 }
 
@@ -227,7 +234,7 @@ func (pc *PC) Yield() {
 // rank's predicted time and charges the simulating PE.
 func (pc *PC) Work(ns float64) {
 	pc.vt += ns
-	pc.be.work(pc, ns)
+	pc.job.be.work(pc, ns)
 }
 
 // Send sends data to rank dest with tag ≥ 0 and returns without waiting
@@ -239,6 +246,7 @@ func (pc *PC) Send(dest, tag int, data []byte) {
 	if tag < 0 {
 		panic(fmt.Sprintf("ampi: program Send tag %d must be ≥ 0", tag))
 	}
+	mustFitTag("Send", tag)
 	pc.sendRaw(dest, tag, data)
 }
 
@@ -250,7 +258,7 @@ func (pc *PC) sendRaw(dest, tag int, data []byte) {
 	if ovh := pc.job.opts.MsgOverheadNs; ovh > 0 {
 		pc.vt += ovh
 	}
-	pc.be.send(pc, dest, tag, data)
+	pc.job.be.send(pc, dest, tag, data)
 }
 
 // sendEdge is sendRaw along a collective tree edge: when a topology
@@ -259,7 +267,7 @@ func (pc *PC) sendRaw(dest, tag int, data []byte) {
 // Hop distance is a pure function of the two ranks and the job
 // options, keeping vt mode-, placement- and PE-count-invariant.
 func (pc *PC) sendEdge(peer, tag int, data []byte) {
-	if h := pc.job.edgeHops(pc.rank, peer); h > 0 {
+	if h := pc.job.edgeHops(pc.Rank(), peer); h > 0 {
 		pc.job.m.Network().ChargeTopoHops(uint64(h))
 		pc.vt += float64(h) * pc.job.opts.Topo.HopNs
 	}
@@ -309,6 +317,7 @@ func (pc *PC) Isend(dest, tag int, data []byte) *Req {
 	if tag < 0 {
 		panic(fmt.Sprintf("ampi: program Isend tag %d must be ≥ 0", tag))
 	}
+	mustFitTag("Isend", tag)
 	pc.sendRaw(dest, tag, data)
 	return &Req{done: true}
 }
@@ -320,6 +329,7 @@ func (pc *PC) Irecv(src, tag int) *Req {
 	if tag < 0 && tag != AnyTag {
 		panic(fmt.Sprintf("ampi: program Irecv tag %d must be ≥ 0 or AnyTag", tag))
 	}
+	mustFitTag("Irecv", tag)
 	return &Req{isRecv: true, src: src, tag: tag}
 }
 
@@ -382,6 +392,7 @@ type recvProc struct {
 // rank. data is valid until then returns: the message goes back to the
 // runtime after it, so a then that keeps the bytes copies them.
 func Recv(src, tag int, then func(pc *PC, data []byte, from int)) Proc {
+	mustFitTag("Recv", tag)
 	return recvProc{src: src, tag: tag, then: then}
 }
 
@@ -392,7 +403,17 @@ func Recv(src, tag int, then func(pc *PC, data []byte, from int)) Proc {
 // evaluates it again on arrival to check where the rank waits. As with
 // Recv, then's data is valid until then returns.
 func RecvFrom(src func(*PC) int, tag int, then func(pc *PC, data []byte, from int)) Proc {
+	mustFitTag("RecvFrom", tag)
 	return recvProc{srcOf: src, tag: tag, then: then}
+}
+
+// mustFitTag refuses, where a program names a tag, one no match spec
+// can hold: a receive statement when it is built, a send or Irecv when
+// it runs.
+func mustFitTag(what string, tag int) {
+	if tag > math.MaxInt32 {
+		panic(wideTag("program "+what, tag))
+	}
 }
 
 // source resolves the statement's source for pc.
@@ -404,7 +425,7 @@ func (r recvProc) source(pc *PC) int {
 }
 
 func (r recvProc) step(pc *PC, _ *frame) (Proc, bool) {
-	m := pc.be.recv(pc, r.source(pc), r.tag)
+	m := pc.job.be.recv(pc, r.source(pc), r.tag)
 	if m == nil {
 		return nil, false
 	}
@@ -431,12 +452,13 @@ type recvEachProc struct {
 // frame stays (statement, cursor); the slice it returns is only read.
 // Each then's data is valid until that then returns.
 func RecvEach(srcs func(*PC) []int, tag int, then func(pc *PC, data []byte, from int)) Proc {
+	mustFitTag("RecvEach", tag)
 	return recvEachProc{srcs: srcs, tag: tag, then: then}
 }
 
 func (r recvEachProc) step(pc *PC, f *frame) (Proc, bool) {
 	for srcs := r.srcs(pc); f.i < len(srcs); f.i++ {
-		m := pc.be.recv(pc, srcs[f.i], r.tag)
+		m := pc.job.be.recv(pc, srcs[f.i], r.tag)
 		if m == nil {
 			return nil, false
 		}
@@ -466,7 +488,7 @@ func (wp waitallProc) step(pc *PC, f *frame) (Proc, bool) {
 		if q == nil || q.done || !q.isRecv {
 			continue
 		}
-		m := pc.be.recv(pc, q.src, q.tag)
+		m := pc.job.be.recv(pc, q.src, q.tag)
 		if m == nil {
 			return nil, false
 		}
@@ -499,7 +521,7 @@ func (mp migrateProc) step(pc *PC, f *frame) (Proc, bool) {
 	if f.i == 0 {
 		f.i = 1
 		pc.job.gateSetStrategy(mp.strategy)
-		return nil, pc.be.lbpoint(pc)
+		return nil, pc.job.be.lbpoint(pc)
 	}
 	return nil, true // resumed after the rebalance
 }
@@ -569,27 +591,38 @@ type collRun struct {
 
 // numberSites numbers every collective site of prog once, by identity,
 // in the order one depth-first walk meets their starts — the same
-// numbers in every process that builds the same tree. The walk runs
-// each For body once per iteration and a Seq shared by several parents
-// once.
-func numberSites(prog Proc) ([]*collSite, map[*collSite]int) {
-	var sites []*collSite
-	nums := map[*collSite]int{}
-	seen := map[*Proc]bool{}
-	var walk func(Proc)
-	walk = func(p Proc) {
+// numbers in every process that builds the same tree — and returns the
+// deepest frame stack a rank running prog holds: one frame per
+// statement on the longest root-to-leaf path. The walk runs each For
+// body once per iteration and a Seq shared by several parents once,
+// remembering its subtree's depth for the others.
+func numberSites(prog Proc) (sites []*collSite, nums map[*collSite]int, depth int) {
+	nums = map[*collSite]int{}
+	type seqKey struct {
+		first *Proc
+		n     int
+	}
+	depths := map[seqKey]int{}
+	var walk func(Proc) int
+	walk = func(p Proc) int {
+		below := 0 // the deepest stack under p's own frame
 		switch s := p.(type) {
 		case seqProc:
-			if len(s.ps) == 0 || seen[&s.ps[0]] {
-				return
+			if len(s.ps) == 0 {
+				break
 			}
-			seen[&s.ps[0]] = true
+			key := seqKey{&s.ps[0], len(s.ps)}
+			if d, ok := depths[key]; ok {
+				return d
+			}
+			depths[key] = 1 // a Seq reached again through itself adds nothing
 			for _, c := range s.ps {
-				walk(c)
+				below = max(below, walk(c))
 			}
+			depths[key] = below + 1
 		case forProc:
 			for i := 0; i < s.n; i++ {
-				walk(s.body(i))
+				below = max(below, walk(s.body(i)))
 			}
 		case collStartProc:
 			if _, ok := nums[s.site]; !ok {
@@ -597,9 +630,10 @@ func numberSites(prog Proc) ([]*collSite, map[*collSite]int) {
 				sites = append(sites, s.site)
 			}
 		}
+		return below + 1
 	}
-	walk(prog)
-	return sites, nums
+	depth = walk(prog)
+	return sites, nums, depth
 }
 
 // collAt returns the rank's run at site, or nil before its first start.
@@ -632,7 +666,7 @@ func (pc *PC) newRun(site *collSite) *collRun {
 	}
 	run := &collRun{site: site}
 	run.kind, run.combine = site.kind, site.combine
-	run.parent, run.children = collFamily(site.kind, pc.rank, pc.Size(), &pc.job.opts, site.root)
+	run.parent, run.children = collFamily(site.kind, pc.Rank(), pc.Size(), &pc.job.opts, site.root)
 	return run
 }
 
@@ -658,7 +692,7 @@ func (run *collRun) advance(pc *PC, block bool) bool {
 			if !block {
 				return false
 			}
-			m := pc.be.recv(pc, a.peer, a.tag)
+			m := pc.job.be.recv(pc, a.peer, a.tag)
 			if m == nil {
 				return false
 			}
@@ -763,7 +797,7 @@ func bcastSite(name string, root int, val func(*PC) []byte, then func(*PC, []byt
 func gatherSite(name string, root int, val func(*PC) []byte, then func(*PC, [][]byte)) *collSite {
 	site := &collSite{name: name, kind: collGather, root: root,
 		begin: func(pc *PC, st *collState) {
-			st.entries = []gatherEntry{{rank: pc.rank, data: val(pc)}}
+			st.entries = []gatherEntry{{rank: pc.Rank(), data: val(pc)}}
 		}}
 	if then != nil {
 		site.end = func(pc *PC, st *collState) {
@@ -901,18 +935,20 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 		return nil, err
 	}
 	j.prog = prog
+	j.sites, j.siteNum, j.depth = numberSites(prog)
 	if j.opts.Mode == ModeEvent {
 		if j.ev, err = newEventEngine(j); err != nil {
 			return nil, err
 		}
+		j.be = j.ev
 		return j, nil
 	}
+	j.be = ultBE{}
 	j.rankOf = make(map[comm.EntityID]int, size)
 	j.pcs = make([]*PC, size)
 	for r := 0; r < size; r++ {
-		pc := &PC{job: j, rank: r}
+		pc := &PC{job: j, rank: int32(r)}
 		rank := &Rank{job: j, rank: r, pc: pc}
-		pc.be = ultBE{rank}
 		j.pcs[r] = pc
 		pe := m.PE(placePE(r, size, m.NumPEs(), j.opts.BlockPlacement))
 		th, err := pe.Sched.CthCreate(converse.ThreadOptions{
@@ -942,27 +978,30 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 	return j, nil
 }
 
-// ultBE interprets program blocking points against the rank's thread:
-// recv parks the thread on the rank's mailbox, so the scheduler charges
-// the usual thread-switch curve per activation.
-type ultBE struct{ r *Rank }
+// ultBE interprets program blocking points against the rank's thread
+// (Job.ranks[pc.rank]): recv parks the thread on the rank's mailbox, so
+// the scheduler charges the usual thread-switch curve per activation.
+type ultBE struct{}
+
+// thread returns the thread rank behind pc.
+func (ultBE) thread(pc *PC) *Rank { return pc.job.ranks[pc.rank] }
 
 func (b ultBE) send(pc *PC, dest, tag int, data []byte) {
-	if err := b.r.sendv(dest, tag, data, pc.vt); err != nil {
+	if err := b.thread(pc).sendv(dest, tag, data, pc.vt); err != nil {
 		panic(err)
 	}
 }
 
 func (b ultBE) recv(pc *PC, src, tag int) *comm.Message {
-	return b.r.recv(src, tag)
+	return b.thread(pc).recv(src, tag)
 }
 
-func (b ultBE) work(pc *PC, ns float64) { b.r.ctx.Work(ns) }
+func (b ultBE) work(pc *PC, ns float64) { b.thread(pc).ctx.Work(ns) }
 
-func (b ultBE) pe(pc *PC) int { return b.r.ctx.PE().Index }
+func (b ultBE) pe(pc *PC) int { return b.thread(pc).ctx.PE().Index }
 
 func (b ultBE) lbpoint(pc *PC) bool {
-	b.r.parkAtGate()
+	b.thread(pc).parkAtGate()
 	return true
 }
 
@@ -970,13 +1009,14 @@ func (b ultBE) usestack(pc *PC, n uint64) {
 	if n == 0 {
 		return
 	}
-	frame, err := b.r.ctx.PushFrame(n)
+	ctx := b.thread(pc).ctx
+	frame, err := ctx.PushFrame(n)
 	if err != nil {
 		panic(fmt.Sprintf("ampi: rank %d UseStack(%d): %v", pc.rank, n, err))
 	}
 	// Dirty one word per page so the frame is live data the stack
 	// strategy must actually move, not just reserved address space.
-	space := b.r.ctx.Space()
+	space := ctx.Space()
 	for off := uint64(0); off+8 <= n; off += vmem.PageSize {
 		if err := space.WriteUint64(frame.Add(off), off); err != nil {
 			panic(fmt.Sprintf("ampi: rank %d UseStack dirty: %v", pc.rank, err))

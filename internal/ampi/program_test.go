@@ -140,19 +140,19 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 	rng := rand.New(rand.NewSource(seed))
 	acc := func(pc *PC, v float64) {
 		st := pc.Local.(*mixState)
-		st.x = st.x*0.5 + v + float64(pc.rank)*1e-3
+		st.x = st.x*0.5 + v + float64(pc.Rank())*1e-3
 	}
 	var ps []Proc
 	ps = append(ps, Do(func(pc *PC) {
-		pc.Local = &mixState{x: float64(pc.rank + 1)}
+		pc.Local = &mixState{x: float64(pc.Rank() + 1)}
 	}))
 	for p := 0; p < phases; p++ {
 		switch rng.Intn(11) {
 		case 0: // ring exchange via Sendrecv
 			tagA := rng.Intn(4)
 			ps = append(ps, Seq(
-				Do(func(pc *PC) { pc.Send((pc.rank+1)%pc.Size(), tagA, f64bytes(pc.Local.(*mixState).x)) }),
-				RecvFrom(func(pc *PC) int { return (pc.rank - 1 + pc.Size()) % pc.Size() }, tagA,
+				Do(func(pc *PC) { pc.Send((pc.Rank()+1)%pc.Size(), tagA, f64bytes(pc.Local.(*mixState).x)) }),
+				RecvFrom(func(pc *PC) int { return (pc.Rank() - 1 + pc.Size()) % pc.Size() }, tagA,
 					func(pc *PC, data []byte, from int) { acc(pc, f64(data)+float64(from)) })))
 		case 1:
 			ps = append(ps, Barrier())
@@ -201,9 +201,9 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 			ps = append(ps, Seq(
 				Do(func(pc *PC) {
 					st := pc.Local.(*mixState)
-					peer := pc.rank ^ 1
+					peer := pc.Rank() ^ 1
 					if peer >= pc.Size() {
-						peer = pc.rank
+						peer = pc.Rank()
 					}
 					// ULT ranks carry the frame through every later
 					// gate; event ranks keep nothing. Neither may move vt.
@@ -241,8 +241,8 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 		case 9: // ring exchange over a static tree: the neighbour is a RecvFrom operand
 			tag := rng.Intn(4)
 			ps = append(ps,
-				Do(func(pc *PC) { pc.Send((pc.rank+1)%pc.Size(), tag, f64bytes(pc.Local.(*mixState).x)) }),
-				RecvFrom(func(pc *PC) int { return (pc.rank - 1 + pc.Size()) % pc.Size() }, tag,
+				Do(func(pc *PC) { pc.Send((pc.Rank()+1)%pc.Size(), tag, f64bytes(pc.Local.(*mixState).x)) }),
+				RecvFrom(func(pc *PC) int { return (pc.Rank() - 1 + pc.Size()) % pc.Size() }, tag,
 					func(pc *PC, data []byte, from int) { acc(pc, f64(data)+float64(from)) }))
 		case 10: // multi-source intake as one RecvEach, one source listed twice
 			tag := 4 + rng.Intn(4)
@@ -259,10 +259,10 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 			ps = append(ps,
 				Do(func(pc *PC) {
 					for k, h := range hops {
-						pc.Send((pc.rank+h)%pc.Size(), tag, f64bytes(pc.Local.(*mixState).x+float64(k)))
+						pc.Send((pc.Rank()+h)%pc.Size(), tag, f64bytes(pc.Local.(*mixState).x+float64(k)))
 					}
 				}),
-				RecvEach(func(pc *PC) []int { return srcs[pc.rank] }, tag,
+				RecvEach(func(pc *PC) []int { return srcs[pc.Rank()] }, tag,
 					func(pc *PC, data []byte, from int) { acc(pc, f64(data)*float64(from+1)) }))
 		}
 		if s, ok := gates[p]; ok {
@@ -270,7 +270,7 @@ func buildMix(seed int64, size, phases int, sink []float64, gates map[int]loadba
 		}
 	}
 	ps = append(ps, Do(func(pc *PC) {
-		sink[pc.rank] = pc.Local.(*mixState).x
+		sink[pc.Rank()] = pc.Local.(*mixState).x
 	}))
 	return Seq(ps...)
 }
@@ -410,11 +410,15 @@ func pooledPair(run func(iters int) (mallocs, msgs uint64), short, long int) (ma
 // given: under the race detector and the msgpoison tag). A per-step
 // Call, a rebuilt Recv, a per-execution collective closure or an
 // unpooled message each cost at least one.
-// The slot a rank occupies is pinned too — the collective list is one
-// pointer in it.
+// The slot a rank occupies is pinned too, at 136 bytes: mu 8; pc 72
+// (job 8, rank 4 and 4 of padding, vt 8, Local 16, colls 8 — the
+// collective list is one pointer — and stack 24); mbox 24; got 8;
+// busy 8; waiting 8 (two int32s); head 4; hasWait, done and moving 3,
+// and 1 of padding. The backend is the job's, and a sharded run's
+// stream state lives beside the store.
 func TestSteadyStateStepAllocations(t *testing.T) {
-	if got := unsafe.Sizeof(eventRank{}); got != 216 {
-		t.Errorf("eventRank is %d bytes, want 216: the per-rank slot changed size", got)
+	if got := unsafe.Sizeof(eventRank{}); got != 136 {
+		t.Errorf("eventRank is %d bytes, want 136: the per-rank slot changed size", got)
 	}
 	const ranks, short, long = 4096, 4, 12
 	rows := []struct {
@@ -547,16 +551,16 @@ func TestEventIrecvWaitallAcrossPEs(t *testing.T) {
 			st := &mixState{}
 			pc.Local = st
 			st.reqs = []*Req{
-				pc.Irecv((pc.rank-1+n)%n, 5),
-				pc.Irecv((pc.rank-n/2+n)%n, 6),
+				pc.Irecv((pc.Rank()-1+n)%n, 5),
+				pc.Irecv((pc.Rank()-n/2+n)%n, 6),
 			}
-			pc.Send((pc.rank+1)%n, 5, f64bytes(float64(pc.rank)))
-			pc.Send((pc.rank+n/2)%n, 6, f64bytes(float64(pc.rank)*10))
+			pc.Send((pc.Rank()+1)%n, 5, f64bytes(float64(pc.Rank())))
+			pc.Send((pc.Rank()+n/2)%n, 6, f64bytes(float64(pc.Rank())*10))
 		}),
 		Waitall(func(pc *PC) []*Req { return pc.Local.(*mixState).reqs }),
 		Do(func(pc *PC) {
 			rs := pc.Local.(*mixState).reqs
-			got[pc.rank] = f64(rs[0].Data) + f64(rs[1].Data)
+			got[pc.Rank()] = f64(rs[0].Data) + f64(rs[1].Data)
 		}),
 	)
 	job, err := NewProgram(m, size, Options{Mode: ModeEvent}, prog)
@@ -618,7 +622,7 @@ func TestEventFootprintReleased(t *testing.T) {
 			Allreduce("sum", func(pc *PC) float64 { return 1 }, nil),
 			Seq(Seq(Waitall(func(*PC) []*Req { return reqs }))),
 			RecvEach(func(pc *PC) []int {
-				if pc.rank == 0 {
+				if pc.Rank() == 0 {
 					return nil
 				}
 				return []int{0} // never sent: rank 1 stays parked

@@ -97,7 +97,7 @@ func (e *eventEngine) shippableLocked(er *eventRank) error {
 		return fmt.Errorf("has program state but the job has no LocalPUP")
 	}
 	for run := er.pc.colls; run != nil; run = run.link {
-		if _, ok := e.siteNum[run.site]; run.active && !ok {
+		if _, ok := e.job.siteNum[run.site]; run.active && !ok {
 			return fmt.Errorf("inside collective %s, whose site the program's numbering never met", run.site.name)
 		}
 	}
@@ -227,8 +227,8 @@ type record struct {
 	local            any
 	runs             []collRun // the active ones, by site number
 	stack            []frame
-	pending, held    []*comm.Message
-	sendSeq, recvSeq map[int]uint64
+	pending          []*comm.Message
+	seq              rankSeq // sharded runs only
 }
 
 // extractLocked packs er's record into p and empties the slot — the
@@ -239,21 +239,23 @@ func (e *eventEngine) extractLocked(p *pup.PUPer, er *eventRank, toPE int, depar
 		return err
 	}
 	pc := &er.pc
-	r := record{rank: pc.rank, toPE: toPE, depart: depart, vt: pc.vt, busy: er.busy,
-		waiting: er.waiting, local: pc.Local, stack: pc.stack, pending: er.mbox[er.head:],
-		held: er.held, sendSeq: er.sendSeq, recvSeq: er.recvSeq}
+	r := record{rank: pc.Rank(), toPE: toPE, depart: depart, vt: pc.vt, busy: er.busy,
+		waiting: er.waiting, local: pc.Local, stack: pc.stack, pending: er.mbox[er.head:]}
+	if e.seq != nil {
+		r.seq = e.seq[pc.rank]
+	}
 	for run := pc.colls; run != nil; run = run.link {
 		if run.active {
 			r.runs = append(r.runs, *run)
 		}
 	}
 	if len(r.runs) > 1 {
-		slices.SortFunc(r.runs, func(a, b collRun) int { return e.siteNum[a.site] - e.siteNum[b.site] })
+		slices.SortFunc(r.runs, func(a, b collRun) int { return e.job.siteNum[a.site] - e.job.siteNum[b.site] })
 	}
 	if err := e.pupRecord(p, &r, pc); err != nil {
 		return err
 	}
-	for _, msgs := range [][]*comm.Message{r.pending, r.held} {
+	for _, msgs := range [][]*comm.Message{r.pending, r.seq.held} {
 		for _, m := range msgs {
 			m.Free() // the record carries a copy
 		}
@@ -265,7 +267,9 @@ func (e *eventEngine) extractLocked(p *pup.PUPer, er *eventRank, toPE int, depar
 	}
 	clear(er.mbox)
 	er.mbox, er.head, er.hasWait, er.busy = er.mbox[:0], 0, false, 0
-	er.held, er.sendSeq, er.recvSeq = nil, nil, nil
+	if e.seq != nil {
+		e.seq[pc.rank] = rankSeq{}
+	}
 	return nil
 }
 
@@ -293,7 +297,9 @@ func (e *eventEngine) installLocked(er *eventRank, data []byte) (record, error) 
 	if len(r.pending) > 0 {
 		er.mbox, er.head = append(r.pending, er.mbox[er.head:]...), 0
 	}
-	er.held, er.sendSeq, er.recvSeq = r.held, r.sendSeq, r.recvSeq
+	if e.seq != nil {
+		e.seq[pc.rank] = r.seq
+	}
 	return r, nil
 }
 
@@ -305,7 +311,7 @@ func (e *eventEngine) pupRecord(p *pup.PUPer, r *record, pc *PC) error {
 		return err
 	}
 	if p.IsUnpacking() {
-		if rank != uint64(pc.rank) {
+		if rank != uint64(pc.Rank()) {
 			return fmt.Errorf("record for rank %d installed into slot %d", rank, pc.rank)
 		}
 		if to >= uint64(e.job.m.NumPEs()) || !e.job.m.LocalPE(int(to)) {
@@ -324,24 +330,31 @@ func (e *eventEngine) pupRecord(p *pup.PUPer, r *record, pc *PC) error {
 	if err := e.pupPath(p, r, pc); err != nil {
 		return err
 	}
-	for _, msgs := range []*[]*comm.Message{&r.pending, &r.held} {
+	for _, msgs := range []*[]*comm.Message{&r.pending, &r.seq.held} {
 		if err := e.pupMsgs(p, msgs, r.rank); err != nil {
 			return err
 		}
 	}
-	for _, mp := range []*map[int]uint64{&r.sendSeq, &r.recvSeq} {
+	for _, mp := range []*map[int]uint64{&r.seq.sendSeq, &r.seq.recvSeq} {
 		if err := e.pupSeqMap(p, mp); err != nil {
 			return err
 		}
 	}
-	if p.IsUnpacking() && p.Remaining() != 0 {
-		return fmt.Errorf("record carries %d trailing bytes", p.Remaining())
+	if p.IsUnpacking() {
+		if p.Remaining() != 0 {
+			return fmt.Errorf("record carries %d trailing bytes", p.Remaining())
+		}
+		if e.seq == nil && len(r.seq.held)+len(r.seq.sendSeq)+len(r.seq.recvSeq) > 0 {
+			return fmt.Errorf("record carries stream state, which only a sharded job keeps")
+		}
 	}
 	return nil
 }
 
-// pupFields visits each field — *int, *uint64, *float64, *bool or
-// *[]byte — in order, stopping at the first error. An empty byte slice
+// pupFields visits each field — *int, *int32, *uint64, *float64, *bool
+// or *[]byte — in order, stopping at the first error. An *int32 crosses
+// the wire as an int, so narrowing a field leaves the bytes as they
+// were; a value that does not fit is refused. An empty byte slice
 // unpacks as nil: the wire cannot tell the two apart.
 func pupFields(p *pup.PUPer, fields ...any) error {
 	for _, f := range fields {
@@ -349,6 +362,12 @@ func pupFields(p *pup.PUPer, fields ...any) error {
 		switch v := f.(type) {
 		case *int:
 			err = p.Int(v)
+		case *int32:
+			w := int(*v)
+			if err = p.Int(&w); err == nil && int(int32(w)) != w {
+				err = fmt.Errorf("value %d exceeds 32 bits", w)
+			}
+			*v = int32(w)
 		case *uint64:
 			err = p.Uint64(v)
 		case *float64:
@@ -425,20 +444,20 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 	}
 	for i := range r.runs {
 		run := &r.runs[i]
-		num, nent, nchunk := e.siteNum[run.site], len(run.entries), len(run.chunks)
+		num, nent, nchunk := e.job.siteNum[run.site], len(run.entries), len(run.chunks)
 		if err := pupFields(p, &num, &run.next, &run.val, &run.data, &nent, &nchunk); err != nil {
 			return err
 		}
 		if p.IsUnpacking() {
-			if num < 0 || num >= len(e.sites) || i > 0 && num <= e.siteNum[r.runs[i-1].site] {
-				return fmt.Errorf("record names collective site %d out of order or outside the program's %d", num, len(e.sites))
+			if num < 0 || num >= len(e.job.sites) || i > 0 && num <= e.job.siteNum[r.runs[i-1].site] {
+				return fmt.Errorf("record names collective site %d out of order or outside the program's %d", num, len(e.job.sites))
 			}
-			site := e.sites[num]
+			site := e.job.sites[num]
 			run.site, run.kind, run.combine = site, site.kind, site.combine
 			if old := pc.collAt(site); old != nil {
 				run.parent, run.children = old.parent, old.children
 			} else {
-				run.parent, run.children = collFamily(site.kind, pc.rank, e.size, &e.job.opts, site.root)
+				run.parent, run.children = collFamily(site.kind, pc.Rank(), e.size, &e.job.opts, site.root)
 			}
 			chunks, ok := 0, run.next == 0
 			if site.kind == collAlltoall || site.kind == collScatter && run.parent < 0 {
@@ -472,8 +491,9 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 
 // pupPath moves the frame stack as one cursor per frame, outermost
 // first. Unpacking rebuilds the stack by one descent of the program
-// tree — into the slot's spare frame array when it has one — with the
-// record's Local in place for the operand functions.
+// tree — into the slot's spare frame array when it has one, else into
+// one sized to the program's depth — with the record's Local in place
+// for the operand functions.
 func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) error {
 	n := len(r.stack)
 	if err := p.Int(&n); err != nil {
@@ -492,6 +512,9 @@ func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) error {
 	}
 	if len(pc.stack) == 0 {
 		r.stack = pc.stack[:0]
+	}
+	if cap(r.stack) == 0 && n > 0 {
+		r.stack = make([]frame, 0, e.job.depth)
 	}
 	local := pc.Local
 	pc.Local = r.local
@@ -536,7 +559,7 @@ func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) error {
 // waiting for what the record says (the table in this file's header).
 // A Waitall's request list is read again here.
 func checkLeaf(f *frame, r *record, pc *PC) error {
-	var want matchSpec
+	var src, tag int // compared at full width: an operand must not alias by truncation
 	ok := f.i == 0
 	switch s := f.p.(type) {
 	case migrateProc:
@@ -545,17 +568,17 @@ func checkLeaf(f *frame, r *record, pc *PC) error {
 		}
 		return nil
 	case recvProc:
-		want = matchSpec{src: s.source(pc), tag: s.tag}
+		src, tag = s.source(pc), s.tag
 	case recvEachProc:
 		srcs := s.srcs(pc)
 		if ok = f.i >= 0 && f.i < len(srcs); ok {
-			want = matchSpec{src: srcs[f.i], tag: s.tag}
+			src, tag = srcs[f.i], s.tag
 		}
 	case waitallProc:
 		f.reqs = s.reqs(pc)
 		if ok = f.i >= 0 && f.i < len(f.reqs) && f.reqs[f.i] != nil; ok {
 			q := f.reqs[f.i]
-			ok, want = q.isRecv && !q.done, matchSpec{src: q.src, tag: q.tag}
+			ok, src, tag = q.isRecv && !q.done, q.src, q.tag
 		}
 	case collWaitProc:
 		var run *collRun
@@ -566,7 +589,7 @@ func checkLeaf(f *frame, r *record, pc *PC) error {
 		}
 		if ok = ok && run != nil; ok {
 			a, more := run.at(run.next)
-			ok, want = more && !a.send, matchSpec{src: a.peer, tag: a.tag}
+			ok, src, tag = more && !a.send, a.peer, a.tag
 		}
 	default:
 		return fmt.Errorf("tree path leads to a %T, which never parks", f.p)
@@ -574,9 +597,9 @@ func checkLeaf(f *frame, r *record, pc *PC) error {
 	switch {
 	case !ok:
 		return fmt.Errorf("tree path parks in a %T at cursor %d, where it cannot wait", f.p, f.i)
-	case want != r.waiting:
+	case src != int(r.waiting.src) || tag != int(r.waiting.tag):
 		return fmt.Errorf("tree path leads to a receive from (%d, %d) but the record waits for (%d, %d)",
-			want.src, want.tag, r.waiting.src, r.waiting.tag)
+			src, tag, r.waiting.src, r.waiting.tag)
 	}
 	return nil
 }

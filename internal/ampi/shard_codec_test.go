@@ -120,8 +120,8 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 		Waitall(func(*PC) []*Req { return nil }),
 		Seq(start, wait),
 		For(3, func(int) Proc { return recv8 }),
-		RecvEach(func(pc *PC) []int { return []int{0, pc.rank - 1, 0} }, 9, nil),
-		RecvFrom(func(pc *PC) int { return pc.rank - 2 }, 10, nil),
+		RecvEach(func(pc *PC) []int { return []int{0, pc.Rank() - 1, 0} }, 9, nil),
+		RecvFrom(func(pc *PC) int { return pc.Rank() - 2 }, 10, nil),
 		Migrate(loadbalance.RotateLB{}),
 	)
 	j := newShardedEventJob(t, prog)
@@ -200,6 +200,10 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 		if got := cursors(&er.pc); path != nil && !reflect.DeepEqual(got, path) {
 			t.Fatalf("path round trip: built from %v, reads back %v", path, got)
 		}
+		// The rebuilt stack is allocated once, at the program's depth.
+		if c := cap(er.pc.stack); c != j.depth {
+			t.Fatalf("path %v: installed stack has capacity %d, want the program's depth %d", path, c, j.depth)
+		}
 	}
 }
 
@@ -212,12 +216,12 @@ func TestShardRecvEachRoundTrip(t *testing.T) {
 	got := []int{}
 	prog := Seq(
 		Do(func(pc *PC) {
-			if pc.rank != 0 {
+			if pc.Rank() != 0 {
 				pc.Send(0, 5, nil)
 			}
 		}),
 		RecvEach(func(pc *PC) []int {
-			if pc.rank == 0 {
+			if pc.Rank() == 0 {
 				return []int{1, 3, 2}
 			}
 			return nil
