@@ -5,8 +5,8 @@
 // Usage:
 //
 //	btmz [-steps 20] [-lb greedy] [-coll tree|flat|topo] [-agg off|on|N:B]
-//	     [-steal off|on] [-chunks N] [-overlap] [-reduce N] [-trace]
-//	     [-mode ult|event] [-class Z4K] [-npes 8]
+//	     [-overlap] [-reduce N] [-trace] [-mode ult|event] [-class Z4K]
+//	     [-npes 8]
 //
 // -overlap makes the halo exchange split-phase (receives posted and
 // halos sent before the solve, completed after it) and pipelines the
@@ -20,8 +20,8 @@
 // -mode ult|event it runs on the chosen flow backend, one zone per rank
 // on the skewed class (-class, default Z4K), reported with and without
 // the LB gate. Event mode is the configuration that scales past 10^5
-// zones, moving 137-byte records instead of stacks; it refuses -agg,
-// -steal and -trace, which need threads.
+// zones, moving 137-byte records instead of stacks; it refuses -agg and
+// -trace, which need threads.
 package main
 
 import (
@@ -48,8 +48,6 @@ func main() {
 	overlap := flag.Bool("overlap", false, "split-phase halo exchange: communication overlaps the solve")
 	reduceEvery := flag.Int("reduce", 0, "residual-proxy Allreduce every N steps (0 = never; pipelined with -overlap)")
 	aggSpec := flag.String("agg", "off", "boundary-exchange aggregation: off | on | maxPayloads:maxBytes (e.g. 16:8192)")
-	stealSpec := flag.String("steal", "off", "idle-cycle work stealing: off (deterministic pump) | on (parallel runner)")
-	chunks := flag.Int("chunks", 0, "split each rank's per-step solve into N yieldable slices (steal points); 0 keeps one slice")
 	mode := flag.String("mode", "", "flow backend for the one-zone-per-rank study: ult | event (empty = Figure 12's configuration: ULT ranks with privatized globals)")
 	className := flag.String("class", "Z4K", "problem class for -mode runs: A | B | SP-A | LU-A | Z4K")
 	npes := flag.Int("npes", 8, "PE count for -mode runs")
@@ -63,10 +61,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	steal, err := parseSteal(*stealSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	if *mode != "" {
 		class, err := npb.ClassByName(*className)
@@ -77,8 +71,7 @@ func main() {
 			Class: class, NProcs: class.NumZones(), NPEs: *npes,
 			Steps: *steps, Mode: *mode,
 			Collectives: coll, Overlap: *overlap, ReduceEvery: *reduceEvery,
-			Aggregate: aggregate, AggPolicy: pol,
-			Steal: steal, WorkChunks: *chunks, Trace: *showTrace,
+			Aggregate: aggregate, AggPolicy: pol, Trace: *showTrace,
 		}
 		if err := programReport(base, *lbName); err != nil {
 			log.Fatal(err)
@@ -92,7 +85,6 @@ func main() {
 	}
 	cfg := harness.Fig12Config{
 		Coll: coll, Aggregate: aggregate, AggPolicy: pol,
-		Steal: steal, WorkChunks: *chunks,
 		Overlap: *overlap, ReduceEvery: *reduceEvery,
 	}
 	if *lbName != "greedy" {
@@ -138,25 +130,12 @@ func programReport(base npb.Params, lbName string) error {
 	if base.Aggregate {
 		fmt.Printf("  envelopes: %d (noLB) / %d (LB)\n", before.Envelopes, after.Envelopes)
 	}
-	if base.Steal {
-		fmt.Printf("  stolen ranks: %d (noLB) / %d (LB)\n", before.Steals.Moved, after.Steals.Moved)
-	}
 	if base.Trace {
 		fmt.Println()
 		printTrace(before.Params.Label()+" without LB", before)
 		printTrace(with.Label()+" with "+strat.Name()+" LB", after)
 	}
 	return nil
-}
-
-func parseSteal(spec string) (bool, error) {
-	switch spec {
-	case "", "off":
-		return false, nil
-	case "on":
-		return true, nil
-	}
-	return false, fmt.Errorf("btmz: bad -steal %q (want off or on)", spec)
 }
 
 func parseColl(name string) (ampi.CollAlgo, error) {

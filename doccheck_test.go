@@ -1,0 +1,349 @@
+package migflow_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// docFiles are the documents whose code references TestDocSymbols
+// checks. EXPERIMENTS.md and ROADMAP.md are history: they cite what
+// existed when each entry was written.
+var docFiles = []string{
+	"README.md",
+	"DESIGN.md",
+	".claude/skills/verify/SKILL.md",
+}
+
+// deletedRefs are references a document cites on purpose as deleted,
+// each with the PR that deleted it. They must not resolve: a name that
+// comes back is no longer deleted, and its entry goes.
+var deletedRefs = map[string]string{
+	"core.Config.Steal":          "PR 38",
+	"npb.BenchmarkStealMakespan": "PR 38",
+	"btmz -steal":                "PR 38",
+}
+
+// symbolRef matches pkg.Name, pkg.Type.Member and Type.Member; the
+// caller checks that pkg names a package under internal/, or Type a
+// type declared in one.
+var symbolRef = regexp.MustCompile(`([A-Za-z][A-Za-z0-9]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
+
+// fileExts are the suffixes that make pkg.ext a file name, not a symbol.
+var fileExts = map[string]bool{"go": true, "md": true, "json": true, "golden": true, "sh": true, "yml": true, "txt": true, "test": true, "mod": true}
+
+// TestDocSymbols checks every backticked code reference in docFiles
+// against the source: a pkg.Name or pkg.Type.Member whose pkg is a
+// package under internal/ must be declared there (test files
+// included, so cited tests and benchmarks count), a Type.Member whose
+// Type is declared in such a package must be a field or method of it
+// in one of them, and every -flag
+// after a command under cmd/ must be defined by a flag.* call in that
+// command.
+func TestDocSymbols(t *testing.T) {
+	pkgs := map[string]*pkgDecls{}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() {
+			pkgs[d.Name()] = parseDecls(t, filepath.Join("internal", d.Name()))
+		}
+	}
+	flags := map[string]map[string]bool{}
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range cmds {
+		if d.IsDir() {
+			flags[d.Name()] = parseFlags(t, filepath.Join("cmd", d.Name()))
+		}
+	}
+
+	cited := map[string]bool{}
+	for _, doc := range docFiles {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpans(string(data)) {
+			for _, ref := range symbolRefs(span, pkgs) {
+				cited[ref.text] = true
+				if pr, ok := deletedRefs[ref.text]; ok {
+					if ref.ok {
+						t.Errorf("%s: `%s` is cited as deleted in %s but resolves", doc, ref.text, pr)
+					}
+					continue
+				}
+				if !ref.ok {
+					t.Errorf("%s: `%s` does not resolve in internal/%s", doc, ref.text, ref.pkg)
+				}
+			}
+			for _, ref := range flagRefs(span, flags) {
+				cited[ref] = true
+				cmd, flag, _ := strings.Cut(ref, " -")
+				defined := flags[cmd][flag]
+				if pr, ok := deletedRefs[ref]; ok {
+					if defined {
+						t.Errorf("%s: `%s` is cited as deleted in %s but is defined", doc, ref, pr)
+					}
+					continue
+				}
+				if !defined {
+					t.Errorf("%s: `%s`: cmd/%s defines no -%s flag", doc, ref, cmd, flag)
+				}
+			}
+		}
+	}
+	for ref := range deletedRefs {
+		if !cited[ref] {
+			t.Errorf("deletedRefs lists `%s`, which no checked document cites", ref)
+		}
+	}
+}
+
+// codeSpans returns the contents of every inline code span and fenced
+// code block in a Markdown document.
+func codeSpans(doc string) []string {
+	var spans []string
+	var fence []string
+	inFence := false
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			if inFence {
+				spans = append(spans, strings.Join(fence, "\n"))
+				fence = fence[:0]
+			}
+			inFence = !inFence
+			continue
+		}
+		if inFence {
+			fence = append(fence, line)
+			continue
+		}
+		parts := strings.Split(line, "`")
+		for i := 1; i < len(parts)-1; i += 2 {
+			spans = append(spans, parts[i])
+		}
+	}
+	return spans
+}
+
+type symRef struct {
+	text, pkg string
+	ok        bool
+}
+
+// symbolRefs finds the pkg.Name[.Member] references in span whose pkg
+// is an internal package, and the Type.Member references whose Type is
+// declared in one, and reports whether each resolves.
+func symbolRefs(span string, pkgs map[string]*pkgDecls) []symRef {
+	var out []symRef
+	for _, m := range symbolRef.FindAllStringSubmatchIndex(span, -1) {
+		if m[0] > 0 && strings.ContainsAny(span[m[0]-1:m[0]], "/.-_*&") ||
+			m[0] > 0 && isIdentByte(span[m[0]-1]) {
+			continue // a path, a file name or a longer selector
+		}
+		pkg, name := span[m[2]:m[3]], span[m[4]:m[5]]
+		if 'A' <= pkg[0] && pkg[0] <= 'Z' {
+			if ref, ok := typeMemberRef(pkg, name, pkgs); ok {
+				out = append(out, ref)
+			}
+			continue
+		}
+		decls := pkgs[pkg]
+		if decls == nil || fileExts[name] || strings.Contains(name, "_") {
+			continue // not a package, a file name, or a snake_case bench metric
+		}
+		text, member := span[m[0]:m[5]], ""
+		if m[6] >= 0 && decls.types[name] {
+			text, member = span[m[0]:m[1]], span[m[6]:m[7]]
+		}
+		ok := decls.names[name] && (member == "" || decls.members[name+"."+member])
+		out = append(out, symRef{text: text, pkg: pkg, ok: ok})
+	}
+	return out
+}
+
+// typeMemberRef resolves an unqualified Type.Member: it reports
+// false when no internal package declares Type.
+func typeMemberRef(typ, member string, pkgs map[string]*pkgDecls) (symRef, bool) {
+	ref := symRef{text: typ + "." + member}
+	for name, decls := range pkgs {
+		if !decls.types[typ] {
+			continue
+		}
+		if ref.pkg == "" || name < ref.pkg {
+			ref.pkg = name
+		}
+		ref.ok = ref.ok || decls.members[typ+"."+member]
+	}
+	return ref, ref.pkg != ""
+}
+
+func isIdentByte(b byte) bool {
+	return b == '_' || '0' <= b && b <= '9' || 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z'
+}
+
+// flagRef matches a command name (bare, or as a cmd/ path) and the
+// rest of its command line. A name inside another path, such as
+// ./internal/bigsim, is not a command.
+var flagRef = regexp.MustCompile(`(?:^|[\s(])(?:\./)?(?:cmd/)?([a-z]+)((?:\s+[^\s|;&>` + "`" + `]+)+)`)
+
+// flagRefs returns "cmd -flag" for every flag written after a command
+// under cmd/ in span.
+func flagRefs(span string, flags map[string]map[string]bool) []string {
+	var out []string
+	for _, m := range flagRef.FindAllStringSubmatch(span, -1) {
+		cmd := m[1]
+		if flags[cmd] == nil {
+			continue
+		}
+		for _, tok := range strings.Fields(m[2]) {
+			name := strings.TrimLeft(tok, "-")
+			if len(tok)-len(name) != 1 || name == "" || !('a' <= name[0] && name[0] <= 'z') {
+				continue // a value, a path, or a long option of another tool
+			}
+			name, _, _ = strings.Cut(name, "=")
+			out = append(out, cmd+" -"+name)
+		}
+	}
+	return out
+}
+
+// pkgDecls is what a package declares at top level: every name, which
+// of them are types, and each type's methods and fields as
+// "Type.Member".
+type pkgDecls struct {
+	names, types, members map[string]bool
+}
+
+func parseDecls(t *testing.T, dir string) *pkgDecls {
+	t.Helper()
+	d := &pkgDecls{names: map[string]bool{}, types: map[string]bool{}, members: map[string]bool{}}
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					d.names[decl.Name.Name] = true
+					continue
+				}
+				d.members[recvType(decl.Recv.List[0].Type)+"."+decl.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						d.names[spec.Name.Name] = true
+						d.types[spec.Name.Name] = true
+						addMembers(d, spec.Name.Name, spec.Type)
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							d.names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return d
+}
+
+// recvType names a method receiver's base type.
+func recvType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// addMembers records a struct type's fields or an interface type's
+// methods.
+func addMembers(d *pkgDecls, typ string, e ast.Expr) {
+	var fields *ast.FieldList
+	switch x := e.(type) {
+	case *ast.StructType:
+		fields = x.Fields
+	case *ast.InterfaceType:
+		fields = x.Methods
+	default:
+		return
+	}
+	for _, f := range fields.List {
+		for _, n := range f.Names {
+			d.members[typ+"."+n.Name] = true
+		}
+		if len(f.Names) == 0 { // embedded: promoted under its type name
+			d.members[typ+"."+recvType(f.Type)] = true
+		}
+	}
+}
+
+// parseFlags returns the flag names a command defines: the string
+// literal name argument of every flag.* call in its package.
+func parseFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			// flag.String("name", …) or flag.StringVar(&v, "name", …).
+			for _, arg := range call.Args[:min(2, len(call.Args))] {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						names[name] = true
+					}
+					break
+				}
+			}
+			return true
+		})
+	}
+	return names
+}

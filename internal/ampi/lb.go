@@ -37,7 +37,7 @@ func (j *Job) collectLoads(buf []loadbalance.Item) []loadbalance.Item {
 // driver), it plans over the measured loads and moves ranks with
 // forced migration — no Migrate statement appears in the application
 // at all. One strategy serves both backends: ULT ranks move as
-// threads (stack images through the bulk pipeline), event ranks as
+// threads (stack images through migrate.BulkMigrate), event ranks as
 // continuation records — the SAME core.Machine.MigrateMany batch
 // API, so a mixed runtime could balance both populations with one
 // plan. Ranks blocked in Recv keep waiting on their new PE. It

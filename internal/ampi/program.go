@@ -221,9 +221,10 @@ func (pc *PC) Globals() *swapglobal.GOT {
 }
 
 // Yield is MPI_Yield inside a statement: a ULT rank gives the other
-// ranks on its PE the processor and stays runnable — an idle PE may
-// steal it, so PE can change across the call. An event rank runs a
-// statement to completion; for it Yield does nothing.
+// ranks on its PE the processor and stays runnable — a forced move
+// (core.Machine.MigrateMany) may take it meanwhile, so PE can change
+// across the call. An event rank runs a statement to completion; for
+// it Yield does nothing.
 func (pc *PC) Yield() {
 	if b, ok := pc.job.be.(ultBE); ok {
 		b.thread(pc).ctx.Yield()

@@ -1,8 +1,10 @@
 package converse_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"migflow/internal/converse"
@@ -626,5 +628,120 @@ func TestThreadPanicReachesSchedulerCaller(t *testing.T) {
 	want := fmt.Sprintf("converse: thread %d on PE 0 panicked: boom", th.ID())
 	if got != want {
 		t.Errorf("recovered %v, want %q", got, want)
+	}
+}
+
+// orderedThreads starts n threads at one priority whose bodies append
+// their index to *order when they run.
+func orderedThreads(t *testing.T, pe *converse.PE, n int, order *[]int) []*converse.Thread {
+	t.Helper()
+	ths := make([]*converse.Thread, n)
+	for i := 0; i < n; i++ {
+		th, err := pe.Sched.CthCreate(converse.ThreadOptions{Strategy: migrate.Isomalloc{}},
+			func(c *converse.Ctx) { *order = append(*order, i) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		pe.Sched.Start(th)
+		ths[i] = th
+	}
+	return ths
+}
+
+// TestEvictReadyMidLevel takes a Ready thread out of the middle of a
+// priority level: its neighbours keep their FIFO order, and the
+// evicted thread runs again once re-homed.
+func TestEvictReadyMidLevel(t *testing.T) {
+	pes := newPEs(t, 2, platform.Opteron(), nil)
+	var order []int
+	ths := orderedThreads(t, pes[0], 5, &order)
+	wasSuspended, err := pes[0].Sched.Evict(ths[2])
+	if err != nil || wasSuspended {
+		t.Fatalf("Evict of a Ready thread = (%v, %v)", wasSuspended, err)
+	}
+	if _, err := pes[0].Sched.Evict(ths[2]); !errors.Is(err, converse.ErrNotEvictable) {
+		t.Errorf("second Evict = %v, want ErrNotEvictable", err)
+	}
+	if got := pes[0].Sched.ReadyLen(); got != 4 {
+		t.Errorf("ready len after evict = %d, want 4", got)
+	}
+	pes[0].Sched.RunUntilIdle()
+	if fmt.Sprint(order) != "[0 1 3 4]" {
+		t.Errorf("run order after mid-level evict = %v, want [0 1 3 4]", order)
+	}
+	if _, err := migrate.MigrateNow(ths[2], pes[0], pes[1], nil); err != nil {
+		t.Fatal(err)
+	}
+	pes[1].Sched.RunUntilIdle()
+	if fmt.Sprint(order) != "[0 1 3 4 2]" || ths[2].State() != converse.Exited {
+		t.Errorf("evicted thread did not run on its new PE: order %v, state %s", order, ths[2].State())
+	}
+}
+
+// TestStolenThreadResumesOnAnotherGoroutine bounces two threads
+// between two PEs through Evict + MigrateNow (Adopt), every move and
+// every slice on a goroutine that has never run them before: a thread
+// parked by one goroutine must resume, with its simulated stack
+// intact, when a different goroutine switches to it.
+func TestStolenThreadResumesOnAnotherGoroutine(t *testing.T) {
+	pes := newPEs(t, 2, platform.Opteron(), nil)
+	const trips = 40
+	var fail atomic.Value
+	ths := make([]*converse.Thread, 2)
+	for i := range ths {
+		th, err := pes[0].Sched.CthCreate(converse.ThreadOptions{Strategy: migrate.Isomalloc{}}, func(c *converse.Ctx) {
+			frame, err := c.PushFrame(8)
+			if err != nil {
+				fail.Store(err.Error())
+				return
+			}
+			for k := uint64(0); k < 2*trips; k++ {
+				_ = c.Space().WriteUint64(frame, k<<8|uint64(i))
+				c.Suspend()
+				if want := int(k+1) % 2; c.PE().Index != want {
+					fail.Store(fmt.Sprintf("thread %d slice %d resumed on PE %d, want %d", i, k, c.PE().Index, want))
+				}
+				if v, err := c.Space().ReadUint64(frame); err != nil || v != k<<8|uint64(i) {
+					fail.Store(fmt.Sprintf("thread %d slice %d: frame = %#x/%v after the hop", i, k, v, err))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pes[0].Sched.Start(th)
+		ths[i] = th
+	}
+	onFreshGoroutine := func(fn func()) {
+		done := make(chan struct{})
+		go func() { defer close(done); fn() }()
+		<-done
+	}
+	onFreshGoroutine(pes[0].Sched.RunUntilIdle) // both park in their first Suspend
+	for hop := 0; hop < 2*trips; hop++ {
+		from, to := pes[hop%2], pes[(hop+1)%2]
+		for _, th := range ths {
+			th.Awaken()
+		}
+		onFreshGoroutine(func() {
+			for _, th := range ths {
+				if wasSuspended, err := from.Sched.Evict(th); err != nil || wasSuspended {
+					fail.Store(fmt.Sprintf("hop %d: Evict of a Ready thread = (%v, %v)", hop, wasSuspended, err))
+					return
+				}
+				if _, err := migrate.MigrateNow(th, from, to, nil); err != nil {
+					fail.Store(err.Error())
+				}
+			}
+		})
+		onFreshGoroutine(to.Sched.RunUntilIdle)
+		if msg := fail.Load(); msg != nil {
+			t.Fatalf("hop %d: %v", hop, msg)
+		}
+	}
+	for _, th := range ths {
+		if th.State() != converse.Exited {
+			t.Errorf("thread %d is %s after %d round trips", th.ID(), th.State(), trips)
+		}
 	}
 }

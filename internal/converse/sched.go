@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"migflow/internal/mem"
 	"migflow/internal/swapglobal"
@@ -17,8 +16,7 @@ import (
 // from its scheduler right now: it is Running, already Migrating,
 // Exited, owned by a different scheduler, or was dequeued in the
 // window between a caller's snapshot and the eviction attempt. A bulk
-// migration or work-stealing pass treats it as "skip this thread",
-// not as a failure.
+// migration treats it as "skip this thread", not as a failure.
 var ErrNotEvictable = errors.New("thread not evictable")
 
 // Scheduler is one PE's user-level thread scheduler: a priority ready
@@ -35,21 +33,6 @@ type Scheduler struct {
 	live    int // threads created and not yet exited/migrated away
 	threads map[ID]*Thread
 	stop    bool
-
-	// readyDepth mirrors ready.n so a work-stealing thief can peek
-	// at queue depth without contending for mu; refreshed under mu on
-	// every queue mutation.
-	readyDepth atomic.Int64
-
-	// busyNs accumulates the virtual nanoseconds of Work charged on
-	// this PE (not synced by migrations, unlike the PE clock) — the
-	// modeled-load signal a work-stealing thief compares against its
-	// own before robbing this scheduler.
-	busyNs atomic.Uint64
-
-	// donate, when set, decides how many threads this scheduler gives
-	// a thief for a given queue depth (default: half).
-	donate func(depth int) int
 
 	switches uint64 // context switches performed (stats)
 
@@ -222,7 +205,6 @@ func (s *Scheduler) Start(t *Thread) {
 func (s *Scheduler) enqueue(t *Thread) {
 	s.mu.Lock()
 	s.ready.push(t)
-	s.readyDepth.Store(int64(s.ready.n))
 	s.cond.Broadcast()
 	wake := s.onWake
 	s.mu.Unlock()
@@ -238,7 +220,6 @@ func (s *Scheduler) enqueue(t *Thread) {
 func (s *Scheduler) popLocked() (t *Thread, depth int) {
 	depth = s.ready.n
 	t = s.ready.pop()
-	s.readyDepth.Store(int64(s.ready.n))
 	s.switches++
 	return t, depth
 }
@@ -254,9 +235,9 @@ func (s *Scheduler) Evict(t *Thread) (wasSuspended bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.sched != s {
-		// The thread moved (stolen, or migrated by a concurrent bulk
-		// batch) between the caller's snapshot and now; evicting it
-		// from here would extract state from the wrong address space.
+		// The thread moved (migrated by a concurrent bulk batch)
+		// between the caller's snapshot and now; evicting it from here
+		// would extract state from the wrong address space.
 		return false, fmt.Errorf("converse: Evict: thread %d is owned by PE %d, not PE %d: %w",
 			t.id, t.sched.pe.Index, s.pe.Index, ErrNotEvictable)
 	}
@@ -283,114 +264,7 @@ func (s *Scheduler) Evict(t *Thread) (wasSuspended bool, err error) {
 func (s *Scheduler) removeReady(t *Thread) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	removed := s.ready.remove(t)
-	s.readyDepth.Store(int64(s.ready.n))
-	return removed
-}
-
-// ReadyLenHint returns the ready-queue depth without taking the
-// scheduler lock. It may be momentarily stale — exactly what a
-// work-stealing thief wants for victim selection: a cheap peek that
-// costs the victim nothing.
-func (s *Scheduler) ReadyLenHint() int { return int(s.readyDepth.Load()) }
-
-// BusyNs returns the virtual nanoseconds of thread Work charged on
-// this PE so far, lock-free. Unlike the PE clock it is never synced
-// forward by migration arrivals, so it stays a pure measure of how
-// much modeled computation this PE has executed — the steal policy
-// compares thief and victim BusyNs to send work from modeled-busy
-// PEs to modeled-idle ones.
-func (s *Scheduler) BusyNs() uint64 { return s.busyNs.Load() }
-
-// chargeBusy accounts Work time for BusyNs (called from Ctx.Work on
-// the running thread's scheduler).
-func (s *Scheduler) chargeBusy(ns float64) { s.busyNs.Add(uint64(ns)) }
-
-// SetDonateHook installs the victim-side donation policy: given the
-// ready-queue depth at steal time, return how many threads this
-// scheduler is willing to give a thief. nil (the default) donates
-// half. The hook runs with the scheduler lock held and must not call
-// back into the scheduler.
-func (s *Scheduler) SetDonateHook(fn func(depth int) int) {
-	s.mu.Lock()
-	s.donate = fn
-	s.mu.Unlock()
-}
-
-// TryStealHalf takes up to max ready threads from this scheduler (max
-// <= 0 caps at half the queue) and returns them in the Migrating
-// state, ready for the caller to re-home through the normal migration
-// path — PUP, location directory, and clock charging all behave as in
-// any other migration. The victim keeps the head of its priority
-// order; thieves get the work that would have run last.
-//
-// The scheduler lock is taken only when the lock-free depth peek says
-// there are at least two queued threads — an idle machine's failed
-// probes never contend with a busy victim. Candidates that run,
-// suspend, or migrate between the snapshot and the eviction are
-// skipped, so the returned set may be smaller than requested (possibly
-// empty).
-func (s *Scheduler) TryStealHalf(max int) []*Thread {
-	if s.readyDepth.Load() < 2 {
-		return nil
-	}
-	s.mu.Lock()
-	depth := s.ready.n
-	want := depth / 2
-	if s.donate != nil {
-		want = s.donate(depth)
-	}
-	if want > depth {
-		want = depth
-	}
-	if max > 0 && want > max {
-		want = max
-	}
-	if want <= 0 || depth < 2 {
-		s.mu.Unlock()
-		return nil
-	}
-	// Snapshot the tail of the run order, last to run first, so the
-	// victim's next-to-run threads stay put.
-	victims := s.ready.tail(want)
-	s.mu.Unlock()
-
-	// Evict outside s.mu: Evict takes t.mu then s.mu (the established
-	// lock order), so holding s.mu here would invert it against a
-	// concurrent Evict from a bulk migration.
-	out := victims[:0]
-	for _, t := range victims {
-		wasSuspended, err := s.Evict(t)
-		if err != nil {
-			continue // ran, migrated, or exited in the window
-		}
-		if wasSuspended {
-			// The candidate ran and suspended before we reached it;
-			// stealing a waiting thread moves no work. Put it back
-			// exactly as Evict found it (honouring a racing wake).
-			s.unevictSuspended(t)
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
-// unevictSuspended undoes an Evict of a Suspended thread that the
-// steal path does not want: the thread returns to Suspended on this
-// scheduler, or straight to Ready if a wake landed while it was
-// nominally Migrating.
-func (s *Scheduler) unevictSuspended(t *Thread) {
-	t.mu.Lock()
-	if t.wakePending {
-		t.wakePending = false
-		t.state = Ready
-		t.mu.Unlock()
-		s.enqueue(t)
-		return
-	}
-	t.state = Suspended
-	t.mu.Unlock()
+	return s.ready.remove(t)
 }
 
 // AdoptSuspended takes ownership of an externally migrated thread
@@ -626,11 +500,11 @@ func (s *Scheduler) reap(t *Thread) {
 
 // readyQueue is the run order: lower priority value first, FIFO
 // within a priority. It is intrusive — one doubly linked list per
-// priority level, threaded through Thread.qnext/qprev — so push, pop,
-// removing an arbitrary thread and walking the tail are O(1) per
-// thread and allocate nothing. Levels stay sorted and are never
-// dropped: a scheduler sees a handful of distinct priorities (usually
-// one), so finding a level is a short scan.
+// priority level, threaded through Thread.qnext/qprev — so push, pop
+// and removing an arbitrary thread are O(1) and allocate nothing.
+// Levels stay sorted and are never dropped: a scheduler sees a handful
+// of distinct priorities (usually one), so finding a level is a short
+// scan.
 type readyQueue struct {
 	levels []readyLevel // ascending prio; a level may be empty
 	n      int          // queued threads
@@ -696,16 +570,4 @@ func (q *readyQueue) pop() *Thread {
 		}
 	}
 	return nil
-}
-
-// tail returns the last k threads of the run order (fewer if the
-// queue is shorter), last to run first, without removing them.
-func (q *readyQueue) tail(k int) []*Thread {
-	out := make([]*Thread, 0, k)
-	for i := len(q.levels) - 1; i >= 0; i-- {
-		for t := q.levels[i].tail; t != nil && len(out) < k; t = t.qprev {
-			out = append(out, t)
-		}
-	}
-	return out
 }

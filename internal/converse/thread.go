@@ -345,6 +345,5 @@ func (c *Ctx) GlobalsGOT() *swapglobal.GOT { return c.t.sched.pe.GOT }
 // application kernels like the BT-MZ solver express their work.
 func (c *Ctx) Work(ns float64) {
 	c.t.sched.pe.Clock.Advance(ns)
-	c.t.sched.chargeBusy(ns)
 	c.t.addCPU(ns)
 }

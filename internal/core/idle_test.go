@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,5 +55,72 @@ func TestRunParallelIdlePEDoesNotSpin(t *testing.T) {
 	m.RunParallel(done.Load)
 	if polls := m.IdlePolls(); polls > 16 {
 		t.Errorf("idle PE made %d polls during neighbour's 200 yields, want a handful", polls)
+	}
+}
+
+// TestWakeDuringTeardown hammers Machine.Wake from outside while
+// RunParallel repeatedly starts and tears down: the gates slice is
+// installed and nilled under the machine lock, so concurrent Wake
+// calls must neither race nor panic — including after the final
+// teardown when gates is nil.
+func TestWakeDuringTeardown(t *testing.T) {
+	m, err := NewMachine(Config{NumPEs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.Wake()
+			}
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		m.RunParallel(func() bool { return true })
+	}
+	close(stop)
+	wg.Wait()
+	m.Wake() // after teardown: gates nil, must be a no-op
+}
+
+// TestStealDisabledByDefault: an idle PE in RunParallel never takes
+// work from a busy one. All the work is parked on PE 0 of a 4-PE
+// machine; with no plan moving a thread, every slice must run there,
+// keeping RunParallel placement-deterministic.
+func TestStealDisabledByDefault(t *testing.T) {
+	m, err := NewMachine(Config{NumPEs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done, offHome atomic.Int64
+	const n = 8
+	for i := 0; i < n; i++ {
+		th, err := m.PE(0).Sched.CthCreate(converse.ThreadOptions{
+			Strategy: migrate.Isomalloc{},
+		}, func(c *converse.Ctx) {
+			for k := 0; k < 8; k++ {
+				c.Work(1000)
+				if c.PE().Index != 0 {
+					offHome.Add(1)
+				}
+				c.Yield()
+			}
+			done.Add(1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.PE(0).Sched.Start(th)
+	}
+	m.RunParallel(func() bool { return done.Load() == n })
+	if got := offHome.Load(); got != 0 {
+		t.Fatalf("%d slices ran off PE 0 with no plan moving a thread", got)
 	}
 }

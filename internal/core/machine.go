@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -40,35 +39,15 @@ type Config struct {
 	// defaults to 16384 pages (64 MiB) per PE.
 	IsoSlotPages uint64
 
-	// Steal enables idle-cycle work stealing in RunParallel: a PE that
-	// pumps its inbox and finds nothing probes two random victims and
-	// takes half of the deeper ready queue before blocking on its wake
-	// gate. Stolen threads are re-homed through the normal migration
-	// path, so PUP, the location directory, and virtual-clock charging
-	// all behave as in any other migration. Off by default: stealing
-	// absorbs transient imbalance at idle cost only, but its timing is
-	// wall-clock dependent, so deterministic runs (RunUntilQuiescent
-	// and reproducible RunParallel figures) leave it disabled.
-	Steal bool
-	// StealAttempts bounds how many two-choice probes an idle PE makes
-	// per idle episode before giving up and blocking; default 2.
-	StealAttempts int
-
 	// LocalPELo/LocalPEHi shard the machine across OS processes: this
 	// process drives only PEs [LocalPELo, LocalPEHi) while the full
 	// NumPEs-wide network directory and clock arrays stay global, so
 	// entity IDs, placements, and virtual-time accounting are identical
 	// to an unsharded run. Both zero (the default) means every PE is
 	// local. A sharded machine needs a comm.Transport attached to its
-	// network (see comm.LinkTransport) before traffic flows, and is
-	// incompatible with work stealing — a remote PE's ready queue is in
-	// another process.
+	// network (see comm.LinkTransport) before traffic flows.
 	LocalPELo, LocalPEHi int
 }
-
-// DefaultStealAttempts is the idle-phase probe bound when
-// Config.StealAttempts is zero.
-const DefaultStealAttempts = 2
 
 // DefaultIsoSlotPages is the per-PE isomalloc slot if unset.
 const DefaultIsoSlotPages = 16384
@@ -109,11 +88,6 @@ type Machine struct {
 	// quiescent machine should block, not accumulate these.
 	idlePolls atomic.Uint64
 
-	// Work-stealing counters (see StealStats).
-	stealAttempts atomic.Uint64
-	stealHits     atomic.Uint64
-	stealMoved    atomic.Uint64
-
 	// gates holds one wake gate per PE while RunParallel is active.
 	gates []*wakeGate
 }
@@ -139,9 +113,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	if cfg.LocalPELo < 0 || cfg.LocalPEHi > cfg.NumPEs || cfg.LocalPELo >= cfg.LocalPEHi {
 		return nil, fmt.Errorf("core: local PE range [%d,%d) invalid for %d PEs", cfg.LocalPELo, cfg.LocalPEHi, cfg.NumPEs)
-	}
-	if cfg.Steal && (cfg.LocalPELo != 0 || cfg.LocalPEHi != cfg.NumPEs) {
-		return nil, fmt.Errorf("core: work stealing is incompatible with a sharded machine")
 	}
 	region, err := mem.NewIsoRegion(mem.DefaultIsoBase,
 		uint64(cfg.NumPEs)*cfg.IsoSlotPages*vmem.PageSize, cfg.NumPEs)
@@ -500,10 +471,6 @@ func (m *Machine) RunParallel(done func() bool) {
 		ep := m.net.Endpoint(i)
 		ep.SetWakeHook(gates[i].wake)
 		pe.Sched.SetWakeHook(gates[i].wake)
-		// Steal RNG: one per PE goroutine (only this PE's idle handler
-		// touches it), deterministically seeded by PE index so victim
-		// sequences are reproducible given an interleaving.
-		rng := rand.New(rand.NewSource(int64(i)*0x9E3779B9 + 1))
 		pe.Sched.SetIdleHandler(func() bool {
 			// Snapshot the gate BEFORE checking for work: any wake
 			// that fires after this point re-opens the channel we
@@ -515,12 +482,6 @@ func (m *Machine) RunParallel(done func() bool) {
 				return false
 			}
 			if m.Pump(i) > 0 || pe.Sched.ReadyLen() > 0 {
-				return true
-			}
-			// Idle-steal phase: absorb a neighbour's transient backlog
-			// before parking. On success the stolen threads are already
-			// enqueued here; re-enter the scheduler loop.
-			if m.cfg.Steal && m.stealInto(i, rng) {
 				return true
 			}
 			m.idlePolls.Add(1)

@@ -9,26 +9,6 @@ import (
 	"migflow/internal/migrate"
 )
 
-// MigrateExternal forcibly moves a non-running thread (Ready or
-// Suspended) from its current PE to dest, without the thread's
-// cooperation — the load balancer's and fault-tolerance layer's
-// migration primitive. Directory entries and network costs are
-// handled like a self-initiated migration.
-func (m *Machine) MigrateExternal(t *converse.Thread, dest int) error {
-	if dest < 0 || dest >= len(m.pes) {
-		return fmt.Errorf("core: MigrateExternal: PE %d out of range", dest)
-	}
-	src := t.Scheduler().PE()
-	if src.Index == dest {
-		return nil
-	}
-	nbytes, err := migrate.MigrateExternal(t, src, m.pes[dest], m.layout)
-	if err != nil {
-		return err
-	}
-	return m.finishMigration(comm.EntityID(t.ID()), src.Index, dest, nbytes)
-}
-
 // Move is one entry in a batch migration: thread T — or record R,
 // when non-nil — goes to PE Dest. Record moves also name their source
 // PE in Src (a thread's source is its scheduler; a record has none).
@@ -39,14 +19,16 @@ type Move struct {
 	Dest int
 }
 
-// MigrateMany moves a batch of non-running threads in one pipelined
-// bulk operation (migrate.BulkMigrate): extraction and serialization
-// on the source PEs overlap installation on the destinations across a
-// bounded worker pool, so one load-balancing step issues one batch
-// instead of N serial extract→install round trips. Moves whose thread
-// is already on its destination are skipped. It returns how many
-// threads moved and the first error encountered; a failed move does
-// not abort the rest of the batch.
+// MigrateMany forcibly moves a batch of non-running flows — Ready or
+// Suspended threads, and records — in one migrate.BulkMigrate call,
+// without the flows' cooperation: the load balancer's and the
+// fault-tolerance layer's migration primitive. A thread that was
+// waiting for an event keeps waiting on its destination; a runnable
+// one becomes runnable there. Directory entries and network costs are
+// handled like a self-initiated migration. Moves whose flow is already
+// on its destination are skipped. It returns how many flows moved and
+// the first error encountered; a failed move does not abort the rest
+// of the batch.
 func (m *Machine) MigrateMany(moves []Move) (int, error) {
 	ops := make([]migrate.Op, 0, len(moves))
 	for _, mv := range moves {
@@ -69,15 +51,15 @@ func (m *Machine) MigrateMany(moves []Move) (int, error) {
 		}
 		ops = append(ops, migrate.Op{T: mv.T, Src: src, Dst: m.pes[mv.Dest]})
 	}
-	results := migrate.BulkMigrate(ops, m.layout, 0)
+	results := migrate.BulkMigrate(ops, m.layout)
 	moved := 0
 	var firstErr error
 	for i, res := range results {
 		if res.Err != nil {
-			// A thread that raced us — started running, was stolen by
-			// an idle PE, migrated in another batch, or exited — is
-			// simply not moved this round; the balancer will see it
-			// again next epoch. Anything else is a real failure.
+			// A thread that raced us — started running, migrated in
+			// another batch, or exited — is simply not moved this
+			// round; the balancer will see it again next epoch.
+			// Anything else is a real failure.
 			if errors.Is(res.Err, converse.ErrNotEvictable) {
 				continue
 			}

@@ -12,6 +12,7 @@ import (
 	"migflow/internal/ampi"
 	"migflow/internal/comm"
 	"migflow/internal/loadbalance"
+	"migflow/internal/npb"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build")
@@ -95,4 +96,35 @@ func TestFigure12Golden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "fig12.golden", buf.Bytes())
+}
+
+// TestBTMZModeGolden pins the one-zone-per-rank study `btmz -mode`
+// prints: npb.Run on Z4K with 8 PEs and 20 steps, on ULT ranks and on
+// event records, each without and with GreedyLB. Every modeled field
+// is written as its bit pattern, in fig12.golden's line format, plus
+// the predicted makespan and the per-PE loads.
+func TestBTMZModeGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, mode := range []string{ampi.ModeULT, ampi.ModeEvent} {
+		fmt.Fprintf(&buf, "== btmz -mode %s\n", mode)
+		for i, lb := range []loadbalance.Strategy{nil, loadbalance.GreedyLB{}} {
+			r, err := npb.Run(npb.Params{
+				Class: npb.ClassZ4K, NProcs: npb.ClassZ4K.NumZones(), NPEs: 8,
+				Steps: 20, Mode: mode, LB: lb,
+			})
+			if err != nil {
+				t.Fatalf("btmz -mode %s: %v", mode, err)
+			}
+			fmt.Fprintf(&buf, "%-8s %-4s time=%016x comm=%016x imb=%016x migbytes=%d moved=%d env=%d aggpay=%d hops=%d\n",
+				r.Params.Label(), [2]string{"noLB", "LB"}[i],
+				math.Float64bits(r.TimeNs), math.Float64bits(r.CommNs), math.Float64bits(r.Imbalance),
+				r.MigratedBytes, r.MovedRanks, r.Envelopes, r.AggPayloads, r.TopoHops)
+			fmt.Fprintf(&buf, "  predicted=%016x migrations=%d loads=", math.Float64bits(r.PredictedNs), r.Migrations)
+			for _, l := range r.PELoads {
+				fmt.Fprintf(&buf, " %016x", math.Float64bits(l))
+			}
+			buf.WriteByte('\n')
+		}
+	}
+	checkGolden(t, "btmz_mode.golden", buf.Bytes())
 }

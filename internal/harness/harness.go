@@ -223,21 +223,14 @@ func Figure12(w io.Writer, steps int) ([][2]*npb.Result, error) {
 }
 
 // Fig12Config selects the optional mechanisms for a Figure 12 run:
-// collective algorithm, boundary-exchange aggregation, the measured
-// load balancer for the "LB" column (nil means GreedyLB), and idle-
-// cycle work stealing (off by default — the deterministic path).
+// collective algorithm, boundary-exchange aggregation, and the
+// measured load balancer for the "LB" column (nil means GreedyLB).
 type Fig12Config struct {
 	Coll      ampi.CollAlgo
 	Aggregate bool
 	AggPolicy comm.AggPolicy
 	// LB is the strategy for the balanced column (nil → GreedyLB).
 	LB loadbalance.Strategy
-	// Steal drives both columns with the wall-clock parallel runner and
-	// idle-cycle stealing instead of the deterministic sequential pump.
-	Steal bool
-	// WorkChunks splits each rank's per-step solve into this many
-	// Work+Yield slices (steal points); ≤1 keeps the single-shot solve.
-	WorkChunks int
 	// Overlap makes the halo exchange split-phase (Params.Overlap):
 	// receives posted and halos sent before the solve, completed after
 	// it, so exchange cost hides under compute.
@@ -251,9 +244,7 @@ type Fig12Config struct {
 }
 
 // Figure12With is the fully-configurable Figure 12 driver; aggregated
-// runs report the envelope traffic alongside the timing columns, and
-// enabling Steal appends a per-case stolen-threads column from the
-// runtime's steal counters.
+// runs report the envelope traffic alongside the timing columns.
 func Figure12With(w io.Writer, steps int, cfg Fig12Config) ([][2]*npb.Result, error) {
 	strat := cfg.LB
 	if strat == nil {
@@ -267,18 +258,12 @@ func Figure12With(w io.Writer, steps int, cfg Fig12Config) ([][2]*npb.Result, er
 	if cfg.Aggregate {
 		mode += ", aggregated exchange"
 	}
-	if cfg.Steal {
-		mode += ", idle stealing"
-	}
 	if cfg.Overlap {
 		mode += ", split-phase overlap"
 	}
 	topo := cfg.Topo.Nodes > 0 || cfg.Coll == ampi.CollTopoTree
 	fmt.Fprintf(w, "Figure 12: NAS BT-MZ with and without thread-migration load balancing%s\n", mode)
 	fmt.Fprintf(w, "%-10s %14s %14s %9s %7s %10s", "case", "noLB time(ms)", "LB time(ms)", "speedup", "moved", "envelopes")
-	if cfg.Steal {
-		fmt.Fprintf(w, " %7s", "stolen")
-	}
 	if topo {
 		fmt.Fprintf(w, " %7s", "hops")
 	}
@@ -287,8 +272,6 @@ func Figure12With(w io.Writer, steps int, cfg Fig12Config) ([][2]*npb.Result, er
 		p.Collectives = cfg.Coll
 		p.Aggregate = cfg.Aggregate
 		p.AggPolicy = cfg.AggPolicy
-		p.Steal = cfg.Steal
-		p.WorkChunks = cfg.WorkChunks
 		p.Overlap = cfg.Overlap
 		p.ReduceEvery = cfg.ReduceEvery
 		p.Topo = cfg.Topo
@@ -304,9 +287,6 @@ func Figure12With(w io.Writer, steps int, cfg Fig12Config) ([][2]*npb.Result, er
 		}
 		fmt.Fprintf(w, "%-10s %14.2f %14.2f %8.2fx %7d %10d",
 			p.Label(), base.TimeNs/1e6, lb.TimeNs/1e6, base.TimeNs/lb.TimeNs, lb.MovedRanks, lb.Envelopes)
-		if cfg.Steal {
-			fmt.Fprintf(w, " %7d", base.Steals.Moved+lb.Steals.Moved)
-		}
 		if topo {
 			fmt.Fprintf(w, " %7d", lb.TopoHops)
 		}

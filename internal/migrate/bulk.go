@@ -2,9 +2,7 @@ package migrate
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"migflow/internal/converse"
 	"migflow/internal/pup"
@@ -15,8 +13,8 @@ import (
 // self-describing state record (an event-mode AMPI continuation, 120
 // to 240 bytes) that serializes and reinstates itself. Unlike a thread, a
 // record has no stack, heap, or scheduler entry — Extract/Install ARE
-// the whole migration, so the bulk pipeline skips eviction, vmem
-// image validation, and adoption entirely.
+// the whole migration, so BulkMigrate skips eviction, vmem image
+// validation, and adoption entirely.
 type Record interface {
 	// ID names the record (its comm entity id) for error reporting.
 	ID() uint64
@@ -29,8 +27,7 @@ type Record interface {
 
 // Op is one move in a bulk migration: thread T (or record R, when
 // non-nil) leaves Src for Dst. A thread must be Ready or Suspended
-// (not Running) — the same contract as MigrateExternal. Exactly one
-// of T and R is set.
+// (not Running): BulkMigrate evicts it. Exactly one of T and R is set.
 type Op struct {
 	T   *converse.Thread
 	R   Record
@@ -51,43 +48,23 @@ type Result struct {
 	Err       error
 }
 
-// BulkMigrate moves a batch of threads with a two-stage pipeline:
-// stage one evicts, extracts and serializes on the source PEs; stage
-// two deserializes, installs and re-adopts on the destinations. Each
-// stage runs on a bounded worker pool (workers <= 0 selects
-// GOMAXPROCS) connected by a buffered channel, so source-side page
-// copying for thread k overlaps destination-side page mapping for
-// thread k-1 — one LB step issues one batch instead of N serial
-// extract→install round trips.
+// BulkMigrate moves a batch of threads and records, one op after the
+// other on the calling goroutine. A thread op evicts the thread from
+// its source scheduler and runs the ordinary migration (MigrateNow's
+// extract → PUP → install → adopt); a record op is Extract then
+// Install through one packer reused across the batch.
 //
-// Ops are processed grouped by (source, destination) PE regardless of
-// their order in the slice: a real LB emits moves in object order,
-// which ping-pongs between PEs; grouping keeps each PE's space and
-// scheduler structures hot across consecutive ops. When only one
-// worker can run (workers == 1, or a single-processor host), the
-// pipeline degenerates to an inline loop over the grouped ops with a
-// single reused packer — same semantics, none of the channel
-// machinery.
-//
-// Every packer is pooled and every op gets an independent Result;
-// one thread's failure does not abort the rest of the batch.
-// Correctness relies on the per-structure locks already guarding
-// Scheduler, Space, IsoAllocator and ThreadHeap — ops may touch the
-// same PEs concurrently.
-func BulkMigrate(ops []Op, layout *swapglobal.Layout, workers int) []Result {
+// Ops run grouped by (source, destination) PE regardless of their
+// order in the slice: a real LB emits moves in object order, which
+// ping-pongs between PEs; grouping keeps each PE's space and scheduler
+// structures hot across consecutive ops. Results stay indexed by the
+// caller's op order, and one op's failure does not abort the rest of
+// the batch. Concurrent batches over the same PEs are safe: the
+// per-structure locks guarding Scheduler, Space, IsoAllocator and
+// ThreadHeap serialize them, and Evict refuses a thread another batch
+// already took (converse.ErrNotEvictable).
+func BulkMigrate(ops []Op, layout *swapglobal.Layout) []Result {
 	results := make([]Result, len(ops))
-	if len(ops) == 0 {
-		return results
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ops) {
-		workers = len(ops)
-	}
-
-	// Group ops by (src, dst) for locality; results stay indexed by
-	// the caller's op order.
 	order := make([]int, len(ops))
 	for i := range order {
 		order[i] = i
@@ -99,127 +76,37 @@ func BulkMigrate(ops []Op, layout *swapglobal.Layout, workers int) []Result {
 		}
 		return oa.Dst.Index < ob.Dst.Index
 	})
-
-	// packOne evicts op i and serializes its image into p (which must
-	// be empty). It reports whether the thread was suspended; on error
-	// it fills results[i] and returns false, false. Record ops skip
-	// eviction: a record is not scheduled, and its Extract is
-	// internally synchronized against deliveries.
-	packOne := func(i int, p *pup.PUPer) (suspended, ok bool) {
-		op := ops[i]
-		if op.R != nil {
-			if err := op.R.Extract(p); err != nil {
-				results[i].Err = err
-				return false, false
-			}
-			return false, true
-		}
-		wasSuspended, err := op.Src.Sched.Evict(op.T)
-		if err != nil {
-			results[i].Err = err
-			return false, false
-		}
-		im, err := Extract(op.T, op.Src)
-		if err != nil {
-			results[i].Err = err
-			return false, false
-		}
-		if err := im.Pup(p); err != nil {
-			results[i].Err = err
-			return false, false
-		}
-		return wasSuspended, true
-	}
-
-	// installOne deserializes data onto op i's destination and hands
-	// the thread over, filling results[i] either way.
-	installOne := func(i int, data []byte, suspended bool) {
-		op := ops[i]
-		if op.R != nil {
-			if err := op.R.Install(data); err != nil {
-				results[i].Err = fmt.Errorf("migrate: bulk install of record %d: %w", op.R.ID(), err)
-				return
-			}
-			results[i].Bytes = len(data)
-			return
-		}
-		var im ThreadImage
-		if err := pup.Unpack(data, &im); err != nil {
-			results[i].Err = fmt.Errorf("migrate: bulk unpack of thread %d: %w", op.T.ID(), err)
-			return
-		}
-		if err := Install(op.T, op.Dst, &im, layout); err != nil {
-			results[i].Err = err
-			return
-		}
-		op.Src.Sched.Disown(op.T)
-		if suspended {
-			op.Dst.Sched.AdoptSuspended(op.T)
-		} else {
-			op.Dst.Sched.Adopt(op.T)
-		}
-		results[i].Bytes = len(data)
-		results[i].Suspended = suspended
-	}
-
-	if workers == 1 || runtime.GOMAXPROCS(0) == 1 {
-		p := pup.AcquirePacker()
-		defer p.Release()
-		for _, i := range order {
-			p.Reset()
-			if suspended, ok := packOne(i, p); ok {
-				installOne(i, p.PackedBytes(), suspended)
-			}
-		}
-		return results
-	}
-
-	type packed struct {
-		idx       int
-		p         *pup.PUPer // pooled packer handed across; stage two releases it
-		suspended bool
-	}
-	work := make(chan int, len(ops))
-	packedCh := make(chan packed, workers)
-
-	var extractWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		extractWG.Add(1)
-		go func() {
-			defer extractWG.Done()
-			for i := range work {
-				// The packer crosses the channel with its bytes in place —
-				// no wire-buffer copy; the install worker releases it back
-				// to the pool.
-				p := pup.AcquirePacker()
-				suspended, ok := packOne(i, p)
-				if !ok {
-					p.Release()
-					continue
-				}
-				packedCh <- packed{idx: i, p: p, suspended: suspended}
-			}
-		}()
-	}
-
-	var installWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		installWG.Add(1)
-		go func() {
-			defer installWG.Done()
-			for pk := range packedCh {
-				installOne(pk.idx, pk.p.PackedBytes(), pk.suspended)
-				pk.p.Release()
-			}
-		}()
-	}
-
+	p := pup.AcquirePacker()
+	defer p.Release()
 	for _, i := range order {
-		work <- i
+		op := ops[i]
+		if op.R == nil {
+			results[i] = migrateThread(op, layout)
+			continue
+		}
+		p.Reset()
+		if err := op.R.Extract(p); err != nil {
+			results[i].Err = err
+			continue
+		}
+		if err := op.R.Install(p.PackedBytes()); err != nil {
+			results[i].Err = fmt.Errorf("migrate: bulk install of record %d: %w", op.R.ID(), err)
+			continue
+		}
+		results[i].Bytes = len(p.PackedBytes())
 	}
-	close(work)
-	extractWG.Wait()
-	close(packedCh)
-	installWG.Wait()
 	return results
+}
+
+// migrateThread runs one thread op: evict, then move.
+func migrateThread(op Op, layout *swapglobal.Layout) Result {
+	suspended, err := op.Src.Sched.Evict(op.T)
+	if err != nil {
+		return Result{Err: err}
+	}
+	n, err := moveThread(op.T, op.Src, op.Dst, layout, suspended)
+	if err != nil {
+		return Result{Err: err}
+	}
+	return Result{Bytes: n, Suspended: suspended}
 }

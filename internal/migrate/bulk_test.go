@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"migflow/internal/converse"
@@ -12,10 +13,10 @@ import (
 )
 
 // TestMigrateExternalSuspended: a thread blocked in Suspend is
-// forcibly moved by each strategy; it must keep waiting on the
-// destination and finish correctly when awakened there — the load
-// balancer's "ranks blocked in Recv keep waiting on their new PE"
-// contract.
+// forcibly moved from outside its scheduler by a one-op BulkMigrate
+// under each strategy; it must keep waiting on the destination and
+// finish correctly when awakened there — the load balancer's "ranks
+// blocked in Recv keep waiting on their new PE" contract.
 func TestMigrateExternalSuspended(t *testing.T) {
 	for _, strat := range All() {
 		t.Run(strat.Name(), func(t *testing.T) {
@@ -76,12 +77,15 @@ func TestMigrateExternalSuspended(t *testing.T) {
 			if th.State() != converse.Suspended {
 				t.Fatalf("thread state = %s, want Suspended", th.State())
 			}
-			n, err := MigrateExternal(th, m.pes[0], m.pes[1], nil)
-			if err != nil {
-				t.Fatal(err)
+			res := BulkMigrate([]Op{{T: th, Src: m.pes[0], Dst: m.pes[1]}}, nil)[0]
+			if res.Err != nil {
+				t.Fatal(res.Err)
 			}
-			if n <= 0 {
+			if res.Bytes <= 0 {
 				t.Error("no bytes reported for the image")
+			}
+			if !res.Suspended {
+				t.Error("move not reported suspended")
 			}
 			if th.State() != converse.Suspended {
 				t.Errorf("thread state after move = %s, want still Suspended", th.State())
@@ -232,7 +236,7 @@ func TestBulkMigrateMovesBatch(t *testing.T) {
 	for i, th := range threads {
 		ops[i] = Op{T: th, Src: m.pes[0], Dst: m.pes[1+i%3]}
 	}
-	results := BulkMigrate(ops, nil, 4)
+	results := BulkMigrate(ops, nil)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("op %d: %v", i, res.Err)
@@ -261,12 +265,13 @@ func TestBulkMigrateMovesBatch(t *testing.T) {
 	}
 }
 
-// TestBulkMigrateConcurrentStress is the -race stress test: many
-// isomalloc threads bulk-migrate concurrently between overlapping
-// source and destination PEs, repeatedly. Isomalloc is used because
-// its per-thread unique addresses make concurrent installs into one
-// space legal (the exclusive strategies still work in a batch, but
-// this test maximizes genuinely parallel page traffic).
+// TestBulkMigrateConcurrentStress is the -race stress test: several
+// goroutines, each calling BulkMigrate on its own threads, move them
+// between overlapping source and destination PEs, repeatedly.
+// Isomalloc is used because its per-thread unique addresses make
+// concurrent installs into one space legal (the exclusive strategies
+// still work in a batch, but this test maximizes genuinely parallel
+// page traffic).
 func TestBulkMigrateConcurrentStress(t *testing.T) {
 	const n = 24
 	m := newMachine(t, 4, nil)
@@ -299,18 +304,32 @@ func TestBulkMigrateConcurrentStress(t *testing.T) {
 		m.pes[i%4].Sched.Start(th)
 	}
 	m.runAll()
-	for round := 0; round < 4; round++ {
-		ops := make([]Op, n)
-		for i, th := range threads {
-			src := th.Scheduler().PE()
-			ops[i] = Op{T: th, Src: src, Dst: m.pes[(src.Index+1+i%3)%4]}
-		}
-		results := BulkMigrate(ops, nil, 8)
-		for i, res := range results {
-			if res.Err != nil {
-				t.Fatalf("round %d op %d: %v", round, i, res.Err)
+	// Goroutine g owns threads g, g+movers, ...: its batches share
+	// every PE with the other goroutines' batches, never a thread.
+	const movers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < movers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				var ops []Op
+				for i := g; i < n; i += movers {
+					src := threads[i].Scheduler().PE()
+					ops = append(ops, Op{T: threads[i], Src: src, Dst: m.pes[(src.Index+1+i%3)%4]})
+				}
+				for j, res := range BulkMigrate(ops, nil) {
+					if res.Err != nil {
+						t.Errorf("mover %d round %d op %d: %v", g, round, j, res.Err)
+						return
+					}
+				}
 			}
-		}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 	for _, th := range threads {
 		th.Awaken()

@@ -122,31 +122,16 @@ func Install(t *converse.Thread, dst *converse.PE, im *ThreadImage, layout *swap
 // install on dst, and scheduler ownership transfer. It returns the
 // serialized size so callers can charge network costs.
 func MigrateNow(t *converse.Thread, src, dst *converse.PE, layout *swapglobal.Layout) (int, error) {
-	n, _, err := moveThread(t, src, dst, layout, false)
-	return n, err
+	return moveThread(t, src, dst, layout, false)
 }
 
-// MigrateExternal forcibly migrates a thread that is NOT running —
-// Ready or Suspended — from src to dst: the "asynchronous arbitrary
-// point" migration a load balancer or node-vacation service performs
-// without the thread's cooperation (§3: "migration can allow all the
-// work to be moved off a processor ... to vacate a node that is
-// expected to fail"). A thread that was waiting for an event keeps
-// waiting on the destination; a runnable thread becomes runnable
-// there.
-func MigrateExternal(t *converse.Thread, src, dst *converse.PE, layout *swapglobal.Layout) (int, error) {
-	wasSuspended, err := src.Sched.Evict(t)
-	if err != nil {
-		return 0, err
-	}
-	n, _, err := moveThread(t, src, dst, layout, wasSuspended)
-	return n, err
-}
-
-func moveThread(t *converse.Thread, src, dst *converse.PE, layout *swapglobal.Layout, suspended bool) (int, *ThreadImage, error) {
+// moveThread runs one migration of a Migrating thread: extract, PUP
+// round trip, install, and ownership transfer. suspended re-parks the
+// thread on dst instead of making it runnable.
+func moveThread(t *converse.Thread, src, dst *converse.PE, layout *swapglobal.Layout, suspended bool) (int, error) {
 	im, err := Extract(t, src)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	// Single-pass pack into a pooled buffer, unpacked in place: the
 	// PUP round trip is still byte-faithful to what would cross the
@@ -156,15 +141,15 @@ func moveThread(t *converse.Thread, src, dst *converse.PE, layout *swapglobal.La
 	p := pup.AcquirePacker()
 	defer p.Release()
 	if err := im.Pup(p); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	n := len(p.PackedBytes())
 	var im2 ThreadImage
 	if err := pup.Unpack(p.PackedBytes(), &im2); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if err := Install(t, dst, &im2, layout); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	src.Sched.Disown(t)
 	if suspended {
@@ -172,5 +157,5 @@ func moveThread(t *converse.Thread, src, dst *converse.PE, layout *swapglobal.La
 	} else {
 		dst.Sched.Adopt(t)
 	}
-	return n, &im2, nil
+	return n, nil
 }

@@ -102,7 +102,7 @@ func TestBulkMigrateRecords(t *testing.T) {
 	}
 	ops = append(ops, Op{T: th, Src: m.pes[0], Dst: m.pes[3]})
 
-	results := BulkMigrate(ops, nil, 3)
+	results := BulkMigrate(ops, nil)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("op %d: %v", i, res.Err)
@@ -152,7 +152,7 @@ func TestBulkMigrateRecordErrors(t *testing.T) {
 		{R: good, Src: m.pes[0], Dst: m.pes[1]},
 		{R: badI, Src: m.pes[0], Dst: m.pes[1]},
 	}
-	results := BulkMigrate(ops, nil, 1)
+	results := BulkMigrate(ops, nil)
 	if results[0].Err == nil {
 		t.Error("extract failure not reported")
 	}

@@ -16,10 +16,8 @@ package npb
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"time"
 
 	"migflow/internal/ampi"
 	"migflow/internal/comm"
@@ -172,7 +170,7 @@ type Params struct {
 	// ULT ranks without globals, ampi.ModeEvent on continuation
 	// records — what reaches 10^5+ zones: each zone-rank is then a
 	// 137-byte record at the LB gate instead of a stack. Event mode
-	// refuses Steal, Trace and Aggregate, which need threads.
+	// refuses Trace and Aggregate, which need threads.
 	Mode string
 	// LB, when non-nil, triggers MPI_Migrate with this strategy after
 	// the warm-up step.
@@ -210,27 +208,7 @@ type Params struct {
 	Aggregate bool
 	// AggPolicy tunes the coalescing buffers (zero value = defaults).
 	AggPolicy comm.AggPolicy
-	// Steal runs the job in the wall-clock parallel driver with
-	// idle-cycle work stealing enabled: idle PEs pull ready ranks off
-	// loaded neighbours, so solver work lands where the free cycles
-	// are. Off (the default) keeps the deterministic
-	// RunUntilQuiescent driver and bit-stable figures.
-	Steal bool
-	// WorkChunks splits each step's solve into this many Work+Yield
-	// slices (default 1 = one indivisible solve). Chunking models the
-	// solver's directional sweeps and is what gives the stealer
-	// re-placement points mid-step.
-	WorkChunks int
 }
-
-// DefaultSpinScale is the steal-mode execution rate: modeled solver
-// nanoseconds per wall-clock nanosecond of actual spinning. Stealing
-// is driven by real idleness, so in steal mode each work slice
-// occupies the PE's scheduler goroutine for slice/DefaultSpinScale of
-// wall time — that is what makes a PE holding 10x the modeled work
-// actually finish last, and its ready ranks actually available to
-// idle thieves.
-const DefaultSpinScale = 50
 
 // Label renders the paper's case naming ("A.8,4PE"), suffixed with
 // the flow mode for program-mode runs ("Z4K.4096,8PE/event").
@@ -265,9 +243,6 @@ type Result struct {
 	// (zero unless Params.Aggregate).
 	Envelopes   uint64
 	AggPayloads uint64
-	// Steals reports the work-stealing counters (zero unless
-	// Params.Steal).
-	Steals core.StealStats
 	// TopoHops counts the logical torus hops collective tree edges
 	// crossed (zero unless Params.Topo is set).
 	TopoHops uint64
@@ -288,7 +263,7 @@ func (p Params) normalized() (Params, error) {
 		for _, f := range [...]struct {
 			set  bool
 			name string
-		}{{p.Steal, "Steal"}, {p.Trace, "Trace"}, {p.Aggregate, "Aggregate"}} {
+		}{{p.Trace, "Trace"}, {p.Aggregate, "Aggregate"}} {
 			if f.set {
 				return p, fmt.Errorf("npb: %s needs ULT ranks; %q mode does not support it", f.name, p.Mode)
 			}
@@ -308,21 +283,18 @@ func (p Params) normalized() (Params, error) {
 	if p.HaloBytes == 0 {
 		p.HaloBytes = 4096
 	}
-	if p.WorkChunks < 1 {
-		p.WorkChunks = 1
-	}
 	return p, nil
 }
 
 // Run executes the benchmark on a fresh machine: btmzProgram on the
 // flow backend Mode selects, driven to completion, then the modeled
-// makespan read off where every solve slice ran.
+// makespan read off where every solve ran.
 func Run(p Params) (*Result, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{NumPEs: p.NPEs, Steal: p.Steal}
+	cfg := core.Config{NumPEs: p.NPEs}
 	if p.Mode == "" {
 		// Figure 12 as the paper ran it: the solver's step counter is a
 		// swap-global privatized global, so it travels in the images of
@@ -341,13 +313,7 @@ func Run(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.Steal {
-		// Wall-clock parallel driver: one goroutine per PE, idle PEs
-		// steal ready ranks before blocking on their wake gates.
-		job.RunParallel()
-	} else {
-		job.Run()
-	}
+	job.Run()
 	if err := run.err.Load(); err != nil {
 		return nil, *err
 	}
@@ -362,8 +328,8 @@ func Run(p Params) (*Result, error) {
 	busy := make([]float64, p.NPEs)
 	for step, pes := range run.workPE {
 		clear(busy)
-		for i, pe := range pes {
-			busy[pe] += run.myWork[i/run.chunks] / float64(run.chunks)
+		for r, pe := range pes {
+			busy[pe] += run.myWork[r]
 		}
 		if p.Overlap {
 			total += math.Max(slices.Max(busy), stepComm[step])
@@ -403,7 +369,6 @@ func Run(p Params) (*Result, error) {
 		MovedRanks:    job.LBMoved(),
 		Envelopes:     stats.Envelopes,
 		AggPayloads:   stats.AggPayloads,
-		Steals:        m.StealStats(),
 		TopoHops:      m.Network().TopoHops(),
 		Trace:         tlog,
 	}, nil
@@ -416,22 +381,6 @@ func btmzGlobals() *swapglobal.Layout {
 	layout.Declare("step", 8)
 	layout.Declare("residual", 8)
 	return layout
-}
-
-// spinWall occupies the calling goroutine for ns wall-clock
-// nanoseconds — the steal-mode stand-in for actually executing a
-// solver sweep. It yields the processor each iteration so that on a
-// host with few OS threads the other PEs' schedulers (and woken
-// thieves) still interleave with a long-grinding victim, as they
-// would on real per-PE processors.
-func spinWall(ns float64) {
-	d := time.Duration(ns)
-	if d <= 0 {
-		return
-	}
-	for t0 := time.Now(); time.Since(t0) < d; {
-		runtime.Gosched()
-	}
 }
 
 // Cases returns the Figure 12 case list.

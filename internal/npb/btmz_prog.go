@@ -33,17 +33,14 @@ func GradedClass(name string, nx, ny int, points, ratio, workPerPointNs float64)
 var ClassZ4K = GradedClass("Z4K", 64, 64, 1<<22, 20, 50)
 
 // btmzRun is one job's zone→rank assignment and per-rank halo pattern,
-// plus what its makespan model reads afterwards: where every solve
-// slice ran, and the first error a rank's step-counter check found.
+// plus what its makespan model reads afterwards: where every solve ran,
+// and the first error a rank's step-counter check found.
 type btmzRun struct {
-	myWork   []float64 // modeled solver ns per rank per step
-	sendTo   [][]int   // rank → destination ranks, one per crossing pair
-	recvFrom [][]int   // rank → source ranks (with multiplicity), sorted
-	chunks   int       // solve slices per rank-step (Params.WorkChunks)
-	// workPE[step][rank·chunks+k] is the PE slice k of rank's solve ran
-	// on in step — a steal can move a rank between its slices.
-	workPE [][]int32
-	err    atomic.Pointer[error] // the first step-counter failure
+	myWork   []float64             // modeled solver ns per rank per step
+	sendTo   [][]int               // rank → destination ranks, one per crossing pair
+	recvFrom [][]int               // rank → source ranks (with multiplicity), sorted
+	workPE   [][]int32             // step → rank → the PE its solve ran on
+	err      atomic.Pointer[error] // the first step-counter failure
 }
 
 func newBTMZRun(p Params) *btmzRun {
@@ -59,7 +56,6 @@ func newBTMZRun(p Params) *btmzRun {
 		myWork:   make([]float64, p.NProcs),
 		sendTo:   make([][]int, p.NProcs),
 		recvFrom: make([][]int, p.NProcs),
-		chunks:   p.WorkChunks,
 		workPE:   make([][]int32, p.Steps),
 	}
 	for r, zs := range zones {
@@ -81,7 +77,7 @@ func newBTMZRun(p Params) *btmzRun {
 		sort.Ints(run.recvFrom[r])
 	}
 	for i := range run.workPE {
-		run.workPE[i] = make([]int32, p.NProcs*p.WorkChunks)
+		run.workPE[i] = make([]int32, p.NProcs)
 	}
 	return run
 }
@@ -99,7 +95,7 @@ func (run *btmzRun) exchangeNs(p Params, lat comm.LatencyModel) []float64 {
 			if p.Aggregate {
 				c = 0
 				for _, dest := range dests {
-					perPE[pes[(dest+1)*run.chunks-1]] += p.HaloBytes
+					perPE[pes[dest]] += p.HaloBytes
 				}
 				for pe, bytes := range perPE {
 					if bytes > 0 {
@@ -117,8 +113,8 @@ func (run *btmzRun) exchangeNs(p Params, lat comm.LatencyModel) []float64 {
 // btmzProgram builds the shared program: every statement is built here,
 // once per step, and what differs per rank — its work, its destinations,
 // its sources — is read off the rank when a statement runs, so a rank
-// running a step builds nothing. The solve records where each of its
-// slices ran into run.workPE; the makespan sums are taken in rank order
+// running a step builds nothing. The solve records where it ran into
+// run.workPE; the makespan sums are taken in rank order
 // afterwards, so the per-PE totals are a pure function of placement —
 // not of the two backends' different scheduling (and float-accumulation)
 // orders. With counted set (the machine carries btmzGlobals' layout)
@@ -148,30 +144,13 @@ func btmzProgram(p Params, run *btmzRun, counted bool) ampi.Proc {
 	steps := make([]ampi.Proc, p.Steps)
 	for i := range steps {
 		workPE := run.workPE[i]
-		// The solve is WorkChunks slices — the solver's directional
-		// sweeps — with a yield after each when there are several: each
-		// yield is a point where an idle PE may steal a ULT rank, so the
-		// remaining sweeps run (and are charged) where the free cycles
-		// are.
 		solve := func(pc *ampi.PC) {
 			r := pc.Rank()
 			if counted {
 				countStep(pc, run, i)
 			}
-			slice := run.myWork[r] / float64(run.chunks)
-			for k := 0; k < run.chunks; k++ {
-				pc.Work(slice)
-				if p.Steal {
-					// Occupy the PE for wall time proportional to the
-					// modeled slice, so real idleness tracks modeled load
-					// and thieves pull from genuinely busy PEs.
-					spinWall(slice / DefaultSpinScale)
-				}
-				workPE[r*run.chunks+k] = int32(pc.PE())
-				if run.chunks > 1 {
-					pc.Yield()
-				}
-			}
+			pc.Work(run.myWork[r])
+			workPE[r] = int32(pc.PE())
 		}
 		var ps []ampi.Proc
 		if p.Overlap {

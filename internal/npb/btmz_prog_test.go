@@ -176,7 +176,6 @@ func TestProgramModeRejectsBadCombos(t *testing.T) {
 		name string
 		set  func(*Params)
 	}{
-		{"Steal", func(p *Params) { p.Steal = true }},
 		{"Trace", func(p *Params) { p.Trace = true }},
 		{"Aggregate", func(p *Params) { p.Aggregate = true }},
 	} {

@@ -201,26 +201,6 @@ func TestLBImprovesA84(t *testing.T) {
 	}
 }
 
-// TestStealWithLB: the wall-clock steal driver must service the
-// MPI_Migrate gate too — a driver that only pumps the machine leaves
-// every rank parked there forever — and with the solve sliced, idle PEs
-// must actually steal ranks between the slices.
-func TestStealWithLB(t *testing.T) {
-	res, err := Run(Params{
-		Class: ClassB, NProcs: 32, NPEs: 8, Steps: 2,
-		Steal: true, WorkChunks: 4, LB: loadbalance.GreedyLB{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MovedRanks == 0 {
-		t.Error("the LB gate moved no ranks")
-	}
-	if res.Steals.Moved == 0 {
-		t.Errorf("no rank stolen with a 4-slice solve: %+v", res.Steals)
-	}
-}
-
 // TestClassBConvergence is Figure 12's headline observation: "for all
 // three class B tests on 8 processors ... the execution times after
 // load balancing are about the same, while there is a dramatic
