@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -108,6 +109,77 @@ func TestDocSymbols(t *testing.T) {
 			t.Errorf("deletedRefs lists `%s`, which no checked document cites", ref)
 		}
 	}
+}
+
+// roadmapRef matches a reference to a ROADMAP item by number, also one
+// a Go comment wraps after the word ROADMAP.
+var roadmapRef = regexp.MustCompile(`ROADMAP\s+(?://\s*)?item\s+(\d+)`)
+
+// TestRoadmapItemRefs checks every reference to a ROADMAP item by number
+// in docFiles and in the Go sources: the number must be one of the items
+// ROADMAP.md's "Open items" list carries, and a reference to an item the
+// list marks [done must say "done" on its own line.
+func TestRoadmapItemRefs(t *testing.T) {
+	items := roadmapItems(t)
+	files := append([]string(nil), docFiles...)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for _, m := range roadmapRef.FindAllStringSubmatchIndex(text, -1) {
+			n, _ := strconv.Atoi(text[m[2]:m[3]])
+			start := strings.LastIndexByte(text[:m[0]], '\n') + 1
+			end := m[1] + strings.IndexByte(text[m[1]:]+"\n", '\n')
+			at := strings.Count(text[:m[0]], "\n") + 1
+			done, ok := items[n]
+			switch {
+			case !ok:
+				t.Errorf("%s:%d: ROADMAP item %d is not in ROADMAP.md's open items", f, at, n)
+			case done && !strings.Contains(text[start:end], "done"):
+				t.Errorf("%s:%d: ROADMAP item %d is done, and the line citing it must say so", f, at, n)
+			}
+		}
+	}
+}
+
+// roadmapItems returns the numbers of the items ROADMAP.md's "Open
+// items" list carries, each with whether the list marks it [done.
+func roadmapItems(t *testing.T) map[int]bool {
+	t.Helper()
+	data, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(data), "\n## Open items\n")
+	if !ok {
+		t.Fatal(`ROADMAP.md has no "## Open items" section`)
+	}
+	list, _, _ = strings.Cut(list, "\n## ")
+	items := map[int]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^(\d+)\. \*\*\[([^\]]*)\]`).FindAllStringSubmatch(list, -1) {
+		n, _ := strconv.Atoi(m[1])
+		items[n] = strings.HasPrefix(m[2], "done")
+	}
+	if len(items) == 0 {
+		t.Fatal("ROADMAP.md's open items list no numbered item")
+	}
+	return items
 }
 
 // codeSpans returns the contents of every inline code span and fenced

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"migflow/internal/comm"
 	"migflow/internal/converse"
@@ -187,21 +188,26 @@ type Job struct {
 	m    *core.Machine
 	opts Options
 
-	size  int
-	ranks []*Rank
+	size int
 
-	// rankOf inverts entity → rank for ULT jobs. Built once at NewProgram
-	// and never mutated (migration moves a thread, not its identity),
-	// so reads are lock-free; it replaces an O(size) scan per Recv.
+	// slots holds every rank's slot, on either backend. An event job
+	// releases it at completion and keeps the final predicted times in vts.
+	slots atomic.Pointer[[]slot]
+	vts   []float64
+
+	// ranks is a ULT job's thread side, one per slot. rankOf inverts
+	// entity → rank; built once and never mutated (migration moves a
+	// thread, not its identity), so reads are lock-free.
+	ranks  []Rank
 	rankOf map[comm.EntityID]int
 
-	// Continuation-program state (NewProgram). prog is the shared
-	// immutable Proc tree both modes interpret; pcs are the per-rank
-	// program contexts in ULT mode; ev is the event engine in event
-	// mode (exactly one of ranks/ev is populated for program jobs), and
-	// be the backend every rank's blocking points go to: ultBE or ev.
+	// remaining counts the ranks that have not finished their program —
+	// in a sharded run, those of this process (event.go).
+	remaining atomic.Int64
+
+	// prog is the shared Proc tree both modes interpret; ev is the event
+	// engine in event mode; be is the backend: ultBE or ev.
 	prog Proc
-	pcs  []*PC
 	ev   *eventEngine
 	be   backend
 
@@ -216,6 +222,9 @@ type Job struct {
 	mu      sync.Mutex
 	traffic map[[2]int]float64 // rank pair (lo,hi) → bytes
 
+	// lbMu serializes Rebalance steps (plan → commit → reset).
+	lbMu sync.Mutex
+
 	// LB-gate state (the Migrate Proc): every rank parks at the gate;
 	// the Run/RunParallel driver services it at quiescence and resumes
 	// the ranks post-plan.
@@ -225,24 +234,57 @@ type Job struct {
 	lbMoved      int
 }
 
-// Rank is one thread rank: a migratable thread plus a tag/source-matched
-// mailbox, the state the ULT backend (ultBE) blocks against. Its
-// exported methods are the handle a NewJob body gets; they may only be
-// called from inside that body, and each runs on the rank's program
-// context, charging what the matching Proc statement charges.
+// slot is one rank's entire flow-of-control state on either backend: a
+// 136-byte record in the job's contiguous store, a frame stack sized to
+// the program from its first activation on, and whatever the program
+// keeps in pc.Local. The backends differ only in how a parked rank
+// resumes and moves: the owning PE's loop re-enters an event rank, whose
+// record ships (event.go); a ULT rank's thread (Rank) is woken, and moves
+// as a stack image. The 32-bit fields and the flags share the last two
+// words.
+type slot struct {
+	// mu guards every field but pc, which only the rank's activation
+	// touches: an event activation holds mu throughout, a thread takes it
+	// to receive.
+	mu sync.Mutex
+
+	// pc is embedded so &s.pc goes to the interpreter without a separate
+	// allocation per rank; pc.stack is where the rank resumes.
+	pc PC
+
+	// mbox buffers messages that arrived before a matching receive,
+	// consumed from head so takes do not shift the slice.
+	mbox []*comm.Message
+
+	// got is the matched delivery on its way to the statement the rank is
+	// parked inside: set by accept, taken by the re-run step's receive.
+	got *comm.Message
+
+	// busy accumulates an event rank's Work nanoseconds since the last LB
+	// step — the record's analogue of a thread's consumed CPU time.
+	busy float64
+
+	// waiting is what the parked statement asked for, valid while
+	// hasWait.
+	waiting matchSpec
+	head    int32
+
+	hasWait bool
+	// done and moving are an event rank's: it finished its program, or an
+	// in-process move extracted its record and has not yet installed it.
+	done, moving bool
+}
+
+// Rank is the thread side of a ULT rank: the migratable thread that runs
+// its slot's program, and the handle a NewJob body gets. Its exported
+// methods may only be called from inside that body, and each runs on
+// the rank's program context, charging what the matching Proc statement
+// charges.
 type Rank struct {
 	job  *Job
 	rank int
-	pc   *PC
 	th   *converse.Thread
 	ctx  *converse.Ctx
-
-	mu   sync.Mutex
-	mbox []*comm.Message
-	// waiting is what a parked recv asked for, valid while hasWait —
-	// held by value, like eventRank's, so a receive allocates nothing.
-	waiting matchSpec
-	hasWait bool
 }
 
 // matchSpec is what a receive waits for. Both fields are 32 bits, so
@@ -287,7 +329,7 @@ func NewJob(m *core.Machine, size int, opts Options, body func(*Rank)) (*Job, er
 	if opts.Mode == ModeEvent {
 		return nil, fmt.Errorf("ampi: Mode %q needs a continuation program; use NewProgram (a raw func body cannot be suspended without a stack)", ModeEvent)
 	}
-	return NewProgram(m, size, opts, Do(func(pc *PC) { body(ultBE{}.thread(pc)) }))
+	return NewProgram(m, size, opts, Do(func(pc *PC) { body(&pc.job.ranks[pc.rank]) }))
 }
 
 // newJobCommon validates and defaults NewProgram's options and returns
@@ -393,14 +435,17 @@ func (j *Job) edgeHops(a, b int) int {
 	return ringDist(na, nb, eff)
 }
 
-// Start makes every rank runnable.
+// Start makes every rank runnable: a thread per ULT rank, or for an
+// event job one short-lived thread per populated PE that dispatches the
+// first activation of each resident rank — so initial work runs on the
+// owning PE under both Run drivers (and in parallel under RunParallel).
 func (j *Job) Start() {
-	if j.ev != nil {
-		j.ev.start()
+	if e := j.ev; e != nil {
+		e.bootstrap(func(r int) bool { return j.m.LocalPE(e.peOf(r)) })
 		return
 	}
-	for _, r := range j.ranks {
-		r.th.Scheduler().Start(r.th)
+	for i := range j.ranks {
+		j.ranks[i].th.Scheduler().Start(j.ranks[i].th)
 	}
 }
 
@@ -436,16 +481,10 @@ func (j *Job) RunParallel() {
 	}
 }
 
-// gateSetStrategy records the gate's strategy (Migrate is collective:
-// every rank names the same strategy, so last-write-wins is fine).
-func (j *Job) gateSetStrategy(s loadbalance.Strategy) {
-	j.gateMu.Lock()
-	j.gateStrategy = s
-	j.gateMu.Unlock()
-}
-
-// gateArrive registers one rank at the LB gate.
-func (j *Job) gateArrive() {
+// gateArrive registers one rank at the LB gate and records the gate's
+// strategy (Migrate is collective: every rank names the same strategy,
+// so last-write-wins is fine).
+func (j *Job) gateArrive(strategy loadbalance.Strategy) {
 	if j.m.Sharded() {
 		// The gate counts arrivals against the full job size, but a
 		// sharded worker only runs its local ranks — the gate would
@@ -454,6 +493,7 @@ func (j *Job) gateArrive() {
 		panic("ampi: the Migrate gate is not supported in sharded runs; move ranks with ShardExtract/ShardInstall")
 	}
 	j.gateMu.Lock()
+	j.gateStrategy = strategy
 	j.gateArrived++
 	if j.gateArrived > j.size {
 		j.gateMu.Unlock()
@@ -488,8 +528,8 @@ func (j *Job) serviceGate() {
 		j.ev.resumeGate()
 		return
 	}
-	for _, rk := range j.ranks {
-		rk.th.Awaken()
+	for i := range j.ranks {
+		j.ranks[i].th.Awaken()
 	}
 }
 
@@ -507,7 +547,7 @@ func (j *Job) Size() int { return j.size }
 func (j *Job) Mode() string { return j.opts.Mode }
 
 // Rank returns thread rank r's handle (for inspection in tests/harnesses).
-func (j *Job) Rank(r int) *Rank { return j.ranks[r] }
+func (j *Job) Rank(r int) *Rank { return &j.ranks[r] }
 
 // PEOf returns the PE rank r's thread currently runs on — the
 // placement workload models consult when grouping messages by
@@ -520,26 +560,221 @@ func (j *Job) PEOf(r int) int {
 }
 
 // Done reports whether every rank has finished its body or program.
-func (j *Job) Done() bool {
+func (j *Job) Done() bool { return j.remaining.Load() == 0 }
+
+// entity returns rank r's comm identity: its thread's id (which thread
+// migration forwards), or its place in an event job's pinned range.
+func (j *Job) entity(r int) comm.EntityID {
 	if j.ev != nil {
-		return j.ev.remaining.Load() == 0
+		return j.ev.idOf(r)
 	}
-	for _, r := range j.ranks {
-		if r.th.State() != converse.Exited {
-			return false
-		}
-	}
-	return true
+	return comm.EntityID(j.ranks[r].th.ID())
 }
 
-// entity returns a rank's comm identity (its thread id, which the
-// machine's migration path forwards automatically).
-func (j *Job) entity(rank int) comm.EntityID {
-	return comm.EntityID(j.ranks[rank].th.ID())
+// senderOf maps a message's From identity back to its rank, or -1.
+func (j *Job) senderOf(from comm.EntityID) int {
+	if j.ev != nil {
+		return j.ev.rankIdx(from)
+	}
+	if i, ok := j.rankOf[from]; ok {
+		return i
+	}
+	return -1
 }
 
 // ---------------------------------------------------------------
-// Rank: the thread-style handle
+// The slot: one mailbox, one send and one receive path for both
+// backends
+
+// newSlots allocates the job's store, each slot's PC bound to its rank.
+func (j *Job) newSlots() {
+	store := make([]slot, j.size)
+	for r := range store {
+		store[r].pc.job, store[r].pc.rank = j, int32(r)
+	}
+	j.slots.Store(&store)
+}
+
+// store returns the slots, or nil after an event job released them.
+func (j *Job) store() []slot {
+	if p := j.slots.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// slotOf returns the slot pc runs in.
+func (j *Job) slotOf(pc *PC) *slot { return &j.store()[pc.rank] }
+
+// matches reports whether m satisfies spec.
+func (j *Job) matches(spec matchSpec, m *comm.Message) bool {
+	return spec.matchesTag(m.Tag) && (spec.src == AnySource || j.entity(int(spec.src)) == m.From)
+}
+
+// accept hands a delivered message to the slot: to the receive the rank
+// is parked in (true), or to the mailbox. s.mu held.
+func (s *slot) accept(j *Job, msg *comm.Message) bool {
+	if s.hasWait && j.matches(s.waiting, msg) {
+		s.hasWait, s.got = false, msg
+		return true
+	}
+	if s.head > 0 && len(s.mbox) == cap(s.mbox) {
+		// Reuse the taken prefix: a busy mailbox may never drain.
+		n := copy(s.mbox, s.mbox[s.head:])
+		clear(s.mbox[n:])
+		s.mbox, s.head = s.mbox[:n], 0
+	}
+	s.mbox = append(s.mbox, msg)
+	return false
+}
+
+// take removes and returns the oldest buffered message matching spec.
+// s.mu held.
+func (s *slot) take(j *Job, spec matchSpec) *comm.Message {
+	for i := int(s.head); i < len(s.mbox); i++ {
+		if j.matches(spec, s.mbox[i]) {
+			m := s.mbox[i]
+			copy(s.mbox[s.head+1:i+1], s.mbox[s.head:i])
+			s.mbox[s.head] = nil
+			s.head++
+			if int(s.head) == len(s.mbox) {
+				s.mbox, s.head = s.mbox[:0], 0
+			}
+			return m
+		}
+	}
+	return nil
+}
+
+// recvLocked is the one receive: the delivery the rank parked for, else
+// the oldest buffered match. The PE consuming it is held to its arrival
+// — the receiver cannot proceed before it — and charged the receive's
+// software overhead. With neither, the rank parks on (src, tag) and it
+// returns nil: the step that asked runs again once a match is
+// accepted. s.mu held.
+func (j *Job) recvLocked(pc *PC, src, tag int) *comm.Message {
+	s := j.slotOf(pc)
+	m := s.got
+	if m != nil {
+		s.got = nil
+	} else {
+		spec := newSpec(src, tag)
+		if m = s.take(j, spec); m == nil {
+			s.waiting, s.hasWait = spec, true
+			return nil
+		}
+	}
+	c := j.m.PE(j.be.pe(pc)).Clock
+	c.AdvanceTo(m.Arrival)
+	if ovh := j.opts.MsgOverheadNs; ovh > 0 {
+		c.Advance(ovh)
+	}
+	return m
+}
+
+// send is the one send: rank pc's message to dest, stamped with pc.vt
+// and charged its software overhead on the rank's PE. A ULT job's
+// application traffic also feeds the communication graph the
+// comm-aware balancer consumes, and under Options.Aggregate goes through
+// the PE's coalescing stream; a sharded job numbers each per-peer
+// stream.
+func (j *Job) send(pc *PC, dest, tag int, data []byte) {
+	if dest < 0 || dest >= j.size {
+		panic(fmt.Sprintf("ampi: program Send to rank %d of %d", dest, j.size))
+	}
+	if j.ev == nil && tag >= 0 && dest != pc.Rank() {
+		pair := [2]int{min(pc.Rank(), dest), max(pc.Rank(), dest)}
+		j.mu.Lock()
+		j.traffic[pair] += float64(len(data)) + 64 // payload + envelope
+		j.mu.Unlock()
+	}
+	p := j.m.PE(j.be.pe(pc))
+	if ovh := j.opts.MsgOverheadNs; ovh > 0 {
+		p.Clock.Advance(ovh)
+	}
+	msg := comm.NewMessage()
+	msg.To, msg.From, msg.Tag = j.entity(dest), j.entity(pc.Rank()), tag
+	msg.SendTime, msg.VTime = p.Clock.Now(), pc.vt
+	msg.SetData(data)
+	if j.ev != nil && j.ev.sharded {
+		// Number the stream so the receiver can restore send order if
+		// this message and a predecessor take different routes across a
+		// migration. Non-sharded runs only move ranks at quiescent
+		// gates, so their delivery order is already send order — they
+		// skip the map work and their envelopes stay byte-identical.
+		s := &j.ev.seq[pc.rank]
+		if s.sendSeq == nil {
+			s.sendSeq = make(map[int]uint64)
+		}
+		s.sendSeq[dest]++
+		msg.Seq = s.sendSeq[dest]
+	}
+	ep := j.m.Network().Endpoint(p.Index)
+	var err error
+	if j.opts.Aggregate && tag >= 0 {
+		err = ep.SendStream(msg)
+	} else {
+		err = ep.Send(msg)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("ampi: send: %v", err))
+	}
+}
+
+// flush pushes PE pe's coalesced messages onto the wire (a no-op
+// without Options.Aggregate). A thread rank calls it before it blocks,
+// registers at an LB gate or exits: whenever every rank is parked, every
+// buffer has been flushed, so streamed traffic cannot deadlock.
+func (j *Job) flush(pe int) {
+	if !j.opts.Aggregate {
+		return
+	}
+	if err := j.m.Network().Endpoint(pe).Flush(); err != nil {
+		// AMPI never deregisters live ranks, so a flush error is a
+		// runtime invariant violation, not an application condition.
+		panic(fmt.Sprintf("ampi: stream flush: %v", err))
+	}
+}
+
+// ---------------------------------------------------------------
+// Rank: the thread side
+
+// run is the rank's thread body: it interprets the slot's program,
+// and each time a step parks, flushes and suspends until a delivery
+// or the LB gate wakes it.
+func (r *Rank) run(c *converse.Ctx) {
+	r.ctx = c
+	pc := r.pc()
+	pc.start(r.job.prog)
+	for !pc.exec() {
+		r.block()
+	}
+	r.job.flush(r.PE())
+	r.job.remaining.Add(-1)
+}
+
+// block suspends the thread until it is woken, flushing its PE's
+// coalesced sends first (explicit-flush-on-idle).
+func (r *Rank) block() {
+	r.job.flush(r.PE())
+	r.ctx.Suspend()
+}
+
+// pc returns the rank's program context, in its slot.
+func (r *Rank) pc() *PC { return &r.job.store()[r.rank].pc }
+
+// deliver is the machine's per-entity handler: the slot accepts the
+// message, and a match for the receive the rank is parked in wakes its
+// thread.
+func (r *Rank) deliver(_ int, msg *comm.Message) {
+	s := &r.job.store()[r.rank]
+	s.mu.Lock()
+	wake := s.accept(r.job, msg)
+	s.mu.Unlock()
+	if wake {
+		r.th.Awaken()
+	}
+}
 
 // Rank returns the caller's rank number.
 func (r *Rank) Rank() int { return r.rank }
@@ -551,7 +786,7 @@ func (r *Rank) PE() int { return r.ctx.PE().Index }
 func (r *Rank) Thread() *converse.Thread { return r.th }
 
 // Work models ns nanoseconds of local computation (PC.Work).
-func (r *Rank) Work(ns float64) { r.pc.Work(ns) }
+func (r *Rank) Work(ns float64) { r.pc().Work(ns) }
 
 // Send is PC.Send with a bad tag or destination returned as an error.
 func (r *Rank) Send(dest, tag int, data []byte) error {
@@ -564,7 +799,7 @@ func (r *Rank) Send(dest, tag int, data []byte) error {
 	if dest < 0 || dest >= r.job.size {
 		return fmt.Errorf("ampi: Send to rank %d of %d", dest, r.job.size)
 	}
-	r.pc.sendRaw(dest, tag, data)
+	r.pc().sendRaw(dest, tag, data)
 	return nil
 }
 
@@ -579,8 +814,12 @@ func (r *Rank) Recv(src, tag int) ([]byte, int, error) {
 	if tag > math.MaxInt32 {
 		return nil, 0, errors.New(wideTag("Recv", tag))
 	}
-	m := r.recv(src, tag)
-	r.pc.consume(m)
+	pc := r.pc()
+	m := r.job.be.recv(pc, src, tag)
+	for ; m == nil; m = r.job.be.recv(pc, src, tag) {
+		r.block()
+	}
+	pc.consume(m)
 	return m.Data, r.job.senderOf(m.From), nil
 }
 
@@ -593,109 +832,11 @@ func (r *Rank) Allreduce(op string, v float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	run := r.pc.newRun(&collSite{name: "Allreduce", kind: collAllreduce, combine: combine})
+	pc := r.pc()
+	run := pc.newRun(&collSite{name: "Allreduce", kind: collAllreduce, combine: combine})
 	run.val = v
-	run.advance(r.pc, true)
+	for !run.advance(pc, true) {
+		r.block()
+	}
 	return run.val, nil
-}
-
-// sendv is the ULT backend's send: an eager message stamped with the
-// sender's predicted time vtime, charged to the simulating PE's clock.
-func (r *Rank) sendv(dest, tag int, data []byte, vtime float64) error {
-	if dest < 0 || dest >= r.job.size {
-		return fmt.Errorf("ampi: Send to rank %d of %d", dest, r.job.size)
-	}
-	if tag >= 0 && dest != r.rank {
-		// Application traffic feeds the communication graph the
-		// comm-aware balancer consumes (collectives excluded).
-		pair := [2]int{r.rank, dest}
-		if pair[0] > pair[1] {
-			pair[0], pair[1] = pair[1], pair[0]
-		}
-		r.job.mu.Lock()
-		r.job.traffic[pair] += float64(len(data)) + 64 // payload + envelope
-		r.job.mu.Unlock()
-	}
-	pe := r.ctx.PE()
-	if ovh := r.job.opts.MsgOverheadNs; ovh > 0 {
-		pe.Clock.Advance(ovh)
-	}
-	msg := comm.NewMessage()
-	msg.To, msg.From, msg.Tag = r.job.entity(dest), r.job.entity(r.rank), tag
-	msg.SendTime, msg.VTime = pe.Clock.Now(), vtime
-	msg.SetData(data)
-	ep := r.job.m.Network().Endpoint(pe.Index)
-	if r.job.opts.Aggregate && tag >= 0 {
-		return ep.SendStream(msg)
-	}
-	return ep.Send(msg)
-}
-
-// flushStream pushes any coalesced messages buffered on the rank's
-// current PE onto the wire (a no-op without Options.Aggregate). Called
-// before every block and at exit so streamed traffic cannot deadlock:
-// whenever every rank is parked, every buffer has been flushed.
-func (r *Rank) flushStream() {
-	if !r.job.opts.Aggregate {
-		return
-	}
-	if err := r.job.m.Network().Endpoint(r.ctx.PE().Index).Flush(); err != nil {
-		// AMPI never deregisters live ranks, so a flush error is a
-		// runtime invariant violation, not an application condition.
-		panic(fmt.Sprintf("ampi: stream flush: %v", err))
-	}
-}
-
-// deliver is the machine's per-entity handler: mailbox append plus
-// wakeup if the rank is blocked on a matching Recv.
-func (r *Rank) deliver(_ int, msg *comm.Message) {
-	r.mu.Lock()
-	r.mbox = append(r.mbox, msg)
-	wake := r.hasWait && r.matchesLocked(r.waiting, msg)
-	if wake {
-		r.hasWait = false
-	}
-	r.mu.Unlock()
-	if wake {
-		r.th.Awaken()
-	}
-}
-
-func (r *Rank) matchesLocked(spec matchSpec, m *comm.Message) bool {
-	return spec.matchesTag(m.Tag) && (spec.src == AnySource || r.job.entity(int(spec.src)) == m.From)
-}
-
-// takeLocked removes and returns the oldest matching message.
-func (r *Rank) takeLocked(spec matchSpec) *comm.Message {
-	for i, m := range r.mbox {
-		if r.matchesLocked(spec, m) {
-			r.mbox = append(r.mbox[:i], r.mbox[i+1:]...)
-			return m
-		}
-	}
-	return nil
-}
-
-func (r *Rank) recv(src, tag int) *comm.Message {
-	spec := newSpec(src, tag)
-	for {
-		r.mu.Lock()
-		if m := r.takeLocked(spec); m != nil {
-			r.mu.Unlock()
-			// The receiver cannot proceed before the message's
-			// arrival: synchronize the PE clock at consume time.
-			pe := r.ctx.PE()
-			pe.Clock.AdvanceTo(m.Arrival)
-			if ovh := r.job.opts.MsgOverheadNs; ovh > 0 {
-				pe.Clock.Advance(ovh)
-			}
-			return m
-		}
-		r.waiting, r.hasWait = spec, true
-		r.mu.Unlock()
-		// About to park: force out coalesced messages so a peer
-		// waiting on them can run (explicit-flush-on-idle).
-		r.flushStream()
-		r.ctx.Suspend()
-	}
 }

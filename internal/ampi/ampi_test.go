@@ -165,7 +165,11 @@ func TestRecvWildcardsAndOrdering(t *testing.T) {
 
 // recvTag is a test helper: receive anything, return the tag.
 func (r *Rank) recvTag() (int, int, error) {
-	m := r.recv(AnySource, AnyTag)
+	pc := r.pc()
+	m := r.job.be.recv(pc, AnySource, AnyTag)
+	for ; m == nil; m = r.job.be.recv(pc, AnySource, AnyTag) {
+		r.block()
+	}
 	return m.Tag, r.job.senderOf(m.From), nil
 }
 
@@ -565,7 +569,7 @@ func TestCommAwareRebalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Measure the ring's cross-PE traffic under the new placement.
-		cross := loadbalance.CrossTraffic(j.collectLoads(nil), j.CommGraph(), nil)
+		cross := loadbalance.CrossTraffic(j.be.loads(nil), j.CommGraph(), nil)
 		// Release and finish.
 		for i := 0; i < j.Size(); i++ {
 			msg := &comm.Message{To: comm.EntityID(j.Rank(i).Thread().ID()), Tag: 9}

@@ -1,7 +1,7 @@
 package ampi
 
-// The event-mode backend: each rank is one eventRank struct in a
-// contiguous per-job store — no thread, no stack image. Its suspended
+// The event-mode backend: each rank is its slot in the job's contiguous
+// store and nothing else — no thread, no stack image. Its suspended
 // state is an explicit record the runtime can read and ship, the one
 // thing (paper §2.4, §3.2) that separates an event-driven flow from a
 // thread: the frame stack in its PC says which statements it is inside,
@@ -62,44 +62,6 @@ import (
 // tombstones range-table entries in place).
 const deregBatchSize = 4096
 
-// eventRank is one rank's entire flow-of-control state: a 136-byte
-// slot, a frame stack sized to the program from its first activation
-// on, and whatever the program keeps in pc.Local — versus a coroutine
-// and an isomalloc stack. The 32-bit fields and the flags share the
-// slot's last two words.
-type eventRank struct {
-	mu sync.Mutex // guards every field; held for the whole of an activation
-
-	// pc is embedded so &er.pc goes to the interpreter without a
-	// separate allocation per rank; pc.stack is where the rank resumes.
-	pc PC
-
-	// mbox buffers messages that arrived before a matching Recv,
-	// consumed from head so takes do not shift the slice.
-	mbox []*comm.Message
-
-	// got is the matched delivery on its way to the statement the rank
-	// is parked inside: set by acceptLocked, taken by the recv call the
-	// re-run step makes.
-	got *comm.Message
-
-	// busy accumulates Work nanoseconds since the last LB step — the
-	// event-mode load measurement (the record's analogue of a thread's
-	// consumed CPU time).
-	busy float64
-
-	// waiting is what the parked statement asked for, valid while
-	// hasWait.
-	waiting matchSpec
-	head    int32
-
-	hasWait bool
-	done    bool
-	// moving: an in-process move extracted the record and has not yet
-	// installed it.
-	moving bool
-}
-
 // rankSeq is one rank's stream state in a sharded run, kept beside the
 // slot (eventEngine.seq) and guarded by the rank's mu: sendSeq/recvSeq
 // number the per-peer payload streams and held parks out-of-order
@@ -115,12 +77,7 @@ type rankSeq struct {
 // eventEngine is the per-job store and dispatcher.
 type eventEngine struct {
 	job  *Job
-	size int
 	base comm.EntityID // entity of rank 0 (carries PinnedEntity)
-
-	// ranks points at the contiguous store; swapped to nil at
-	// completion so straggler deliveries after release are safe.
-	ranks atomic.Pointer[[]eventRank]
 
 	// pes[r] is rank r's current owner PE — the engine-side mirror of
 	// the comm range table, flipped (with the table, in one batch) by
@@ -139,10 +96,10 @@ type eventEngine struct {
 	migEpoch atomic.Uint64
 
 	// sharded mirrors the machine: this process runs only the ranks
-	// whose owner PE is local. remaining then counts LOCAL unfinished
-	// ranks (adjusted by cross-process moves), finish never deregisters
-	// or releases the store (peers still forward through the
-	// directory).
+	// whose owner PE is local. Job.remaining then counts LOCAL
+	// unfinished ranks (adjusted by cross-process moves), finish never
+	// deregisters or releases the store (peers still forward through
+	// the directory).
 	sharded bool
 
 	// seq[r] is rank r's stream state, allocated with the store in a
@@ -150,21 +107,12 @@ type eventEngine struct {
 	// send order.
 	seq []rankSeq
 
-	// lbMu serializes Rebalance steps (plan → table batch → records).
-	lbMu sync.Mutex
-
 	// pendDereg[pe] batches finished ranks' directory removals.
 	// deregMu guards the batches: a rank usually finishes on its
 	// owner's pump, but a racing LB step can flip the owner word
 	// mid-activation, landing two pumps on the same batch.
 	deregMu   sync.Mutex
 	pendDereg [][]comm.EntityID
-
-	remaining atomic.Int64
-
-	// vts snapshots every rank's final predicted time when the last
-	// rank finishes, so results survive the store's release.
-	vts []float64
 }
 
 // newEventEngine builds the store, reserves a dense pinned entity-ID
@@ -175,7 +123,6 @@ func newEventEngine(j *Job) (*eventEngine, error) {
 	numPEs := j.m.NumPEs()
 	e := &eventEngine{
 		job:       j,
-		size:      size,
 		base:      j.m.Network().AllocFlowIDs(size),
 		pes:       make([]atomic.Int32, size),
 		dispatch:  make([]atomic.Uint64, numPEs),
@@ -186,7 +133,7 @@ func newEventEngine(j *Job) (*eventEngine, error) {
 		e.seq = make([]rankSeq, size)
 	}
 
-	store := make([]eventRank, size)
+	j.newSlots()
 	flows := make([]int, numPEs)
 	pes := make([]int, size)
 	local := int64(0) // every rank, unless the machine is sharded
@@ -197,16 +144,9 @@ func newEventEngine(j *Job) (*eventEngine, error) {
 		if j.m.LocalPE(pes[r]) {
 			local++
 		}
-		pc := &store[r].pc
-		pc.job, pc.rank = j, int32(r)
 	}
-	e.remaining.Store(local)
-	for p := 0; p < numPEs; p++ {
-		if flows[p] > 0 {
-			e.dispatch[p].Store(math.Float64bits(j.m.PE(p).Prof.EventDispatch.At(flows[p])))
-		}
-	}
-	e.ranks.Store(&store)
+	e.job.remaining.Store(local)
+	e.setDispatch(flows)
 	if err := j.m.Network().RegisterRange(e.base, pes); err != nil {
 		return nil, err
 	}
@@ -221,7 +161,7 @@ func (e *eventEngine) idOf(rank int) comm.EntityID { return e.base + comm.Entity
 
 // rankIdx inverts idOf; -1 for identities outside the job.
 func (e *eventEngine) rankIdx(id comm.EntityID) int {
-	if id < e.base || id >= e.base+comm.EntityID(e.size) {
+	if id < e.base || id >= e.base+comm.EntityID(e.job.size) {
 		return -1
 	}
 	return int(id - e.base)
@@ -230,25 +170,19 @@ func (e *eventEngine) rankIdx(id comm.EntityID) int {
 // peOf returns rank r's current owner PE.
 func (e *eventEngine) peOf(r int) int { return int(e.pes[r].Load()) }
 
+// setDispatch sets each populated PE's activation charge from its
+// resident flow count.
+func (e *eventEngine) setDispatch(flows []int) {
+	for p, n := range flows {
+		if n > 0 {
+			e.dispatch[p].Store(math.Float64bits(e.job.m.PE(p).Prof.EventDispatch.At(n)))
+		}
+	}
+}
+
 // dispatchNs returns PE p's per-activation charge.
 func (e *eventEngine) dispatchNs(p int) float64 {
 	return math.Float64frombits(e.dispatch[p].Load())
-}
-
-// store returns the rank slice, or nil after release.
-func (e *eventEngine) store() []eventRank {
-	if p := e.ranks.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// start bootstraps the job: one short-lived thread per populated PE
-// dispatches the initial activation of each resident rank, so initial
-// work runs on the owning PE under both Run drivers (and in parallel
-// under RunParallel).
-func (e *eventEngine) start() {
-	e.bootstrap(func(r int) bool { return e.job.m.LocalPE(e.peOf(r)) })
 }
 
 // bootstrap kicks every rank selected by want, grouped by current
@@ -256,7 +190,7 @@ func (e *eventEngine) start() {
 func (e *eventEngine) bootstrap(want func(r int) bool) {
 	numPEs := e.job.m.NumPEs()
 	perPE := make([][]int, numPEs)
-	for r := 0; r < e.size; r++ {
+	for r := 0; r < e.job.size; r++ {
 		if want(r) {
 			p := e.peOf(r)
 			perPE[p] = append(perPE[p], r)
@@ -288,35 +222,35 @@ func (e *eventEngine) bootstrap(want func(r int) bool) {
 // sharded move took to another process (its first activation there
 // starts it).
 func (e *eventEngine) kick(c *converse.Ctx, r int) {
-	er := &e.store()[r]
-	er.mu.Lock()
-	for er.moving {
-		er.mu.Unlock()
+	s := &e.job.store()[r]
+	s.mu.Lock()
+	for s.moving {
+		s.mu.Unlock()
 		c.Yield()
-		er.mu.Lock()
+		s.mu.Lock()
 	}
-	if pe := e.peOf(r); !er.done && e.job.m.LocalPE(pe) {
-		e.activateLocked(er, pe)
+	if pe := e.peOf(r); !s.done && e.job.m.LocalPE(pe) {
+		e.activateLocked(s, pe)
 	}
-	er.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // activateLocked charges one EventDispatch on pe and runs the rank
 // from its resume point (the program's root, the first time) until it
-// parks again or its program completes. er.mu held throughout.
-func (e *eventEngine) activateLocked(er *eventRank, pe int) {
+// parks again or its program completes. s.mu held throughout.
+func (e *eventEngine) activateLocked(s *slot, pe int) {
 	e.job.m.PE(pe).Clock.Advance(e.dispatchNs(pe))
-	if len(er.pc.stack) == 0 {
-		er.pc.start(e.job.prog)
+	if len(s.pc.stack) == 0 {
+		s.pc.start(e.job.prog)
 	}
-	e.execLocked(er)
+	e.execLocked(s)
 }
 
 // execLocked re-enters the interpreter where the rank left off and
 // retires the rank if that was the rest of its program.
-func (e *eventEngine) execLocked(er *eventRank) {
-	if er.pc.exec() {
-		e.finish(er.pc.Rank())
+func (e *eventEngine) execLocked(s *slot) {
+	if s.pc.exec() {
+		e.finish(s.pc.Rank())
 	}
 }
 
@@ -326,7 +260,7 @@ func (e *eventEngine) execLocked(er *eventRank) {
 // buffers in its slot, or — when the rank moved after the message was
 // sent — is forwarded to chase it.
 func (e *eventEngine) deliver(pe int, msg *comm.Message) {
-	ranks := e.store()
+	ranks := e.job.store()
 	if ranks == nil {
 		return
 	}
@@ -334,8 +268,8 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 	if r < 0 {
 		return
 	}
-	er := &ranks[r]
-	er.mu.Lock()
+	s := &ranks[r]
+	s.mu.Lock()
 	// Owner check BEFORE the done check: free until the first move
 	// ever happens, one atomic load after. A message that raced a move
 	// chases the rank to its new PE; the extra hop shows up in Hops
@@ -351,14 +285,14 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 	// flipped table returns it behind the record (link FIFO), so the
 	// chase terminates after install.
 	if (e.sharded || e.migEpoch.Load() != 0) && e.peOf(r) != pe {
-		er.mu.Unlock()
-		if err := e.job.m.Network().Endpoint(pe).Forward(msg); err != nil {
-			return // rank finished and deregistered mid-chase; drop
-		}
+		s.mu.Unlock()
+		// An error means the rank finished and deregistered mid-chase:
+		// the message is dropped.
+		_ = e.job.m.Network().Endpoint(pe).Forward(msg)
 		return
 	}
-	if er.done {
-		er.mu.Unlock()
+	if s.done {
+		s.mu.Unlock()
 		msg.Free() // a straggler for a finished rank (program bug); drop like a closed mailbox
 		return
 	}
@@ -372,8 +306,8 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 		// rank that had not started starts). A duplicate — the rank moved
 		// again before this one ran — finds it parked and does nothing.
 		msg.Free()
-		if !er.hasWait && !er.moving && !er.pc.atGate() {
-			e.activateLocked(er, pe)
+		if !s.hasWait && !s.moving && !s.pc.atGate() {
+			e.activateLocked(s, pe)
 		}
 	case msg.Seq != 0 && msg.Seq != e.seq[r].recvSeq[src]+1:
 		// Sequenced stream (sharded runs): accept strictly in send
@@ -381,155 +315,78 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 		// while an older one is still chasing through the old owner
 		// would otherwise match a Recv meant for its predecessor.
 		e.seq[r].held = append(e.seq[r].held, msg)
-		er.mu.Unlock()
+		s.mu.Unlock()
 		return
 	default:
 		if msg.Seq != 0 {
 			e.seq[r].noteSeq(src, msg.Seq)
 		}
-		e.acceptLocked(er, pe, msg)
+		e.acceptLocked(s, pe, msg)
 	}
-	e.releaseHeldLocked(er, pe)
-	er.mu.Unlock()
+	e.releaseHeldLocked(s, pe)
+	s.mu.Unlock()
 }
 
-// acceptLocked hands one in-order message to the rank: if it matches
-// what the parked statement waits for, that statement's next recv
-// call gets it and the rank runs on; else buffer. er.mu held.
-func (e *eventEngine) acceptLocked(er *eventRank, pe int, msg *comm.Message) {
-	if er.hasWait && e.matches(er.waiting, msg) {
-		er.hasWait, er.got = false, msg
-		p := e.job.m.PE(pe)
-		p.Clock.Advance(e.dispatchNs(pe)) // the activation: the rank re-enters the loop
-		p.Clock.AdvanceTo(msg.Arrival)
-		if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
-			p.Clock.Advance(ovh)
-		}
-		e.execLocked(er)
-		return
+// acceptLocked hands one in-order message to the slot; a match for the
+// statement the rank is parked in re-enters the loop, one EventDispatch
+// activation on pe. s.mu held.
+func (e *eventEngine) acceptLocked(s *slot, pe int, msg *comm.Message) {
+	if s.accept(e.job, msg) {
+		e.job.m.PE(pe).Clock.Advance(e.dispatchNs(pe))
+		e.execLocked(s)
 	}
-	er.mbox = append(er.mbox, msg)
 }
 
 // noteSeq records the acceptance of seq from peer rank src.
-func (s *rankSeq) noteSeq(src int, seq uint64) {
-	if s.recvSeq == nil {
-		s.recvSeq = make(map[int]uint64)
+func (q *rankSeq) noteSeq(src int, seq uint64) {
+	if q.recvSeq == nil {
+		q.recvSeq = make(map[int]uint64)
 	}
-	s.recvSeq[src] = seq
+	q.recvSeq[src] = seq
 }
 
 // releaseHeldLocked re-examines held arrivals after an acceptance
 // closed a stream gap, accepting any that are now next in their
 // sender's order; each acceptance can close another gap. A rank that
-// finished mid-release drops the rest like its mailbox. er.mu held.
-func (e *eventEngine) releaseHeldLocked(er *eventRank, pe int) {
+// finished mid-release drops the rest like its mailbox. s.mu held.
+func (e *eventEngine) releaseHeldLocked(s *slot, pe int) {
 	if e.seq == nil {
 		return
 	}
-	s := &e.seq[er.pc.rank]
-	for progress := len(s.held) > 0; progress; {
+	q := &e.seq[s.pc.rank]
+	for progress := len(q.held) > 0; progress; {
 		progress = false
-		if er.done {
-			s.held = nil
+		if s.done {
+			q.held = nil
 			return
 		}
-		for i, m := range s.held {
+		for i, m := range q.held {
 			src := e.rankIdx(m.From)
-			if m.Seq != s.recvSeq[src]+1 {
+			if m.Seq != q.recvSeq[src]+1 {
 				continue
 			}
-			s.held = append(s.held[:i], s.held[i+1:]...)
-			s.noteSeq(src, m.Seq)
-			e.acceptLocked(er, pe, m)
+			q.held = append(q.held[:i], q.held[i+1:]...)
+			q.noteSeq(src, m.Seq)
+			e.acceptLocked(s, pe, m)
 			progress = true
 			break
 		}
 	}
 }
 
-func (e *eventEngine) matches(spec matchSpec, m *comm.Message) bool {
-	return spec.matchesTag(m.Tag) && (spec.src == AnySource || e.idOf(int(spec.src)) == m.From)
-}
-
-// take removes and returns the oldest buffered message matching spec.
-func (er *eventRank) take(e *eventEngine, spec matchSpec) *comm.Message {
-	for i := int(er.head); i < len(er.mbox); i++ {
-		if e.matches(spec, er.mbox[i]) {
-			m := er.mbox[i]
-			copy(er.mbox[er.head+1:i+1], er.mbox[er.head:i])
-			er.mbox[er.head] = nil
-			er.head++
-			if int(er.head) == len(er.mbox) {
-				er.mbox, er.head = er.mbox[:0], 0
-			}
-			return m
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------
 // backend interface
 //
-// send/recv/work/lbpoint are always called from inside an activation,
-// which holds the rank's lock (kick or deliver took it), so they never
-// lock the rank themselves.
-
-func (e *eventEngine) send(pc *PC, dest, tag int, data []byte) {
-	if dest < 0 || dest >= e.size {
-		panic(fmt.Sprintf("ampi: program Send to rank %d of %d", dest, e.size))
-	}
-	p := e.job.m.PE(e.peOf(pc.Rank()))
-	if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
-		p.Clock.Advance(ovh)
-	}
-	msg := comm.NewMessage()
-	msg.To, msg.From, msg.Tag = e.idOf(dest), e.idOf(pc.Rank()), tag
-	msg.SendTime, msg.VTime = p.Clock.Now(), pc.vt
-	msg.SetData(data)
-	if e.sharded {
-		// Number the stream so the receiver can restore send order if
-		// this message and a predecessor take different routes across a
-		// migration. Non-sharded runs only move ranks at quiescent
-		// gates, so their delivery order is already send order — they
-		// skip the map work and their envelopes stay byte-identical.
-		s := &e.seq[pc.rank]
-		if s.sendSeq == nil {
-			s.sendSeq = make(map[int]uint64)
-		}
-		s.sendSeq[dest]++
-		msg.Seq = s.sendSeq[dest]
-	}
-	if err := e.job.m.Network().Endpoint(p.Index).Send(msg); err != nil {
-		panic(fmt.Sprintf("ampi: event send: %v", err))
-	}
-}
+// recv and work are always called from inside an activation, which
+// holds the rank's lock (kick or deliver took it), so they never lock
+// the rank themselves.
 
 func (e *eventEngine) recv(pc *PC, src, tag int) *comm.Message {
-	er := &e.store()[pc.rank]
-	if m := er.got; m != nil {
-		er.got = nil // the delivery this call parked for; acceptLocked charged it
-		return m
-	}
-	spec := newSpec(src, tag)
-	if m := er.take(e, spec); m != nil {
-		// Consuming a buffered message is not a fresh activation (the
-		// rank is already running); only the arrival constraint and
-		// software overhead are charged, mirroring the thread path.
-		p := e.job.m.PE(e.peOf(pc.Rank()))
-		p.Clock.AdvanceTo(m.Arrival)
-		if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
-			p.Clock.Advance(ovh)
-		}
-		return m
-	}
-	er.waiting, er.hasWait = spec, true
-	return nil
+	return e.job.recvLocked(pc, src, tag)
 }
 
 func (e *eventEngine) work(pc *PC, ns float64) {
-	e.store()[pc.rank].busy += ns
+	e.job.slotOf(pc).busy += ns
 	e.job.m.PE(e.peOf(pc.Rank())).Clock.Advance(ns)
 }
 
@@ -538,17 +395,6 @@ func (e *eventEngine) pe(pc *PC) int { return e.peOf(pc.Rank()) }
 // usestack is a no-op: an event rank's entire migratable state is its
 // record; there is no stack to reserve or dirty.
 func (e *eventEngine) usestack(pc *PC, n uint64) {}
-
-// lbpoint registers the rank's arrival at the job's LB gate; the
-// Migrate frame on top of its stack is what marks it parked there (the
-// record analogue of a thread suspending in MPI_Migrate) until the
-// runtime resumes it, possibly on a different PE. A gate sends no
-// messages and never touches vt, so predicted time stays bit-identical
-// with and without migration.
-func (e *eventEngine) lbpoint(pc *PC) bool {
-	pc.job.gateArrive()
-	return false
-}
 
 // ---------------------------------------------------------------
 // Migration
@@ -570,20 +416,20 @@ func (rec eventRecord) ID() uint64 { return uint64(rec.e.idOf(rec.r)) }
 // finished after the plan was made is not moved (ErrNotEvictable).
 func (rec eventRecord) Extract(p *pup.PUPer) error {
 	e := rec.e
-	ranks := e.store()
+	ranks := e.job.store()
 	if ranks == nil {
 		return fmt.Errorf("ampi: rank %d migrated after job completion", rec.r)
 	}
-	er := &ranks[rec.r]
-	er.mu.Lock()
-	defer er.mu.Unlock()
-	if er.done {
+	s := &ranks[rec.r]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done {
 		return fmt.Errorf("ampi: rank %d finished before its move: %w", rec.r, converse.ErrNotEvictable)
 	}
-	if err := e.extractLocked(p, er, e.peOf(rec.r), e.job.m.PE(rec.src).Clock.Now()); err != nil {
+	if err := e.extractLocked(p, s, e.peOf(rec.r), e.job.m.PE(rec.src).Clock.Now()); err != nil {
 		return fmt.Errorf("ampi: rank %d %w", rec.r, err)
 	}
-	er.moving = true
+	s.moving = true
 	return nil
 }
 
@@ -593,32 +439,32 @@ func (rec eventRecord) Extract(p *pup.PUPer) error {
 // one parked at the gate waits for the gate to resume it.
 func (rec eventRecord) Install(data []byte) error {
 	e := rec.e
-	ranks := e.store()
+	ranks := e.job.store()
 	if ranks == nil {
 		return fmt.Errorf("ampi: rank %d installed after job completion", rec.r)
 	}
-	er := &ranks[rec.r]
-	er.mu.Lock()
-	defer er.mu.Unlock()
-	er.moving = false
-	if _, err := e.installLocked(er, data); err != nil {
+	s := &ranks[rec.r]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.moving = false
+	if _, err := e.installLocked(s, data); err != nil {
 		return fmt.Errorf("ampi: rank %d: %w", rec.r, err)
 	}
-	if len(er.pc.stack) > 0 && !er.pc.atGate() {
+	if len(s.pc.stack) > 0 && !s.pc.atGate() {
 		return e.scheduleActivation(rec.r, e.peOf(rec.r))
 	}
 	return nil
 }
 
-// collectEventLoads appends every live rank's (id, owner, busy)
-// sample to buf — the event-mode measurement walk.
-func (e *eventEngine) collectEventLoads(buf []loadbalance.Item) []loadbalance.Item {
-	ranks := e.store()
+// loads appends every live rank's (id, owner, busy) sample to buf —
+// the event-mode measurement walk.
+func (e *eventEngine) loads(buf []loadbalance.Item) []loadbalance.Item {
+	ranks := e.job.store()
 	for r := range ranks {
-		er := &ranks[r]
-		er.mu.Lock()
-		done, busy := er.done, er.busy
-		er.mu.Unlock()
+		s := &ranks[r]
+		s.mu.Lock()
+		done, busy := s.done, s.busy
+		s.mu.Unlock()
 		if done {
 			continue
 		}
@@ -627,18 +473,23 @@ func (e *eventEngine) collectEventLoads(buf []loadbalance.Item) []loadbalance.It
 	return buf
 }
 
-// applyMoves commits one LB step: ONE comm range-table batch (one
+// commit makes one LB step's moves: ONE comm range-table batch (one
 // epoch bump total, not one per rank), the engine's owner words and
 // per-PE dispatch charges, then the record round trips through
 // core.Machine.MigrateMany — which also charges the postal model for
 // each record's bytes and counts it in MigrationStats, exactly as for
 // a thread move. Returns ranks moved.
-func (e *eventEngine) applyMoves(moves []core.Move, rmoves []comm.RangeMove) (int, error) {
-	if len(moves) == 0 {
+func (e *eventEngine) commit(rmoves []comm.RangeMove) (int, error) {
+	if len(rmoves) == 0 {
 		return 0, nil
 	}
+	moves := make([]core.Move, len(rmoves))
+	for i, mv := range rmoves {
+		src := e.peOf(mv.Index)
+		moves[i] = core.Move{R: eventRecord{e, mv.Index, src}, Src: src, Dest: mv.To}
+	}
 	if err := e.job.m.Network().MoveRangeBatch(e.base, rmoves); err != nil {
-		return 0, fmt.Errorf("ampi: event LB table batch: %w", err)
+		return 0, fmt.Errorf("table batch: %w", err)
 	}
 	for _, mv := range rmoves {
 		e.pes[mv.Index].Store(int32(mv.To))
@@ -646,37 +497,33 @@ func (e *eventEngine) applyMoves(moves []core.Move, rmoves []comm.RangeMove) (in
 	// Residency changed: recompute each PE's activation charge from
 	// the live flow counts.
 	flows := make([]int, e.job.m.NumPEs())
-	ranks := e.store()
+	ranks := e.job.store()
 	for r := range ranks {
-		er := &ranks[r]
-		er.mu.Lock()
-		done := er.done
-		er.mu.Unlock()
+		s := &ranks[r]
+		s.mu.Lock()
+		done := s.done
+		s.mu.Unlock()
 		if !done {
 			flows[e.peOf(r)]++
 		}
 	}
-	for p := range flows {
-		if flows[p] > 0 {
-			e.dispatch[p].Store(math.Float64bits(e.job.m.PE(p).Prof.EventDispatch.At(flows[p])))
-		}
-	}
+	e.setDispatch(flows)
 	e.migEpoch.Add(1)
 	moved, err := e.job.m.MigrateMany(moves)
 	if err != nil {
-		return moved, fmt.Errorf("ampi: event LB record batch: %w", err)
+		return moved, fmt.Errorf("record batch: %w", err)
 	}
 	return moved, nil
 }
 
 // resetLoads zeroes the per-rank busy measurements after an LB step.
 func (e *eventEngine) resetLoads() {
-	ranks := e.store()
+	ranks := e.job.store()
 	for r := range ranks {
-		er := &ranks[r]
-		er.mu.Lock()
-		er.busy = 0
-		er.mu.Unlock()
+		s := &ranks[r]
+		s.mu.Lock()
+		s.busy = 0
+		s.mu.Unlock()
 	}
 }
 
@@ -685,12 +532,12 @@ func (e *eventEngine) resetLoads() {
 // outside Rebalance has in transit is kicked too: the kick waits for
 // its Install.
 func (e *eventEngine) resumeGate() {
-	ranks := e.store()
+	ranks := e.job.store()
 	e.bootstrap(func(r int) bool {
-		er := &ranks[r]
-		er.mu.Lock()
-		parked := er.moving || er.pc.atGate()
-		er.mu.Unlock()
+		s := &ranks[r]
+		s.mu.Lock()
+		parked := s.moving || s.pc.atGate()
+		s.mu.Unlock()
 		return parked
 	})
 }
@@ -703,13 +550,13 @@ func (e *eventEngine) resumeGate() {
 // collective map), and its directory entry
 // joins the owning PE's batched deregistration — so a completed
 // million-rank job walks the Machine back to its idle footprint.
-// Called with er.mu held (from within the rank's final activation).
+// Called with s.mu held (from within the rank's final activation).
 func (e *eventEngine) finish(r int) {
-	er := &e.store()[r]
-	er.done = true
-	er.mbox, er.head = nil, 0
-	er.hasWait = false
-	er.pc.Local = nil
+	s := &e.job.store()[r]
+	s.done = true
+	s.mbox, s.head = nil, 0
+	s.hasWait = false
+	s.pc.Local = nil
 	if e.sharded {
 		e.seq[r] = rankSeq{}
 		// Peers may still Forward stragglers through this worker's
@@ -717,7 +564,7 @@ func (e *eventEngine) finish(r int) {
 		// is never released; the process exit reclaims both. remaining
 		// counts local ranks only — the shard layer's termination
 		// barrier combines the per-worker Done() signals.
-		e.remaining.Add(-1)
+		e.job.remaining.Add(-1)
 		return
 	}
 	p := e.peOf(r)
@@ -732,7 +579,7 @@ func (e *eventEngine) finish(r int) {
 	if flush != nil {
 		e.job.m.Network().DeregisterBatch(flush)
 	}
-	if e.remaining.Add(-1) == 0 {
+	if e.job.remaining.Add(-1) == 0 {
 		e.shutdown(r)
 	}
 }
@@ -743,18 +590,18 @@ func (e *eventEngine) finish(r int) {
 // removes the location table and the shared handler range, and
 // releases the store.
 // caller is the rank whose final activation triggered shutdown: its
-// er.mu is already held, so the snapshot loop must not re-lock it.
+// s.mu is already held, so the snapshot loop must not re-lock it.
 // Every other rank is done too, but a straggling external Rebalance
 // may still hold (or be about to take) its lock, so the loop locks
 // around each read.
 func (e *eventEngine) shutdown(caller int) {
-	ranks := e.store()
-	e.vts = make([]float64, e.size)
+	ranks := e.job.store()
+	vts := make([]float64, e.job.size)
 	for r := range ranks {
 		if r != caller {
 			ranks[r].mu.Lock()
 		}
-		e.vts[r] = ranks[r].pc.vt
+		vts[r] = ranks[r].pc.vt
 		if r != caller {
 			ranks[r].mu.Unlock()
 		}
@@ -765,18 +612,8 @@ func (e *eventEngine) shutdown(caller int) {
 		e.pendDereg[p] = nil
 	}
 	e.deregMu.Unlock()
-	e.job.m.DeregisterEntityRange(e.base, e.base+comm.EntityID(e.size-1))
+	e.job.m.DeregisterEntityRange(e.base, e.base+comm.EntityID(e.job.size-1))
 	e.job.m.Network().DeregisterRange(e.base)
-	e.ranks.Store(nil)
-}
-
-// vtOf returns rank r's predicted time, live or snapshotted.
-func (e *eventEngine) vtOf(r int) float64 {
-	if ranks := e.store(); ranks != nil {
-		er := &ranks[r]
-		er.mu.Lock()
-		defer er.mu.Unlock()
-		return er.pc.vt
-	}
-	return e.vts[r]
+	e.job.vts = vts
+	e.job.slots.Store(nil)
 }

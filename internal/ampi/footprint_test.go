@@ -75,7 +75,7 @@ func TestUseStackTouchesItsPages(t *testing.T) {
 // TestEventRankFootprint: an event rank costs its slot and its two
 // 4-byte owner words — the engine's and the comm range table's — and
 // nothing else until it runs. Building 65,536 event Jacobi ranks grows
-// the live heap by at most unsafe.Sizeof(eventRank{}) + 8 bytes per
+// the live heap by at most unsafe.Sizeof(slot{}) + 8 bytes per
 // rank more than building 1,024 does: the difference leaves out what a
 // job costs once (its program tree, site numbering, per-PE tables). The
 // windows may also catch a few hundred bytes the runtime allocates for
@@ -105,7 +105,7 @@ func TestEventRankFootprint(t *testing.T) {
 	}
 	gSmall, gLarge := growth(small), growth(large)
 	perRank := (gLarge - gSmall - runtimeSlack) / (large - small)
-	bound := float64(unsafe.Sizeof(eventRank{}) + 8)
+	bound := float64(unsafe.Sizeof(slot{}) + 8)
 	t.Logf("event ranks: %.0f B for %d, %.0f B for %d: %.2f B of live heap per rank (bound %.0f)",
 		gSmall, small, gLarge, large, perRank, bound)
 	if perRank > bound {

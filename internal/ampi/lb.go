@@ -9,48 +9,25 @@ import (
 	"migflow/internal/loadbalance"
 )
 
-// parkAtGate suspends the rank's thread at the LB gate (the Migrate
-// Proc, MPI_Migrate) until the driver's serviceGate has rebalanced
-// (moving it, suspended, through the ordinary bulk path) and Awakens
-// it. Coalesced sends are flushed first: the gate is a block like any
-// other, and it is serviced only once nothing is left in flight.
-func (r *Rank) parkAtGate() {
-	r.flushStream()
-	r.job.gateArrive()
-	r.ctx.Suspend()
-}
-
-// collectLoads appends every rank's (id, PE, load) sample to buf — the
-// load database the paper's runtime gathers (thread id, current PE,
-// consumed CPU time), read in a single pass into the caller's pooled
-// buffer so an LB step allocates no database.
-func (j *Job) collectLoads(buf []loadbalance.Item) []loadbalance.Item {
-	for _, rk := range j.ranks {
-		pe, load := rk.th.LoadSample()
-		buf = append(buf, loadbalance.Item{ID: uint64(rk.th.ID()), PE: pe, Load: load})
-	}
-	return buf
-}
-
-// Rebalance is the runtime-driven balancing mode: called from
-// *outside* the job at a quiescent point (or by the Migrate gate's
-// driver), it plans over the measured loads and moves ranks with
-// forced migration — no Migrate statement appears in the application
-// at all. One strategy serves both backends: ULT ranks move as
-// threads (stack images through migrate.BulkMigrate), event ranks as
-// continuation records — the SAME core.Machine.MigrateMany batch
-// API, so a mixed runtime could balance both populations with one
-// plan. Ranks blocked in Recv keep waiting on their new PE. It
-// returns the number of ranks moved.
+// Rebalance is one LB step, called from *outside* the job at a
+// quiescent point or by the Migrate gate's driver: measure every rank's
+// load, plan (through PlanComm, with the measured communication graph,
+// when the strategy is CommAware), and move what the plan moves by
+// forced migration — ULT ranks as threads, event ranks as continuation
+// records, both through core.Machine.MigrateMany. Each backend supplies
+// only its load samples and its commit. Ranks blocked in Recv keep
+// waiting on their new PE. It returns the number of ranks moved.
 func (j *Job) Rebalance(strategy loadbalance.Strategy) (int, error) {
 	if strategy == nil {
 		return 0, fmt.Errorf("ampi: Rebalance: nil strategy")
 	}
-	if j.ev != nil {
-		return j.rebalanceEvent(strategy)
+	j.lbMu.Lock()
+	defer j.lbMu.Unlock()
+	if j.store() == nil {
+		return 0, nil // an event job that already completed
 	}
 	buf := loadbalance.AcquireItems()
-	*buf = j.collectLoads(*buf)
+	*buf = j.be.loads(*buf)
 	var plan loadbalance.Plan
 	if ca, ok := strategy.(loadbalance.CommAware); ok {
 		plan = ca.PlanComm(*buf, j.CommGraph(), j.m.NumPEs())
@@ -58,78 +35,63 @@ func (j *Job) Rebalance(strategy loadbalance.Strategy) (int, error) {
 		plan = strategy.Plan(*buf, j.m.NumPEs())
 	}
 	loadbalance.ReleaseItems(buf)
-	var moves []core.Move
-	for _, rk := range j.ranks {
-		if rk.th.State() == converse.Exited {
-			continue
+	// Walk ranks in order (plan map iteration is randomized) so the
+	// batch — and everything downstream of it — is deterministic.
+	var moves []comm.RangeMove
+	for r := 0; r < j.size; r++ {
+		if dest, ok := plan[uint64(j.entity(r))]; ok && dest != j.PEOf(r) {
+			moves = append(moves, comm.RangeMove{Index: r, To: dest})
 		}
-		dest, ok := plan[uint64(rk.th.ID())]
-		if !ok || dest == rk.th.Scheduler().PE().Index {
-			continue
-		}
-		moves = append(moves, core.Move{T: rk.th, Dest: dest})
 	}
-	moved, err := j.m.MigrateMany(moves)
+	moved, err := j.be.commit(moves)
+	j.be.resetLoads()
 	if err != nil {
 		return moved, fmt.Errorf("ampi: Rebalance: %w", err)
-	}
-	for _, rk := range j.ranks {
-		rk.th.ResetCPUTime()
 	}
 	return moved, nil
 }
 
-// rebalanceEvent is the event-mode LB step: measure every live
-// rank's accumulated busy time (under its lock), plan, then commit —
-// ONE comm range-table batch (a single epoch bump re-arms the
-// deliver-side owner check), the engine's owner words and dispatch
-// charges, and one MigrateMany batch of continuation records — the
-// same record a cross-process move ships. The records' PUP round trips
-// and network charges go through exactly the machinery a thread move
-// uses, minus eviction, vmem imaging, and adoption.
-func (j *Job) rebalanceEvent(strategy loadbalance.Strategy) (int, error) {
-	e := j.ev
-	e.lbMu.Lock()
-	defer e.lbMu.Unlock()
-	if e.store() == nil {
-		return 0, nil // job already completed
+// loads appends every thread rank's (id, PE, consumed CPU time) sample
+// to buf — the load database the paper's runtime gathers — in one pass
+// into the caller's pooled buffer, so an LB step allocates no database.
+func (b ultBE) loads(buf []loadbalance.Item) []loadbalance.Item {
+	for i := range b.job.ranks {
+		th := b.job.ranks[i].th
+		pe, load := th.LoadSample()
+		buf = append(buf, loadbalance.Item{ID: uint64(th.ID()), PE: pe, Load: load})
 	}
-	buf := loadbalance.AcquireItems()
-	*buf = e.collectEventLoads(*buf)
-	plan := strategy.Plan(*buf, j.m.NumPEs())
-	loadbalance.ReleaseItems(buf)
-	var moves []core.Move
-	var rmoves []comm.RangeMove
-	// Walk ranks in order (plan map iteration is randomized) so the
-	// batch — and everything downstream of it — is deterministic.
-	for r := 0; r < e.size; r++ {
-		dest, ok := plan[uint64(e.idOf(r))]
-		if !ok {
-			continue
-		}
-		src := e.peOf(r)
-		if dest == src {
-			continue
-		}
-		rmoves = append(rmoves, comm.RangeMove{Index: r, To: dest})
-		moves = append(moves, core.Move{R: eventRecord{e, r, src}, Src: src, Dest: dest})
+	return buf
+}
+
+func (b ultBE) resetLoads() {
+	for i := range b.job.ranks {
+		b.job.ranks[i].th.ResetCPUTime()
 	}
-	moved, err := e.applyMoves(moves, rmoves)
-	e.resetLoads()
-	return moved, err
+}
+
+// commit moves every live thread rank of moves, suspended, through the
+// ordinary bulk path.
+func (b ultBE) commit(moves []comm.RangeMove) (int, error) {
+	var tms []core.Move
+	for _, mv := range moves {
+		if th := b.job.ranks[mv.Index].th; th.State() != converse.Exited {
+			tms = append(tms, core.Move{T: th, Dest: mv.To})
+		}
+	}
+	return b.job.m.MigrateMany(tms)
 }
 
 // CommGraph returns the measured application traffic between ranks
-// as edges keyed by thread id — the input to communication-aware
-// balancing.
+// as edges keyed by rank identity — the input to communication-aware
+// balancing. Only thread ranks record traffic.
 func (j *Job) CommGraph() []loadbalance.Edge {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	edges := make([]loadbalance.Edge, 0, len(j.traffic))
 	for pair, bytes := range j.traffic {
 		edges = append(edges, loadbalance.Edge{
-			A:     uint64(j.ranks[pair[0]].th.ID()),
-			B:     uint64(j.ranks[pair[1]].th.ID()),
+			A:     uint64(j.entity(pair[0])),
+			B:     uint64(j.entity(pair[1])),
 			Bytes: bytes,
 		})
 	}
@@ -139,7 +101,7 @@ func (j *Job) CommGraph() []loadbalance.Edge {
 // PELoads sums the measured load per PE.
 func (j *Job) PELoads() []float64 {
 	buf := loadbalance.AcquireItems()
-	*buf = j.collectLoads(*buf)
+	*buf = j.be.loads(*buf)
 	loads := loadbalance.PELoads(*buf, j.m.NumPEs(), nil)
 	loadbalance.ReleaseItems(buf)
 	return loads

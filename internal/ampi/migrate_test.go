@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"migflow/internal/comm"
-	"migflow/internal/core"
 	"migflow/internal/loadbalance"
 	"migflow/internal/pup"
 )
@@ -133,6 +132,46 @@ func TestGateFlushesAggregation(t *testing.T) {
 	job.Run()
 	if !job.Done() {
 		t.Fatal("a send buffered behind the LB gate was never flushed")
+	}
+}
+
+// TestPELoadsSameOnBothBackends: at a Migrate gate the measured load
+// per PE is what the balancer plans over, and it is the same on both
+// backends. A thread rank adds each Work to its CPU time in the order
+// an event rank adds it to its slot's busy time, so the sums match bit
+// for bit; both must be non-zero.
+func TestPELoadsSameOnBothBackends(t *testing.T) {
+	loads := map[string][]float64{}
+	for _, mode := range []string{ModeULT, ModeEvent} {
+		m, job, err := NewJacobi(JacobiConfig{
+			Mode: mode, Ranks: 4096, PEs: 8, Iters: 8, ReduceEvery: 4, BlockPlacement: true,
+			MigrateAt: 2, WorkSkew: 2, LB: loadbalance.GreedyLB{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Start()
+		m.RunUntilQuiescent()
+		if !job.gateReady() {
+			t.Fatalf("%s: ranks did not park at the gate", mode)
+		}
+		loads[mode] = job.PELoads()
+		for p, l := range loads[mode] {
+			if l <= 0 {
+				t.Errorf("%s: PE %d measured load %v, want > 0", mode, p, l)
+			}
+		}
+		job.serviceGate()
+		m.RunUntilQuiescent()
+		if !job.Done() {
+			t.Fatalf("%s: job did not complete after the gate", mode)
+		}
+	}
+	ult, ev := loads[ModeULT], loads[ModeEvent]
+	for p := range ult {
+		if math.Float64bits(ult[p]) != math.Float64bits(ev[p]) {
+			t.Errorf("PE %d: ULT load %v, event load %v: want bit-identical", p, ult[p], ev[p])
+		}
 	}
 }
 
@@ -285,14 +324,13 @@ func TestEventMigrateRaceStress(t *testing.T) {
 }
 
 // moveRank moves rank r of an event job to PE to the way one LB step
-// does — applyMoves → MigrateMany → eventRecord — and fails the test
+// does — commit → MigrateMany → eventRecord — and fails the test
 // unless exactly that rank moved.
 func moveRank(t *testing.T, j *Job, r, to int) {
 	t.Helper()
 	e := j.ev
 	from := e.peOf(r)
-	moves := []core.Move{{R: eventRecord{e, r, from}, Src: from, Dest: to}}
-	if moved, err := e.applyMoves(moves, []comm.RangeMove{{Index: r, To: to}}); err != nil || moved != 1 {
+	if moved, err := e.commit([]comm.RangeMove{{Index: r, To: to}}); err != nil || moved != 1 {
 		t.Fatalf("moving rank %d from PE %d to %d: (%d, %v)", r, from, to, moved, err)
 	}
 }
@@ -332,7 +370,7 @@ func TestEventRecordRoundTrip(t *testing.T) {
 		t.Fatal("ranks did not reach the gate")
 	}
 	e := job.ev
-	er := &e.store()[1]
+	er := &e.job.store()[1]
 	vtBefore, busyBefore, pending, depth := er.pc.vt, er.busy, len(er.mbox)-int(er.head), len(er.pc.stack)
 	local := er.pc.Local.(*mixState)
 	if pending != 2 {
@@ -436,7 +474,7 @@ func TestDeliveryDuringTransit(t *testing.T) {
 	job.Start()
 	m.RunUntilQuiescent()
 	e := job.ev
-	er := &e.store()[1]
+	er := &e.job.store()[1]
 	rec := eventRecord{e, 1, job.PEOf(1)}
 	p := pup.NewGrowPacker()
 	if err := rec.Extract(p); err != nil {

@@ -91,7 +91,7 @@ func TestSendrecvBadArgs(t *testing.T) {
 // sample per rank carrying the work it did, and sums per PE.
 func TestLoadDatabaseShape(t *testing.T) {
 	j, _ := runProg(t, 2, 4, Options{}, Do(func(pc *PC) { pc.Work(float64(1000 * (pc.Rank() + 1))) }))
-	db := j.collectLoads(nil)
+	db := j.be.loads(nil)
 	if len(db) != 4 {
 		t.Fatalf("db = %v", db)
 	}

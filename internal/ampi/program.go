@@ -10,22 +10,18 @@ package ampi
 // are closed: what one execution accumulates lives where the runtime
 // can see it — pc.Local, the frame stack, the collective runs — never
 // in a closure the tree makes as it runs, so one record (shard.go)
-// carries a rank parked anywhere to any PE of any process. The SAME
-// tree is interpreted by two backends selected with Options.Mode:
+// carries a rank parked anywhere to any PE of any process.
 //
-//   - ModeULT: each rank is a migratable user-level thread; Recv and
-//     the collectives block the thread, and each activation pays the
-//     platform's thread-switch curve.
-//   - ModeEvent: each rank is a small state struct in a contiguous
-//     per-job store (event.go); a blocking point leaves the rank's
-//     frame stack where it is and returns to the owning PE's loop, and
-//     each activation pays the (much cheaper) EventDispatch curve.
-//
-// Both run the one interpreter loop PC.exec over an explicit frame
-// stack — the lambda-lifted continuation of Continuation-Passing C: a
-// resume point is a flat record of (statement, cursor) pairs, not a
-// chain of closures. The backends differ only in what recv does with
-// nothing buffered: block the thread, or return nil so exec parks.
+// Every rank, whichever backend Options.Mode selects, is one slot in a
+// contiguous per-job store, interpreted by the one loop PC.exec over an
+// explicit frame stack — the lambda-lifted continuation of
+// Continuation-Passing C: a resume point is a flat record of
+// (statement, cursor) pairs, not a chain of closures. A blocking point
+// leaves the stack where it is and exec returns. What differs is who
+// re-enters it: a ModeULT rank's migratable user-level thread suspends
+// and is woken, paying the platform's thread-switch curve per
+// activation; a ModeEvent rank's PE loop re-enters it on delivery
+// (event.go), paying the much cheaper EventDispatch curve.
 //
 // Because all communication, computation, and virtual-time accounting
 // live in this shared layer, a program's predicted virtual time (VT)
@@ -67,34 +63,37 @@ type frame struct {
 	reqs []*Req // Waitall's list, read from the rank on entry and again after a move
 }
 
-// backend is what a Proc needs from the flow-of-control mechanism
-// behind a rank. Exactly two implementations exist: ultBE (thread
-// blocks) and *eventEngine (the rank parks on its frame stack).
+// backend is what the shared layer needs from the flow-of-control
+// mechanism behind a rank. Exactly two implementations exist: ultBE (a
+// thread runs the slot) and *eventEngine (the owning PE's loop does).
+// Sending, matching and the receive cost model are the slot's (Job.send,
+// Job.recvLocked); what a backend adds is who holds the rank's lock,
+// where the rank runs, and how its load is measured and its moves made.
 type backend interface {
-	// send transmits data to dest, stamping pc.vt into the message's
-	// VTime and charging the simulating PE's clock for send overhead.
-	send(pc *PC, dest, tag int, data []byte)
-	// recv returns the oldest message matching (src, tag), synchronizing
-	// the simulating PE clock with its arrival. With none buffered the
-	// ULT backend blocks its thread and never returns nil; the event
-	// backend records the match spec and returns nil, and the call the
-	// re-run step makes after a matching delivery returns that message.
+	// recv is Job.recvLocked under the rank's lock: an event activation
+	// already holds it, a thread takes it. It never blocks: with nothing
+	// to take the rank parks on (src, tag), recv returns nil and exec
+	// returns false — the PE's loop re-enters an event rank after a
+	// matching delivery, a thread rank suspends until one wakes it.
 	recv(pc *PC, src, tag int) *comm.Message
-	// work charges ns nanoseconds of computation to the simulating PE.
+	// work charges ns nanoseconds of computation to the simulating PE and
+	// to the rank's measured load.
 	work(pc *PC, ns float64)
 	// pe reports which simulating PE the rank currently runs on —
 	// placement-dependent by design (per-PE makespan accounting).
 	pe(pc *PC) int
-	// lbpoint registers the rank at the job's collective LB gate and
-	// reports whether it already resumed: true from the ULT backend (the
-	// thread slept through the rebalance), false from the event backend
-	// (the runtime re-enters exec afterwards, possibly on another PE).
-	lbpoint(pc *PC) (resumed bool)
 	// usestack models per-rank live frames: ULT ranks push and dirty
 	// a frame of n bytes (which every later migration must carry);
 	// event ranks have no stack, so it is a no-op — the asymmetry the
 	// migration-cost comparison measures.
 	usestack(pc *PC, n uint64)
+	// loads appends each rank's (entity, PE, load) sample to buf, and
+	// resetLoads starts the next measurement window.
+	loads(buf []loadbalance.Item) []loadbalance.Item
+	resetLoads()
+	// commit makes one LB step's moves, in rank order, and returns how
+	// many ranks moved.
+	commit(moves []comm.RangeMove) (int, error)
 }
 
 // PC is one rank's program context: its identity, its predicted
@@ -146,8 +145,8 @@ func (pc *PC) start(prog Proc) {
 
 // exec is the interpreter: it steps the innermost frame until the
 // program completes (true) or a step parks the rank (false), leaving
-// the stack as the resume point for the next call — a ULT rank makes
-// one call, from its thread; an event rank one per activation. Popped
+// the stack as the resume point for the next call, one per activation
+// on either backend. Popped
 // frames are zeroed so what they held is collectable mid-run. Finishing
 // with a collective started and never waited for is a program bug that
 // would leave the peers hanging in theirs, so it panics by name.
@@ -259,7 +258,7 @@ func (pc *PC) sendRaw(dest, tag int, data []byte) {
 	if ovh := pc.job.opts.MsgOverheadNs; ovh > 0 {
 		pc.vt += ovh
 	}
-	pc.job.be.send(pc, dest, tag, data)
+	pc.job.send(pc, dest, tag, data)
 }
 
 // sendEdge is sendRaw along a collective tree edge: when a topology
@@ -520,9 +519,17 @@ func Migrate(strategy loadbalance.Strategy) Proc {
 
 func (mp migrateProc) step(pc *PC, f *frame) (Proc, bool) {
 	if f.i == 0 {
+		// The rank parks here, its Migrate frame on top of its stack (the
+		// record analogue of a thread suspending in MPI_Migrate), until
+		// the runtime resumes it, possibly on another PE. Coalesced sends
+		// are flushed first: the gate is serviced only once nothing is
+		// left in flight. A gate sends no messages and never touches vt,
+		// so predicted time stays bit-identical with and without
+		// migration.
 		f.i = 1
-		pc.job.gateSetStrategy(mp.strategy)
-		return nil, pc.job.be.lbpoint(pc)
+		pc.job.flush(pc.PE())
+		pc.job.gateArrive(mp.strategy)
+		return nil, false
 	}
 	return nil, true // resumed after the rebalance
 }
@@ -944,67 +951,50 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 		j.be = j.ev
 		return j, nil
 	}
-	j.be = ultBE{}
+	j.be = ultBE{j}
+	j.newSlots()
+	j.remaining.Store(int64(size))
+	j.ranks = make([]Rank, size)
 	j.rankOf = make(map[comm.EntityID]int, size)
-	j.pcs = make([]*PC, size)
-	for r := 0; r < size; r++ {
-		pc := &PC{job: j, rank: int32(r)}
-		rank := &Rank{job: j, rank: r, pc: pc}
-		j.pcs[r] = pc
+	for r := range j.ranks {
+		rk := &j.ranks[r]
+		rk.job, rk.rank = j, r
 		pe := m.PE(placePE(r, size, m.NumPEs(), j.opts.BlockPlacement))
 		th, err := pe.Sched.CthCreate(converse.ThreadOptions{
 			Strategy:  j.opts.Strategy,
 			StackSize: j.opts.StackSize,
 			Globals:   j.opts.Globals,
-		}, func(c *converse.Ctx) {
-			// Blocking points suspend the thread inside a step, so the
-			// one exec call returns only when the program is over.
-			rank.ctx = c
-			pc.start(j.prog)
-			if !pc.exec() {
-				panic(fmt.Sprintf("ampi: rank %d parked inside %T on the thread backend", pc.rank, pc.parkedIn()))
-			}
-			rank.flushStream()
-		})
+		}, rk.run)
 		if err != nil {
 			return nil, fmt.Errorf("ampi: creating rank %d: %w", r, err)
 		}
-		rank.th = th
-		j.ranks = append(j.ranks, rank)
+		rk.th = th
 		j.rankOf[comm.EntityID(th.ID())] = r
-		if err := m.RegisterEntity(comm.EntityID(th.ID()), pe.Index, rank.deliver); err != nil {
+		if err := m.RegisterEntity(comm.EntityID(th.ID()), pe.Index, rk.deliver); err != nil {
 			return nil, err
 		}
 	}
 	return j, nil
 }
 
-// ultBE interprets program blocking points against the rank's thread
-// (Job.ranks[pc.rank]): recv parks the thread on the rank's mailbox, so
-// the scheduler charges the usual thread-switch curve per activation.
-type ultBE struct{}
+// ultBE runs each rank's slot on its thread (Job.ranks[pc.rank]): a
+// receive with nothing to take parks the slot and the thread suspends,
+// so the scheduler charges the usual thread-switch curve per activation.
+type ultBE struct{ job *Job }
 
 // thread returns the thread rank behind pc.
-func (ultBE) thread(pc *PC) *Rank { return pc.job.ranks[pc.rank] }
+func (ultBE) thread(pc *PC) *Rank { return &pc.job.ranks[pc.rank] }
 
-func (b ultBE) send(pc *PC, dest, tag int, data []byte) {
-	if err := b.thread(pc).sendv(dest, tag, data, pc.vt); err != nil {
-		panic(err)
-	}
-}
-
-func (b ultBE) recv(pc *PC, src, tag int) *comm.Message {
-	return b.thread(pc).recv(src, tag)
+func (ultBE) recv(pc *PC, src, tag int) *comm.Message {
+	s := pc.job.slotOf(pc)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return pc.job.recvLocked(pc, src, tag)
 }
 
 func (b ultBE) work(pc *PC, ns float64) { b.thread(pc).ctx.Work(ns) }
 
 func (b ultBE) pe(pc *PC) int { return b.thread(pc).ctx.PE().Index }
-
-func (b ultBE) lbpoint(pc *PC) bool {
-	b.thread(pc).parkAtGate()
-	return true
-}
 
 func (b ultBE) usestack(pc *PC, n uint64) {
 	if n == 0 {
@@ -1025,28 +1015,17 @@ func (b ultBE) usestack(pc *PC, n uint64) {
 	}
 }
 
-// senderOf maps a message's From identity back to its rank.
-func (j *Job) senderOf(from comm.EntityID) int {
-	if j.ev != nil {
-		return j.ev.rankIdx(from)
-	}
-	if i, ok := j.rankOf[from]; ok {
-		return i
-	}
-	return -1
-}
-
-// VT returns rank r's predicted virtual time in nanoseconds (program
-// jobs only). It is bit-identical across modes and PE counts for the
-// same program and job options.
+// VT returns rank r's predicted virtual time in nanoseconds. It is
+// bit-identical across modes and PE counts for the same program and job
+// options.
 func (j *Job) VT(r int) float64 {
-	if j.ev != nil {
-		return j.ev.vtOf(r)
+	if store := j.store(); store != nil {
+		s := &store[r]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.pc.vt
 	}
-	if j.pcs != nil {
-		return j.pcs[r].vt
-	}
-	return 0
+	return j.vts[r]
 }
 
 // PredictedNs returns the program's predicted parallel completion

@@ -417,8 +417,8 @@ func pooledPair(run func(iters int) (mallocs, msgs uint64), short, long int) (ma
 // and 1 of padding. The backend is the job's, and a sharded run's
 // stream state lives beside the store.
 func TestSteadyStateStepAllocations(t *testing.T) {
-	if got := unsafe.Sizeof(eventRank{}); got != 136 {
-		t.Errorf("eventRank is %d bytes, want 136: the per-rank slot changed size", got)
+	if got := unsafe.Sizeof(slot{}); got != 136 {
+		t.Errorf("the slot is %d bytes, want 136: the per-rank slot changed size", got)
 	}
 	const ranks, short, long = 4096, 4, 12
 	rows := []struct {
@@ -632,7 +632,7 @@ func TestEventFootprintReleased(t *testing.T) {
 			t.Fatal(err)
 		}
 		job.Run()
-		ranks := job.ev.store()
+		ranks := job.store()
 		if ranks == nil || !ranks[0].done || ranks[1].done {
 			t.Fatal("want rank 0 finished and rank 1 parked in a live store")
 		}
@@ -679,7 +679,7 @@ func TestEventFootprintReleased(t *testing.T) {
 	if got := m.NumEntityRanges(); got != 0 {
 		t.Fatalf("after completion %d entity ranges remain, want 0", got)
 	}
-	if job.ev.store() != nil {
+	if job.store() != nil {
 		t.Fatal("after completion the contiguous store was not released")
 	}
 	// VT results must survive the release.

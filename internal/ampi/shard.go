@@ -61,7 +61,7 @@ const tagInstalled = -150
 // (sharded event jobs).
 func (j *Job) ShardOwns(r int) bool {
 	e := j.ev
-	if e == nil || !e.sharded || r < 0 || r >= e.size {
+	if e == nil || !e.sharded || r < 0 || r >= j.size {
 		return false
 	}
 	return j.m.LocalPE(e.peOf(r))
@@ -71,32 +71,32 @@ func (j *Job) ShardOwns(r int) bool {
 // now: resident here and shippable.
 func (j *Job) ShardMigratable(r int) bool {
 	e := j.ev
-	if e == nil || !e.sharded || r < 0 || r >= e.size {
+	if e == nil || !e.sharded || r < 0 || r >= j.size {
 		return false
 	}
-	ranks := e.store()
+	ranks := j.store()
 	if ranks == nil || !j.m.LocalPE(e.peOf(r)) {
 		return false
 	}
-	er := &ranks[r]
-	er.mu.Lock()
-	defer er.mu.Unlock()
-	return e.shippableLocked(er) == nil
+	s := &ranks[r]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return e.shippableLocked(s) == nil
 }
 
 // shippableLocked says why the rank has no record to extract right
 // now, or nil. Every blocking point has a wire form; what is left is a
 // finished rank, a Local without the job's LocalPUP, and a collective
 // run whose site the program's numbering never met (a For body built
-// it while running). er.mu held.
-func (e *eventEngine) shippableLocked(er *eventRank) error {
+// it while running). s.mu held.
+func (e *eventEngine) shippableLocked(s *slot) error {
 	switch {
-	case er.done:
+	case s.done:
 		return fmt.Errorf("already finished")
-	case er.pc.Local != nil && e.job.opts.LocalPUP == nil:
+	case s.pc.Local != nil && e.job.opts.LocalPUP == nil:
 		return fmt.Errorf("has program state but the job has no LocalPUP")
 	}
-	for run := er.pc.colls; run != nil; run = run.link {
+	for run := s.pc.colls; run != nil; run = run.link {
 		if _, ok := e.job.siteNum[run.site]; run.active && !ok {
 			return fmt.Errorf("inside collective %s, whose site the program's numbering never met", run.site.name)
 		}
@@ -114,8 +114,8 @@ func (j *Job) ShardExtract(rank, toPE int) ([]byte, error) {
 	if e == nil || !e.sharded {
 		return nil, fmt.Errorf("ampi: ShardExtract needs a sharded event job")
 	}
-	if rank < 0 || rank >= e.size {
-		return nil, fmt.Errorf("ampi: ShardExtract: rank %d of %d", rank, e.size)
+	if rank < 0 || rank >= j.size {
+		return nil, fmt.Errorf("ampi: ShardExtract: rank %d of %d", rank, j.size)
 	}
 	if toPE < 0 || toPE >= j.m.NumPEs() {
 		return nil, fmt.Errorf("ampi: ShardExtract: PE %d out of range", toPE)
@@ -123,16 +123,16 @@ func (j *Job) ShardExtract(rank, toPE int) ([]byte, error) {
 	if j.m.LocalPE(toPE) {
 		return nil, fmt.Errorf("ampi: ShardExtract: PE %d is local; use Rebalance for in-process moves", toPE)
 	}
-	ranks := e.store()
-	er := &ranks[rank]
-	er.mu.Lock()
-	defer er.mu.Unlock()
+	ranks := j.store()
+	s := &ranks[rank]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	srcPE := e.peOf(rank)
 	if !j.m.LocalPE(srcPE) {
 		return nil, fmt.Errorf("ampi: ShardExtract: rank %d resides on PE %d, not in this process", rank, srcPE)
 	}
 	p := pup.NewGrowPacker()
-	if err := e.extractLocked(p, er, toPE, j.m.PE(srcPE).Clock.Now()); err != nil {
+	if err := e.extractLocked(p, s, toPE, j.m.PE(srcPE).Clock.Now()); err != nil {
 		return nil, fmt.Errorf("ampi: ShardExtract: rank %d %w", rank, err)
 	}
 	// Commit: one table batch + owner word + epoch bump, exactly the
@@ -142,7 +142,7 @@ func (j *Job) ShardExtract(rank, toPE int) ([]byte, error) {
 	}
 	e.pes[rank].Store(int32(toPE))
 	e.migEpoch.Add(1)
-	e.remaining.Add(-1)
+	j.remaining.Add(-1)
 	return p.PackedBytes(), nil
 }
 
@@ -154,7 +154,7 @@ func (j *Job) ShardNoteMove(rank, toPE int) error {
 	if e == nil || !e.sharded {
 		return fmt.Errorf("ampi: ShardNoteMove needs a sharded event job")
 	}
-	if rank < 0 || rank >= e.size || toPE < 0 || toPE >= j.m.NumPEs() {
+	if rank < 0 || rank >= j.size || toPE < 0 || toPE >= j.m.NumPEs() {
 		return fmt.Errorf("ampi: ShardNoteMove: rank %d → PE %d out of range", rank, toPE)
 	}
 	if e.peOf(rank) == toPE {
@@ -180,26 +180,26 @@ func (j *Job) ShardInstall(data []byte) (int, error) {
 		return -1, fmt.Errorf("ampi: ShardInstall needs a sharded event job")
 	}
 	var id uint64
-	if err := pup.NewUnpacker(data).Uint64(&id); err != nil || id >= uint64(e.size) {
-		return -1, fmt.Errorf("ampi: ShardInstall: the record names no rank of %d", e.size)
+	if err := pup.NewUnpacker(data).Uint64(&id); err != nil || id >= uint64(j.size) {
+		return -1, fmt.Errorf("ampi: ShardInstall: the record names no rank of %d", j.size)
 	}
 	rank := int(id)
-	er := &e.store()[rank]
-	er.mu.Lock()
+	s := &j.store()[rank]
+	s.mu.Lock()
 	var r record
 	var err error
 	if j.m.LocalPE(e.peOf(rank)) {
 		err = fmt.Errorf("the rank already lives in this process")
-	} else if r, err = e.installLocked(er, data); err == nil {
+	} else if r, err = e.installLocked(s, data); err == nil {
 		e.pes[rank].Store(int32(r.toPE))
 		e.migEpoch.Add(1)
 		err = j.m.Network().MoveRangeBatch(e.base, []comm.RangeMove{{Index: rank, To: r.toPE}})
 	}
-	er.mu.Unlock()
+	s.mu.Unlock()
 	if err != nil {
 		return -1, fmt.Errorf("ampi: ShardInstall: rank %d: %w", rank, err)
 	}
-	e.remaining.Add(1)
+	j.remaining.Add(1)
 	j.m.FinishRemoteMigration(e.idOf(rank), r.toPE, r.depart, len(data))
 	if err := e.scheduleActivation(rank, r.toPE); err != nil {
 		return rank, fmt.Errorf("ampi: ShardInstall: scheduling activation: %w", err)
@@ -231,16 +231,16 @@ type record struct {
 	seq              rankSeq // sharded runs only
 }
 
-// extractLocked packs er's record into p and empties the slot — the
+// extractLocked packs s's record into p and empties the slot — the
 // pack routine behind every move. The slot keeps its frame array and
-// its collective runs for the record to come back into. er.mu held.
-func (e *eventEngine) extractLocked(p *pup.PUPer, er *eventRank, toPE int, depart float64) error {
-	if err := e.shippableLocked(er); err != nil {
+// its collective runs for the record to come back into. s.mu held.
+func (e *eventEngine) extractLocked(p *pup.PUPer, s *slot, toPE int, depart float64) error {
+	if err := e.shippableLocked(s); err != nil {
 		return err
 	}
-	pc := &er.pc
-	r := record{rank: pc.Rank(), toPE: toPE, depart: depart, vt: pc.vt, busy: er.busy,
-		waiting: er.waiting, local: pc.Local, stack: pc.stack, pending: er.mbox[er.head:]}
+	pc := &s.pc
+	r := record{rank: pc.Rank(), toPE: toPE, depart: depart, vt: pc.vt, busy: s.busy,
+		waiting: s.waiting, local: pc.Local, stack: pc.stack, pending: s.mbox[s.head:]}
 	if e.seq != nil {
 		r.seq = e.seq[pc.rank]
 	}
@@ -265,27 +265,27 @@ func (e *eventEngine) extractLocked(p *pup.PUPer, er *eventRank, toPE int, depar
 	for run := pc.colls; run != nil; run = run.link {
 		run.active, run.data, run.entries, run.chunks = false, nil, nil, nil
 	}
-	clear(er.mbox)
-	er.mbox, er.head, er.hasWait, er.busy = er.mbox[:0], 0, false, 0
+	clear(s.mbox)
+	s.mbox, s.head, s.hasWait, s.busy = s.mbox[:0], 0, false, 0
 	if e.seq != nil {
 		e.seq[pc.rank] = rankSeq{}
 	}
 	return nil
 }
 
-// installLocked decodes a record for er's rank and, once all of it has
+// installLocked decodes a record for s's rank and, once all of it has
 // validated, writes it into the empty slot — the unpack routine behind
 // every move. Messages that reached the slot while the rank was in
 // transit are younger than the record's, so they queue behind them.
-// er.mu held.
-func (e *eventEngine) installLocked(er *eventRank, data []byte) (record, error) {
+// s.mu held.
+func (e *eventEngine) installLocked(s *slot, data []byte) (record, error) {
 	var r record
-	if err := e.pupRecord(pup.NewUnpacker(data), &r, &er.pc); err != nil {
+	if err := e.pupRecord(pup.NewUnpacker(data), &r, &s.pc); err != nil {
 		return r, err
 	}
-	pc := &er.pc
+	pc := &s.pc
 	pc.vt, pc.Local, pc.stack = r.vt, r.local, r.stack
-	er.busy, er.waiting, er.hasWait = r.busy, r.waiting, false
+	s.busy, s.waiting, s.hasWait = r.busy, r.waiting, false
 	for i := range r.runs {
 		run := pc.collAt(r.runs[i].site)
 		if run == nil {
@@ -295,7 +295,7 @@ func (e *eventEngine) installLocked(er *eventRank, data []byte) (record, error) 
 		run.collState, run.active = r.runs[i].collState, true
 	}
 	if len(r.pending) > 0 {
-		er.mbox, er.head = append(r.pending, er.mbox[er.head:]...), 0
+		s.mbox, s.head = append(r.pending, s.mbox[s.head:]...), 0
 	}
 	if e.seq != nil {
 		e.seq[pc.rank] = r.seq
@@ -457,11 +457,11 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 			if old := pc.collAt(site); old != nil {
 				run.parent, run.children = old.parent, old.children
 			} else {
-				run.parent, run.children = collFamily(site.kind, pc.Rank(), e.size, &e.job.opts, site.root)
+				run.parent, run.children = collFamily(site.kind, pc.Rank(), e.job.size, &e.job.opts, site.root)
 			}
 			chunks, ok := 0, run.next == 0
 			if site.kind == collAlltoall || site.kind == collScatter && run.parent < 0 {
-				chunks = e.size
+				chunks = e.job.size
 			}
 			if run.next > 0 {
 				_, ok = run.at(run.next - 1)
@@ -476,8 +476,8 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 			if err := pupFields(p, &en.rank, &en.data); err != nil {
 				return err
 			}
-			if en.rank < 0 || en.rank >= e.size {
-				return fmt.Errorf("%s run holds an entry for rank %d of %d", run.site.name, en.rank, e.size)
+			if en.rank < 0 || en.rank >= e.job.size {
+				return fmt.Errorf("%s run holds an entry for rank %d of %d", run.site.name, en.rank, e.job.size)
 			}
 		}
 		for k := range run.chunks {
@@ -661,8 +661,8 @@ func (e *eventEngine) pupSeqMap(p *pup.PUPer, mp *map[int]uint64) error {
 			return err
 		}
 		if p.IsUnpacking() {
-			if k < 0 || k >= e.size || i > 0 && k <= keys[i-1] {
-				return fmt.Errorf("record stream entry for rank %d of %d is out of order", k, e.size)
+			if k < 0 || k >= e.job.size || i > 0 && k <= keys[i-1] {
+				return fmt.Errorf("record stream entry for rank %d of %d is out of order", k, e.job.size)
 			}
 			keys[i], (*mp)[k] = k, v
 		}

@@ -68,10 +68,10 @@ func TestShardRecordHostileCounts(t *testing.T) {
 	}
 	for _, n := range []int{-1, 1 << 61, 1<<63 - 1} {
 		var r record
-		if err := e.pupRuns(count(n), &r, &e.store()[0].pc); err == nil {
+		if err := e.pupRuns(count(n), &r, &e.job.store()[0].pc); err == nil {
 			t.Fatalf("pupRuns accepted hostile count %d", n)
 		}
-		if err := e.pupPath(count(n), &r, &e.store()[0].pc); err == nil {
+		if err := e.pupPath(count(n), &r, &e.job.store()[0].pc); err == nil {
 			t.Fatalf("pupPath accepted hostile count %d", n)
 		}
 	}
@@ -126,7 +126,7 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 	)
 	j := newShardedEventJob(t, prog)
 	e := j.ev
-	epoch, remaining := e.migEpoch.Load(), e.remaining.Load()
+	epoch, remaining := e.migEpoch.Load(), e.job.remaining.Load()
 	for _, tc := range []struct {
 		name string
 		path []int
@@ -162,11 +162,11 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 		if j.ShardOwns(3) {
 			t.Fatalf("%s: rejected record still flipped rank 3 into this process", tc.name)
 		}
-		if e.migEpoch.Load() != epoch || e.remaining.Load() != remaining {
+		if e.migEpoch.Load() != epoch || e.job.remaining.Load() != remaining {
 			t.Fatalf("%s: rejected record moved epoch %d→%d, remaining %d→%d",
-				tc.name, epoch, e.migEpoch.Load(), remaining, e.remaining.Load())
+				tc.name, epoch, e.migEpoch.Load(), remaining, e.job.remaining.Load())
 		}
-		if er := &e.store()[3]; len(er.pc.stack) != 0 || er.pc.Local != nil || er.hasWait {
+		if er := &e.job.store()[3]; len(er.pc.stack) != 0 || er.pc.Local != nil || er.hasWait {
 			t.Fatalf("%s: rejected record left state in rank 3's slot", tc.name)
 		}
 		j.m.RunUntilQuiescent() // must not panic
@@ -191,7 +191,7 @@ func TestShardInstallRejectsHostilePath(t *testing.T) {
 			t.Fatalf("path %v: installed rank is not owned here", path)
 		}
 		j.m.RunUntilQuiescent()
-		er := &j.ev.store()[3]
+		er := &j.store()[3]
 		if !er.hasWait || er.waiting != spec {
 			t.Fatalf("path %v: installed rank did not park at its receive (waiting %+v, parked %v)", path, er.waiting, er.hasWait)
 		}
@@ -231,7 +231,7 @@ func TestShardRecvEachRoundTrip(t *testing.T) {
 	// and parks waiting for rank 3, whom this worker does not run.
 	a := newShardedEventJob(t, prog)
 	a.Run()
-	era := &a.ev.store()[0]
+	era := &a.store()[0]
 	if !a.ShardMigratable(0) || era.waiting != (matchSpec{3, 5}) {
 		t.Fatalf("rank 0 on worker A: migratable=%v waiting %+v, want parked for (3, 5)", a.ShardMigratable(0), era.waiting)
 	}
@@ -257,7 +257,7 @@ func TestShardRecvEachRoundTrip(t *testing.T) {
 		t.Fatalf("ShardInstall on worker B: (%d, %v)", r, err)
 	}
 	b.Run()
-	erb := &b.ev.store()[0]
+	erb := &b.store()[0]
 	if !erb.done || !reflect.DeepEqual(got, []int{1, 3, 2}) {
 		t.Fatalf("rank 0 on worker B: done=%v, heard from %v, want the whole intake [1 3 2] in order", erb.done, got)
 	}
@@ -279,7 +279,7 @@ func FuzzRecord(f *testing.F) {
 		}
 		j.Start()
 		runPEs(m, 0, 1)
-		er := &j.ev.store()[0]
+		er := &j.store()[0]
 		p := pup.NewGrowPacker()
 		er.mu.Lock()
 		err = j.ev.extractLocked(p, er, 3, 1234.5)
@@ -300,7 +300,7 @@ func FuzzRecord(f *testing.F) {
 		if err := pup.NewUnpacker(data).Uint64(&rank); err != nil || rank >= 4 {
 			return
 		}
-		er := &e.store()[rank]
+		er := &e.job.store()[rank]
 		er.mu.Lock()
 		defer er.mu.Unlock()
 		r, err := e.installLocked(er, data)

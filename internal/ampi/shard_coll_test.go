@@ -185,7 +185,7 @@ func blockingPoints() []blockingPoint {
 // parkedAt checks that rank 0 of j sits at bp's blocking point.
 func parkedAt(t *testing.T, j *Job, bp blockingPoint) {
 	t.Helper()
-	er := &j.ev.store()[0]
+	er := &j.store()[0]
 	er.mu.Lock()
 	defer er.mu.Unlock()
 	if bp.want == (matchSpec{}) {

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 
 	"migflow/internal/ampi"
 	"migflow/internal/comm"
+	"migflow/internal/core"
 	"migflow/internal/loadbalance"
 	"migflow/internal/npb"
 )
@@ -127,4 +130,82 @@ func TestBTMZModeGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "btmz_mode.golden", buf.Bytes())
+}
+
+// TestJacobiModeGolden pins the Jacobi program and the thread API on
+// both rank backends, PE clocks included: ampi.NewJacobi with 4,096
+// ranks on 8 PEs, 8 iterations and a residual Allreduce every 4, plain,
+// with a GreedyLB gate after iteration 2 over skewed work, and
+// split-phase; then one NewJob body, a ring Send/Recv and an
+// Allreduce, on 64 thread ranks and 4 PEs. Floats are written as their
+// bit patterns, in fig12.golden's line format; the per-rank virtual
+// times as one FNV-64 of their bits in rank order.
+func TestJacobiModeGolden(t *testing.T) {
+	var buf bytes.Buffer
+	write := func(label string, m *core.Machine, job *ampi.Job) {
+		if !job.Done() {
+			t.Fatalf("%s: job did not complete", label)
+		}
+		h := fnv.New64()
+		for r := 0; r < job.Size(); r++ {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(job.VT(r)))
+			h.Write(b[:])
+		}
+		s := m.Network().Snapshot()
+		migs, migBytes := m.MigrationStats()
+		fmt.Fprintf(&buf, "%-8s predicted=%016x vts=%016x sent=%d fwd=%d moved=%d migrations=%d migbytes=%d\n",
+			label, math.Float64bits(job.PredictedNs()), h.Sum64(), s.Sent, s.Forwards, job.LBMoved(), migs, migBytes)
+		buf.WriteString("  clocks=")
+		for p := 0; p < m.NumPEs(); p++ {
+			fmt.Fprintf(&buf, " %016x", math.Float64bits(m.PE(p).Clock.Now()))
+		}
+		buf.WriteByte('\n')
+	}
+	for _, mode := range []string{ampi.ModeULT, ampi.ModeEvent} {
+		fmt.Fprintf(&buf, "== jacobi -mode %s\n", mode)
+		for _, v := range []struct {
+			label string
+			cfg   ampi.JacobiConfig
+		}{
+			{"plain", ampi.JacobiConfig{}},
+			{"lb", ampi.JacobiConfig{MigrateAt: 2, WorkSkew: 2, LB: loadbalance.GreedyLB{}}},
+			{"overlap", ampi.JacobiConfig{Overlap: true}},
+		} {
+			cfg := v.cfg
+			cfg.Mode, cfg.Ranks, cfg.PEs, cfg.Iters, cfg.ReduceEvery, cfg.BlockPlacement = mode, 4096, 8, 8, 4, true
+			m, job, err := ampi.NewJacobi(cfg)
+			if err != nil {
+				t.Fatalf("jacobi -mode %s %s: %v", mode, v.label, err)
+			}
+			job.Run()
+			write(v.label, m, job)
+		}
+	}
+	buf.WriteString("== thread API\n")
+	m, err := core.NewMachine(core.Config{NumPEs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ranks = 64
+	job, err := ampi.NewJob(m, ranks, ampi.Options{}, func(r *ampi.Rank) {
+		me := r.Rank()
+		r.Work(float64(1000 + 10*me))
+		if err := r.Send((me+1)%ranks, 0, []byte{byte(me)}); err != nil {
+			t.Error(err)
+		}
+		if _, _, err := r.Recv((me+ranks-1)%ranks, 0); err != nil {
+			t.Error(err)
+		}
+		r.Work(500)
+		if _, err := r.Allreduce("sum", float64(me)); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Run()
+	write("ring", m, job)
+	checkGolden(t, "jacobi_mode.golden", buf.Bytes())
 }
