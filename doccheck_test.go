@@ -115,6 +115,82 @@ func TestDocSymbols(t *testing.T) {
 // a Go comment wraps after the word ROADMAP.
 var roadmapRef = regexp.MustCompile(`ROADMAP\s+(?://\s*)?item\s+(\d+)`)
 
+// testName matches a test, benchmark or fuzz target name; a trailing
+// `*` makes it a prefix naming a family of them.
+var testName = regexp.MustCompile(`(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?`)
+
+// runArg matches the pattern of a `go test -run` or `-bench` flag,
+// quoted or bare.
+var runArg = regexp.MustCompile(`-(?:run|bench)[ =](?:'[^']*'|"[^"]*"|\S+)`)
+
+// TestDocTestNames checks every backticked Test…, Benchmark… or Fuzz…
+// name in docFiles against the test functions in the tree: it must
+// name one, or be the prefix of one when it ends in `*` or sits in a
+// -run or -bench pattern (which go test matches unanchored). A name
+// qualified by its package is TestDocSymbols' to check.
+func TestDocTestNames(t *testing.T) {
+	funcs := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, "_test.go"):
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range decl.FindAllStringSubmatch(string(data), -1) {
+				funcs[m[1]] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range docFiles {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpans(string(data)) {
+			patterns := runArg.FindAllStringIndex(span, -1)
+			for _, m := range testName.FindAllStringIndex(span, -1) {
+				if m[0] > 0 && (span[m[0]-1] == '.' || isIdentByte(span[m[0]-1])) {
+					continue // qualified, or inside a longer name
+				}
+				name := span[m[0]:m[1]]
+				for _, p := range patterns {
+					if p[0] <= m[0] && m[1] <= p[1] && !strings.HasSuffix(name, "*") {
+						name += "*"
+					}
+				}
+				if !resolvesTest(name, funcs) {
+					t.Errorf("%s: `%s` names no test, benchmark or fuzz target in the tree", doc, name)
+				}
+			}
+		}
+	}
+}
+
+// resolvesTest reports whether name is a function in funcs or, ending
+// in `*`, the prefix of one.
+func resolvesTest(name string, funcs map[string]bool) bool {
+	prefix, family := strings.CutSuffix(name, "*")
+	if !family {
+		return funcs[name]
+	}
+	for f := range funcs {
+		if strings.HasPrefix(f, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestRoadmapItemRefs checks every reference to a ROADMAP item by number
 // in docFiles and in the Go sources: the number must be one of the items
 // ROADMAP.md's "Open items" list carries, and a reference to an item the

@@ -3,6 +3,7 @@
 package ampi
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -80,9 +81,12 @@ func TestUseStackTouchesItsPages(t *testing.T) {
 // job costs once (its program tree, site numbering, per-PE tables). The
 // windows may also catch a few hundred bytes the runtime allocates for
 // itself, so 1 KiB in all is allowed for that; one more word per rank
-// would be 504 KiB.
+// would be 504 KiB. A window now and then catches a larger runtime
+// allocation (5,504 B has been seen), so each size's growth is the
+// least of three fresh builds, all kept live: a build cannot cost less
+// than its ranks do, and the runtime does not strike all three.
 func TestEventRankFootprint(t *testing.T) {
-	const small, large, runtimeSlack = 1 << 10, 1 << 16, 1 << 10
+	const small, large, runtimeSlack, builds = 1 << 10, 1 << 16, 1 << 10, 3
 	m := newMachine(t, 4, nil)
 	// Two collections: the second empties the message pool's victim
 	// cache, which would otherwise drain in the middle of a window.
@@ -93,15 +97,19 @@ func TestEventRankFootprint(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc)
 	}
-	var jobs []*Job // kept live across both windows
+	var jobs []*Job // kept live across every window
 	growth := func(ranks int) float64 {
-		before := liveHeap()
-		job, err := NewJacobiOn(m, JacobiConfig{Mode: ModeEvent, Ranks: ranks, Iters: 2, PEs: 4, BlockPlacement: true})
-		if err != nil {
-			t.Fatal(err)
+		least := math.Inf(1)
+		for i := 0; i < builds; i++ {
+			before := liveHeap()
+			job, err := NewJacobiOn(m, JacobiConfig{Mode: ModeEvent, Ranks: ranks, Iters: 2, PEs: 4, BlockPlacement: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, job)
+			least = min(least, liveHeap()-before)
 		}
-		jobs = append(jobs, job)
-		return liveHeap() - before
+		return least
 	}
 	gSmall, gLarge := growth(small), growth(large)
 	perRank := (gLarge - gSmall - runtimeSlack) / (large - small)

@@ -15,8 +15,10 @@ import (
 // goroutine.
 type directLink struct{ peer *comm.Network }
 
-func (l directLink) Deliver(pe int, msgs []*comm.Message) error { return l.peer.DeliverLocal(pe, msgs) }
-func (directLink) Close() error                                 { return nil }
+func (l directLink) Deliver(pe int, msg *comm.Message) error {
+	return l.peer.DeliverLocal(pe, []*comm.Message{msg})
+}
+func (directLink) Close() error { return nil }
 
 // shardPair builds prog as a 4-rank event job split over two machines:
 // a owns PEs 0–1 (ranks 0 and 1), b owns PEs 2–3 (ranks 2 and 3).

@@ -2,14 +2,22 @@
 // link to every peer worker — a stream socket (socket.go) or a pair
 // of shared-memory rings (shm.go) — and everything that does not
 // depend on how bytes move lives here, once: peer validation, frame
-// building, the per-link reader goroutine and frame dispatch, the
-// control plane, teardown ordering, the failure policy and the
-// counters.
+// building, the send queue and writer goroutine of each link, its
+// reader goroutine and frame dispatch, the control plane, teardown
+// ordering, the failure policy and the counters.
 //
 // Every link carries the same frames, `u32 len | u8 type | body`:
 // envelope frames hold the PUP image of wire.go, control frames a
 // small typed blob for the orchestration layer (termination barriers,
 // migration records, step exchanges).
+//
+// A link carries envelopes, not messages: Deliver appends each
+// message to the link's open envelope frame, sealed when the
+// destination PE changes, when the next message would take it past
+// the link's cap, or when the writer takes the queue. A message waits
+// at most one writer pass, and while one batch is on the wire the next
+// coalesces. There is no flush call and no timer; virtual time cannot
+// move, because Arrival is stamped before a message is staged.
 //
 // What the skeleton guarantees, on every fabric:
 //
@@ -17,8 +25,8 @@
 //     envelopes and control frames share one FIFO, which the shard
 //     layer exploits: a DONE sent after the last data frame is
 //     received after it too;
-//   - a frame accepted before Close is flushed, never dropped; a send
-//     after Close is rejected;
+//   - a message or frame accepted before Close is flushed, never
+//     dropped; a send after Close is rejected;
 //   - two workers closing concurrently cannot deadlock: Close hangs up
 //     every link before it waits for any reader;
 //   - Close ends every link with a BYE frame, after every frame it
@@ -27,7 +35,10 @@
 //     frame after BYE, or a frame that does not decode is a link fault
 //     and panics — a worker process dying mid-run is a hard error for
 //     now, there is no restart or rebalance protocol. After the local
-//     Close, faults are teardown noise;
+//     Close, faults are teardown noise. A write error means the peer
+//     is gone, which its reader sees too, and only the reader knows
+//     whether a BYE came first: the writer stops writing and leaves
+//     the verdict to it;
 //   - a transport never attached to a Network is control-only: it
 //     carries SendControl/Broadcast, Deliver on it is an error, and an
 //     envelope frame arriving on it is a link fault.
@@ -53,9 +64,17 @@ const (
 	frameBye byte = 3
 )
 
-// maxFrameLen caps a claimed frame length (hostile-input guard: a
-// forged prefix cannot make a reader allocate unbounded memory).
-const maxFrameLen = 64 << 20
+const (
+	// maxFrameLen caps a claimed frame length (hostile-input guard: a
+	// forged prefix cannot make a reader allocate unbounded memory).
+	maxFrameLen = 64 << 20
+	// envelopeCap caps an open envelope frame, prefix included; a
+	// larger message crosses in an envelope of its own.
+	envelopeCap = 64 << 10
+	// envelopeHead is an envelope frame's bytes before its first
+	// message: length prefix, type byte, destination PE and count.
+	envelopeHead = 4 + 1 + envWireMin
+)
 
 var (
 	errLinkClosed = errors.New("comm: transport closed")
@@ -64,16 +83,12 @@ var (
 	errControlOnly = errors.New("comm: Deliver on a control-only transport")
 )
 
-// link moves finished frames to one peer worker and back. push may be
-// called from any goroutine; read is called from the link's single
-// reader goroutine only.
+// link moves finished frames to one peer worker and back, write on
+// the link's writer goroutine, read on its reader goroutine.
 type link interface {
-	// push takes ownership of a complete frame (prefix included) in a
-	// recycled buffer and putBufs it once it is off the wire, or at
-	// once on error. A nil return means the frame reaches the peer,
-	// after every frame pushed before it, unless the link fails; once
-	// close has begun push returns errLinkClosed.
-	push(frame []byte) error
+	// write puts whole frames on the wire in order, behind every frame
+	// written before, and keeps none. An error means the peer is gone.
+	write(frames [][]byte) error
 	// read blocks for the next frame and returns its type byte and
 	// body in a recycled buffer the caller putBufs. A length prefix of
 	// zero or beyond maxFrameLen is an error, rejected before any
@@ -82,18 +97,42 @@ type link interface {
 	// Whether that hang-up was orderly is the skeleton's call: it was
 	// if a BYE frame came first.
 	read() ([]byte, error)
-	// close puts every accepted frame on the wire, then bye (a BYE
-	// frame in a recycled buffer the link now owns) as the last one,
-	// refuses further frames, and makes a blocked or later read
-	// return.
-	close(bye []byte)
+	// close hangs up once the writer has written its last frame (the
+	// BYE), and makes a blocked or later read return.
+	close()
 	// release frees the link's OS resources. Called after close, once
 	// no read is in progress.
 	release()
 }
 
+// peerLink is the skeleton's side of one link: the send queue and the
+// open envelope its writer drains, in recycled buffers (bufpool.go).
+// The queue is unbounded, as the socket link's always was: flow
+// control is the program's.
+type peerLink struct {
+	link
+	// limit is the largest frame the link carries, prefix included; an
+	// open envelope is sealed at cap = min(envelopeCap, limit).
+	limit, cap int
+
+	mu      sync.Mutex
+	q       [][]byte // sealed frames, in acceptance order
+	open    []byte   // the open envelope frame, nil when none
+	openPE  int
+	openN   int  // messages in open
+	kicked  bool // the writer has been woken and has not taken the queue since
+	closed  bool // under mu, so it orders against the writer's last pass
+	kick    chan struct{}
+	flushed chan struct{} // the writer has exited
+
+	// spare is the writer's recycled queue slice; broken is set on a
+	// write error, after which batches are recycled unwritten.
+	spare  [][]byte
+	broken bool
+}
+
 // linkCounters are the transport's counters; links add to the ones
-// only they can see (write batches, syscalls, parks, wakes).
+// only they can see (syscalls, parks, wakes).
 type linkCounters struct {
 	writeBatches  atomic.Uint64
 	writeSyscalls atomic.Uint64
@@ -122,7 +161,7 @@ type LinkTransport struct {
 	owner   func(pe int) int // global PE → owning worker index
 	network *Network
 	ctrl    ControlHandler
-	links   []link // links[w]: the link to worker w; nil for self
+	links   []*peerLink // links[w]: the link to worker w; nil for self
 
 	closed  atomic.Bool
 	readers sync.WaitGroup
@@ -133,7 +172,17 @@ type LinkTransport struct {
 }
 
 func newLinkTransport(self, workers int, owner func(pe int) int) *LinkTransport {
-	return &LinkTransport{self: self, workers: workers, owner: owner, links: make([]link, workers)}
+	return &LinkTransport{self: self, workers: workers, owner: owner, links: make([]*peerLink, workers)}
+}
+
+// addLink makes l the link to worker w, carrying frames of at most
+// limit bytes, and starts its writer.
+func (t *LinkTransport) addLink(w int, l link, limit int) {
+	limit = min(limit, 4+maxFrameLen)
+	pl := &peerLink{link: l, limit: limit, cap: min(envelopeCap, limit),
+		kick: make(chan struct{}, 1), flushed: make(chan struct{})}
+	t.links[w] = pl
+	go t.writeLoop(pl)
 }
 
 // SetControlHandler installs the control-frame callback (before
@@ -166,32 +215,95 @@ func (t *LinkTransport) Start() error {
 	return nil
 }
 
-// Deliver implements Transport: encode msgs as one envelope frame —
-// appended straight into a recycled buffer, no intermediate body
-// slice — free the messages, and push the frame onto the link to the
-// worker owning pe.
-func (t *LinkTransport) Deliver(pe int, msgs []*Message) error {
+// peer returns the link to worker w, which must be a linked peer.
+func (t *LinkTransport) peer(w int) (*peerLink, error) {
+	if w < 0 || w >= t.workers || w == t.self || t.links[w] == nil {
+		return nil, fmt.Errorf("comm: no link from worker %d to worker %d (of %d)", t.self, w, t.workers)
+	}
+	return t.links[w], nil
+}
+
+// Deliver implements Transport: append msg's wire image to the open
+// envelope of the link to the worker owning pe, and free it. A message
+// whose envelope could never fit the link is refused here, not on the
+// writer.
+func (t *LinkTransport) Deliver(pe int, msg *Message) error {
+	defer msg.Free()
 	if t.owner == nil || t.network == nil {
 		return errControlOnly
 	}
-	frame, err := newFrame(frameEnvelope, envelopeWireSize(msgs))
+	l, err := t.peer(t.owner(pe))
 	if err != nil {
 		return err
 	}
-	frame = appendEnvelope(frame, pe, msgs)
-	for _, m := range msgs {
-		m.Free()
+	size := msgWireMin + len(msg.Data)
+	if envelopeHead+size > l.limit {
+		return fmt.Errorf("comm: envelope of %d bytes exceeds the link's %d-byte frame limit", envelopeHead+size, l.limit)
 	}
-	return t.send(t.owner(pe), frame)
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return errLinkClosed
+	}
+	if l.open != nil && (pe != l.openPE || len(l.open)+size > l.cap) {
+		t.seal(l)
+	}
+	switch {
+	case l.open == nil:
+		l.open = append(appendU32(getBuf(envelopeHead+size), 0), frameEnvelope)
+		l.open = appendU32(appendU32(l.open, uint32(pe)), 0)
+		l.openPE = pe
+	case len(l.open)+size > cap(l.open):
+		grown := append(getBuf(max(2*cap(l.open), len(l.open)+size)), l.open...)
+		putBuf(l.open)
+		l.open = grown
+	}
+	l.open = appendMessage(l.open, msg)
+	l.openN++
+	t.wake(l)
+	return nil
+}
+
+// seal closes l's open envelope — its length and count fill in — and
+// queues it. Caller holds l.mu.
+func (t *LinkTransport) seal(l *peerLink) {
+	if l.open == nil {
+		return
+	}
+	binary.LittleEndian.PutUint32(l.open, uint32(len(l.open)-4))
+	binary.LittleEndian.PutUint32(l.open[envelopeHead-4:], uint32(l.openN))
+	t.network.remoteEnvelopes.Add(1)
+	t.network.remotePayloads.Add(uint64(l.openN))
+	t.queue(l, l.open)
+	l.open, l.openN = nil, 0
+}
+
+// queue appends a finished frame to l's queue. Caller holds l.mu.
+func (t *LinkTransport) queue(l *peerLink, frame []byte) {
+	l.q = append(l.q, frame)
+	t.stats.framesSent.Add(1)
+	t.stats.bytesWritten.Add(uint64(len(frame)))
+}
+
+// wake unlocks l.mu, waking l's writer if nothing has since it last
+// took the queue.
+func (t *LinkTransport) wake(l *peerLink) {
+	woken := l.kicked
+	l.kicked = true
+	l.mu.Unlock()
+	if !woken {
+		select {
+		case l.kick <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // SendControl sends a control frame to peer worker w, FIFO with any
 // envelopes previously accepted for w.
 func (t *LinkTransport) SendControl(w int, kind uint32, payload []byte) error {
-	frame, err := newFrame(frameControl, 8+len(payload))
-	if err != nil {
-		return err
-	}
+	n := 4 + 1 + 8 + len(payload)
+	frame := append(appendU32(getBuf(n), uint32(n-4)), frameControl)
 	frame = appendU32(appendU32(frame, uint32(t.self)), kind)
 	return t.send(w, append(frame, payload...))
 }
@@ -209,30 +321,60 @@ func (t *LinkTransport) Broadcast(kind uint32, payload []byte) error {
 	return nil
 }
 
-// newFrame starts a frame in a recycled buffer: the length prefix,
-// then the type byte. The caller appends the body bytes it announced.
-func newFrame(typ byte, body int) ([]byte, error) {
-	n := 1 + body
-	if n > maxFrameLen {
-		return nil, fmt.Errorf("comm: frame of %d bytes exceeds the %d limit", n, maxFrameLen)
-	}
-	return append(appendU32(getBuf(4+n), uint32(n)), typ), nil
-}
-
-// send pushes a finished frame onto the link to worker w, which must
-// be a linked peer.
+// send seals the open envelope of the link to worker w and queues a
+// finished frame behind it. The link owns frame from here on.
 func (t *LinkTransport) send(w int, frame []byte) error {
-	if w < 0 || w >= t.workers || w == t.self || t.links[w] == nil {
-		putBuf(frame)
-		return fmt.Errorf("comm: no link from worker %d to worker %d (of %d)", t.self, w, t.workers)
+	l, err := t.peer(w)
+	if err == nil && len(frame) > l.limit {
+		err = fmt.Errorf("comm: frame of %d bytes exceeds the link's %d-byte frame limit", len(frame), l.limit)
 	}
-	n := uint64(len(frame)) // the link owns frame once push is called
-	if err := t.links[w].push(frame); err != nil {
+	if err != nil {
+		putBuf(frame)
 		return err
 	}
-	t.stats.framesSent.Add(1)
-	t.stats.bytesWritten.Add(n)
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		putBuf(frame)
+		return errLinkClosed
+	}
+	t.seal(l)
+	t.queue(l, frame)
+	t.wake(l)
 	return nil
+}
+
+// writeLoop is l's writer: each wake-up it takes the whole queue,
+// sealing the open envelope first, writes it as one batch and recycles
+// the frames, until the queue stays empty. It exits once Close has
+// queued BYE and the queue is drained.
+func (t *LinkTransport) writeLoop(l *peerLink) {
+	defer close(l.flushed)
+	for range l.kick {
+		for {
+			l.mu.Lock()
+			t.seal(l)
+			batch, closed := l.q, l.closed
+			l.q, l.spare, l.kicked = l.spare[:0], nil, false
+			l.mu.Unlock()
+			if len(batch) == 0 {
+				l.spare = batch
+				if closed {
+					return
+				}
+				break
+			}
+			if !l.broken {
+				t.stats.writeBatches.Add(1)
+				l.broken = l.write(batch) != nil
+			}
+			for i := range batch {
+				putBuf(batch[i])
+				batch[i] = nil
+			}
+			l.spare = batch[:0]
+		}
+	}
 }
 
 // readLoop pulls frames off one link and dispatches them until the
@@ -321,16 +463,26 @@ func (t *LinkTransport) linkFailed(w int, err error) {
 // still calls it before Close.
 func (t *LinkTransport) Retire() {}
 
-// Close implements Transport: flush every link, end it with BYE and
-// hang up, wait for the readers, then release the links.
+// Close implements Transport: queue BYE behind everything each link
+// accepted, let every writer drain, hang up every link, wait for the
+// readers, then release the links.
 func (t *LinkTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
 	for _, l := range t.links {
 		if l != nil {
-			bye, _ := newFrame(frameBye, 0)
-			l.close(bye)
+			l.mu.Lock()
+			l.closed = true
+			t.seal(l)
+			l.q = append(l.q, append(appendU32(getBuf(5), 1), frameBye))
+			t.wake(l)
+		}
+	}
+	for _, l := range t.links {
+		if l != nil {
+			<-l.flushed
+			l.close()
 		}
 	}
 	t.readers.Wait()
@@ -343,15 +495,14 @@ func (t *LinkTransport) Close() error {
 }
 
 // SocketStats snapshots a LinkTransport's counters (one shape for
-// both fabrics). FramesSent/WriteSyscalls is the mean envelopes
-// coalesced per syscall — the amortization the socket link's writer
-// bought; on the shared-memory fabric WriteSyscalls is zero (no
-// syscalls at all), every frame is its own publish (WriteBatches ==
-// FramesSent) and Wakes/Parks describe the spin-then-park reader.
+// both fabrics). FramesSent/WriteBatches is the mean frames a writer
+// pass took; on the shared-memory fabric WriteSyscalls is zero (no
+// syscalls at all) and Wakes/Parks describe the spin-then-park
+// reader.
 type SocketStats struct {
-	WriteBatches  uint64 // socket: whole-queue net.Buffers writes; shm: ring publishes
+	WriteBatches  uint64 // writer passes that wrote a batch
 	WriteSyscalls uint64 // writev syscalls issued (1024-iovec chunks; 0 on shm)
-	FramesSent    uint64 // frames accepted onto the links
+	FramesSent    uint64 // frames accepted onto the links: sealed envelopes and control frames
 	BytesWritten  uint64 // wire bytes of those frames (prefixes included)
 	FramesRecv    uint64 // frames read off the links
 	BytesRead     uint64 // wire bytes read

@@ -118,8 +118,8 @@ func (r *refNet) flush(from int) (lost bool) {
 // stubTransport records what a sharded Network hands the wire.
 type stubTransport struct{ got [][]*Message }
 
-func (s *stubTransport) Deliver(pe int, msgs []*Message) error {
-	s.got[pe] = append(s.got[pe], msgs...)
+func (s *stubTransport) Deliver(pe int, msg *Message) error {
+	s.got[pe] = append(s.got[pe], msg)
 	return nil
 }
 func (s *stubTransport) Close() error { return nil }

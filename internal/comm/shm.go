@@ -23,9 +23,9 @@
 // one side and read by the other through atomics — the classic SPSC
 // ring, no cross-process locks anywhere. A frame is published by one
 // release-store of tail after its bytes are in place, so the reader
-// only ever observes whole frames; senders within one process
-// serialize on a local mutex per ring (the SPSC "single producer" is
-// the process, not a goroutine).
+// only ever observes whole frames; the link's writer goroutine
+// (link.go) is the single producer, and an envelope never outgrows the
+// ring, so every frame fits once the reader has drained enough.
 //
 // Wakeup is futex-free spin-then-park: an empty-ring reader and a
 // full-ring writer wait on the Backoff ladder (backoff.go).
@@ -33,9 +33,9 @@
 // and a parked reader's wake latency is bounded by one nap — no
 // descriptor, no syscall on the send side at all.
 //
-// close publishes the skeleton's BYE frame and then marks the outbound
-// ring wclosed, both under the producer mutex, so every accepted frame
-// is published before the peer can observe the mark. A reader that
+// close marks the outbound ring wclosed after the writer has published
+// the skeleton's BYE frame, so every accepted frame is published
+// before the peer can observe the mark. A reader that
 // finds its inbound ring wclosed and drained reports the peer's
 // hang-up as io.EOF, exactly as a socket does.
 package comm
@@ -46,7 +46,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -267,16 +266,11 @@ func (r *shmRing) copyOut(dst []byte, pos uint64) {
 // shmLink is the pair of rings shared with one peer worker.
 type shmLink struct {
 	peer  int
-	out   *shmRing // self → peer; this process is its single producer
+	out   *shmRing // self → peer; the link's writer is its single producer
 	in    *shmRing // peer → self; the reader goroutine is its consumer
 	stats *linkCounters
 
-	// mu serializes local senders (SPSC's single producer) and orders
-	// push against close, which takes it before marking out wclosed.
-	mu sync.Mutex
-	// stop is set when close begins: a pusher blocked on a full ring
-	// gives up (it holds mu, which close is waiting for) and the reader
-	// ends.
+	// stop is set by close: the reader ends once its ring is empty.
 	stop atomic.Bool
 	idle Backoff // the reader's ladder
 }
@@ -291,6 +285,7 @@ func NewShmTransport(self, workers int, owner func(pe int) int, dir string) (*Li
 		return nil, fmt.Errorf("comm: NewShmTransport: worker %d of %d", self, workers)
 	}
 	t := newLinkTransport(self, workers, owner)
+	links := make([]*shmLink, 0, workers-1)
 	for w := 0; w < workers; w++ {
 		if w == self {
 			continue
@@ -303,43 +298,34 @@ func NewShmTransport(self, workers int, owner func(pe int) int, dir string) (*Li
 			}
 		}
 		if err != nil {
-			for _, opened := range t.links {
-				if opened != nil {
-					opened.release()
-				}
+			for _, opened := range links {
+				opened.release()
 			}
 			return nil, err
 		}
-		t.links[w] = l
+		links = append(links, l)
+	}
+	for _, l := range links {
+		t.addLink(l.peer, l, int(l.out.capacity))
 	}
 	return t, nil
 }
 
-// push publishes one frame into the outbound ring, waiting out a full
-// ring on the backoff ladder: a full ring means the reader's process
-// is behind, and the OS-yield rung gives it the core so it can drain.
-func (l *shmLink) push(frame []byte) error {
-	defer putBuf(frame)
-	r := l.out
-	if uint64(len(frame)) > r.capacity {
-		return fmt.Errorf("comm: frame of %d bytes exceeds shm ring capacity %d", len(frame), r.capacity)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// write publishes frames into the outbound ring in order, waiting out
+// a full ring on the backoff ladder: a full ring means the reader's
+// process is behind, and the OS-yield rung gives it the core so it
+// can drain. It gives up once the peer's reader has detached.
+func (l *shmLink) write(frames [][]byte) error {
 	full := NewBackoff(shmSpinYields, shmYieldSpins)
-	for {
-		if l.stop.Load() {
-			return errLinkClosed
+	for _, f := range frames {
+		for !l.out.tryPush(f) {
+			if l.out.rclosed.Load() != 0 {
+				return fmt.Errorf("comm: shm ring to worker %d: reader detached", l.peer)
+			}
+			full.Wait()
 		}
-		if r.tryPush(frame) {
-			l.stats.writeBatches.Add(1)
-			return nil
-		}
-		if r.rclosed.Load() != 0 {
-			return fmt.Errorf("comm: shm ring to worker %d: reader detached", l.peer)
-		}
-		full.Wait()
 	}
+	return nil
 }
 
 // read pops the next frame off the inbound ring, spin-then-parking
@@ -380,18 +366,10 @@ func (l *shmLink) read() ([]byte, error) {
 	}
 }
 
-// close stops blocked pushers, then publishes bye and marks the ring
-// closed. bye waits out a full ring like any frame, unless the peer's
-// reader has detached and nobody is left to read it.
-func (l *shmLink) close(bye []byte) {
-	defer putBuf(bye)
+// close marks the outbound ring closed — the writer has published
+// every frame, BYE last, before — and ends the reader.
+func (l *shmLink) close() {
 	l.stop.Store(true)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	full := NewBackoff(shmSpinYields, shmYieldSpins)
-	for !l.out.tryPush(bye) && l.out.rclosed.Load() == 0 {
-		full.Wait()
-	}
 	l.out.wclosed.Store(1)
 }
 

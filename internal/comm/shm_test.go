@@ -15,7 +15,9 @@ import (
 // TestShmTransportWrapAround drives far more bytes than the ring
 // holds through a deliberately tiny ring, so the cursors wrap many
 // times and frames straddle the boundary — order and content must
-// survive, with the writer blocking (not corrupting) when full.
+// survive, with the writer blocking (not corrupting) when full. The
+// open envelope is sealed at the ring's capacity, never past it: an
+// envelope larger than the ring could never be published.
 func TestShmTransportWrapAround(t *testing.T) {
 	t0, t1 := shmPair(t, ownerByPair, shmMinRing)
 	n0, n1 := twoWorkers(t, t0, t1)
@@ -24,10 +26,13 @@ func TestShmTransportWrapAround(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if l := t0.links[1]; l.limit != shmMinRing || l.cap != shmMinRing {
+		t.Fatalf("a %d-byte ring's link seals envelopes at %d bytes with a %d-byte frame limit", shmMinRing, l.cap, l.limit)
+	}
 	startBoth(t, t0, t1)
 
 	const count = 500
-	payload := make([]byte, 100) // ~172-byte frames vs a 4 KiB ring
+	payload := make([]byte, 100) // ~172-byte messages vs a 4 KiB ring
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < count; i++ {
@@ -60,7 +65,7 @@ func TestShmTransportWrapAround(t *testing.T) {
 }
 
 // TestShmFrameTooLarge checks a frame that cannot ever fit the ring
-// is rejected instead of deadlocking the writer.
+// is rejected by the send itself instead of deadlocking the writer.
 func TestShmFrameTooLarge(t *testing.T) {
 	t0, t1 := shmPair(t, nil, shmMinRing)
 	t.Cleanup(func() { closeBoth(t0, t1) })

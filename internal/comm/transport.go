@@ -5,16 +5,17 @@
 // selected by the nil Transport. A non-nil Transport makes the
 // Network *sharded*: endpoints in [peLo, peHi) are local (messages
 // still take the ring-buffer path untouched), and a message bound for
-// any other PE is handed to the Transport as an envelope of payloads,
-// to reappear on the owning process via DeliverLocal.
+// any other PE is handed to the Transport one message at a time, to
+// reappear on the owning process via DeliverLocal.
 //
 // Contract for Transport implementations:
 //
-//   - Deliver(pe, msgs) ships the payloads to the process owning PE
-//     pe; on that process they MUST be handed to
-//     Network.DeliverLocal(pe, msgs) in the order sent, per
-//     (sending process, destination PE) pair — the in-order delivery
-//     guarantee of the local path extends across the wire;
+//   - Deliver(pe, msg) ships the message to the process owning PE pe;
+//     on that process it MUST be handed to Network.DeliverLocal in the
+//     order sent, per (sending process, destination PE) pair — the
+//     in-order delivery guarantee of the local path extends across the
+//     wire. How messages group into wire envelopes is the transport's
+//     business;
 //   - messages cross by value: timestamps (SendTime, Arrival, VTime)
 //     and Hops are carried exactly (float64 bit patterns preserved),
 //     which is what keeps cross-process virtual-time predictions
@@ -31,13 +32,13 @@ package comm
 
 import "fmt"
 
-// Transport ships message envelopes to PEs owned by other processes.
+// Transport ships messages to PEs owned by other processes.
 // See the package comment above for the full contract.
 type Transport interface {
-	// Deliver ships msgs to remote PE pe (one envelope). The
-	// implementation owns the slice and the messages after the call
-	// returns: it may Free them once they are encoded, or keep them.
-	Deliver(pe int, msgs []*Message) error
+	// Deliver ships msg to remote PE pe. The implementation owns the
+	// message once called: it may Free it once it is encoded, or keep
+	// it.
+	Deliver(pe int, msg *Message) error
 	// Close tears the transport down.
 	Close() error
 }
@@ -96,19 +97,20 @@ func (n *Network) DeliverLocal(pe int, msgs []*Message) error {
 }
 
 // deliverTo routes one message to PE pe: the local ring-buffer inbox
-// when pe is ours, otherwise a one-payload envelope over the
-// transport. The nil check is the entire cost on the default path.
+// when pe is ours, otherwise the transport, which coalesces it into
+// the link's open envelope. The nil check is the entire cost on the
+// default path.
 func (n *Network) deliverTo(pe int, msg *Message) {
 	if n.xport == nil || (pe >= n.peLo && pe < n.peHi) {
 		n.endpoints[pe].deliver(msg)
 		return
 	}
-	n.remoteSend(pe, []*Message{msg})
+	n.remoteSend(pe, msg)
 }
 
-// deliverBatchTo routes a flushed envelope to PE pe — one inbox lock
-// locally, one wire envelope remotely (the TRAM coalescing carries
-// straight through to the socket).
+// deliverBatchTo routes a flushed TRAM envelope to PE pe — one inbox
+// lock locally; remotely each payload goes to the transport in order,
+// and the link coalesces them the same way.
 func (n *Network) deliverBatchTo(pe int, msgs []*Message) {
 	if len(msgs) == 0 {
 		return
@@ -117,7 +119,9 @@ func (n *Network) deliverBatchTo(pe int, msgs []*Message) {
 		n.endpoints[pe].deliverBatch(msgs)
 		return
 	}
-	n.remoteSend(pe, msgs)
+	for _, m := range msgs {
+		n.remoteSend(pe, m)
+	}
 }
 
 // forwardTo re-sends a misdelivered message from PE of origin toward
@@ -129,18 +133,12 @@ func (n *Network) forwardTo(msg *Message, to int) error {
 	return nil
 }
 
-// remoteSend ships one envelope over the transport. A transport
+// remoteSend hands one message to the transport. A transport
 // failure is fatal by contract: a worker process that died mid-run
 // cannot be papered over without corrupting the virtual-time model.
-func (n *Network) remoteSend(pe int, msgs []*Message) {
-	n.remoteEnvelopes.Add(1)
-	n.remotePayloads.Add(uint64(len(msgs)))
-	var b uint64
-	for _, m := range msgs {
-		b += uint64(len(m.Data))
-	}
-	n.remoteBytes.Add(b)
-	if err := n.xport.Deliver(pe, msgs); err != nil {
+func (n *Network) remoteSend(pe int, msg *Message) {
+	n.remoteBytes.Add(uint64(len(msg.Data)))
+	if err := n.xport.Deliver(pe, msg); err != nil {
 		panic(fmt.Sprintf("comm: transport delivery to PE %d failed: %v", pe, err))
 	}
 }
@@ -160,9 +158,11 @@ type StatsSnapshot struct {
 	// TopoHops is the logical hops charged by topology-aware
 	// collective trees.
 	TopoHops uint64
-	// RemoteEnvelopes/RemotePayloads/RemoteBytes split out traffic
-	// that left the process over the transport (all zero on the
-	// in-process backend).
+	// RemoteEnvelopes counts the envelopes LinkTransport sealed onto
+	// its links and RemotePayloads the messages they carried;
+	// RemoteBytes is the payload bytes of every message handed to the
+	// transport. All zero on the in-process backend; a message still
+	// in a link's open envelope is not counted in the first two yet.
 	RemoteEnvelopes, RemotePayloads, RemoteBytes uint64
 }
 

@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -31,14 +33,14 @@ type fabric struct {
 
 var (
 	unixFabric = fabric{name: "unix", syscalls: true, pair: unixPair, die: func(tr *LinkTransport, partial []byte) {
-		c := tr.links[1-tr.self].(*sockLink).conn
+		c := tr.links[1-tr.self].link.(*sockLink).conn
 		c.Write(partial)
 		c.Close()
 	}}
 	shmFabric = fabric{name: "shm", pair: func(t *testing.T, owner func(pe int) int) (*LinkTransport, *LinkTransport) {
 		return shmPair(t, owner, 1<<16) // small rings, so tests see realistic occupancy
 	}, die: func(tr *LinkTransport, partial []byte) {
-		r := tr.links[1-tr.self].(*shmLink).out
+		r := tr.links[1-tr.self].link.(*shmLink).out
 		tail := r.tail.Load()
 		copy(r.data[tail&(r.capacity-1):], partial)
 		r.tail.Store(tail + uint64(len(partial)))
@@ -185,7 +187,8 @@ func (c *ctrlLog) snapshot() []string {
 
 // contractSend sends PE0→PE2 across the link and checks the messages
 // arrive bit-for-bit, in order, with the latency accounting a local
-// delivery would get, one frame per send.
+// delivery would get. The link may coalesce them: every frame is a
+// sealed envelope, and there are no more frames than sends.
 func contractSend(t *testing.T, f fabric) {
 	t0, t1 := f.pair(t, ownerByPair)
 	n0, n1 := twoWorkers(t, t0, t1)
@@ -198,7 +201,7 @@ func contractSend(t *testing.T, f fabric) {
 
 	const count = 50
 	for i := 0; i < count; i++ {
-		msg := &Message{To: 9, From: 1, Tag: i, Data: []byte{byte(i), 2, 3, 4}, SendTime: float64(i) * 10, VTime: float64(i)}
+		msg := &Message{To: 9, From: 1, Tag: i, Seq: uint64(i) + 7, Data: []byte{byte(i), 2, 3, 4}, SendTime: float64(i) * 10, VTime: float64(i)}
 		if err := n0.Endpoint(0).Send(msg); err != nil {
 			t.Fatal(err)
 		}
@@ -206,35 +209,32 @@ func contractSend(t *testing.T, f fabric) {
 	dst := n1.Endpoint(2)
 	waitFor(t, "cross-worker delivery", func() bool { return dst.Pending() == count })
 	for i := 0; i < count; i++ {
-		m := dst.Poll()
-		if m.Tag != i {
-			t.Fatalf("out of order: got tag %d at position %d", m.Tag, i)
-		}
-		wantArrival := float64(i)*10 + n0.Latency().Cost(4)
-		if m.Arrival != wantArrival || m.Hops != 1 || m.VTime != float64(i) {
-			t.Fatalf("msg %d: arrival %v want %v, hops %d, vtime %v", i, m.Arrival, wantArrival, m.Hops, m.VTime)
+		want := Message{To: 9, From: 1, Tag: i, Hops: 1, Seq: uint64(i) + 7, Data: []byte{byte(i), 2, 3, 4},
+			SendTime: float64(i) * 10, Arrival: float64(i)*10 + n0.Latency().Cost(4), VTime: float64(i)}
+		if m := dst.Poll(); !msgEqual(m, &want) {
+			t.Fatalf("message %d: got %+v, want %+v", i, *m, want)
 		}
 	}
 
 	s := n0.Snapshot()
-	if s.Sent != count || s.RemoteEnvelopes != count || s.RemotePayloads != count || s.RemoteBytes != count*4 {
+	if s.Sent != count || s.RemotePayloads != count || s.RemoteBytes != count*4 {
 		t.Fatalf("sender snapshot: %+v", s)
 	}
 	if s1 := n1.Snapshot(); s1.RemoteEnvelopes != 0 || s1.Sent != 0 {
 		t.Fatalf("receiver snapshot should be clean: %+v", s1)
 	}
 	st := t0.SocketStats()
-	if st.FramesSent != count || (st.WriteSyscalls != 0) != f.syscalls {
-		t.Fatalf("link stats (one frame per send, syscalls only through the kernel): %+v", st)
+	if st.FramesSent != s.RemoteEnvelopes || st.FramesSent == 0 || st.FramesSent > count || (st.WriteSyscalls != 0) != f.syscalls {
+		t.Fatalf("link stats (every frame an envelope, no more frames than sends, syscalls only through the kernel): %+v, %d envelopes", st, s.RemoteEnvelopes)
 	}
-	if r := t1.SocketStats(); r.FramesRecv != count || r.BytesRead != st.BytesWritten {
+	if r := t1.SocketStats(); r.FramesRecv != st.FramesSent || r.BytesRead != st.BytesWritten {
 		t.Fatalf("receiver link stats %+v vs sender %+v", r, st)
 	}
 }
 
 // contractAggregated drives SendStream traffic across the shard
-// boundary: a flushed TRAM bucket must cross as one frame (coalescing
-// preserved end to end).
+// boundary: a flushed TRAM bucket is one aggregation envelope, and the
+// link carries its payloads in at most as many frames.
 func contractAggregated(t *testing.T, f fabric) {
 	t0, t1 := f.pair(t, ownerByPair)
 	n0, n1 := twoWorkers(t, t0, t1)
@@ -260,10 +260,10 @@ func contractAggregated(t *testing.T, f fabric) {
 	if s.Envelopes != 1 || s.AggPayloads != 8 {
 		t.Fatalf("agg stats: %+v", s)
 	}
-	if s.RemoteEnvelopes != 1 || s.RemotePayloads != 8 {
-		t.Fatalf("remote envelope should carry all 8 payloads in one frame: %+v", s)
+	if s.RemotePayloads != 8 || s.RemoteEnvelopes == 0 || s.RemoteEnvelopes > 8 {
+		t.Fatalf("the link must carry all 8 payloads in at most 8 envelopes: %+v", s)
 	}
-	if st := t0.SocketStats(); st.FramesSent != 1 {
+	if st := t0.SocketStats(); st.FramesSent != s.RemoteEnvelopes {
 		t.Fatalf("link frames: %+v", st)
 	}
 }
@@ -366,6 +366,8 @@ func TestTransportContract(t *testing.T) {
 		{"PeerDiedMidFrame", contractPeerDiedMidFrame},
 		{"PeerHungUpWithoutBye", contractPeerHungUpWithoutBye},
 		{"PayloadSizes", contractPayloadSizes},
+		{"Coalesced", contractCoalesced},
+		{"MessageTooLarge", contractMessageTooLarge},
 	}
 	for _, f := range fabrics {
 		for _, c := range cases {
@@ -375,7 +377,7 @@ func TestTransportContract(t *testing.T) {
 }
 
 // contractPayloadSizes sends payloads on both sides of InlineBytes
-// across the link, one per envelope and then coalesced into one, and
+// across the link, two direct and then two through one TRAM flush, and
 // checks every field and byte of each decoded message: a payload of at
 // most InlineBytes lands inside its message, a longer one in the
 // envelope's arena, each capped at its own length.
@@ -423,8 +425,118 @@ func contractPayloadSizes(t *testing.T, f fabric) {
 			t.Errorf("message %d (%d B): payload inside the message = %v", i, n, inline)
 		}
 	}
-	if s := n0.Snapshot(); s.RemoteEnvelopes != 3 || s.RemotePayloads != 4 {
-		t.Fatalf("want two single envelopes and one of two: %+v", s)
+	if s := n0.Snapshot(); s.RemoteEnvelopes == 0 || s.RemoteEnvelopes > 4 || s.RemotePayloads != 4 {
+		t.Fatalf("want four payloads in at most four envelopes: %+v", s)
+	}
+}
+
+// coalescedMsg is message i of sender s in contractCoalesced: every
+// field distinct, float64s with arbitrary bit patterns, payloads on
+// both sides of InlineBytes.
+func coalescedMsg(s, i int) *Message {
+	bits := func(k uint64) float64 { return math.Float64frombits(uint64(s*1_000_003+i)*0x9e3779b97f4a7c15 + k) }
+	data := make([]byte, (i*7+s)%40)
+	for j := range data {
+		data[j] = byte(s + i + j)
+	}
+	return &Message{To: EntityID(s)<<32 | EntityID(i), From: EntityID(s), Tag: i, Hops: s - i, Seq: uint64(i) << 3,
+		SendTime: bits(1), Arrival: bits(2), VTime: bits(3), Data: data}
+}
+
+// contractCoalesced: two senders stream 10,000 messages each over one
+// link, each to its own destination PE of the peer, with control
+// frames interleaved. Every field arrives bit-exact, each (sender,
+// destination PE) stream in order, each control frame after every
+// message accepted before it — and the link carries all of it in
+// fewer than one frame per 16 messages.
+func contractCoalesced(t *testing.T, f fabric) {
+	t0, t1 := f.pair(t, ownerByPair)
+	n0, n1 := twoWorkers(t, t0, t1)
+	const senders, perSender, ctrlEvery = 2, 10_000, 500
+	const total, ctrls = senders * perSender, senders * perSender / ctrlEvery
+	delivered := func() int { return n1.Endpoint(2).Pending() + n1.Endpoint(3).Pending() }
+	var accepted atomic.Int64
+	var ctrlSeen atomic.Int64
+	var early ctrlLog
+	t1.SetControlHandler(func(from int, kind uint32, payload []byte) {
+		if want := binary.LittleEndian.Uint64(payload); uint64(delivered()) < want {
+			early.handle(from, kind, []byte(fmt.Sprintf("%d of %d accepted messages delivered", delivered(), want)))
+		}
+		ctrlSeen.Add(1)
+	})
+	startBoth(t, t0, t1)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, senders)
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				if err := t0.Deliver(2+s, coalescedMsg(s, i)); err != nil {
+					errs <- err
+					return
+				}
+				accepted.Add(1)
+				if (i+1)%ctrlEvery == 0 {
+					if err := t0.SendControl(1, uint32(s), binary.LittleEndian.AppendUint64(nil, uint64(accepted.Load()))); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	waitFor(t, "every message and control frame", func() bool { return delivered() == total && ctrlSeen.Load() == ctrls })
+	if got := early.snapshot(); len(got) != 0 {
+		t.Fatalf("%d control frames overtook accepted messages, the first (from/sender/state): %s", len(got), got[0])
+	}
+	for s := 0; s < senders; s++ {
+		dst := n1.Endpoint(2 + s)
+		for i := 0; i < perSender; i++ {
+			if m, want := dst.Poll(), coalescedMsg(s, i); !msgEqual(m, want) {
+				t.Fatalf("sender %d, message %d: got %+v, want %+v", s, i, *m, *want)
+			}
+		}
+	}
+	s, st := n0.Snapshot(), t0.SocketStats()
+	if s.RemotePayloads != total || s.RemoteEnvelopes+ctrls != st.FramesSent {
+		t.Fatalf("%d payloads in %d envelopes, %d frames sent: want %d payloads and the envelopes plus %d control frames",
+			s.RemotePayloads, s.RemoteEnvelopes, st.FramesSent, total, ctrls)
+	}
+	if st.FramesSent >= total/16 {
+		t.Fatalf("%d frames for %d messages: the link did not coalesce", st.FramesSent, total)
+	}
+	t.Logf("%d messages and %d control frames in %d frames, %d writer passes", total, ctrls, st.FramesSent, st.WriteBatches)
+}
+
+// contractMessageTooLarge: a message whose envelope could never fit
+// the link's frame limit fails Deliver there and then — not later, on
+// the writer — and the link carries on.
+func contractMessageTooLarge(t *testing.T, f fabric) {
+	t0, t1 := f.pair(t, ownerByPair)
+	n0, n1 := twoWorkers(t, t0, t1)
+	startBoth(t, t0, t1)
+	huge := &Message{To: 9, Data: make([]byte, t0.links[1].limit-envelopeHead-msgWireMin+1)}
+	if err := t0.Deliver(2, huge); err == nil || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("Deliver of a %d-byte message: %v", len(huge.Data), err)
+	}
+	fits := coalescedMsg(0, 1)
+	if err := t0.Deliver(2, coalescedMsg(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	dst := n1.Endpoint(2)
+	waitFor(t, "the next message", func() bool { return dst.Pending() == 1 })
+	if m := dst.Poll(); !msgEqual(m, fits) {
+		t.Fatalf("got %+v, want %+v", *m, *fits)
+	}
+	if s := n0.Snapshot(); s.RemotePayloads != 1 {
+		t.Fatalf("the refused message was counted: %+v", s)
 	}
 }
 
@@ -454,7 +566,7 @@ func contractControlOnly(t *testing.T, f fabric) {
 	if got := log0.snapshot()[0]; got != "1/4/all" {
 		t.Fatalf("worker 0 got %q", got)
 	}
-	if err := t0.Deliver(2, []*Message{{To: 9}}); !errors.Is(err, errControlOnly) {
+	if err := t0.Deliver(2, &Message{To: 9}); !errors.Is(err, errControlOnly) {
 		t.Fatalf("Deliver on a control-only transport: %v", err)
 	}
 }
@@ -485,7 +597,7 @@ func contractSendAfterClose(t *testing.T, f fabric) {
 	if err := t1.SendControl(0, 1, nil); !errors.Is(err, errLinkClosed) {
 		t.Fatalf("SendControl after Close: %v", err)
 	}
-	if err := t1.Deliver(0, []*Message{{To: 5}}); !errors.Is(err, errLinkClosed) {
+	if err := t1.Deliver(0, &Message{To: 5}); !errors.Is(err, errLinkClosed) {
 		t.Fatalf("Deliver after Close: %v", err)
 	}
 	waitFor(t, "frames accepted before Close", func() bool { return len(log.snapshot()) == count })
@@ -554,7 +666,7 @@ func contractBadFrameRecyclesBuffer(t *testing.T, f fabric) {
 	frame := appendU32(getBuf(4+body), body)
 	frame = append(frame, 0x7f) // no such frame type
 	frame = append(frame, make([]byte, body-1)...)
-	if err := t1.links[0].push(frame); err != nil {
+	if err := t1.send(0, frame); err != nil {
 		t.Fatal(err)
 	}
 	t0.readers.Wait() // the reader gives up on the bad frame

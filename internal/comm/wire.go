@@ -1,8 +1,8 @@
 // PUP wire codec for Message envelopes — the serialization half of
-// the socket transport. An envelope is the unit that crosses a
-// process boundary: the destination PE plus every payload the sender
-// coalesced for it (one message for a direct Send, a TRAM-flushed
-// batch for SendStream traffic).
+// LinkTransport. An envelope is the unit that crosses a process
+// boundary: the destination PE plus every message the link coalesced
+// for it (link.go: whatever was sent to that PE while the link's
+// writer was busy).
 //
 // Wire layout (little-endian, fixed-width — no varints, so float64
 // timestamps cross bit-exactly):
@@ -92,17 +92,6 @@ func EncodeEnvelope(pe int, msgs []*Message) ([]byte, error) {
 	return p.PackedBytes(), nil
 }
 
-// envelopeWireSize is the exact encoded size of an envelope for
-// msgs, so the send path can draw a right-sized recycled buffer and
-// append without a single reallocation.
-func envelopeWireSize(msgs []*Message) int {
-	n := envWireMin
-	for _, m := range msgs {
-		n += msgWireMin + len(m.Data)
-	}
-	return n
-}
-
 func appendU32(b []byte, v uint32) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
@@ -113,28 +102,23 @@ func appendU64(b []byte, v uint64) []byte {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
-// appendEnvelope appends the envelope image for PE pe onto dst —
-// byte-for-byte the output of EncodeEnvelope (wire_test.go asserts
-// the equivalence), but allocation-free when dst has the capacity
-// (use envelopeWireSize). This is the hot-path encoder both
-// multi-process transports use; EncodeEnvelope stays as the
+// appendMessage appends m's wire image onto dst — an envelope is its
+// header and then this, once per message, byte-for-byte the output of
+// EncodeEnvelope (wire_append_test.go asserts the equivalence), and
+// allocation-free when dst has the capacity. This is the hot-path
+// encoder behind LinkTransport.Deliver; EncodeEnvelope stays as the
 // reference implementation and the convenience entry point.
-func appendEnvelope(dst []byte, pe int, msgs []*Message) []byte {
-	dst = appendU32(dst, uint32(pe))
-	dst = appendU32(dst, uint32(len(msgs)))
-	for _, m := range msgs {
-		dst = appendU64(dst, uint64(m.To))
-		dst = appendU64(dst, uint64(m.From))
-		dst = appendU64(dst, uint64(int64(m.Tag)))
-		dst = appendU64(dst, uint64(int64(m.Hops)))
-		dst = appendU64(dst, m.Seq)
-		dst = appendU64(dst, math.Float64bits(m.SendTime))
-		dst = appendU64(dst, math.Float64bits(m.Arrival))
-		dst = appendU64(dst, math.Float64bits(m.VTime))
-		dst = appendU32(dst, uint32(len(m.Data)))
-		dst = append(dst, m.Data...)
-	}
-	return dst
+func appendMessage(dst []byte, m *Message) []byte {
+	dst = appendU64(dst, uint64(m.To))
+	dst = appendU64(dst, uint64(m.From))
+	dst = appendU64(dst, uint64(int64(m.Tag)))
+	dst = appendU64(dst, uint64(int64(m.Hops)))
+	dst = appendU64(dst, m.Seq)
+	dst = appendU64(dst, math.Float64bits(m.SendTime))
+	dst = appendU64(dst, math.Float64bits(m.Arrival))
+	dst = appendU64(dst, math.Float64bits(m.VTime))
+	dst = appendU32(dst, uint32(len(m.Data)))
+	return append(dst, m.Data...)
 }
 
 // DecodeEnvelope unpacks one envelope into pooled messages, which the

@@ -8,9 +8,11 @@ import (
 )
 
 // TestAppendEnvelopeMatchesPup pins the hot-path encoder to the PUP
-// reference: for random envelopes, appendEnvelope must produce the
-// exact bytes EncodeEnvelope does (and envelopeWireSize their exact
-// length) — the zero-alloc path is an optimization, never a format.
+// reference: for random envelopes, the envelope header followed by
+// appendMessage per message — what a link's open envelope holds — must
+// be the exact bytes EncodeEnvelope produces, each message exactly
+// msgWireMin plus its payload long: the zero-alloc path is an
+// optimization, never a format.
 func TestAppendEnvelopeMatchesPup(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 200; trial++ {
@@ -35,12 +37,15 @@ func TestAppendEnvelopeMatchesPup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := appendEnvelope(nil, pe, msgs)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: appendEnvelope diverges from EncodeEnvelope\n got %x\nwant %x", trial, got, want)
+		got := appendU32(appendU32(nil, uint32(pe)), uint32(len(msgs)))
+		for i, m := range msgs {
+			before := len(got)
+			if got = appendMessage(got, m); len(got)-before != msgWireMin+len(m.Data) {
+				t.Fatalf("trial %d: message %d encoded to %d bytes, want %d", trial, i, len(got)-before, msgWireMin+len(m.Data))
+			}
 		}
-		if len(got) != envelopeWireSize(msgs) {
-			t.Fatalf("trial %d: envelopeWireSize %d, encoded %d", trial, envelopeWireSize(msgs), len(got))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: appendMessage diverges from EncodeEnvelope\n got %x\nwant %x", trial, got, want)
 		}
 		// And it must decode back bit-for-bit.
 		gotPE, back, err := DecodeEnvelope(got)

@@ -71,13 +71,13 @@ func benchShards(b *testing.B, netKind string) (n0, n1 *comm.Network, t0, t1 *co
 	return nets[0], nets[1], ts[0], ts[1]
 }
 
-// reportWireMetrics turns the transport counters into the syscall-
-// economy metrics: envelopes per write batch and bytes per syscall
-// (frames per ring publish on the shm fabric, which never syscalls).
+// reportWireMetrics turns the transport counters into the writer's
+// economy: frames per writer pass and bytes per syscall (the shm
+// fabric never syscalls).
 func reportWireMetrics(b *testing.B, st comm.SocketStats) {
 	b.Helper()
 	if st.WriteBatches > 0 {
-		b.ReportMetric(float64(st.FramesSent)/float64(st.WriteBatches), "envelopes/syscall")
+		b.ReportMetric(float64(st.FramesSent)/float64(st.WriteBatches), "frames/pass")
 	}
 	if st.WriteSyscalls > 0 {
 		b.ReportMetric(float64(st.BytesWritten)/float64(st.WriteSyscalls), "bytes/syscall")
@@ -85,9 +85,10 @@ func reportWireMetrics(b *testing.B, st comm.SocketStats) {
 }
 
 // benchSendCross sends PE0→PE2 across a real fabric and waits for
-// delivery on the far Network before the next send — one message per
-// wire envelope and one wakeup per message, the anti-coalescing worst
-// case (the lone cross-worker Send ROADMAP item 10 quotes).
+// delivery on the far Network before the next send — nothing else is
+// in flight to coalesce with, so one message per wire envelope and one
+// wakeup per message, the anti-coalescing worst case (the lone
+// cross-worker Send ROADMAP item 10 quotes).
 func benchSendCross(b *testing.B, netKind string) {
 	n0, n1, t0, t1 := benchShards(b, netKind)
 	src, dst := n0.Endpoint(0), n1.Endpoint(2)
@@ -117,10 +118,11 @@ func BenchmarkTransportSendCross(b *testing.B) { benchSendCross(b, "unix") }
 func BenchmarkTransportSendCrossShm(b *testing.B) { benchSendCross(b, "shm") }
 
 // benchSendCrossStream drives the same wire through the TRAM
-// aggregator: buckets of coalesced payloads cross as single frames and
-// the socket writer drains whole queues per writev (shm frames publish
-// with no syscall at all), so envelopes/syscall and payloads/envelope
-// are what the coalescing buys.
+// aggregator: each flushed bucket goes into the link's open envelope,
+// which the writer seals whenever it takes the queue, and the socket
+// writer drains whole queues per writev (shm frames publish with no
+// syscall at all), so frames/pass and payloads/envelope are what the
+// coalescing buys.
 func benchSendCrossStream(b *testing.B, netKind string) {
 	n0, n1, t0, _ := benchShards(b, netKind)
 	n0.EnableAggregation(comm.AggPolicy{MaxPayloads: 16})
