@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-check bench-pair repro repro-quick examples cover clean
+.PHONY: all build vet test race bench bench-check bench-pair repro repro-quick repro-csv examples cover clean
 
 all: build vet test
 
@@ -64,6 +64,7 @@ examples:
 	$(GO) run ./examples/loadbalance
 	$(GO) run ./examples/bigsim
 	$(GO) run ./examples/faulttolerance
+	$(GO) run ./examples/flows
 
 cover:
 	$(GO) test ./... -coverpkg=./internal/... -coverprofile=cover.out

@@ -22,13 +22,16 @@ var docFiles = []string{
 	".claude/skills/verify/SKILL.md",
 }
 
-// deletedRefs are references a document cites on purpose as deleted,
-// each with the PR that deleted it. They must not resolve: a name that
-// comes back is no longer deleted, and its entry goes.
+// deletedRefs are references a document cites on purpose as deleted —
+// symbols, flags and paths — each with the PR that deleted it. They
+// must not resolve: a name that comes back is no longer deleted, and
+// its entry goes.
 var deletedRefs = map[string]string{
 	"core.Config.Steal":          "PR 38",
 	"npb.BenchmarkStealMakespan": "PR 38",
 	"btmz -steal":                "PR 38",
+	"cmd/benchjson":              "PR 24",
+	"internal/sdag":              "PR 41",
 }
 
 // symbolRef matches pkg.Name, pkg.Type.Member and Type.Member; the
@@ -44,9 +47,10 @@ var fileExts = map[string]bool{"go": true, "md": true, "json": true, "golden": t
 // package under internal/ must be declared there (test files
 // included, so cited tests and benchmarks count), a Type.Member whose
 // Type is declared in such a package must be a field or method of it
-// in one of them, and every -flag
-// after a command under cmd/ must be defined by a flag.* call in that
-// command.
+// in one of them, every -flag after a command under cmd/ must be
+// defined by a flag.* call in that command, and every path under
+// internal/, cmd/, examples/ or bench/ must exist. A name or path cited
+// on purpose as deleted is in deletedRefs, and must not resolve.
 func TestDocSymbols(t *testing.T) {
 	pkgs := map[string]*pkgDecls{}
 	dirs, err := os.ReadDir("internal")
@@ -88,6 +92,20 @@ func TestDocSymbols(t *testing.T) {
 					t.Errorf("%s: `%s` does not resolve in internal/%s", doc, ref.text, ref.pkg)
 				}
 			}
+			for _, m := range pathRef.FindAllStringSubmatch(span, -1) {
+				path := strings.TrimRight(m[1], "./")
+				cited[path] = true
+				_, err := os.Stat(path)
+				if pr, ok := deletedRefs[path]; ok {
+					if err == nil {
+						t.Errorf("%s: `%s` is cited as deleted in %s but exists", doc, path, pr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: `%s` does not exist", doc, path)
+				}
+			}
 			for _, ref := range flagRefs(span, flags) {
 				cited[ref] = true
 				cmd, flag, _ := strings.Cut(ref, " -")
@@ -110,6 +128,11 @@ func TestDocSymbols(t *testing.T) {
 		}
 	}
 }
+
+// pathRef matches a repository path under internal/, cmd/, examples/
+// or bench/, also one written as ./path; trailing dots and slashes are
+// the caller's to trim.
+var pathRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.-]|\./)((?:internal|cmd|examples|bench)/[A-Za-z0-9_./-]*)`)
 
 // roadmapRef matches a reference to a ROADMAP item by number, also one
 // a Go comment wraps after the word ROADMAP.

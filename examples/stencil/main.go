@@ -1,8 +1,8 @@
 // Stencil: the paper's Figure 1 — a parallel 5-point stencil with 1-D
-// decomposition and ghost-cell exchange, expressed in Structured
-// Dagger (§2.4.2) and run on an array of event-driven chares (§3.2).
+// decomposition and ghost-cell exchange, written in the Structured
+// Dagger style (§2.4.2) and run on event-driven ranks (§2.4).
 //
-// Each chare owns a strip of the grid. Its life cycle is the SDAG
+// Each rank owns a strip of the grid. Its life cycle is the SDAG
 // program from the paper:
 //
 //	for (i=0; i<MAX_ITER; i++) {
@@ -14,6 +14,11 @@
 //	  atomic { doWork(); }
 //	}
 //
+// as a Proc tree: the for loop is For, each atomic block a Do, and the
+// overlap two Irecvs completed by one Waitall, in whichever order the
+// strips arrive. The strip and its requests live in PC.Local; the
+// program is code, shared by every rank.
+//
 // Run with: go run ./examples/stencil
 package main
 
@@ -23,10 +28,8 @@ import (
 	"log"
 	"math"
 
-	"migflow/internal/charm"
+	"migflow/internal/ampi"
 	"migflow/internal/core"
-	"migflow/internal/pup"
-	"migflow/internal/sdag"
 )
 
 const (
@@ -34,96 +37,71 @@ const (
 	strips  = 8
 	maxIter = 50
 
-	entryLeft  = 1 // getStripFromLeft
-	entryRight = 2 // getStripFromRight
+	tagLeft  = 1 // getStripFromLeft
+	tagRight = 2 // getStripFromRight
 )
 
-// strip is one chare: a strip of the grid plus its SDAG executor.
+// strip is one rank's state: its part of the grid, the two outstanding
+// ghost receives and the last sweep's residual.
 type strip struct {
-	index int
-	grid  []float64
-	left  float64 // ghost cells
-	right float64
-
-	array *charm.Array
-	prog  *sdag.Executor
-	done  func(i int, residual float64)
+	grid []float64
+	reqs []*ampi.Req
+	res  float64
 }
 
-// Pup serializes the migratable state (grid and ghosts); the SDAG
-// program is code, recreated on arrival.
-func (s *strip) Pup(p *pup.PUPer) error {
-	if err := p.Int(&s.index); err != nil {
-		return err
-	}
-	if err := p.Float64s(&s.grid); err != nil {
-		return err
-	}
-	if err := p.Float64(&s.left); err != nil {
-		return err
-	}
-	return p.Float64(&s.right)
-}
+func stripOf(pc *ampi.PC) *strip { return pc.Local.(*strip) }
 
-// lifeCycle builds the Figure 1 SDAG program for this strip.
-func (s *strip) lifeCycle(ctx *charm.Ctx) sdag.Stmt {
-	n := ctx.Len()
-	leftIdx := (s.index + n - 1) % n
-	rightIdx := (s.index + 1) % n
-	return sdag.For(maxIter, func(iter int) sdag.Stmt {
-		return sdag.Seq(
-			sdag.Atomic(func() { // sendStripToLeftAndRight
-				if err := ctx.Send(leftIdx, entryRight, f64(s.grid[0])); err != nil {
-					log.Fatal(err)
+// lifeCycle builds the Figure 1 program; done receives each strip's
+// residual after the last iteration.
+func lifeCycle(done func(i int, residual float64)) ampi.Proc {
+	iteration := ampi.Seq(
+		ampi.Do(func(pc *ampi.PC) { // sendStripToLeftAndRight
+			s := stripOf(pc)
+			left := (pc.Rank() + pc.Size() - 1) % pc.Size()
+			right := (pc.Rank() + 1) % pc.Size()
+			pc.Send(left, tagRight, f64(s.grid[0]))
+			pc.Send(right, tagLeft, f64(s.grid[len(s.grid)-1]))
+			// overlap: both ghosts are posted at once and land in
+			// either order.
+			s.reqs = append(s.reqs[:0], pc.Irecv(left, tagLeft), pc.Irecv(right, tagRight))
+		}),
+		ampi.Waitall(func(pc *ampi.PC) []*ampi.Req { return stripOf(pc).reqs }),
+		ampi.Do(func(pc *ampi.PC) { // copyStripFromLeft/Right, then doWork
+			s := stripOf(pc)
+			left, right := f64of(s.reqs[0].Data), f64of(s.reqs[1].Data)
+			next := make([]float64, len(s.grid))
+			for i := range s.grid {
+				l, r := left, right
+				if i > 0 {
+					l = s.grid[i-1]
 				}
-				if err := ctx.Send(rightIdx, entryLeft, f64(s.grid[len(s.grid)-1])); err != nil {
-					log.Fatal(err)
+				if i < len(s.grid)-1 {
+					r = s.grid[i+1]
 				}
-			}),
-			sdag.Overlap(
-				sdag.When(entryLeft, func(m sdag.Msg) { // copyStripFromLeft
-					s.left = m.(float64)
-				}),
-				sdag.When(entryRight, func(m sdag.Msg) { // copyStripFromRight
-					s.right = m.(float64)
-				}),
-			),
-			sdag.Atomic(func() { // doWork: Jacobi sweep over the interior
-				next := make([]float64, len(s.grid))
-				for i := range s.grid {
-					l, r := s.left, s.right
-					if i > 0 {
-						l = s.grid[i-1]
-					}
-					if i < len(s.grid)-1 {
-						r = s.grid[i+1]
-					}
-					next[i] = 0.5 * (l + r)
+				next[i] = 0.5 * (l + r)
+			}
+			s.res = 0
+			for i := range next {
+				s.res += math.Abs(next[i] - s.grid[i])
+			}
+			s.grid = next
+			pc.Work(float64(len(s.grid)) * 30) // modeled FLOPs
+		}),
+	)
+	return ampi.Seq(
+		ampi.Do(func(pc *ampi.PC) {
+			g := make([]float64, cells)
+			for j := range g {
+				// A step-function initial condition that must diffuse.
+				if pc.Rank()*cells+j < strips*cells/2 {
+					g[j] = 1
 				}
-				var res float64
-				for i := range next {
-					res += math.Abs(next[i] - s.grid[i])
-				}
-				s.grid = next
-				ctx.Work(float64(len(s.grid)) * 30) // modeled FLOPs
-				if iter == maxIter-1 && s.done != nil {
-					s.done(s.index, res)
-				}
-			}),
-		)
-	})
-}
-
-// Recv feeds network messages into the SDAG executor.
-func (s *strip) Recv(ctx *charm.Ctx, entry int, data []byte) {
-	if s.prog == nil { // first message: start the life cycle
-		s.prog = sdag.Run(s.lifeCycle(ctx))
-	}
-	switch entry {
-	case entryLeft, entryRight:
-		s.prog.Deliver(entry, math.Float64frombits(binary.LittleEndian.Uint64(data)))
-	case 0: // bootstrap: just start the program
-	}
+			}
+			pc.Local = &strip{grid: g}
+		}),
+		ampi.For(maxIter, func(int) ampi.Proc { return iteration }),
+		ampi.Do(func(pc *ampi.PC) { done(pc.Rank(), stripOf(pc).res) }),
+	)
 }
 
 func f64(v float64) []byte {
@@ -132,6 +110,8 @@ func f64(v float64) []byte {
 	return b[:]
 }
 
+func f64of(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
 func main() {
 	machine, err := core.NewMachine(core.Config{NumPEs: 4})
 	if err != nil {
@@ -139,41 +119,26 @@ func main() {
 	}
 	residuals := make([]float64, strips)
 	finished := 0
-	array, err := charm.NewArray(machine, strips, func(i int) charm.Element {
-		g := make([]float64, cells)
-		for j := range g {
-			// A step-function initial condition that must diffuse.
-			if (i*cells + j) < strips*cells/2 {
-				g[j] = 1
-			}
-		}
-		return &strip{
-			index: i, grid: g,
-			done: func(idx int, res float64) {
-				residuals[idx] = res
-				finished++
-			},
-		}
-	})
+	job, err := ampi.NewProgram(machine, strips, ampi.Options{Mode: ampi.ModeEvent},
+		lifeCycle(func(i int, res float64) {
+			residuals[i] = res
+			finished++
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Bootstrap every strip's life cycle.
-	if err := array.Broadcast(0, 0, nil); err != nil {
-		log.Fatal(err)
-	}
-	machine.RunUntilQuiescent()
+	job.Run()
 
 	if finished != strips {
 		log.Fatalf("only %d of %d strips finished", finished, strips)
 	}
 	var total float64
 	for i, r := range residuals {
-		fmt.Printf("strip %d (PE %d): residual %.6f\n", i, array.PEOf(i), r)
+		fmt.Printf("strip %d (PE %d): residual %.6f\n", i, job.PEOf(i), r)
 		total += r
 	}
 	fmt.Printf("\n%d iterations on %d strips over %d PEs; total residual %.6f\n",
 		maxIter, strips, machine.NumPEs(), total)
-	fmt.Printf("entry methods executed: %d; virtual time %.1f µs\n",
-		array.Delivers(), machine.MaxTime()/1000)
+	fmt.Printf("messages sent: %d; predicted time %.1f µs\n",
+		machine.Network().Snapshot().Sent, job.PredictedNs()/1000)
 }

@@ -339,8 +339,8 @@ func (pc *PC) Irecv(src, tag int) *Req {
 type doProc struct{ fn func(*PC) }
 
 // Do wraps non-blocking code: it runs to completion (sends, work,
-// local updates) and never suspends — the program analogue of
-// sdag.Atomic.
+// local updates) and never suspends — the program analogue of an SDAG
+// atomic block.
 func Do(fn func(*PC)) Proc { return doProc{fn} }
 
 func (p doProc) step(pc *PC, _ *frame) (Proc, bool) {

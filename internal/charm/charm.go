@@ -30,8 +30,8 @@ func newEntityID() comm.EntityID {
 
 // Element is one chare: user state plus an entry-method dispatcher.
 // Recv must not block — event-driven objects suspend by returning
-// (§2.4); multi-step coordination belongs in an sdag program or a
-// coro state machine inside the element.
+// (§2.4); multi-step coordination belongs in a coro state machine
+// inside the element, or in an ampi Proc program on event ranks.
 type Element interface {
 	pup.Pupable
 	Recv(ctx *Ctx, entry int, data []byte)

@@ -8,15 +8,12 @@ import (
 	"testing"
 
 	"migflow/internal/ampi"
-	"migflow/internal/charm"
 	"migflow/internal/core"
 	"migflow/internal/coro"
-	"migflow/internal/pup"
-	"migflow/internal/sdag"
 )
 
 // The paper's §2 taxonomy: the same computation can be organized as
-// blocking threads, as an SDAG-coordinated event-driven object, or as
+// blocking threads, as a structured-event (SDAG) program, or as
 // a hand-rolled return-switch coroutine. This test runs one program —
 // a 1-D Jacobi iteration with ghost exchange over a ring — in all
 // three styles and demands bit-identical numerical results.
@@ -117,86 +114,50 @@ func runThreads(t *testing.T) []float64 {
 	return checksum(grids)
 }
 
-// Style 2: SDAG-coordinated chares.
-type sdagStrip struct {
-	index       int
-	grid        []float64
-	left, right float64
-	prog        *sdag.Executor
-	out         *[][]float64
+// Style 2: structured events — the paper's SDAG program (§2.4.2, Fig 1)
+// as a Proc tree on event ranks. The for loop is For, each atomic block
+// a Do, and overlap { when left; when right } two Irecvs and a Waitall:
+// receives are FIFO per (source, tag), so no iteration reference number
+// is needed. The strip and its requests live in PC.Local.
+type eventStrip struct {
+	grid []float64
+	reqs []*ampi.Req
 }
 
-func (s *sdagStrip) Pup(p *pup.PUPer) error { return p.Float64s(&s.grid) }
-
-func (s *sdagStrip) program(ctx *charm.Ctx) sdag.Stmt {
-	leftIdx := (s.index + nStrips - 1) % nStrips
-	rightIdx := (s.index + 1) % nStrips
-	return sdag.For(nIters, func(it int) sdag.Stmt {
-		ref := uint64(it)
-		return sdag.Seq(
-			sdag.Atomic(func() {
-				if err := ctx.Send(leftIdx, tagRight, refMsg(ref, s.grid[0])); err != nil {
-					panic(err)
-				}
-				if err := ctx.Send(rightIdx, tagLeft, refMsg(ref, s.grid[nCells-1])); err != nil {
-					panic(err)
-				}
-			}),
-			sdag.Overlap(
-				sdag.WhenRef(tagLeft, ref, func(m sdag.Msg) { s.left = m.(float64) }),
-				sdag.WhenRef(tagRight, ref, func(m sdag.Msg) { s.right = m.(float64) }),
-			),
-			sdag.Atomic(func() {
-				s.grid = sweep(s.grid, s.left, s.right)
-				if it == nIters-1 {
-					(*s.out)[s.index] = s.grid
-				}
-			}),
-		)
-	})
-}
-
-// refMsg encodes (ref, value) in the payload so the receiving strip
-// can route by iteration.
-func refMsg(ref uint64, v float64) []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint64(b, ref)
-	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(v))
-	return b
-}
-
-func (s *sdagStrip) Recv(ctx *charm.Ctx, entry int, data []byte) {
-	if s.prog == nil {
-		s.prog = sdag.Run(s.program(ctx))
-	}
-	if entry == 0 {
-		return // bootstrap
-	}
-	ref := binary.LittleEndian.Uint64(data)
-	v := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-	s.prog.DeliverRef(entry, ref, v)
-}
-
-func runSDAG(t *testing.T) []float64 {
+func runEvent(t *testing.T) []float64 {
 	m, err := core.NewMachine(core.Config{NumPEs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	grids := make([][]float64, nStrips)
-	arr, err := charm.NewArray(m, nStrips, func(i int) charm.Element {
-		return &sdagStrip{index: i, grid: jacobiInit(i), out: &grids}
-	})
+	strip := func(pc *ampi.PC) *eventStrip { return pc.Local.(*eventStrip) }
+	iteration := ampi.Seq(
+		ampi.Do(func(pc *ampi.PC) {
+			s := strip(pc)
+			left := (pc.Rank() + nStrips - 1) % nStrips
+			right := (pc.Rank() + 1) % nStrips
+			pc.Send(left, tagRight, f64b(s.grid[0]))
+			pc.Send(right, tagLeft, f64b(s.grid[nCells-1]))
+			s.reqs = append(s.reqs[:0], pc.Irecv(left, tagLeft), pc.Irecv(right, tagRight))
+		}),
+		ampi.Waitall(func(pc *ampi.PC) []*ampi.Req { return strip(pc).reqs }),
+		ampi.Do(func(pc *ampi.PC) {
+			s := strip(pc)
+			s.grid = sweep(s.grid, bf64(s.reqs[0].Data), bf64(s.reqs[1].Data))
+		}),
+	)
+	prog := ampi.Seq(
+		ampi.Do(func(pc *ampi.PC) { pc.Local = &eventStrip{grid: jacobiInit(pc.Rank())} }),
+		ampi.For(nIters, func(int) ampi.Proc { return iteration }),
+		ampi.Do(func(pc *ampi.PC) { grids[pc.Rank()] = strip(pc).grid }),
+	)
+	j, err := ampi.NewProgram(m, nStrips, ampi.Options{Mode: ampi.ModeEvent}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := arr.Broadcast(0, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	m.RunUntilQuiescent()
-	for i, g := range grids {
-		if g == nil {
-			t.Fatalf("sdag strip %d never finished", i)
-		}
+	j.Run()
+	if !j.Done() {
+		t.Fatal("structured-event style hung")
 	}
 	return checksum(grids)
 }
@@ -282,21 +243,23 @@ func runCoro(t *testing.T) []float64 {
 }
 
 // TestThreeStylesAgree pins the §2 equivalence: the same computation
-// in thread, SDAG, and return-switch styles produces identical
-// numbers.
+// in thread, structured-event and return-switch styles produces
+// identical numbers. The return-switch coroutines run outside the
+// runtime, so they are the reference the other two are held to.
 func TestThreeStylesAgree(t *testing.T) {
-	a := runThreads(t)
-	b := runSDAG(t)
-	c := runCoro(t)
-	if len(a) != len(b) || len(b) != len(c) {
-		t.Fatalf("lengths: %d %d %d", len(a), len(b), len(c))
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatalf("threads vs sdag differ at %d: %g vs %g", i, a[i], b[i])
+	ref := runCoro(t)
+	for _, style := range []struct {
+		name string
+		run  func(*testing.T) []float64
+	}{{"threads", runThreads}, {"structured events", runEvent}} {
+		got := style.run(t)
+		if len(got) != len(ref) {
+			t.Fatalf("%s: %d values, coro %d", style.name, len(got), len(ref))
 		}
-		if math.Float64bits(a[i]) != math.Float64bits(c[i]) {
-			t.Fatalf("threads vs coro differ at %d: %g vs %g", i, a[i], c[i])
+		for i := range ref {
+			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("%s vs coro differ at %d: %g vs %g", style.name, i, got[i], ref[i])
+			}
 		}
 	}
 }
