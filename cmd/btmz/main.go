@@ -4,9 +4,8 @@
 //
 // Usage:
 //
-//	btmz [-steps 20] [-lb greedy] [-coll tree|flat|topo] [-agg off|on|N:B]
-//	     [-overlap] [-reduce N] [-trace] [-mode ult|event] [-class Z4K]
-//	     [-npes 8]
+//	btmz [-steps 20] [-lb greedy] [-coll tree|flat|topo] [-overlap]
+//	     [-reduce N] [-trace] [-mode ult|event] [-class Z4K] [-npes 8]
 //
 // -overlap makes the halo exchange split-phase (receives posted and
 // halos sent before the solve, completed after it) and pipelines the
@@ -20,8 +19,8 @@
 // -mode ult|event it runs on the chosen flow backend, one zone per rank
 // on the skewed class (-class, default Z4K), reported with and without
 // the LB gate. Event mode is the configuration that scales past 10^5
-// zones, moving 137-byte records instead of stacks; it refuses -agg and
-// -trace, which need threads.
+// zones, moving 137-byte records instead of stacks; it refuses -trace,
+// which needs threads.
 package main
 
 import (
@@ -29,11 +28,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
 	"migflow/internal/ampi"
-	"migflow/internal/comm"
 	"migflow/internal/harness"
 	"migflow/internal/loadbalance"
 	"migflow/internal/npb"
@@ -47,17 +44,12 @@ func main() {
 	collName := flag.String("coll", "tree", "collective algorithm: tree | flat | topo")
 	overlap := flag.Bool("overlap", false, "split-phase halo exchange: communication overlaps the solve")
 	reduceEvery := flag.Int("reduce", 0, "residual-proxy Allreduce every N steps (0 = never; pipelined with -overlap)")
-	aggSpec := flag.String("agg", "off", "boundary-exchange aggregation: off | on | maxPayloads:maxBytes (e.g. 16:8192)")
 	mode := flag.String("mode", "", "flow backend for the one-zone-per-rank study: ult | event (empty = Figure 12's configuration: ULT ranks with privatized globals)")
 	className := flag.String("class", "Z4K", "problem class for -mode runs: A | B | SP-A | LU-A | Z4K")
 	npes := flag.Int("npes", 8, "PE count for -mode runs")
 	flag.Parse()
 
 	coll, err := parseColl(*collName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	aggregate, pol, err := parseAgg(*aggSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +63,7 @@ func main() {
 			Class: class, NProcs: class.NumZones(), NPEs: *npes,
 			Steps: *steps, Mode: *mode,
 			Collectives: coll, Overlap: *overlap, ReduceEvery: *reduceEvery,
-			Aggregate: aggregate, AggPolicy: pol, Trace: *showTrace,
+			Trace: *showTrace,
 		}
 		if err := programReport(base, *lbName); err != nil {
 			log.Fatal(err)
@@ -80,12 +72,11 @@ func main() {
 	}
 
 	if *showTrace {
-		traceReport(*steps, *lbName, coll, aggregate, pol)
+		traceReport(*steps, *lbName, coll)
 		return
 	}
 	cfg := harness.Fig12Config{
-		Coll: coll, Aggregate: aggregate, AggPolicy: pol,
-		Overlap: *overlap, ReduceEvery: *reduceEvery,
+		Coll: coll, Overlap: *overlap, ReduceEvery: *reduceEvery,
 	}
 	if *lbName != "greedy" {
 		strat, err := loadbalance.ByName(*lbName)
@@ -127,9 +118,6 @@ func programReport(base npb.Params, lbName string) error {
 	if after.TopoHops > 0 || before.TopoHops > 0 {
 		fmt.Printf("  collective tree hops: %d (noLB) / %d (LB)\n", before.TopoHops, after.TopoHops)
 	}
-	if base.Aggregate {
-		fmt.Printf("  envelopes: %d (noLB) / %d (LB)\n", before.Envelopes, after.Envelopes)
-	}
 	if base.Trace {
 		fmt.Println()
 		printTrace(before.Params.Label()+" without LB", before)
@@ -150,31 +138,10 @@ func parseColl(name string) (ampi.CollAlgo, error) {
 	return 0, fmt.Errorf("btmz: unknown -coll %q (want tree, flat, or topo)", name)
 }
 
-// parseAgg reads "off", "on" (default policy), or an explicit
-// "maxPayloads:maxBytes" flush policy.
-func parseAgg(spec string) (bool, comm.AggPolicy, error) {
-	switch spec {
-	case "", "off":
-		return false, comm.AggPolicy{}, nil
-	case "on":
-		return true, comm.AggPolicy{}, nil
-	}
-	parts := strings.SplitN(spec, ":", 2)
-	if len(parts) != 2 {
-		return false, comm.AggPolicy{}, fmt.Errorf("btmz: bad -agg %q (want off, on, or maxPayloads:maxBytes)", spec)
-	}
-	n, err1 := strconv.Atoi(parts[0])
-	b, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil || n < 1 || b < 1 {
-		return false, comm.AggPolicy{}, fmt.Errorf("btmz: bad -agg %q (want off, on, or maxPayloads:maxBytes)", spec)
-	}
-	return true, comm.AggPolicy{MaxPayloads: n, MaxBytes: b}, nil
-}
-
 // traceReport prints per-PE utilization for the worst Figure 12 case
 // with and without the chosen balancer — a Projections-style summary
 // from the trace subsystem.
-func traceReport(steps int, lbName string, coll ampi.CollAlgo, aggregate bool, pol comm.AggPolicy) {
+func traceReport(steps int, lbName string, coll ampi.CollAlgo) {
 	strat, err := loadbalance.ByName(lbName)
 	if err != nil {
 		log.Fatal(err)
@@ -182,7 +149,7 @@ func traceReport(steps int, lbName string, coll ampi.CollAlgo, aggregate bool, p
 	for _, withLB := range []bool{false, true} {
 		p := npb.Params{
 			Class: npb.ClassB, NProcs: 64, NPEs: 8, Steps: steps, Trace: true,
-			Collectives: coll, Aggregate: aggregate, AggPolicy: pol,
+			Collectives: coll,
 		}
 		label := "without LB"
 		if withLB {

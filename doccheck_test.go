@@ -32,6 +32,9 @@ var deletedRefs = map[string]string{
 	"btmz -steal":                "PR 38",
 	"cmd/benchjson":              "PR 24",
 	"internal/sdag":              "PR 41",
+	"btmz -agg":                  "PR 42",
+	"npb.BenchmarkBTMZExchange":  "PR 42",
+	"Options.Aggregate":          "PR 42",
 }
 
 // symbolRef matches pkg.Name, pkg.Type.Member and Type.Member; the

@@ -153,23 +153,12 @@ type Options struct {
 	// cost appears only as latency).
 	MsgOverheadNs float64
 
-	// Aggregate routes application sends (tag ≥ 0) through comm's
-	// streaming aggregation: per-destination-PE envelopes amortize
-	// the postal Alpha over many small messages. Collective/internal
-	// traffic stays on the direct path. Ranks flush their PE's
-	// buffers before blocking in Recv and at exit, so aggregation
-	// never deadlocks a quiescing machine.
-	Aggregate bool
-	// AggPolicy tunes flush thresholds when Aggregate is set; zero
-	// fields select the comm defaults.
-	AggPolicy comm.AggPolicy
-
 	// Mode selects the flow-of-control mechanism behind each rank:
 	// ModeULT (default, also the zero value) or ModeEvent. Event mode
-	// requires a continuation Program — see NewProgram — and does not
-	// support Aggregate. Event ranks migrate like ULT ranks (the
-	// Migrate gate, or a runtime-driven Rebalance), but move as
-	// continuation records instead of stack images.
+	// requires a continuation Program — see NewProgram. Event ranks
+	// migrate like ULT ranks (the Migrate gate, or a runtime-driven
+	// Rebalance), but move as continuation records instead of stack
+	// images.
 	Mode string
 
 	// LocalPUP serializes an event rank's PC.Local into its migration
@@ -377,16 +366,10 @@ func newJobCommon(m *core.Machine, size int, opts *Options) (*Job, error) {
 			opts.Topo.HopNs = opts.MsgOverheadNs
 		}
 	}
-	if opts.Mode == ModeEvent && opts.Aggregate {
-		return nil, fmt.Errorf("ampi: Aggregate is not supported in %q mode (flush-before-block needs a parkable thread)", ModeEvent)
-	}
 	if m.Sharded() && opts.Mode != ModeEvent {
 		// ULT ranks block real goroutine stacks whose closures cannot
 		// cross a process boundary; only continuation records can.
 		return nil, fmt.Errorf("ampi: sharded machines support %q mode only", ModeEvent)
-	}
-	if opts.Aggregate {
-		m.Network().EnableAggregation(opts.AggPolicy)
 	}
 	return &Job{
 		m: m, opts: *opts, size: size,
@@ -675,8 +658,7 @@ func (j *Job) recvLocked(pc *PC, src, tag int) *comm.Message {
 // send is the one send: rank pc's message to dest, stamped with pc.vt
 // and charged its software overhead on the rank's PE. A ULT job's
 // application traffic also feeds the communication graph the
-// comm-aware balancer consumes, and under Options.Aggregate goes through
-// the PE's coalescing stream; a sharded job numbers each per-peer
+// comm-aware balancer consumes; a sharded job numbers each per-peer
 // stream.
 func (j *Job) send(pc *PC, dest, tag int, data []byte) {
 	if dest < 0 || dest >= j.size {
@@ -709,30 +691,8 @@ func (j *Job) send(pc *PC, dest, tag int, data []byte) {
 		s.sendSeq[dest]++
 		msg.Seq = s.sendSeq[dest]
 	}
-	ep := j.m.Network().Endpoint(p.Index)
-	var err error
-	if j.opts.Aggregate && tag >= 0 {
-		err = ep.SendStream(msg)
-	} else {
-		err = ep.Send(msg)
-	}
-	if err != nil {
+	if err := j.m.Network().Endpoint(p.Index).Send(msg); err != nil {
 		panic(fmt.Sprintf("ampi: send: %v", err))
-	}
-}
-
-// flush pushes PE pe's coalesced messages onto the wire (a no-op
-// without Options.Aggregate). A thread rank calls it before it blocks,
-// registers at an LB gate or exits: whenever every rank is parked, every
-// buffer has been flushed, so streamed traffic cannot deadlock.
-func (j *Job) flush(pe int) {
-	if !j.opts.Aggregate {
-		return
-	}
-	if err := j.m.Network().Endpoint(pe).Flush(); err != nil {
-		// AMPI never deregisters live ranks, so a flush error is a
-		// runtime invariant violation, not an application condition.
-		panic(fmt.Sprintf("ampi: stream flush: %v", err))
 	}
 }
 
@@ -740,8 +700,8 @@ func (j *Job) flush(pe int) {
 // Rank: the thread side
 
 // run is the rank's thread body: it interprets the slot's program,
-// and each time a step parks, flushes and suspends until a delivery
-// or the LB gate wakes it.
+// and each time a step parks, suspends until a delivery or the LB
+// gate wakes it.
 func (r *Rank) run(c *converse.Ctx) {
 	r.ctx = c
 	pc := r.pc()
@@ -749,16 +709,11 @@ func (r *Rank) run(c *converse.Ctx) {
 	for !pc.exec() {
 		r.block()
 	}
-	r.job.flush(r.PE())
 	r.job.remaining.Add(-1)
 }
 
-// block suspends the thread until it is woken, flushing its PE's
-// coalesced sends first (explicit-flush-on-idle).
-func (r *Rank) block() {
-	r.job.flush(r.PE())
-	r.ctx.Suspend()
-}
+// block suspends the thread until a delivery or the LB gate wakes it.
+func (r *Rank) block() { r.ctx.Suspend() }
 
 // pc returns the rank's program context, in its slot.
 func (r *Rank) pc() *PC { return &r.job.store()[r.rank].pc }

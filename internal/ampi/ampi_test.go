@@ -1,9 +1,11 @@
 package ampi
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -565,11 +567,14 @@ func TestCommAwareRebalance(t *testing.T) {
 		}
 		j.Start()
 		m.RunUntilQuiescent()
+		// The LB step starts a new measurement period, so the graph is
+		// read before it.
+		graph := j.CommGraph()
 		if _, err := j.Rebalance(strategy); err != nil {
 			t.Fatal(err)
 		}
 		// Measure the ring's cross-PE traffic under the new placement.
-		cross := loadbalance.CrossTraffic(j.be.loads(nil), j.CommGraph(), nil)
+		cross := loadbalance.CrossTraffic(j.be.loads(nil), graph, nil)
 		// Release and finish.
 		for i := 0; i < j.Size(); i++ {
 			msg := &comm.Message{To: comm.EntityID(j.Rank(i).Thread().ID()), Tag: 9}
@@ -587,6 +592,55 @@ func TestCommAwareRebalance(t *testing.T) {
 	commCross := run(loadbalance.CommAwareLB{Alpha: 1})
 	if !(commCross < greedyCross) {
 		t.Errorf("comm-aware cross traffic %g not below greedy %g", commCross, greedyCross)
+	}
+}
+
+// graphSpy is a comm-aware balancer that records, sorted, the graph
+// each LB step hands it.
+type graphSpy struct {
+	loadbalance.CommAwareLB
+	graphs [][]loadbalance.Edge
+}
+
+func (s *graphSpy) PlanComm(items []loadbalance.Item, edges []loadbalance.Edge, numPEs int) loadbalance.Plan {
+	g := slices.Clone(edges)
+	slices.SortFunc(g, func(a, b loadbalance.Edge) int {
+		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
+	})
+	s.graphs = append(s.graphs, g)
+	return s.CommAwareLB.PlanComm(items, edges, numPEs)
+}
+
+// TestCommGraphResetsWithLoads: the comm graph is measured per LB
+// period, like the loads beside it. A ring that sends the same halos
+// before each of two gates must show the second gate the same graph
+// as the first, not the running total.
+func TestCommGraphResetsWithLoads(t *testing.T) {
+	const ranks = 8
+	payload := make([]byte, 512)
+	ring := Seq(
+		Do(func(pc *PC) { pc.Send((pc.Rank()+1)%pc.Size(), 1, payload) }),
+		RecvFrom(func(pc *PC) int { return (pc.Rank() + pc.Size() - 1) % pc.Size() }, 1, nil),
+		Do(func(pc *PC) { pc.Work(float64(1000 * (pc.Rank() + 1))) }),
+	)
+	spy := &graphSpy{CommAwareLB: loadbalance.CommAwareLB{Alpha: 1}}
+	m := newMachine(t, 4, nil)
+	j, err := NewProgram(m, ranks, Options{}, Seq(ring, Migrate(spy), ring, Migrate(spy)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Run()
+	if !j.Done() {
+		t.Fatal("job hung")
+	}
+	if len(spy.graphs) != 2 {
+		t.Fatalf("spy planned %d times, want 2", len(spy.graphs))
+	}
+	if len(spy.graphs[0]) != ranks {
+		t.Fatalf("gate 1 graph has %d edges, want %d", len(spy.graphs[0]), ranks)
+	}
+	if !slices.Equal(spy.graphs[0], spy.graphs[1]) {
+		t.Errorf("gate 2 graph %v, want gate 1's %v: traffic carried over the LB step", spy.graphs[1], spy.graphs[0])
 	}
 }
 

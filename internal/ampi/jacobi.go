@@ -98,14 +98,6 @@ type JacobiConfig struct {
 	// MsgOverheadNs is Options.MsgOverheadNs.
 	MsgOverheadNs float64
 
-	// Aggregate routes halo sends through comm's streaming
-	// aggregation (Options.Aggregate; ULT mode only). AggPolicy tunes
-	// the flush thresholds, which may not change any rank's virtual
-	// time (the invariance property test runs random policies through
-	// here).
-	Aggregate bool
-	AggPolicy comm.AggPolicy
-
 	// Observe, when set, runs at the very end of each rank's program
 	// with the rank's final cell state — how the cross-process
 	// equivalence harness captures per-rank results without keeping
@@ -347,8 +339,6 @@ func NewJacobiOn(m *core.Machine, cfg JacobiConfig) (*Job, error) {
 		Strategy:       cfg.Strategy,
 		Collectives:    cfg.Collectives,
 		Topo:           cfg.Topo,
-		Aggregate:      cfg.Aggregate,
-		AggPolicy:      cfg.AggPolicy,
 		LocalPUP:       jacobiLocalPUP,
 	}, JacobiProgram(cfg))
 }

@@ -44,7 +44,12 @@ func (j *Job) Rebalance(strategy loadbalance.Strategy) (int, error) {
 		}
 	}
 	moved, err := j.be.commit(moves)
+	// The load database and the comm graph describe one period: both
+	// start over here.
 	j.be.resetLoads()
+	j.mu.Lock()
+	clear(j.traffic)
+	j.mu.Unlock()
 	if err != nil {
 		return moved, fmt.Errorf("ampi: Rebalance: %w", err)
 	}
@@ -81,9 +86,9 @@ func (b ultBE) commit(moves []comm.RangeMove) (int, error) {
 	return b.job.m.MigrateMany(tms)
 }
 
-// CommGraph returns the measured application traffic between ranks
-// as edges keyed by rank identity — the input to communication-aware
-// balancing. Only thread ranks record traffic.
+// CommGraph returns the application traffic measured between ranks
+// since the last LB step, as edges keyed by rank identity — the input
+// to communication-aware balancing. Only thread ranks record traffic.
 func (j *Job) CommGraph() []loadbalance.Edge {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -106,35 +106,6 @@ func TestMigrationEquivalence(t *testing.T) {
 	}
 }
 
-// TestGateFlushesAggregation: the LB gate is a block like any other,
-// so a rank parking there must first flush its PE's coalesced sends.
-// Rank 0's only message is still buffered when it reaches the gate;
-// unflushed, rank 1 waits for it forever and the gate never fills.
-func TestGateFlushesAggregation(t *testing.T) {
-	prog := Seq(
-		Do(func(pc *PC) {
-			if pc.Rank() == 0 {
-				pc.Send(1, 1, []byte{7})
-			}
-		}),
-		RecvEach(func(pc *PC) []int {
-			if pc.Rank() == 0 {
-				return nil
-			}
-			return []int{0}
-		}, 1, nil),
-	)
-	m := newMachine(t, 2, nil)
-	job, err := NewProgram(m, 2, Options{Aggregate: true}, Seq(prog, Migrate(loadbalance.GreedyLB{})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	job.Run()
-	if !job.Done() {
-		t.Fatal("a send buffered behind the LB gate was never flushed")
-	}
-}
-
 // TestPELoadsSameOnBothBackends: at a Migrate gate the measured load
 // per PE is what the balancer plans over, and it is the same on both
 // backends. A thread rank adds each Work to its CPU time in the order

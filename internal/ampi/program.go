@@ -521,13 +521,10 @@ func (mp migrateProc) step(pc *PC, f *frame) (Proc, bool) {
 	if f.i == 0 {
 		// The rank parks here, its Migrate frame on top of its stack (the
 		// record analogue of a thread suspending in MPI_Migrate), until
-		// the runtime resumes it, possibly on another PE. Coalesced sends
-		// are flushed first: the gate is serviced only once nothing is
-		// left in flight. A gate sends no messages and never touches vt,
-		// so predicted time stays bit-identical with and without
-		// migration.
+		// the runtime resumes it, possibly on another PE. A gate sends no
+		// messages and never touches vt, so predicted time stays
+		// bit-identical with and without migration.
 		f.i = 1
-		pc.job.flush(pc.PE())
 		pc.job.gateArrive(mp.strategy)
 		return nil, false
 	}

@@ -65,9 +65,6 @@ func TestModeValidation(t *testing.T) {
 	if _, err := NewJob(m, 2, Options{Mode: ModeEvent}, func(*Rank) {}); err == nil {
 		t.Fatal("NewJob accepted event mode for a raw func body")
 	}
-	if _, err := NewProgram(m, 2, Options{Mode: ModeEvent, Aggregate: true}, Do(func(*PC) {})); err == nil {
-		t.Fatal("NewProgram accepted event mode with Aggregate")
-	}
 	j, err := NewJob(m, 2, Options{}, func(*Rank) {})
 	if err != nil {
 		t.Fatalf("zero-value Mode: %v", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"migflow/internal/comm"
@@ -11,7 +12,7 @@ import (
 
 // spec is the reference semantics of a point-to-point Proc program: one
 // goroutine interprets every rank's tree in turn, with its own resume
-// points, one FIFO per (src, dst, tag) and DESIGN.md's virtual-time
+// points, one FIFO per (src, dst) and DESIGN.md's virtual-time
 // rules written out rather than taken from PC: Work(ns) adds ns; a send
 // adds MsgOverheadNs, then stamps the message with the sender's time; a
 // receive raises the time to the stamp plus the postal cost Alpha +
@@ -19,14 +20,17 @@ import (
 // run against the PCs of a job that never starts, on one PE, whose
 // backend the spec is: a send only leaves a message in the PE's inbox,
 // and the spec collects the inbox before a Work or a receive moves a
-// clock. Wildcards and collectives are not in this slice.
+// clock. A receive takes the oldest message of its source's FIFO whose
+// tag matches; AnyTag matches every tag ≥ 0. AnySource and collectives
+// are not in this slice: arrival order across senders is not a function
+// of the program.
 type spec struct {
 	backend // the rest of the interface is never called
 	t       *testing.T
 	job     *Job
 	ovh     float64
 	vt      []float64
-	queues  map[[3]int][]*comm.Message // (src, dst, tag) → sends in order
+	queues  map[[2]int][]*comm.Message // (src, dst) → sends in order
 	sent    uint64
 }
 
@@ -37,7 +41,7 @@ func runSpec(t *testing.T, size int, ovh float64, prog Proc) ([]float64, uint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &spec{t: t, job: j, ovh: ovh, vt: make([]float64, size), queues: map[[3]int][]*comm.Message{}}
+	s := &spec{t: t, job: j, ovh: ovh, vt: make([]float64, size), queues: map[[2]int][]*comm.Message{}}
 	j.be = s
 	pcs, stacks := make([]PC, size), make([][]frame, size)
 	for r := range pcs {
@@ -63,7 +67,7 @@ func runSpec(t *testing.T, size int, ovh float64, prog Proc) ([]float64, uint64)
 func (s *spec) collect() {
 	for m := s.job.m.Network().Endpoint(0).Poll(); m != nil; m = s.job.m.Network().Endpoint(0).Poll() {
 		from := s.job.senderOf(m.From)
-		k := [3]int{from, s.job.senderOf(m.To), m.Tag}
+		k := [2]int{from, s.job.senderOf(m.To)}
 		s.vt[from] += s.ovh
 		m.VTime = s.vt[from]
 		s.queues[k] = append(s.queues[k], m)
@@ -79,16 +83,19 @@ func (s *spec) work(pc *PC, ns float64) {
 func (s *spec) pe(*PC) int           { return 0 }
 func (s *spec) usestack(*PC, uint64) {}
 
-// take receives rank r's oldest message from (src, tag), if it has
-// been sent, and applies the receive rule. A wildcard matches nothing.
+// take receives rank r's oldest message from src tagged tag (any tag
+// ≥ 0 for AnyTag), if it has been sent, and applies the receive rule.
 func (s *spec) take(r, src, tag int) ([]byte, bool) {
 	s.collect()
-	k := [3]int{src, r, tag}
-	if len(s.queues[k]) == 0 {
+	k := [2]int{src, r}
+	i := slices.IndexFunc(s.queues[k], func(m *comm.Message) bool {
+		return m.Tag == tag || tag == AnyTag && m.Tag >= 0
+	})
+	if i < 0 {
 		return nil, false
 	}
-	m, lat := s.queues[k][0], s.job.m.Network().Latency()
-	s.queues[k] = s.queues[k][1:]
+	m, lat := s.queues[k][i], s.job.m.Network().Latency()
+	s.queues[k] = slices.Delete(s.queues[k], i, i+1)
 	s.vt[r] = max(s.vt[r], m.VTime+(lat.Alpha+lat.BetaPerByte*float64(len(m.Data)))) + s.ovh
 	return m.Data, true
 }
@@ -160,8 +167,10 @@ func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
 // answers in a Sendrecv (a plain Recv from a) and a takes the answers
 // in one RecvEach; an Isend/Irecv exchange with both neighbours, whose
 // Waitall also holds a completed and a nil request; rank-dependent
-// Work. Payloads are 0 to 41 bytes. Every rank folds what it receives
-// into its state and writes it to sink at the end.
+// Work. In about half the phases every receive names its source but
+// takes AnyTag, so it matches the oldest message from that source.
+// Payloads are 0 to 41 bytes. Every rank folds what it receives into
+// its state and writes it to sink at the end.
 func specMix(seed int64, size int, sink []float64) Proc {
 	rng := rand.New(rand.NewSource(seed))
 	st := func(pc *PC) *mixState { return pc.Local.(*mixState) }
@@ -174,7 +183,13 @@ func specMix(seed int64, size int, sink []float64) Proc {
 	shift := func(pc *PC, d int) int { return ((pc.Rank()+d)%size + size) % size }
 	ps := []Proc{Do(func(pc *PC) { pc.Local = &mixState{x: float64(pc.Rank())} })}
 	for phases := 2 + rng.Intn(8); len(ps) <= phases; {
-		tag, n := rng.Intn(3), []int{0, 8, 16, 17, 33}[rng.Intn(5)]
+		tag, n, wild := rng.Intn(3), []int{0, 8, 16, 17, 33}[rng.Intn(5)], rng.Intn(2) == 0
+		recvTag := func(t int) int {
+			if wild {
+				return AnyTag
+			}
+			return t
+		}
 		switch rng.Intn(4) {
 		case 0:
 			ds := rng.Perm(size)[:1+rng.Intn(min(size, 3))]
@@ -184,7 +199,7 @@ func specMix(seed int64, size int, sink []float64) Proc {
 				}
 			}))
 			for _, k := range rng.Perm(len(ds)) {
-				ps = append(ps, RecvFrom(func(pc *PC) int { return shift(pc, -ds[k]) }, tag, fold))
+				ps = append(ps, RecvFrom(func(pc *PC) int { return shift(pc, -ds[k]) }, recvTag(tag), fold))
 			}
 		case 1:
 			a, srcs := rng.Intn(size), make([][]int, size)
@@ -193,13 +208,13 @@ func specMix(seed int64, size int, sink []float64) Proc {
 				for r := 0; r < size && pc.Rank() == a; r++ {
 					pc.Send(r, tag, payload(pc, n+r))
 				}
-			}), Sendrecv(a, tag+3, func(pc *PC) []byte { return payload(pc, n) }, a, tag, fold),
-				RecvEach(func(pc *PC) []int { return srcs[pc.Rank()] }, tag+3, fold))
+			}), Sendrecv(a, tag+3, func(pc *PC) []byte { return payload(pc, n) }, a, recvTag(tag), fold),
+				RecvEach(func(pc *PC) []int { return srcs[pc.Rank()] }, recvTag(tag+3), fold))
 		case 2:
 			ps = append(ps, Do(func(pc *PC) {
 				sent := pc.Isend(shift(pc, 1), tag, payload(pc, n))
 				pc.Isend(shift(pc, -1), tag+3, payload(pc, n+1))
-				st(pc).reqs = []*Req{pc.Irecv(shift(pc, 1), tag+3), nil, sent, pc.Irecv(shift(pc, -1), tag)}
+				st(pc).reqs = []*Req{pc.Irecv(shift(pc, 1), recvTag(tag+3)), nil, sent, pc.Irecv(shift(pc, -1), recvTag(tag))}
 			}), Waitall(func(pc *PC) []*Req { return st(pc).reqs }), Do(func(pc *PC) {
 				for _, q := range []*Req{st(pc).reqs[0], st(pc).reqs[3]} {
 					fold(pc, q.Data, q.From)

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"migflow/internal/ampi"
-	"migflow/internal/comm"
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
 	"migflow/internal/npb"
@@ -79,8 +78,6 @@ func TestFigure12Golden(t *testing.T) {
 		{"-coll flat", Fig12Config{Coll: ampi.CollFlat}},
 		{"-coll topo -reduce 2", Fig12Config{Coll: ampi.CollTopoTree, ReduceEvery: 2}},
 		{"-overlap -reduce 4", Fig12Config{Overlap: true, ReduceEvery: 4}},
-		{"-agg on", Fig12Config{Aggregate: true}},
-		{"-agg 16:8192", Fig12Config{Aggregate: true, AggPolicy: comm.AggPolicy{MaxPayloads: 16, MaxBytes: 8192}}},
 	}
 	var buf bytes.Buffer
 	for _, c := range configs {
@@ -91,10 +88,10 @@ func TestFigure12Golden(t *testing.T) {
 		}
 		for _, pr := range pairs {
 			for i, r := range pr {
-				fmt.Fprintf(&buf, "%-8s %-4s time=%016x comm=%016x imb=%016x migbytes=%d moved=%d env=%d aggpay=%d hops=%d\n",
+				fmt.Fprintf(&buf, "%-8s %-4s time=%016x comm=%016x imb=%016x migbytes=%d moved=%d hops=%d\n",
 					r.Params.Label(), [2]string{"noLB", "LB"}[i],
 					math.Float64bits(r.TimeNs), math.Float64bits(r.CommNs), math.Float64bits(r.Imbalance),
-					r.MigratedBytes, r.MovedRanks, r.Envelopes, r.AggPayloads, r.TopoHops)
+					r.MigratedBytes, r.MovedRanks, r.TopoHops)
 			}
 		}
 	}
@@ -118,10 +115,10 @@ func TestBTMZModeGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("btmz -mode %s: %v", mode, err)
 			}
-			fmt.Fprintf(&buf, "%-8s %-4s time=%016x comm=%016x imb=%016x migbytes=%d moved=%d env=%d aggpay=%d hops=%d\n",
+			fmt.Fprintf(&buf, "%-8s %-4s time=%016x comm=%016x imb=%016x migbytes=%d moved=%d hops=%d\n",
 				r.Params.Label(), [2]string{"noLB", "LB"}[i],
 				math.Float64bits(r.TimeNs), math.Float64bits(r.CommNs), math.Float64bits(r.Imbalance),
-				r.MigratedBytes, r.MovedRanks, r.Envelopes, r.AggPayloads, r.TopoHops)
+				r.MigratedBytes, r.MovedRanks, r.TopoHops)
 			fmt.Fprintf(&buf, "  predicted=%016x migrations=%d loads=", math.Float64bits(r.PredictedNs), r.Migrations)
 			for _, l := range r.PELoads {
 				fmt.Fprintf(&buf, " %016x", math.Float64bits(l))

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"migflow/internal/ampi"
-	"migflow/internal/comm"
 	"migflow/internal/converse"
 	"migflow/internal/flows"
 	"migflow/internal/loadbalance"
@@ -223,12 +222,10 @@ func Figure12(w io.Writer, steps int) ([][2]*npb.Result, error) {
 }
 
 // Fig12Config selects the optional mechanisms for a Figure 12 run:
-// collective algorithm, boundary-exchange aggregation, and the
-// measured load balancer for the "LB" column (nil means GreedyLB).
+// collective algorithm, exchange overlap, and the measured load
+// balancer for the "LB" column (nil means GreedyLB).
 type Fig12Config struct {
-	Coll      ampi.CollAlgo
-	Aggregate bool
-	AggPolicy comm.AggPolicy
+	Coll ampi.CollAlgo
 	// LB is the strategy for the balanced column (nil → GreedyLB).
 	LB loadbalance.Strategy
 	// Overlap makes the halo exchange split-phase (Params.Overlap):
@@ -243,8 +240,7 @@ type Fig12Config struct {
 	Topo ampi.Topology
 }
 
-// Figure12With is the fully-configurable Figure 12 driver; aggregated
-// runs report the envelope traffic alongside the timing columns.
+// Figure12With is the fully-configurable Figure 12 driver.
 func Figure12With(w io.Writer, steps int, cfg Fig12Config) ([][2]*npb.Result, error) {
 	strat := cfg.LB
 	if strat == nil {
@@ -255,23 +251,18 @@ func Figure12With(w io.Writer, steps int, cfg Fig12Config) ([][2]*npb.Result, er
 	if cfg.Coll == ampi.CollFlat {
 		mode += ", flat collectives"
 	}
-	if cfg.Aggregate {
-		mode += ", aggregated exchange"
-	}
 	if cfg.Overlap {
 		mode += ", split-phase overlap"
 	}
 	topo := cfg.Topo.Nodes > 0 || cfg.Coll == ampi.CollTopoTree
 	fmt.Fprintf(w, "Figure 12: NAS BT-MZ with and without thread-migration load balancing%s\n", mode)
-	fmt.Fprintf(w, "%-10s %14s %14s %9s %7s %10s", "case", "noLB time(ms)", "LB time(ms)", "speedup", "moved", "envelopes")
+	fmt.Fprintf(w, "%-10s %14s %14s %9s %7s", "case", "noLB time(ms)", "LB time(ms)", "speedup", "moved")
 	if topo {
 		fmt.Fprintf(w, " %7s", "hops")
 	}
 	fmt.Fprintln(w)
 	for _, p := range npb.Cases(steps, nil) {
 		p.Collectives = cfg.Coll
-		p.Aggregate = cfg.Aggregate
-		p.AggPolicy = cfg.AggPolicy
 		p.Overlap = cfg.Overlap
 		p.ReduceEvery = cfg.ReduceEvery
 		p.Topo = cfg.Topo
@@ -285,8 +276,8 @@ func Figure12With(w io.Writer, steps int, cfg Fig12Config) ([][2]*npb.Result, er
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "%-10s %14.2f %14.2f %8.2fx %7d %10d",
-			p.Label(), base.TimeNs/1e6, lb.TimeNs/1e6, base.TimeNs/lb.TimeNs, lb.MovedRanks, lb.Envelopes)
+		fmt.Fprintf(w, "%-10s %14.2f %14.2f %8.2fx %7d",
+			p.Label(), base.TimeNs/1e6, lb.TimeNs/1e6, base.TimeNs/lb.TimeNs, lb.MovedRanks)
 		if topo {
 			fmt.Fprintf(w, " %7d", lb.TopoHops)
 		}

@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"migflow/internal/ampi"
-	"migflow/internal/comm"
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
 	"migflow/internal/swapglobal"
@@ -170,7 +169,7 @@ type Params struct {
 	// ULT ranks without globals, ampi.ModeEvent on continuation
 	// records — what reaches 10^5+ zones: each zone-rank is then a
 	// 137-byte record at the LB gate instead of a stack. Event mode
-	// refuses Trace and Aggregate, which need threads.
+	// refuses Trace, which needs threads.
 	Mode string
 	// LB, when non-nil, triggers MPI_Migrate with this strategy after
 	// the warm-up step.
@@ -200,14 +199,6 @@ type Params struct {
 	// steps (0 = never) — blocking by default, pipelined
 	// (Iallreduce + deferred Wait) with Overlap.
 	ReduceEvery int
-	// Aggregate routes the boundary exchange through comm streaming
-	// aggregation: each rank's halos coalesce per destination PE, so
-	// the modeled per-step exchange pays one Alpha per (rank, dest-PE)
-	// envelope instead of one per message. The solver (busy) component
-	// of TimeNs is unaffected.
-	Aggregate bool
-	// AggPolicy tunes the coalescing buffers (zero value = defaults).
-	AggPolicy comm.AggPolicy
 }
 
 // Label renders the paper's case naming ("A.8,4PE"), suffixed with
@@ -239,10 +230,6 @@ type Result struct {
 	Migrations    uint64
 	MigratedBytes uint64
 	MovedRanks    int
-	// Envelopes/AggPayloads report the streaming-aggregation traffic
-	// (zero unless Params.Aggregate).
-	Envelopes   uint64
-	AggPayloads uint64
 	// TopoHops counts the logical torus hops collective tree edges
 	// crossed (zero unless Params.Topo is set).
 	TopoHops uint64
@@ -260,13 +247,8 @@ func (p Params) normalized() (Params, error) {
 	switch p.Mode {
 	case "", ampi.ModeULT:
 	case ampi.ModeEvent:
-		for _, f := range [...]struct {
-			set  bool
-			name string
-		}{{p.Trace, "Trace"}, {p.Aggregate, "Aggregate"}} {
-			if f.set {
-				return p, fmt.Errorf("npb: %s needs ULT ranks; %q mode does not support it", f.name, p.Mode)
-			}
+		if p.Trace {
+			return p, fmt.Errorf("npb: Trace needs ULT ranks; %q mode does not support it", p.Mode)
 		}
 	default:
 		return p, fmt.Errorf("npb: unknown mode %q (want \"\", %q or %q)", p.Mode, ampi.ModeULT, ampi.ModeEvent)
@@ -326,17 +308,17 @@ func Run(p Params) (*Result, error) {
 	stepComm := run.exchangeNs(p, m.Network().Latency())
 	var total, commTotal float64
 	busy := make([]float64, p.NPEs)
-	for step, pes := range run.workPE {
+	for _, pes := range run.workPE {
 		clear(busy)
 		for r, pe := range pes {
 			busy[pe] += run.myWork[r]
 		}
 		if p.Overlap {
-			total += math.Max(slices.Max(busy), stepComm[step])
+			total += math.Max(slices.Max(busy), stepComm)
 		} else {
-			total += slices.Max(busy) + stepComm[step]
+			total += slices.Max(busy) + stepComm
 		}
-		commTotal += stepComm[step]
+		commTotal += stepComm
 	}
 	// The one-time migration transfers cross the network once, spread
 	// over the PEs.
@@ -356,7 +338,6 @@ func Run(p Params) (*Result, error) {
 			loads[job.PEOf(r)] += w
 		}
 	}
-	stats := m.Network().Snapshot()
 	return &Result{
 		Params:        p,
 		TimeNs:        total,
@@ -367,8 +348,6 @@ func Run(p Params) (*Result, error) {
 		Migrations:    migs,
 		MigratedBytes: migBytes,
 		MovedRanks:    job.LBMoved(),
-		Envelopes:     stats.Envelopes,
-		AggPayloads:   stats.AggPayloads,
 		TopoHops:      m.Network().TopoHops(),
 		Trace:         tlog,
 	}, nil

@@ -82,32 +82,15 @@ func newBTMZRun(p Params) *btmzRun {
 	return run
 }
 
-// exchangeNs is each step's critical-path halo-exchange cost: the worst
-// rank's outbound traffic, one message per halo — or, aggregated, one
-// envelope per destination PE under the placement the step's solves
-// ran on (the gate moves ranks only between steps).
-func (run *btmzRun) exchangeNs(p Params, lat comm.LatencyModel) []float64 {
-	stepComm := make([]float64, p.Steps)
-	perPE := make([]int, p.NPEs)
-	for step, pes := range run.workPE {
-		for _, dests := range run.sendTo {
-			c := float64(len(dests)) * lat.Cost(p.HaloBytes)
-			if p.Aggregate {
-				c = 0
-				for _, dest := range dests {
-					perPE[pes[dest]] += p.HaloBytes
-				}
-				for pe, bytes := range perPE {
-					if bytes > 0 {
-						c += lat.Cost(bytes)
-						perPE[pe] = 0
-					}
-				}
-			}
-			stepComm[step] = max(stepComm[step], c)
-		}
+// exchangeNs is one step's critical-path halo-exchange cost: the worst
+// rank's outbound traffic, one message per halo. Placement never enters
+// it, so every step costs the same.
+func (run *btmzRun) exchangeNs(p Params, lat comm.LatencyModel) float64 {
+	worst := 0
+	for _, dests := range run.sendTo {
+		worst = max(worst, len(dests))
 	}
-	return stepComm
+	return float64(worst) * lat.Cost(p.HaloBytes)
 }
 
 // btmzProgram builds the shared program: every statement is built here,
@@ -247,8 +230,6 @@ func programJob(m *core.Machine, p Params) (*ampi.Job, *btmzRun, error) {
 		BlockPlacement: true,
 		Collectives:    p.Collectives,
 		Topo:           p.Topo,
-		Aggregate:      p.Aggregate,
-		AggPolicy:      p.AggPolicy,
 	}, btmzProgram(p, run, m.Layout() != nil))
 	return job, run, err
 }

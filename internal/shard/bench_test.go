@@ -41,7 +41,7 @@ func spinUntil(pending func() int) {
 // entity 9 registered on PE 2 — the far side — in both directories.
 func benchShards(b *testing.B, netKind string) (n0, n1 *comm.Network, t0, t1 *comm.LinkTransport) {
 	b.Helper()
-	fabs := pairFabrics(b, netKind)
+	fabs := pairFabrics(b, netKind, 0)
 	owner := func(pe int) int { return pe / 2 }
 	var nets [2]*comm.Network
 	var ts [2]*comm.LinkTransport
@@ -88,7 +88,7 @@ func reportWireMetrics(b *testing.B, st comm.SocketStats) {
 // delivery on the far Network before the next send — nothing else is
 // in flight to coalesce with, so one message per wire envelope and one
 // wakeup per message, the anti-coalescing worst case (the lone
-// cross-worker Send ROADMAP item 10 quotes).
+// cross-worker Send that ROADMAP item 10, done, quotes).
 func benchSendCross(b *testing.B, netKind string) {
 	n0, n1, t0, t1 := benchShards(b, netKind)
 	src, dst := n0.Endpoint(0), n1.Endpoint(2)
@@ -168,7 +168,7 @@ func BenchmarkTransportSendCrossStreamShm(b *testing.B) { benchSendCrossStream(b
 // shard.xmigrate_*_us_per_rank is the batched, under-live-traffic
 // picture (512 ranks racing a running Jacobi).
 func benchRecordPingPong(b *testing.B, netKind string) {
-	fabs := pairFabrics(b, netKind)
+	fabs := pairFabrics(b, netKind, 0)
 	// Rank 0 is the shuttle: parked at a plain receive, the only
 	// migratable rank in the job. Ranks 1-3 have nothing to receive
 	// there and park at a Waitall instead (not a plain receive, so

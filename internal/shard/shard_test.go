@@ -8,6 +8,7 @@ package shard
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -374,9 +375,10 @@ func pairConns(tb testing.TB) (net.Conn, net.Conn) {
 }
 
 // pairFabrics builds a two-worker fabric for an in-process run: real
-// unix sockets, or a shared-memory ring mesh on tmpfs (rings on a
-// disk-backed temp dir pay writeback page faults per publish).
-func pairFabrics(tb testing.TB, netKind string) [2]Fabric {
+// unix sockets, or a shared-memory ring mesh of ringBytes rings
+// (0 = comm.DefaultShmRingBytes) on tmpfs (rings on a disk-backed temp
+// dir pay writeback page faults per publish).
+func pairFabrics(tb testing.TB, netKind string, ringBytes int) [2]Fabric {
 	tb.Helper()
 	if netKind == "shm" {
 		dir, err := os.MkdirTemp(comm.ShmDir(), "migflow-test-*")
@@ -384,7 +386,7 @@ func pairFabrics(tb testing.TB, netKind string) [2]Fabric {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { os.RemoveAll(dir) })
-		if err := comm.CreateShmMesh(dir, 2, 0); err != nil {
+		if err := comm.CreateShmMesh(dir, 2, ringBytes); err != nil {
 			tb.Fatal(err)
 		}
 		return [2]Fabric{{Net: "shm", Dir: dir}, {Net: "shm", Dir: dir}}
@@ -399,9 +401,9 @@ func pairFabrics(tb testing.TB, netKind string) [2]Fabric {
 // runPairJacobi drives both shard workers inside this test process
 // over a real fabric (socket or shm rings) — the configuration the
 // race detector can see into, unlike subprocess runs.
-func runPairJacobi(tb testing.TB, spec JacobiSpec, netKind string) [2]*Report {
+func runPairJacobi(tb testing.TB, spec JacobiSpec, netKind string, ringBytes int) [2]*Report {
 	tb.Helper()
-	fabs := pairFabrics(tb, netKind)
+	fabs := pairFabrics(tb, netKind, ringBytes)
 	var reps [2]*Report
 	var errs [2]error
 	var wg sync.WaitGroup
@@ -424,22 +426,52 @@ func runPairJacobi(tb testing.TB, spec JacobiSpec, netKind string) [2]*Report {
 }
 
 // TestInProcessPairEquivalence runs the base sharded protocol (no
-// migration) with both workers in this process under -race.
+// migration) with both workers in this process under -race, over unix
+// sockets and over shm rings of 4 KiB, 16 KiB and the default size. It
+// is the link-sealing property: a link coalesces messages into its open
+// envelope and seals it on a destination-PE change or when the next
+// message would pass the envelope cap, which a 4 KiB ring lowers to
+// 4 KiB. Halos of 8, 1000 and 3000 bytes, each over every fabric, make
+// envelopes seal on size as well as on PE — two 3000-byte halos never share one there —
+// and however the envelopes fall, every rank's VT and output must equal
+// the in-process reference bit for bit.
 func TestInProcessPairEquivalence(t *testing.T) {
-	cfg := ampi.JacobiConfig{
-		Mode: ampi.ModeEvent, Ranks: 32, Iters: 6, PEs: 4,
-		HaloBytes: 8, WorkNs: 900, BlockPlacement: true,
+	for _, fab := range []struct {
+		name, net string
+		ring      int
+	}{
+		{"unix", "unix", 0},
+		{"shm-4k", "shm", 4 << 10},
+		{"shm-16k", "shm", 16 << 10},
+		{"shm-default", "shm", 0},
+	} {
+		for _, halo := range []int{8, 1000, 3000} {
+			cfg := ampi.JacobiConfig{
+				Mode: ampi.ModeEvent, Ranks: 32, Iters: 6, PEs: 4,
+				HaloBytes: halo, WorkNs: 900, BlockPlacement: true,
+			}
+			t.Run(fmt.Sprintf("%s/halo=%d", fab.name, halo), func(t *testing.T) {
+				ref, err := RunJacobiReference(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reps := runPairJacobi(t, JacobiSpec{Cfg: cfg}, fab.net, fab.ring)
+				merged, err := MergeReports(reps[:], cfg.Ranks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareReports(t, ref, merged, cfg.Ranks)
+				if fab.ring == 4<<10 && halo == 3000 {
+					// The cap leaves room for one such halo per envelope.
+					env := reps[0].Net.RemoteEnvelopes + reps[1].Net.RemoteEnvelopes
+					pay := reps[0].Net.RemotePayloads + reps[1].Net.RemotePayloads
+					if pay == 0 || env != pay {
+						t.Errorf("%d envelopes carried %d halos, want one per envelope", env, pay)
+					}
+				}
+			})
+		}
 	}
-	ref, err := RunJacobiReference(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := runPairJacobi(t, JacobiSpec{Cfg: cfg}, "unix")
-	merged, err := MergeReports(reps[:], cfg.Ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareReports(t, ref, merged, cfg.Ranks)
 }
 
 // TestInProcessPairMigration runs the full sharded protocol — both
@@ -456,7 +488,7 @@ func TestInProcessPairMigration(t *testing.T) {
 	}
 	for _, netKind := range []string{"unix", "shm"} {
 		t.Run(netKind, func(t *testing.T) {
-			reps := runPairJacobi(t, JacobiSpec{Cfg: cfg, Migrate: 6}, netKind)
+			reps := runPairJacobi(t, JacobiSpec{Cfg: cfg, Migrate: 6}, netKind, 0)
 			merged, err := MergeReports(reps[:], cfg.Ranks)
 			if err != nil {
 				t.Fatal(err)
