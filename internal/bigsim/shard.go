@@ -26,11 +26,20 @@
 package bigsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"migflow/internal/pup"
 )
+
+// errBadFrame is a peer's step frame this slab refuses: it does not
+// decode, is for another step, or writes outside what the cut allows.
+var errBadFrame = errors.New("bigsim: bad step frame")
+
+// ghostsPerCell is the mail every cell receives per step, one ghost
+// from each torus neighbour.
+const ghostsPerCell = 6
 
 // Shard drives one worker's slab of the simulating machine.
 type Shard struct {
@@ -133,7 +142,10 @@ type aggDelta struct {
 // ones in the same shape; the returned stats are the full machine's,
 // identical on every worker.
 func (sh *Shard) Step(exchange func(out [][]byte) ([][]byte, error)) (StepStats, error) {
-	before := sh.prologue()
+	before, err := sh.prologue()
+	if err != nil {
+		return StepStats{}, err
+	}
 	for pe := sh.peLo; pe < sh.peHi; pe++ {
 		sh.S.runPE(pe)
 	}
@@ -150,8 +162,9 @@ func (sh *Shard) Step(exchange func(out [][]byte) ([][]byte, error)) (StepStats,
 
 // prologue mirrors stepPrologue for the local slab: remote cells'
 // mail/arrival slots and remote PEs' pendings were harvested to zero
-// last step, so the global loops only move local state.
-func (sh *Shard) prologue() (before []float64) {
+// last step, so the global loops only move local state. A local cell
+// without its ghosts means last step's frames were short.
+func (sh *Shard) prologue() (before []float64, err error) {
 	s := sh.S
 	s.stepCross.Store(0)
 	s.stepIntra.Store(0)
@@ -164,8 +177,8 @@ func (sh *Shard) prologue() (before []float64) {
 	if s.byPE[sh.peLo][0].steps > 0 {
 		for pe := sh.peLo; pe < sh.peHi; pe++ {
 			for _, p := range s.byPE[pe] {
-				if n := s.mail[p.id].Load(); n != 6 {
-					panic(fmt.Sprintf("bigsim: cell %d has %d ghosts, want 6", p.id, n))
+				if n := s.mail[p.id].Load(); n != ghostsPerCell {
+					return nil, fmt.Errorf("%w: cell %d has %d ghosts, want %d", errBadFrame, p.id, n, ghostsPerCell)
 				}
 				s.mail[p.id].Store(0)
 			}
@@ -186,7 +199,7 @@ func (sh *Shard) prologue() (before []float64) {
 			}
 		}
 	}
-	return before
+	return before, nil
 }
 
 // harvest drains everything the step wrote across the cut into one
@@ -259,14 +272,17 @@ func (sh *Shard) finish(local shardFrame, in [][]byte) (StepStats, error) {
 		}
 		f, err := decodeFrame(data)
 		if err != nil {
-			return StepStats{}, fmt.Errorf("bigsim: frame from worker %d: %w", w, err)
+			return StepStats{}, fmt.Errorf("%w: from worker %d: %w", errBadFrame, w, err)
 		}
 		if f.step != sh.step {
-			return StepStats{}, fmt.Errorf("bigsim: worker %d is at step %d, this one at %d", w, f.step, sh.step)
+			return StepStats{}, fmt.Errorf("%w: worker %d is at step %d, this one at %d", errBadFrame, w, f.step, sh.step)
 		}
 		for _, c := range f.cells {
-			if int(c.id) >= len(s.store) || !sh.localPE(int(s.store[c.id].simPE)) {
-				return StepStats{}, fmt.Errorf("bigsim: worker %d posted to cell %d, not in this slab", w, c.id)
+			if c.id < 0 || int(c.id) >= len(s.store) || !sh.localPE(int(s.store[c.id].simPE)) {
+				return StepStats{}, fmt.Errorf("%w: worker %d posted to cell %d, not in this slab", errBadFrame, w, c.id)
+			}
+			if c.mail < 0 || c.mail > ghostsPerCell-s.mail[c.id].Load() {
+				return StepStats{}, fmt.Errorf("%w: worker %d posted %d ghosts to cell %d, which holds %d of %d", errBadFrame, w, c.mail, c.id, s.mail[c.id].Load(), ghostsPerCell)
 			}
 			s.mail[c.id].Add(c.mail)
 			atomicMaxFloat(&s.arrNext[c.id], c.arr)
@@ -278,8 +294,8 @@ func (sh *Shard) finish(local shardFrame, in [][]byte) (StepStats, error) {
 			}
 		}
 		for _, a := range f.agg {
-			if int(a.src) >= s.cfg.SimPEs || sh.localPE(int(a.src)) || !sh.localPE(int(a.dst)) {
-				return StepStats{}, fmt.Errorf("bigsim: worker %d sent envelope %d→%d, not across this cut", w, a.src, a.dst)
+			if !s.cfg.Aggregate || a.src < 0 || int(a.src) >= s.cfg.SimPEs || sh.localPE(int(a.src)) || !sh.localPE(int(a.dst)) {
+				return StepStats{}, fmt.Errorf("%w: worker %d sent envelope %d→%d, not across this cut", errBadFrame, w, a.src, a.dst)
 			}
 			s.aggPend[a.src][a.dst] += a.pend
 		}
@@ -414,6 +430,9 @@ func pupCellDelta(p *pup.PUPer, c *cellDelta) error {
 		return err
 	}
 	if p.IsUnpacking() {
+		if id != int64(int32(id)) {
+			return fmt.Errorf("cell id %d beyond int32", id)
+		}
 		c.id = int32(id)
 	}
 	return nil
@@ -431,6 +450,9 @@ func pupAggDelta(p *pup.PUPer, a *aggDelta) error {
 		return err
 	}
 	if p.IsUnpacking() {
+		if src != int64(int32(src)) || dst != int64(int32(dst)) {
+			return fmt.Errorf("envelope %d→%d beyond int32", src, dst)
+		}
 		a.src, a.dst = int32(src), int32(dst)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package bigsim
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -155,4 +156,99 @@ func TestDecodeFrameHostileCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hostileShard is worker 0 of a 4×4×4 machine split over 2 workers,
+// and a cell of its slab.
+func hostileShard(t testing.TB) (*Shard, int32) {
+	t.Helper()
+	sh, err := NewShard(Config{X: 4, Y: 4, Z: 4, SimPEs: 2, Mode: ModeEvent, AtomsPerCell: 4, WorkPerAtomNs: 10, GhostBytes: 64, Aggregate: true}, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh, sh.S.byPE[sh.peLo][0].id
+}
+
+// stepWith runs one Step whose exchange hands back frame as worker 1's.
+func stepWith(sh *Shard, frame []byte) error {
+	_, err := sh.Step(func([][]byte) ([][]byte, error) { return [][]byte{nil, frame}, nil })
+	return err
+}
+
+// packFrame packs a step-0 frame of raw int64 cell entries (id, mail)
+// and envelope entries (src, dst), as a peer could put on the wire.
+func packFrame(t testing.TB, cells, envs [][2]int64) []byte {
+	t.Helper()
+	p := pup.NewGrowPacker()
+	if err := pupFrameHeader(p, &shardFrame{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, list := range [][][2]int64{cells, envs} {
+		n := len(list)
+		if err := p.Int(&n); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range list {
+			v := 1.0
+			if err := errors.Join(p.Int64(&e[0]), p.Int64(&e[1]), p.Float64(&v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return p.PackedBytes()
+}
+
+// TestShardRejectsHostileFrames: a step frame that writes outside the
+// slab is refused by name from Step — a cell id of -1, an id that
+// aliases a local cell once truncated to int32, an envelope from PE
+// -1, and more ghosts than a cell can hold, which the next prologue
+// would otherwise trip over. None may panic.
+func TestShardRejectsHostileFrames(t *testing.T) {
+	_, local := hostileShard(t)
+	for name, frame := range map[string][]byte{
+		"cell -1":         packFrame(t, [][2]int64{{-1, 1}}, nil),
+		"truncated id":    packFrame(t, [][2]int64{{1<<32 + int64(local), 1}}, nil),
+		"envelope src -1": packFrame(t, nil, [][2]int64{{-1, 0}}),
+		"overfilled cell": packFrame(t, [][2]int64{{int64(local), ghostsPerCell + 1}}, nil),
+		"negative mail":   packFrame(t, [][2]int64{{int64(local), -1}}, nil),
+	} {
+		sh, _ := hostileShard(t)
+		if err := stepWith(sh, frame); !errors.Is(err, errBadFrame) {
+			t.Errorf("%s: Step returned %v, want errBadFrame", name, err)
+		}
+	}
+	// A short frame passes its own step and is caught at the next one.
+	sh, _ := hostileShard(t)
+	if err := stepWith(sh, packFrame(t, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := stepWith(sh, packFrame(t, nil, nil)); !errors.Is(err, errBadFrame) {
+		t.Errorf("step after a short frame returned %v, want errBadFrame", err)
+	}
+}
+
+// FuzzBigSimFrame decodes and applies arbitrary bytes as a peer's step
+// frame on a fresh shard, then steps once more: each Step ends in
+// success or errBadFrame, never a panic.
+func FuzzBigSimFrame(f *testing.F) {
+	sh, local := hostileShard(f)
+	f.Add(packFrame(f, nil, nil))
+	f.Add(packFrame(f, [][2]int64{{int64(local), 2}}, [][2]int64{{1, 0}}))
+	f.Add(packFrame(f, [][2]int64{{-1, 1}}, [][2]int64{{-1, 0}}))
+	_, out, err := sh.harvest(make([]float64, sh.peHi-sh.peLo))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(out[1])
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		sh, _ := hostileShard(t)
+		for i := 0; i < 2; i++ {
+			if err := stepWith(sh, frame); err != nil {
+				if !errors.Is(err, errBadFrame) {
+					t.Fatalf("step %d: %v is not errBadFrame", i, err)
+				}
+				return
+			}
+		}
+	})
 }

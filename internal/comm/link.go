@@ -32,10 +32,12 @@
 //   - Close ends every link with a BYE frame, after every frame it
 //     accepted. A reader that has seen BYE takes the hang-up that
 //     follows as the link's orderly end. A hang-up without BYE, a
-//     frame after BYE, or a frame that does not decode is a link fault
-//     and panics — a worker process dying mid-run is a hard error for
-//     now, there is no restart or rebalance protocol. After the local
-//     Close, faults are teardown noise. A write error means the peer
+//     frame after BYE, a frame that does not decode or a control frame
+//     naming another sender than the link's peer is a link fault. It
+//     goes to the fault handler (SetFaultHandler), which the shard
+//     layer makes the run's error; with none, Close returns the first
+//     fault. Nothing panics. After the local Close, faults are
+//     teardown noise. A write error means the peer
 //     is gone, which its reader sees too, and only the reader knows
 //     whether a BYE came first: the writer stops writing and leaves
 //     the verdict to it;
@@ -166,9 +168,8 @@ type LinkTransport struct {
 	closed  atomic.Bool
 	readers sync.WaitGroup
 	stats   linkCounters
-	// onFault replaces the panic of the failure policy (linkFailed);
-	// nil outside tests.
-	onFault func(w int, err error)
+	faults  func(w int, err error) // the fault handler, if set
+	fault   atomic.Pointer[error]  // else the first link fault, for Close
 }
 
 func newLinkTransport(self, workers int, owner func(pe int) int) *LinkTransport {
@@ -188,6 +189,11 @@ func (t *LinkTransport) addLink(w int, l link, limit int) {
 // SetControlHandler installs the control-frame callback (before
 // Start).
 func (t *LinkTransport) SetControlHandler(h ControlHandler) { t.ctrl = h }
+
+// SetFaultHandler installs the callback that receives each link fault
+// before the local Close (before Start): the peer worker's index and
+// what went wrong. It runs on the link's reader goroutine, which exits.
+func (t *LinkTransport) SetFaultHandler(h func(w int, err error)) { t.faults = h }
 
 // Attach shards n onto this transport: PEs [peLo, peHi) are local.
 func (t *LinkTransport) Attach(n *Network, peLo, peHi int) error {
@@ -402,7 +408,7 @@ func (t *LinkTransport) readLoop(w int, l link) {
 		case err == nil:
 			t.stats.framesRecv.Add(1)
 			t.stats.bytesRead.Add(uint64(4 + len(buf)))
-			err = dispatchFrame(t.network, t.ctrl, buf)
+			err = dispatchFrame(t.network, t.ctrl, w, buf)
 			putBuf(buf)
 			if err == nil {
 				continue
@@ -417,9 +423,9 @@ func (t *LinkTransport) readLoop(w int, l link) {
 	}
 }
 
-// dispatchFrame routes one frame (type byte + body): envelopes to
-// DeliverLocal, control frames to the handler.
-func dispatchFrame(network *Network, ctrl ControlHandler, buf []byte) error {
+// dispatchFrame routes one frame (type byte + body) off the link to
+// worker w: envelopes to DeliverLocal, control frames to the handler.
+func dispatchFrame(network *Network, ctrl ControlHandler, w int, buf []byte) error {
 	switch buf[0] {
 	case frameEnvelope:
 		pe, msgs, err := DecodeEnvelope(buf[1:])
@@ -434,10 +440,11 @@ func dispatchFrame(network *Network, ctrl ControlHandler, buf []byte) error {
 		if len(buf) < 9 {
 			return fmt.Errorf("control frame truncated: %d bytes", len(buf))
 		}
-		from := int(binary.LittleEndian.Uint32(buf[1:5]))
-		kind := binary.LittleEndian.Uint32(buf[5:9])
+		if from := binary.LittleEndian.Uint32(buf[1:5]); from != uint32(w) {
+			return fmt.Errorf("control frame from worker %d on the link to worker %d", from, w)
+		}
 		if ctrl != nil {
-			ctrl(from, kind, buf[9:])
+			ctrl(w, binary.LittleEndian.Uint32(buf[5:9]), buf[9:])
 		}
 		return nil
 	default:
@@ -445,17 +452,18 @@ func dispatchFrame(network *Network, ctrl ControlHandler, buf []byte) error {
 	}
 }
 
-// linkFailed enforces the hard-error policy: a link fault before the
-// local Close kills the process.
+// linkFailed hands a link fault before the local Close to the fault
+// handler, or keeps the first one for Close.
 func (t *LinkTransport) linkFailed(w int, err error) {
 	if t.closed.Load() {
 		return // expected teardown noise
 	}
-	if t.onFault != nil {
-		t.onFault(w, err)
+	if t.faults != nil {
+		t.faults(w, err)
 		return
 	}
-	panic(fmt.Sprintf("comm: worker %d: link to worker %d failed: %v", t.self, w, err))
+	err = fmt.Errorf("comm: worker %d: link to worker %d failed: %w", t.self, w, err)
+	t.fault.CompareAndSwap(nil, &err)
 }
 
 // Retire does nothing. Close's BYE frame is what tells a peer that a
@@ -465,7 +473,8 @@ func (t *LinkTransport) Retire() {}
 
 // Close implements Transport: queue BYE behind everything each link
 // accepted, let every writer drain, hang up every link, wait for the
-// readers, then release the links.
+// readers, then release the links. It returns the first link fault
+// when no fault handler took it.
 func (t *LinkTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -490,6 +499,9 @@ func (t *LinkTransport) Close() error {
 		if l != nil {
 			l.release()
 		}
+	}
+	if err := t.fault.Load(); err != nil {
+		return *err
 	}
 	return nil
 }

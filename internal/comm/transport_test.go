@@ -105,19 +105,19 @@ func closeBoth(t0, t1 *LinkTransport) {
 	t1.Close()
 }
 
-// faultLog replaces a transport's failure panic with a record of the
-// faults, so a test can assert on them.
+// faultLog is a transport's fault handler that records the faults, so
+// a test can assert on them.
 type faultLog struct {
 	mu   sync.Mutex
 	errs []error
 }
 
 func (f *faultLog) watch(tr *LinkTransport) {
-	tr.onFault = func(_ int, err error) {
+	tr.SetFaultHandler(func(_ int, err error) {
 		f.mu.Lock()
 		f.errs = append(f.errs, err)
 		f.mu.Unlock()
-	}
+	})
 }
 
 func (f *faultLog) snapshot() []error {

@@ -73,7 +73,9 @@ func (s *cellSink) observe(rank int, c ampi.JacobiCell) {
 
 // report snapshots a worker after its run: owned ranks, counters.
 func (w *Worker) report(cells []RankCell) *Report {
-	rep := &Report{Worker: w.Index, Cells: cells, Moved: w.movedOut.Load()}
+	w.mu.Lock()
+	rep := &Report{Worker: w.Index, Cells: cells, Moved: int64(w.proto.acked)}
+	w.mu.Unlock()
 	for r := 0; r < w.Job.Size(); r++ {
 		if w.Job.ShardOwns(r) {
 			rep.Ranks = append(rep.Ranks, RankVT{Rank: r, Bits: math.Float64bits(w.Job.VT(r))})
@@ -85,7 +87,8 @@ func (w *Worker) report(cells []RankCell) *Report {
 }
 
 // runWorker drives one worker to global termination, racing the
-// optional migration driver, then closes the links and reports.
+// optional migration driver, then closes the links and reports, or
+// returns the run's first error.
 func runWorker(w *Worker, migrate int, sink *cellSink) (*Report, error) {
 	var wg sync.WaitGroup
 	if migrate > 0 && w.Index == 0 && w.Workers > 1 {
@@ -95,7 +98,7 @@ func runWorker(w *Worker, migrate int, sink *cellSink) (*Report, error) {
 			w.MigrateRanks(migrate, 1)
 		}()
 	}
-	w.Run()
+	err := w.Run()
 	wg.Wait()
 	var cells []RankCell
 	if sink != nil {
@@ -104,7 +107,10 @@ func runWorker(w *Worker, migrate int, sink *cellSink) (*Report, error) {
 		sink.mu.Unlock()
 	}
 	rep := w.report(cells)
-	if err := w.Close(); err != nil {
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return rep, nil

@@ -11,6 +11,7 @@ package shard
 // subprocess-spawn noise.
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -160,21 +161,21 @@ func BenchmarkTransportSendCrossStreamShm(b *testing.B) { benchSendCrossStream(b
 // benchRecordPingPong isolates the migration protocol itself: two
 // single-PE workers joined by a real fabric run a one-rank program
 // parked at a plain Recv — the migratable steady state — and the
-// bench shuttles that rank between them with the production
-// MigrateRanks path. Each move is the full chain a mid-run migration
-// pays: extract, record encode, wire frame, install, scheduler wake,
-// re-park, and the ack back. ns/rank-moved here is pure protocol +
+// bench shuttles that rank between them with Worker.move, the move
+// MigrateRanks makes of each rank it picks. Each move is the full
+// chain a mid-run migration pays: extract, record encode, wire frame,
+// install, scheduler wake, re-park, and the ack back. ns/rank-moved here is pure protocol +
 // fabric latency with no application compute charged to it; bench/'s
 // shard.xmigrate_*_us_per_rank is the batched, under-live-traffic
 // picture (512 ranks racing a running Jacobi).
 func benchRecordPingPong(b *testing.B, netKind string) {
 	fabs := pairFabrics(b, netKind, 0)
-	// Rank 0 is the shuttle: parked at a plain receive, the only
-	// migratable rank in the job. Ranks 1-3 have nothing to receive
-	// there and park at a Waitall instead (not a plain receive, so
-	// never migratable) — they keep every worker's job un-done so
-	// MigrateRanks keeps waiting for the shuttle instead of declaring
-	// completion.
+	// Rank 0 is the shuttle, parked at a plain receive. Ranks 1-3
+	// have nothing to receive there and park at a Waitall: they keep
+	// both jobs un-done, so the barrier never trips. They are
+	// migratable too (every blocking point ships), so MigrateRanks
+	// would pick any of them; the bench moves rank 0 by name, once
+	// it is installed where it went.
 	prog := ampi.Seq(
 		ampi.RecvEach(func(pc *ampi.PC) []int {
 			if pc.Rank() == 0 {
@@ -207,27 +208,29 @@ func benchRecordPingPong(b *testing.B, netKind string) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	shuttle := func(from, to int) {
+		spinUntil(func() int {
+			if ws[from].Job.ShardMigratable(0) {
+				return 1
+			}
+			return 0
+		})
+		if !ws[from].move(0, to, nil) {
+			b.Fatalf("move to worker %d failed", to)
+		}
+	}
 	for i := 0; i < b.N; i++ {
-		if ws[0].MigrateRanks(1, 1) != 1 {
-			b.Fatal("forward move failed")
-		}
-		if ws[1].MigrateRanks(1, 0) != 1 {
-			b.Fatal("return move failed")
-		}
+		shuttle(0, 1)
+		shuttle(1, 0)
 	}
 	b.StopTimer()
-	moved := ws[0].movedOut.Load() + ws[1].movedOut.Load()
-	if moved > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/rank-moved")
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/rank-moved")
 	reportWireMetrics(b, ws[0].T.SocketStats())
-	for ws[0].outstanding.Load() != 0 || ws[1].outstanding.Load() != 0 {
-		runtime.Gosched()
+	// The job never finishes (ranks 1-3 wait forever), so the barrier
+	// never trips: end both runs on the failure path.
+	for _, w := range ws {
+		w.end(errors.New("benchmark over"))
 	}
-	if err := ws[0].T.Broadcast(ctrlStop, nil); err != nil {
-		b.Fatal(err)
-	}
-	ws[0].enterStop()
 	wg.Wait()
 	for _, w := range ws {
 		if err := w.Close(); err != nil {

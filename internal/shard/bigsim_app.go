@@ -61,17 +61,25 @@ type BigSimReport struct {
 // channel depth 4 is generous — the step barrier keeps any peer at
 // most one frame ahead. Sends never wait on the receive side (socket
 // links queue, ring links are drained by the readers), so every
-// worker sending before receiving cannot deadlock.
-func ctrlExchange(index, workers int, t comm.ShardTransport) func(out [][]byte) ([][]byte, error) {
+// worker sending before receiving cannot deadlock. A frame of another
+// kind or a link fault fails the exchange.
+func ctrlExchange(index, workers int, t *comm.LinkTransport) func(out [][]byte) ([][]byte, error) {
 	in := make([]chan []byte, workers)
+	errs := make([]error, workers) // handed over with a nil frame
 	for p := range in {
 		in[p] = make(chan []byte, 4)
 	}
 	t.SetControlHandler(func(from int, kind uint32, payload []byte) {
 		if kind != ctrlBlob {
-			panic(fmt.Sprintf("shard: bigsim worker %d: unexpected control kind %d from %d", index, kind, from))
+			errs[from] = fmt.Errorf("%w: bigsim worker %d: control kind %d from worker %d", errProtocol, index, kind, from)
+			in[from] <- nil
+			return
 		}
-		in[from] <- append([]byte(nil), payload...)
+		in[from] <- append([]byte{}, payload...)
+	})
+	t.SetFaultHandler(func(peer int, err error) {
+		errs[peer] = fmt.Errorf("%w: bigsim worker %d: link to worker %d: %v", errPeerLost, index, peer, err)
+		in[peer] <- nil
 	})
 	return func(out [][]byte) ([][]byte, error) {
 		for p := 0; p < workers; p++ {
@@ -87,7 +95,9 @@ func ctrlExchange(index, workers int, t comm.ShardTransport) func(out [][]byte) 
 			if p == index {
 				continue
 			}
-			got[p] = <-in[p]
+			if got[p] = <-in[p]; got[p] == nil {
+				return nil, errs[p]
+			}
 		}
 		return got, nil
 	}

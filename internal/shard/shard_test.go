@@ -7,7 +7,7 @@ package shard
 // live socket mid-flight. Worker processes re-enter through TestMain.
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -499,6 +500,74 @@ func TestInProcessPairMigration(t *testing.T) {
 	}
 }
 
+// TestWorkerPeerDeathIsNamedError: a worker pair runs Jacobi over unix
+// sockets and over shm rings, and mid-run worker 1 dies: its run ends
+// and its links hang up without BYE, the way a killed process's do.
+// Worker 0's Run must return errPeerLost naming worker 1 within 5 s,
+// not hang waiting for halos or a DONE report that will never come.
+func TestWorkerPeerDeathIsNamedError(t *testing.T) {
+	cfg := ampi.JacobiConfig{
+		Mode: ampi.ModeEvent, Ranks: 32, Iters: 1 << 20, PEs: 4,
+		HaloBytes: 8, WorkNs: 900, BlockPlacement: true,
+	}
+	for _, netKind := range []string{"unix", "shm"} {
+		t.Run(netKind, func(t *testing.T) {
+			fabs := pairFabrics(t, netKind, 0)
+			var ws [2]*Worker
+			for i := range ws {
+				w, err := NewWorker(i, 2, cfg.PEs, fabs[i], func(m *core.Machine) (*ampi.Job, error) {
+					return ampi.NewJacobiOn(m, cfg)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ws[i] = w
+			}
+			var errs [2]chan error
+			for i, w := range ws {
+				errs[i] = make(chan error, 1)
+				go func(w *Worker, errs chan error) { errs <- w.Run() }(w, errs[i])
+			}
+			for ws[0].M.Network().Snapshot().RemoteEnvelopes == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			ws[1].end(errors.New("killed"))
+			<-errs[1]
+			if netKind == "shm" {
+				// The OS closing a dead writer's side of the ring.
+				f, err := os.OpenFile(comm.ShmRingPath(fabs[1].Dir, 1, 0), os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = f.WriteAt([]byte{1, 0, 0, 0}, 192) // wclosed: comm/shm.go's ring layout
+				f.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				fabs[1].Conns[0].Close()
+			}
+			select {
+			case err := <-errs[0]:
+				if !errors.Is(err, errPeerLost) || !strings.Contains(err.Error(), "link to worker 1") {
+					t.Fatalf("survivor's Run returned %v, want errPeerLost naming worker 1", err)
+				}
+				t.Log(err)
+			case <-time.After(5 * time.Second):
+				t.Fatal("survivor still running 5 s after its peer died")
+			}
+			for _, w := range ws {
+				w.Close()
+			}
+		})
+	}
+}
+
+// end stops w's run with err, as a link fault would.
+func (w *Worker) end(err error) {
+	w.step(func(p *protocol) []ctrlFrame { p.fail(err, "run ended"); return nil })
+}
+
 // TestShardedRejectsULT: sharded machines support event mode only —
 // ULT stacks hold raw pointers no wire codec can ship.
 func TestShardedRejectsULT(t *testing.T) {
@@ -532,43 +601,20 @@ func meshConns(tb testing.TB, n int) []map[int]net.Conn {
 	return conns
 }
 
-// delayedRecordMigrate extracts one specific rank and ships it to
-// toWorker, but holds the record back for delay after the directory
-// has flipped and the MOVED notices have gone out. That manufactures
-// the first-migration race window on purpose: while the record sits
-// here, the source's own re-routed sends and any third party's
-// direct sends reach the destination before ShardInstall, with the
-// destination's migEpoch still zero. Bookkeeping mirrors
-// MigrateRanks so the termination barrier stays sound.
+// delayedRecordMigrate moves one specific rank to toWorker, but holds
+// the record back for delay after the directory has flipped and the
+// MOVED notices have gone out. That manufactures the first-migration
+// race window on purpose: while the record sits here, the source's own
+// re-routed sends and any third party's direct sends reach the
+// destination before ShardInstall, with the destination's migEpoch
+// still zero. The move is the Worker's own, so the termination
+// barrier counts it.
 func delayedRecordMigrate(w *Worker, rank, toWorker int, delay time.Duration) bool {
-	toPE := Cut(w.NumPEs, w.Workers, toWorker)
-	for !w.stop.Load() && !w.Job.Done() {
-		if !w.Job.ShardMigratable(rank) {
-			runtime.Gosched()
-			continue
+	for !w.Job.Done() && !w.ended.Load() {
+		if w.Job.ShardMigratable(rank) && w.move(rank, toWorker, func() { time.Sleep(delay) }) {
+			return true
 		}
-		w.outstanding.Add(1)
-		data, err := w.Job.ShardExtract(rank, toPE)
-		if err != nil {
-			w.outstanding.Add(-1)
-			continue // raced a resume; rank will park again
-		}
-		var mv [8]byte
-		binary.LittleEndian.PutUint32(mv[:], uint32(rank))
-		binary.LittleEndian.PutUint32(mv[4:], uint32(toPE))
-		for p := 0; p < w.Workers; p++ {
-			if p != w.Index && p != toWorker {
-				if err := w.T.SendControl(p, ctrlMoved, mv[:]); err != nil {
-					panic(err)
-				}
-			}
-		}
-		time.Sleep(delay)
-		if err := w.T.SendControl(toWorker, ctrlRecord, data); err != nil {
-			panic(err)
-		}
-		w.movedOut.Add(1)
-		return true
+		runtime.Gosched()
 	}
 	return false
 }

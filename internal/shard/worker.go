@@ -11,18 +11,28 @@
 // makes a 2-process run's per-rank VT bitwise equal to the in-process
 // run the equivalence suite compares against.
 //
-// Termination is the classic counting barrier adapted to migration:
-// worker 0 coordinates. A worker reports DONE (with its install and
-// acked-extract counters) whenever it is locally done — no unfinished
-// local ranks, no extract awaiting its destination's ack — and the
-// counters changed since its last report. The coordinator stops the
-// run when every worker's latest report says done AND the global sum
-// of installed records equals the global sum of acknowledged
-// extracts: a record in flight (extracted but not yet installed, or
-// installed but its rank still running) always leaves either the
-// sums unequal or some worker un-done, so the barrier cannot trip
-// while any rank is alive or in transit. Worker failure remains a
-// hard error (transport policy): there is no restart or rebalance.
+// Termination is a counting barrier adapted to migration, run by
+// worker 0. Its state is one protocol value (protocol.go); Worker
+// feeds it each event under one mutex and sends the frames it returns:
+//
+//	event                        job call       protocol               frames out
+//	extract begun                ShardExtract   outstanding++          —
+//	  the rank resumed first     —              outstanding--          —
+//	  extracted                  —              —                      MOVED to third workers, RECORD
+//	RECORD arrived               ShardInstall   installs++             ACK
+//	MOVED arrived                ShardNoteMove  —                      —
+//	ACK arrived                  —              outstanding--, acked++ —
+//	job done, outstanding 0      —              last = report          DONE to worker 0 if report changed
+//	                                                                   (worker 0 tallies its own)
+//	DONE arrived (worker 0)      —              peers[from] = report   STOP if all done, Σinstalls = Σacked
+//	STOP arrived from worker 0   —              stopped                —
+//	violation, link/send fault   —              err, the first only    —
+//
+// A rank in flight, extracted but not installed or installed but still
+// running, leaves the sums unequal or some worker not done, so the
+// barrier cannot trip while a rank is alive. The run ends once, at STOP
+// or at the first error, which Run returns: a worker dying mid-run
+// fails every survivor with errPeerLost. There is no restart.
 package shard
 
 import (
@@ -61,8 +71,8 @@ func OwnerOf(numPEs, workers, pe int) int {
 }
 
 // Worker is one process's share of a sharded job: its machine (local
-// PE range), the job built on it, and the fabric transport (sockets
-// or shared-memory rings) plus termination-protocol state.
+// PE range), the job built on it, the fabric transport (sockets or
+// shared-memory rings) and the termination protocol.
 type Worker struct {
 	Index   int
 	Workers int
@@ -71,22 +81,9 @@ type Worker struct {
 	Job     *ampi.Job
 	T       comm.ShardTransport
 
-	installs    atomic.Uint64 // records installed into this worker
-	acked       atomic.Uint64 // this worker's extracts acknowledged
-	outstanding atomic.Int64  // extracts shipped, ack pending
-	movedOut    atomic.Int64
-
-	stop atomic.Bool
-
-	repMu    sync.Mutex
-	lastRep  [2]uint64
-	reported bool
-
-	// Coordinator state (worker 0 only): the latest report per worker.
-	coordMu   sync.Mutex
-	peerDone  []bool
-	peerInst  []uint64
-	peerExtra []uint64
+	mu    sync.Mutex
+	proto protocol
+	ended atomic.Bool // proto.ended(), for the lock-free idle path
 }
 
 // fabricTransport builds the transport over the links the fabric
@@ -132,12 +129,11 @@ func NewWorker(index, workers, numPEs int, fab Fabric, build func(*core.Machine)
 		t.Close()
 		return nil, err
 	}
-	w := &Worker{
-		Index: index, Workers: workers, NumPEs: numPEs,
-		M: m, Job: job, T: t,
-		peerDone: make([]bool, workers), peerInst: make([]uint64, workers), peerExtra: make([]uint64, workers),
-	}
+	w := &Worker{Index: index, Workers: workers, NumPEs: numPEs, M: m, Job: job, T: t, proto: newProtocol(index, workers)}
 	t.SetControlHandler(w.control)
+	t.SetFaultHandler(func(peer int, err error) {
+		w.step(func(p *protocol) []ctrlFrame { p.linkFault(peer, err); return nil })
+	})
 	if err := t.Start(); err != nil {
 		t.Close()
 		return nil, err
@@ -145,109 +141,60 @@ func NewWorker(index, workers, numPEs int, fab Fabric, build func(*core.Machine)
 	return w, nil
 }
 
-// control dispatches shard-protocol frames; it runs on transport
-// reader goroutines. Protocol violations are hard errors, matching
-// the transport's failure policy.
-func (w *Worker) control(from int, kind uint32, payload []byte) {
-	switch kind {
-	case ctrlRecord:
-		if _, err := w.Job.ShardInstall(payload); err != nil {
-			panic(fmt.Sprintf("shard: worker %d: installing record from worker %d: %v", w.Index, from, err))
+// step runs one protocol event and sends the frames it returns, both
+// under the lock, so frames leave in the order they were decided: two
+// reports sent out of order would leave worker 0 holding the older.
+func (w *Worker) step(event func(p *protocol) []ctrlFrame) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, f := range event(&w.proto) {
+		if err := w.T.SendControl(f.to, f.kind, f.payload); err != nil {
+			w.proto.linkFault(f.to, err)
 		}
-		w.installs.Add(1)
-		if err := w.T.SendControl(from, ctrlAck, nil); err != nil {
-			panic(fmt.Sprintf("shard: worker %d: ack to %d: %v", w.Index, from, err))
-		}
+	}
+	if w.proto.ended() && !w.ended.Swap(true) {
 		w.M.Wake()
-	case ctrlMoved:
-		if len(payload) < 8 {
-			panic(fmt.Sprintf("shard: worker %d: short MOVED frame (%d bytes)", w.Index, len(payload)))
-		}
-		rank := int(binary.LittleEndian.Uint32(payload))
-		toPE := int(binary.LittleEndian.Uint32(payload[4:]))
-		if err := w.Job.ShardNoteMove(rank, toPE); err != nil {
-			panic(fmt.Sprintf("shard: worker %d: MOVED(%d→%d): %v", w.Index, rank, toPE, err))
-		}
-	case ctrlAck:
-		w.acked.Add(1)
-		w.outstanding.Add(-1)
-		w.M.Wake()
-	case ctrlDoneReport:
-		if len(payload) < 16 {
-			panic(fmt.Sprintf("shard: worker %d: short DONE frame (%d bytes)", w.Index, len(payload)))
-		}
-		w.noteDone(from, binary.LittleEndian.Uint64(payload), binary.LittleEndian.Uint64(payload[8:]))
-	case ctrlStop:
-		w.enterStop()
-	default:
-		panic(fmt.Sprintf("shard: worker %d: unknown control kind %d from worker %d", w.Index, kind, from))
 	}
 }
 
-// enterStop marks global termination. Peers that stop first and hang
-// up are no fault: their links end with BYE.
-func (w *Worker) enterStop() {
-	w.stop.Store(true)
+// control is a control frame's event; it runs on transport reader
+// goroutines. A RECORD or MOVED the job refuses ends the run.
+func (w *Worker) control(from int, kind uint32, payload []byte) {
+	var err error
+	switch {
+	case kind == ctrlRecord:
+		_, err = w.Job.ShardInstall(payload)
+	case kind == ctrlMoved && len(payload) == 8:
+		err = w.Job.ShardNoteMove(int(binary.LittleEndian.Uint32(payload)), int(binary.LittleEndian.Uint32(payload[4:])))
+	}
+	w.step(func(p *protocol) []ctrlFrame {
+		if err != nil {
+			p.fail(errProtocol, "control kind %d from worker %d: %v", kind, from, err)
+		}
+		frames, _ := p.arrived(from, kind, payload)
+		return frames
+	})
 	w.M.Wake()
 }
 
-// noteDone is the coordinator's half of the barrier (worker 0; its
-// own reports come here directly).
-func (w *Worker) noteDone(from int, installs, extracts uint64) {
-	w.coordMu.Lock()
-	w.peerDone[from] = true
-	w.peerInst[from] = installs
-	w.peerExtra[from] = extracts
-	allDone, sumInst, sumExtra := true, uint64(0), uint64(0)
-	for i := range w.peerDone {
-		if !w.peerDone[i] {
-			allDone = false
-			break
-		}
-		sumInst += w.peerInst[i]
-		sumExtra += w.peerExtra[i]
-	}
-	w.coordMu.Unlock()
-	if allDone && sumInst == sumExtra && !w.stop.Load() {
-		if err := w.T.Broadcast(ctrlStop, nil); err != nil {
-			panic(fmt.Sprintf("shard: coordinator: broadcasting stop: %v", err))
-		}
-		w.enterStop()
-	}
-}
-
-// doneCheck is the RunParallel completion callback: report local
-// doneness (when it or the counters changed), return global stop.
+// doneCheck is the RunParallel completion callback. While the job runs
+// it takes no lock.
 func (w *Worker) doneCheck() bool {
-	if w.Job.Done() && w.outstanding.Load() == 0 {
-		rep := [2]uint64{w.installs.Load(), w.acked.Load()}
-		w.repMu.Lock()
-		fresh := !w.reported || rep != w.lastRep
-		if fresh {
-			w.reported, w.lastRep = true, rep
-		}
-		w.repMu.Unlock()
-		if fresh {
-			if w.Index == 0 {
-				w.noteDone(0, rep[0], rep[1])
-			} else {
-				var buf [16]byte
-				binary.LittleEndian.PutUint64(buf[:], rep[0])
-				binary.LittleEndian.PutUint64(buf[8:], rep[1])
-				if err := w.T.SendControl(0, ctrlDoneReport, buf[:]); err != nil {
-					panic(fmt.Sprintf("shard: worker %d: DONE report: %v", w.Index, err))
-				}
-			}
-		}
+	if w.Job.Done() && !w.ended.Load() {
+		w.step(func(p *protocol) []ctrlFrame { return p.localDone() })
 	}
-	return w.stop.Load()
+	return w.ended.Load()
 }
 
-// Run starts the job and drives this worker's PEs until the global
-// termination barrier trips.
-func (w *Worker) Run() {
+// Run starts the job and drives this worker's PEs until the run ends:
+// nil at the termination barrier, else the first protocol violation,
+// link fault or send error.
+func (w *Worker) Run() error {
 	w.Job.Start()
 	w.M.RunParallel(w.doneCheck)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.proto.err
 }
 
 // Close flushes and tears the links down. Call after Run on every
@@ -265,46 +212,21 @@ const (
 // MigrateRanks extracts up to n local ranks (whichever are parked at
 // a plain Recv when scanned) and ships them to toWorker's first PE,
 // mid-run, concurrently with the job. Returns the count actually
-// moved; it stops early if the job completes first. Safe to call from
-// a goroutine racing Run — that is the point.
+// moved; it stops early if the run ends or the job completes first.
+// Safe to call from a goroutine racing Run — that is the point.
 func (w *Worker) MigrateRanks(n, toWorker int) int {
 	if toWorker == w.Index || toWorker < 0 || toWorker >= w.Workers {
 		return 0
 	}
-	toPE := Cut(w.NumPEs, w.Workers, toWorker)
 	moved := 0
 	idle := comm.NewBackoff(migSpinYields, migYieldSpins)
-	for moved < n && !w.stop.Load() && !w.Job.Done() {
+	for moved < n && !w.ended.Load() && !w.Job.Done() {
 		progressed := false
 		for r := 0; r < w.Job.Size() && moved < n; r++ {
-			if !w.Job.ShardMigratable(r) {
-				continue
+			if w.Job.ShardMigratable(r) && w.move(r, toWorker, nil) {
+				moved++
+				progressed = true
 			}
-			// The outstanding count must cover the extract itself:
-			// ShardExtract drops the job's remaining counter, and a
-			// done-report in the gap between that drop and the count
-			// bump could trip the barrier with the record unsent.
-			w.outstanding.Add(1)
-			data, err := w.Job.ShardExtract(r, toPE)
-			if err != nil {
-				w.outstanding.Add(-1)
-				continue // raced a resume; try the next rank
-			}
-			var mv [8]byte
-			binary.LittleEndian.PutUint32(mv[:], uint32(r))
-			binary.LittleEndian.PutUint32(mv[4:], uint32(toPE))
-			for p := 0; p < w.Workers; p++ {
-				if p != w.Index && p != toWorker {
-					if err := w.T.SendControl(p, ctrlMoved, mv[:]); err != nil {
-						panic(fmt.Sprintf("shard: worker %d: MOVED to %d: %v", w.Index, p, err))
-					}
-				}
-			}
-			if err := w.T.SendControl(toWorker, ctrlRecord, data); err != nil {
-				panic(fmt.Sprintf("shard: worker %d: record to %d: %v", w.Index, toWorker, err))
-			}
-			moved++
-			progressed = true
 		}
 		if progressed {
 			idle.Reset()
@@ -312,6 +234,28 @@ func (w *Worker) MigrateRanks(n, toWorker int) int {
 			idle.Wait()
 		}
 	}
-	w.movedOut.Add(int64(moved))
 	return moved
+}
+
+// move ships rank r to toWorker's first PE; hold, if not nil, runs
+// between the MOVED notices and the RECORD. It reports whether the
+// rank left: not if it resumed first or the run ended.
+func (w *Worker) move(r, toWorker int, hold func()) bool {
+	toPE := Cut(w.NumPEs, w.Workers, toWorker)
+	w.step(func(p *protocol) []ctrlFrame { p.extractBegun(); return nil })
+	data, err := w.Job.ShardExtract(r, toPE)
+	if err != nil {
+		w.step(func(p *protocol) []ctrlFrame { p.extractAborted(); return nil })
+		return false
+	}
+	var frames []ctrlFrame // the MOVED notices, then the RECORD
+	w.step(func(p *protocol) []ctrlFrame {
+		frames = p.extractShipped(toWorker, r, toPE, data)
+		return frames[:max(len(frames)-1, 0)]
+	})
+	if hold != nil {
+		hold()
+	}
+	w.step(func(*protocol) []ctrlFrame { return frames[max(len(frames)-1, 0):] })
+	return len(frames) > 0
 }
