@@ -35,9 +35,6 @@ var deletedRefs = map[string]string{
 	"btmz -agg":                  "PR 42",
 	"npb.BenchmarkBTMZExchange":  "PR 42",
 	"Options.Aggregate":          "PR 42",
-	"Worker.enterStop":           "PR 43",
-	"Worker.noteDone":            "PR 43",
-	"LinkTransport.onFault":      "PR 43",
 }
 
 // symbolRef matches pkg.Name, pkg.Type.Member and Type.Member; the

@@ -30,17 +30,17 @@
 //   - two workers closing concurrently cannot deadlock: Close hangs up
 //     every link before it waits for any reader;
 //   - Close ends every link with a BYE frame, after every frame it
-//     accepted. A reader that has seen BYE takes the hang-up that
-//     follows as the link's orderly end. A hang-up without BYE, a
-//     frame after BYE, a frame that does not decode or a control frame
-//     naming another sender than the link's peer is a link fault. It
-//     goes to the fault handler (SetFaultHandler), which the shard
-//     layer makes the run's error; with none, Close returns the first
-//     fault. Nothing panics. After the local Close, faults are
-//     teardown noise. A write error means the peer
-//     is gone, which its reader sees too, and only the reader knows
-//     whether a BYE came first: the writer stops writing and leaves
-//     the verdict to it;
+//     accepted; Abort hangs up without one. A reader that has seen BYE
+//     takes the hang-up that follows as the link's orderly end. A
+//     hang-up without BYE, a frame after BYE, a frame that does not
+//     decode or a control frame naming another sender than the link's
+//     peer is a link fault. It goes to the fault handler
+//     (SetFaultHandler), which the shard layer makes the run's error;
+//     with none, Close returns the first fault. Nothing panics. After
+//     the local Close, faults are teardown noise. A write error means
+//     the peer is gone, which its reader sees too, and only the reader
+//     knows whether a BYE came first: the writer stops writing and
+//     leaves the verdict to it;
 //   - a transport never attached to a Network is control-only: it
 //     carries SendControl/Broadcast, Deliver on it is an error, and an
 //     envelope frame arriving on it is a link fault.
@@ -475,7 +475,14 @@ func (t *LinkTransport) Retire() {}
 // accepted, let every writer drain, hang up every link, wait for the
 // readers, then release the links. It returns the first link fault
 // when no fault handler took it.
-func (t *LinkTransport) Close() error {
+func (t *LinkTransport) Close() error { return t.hangUp(true) }
+
+// Abort is Close without the BYE: every peer takes the hang-up for a
+// link fault, as it would this process's death. A worker whose run
+// failed ends with it, so no peer waits on it.
+func (t *LinkTransport) Abort() error { return t.hangUp(false) }
+
+func (t *LinkTransport) hangUp(bye bool) error {
 	if t.closed.Swap(true) {
 		return nil
 	}
@@ -484,7 +491,9 @@ func (t *LinkTransport) Close() error {
 			l.mu.Lock()
 			l.closed = true
 			t.seal(l)
-			l.q = append(l.q, append(appendU32(getBuf(5), 1), frameBye))
+			if bye {
+				l.q = append(l.q, append(appendU32(getBuf(5), 1), frameBye))
+			}
 			t.wake(l)
 		}
 	}

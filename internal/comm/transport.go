@@ -46,8 +46,7 @@ type Transport interface {
 // ShardTransport is the full surface a multi-process worker needs
 // from its fabric: envelope delivery (Transport) plus the control
 // plane and lifecycle. LinkTransport (link.go) is the implementation,
-// over socket or shared-memory links; shard.Worker holds one of
-// these, so a run picks its fabric at rendezvous time.
+// over socket or shared-memory links.
 type ShardTransport interface {
 	Transport
 	Attach(n *Network, peLo, peHi int) error

@@ -751,6 +751,36 @@ func peerDied(t *testing.T, f fabric, partial []byte, want string) {
 	}
 }
 
+// TestAbortIsAPeerFault: Abort flushes every frame it accepted, then
+// hangs up without BYE, so the peer takes a link fault, as it would
+// the process's death.
+func TestAbortIsAPeerFault(t *testing.T) {
+	for _, f := range fabrics {
+		t.Run(f.name, func(t *testing.T) {
+			t0, t1 := f.pair(t, nil)
+			t.Cleanup(func() { closeBoth(t0, t1) })
+			var log ctrlLog
+			var faults faultLog
+			t0.SetControlHandler(log.handle)
+			faults.watch(t0)
+			startBoth(t, t0, t1)
+			if err := t1.SendControl(0, 9, []byte("last words")); err != nil {
+				t.Fatal(err)
+			}
+			if err := t1.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			t0.readers.Wait()
+			if got := len(log.snapshot()); got != 1 {
+				t.Fatalf("delivered %d of 1 frames before the hang-up", got)
+			}
+			if errs := faults.snapshot(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "without BYE") {
+				t.Fatalf("faults %v, want one hang-up without BYE", errs)
+			}
+		})
+	}
+}
+
 // TestSockLinkReadHostile feeds the socket link's reader forged
 // prefixes and truncated frames: each must be an error, and a forged
 // length must be rejected before any buffer is sized from it.

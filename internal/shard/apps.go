@@ -87,8 +87,7 @@ func (w *Worker) report(cells []RankCell) *Report {
 }
 
 // runWorker drives one worker to global termination, racing the
-// optional migration driver, then closes the links and reports, or
-// returns the run's first error.
+// optional migration driver, then closes the links and reports.
 func runWorker(w *Worker, migrate int, sink *cellSink) (*Report, error) {
 	var wg sync.WaitGroup
 	if migrate > 0 && w.Index == 0 && w.Workers > 1 {
@@ -98,7 +97,7 @@ func runWorker(w *Worker, migrate int, sink *cellSink) (*Report, error) {
 			w.MigrateRanks(migrate, 1)
 		}()
 	}
-	err := w.Run()
+	w.Run() // its error is Close's too
 	wg.Wait()
 	var cells []RankCell
 	if sink != nil {
@@ -107,10 +106,7 @@ func runWorker(w *Worker, migrate int, sink *cellSink) (*Report, error) {
 		sink.mu.Unlock()
 	}
 	rep := w.report(cells)
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := w.Close(); err != nil {
 		return nil, err
 	}
 	return rep, nil

@@ -57,30 +57,38 @@ type BigSimReport struct {
 
 // ctrlExchange builds the all-to-all step-frame exchange over a
 // control-only transport. The handler runs on the per-link reader
-// goroutines with a borrowed payload, so it copies before queueing;
-// channel depth 4 is generous — the step barrier keeps any peer at
-// most one frame ahead. Sends never wait on the receive side (socket
-// links queue, ring links are drained by the readers), so every
-// worker sending before receiving cannot deadlock. A frame of another
-// kind or a link fault fails the exchange.
+// goroutines with a borrowed payload, so it copies before queueing.
+// The step barrier keeps any peer at most one frame ahead, so a fifth
+// queued frame, a frame of another kind or a link fault is the peer's
+// failure: its first error is handed over as a nil frame, in the slot
+// kept for it, and the reader never blocks. Sends never wait on the
+// receive side (socket links queue, ring links are drained by the
+// readers), so every worker sending before receiving cannot deadlock.
 func ctrlExchange(index, workers int, t *comm.LinkTransport) func(out [][]byte) ([][]byte, error) {
 	in := make([]chan []byte, workers)
-	errs := make([]error, workers) // handed over with a nil frame
+	errs := make([]error, workers)
 	for p := range in {
-		in[p] = make(chan []byte, 4)
+		in[p] = make(chan []byte, 5)
+	}
+	// fail and both handlers run on peer p's reader goroutine only.
+	fail := func(p int, kind error, format string, a ...any) {
+		if errs[p] == nil {
+			errs[p] = fmt.Errorf("%w: bigsim worker %d: %s", kind, index, fmt.Sprintf(format, a...))
+			in[p] <- nil
+		}
 	}
 	t.SetControlHandler(func(from int, kind uint32, payload []byte) {
-		if kind != ctrlBlob {
-			errs[from] = fmt.Errorf("%w: bigsim worker %d: control kind %d from worker %d", errProtocol, index, kind, from)
-			in[from] <- nil
-			return
+		switch {
+		case errs[from] != nil:
+		case kind != ctrlBlob:
+			fail(from, errProtocol, "control kind %d from worker %d", kind, from)
+		case len(in[from]) == cap(in[from])-1:
+			fail(from, errProtocol, "worker %d is %d frames ahead", from, cap(in[from]))
+		default:
+			in[from] <- append([]byte{}, payload...)
 		}
-		in[from] <- append([]byte{}, payload...)
 	})
-	t.SetFaultHandler(func(peer int, err error) {
-		errs[peer] = fmt.Errorf("%w: bigsim worker %d: link to worker %d: %v", errPeerLost, index, peer, err)
-		in[peer] <- nil
-	})
+	t.SetFaultHandler(func(peer int, err error) { fail(peer, errPeerLost, "link to worker %d: %v", peer, err) })
 	return func(out [][]byte) ([][]byte, error) {
 		for p := 0; p < workers; p++ {
 			if p == index {
@@ -105,7 +113,7 @@ func ctrlExchange(index, workers int, t *comm.LinkTransport) func(out [][]byte) 
 
 // RunBigSimWorker runs one slab of a sharded BigSim simulation over
 // the worker fabric.
-func RunBigSimWorker(index, workers int, fab Fabric, spec BigSimSpec) (*BigSimReport, error) {
+func RunBigSimWorker(index, workers int, fab Fabric, spec BigSimSpec) (rep *BigSimReport, err error) {
 	if spec.Steps < 1 {
 		return nil, fmt.Errorf("shard: bigsim wants ≥ 1 step, got %d", spec.Steps)
 	}
@@ -117,12 +125,12 @@ func RunBigSimWorker(index, workers int, fab Fabric, spec BigSimSpec) (*BigSimRe
 	if err != nil {
 		return nil, err
 	}
-	defer t.Close()
+	defer func() { err = hangUp(t, err) }()
 	exchange := ctrlExchange(index, workers, t)
 	if err := t.Start(); err != nil {
 		return nil, err
 	}
-	rep := &BigSimReport{Worker: index}
+	rep = &BigSimReport{Worker: index}
 	for s := 0; s < spec.Steps; s++ {
 		st, err := sh.Step(exchange)
 		if err != nil {

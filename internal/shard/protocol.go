@@ -91,23 +91,21 @@ func (p *protocol) extractBegun() { p.outstanding++ }
 func (p *protocol) extractAborted() { p.outstanding-- }
 
 // extractShipped is rank extracted for worker to's first PE toPE: the
-// MOVED notices for every third worker, then the RECORD.
-func (p *protocol) extractShipped(to, rank, toPE int, record []byte) []ctrlFrame {
+// MOVED notices for every third worker, and the RECORD to send after.
+func (p *protocol) extractShipped(to, rank, toPE int, record []byte) (notices, rec []ctrlFrame) {
 	if p.ended() {
-		return nil
+		return nil, nil
 	}
-	var frames []ctrlFrame
 	mv := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(rank)), uint32(toPE))
 	for w := 0; w < p.workers; w++ {
 		if w != p.self && w != to {
-			frames = append(frames, ctrlFrame{to: w, kind: ctrlMoved, payload: mv})
+			notices = append(notices, ctrlFrame{to: w, kind: ctrlMoved, payload: mv})
 		}
 	}
-	return append(frames, ctrlFrame{to: to, kind: ctrlRecord, payload: record})
+	return notices, []ctrlFrame{{to: to, kind: ctrlRecord, payload: record}}
 }
 
-// localDone is the job seen done: with no extract outstanding, report
-// the counters if they changed since the last report.
+// localDone is the job seen done.
 func (p *protocol) localDone() []ctrlFrame {
 	rep := report{true, p.installs, p.acked}
 	if p.ended() || p.outstanding != 0 || rep == p.last {
@@ -121,9 +119,7 @@ func (p *protocol) localDone() []ctrlFrame {
 	return []ctrlFrame{{to: 0, kind: ctrlDoneReport, payload: payload}}
 }
 
-// tally is the barrier: keep from's report, and stop everyone when
-// every worker's latest says done and the installs sum to the acked
-// extracts.
+// tally is worker 0's barrier over from's new report.
 func (p *protocol) tally(from int, rep report) []ctrlFrame {
 	p.peers[from] = rep
 	var installs, acked uint64

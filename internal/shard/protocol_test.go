@@ -6,10 +6,13 @@ package shard
 // shipped) and the control frames in flight on each ordered worker
 // pair's FIFO link. From each world every enabled event is taken in
 // turn — a rank finishes, a worker begins an extract or ships one, a
-// worker sees its job done, the head frame of a link arrives, a worker
-// holding a live rank dies and hangs up without BYE — breadth first,
-// with every world visited once. Invariants are checked at every
-// world, and a violation prints the shortest event trace reaching it.
+// worker sees its job done, the head frame of a link arrives — breadth
+// first, with every world visited once. One worker may fail on its
+// own: it dies holding a live rank, or its job refuses a RECORD. A
+// worker whose run failed, that one or a survivor the failure reached,
+// closes without BYE, as Worker.Close does, so its peers see a
+// hang-up. Invariants are checked at every world, and a violation
+// prints the shortest event trace reaching it.
 
 import (
 	"errors"
@@ -19,7 +22,7 @@ import (
 )
 
 // wire is one entry of a link: a control frame, or the hang-up of a
-// dead worker, after every frame it sent.
+// dead or failed worker, after every frame it sent.
 type wire struct {
 	kind    uint32
 	payload []byte
@@ -27,18 +30,19 @@ type wire struct {
 }
 
 type world struct {
-	n      int
-	p      []protocol
-	local  []int   // unfinished ranks in each worker's job
-	held   [][]int // per worker: destinations of records extracted, not shipped
-	links  [][]wire
-	left   int  // extracts the run may still begin
-	mayDie bool // one worker may die
-	dead   int  // the worker that died, -1 if none
+	n       int
+	p       []protocol
+	local   []int   // unfinished ranks in each worker's job
+	held    [][]int // per worker: destinations of records extracted, not shipped
+	links   [][]wire
+	left    int  // extracts the run may still begin
+	mayFail bool // one worker may fail on its own
+	failed  int  // the worker that did, -1 if none
+	closed  int  // bit i: worker i has hung up without BYE
 }
 
-func newWorld(n, extracts int, mayDie bool) *world {
-	w := &world{n: n, local: make([]int, n), held: make([][]int, n), links: make([][]wire, n*n), left: extracts, mayDie: mayDie, dead: -1}
+func newWorld(n, extracts int, mayFail bool) *world {
+	w := &world{n: n, local: make([]int, n), held: make([][]int, n), links: make([][]wire, n*n), left: extracts, mayFail: mayFail, failed: -1}
 	for i := 0; i < n; i++ {
 		w.p = append(w.p, newProtocol(i, n))
 		w.local[i] = 1
@@ -67,7 +71,7 @@ func (w *world) clone() *world {
 // key encodes a world for the visited set. Every count it holds is
 // below 256 on the configurations explored.
 func (w *world) key() string {
-	b := []byte{byte(w.left), byte(w.dead + 1)}
+	b := []byte{byte(w.left), byte(w.failed + 1), byte(w.closed)}
 	rep := func(r report) { b = append(b, bool2byte(r.done), byte(r.installs), byte(r.acked)) }
 	for i, p := range w.p {
 		b = append(b, byte(p.installs), byte(p.acked), byte(p.outstanding), bool2byte(p.stopped), bool2byte(p.err != nil), byte(w.local[i]))
@@ -97,17 +101,32 @@ func bool2byte(v bool) byte {
 	return 0
 }
 
-// send queues frames from worker from; a dead worker's are lost.
+// send queues frames from worker from; a closed worker's are lost.
 func (w *world) send(from int, frames []ctrlFrame) {
 	for _, f := range frames {
-		if f.to != w.dead {
+		if !w.isClosed(f.to) {
 			w.links[from*w.n+f.to] = append(w.links[from*w.n+f.to], wire{kind: f.kind, payload: f.payload})
 		}
 	}
 }
 
-// live reports whether worker i takes events: not dead, run not ended.
-func (w *world) live(i int) bool { return i != w.dead && !w.p[i].ended() }
+func (w *world) isClosed(i int) bool { return w.closed&(1<<i) != 0 }
+
+// live reports whether worker i takes events: not closed, run not
+// ended.
+func (w *world) live(i int) bool { return !w.isClosed(i) && !w.p[i].ended() }
+
+// hangUp closes worker i without BYE: what it was sent is lost, and
+// every open peer's link from it ends in a hang-up.
+func (w *world) hangUp(i int) {
+	w.closed |= 1 << i
+	for k := 0; k < w.n; k++ {
+		w.links[k*w.n+i] = nil
+		if !w.isClosed(k) {
+			w.links[i*w.n+k] = append(w.links[i*w.n+k], wire{hangup: true})
+		}
+	}
+}
 
 // deliver pops the head of the link from→to and hands it to worker to
 // as its adapter would.
@@ -162,7 +181,8 @@ func (w *world) events() []event {
 			k, to := k, to
 			evs = append(evs, event{fmt.Sprintf("w%d: ship to w%d", i, to), func(w *world) {
 				w.held[i] = append(w.held[i][:k], w.held[i][k+1:]...)
-				w.send(i, w.p[i].extractShipped(to, 0, 0, nil))
+				notices, record := w.p[i].extractShipped(to, 0, 0, nil)
+				w.send(i, append(notices, record...))
 			}})
 		}
 		if w.local[i] == 0 {
@@ -172,28 +192,30 @@ func (w *world) events() []event {
 			if l := w.links[from*w.n+i]; len(l) > 0 {
 				from := from
 				evs = append(evs, event{fmt.Sprintf("w%d: %s from w%d", i, wireName(l[0]), from), func(w *world) { w.deliver(from, i) }})
+				if w.mayFail && w.failed < 0 && !l[0].hangup && l[0].kind == ctrlRecord {
+					// The job refuses the record, as Worker.control
+					// fails the run on a ShardInstall error.
+					evs = append(evs, event{fmt.Sprintf("w%d: refuses RECORD from w%d", i, from), func(w *world) {
+						w.links[from*w.n+i] = w.links[from*w.n+i][1:]
+						w.p[i].fail(errProtocol, "record refused")
+						w.failed = i
+					}})
+				}
 			}
 		}
+		if w.mayFail && w.failed < 0 && (w.local[i] > 0 || len(w.held[i]) > 0) {
+			evs = append(evs, event{fmt.Sprintf("w%d dies", i), func(w *world) { w.failed = i; w.hangUp(i) }})
+		}
 	}
-	if w.mayDie && w.dead < 0 {
-		for i := 0; i < w.n; i++ {
-			if w.live(i) && (w.local[i] > 0 || len(w.held[i]) > 0) {
-				i := i
-				evs = append(evs, event{fmt.Sprintf("w%d dies", i), func(w *world) {
-					w.dead = i
-					for k := 0; k < w.n; k++ {
-						w.links[k*w.n+i] = nil
-						if k != i {
-							w.links[i*w.n+k] = append(w.links[i*w.n+k], wire{hangup: true})
-						}
-					}
-				}})
-			}
+	for i := 0; i < w.n; i++ {
+		if !w.isClosed(i) && w.p[i].err != nil {
+			i := i
+			evs = append(evs, event{fmt.Sprintf("w%d: closes without BYE", i), func(w *world) { w.hangUp(i) }})
 		}
 	}
 	// Frames left to a worker that ended are dropped at its close.
 	for i := 0; i < w.n; i++ {
-		for from := 0; from < w.n && i != w.dead && w.p[i].ended(); from++ {
+		for from := 0; from < w.n && !w.isClosed(i) && w.p[i].ended(); from++ {
 			if len(w.links[from*w.n+i]) > 0 {
 				from, i := from, i
 				evs = append(evs, event{fmt.Sprintf("w%d: drops a frame from w%d", i, from), func(w *world) { w.deliver(from, i) }})
@@ -241,18 +263,29 @@ func (w *world) check(terminal bool) string {
 	for i := 0; i < w.n; i++ {
 		p := &w.p[i]
 		switch {
-		case i == w.dead:
-		case w.dead >= 0 && p.stopped:
-			return fmt.Sprintf("w%d stopped after w%d died holding a rank", i, w.dead)
-		case w.dead < 0 && p.err != nil:
-			return fmt.Sprintf("w%d failed with no peer dead: %v", i, p.err)
-		case w.dead >= 0 && p.err != nil && !(errors.Is(p.err, errPeerLost) && strings.Contains(p.err.Error(), fmt.Sprintf("link to worker %d", w.dead))):
-			return fmt.Sprintf("w%d failed with %v, which does not name the dead w%d", i, p.err, w.dead)
+		case i == w.failed:
+		case w.failed >= 0 && p.stopped:
+			return fmt.Sprintf("w%d stopped after w%d failed", i, w.failed)
+		case w.failed < 0 && p.err != nil:
+			return fmt.Sprintf("w%d failed with no failure: %v", i, p.err)
+		case p.err != nil && !w.namesClosed(p.err):
+			return fmt.Sprintf("w%d failed with %v, which names no worker that hung up", i, p.err)
 		case terminal && !p.ended():
 			return fmt.Sprintf("w%d hangs: no event left and its run has not ended", i)
 		}
 	}
 	return ""
+}
+
+// namesClosed reports whether err is errPeerLost naming a worker that
+// hung up without BYE.
+func (w *world) namesClosed(err error) bool {
+	for k := 0; k < w.n && errors.Is(err, errPeerLost); k++ {
+		if w.isClosed(k) && strings.Contains(err.Error(), fmt.Sprintf("link to worker %d", k)) {
+			return true
+		}
+	}
+	return false
 }
 
 // explore searches every world reachable from start and returns the
@@ -303,20 +336,21 @@ func explore(start *world) (int, []string, string) {
 
 // TestProtocolExplored runs the explorer over 2 and 3 workers, each
 // starting with one rank, up to 2 extracts, with and without one
-// worker dying mid-run. Every invariant must hold in every reachable
+// worker failing mid-run. Every invariant must hold in every reachable
 // world:
 //   - STOP only when every worker reported done and the reported
 //     installs equal the reported acked extracts;
 //   - at STOP no rank is alive: none running, none extracted and
 //     unshipped, no RECORD in flight;
-//   - with no death, every worker ends at STOP, with no error;
-//   - when a worker dies holding a rank, every survivor ends with
-//     errPeerLost naming it, never with a hang or a STOP.
+//   - with no failure, every worker ends at STOP, with no error;
+//   - when a worker dies holding a rank or refuses a record, every
+//     other worker ends with errPeerLost naming a worker that hung up,
+//     never with a hang or a STOP.
 func TestProtocolExplored(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		for _, death := range []bool{false, true} {
-			t.Run(fmt.Sprintf("workers=%d/death=%v", n, death), func(t *testing.T) {
-				visited, trace, bad := explore(newWorld(n, 2, death))
+		for _, failure := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d/failure=%v", n, failure), func(t *testing.T) {
+				visited, trace, bad := explore(newWorld(n, 2, failure))
 				if bad != "" {
 					t.Fatalf("%s after %d events:\n  %s", bad, len(trace), strings.Join(trace, "\n  "))
 				}

@@ -501,8 +501,9 @@ func TestInProcessPairMigration(t *testing.T) {
 }
 
 // TestWorkerPeerDeathIsNamedError: a worker pair runs Jacobi over unix
-// sockets and over shm rings, and mid-run worker 1 dies: its run ends
-// and its links hang up without BYE, the way a killed process's do.
+// sockets and over shm rings, and mid-run worker 1's run ends with an
+// error. Either it dies — its links hang up without BYE, the way a
+// killed process's do — or it fails and closes through Worker.Close.
 // Worker 0's Run must return errPeerLost naming worker 1 within 5 s,
 // not hang waiting for halos or a DONE report that will never come.
 func TestWorkerPeerDeathIsNamedError(t *testing.T) {
@@ -511,55 +512,149 @@ func TestWorkerPeerDeathIsNamedError(t *testing.T) {
 		HaloBytes: 8, WorkNs: 900, BlockPlacement: true,
 	}
 	for _, netKind := range []string{"unix", "shm"} {
+		for _, how := range []string{"dies", "fails"} {
+			t.Run(netKind+"/"+how, func(t *testing.T) {
+				fabs := pairFabrics(t, netKind, 0)
+				var ws [2]*Worker
+				for i := range ws {
+					w, err := NewWorker(i, 2, cfg.PEs, fabs[i], func(m *core.Machine) (*ampi.Job, error) {
+						return ampi.NewJacobiOn(m, cfg)
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ws[i] = w
+				}
+				var errs [2]chan error
+				for i, w := range ws {
+					errs[i] = make(chan error, 1)
+					go func(w *Worker, errs chan error) { errs <- w.Run() }(w, errs[i])
+				}
+				for ws[0].M.Network().Snapshot().RemoteEnvelopes == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				killed := errors.New("killed")
+				ws[1].end(killed)
+				<-errs[1]
+				switch {
+				case how == "fails":
+					if err := ws[1].Close(); !errors.Is(err, killed) {
+						t.Fatalf("failed worker's Close returned %v, want its run's error", err)
+					}
+				case netKind == "shm":
+					// The OS closing a dead writer's side of the ring.
+					f, err := os.OpenFile(comm.ShmRingPath(fabs[1].Dir, 1, 0), os.O_RDWR, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = f.WriteAt([]byte{1, 0, 0, 0}, 192) // wclosed: comm/shm.go's ring layout
+					f.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+				default:
+					fabs[1].Conns[0].Close()
+				}
+				select {
+				case err := <-errs[0]:
+					if !errors.Is(err, errPeerLost) || !strings.Contains(err.Error(), "link to worker 1") {
+						t.Fatalf("survivor's Run returned %v, want errPeerLost naming worker 1", err)
+					}
+					t.Log(err)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("survivor still running 5 s after its peer %s", how)
+				}
+				for _, w := range ws {
+					w.Close()
+				}
+			})
+		}
+	}
+}
+
+// TestBigSimPeerFailureIsNamedError: a BigSim worker whose step fails
+// (here on a step frame that does not decode) returns the error and
+// hangs up without BYE, so the peer waiting in the next exchange gets
+// errPeerLost naming it within 5 s instead of blocking forever.
+func TestBigSimPeerFailureIsNamedError(t *testing.T) {
+	for _, netKind := range []string{"unix", "shm"} {
 		t.Run(netKind, func(t *testing.T) {
 			fabs := pairFabrics(t, netKind, 0)
-			var ws [2]*Worker
-			for i := range ws {
-				w, err := NewWorker(i, 2, cfg.PEs, fabs[i], func(m *core.Machine) (*ampi.Job, error) {
-					return ampi.NewJacobiOn(m, cfg)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ws[i] = w
+			spec := BigSimSpec{Cfg: bigsim.Config{X: 4, Y: 4, Z: 4, SimPEs: 2, Mode: bigsim.ModeEvent, AtomsPerCell: 1, GhostBytes: 8}, Steps: 4}
+			failed := make(chan error, 1)
+			go func() {
+				_, err := RunBigSimWorker(0, 2, fabs[0], spec)
+				failed <- err
+			}()
+			t1, err := fabricTransport(1, 2, nil, fabs[1])
+			if err != nil {
+				t.Fatal(err)
 			}
-			var errs [2]chan error
-			for i, w := range ws {
-				errs[i] = make(chan error, 1)
-				go func(w *Worker, errs chan error) { errs <- w.Run() }(w, errs[i])
+			defer t1.Close()
+			exchange := ctrlExchange(1, 2, t1)
+			if err := t1.Start(); err != nil {
+				t.Fatal(err)
 			}
-			for ws[0].M.Network().Snapshot().RemoteEnvelopes == 0 {
-				time.Sleep(time.Millisecond)
+			if _, err := exchange([][]byte{{0xff}, nil}); err != nil {
+				t.Fatalf("first exchange: %v", err)
 			}
-			ws[1].end(errors.New("killed"))
-			<-errs[1]
-			if netKind == "shm" {
-				// The OS closing a dead writer's side of the ring.
-				f, err := os.OpenFile(comm.ShmRingPath(fabs[1].Dir, 1, 0), os.O_RDWR, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, err = f.WriteAt([]byte{1, 0, 0, 0}, 192) // wclosed: comm/shm.go's ring layout
-				f.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				fabs[1].Conns[0].Close()
+			if err := <-failed; err == nil {
+				t.Fatal("worker 0 accepted a step frame that does not decode")
 			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := exchange([][]byte{nil, nil})
+				done <- err
+			}()
 			select {
-			case err := <-errs[0]:
-				if !errors.Is(err, errPeerLost) || !strings.Contains(err.Error(), "link to worker 1") {
-					t.Fatalf("survivor's Run returned %v, want errPeerLost naming worker 1", err)
+			case err := <-done:
+				if !errors.Is(err, errPeerLost) || !strings.Contains(err.Error(), "link to worker 0") {
+					t.Fatalf("survivor's exchange returned %v, want errPeerLost naming worker 0", err)
 				}
 				t.Log(err)
 			case <-time.After(5 * time.Second):
-				t.Fatal("survivor still running 5 s after its peer died")
-			}
-			for _, w := range ws {
-				w.Close()
+				t.Fatal("survivor still waiting 5 s after its peer failed")
 			}
 		})
+	}
+}
+
+// TestCtrlExchangeHostilePeer: a peer that sends a frame of another
+// kind fails the exchange with errProtocol. What it sends after — a
+// flood of step frames past the step barrier, another wrong kind, a
+// hang-up without BYE — changes nothing, and the reader never blocks
+// on it, so Close returns.
+func TestCtrlExchangeHostilePeer(t *testing.T) {
+	fabs := pairFabrics(t, "unix", 0)
+	var ts [2]*comm.LinkTransport
+	for i := range ts {
+		tr, err := fabricTransport(i, 2, nil, fabs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts[i] = tr
+	}
+	exchange := ctrlExchange(0, 2, ts[0])
+	for _, tr := range ts {
+		if err := tr.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts[1].SendControl(0, ctrlStop, nil)
+	for i := 0; i < 8; i++ {
+		ts[1].SendControl(0, ctrlBlob, []byte{byte(i)})
+	}
+	ts[1].SendControl(0, ctrlStop, nil)
+	ts[1].Abort()
+	if _, err := exchange([][]byte{nil, nil}); !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), "control kind 5") {
+		t.Fatalf("exchange returned %v, want errProtocol for the STOP frame", err)
+	}
+	closed := make(chan struct{})
+	go func() { ts[0].Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on the hostile peer's reader")
 	}
 }
 

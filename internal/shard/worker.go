@@ -31,8 +31,9 @@
 // A rank in flight, extracted but not installed or installed but still
 // running, leaves the sums unequal or some worker not done, so the
 // barrier cannot trip while a rank is alive. The run ends once, at STOP
-// or at the first error, which Run returns: a worker dying mid-run
-// fails every survivor with errPeerLost. There is no restart.
+// or at the first error, which Run and Close return. A failed run
+// closes without BYE, so a worker that dies or fails mid-run fails
+// every peer with errPeerLost. There is no restart.
 package shard
 
 import (
@@ -79,7 +80,7 @@ type Worker struct {
 	NumPEs  int
 	M       *core.Machine
 	Job     *ampi.Job
-	T       comm.ShardTransport
+	T       *comm.LinkTransport
 
 	mu    sync.Mutex
 	proto protocol
@@ -197,9 +198,25 @@ func (w *Worker) Run() error {
 	return w.proto.err
 }
 
-// Close flushes and tears the links down. Call after Run on every
-// worker.
-func (w *Worker) Close() error { return w.T.Close() }
+// Close tears the links down, after Run on every worker, and returns
+// the run's error if it failed.
+func (w *Worker) Close() error {
+	w.mu.Lock()
+	err := w.proto.err
+	w.mu.Unlock()
+	return hangUp(w.T, err)
+}
+
+// hangUp closes t after a run that ended with err: with BYE after a
+// clean run, else without, so every peer fails too instead of waiting
+// on this worker.
+func hangUp(t *comm.LinkTransport, err error) error {
+	if err != nil {
+		t.Abort()
+		return err
+	}
+	return t.Close()
+}
 
 // Backoff rungs for MigrateRanks' unproductive scans (comm.Backoff):
 // a few scheduler yields, then OS yields, then millisecond naps once
@@ -248,14 +265,14 @@ func (w *Worker) move(r, toWorker int, hold func()) bool {
 		w.step(func(p *protocol) []ctrlFrame { p.extractAborted(); return nil })
 		return false
 	}
-	var frames []ctrlFrame // the MOVED notices, then the RECORD
-	w.step(func(p *protocol) []ctrlFrame {
-		frames = p.extractShipped(toWorker, r, toPE, data)
-		return frames[:max(len(frames)-1, 0)]
+	var record []ctrlFrame
+	w.step(func(p *protocol) (notices []ctrlFrame) {
+		notices, record = p.extractShipped(toWorker, r, toPE, data)
+		return notices
 	})
 	if hold != nil {
 		hold()
 	}
-	w.step(func(*protocol) []ctrlFrame { return frames[max(len(frames)-1, 0):] })
-	return len(frames) > 0
+	w.step(func(*protocol) []ctrlFrame { return record })
+	return record != nil
 }
