@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"migflow/internal/ampi"
+	"migflow/internal/bigsim"
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
 	"migflow/internal/npb"
@@ -205,4 +206,54 @@ func TestJacobiModeGolden(t *testing.T) {
 	job.Run()
 	write("ring", m, job)
 	checkGolden(t, "jacobi_mode.golden", buf.Bytes())
+}
+
+// TestFigure11Golden pins BigSim: the Figure11Backend table for each
+// backend with and without aggregation and the Figure11Mode table with
+// and without it, on a 10×9×8 torus at SimPEs 1, 3, 4 and 7, then every
+// field of every StepStats of each of those runs, floats as their bit
+// patterns, once per driver (Step and StepParallel). No printed column
+// reads host timing, so the file is identical under every GOMAXPROCS.
+func TestFigure11Golden(t *testing.T) {
+	const x, y, z, steps = 10, 9, 8, 4
+	pes := []int{1, 3, 4, 7}
+	var buf bytes.Buffer
+	for _, agg := range []bool{false, true} {
+		for _, mode := range []string{bigsim.ModeULT, bigsim.ModeEvent} {
+			fmt.Fprintf(&buf, "== bigsim -mode %s -agg=%v\n", mode, agg)
+			if _, err := Figure11Backend(&buf, x, y, z, steps, pes, agg, mode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fmt.Fprintf(&buf, "== bigsim -mode both -agg=%v\n", agg)
+		if _, err := Figure11Mode(&buf, x, y, z, steps, pes, agg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, agg := range []bool{false, true} {
+		for _, mode := range []string{bigsim.ModeULT, bigsim.ModeEvent} {
+			for _, p := range pes {
+				for _, parallel := range []bool{false, true} {
+					cfg := bigsim.DefaultConfig()
+					cfg.X, cfg.Y, cfg.Z, cfg.SimPEs, cfg.Aggregate, cfg.Mode = x, y, z, p, agg, mode
+					sim, err := bigsim.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					run := sim.Run
+					if parallel {
+						run = sim.RunParallel
+					}
+					fmt.Fprintf(&buf, "== %s agg=%v simPEs=%d parallel=%v\n", mode, agg, p, parallel)
+					for _, st := range run(steps) {
+						fmt.Fprintf(&buf, "step=%d time=%016x pred=%016x cross=%d intra=%d env=%d coal=%d\n",
+							st.Step, math.Float64bits(st.TimeNs), math.Float64bits(st.PredictedTargetNs),
+							st.CrossPEMessages, st.IntraPEMessages, st.Envelopes, st.CoalescedGhosts)
+					}
+					sim.Close()
+				}
+			}
+		}
+	}
+	checkGolden(t, "bigsim.golden", buf.Bytes())
 }
