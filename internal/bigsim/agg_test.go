@@ -8,30 +8,6 @@ func aggCfg(simPEs int) Config {
 	return cfg
 }
 
-// TestAggParallelMatchesSerial: aggregation must stay deterministic —
-// the SMP driver and the serial driver produce identical per-step
-// results, including the new envelope counters.
-func TestAggParallelMatchesSerial(t *testing.T) {
-	const steps = 4
-	ser, err := New(aggCfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := ser.Run(steps)
-	ser.Close()
-	par, err := New(aggCfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel := par.RunParallel(steps)
-	par.Close()
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("step %d: serial %+v vs parallel %+v", i, serial[i], parallel[i])
-		}
-	}
-}
-
 // TestAggPredictionAndTrafficUnchanged: aggregation is a simulating-
 // machine optimization only. The target prediction and the logical
 // message counts must be bit-identical with and without it.

@@ -37,6 +37,7 @@
 package bigsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -115,22 +116,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// tproc is one simulated target processor owning one torus cell. In
-// ULT mode it is the state of a parked goroutine (resume/parked are
-// its handoff channels); in event mode it is the whole flow — a plain
-// state struct whose step body the owning PE runs inline. The
-// hand-off stays on channels although converse threads moved to a
-// coroutine switch: a target flow is activated only a few dozen times,
-// and iter.Pull costs 13 allocations to create against 5 for two
-// channels and a goroutine (DESIGN.md, "Intrusive ready queue,
-// coroutine switch").
+// tproc is one simulated target processor owning one torus cell: in
+// event mode the whole flow, a plain state struct whose step body the
+// owning PE runs inline; in ULT mode the state a parked goroutine
+// steps. A ULT target's hand-off channel lives beside it in
+// Simulator.handoff, which event mode never allocates.
 type tproc struct {
-	id     int32
-	simPE  int32
-	resume chan struct{} // nil in event mode
-	parked chan struct{} // nil in event mode
-	steps  int
-	done   bool
+	id    int32
+	simPE int32
 
 	// nbrs caches the six torus neighbour ids (+x,-x,+y,-y,+z,-z),
 	// computed once in New instead of redoing coords/modulo math on
@@ -177,16 +170,31 @@ const (
 	recvOverheadFrac = 0.15
 )
 
-// Simulator runs the target machine.
+// Simulator runs the target machine, driving one slab [lo, hi) of the
+// simulating PEs: all of them for New, one worker's share for
+// NewShard. Every driver steps it with local (begin, runSlab,
+// summarize) and stats; a shard merges its peers' summaries between.
 type Simulator struct {
 	cfg    Config
-	event  bool    // Mode == ModeEvent
-	store  []tproc // all tprocs, one contiguous allocation
-	procs  []*tproc
-	byPE   [][]*tproc
+	store  []tproc // all targets, block-mapped: PE pe's are store[first(pe):first(pe+1)]
 	clocks []*simclock.Clock
 	lat    comm.LatencyModel
 	prof   *platform.Profile
+
+	lo, hi int // the slab of simulating PEs this simulator drives
+
+	// handoff[i] is target i's goroutine hand-off channel in ULT mode:
+	// a resume is a send, the park after one step the reply. Nil in
+	// event mode. Not a converse coroutine: iter.Pull costs 13
+	// allocations per flow against 4 here (DESIGN.md, "Intrusive ready
+	// queue, coroutine switch").
+	handoff []chan struct{}
+	done    bool // set by Close, which then resumes every target to end it
+
+	// steps counts completed timesteps; tAfter is the latest target
+	// clock after the last, where the next step's prediction starts.
+	steps  int
+	tAfter float64
 
 	// dispatch[pe] is the per-activation flow-dispatch cost on
 	// simulating PE pe — UThreadSwitch.At(flows) in ULT mode,
@@ -213,13 +221,13 @@ type Simulator struct {
 
 	stepCross, stepIntra atomic.Int64
 
-	// Streaming aggregation (Config.Aggregate). aggCount[src][dst]
-	// counts ghosts coalesced into the (src,dst) envelope this step;
-	// aggPend[src][dst] is the receiver handling the envelope charges
-	// at the next step's start. Each row is touched only by the
-	// goroutine driving PE src (plain, not atomic), and the prologue
-	// drains aggPend in (src,dst) order so the receiver's float adds
-	// are deterministic under both drivers.
+	// Streaming aggregation; the rows are nil unless Config.Aggregate.
+	// aggCount[src][dst] counts ghosts coalesced into the (src,dst)
+	// envelope this step; aggPend[src][dst] is the receiver handling
+	// the envelope charges at the next step's start. Each row is
+	// touched only by the goroutine driving PE src (plain, not
+	// atomic), and begin drains aggPend in (src,dst) order so the
+	// receiver's float adds are deterministic under every driver.
 	aggCount [][]int64
 	aggPend  [][]float64
 
@@ -284,63 +292,58 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s := &Simulator{
 		cfg:         cfg,
-		event:       cfg.Mode == ModeEvent,
 		store:       make([]tproc, t),
-		procs:       make([]*tproc, 0, t),
-		byPE:        make([][]*tproc, cfg.SimPEs),
 		clocks:      make([]*simclock.Clock, cfg.SimPEs),
 		lat:         cfg.Latency,
 		prof:        cfg.Platform,
+		hi:          cfg.SimPEs,
 		dispatch:    make([]float64, cfg.SimPEs),
 		workNs:      float64(cfg.AtomsPerCell) * cfg.WorkPerAtomNs,
 		mail:        make([]atomic.Int64, t),
 		recvPending: make([]atomic.Uint64, cfg.SimPEs),
 		arrNow:      make([]atomic.Uint64, t),
 		arrNext:     make([]atomic.Uint64, t),
+		aggCount:    make([][]int64, cfg.SimPEs),
+		aggPend:     make([][]float64, cfg.SimPEs),
+	}
+	dispatch := s.prof.UThreadSwitch
+	if cfg.Mode == ModeEvent {
+		dispatch = s.prof.EventDispatch
 	}
 	for pe := range s.clocks {
 		s.clocks[pe] = simclock.New()
-	}
-	if cfg.Aggregate {
-		s.aggCount = make([][]int64, cfg.SimPEs)
-		s.aggPend = make([][]float64, cfg.SimPEs)
-		for pe := range s.aggCount {
+		s.dispatch[pe] = dispatch.At(s.first(pe+1) - s.first(pe))
+		if cfg.Aggregate {
 			s.aggCount[pe] = make([]int64, cfg.SimPEs)
 			s.aggPend[pe] = make([]float64, cfg.SimPEs)
 		}
-	}
-	for i := 0; i < t; i++ {
-		// Block mapping: contiguous slabs of the torus per PE.
-		pe := i * cfg.SimPEs / t
-		p := &s.store[i]
-		p.id, p.simPE = int32(i), int32(pe)
-		for d, dir := range torusDirs {
-			p.nbrs[d] = int32(s.neighbor(i, dir[0], dir[1], dir[2]))
-		}
-		s.procs = append(s.procs, p)
-		s.byPE[pe] = append(s.byPE[pe], p)
-	}
-	for pe := range s.byPE {
-		flows := len(s.byPE[pe])
-		if s.event {
-			s.dispatch[pe] = s.prof.EventDispatch.At(flows)
-		} else {
-			s.dispatch[pe] = s.prof.UThreadSwitch.At(flows)
+		for i := s.first(pe); i < s.first(pe+1); i++ {
+			p := &s.store[i]
+			p.id, p.simPE = int32(i), int32(pe)
+			for d, dir := range torusDirs {
+				p.nbrs[d] = int32(s.neighbor(i, dir[0], dir[1], dir[2]))
+			}
 		}
 	}
-	if !s.event {
+	if cfg.Mode == ModeULT {
 		// ULT mode: park one goroutine per target processor.
-		for _, p := range s.procs {
-			p.resume = make(chan struct{})
-			p.parked = make(chan struct{})
-			go s.run(p)
+		s.handoff = make([]chan struct{}, t)
+		for i := range s.store {
+			s.handoff[i] = make(chan struct{})
+			go s.run(&s.store[i], s.handoff[i])
 		}
 	}
 	return s, nil
 }
 
+// first returns the first target of simulating PE pe under the block
+// mapping, which puts target i on PE ⌊i·SimPEs/T⌋; first(SimPEs) is T.
+func (s *Simulator) first(pe int) int {
+	return (pe*len(s.store) + s.cfg.SimPEs - 1) / s.cfg.SimPEs
+}
+
 // NumTargets returns the simulated processor count.
-func (s *Simulator) NumTargets() int { return len(s.procs) }
+func (s *Simulator) NumTargets() int { return len(s.store) }
 
 // Mode returns the resolved execution backend ("ult" or "event").
 func (s *Simulator) Mode() string { return s.cfg.Mode }
@@ -388,21 +391,19 @@ func (s *Simulator) stepBody(p *tproc) {
 	for _, nb := range p.nbrs {
 		s.post(p, nb)
 	}
-	p.steps++
 }
 
-// run is a ULT-mode target thread's life: each resume executes one
-// timestep and parks — the MD flow of control as a real (goroutine)
-// flow with a live stack and two channel handoffs per activation.
-func (s *Simulator) run(p *tproc) {
-	for {
-		<-p.resume
-		if p.done {
-			p.parked <- struct{}{}
+// run is a ULT-mode target thread's life: each resume on c executes
+// one timestep and parks by answering on c — the MD flow of control
+// as a real (goroutine) flow with a live stack and two channel
+// handoffs per activation. A resume after Close set done ends it.
+func (s *Simulator) run(p *tproc, c chan struct{}) {
+	for range c {
+		if s.done {
 			return
 		}
 		s.stepBody(p)
-		p.parked <- struct{}{}
+		c <- struct{}{}
 	}
 }
 
@@ -440,7 +441,7 @@ func (s *Simulator) post(p *tproc, dst int32) {
 // with buffered ghosts, costing one Alpha plus the summed payload
 // bytes. The sender's injection overhead lands on its clock now; the
 // receiver's handling share is parked in aggPend for the next
-// prologue.
+// step's start.
 func (s *Simulator) flushAgg(pe int) {
 	for dpe, n := range s.aggCount[pe] {
 		if n == 0 {
@@ -455,47 +456,51 @@ func (s *Simulator) flushAgg(pe int) {
 	}
 }
 
-// stepPrologue resets per-step state and returns the pre-step clock
-// and target-time marks.
-func (s *Simulator) stepPrologue() (before []float64, tBefore float64) {
+// errGhostCount is a cell of the slab without one ghost from each
+// neighbour at a step's start: in one process a broken invariant (Step
+// panics with it), across processes a peer's short frame.
+var errGhostCount = errors.New("bigsim: ghost count")
+
+// ghostsPerCell is the mail every cell receives per step, one ghost
+// from each torus neighbour.
+const ghostsPerCell = 6
+
+// begin starts a step on the slab — counters reset, last step's mail
+// checked and cleared, arrival buffers rotated, inbound handling
+// charged — and returns the slab's pre-step clocks.
+func (s *Simulator) begin() ([]float64, error) {
 	s.stepCross.Store(0)
 	s.stepIntra.Store(0)
 	s.stepEnvelopes.Store(0)
 	s.stepCoalesced.Store(0)
-	before = make([]float64, len(s.clocks))
-	for pe, c := range s.clocks {
-		before[pe] = c.Now()
+	before := make([]float64, s.hi-s.lo)
+	for pe := s.lo; pe < s.hi; pe++ {
+		before[pe-s.lo] = s.clocks[pe].Now()
 	}
-	// Validate the previous step's exchange completed: every cell has
-	// its six ghosts (except before the first step).
-	if s.procs[0].steps > 0 {
-		for i := range s.mail {
-			if n := s.mail[i].Load(); n != 6 {
-				panic(fmt.Sprintf("bigsim: cell %d has %d ghosts, want 6", i, n))
+	c0, c1 := s.first(s.lo), s.first(s.hi) // the slab's cells
+	if s.steps > 0 {
+		for i := c0; i < c1; i++ {
+			if n := s.mail[i].Swap(0); n != ghostsPerCell {
+				return nil, fmt.Errorf("%w: cell %d has %d ghosts, want %d", errGhostCount, i, n, ghostsPerCell)
 			}
-			s.mail[i].Store(0)
 		}
 	}
 	// Rotate the target-arrival buffers: last step's posts constrain
-	// this step.
+	// this step. Cells outside the slab hold no arrivals (a shard's
+	// harvest took them), so only the slab's need clearing.
 	s.arrNow, s.arrNext = s.arrNext, s.arrNow
-	for i := range s.arrNext {
+	for i := c0; i < c1; i++ {
 		s.arrNext[i].Store(0)
-	}
-	for _, p := range s.procs {
-		if p.tclock > tBefore {
-			tBefore = p.tclock
-		}
 	}
 	// Drain every PE's inbound ghost handling before any PE runs:
 	// last step's cross-PE messages are charged at this step's start,
 	// independent of the order (or concurrency) in which PEs execute.
-	for pe := range s.recvPending {
+	for pe := s.lo; pe < s.hi; pe++ {
 		s.clocks[pe].Advance(math.Float64frombits(s.recvPending[pe].Swap(0)))
 	}
 	// Same, for last step's coalesced envelopes — drained in fixed
-	// (src,dst) order so receiver clocks advance identically under the
-	// serial and parallel drivers.
+	// (src,dst) order so receiver clocks advance identically under
+	// every driver.
 	for src := range s.aggPend {
 		for dst, pend := range s.aggPend[src] {
 			if pend != 0 {
@@ -504,7 +509,7 @@ func (s *Simulator) stepPrologue() (before []float64, tBefore float64) {
 			}
 		}
 	}
-	return before, tBefore
+	return before, nil
 }
 
 // runPE runs one simulating PE's resident target flows serially: in
@@ -512,14 +517,15 @@ func (s *Simulator) stepPrologue() (before []float64, tBefore float64) {
 // event mode by dispatching each flow's step body inline — the
 // event-driven scheduler loop, with no control transfer at all.
 func (s *Simulator) runPE(pe int) {
-	if s.event {
-		for _, p := range s.byPE[pe] {
-			s.stepBody(p)
+	c0, c1 := s.first(pe), s.first(pe+1)
+	if s.handoff == nil {
+		for i := c0; i < c1; i++ {
+			s.stepBody(&s.store[i])
 		}
 	} else {
-		for _, p := range s.byPE[pe] {
-			p.resume <- struct{}{}
-			<-p.parked
+		for _, c := range s.handoff[c0:c1] {
+			c <- struct{}{}
+			<-c
 		}
 	}
 	if s.cfg.Aggregate {
@@ -527,50 +533,18 @@ func (s *Simulator) runPE(pe int) {
 	}
 }
 
-func (s *Simulator) stepEpilogue(before []float64, tBefore float64) StepStats {
-	var maxDelta float64
-	for pe, c := range s.clocks {
-		if d := c.Now() - before[pe]; d > maxDelta {
-			maxDelta = d
+// runSlab runs every PE of the slab from this goroutine, or one
+// goroutine per PE: non-exclusive (isomalloc-style) threads "allow the
+// straightforward exploitation of SMP machines".
+func (s *Simulator) runSlab(parallel bool) {
+	if !parallel {
+		for pe := s.lo; pe < s.hi; pe++ {
+			s.runPE(pe)
 		}
+		return
 	}
-	var tAfter float64
-	for _, p := range s.procs {
-		if p.tclock > tAfter {
-			tAfter = p.tclock
-		}
-	}
-	return StepStats{
-		Step:              s.procs[0].steps,
-		TimeNs:            maxDelta,
-		PredictedTargetNs: tAfter - tBefore,
-		CrossPEMessages:   int(s.stepCross.Load()),
-		IntraPEMessages:   int(s.stepIntra.Load()),
-		Envelopes:         int(s.stepEnvelopes.Load()),
-		CoalescedGhosts:   int(s.stepCoalesced.Load()),
-	}
-}
-
-// Step advances the whole target machine one MD timestep, driving the
-// simulating PEs from this goroutine (deterministic).
-func (s *Simulator) Step() StepStats {
-	before, tBefore := s.stepPrologue()
-	for pe := range s.byPE {
-		s.runPE(pe)
-	}
-	return s.stepEpilogue(before, tBefore)
-}
-
-// StepParallel advances one timestep with every simulating PE driven
-// by its own goroutine — real SMP execution of the simulation, which
-// non-exclusive (isomalloc-style) threads permit: "multiple threads
-// can run simultaneously, which allows the straightforward
-// exploitation of SMP machines". Virtual results, including the
-// target-time prediction, are identical to Step.
-func (s *Simulator) StepParallel() StepStats {
-	before, tBefore := s.stepPrologue()
 	var wg sync.WaitGroup
-	for pe := range s.byPE {
+	for pe := s.lo; pe < s.hi; pe++ {
 		wg.Add(1)
 		go func(pe int) {
 			defer wg.Done()
@@ -578,8 +552,85 @@ func (s *Simulator) StepParallel() StepStats {
 		}(pe)
 	}
 	wg.Wait()
-	return s.stepEpilogue(before, tBefore)
 }
+
+// summary is one slab's share of a step's StepStats: the header of
+// every step frame a shard sends.
+type summary struct {
+	step                    int
+	cross, intra, env, coal int64
+	maxDelta, tAfter        float64
+}
+
+// summarize returns the slab's summary of the step begin started.
+func (s *Simulator) summarize(before []float64) summary {
+	sum := summary{
+		step:  s.steps,
+		cross: s.stepCross.Load(), intra: s.stepIntra.Load(),
+		env: s.stepEnvelopes.Load(), coal: s.stepCoalesced.Load(),
+	}
+	for pe := s.lo; pe < s.hi; pe++ {
+		sum.maxDelta = max(sum.maxDelta, s.clocks[pe].Now()-before[pe-s.lo])
+	}
+	for _, p := range s.store[s.first(s.lo):s.first(s.hi)] {
+		sum.tAfter = max(sum.tAfter, p.tclock)
+	}
+	return sum
+}
+
+// merge folds a peer slab's summary into sum.
+func (sum *summary) merge(peer summary) {
+	sum.cross += peer.cross
+	sum.intra += peer.intra
+	sum.env += peer.env
+	sum.coal += peer.coal
+	sum.maxDelta = max(sum.maxDelta, peer.maxDelta)
+	sum.tAfter = max(sum.tAfter, peer.tAfter)
+}
+
+// stats ends the step with the whole machine's summary.
+func (s *Simulator) stats(sum summary) StepStats {
+	s.steps++
+	st := StepStats{
+		Step:              s.steps,
+		TimeNs:            sum.maxDelta,
+		PredictedTargetNs: sum.tAfter - s.tAfter,
+		CrossPEMessages:   int(sum.cross),
+		IntraPEMessages:   int(sum.intra),
+		Envelopes:         int(sum.env),
+		CoalescedGhosts:   int(sum.coal),
+	}
+	s.tAfter = sum.tAfter
+	return st
+}
+
+// local runs the slab's part of one step and returns its summary.
+func (s *Simulator) local(parallel bool) (summary, error) {
+	before, err := s.begin()
+	if err != nil {
+		return summary{}, err
+	}
+	s.runSlab(parallel)
+	return s.summarize(before), nil
+}
+
+// step is Step and StepParallel: the whole machine is one slab with no
+// peers, so a broken ghost count can only be a bug here.
+func (s *Simulator) step(parallel bool) StepStats {
+	sum, err := s.local(parallel)
+	if err != nil {
+		panic(err)
+	}
+	return s.stats(sum)
+}
+
+// Step advances the whole target machine one MD timestep, driving the
+// simulating PEs from this goroutine (deterministic).
+func (s *Simulator) Step() StepStats { return s.step(false) }
+
+// StepParallel is Step with every simulating PE driven by its own
+// goroutine; every virtual result is identical to Step's.
+func (s *Simulator) StepParallel() StepStats { return s.step(true) }
 
 // Run executes steps timesteps and returns per-step stats.
 func (s *Simulator) Run(steps int) []StepStats {
@@ -602,24 +653,20 @@ func (s *Simulator) RunParallel(steps int) []StepStats {
 // Close terminates the target flows (a no-op in event mode, which
 // has no goroutines to unwind).
 func (s *Simulator) Close() {
-	if s.event {
-		return
-	}
-	for _, p := range s.procs {
-		p.done = true
-		p.resume <- struct{}{}
-		<-p.parked
+	s.done = true
+	for _, c := range s.handoff {
+		c <- struct{}{}
 	}
 }
 
 // MeanStepTime averages TimeNs over stats (skipping the warm-up first
 // step, which has no inbound ghosts).
 func MeanStepTime(stats []StepStats) float64 {
-	if len(stats) <= 1 {
-		if len(stats) == 1 {
-			return stats[0].TimeNs
-		}
+	switch len(stats) {
+	case 0:
 		return 0
+	case 1:
+		return stats[0].TimeNs
 	}
 	var sum float64
 	for _, st := range stats[1:] {

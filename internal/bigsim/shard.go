@@ -1,9 +1,10 @@
-// Sharded BigSim: the simulating PEs split into contiguous slabs,
-// one OS process each, so the Figure 11/12 prediction runs off a
-// single Go runtime. Each worker builds the full (cheap, array-only)
-// simulator state but drives only its own slab's flows; per timestep
-// the workers exchange one delta frame per peer carrying everything a
-// step writes across the cut:
+// Sharded BigSim: the simulating PEs split into contiguous slabs, one
+// OS process each, so the Figure 11/12 prediction runs off a single Go
+// runtime. The caller decides the split (package shard's Cut). Each
+// worker builds the full (cheap, array-only) simulator state but
+// drives only its own slab, with the in-process Simulator's step; per
+// timestep the workers exchange one delta frame per peer carrying
+// everything a step writes across the cut:
 //
 //   - ghost mail counts and target-network arrival maxima for the
 //     peer's frontier cells,
@@ -37,89 +38,61 @@ import (
 // decode, is for another step, or writes outside what the cut allows.
 var errBadFrame = errors.New("bigsim: bad step frame")
 
-// ghostsPerCell is the mail every cell receives per step, one ghost
-// from each torus neighbour.
-const ghostsPerCell = 6
-
-// Shard drives one worker's slab of the simulating machine.
+// Shard is one worker's slab of the simulating machine and its peers.
 type Shard struct {
-	S       *Simulator
-	Index   int
-	Workers int
+	S *Simulator
 
-	peLo, peHi int
+	index int
+	owner func(pe int) int
 
 	// frontier[w] lists the cells owned by worker w that this slab's
 	// posts can touch (torus neighbours of local cells), ascending.
 	frontier [][]int32
-
-	// step state between prologue and finish.
-	step       int
-	prevTAfter float64
 }
 
-// cutPE is the slab boundary: worker i owns PEs [cutPE(i), cutPE(i+1)).
-func cutPE(numPEs, workers, i int) int { return i * numPEs / workers }
-
-// peOwner returns the worker owning simulating PE pe.
-func peOwner(numPEs, workers, pe int) int {
-	for w := 0; w < workers; w++ {
-		if pe < cutPE(numPEs, workers, w+1) {
-			return w
-		}
-	}
-	return workers - 1
-}
-
-// NewShard builds worker index's view of the simulation.
-func NewShard(cfg Config, index, workers int) (*Shard, error) {
-	if workers < 2 {
-		return nil, fmt.Errorf("bigsim: shard wants ≥ 2 workers, got %d", workers)
-	}
-	if index < 0 || index >= workers {
-		return nil, fmt.Errorf("bigsim: shard index %d of %d", index, workers)
-	}
+// NewShard builds worker index's view of the simulation: it drives the
+// simulating PEs [lo, hi), and owner maps every PE to one of the
+// workers. The caller decides the split; owner must give exactly
+// [lo, hi) to index.
+func NewShard(cfg Config, index, workers, lo, hi int, owner func(pe int) int) (*Shard, error) {
 	if cfg.Mode != ModeEvent {
 		return nil, fmt.Errorf("bigsim: only %q flows shard across processes (a ULT flow is a live goroutine)", ModeEvent)
 	}
-	if cfg.SimPEs < workers {
-		return nil, fmt.Errorf("bigsim: %d simulating PEs across %d workers", cfg.SimPEs, workers)
+	if workers < 2 || index < 0 || index >= workers || lo < 0 || lo >= hi || hi > cfg.SimPEs {
+		return nil, fmt.Errorf("bigsim: worker %d of %d cannot drive PEs [%d, %d) of %d", index, workers, lo, hi, cfg.SimPEs)
+	}
+	for pe := 0; pe < cfg.SimPEs; pe++ {
+		if w := owner(pe); w < 0 || w >= workers || (w == index) != (pe >= lo && pe < hi) {
+			return nil, fmt.Errorf("bigsim: PE %d is owned by worker %d, against worker %d's slab [%d, %d)", pe, w, index, lo, hi)
+		}
 	}
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sh := &Shard{
-		S: s, Index: index, Workers: workers,
-		peLo:     cutPE(cfg.SimPEs, workers, index),
-		peHi:     cutPE(cfg.SimPEs, workers, index+1),
-		frontier: make([][]int32, workers),
-	}
+	s.lo, s.hi = lo, hi
+	sh := &Shard{S: s, index: index, owner: owner, frontier: make([][]int32, workers)}
 	seen := make(map[int32]bool)
-	for pe := sh.peLo; pe < sh.peHi; pe++ {
-		for _, p := range s.byPE[pe] {
-			for _, nb := range p.nbrs {
-				w := peOwner(cfg.SimPEs, workers, int(s.store[nb].simPE))
-				if w != index && !seen[nb] {
-					seen[nb] = true
-					sh.frontier[w] = append(sh.frontier[w], nb)
-				}
+	for _, p := range s.store[s.first(lo):s.first(hi)] {
+		for _, nb := range p.nbrs {
+			w := owner(int(s.store[nb].simPE))
+			if w != index && !seen[nb] {
+				seen[nb] = true
+				sh.frontier[w] = append(sh.frontier[w], nb)
 			}
 		}
 	}
 	return sh, nil
 }
 
-// localPE reports whether pe belongs to this slab.
-func (sh *Shard) localPE(pe int) bool { return pe >= sh.peLo && pe < sh.peHi }
+// inSlab reports whether simulating PE pe is one this slab drives.
+func (s *Simulator) inSlab(pe int) bool { return pe >= s.lo && pe < s.hi }
 
 // shardFrame is one worker's per-step delta for one peer.
 type shardFrame struct {
-	step                    int
-	cross, intra, env, coal int64
-	maxDelta, tAfter        float64
-	cells                   []cellDelta
-	agg                     []aggDelta
+	summary
+	cells []cellDelta
+	agg   []aggDelta
 }
 
 // cellDelta carries the ghosts a slab posted to one remote cell: the
@@ -142,14 +115,11 @@ type aggDelta struct {
 // ones in the same shape; the returned stats are the full machine's,
 // identical on every worker.
 func (sh *Shard) Step(exchange func(out [][]byte) ([][]byte, error)) (StepStats, error) {
-	before, err := sh.prologue()
+	sum, err := sh.S.local(false)
 	if err != nil {
 		return StepStats{}, err
 	}
-	for pe := sh.peLo; pe < sh.peHi; pe++ {
-		sh.S.runPE(pe)
-	}
-	local, out, err := sh.harvest(before)
+	out, err := sh.harvest(sum)
 	if err != nil {
 		return StepStats{}, err
 	}
@@ -157,171 +127,93 @@ func (sh *Shard) Step(exchange func(out [][]byte) ([][]byte, error)) (StepStats,
 	if err != nil {
 		return StepStats{}, err
 	}
-	return sh.finish(local, in)
-}
-
-// prologue mirrors stepPrologue for the local slab: remote cells'
-// mail/arrival slots and remote PEs' pendings were harvested to zero
-// last step, so the global loops only move local state. A local cell
-// without its ghosts means last step's frames were short.
-func (sh *Shard) prologue() (before []float64, err error) {
-	s := sh.S
-	s.stepCross.Store(0)
-	s.stepIntra.Store(0)
-	s.stepEnvelopes.Store(0)
-	s.stepCoalesced.Store(0)
-	before = make([]float64, sh.peHi-sh.peLo)
-	for pe := sh.peLo; pe < sh.peHi; pe++ {
-		before[pe-sh.peLo] = s.clocks[pe].Now()
-	}
-	if s.byPE[sh.peLo][0].steps > 0 {
-		for pe := sh.peLo; pe < sh.peHi; pe++ {
-			for _, p := range s.byPE[pe] {
-				if n := s.mail[p.id].Load(); n != ghostsPerCell {
-					return nil, fmt.Errorf("%w: cell %d has %d ghosts, want %d", errBadFrame, p.id, n, ghostsPerCell)
-				}
-				s.mail[p.id].Store(0)
-			}
+	for w, data := range in {
+		if w == sh.index || data == nil {
+			continue
 		}
-	}
-	s.arrNow, s.arrNext = s.arrNext, s.arrNow
-	for i := range s.arrNext {
-		s.arrNext[i].Store(0)
-	}
-	for pe := sh.peLo; pe < sh.peHi; pe++ {
-		s.clocks[pe].Advance(math.Float64frombits(s.recvPending[pe].Swap(0)))
-	}
-	for src := range s.aggPend {
-		for dst, pend := range s.aggPend[src] {
-			if pend != 0 {
-				s.clocks[dst].Advance(pend)
-				s.aggPend[src][dst] = 0
-			}
+		peer, err := sh.apply(w, data)
+		if err != nil {
+			return StepStats{}, err
 		}
+		sum.merge(peer)
 	}
-	return before, nil
+	return sh.S.stats(sum), nil
 }
 
 // harvest drains everything the step wrote across the cut into one
-// frame per peer and computes the slab's own step summary.
-func (sh *Shard) harvest(before []float64) (local shardFrame, out [][]byte, err error) {
+// frame per peer, each headed by the slab's summary.
+func (sh *Shard) harvest(sum summary) ([][]byte, error) {
 	s := sh.S
-	local.step = sh.step
-	local.cross = s.stepCross.Load()
-	local.intra = s.stepIntra.Load()
-	local.env = s.stepEnvelopes.Load()
-	local.coal = s.stepCoalesced.Load()
-	for pe := sh.peLo; pe < sh.peHi; pe++ {
-		if d := s.clocks[pe].Now() - before[pe-sh.peLo]; d > local.maxDelta {
-			local.maxDelta = d
-		}
-		for _, p := range s.byPE[pe] {
-			if p.tclock > local.tAfter {
-				local.tAfter = p.tclock
-			}
-		}
-	}
-	out = make([][]byte, sh.Workers)
-	for w := 0; w < sh.Workers; w++ {
-		if w == sh.Index {
-			continue
-		}
-		f := shardFrame{
-			step: sh.step, cross: local.cross, intra: local.intra,
-			env: local.env, coal: local.coal,
-			maxDelta: local.maxDelta, tAfter: local.tAfter,
-		}
+	frames := make([]shardFrame, len(sh.frontier))
+	for w := range frames {
+		frames[w].summary = sum
 		for _, id := range sh.frontier[w] {
 			mail := s.mail[id].Swap(0)
 			arr := math.Float64frombits(s.arrNext[id].Swap(0))
 			if mail != 0 || arr != 0 {
-				f.cells = append(f.cells, cellDelta{id: id, mail: mail, arr: arr})
+				frames[w].cells = append(frames[w].cells, cellDelta{id: id, mail: mail, arr: arr})
 			}
 		}
-		if s.cfg.Aggregate {
-			lo, hi := cutPE(s.cfg.SimPEs, sh.Workers, w), cutPE(s.cfg.SimPEs, sh.Workers, w+1)
-			for src := sh.peLo; src < sh.peHi; src++ {
-				for dst := lo; dst < hi; dst++ {
-					if pend := s.aggPend[src][dst]; pend != 0 {
-						f.agg = append(f.agg, aggDelta{src: int32(src), dst: int32(dst), pend: pend})
-						s.aggPend[src][dst] = 0
-					}
+	}
+	if s.cfg.Aggregate {
+		for src := s.lo; src < s.hi; src++ {
+			for dst, pend := range s.aggPend[src] {
+				if w := sh.owner(dst); w != sh.index && pend != 0 {
+					frames[w].agg = append(frames[w].agg, aggDelta{src: int32(src), dst: int32(dst), pend: pend})
+					s.aggPend[src][dst] = 0
 				}
 			}
 		}
-		if out[w], err = encodeFrame(&f); err != nil {
-			return local, nil, err
+	}
+	out := make([][]byte, len(frames))
+	for w := range frames {
+		if w == sh.index {
+			continue
+		}
+		var err error
+		if out[w], err = encodeFrame(&frames[w]); err != nil {
+			return nil, err
 		}
 	}
-	return local, out, nil
+	return out, nil
 }
 
-// finish applies every peer's frame and combines the step summaries
-// into the machine-wide StepStats.
-func (sh *Shard) finish(local shardFrame, in [][]byte) (StepStats, error) {
+// apply writes worker w's frame into the slab and returns w's summary.
+func (sh *Shard) apply(w int, data []byte) (summary, error) {
 	s := sh.S
-	cross, intra := local.cross, local.intra
-	env, coal := local.env, local.coal
-	maxDelta, tAfter := local.maxDelta, local.tAfter
+	f, err := decodeFrame(data)
+	if err != nil {
+		return summary{}, fmt.Errorf("%w: from worker %d: %w", errBadFrame, w, err)
+	}
+	if f.step != s.steps {
+		return summary{}, fmt.Errorf("%w: worker %d is at step %d, this one at %d", errBadFrame, w, f.step, s.steps)
+	}
 	// Per-message receiver handling is N adds of the same constant, so
 	// grouping by sender cannot change the accumulated bits.
 	recvCost := s.lat.Cost(s.cfg.GhostBytes) * recvOverheadFrac
-	for w, data := range in {
-		if w == sh.Index || data == nil {
-			continue
+	for _, c := range f.cells {
+		if c.id < 0 || int(c.id) >= len(s.store) || !s.inSlab(int(s.store[c.id].simPE)) {
+			return summary{}, fmt.Errorf("%w: worker %d posted to cell %d, not in this slab", errBadFrame, w, c.id)
 		}
-		f, err := decodeFrame(data)
-		if err != nil {
-			return StepStats{}, fmt.Errorf("%w: from worker %d: %w", errBadFrame, w, err)
+		if c.mail < 0 || c.mail > ghostsPerCell-s.mail[c.id].Load() {
+			return summary{}, fmt.Errorf("%w: worker %d posted %d ghosts to cell %d, which holds %d of %d", errBadFrame, w, c.mail, c.id, s.mail[c.id].Load(), ghostsPerCell)
 		}
-		if f.step != sh.step {
-			return StepStats{}, fmt.Errorf("%w: worker %d is at step %d, this one at %d", errBadFrame, w, f.step, sh.step)
-		}
-		for _, c := range f.cells {
-			if c.id < 0 || int(c.id) >= len(s.store) || !sh.localPE(int(s.store[c.id].simPE)) {
-				return StepStats{}, fmt.Errorf("%w: worker %d posted to cell %d, not in this slab", errBadFrame, w, c.id)
+		s.mail[c.id].Add(c.mail)
+		atomicMaxFloat(&s.arrNext[c.id], c.arr)
+		if !s.cfg.Aggregate {
+			pe := int(s.store[c.id].simPE)
+			for k := int64(0); k < c.mail; k++ {
+				atomicAddFloat(&s.recvPending[pe], recvCost)
 			}
-			if c.mail < 0 || c.mail > ghostsPerCell-s.mail[c.id].Load() {
-				return StepStats{}, fmt.Errorf("%w: worker %d posted %d ghosts to cell %d, which holds %d of %d", errBadFrame, w, c.mail, c.id, s.mail[c.id].Load(), ghostsPerCell)
-			}
-			s.mail[c.id].Add(c.mail)
-			atomicMaxFloat(&s.arrNext[c.id], c.arr)
-			if !s.cfg.Aggregate {
-				pe := int(s.store[c.id].simPE)
-				for k := int64(0); k < c.mail; k++ {
-					atomicAddFloat(&s.recvPending[pe], recvCost)
-				}
-			}
-		}
-		for _, a := range f.agg {
-			if !s.cfg.Aggregate || a.src < 0 || int(a.src) >= s.cfg.SimPEs || sh.localPE(int(a.src)) || !sh.localPE(int(a.dst)) {
-				return StepStats{}, fmt.Errorf("%w: worker %d sent envelope %d→%d, not across this cut", errBadFrame, w, a.src, a.dst)
-			}
-			s.aggPend[a.src][a.dst] += a.pend
-		}
-		cross += f.cross
-		intra += f.intra
-		env += f.env
-		coal += f.coal
-		if f.maxDelta > maxDelta {
-			maxDelta = f.maxDelta
-		}
-		if f.tAfter > tAfter {
-			tAfter = f.tAfter
 		}
 	}
-	sh.step++
-	st := StepStats{
-		Step:              s.byPE[sh.peLo][0].steps,
-		TimeNs:            maxDelta,
-		PredictedTargetNs: tAfter - sh.prevTAfter,
-		CrossPEMessages:   int(cross),
-		IntraPEMessages:   int(intra),
-		Envelopes:         int(env),
-		CoalescedGhosts:   int(coal),
+	for _, a := range f.agg {
+		if !s.cfg.Aggregate || a.src < 0 || int(a.src) >= s.cfg.SimPEs || s.inSlab(int(a.src)) || !s.inSlab(int(a.dst)) {
+			return summary{}, fmt.Errorf("%w: worker %d sent envelope %d→%d, not across this cut", errBadFrame, w, a.src, a.dst)
+		}
+		s.aggPend[a.src][a.dst] += a.pend
 	}
-	sh.prevTAfter = tAfter
-	return st, nil
+	return f.summary, nil
 }
 
 // frameCellMin / frameAggMin are the minimum encoded entry sizes the

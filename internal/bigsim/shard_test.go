@@ -19,41 +19,63 @@ func stepEqual(a, b StepStats) bool {
 		a.CoalescedGhosts == b.CoalescedGhosts
 }
 
-// runShardPair drives both workers' slabs concurrently, meeting at
-// the per-step frame exchange, and demands both report identical
-// stats for every step.
-func runShardPair(t *testing.T, cfg Config, steps int) []StepStats {
+// runShards drives n workers' slabs concurrently, cut the way package
+// shard cuts them (worker w owns PEs [w·SimPEs/n, (w+1)·SimPEs/n)),
+// meeting at the per-step frame exchange, and demands every worker
+// report identical stats for every step.
+func runShards(t *testing.T, cfg Config, n, steps int) []StepStats {
 	t.Helper()
-	var shards [2]*Shard
+	cut := func(w int) int { return w * cfg.SimPEs / n }
+	owner := func(pe int) int {
+		w := 0
+		for pe >= cut(w+1) {
+			w++
+		}
+		return w
+	}
+	shards := make([]*Shard, n)
+	links := make([][]chan []byte, n) // links[i][j] carries i's frames to j
 	for i := range shards {
-		sh, err := NewShard(cfg, i, 2)
+		sh, err := NewShard(cfg, i, n, cut(i), cut(i+1), owner)
 		if err != nil {
 			t.Fatal(err)
 		}
 		shards[i] = sh
+		links[i] = make([]chan []byte, n)
+		for j := range links[i] {
+			links[i][j] = make(chan []byte, 1)
+		}
 	}
-	ch := [2]chan []byte{make(chan []byte, 1), make(chan []byte, 1)}
-	var results [2][]StepStats
-	var errs [2]error
+	results := make([][]StepStats, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	wg.Add(2)
-	for i := range shards {
-		go func(i int) {
+	for i, sh := range shards {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
+			exchange := func(out [][]byte) ([][]byte, error) {
+				for j := range out {
+					if j != i {
+						links[i][j] <- out[j]
+					}
+				}
+				in := make([][]byte, n)
+				for j := range in {
+					if j != i {
+						in[j] = <-links[j][i]
+					}
+				}
+				return in, nil
+			}
 			for s := 0; s < steps; s++ {
-				st, err := shards[i].Step(func(out [][]byte) ([][]byte, error) {
-					ch[i] <- out[1-i]
-					in := make([][]byte, 2)
-					in[1-i] = <-ch[1-i]
-					return in, nil
-				})
+				st, err := sh.Step(exchange)
 				if err != nil {
 					errs[i] = err
 					return
 				}
 				results[i] = append(results[i], st)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -61,36 +83,48 @@ func runShardPair(t *testing.T, cfg Config, steps int) []StepStats {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
-	if len(results[0]) != steps || len(results[1]) != steps {
-		t.Fatalf("step counts: %d and %d, want %d", len(results[0]), len(results[1]), steps)
-	}
-	for s := 0; s < steps; s++ {
-		if !stepEqual(results[0][s], results[1][s]) {
-			t.Fatalf("step %d: workers disagree: %+v vs %+v", s, results[0][s], results[1][s])
+	for i := range results {
+		if len(results[i]) != steps {
+			t.Fatalf("shard %d ran %d steps, want %d", i, len(results[i]), steps)
+		}
+		for s := range results[i] {
+			if !stepEqual(results[0][s], results[i][s]) {
+				t.Fatalf("step %d: workers 0 and %d disagree: %+v vs %+v", s, i, results[0][s], results[i][s])
+			}
 		}
 	}
 	return results[0]
 }
 
-// TestShardMatchesSerial: the 2-slab run must reproduce the serial
-// simulator's per-step stats bit for bit, per-message and aggregated.
+// TestShardMatchesSerial is the driver table: StepParallel on both
+// backends, and 2- and 3-way shards of the event backend (7 PEs, so
+// neither cut divides evenly), must each reproduce the serial Step of
+// their backend bit for bit, per-message and aggregated.
 func TestShardMatchesSerial(t *testing.T) {
+	const steps = 5
+	drivers := []struct {
+		name string
+		mode string
+		run  func(cfg Config) []StepStats
+	}{
+		{"parallel", ModeULT, func(cfg Config) []StepStats { return runModeDriver(t, cfg, ModeULT, true, steps) }},
+		{"parallel", ModeEvent, func(cfg Config) []StepStats { return runModeDriver(t, cfg, ModeEvent, true, steps) }},
+		{"shards=2", ModeEvent, func(cfg Config) []StepStats { return runShards(t, cfg, 2, steps) }},
+		{"shards=3", ModeEvent, func(cfg Config) []StepStats { return runShards(t, cfg, 3, steps) }},
+	}
 	for _, agg := range []bool{false, true} {
-		cfg := Config{
-			X: 8, Y: 6, Z: 4, SimPEs: 6, Mode: ModeEvent,
-			AtomsPerCell: 150, WorkPerAtomNs: 30, GhostBytes: 1024,
-			Aggregate: agg,
-		}
-		const steps = 5
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.Run(steps)
-		got := runShardPair(t, cfg, steps)
-		for s := range want {
-			if !stepEqual(want[s], got[s]) {
-				t.Fatalf("aggregate=%v step %d: serial %+v, sharded %+v", agg, s, want[s], got[s])
+		for _, d := range drivers {
+			cfg := Config{
+				X: 8, Y: 6, Z: 4, SimPEs: 7, Mode: d.mode,
+				AtomsPerCell: 150, WorkPerAtomNs: 30, GhostBytes: 1024,
+				Aggregate: agg,
+			}
+			want := runModeDriver(t, cfg, d.mode, false, steps)
+			got := d.run(cfg)
+			for s := range want {
+				if !stepEqual(want[s], got[s]) {
+					t.Fatalf("%s/%s aggregate=%v step %d: serial %+v, got %+v", d.name, d.mode, agg, s, want[s], got[s])
+				}
 			}
 		}
 	}
@@ -101,28 +135,8 @@ func TestShardMatchesSerial(t *testing.T) {
 func TestShardRejectsULT(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModeULT
-	if _, err := NewShard(cfg, 0, 2); err == nil {
+	if _, err := NewShard(cfg, 0, 2, 0, 2, func(pe int) int { return pe / 2 }); err == nil {
 		t.Fatal("ULT mode must be rejected")
-	}
-}
-
-// TestShardOddSplit: slab cuts that do not divide the PE count.
-func TestShardOddSplit(t *testing.T) {
-	cfg := Config{
-		X: 6, Y: 5, Z: 3, SimPEs: 5, Mode: ModeEvent,
-		AtomsPerCell: 100, WorkPerAtomNs: 20, GhostBytes: 512,
-	}
-	const steps = 4
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Run(steps)
-	got := runShardPair(t, cfg, steps)
-	for s := range want {
-		if !stepEqual(want[s], got[s]) {
-			t.Fatalf("step %d: serial %+v, sharded %+v", s, want[s], got[s])
-		}
 	}
 }
 
@@ -159,14 +173,15 @@ func TestDecodeFrameHostileCounts(t *testing.T) {
 }
 
 // hostileShard is worker 0 of a 4×4×4 machine split over 2 workers,
-// and a cell of its slab.
+// one PE each, and a cell of its slab.
 func hostileShard(t testing.TB) (*Shard, int32) {
 	t.Helper()
-	sh, err := NewShard(Config{X: 4, Y: 4, Z: 4, SimPEs: 2, Mode: ModeEvent, AtomsPerCell: 4, WorkPerAtomNs: 10, GhostBytes: 64, Aggregate: true}, 0, 2)
+	cfg := Config{X: 4, Y: 4, Z: 4, SimPEs: 2, Mode: ModeEvent, AtomsPerCell: 4, WorkPerAtomNs: 10, GhostBytes: 64, Aggregate: true}
+	sh, err := NewShard(cfg, 0, 2, 0, 1, func(pe int) int { return pe })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sh, sh.S.byPE[sh.peLo][0].id
+	return sh, sh.S.store[0].id
 }
 
 // stepWith runs one Step whose exchange hands back frame as worker 1's.
@@ -201,8 +216,8 @@ func packFrame(t testing.TB, cells, envs [][2]int64) []byte {
 // TestShardRejectsHostileFrames: a step frame that writes outside the
 // slab is refused by name from Step — a cell id of -1, an id that
 // aliases a local cell once truncated to int32, an envelope from PE
-// -1, and more ghosts than a cell can hold, which the next prologue
-// would otherwise trip over. None may panic.
+// -1, and more ghosts than a cell can hold, which the next step's
+// start would otherwise trip over. None may panic.
 func TestShardRejectsHostileFrames(t *testing.T) {
 	_, local := hostileShard(t)
 	for name, frame := range map[string][]byte{
@@ -222,20 +237,20 @@ func TestShardRejectsHostileFrames(t *testing.T) {
 	if err := stepWith(sh, packFrame(t, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := stepWith(sh, packFrame(t, nil, nil)); !errors.Is(err, errBadFrame) {
-		t.Errorf("step after a short frame returned %v, want errBadFrame", err)
+	if err := stepWith(sh, packFrame(t, nil, nil)); !errors.Is(err, errGhostCount) {
+		t.Errorf("step after a short frame returned %v, want errGhostCount", err)
 	}
 }
 
 // FuzzBigSimFrame decodes and applies arbitrary bytes as a peer's step
 // frame on a fresh shard, then steps once more: each Step ends in
-// success or errBadFrame, never a panic.
+// success, errBadFrame or errGhostCount, never a panic.
 func FuzzBigSimFrame(f *testing.F) {
 	sh, local := hostileShard(f)
 	f.Add(packFrame(f, nil, nil))
 	f.Add(packFrame(f, [][2]int64{{int64(local), 2}}, [][2]int64{{1, 0}}))
 	f.Add(packFrame(f, [][2]int64{{-1, 1}}, [][2]int64{{-1, 0}}))
-	_, out, err := sh.harvest(make([]float64, sh.peHi-sh.peLo))
+	out, err := sh.harvest(summary{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -244,8 +259,8 @@ func FuzzBigSimFrame(f *testing.F) {
 		sh, _ := hostileShard(t)
 		for i := 0; i < 2; i++ {
 			if err := stepWith(sh, frame); err != nil {
-				if !errors.Is(err, errBadFrame) {
-					t.Fatalf("step %d: %v is not errBadFrame", i, err)
+				if !errors.Is(err, errBadFrame) && !errors.Is(err, errGhostCount) {
+					t.Fatalf("step %d: %v is neither errBadFrame nor errGhostCount", i, err)
 				}
 				return
 			}

@@ -117,7 +117,9 @@ func RunBigSimWorker(index, workers int, fab Fabric, spec BigSimSpec) (rep *BigS
 	if spec.Steps < 1 {
 		return nil, fmt.Errorf("shard: bigsim wants ≥ 1 step, got %d", spec.Steps)
 	}
-	sh, err := bigsim.NewShard(spec.Cfg, index, workers)
+	pes := spec.Cfg.SimPEs
+	sh, err := bigsim.NewShard(spec.Cfg, index, workers, Cut(pes, workers, index), Cut(pes, workers, index+1),
+		func(pe int) int { return OwnerOf(pes, workers, pe) })
 	if err != nil {
 		return nil, err
 	}
