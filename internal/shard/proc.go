@@ -9,7 +9,8 @@ package shard
 // it accepts one connection from every higher-indexed worker. The
 // registered app runs and the worker prints "RESULT <json>" (or
 // "ERROR <msg>"); any other stdout line is forwarded to the parent's
-// stderr. A worker that dies is a hard error for the whole run.
+// stderr. A worker that dies is a hard error for the whole run. On
+// Linux a worker also dies with the process that started it.
 //
 // The "shm" fabric skips the socket mesh entirely: the parent
 // pre-creates the full ring directory (comm.CreateShmMesh) in the
@@ -24,6 +25,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -84,7 +86,9 @@ type ProcSpec struct {
 
 // Run spawns spec.Workers copies of the current executable, wires
 // their rendezvous, and returns each worker's raw RESULT payload in
-// index order. Any worker error fails the whole run.
+// index order. Any worker error fails the whole run, and so does
+// runDeadline, with errDeadline. However Run ends, every worker is
+// killed and waited for and the rendezvous directory removed.
 func Run(spec ProcSpec) ([]json.RawMessage, error) {
 	if spec.Workers < 2 {
 		return nil, fmt.Errorf("shard: need at least 2 workers, got %d", spec.Workers)
@@ -126,19 +130,21 @@ func Run(spec ProcSpec) ([]json.RawMessage, error) {
 		}
 	}
 
-	type wproc struct {
-		cmd *exec.Cmd
-		out *bufio.Reader
-		in  io.WriteCloser
-	}
-	procs := make([]*wproc, spec.Workers)
-	killAll := func() {
-		for _, wp := range procs {
-			if wp != nil && wp.cmd.Process != nil {
-				wp.cmd.Process.Kill()
+	procs := make([]*exec.Cmd, spec.Workers)
+	stdins := make([]io.WriteCloser, spec.Workers)
+	lines := make(chan workerLine)
+	quit := make(chan struct{})
+	// Whatever ends the run, no worker outlives it: each is killed (a
+	// no-op once it exited) and waited for before dir goes.
+	defer func() {
+		close(quit)
+		for _, cmd := range procs {
+			if cmd != nil {
+				cmd.Process.Kill()
+				cmd.Wait()
 			}
 		}
-	}
+	}()
 	for i := range procs {
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(),
@@ -151,75 +157,110 @@ func Run(spec ProcSpec) ([]json.RawMessage, error) {
 			envCfg+"="+string(payload),
 		)
 		cmd.Stderr = os.Stderr
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			killAll()
+		cmd.SysProcAttr = workerAttr()
+		if stdins[i], err = cmd.StdinPipe(); err != nil {
 			return nil, err
 		}
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
-			killAll()
 			return nil, err
 		}
 		if err := cmd.Start(); err != nil {
-			killAll()
 			return nil, fmt.Errorf("shard: starting worker %d: %w", i, err)
 		}
-		procs[i] = &wproc{cmd: cmd, out: bufio.NewReaderSize(stdout, 1<<20), in: stdin}
+		procs[i] = cmd
+		go readLines(i, stdout, lines, quit)
 	}
 
-	fail := func(format string, a ...any) ([]json.RawMessage, error) {
-		killAll()
-		for _, wp := range procs {
-			wp.cmd.Wait()
-		}
-		return nil, fmt.Errorf(format, a...)
-	}
-
-	// Rendezvous: collect each worker's listen address, broadcast all.
+	// One loop serves the rendezvous and the results: each worker's
+	// first line is its ADDR; once all are in, ADDRS goes out, and then
+	// every worker owes one RESULT. Other stdout lines pass through.
+	timeout := time.NewTimer(runDeadline)
+	defer timeout.Stop()
 	addrs := make([]string, spec.Workers)
-	for i, wp := range procs {
-		line, err := wp.out.ReadString('\n')
-		if err != nil {
-			return fail("shard: worker %d died before rendezvous: %v", i, err)
-		}
-		addr, ok := strings.CutPrefix(strings.TrimSpace(line), "ADDR ")
-		if !ok {
-			return fail("shard: worker %d: expected ADDR line, got %q", i, line)
-		}
-		addrs[i] = addr
-	}
-	all := "ADDRS " + strings.Join(addrs, " ") + "\n"
-	for i, wp := range procs {
-		if _, err := io.WriteString(wp.in, all); err != nil {
-			return fail("shard: sending ADDRS to worker %d: %v", i, err)
-		}
-		wp.in.Close()
-	}
-
-	// Collect results. Non-protocol stdout lines pass through.
 	results := make([]json.RawMessage, spec.Workers)
-	for i, wp := range procs {
-		for results[i] == nil {
-			line, err := wp.out.ReadString('\n')
-			switch {
-			case strings.HasPrefix(line, "RESULT "):
-				results[i] = json.RawMessage(strings.TrimSpace(line[len("RESULT "):]))
-			case strings.HasPrefix(line, "ERROR "):
-				return fail("shard: worker %d: %s", i, strings.TrimSpace(line[len("ERROR "):]))
-			case err != nil:
-				return fail("shard: worker %d exited without a result: %v", i, err)
-			default:
-				fmt.Fprintf(os.Stderr, "[shard worker %d] %s", i, line)
+	for pending, waiting := spec.Workers, spec.Workers; waiting > 0; {
+		var l workerLine
+		select {
+		case l = <-lines:
+		case <-timeout.C:
+			var silent []int
+			for i, r := range results {
+				if r == nil {
+					silent = append(silent, i)
+				}
 			}
+			return nil, fmt.Errorf("%w of %v passed: no RESULT from workers %v", errDeadline, runDeadline, silent)
+		}
+		text := strings.TrimSpace(l.text)
+		switch {
+		case results[l.w] != nil: // after its RESULT a worker only exits
+		case addrs[l.w] == "" && l.err == nil:
+			addr, ok := strings.CutPrefix(text, "ADDR ")
+			if !ok || addr == "" {
+				return nil, fmt.Errorf("shard: worker %d: expected ADDR line, got %q", l.w, l.text)
+			}
+			addrs[l.w] = addr
+			if pending--; pending == 0 {
+				all := "ADDRS " + strings.Join(addrs, " ") + "\n"
+				for i, in := range stdins {
+					if _, err := io.WriteString(in, all); err != nil {
+						return nil, fmt.Errorf("shard: sending ADDRS to worker %d: %v", i, err)
+					}
+					in.Close()
+				}
+			}
+		case strings.HasPrefix(text, "RESULT "):
+			results[l.w] = json.RawMessage(text[len("RESULT "):])
+			waiting--
+		case strings.HasPrefix(text, "ERROR "):
+			return nil, fmt.Errorf("shard: worker %d: %s", l.w, text[len("ERROR "):])
+		case l.err != nil:
+			return nil, fmt.Errorf("shard: worker %d exited without a result: %v", l.w, l.err)
+		default:
+			fmt.Fprintf(os.Stderr, "[shard worker %d] %s", l.w, l.text)
 		}
 	}
-	for i, wp := range procs {
-		if err := wp.cmd.Wait(); err != nil {
-			return fail("shard: worker %d: %v", i, err)
+	for i, cmd := range procs {
+		if err := cmd.Wait(); err != nil {
+			return nil, fmt.Errorf("shard: worker %d: %v", i, err)
 		}
 	}
 	return results, nil
+}
+
+// errDeadline is a Run that outlived runDeadline.
+var errDeadline = errors.New("shard: run deadline")
+
+// runDeadline bounds a whole Run, from the first worker's start to the
+// last RESULT: far beyond any run the tests and the benchmark make, so
+// only a hung worker meets it. A variable only so a test can shorten
+// it; Run takes no option for it.
+var runDeadline = 5 * time.Minute
+
+// workerLine is one stdout line of worker w, or the error that ended
+// its stdout.
+type workerLine struct {
+	w    int
+	text string
+	err  error
+}
+
+// readLines forwards worker w's stdout to lines until it ends or Run
+// returns.
+func readLines(w int, stdout io.Reader, lines chan<- workerLine, quit <-chan struct{}) {
+	r := bufio.NewReaderSize(stdout, 1<<20)
+	for {
+		text, err := r.ReadString('\n')
+		select {
+		case lines <- workerLine{w, text, err}:
+		case <-quit:
+			return
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
 // WorkerMain is the worker-process entry point. Call it first thing
