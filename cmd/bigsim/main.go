@@ -81,6 +81,6 @@ func main() {
 		}
 	}
 	fmt.Println("\n(Figure 11 used 200,000 target processors on LeMieux; -x 63 -y 63 -z 51")
-	fmt.Println(" reproduces that scale — with -mode event in ~100 B per target, where the")
-	fmt.Println(" ULT backend needs a goroutine stack and two channels per target.)")
+	fmt.Println(" reproduces that scale — with -mode event in ~64 B per target, where the")
+	fmt.Println(" ULT backend needs a goroutine stack and a channel per target.)")
 }

@@ -122,9 +122,9 @@ func TestModeValidation(t *testing.T) {
 
 // TestEventModePaperScale runs the paper's headline configuration —
 // 200,704 target processors (64×56×56), "clearly not feasible" as
-// heavier flows — through the event backend. With ~88 B of state per
+// heavier flows — through the event backend. With ~64 B of state per
 // flow and no goroutines this completes comfortably in CI, where the
-// ULT backend would need a stack and two channels per target.
+// ULT backend would need a stack and a channel per target.
 func TestEventModePaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

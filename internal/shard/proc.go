@@ -34,6 +34,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"migflow/internal/comm"
@@ -130,21 +131,34 @@ func Run(spec ProcSpec) ([]json.RawMessage, error) {
 		}
 	}
 
-	procs := make([]*exec.Cmd, spec.Workers)
-	stdins := make([]io.WriteCloser, spec.Workers)
-	lines := make(chan workerLine)
-	quit := make(chan struct{})
-	// Whatever ends the run, no worker outlives it: each is killed (a
-	// no-op once it exited) and waited for before dir goes.
-	defer func() {
-		close(quit)
-		for _, cmd := range procs {
-			if cmd != nil {
-				cmd.Process.Kill()
-				cmd.Wait()
+	type wproc struct {
+		cmd *exec.Cmd
+		out *bufio.Reader
+		in  io.WriteCloser
+	}
+	procs := make([]*wproc, spec.Workers)
+	results := make([]json.RawMessage, spec.Workers)
+	var expired atomic.Bool
+	// fail kills every worker (a no-op once one exited) and waits for
+	// it; past the deadline the error is errDeadline.
+	fail := func(format string, a ...any) ([]json.RawMessage, error) {
+		for _, wp := range procs {
+			if wp != nil {
+				wp.cmd.Process.Kill()
+				wp.cmd.Wait()
 			}
 		}
-	}()
+		if expired.Load() {
+			var silent []int
+			for i, r := range results {
+				if r == nil {
+					silent = append(silent, i)
+				}
+			}
+			return nil, fmt.Errorf("%w of %v passed: no RESULT from workers %v", errDeadline, runDeadline, silent)
+		}
+		return nil, fmt.Errorf(format, a...)
+	}
 	for i := range procs {
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(),
@@ -158,72 +172,69 @@ func Run(spec ProcSpec) ([]json.RawMessage, error) {
 		)
 		cmd.Stderr = os.Stderr
 		cmd.SysProcAttr = workerAttr()
-		if stdins[i], err = cmd.StdinPipe(); err != nil {
-			return nil, err
+		stdin, err := cmd.StdinPipe()
+		if err != nil {
+			return fail("shard: worker %d stdin: %w", i, err)
 		}
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
-			return nil, err
+			return fail("shard: worker %d stdout: %w", i, err)
 		}
 		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("shard: starting worker %d: %w", i, err)
+			return fail("shard: starting worker %d: %w", i, err)
 		}
-		procs[i] = cmd
-		go readLines(i, stdout, lines, quit)
+		procs[i] = &wproc{cmd: cmd, out: bufio.NewReaderSize(stdout, 1<<20), in: stdin}
+	}
+	// Past the deadline every worker is killed, so whatever read or
+	// wait this goroutine is blocked in returns and fails the run.
+	deadline := time.AfterFunc(runDeadline, func() {
+		expired.Store(true)
+		for _, wp := range procs {
+			wp.cmd.Process.Kill()
+		}
+	})
+	defer deadline.Stop()
+
+	// Rendezvous: collect each worker's listen address, broadcast all.
+	addrs := make([]string, spec.Workers)
+	for i, wp := range procs {
+		line, err := wp.out.ReadString('\n')
+		if err != nil {
+			return fail("shard: worker %d died before rendezvous: %v", i, err)
+		}
+		addr, ok := strings.CutPrefix(strings.TrimSpace(line), "ADDR ")
+		if !ok {
+			return fail("shard: worker %d: expected ADDR line, got %q", i, line)
+		}
+		addrs[i] = addr
+	}
+	all := "ADDRS " + strings.Join(addrs, " ") + "\n"
+	for i, wp := range procs {
+		if _, err := io.WriteString(wp.in, all); err != nil {
+			return fail("shard: sending ADDRS to worker %d: %v", i, err)
+		}
+		wp.in.Close()
 	}
 
-	// One loop serves the rendezvous and the results: each worker's
-	// first line is its ADDR; once all are in, ADDRS goes out, and then
-	// every worker owes one RESULT. Other stdout lines pass through.
-	timeout := time.NewTimer(runDeadline)
-	defer timeout.Stop()
-	addrs := make([]string, spec.Workers)
-	results := make([]json.RawMessage, spec.Workers)
-	for pending, waiting := spec.Workers, spec.Workers; waiting > 0; {
-		var l workerLine
-		select {
-		case l = <-lines:
-		case <-timeout.C:
-			var silent []int
-			for i, r := range results {
-				if r == nil {
-					silent = append(silent, i)
-				}
+	// Collect results. Non-protocol stdout lines pass through.
+	for i, wp := range procs {
+		for results[i] == nil {
+			line, err := wp.out.ReadString('\n')
+			switch {
+			case strings.HasPrefix(line, "RESULT "):
+				results[i] = json.RawMessage(strings.TrimSpace(line[len("RESULT "):]))
+			case strings.HasPrefix(line, "ERROR "):
+				return fail("shard: worker %d: %s", i, strings.TrimSpace(line[len("ERROR "):]))
+			case err != nil:
+				return fail("shard: worker %d exited without a result: %v", i, err)
+			default:
+				fmt.Fprintf(os.Stderr, "[shard worker %d] %s", i, line)
 			}
-			return nil, fmt.Errorf("%w of %v passed: no RESULT from workers %v", errDeadline, runDeadline, silent)
-		}
-		text := strings.TrimSpace(l.text)
-		switch {
-		case results[l.w] != nil: // after its RESULT a worker only exits
-		case addrs[l.w] == "" && l.err == nil:
-			addr, ok := strings.CutPrefix(text, "ADDR ")
-			if !ok || addr == "" {
-				return nil, fmt.Errorf("shard: worker %d: expected ADDR line, got %q", l.w, l.text)
-			}
-			addrs[l.w] = addr
-			if pending--; pending == 0 {
-				all := "ADDRS " + strings.Join(addrs, " ") + "\n"
-				for i, in := range stdins {
-					if _, err := io.WriteString(in, all); err != nil {
-						return nil, fmt.Errorf("shard: sending ADDRS to worker %d: %v", i, err)
-					}
-					in.Close()
-				}
-			}
-		case strings.HasPrefix(text, "RESULT "):
-			results[l.w] = json.RawMessage(text[len("RESULT "):])
-			waiting--
-		case strings.HasPrefix(text, "ERROR "):
-			return nil, fmt.Errorf("shard: worker %d: %s", l.w, text[len("ERROR "):])
-		case l.err != nil:
-			return nil, fmt.Errorf("shard: worker %d exited without a result: %v", l.w, l.err)
-		default:
-			fmt.Fprintf(os.Stderr, "[shard worker %d] %s", l.w, l.text)
 		}
 	}
-	for i, cmd := range procs {
-		if err := cmd.Wait(); err != nil {
-			return nil, fmt.Errorf("shard: worker %d: %v", i, err)
+	for i, wp := range procs {
+		if err := wp.cmd.Wait(); err != nil {
+			return fail("shard: worker %d: %v", i, err)
 		}
 	}
 	return results, nil
@@ -232,36 +243,11 @@ func Run(spec ProcSpec) ([]json.RawMessage, error) {
 // errDeadline is a Run that outlived runDeadline.
 var errDeadline = errors.New("shard: run deadline")
 
-// runDeadline bounds a whole Run, from the first worker's start to the
-// last RESULT: far beyond any run the tests and the benchmark make, so
-// only a hung worker meets it. A variable only so a test can shorten
-// it; Run takes no option for it.
+// runDeadline bounds a whole Run, from the last worker's start to its
+// exit: far beyond any run the tests and the benchmark make, so only a
+// hung worker meets it. A variable only so a test can shorten it; Run
+// takes no option for it.
 var runDeadline = 5 * time.Minute
-
-// workerLine is one stdout line of worker w, or the error that ended
-// its stdout.
-type workerLine struct {
-	w    int
-	text string
-	err  error
-}
-
-// readLines forwards worker w's stdout to lines until it ends or Run
-// returns.
-func readLines(w int, stdout io.Reader, lines chan<- workerLine, quit <-chan struct{}) {
-	r := bufio.NewReaderSize(stdout, 1<<20)
-	for {
-		text, err := r.ReadString('\n')
-		select {
-		case lines <- workerLine{w, text, err}:
-		case <-quit:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
 
 // WorkerMain is the worker-process entry point. Call it first thing
 // in main (and in TestMain): it returns false immediately in ordinary
