@@ -53,6 +53,13 @@ func runShards(t *testing.T, cfg Config, n, steps int) []StepStats {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// A worker that stops closes its links: its peers then read
+			// nil frames and fail their next step instead of hanging.
+			defer func() {
+				for _, c := range links[i] {
+					close(c)
+				}
+			}()
 			exchange := func(out [][]byte) ([][]byte, error) {
 				for j := range out {
 					if j != i {
