@@ -8,6 +8,20 @@ func aggCfg(simPEs int) Config {
 	return cfg
 }
 
+// TestAggParallelMatchesSerial: aggregation must stay deterministic —
+// the SMP driver and the serial driver produce identical per-step
+// results, including the envelope counters.
+func TestAggParallelMatchesSerial(t *testing.T) {
+	const steps = 4
+	serial := runModeDriver(t, aggCfg(4), ModeULT, false, steps)
+	parallel := runModeDriver(t, aggCfg(4), ModeULT, true, steps)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Errorf("step %d: serial %+v vs parallel %+v", i, serial[i], parallel[i])
+		}
+	}
+}
+
 // TestAggPredictionAndTrafficUnchanged: aggregation is a simulating-
 // machine optimization only. The target prediction and the logical
 // message counts must be bit-identical with and without it.

@@ -186,6 +186,27 @@ func TestPredictionIncludesTargetLatency(t *testing.T) {
 	}
 }
 
+// TestParallelDriverMatchesSerial: the SMP driver must produce the
+// same virtual results (step times and target prediction) as the
+// deterministic serial driver.
+func TestParallelDriverMatchesSerial(t *testing.T) {
+	const steps = 4
+	serial := runModeDriver(t, small(4), ModeULT, false, steps)
+	parallel := runModeDriver(t, small(4), ModeULT, true, steps)
+	for i := range serial {
+		if serial[i].PredictedTargetNs != parallel[i].PredictedTargetNs {
+			t.Errorf("step %d: prediction %g (serial) vs %g (parallel)",
+				i, serial[i].PredictedTargetNs, parallel[i].PredictedTargetNs)
+		}
+		if serial[i].TimeNs != parallel[i].TimeNs {
+			t.Errorf("step %d: sim time %g vs %g", i, serial[i].TimeNs, parallel[i].TimeNs)
+		}
+		if serial[i].CrossPEMessages != parallel[i].CrossPEMessages {
+			t.Errorf("step %d: cross messages %d vs %d", i, serial[i].CrossPEMessages, parallel[i].CrossPEMessages)
+		}
+	}
+}
+
 // TestManyThreadsOnOnePE is the paper's headline scenario scaled
 // down: thousands of target-processor ULTs on one simulating PE.
 func TestManyThreadsOnOnePE(t *testing.T) {

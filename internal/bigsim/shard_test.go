@@ -147,6 +147,22 @@ func TestShardRejectsULT(t *testing.T) {
 	}
 }
 
+// TestShardOddSplit: slab cuts that do not divide the PE count.
+func TestShardOddSplit(t *testing.T) {
+	cfg := Config{
+		X: 6, Y: 5, Z: 3, SimPEs: 5, Mode: ModeEvent,
+		AtomsPerCell: 100, WorkPerAtomNs: 20, GhostBytes: 512,
+	}
+	const steps = 4
+	want := runModeDriver(t, cfg, ModeEvent, false, steps)
+	got := runShards(t, cfg, 2, steps)
+	for s := range want {
+		if !stepEqual(want[s], got[s]) {
+			t.Fatalf("step %d: serial %+v, sharded %+v", s, want[s], got[s])
+		}
+	}
+}
+
 // TestDecodeFrameHostileCounts: a frame's cell and envelope counts are
 // bounded by the bytes that follow them. 768,614,336,404,564,651 × 24
 // wraps to 8, so a product bound lets that count through to a
