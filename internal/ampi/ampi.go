@@ -208,8 +208,10 @@ type Job struct {
 	siteNum map[*collSite]int
 	depth   int
 
+	// mu guards traffic and err.
 	mu      sync.Mutex
-	traffic map[[2]int]float64 // rank pair (lo,hi) → bytes
+	traffic map[uint64]float64 // rank pair lo<<32 | hi → bytes (one word: the map's fast path)
+	err     error              // how the last Run ended (Err)
 
 	// lbMu serializes Rebalance steps (plan → commit → reset).
 	lbMu sync.Mutex
@@ -221,6 +223,10 @@ type Job struct {
 	gateArrived  int
 	gateStrategy loadbalance.Strategy
 	lbMoved      int
+
+	// blocks holds the ranks' frame stacks, first mailboxes and
+	// collective runs, cut at first use (blocks.go).
+	blocks blocks
 }
 
 // slot is one rank's entire flow-of-control state on either backend: a
@@ -373,7 +379,7 @@ func newJobCommon(m *core.Machine, size int, opts *Options) (*Job, error) {
 	}
 	return &Job{
 		m: m, opts: *opts, size: size,
-		traffic: make(map[[2]int]float64),
+		traffic: make(map[uint64]float64),
 	}, nil
 }
 
@@ -438,16 +444,19 @@ func (j *Job) Start() {
 // — and keeps driving until the program completes. At a full gate
 // the machine is quiescent with zero in-flight messages, so moving
 // ranks cannot reorder deliveries: per-rank results stay
-// bit-identical with and without migration.
+// bit-identical with and without migration. A run that goes quiescent
+// with ranks unfinished is deadlocked: Err reports it, naming each
+// stuck rank and the receive it waits in.
 func (j *Job) Run() {
 	j.Start()
 	for {
 		j.m.RunUntilQuiescent()
 		if !j.gateReady() {
-			return
+			break
 		}
 		j.serviceGate()
 	}
+	j.checkDeadlock()
 }
 
 // RunParallel starts the job and drives the machine with one
@@ -601,7 +610,9 @@ func (s *slot) accept(j *Job, msg *comm.Message) bool {
 		s.hasWait, s.got = false, msg
 		return true
 	}
-	if s.head > 0 && len(s.mbox) == cap(s.mbox) {
+	if cap(s.mbox) == 0 {
+		s.mbox = j.firstMailbox()
+	} else if s.head > 0 && len(s.mbox) == cap(s.mbox) {
 		// Reuse the taken prefix: a busy mailbox may never drain.
 		n := copy(s.mbox, s.mbox[s.head:])
 		clear(s.mbox[n:])
@@ -665,7 +676,7 @@ func (j *Job) send(pc *PC, dest, tag int, data []byte) {
 		panic(fmt.Sprintf("ampi: program Send to rank %d of %d", dest, j.size))
 	}
 	if j.ev == nil && tag >= 0 && dest != pc.Rank() {
-		pair := [2]int{min(pc.Rank(), dest), max(pc.Rank(), dest)}
+		pair := uint64(min(pc.Rank(), dest))<<32 | uint64(max(pc.Rank(), dest))
 		j.mu.Lock()
 		j.traffic[pair] += float64(len(data)) + 64 // payload + envelope
 		j.mu.Unlock()
@@ -778,18 +789,33 @@ func (r *Rank) Recv(src, tag int) ([]byte, int, error) {
 	return m.Data, r.job.senderOf(m.From), nil
 }
 
+// allreduceSites are Rank.Allreduce's sites, one per op: a rank's run
+// at each is made by its first call and reused by every later one.
+var allreduceSites = func() map[string]*collSite {
+	sites := map[string]*collSite{}
+	for _, op := range []string{"sum", "max", "min"} {
+		combine, _ := combiner(op)
+		sites[op] = &collSite{name: "Allreduce", kind: collAllreduce, combine: combine}
+	}
+	return sites
+}()
+
 // Allreduce combines each rank's value with op ("sum", "max", "min")
 // and returns the result on every rank: the Allreduce combinator's
 // schedule, run on the rank's program context by the one collective
 // executor (collRun.advance).
 func (r *Rank) Allreduce(op string, v float64) (float64, error) {
-	combine, err := combiner(op)
-	if err != nil {
+	if _, err := combiner(op); err != nil {
 		return 0, err
 	}
 	pc := r.pc()
-	run := pc.newRun(&collSite{name: "Allreduce", kind: collAllreduce, combine: combine})
-	run.val = v
+	site := allreduceSites[op]
+	run := pc.collAt(site)
+	if run == nil {
+		run = pc.newRun(site)
+		run.link, pc.colls = pc.colls, run
+	}
+	run.next, run.val = 0, v
 	for !run.advance(pc, true) {
 		r.block()
 	}

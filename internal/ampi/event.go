@@ -616,4 +616,5 @@ func (e *eventEngine) shutdown(caller int) {
 	e.job.m.Network().DeregisterRange(e.base)
 	e.job.vts = vts
 	e.job.slots.Store(nil)
+	e.job.dropBlocks()
 }

@@ -95,8 +95,8 @@ func (j *Job) CommGraph() []loadbalance.Edge {
 	edges := make([]loadbalance.Edge, 0, len(j.traffic))
 	for pair, bytes := range j.traffic {
 		edges = append(edges, loadbalance.Edge{
-			A:     uint64(j.entity(pair[0])),
-			B:     uint64(j.entity(pair[1])),
+			A:     uint64(j.entity(int(pair >> 32))),
+			B:     uint64(j.entity(int(uint32(pair)))),
 			Bytes: bytes,
 		})
 	}

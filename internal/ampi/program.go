@@ -129,16 +129,18 @@ type PC struct {
 	// outermost first, from its first activation to completion. It is
 	// allocated once, at the program's depth (Job.depth), so it never
 	// grows. A move ships its cursors and rebuilds it from the shared
-	// tree (shard.go).
+	// tree (shard.go). The array is the rank's carve of the job's
+	// blocks (blocks.go).
 	stack []frame
 }
 
 // start makes prog's root the rank's whole resume point, in the frame
 // array the slot already has (an installed record that had not
-// started) or in one sized to the program's depth.
+// started) or in its carve of the job's blocks, sized to the program's
+// depth.
 func (pc *PC) start(prog Proc) {
 	if cap(pc.stack) == 0 {
-		pc.stack = make([]frame, 0, pc.job.depth)
+		pc.stack = pc.job.frameStack()
 	}
 	pc.stack = append(pc.stack[:0], frame{p: prog})
 }
@@ -662,16 +664,16 @@ func (pc *PC) outstanding() *collSite {
 	return nil
 }
 
-// newRun makes the rank's state for site: its family in the job's
-// topology and the cursor at the start. A root outside the job is a
-// program bug, so it panics by name.
+// newRun makes the rank's state for site, out of the job's blocks: its
+// family in the job's topology and the cursor at the start. A root
+// outside the job is a program bug, so it panics by name.
 func (pc *PC) newRun(site *collSite) *collRun {
 	if site.root < 0 || site.root >= pc.Size() {
 		panic(fmt.Sprintf("ampi: rank %d: %s root %d of %d", pc.rank, site.name, site.root, pc.Size()))
 	}
-	run := &collRun{site: site}
-	run.kind, run.combine = site.kind, site.combine
-	run.parent, run.children = collFamily(site.kind, pc.Rank(), pc.Size(), &pc.job.opts, site.root)
+	run := pc.job.carveRun()
+	run.site, run.kind, run.combine = site, site.kind, site.combine
+	run.parent, run.children = pc.job.family(site.kind, pc.rank, site.root)
 	return run
 }
 

@@ -397,9 +397,11 @@ func pooledPair(run func(iters int) (mallocs, msgs uint64), short, long int) (ma
 }
 
 // TestSteadyStateStepAllocations pins "a rank-step builds no program"
-// and "a message is recycled". Once a rank has made its first pass
-// (frame stack, Local, mailbox, its collective run and schedule) and
-// the message pool is warm, a Jacobi step allocates nothing: its halos
+// and "a message is recycled". Once a rank has made its first pass (its
+// Local, and its carves of the job's first-use blocks: frame stack,
+// first mailbox array, collective run and tree children — what that
+// costs is TestFirstPassAllocations') and the message pool is warm, a
+// Jacobi step allocates nothing: its halos
 // and reduction values ride inside pooled messages, and a ULT rank's
 // receive parks on a match spec held by value. The difference between
 // a 2- and a 10-iteration run stays within 0.1 allocations per

@@ -289,8 +289,8 @@ func (e *eventEngine) installLocked(s *slot, data []byte) (record, error) {
 	for i := range r.runs {
 		run := pc.collAt(r.runs[i].site)
 		if run == nil {
-			run = &collRun{site: r.runs[i].site, link: pc.colls}
-			pc.colls = run
+			run = e.job.carveRun()
+			run.site, run.link, pc.colls = r.runs[i].site, pc.colls, run
 		}
 		run.collState, run.active = r.runs[i].collState, true
 	}
@@ -457,7 +457,7 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 			if old := pc.collAt(site); old != nil {
 				run.parent, run.children = old.parent, old.children
 			} else {
-				run.parent, run.children = collFamily(site.kind, pc.Rank(), e.job.size, &e.job.opts, site.root)
+				run.parent, run.children = e.job.family(site.kind, pc.rank, site.root)
 			}
 			chunks, ok := 0, run.next == 0
 			if site.kind == collAlltoall || site.kind == collScatter && run.parent < 0 {
@@ -492,8 +492,8 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 // pupPath moves the frame stack as one cursor per frame, outermost
 // first. Unpacking rebuilds the stack by one descent of the program
 // tree — into the slot's spare frame array when it has one, else into
-// one sized to the program's depth — with the record's Local in place
-// for the operand functions.
+// the rank's carve of the job's blocks — with the record's Local in
+// place for the operand functions.
 func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) error {
 	n := len(r.stack)
 	if err := p.Int(&n); err != nil {
@@ -510,11 +510,11 @@ func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) error {
 	if n < 0 || n > p.Remaining()/8 {
 		return fmt.Errorf("record claims a tree path of %d frames with %d bytes remaining", n, p.Remaining())
 	}
-	if len(pc.stack) == 0 {
-		r.stack = pc.stack[:0]
+	if len(pc.stack) > 0 {
+		return fmt.Errorf("record installed over a slot whose rank is running")
 	}
-	if cap(r.stack) == 0 && n > 0 {
-		r.stack = make([]frame, 0, e.job.depth)
+	if r.stack = pc.stack[:0]; cap(r.stack) == 0 && n > 0 {
+		r.stack = e.job.frameStack()
 	}
 	local := pc.Local
 	pc.Local = r.local

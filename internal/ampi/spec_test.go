@@ -169,13 +169,32 @@ func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
 // Waitall also holds a completed and a nil request; rank-dependent
 // Work. In about half the phases every receive names its source but
 // takes AnyTag, so it matches the oldest message from that source.
-// Payloads are 0 to 41 bytes. Every rank folds what it receives into
-// its state and writes it to sink at the end.
+// Payloads are 0 to 41 bytes: empty, both sides of comm.InlineBytes
+// (16 and 17: carried inside a pooled message, or lent), and longer.
+// The first 8 bytes of a payload are the sender's state and each later
+// byte repeats one of them under a mask fixed by its position, so a
+// receive checks every byte: every route shares Message.SetData, so
+// only the payload itself can show one cut short or overwritten in
+// flight. Every rank folds what it receives into its state and writes
+// it to sink at the end.
 func specMix(seed int64, size int, sink []float64) Proc {
 	rng := rand.New(rand.NewSource(seed))
 	st := func(pc *PC) *mixState { return pc.Local.(*mixState) }
-	payload := func(pc *PC, n int) []byte { return append(f64bytes(st(pc).x), make([]byte, n)...)[:n] }
+	mask := func(i int) byte { return byte(i/8) * 0x5b }
+	payload := func(pc *PC, n int) []byte {
+		x, b := f64bytes(st(pc).x), make([]byte, n)
+		for i := range b {
+			b[i] = x[i%8] ^ mask(i)
+		}
+		return b
+	}
 	fold := func(pc *PC, data []byte, from int) {
+		for i := 8; i < len(data); i++ {
+			if data[i] != data[i%8]^mask(i) {
+				panic(fmt.Sprintf("specMix: rank %d got a %d-byte payload from rank %d whose byte %d is %#x, want %#x",
+					pc.Rank(), len(data), from, i, data[i], data[i%8]^mask(i)))
+			}
+		}
 		if st(pc).x = st(pc).x*0.5 + float64(len(data)+from); len(data) >= 8 {
 			st(pc).x += f64(data)
 		}

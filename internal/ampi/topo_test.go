@@ -39,7 +39,7 @@ func TestTopoFamilyShape(t *testing.T) {
 								n, k, nodes, gsize, block, root)
 							parents := make(map[int]int)
 							for i := 0; i < n; i++ {
-								p, children := collFamily(collBarrier, i, n, &j.opts, root)
+								p, children := collFamily(nil, collBarrier, i, n, &j.opts, root)
 								if i == root && p != -1 {
 									t.Fatalf("%s: root has parent %d", label, p)
 								}
@@ -60,7 +60,7 @@ func TestTopoFamilyShape(t *testing.T) {
 								t.Fatalf("%s: %d edges, want %d", label, len(parents), n-1)
 							}
 							for c, p := range parents {
-								gotP, _ := collFamily(collBarrier, c, n, &j.opts, root)
+								gotP, _ := collFamily(nil, collBarrier, c, n, &j.opts, root)
 								if gotP != p {
 									t.Fatalf("%s: rank %d sees parent %d, parent list says %d", label, c, gotP, p)
 								}
@@ -86,7 +86,7 @@ func TestTopoFamilyShape(t *testing.T) {
 func treeEdgeHops(j *Job, root int) int {
 	total := 0
 	for i := 0; i < j.size; i++ {
-		p, _ := collFamily(collBarrier, i, j.size, &j.opts, root)
+		p, _ := collFamily(nil, collBarrier, i, j.size, &j.opts, root)
 		if p >= 0 {
 			total += j.edgeHops(i, p)
 		}

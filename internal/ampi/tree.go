@@ -25,20 +25,19 @@ import (
 // so when Options.Topo charges per-hop costs, the same reduction
 // crosses fewer hops at identical combine order per node.
 
-// treeFamily returns rank's parent (-1 for the root) and children in
-// the k-ary collective tree of n ranks rooted at root. Ranks are
-// renumbered relative to root, so any root yields the same shape. It
-// is placement- and mode-independent.
-func treeFamily(rank, n, k, root int) (parent int, children []int) {
+// treeFamily returns rank's parent (-1 for the root) and its children
+// in the k-ary collective tree of n ranks rooted at root, appended to
+// children. Ranks are renumbered relative to root, so any root yields
+// the same shape. It is placement- and mode-independent.
+func treeFamily(children []int, rank, n, k, root int) (parent int, _ []int) {
 	rel := (rank - root + n) % n
 	parent = -1
 	if rel != 0 {
 		parent = ((rel-1)/k + root) % n
 	}
 	if first := k*rel + 1; first < n {
-		children = make([]int, min(k, n-first))
-		for i := range children {
-			children[i] = (first + i + root) % n
+		for i := range min(k, n-first) {
+			children = append(children, (first+i+root)%n)
 		}
 	}
 	return parent, children
@@ -85,9 +84,10 @@ func (tm topoMap) count(m int) int {
 	return 1 + (tm.n-1-m)/tm.eff
 }
 
-// topoFamily returns rank's parent and children in the topology-aware
-// spanning tree of n ranks rooted at root (CollTopoTree). The tree
-// follows the torus/PE-group hierarchy of t instead of rank order:
+// topoFamily returns rank's parent and its children, appended to
+// children, in the topology-aware spanning tree of n ranks rooted at
+// root (CollTopoTree). The tree follows the torus/PE-group hierarchy of
+// t instead of rank order:
 //
 //   - ranks on one logical node form a k-ary subtree under the node's
 //     first resident (its leader), so those edges cross zero hops;
@@ -100,13 +100,13 @@ func (tm topoMap) count(m int) int {
 // result depends only on (rank, n, k, root, t, block) — never on
 // current placement — so collectives built on it stay deterministic
 // and migration-invariant.
-func topoFamily(rank, n, k, root int, t Topology, block bool) (parent int, children []int) {
+func topoFamily(children []int, rank, n, k, root int, t Topology, block bool) (parent int, _ []int) {
 	eff, gsize := t.Nodes, t.GroupSize
 	if eff > n {
 		eff = n
 	}
 	if eff <= 0 || gsize <= 0 {
-		return treeFamily(rank, n, k, root)
+		return treeFamily(children, rank, n, k, root)
 	}
 	tm := topoMap{n: n, eff: eff, k: k, block: block}
 	abs := func(x int) int { return (x + root) % n }
@@ -158,15 +158,14 @@ func topoFamily(rank, n, k, root int, t Topology, block bool) (parent int, child
 	return parent, children
 }
 
-// starFamily returns rank's parent and children in the one-level star
-// of n ranks rooted at root: the root's children are every other rank
-// in rank order, so it combines in a fixed order whatever the arrival
-// order.
-func starFamily(rank, n, root int) (parent int, children []int) {
+// starFamily returns rank's parent and its children, appended to
+// children, in the one-level star of n ranks rooted at root: the root's
+// children are every other rank in rank order, so it combines in a
+// fixed order whatever the arrival order.
+func starFamily(children []int, rank, n, root int) (parent int, _ []int) {
 	if rank != root {
-		return root, nil
+		return root, children
 	}
-	children = make([]int, 0, n-1)
 	for i := 0; i < n; i++ {
 		if i != root {
 			children = append(children, i)
@@ -175,22 +174,22 @@ func starFamily(rank, n, root int) (parent int, children []int) {
 	return -1, children
 }
 
-// collFamily returns rank's parent and children for collective kind
-// rooted at root. A direct kind talks to its peers over the star
-// whatever Options.Collectives says (an Alltoall's star is rooted at
-// the rank itself); every other kind uses the job's topology: the
-// rank-order k-ary tree (CollTree), the topology-aware tree
-// (CollTopoTree) or the star (CollFlat).
-func collFamily(kind collKind, rank, n int, opts *Options, root int) (parent int, children []int) {
+// collFamily returns rank's parent and its children, appended to
+// children, for collective kind rooted at root. A direct kind talks to
+// its peers over the star whatever Options.Collectives says (an
+// Alltoall's star is rooted at the rank itself); every other kind uses
+// the job's topology: the rank-order k-ary tree (CollTree), the
+// topology-aware tree (CollTopoTree) or the star (CollFlat).
+func collFamily(children []int, kind collKind, rank, n int, opts *Options, root int) (parent int, _ []int) {
 	switch {
 	case kind == collAlltoall:
-		return starFamily(rank, n, rank)
+		return starFamily(children, rank, n, rank)
 	case collKinds[kind].direct || opts.Collectives == CollFlat:
-		return starFamily(rank, n, root)
+		return starFamily(children, rank, n, root)
 	case opts.Collectives == CollTopoTree:
-		return topoFamily(rank, n, opts.TreeArity, root, opts.Topo, opts.BlockPlacement)
+		return topoFamily(children, rank, n, opts.TreeArity, root, opts.Topo, opts.BlockPlacement)
 	default:
-		return treeFamily(rank, n, opts.TreeArity, root)
+		return treeFamily(children, rank, n, opts.TreeArity, root)
 	}
 }
 

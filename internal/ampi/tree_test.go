@@ -22,7 +22,7 @@ func TestTreeFamilyShape(t *testing.T) {
 				opts := Options{TreeArity: k}
 				parents := make(map[int]int)
 				for i := 0; i < n; i++ {
-					p, children := collFamily(collBarrier, i, n, &opts, root)
+					p, children := collFamily(nil, collBarrier, i, n, &opts, root)
 					if i == root && p != -1 {
 						t.Fatalf("n=%d k=%d root=%d: root has parent %d", n, k, root, p)
 					}
@@ -43,7 +43,7 @@ func TestTreeFamilyShape(t *testing.T) {
 					t.Fatalf("n=%d k=%d root=%d: %d edges, want %d", n, k, root, len(parents), n-1)
 				}
 				for c, p := range parents {
-					gotP, _ := collFamily(collBarrier, c, n, &opts, root)
+					gotP, _ := collFamily(nil, collBarrier, c, n, &opts, root)
 					if gotP != p {
 						t.Fatalf("n=%d k=%d root=%d: rank %d sees parent %d, parent list says %d", n, k, root, c, gotP, p)
 					}
@@ -376,7 +376,7 @@ func TestDerivedScheduleMatchesBuilders(t *testing.T) {
 	} {
 		opts := algos[tc.algo]
 		s := collSched{kind: kinds[tc.kind]}
-		s.parent, s.children = collFamily(s.kind, tc.rank, tc.size, &opts, tc.root)
+		s.parent, s.children = collFamily(nil, s.kind, tc.rank, tc.size, &opts, tc.root)
 		got := []edge{}
 		for i := 0; ; i++ {
 			a, ok := s.at(i)

@@ -12,6 +12,14 @@ import (
 // on the receiver's, and a sharded run decodes on a link-reader
 // goroutine that is no PE at all.
 //
+// A pool miss does not allocate one message: it carves the next one
+// out of a slab of msgSlab messages, so a first pass that needs a
+// message per rank costs one allocation per slab, not one per message.
+// The slab is one object to the collector, which frees it only when no
+// message in it is referenced: a consumer that keeps an inline payload
+// pins its whole slab (6.5 KiB), not only its message. That is the
+// trade that bounds the slab.
+//
 // Who frees a message:
 //
 //   - the consumer that is done with it: a receive statement after its
@@ -21,7 +29,7 @@ import (
 //   - LinkTransport.Deliver, once the message is encoded into a frame;
 //   - nobody, for a consumer that keeps the payload (ampi's Rank.Recv,
 //     a request's Data, a Bcast/Gather/Scatter/Alltoall result):
-//     the collector reclaims such a message like any other object.
+//     the collector reclaims such a message with its slab.
 //
 // A payload of at most InlineBytes rides inside the message (SetData
 // copies it), so a kept payload pins its message and a freed message
@@ -34,7 +42,31 @@ import (
 // InlineBytes is the largest payload a Message carries inside itself.
 const InlineBytes = 16
 
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
+// msgSlab is how many messages one pool miss allocates together: 64
+// of 104 bytes, 6.5 KiB, under the 8 KiB a kept inline payload may pin.
+const msgSlab = 64
+
+var (
+	msgPool = sync.Pool{New: carveMessage}
+
+	// slabMu guards slabRest, the uncarved tail of the newest slab. Only
+	// a pool miss takes it.
+	slabMu   sync.Mutex
+	slabRest []Message
+)
+
+// carveMessage is the pool's New: the next zeroed message of the
+// current slab, cutting a fresh slab when it is used up.
+func carveMessage() any {
+	slabMu.Lock()
+	defer slabMu.Unlock()
+	if len(slabRest) == 0 {
+		slabRest = make([]Message, msgSlab)
+	}
+	m := &slabRest[0]
+	slabRest = slabRest[1:]
+	return m
+}
 
 // NewMessage returns a zeroed message from the pool.
 func NewMessage() *Message { return msgPool.Get().(*Message) }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -122,13 +123,21 @@ func (a *IsoAllocator) AllocSlab(npages uint64) (vmem.Addr, error) {
 	return addr, nil
 }
 
-// FreeSlab returns a slab's addresses to the allocator.
+// ErrNotLiveSlab is FreeSlab's answer for an address this allocator
+// did not grant or already took back — a thread that dies away from
+// its birth PE frees its slab into the wrong allocator. It carries no
+// address, so the common harmless case allocates nothing; a caller
+// that reports it adds the address.
+var ErrNotLiveSlab = errors.New("mem: FreeSlab: not a live slab")
+
+// FreeSlab returns a slab's addresses to the allocator, or
+// ErrNotLiveSlab.
 func (a *IsoAllocator) FreeSlab(addr vmem.Addr) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	size, ok := a.live[addr]
 	if !ok {
-		return fmt.Errorf("mem: FreeSlab(%s): not a live slab", addr)
+		return ErrNotLiveSlab
 	}
 	delete(a.live, addr)
 	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].Addr > addr })

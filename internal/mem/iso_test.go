@@ -110,8 +110,14 @@ func TestIsoAllocatorRecycles(t *testing.T) {
 	if s2 != s1 {
 		t.Errorf("freed slab not recycled: got %s, want %s", s2, s1)
 	}
-	if err := a.FreeSlab(0xbeef000); err == nil {
-		t.Error("freeing wild slab should error")
+	if err := a.FreeSlab(0xbeef000); !errors.Is(err, ErrNotLiveSlab) {
+		t.Errorf("freeing a wild slab: %v, want ErrNotLiveSlab", err)
+	}
+	if err := a.FreeSlab(s2); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FreeSlab(s2); !errors.Is(err, ErrNotLiveSlab) {
+		t.Errorf("freeing a slab twice: %v, want ErrNotLiveSlab", err)
 	}
 }
 

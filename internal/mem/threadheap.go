@@ -142,7 +142,7 @@ func (t *ThreadHeap) ReleaseAll() error {
 			}
 		}
 		if err := t.iso.FreeSlab(h.Region().Start); err != nil && firstErr == nil {
-			firstErr = err
+			firstErr = fmt.Errorf("%w (%s)", err, h.Region().Start)
 		}
 	}
 	t.arenas = nil
