@@ -610,13 +610,17 @@ func (s *slot) accept(j *Job, msg *comm.Message) bool {
 		s.hasWait, s.got = false, msg
 		return true
 	}
-	if cap(s.mbox) == 0 {
+	switch {
+	case cap(s.mbox) == 0:
 		s.mbox = j.firstMailbox()
-	} else if s.head > 0 && len(s.mbox) == cap(s.mbox) {
+	case len(s.mbox) < cap(s.mbox):
+	case s.head > 0:
 		// Reuse the taken prefix: a busy mailbox may never drain.
 		n := copy(s.mbox, s.mbox[s.head:])
 		clear(s.mbox[n:])
 		s.mbox, s.head = s.mbox[:n], 0
+	case cap(s.mbox) == mboxCap:
+		s.mbox = append(j.grownMailbox(), s.mbox...)
 	}
 	s.mbox = append(s.mbox, msg)
 	return false

@@ -1,8 +1,8 @@
 package ampi
 
 // First-use blocks. What a rank holds beside its slot once it runs — its
-// frame stack, its mailbox's first array, its collective runs and their
-// tree children — is carved out of blocks, each sized for blockRanks
+// frame stack, its mailbox's first and second arrays, its collective runs
+// and their tree children — is carved out of blocks, each sized for blockRanks
 // ranks, not allocated rank by rank. A block is cut when a carve finds
 // the newest one used up, never at construction, so a job that is built
 // and not run holds none of this. Carves go to ranks in the order they
@@ -28,13 +28,16 @@ import (
 const (
 	// blockRanks is how many ranks' carves one block holds.
 	blockRanks = 256
-	// mboxCap is the capacity of a mailbox's first array; a busier
-	// rank's mailbox outgrows its carve by append. Jacobi buffers one
-	// message per rank, BT-MZ's halos up to four: a capacity of 4 kept
-	// BT-MZ from growing any but cost 16 B more a rank, +2.6 MiB of peak
-	// RSS at 131k Jacobi ranks (EXPERIMENTS.md, "A rank's first pass
-	// allocates in blocks").
-	mboxCap = 2
+	// mboxCap is the capacity of a mailbox's first array. Jacobi
+	// buffers one message per rank, BT-MZ's halos up to four: a first
+	// capacity of 4 kept BT-MZ from growing any but cost 16 B more a
+	// rank, +2.6 MiB of peak RSS at 131k Jacobi ranks (EXPERIMENTS.md,
+	// "A rank's first pass allocates in blocks"). So a mailbox that
+	// outgrows its first array moves to a second one of grownMboxCap,
+	// carved from its own blocks, which only a job whose mailboxes grow
+	// ever cuts; beyond that it grows by append.
+	mboxCap      = 2
+	grownMboxCap = 2 * mboxCap
 )
 
 // blocks is a job's first-use store: the uncarved rest of the newest
@@ -43,6 +46,7 @@ type blocks struct {
 	mu     sync.Mutex
 	frames []frame
 	mbox   []*comm.Message
+	grown  []*comm.Message // second mailbox arrays
 	runs   []collRun
 	ints   []int // collective tree children
 	// family is the scratch a collective family is computed into before
@@ -78,6 +82,14 @@ func (j *Job) firstMailbox() []*comm.Message {
 	return carve(j, &j.blocks.mbox, mboxCap, mboxCap)
 }
 
+// grownMailbox returns the array a mailbox moves to when it outgrows
+// its first: empty, with capacity grownMboxCap.
+func (j *Job) grownMailbox() []*comm.Message {
+	j.blocks.mu.Lock()
+	defer j.blocks.mu.Unlock()
+	return carve(j, &j.blocks.grown, grownMboxCap, grownMboxCap)
+}
+
 // carveRun returns a zeroed collective run. A block holds a run per rank
 // per numbered site.
 func (j *Job) carveRun() *collRun {
@@ -109,6 +121,6 @@ func (j *Job) family(kind collKind, r int32, root int) (parent int, children []i
 func (j *Job) dropBlocks() {
 	bs := &j.blocks
 	bs.mu.Lock()
-	bs.frames, bs.mbox, bs.runs, bs.ints = nil, nil, nil, nil
+	bs.frames, bs.mbox, bs.grown, bs.runs, bs.ints = nil, nil, nil, nil, nil
 	bs.mu.Unlock()
 }

@@ -403,18 +403,19 @@ func (e *eventEngine) usestack(pc *PC, n uint64) {}
 // this process — the migrate.Record the LB batch hands to
 // core.Machine.MigrateMany. Extract and Install are the cross-process
 // pack and unpack (shard.go); the slot stays empty and marked moving
-// between them.
+// between them. A commit holds its records in one slice and hands out
+// pointers, so a move boxes nothing.
 type eventRecord struct {
 	e      *eventEngine
 	r, src int
 }
 
-func (rec eventRecord) ID() uint64 { return uint64(rec.e.idOf(rec.r)) }
+func (rec *eventRecord) ID() uint64 { return uint64(rec.e.idOf(rec.r)) }
 
 // Extract packs the record under the rank's lock (so a mover never
 // sees a half-run activation) and empties the slot. A rank that
 // finished after the plan was made is not moved (ErrNotEvictable).
-func (rec eventRecord) Extract(p *pup.PUPer) error {
+func (rec *eventRecord) Extract(p *pup.PUPer) error {
 	e := rec.e
 	ranks := e.job.store()
 	if ranks == nil {
@@ -437,7 +438,7 @@ func (rec eventRecord) Extract(p *pup.PUPer) error {
 // the comm range table were already flipped by the LB batch. A rank
 // parked at a receive takes its first step on its new PE's goroutine;
 // one parked at the gate waits for the gate to resume it.
-func (rec eventRecord) Install(data []byte) error {
+func (rec *eventRecord) Install(data []byte) error {
 	e := rec.e
 	ranks := e.job.store()
 	if ranks == nil {
@@ -484,9 +485,11 @@ func (e *eventEngine) commit(rmoves []comm.RangeMove) (int, error) {
 		return 0, nil
 	}
 	moves := make([]core.Move, len(rmoves))
+	recs := make([]eventRecord, len(rmoves))
 	for i, mv := range rmoves {
 		src := e.peOf(mv.Index)
-		moves[i] = core.Move{R: eventRecord{e, mv.Index, src}, Src: src, Dest: mv.To}
+		recs[i] = eventRecord{e, mv.Index, src}
+		moves[i] = core.Move{R: &recs[i], Src: src, Dest: mv.To}
 	}
 	if err := e.job.m.Network().MoveRangeBatch(e.base, rmoves); err != nil {
 		return 0, fmt.Errorf("table batch: %w", err)

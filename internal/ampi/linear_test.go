@@ -44,8 +44,10 @@ func TestULTRunBodyAllocatesLinearly(t *testing.T) {
 // that it ships the wire record: four RotateLB rounds through
 // Job.Rebalance over Local-free event ranks parked at a gate — plan,
 // extract, the record's bytes, install, the rebuilt stack — allocate
-// at most 2 objects per moved rank. The slot keeps its frame array
-// across the trip, so the rebuilt stack allocates nothing.
+// at most 0.1 objects per moved rank. The slot keeps its frame array
+// across the trip, so the rebuilt stack allocates nothing, and a
+// commit's records sit in one slice, so no record is boxed (1.01
+// objects per moved rank when each was; 0.01 measured since).
 func TestGateMoveAllocations(t *testing.T) {
 	const ranks, pes, rounds = 4096, 8, 4
 	ring := Seq(
@@ -79,8 +81,8 @@ func TestGateMoveAllocations(t *testing.T) {
 	per := float64(after.Mallocs-before.Mallocs) / float64(moved)
 	_, bytes := m.MigrationStats()
 	t.Logf("%.2f allocations per moved rank, %d B per record", per, bytes/uint64(moved))
-	if per > 2 {
-		t.Errorf("an in-process gate move allocates %.2f objects per rank, want ≤ 2", per)
+	if per > 0.1 {
+		t.Errorf("an in-process gate move allocates %.2f objects per rank, want ≤ 0.1", per)
 	}
 	job.serviceGate()
 	m.RunUntilQuiescent()

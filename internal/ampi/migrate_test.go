@@ -446,7 +446,7 @@ func TestDeliveryDuringTransit(t *testing.T) {
 	m.RunUntilQuiescent()
 	e := job.ev
 	er := &e.job.store()[1]
-	rec := eventRecord{e, 1, job.PEOf(1)}
+	rec := &eventRecord{e, 1, job.PEOf(1)}
 	p := pup.NewGrowPacker()
 	if err := rec.Extract(p); err != nil {
 		t.Fatal(err)

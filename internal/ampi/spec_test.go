@@ -10,20 +10,22 @@ import (
 	"migflow/internal/comm"
 )
 
-// spec is the reference semantics of a point-to-point Proc program: one
-// goroutine interprets every rank's tree in turn, with its own resume
-// points, one FIFO per (src, dst) and DESIGN.md's virtual-time
-// rules written out rather than taken from PC: Work(ns) adds ns; a send
-// adds MsgOverheadNs, then stamps the message with the sender's time; a
-// receive raises the time to the stamp plus the postal cost Alpha +
-// BetaPerByte·len if that is later, then adds MsgOverheadNs. Statements
-// run against the PCs of a job that never starts, on one PE, whose
-// backend the spec is: a send only leaves a message in the PE's inbox,
-// and the spec collects the inbox before a Work or a receive moves a
-// clock. A receive takes the oldest message of its source's FIFO whose
-// tag matches; AnyTag matches every tag ≥ 0. AnySource and collectives
-// are not in this slice: arrival order across senders is not a function
-// of the program.
+// spec is the reference semantics of a Proc program of point-to-point
+// statements and blocking collectives: one goroutine interprets every
+// rank's tree in turn, with its own resume points, one FIFO per
+// (src, dst) and DESIGN.md's virtual-time rules written out rather than
+// taken from PC: Work(ns) adds ns; a send adds MsgOverheadNs, then
+// stamps the message with the sender's time; a receive raises the time
+// to the stamp plus the postal cost Alpha + BetaPerByte·len if that is
+// later, then adds MsgOverheadNs. Statements run against the PCs of a
+// job that never starts, on one PE, whose backend the spec is: a send
+// only leaves a message in the PE's inbox, and the spec collects the
+// inbox before a Work or a receive moves a clock. A receive takes the
+// oldest message of its source's FIFO whose tag matches; AnyTag matches
+// every tag ≥ 0. A collective is its textbook send/receive pattern
+// (textbook) over the rank's family in the job's topology, each tree
+// edge's send first charged its torus hops. AnySource is not in this
+// slice: arrival order across senders is not a function of the program.
 type spec struct {
 	backend // the rest of the interface is never called
 	t       *testing.T
@@ -32,16 +34,84 @@ type spec struct {
 	vt      []float64
 	queues  map[[2]int][]*comm.Message // (src, dst) → sends in order
 	sent    uint64
+	colls   map[specSite]*specColl
 }
 
-// runSpec interprets prog on size ranks and returns each rank's final
-// virtual time and the number of messages sent.
-func runSpec(t *testing.T, size int, ovh float64, prog Proc) ([]float64, uint64) {
-	j, err := NewProgram(newMachine(t, 1, nil), size, Options{Mode: ModeEvent}, prog)
+// specSite is one rank's run of one collective site.
+type specSite struct {
+	rank int
+	site *collSite
+}
+
+// specColl is the spec's state for one rank at one collective: the
+// site's accumulator (read and written by the site's begin and end,
+// and by absorb), its textbook pattern and the cursor into it.
+type specColl struct {
+	st   collState
+	acts []specAct
+	next int
+}
+
+// specAct is one send to or receive from peer under tag.
+type specAct struct {
+	send, down bool
+	peer, tag  int
+}
+
+// textbook is a collective's send/receive pattern for one rank with
+// parent (-1 at the root) and children, written out per kind: an up
+// phase receives from each child in order, combining, and sends to the
+// parent; a down phase receives from the parent and sends to each child
+// in order. Barrier and Allreduce go up then down, Reduce and Gather
+// only up, Bcast only down.
+func textbook(t *testing.T, kind collKind, parent int, children []int) []specAct {
+	var acts []specAct
+	up := func(tag int) {
+		for _, c := range children {
+			acts = append(acts, specAct{peer: c, tag: tag})
+		}
+		if parent >= 0 {
+			acts = append(acts, specAct{send: true, peer: parent, tag: tag})
+		}
+	}
+	down := func(tag int) {
+		if parent >= 0 {
+			acts = append(acts, specAct{down: true, peer: parent, tag: tag})
+		}
+		for _, c := range children {
+			acts = append(acts, specAct{send: true, down: true, peer: c, tag: tag})
+		}
+	}
+	switch kind {
+	case collBarrier:
+		up(tagBarrier)
+		down(tagBarrierRelease)
+	case collAllreduce:
+		up(tagReduce)
+		down(tagReduceResult)
+	case collReduce:
+		up(tagReduceRoot)
+	case collBcast:
+		down(tagBcast)
+	case collGather:
+		up(tagGather)
+	default:
+		t.Fatalf("spec: collective kind %d is not in this slice", kind)
+	}
+	return acts
+}
+
+// runSpec interprets prog on size ranks under opts (its collective
+// topology and MsgOverheadNs) and returns each rank's final virtual
+// time and the number of messages sent.
+func runSpec(t *testing.T, size int, opts Options, prog Proc) ([]float64, uint64) {
+	opts.Mode = ModeEvent
+	j, err := NewProgram(newMachine(t, 1, nil), size, opts, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &spec{t: t, job: j, ovh: ovh, vt: make([]float64, size), queues: map[[2]int][]*comm.Message{}}
+	s := &spec{t: t, job: j, ovh: opts.MsgOverheadNs, vt: make([]float64, size),
+		queues: map[[2]int][]*comm.Message{}, colls: map[specSite]*specColl{}}
 	j.be = s
 	pcs, stacks := make([]PC, size), make([][]frame, size)
 	for r := range pcs {
@@ -63,11 +133,15 @@ func runSpec(t *testing.T, size int, ovh float64, prog Proc) ([]float64, uint64)
 }
 
 // collect queues the messages sent since the last collect, charging
-// each its send overhead on the sender's clock and stamping it.
+// each its send overhead — and a collective's tree edge its torus hops
+// first — on the sender's clock and stamping it.
 func (s *spec) collect() {
 	for m := s.job.m.Network().Endpoint(0).Poll(); m != nil; m = s.job.m.Network().Endpoint(0).Poll() {
 		from := s.job.senderOf(m.From)
 		k := [2]int{from, s.job.senderOf(m.To)}
+		if m.Tag < 0 {
+			s.vt[from] += float64(s.job.edgeHops(from, k[1])) * s.job.opts.Topo.HopNs
+		}
 		s.vt[from] += s.ovh
 		m.VTime = s.vt[from]
 		s.queues[k] = append(s.queues[k], m)
@@ -135,6 +209,35 @@ func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
 					p.then(pc, data, srcs[f.i])
 				}
 			}
+		case collStartProc:
+			c := &specColl{}
+			c.st.parent, c.st.children = collFamily(nil, p.site.kind, r, pc.Size(), &s.job.opts, p.site.root)
+			c.acts = textbook(s.t, p.site.kind, c.st.parent, c.st.children)
+			s.colls[specSite{r, p.site}] = c
+			if p.site.begin != nil {
+				p.site.begin(pc, &c.st)
+			}
+			for ; c.next < len(c.acts) && c.acts[c.next].send; c.next++ {
+				s.job.send(pc, c.acts[c.next].peer, c.acts[c.next].tag, s.payload(p.site, c))
+			}
+		case collWaitProc:
+			c := s.colls[specSite{r, p.site}]
+			for ; c.next < len(c.acts); c.next++ {
+				a := c.acts[c.next]
+				if a.send {
+					s.job.send(pc, a.peer, a.tag, s.payload(p.site, c))
+					continue
+				}
+				data, ok := s.take(r, a.peer, a.tag)
+				if !ok {
+					return progress
+				}
+				progress = true
+				s.absorb(p.site, c, a, data)
+			}
+			if p.site.end != nil {
+				p.site.end(pc, &c.st)
+			}
 		case waitallProc:
 			if f.reqs == nil {
 				f.reqs = p.reqs(pc)
@@ -149,7 +252,7 @@ func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
 				}
 			}
 		default:
-			s.t.Fatalf("spec: %T is not in the point-to-point slice", p)
+			s.t.Fatalf("spec: %T is not in this slice", p)
 		}
 		if child != nil {
 			f.i++
@@ -161,13 +264,53 @@ func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
 	return progress
 }
 
-// specMix generates a random point-to-point program from seed, a Seq
+// payload is what a collective's next send carries: a reduction's
+// running value, the broadcast data, the gathered subtree packed, or
+// nothing (a barrier).
+func (s *spec) payload(site *collSite, c *specColl) []byte {
+	switch site.kind {
+	case collAllreduce, collReduce:
+		return f64bytes(c.st.val)
+	case collBcast:
+		return c.st.data
+	case collGather:
+		return packGather(c.st.entries)
+	}
+	return nil
+}
+
+// absorb folds a collective's received payload: an up-phase value is
+// combined into the running one (received value second), a down-phase
+// value replaces it; broadcast data is kept, a gathered subtree
+// appended.
+func (s *spec) absorb(site *collSite, c *specColl, a specAct, data []byte) {
+	switch site.kind {
+	case collAllreduce, collReduce:
+		if a.down {
+			c.st.val = f64(data)
+		} else {
+			c.st.val = site.combine(c.st.val, f64(data))
+		}
+	case collBcast:
+		c.st.data = data
+	case collGather:
+		sub, err := unpackGather(data, s.job.size)
+		if err != nil {
+			s.t.Fatal(err)
+		}
+		c.st.entries = append(c.st.entries, sub...)
+	}
+}
+
+// specMix generates a random program from seed, a Seq
 // of phases: shifted sends taken by RecvFrom in a random order (shift 0
 // is a self-send); a star, where rank a sends to every rank, each
 // answers in a Sendrecv (a plain Recv from a) and a takes the answers
 // in one RecvEach; an Isend/Irecv exchange with both neighbours, whose
 // Waitall also holds a completed and a nil request; rank-dependent
-// Work. In about half the phases every receive names its source but
+// Work; a Barrier, a Reduce or Allreduce (sum, max or min of every
+// rank's state), a Bcast of the root's payload or a Gather of every
+// rank's at a random root. In about half the phases every receive names its source but
 // takes AnyTag, so it matches the oldest message from that source.
 // Payloads are 0 to 41 bytes: empty, both sides of comm.InlineBytes
 // (16 and 17: carried inside a pooled message, or lent), and longer.
@@ -209,7 +352,7 @@ func specMix(seed int64, size int, sink []float64) Proc {
 			}
 			return t
 		}
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			ds := rng.Perm(size)[:1+rng.Intn(min(size, 3))]
 			ps = append(ps, Do(func(pc *PC) {
@@ -239,9 +382,31 @@ func specMix(seed int64, size int, sink []float64) Proc {
 					fold(pc, q.Data, q.From)
 				}
 			}))
-		default:
+		case 3:
 			ns := float64(rng.Intn(3000))
 			ps = append(ps, Do(func(pc *PC) { pc.Work(ns * float64(pc.Rank()%3+1)) }))
+		default:
+			root, op := rng.Intn(size), []string{"sum", "max", "min"}[rng.Intn(3)]
+			val := func(pc *PC) float64 { return st(pc).x }
+			result := func(from int) func(*PC, float64) {
+				return func(pc *PC, v float64) { fold(pc, f64bytes(v), from) }
+			}
+			switch rng.Intn(5) {
+			case 0:
+				ps = append(ps, Barrier())
+			case 1:
+				ps = append(ps, Reduce(root, op, val, result(root)))
+			case 2:
+				ps = append(ps, Allreduce(op, val, result(0)))
+			case 3:
+				ps = append(ps, Bcast(root, func(pc *PC) []byte { return payload(pc, n) }, func(pc *PC, d []byte) { fold(pc, d, root) }))
+			default:
+				ps = append(ps, Gather(root, func(pc *PC) []byte { return payload(pc, n) }, func(pc *PC, parts [][]byte) {
+					for r, d := range parts {
+						fold(pc, d, r)
+					}
+				}))
+			}
 		}
 	}
 	return Seq(append(ps, Do(func(pc *PC) { sink[pc.Rank()] = st(pc).x }))...)
@@ -249,11 +414,17 @@ func specMix(seed int64, size int, sink []float64) Proc {
 
 // TestSpecOracle holds both backends on 1, 2 and 4 PEs bit for bit to
 // the spec: every rank's final virtual time and output and the message
-// count, for four Jacobi rings and 100 random point-to-point programs,
-// every other one with MsgOverheadNs.
+// count, for four Jacobi rings and 200 random programs, every other one
+// with MsgOverheadNs, their collectives over the k-ary tree (arity 2 to
+// 4), the flat star and the topology tree with hop costs in turn.
 func TestSpecOracle(t *testing.T) {
-	for i := -4; i < 100; i++ {
+	for i := -4; i < 200; i++ {
 		name, size, ovh := fmt.Sprintf("mix/seed%d", i), 1+i*7%9, float64(i%2)*175
+		coll := []Options{
+			{Collectives: CollTree, TreeArity: 2 + i%3},
+			{Collectives: CollFlat},
+			{Collectives: CollTopoTree, TreeArity: 2, Topo: Topology{Nodes: 3, GroupSize: 2, HopNs: 40}, BlockPlacement: i%2 == 0},
+		}[(i+4)%3]
 		prog := func(sink []float64) Proc { return specMix(int64(i), size, sink) }
 		if i < 0 { // Figure 1's ring: blocking or overlapped halos, with and without overhead
 			cfg := JacobiConfig{Ranks: 6, Iters: 10, WorkNs: 1000, WorkSkew: 0.5, Overlap: i%2 != 0,
@@ -264,12 +435,15 @@ func TestSpecOracle(t *testing.T) {
 				return JacobiProgram(cfg)
 			}
 		}
+		coll.MsgOverheadNs = ovh
 		want := make([]float64, size)
-		wantVT, wantSent := runSpec(t, size, ovh, prog(want))
+		wantVT, wantSent := runSpec(t, size, coll, prog(want))
 		for _, mode := range []string{ModeEvent, ModeULT} {
 			for _, pes := range []int{1, 2, 4} {
 				got := make([]float64, size)
-				j, m := runProg(t, pes, size, Options{Mode: mode, MsgOverheadNs: ovh, StackSize: 32 << 10}, prog(got))
+				opts := coll
+				opts.Mode, opts.StackSize = mode, 32<<10
+				j, m := runProg(t, pes, size, opts, prog(got))
 				if sent := m.Network().Snapshot().Sent; sent != wantSent {
 					t.Fatalf("%s %s/%dPE: %d messages, spec %d", name, mode, pes, sent, wantSent)
 				}

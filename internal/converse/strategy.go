@@ -33,11 +33,38 @@ type StackRef interface {
 // dirtied, each a whole-page-aligned span of [Base, Base+Size), and
 // Install zero-fills everything unshipped — so migration bytes are
 // proportional to live stack, not allocated stack (Figure 11).
+//
+// Extract refills an image in place (Reset, then AppendPage or
+// AppendDirty), carving run data from a page arena the image keeps,
+// so a migration scratch image stops allocating once it has grown to
+// the job's largest stack image.
 type StackImage struct {
 	Strategy string
 	Base     uint64
 	Size     uint64
 	Runs     []vmem.Run
+
+	pages []byte // arena Extract carves run data from; never shipped
+}
+
+// Reset empties the image for Extract to refill, keeping its run list
+// and page arena.
+func (im *StackImage) Reset(strategy string, base, size uint64) {
+	im.Strategy, im.Base, im.Size = strategy, base, size
+	im.Runs, im.pages = im.Runs[:0], im.pages[:0]
+}
+
+// AppendPage adds one page of stack data at addr (vmem.AppendPage).
+func (im *StackImage) AppendPage(addr vmem.Addr, page []byte) {
+	im.Runs, im.pages = vmem.AppendPage(im.Runs, im.pages, addr, page)
+}
+
+// AppendDirty adds the dirty pages of [a, a+length) of space
+// (vmem.Space.CopyOutRuns).
+func (im *StackImage) AppendDirty(space *vmem.Space, a vmem.Addr, length uint64) error {
+	var err error
+	im.Runs, im.pages, err = space.CopyOutRuns(im.Runs, im.pages, a, length)
+	return err
 }
 
 // Payload returns the stack data bytes the image ships.
@@ -79,10 +106,14 @@ type StackStrategy interface {
 	SwitchIn(pe *PE, s StackRef, used uint64) error
 	SwitchOut(pe *PE, s StackRef, used uint64) error
 
-	// Extract captures the stack for migration, releasing pe-local
-	// resources; Install recreates it on the destination.
-	Extract(pe *PE, s StackRef) (*StackImage, error)
-	Install(pe *PE, im *StackImage) (StackRef, error)
+	// Extract captures the stack for migration into im, refilling it
+	// in place, and releases pe-local resources. Install recreates the
+	// stack on the destination from im, which it only reads. old is
+	// the thread's stack before the move (nil for none): Install may
+	// refill and return it instead of allocating a new handle. The
+	// image decides every byte either way.
+	Extract(pe *PE, s StackRef, im *StackImage) error
+	Install(pe *PE, im *StackImage, old StackRef) (StackRef, error)
 
 	// Release frees the stack at thread exit.
 	Release(pe *PE, s StackRef) error

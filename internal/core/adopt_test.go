@@ -31,11 +31,11 @@ func TestAdoptSuspendedOwnsThread(t *testing.T) {
 		t.Fatal(err)
 	}
 	th.Awaken() // wake lands mid-flight
-	im, err := migrate.Extract(th, m.PE(0))
-	if err != nil {
+	var im migrate.ThreadImage
+	if err := migrate.Extract(th, m.PE(0), &im); err != nil {
 		t.Fatal(err)
 	}
-	if err := migrate.Install(th, m.PE(1), im, nil); err != nil {
+	if err := migrate.Install(th, m.PE(1), &im, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.PE(0).Sched.Disown(th)

@@ -127,11 +127,11 @@ func TestWakeDuringFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	th.Awaken() // in flight: must be remembered
-	im, err := migrate.Extract(th, m.PE(0))
-	if err != nil {
+	var im migrate.ThreadImage
+	if err := migrate.Extract(th, m.PE(0), &im); err != nil {
 		t.Fatal(err)
 	}
-	if err := migrate.Install(th, m.PE(1), im, nil); err != nil {
+	if err := migrate.Install(th, m.PE(1), &im, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.PE(0).Sched.Disown(th)

@@ -60,8 +60,8 @@ type Heap struct {
 // page-aligned; its pages must not be mapped yet (the heap maps them
 // on demand).
 func NewHeap(space *vmem.Space, region vmem.Range) (*Heap, error) {
-	if region.Start.Offset() != 0 || region.Length%vmem.PageSize != 0 || region.Length == 0 {
-		return nil, fmt.Errorf("mem: NewHeap(%s): region must be non-empty and page-aligned", region)
+	if err := checkRegion("NewHeap", region); err != nil {
+		return nil, err
 	}
 	return &Heap{
 		space:   space,
@@ -70,6 +70,15 @@ func NewHeap(space *vmem.Space, region vmem.Range) (*Heap, error) {
 		allocs:  make(map[vmem.Addr]uint64),
 		pageRef: make(map[uint64]int),
 	}, nil
+}
+
+// checkRegion refuses a heap region that is empty, not page-aligned
+// or wraps past the top of the address space.
+func checkRegion(op string, region vmem.Range) error {
+	if region.Start.Offset() != 0 || region.Length%vmem.PageSize != 0 || region.Length == 0 || region.End() < region.Start {
+		return fmt.Errorf("mem: %s(%s): region must be non-empty and page-aligned", op, region)
+	}
+	return nil
 }
 
 // Region returns the heap's address range.

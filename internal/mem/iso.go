@@ -69,8 +69,9 @@ func (r IsoRegion) Owner(a vmem.Addr) int {
 // callers map pages in their own address space. Freed slabs are
 // recycled.
 type IsoAllocator struct {
-	pe   int
-	slot vmem.Range
+	pe     int
+	region IsoRegion
+	slot   vmem.Range
 
 	mu   sync.Mutex
 	next vmem.Addr
@@ -81,8 +82,12 @@ type IsoAllocator struct {
 // NewIsoAllocator creates the allocator for PE pe of region r.
 func NewIsoAllocator(r IsoRegion, pe int) *IsoAllocator {
 	slot := r.Slot(pe)
-	return &IsoAllocator{pe: pe, slot: slot, next: slot.Start, live: make(map[vmem.Addr]uint64)}
+	return &IsoAllocator{pe: pe, region: r, slot: slot, next: slot.Start, live: make(map[vmem.Addr]uint64)}
 }
+
+// Region returns the machine-wide region the allocator's slot belongs
+// to.
+func (a *IsoAllocator) Region() IsoRegion { return a.region }
 
 // PE returns the owning processor index.
 func (a *IsoAllocator) PE() int { return a.pe }

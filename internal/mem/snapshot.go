@@ -1,8 +1,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"migflow/internal/pup"
 	"migflow/internal/vmem"
@@ -11,15 +12,18 @@ import (
 // HeapImage is the serialized form of one heap arena: its region, its
 // live blocks (the allocation metadata that must travel with a
 // migrating thread) and a sparse image of its mapped pages. Runs
-// carries only pages the owner actually dirtied; RestoreHeap maps
+// carries only pages the owner actually dirtied; Heap.Restore maps
 // every block-referenced page zero-filled and overlays the runs, so
 // heap bytes on the wire are proportional to written data, not to
-// allocation footprint.
+// allocation footprint. Snapshot refills an image in place, carving
+// run data from a page arena the image keeps.
 type HeapImage struct {
 	Start  uint64
 	Length uint64
 	Blocks []Block
 	Runs   []vmem.Run
+
+	pages []byte // arena Snapshot carves run data from; never shipped
 }
 
 // Pup implements pup.Pupable. The block count is validated against
@@ -41,7 +45,7 @@ func (im *HeapImage) Pup(p *pup.PUPer) error {
 		if int64(nb)*blockWire > int64(p.Remaining()) {
 			return fmt.Errorf("mem: corrupt image: %d blocks claimed with %d bytes remaining", nb, p.Remaining())
 		}
-		im.Blocks = make([]Block, nb)
+		im.Blocks = pup.Resize(p, im.Blocks, int(nb))
 	}
 	for i := range im.Blocks {
 		a := uint64(im.Blocks[i].Addr)
@@ -56,24 +60,26 @@ func (im *HeapImage) Pup(p *pup.PUPer) error {
 	return vmem.PupRuns(p, &im.Runs)
 }
 
-// Snapshot captures the heap for migration: blocks plus the dirty
-// mapped pages, read out of the current address space in one sparse
-// pass. Dirty bits are left standing — a heap that is snapshotted
-// twice without migrating must produce the same image twice.
-func (h *Heap) Snapshot() (*HeapImage, error) {
+// Snapshot captures the heap for migration into im, refilling it in
+// place: blocks plus the dirty mapped pages, read out of the current
+// address space in one sparse pass. Dirty bits are left standing — a
+// heap that is snapshotted twice without migrating must produce the
+// same image twice.
+func (h *Heap) Snapshot(im *HeapImage) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	im := &HeapImage{Start: uint64(h.region.Start), Length: h.region.Length}
+	im.Start, im.Length = uint64(h.region.Start), h.region.Length
+	im.Blocks = im.Blocks[:0]
 	for a, s := range h.allocs {
 		im.Blocks = append(im.Blocks, Block{a, s})
 	}
-	sort.Slice(im.Blocks, func(i, j int) bool { return im.Blocks[i].Addr < im.Blocks[j].Addr })
-	runs, err := h.space.CopyOutRuns(h.region.Start, h.region.Length)
+	slices.SortFunc(im.Blocks, func(a, b Block) int { return cmp.Compare(a.Addr, b.Addr) })
+	var err error
+	im.Runs, im.pages, err = h.space.CopyOutRuns(im.Runs[:0], im.pages[:0], h.region.Start, h.region.Length)
 	if err != nil {
-		return nil, fmt.Errorf("mem: Snapshot: %w", err)
+		return fmt.Errorf("mem: Snapshot: %w", err)
 	}
-	im.Runs = runs
-	return im, nil
+	return nil
 }
 
 // Detach unmaps the heap's pages from its current space without
@@ -89,26 +95,37 @@ func (h *Heap) Detach() error {
 	return nil
 }
 
-// RestoreHeap rebuilds a heap from an image in a destination space:
-// every block-referenced page is mapped zero-filled at its identical
+// Restore refills h from an image in a destination space — the
+// zero Heap, or one whose pages were detached from its old space.
+// Every block-referenced page is mapped zero-filled at its identical
 // address, the shipped runs are written over them, and the free list
 // is reconstructed as the complement of the blocks. Pages the source
-// never dirtied arrive as the zero fill — exactly what they held.
-func RestoreHeap(space *vmem.Space, im *HeapImage) (*Heap, error) {
+// never dirtied arrive as the zero fill — exactly what they held. The
+// image is checked before any page is mapped; h's maps and free list
+// are cleared and refilled, not remade.
+func (h *Heap) Restore(space *vmem.Space, im *HeapImage) error {
 	region := vmem.Range{Start: vmem.Addr(im.Start), Length: im.Length}
-	h, err := NewHeap(space, region)
-	if err != nil {
-		return nil, err
+	if err := checkRegion("Restore", region); err != nil {
+		return err
 	}
 	if err := vmem.ValidateRuns(im.Runs, region.Start, im.Length); err != nil {
-		return nil, fmt.Errorf("mem: RestoreHeap: bad image: %w", err)
+		return fmt.Errorf("mem: Restore: bad image: %w", err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.space, h.region = space, region
+	h.free, h.allocatedBytes = h.free[:0], 0
+	if h.allocs == nil {
+		h.allocs, h.pageRef = make(map[vmem.Addr]uint64), make(map[uint64]int)
+	} else {
+		clear(h.allocs)
+		clear(h.pageRef)
 	}
 	// Rebuild allocation metadata and the free-list complement.
-	h.free = nil
 	cursor := region.Start
 	for _, b := range im.Blocks {
-		if b.Addr < cursor || b.Addr.Add(b.Size) > region.End() {
-			return nil, fmt.Errorf("mem: RestoreHeap: block %s+%d outside region or overlapping", b.Addr, b.Size)
+		if b.Size == 0 || b.Addr < cursor || b.Addr.Add(b.Size) > region.End() || b.Addr.Add(b.Size) < b.Addr {
+			return fmt.Errorf("mem: Restore: block %s+%d outside region or overlapping", b.Addr, b.Size)
 		}
 		if b.Addr > cursor {
 			h.free = append(h.free, Block{cursor, uint64(b.Addr - cursor)})
@@ -125,31 +142,31 @@ func RestoreHeap(space *vmem.Space, im *HeapImage) (*Heap, error) {
 	if cursor < region.End() {
 		h.free = append(h.free, Block{cursor, uint64(region.End() - cursor)})
 	}
-	// Map every referenced page zero-filled, in address order.
-	vpns := make([]uint64, 0, len(h.pageRef))
-	for vpn := range h.pageRef {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
-		if err := space.Map(vmem.Addr(vpn<<vmem.PageShift), vmem.PageSize, vmem.ProtRW); err != nil {
-			return nil, err
-		}
-	}
-	// Overlay the dirty pages; every shipped page must be covered by a
-	// block, or the image is inconsistent with its own metadata.
+	// Every shipped page must be covered by a block, or the image is
+	// inconsistent with its own metadata.
 	for _, run := range im.Runs {
 		for off := uint64(0); off < uint64(len(run.Data)); off += vmem.PageSize {
 			vpn := run.Addr.Add(off).PageNum()
 			if _, ok := h.pageRef[vpn]; !ok {
-				return nil, fmt.Errorf("mem: RestoreHeap: image page %#x has no covering block", vpn)
+				return fmt.Errorf("mem: Restore: image page %#x has no covering block", vpn)
 			}
 		}
-		if err := space.Write(run.Addr, run.Data); err != nil {
-			return nil, err
-		}
 	}
-	return h, nil
+	// Map every referenced page zero-filled, in address order: blocks
+	// are ascending and disjoint, so a page is new exactly when it lies
+	// past the last one mapped.
+	next := uint64(0)
+	for _, b := range im.Blocks {
+		first := max(b.Addr.PageNum(), next)
+		last := (b.Addr + vmem.Addr(b.Size) - 1).PageNum()
+		for vpn := first; vpn <= last; vpn++ {
+			if err := space.Map(vmem.Addr(vpn<<vmem.PageShift), vmem.PageSize, vmem.ProtRW); err != nil {
+				return err
+			}
+		}
+		next = max(next, last+1)
+	}
+	return space.CopyInRuns(im.Runs)
 }
 
 // ThreadHeapImage is the serialized form of a whole thread heap.
@@ -172,7 +189,7 @@ func (im *ThreadHeapImage) Pup(p *pup.PUPer) error {
 		if int64(n)*24 > int64(p.Remaining()) {
 			return fmt.Errorf("mem: corrupt image: %d arenas claimed with %d bytes remaining", n, p.Remaining())
 		}
-		im.Arenas = make([]HeapImage, n)
+		im.Arenas = pup.Resize(p, im.Arenas, int(n))
 	}
 	for i := range im.Arenas {
 		if err := im.Arenas[i].Pup(p); err != nil {
@@ -182,19 +199,22 @@ func (im *ThreadHeapImage) Pup(p *pup.PUPer) error {
 	return nil
 }
 
-// Snapshot captures all arenas.
-func (t *ThreadHeap) Snapshot() (*ThreadHeapImage, error) {
+// Snapshot captures all arenas into im, refilling it in place: each
+// arena's image keeps its own block list, run list and page arena.
+func (t *ThreadHeap) Snapshot(im *ThreadHeapImage) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	im := &ThreadHeapImage{ArenaPages: t.arenaPages}
-	for _, h := range t.arenas {
-		hi, err := h.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		im.Arenas = append(im.Arenas, *hi)
+	im.ArenaPages = t.arenaPages
+	if cap(im.Arenas) < len(t.arenas) {
+		im.Arenas = make([]HeapImage, len(t.arenas))
 	}
-	return im, nil
+	im.Arenas = im.Arenas[:len(t.arenas)]
+	for i, h := range t.arenas {
+		if err := h.Snapshot(&im.Arenas[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Detach unmaps every arena's pages from the source space. Slabs are
@@ -211,17 +231,36 @@ func (t *ThreadHeap) Detach() error {
 	return nil
 }
 
-// RestoreThreadHeap rebuilds a thread heap on the destination PE from
-// an image: every arena's pages appear at identical addresses; new
-// arenas will come from the destination's allocator.
-func RestoreThreadHeap(iso *IsoAllocator, space *vmem.Space, im *ThreadHeapImage) (*ThreadHeap, error) {
-	t := NewThreadHeap(iso, space, im.ArenaPages)
+// Restore refills the thread heap on the destination PE from an
+// image: every arena's pages appear at identical addresses, and new
+// arenas will come from the destination's allocator. The heap's arenas
+// are refilled in place (Heap.Restore); the image decides how many
+// there are. Every arena must lie inside the isomalloc region, as a
+// slab of it does, which bounds what a corrupt image can map.
+func (t *ThreadHeap) Restore(iso *IsoAllocator, space *vmem.Space, im *ThreadHeapImage) error {
+	region := iso.Region().Range()
 	for i := range im.Arenas {
-		h, err := RestoreHeap(space, &im.Arenas[i])
-		if err != nil {
-			return nil, err
+		a := vmem.Range{Start: vmem.Addr(im.Arenas[i].Start), Length: im.Arenas[i].Length}
+		if !region.Covers(a) {
+			return fmt.Errorf("mem: Restore: arena %s outside the isomalloc region %s", a, region)
 		}
-		t.arenas = append(t.arenas, h)
 	}
-	return t, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.iso, t.space = iso, space
+	t.arenaPages = im.ArenaPages
+	if t.arenaPages == 0 {
+		t.arenaPages = DefaultArenaPages
+	}
+	for len(t.arenas) < len(im.Arenas) {
+		t.arenas = append(t.arenas, new(Heap))
+	}
+	clear(t.arenas[len(im.Arenas):])
+	t.arenas = t.arenas[:len(im.Arenas)]
+	for i, h := range t.arenas {
+		if err := h.Restore(space, &im.Arenas[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -45,12 +45,12 @@ func TestHeapSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	im, err := h.Snapshot()
-	if err != nil {
+	var im HeapImage
+	if err := h.Snapshot(&im); err != nil {
 		t.Fatal(err)
 	}
 	// PUP round trip of the image itself.
-	data, err := pup.Pack(im)
+	data, err := pup.Pack(&im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestHeapSnapshotRestore(t *testing.T) {
 	}
 
 	dst := vmem.NewSpace(0)
-	h2, err := RestoreHeap(dst, &im2)
+	h2, err := restoreHeap(dst, &im2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,34 +127,47 @@ func TestRestoreHeapRejectsMalformed(t *testing.T) {
 	dst := vmem.NewSpace(0)
 	base := uint64(0x100000)
 	// Overlapping blocks.
-	if _, err := RestoreHeap(dst, &HeapImage{
+	if _, err := restoreHeap(dst, &HeapImage{
 		Start: base, Length: 4 * vmem.PageSize,
 		Blocks: []Block{{vmem.Addr(base), 64}, {vmem.Addr(base + 32), 64}},
 	}); err == nil {
 		t.Error("overlapping blocks accepted")
 	}
 	// Block outside the region.
-	if _, err := RestoreHeap(vmem.NewSpace(0), &HeapImage{
+	if _, err := restoreHeap(vmem.NewSpace(0), &HeapImage{
 		Start: base, Length: vmem.PageSize,
 		Blocks: []Block{{vmem.Addr(base + 2*vmem.PageSize), 64}},
 	}); err == nil {
 		t.Error("escaping block accepted")
 	}
 	// Shipped page with no covering block.
-	if _, err := RestoreHeap(vmem.NewSpace(0), &HeapImage{
+	if _, err := restoreHeap(vmem.NewSpace(0), &HeapImage{
 		Start: base, Length: 4 * vmem.PageSize,
 		Runs: []vmem.Run{{Addr: vmem.Addr(base), Data: make([]byte, vmem.PageSize)}},
 	}); err == nil {
 		t.Error("orphan page accepted")
 	}
 	// Run that is not page-aligned / whole pages.
-	if _, err := RestoreHeap(vmem.NewSpace(0), &HeapImage{
+	if _, err := restoreHeap(vmem.NewSpace(0), &HeapImage{
 		Start: base, Length: 4 * vmem.PageSize,
 		Blocks: []Block{{vmem.Addr(base), 64}},
 		Runs:   []vmem.Run{{Addr: vmem.Addr(base + 8), Data: make([]byte, 16)}},
 	}); err == nil {
 		t.Error("misaligned run accepted")
 	}
+	// Block whose end wraps past the top of the address space.
+	if _, err := restoreHeap(vmem.NewSpace(0), &HeapImage{
+		Start: base, Length: 4 * vmem.PageSize,
+		Blocks: []Block{{vmem.Addr(base), ^uint64(0) - 8}},
+	}); err == nil {
+		t.Error("wrapping block accepted")
+	}
+}
+
+// restoreHeap refills a zero Heap from im.
+func restoreHeap(space *vmem.Space, im *HeapImage) (*Heap, error) {
+	h := new(Heap)
+	return h, h.Restore(space, im)
 }
 
 // TestRestoreHeapZeroFillsUnshippedPages: a block whose pages were
@@ -163,7 +176,7 @@ func TestRestoreHeapRejectsMalformed(t *testing.T) {
 func TestRestoreHeapZeroFillsUnshippedPages(t *testing.T) {
 	dst := vmem.NewSpace(0)
 	base := uint64(0x100000)
-	h, err := RestoreHeap(dst, &HeapImage{
+	h, err := restoreHeap(dst, &HeapImage{
 		Start: base, Length: 4 * vmem.PageSize,
 		Blocks: []Block{{vmem.Addr(base), 64}},
 	})
@@ -202,11 +215,11 @@ func TestThreadHeapSnapshotRoundTrip(t *testing.T) {
 		}
 		addrs = append(addrs, a)
 	}
-	im, err := th.Snapshot()
-	if err != nil {
+	var im ThreadHeapImage
+	if err := th.Snapshot(&im); err != nil {
 		t.Fatal(err)
 	}
-	data, err := pup.Pack(im)
+	data, err := pup.Pack(&im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +230,8 @@ func TestThreadHeapSnapshotRoundTrip(t *testing.T) {
 	if err := pup.Unpack(data, &im2); err != nil {
 		t.Fatal(err)
 	}
-	th2, err := RestoreThreadHeap(iso1, dst, &im2)
-	if err != nil {
+	th2 := NewThreadHeap(iso1, dst, 0)
+	if err := th2.Restore(iso1, dst, &im2); err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range addrs {
@@ -233,6 +246,16 @@ func TestThreadHeapSnapshotRoundTrip(t *testing.T) {
 	if len(th2.Arenas()) != len(th.Arenas()) {
 		t.Errorf("arenas %d, want %d", len(th2.Arenas()), len(th.Arenas()))
 	}
+	// An arena that is no slab of the isomalloc region is refused
+	// before anything is mapped.
+	im2.Arenas[0].Start = uint64(region.Start.Add(region.Size))
+	before := dst.MappedPages()
+	if err := NewThreadHeap(iso1, dst, 0).Restore(iso1, dst, &im2); err == nil {
+		t.Error("arena outside the isomalloc region accepted")
+	}
+	if dst.MappedPages() != before {
+		t.Errorf("refused image mapped %d pages", dst.MappedPages()-before)
+	}
 }
 
 func TestHeapImagePupDeterministic(t *testing.T) {
@@ -240,15 +263,15 @@ func TestHeapImagePupDeterministic(t *testing.T) {
 	if _, err := h.Alloc(100); err != nil {
 		t.Fatal(err)
 	}
-	im, err := h.Snapshot()
+	var im HeapImage
+	if err := h.Snapshot(&im); err != nil {
+		t.Fatal(err)
+	}
+	d1, err := pup.Pack(&im)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := pup.Pack(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := pup.Pack(im)
+	d2, err := pup.Pack(&im)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package migrate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"migflow/internal/converse"
 	"migflow/internal/pup"
@@ -52,59 +53,66 @@ type Result struct {
 // other on the calling goroutine. A thread op evicts the thread from
 // its source scheduler and runs the ordinary migration (MigrateNow's
 // extract → PUP → install → adopt); a record op is Extract then
-// Install through one packer reused across the batch.
+// Install. Every op of the batch goes through one mover scratch — one
+// thread image and one packer, refilled per op — so a batch allocates
+// its results and nothing per move.
 //
 // Ops run grouped by (source, destination) PE regardless of their
 // order in the slice: a real LB emits moves in object order, which
 // ping-pongs between PEs; grouping keeps each PE's space and scheduler
 // structures hot across consecutive ops. Results stay indexed by the
 // caller's op order, and one op's failure does not abort the rest of
-// the batch. Concurrent batches over the same PEs are safe: the
-// per-structure locks guarding Scheduler, Space, IsoAllocator and
-// ThreadHeap serialize them, and Evict refuses a thread another batch
-// already took (converse.ErrNotEvictable).
+// the batch. Concurrent batches over the same PEs are safe: each has
+// its own mover, the per-structure locks guarding Scheduler, Space,
+// IsoAllocator and ThreadHeap serialize them, and Evict refuses a
+// thread another batch already took (converse.ErrNotEvictable).
 func BulkMigrate(ops []Op, layout *swapglobal.Layout) []Result {
+	m := getMover()
+	defer moverPool.Put(m)
+	return m.bulk(ops, layout)
+}
+
+// bulk runs BulkMigrate's batch through m.
+func (m *mover) bulk(ops []Op, layout *swapglobal.Layout) []Result {
 	results := make([]Result, len(ops))
-	order := make([]int, len(ops))
-	for i := range order {
-		order[i] = i
+	m.order = m.order[:0]
+	for i := range ops {
+		m.order = append(m.order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		oa, ob := ops[order[a]], ops[order[b]]
-		if oa.Src.Index != ob.Src.Index {
-			return oa.Src.Index < ob.Src.Index
+	slices.SortStableFunc(m.order, func(a, b int) int {
+		oa, ob := &ops[a], &ops[b]
+		if c := cmp.Compare(oa.Src.Index, ob.Src.Index); c != 0 {
+			return c
 		}
-		return oa.Dst.Index < ob.Dst.Index
+		return cmp.Compare(oa.Dst.Index, ob.Dst.Index)
 	})
-	p := pup.AcquirePacker()
-	defer p.Release()
-	for _, i := range order {
+	for _, i := range m.order {
 		op := ops[i]
 		if op.R == nil {
-			results[i] = migrateThread(op, layout)
+			results[i] = m.migrateThread(op, layout)
 			continue
 		}
-		p.Reset()
-		if err := op.R.Extract(p); err != nil {
+		m.p.Reset()
+		if err := op.R.Extract(m.p); err != nil {
 			results[i].Err = err
 			continue
 		}
-		if err := op.R.Install(p.PackedBytes()); err != nil {
+		if err := op.R.Install(m.p.PackedBytes()); err != nil {
 			results[i].Err = fmt.Errorf("migrate: bulk install of record %d: %w", op.R.ID(), err)
 			continue
 		}
-		results[i].Bytes = len(p.PackedBytes())
+		results[i].Bytes = len(m.p.PackedBytes())
 	}
 	return results
 }
 
 // migrateThread runs one thread op: evict, then move.
-func migrateThread(op Op, layout *swapglobal.Layout) Result {
+func (m *mover) migrateThread(op Op, layout *swapglobal.Layout) Result {
 	suspended, err := op.Src.Sched.Evict(op.T)
 	if err != nil {
 		return Result{Err: err}
 	}
-	n, err := moveThread(op.T, op.Src, op.Dst, layout, suspended)
+	n, err := m.move(op.T, op.Src, op.Dst, layout, suspended)
 	if err != nil {
 		return Result{Err: err}
 	}

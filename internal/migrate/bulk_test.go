@@ -148,8 +148,8 @@ func TestSparseImageMatchesDense(t *testing.T) {
 				if err := strat.SwitchOut(src, ref, size); err != nil {
 					t.Fatal(err)
 				}
-				im, err := strat.Extract(src, ref)
-				if err != nil {
+				im := &converse.StackImage{}
+				if err := strat.Extract(src, ref, im); err != nil {
 					t.Fatal(err)
 				}
 				// Sparseness: the image ships at most the touched pages
@@ -174,7 +174,7 @@ func TestSparseImageMatchesDense(t *testing.T) {
 				}
 				// Property 2: install + switch in reproduces the exact
 				// bytes on the destination.
-				ref2, err := strat.Install(dst, &im2)
+				ref2, err := strat.Install(dst, &im2, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

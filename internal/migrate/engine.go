@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"fmt"
+	"sync"
 
 	"migflow/internal/converse"
 	"migflow/internal/mem"
@@ -49,54 +50,59 @@ func (im *ThreadImage) Pup(p *pup.PUPer) error {
 	return p.Uint64s(&im.GlobalVars)
 }
 
-// Extract pulls a Migrating thread's state off the source PE:
-// serializes stack and heap, unmaps their pages locally. After
-// Extract the thread owns no resources on src.
-func Extract(t *converse.Thread, src *converse.PE) (*ThreadImage, error) {
+// Extract pulls a Migrating thread's state off the source PE into im,
+// refilling it in place: stack runs, heap arenas and globals reuse
+// im's slices and page arenas. It unmaps the stack and heap pages
+// locally; after Extract the thread owns no resources on src.
+func Extract(t *converse.Thread, src *converse.PE, im *ThreadImage) error {
 	if t.State() != converse.Migrating {
-		return nil, fmt.Errorf("migrate: Extract on %s thread %d", t.State(), t.ID())
+		return fmt.Errorf("migrate: Extract on %s thread %d", t.State(), t.ID())
 	}
-	stackIm, err := t.Strategy().Extract(src, t.Stack())
-	if err != nil {
-		return nil, fmt.Errorf("migrate: extracting stack of thread %d: %w", t.ID(), err)
+	if err := t.Strategy().Extract(src, t.Stack(), &im.Stack); err != nil {
+		return fmt.Errorf("migrate: extracting stack of thread %d: %w", t.ID(), err)
 	}
-	heapIm, err := t.Heap().Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("migrate: snapshotting heap of thread %d: %w", t.ID(), err)
+	if err := t.Heap().Snapshot(&im.Heap); err != nil {
+		return fmt.Errorf("migrate: snapshotting heap of thread %d: %w", t.ID(), err)
 	}
 	if err := t.Heap().Detach(); err != nil {
-		return nil, fmt.Errorf("migrate: detaching heap of thread %d: %w", t.ID(), err)
+		return fmt.Errorf("migrate: detaching heap of thread %d: %w", t.ID(), err)
 	}
-	im := &ThreadImage{
-		ID:    uint64(t.ID()),
-		Prio:  int64(t.Priority()),
-		SP:    uint64(t.SP()),
-		Stack: *stackIm,
-		Heap:  *heapIm,
-	}
+	im.ID, im.Prio, im.SP = uint64(t.ID()), int64(t.Priority()), uint64(t.SP())
+	im.HasGlobals, im.GlobalVars = false, im.GlobalVars[:0]
 	if g := t.Globals(); g != nil {
 		im.HasGlobals = true
 		for _, a := range g.Image() {
 			im.GlobalVars = append(im.GlobalVars, uint64(a))
 		}
 	}
-	return im, nil
+	return nil
 }
 
 // Install rebuilds the thread's state on the destination PE from an
-// image and hands the state back to the thread. layout is the job's
-// swap-global module (may be nil when the image has no globals).
+// image, refilling the thread's own stack handle, heap and globals
+// instance instead of replacing them; the image still decides every
+// byte. im is only read, so its run data may be views of a wire
+// buffer that outlives the call. layout is the job's swap-global
+// module (may be nil when the image has no globals). The image must
+// be of this thread's stack — same strategy and size — and every
+// region it names is checked before anything is written.
 func Install(t *converse.Thread, dst *converse.PE, im *ThreadImage, layout *swapglobal.Layout) error {
-	strat, err := ByName(im.Stack.Strategy)
-	if err != nil {
-		return err
+	strat, old := t.Strategy(), t.Stack()
+	if im.ID != uint64(t.ID()) {
+		return fmt.Errorf("migrate: image of thread %d installed on thread %d", im.ID, t.ID())
 	}
-	stack, err := strat.Install(dst, &im.Stack)
+	if im.Stack.Strategy != strat.Name() {
+		return fmt.Errorf("migrate: thread %d has a %s stack, image holds a %q one", im.ID, strat.Name(), im.Stack.Strategy)
+	}
+	if old != nil && im.Stack.Size != old.Size() {
+		return fmt.Errorf("migrate: thread %d has a %d-byte stack, image holds %d bytes", im.ID, old.Size(), im.Stack.Size)
+	}
+	stack, err := strat.Install(dst, &im.Stack, old)
 	if err != nil {
 		return fmt.Errorf("migrate: installing stack of thread %d: %w", im.ID, err)
 	}
-	heap, err := mem.RestoreThreadHeap(dst.Iso, dst.Space, &im.Heap)
-	if err != nil {
+	heap := t.Heap()
+	if err := heap.Restore(dst.Iso, dst.Space, &im.Heap); err != nil {
 		return fmt.Errorf("migrate: restoring heap of thread %d: %w", im.ID, err)
 	}
 	var globals *swapglobal.Instance
@@ -104,12 +110,10 @@ func Install(t *converse.Thread, dst *converse.PE, im *ThreadImage, layout *swap
 		if layout == nil {
 			return fmt.Errorf("migrate: thread %d has globals but no layout supplied", im.ID)
 		}
-		vars := make([]vmem.Addr, len(im.GlobalVars))
-		for i, a := range im.GlobalVars {
-			vars[i] = vmem.Addr(a)
+		if globals = t.Globals(); globals == nil {
+			globals = new(swapglobal.Instance)
 		}
-		globals, err = swapglobal.RestoreInstance(layout, vars)
-		if err != nil {
+		if err := globals.Restore(layout, im.GlobalVars); err != nil {
 			return err
 		}
 	}
@@ -122,33 +126,51 @@ func Install(t *converse.Thread, dst *converse.PE, im *ThreadImage, layout *swap
 // install on dst, and scheduler ownership transfer. It returns the
 // serialized size so callers can charge network costs.
 func MigrateNow(t *converse.Thread, src, dst *converse.PE, layout *swapglobal.Layout) (int, error) {
-	return moveThread(t, src, dst, layout, false)
+	m := getMover()
+	defer moverPool.Put(m)
+	return m.move(t, src, dst, layout, false)
 }
 
-// moveThread runs one migration of a Migrating thread: extract, PUP
-// round trip, install, and ownership transfer. suspended re-parks the
-// thread on dst instead of making it runnable.
-func moveThread(t *converse.Thread, src, dst *converse.PE, layout *swapglobal.Layout, suspended bool) (int, error) {
-	im, err := Extract(t, src)
-	if err != nil {
+// mover is one migration batch's scratch: the thread image every move
+// of the batch extracts into and decodes back into, and the packer
+// that carries the wire bytes between them. Both are refilled by every
+// move, so a move allocates nothing once they have grown to the
+// batch's largest thread. A batch owns its mover (moverPool), so
+// concurrent batches never share one.
+//
+// The aliasing rule: the decoded image's run data are views of the
+// packer's buffer (pup.PUPer.ReadBack) and live only until Install
+// returns. Install copies every byte into the thread's own memory, so
+// nothing in a thread ever points into a mover.
+type mover struct {
+	im    ThreadImage
+	p     *pup.PUPer
+	order []int // BulkMigrate's op order
+}
+
+var moverPool = sync.Pool{New: func() any { return &mover{p: pup.NewGrowPacker()} }}
+
+func getMover() *mover { return moverPool.Get().(*mover) }
+
+// move runs one migration of a Migrating thread: extract into the
+// scratch image, pack it, unpack the packed bytes in place over the
+// same image, install, and transfer ownership. The PUP round trip
+// stays byte-faithful to what would cross the network. suspended
+// re-parks the thread on dst instead of making it runnable.
+func (m *mover) move(t *converse.Thread, src, dst *converse.PE, layout *swapglobal.Layout, suspended bool) (int, error) {
+	if err := Extract(t, src, &m.im); err != nil {
 		return 0, err
 	}
-	// Single-pass pack into a pooled buffer, unpacked in place: the
-	// PUP round trip is still byte-faithful to what would cross the
-	// network, but steady-state migration allocates no wire buffers
-	// (unpacking copies every field out, so im2 does not alias the
-	// pooled bytes).
-	p := pup.AcquirePacker()
-	defer p.Release()
-	if err := im.Pup(p); err != nil {
+	m.p.Reset()
+	if err := m.im.Pup(m.p); err != nil {
 		return 0, err
 	}
-	n := len(p.PackedBytes())
-	var im2 ThreadImage
-	if err := pup.Unpack(p.PackedBytes(), &im2); err != nil {
+	n := len(m.p.PackedBytes())
+	m.p.ReadBack()
+	if err := m.im.Pup(m.p); err != nil {
 		return 0, err
 	}
-	if err := Install(t, dst, &im2, layout); err != nil {
+	if err := Install(t, dst, &m.im, layout); err != nil {
 		return 0, err
 	}
 	src.Sched.Disown(t)

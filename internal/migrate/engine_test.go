@@ -214,7 +214,7 @@ func TestExtractRequiresMigratingState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Extract(th, m.pes[0]); err == nil {
+	if err := Extract(th, m.pes[0], &ThreadImage{}); err == nil {
 		t.Error("Extract of a non-migrating thread accepted")
 	}
 }

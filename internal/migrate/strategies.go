@@ -102,27 +102,6 @@ func isZeroPage(b []byte) bool {
 	return true
 }
 
-// sparseFromBuf builds the run list for a dense buffer based at base,
-// omitting all-zero pages and copying the rest (the image must not
-// alias the source buffer).
-func sparseFromBuf(buf []byte, base vmem.Addr) []vmem.Run {
-	var runs []vmem.Run
-	var cur *vmem.Run
-	for off := uint64(0); off < uint64(len(buf)); off += vmem.PageSize {
-		page := buf[off : off+vmem.PageSize]
-		if isZeroPage(page) {
-			cur = nil
-			continue
-		}
-		if cur == nil {
-			runs = append(runs, vmem.Run{Addr: base.Add(off)})
-			cur = &runs[len(runs)-1]
-		}
-		cur.Data = append(cur.Data, page...)
-	}
-	return runs
-}
-
 // ---------------------------------------------------------------
 // Stack copying (§3.4.1)
 
@@ -217,24 +196,26 @@ func (StackCopy) SwitchOut(pe *converse.PE, s converse.StackRef, used uint64) er
 // the source ref is switched in or released afterwards — and all-zero
 // pages are dropped (a deep stack that has unwound ships almost
 // nothing).
-func (StackCopy) Extract(pe *converse.PE, s converse.StackRef) (*converse.StackImage, error) {
+func (StackCopy) Extract(pe *converse.PE, s converse.StackRef, im *converse.StackImage) error {
 	r := s.(*stackCopyRef)
 	if r.in {
-		return nil, fmt.Errorf("migrate: stackcopy: extract while switched in")
+		return fmt.Errorf("migrate: stackcopy: extract while switched in")
 	}
+	im.Reset(NameStackCopy, uint64(r.Base()), r.size)
 	// Only the high-water live region can be nonzero; start the scan
 	// at its page boundary.
 	start := (r.size - min(r.maxUsed, r.size)) &^ (vmem.PageSize - 1)
-	return &converse.StackImage{
-		Strategy: NameStackCopy,
-		Base:     uint64(r.Base()),
-		Size:     r.size,
-		Runs:     sparseFromBuf(r.backing[start:], r.Base().Add(start)),
-	}, nil
+	for off := start; off < r.size; off += vmem.PageSize {
+		if page := r.backing[off : off+vmem.PageSize]; !isZeroPage(page) {
+			im.AppendPage(r.Base().Add(off), page)
+		}
+	}
+	return nil
 }
 
-// Install recreates the backing store on the destination.
-func (StackCopy) Install(pe *converse.PE, im *converse.StackImage) (converse.StackRef, error) {
+// Install recreates the backing store on the destination, refilling
+// old's when it is a switched-out stack-copy stack of the same size.
+func (StackCopy) Install(pe *converse.PE, im *converse.StackImage, old converse.StackRef) (converse.StackRef, error) {
 	if err := checkSupported(pe, platform.StackCopy); err != nil {
 		return nil, err
 	}
@@ -245,18 +226,23 @@ func (StackCopy) Install(pe *converse.PE, im *converse.StackImage) (converse.Sta
 	if err := checkImage(NameStackCopy, im); err != nil {
 		return nil, err
 	}
-	// The fresh backing store is the zero fill; runs overlay the dirty
-	// pages. The live high-water mark resumes at the lowest shipped
-	// page (everything below it is zero by construction).
-	backing := make([]byte, im.Size)
-	maxUsed := uint64(0)
+	// The zeroed backing store is the zero fill; runs overlay the
+	// dirty pages. The live high-water mark resumes at the lowest
+	// shipped page (everything below it is zero by construction).
+	r, ok := old.(*stackCopyRef)
+	if ok && !r.in && uint64(len(r.backing)) == im.Size {
+		clear(r.backing)
+	} else {
+		r = &stackCopyRef{backing: make([]byte, im.Size)}
+	}
+	r.size, r.maxUsed = im.Size, 0
 	for _, run := range im.Runs {
-		copy(backing[run.Addr-vmem.Addr(im.Base):], run.Data)
+		copy(r.backing[run.Addr-vmem.Addr(im.Base):], run.Data)
 	}
 	if len(im.Runs) > 0 {
-		maxUsed = im.Size - uint64(im.Runs[0].Addr-vmem.Addr(im.Base))
+		r.maxUsed = im.Size - uint64(im.Runs[0].Addr-vmem.Addr(im.Base))
 	}
-	return &stackCopyRef{size: im.Size, backing: backing, maxUsed: maxUsed}, nil
+	return r, nil
 }
 
 // Release drops the backing store.
@@ -349,46 +335,47 @@ func (Isomalloc) SwitchOut(pe *converse.PE, s converse.StackRef, used uint64) er
 // so the destination can map the same range. Pages the thread never
 // wrote are still zero (never touched, or touched by reads only) and
 // ship as nothing.
-func (Isomalloc) Extract(pe *converse.PE, s converse.StackRef) (*converse.StackImage, error) {
+func (Isomalloc) Extract(pe *converse.PE, s converse.StackRef, im *converse.StackImage) error {
 	r := s.(*isoRef)
-	runs, err := pe.Space.CopyOutRuns(r.base, r.size)
-	if err != nil {
-		return nil, err
-	}
-	slabBase, slabSize := r.slab()
-	if err := pe.Space.Unmap(slabBase, slabSize); err != nil {
-		return nil, err
+	im.Reset(NameIsomalloc, uint64(r.base), r.size)
+	if err := im.AppendDirty(pe.Space, r.base, r.size); err != nil {
+		return err
 	}
 	// The slab is NOT returned to the allocator: the range belongs to
 	// the thread machine-wide for as long as it lives, so it stays
 	// free for the thread to map wherever it migrates.
-	return &converse.StackImage{
-		Strategy: NameIsomalloc,
-		Base:     uint64(r.base),
-		Size:     r.size,
-		Runs:     runs,
-	}, nil
+	slabBase, slabSize := r.slab()
+	return pe.Space.Unmap(slabBase, slabSize)
 }
 
 // Install maps the same unique addresses on the destination, which
 // costs no frames, and writes the shipped runs back, which gives
 // exactly their pages frames — no pointer inside the stack needs
-// updating, and unshipped pages read as zero.
-func (Isomalloc) Install(pe *converse.PE, im *converse.StackImage) (converse.StackRef, error) {
+// updating, and unshipped pages read as zero. The handle is old when
+// old names the same stack (it is address and size only).
+func (Isomalloc) Install(pe *converse.PE, im *converse.StackImage, old converse.StackRef) (converse.StackRef, error) {
 	if err := checkSupported(pe, platform.Isomalloc); err != nil {
 		return nil, err
 	}
 	if err := checkImage(NameIsomalloc, im); err != nil {
 		return nil, err
 	}
+	// The slab, guard page included, must be one of the isomalloc
+	// region's: any other address could be the system heap's or the
+	// GOT's.
 	base := vmem.Addr(im.Base)
-	if err := mapIsoStack(pe, base-vmem.PageSize, im.Size); err != nil {
+	slab := vmem.Range{Start: base - vmem.PageSize, Length: im.Size + vmem.PageSize}
+	if region := pe.Iso.Region().Range(); base < vmem.PageSize || im.Size >= region.Length || !region.Covers(slab) {
+		return nil, fmt.Errorf("migrate: isomalloc: stack %s outside the isomalloc region %s", slab, region)
+	}
+	if err := mapIsoStack(pe, slab.Start, im.Size); err != nil {
 		return nil, err
 	}
-	for _, run := range im.Runs {
-		if err := pe.Space.Write(run.Addr, run.Data); err != nil {
-			return nil, err
-		}
+	if err := pe.Space.CopyInRuns(im.Runs); err != nil {
+		return nil, err
+	}
+	if r, ok := old.(*isoRef); ok && r.base == base && r.size == im.Size {
+		return r, nil
 	}
 	return &isoRef{base: base, size: im.Size}, nil
 }
@@ -497,38 +484,27 @@ func (MemoryAlias) SwitchOut(pe *converse.PE, s converse.StackRef, used uint64) 
 // (frames the thread never wrote are still zero and ship as
 // nothing). Run data is copied out of the frames so the image stays
 // valid after the ref is released.
-func (MemoryAlias) Extract(pe *converse.PE, s converse.StackRef) (*converse.StackImage, error) {
+func (MemoryAlias) Extract(pe *converse.PE, s converse.StackRef, im *converse.StackImage) error {
 	r := s.(*aliasRef)
 	if r.in {
-		return nil, fmt.Errorf("migrate: memalias: extract while switched in")
+		return fmt.Errorf("migrate: memalias: extract while switched in")
 	}
-	var runs []vmem.Run
-	var cur *vmem.Run
+	im.Reset(NameMemAlias, uint64(r.Base()), r.size)
 	for i, f := range r.frames {
-		if !f.Dirty() {
-			cur = nil
-			continue
+		if f.Dirty() {
+			im.AppendPage(r.Base().Add(uint64(i)*vmem.PageSize), f.Data())
 		}
-		if cur == nil {
-			runs = append(runs, vmem.Run{Addr: r.Base().Add(uint64(i) * vmem.PageSize)})
-			cur = &runs[len(runs)-1]
-		}
-		cur.Data = append(cur.Data, f.Data()...)
 	}
-	return &converse.StackImage{
-		Strategy: NameMemAlias,
-		Base:     uint64(r.Base()),
-		Size:     r.size,
-		Runs:     runs,
-	}, nil
+	return nil
 }
 
 // Install rebuilds the frames on the destination: fresh zero frames
 // for the whole stack, shipped runs copied over their pages. The
 // copied frames are marked dirty by hand — the bytes arrive through
 // Frame.Data, not Space.Write, and a clean frame must stay all-zero
-// or the *next* extract would drop live pages.
-func (m MemoryAlias) Install(pe *converse.PE, im *converse.StackImage) (converse.StackRef, error) {
+// or the *next* extract would drop live pages. old is not reused:
+// each move gives the stack new frames.
+func (m MemoryAlias) Install(pe *converse.PE, im *converse.StackImage, old converse.StackRef) (converse.StackRef, error) {
 	if err := m.supported(pe); err != nil {
 		return nil, err
 	}

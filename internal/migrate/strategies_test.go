@@ -243,11 +243,11 @@ func TestBGLMicrokernelExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Extract/Install works under the extension too.
-	im, err := ext.Extract(pe, ref)
-	if err != nil {
+	var im converse.StackImage
+	if err := ext.Extract(pe, ref, &im); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ext.Install(pe, im); err != nil {
+	if _, err := ext.Install(pe, &im, ref); err != nil {
 		t.Fatal(err)
 	}
 	// The extension must not smuggle the flag onto machines where the
@@ -300,11 +300,11 @@ func TestExtractInstallRoundTrip(t *testing.T) {
 			if err := strat.SwitchOut(src, ref, size); err != nil {
 				t.Fatal(err)
 			}
-			im, err := strat.Extract(src, ref)
-			if err != nil {
+			var im converse.StackImage
+			if err := strat.Extract(src, ref, &im); err != nil {
 				t.Fatal(err)
 			}
-			ref2, err := strat.Install(dst, im)
+			ref2, err := strat.Install(dst, &im, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func TestExtractWhileSwitchedInFails(t *testing.T) {
 		if err := strat.SwitchIn(pe, ref, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := strat.Extract(pe, ref); err == nil {
+		if err := strat.Extract(pe, ref, &converse.StackImage{}); err == nil {
 			t.Errorf("%s: extract while switched in accepted", strat.Name())
 		}
 	}
@@ -349,27 +349,27 @@ func TestStackCopyInstallValidation(t *testing.T) {
 	pe := newPE(t, 0, 1, platform.Opteron())
 	s := StackCopy{}
 	if _, err := s.Install(pe, &converse.StackImage{Strategy: NameStackCopy, Base: 0x1234000, Size: vmem.PageSize,
-		Runs: []vmem.Run{{Addr: 0x1234000, Data: make([]byte, vmem.PageSize)}}}); err == nil {
+		Runs: []vmem.Run{{Addr: 0x1234000, Data: make([]byte, vmem.PageSize)}}}, nil); err == nil {
 		t.Error("mismatched canonical base accepted")
 	}
 	canonical := uint64(converse.CanonicalStackBase)
 	if _, err := s.Install(pe, &converse.StackImage{Strategy: NameStackCopy, Base: canonical, Size: vmem.PageSize,
-		Runs: []vmem.Run{{Addr: converse.CanonicalStackBase, Data: []byte{1}}}}); err == nil {
+		Runs: []vmem.Run{{Addr: converse.CanonicalStackBase, Data: []byte{1}}}}, nil); err == nil {
 		t.Error("partial-page run accepted")
 	}
 	if _, err := s.Install(pe, &converse.StackImage{Strategy: NameStackCopy, Base: canonical, Size: vmem.PageSize,
-		Runs: []vmem.Run{{Addr: converse.CanonicalStackBase.Add(vmem.PageSize), Data: make([]byte, vmem.PageSize)}}}); err == nil {
+		Runs: []vmem.Run{{Addr: converse.CanonicalStackBase.Add(vmem.PageSize), Data: make([]byte, vmem.PageSize)}}}, nil); err == nil {
 		t.Error("out-of-range run accepted")
 	}
-	if _, err := s.Install(pe, &converse.StackImage{Strategy: NameStackCopy, Base: canonical, Size: vmem.PageSize + 1}); err == nil {
+	if _, err := s.Install(pe, &converse.StackImage{Strategy: NameStackCopy, Base: canonical, Size: vmem.PageSize + 1}, nil); err == nil {
 		t.Error("non-page-multiple size accepted")
 	}
 	a := MemoryAlias{}
 	if _, err := a.Install(pe, &converse.StackImage{Strategy: NameMemAlias, Base: canonical, Size: vmem.PageSize,
-		Runs: []vmem.Run{{Addr: converse.CanonicalStackBase, Data: []byte{1}}}}); err == nil {
+		Runs: []vmem.Run{{Addr: converse.CanonicalStackBase, Data: []byte{1}}}}, nil); err == nil {
 		t.Error("partial-page alias run accepted")
 	}
-	if _, err := a.Install(pe, &converse.StackImage{Strategy: NameMemAlias, Base: canonical, Size: vmem.PageSize + 1}); err == nil {
+	if _, err := a.Install(pe, &converse.StackImage{Strategy: NameMemAlias, Base: canonical, Size: vmem.PageSize + 1}, nil); err == nil {
 		t.Error("non-page-multiple alias size accepted")
 	}
 }
@@ -441,11 +441,11 @@ func TestIsomallocGuardPage(t *testing.T) {
 	if err := s.SwitchOut(pe, a, 0); err != nil {
 		t.Fatal(err)
 	}
-	im, err := s.Extract(pe, a)
-	if err != nil {
+	var im converse.StackImage
+	if err := s.Extract(pe, a, &im); err != nil {
 		t.Fatal(err)
 	}
-	a2, err := s.Install(pe, im)
+	a2, err := s.Install(pe, &im, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"unsafe"
 )
 
 // hostile builds a buffer claiming n elements with only a few real
@@ -142,4 +143,69 @@ func FuzzUnpackParticle(f *testing.F) {
 		var out particle
 		_ = Unpack(data, &out) // must not panic
 	})
+}
+
+// readBackVal is a value a ReadBack traversal refills in place.
+type readBackVal struct {
+	Name  string
+	Raw   []byte
+	Words []uint64
+}
+
+func (v *readBackVal) Pup(p *PUPer) error {
+	if err := p.String(&v.Name); err != nil {
+		return err
+	}
+	if err := p.Bytes(&v.Raw); err != nil {
+		return err
+	}
+	return p.Uint64s(&v.Words)
+}
+
+// TestReadBackInPlace: a packer unpacks its own bytes over the value it
+// packed — byte slices become views of its buffer, other slices keep
+// their arrays, a string that already holds the text is kept — and
+// Reset makes it a packer again. A plain unpacker still copies.
+func TestReadBackInPlace(t *testing.T) {
+	v := readBackVal{Name: "isomalloc", Raw: []byte("stack page"), Words: []uint64{7, 8, 9}}
+	name, words := v.Name, &v.Words[0]
+	p := AcquirePacker()
+	defer p.Release()
+	if err := v.Pup(p); err != nil {
+		t.Fatal(err)
+	}
+	wire := append([]byte(nil), p.PackedBytes()...)
+	p.ReadBack()
+	if err := v.Pup(p); err != nil || p.Remaining() != 0 {
+		t.Fatalf("in-place unpack: %v, %d bytes left", err, p.Remaining())
+	}
+	if v.Name != "isomalloc" || string(v.Raw) != "stack page" || len(v.Words) != 3 || v.Words[2] != 9 {
+		t.Fatalf("in-place unpack decoded %+v", v)
+	}
+	if &v.Words[0] != words || unsafe.StringData(v.Name) != unsafe.StringData(name) {
+		t.Error("in-place unpack replaced a slice or string it could refill")
+	}
+	if cap(v.Raw) != len(v.Raw) || &v.Raw[0] != &p.buf[4+4+len(name)] {
+		t.Error("in-place []byte is not a capped view of the packer's buffer")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		p.Reset()
+		_ = v.Pup(p)
+		p.ReadBack()
+		_ = v.Pup(p)
+	}); n != 0 {
+		t.Errorf("pack and in-place unpack allocate %.0f objects", n)
+	}
+	p.Reset()
+	if !p.IsPacking() || len(p.PackedBytes()) != 0 {
+		t.Fatal("Reset after ReadBack does not pack again from the start")
+	}
+	var fresh readBackVal
+	if err := Unpack(wire, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	wire[8+len(name)] ^= 0xFF
+	if string(fresh.Raw) != "stack page" {
+		t.Error("a plain unpacker's []byte aliases its input")
+	}
 }

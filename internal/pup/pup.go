@@ -13,7 +13,9 @@
 // separate sizing traversal is needed (NewSizer remains for callers
 // that want a byte count without producing bytes). The migration hot
 // path recycles packers through a sync.Pool via AcquirePacker/Release
-// so steady-state packing allocates nothing.
+// so steady-state packing allocates nothing, and unpacks a packer's
+// own bytes in place (ReadBack) so the round trip allocates nothing
+// either.
 //
 // Unpacking is hardened against corrupt or hostile images: every
 // length prefix is validated against the bytes actually remaining
@@ -62,11 +64,12 @@ type Pupable interface {
 // PUPer carries one traversal. Create with NewSizer, NewPacker,
 // NewUnpacker or AcquirePacker; or use the Size/Pack/Unpack helpers.
 type PUPer struct {
-	mode Mode
-	buf  []byte
-	off  int
-	size int
-	grow bool // Packing only: buffer grows on demand (single-pass)
+	mode    Mode
+	buf     []byte
+	off     int
+	size    int
+	grow    bool // Packing only: buffer grows on demand (single-pass)
+	inPlace bool // Unpacking after ReadBack: decode into views and reused slices
 }
 
 // NewSizer returns a sizing PUPer.
@@ -95,6 +98,7 @@ func AcquirePacker() *PUPer {
 	p := packerPool.Get().(*PUPer)
 	p.mode = Packing
 	p.grow = true
+	p.inPlace = false
 	p.off = 0
 	p.size = 0
 	p.buf = p.buf[:cap(p.buf)]
@@ -109,10 +113,40 @@ func (p *PUPer) Release() {
 
 // Reset rewinds a packing PUPer so it can serialize another object
 // into the same buffer (bulk checkpointing packs thousands of
-// elements through one packer).
+// elements through one packer). A PUPer switched to ReadBack packs
+// again after Reset.
 func (p *PUPer) Reset() {
+	if p.inPlace {
+		p.mode, p.inPlace = Packing, false
+		p.buf = p.buf[:cap(p.buf)]
+	}
 	p.off = 0
 	p.size = 0
+}
+
+// ReadBack switches a packing PUPer to unpack the bytes it has packed
+// so far, in place: the wire round trip of a migration without a
+// second buffer or a second PUPer. An in-place traversal decodes a
+// byte slice (Bytes) as a view of the packer's buffer instead of a
+// copy, and refills the slices of the value it decodes into when they
+// have room (Resize). So the decoded value allocates nothing, and its
+// byte slices live only until the next Reset or Release.
+func (p *PUPer) ReadBack() {
+	p.mode, p.inPlace = Unpacking, true
+	p.buf = p.buf[:p.off]
+	p.off = 0
+}
+
+// Resize returns s with length n for an unpacking traversal to fill.
+// An in-place traversal (ReadBack) reuses s's array when it has room;
+// any other gets a fresh one, so a decoded value never shares an array
+// with the value it replaced. Callers validate n against Remaining
+// first.
+func Resize[T any](p *PUPer, s []T, n int) []T {
+	if p.inPlace && cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // IsSizing reports whether the traversal is only measuring.
@@ -288,7 +322,8 @@ func (p *PUPer) Byte(v *byte) error {
 
 // Bytes visits a variable-length byte slice (uint32 length prefix).
 // Unpacking validates the prefix against the remaining buffer, then
-// replaces *v with a fresh slice.
+// replaces *v with a fresh copy — or, in place (ReadBack), with a view
+// of the buffer capped at its own length.
 func (p *PUPer) Bytes(v *[]byte) error {
 	n := uint32(len(*v))
 	if err := p.Uint32(&n); err != nil {
@@ -298,28 +333,44 @@ func (p *PUPer) Bytes(v *[]byte) error {
 		if err := p.checkLen(n, 1, "[]byte"); err != nil {
 			return err
 		}
-		*v = make([]byte, n)
 	}
 	a, err := p.area(int(n))
-	if err != nil || a == nil {
+	if err != nil || p.mode == Sizing {
 		return err
 	}
-	if p.mode == Packing {
+	switch {
+	case p.mode == Packing:
 		copy(a, *v)
-	} else {
+	case p.inPlace:
+		*v = a[:n:n]
+	default:
+		*v = make([]byte, n)
 		copy(*v, a)
 	}
 	return nil
 }
 
-// String visits a string (uint32 length prefix).
+// String visits a string (uint32 length prefix). Unpacking keeps *v
+// when it already holds the decoded text, so refilling a value in
+// place (a migration image's strategy name) allocates nothing.
 func (p *PUPer) String(v *string) error {
-	b := []byte(*v)
-	if err := p.Bytes(&b); err != nil {
+	n := uint32(len(*v))
+	if err := p.Uint32(&n); err != nil {
 		return err
 	}
 	if p.mode == Unpacking {
-		*v = string(b)
+		if err := p.checkLen(n, 1, "string"); err != nil {
+			return err
+		}
+	}
+	a, err := p.area(int(n))
+	if err != nil || p.mode == Sizing {
+		return err
+	}
+	if p.mode == Packing {
+		copy(a, *v)
+	} else if string(a) != *v {
+		*v = string(a)
 	}
 	return nil
 }
@@ -335,7 +386,7 @@ func (p *PUPer) Uint64s(v *[]uint64) error {
 		if err := p.checkLen(n, 8, "[]uint64"); err != nil {
 			return err
 		}
-		*v = make([]uint64, n)
+		*v = Resize(p, *v, int(n))
 	}
 	a, err := p.area(int(n) * 8)
 	if err != nil || a == nil {

@@ -16,6 +16,7 @@ package swapglobal
 
 import (
 	"fmt"
+	"slices"
 
 	"migflow/internal/mem"
 	"migflow/internal/vmem"
@@ -175,14 +176,19 @@ func NewInstance(layout *Layout, alloc mem.Allocator) (*Instance, error) {
 	return in, nil
 }
 
-// RestoreInstance rebuilds an Instance from its migrated slot values
-// (the storage they point at has already been shipped inside the
-// thread's heap image).
-func RestoreInstance(layout *Layout, vars []vmem.Addr) (*Instance, error) {
+// Restore refills the instance from migrated slot values (the storage
+// they point at has already been shipped inside the thread's heap
+// image), reusing its slot array. The zero Instance restores too.
+func (in *Instance) Restore(layout *Layout, vars []uint64) error {
 	if len(vars) != layout.NumGlobals() {
-		return nil, fmt.Errorf("swapglobal: RestoreInstance: %d vars for %d globals", len(vars), layout.NumGlobals())
+		return fmt.Errorf("swapglobal: Restore: %d vars for %d globals", len(vars), layout.NumGlobals())
 	}
-	return &Instance{layout: layout, vars: vars}, nil
+	in.layout = layout
+	in.vars = slices.Grow(in.vars[:0], len(vars))
+	for _, a := range vars {
+		in.vars = append(in.vars, vmem.Addr(a))
+	}
+	return nil
 }
 
 // Image returns the slot values to install on switch-in. The caller

@@ -1,6 +1,7 @@
 package swapglobal
 
 import (
+	"slices"
 	"testing"
 
 	"migflow/internal/mem"
@@ -188,18 +189,22 @@ func TestGOTLayoutAccessorAndRestoreValidation(t *testing.T) {
 	if got.Layout() != l {
 		t.Error("Layout accessor wrong")
 	}
-	if _, err := RestoreInstance(l, []vmem.Addr{1}); err == nil {
-		t.Error("short RestoreInstance accepted")
+	var back Instance
+	if err := back.Restore(l, []uint64{1}); err == nil {
+		t.Error("short Restore accepted")
 	}
 	in, err := NewInstance(l, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := RestoreInstance(l, in.Image())
-	if err != nil {
+	var vars []uint64
+	for _, a := range in.Image() {
+		vars = append(vars, uint64(a))
+	}
+	if err := back.Restore(l, vars); err != nil {
 		t.Fatal(err)
 	}
-	if back.Image()[0] != in.Image()[0] {
+	if !slices.Equal(back.Image(), in.Image()) {
 		t.Error("restored image differs")
 	}
 	if _, err := in.VarAddr("nope"); err == nil {

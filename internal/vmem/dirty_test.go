@@ -2,6 +2,7 @@ package vmem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"migflow/internal/pup"
@@ -84,7 +85,7 @@ func TestCopyOutRunsCoalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runs, err := s.CopyOutRuns(base, 8*PageSize)
+	runs, _, err := s.CopyOutRuns(nil, nil, base, 8*PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +121,10 @@ func TestCopyOutRunsCoalescing(t *testing.T) {
 		t.Error("CopyOutRuns aliases live page memory")
 	}
 	// Misaligned requests are rejected.
-	if _, err := s.CopyOutRuns(base.Add(8), PageSize); err == nil {
+	if _, _, err := s.CopyOutRuns(nil, nil, base.Add(8), PageSize); err == nil {
 		t.Error("misaligned CopyOutRuns accepted")
 	}
-	if _, err := s.CopyOutRuns(base, 100); err == nil {
+	if _, _, err := s.CopyOutRuns(nil, nil, base, 100); err == nil {
 		t.Error("non-page-multiple length accepted")
 	}
 }
@@ -142,7 +143,7 @@ func TestCopyOutRunsUnreadableDirtyPageFaults(t *testing.T) {
 	if err := s.Protect(base, PageSize, ProtNone); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CopyOutRuns(base, PageSize); err == nil {
+	if _, _, err := s.CopyOutRuns(nil, nil, base, PageSize); err == nil {
 		t.Error("unreadable dirty page did not fault")
 	}
 }
@@ -229,5 +230,50 @@ func TestDenseFromRuns(t *testing.T) {
 	}
 	if dense[0] != 0 || dense[PageSize] != 7 || dense[2*PageSize] != 0 {
 		t.Error("dense reconstruction wrong")
+	}
+}
+
+// TestCopyInRuns: runs written back land at their addresses, give their
+// pages frames and dirty bits, and round-trip through CopyOutRuns into a
+// reused run list and arena; an unmapped or unwritable page faults.
+func TestCopyInRuns(t *testing.T) {
+	s := NewSpace(0)
+	base := Addr(0x100000)
+	if err := s.Map(base, 6*PageSize, ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, PageSize) }
+	in := []Run{{Addr: base, Data: append(page(1), page(2)...)}, {Addr: base.Add(4 * PageSize), Data: page(3)}}
+	if err := s.CopyInRuns(in); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.DirtyPages(base, 6*PageSize); n != 3 {
+		t.Fatalf("%d dirty pages, want 3", n)
+	}
+	if s.ResidentPages() != 3 {
+		t.Fatalf("%d resident pages, want 3 (unshipped pages stay frameless)", s.ResidentPages())
+	}
+	runs, arena := make([]Run, 0, 4), make([]byte, 0, 8*PageSize)
+	for i := 0; i < 2; i++ {
+		var err error
+		runs, arena, err = s.CopyOutRuns(runs[:0], arena[:0], base, 6*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(runs) != fmt.Sprint(in) {
+			t.Fatalf("pass %d: CopyOutRuns = %v, want %v", i, runs, in)
+		}
+	}
+	if err := s.CopyInRuns([]Run{{Addr: base.Add(8 * PageSize), Data: page(4)}}); err == nil {
+		t.Error("CopyInRuns into an unmapped page accepted")
+	}
+	if err := s.Protect(base, PageSize, ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CopyInRuns([]Run{{Addr: base, Data: page(5)}}); err == nil {
+		t.Error("CopyInRuns into a read-only page accepted")
+	}
+	if err := s.CopyInRuns([]Run{{Addr: base.Add(8), Data: page(6)}}); err == nil {
+		t.Error("misaligned run accepted")
 	}
 }

@@ -257,6 +257,10 @@ func TestSpaceMatchesDenseModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := &denseModel{pages: map[uint64]*refPage{}}
+		// CopyOutRuns refills one run list and page arena throughout, as
+		// a migration scratch image does.
+		var outRuns []Run
+		var outPages []byte
 		// span is a random range; spanOf, three times in four, a range
 		// starting at a page whose mappedness is mapped and running while
 		// it stays so — ranges that mostly succeed, so the window keeps
@@ -332,7 +336,8 @@ func TestSpaceMatchesDenseModel(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					op = fmt.Sprintf("CopyOutRuns(%#x, %d)", vpn, n)
-					runs, err := s.CopyOutRuns(pageAddr(vpn), n*PageSize)
+					runs, pages, err := s.CopyOutRuns(outRuns[:0], outPages[:0], pageAddr(vpn), n*PageSize)
+					outRuns, outPages = runs, pages
 					ref, werr := m.copyOutRuns(vpn, n)
 					got, want = errKey(err), werr
 					if got == "" && want == "" && fmt.Sprint(runs) != fmt.Sprint(ref) {

@@ -91,6 +91,12 @@ func (r Range) End() Addr { return r.Start.Add(r.Length) }
 // Contains reports whether a lies inside the range.
 func (r Range) Contains(a Addr) bool { return a >= r.Start && a < r.End() }
 
+// Covers reports whether o lies wholly inside the range; a range
+// whose end wraps past the top of the address space lies inside none.
+func (r Range) Covers(o Range) bool {
+	return o.Start >= r.Start && o.Length <= r.Length && uint64(o.Start-r.Start) <= r.Length-o.Length
+}
+
 // Overlaps reports whether two ranges share any address.
 func (r Range) Overlaps(o Range) bool {
 	return r.Start < o.End() && o.Start < r.End()
