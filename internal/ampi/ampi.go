@@ -211,14 +211,14 @@ type Job struct {
 	// mu guards traffic and err.
 	mu      sync.Mutex
 	traffic map[uint64]float64 // rank pair lo<<32 | hi → bytes (one word: the map's fast path)
-	err     error              // how the last Run ended (Err)
+	err     error              // how the last Run or RunParallel ended (Err)
 
 	// lbMu serializes Rebalance steps (plan → commit → reset).
 	lbMu sync.Mutex
 
 	// LB-gate state (the Migrate Proc): every rank parks at the gate;
-	// the Run/RunParallel driver services it at quiescence and resumes
-	// the ranks post-plan.
+	// the driver loop (drive) services it at quiescence and resumes the
+	// ranks post-plan.
 	gateMu       sync.Mutex
 	gateArrived  int
 	gateStrategy loadbalance.Strategy
@@ -444,33 +444,38 @@ func (j *Job) Start() {
 // — and keeps driving until the program completes. At a full gate
 // the machine is quiescent with zero in-flight messages, so moving
 // ranks cannot reorder deliveries: per-rank results stay
-// bit-identical with and without migration. A run that goes quiescent
-// with ranks unfinished is deadlocked: Err reports it, naming each
-// stuck rank and the receive it waits in.
-func (j *Job) Run() {
-	j.Start()
-	for {
-		j.m.RunUntilQuiescent()
-		if !j.gateReady() {
-			break
-		}
-		j.serviceGate()
-	}
-	j.checkDeadlock()
+// bit-identical with and without migration. Err reports how the run
+// ended: nil; the gate's LB error, with the ranks left parked at the
+// gate; or, for a run that went quiescent with ranks unfinished, a
+// deadlock naming each stuck rank and the receive it waits in.
+func (j *Job) Run() { j.drive(j.m.RunUntilQuiescent) }
+
+// RunParallel is Run with one goroutine per PE (the wall-clock mode):
+// the same loop, each phase ending when the machine's detector finds
+// it quiescent.
+func (j *Job) RunParallel() {
+	j.drive(func() { j.m.RunParallel(func(quiet bool) bool { return quiet }) })
 }
 
-// RunParallel starts the job and drives the machine with one
-// goroutine per PE (the wall-clock mode), servicing Migrate gates
-// between parallel phases exactly like Run.
-func (j *Job) RunParallel() {
+// drive is both drivers' loop. Each time toQuiescence returns, the
+// machine is quiescent: the loop services a full gate, or records
+// how the run ended.
+func (j *Job) drive(toQuiescence func()) {
 	j.Start()
+	var err error
 	for {
-		j.m.RunParallel(func() bool { return j.Done() || j.gateReady() })
+		toQuiescence()
 		if !j.gateReady() {
-			return
+			err = j.deadlock()
+			break
 		}
-		j.serviceGate()
+		if err = j.serviceGate(); err != nil {
+			break
+		}
 	}
+	j.mu.Lock()
+	j.err = err
+	j.mu.Unlock()
 }
 
 // gateArrive registers one rank at the LB gate and records the gate's
@@ -502,8 +507,9 @@ func (j *Job) gateReady() bool {
 }
 
 // serviceGate runs one LB step for a full gate and resumes the
-// ranks. The machine is stopped (quiescent) when this runs.
-func (j *Job) serviceGate() {
+// ranks. The machine is quiescent when this runs. A failed step
+// returns its error and leaves the ranks parked at the gate.
+func (j *Job) serviceGate() error {
 	j.gateMu.Lock()
 	strategy := j.gateStrategy
 	j.gateArrived = 0
@@ -511,18 +517,19 @@ func (j *Job) serviceGate() {
 	j.gateMu.Unlock()
 	moved, err := j.Rebalance(strategy)
 	if err != nil {
-		panic(fmt.Sprintf("ampi: LB gate: %v", err))
+		return fmt.Errorf("ampi: LB gate: %w", err)
 	}
 	j.gateMu.Lock()
 	j.lbMoved += moved
 	j.gateMu.Unlock()
 	if j.ev != nil {
 		j.ev.resumeGate()
-		return
+		return nil
 	}
 	for i := range j.ranks {
 		j.ranks[i].th.Awaken()
 	}
+	return nil
 }
 
 // LBMoved returns the total ranks moved by Migrate-gate LB steps.

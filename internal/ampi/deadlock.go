@@ -2,8 +2,9 @@ package ampi
 
 // Deadlock: a run that goes quiescent with ranks unfinished can never
 // finish — nothing is runnable and nothing is in flight, so no receive
-// will ever be matched. Run records that as an error naming each stuck
-// rank instead of returning as if the job had finished.
+// will ever be matched. Run and RunParallel record that as an error
+// naming each stuck rank instead of returning as if the job had
+// finished.
 
 import (
 	"errors"
@@ -11,7 +12,7 @@ import (
 	"strings"
 )
 
-// ErrDeadlock is what Job.Err matches (errors.Is) after a Run that went
+// ErrDeadlock is what Job.Err matches (errors.Is) after a run that went
 // quiescent with ranks unfinished. The error itself is a
 // *DeadlockError.
 var ErrDeadlock = errors.New("ampi: deadlock")
@@ -57,20 +58,21 @@ func (e *DeadlockError) Error() string {
 // Is makes errors.Is(err, ErrDeadlock) hold.
 func (e *DeadlockError) Is(target error) bool { return target == ErrDeadlock }
 
-// Err reports how Run ended: nil, or a *DeadlockError when the machine
-// went quiescent with ranks unfinished.
+// Err reports how the last Run or RunParallel ended: nil; the Migrate
+// gate's LB error; or a *DeadlockError when the machine went quiescent
+// with ranks unfinished.
 func (j *Job) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
 }
 
-// checkDeadlock records a *DeadlockError if Run went quiescent with
-// ranks unfinished. A sharded job's other ranks live in other processes,
-// so it is not judged here.
-func (j *Job) checkDeadlock() {
+// deadlock returns a *DeadlockError if the machine went quiescent with
+// ranks unfinished, else nil. A sharded job's other ranks live in
+// other processes, so it is not judged here.
+func (j *Job) deadlock() error {
 	if j.Done() || j.m.Sharded() {
-		return
+		return nil
 	}
 	dl := &DeadlockError{Size: j.size}
 	ranks := j.store()
@@ -82,9 +84,7 @@ func (j *Job) checkDeadlock() {
 		}
 		s.mu.Unlock()
 	}
-	j.mu.Lock()
-	j.err = dl
-	j.mu.Unlock()
+	return dl
 }
 
 // stuck describes the parked rank in s. s.mu held.

@@ -132,7 +132,9 @@ func TestPELoadsSameOnBothBackends(t *testing.T) {
 				t.Errorf("%s: PE %d measured load %v, want > 0", mode, p, l)
 			}
 		}
-		job.serviceGate()
+		if err := job.serviceGate(); err != nil {
+			t.Fatal(err)
+		}
 		m.RunUntilQuiescent()
 		if !job.Done() {
 			t.Fatalf("%s: job did not complete after the gate", mode)
@@ -239,13 +241,17 @@ func TestEventExternalRebalance(t *testing.T) {
 		}
 	}
 	// The gate is still armed; service it and finish the program.
-	job.serviceGate()
+	if err := job.serviceGate(); err != nil {
+		t.Fatal(err)
+	}
 	for {
 		m.RunUntilQuiescent()
 		if !job.gateReady() {
 			break
 		}
-		job.serviceGate()
+		if err := job.serviceGate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !job.Done() {
 		t.Fatal("job did not complete after external rebalance")
@@ -289,8 +295,8 @@ func TestEventMigrateRaceStress(t *testing.T) {
 	job.RunParallel()
 	close(stop)
 	wg.Wait()
-	if !job.Done() {
-		t.Fatal("stressed job did not complete")
+	if err := job.Err(); err != nil || !job.Done() {
+		t.Fatalf("stressed job ended with %v (done %v)", err, job.Done())
 	}
 }
 
@@ -372,7 +378,9 @@ func TestEventRecordRoundTrip(t *testing.T) {
 	if er.mbox[er.head].From != e.idOf(0) {
 		t.Fatalf("mbox sender lost: %v", er.mbox[er.head].From)
 	}
-	job.serviceGate()
+	if err := job.serviceGate(); err != nil {
+		t.Fatal(err)
+	}
 	m.RunUntilQuiescent()
 	if !job.Done() {
 		t.Fatal("job did not complete after the moved rank's gate resumed")
@@ -466,7 +474,9 @@ func TestDeliveryDuringTransit(t *testing.T) {
 	if fmt.Sprint(got) != "[first second third]" {
 		t.Fatalf("buffered after the move: %v, want the record's two, then the one that arrived in transit", got)
 	}
-	job.serviceGate()
+	if err := job.serviceGate(); err != nil {
+		t.Fatal(err)
+	}
 	m.RunUntilQuiescent()
 	if !job.Done() {
 		t.Fatal("job did not complete")

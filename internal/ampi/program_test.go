@@ -567,7 +567,7 @@ func TestEventIrecvWaitallAcrossPEs(t *testing.T) {
 		t.Fatal(err)
 	}
 	job.Start()
-	m.RunParallel(job.Done)
+	m.RunParallel(func(bool) bool { return job.Done() })
 	if !job.Done() {
 		t.Fatal("job did not complete")
 	}
@@ -598,7 +598,7 @@ func TestEventStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	job.Start()
-	m.RunParallel(job.Done)
+	m.RunParallel(func(bool) bool { return job.Done() })
 	if !job.Done() {
 		t.Fatal("stress job did not complete")
 	}

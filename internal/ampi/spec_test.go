@@ -412,9 +412,10 @@ func specMix(seed int64, size int, sink []float64) Proc {
 	return Seq(append(ps, Do(func(pc *PC) { sink[pc.Rank()] = st(pc).x }))...)
 }
 
-// TestSpecOracle holds both backends on 1, 2 and 4 PEs bit for bit to
-// the spec: every rank's final virtual time and output and the message
-// count, for four Jacobi rings and 200 random programs, every other one
+// TestSpecOracle holds both backends on 1, 2 and 4 PEs under Run, and
+// on 2 and 4 PEs under RunParallel, bit for bit to the spec: every
+// run ends with a nil Err, and every rank's final virtual time and
+// output and the message count match, for four Jacobi rings and 200 random programs, every other one
 // with MsgOverheadNs, their collectives over the k-ary tree (arity 2 to
 // 4), the flat star and the topology tree with hop costs in turn.
 func TestSpecOracle(t *testing.T) {
@@ -438,18 +439,32 @@ func TestSpecOracle(t *testing.T) {
 		coll.MsgOverheadNs = ovh
 		want := make([]float64, size)
 		wantVT, wantSent := runSpec(t, size, coll, prog(want))
-		for _, mode := range []string{ModeEvent, ModeULT} {
-			for _, pes := range []int{1, 2, 4} {
-				got := make([]float64, size)
-				opts := coll
-				opts.Mode, opts.StackSize = mode, 32<<10
-				j, m := runProg(t, pes, size, opts, prog(got))
-				if sent := m.Network().Snapshot().Sent; sent != wantSent {
-					t.Fatalf("%s %s/%dPE: %d messages, spec %d", name, mode, pes, sent, wantSent)
-				}
-				for r, vt := range wantVT {
-					if math.Float64bits(j.VT(r)) != math.Float64bits(vt) || math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-						t.Fatalf("%s %s/%dPE: rank %d VT %v output %v, spec %v and %v", name, mode, pes, r, j.VT(r), got[r], vt, want[r])
+		for _, run := range []struct {
+			parallel bool
+			pes      []int
+		}{{false, []int{1, 2, 4}}, {true, []int{2, 4}}} {
+			for _, mode := range []string{ModeEvent, ModeULT} {
+				for _, pes := range run.pes {
+					got := make([]float64, size)
+					opts := coll
+					opts.Mode, opts.StackSize = mode, 32<<10
+					m := newMachine(t, pes, nil)
+					j, err := NewProgram(m, size, opts, prog(got))
+					if err != nil {
+						t.Fatal(err)
+					}
+					drive(t, j, run.parallel)
+					at := fmt.Sprintf("%s %s/%dPE/%s", name, mode, pes, driverName(run.parallel))
+					if err := j.Err(); err != nil || !j.Done() {
+						t.Fatalf("%s: ended with %v (done %v)", at, err, j.Done())
+					}
+					if sent := m.Network().Snapshot().Sent; sent != wantSent {
+						t.Fatalf("%s: %d messages, spec %d", at, sent, wantSent)
+					}
+					for r, vt := range wantVT {
+						if math.Float64bits(j.VT(r)) != math.Float64bits(vt) || math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+							t.Fatalf("%s: rank %d VT %v output %v, spec %v and %v", at, r, j.VT(r), got[r], vt, want[r])
+						}
 					}
 				}
 			}

@@ -24,8 +24,7 @@
 //     migration);
 //   - message counters are atomics, not a mutex-guarded struct;
 //   - each inbox is a growable power-of-two ring buffer, so Poll does
-//     not shift (and re-allocate) a slice, and the condvar is only
-//     broadcast when a Recv is actually parked.
+//     not shift (and re-allocate) a slice.
 package comm
 
 import (
@@ -197,9 +196,6 @@ func NewNetwork(numPEs int, lat LatencyModel) *Network {
 	n := &Network{lat: lat}
 	for pe := 0; pe < numPEs; pe++ {
 		n.endpoints = append(n.endpoints, &Endpoint{net: n, pe: pe})
-	}
-	for _, e := range n.endpoints {
-		e.cond = sync.NewCond(&e.mu)
 	}
 	return n
 }
@@ -438,11 +434,9 @@ type Endpoint struct {
 	// Entries are never removed; see cachedOrNote for who bypasses it.
 	cache locTable
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	inbox   msgRing
-	waiters int
-	hook    func() // optional wakeup hook (scheduler integration)
+	mu    sync.Mutex
+	inbox msgRing
+	hook  func() // optional wakeup hook (scheduler integration)
 
 	// agg, when non-nil, is the endpoint's streaming-aggregation
 	// state (see aggregate.go). aggMu is held across a whole flush so
@@ -535,13 +529,10 @@ func (e *Endpoint) Forward(msg *Message) error {
 	return e.forward(msg, actual)
 }
 
-// deliver appends msg to the inbox and wakes any waiter.
+// deliver appends msg to the inbox and fires the wake hook.
 func (e *Endpoint) deliver(msg *Message) {
 	e.mu.Lock()
 	e.inbox.push(msg)
-	if e.waiters > 0 {
-		e.cond.Broadcast()
-	}
 	hook := e.hook
 	e.mu.Unlock()
 	if hook != nil {
@@ -561,9 +552,6 @@ func (e *Endpoint) deliverBatch(msgs []*Message) {
 	for _, m := range msgs {
 		e.inbox.push(m)
 	}
-	if e.waiters > 0 {
-		e.cond.Broadcast()
-	}
 	hook := e.hook
 	e.mu.Unlock()
 	if hook != nil {
@@ -577,18 +565,6 @@ func (e *Endpoint) Poll() *Message {
 	m := e.inbox.pop()
 	e.mu.Unlock()
 	return m
-}
-
-// Recv blocks until a message arrives and returns it.
-func (e *Endpoint) Recv() *Message {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for e.inbox.len() == 0 {
-		e.waiters++
-		e.cond.Wait()
-		e.waiters--
-	}
-	return e.inbox.pop()
 }
 
 // Pending returns the inbox depth.

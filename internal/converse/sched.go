@@ -28,11 +28,9 @@ type Scheduler struct {
 	pe *PE
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	ready   readyQueue
 	live    int // threads created and not yet exited/migrated away
 	threads map[ID]*Thread
-	stop    bool
 
 	switches uint64 // context switches performed (stats)
 
@@ -40,20 +38,14 @@ type Scheduler struct {
 	// requests migration; wired by the machine layer.
 	onMigrate func(t *Thread, dest int)
 
-	// onIdle, when set, is invoked (without locks) each time the
-	// ready queue empties during Run; return false to stop the loop.
-	onIdle func() bool
-
 	// onWake, when set, is invoked (without locks) each time a thread
-	// becomes runnable here; the machine layer uses it to wake an idle
-	// PE blocked outside the scheduler's own condvar.
+	// becomes runnable here; the machine layer uses it to wake the PE
+	// parked on its wake gate.
 	onWake func()
 }
 
 func newScheduler(pe *PE) *Scheduler {
-	s := &Scheduler{pe: pe, threads: make(map[ID]*Thread)}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+	return &Scheduler{pe: pe, threads: make(map[ID]*Thread)}
 }
 
 // Threads returns a snapshot of the threads this scheduler owns
@@ -96,15 +88,6 @@ func (s *Scheduler) ReadyLen() int {
 func (s *Scheduler) SetMigrateHandler(fn func(t *Thread, dest int)) {
 	s.mu.Lock()
 	s.onMigrate = fn
-	s.mu.Unlock()
-}
-
-// SetIdleHandler wires a callback run when the ready queue drains;
-// returning false stops Run. The machine layer uses it to poll the
-// network.
-func (s *Scheduler) SetIdleHandler(fn func() bool) {
-	s.mu.Lock()
-	s.onIdle = fn
 	s.mu.Unlock()
 }
 
@@ -205,7 +188,6 @@ func (s *Scheduler) Start(t *Thread) {
 func (s *Scheduler) enqueue(t *Thread) {
 	s.mu.Lock()
 	s.ready.push(t)
-	s.cond.Broadcast()
 	wake := s.onWake
 	s.mu.Unlock()
 	if wake != nil {
@@ -317,54 +299,29 @@ func (s *Scheduler) Disown(t *Thread) {
 }
 
 // RunUntilIdle runs ready threads until the queue drains (suspended
-// threads may remain). It is the single-PE test-and-example driver;
-// multi-PE machines use Run with an idle handler.
+// threads may remain): Run with an idle handler that stops at once.
 func (s *Scheduler) RunUntilIdle() {
+	s.Run(func() bool { return false })
+}
+
+// Run is the PE's scheduler loop: it runs ready threads in order and,
+// whenever the queue is empty, calls idle, which may wait for work;
+// Run returns when idle returns false. The machine layer's idle
+// handler pumps the network and parks the PE on its wake gate.
+func (s *Scheduler) Run(idle func() bool) {
 	for {
 		s.mu.Lock()
 		if s.ready.n == 0 {
 			s.mu.Unlock()
-			return
-		}
-		t, depth := s.popLocked()
-		s.mu.Unlock()
-		s.runThread(t, depth)
-	}
-}
-
-// Run executes threads until Stop is called, blocking in the idle
-// handler (or the queue condvar) when nothing is runnable.
-func (s *Scheduler) Run() {
-	for {
-		s.mu.Lock()
-		for s.ready.n == 0 && !s.stop {
-			idle := s.onIdle
-			if idle != nil {
-				s.mu.Unlock()
-				if !idle() {
-					return
-				}
-				s.mu.Lock()
-				continue
+			if !idle() {
+				return
 			}
-			s.cond.Wait()
-		}
-		if s.stop {
-			s.mu.Unlock()
-			return
+			continue
 		}
 		t, depth := s.popLocked()
 		s.mu.Unlock()
 		s.runThread(t, depth)
 	}
-}
-
-// Stop makes Run return once the current thread stops running.
-func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	s.stop = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // runThread performs one full context switch cycle for a thread just

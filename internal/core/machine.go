@@ -83,13 +83,18 @@ type Machine struct {
 	// handlerOf for when it is consulted.
 	ranges atomic.Pointer[[]entityRange]
 
-	// idlePolls counts idle-handler iterations in RunParallel that
-	// polled the network and found nothing — a liveness diagnostic: a
-	// quiescent machine should block, not accumulate these.
+	// idlePolls counts the times a PE in RunParallel found no work and
+	// parked — a liveness diagnostic: a quiescent machine should park,
+	// not accumulate these.
 	idlePolls atomic.Uint64
 
 	// gates holds one wake gate per PE while RunParallel is active.
 	gates []*wakeGate
+
+	// moving counts MigrateMany batches in flight. A flow inside a batch
+	// sits in no inbox and no ready queue, so RunParallel's detector does
+	// not call the machine quiescent while one runs.
+	moving atomic.Int32
 }
 
 // NewMachine boots the machine: one address space, kernel heap,
@@ -439,63 +444,78 @@ func (m *Machine) RunUntilQuiescent() {
 	}
 }
 
-// RunParallel runs every PE scheduler in its own goroutine — the
-// wall-clock execution mode. An idle PE pumps its inbox once and, if
-// nothing arrived and nothing became runnable, blocks on its wake
-// gate; message delivery, thread enqueues, and termination all fire
-// the gate, so idle PEs consume no CPU instead of spinning. When
-// done() reports true, all schedulers stop and RunParallel returns.
+// RunParallel runs every local PE scheduler in its own goroutine — the
+// wall-clock execution mode — until end reports true. A PE with no
+// ready thread pumps its inbox once and, if that brought no work,
+// parks on its wake gate; message delivery, thread enqueues and Wake
+// fire the gate, so a parked PE consumes no CPU.
 //
-// done is called concurrently and must be thread-safe. It is
-// re-evaluated whenever a PE goes idle or is woken; if it flips from
-// a goroutine outside the machine (not a thread body or message
-// handler), call Wake so blocked PEs notice.
-func (m *Machine) RunParallel(done func() bool) {
+// Every PE that finds no work calls end before it parks, and tells it
+// whether the machine is quiescent: every local PE parked, every local
+// inbox and ready queue empty, no MigrateMany batch in flight, and no
+// parked PE woken while this was checked. Only the PE that parks last
+// checks, so the detector costs nothing per message. The first true
+// ends the run for every PE. end is called concurrently and must be
+// thread-safe. A machine whose end keeps answering false stays parked:
+// whoever flips the answer from outside the machine (not a thread body
+// or message handler) calls Wake so the PEs ask again.
+func (m *Machine) RunParallel(end func(quiet bool) bool) {
+	lo, hi := m.cfg.LocalPELo, m.cfg.LocalPEHi
+	local := int32(hi - lo)
+	var (
+		p     parking
+		ended atomic.Bool
+	)
 	gates := make([]*wakeGate, len(m.pes))
-	for i := m.cfg.LocalPELo; i < m.cfg.LocalPEHi; i++ {
-		gates[i] = newWakeGate()
+	for i := lo; i < hi; i++ {
+		gates[i] = &wakeGate{ch: make(chan struct{}), p: &p}
 	}
 	m.mu.Lock()
 	m.gates = gates
 	m.mu.Unlock()
-	wakeAll := func() {
-		for _, g := range gates {
-			if g != nil {
-				g.wake()
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for i := m.cfg.LocalPELo; i < m.cfg.LocalPEHi; i++ {
-		i, pe := i, m.pes[i]
-		ep := m.net.Endpoint(i)
-		ep.SetWakeHook(gates[i].wake)
-		pe.Sched.SetWakeHook(gates[i].wake)
-		pe.Sched.SetIdleHandler(func() bool {
-			// Snapshot the gate BEFORE checking for work: any wake
-			// that fires after this point re-opens the channel we
-			// block on, so a delivery racing with the checks below
-			// cannot be lost.
-			ch := gates[i].arm()
-			if done() {
-				wakeAll() // other PEs may be blocked; have them re-check
+	// quiescent is the detector's scan, run by the PE that parks last.
+	quiescent := func() bool {
+		w := p.woken.Load()
+		for i := lo; i < hi; i++ {
+			if m.net.Endpoint(i).Pending() > 0 || m.pes[i].Sched.ReadyLen() > 0 {
 				return false
 			}
-			if m.Pump(i) > 0 || pe.Sched.ReadyLen() > 0 {
-				return true
-			}
-			m.idlePolls.Add(1)
-			<-ch
-			return true
-		})
+		}
+		return m.moving.Load() == 0 && p.parked.Load() == local && p.woken.Load() == w
+	}
+	var wg sync.WaitGroup
+	for i := lo; i < hi; i++ {
+		i, pe, gate := i, m.pes[i], gates[i]
+		m.net.Endpoint(i).SetWakeHook(gate.wake)
+		pe.Sched.SetWakeHook(gate.wake)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pe.Sched.Run()
+			pe.Sched.Run(func() bool {
+				// Arm the gate BEFORE checking for work: any wake
+				// after this point closes the channel the PE parks
+				// on, so a delivery racing the checks below cannot be
+				// lost.
+				ch := gate.arm()
+				if ended.Load() {
+					return false
+				}
+				if m.Pump(i) > 0 || pe.Sched.ReadyLen() > 0 {
+					return true
+				}
+				if end(gate.park() == local && quiescent()) {
+					ended.Store(true)
+					m.Wake() // the other PEs are parked; let them see it
+					return false
+				}
+				m.idlePolls.Add(1)
+				<-ch
+				return true
+			})
 		}()
 	}
 	wg.Wait()
-	for i := m.cfg.LocalPELo; i < m.cfg.LocalPEHi; i++ {
+	for i := lo; i < hi; i++ {
 		m.net.Endpoint(i).SetWakeHook(nil)
 		m.pes[i].Sched.SetWakeHook(nil)
 	}
@@ -504,9 +524,9 @@ func (m *Machine) RunParallel(done func() bool) {
 	m.mu.Unlock()
 }
 
-// Wake re-evaluates every blocked idle PE. Callers that flip the
-// RunParallel done condition from outside the machine use it to make
-// termination observable.
+// Wake makes every parked PE of a running RunParallel look for work
+// and ask its end callback again. Callers that flip end's answer from
+// outside the machine use it to make the flip observable.
 func (m *Machine) Wake() {
 	m.mu.Lock()
 	gates := m.gates
@@ -518,28 +538,34 @@ func (m *Machine) Wake() {
 	}
 }
 
-// IdlePolls returns how many idle-handler iterations polled the
-// network and found no work since the machine booted. A machine
-// blocked in RunParallel with nothing to do accumulates at most a few
-// per wake event; a busy-spinning implementation accumulates millions.
+// IdlePolls returns how many times a PE in RunParallel found no work
+// and parked on its wake gate since the machine booted. A machine
+// parked with nothing to do accumulates at most a few per wake event;
+// a busy-spinning implementation accumulates millions.
 func (m *Machine) IdlePolls() uint64 { return m.idlePolls.Load() }
 
-// wakeGate parks one idle PE. armed returns the channel to block on;
-// wake closes the current channel (releasing the waiter) and installs
-// a fresh one. The snapshot-then-check protocol in the idle handler
-// makes wakeups impossible to lose: every wake that matters happens
-// after the snapshot and therefore closes the snapshotted channel.
-// Wakes arriving while the PE is not armed (it is busy running
-// threads) are no-ops, so a busy phase costs deliverers nothing but
+// wakeGate parks one idle PE. arm returns the channel to park on;
+// wake closes the current channel (releasing the PE) and installs a
+// fresh one. Arming before checking for work makes wakeups impossible
+// to lose: every wake that matters happens after the arm and
+// therefore closes the armed channel. Wakes arriving while the gate is
+// not armed are no-ops, so a busy phase costs deliverers nothing but
 // the flag check.
 type wakeGate struct {
-	mu    sync.Mutex
-	ch    chan struct{}
-	armed bool
+	mu     sync.Mutex
+	ch     chan struct{}
+	armed  bool
+	parked bool // counted in p.parked; only wake uncounts it
+	p      *parking
 }
 
-func newWakeGate() *wakeGate {
-	return &wakeGate{ch: make(chan struct{})}
+// parking is what one run's gates share with its quiescence detector:
+// how many PEs are parked, and how many times a parked PE was woken.
+// Both change only under a gate's lock, together with its flags, so a
+// PE counts as parked exactly until the wake that releases it.
+type parking struct {
+	parked atomic.Int32
+	woken  atomic.Uint64
 }
 
 func (g *wakeGate) arm() <-chan struct{} {
@@ -550,12 +576,29 @@ func (g *wakeGate) arm() <-chan struct{} {
 	return ch
 }
 
+// park counts the PE as parked and returns how many are, or 0 if a
+// wake since arm already released it.
+func (g *wakeGate) park() int32 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.armed {
+		return 0
+	}
+	g.parked = true
+	return g.p.parked.Add(1)
+}
+
 func (g *wakeGate) wake() {
 	g.mu.Lock()
 	if g.armed {
 		close(g.ch)
 		g.ch = make(chan struct{})
 		g.armed = false
+		if g.parked {
+			g.parked = false
+			g.p.parked.Add(-1)
+			g.p.woken.Add(1)
+		}
 	}
 	g.mu.Unlock()
 }

@@ -157,9 +157,7 @@ func TestRunParallel(t *testing.T) {
 			m.PE(i).Sched.Start(th)
 		}
 	}
-	m.RunParallel(func() bool {
-		return finished.Load() == int64(m.NumPEs()*perPE)
-	})
+	m.RunParallel(func(quiet bool) bool { return quiet })
 	if finished.Load() != int64(m.NumPEs()*perPE) {
 		t.Errorf("finished = %d", finished.Load())
 	}
@@ -245,7 +243,7 @@ func TestRunParallelWithMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.PE(0).Sched.Start(th)
-	m.RunParallel(done.Load)
+	m.RunParallel(func(bool) bool { return done.Load() })
 	if endPE != 1 {
 		t.Errorf("thread ended on PE %d", endPE)
 	}
@@ -294,7 +292,7 @@ func TestMigrateToRoundTripsAcrossPEGoroutines(t *testing.T) {
 		}
 		m.PE(home).Sched.Start(th)
 	}
-	m.RunParallel(func() bool { return done.Load() == threads })
+	m.RunParallel(func(bool) bool { return done.Load() == threads })
 	if msg := fail.Load(); msg != nil {
 		t.Fatal(msg)
 	}

@@ -28,8 +28,14 @@ type Move struct {
 // handled like a self-initiated migration. Moves whose flow is already
 // on its destination are skipped. It returns how many flows moved and
 // the first error encountered; a failed move does not abort the rest
-// of the batch.
+// of the batch. A running RunParallel does not end while a batch is in
+// flight, and is woken when it finishes.
 func (m *Machine) MigrateMany(moves []Move) (int, error) {
+	m.moving.Add(1)
+	defer func() {
+		m.moving.Add(-1)
+		m.Wake()
+	}()
 	ops := make([]migrate.Op, 0, len(moves))
 	for _, mv := range moves {
 		if mv.Dest < 0 || mv.Dest >= len(m.pes) {

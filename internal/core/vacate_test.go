@@ -288,7 +288,7 @@ func TestStealVacateRace(t *testing.T) {
 			}
 		}
 	}()
-	m.RunParallel(func() bool { return done.Load() == n })
+	m.RunParallel(func(bool) bool { return done.Load() == n })
 	stop.Store(true)
 	wg.Wait()
 	if done.Load() != n {
@@ -345,7 +345,7 @@ func TestMigrateManyResumesOnAnotherGoroutine(t *testing.T) {
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)
-		m.RunParallel(func() bool { return abort.Load() || exited.Load() == int64(len(ths)) })
+		m.RunParallel(func(bool) bool { return abort.Load() || exited.Load() == int64(len(ths)) })
 	}()
 	// parkedOn waits until both threads sit Suspended on pe.
 	parkedOn := func(pe *converse.PE) bool {

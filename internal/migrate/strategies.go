@@ -79,8 +79,14 @@ func checkPageMultiple(strategy string, size uint64) error {
 }
 
 // checkImage validates an untrusted incoming StackImage before any of
-// its runs are written into mapped memory.
+// its runs are written into mapped memory. Stack copying and memory
+// aliasing run every stack at the canonical address, so their images
+// must be based there; run offsets are taken against the base.
 func checkImage(strategy string, im *converse.StackImage) error {
+	if strategy != NameIsomalloc && im.Base != uint64(converse.CanonicalStackBase) {
+		return fmt.Errorf("migrate: %s: image base %#x differs from canonical %#x — stack bases must agree across nodes",
+			strategy, im.Base, uint64(converse.CanonicalStackBase))
+	}
 	if err := checkPageMultiple(strategy, im.Size); err != nil {
 		return err
 	}
@@ -218,10 +224,6 @@ func (StackCopy) Extract(pe *converse.PE, s converse.StackRef, im *converse.Stac
 func (StackCopy) Install(pe *converse.PE, im *converse.StackImage, old converse.StackRef) (converse.StackRef, error) {
 	if err := checkSupported(pe, platform.StackCopy); err != nil {
 		return nil, err
-	}
-	if im.Base != uint64(converse.CanonicalStackBase) {
-		return nil, fmt.Errorf("migrate: stackcopy: image base %#x differs from canonical %#x — stack bases must agree across nodes",
-			im.Base, uint64(converse.CanonicalStackBase))
 	}
 	if err := checkImage(NameStackCopy, im); err != nil {
 		return nil, err

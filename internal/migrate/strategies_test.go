@@ -365,6 +365,10 @@ func TestStackCopyInstallValidation(t *testing.T) {
 		t.Error("non-page-multiple size accepted")
 	}
 	a := MemoryAlias{}
+	if _, err := a.Install(pe, &converse.StackImage{Strategy: NameMemAlias, Base: 0x40001000, Size: vmem.PageSize,
+		Runs: []vmem.Run{{Addr: 0x40001000, Data: make([]byte, vmem.PageSize)}}}, nil); err == nil {
+		t.Error("isomalloc-based image accepted by memory aliasing")
+	}
 	if _, err := a.Install(pe, &converse.StackImage{Strategy: NameMemAlias, Base: canonical, Size: vmem.PageSize,
 		Runs: []vmem.Run{{Addr: converse.CanonicalStackBase, Data: []byte{1}}}}, nil); err == nil {
 		t.Error("partial-page alias run accepted")

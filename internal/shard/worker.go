@@ -192,7 +192,7 @@ func (w *Worker) doneCheck() bool {
 // link fault or send error.
 func (w *Worker) Run() error {
 	w.Job.Start()
-	w.M.RunParallel(w.doneCheck)
+	w.M.RunParallel(func(bool) bool { return w.doneCheck() })
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.proto.err
