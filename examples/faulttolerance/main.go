@@ -5,17 +5,23 @@
 //
 // Part 1 runs an AMPI-style job, receives a failure warning for PE 0,
 // evacuates every thread off it mid-run, and finishes on the
-// survivors. Part 2 checkpoints a chare array to a byte blob,
-// "loses" the machine, and restores onto a smaller one.
+// survivors. Part 2 runs an event-driven AMPI job that checkpoints its
+// ranks' continuation records to a file, "loses" the machine, and
+// restores onto a smaller one; the restored job takes a second,
+// in-memory checkpoint, loses one more PE, and finishes from it on the
+// one left. Every finish predicts what the uninterrupted run predicted.
 //
 // Run with: go run ./examples/faulttolerance
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
-	"migflow/internal/charm"
+	"migflow/internal/ampi"
 	"migflow/internal/converse"
 	"migflow/internal/core"
 	"migflow/internal/migrate"
@@ -82,66 +88,88 @@ func vacateDemo() {
 	fmt.Printf("trace: %d context switches, %d migrations\n", c[trace.EvSwitchIn], c[trace.EvMigrateOut])
 }
 
-// counterChare is a minimal stateful chare for the checkpoint demo.
-type counterChare struct{ Ticks uint64 }
-
-func (c *counterChare) Pup(p *pup.PUPer) error { return p.Uint64(&c.Ticks) }
-func (c *counterChare) Recv(ctx *charm.Ctx, entry int, data []byte) {
-	c.Ticks++
-	ctx.Work(1000)
+// ringProgram runs eight rounds of a ring exchange — each rank's state
+// is one sum, which it sends to the right and into which it folds what
+// arrives from the left — checkpointing to disk after round 3 and to
+// memory after round 6.
+func ringProgram(disk, memory io.Writer, sums []uint64) ampi.Proc {
+	sum := func(pc *ampi.PC) *uint64 { return pc.Local.(*uint64) }
+	round := ampi.Seq(
+		ampi.Do(func(pc *ampi.PC) {
+			pc.Send((pc.Rank()+1)%pc.Size(), 0, []byte{byte(pc.Rank()), byte(*sum(pc))})
+			pc.Work(float64(1000 * (pc.Rank() + 1)))
+		}),
+		ampi.RecvFrom(func(pc *ampi.PC) int { return (pc.Rank() + pc.Size() - 1) % pc.Size() }, 0,
+			func(pc *ampi.PC, data []byte, _ int) { *sum(pc) = 3**sum(pc) + uint64(data[0]+data[1]) }),
+	)
+	rounds := func(n int) ampi.Proc { return ampi.For(n, func(int) ampi.Proc { return round }) }
+	return ampi.Seq(ampi.Do(func(pc *ampi.PC) { pc.Local = new(uint64) }),
+		rounds(3), ampi.Checkpoint(disk), rounds(3), ampi.Checkpoint(memory), rounds(2),
+		ampi.Do(func(pc *ampi.PC) { sums[pc.Rank()] = *sum(pc) }))
 }
 
 func checkpointDemo() {
-	fmt.Println("== checkpoint/restart: chare array to blob and back ==")
-	machine, err := core.NewMachine(core.Config{NumPEs: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	arr, err := charm.NewArray(machine, 8, func(i int) charm.Element { return &counterChare{} })
-	if err != nil {
-		log.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		if err := arr.Broadcast(0, 1, nil); err != nil {
+	fmt.Println("== checkpoint/restart: continuation records to disk and back ==")
+	opts := ampi.Options{Mode: ampi.ModeEvent, MsgOverheadNs: 200,
+		LocalPUP: func(p *pup.PUPer, local any) (any, error) {
+			sum, _ := local.(*uint64)
+			if sum == nil {
+				sum = new(uint64)
+			}
+			return sum, p.Uint64(sum)
+		}}
+	// run builds the 8-rank job, or restores it from image, on a pes-PE
+	// machine and runs it to the end.
+	run := func(pes int, image io.Reader, disk, memory io.Writer) string {
+		m, err := core.NewMachine(core.Config{NumPEs: pes})
+		if err != nil {
 			log.Fatal(err)
 		}
+		sums := make([]uint64, 8)
+		prog := ringProgram(disk, memory, sums)
+		var job *ampi.Job
+		if image == nil {
+			job, err = ampi.NewProgram(m, len(sums), opts, prog)
+		} else {
+			job, err = ampi.Restore(m, prog, opts, image)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		if job.Run(); job.Err() != nil {
+			log.Fatal(job.Err())
+		}
+		return fmt.Sprintf("predicted %.0f ns, sums %v", job.PredictedNs(), sums)
 	}
-	machine.RunUntilQuiescent()
 
-	blob, err := arr.Checkpoint()
+	disk, err := os.CreateTemp("", "migflow-*.ckpt")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpointed 8 chares (3 ticks each) into %d bytes\n", len(blob))
+	defer os.Remove(disk.Name())
+	defer disk.Close()
+	want := run(4, nil, disk, io.Discard)
+	size, err := disk.Seek(0, io.SeekCurrent)
+	if err == nil {
+		_, err = disk.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("uninterrupted on 4 PEs: %s; the checkpoint after round 3 wrote 8 ranks in %d bytes\n", want, size)
 
-	// The original machine "fails"; restart on a 2-PE replacement.
-	machine2, err := core.NewMachine(core.Config{NumPEs: 2})
-	if err != nil {
-		log.Fatal(err)
+	// The machine fails: restart from the file on a 2-PE replacement,
+	// which takes an in-memory checkpoint after round 6. Then one of its
+	// PEs fails: finish from memory on the one left.
+	var memory bytes.Buffer
+	for _, step := range []struct {
+		what  string
+		pes   int
+		image io.Reader
+	}{{"from disk onto a 2-PE machine", 2, disk}, {"from memory onto the 1 PE left", 1, &memory}} {
+		if got := run(step.pes, step.image, io.Discard, &memory); got != want {
+			log.Fatalf("restored %s: %s, want %s", step.what, got, want)
+		}
+		fmt.Printf("restored %s and finished: same prediction and sums\n", step.what)
 	}
-	restored, err := charm.RestoreArray(machine2, func(i int) charm.Element { return &counterChare{} }, blob)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := restored.Broadcast(0, 1, nil); err != nil {
-		log.Fatal(err)
-	}
-	machine2.RunUntilQuiescent()
-	fmt.Printf("restored onto a 2-PE machine and delivered one more round: %d entry methods total\n",
-		restored.Delivers())
-	fmt.Println("every chare resumed from tick 3 → 4 with state intact")
-
-	// Double in-memory checkpoint: survive a PE loss without disk.
-	ck, err := restored.CheckpointToBuddies()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := restored.Broadcast(0, 1, nil); err != nil { // progress past the cut
-		log.Fatal(err)
-	}
-	machine2.RunUntilQuiescent()
-	if err := restored.RestoreFromBuddies(ck, 0); err != nil { // PE 0 dies
-		log.Fatal(err)
-	}
-	fmt.Println("buddy checkpoint: PE 0 lost, all chares rolled back to the consistent cut on PE 1")
 }

@@ -216,15 +216,15 @@ type Job struct {
 	// lbMu serializes Rebalance steps (plan → commit → reset).
 	lbMu sync.Mutex
 
-	// LB-gate state (the Migrate Proc): every rank parks at the gate;
-	// the driver loop (drive) services it at quiescence and resumes the
-	// ranks post-plan.
-	gateMu       sync.Mutex
-	gateArrived  int
-	gateStrategy loadbalance.Strategy
-	lbMoved      int
+	// Gate state (the Migrate and Checkpoint Procs): every rank parks at
+	// the gate; the driver loop (drive) services it at quiescence — an
+	// LB step or a checkpoint — and resumes the ranks.
+	gateMu      sync.Mutex
+	gateArrived int
+	gate        migrateProc
+	lbMoved     int
 
-	// blocks holds the ranks' frame stacks, first mailboxes and
+	// blocks holds the ranks' frame stacks, mailbox arrays and
 	// collective runs, cut at first use (blocks.go).
 	blocks blocks
 }
@@ -478,10 +478,10 @@ func (j *Job) drive(toQuiescence func()) {
 	j.mu.Unlock()
 }
 
-// gateArrive registers one rank at the LB gate and records the gate's
-// strategy (Migrate is collective: every rank names the same strategy,
-// so last-write-wins is fine).
-func (j *Job) gateArrive(strategy loadbalance.Strategy) {
+// gateArrive registers one rank at the gate and records the gate's
+// statement (Migrate and Checkpoint are collective: every rank names the
+// same one, so last-write-wins is fine).
+func (j *Job) gateArrive(g migrateProc) {
 	if j.m.Sharded() {
 		// The gate counts arrivals against the full job size, but a
 		// sharded worker only runs its local ranks — the gate would
@@ -490,7 +490,7 @@ func (j *Job) gateArrive(strategy loadbalance.Strategy) {
 		panic("ampi: the Migrate gate is not supported in sharded runs; move ranks with ShardExtract/ShardInstall")
 	}
 	j.gateMu.Lock()
-	j.gateStrategy = strategy
+	j.gate = g
 	j.gateArrived++
 	if j.gateArrived > j.size {
 		j.gateMu.Unlock()
@@ -506,22 +506,28 @@ func (j *Job) gateReady() bool {
 	return j.gateArrived == j.size
 }
 
-// serviceGate runs one LB step for a full gate and resumes the
-// ranks. The machine is quiescent when this runs. A failed step
-// returns its error and leaves the ranks parked at the gate.
+// serviceGate runs one LB step, or writes one checkpoint, for a full
+// gate and resumes the ranks. The machine is quiescent when this runs.
+// A failed step or write returns its error and leaves the ranks parked
+// at the gate.
 func (j *Job) serviceGate() error {
 	j.gateMu.Lock()
-	strategy := j.gateStrategy
-	j.gateArrived = 0
-	j.gateStrategy = nil
+	g := j.gate
+	j.gateArrived, j.gate = 0, migrateProc{}
 	j.gateMu.Unlock()
-	moved, err := j.Rebalance(strategy)
-	if err != nil {
-		return fmt.Errorf("ampi: LB gate: %w", err)
+	if g.strategy == nil {
+		if err := j.checkpoint(g.w); err != nil {
+			return fmt.Errorf("ampi: Checkpoint gate: %w", err)
+		}
+	} else {
+		moved, err := j.Rebalance(g.strategy)
+		if err != nil {
+			return fmt.Errorf("ampi: LB gate: %w", err)
+		}
+		j.gateMu.Lock()
+		j.lbMoved += moved
+		j.gateMu.Unlock()
 	}
-	j.gateMu.Lock()
-	j.lbMoved += moved
-	j.gateMu.Unlock()
 	if j.ev != nil {
 		j.ev.resumeGate()
 		return nil
@@ -618,16 +624,14 @@ func (s *slot) accept(j *Job, msg *comm.Message) bool {
 		return true
 	}
 	switch {
-	case cap(s.mbox) == 0:
-		s.mbox = j.firstMailbox()
 	case len(s.mbox) < cap(s.mbox):
 	case s.head > 0:
 		// Reuse the taken prefix: a busy mailbox may never drain.
 		n := copy(s.mbox, s.mbox[s.head:])
 		clear(s.mbox[n:])
 		s.mbox, s.head = s.mbox[:n], 0
-	case cap(s.mbox) == mboxCap:
-		s.mbox = append(j.grownMailbox(), s.mbox...)
+	case cap(s.mbox) < maxMboxCap:
+		s.mbox = append(j.mailbox(cap(s.mbox)), s.mbox...)
 	}
 	s.mbox = append(s.mbox, msg)
 	return false

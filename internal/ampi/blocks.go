@@ -1,15 +1,16 @@
 package ampi
 
 // First-use blocks. What a rank holds beside its slot once it runs — its
-// frame stack, its mailbox's first and second arrays, its collective runs
-// and their tree children — is carved out of blocks, each sized for blockRanks
-// ranks, not allocated rank by rank. A block is cut when a carve finds
-// the newest one used up, never at construction, so a job that is built
-// and not run holds none of this. Carves go to ranks in the order they
-// first need them, so a sharded worker fills its blocks with the ranks
-// it runs, whatever the placement. A slot keeps what it carved across
-// moves (an extract empties its stack and mailbox in place), so a rank
-// carves each at most once per process.
+// frame stack, its mailbox arrays up to the largest class, its
+// collective runs and their tree children — is carved out of blocks,
+// each sized for blockRanks ranks, not allocated rank by rank. A block
+// is cut when a carve finds the newest one used up, never at
+// construction, so a job that is built and not run holds none of this.
+// Carves go to ranks in the order they first need them, so a sharded
+// worker fills its blocks with the ranks it runs, whatever the
+// placement. A slot keeps what it carved across moves (an extract
+// empties its stack and mailbox in place), so a rank carves each at
+// most once per process.
 //
 // The trade is retention: a block is one object to the collector, so a
 // finished rank's frames stay until every rank that carved from the same
@@ -20,6 +21,7 @@ package ampi
 // comes back here, so a steady-state step takes no lock.
 
 import (
+	"math/bits"
 	"sync"
 
 	"migflow/internal/comm"
@@ -33,11 +35,13 @@ const (
 	// capacity of 4 kept BT-MZ from growing any but cost 16 B more a
 	// rank, +2.6 MiB of peak RSS at 131k Jacobi ranks (EXPERIMENTS.md,
 	// "A rank's first pass allocates in blocks"). So a mailbox that
-	// outgrows its first array moves to a second one of grownMboxCap,
-	// carved from its own blocks, which only a job whose mailboxes grow
-	// ever cuts; beyond that it grows by append.
-	mboxCap      = 2
-	grownMboxCap = 2 * mboxCap
+	// outgrows its array moves to one of twice the capacity, carved from
+	// the blocks of that class (mailbox), up to maxMboxCap; only a job
+	// whose mailboxes reach a class ever cuts blocks of it, and only
+	// beyond the largest does a mailbox grow by append.
+	mboxCap     = 2
+	maxMboxCap  = 8 * mboxCap
+	mboxClasses = 4 // mboxCap, 2·mboxCap, … maxMboxCap
 )
 
 // blocks is a job's first-use store: the uncarved rest of the newest
@@ -45,8 +49,7 @@ const (
 type blocks struct {
 	mu     sync.Mutex
 	frames []frame
-	mbox   []*comm.Message
-	grown  []*comm.Message // second mailbox arrays
+	mbox   [mboxClasses][]*comm.Message // per capacity class
 	runs   []collRun
 	ints   []int // collective tree children
 	// family is the scratch a collective family is computed into before
@@ -74,20 +77,14 @@ func (j *Job) frameStack() []frame {
 	return carve(j, &j.blocks.frames, j.depth, j.depth)
 }
 
-// firstMailbox returns a mailbox's first array: empty, with capacity
-// mboxCap.
-func (j *Job) firstMailbox() []*comm.Message {
+// mailbox returns an empty mailbox array for one that outgrew capacity
+// n (0 for none yet): the smallest class above n, mboxCap doubled up to
+// maxMboxCap, carved from that class's blocks. n < maxMboxCap.
+func (j *Job) mailbox(n int) []*comm.Message {
+	k := bits.Len(uint(n / mboxCap))
 	j.blocks.mu.Lock()
 	defer j.blocks.mu.Unlock()
-	return carve(j, &j.blocks.mbox, mboxCap, mboxCap)
-}
-
-// grownMailbox returns the array a mailbox moves to when it outgrows
-// its first: empty, with capacity grownMboxCap.
-func (j *Job) grownMailbox() []*comm.Message {
-	j.blocks.mu.Lock()
-	defer j.blocks.mu.Unlock()
-	return carve(j, &j.blocks.grown, grownMboxCap, grownMboxCap)
+	return carve(j, &j.blocks.mbox[k], mboxCap<<k, mboxCap<<k)
 }
 
 // carveRun returns a zeroed collective run. A block holds a run per rank
@@ -121,6 +118,6 @@ func (j *Job) family(kind collKind, r int32, root int) (parent int, children []i
 func (j *Job) dropBlocks() {
 	bs := &j.blocks
 	bs.mu.Lock()
-	bs.frames, bs.mbox, bs.grown, bs.runs, bs.ints = nil, nil, nil, nil, nil
+	bs.frames, bs.mbox, bs.runs, bs.ints = nil, [mboxClasses][]*comm.Message{}, nil, nil
 	bs.mu.Unlock()
 }

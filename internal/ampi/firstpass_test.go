@@ -15,7 +15,8 @@ import (
 // rank's Local, its carves of the job's first-use blocks (frame stack,
 // first mailbox array, collective run and children — one allocation
 // per 256 ranks each) and its share of 64-message slabs. Measured on
-// a 2-core host: event 1.13 and ULT 2.35 allocations per rank, against
+// a 2-core host: event 1.12 and ULT 2.10 allocations per rank (ULT
+// 2.35 while a mailbox past its second array grew by append), against
 // 6.33 and 7.80 when the frame stack, mailbox, run, children and each
 // pool miss were allocated rank by rank. The bounds, 1.35 and 2.8,
 // leave 20 % headroom. Where the pool drops what it is given (the

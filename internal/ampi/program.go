@@ -32,6 +32,7 @@ package ampi
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"migflow/internal/comm"
@@ -500,7 +501,12 @@ func (wp waitallProc) step(pc *PC, f *frame) (Proc, bool) {
 	return nil, true
 }
 
-type migrateProc struct{ strategy loadbalance.Strategy }
+// migrateProc is the job's one gate: an LB step (Migrate), or, with no
+// strategy, a checkpoint written to w (Checkpoint).
+type migrateProc struct {
+	strategy loadbalance.Strategy
+	w        io.Writer
+}
 
 // Migrate is the program form of MPI_Migrate: a collective
 // load-balancing gate. EVERY rank must reach it (a program where
@@ -516,8 +522,17 @@ func Migrate(strategy loadbalance.Strategy) Proc {
 	if strategy == nil {
 		panic("ampi: Migrate: nil strategy")
 	}
-	return migrateProc{strategy}
+	return migrateProc{strategy: strategy}
 }
+
+// Checkpoint is checkpointing as migration to disk (paper §3): a
+// collective gate like Migrate, at which the runtime, instead of moving
+// ranks, writes every rank's continuation record to w as one image
+// (checkpoint.go) and resumes the ranks where they are. Restore builds
+// the job again from the image, on a machine with any PE count. Only
+// an in-process event job can take one: NewProgram refuses a ULT or
+// sharded program holding a Checkpoint. w must not be nil.
+func Checkpoint(w io.Writer) Proc { return migrateProc{w: w} }
 
 func (mp migrateProc) step(pc *PC, f *frame) (Proc, bool) {
 	if f.i == 0 {
@@ -527,10 +542,10 @@ func (mp migrateProc) step(pc *PC, f *frame) (Proc, bool) {
 		// messages and never touches vt, so predicted time stays
 		// bit-identical with and without migration.
 		f.i = 1
-		pc.job.gateArrive(mp.strategy)
+		pc.job.gateArrive(mp)
 		return nil, false
 	}
-	return nil, true // resumed after the rebalance
+	return nil, true // resumed after the gate's LB step or checkpoint
 }
 
 // Sendrecv is the halo-exchange primitive: an eager send followed by
@@ -602,8 +617,9 @@ type collRun struct {
 // deepest frame stack a rank running prog holds: one frame per
 // statement on the longest root-to-leaf path. The walk runs each For
 // body once per iteration and a Seq shared by several parents once,
-// remembering its subtree's depth for the others.
-func numberSites(prog Proc) (sites []*collSite, nums map[*collSite]int, depth int) {
+// remembering its subtree's depth for the others. It also reports
+// whether prog holds a Checkpoint.
+func numberSites(prog Proc) (sites []*collSite, nums map[*collSite]int, depth int, checkpoints bool) {
 	nums = map[*collSite]int{}
 	type seqKey struct {
 		first *Proc
@@ -636,11 +652,13 @@ func numberSites(prog Proc) (sites []*collSite, nums map[*collSite]int, depth in
 				nums[s.site] = len(sites)
 				sites = append(sites, s.site)
 			}
+		case migrateProc:
+			checkpoints = checkpoints || s.strategy == nil
 		}
 		return below + 1
 	}
 	depth = walk(prog)
-	return sites, nums, depth
+	return sites, nums, depth, checkpoints
 }
 
 // collAt returns the rank's run at site, or nil before its first start.
@@ -942,7 +960,13 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 		return nil, err
 	}
 	j.prog = prog
-	j.sites, j.siteNum, j.depth = numberSites(prog)
+	var checkpoints bool
+	j.sites, j.siteNum, j.depth, checkpoints = numberSites(prog)
+	if checkpoints && (j.opts.Mode != ModeEvent || m.Sharded()) {
+		// A thread's stack image does not ride in a record, and a sharded
+		// job's gate never fills in one process.
+		return nil, fmt.Errorf("ampi: a program with a Checkpoint runs only as an in-process %q job", ModeEvent)
+	}
 	if j.opts.Mode == ModeEvent {
 		if j.ev, err = newEventEngine(j); err != nil {
 			return nil, err

@@ -24,8 +24,9 @@ type mixState struct {
 }
 
 // mixLocalPUP is mixState's Options.LocalPUP: the value, then the
-// request list through Req.Pup, so a Waitall reading it finds the same
-// requests after a move.
+// request list, each entry a presence flag and the request through
+// Req.Pup, so a Waitall reading it finds the same requests, nil entries
+// included, after a move.
 func mixLocalPUP(p *pup.PUPer, local any) (any, error) {
 	st, _ := local.(*mixState)
 	if st == nil {
@@ -36,15 +37,23 @@ func mixLocalPUP(p *pup.PUPer, local any) (any, error) {
 		return nil, err
 	}
 	if p.IsUnpacking() {
-		if n < 0 || n > p.Remaining()/8 {
+		if n < 0 || n > p.Remaining() {
 			return nil, fmt.Errorf("mixState claims %d requests", n)
 		}
-		st.reqs = nil
-		for i := 0; i < n; i++ {
-			st.reqs = append(st.reqs, &Req{})
-		}
+		st.reqs = make([]*Req, n)
 	}
-	for _, q := range st.reqs {
+	for i, q := range st.reqs {
+		has := q != nil
+		if err := p.Bool(&has); err != nil {
+			return nil, err
+		}
+		if !has {
+			continue
+		}
+		if q == nil {
+			q = &Req{}
+			st.reqs[i] = q
+		}
 		if err := q.Pup(p); err != nil {
 			return nil, err
 		}

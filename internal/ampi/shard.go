@@ -1,16 +1,17 @@
 package ampi
 
 // The continuation record: the one codec that moves an event rank,
-// between PEs of this process (eventRecord, the LB batch) or across an
-// OS process boundary (ShardExtract/ShardInstall — the continuation
-// analogue of shipping a thread's stack image over a socket). Nothing
-// travels by reference, so the record carries all a destination needs
-// that is not shared program code: identity, destination PE, departure
-// clock, virtual time, load; the match spec of the receive the rank
-// waits in; pc.Local, through Options.LocalPUP; each active collective
-// run — its site's number (numberSites), schedule cursor and
-// accumulator; one cursor per stack frame, outermost first; buffered
-// messages and, in sharded runs, the per-peer stream state.
+// between PEs of this process (eventRecord, the LB batch), across an OS
+// process boundary (ShardExtract/ShardInstall — the continuation
+// analogue of shipping a thread's stack image over a socket), or to
+// disk (Checkpoint and Restore, checkpoint.go). Nothing travels by
+// reference, so the record carries all a destination needs that is not
+// shared program code: identity, destination PE, departure clock,
+// virtual time, load; the match spec of the receive the rank waits in;
+// pc.Local, through Options.LocalPUP; each active collective run — its
+// site's number (numberSites), schedule cursor and accumulator; one
+// cursor per stack frame, outermost first; buffered messages, each
+// sender by rank, and, in sharded runs, the per-peer stream state.
 //
 // Install rebuilds the stack by one validating descent of the shared
 // tree (pupPath): every Seq/For cursor is checked against its arity,
@@ -22,7 +23,7 @@ package ampi
 //	RecvEach          waits for srcs(pc)[cursor]
 //	Waitall           waits for reqs(pc)[cursor], read from the Local
 //	collective wait   cursor 0; waits for what its run's cursor points at
-//	Migrate           cursor 1: parked at the LB gate
+//	Migrate, Checkpoint  cursor 1: parked at the gate
 //
 // Only For bodies and operand functions run during the descent, so no
 // completed work re-runs and virtual time is untouched. Every count is
@@ -231,12 +232,11 @@ type record struct {
 	seq              rankSeq // sharded runs only
 }
 
-// extractLocked packs s's record into p and empties the slot — the
-// pack routine behind every move. The slot keeps its frame array and
-// its collective runs for the record to come back into. s.mu held.
-func (e *eventEngine) extractLocked(p *pup.PUPer, s *slot, toPE int, depart float64) error {
+// packLocked packs s's record into p and leaves the slot as it is: a
+// checkpoint's copy of the rank (checkpoint.go). s.mu held.
+func (e *eventEngine) packLocked(p *pup.PUPer, s *slot, toPE int, depart float64) (record, error) {
 	if err := e.shippableLocked(s); err != nil {
-		return err
+		return record{}, err
 	}
 	pc := &s.pc
 	r := record{rank: pc.Rank(), toPE: toPE, depart: depart, vt: pc.vt, busy: s.busy,
@@ -252,7 +252,15 @@ func (e *eventEngine) extractLocked(p *pup.PUPer, s *slot, toPE int, depart floa
 	if len(r.runs) > 1 {
 		slices.SortFunc(r.runs, func(a, b collRun) int { return e.job.siteNum[a.site] - e.job.siteNum[b.site] })
 	}
-	if err := e.pupRecord(p, &r, pc); err != nil {
+	return r, e.pupRecord(p, &r, pc)
+}
+
+// extractLocked packs s's record into p and empties the slot — the
+// pack routine behind every move. The slot keeps its frame array and
+// its collective runs for the record to come back into. s.mu held.
+func (e *eventEngine) extractLocked(p *pup.PUPer, s *slot, toPE int, depart float64) error {
+	r, err := e.packLocked(p, s, toPE, depart)
+	if err != nil {
 		return err
 	}
 	for _, msgs := range [][]*comm.Message{r.pending, r.seq.held} {
@@ -260,6 +268,7 @@ func (e *eventEngine) extractLocked(p *pup.PUPer, s *slot, toPE int, depart floa
 			m.Free() // the record carries a copy
 		}
 	}
+	pc := &s.pc
 	clear(pc.stack)
 	pc.stack, pc.Local = pc.stack[:0], nil
 	for run := pc.colls; run != nil; run = run.link {
@@ -351,11 +360,11 @@ func (e *eventEngine) pupRecord(p *pup.PUPer, r *record, pc *PC) error {
 	return nil
 }
 
-// pupFields visits each field — *int, *int32, *uint64, *float64, *bool
-// or *[]byte — in order, stopping at the first error. An *int32 crosses
-// the wire as an int, so narrowing a field leaves the bytes as they
-// were; a value that does not fit is refused. An empty byte slice
-// unpacks as nil: the wire cannot tell the two apart.
+// pupFields visits each field — *int, *int32, *uint64, *float64,
+// *string, *bool or *[]byte — in order, stopping at the first error. An
+// *int32 crosses the wire as an int, so narrowing a field leaves the
+// bytes as they were; a value that does not fit is refused. An empty
+// byte slice unpacks as nil: the wire cannot tell the two apart.
 func pupFields(p *pup.PUPer, fields ...any) error {
 	for _, f := range fields {
 		var err error
@@ -372,6 +381,8 @@ func pupFields(p *pup.PUPer, fields ...any) error {
 			err = p.Uint64(v)
 		case *float64:
 			err = p.Float64(v)
+		case *string:
+			err = p.String(v)
 		case *bool:
 			err = p.Bool(v)
 		case *[]byte:
@@ -494,7 +505,7 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 // tree — into the slot's spare frame array when it has one, else into
 // the rank's carve of the job's blocks — with the record's Local in
 // place for the operand functions.
-func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) error {
+func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) (err error) {
 	n := len(r.stack)
 	if err := p.Int(&n); err != nil {
 		return err
@@ -516,12 +527,20 @@ func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) error {
 	if r.stack = pc.stack[:0]; cap(r.stack) == 0 && n > 0 {
 		r.stack = e.job.frameStack()
 	}
+	// The descent runs the program's operand functions on the record's
+	// state, which the bytes chose: one that panics on it refuses the
+	// record.
 	local := pc.Local
 	pc.Local = r.local
-	defer func() { pc.Local = local }()
+	defer func() {
+		pc.Local = local
+		if v := recover(); v != nil {
+			err = fmt.Errorf("tree path: an operand panicked on the record's state: %v", v)
+		}
+	}()
 	for node := e.job.prog; len(r.stack) < n; {
 		f, depth := frame{p: node}, len(r.stack)
-		if err := p.Int(&f.i); err != nil {
+		if err = p.Int(&f.i); err != nil {
 			return err
 		}
 		switch s := node.(type) {
@@ -539,7 +558,7 @@ func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) error {
 			if depth != n-1 {
 				return fmt.Errorf("tree path reaches a %T at depth %d with %d frames unused", node, depth, n-1-depth)
 			}
-			if err := checkLeaf(&f, r, pc); err != nil {
+			if err = checkLeaf(&f, r, pc); err != nil {
 				return err
 			}
 		}
@@ -611,6 +630,8 @@ const recMsgMin = 7*8 + 4
 // pupMsgs moves one buffered-message list (To is implied by the
 // record's rank), bounding a claimed count by the bytes remaining —
 // division, not n*recMsgMin, so a hostile count cannot overflow past it.
+// A sender crosses as its rank: the job's entity base is the network's
+// to allocate, and a job restored onto another machine has its own.
 func (e *eventEngine) pupMsgs(p *pup.PUPer, msgs *[]*comm.Message, rank int) error {
 	n := len(*msgs)
 	if err := p.Int(&n); err != nil {
@@ -627,11 +648,14 @@ func (e *eventEngine) pupMsgs(p *pup.PUPer, msgs *[]*comm.Message, rank int) err
 		}
 	}
 	for _, m := range *msgs {
-		from := uint64(m.From)
+		from := e.rankIdx(m.From)
 		if err := pupFields(p, &from, &m.Tag, &m.Hops, &m.Seq, &m.SendTime, &m.Arrival, &m.VTime, &m.Data); err != nil {
 			return err
 		}
-		m.From = comm.EntityID(from)
+		if from < 0 || from >= e.job.size {
+			return fmt.Errorf("record holds a message from rank %d of %d", from, e.job.size)
+		}
+		m.From = e.idOf(from)
 	}
 	return nil
 }

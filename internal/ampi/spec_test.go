@@ -183,6 +183,9 @@ func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
 		switch p := f.p.(type) {
 		case doProc:
 			p.fn(pc)
+		case vtProbe:
+			s.collect()
+			p.mark(r, s.vt[r])
 		case seqProc:
 			if f.i < len(p.ps) {
 				child = p.ps[f.i]
@@ -413,11 +416,13 @@ func specMix(seed int64, size int, sink []float64) Proc {
 }
 
 // TestSpecOracle holds both backends on 1, 2 and 4 PEs under Run, and
-// on 2 and 4 PEs under RunParallel, bit for bit to the spec: every
-// run ends with a nil Err, and every rank's final virtual time and
-// output and the message count match, for four Jacobi rings and 200 random programs, every other one
-// with MsgOverheadNs, their collectives over the k-ary tree (arity 2 to
-// 4), the flat star and the topology tree with hop costs in turn.
+// on 2 and 4 PEs under RunParallel, bit for bit to the spec: every run
+// ends with a nil Err, and every rank's virtual time after each
+// statement (vtdiff names the first that differs), its output and the
+// message count match, for four Jacobi rings and 200 random programs,
+// every other one with MsgOverheadNs, their collectives over the k-ary
+// tree (arity 2 to 4), the flat star and the topology tree with hop
+// costs in turn.
 func TestSpecOracle(t *testing.T) {
 	for i := -4; i < 200; i++ {
 		name, size, ovh := fmt.Sprintf("mix/seed%d", i), 1+i*7%9, float64(i%2)*175
@@ -438,7 +443,8 @@ func TestSpecOracle(t *testing.T) {
 		}
 		coll.MsgOverheadNs = ovh
 		want := make([]float64, size)
-		wantVT, wantSent := runSpec(t, size, coll, prog(want))
+		specProg, wantTrace := instrument(prog(want), size, nil)
+		wantVT, wantSent := runSpec(t, size, coll, specProg)
 		for _, run := range []struct {
 			parallel bool
 			pes      []int
@@ -449,7 +455,8 @@ func TestSpecOracle(t *testing.T) {
 					opts := coll
 					opts.Mode, opts.StackSize = mode, 32<<10
 					m := newMachine(t, pes, nil)
-					j, err := NewProgram(m, size, opts, prog(got))
+					p, trace := instrument(prog(got), size, nil)
+					j, err := NewProgram(m, size, opts, p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -460,6 +467,9 @@ func TestSpecOracle(t *testing.T) {
 					}
 					if sent := m.Network().Snapshot().Sent; sent != wantSent {
 						t.Fatalf("%s: %d messages, spec %d", at, sent, wantSent)
+					}
+					if d := vtdiff(wantTrace, trace); d != "" {
+						t.Fatalf("%s: %s", at, d)
 					}
 					for r, vt := range wantVT {
 						if math.Float64bits(j.VT(r)) != math.Float64bits(vt) || math.Float64bits(got[r]) != math.Float64bits(want[r]) {
