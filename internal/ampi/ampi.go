@@ -203,10 +203,12 @@ type Job struct {
 	// sites numbers prog's collective sites and siteNum inverts it: a
 	// record names a site by number. depth is the deepest frame stack a
 	// rank running prog holds, the capacity its stack is allocated at.
-	// All three come from one walk of the tree (numberSites).
+	// shape fingerprints the whole tree for a checkpoint image's header.
+	// All four come from one walk of the tree (numberSites).
 	sites   []*collSite
 	siteNum map[*collSite]int
 	depth   int
+	shape   uint64
 
 	// mu guards traffic and err.
 	mu      sync.Mutex

@@ -9,8 +9,8 @@ package ampi
 //	magic       imageMagic
 //	length      uint64, little-endian: the bytes that follow
 //	size        the job's rank count
-//	program     numberSites' numbering (each site's name, kind and root)
-//	            and depth
+//	program     numberSites' numbering (each site's name, kind and root),
+//	            depth and the shape of the whole tree
 //	options     those that enter virtual time, and the network's latency
 //	records     one length-prefixed record per rank, in rank order
 //
@@ -43,14 +43,17 @@ const imageMagic = "migflow ampi checkpoint 1\n"
 const imageRecordMin = 4 + 8
 
 // identity describes what an image must share with the job restoring
-// it: the program, by its numbered collective sites and depth, and the
-// options and latency model that virtual time depends on.
+// it: the program, by its numbered collective sites, depth and tree
+// shape (so a statement added or removed anywhere, before or after the
+// gate, is another program), and the options and latency model that
+// virtual time depends on.
 func (j *Job) identity() (prog, opts string) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "depth %d", j.depth)
 	for i, s := range j.sites {
 		fmt.Fprintf(&b, "; site %d %s kind %d root %d", i, s.name, s.kind, s.root)
 	}
+	fmt.Fprintf(&b, "; shape %016x", j.shape)
 	o := j.opts
 	return b.String(), fmt.Sprintf("MsgOverheadNs %v, Collectives %d, TreeArity %d, Topo %+v, BlockPlacement %v, latency %+v",
 		o.MsgOverheadNs, o.Collectives, o.TreeArity, o.Topo, o.BlockPlacement, j.m.Network().Latency())

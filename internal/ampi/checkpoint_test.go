@@ -153,11 +153,19 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 
 // TestRestoreNamedErrors: an image Restore cannot honour is a named
 // error, and the machine's directory keeps no entry of the attempt. The image is
-// Jacobi's, taken at its first gate.
+// Jacobi's, taken at its first gate, but for a specMix program's image
+// restored with one statement more after its gate: same sites, same
+// depth, refused at the header by the tree's shape.
 func TestRestoreNamedErrors(t *testing.T) {
 	cases := ckptCases()
 	jacobi, mix := cases[0], cases[len(cases)-1]
 	image, _, _ := ckptRun(t, jacobi, 2)
+	mixImage, _, _ := ckptRun(t, mix, 2)
+	mixAfter := mix
+	mixAfter.build = func(sink []float64) Proc {
+		ps := mix.build(sink).(seqProc).ps
+		return Seq(append(slices.Clone(ps), Do(func(*PC) {}))...)
+	}
 	sizeAt := len(imageMagic) + 8
 	withSize := func(n int) []byte {
 		b := slices.Clone(image)
@@ -176,7 +184,8 @@ func TestRestoreNamedErrors(t *testing.T) {
 		{"no image", jacobi, jacobi.opts, nil, "ampi: Restore: reading the image header: EOF"},
 		{"foreign bytes", jacobi, jacobi.opts, bytes.Repeat([]byte("not an image "), 8), "ampi: Restore: not a checkpoint image"},
 		{"truncated", jacobi, jacobi.opts, image[:len(image)-9], "image truncated"},
-		{"another program", mix, mix.opts, image, "image is of another program (depth 5; site 0 Allreduce kind 1 root 0), not this one (depth 3;"},
+		{"another program", mix, mix.opts, image, "image is of another program (depth 5; site 0 Allreduce kind 1 root 0; shape "},
+		{"statement added after the gate", mixAfter, mix.opts, mixImage, "image is of another program"},
 		{"another VT option", jacobi, otherOpts, image, "image was taken with MsgOverheadNs 300, Collectives 0"},
 		{"header names more ranks than it holds", jacobi, jacobi.opts, withSize(jacobi.size + 1), "image ends at record 6 of 7"},
 		{"header names fewer ranks than it holds", jacobi, jacobi.opts, withSize(jacobi.size - 1), "past its 5 records"},

@@ -45,6 +45,6 @@ func ProbeStacks(j *Job, probe func(pc *PC, n, c int)) int {
 		return p
 	}
 	j.prog = rebuild(j.prog)
-	j.sites, j.siteNum, j.depth, _ = numberSites(j.prog)
+	j.sites, j.siteNum, j.depth, _, j.shape = numberSites(j.prog)
 	return j.depth
 }

@@ -618,47 +618,84 @@ type collRun struct {
 // statement on the longest root-to-leaf path. The walk runs each For
 // body once per iteration and a Seq shared by several parents once,
 // remembering its subtree's depth for the others. It also reports
-// whether prog holds a Checkpoint.
-func numberSites(prog Proc) (sites []*collSite, nums map[*collSite]int, depth int, checkpoints bool) {
+// whether prog holds a Checkpoint, and the tree's shape: a 64-bit
+// FNV-1a hash of each statement the walk meets, in walk order — its
+// kind, a Seq's arity, a For's count, a shared Seq met again as such —
+// which a checkpoint image names its program by.
+func numberSites(prog Proc) (sites []*collSite, nums map[*collSite]int, depth int, checkpoints bool, shape uint64) {
 	nums = map[*collSite]int{}
 	type seqKey struct {
 		first *Proc
 		n     int
 	}
 	depths := map[seqKey]int{}
+	// FNV-1a from its offset basis: each statement's kind byte, then
+	// the 8 bytes of its count.
+	shape = 14695981039346656037
+	mix := func(kind byte, n int) {
+		shape = (shape ^ uint64(kind)) * 1099511628211
+		for v, i := uint64(n), 0; i < 8; v, i = v>>8, i+1 {
+			shape = (shape ^ (v & 0xff)) * 1099511628211
+		}
+	}
 	var walk func(Proc) int
 	walk = func(p Proc) int {
 		below := 0 // the deepest stack under p's own frame
 		switch s := p.(type) {
 		case seqProc:
 			if len(s.ps) == 0 {
+				mix('S', 0)
 				break
 			}
 			key := seqKey{&s.ps[0], len(s.ps)}
 			if d, ok := depths[key]; ok {
+				mix('s', len(s.ps))
 				return d
 			}
+			mix('S', len(s.ps))
 			depths[key] = 1 // a Seq reached again through itself adds nothing
 			for _, c := range s.ps {
 				below = max(below, walk(c))
 			}
 			depths[key] = below + 1
 		case forProc:
+			mix('F', s.n)
 			for i := 0; i < s.n; i++ {
 				below = max(below, walk(s.body(i)))
 			}
 		case collStartProc:
+			mix('C', 0)
 			if _, ok := nums[s.site]; !ok {
 				nums[s.site] = len(sites)
 				sites = append(sites, s.site)
 			}
 		case migrateProc:
+			mix('M', 0)
 			checkpoints = checkpoints || s.strategy == nil
+		default:
+			mix(procKind(p), 0)
 		}
 		return below + 1
 	}
 	depth = walk(prog)
-	return sites, nums, depth, checkpoints
+	return sites, nums, depth, checkpoints, shape
+}
+
+// procKind names a leaf statement's kind for numberSites' shape.
+func procKind(p Proc) byte {
+	switch p.(type) {
+	case doProc:
+		return 'D'
+	case recvProc:
+		return 'R'
+	case recvEachProc:
+		return 'E'
+	case waitallProc:
+		return 'W'
+	case collWaitProc:
+		return 'c'
+	}
+	return '?'
 }
 
 // collAt returns the rank's run at site, or nil before its first start.
@@ -961,7 +998,7 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 	}
 	j.prog = prog
 	var checkpoints bool
-	j.sites, j.siteNum, j.depth, checkpoints = numberSites(prog)
+	j.sites, j.siteNum, j.depth, checkpoints, j.shape = numberSites(prog)
 	if checkpoints && (j.opts.Mode != ModeEvent || m.Sharded()) {
 		// A thread's stack image does not ride in a record, and a sharded
 		// job's gate never fills in one process.

@@ -44,7 +44,7 @@ func (p vtProbe) mark(rank int, vt float64) {
 // stay as they were.
 func instrument(prog Proc, size int, w io.Writer) (Proc, *vtTrace) {
 	tr := &vtTrace{marks: make([][]vtMark, size)}
-	_, sites, _, _ := numberSites(prog)
+	_, sites, _, _, _ := numberSites(prog)
 	name := func(p Proc) string {
 		switch s := p.(type) {
 		case collStartProc:

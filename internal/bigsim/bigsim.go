@@ -45,7 +45,6 @@ import (
 
 	"migflow/internal/comm"
 	"migflow/internal/platform"
-	"migflow/internal/simclock"
 )
 
 // Config sizes the simulation.
@@ -170,14 +169,31 @@ const (
 	recvOverheadFrac = 0.15
 )
 
+// peClock is one simulating PE's virtual clock and its step's message
+// and envelope counts. Only the goroutine driving the PE writes them —
+// begin and summarize run between the PEs' turns under both drivers,
+// and a ULT target steps only while its PE's driver waits on the
+// target's hand-off channel — so they are plain fields, not atomics.
+// The padding keeps PEs driven in parallel off each other's cache line.
+type peClock struct {
+	now                     float64 // nanoseconds
+	cross, intra, env, coal int64
+	_                       [64 - 5*8]byte
+}
+
 // Simulator runs the target machine, driving one slab [lo, hi) of the
 // simulating PEs: all of them for New, one worker's share for
 // NewShard. Every driver steps it with local (begin, runSlab,
 // summarize) and stats; a shard merges its peers' summaries between.
+//
+// A word written only by its PE's driver is a plain field (clocks,
+// aggCount, aggPend); a word other PEs write under StepParallel is
+// atomic (mail, recvPending, arrNext).
 type Simulator struct {
-	cfg    Config
-	store  []tproc // all targets, block-mapped: PE pe's are store[first(pe):first(pe+1)]
-	clocks []*simclock.Clock
+	cfg   Config
+	store []tproc // all targets, block-mapped: PE pe's are store[first(pe):first(pe+1)]
+	// clocks[pe] is PE pe's clock and counters, written by its driver only.
+	clocks []peClock
 	lat    comm.LatencyModel
 	prof   *platform.Profile
 
@@ -211,15 +227,15 @@ type Simulator struct {
 
 	// recvPending[pe] accumulates message-handling time (float64
 	// bits) each simulating PE owes at the start of its next step.
+	// Atomic: every PE that posts to pe's targets adds to it.
 	recvPending []atomic.Uint64
 
 	// Target-time prediction: ghost arrival times (target clock,
 	// float64 bits) for the current and next step, double-buffered so
-	// a step's posts constrain only the *next* step.
+	// a step's posts constrain only the *next* step. Atomic: arrNext
+	// takes the maximum of every neighbour's post, from any PE.
 	arrNow  []atomic.Uint64
 	arrNext []atomic.Uint64
-
-	stepCross, stepIntra atomic.Int64
 
 	// Streaming aggregation; the rows are nil unless Config.Aggregate.
 	// aggCount[src][dst] counts ghosts coalesced into the (src,dst)
@@ -230,8 +246,6 @@ type Simulator struct {
 	// receiver's float adds are deterministic under every driver.
 	aggCount [][]int64
 	aggPend  [][]float64
-
-	stepEnvelopes, stepCoalesced atomic.Int64
 }
 
 // atomicMaxFloat raises a (float64-bits) atomic to at least v.
@@ -255,6 +269,34 @@ func atomicAddFloat(a *atomic.Uint64, v float64) {
 			return
 		}
 	}
+}
+
+// errNegativeCharge is a Config whose costs would move a clock
+// backwards (or to NaN): New refuses it, so the per-PE clocks' adds
+// need no check.
+var errNegativeCharge = errors.New("bigsim: negative charge")
+
+// checkCharges refuses a resolved Config any of whose per-step costs
+// is negative or NaN.
+func checkCharges(cfg Config) error {
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{
+		{"AtomsPerCell", float64(cfg.AtomsPerCell)},
+		{"WorkPerAtomNs", cfg.WorkPerAtomNs},
+		{"GhostBytes", float64(cfg.GhostBytes)},
+		{"Latency.Alpha", cfg.Latency.Alpha},
+		{"Latency.BetaPerByte", cfg.Latency.BetaPerByte},
+		{"TargetWorkNs", cfg.TargetWorkNs},
+		{"TargetLatency.Alpha", cfg.TargetLatency.Alpha},
+		{"TargetLatency.BetaPerByte", cfg.TargetLatency.BetaPerByte},
+	} {
+		if !(c.v >= 0) {
+			return fmt.Errorf("%w: %s is %v", errNegativeCharge, c.name, c.v)
+		}
+	}
+	return nil
 }
 
 // New builds the simulator: T = X*Y*Z target flows block-mapped
@@ -286,6 +328,9 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.TargetLatency == (comm.LatencyModel{}) {
 		cfg.TargetLatency = comm.LatencyModel{Alpha: 5000, BetaPerByte: 1}
 	}
+	if err := checkCharges(cfg); err != nil {
+		return nil, err
+	}
 	t := cfg.X * cfg.Y * cfg.Z
 	if t < cfg.SimPEs {
 		return nil, fmt.Errorf("bigsim: %d target processors on %d simulating PEs", t, cfg.SimPEs)
@@ -293,7 +338,7 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:         cfg,
 		store:       make([]tproc, t),
-		clocks:      make([]*simclock.Clock, cfg.SimPEs),
+		clocks:      make([]peClock, cfg.SimPEs),
 		lat:         cfg.Latency,
 		prof:        cfg.Platform,
 		hi:          cfg.SimPEs,
@@ -311,8 +356,10 @@ func New(cfg Config) (*Simulator, error) {
 		dispatch = s.prof.EventDispatch
 	}
 	for pe := range s.clocks {
-		s.clocks[pe] = simclock.New()
 		s.dispatch[pe] = dispatch.At(s.first(pe+1) - s.first(pe))
+		if !(s.dispatch[pe] >= 0) {
+			return nil, fmt.Errorf("%w: %s's dispatch cost is %v on PE %d", errNegativeCharge, s.prof.Name, s.dispatch[pe], pe)
+		}
 		if cfg.Aggregate {
 			s.aggCount[pe] = make([]int64, cfg.SimPEs)
 			s.aggPend[pe] = make([]float64, cfg.SimPEs)
@@ -375,11 +422,11 @@ func (s *Simulator) neighbor(id, dx, dy, dz int) int {
 // mode. Only the flow-dispatch cost charged to the simulating PE's
 // clock (s.dispatch, fixed in New) differs between backends.
 func (s *Simulator) stepBody(p *tproc) {
-	clock := s.clocks[p.simPE]
+	clock := &s.clocks[p.simPE]
 	// Flow dispatch cost: ULT switch or event dispatch.
-	clock.Advance(s.dispatch[p.simPE])
+	clock.now += s.dispatch[p.simPE]
 	// Force computation over the cell's atoms.
-	clock.Advance(s.workNs)
+	clock.now += s.workNs
 	// Target-machine prediction: this step cannot begin before
 	// last step's ghosts arrived on the target network, and costs
 	// the target processor its per-cell work.
@@ -389,7 +436,7 @@ func (s *Simulator) stepBody(p *tproc) {
 	p.tclock += s.cfg.TargetWorkNs
 	// Ghost exchange with the six torus neighbours (precomputed ids).
 	for _, nb := range p.nbrs {
-		s.post(p, nb)
+		s.post(p, clock, nb)
 	}
 }
 
@@ -408,8 +455,8 @@ func (s *Simulator) run(p *tproc, c chan struct{}) {
 }
 
 // post records a ghost message from p to target proc dst and charges
-// send/receive costs.
-func (s *Simulator) post(p *tproc, dst int32) {
+// send/receive costs; clock is p's simulating PE's.
+func (s *Simulator) post(p *tproc, clock *peClock, dst int32) {
 	s.mail[dst].Add(1)
 	// Target-network arrival constrains dst's NEXT step on the
 	// target machine (always over the target network: every cell is
@@ -418,11 +465,11 @@ func (s *Simulator) post(p *tproc, dst int32) {
 	dpe := s.store[dst].simPE
 	if dpe == p.simPE {
 		// Intra-PE: a queue operation, no wire.
-		s.clocks[p.simPE].Advance(120)
-		s.stepIntra.Add(1)
+		clock.now += 120
+		clock.intra++
 		return
 	}
-	s.stepCross.Add(1)
+	clock.cross++
 	if s.cfg.Aggregate {
 		// Coalesce into the (src,dst) envelope; costs are charged when
 		// the envelope flushes at the end of this PE's turn.
@@ -433,7 +480,7 @@ func (s *Simulator) post(p *tproc, dst int32) {
 	// the receiver pays handling time at the start of its next step.
 	// (Wire latency itself overlaps with the step's computation.)
 	cost := s.lat.Cost(s.cfg.GhostBytes)
-	s.clocks[p.simPE].Advance(cost * sendOverheadFrac)
+	clock.now += cost * sendOverheadFrac
 	atomicAddFloat(&s.recvPending[dpe], cost*recvOverheadFrac)
 }
 
@@ -443,15 +490,16 @@ func (s *Simulator) post(p *tproc, dst int32) {
 // receiver's handling share is parked in aggPend for the next
 // step's start.
 func (s *Simulator) flushAgg(pe int) {
+	clock := &s.clocks[pe]
 	for dpe, n := range s.aggCount[pe] {
 		if n == 0 {
 			continue
 		}
 		cost := s.lat.Cost(int(n) * s.cfg.GhostBytes)
-		s.clocks[pe].Advance(cost * sendOverheadFrac)
+		clock.now += cost * sendOverheadFrac
 		s.aggPend[pe][dpe] += cost * recvOverheadFrac
-		s.stepEnvelopes.Add(1)
-		s.stepCoalesced.Add(n)
+		clock.env++
+		clock.coal += n
 		s.aggCount[pe][dpe] = 0
 	}
 }
@@ -469,13 +517,11 @@ const ghostsPerCell = 6
 // checked and cleared, arrival buffers rotated, inbound handling
 // charged — and returns the slab's pre-step clocks.
 func (s *Simulator) begin() ([]float64, error) {
-	s.stepCross.Store(0)
-	s.stepIntra.Store(0)
-	s.stepEnvelopes.Store(0)
-	s.stepCoalesced.Store(0)
 	before := make([]float64, s.hi-s.lo)
 	for pe := s.lo; pe < s.hi; pe++ {
-		before[pe-s.lo] = s.clocks[pe].Now()
+		c := &s.clocks[pe]
+		c.cross, c.intra, c.env, c.coal = 0, 0, 0, 0
+		before[pe-s.lo] = c.now
 	}
 	c0, c1 := s.first(s.lo), s.first(s.hi) // the slab's cells
 	if s.steps > 0 {
@@ -496,7 +542,7 @@ func (s *Simulator) begin() ([]float64, error) {
 	// last step's cross-PE messages are charged at this step's start,
 	// independent of the order (or concurrency) in which PEs execute.
 	for pe := s.lo; pe < s.hi; pe++ {
-		s.clocks[pe].Advance(math.Float64frombits(s.recvPending[pe].Swap(0)))
+		s.clocks[pe].now += math.Float64frombits(s.recvPending[pe].Swap(0))
 	}
 	// Same, for last step's coalesced envelopes — drained in fixed
 	// (src,dst) order so receiver clocks advance identically under
@@ -504,7 +550,7 @@ func (s *Simulator) begin() ([]float64, error) {
 	for src := range s.aggPend {
 		for dst, pend := range s.aggPend[src] {
 			if pend != 0 {
-				s.clocks[dst].Advance(pend)
+				s.clocks[dst].now += pend
 				s.aggPend[src][dst] = 0
 			}
 		}
@@ -564,13 +610,14 @@ type summary struct {
 
 // summarize returns the slab's summary of the step begin started.
 func (s *Simulator) summarize(before []float64) summary {
-	sum := summary{
-		step:  s.steps,
-		cross: s.stepCross.Load(), intra: s.stepIntra.Load(),
-		env: s.stepEnvelopes.Load(), coal: s.stepCoalesced.Load(),
-	}
+	sum := summary{step: s.steps}
 	for pe := s.lo; pe < s.hi; pe++ {
-		sum.maxDelta = max(sum.maxDelta, s.clocks[pe].Now()-before[pe-s.lo])
+		c := &s.clocks[pe]
+		sum.cross += c.cross
+		sum.intra += c.intra
+		sum.env += c.env
+		sum.coal += c.coal
+		sum.maxDelta = max(sum.maxDelta, c.now-before[pe-s.lo])
 	}
 	for _, p := range s.store[s.first(s.lo):s.first(s.hi)] {
 		sum.tAfter = max(sum.tAfter, p.tclock)

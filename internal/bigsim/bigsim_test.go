@@ -1,7 +1,13 @@
 package bigsim
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
+
+	"migflow/internal/comm"
+	"migflow/internal/platform"
 )
 
 func small(simPEs int) Config {
@@ -22,6 +28,42 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Config{X: 1, Y: 1, Z: 1, SimPEs: 4}); err == nil {
 		t.Error("fewer targets than PEs accepted")
 	}
+	// A cost that would move a clock backwards (or to NaN) is refused
+	// by New, naming the field, before any step charges it.
+	negDispatch := *platform.AlphaES45()
+	negDispatch.EventDispatch.Base = -1e6
+	for _, row := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"AtomsPerCell", func(c *Config) { c.AtomsPerCell = -1 }},
+		{"WorkPerAtomNs", func(c *Config) { c.WorkPerAtomNs = -0.5 }},
+		{"WorkPerAtomNs", func(c *Config) { c.WorkPerAtomNs = math.NaN() }},
+		{"GhostBytes", func(c *Config) { c.GhostBytes = -8 }},
+		{"Latency.Alpha", func(c *Config) { c.Latency = comm.LatencyModel{Alpha: -1, BetaPerByte: 1} }},
+		{"Latency.BetaPerByte", func(c *Config) { c.Latency = comm.LatencyModel{Alpha: 1, BetaPerByte: -1} }},
+		{"TargetWorkNs", func(c *Config) { c.TargetWorkNs = -3000 }},
+		{"TargetLatency.Alpha", func(c *Config) { c.TargetLatency = comm.LatencyModel{Alpha: -5000} }},
+		{"TargetLatency.BetaPerByte", func(c *Config) { c.TargetLatency = comm.LatencyModel{Alpha: 5000, BetaPerByte: -1} }},
+		{"dispatch cost", func(c *Config) { c.Mode, c.Platform = ModeEvent, &negDispatch }},
+	} {
+		cfg := small(2)
+		row.edit(&cfg)
+		s, err := New(cfg)
+		if !errors.Is(err, errNegativeCharge) || !strings.Contains(err.Error(), row.name) {
+			t.Errorf("%s: New returned %v, want %v naming it", row.name, err, errNegativeCharge)
+		}
+		if s != nil {
+			s.Close()
+		}
+	}
+	zero := small(2)
+	zero.AtomsPerCell, zero.WorkPerAtomNs, zero.GhostBytes = 0, 0, 0
+	s, err := New(zero)
+	if err != nil {
+		t.Fatalf("zero costs refused: %v", err)
+	}
+	s.Close()
 }
 
 func TestTorusNeighbors(t *testing.T) {

@@ -13,14 +13,19 @@ package simclock
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"sync/atomic"
 )
 
 // Clock is a monotonically advancing virtual clock. The zero value is
-// a clock at time 0, ready to use.
+// a clock at time 0, ready to use. It is one atomic word holding the
+// float64 bits of the time: a PE's clock is read and charged on every
+// modeled event, and almost always by that PE alone, so a read is a
+// load and a charge one compare-and-swap, with no lock. Writers on
+// other goroutines (a migration raising its destination PE's clock)
+// stay correct: every update is a CAS against the value it read.
 type Clock struct {
-	mu  sync.Mutex
-	now float64 // nanoseconds
+	bits atomic.Uint64 // math.Float64bits of the time in nanoseconds
 }
 
 // New returns a clock at virtual time zero.
@@ -32,35 +37,32 @@ func (c *Clock) Advance(ns float64) {
 	if ns < 0 {
 		panic(fmt.Sprintf("simclock: negative advance %g", ns))
 	}
-	c.mu.Lock()
-	c.now += ns
-	c.mu.Unlock()
+	for {
+		old := c.bits.Load()
+		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+ns)) {
+			return
+		}
+	}
 }
 
 // AdvanceTo moves the clock to at least ns (used when merging
 // per-entity timelines: the PE clock jumps to the max of its own time
-// and an incoming message's send time plus latency).
+// and an incoming message's send time plus latency). Only ns > now
+// moves it, so NaN, -0 and an equal time leave it as it is.
 func (c *Clock) AdvanceTo(ns float64) {
-	c.mu.Lock()
-	if ns > c.now {
-		c.now = ns
+	for {
+		old := c.bits.Load()
+		if !(ns > math.Float64frombits(old)) || c.bits.CompareAndSwap(old, math.Float64bits(ns)) {
+			return
+		}
 	}
-	c.mu.Unlock()
 }
 
 // Now returns the current virtual time in nanoseconds.
-func (c *Clock) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() float64 { return math.Float64frombits(c.bits.Load()) }
 
 // Reset rewinds the clock to zero (between benchmark configurations).
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	c.now = 0
-	c.mu.Unlock()
-}
+func (c *Clock) Reset() { c.bits.Store(0) }
 
 // Stopwatch measures virtual-time intervals against a Clock.
 type Stopwatch struct {

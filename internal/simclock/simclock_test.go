@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -36,6 +37,27 @@ func TestAdvanceTo(t *testing.T) {
 	c.AdvanceTo(70)
 	if c.Now() != 70 {
 		t.Errorf("AdvanceTo = %g, want 70", c.Now())
+	}
+}
+
+// TestAdvanceToExact: AdvanceTo moves the clock exactly when ns > now,
+// so NaN, -0 and an equal time leave its bits as they are, and +Inf is
+// a time like any other.
+func TestAdvanceToExact(t *testing.T) {
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	for _, now := range []float64{0, 5, inf, nan} {
+		for _, ns := range []float64{nan, negZero, 0, 5, 7, inf} {
+			c := New()
+			c.Advance(now)
+			want := now
+			if ns > now {
+				want = ns
+			}
+			c.AdvanceTo(ns)
+			if got := c.Now(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("at %g, AdvanceTo(%g) left %g, want %g", now, ns, got, want)
+			}
+		}
 	}
 }
 
@@ -78,5 +100,26 @@ func TestConcurrentAdvance(t *testing.T) {
 	wg.Wait()
 	if got := c.Now(); got != 8000 {
 		t.Errorf("concurrent advances lost: Now = %g, want 8000", got)
+	}
+}
+
+// TestConcurrentAdvanceTo: goroutines raising one clock to distinct
+// times leave it at the largest, whatever order their CASes land in.
+func TestConcurrentAdvanceTo(t *testing.T) {
+	const workers, each = 8, 1000
+	c := New()
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				c.AdvanceTo(float64(j*workers + i))
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := c.Now(), float64(workers*each-1); got != want {
+		t.Errorf("concurrent AdvanceTo left %g, want the maximum %g", got, want)
 	}
 }
