@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-check bench-pair repro repro-quick repro-csv examples cover clean
+.PHONY: all build vet test race bench bench-check bench-pair reach repro repro-quick repro-csv examples cover clean
 
 all: build vet test
 
@@ -46,6 +46,14 @@ BASE ?= HEAD
 
 bench-pair:
 	$(GO) run ./cmd/benchpair -w $(W) -n $(N) -base $(BASE)
+
+# The function-level reach inventory (DESIGN.md "Inventory"): every
+# command, example and the bench child built with -cover, the fixed
+# run list of cmd/reach run once (about 2 min), and each internal/
+# function no run reaches checked against DESIGN.md's kept list. Exits
+# non-zero when the two differ in either direction.
+reach:
+	$(GO) run ./cmd/reach
 
 # Regenerate every table and figure of the paper's evaluation.
 repro:

@@ -151,6 +151,43 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// TestImageCanonical: a gate image is a canonical form of the ranks'
+// state. Every ckptCases program checkpointed on 1, 2, 3 and 4 PEs,
+// under Run and under RunParallel, writes the bytes it writes on 1 PE
+// under Run, though placement decides each PE's clock and the order in
+// which messages from different senders reach a mailbox.
+func TestImageCanonical(t *testing.T) {
+	for _, c := range ckptCases() {
+		var want []byte
+		for _, pes := range []int{1, 2, 3, 4} {
+			for _, parallel := range []bool{false, true} {
+				var buf bytes.Buffer
+				prog, _ := instrument(c.build(make([]float64, c.size)), c.size, &buf)
+				j, err := NewProgram(newMachine(t, pes, nil), c.size, c.opts, prog)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				drive(t, j, parallel)
+				if err := j.Err(); err != nil || !j.Done() {
+					t.Fatalf("%s on %d PEs/%s: ended with %v (done %v)", c.name, pes, driverName(parallel), err, j.Done())
+				}
+				if want == nil {
+					want = buf.Bytes()
+					continue
+				}
+				if got := buf.Bytes(); !bytes.Equal(got, want) {
+					i := 0
+					for i < min(len(got), len(want)) && got[i] == want[i] {
+						i++
+					}
+					t.Fatalf("%s on %d PEs/%s: image (%d bytes) differs from the 1-PE Run image (%d bytes) at byte %d",
+						c.name, pes, driverName(parallel), len(got), len(want), i)
+				}
+			}
+		}
+	}
+}
+
 // TestRestoreNamedErrors: an image Restore cannot honour is a named
 // error, and the machine's directory keeps no entry of the attempt. The image is
 // Jacobi's, taken at its first gate, but for a specMix program's image

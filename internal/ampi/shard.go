@@ -10,8 +10,9 @@ package ampi
 // virtual time, load; the match spec of the receive the rank waits in;
 // pc.Local, through Options.LocalPUP; each active collective run — its
 // site's number (numberSites), schedule cursor and accumulator; one
-// cursor per stack frame, outermost first; buffered messages, each
-// sender by rank, and, in sharded runs, the per-peer stream state.
+// cursor per stack frame, outermost first; buffered messages in sender
+// order, each sender by rank, and, in sharded runs, the per-peer
+// stream state. Equal rank state packs to equal bytes on any placement.
 //
 // Install rebuilds the stack by one validating descent of the shared
 // tree (pupPath): every Seq/For cursor is checked against its arity,
@@ -45,6 +46,7 @@ package ampi
 // let deliver hold such an overtaker until the gap fills.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -241,6 +243,18 @@ func (e *eventEngine) packLocked(p *pup.PUPer, s *slot, toPE int, depart float64
 	pc := &s.pc
 	r := record{rank: pc.Rank(), toPE: toPE, depart: depart, vt: pc.vt, busy: s.busy,
 		waiting: s.waiting, local: pc.Local, stack: pc.stack, pending: s.mbox[s.head:]}
+	// Canonical form: a rank at the gate waits for nothing (s.waiting
+	// still names its last receive), and buffered messages go by
+	// sender, each sender's in arrival order, since the order across
+	// senders is the placement's. The slot's mailbox stays as it is.
+	if pc.atGate() {
+		r.waiting = matchSpec{}
+	}
+	bySender := func(a, b *comm.Message) int { return cmp.Compare(a.From, b.From) }
+	if !slices.IsSortedFunc(r.pending, bySender) {
+		r.pending = slices.Clone(r.pending)
+		slices.SortStableFunc(r.pending, bySender)
+	}
 	if e.seq != nil {
 		r.seq = e.seq[pc.rank]
 	}
@@ -624,14 +638,20 @@ func checkLeaf(f *frame, r *record, pc *PC) error {
 }
 
 // recMsgMin is the minimum encoded size of one buffered message:
-// From, Tag, Hops, Seq, three timestamps, and the data length prefix.
-const recMsgMin = 7*8 + 4
+// From, Tag, Seq, VTime, and the data length prefix.
+const recMsgMin = 4*8 + 4
 
 // pupMsgs moves one buffered-message list (To is implied by the
 // record's rank), bounding a claimed count by the bytes remaining —
 // division, not n*recMsgMin, so a hostile count cannot overflow past it.
 // A sender crosses as its rank: the job's entity base is the network's
 // to allocate, and a job restored onto another machine has its own.
+// The transport stamps stay behind, since they are the placement's,
+// not the rank's: Hops and SendTime are the route's history, and
+// Arrival is the sending PE's clock plus latency. recvLocked holds the
+// consuming PE's clock to Arrival, which moves no rank's virtual time
+// (VTime does); a carried message, already arrived, holds it to
+// nothing.
 func (e *eventEngine) pupMsgs(p *pup.PUPer, msgs *[]*comm.Message, rank int) error {
 	n := len(*msgs)
 	if err := p.Int(&n); err != nil {
@@ -649,7 +669,7 @@ func (e *eventEngine) pupMsgs(p *pup.PUPer, msgs *[]*comm.Message, rank int) err
 	}
 	for _, m := range *msgs {
 		from := e.rankIdx(m.From)
-		if err := pupFields(p, &from, &m.Tag, &m.Hops, &m.Seq, &m.SendTime, &m.Arrival, &m.VTime, &m.Data); err != nil {
+		if err := pupFields(p, &from, &m.Tag, &m.Seq, &m.VTime, &m.Data); err != nil {
 			return err
 		}
 		if from < 0 || from >= e.job.size {

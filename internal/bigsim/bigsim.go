@@ -177,8 +177,9 @@ const (
 // The padding keeps PEs driven in parallel off each other's cache line.
 type peClock struct {
 	now                     float64 // nanoseconds
+	start                   float64 // now when begin started the step
 	cross, intra, env, coal int64
-	_                       [64 - 5*8]byte
+	_                       [64 - 6*8]byte
 }
 
 // Simulator runs the target machine, driving one slab [lo, hi) of the
@@ -392,9 +393,6 @@ func (s *Simulator) first(pe int) int {
 // NumTargets returns the simulated processor count.
 func (s *Simulator) NumTargets() int { return len(s.store) }
 
-// Mode returns the resolved execution backend ("ult" or "event").
-func (s *Simulator) Mode() string { return s.cfg.Mode }
-
 // coords maps a target id to torus coordinates.
 func (s *Simulator) coords(id int) (x, y, z int) {
 	x = id % s.cfg.X
@@ -513,21 +511,20 @@ var errGhostCount = errors.New("bigsim: ghost count")
 // from each torus neighbour.
 const ghostsPerCell = 6
 
-// begin starts a step on the slab — counters reset, last step's mail
-// checked and cleared, arrival buffers rotated, inbound handling
-// charged — and returns the slab's pre-step clocks.
-func (s *Simulator) begin() ([]float64, error) {
-	before := make([]float64, s.hi-s.lo)
+// begin starts a step on the slab — counters reset, each clock's
+// start noted, last step's mail checked and cleared, arrival buffers
+// rotated, inbound handling charged.
+func (s *Simulator) begin() error {
 	for pe := s.lo; pe < s.hi; pe++ {
 		c := &s.clocks[pe]
 		c.cross, c.intra, c.env, c.coal = 0, 0, 0, 0
-		before[pe-s.lo] = c.now
+		c.start = c.now
 	}
 	c0, c1 := s.first(s.lo), s.first(s.hi) // the slab's cells
 	if s.steps > 0 {
 		for i := c0; i < c1; i++ {
 			if n := s.mail[i].Swap(0); n != ghostsPerCell {
-				return nil, fmt.Errorf("%w: cell %d has %d ghosts, want %d", errGhostCount, i, n, ghostsPerCell)
+				return fmt.Errorf("%w: cell %d has %d ghosts, want %d", errGhostCount, i, n, ghostsPerCell)
 			}
 		}
 	}
@@ -555,7 +552,7 @@ func (s *Simulator) begin() ([]float64, error) {
 			}
 		}
 	}
-	return before, nil
+	return nil
 }
 
 // runPE runs one simulating PE's resident target flows serially: in
@@ -609,7 +606,7 @@ type summary struct {
 }
 
 // summarize returns the slab's summary of the step begin started.
-func (s *Simulator) summarize(before []float64) summary {
+func (s *Simulator) summarize() summary {
 	sum := summary{step: s.steps}
 	for pe := s.lo; pe < s.hi; pe++ {
 		c := &s.clocks[pe]
@@ -617,7 +614,7 @@ func (s *Simulator) summarize(before []float64) summary {
 		sum.intra += c.intra
 		sum.env += c.env
 		sum.coal += c.coal
-		sum.maxDelta = max(sum.maxDelta, c.now-before[pe-s.lo])
+		sum.maxDelta = max(sum.maxDelta, c.now-c.start)
 	}
 	for _, p := range s.store[s.first(s.lo):s.first(s.hi)] {
 		sum.tAfter = max(sum.tAfter, p.tclock)
@@ -653,12 +650,11 @@ func (s *Simulator) stats(sum summary) StepStats {
 
 // local runs the slab's part of one step and returns its summary.
 func (s *Simulator) local(parallel bool) (summary, error) {
-	before, err := s.begin()
-	if err != nil {
+	if err := s.begin(); err != nil {
 		return summary{}, err
 	}
 	s.runSlab(parallel)
-	return s.summarize(before), nil
+	return s.summarize(), nil
 }
 
 // step is Step and StepParallel: the whole machine is one slab with no

@@ -149,21 +149,6 @@ func (e *Endpoint) Flush() error {
 	return first
 }
 
-// BufferedPayloads reports how many messages wait in this endpoint's
-// coalescing buffers (diagnostics and tests).
-func (e *Endpoint) BufferedPayloads() int {
-	e.aggMu.Lock()
-	defer e.aggMu.Unlock()
-	if e.agg == nil {
-		return 0
-	}
-	n := 0
-	for i := range e.agg.buckets {
-		n += len(e.agg.buckets[i].msgs)
-	}
-	return n
-}
-
 // flushBucketLocked ships the bucket for destination PE pe as one
 // envelope: one Alpha plus the summed Beta·bytes, every payload
 // stamped with the envelope's arrival. Caller holds e.aggMu — the

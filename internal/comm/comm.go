@@ -112,14 +112,11 @@ const locShards = 64
 // entries are atomics so a batched LB-step update (MoveRangeBatch)
 // publishes new locations in place, with no hashing and 4 bytes per
 // entity where a locTable slot takes 16. A negative entry is a
-// tombstone (deregistered entity). epoch counts completed
-// move batches; receivers use it as the "has anything ever moved"
-// fast check before comparing per-entity locations.
+// tombstone (deregistered entity).
 type rangeLoc struct {
-	base  EntityID
-	pes   []atomic.Int32
-	live  atomic.Int64
-	epoch atomic.Uint64
+	base EntityID
+	pes  []atomic.Int32
+	live atomic.Int64
 }
 
 func (rl *rangeLoc) contains(id EntityID) bool {
@@ -199,9 +196,6 @@ func NewNetwork(numPEs int, lat LatencyModel) *Network {
 	}
 	return n
 }
-
-// NumPEs returns the endpoint count.
-func (n *Network) NumPEs() int { return len(n.endpoints) }
 
 // Endpoint returns PE pe's endpoint.
 func (n *Network) Endpoint(pe int) *Endpoint { return n.endpoints[pe] }
@@ -324,10 +318,10 @@ func (n *Network) RegisterRange(base EntityID, pes []int) error {
 }
 
 // MoveRangeBatch applies one load-balancing step's moves to a range
-// table: entity base+Index now lives on PE To. The whole batch is one
-// epoch — per-entity atomic stores followed by a single epoch bump —
-// so a million-rank LB step updates the directory in one linear pass
-// with no allocation, and unmoved entities keep their O(1) lookups.
+// table: entity base+Index now lives on PE To. The whole batch is
+// validated first, then applied as per-entity atomic stores, so a
+// million-rank LB step updates the directory in one linear pass with
+// no allocation, and unmoved entities keep their O(1) lookups.
 // Senders that routed a message before its entry was updated cost one
 // forwarding hop (Endpoint.Forward), exactly like a stale cache.
 func (n *Network) MoveRangeBatch(base EntityID, moves []RangeMove) error {
@@ -349,17 +343,7 @@ func (n *Network) MoveRangeBatch(base EntityID, moves []RangeMove) error {
 	for _, mv := range moves {
 		rl.pes[mv.Index].Store(int32(mv.To))
 	}
-	rl.epoch.Add(1)
 	return nil
-}
-
-// RangeEpoch returns how many MoveRangeBatch updates the range at
-// base has completed (0 for an unknown base: nothing ever moved).
-func (n *Network) RangeEpoch(base EntityID) uint64 {
-	if rl := n.rangeOf(base); rl != nil {
-		return rl.epoch.Load()
-	}
-	return 0
 }
 
 // DeregisterRange removes the whole range table registered at base.
@@ -444,9 +428,6 @@ type Endpoint struct {
 	aggMu sync.Mutex
 	agg   *aggregator
 }
-
-// PE returns the endpoint's processor index.
-func (e *Endpoint) PE() int { return e.pe }
 
 // SetWakeHook registers fn to run (without locks held) whenever a
 // message arrives — the converse scheduler uses it to wake its loop.

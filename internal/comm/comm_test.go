@@ -14,9 +14,6 @@ func TestLatencyModel(t *testing.T) {
 
 func TestRegisterLocateDeregister(t *testing.T) {
 	n := NewNetwork(4, DefaultLatency)
-	if n.NumPEs() != 4 {
-		t.Fatalf("NumPEs = %d", n.NumPEs())
-	}
 	if err := n.Register(7, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@
 //     knows whether a BYE came first: the writer stops writing and
 //     leaves the verdict to it;
 //   - a transport never attached to a Network is control-only: it
-//     carries SendControl/Broadcast, Deliver on it is an error, and an
+//     carries SendControl, Deliver on it is an error, and an
 //     envelope frame arriving on it is a link fault.
 //
 // What a link must provide is the four-method contract below.
@@ -312,19 +312,6 @@ func (t *LinkTransport) SendControl(w int, kind uint32, payload []byte) error {
 	frame := append(appendU32(getBuf(n), uint32(n-4)), frameControl)
 	frame = appendU32(appendU32(frame, uint32(t.self)), kind)
 	return t.send(w, append(frame, payload...))
-}
-
-// Broadcast sends a control frame to every peer.
-func (t *LinkTransport) Broadcast(kind uint32, payload []byte) error {
-	for w := range t.links {
-		if w == t.self {
-			continue
-		}
-		if err := t.SendControl(w, kind, payload); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // send seals the open envelope of the link to worker w and queues a

@@ -53,7 +53,6 @@ type ShardTransport interface {
 	SetControlHandler(h ControlHandler)
 	Start() error
 	SendControl(w int, kind uint32, payload []byte) error
-	Broadcast(kind uint32, payload []byte) error
 	// Retire does nothing (see LinkTransport.Retire).
 	Retire()
 	SocketStats() SocketStats

@@ -541,7 +541,7 @@ func contractMessageTooLarge(t *testing.T, f fabric) {
 }
 
 // contractControlOnly: a transport with no owner and no Network
-// carries SendControl and Broadcast both ways, and Deliver on it is a
+// carries SendControl both ways, and Deliver on it is a
 // named error, not a nil dereference.
 func contractControlOnly(t *testing.T, f fabric) {
 	t0, t1 := f.pair(t, nil)
@@ -554,7 +554,7 @@ func contractControlOnly(t *testing.T, f fabric) {
 	if err := t0.SendControl(1, 3, []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	if err := t1.Broadcast(4, []byte("all")); err != nil {
+	if err := t1.SendControl(0, 4, []byte("all")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "control frames both ways", func() bool {

@@ -1,9 +1,6 @@
 package converse
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // FastThread is the plain, non-migratable Cth thread used as the
 // user-level-thread baseline in Figures 4-8 ("we used the
@@ -13,7 +10,6 @@ import (
 // the floor the migratable strategies are compared against in the
 // ablation benchmarks.
 type FastThread struct {
-	id ID
 	co coroutine
 }
 
@@ -29,7 +25,7 @@ func NewFastScheduler() *FastScheduler { return &FastScheduler{} }
 
 // Create makes a fast thread; Start it to make it runnable.
 func (s *FastScheduler) Create(body func(*FastCtx)) *FastThread {
-	t := &FastThread{id: ID(nextThreadID.Add(1))}
+	t := &FastThread{}
 	t.co.start(func() { body(&FastCtx{t: t}) })
 	return t
 }
@@ -61,24 +57,8 @@ func (s *FastScheduler) RunUntilIdle() {
 	}
 }
 
-// Len returns the ready-queue depth.
-func (s *FastScheduler) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ready)
-}
-
-// ID returns the thread id.
-func (t *FastThread) ID() ID { return t.id }
-
 // FastCtx is the API surface of a FastThread body.
 type FastCtx struct{ t *FastThread }
 
-// ID returns the thread id.
-func (c *FastCtx) ID() ID { return c.t.id }
-
 // Yield hands the processor to the next ready thread.
 func (c *FastCtx) Yield() { c.t.co.park(outYield) }
-
-// String aids debugging.
-func (t *FastThread) String() string { return fmt.Sprintf("FastThread(%d)", t.id) }

@@ -306,11 +306,6 @@ func (c *Ctx) Malloc(size uint64) (vmem.Addr, error) {
 	return c.t.sched.pe.Inter.Malloc(size)
 }
 
-// Free releases a Malloc'd block.
-func (c *Ctx) Free(a vmem.Addr) error {
-	return c.t.sched.pe.Inter.Free(a)
-}
-
 // PushFrame grows the simulated stack down by n bytes (16-byte
 // aligned) and returns the new frame's base — the alloca() of this
 // runtime. Overflow is a hard error, like running off a real stack.
@@ -323,17 +318,6 @@ func (c *Ctx) PushFrame(n uint64) (vmem.Addr, error) {
 	}
 	t.sp -= vmem.Addr(n)
 	return t.sp, nil
-}
-
-// PopFrame releases the most recent n bytes of stack.
-func (c *Ctx) PopFrame(n uint64) {
-	t := c.t
-	n = (n + 15) &^ 15
-	top := t.stack.Base().Add(t.stack.Size())
-	if t.sp.Add(n) > top {
-		panic(fmt.Sprintf("converse: thread %d stack underflow", t.id))
-	}
-	t.sp = t.sp.Add(n)
 }
 
 // GlobalsGOT returns the PE's GOT for global-variable access (nil if

@@ -6,6 +6,8 @@ import (
 	"migflow/internal/comm"
 )
 
+// TestDeregisterEntity: an entity that leaves the directory
+// (Network.Deregister) takes no more sends and can register again.
 func TestDeregisterEntity(t *testing.T) {
 	m, err := NewMachine(Config{NumPEs: 2})
 	if err != nil {
@@ -22,7 +24,7 @@ func TestDeregisterEntity(t *testing.T) {
 	if handled != 1 {
 		t.Fatalf("handled = %d", handled)
 	}
-	m.DeregisterEntity(42)
+	m.Network().Deregister(42)
 	if err := m.Network().Endpoint(0).Send(&comm.Message{To: 42}); err == nil {
 		t.Error("send to deregistered entity accepted")
 	}
@@ -39,7 +41,7 @@ func TestDeregisterEntity(t *testing.T) {
 // a pinned id inside a range goes to the range handler, a pinned id
 // outside every range still reaches the handler RegisterEntity gave
 // it, an unpinned id's own handler beats a range covering it, and
-// anything else falls to the delivery handler.
+// anything else is dropped.
 func TestPumpHandlerResolution(t *testing.T) {
 	m, err := NewMachine(Config{NumPEs: 2})
 	if err != nil {
@@ -49,7 +51,6 @@ func TestPumpHandlerResolution(t *testing.T) {
 	handler := func(name string) func(int, *comm.Message) {
 		return func(int, *comm.Message) { got = append(got, name) }
 	}
-	m.SetDeliveryHandler(handler("fallback"))
 	net := m.Network()
 
 	base := net.AllocFlowIDs(4)
@@ -81,7 +82,7 @@ func TestPumpHandlerResolution(t *testing.T) {
 		}
 	}
 	m.Pump(1)
-	want := []string{"pinned-range", "pinned-own", "plain-range", "plain-own", "fallback"}
+	want := []string{"pinned-range", "pinned-own", "plain-range", "plain-own"}
 	if len(got) != len(want) {
 		t.Fatalf("handlers ran: %v, want %v", got, want)
 	}

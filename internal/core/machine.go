@@ -66,9 +66,6 @@ type Machine struct {
 	// tlog, when enabled, receives scheduler and migration events.
 	tlog *trace.Log
 
-	// delivery is the fallback invoked for pumped messages whose
-	// entity has no dedicated handler.
-	delivery atomic.Pointer[func(pe int, msg *comm.Message)]
 	// handlers routes pumped messages by destination entity
 	// (registered by AMPI ranks, chare elements, ...). A sync.Map so
 	// Pump's per-message lookup takes no lock: the table is
@@ -209,16 +206,6 @@ func (m *Machine) MigrationStats() (count, bytes uint64) {
 	return m.migrations, m.migBytes
 }
 
-// SetDeliveryHandler registers the fallback function Pump calls for
-// arriving messages without a per-entity handler.
-func (m *Machine) SetDeliveryHandler(fn func(pe int, msg *comm.Message)) {
-	if fn == nil {
-		m.delivery.Store(nil)
-		return
-	}
-	m.delivery.Store(&fn)
-}
-
 // RegisterEntity places a communication entity on a PE and routes its
 // incoming messages to handler. AMPI ranks and chare elements live in
 // this directory; migration keeps it current.
@@ -228,12 +215,6 @@ func (m *Machine) RegisterEntity(id comm.EntityID, pe int, handler func(pe int, 
 	}
 	m.handlers.Store(id, handler)
 	return nil
-}
-
-// DeregisterEntity removes an entity and its handler.
-func (m *Machine) DeregisterEntity(id comm.EntityID) {
-	m.net.Deregister(id)
-	m.handlers.Delete(id)
 }
 
 // entityRange is one dense ID block sharing a handler: [lo, hi].
@@ -285,15 +266,6 @@ func (m *Machine) DeregisterEntityRange(lo, hi comm.EntityID) {
 		next = append(next, r)
 	}
 	m.ranges.Store(&next)
-}
-
-// NumEntityRanges returns how many range handlers are installed — a
-// footprint diagnostic (a finished event-mode job removes its range).
-func (m *Machine) NumEntityRanges() int {
-	if rs := m.ranges.Load(); rs != nil {
-		return len(*rs)
-	}
-	return 0
 }
 
 // rangeHandler returns the range handler covering id, or nil.
@@ -375,7 +347,7 @@ func (m *Machine) FinishRemoteMigration(id comm.EntityID, dest int, departNs flo
 	}
 }
 
-// Pump drains PE pe's network inbox through the delivery handler,
+// Pump drains PE pe's network inbox through each message's handler,
 // advancing the PE clock to each message's arrival time. It returns
 // the number of messages processed.
 // Pump does NOT advance the PE clock: a message's arrival time is
@@ -398,7 +370,8 @@ func (m *Machine) Pump(pe int) int {
 }
 
 // handlerOf resolves a pumped message's handler: the entity's own,
-// else the range handler covering it, else the delivery fallback. A
+// else the range handler covering it; a message with neither is
+// dropped. A
 // pinned id is tried against the ranges first — event-mode ranks are
 // pinned ids in one range, and looking there first spares every one of
 // their deliveries a miss in the per-entity map; a pinned id outside
@@ -412,13 +385,7 @@ func (m *Machine) handlerOf(id comm.EntityID) func(pe int, msg *comm.Message) {
 	if h, ok := m.handlers.Load(id); ok {
 		return h.(func(int, *comm.Message))
 	}
-	if rh := m.rangeHandler(id); rh != nil {
-		return rh
-	}
-	if p := m.delivery.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return m.rangeHandler(id)
 }
 
 // RunUntilQuiescent drives all PEs deterministically from one
@@ -537,12 +504,6 @@ func (m *Machine) Wake() {
 		}
 	}
 }
-
-// IdlePolls returns how many times a PE in RunParallel found no work
-// and parked on its wake gate since the machine booted. A machine
-// parked with nothing to do accumulates at most a few per wake event;
-// a busy-spinning implementation accumulates millions.
-func (m *Machine) IdlePolls() uint64 { return m.idlePolls.Load() }
 
 // wakeGate parks one idle PE. arm returns the channel to park on;
 // wake closes the current channel (releasing the PE) and installs a

@@ -27,9 +27,6 @@ func TestNewMachineValidation(t *testing.T) {
 	if m.PE(0).Prof.Name != "opteron" {
 		t.Errorf("default platform = %s", m.PE(0).Prof.Name)
 	}
-	if m.Network().NumPEs() != 2 {
-		t.Error("network size mismatch")
-	}
 	if m.Layout() != nil {
 		t.Error("layout should default nil")
 	}
@@ -114,10 +111,9 @@ func TestPumpDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int
-	m.SetDeliveryHandler(func(pe int, msg *comm.Message) {
+	if err := m.RegisterEntity(7, 1, func(pe int, msg *comm.Message) {
 		got = append(got, msg.Tag)
-	})
-	if err := m.Network().Register(7, 1); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

@@ -49,11 +49,11 @@ func TestMigrateExternalReady(t *testing.T) {
 	}
 	m.PE(0).Sched.Start(th) // Ready on PE 0, never run
 	// Pre-set its privatized global directly through its instance.
-	addr, err := th.Globals().VarAddr("x")
+	slot, err := layout.SlotOf("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PE(0).Space.WriteUint64(addr, 77); err != nil {
+	if err := m.PE(0).Space.WriteUint64(th.Globals().Image()[slot], 77); err != nil {
 		t.Fatal(err)
 	}
 	moveOne(t, m, th, 1)

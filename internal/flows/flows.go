@@ -34,8 +34,6 @@ func Kinds() []Kind {
 // Mechanism abstracts one flow-of-control implementation on one
 // (simulated) platform.
 type Mechanism interface {
-	// Kind returns the mechanism name.
-	Kind() Kind
 	// Probe creates flows until creation fails or cap is reached and
 	// returns how many were created (the Table 2 probe). All created
 	// flows are destroyed before returning.
@@ -72,8 +70,6 @@ func New(kind Kind, prof *platform.Profile, clock *simclock.Clock) (Mechanism, e
 // yielding with sched_yield() (§4.1).
 type processMech struct{ k *oskernel.Kernel }
 
-func (m *processMech) Kind() Kind { return KindProcess }
-
 func (m *processMech) Probe(cap int) int { return oskernel.ProbeProcessLimit(m.k, cap) }
 
 func (m *processMech) BenchYield(n, rounds int) (float64, error) {
@@ -95,8 +91,6 @@ func (m *processMech) BenchYield(n, rounds int) (float64, error) {
 
 // kthreadMech: flows are pthreads in one process.
 type kthreadMech struct{ k *oskernel.Kernel }
-
-func (m *kthreadMech) Kind() Kind { return KindKThread }
 
 func (m *kthreadMech) Probe(cap int) int { return oskernel.ProbeThreadLimit(m.k, cap) }
 
@@ -123,8 +117,6 @@ type ultMech struct {
 	kind Kind
 }
 
-func (m *ultMech) Kind() Kind { return m.kind }
-
 func (m *ultMech) Probe(cap int) int {
 	lim := m.k.Profile().MaxUserThreads
 	n := 0
@@ -148,8 +140,6 @@ func (m *ultMech) BenchYield(n, rounds int) (float64, error) {
 // eventMech: event-driven objects (§2.4) — suspending is a return,
 // resuming is a function call; the "switch" is a scheduler dispatch.
 type eventMech struct{ k *oskernel.Kernel }
-
-func (m *eventMech) Kind() Kind { return KindEventObject }
 
 func (m *eventMech) Probe(cap int) int {
 	// Objects are plain data: bounded by memory only.

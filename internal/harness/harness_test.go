@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"migflow/internal/bigsim"
+	"migflow/internal/converse"
 	"migflow/internal/flows"
 	"migflow/internal/migrate"
 	"migflow/internal/vmem"
@@ -79,11 +80,7 @@ func TestFigureSwitchCurves(t *testing.T) {
 // "unusably slow" past ~20 KB; memory aliasing is a flat ~4-6 µs, so
 // the copy and alias curves cross between small and large stacks.
 func TestFig9Shape(t *testing.T) {
-	get := func(s string, size uint64) Fig9Point {
-		strat, err := migrate.ByName(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+	get := func(strat converse.StackStrategy, size uint64) Fig9Point {
 		pt, err := Fig9Measure(strat, size, 40)
 		if err != nil {
 			t.Fatal(err)
@@ -91,9 +88,9 @@ func TestFig9Shape(t *testing.T) {
 		return pt
 	}
 	for _, size := range []uint64{8 << 10, 64 << 10, 512 << 10} {
-		sc := get(migrate.NameStackCopy, size)
-		iso := get(migrate.NameIsomalloc, size)
-		al := get(migrate.NameMemAlias, size)
+		sc := get(migrate.StackCopy{}, size)
+		iso := get(migrate.Isomalloc{}, size)
+		al := get(migrate.MemoryAlias{}, size)
 		// Isomalloc is the fastest overall at every size.
 		if !(iso.VirtualNs < al.VirtualNs && iso.VirtualNs < sc.VirtualNs) {
 			t.Errorf("size %d: isomalloc not fastest: iso=%g alias=%g copy=%g",
@@ -102,27 +99,27 @@ func TestFig9Shape(t *testing.T) {
 	}
 	// The crossover: below ~20 KB copying beats aliasing; well above
 	// it, aliasing wins.
-	if sc, al := get(migrate.NameStackCopy, 8<<10), get(migrate.NameMemAlias, 8<<10); !(sc.VirtualNs < al.VirtualNs) {
+	if sc, al := get(migrate.StackCopy{}, 8<<10), get(migrate.MemoryAlias{}, 8<<10); !(sc.VirtualNs < al.VirtualNs) {
 		t.Errorf("8KB: copy %g should beat alias %g", sc.VirtualNs, al.VirtualNs)
 	}
-	if sc, al := get(migrate.NameStackCopy, 512<<10), get(migrate.NameMemAlias, 512<<10); !(al.VirtualNs < sc.VirtualNs) {
+	if sc, al := get(migrate.StackCopy{}, 512<<10), get(migrate.MemoryAlias{}, 512<<10); !(al.VirtualNs < sc.VirtualNs) {
 		t.Errorf("512KB: alias %g should beat copy %g", al.VirtualNs, sc.VirtualNs)
 	}
 	// Stack copy cost grows ~linearly with stack size.
-	small := get(migrate.NameStackCopy, 8<<10)
-	big := get(migrate.NameStackCopy, 512<<10)
+	small := get(migrate.StackCopy{}, 8<<10)
+	big := get(migrate.StackCopy{}, 512<<10)
 	if ratio := big.VirtualNs / small.VirtualNs; ratio < 10 {
 		t.Errorf("stack-copy cost grew only %.1fx over a 64x stack growth", ratio)
 	}
 	// Isomalloc stays flat.
-	isoSmall := get(migrate.NameIsomalloc, 8<<10)
-	isoBig := get(migrate.NameIsomalloc, 512<<10)
+	isoSmall := get(migrate.Isomalloc{}, 8<<10)
+	isoBig := get(migrate.Isomalloc{}, 512<<10)
 	if ratio := isoBig.VirtualNs / isoSmall.VirtualNs; ratio > 1.2 {
 		t.Errorf("isomalloc cost grew %.2fx with stack size; should be flat", ratio)
 	}
 	// Memory aliasing grows only slowly (page-table work).
-	alSmall := get(migrate.NameMemAlias, 8<<10)
-	alBig := get(migrate.NameMemAlias, 512<<10)
+	alSmall := get(migrate.MemoryAlias{}, 8<<10)
+	alBig := get(migrate.MemoryAlias{}, 512<<10)
 	if ratio := alBig.VirtualNs / alSmall.VirtualNs; ratio > 4 {
 		t.Errorf("memalias cost grew %.2fx; should grow only slowly", ratio)
 	}
@@ -276,8 +273,7 @@ func TestByteSize(t *testing.T) {
 
 func TestFig9MeasureRejectsHugeRegionless(t *testing.T) {
 	// Smallest sanity: a page-size stack still works.
-	strat, _ := migrate.ByName(migrate.NameIsomalloc)
-	if _, err := Fig9Measure(strat, 2*vmem.PageSize, 5); err != nil {
+	if _, err := Fig9Measure(migrate.Isomalloc{}, 2*vmem.PageSize, 5); err != nil {
 		t.Errorf("tiny stack measure failed: %v", err)
 	}
 }

@@ -116,17 +116,6 @@ func Imbalance(loads []float64) float64 {
 	return max / avg
 }
 
-// Migrations counts items a plan actually moves.
-func Migrations(items []Item, plan Plan) int {
-	n := 0
-	for _, it := range items {
-		if to, ok := plan[it.ID]; ok && to != it.PE {
-			n++
-		}
-	}
-	return n
-}
-
 // GreedyLB is the classic greedy balancer: assign items in
 // descending-load order, each to the currently least-loaded PE. It
 // produces near-optimal balance but ignores current placement, so it

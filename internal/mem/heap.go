@@ -84,9 +84,6 @@ func checkRegion(op string, region vmem.Range) error {
 // Region returns the heap's address range.
 func (h *Heap) Region() vmem.Range { return h.region }
 
-// Space returns the address space the heap currently operates in.
-func (h *Heap) Space() *vmem.Space { return h.space }
-
 // Rebind points the heap at a different address space — the
 // post-migration step: the heap's addresses are globally unique
 // (isomalloc), so only the space changes, never the metadata.
@@ -94,20 +91,6 @@ func (h *Heap) Rebind(space *vmem.Space) {
 	h.mu.Lock()
 	h.space = space
 	h.mu.Unlock()
-}
-
-// AllocatedBytes returns the total bytes in live blocks.
-func (h *Heap) AllocatedBytes() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.allocatedBytes
-}
-
-// LiveBlocks returns the number of live allocations.
-func (h *Heap) LiveBlocks() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.allocs)
 }
 
 // Contains reports whether a was allocated from this heap.
@@ -241,15 +224,4 @@ func (h *Heap) insertFreeLocked(b Block) {
 		h.free[i-1].Size += h.free[i].Size
 		h.free = append(h.free[:i], h.free[i+1:]...)
 	}
-}
-
-// FreeSpace returns the total bytes on the free list.
-func (h *Heap) FreeSpace() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var n uint64
-	for _, b := range h.free {
-		n += b.Size
-	}
-	return n
 }

@@ -55,15 +55,6 @@ func (r IsoRegion) Slot(pe int) vmem.Range {
 // Range returns the whole region as a Range.
 func (r IsoRegion) Range() vmem.Range { return vmem.Range{Start: r.Start, Length: r.Size} }
 
-// Owner returns which PE's slot contains a, or -1 if outside the
-// region.
-func (r IsoRegion) Owner(a vmem.Addr) int {
-	if a < r.Start || a >= r.Start.Add(r.Size) {
-		return -1
-	}
-	return int(uint64(a-r.Start) / r.SlotSize())
-}
-
 // IsoAllocator hands out page-granular, globally-unique address
 // slabs from one PE's slot. It allocates *addresses*, not memory:
 // callers map pages in their own address space. Freed slabs are
@@ -88,9 +79,6 @@ func NewIsoAllocator(r IsoRegion, pe int) *IsoAllocator {
 // Region returns the machine-wide region the allocator's slot belongs
 // to.
 func (a *IsoAllocator) Region() IsoRegion { return a.region }
-
-// PE returns the owning processor index.
-func (a *IsoAllocator) PE() int { return a.pe }
 
 // Slot returns the allocator's address range.
 func (a *IsoAllocator) Slot() vmem.Range { return a.slot }
@@ -165,13 +153,4 @@ func (a *IsoAllocator) LiveSlabs() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.live)
-}
-
-// AddressSpaceDemand returns the virtual bytes the whole region
-// consumes on *every* processor — the n·s·p product that makes
-// isomalloc infeasible on 32-bit machines (§3.4.2): with n threads
-// per processor, s bytes per thread and p processors, at least n·s·p
-// bytes of address space are used on each node.
-func AddressSpaceDemand(threadsPerPE int, bytesPerThread uint64, numPEs int) uint64 {
-	return uint64(threadsPerPE) * bytesPerThread * uint64(numPEs)
 }

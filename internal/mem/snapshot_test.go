@@ -289,9 +289,6 @@ func TestIsoRangeAccessors(t *testing.T) {
 		t.Error("Range length mismatch")
 	}
 	a := NewIsoAllocator(region, 1)
-	if a.PE() != 1 {
-		t.Errorf("PE = %d", a.PE())
-	}
 	if a.Slot() != region.Slot(1) {
 		t.Error("Slot mismatch")
 	}

@@ -78,29 +78,6 @@ func (t *ThreadHeap) Free(a vmem.Addr) error {
 	return fmt.Errorf("mem: ThreadHeap.Free(%s): address not in any arena", a)
 }
 
-// AllocatedBytes sums live bytes across arenas.
-func (t *ThreadHeap) AllocatedBytes() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n uint64
-	for _, h := range t.arenas {
-		n += h.AllocatedBytes()
-	}
-	return n
-}
-
-// Arenas returns the address ranges of all arenas (for migration: the
-// pages to ship).
-func (t *ThreadHeap) Arenas() []vmem.Range {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]vmem.Range, len(t.arenas))
-	for i, h := range t.arenas {
-		out[i] = h.Region()
-	}
-	return out
-}
-
 // MappedPages returns all mapped heap pages across arenas (the pages
 // whose contents must move with the thread).
 func (t *ThreadHeap) MappedPages() []uint64 {
@@ -196,13 +173,6 @@ func (ip *Interposer) Exit() {
 	ip.mu.Lock()
 	ip.current = nil
 	ip.mu.Unlock()
-}
-
-// InThread reports whether a thread allocator is active.
-func (ip *Interposer) InThread() bool {
-	ip.mu.Lock()
-	defer ip.mu.Unlock()
-	return ip.current != nil
 }
 
 // Malloc allocates from the active thread allocator, or the system

@@ -37,19 +37,6 @@ const (
 	NameMemAlias  = "memalias"
 )
 
-// ByName returns the named strategy.
-func ByName(name string) (converse.StackStrategy, error) {
-	switch name {
-	case NameStackCopy:
-		return StackCopy{}, nil
-	case NameIsomalloc:
-		return Isomalloc{}, nil
-	case NameMemAlias:
-		return MemoryAlias{}, nil
-	}
-	return nil, fmt.Errorf("migrate: unknown strategy %q", name)
-}
-
 // All returns the three strategies in Table 1 row order.
 func All() []converse.StackStrategy {
 	return []converse.StackStrategy{StackCopy{}, Isomalloc{}, MemoryAlias{}}

@@ -57,13 +57,6 @@ func (k *Kernel) Profile() *platform.Profile { return k.prof }
 // Clock returns the kernel's virtual clock.
 func (k *Kernel) Clock() *simclock.Clock { return k.clock }
 
-// NumProcesses returns the number of live processes.
-func (k *Kernel) NumProcesses() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.procs)
-}
-
 // Fork creates a new process with its own address space, charging the
 // platform's process-creation cost, or fails with ErrLimit at the
 // platform's practical process limit. On platforms without fork
@@ -133,21 +126,10 @@ type Process struct {
 	threads map[Tid]*KThread
 }
 
-// Pid returns the process id.
-func (p *Process) Pid() Pid { return p.pid }
-
 // Space returns the process's private simulated address space. All
 // kernel threads of the process share it — the unintentional-sharing
 // hazard of §2.2 is real here too.
 func (p *Process) Space() *vmem.Space { return p.space }
-
-// NumThreads returns the number of live kernel threads (excluding the
-// implicit initial thread).
-func (p *Process) NumThreads() int {
-	p.k.mu.Lock()
-	defer p.k.mu.Unlock()
-	return len(p.threads)
-}
 
 // CreateThread creates a kernel thread in the process, charging the
 // creation cost, or fails with ErrLimit at the platform's pthread
@@ -188,19 +170,6 @@ func (p *Process) Exit() {
 type KThread struct {
 	proc *Process
 	tid  Tid
-}
-
-// Tid returns the thread id.
-func (t *KThread) Tid() Tid { return t.tid }
-
-// Process returns the owning process.
-func (t *KThread) Process() *Process { return t.proc }
-
-// Exit removes the thread from its process.
-func (t *KThread) Exit() {
-	t.proc.k.mu.Lock()
-	defer t.proc.k.mu.Unlock()
-	delete(t.proc.threads, t.tid)
 }
 
 // ProbeProcessLimit creates processes until Fork fails or cap is

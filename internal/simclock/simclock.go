@@ -61,9 +61,6 @@ func (c *Clock) AdvanceTo(ns float64) {
 // Now returns the current virtual time in nanoseconds.
 func (c *Clock) Now() float64 { return math.Float64frombits(c.bits.Load()) }
 
-// Reset rewinds the clock to zero (between benchmark configurations).
-func (c *Clock) Reset() { c.bits.Store(0) }
-
 // Stopwatch measures virtual-time intervals against a Clock.
 type Stopwatch struct {
 	c     *Clock
@@ -78,6 +75,3 @@ func NewStopwatch(c *Clock) *Stopwatch {
 // Elapsed returns nanoseconds of virtual time since the stopwatch
 // started (or was last Restarted).
 func (s *Stopwatch) Elapsed() float64 { return s.c.Now() - s.start }
-
-// Restart moves the start mark to now.
-func (s *Stopwatch) Restart() { s.start = s.c.Now() }

@@ -63,9 +63,6 @@ func (l *Layout) SlotOf(name string) (int, error) {
 	return 0, fmt.Errorf("swapglobal: unknown global %q", name)
 }
 
-// SizeOf returns the declared size of slot i's global.
-func (l *Layout) SizeOf(slot int) uint64 { return l.sizes[slot] }
-
 // TableBytes returns the GOT's size in memory, rounded to pages.
 func (l *Layout) TableBytes() uint64 {
 	return vmem.RoundUpPages(uint64(len(l.names)) * SlotSize)
@@ -92,9 +89,6 @@ func Install(space *vmem.Space, base vmem.Addr, layout *Layout) (*GOT, error) {
 	return &GOT{layout: layout, space: space, base: base}, nil
 }
 
-// Layout returns the module layout the table serves.
-func (g *GOT) Layout() *Layout { return g.layout }
-
 // SlotAddr returns the address of GOT slot i itself.
 func (g *GOT) SlotAddr(slot int) vmem.Addr {
 	return g.base.Add(uint64(slot) * SlotSize)
@@ -115,9 +109,6 @@ func (g *GOT) Swap(image []vmem.Addr) error {
 	g.swaps++
 	return nil
 }
-
-// Swaps returns how many times the table has been swapped.
-func (g *GOT) Swaps() uint64 { return g.swaps }
 
 // Resolve reads slot i and returns the current storage address of
 // global i — the load every global access performs in a dynamically
@@ -194,16 +185,6 @@ func (in *Instance) Restore(layout *Layout, vars []uint64) error {
 // Image returns the slot values to install on switch-in. The caller
 // must not mutate it.
 func (in *Instance) Image() []vmem.Addr { return in.vars }
-
-// VarAddr returns the storage address of the named global in this
-// instance (for direct initialization).
-func (in *Instance) VarAddr(name string) (vmem.Addr, error) {
-	slot, err := in.layout.SlotOf(name)
-	if err != nil {
-		return vmem.Nil, err
-	}
-	return in.vars[slot], nil
-}
 
 // Release frees the instance's storage back to alloc (thread exit on
 // the birth PE).

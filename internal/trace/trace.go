@@ -63,16 +63,6 @@ type Log struct {
 // New returns an enabled log.
 func New() *Log { return &Log{enabled: true} }
 
-// Enabled reports whether Record stores events.
-func (l *Log) Enabled() bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.enabled
-}
-
 // Record appends an event (no-op on a nil or disabled log).
 func (l *Log) Record(e Event) {
 	if l == nil {
@@ -98,13 +88,6 @@ func (l *Log) Events() []Event {
 		return out[i].TimeNs < out[j].TimeNs
 	})
 	return out
-}
-
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
 }
 
 // Counts tallies events by kind.

@@ -76,9 +76,6 @@ func (f *Frame) markDirty() {
 	}
 }
 
-// Refs returns the current mapping count (for tests and accounting).
-func (f *Frame) Refs() int { return f.refs }
-
 // mapping is one page-table entry, held by value: a protection plus
 // the frame, nil until the page is first touched. owned marks frames
 // the space allocated itself (touched anonymous pages), the only ones

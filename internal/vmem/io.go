@@ -1,9 +1,6 @@
 package vmem
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "encoding/binary"
 
 // Typed accessors. All multi-byte values in simulated memory are
 // little-endian, matching the x86 machines that motivate the paper.
@@ -28,22 +25,6 @@ func (s *Space) WriteUint64(a Addr, v uint64) error {
 	return s.Write(a, b[:])
 }
 
-// ReadUint32 reads a little-endian uint32 at a.
-func (s *Space) ReadUint32(a Addr) (uint32, error) {
-	var b [4]byte
-	if err := s.Read(a, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// WriteUint32 writes a little-endian uint32 at a.
-func (s *Space) WriteUint32(a Addr, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return s.Write(a, b[:])
-}
-
 // ReadAddr reads a simulated pointer stored at a.
 func (s *Space) ReadAddr(a Addr) (Addr, error) {
 	v, err := s.ReadUint64(a)
@@ -53,15 +34,4 @@ func (s *Space) ReadAddr(a Addr) (Addr, error) {
 // WriteAddr stores the simulated pointer v at a.
 func (s *Space) WriteAddr(a Addr, v Addr) error {
 	return s.WriteUint64(a, uint64(v))
-}
-
-// ReadFloat64 reads a float64 (IEEE 754 bits, little-endian) at a.
-func (s *Space) ReadFloat64(a Addr) (float64, error) {
-	v, err := s.ReadUint64(a)
-	return math.Float64frombits(v), err
-}
-
-// WriteFloat64 writes a float64 at a.
-func (s *Space) WriteFloat64(a Addr, v float64) error {
-	return s.WriteUint64(a, math.Float64bits(v))
 }

@@ -115,14 +115,6 @@ func NewSpace(limit uint64) *Space {
 // Limit returns the configured virtual-size limit (0 = unlimited).
 func (s *Space) Limit() uint64 { return s.limit }
 
-// VirtualInUse returns the bytes of virtual address space currently
-// consumed (reservations plus pages mapped outside reservations).
-func (s *Space) VirtualInUse() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.virtualInUseLocked()
-}
-
 func (s *Space) virtualInUseLocked() uint64 {
 	return s.reservedBytes + s.mappedOutside*PageSize
 }
@@ -182,28 +174,6 @@ func (s *Space) Reserve(a Addr, length uint64) error {
 	sort.Slice(s.reserved, func(i, j int) bool { return s.reserved[i].Start < s.reserved[j].Start })
 	s.reservedBytes += length
 	return nil
-}
-
-// Unreserve releases a reservation previously made with Reserve; the
-// range must exactly match. Pages mapped inside it remain mapped and
-// begin counting against the limit individually.
-func (s *Space) Unreserve(a Addr, length uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, o := range s.reserved {
-		if o.Start == a && o.Length == length {
-			s.reserved = append(s.reserved[:i], s.reserved[i+1:]...)
-			s.reservedBytes -= length
-			// Re-count pages mapped inside the released range.
-			for vpn := a.PageNum(); vpn < a.Add(length).PageNum(); vpn++ {
-				if _, ok := s.pages[vpn]; ok {
-					s.mappedOutside++
-				}
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("vmem: Unreserve(%s, %d): no such reservation", a, length)
 }
 
 // Map maps [a, a+length) with the given protection, like anonymous
@@ -315,29 +285,6 @@ func (s *Space) Protect(a Addr, length uint64, prot Prot) error {
 	return nil
 }
 
-// Frames returns the frames backing [a, a+length) in order, for
-// aliasing into another location or extracting for migration. The
-// range must be page-aligned and fully mapped; its untouched pages get
-// their frames first, so an alias shares every page from the start.
-func (s *Space) Frames(a Addr, length uint64) ([]*Frame, error) {
-	if a.Offset() != 0 || length%PageSize != 0 || length == 0 {
-		return nil, fmt.Errorf("vmem: Frames(%s, %d): range must be non-empty and page-aligned", a, length)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	first, n := a.PageNum(), length/PageSize
-	for vpn := first; vpn < first+n; vpn++ {
-		if _, ok := s.pages[vpn]; !ok {
-			return nil, &Fault{Op: OpRead, Addr: Addr(vpn << PageShift), Reason: "not mapped"}
-		}
-	}
-	out := make([]*Frame, n)
-	for i := range out {
-		out[i] = s.touchLocked(first + uint64(i))
-	}
-	return out, nil
-}
-
 // touchLocked returns the frame of mapped page vpn, giving an untouched
 // page a fresh zeroed one first. Caller holds the write lock.
 func (s *Space) touchLocked(vpn uint64) *Frame {
@@ -348,21 +295,6 @@ func (s *Space) touchLocked(vpn uint64) *Frame {
 		s.pages[vpn] = m
 	}
 	return m.frame
-}
-
-// Mapped reports whether every page of [a, a+length) is mapped.
-func (s *Space) Mapped(a Addr, length uint64) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if length == 0 {
-		length = 1
-	}
-	for vpn := a.PageNum(); vpn <= (a + Addr(length) - 1).PageNum(); vpn++ {
-		if _, ok := s.pages[vpn]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Read copies len(p) bytes starting at a into p, faulting on unmapped
@@ -528,21 +460,4 @@ func (s *Space) CopyOut(a Addr, length uint64) ([]byte, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// Zero clears [a, a+length), which must be writable.
-func (s *Space) Zero(a Addr, length uint64) error {
-	var zeros [PageSize]byte
-	for length > 0 {
-		n := uint64(PageSize)
-		if length < n {
-			n = length
-		}
-		if err := s.Write(a, zeros[:n]); err != nil {
-			return err
-		}
-		a = a.Add(n)
-		length -= n
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -19,32 +18,6 @@ func TestAddrGeometry(t *testing.T) {
 	}
 	if got := a.AlignDown(); got != 0x12000 {
 		t.Errorf("AlignDown = %s, want 0x12000", got)
-	}
-	if got := a.AlignUp(); got != 0x13000 {
-		t.Errorf("AlignUp = %s, want 0x13000", got)
-	}
-	if got := Addr(0x12000).AlignUp(); got != 0x12000 {
-		t.Errorf("AlignUp(aligned) = %s, want 0x12000", got)
-	}
-}
-
-func TestPageSpan(t *testing.T) {
-	cases := []struct {
-		a    Addr
-		n    uint64
-		want uint64
-	}{
-		{0x1000, 0, 0},
-		{0x1000, 1, 1},
-		{0x1000, PageSize, 1},
-		{0x1000, PageSize + 1, 2},
-		{0x1fff, 2, 2},
-		{0x1fff, 1, 1},
-	}
-	for _, c := range cases {
-		if got := PageSpan(c.a, c.n); got != c.want {
-			t.Errorf("PageSpan(%s, %d) = %d, want %d", c.a, c.n, got, c.want)
-		}
 	}
 }
 
@@ -296,28 +269,6 @@ func TestReserveOverlapFails(t *testing.T) {
 	if err := s.Reserve(0x12000, 4*PageSize); err == nil {
 		t.Error("overlapping Reserve should fail")
 	}
-	if err := s.Unreserve(0x10000, 4*PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reserve(0x12000, 4*PageSize); err != nil {
-		t.Errorf("Reserve after Unreserve: %v", err)
-	}
-}
-
-func TestUnreserveRecountsMappedPages(t *testing.T) {
-	s := NewSpace(0)
-	if err := s.Reserve(0x10000, 4*PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Map(0x10000, 2*PageSize, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unreserve(0x10000, 4*PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.VirtualInUse(); got != 2*PageSize {
-		t.Errorf("VirtualInUse after Unreserve = %d, want %d", got, 2*PageSize)
-	}
 }
 
 func TestTypedAccessors(t *testing.T) {
@@ -331,50 +282,11 @@ func TestTypedAccessors(t *testing.T) {
 	if v, err := s.ReadUint64(0x1008); err != nil || v != 0xdeadbeefcafe {
 		t.Errorf("ReadUint64 = %#x/%v", v, err)
 	}
-	if err := s.WriteUint32(0x1020, 0x12345678); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := s.ReadUint32(0x1020); err != nil || v != 0x12345678 {
-		t.Errorf("ReadUint32 = %#x/%v", v, err)
-	}
 	if err := s.WriteAddr(0x1030, 0xABCD000); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := s.ReadAddr(0x1030); err != nil || v != 0xABCD000 {
 		t.Errorf("ReadAddr = %s/%v", v, err)
-	}
-	if err := s.WriteFloat64(0x1040, 3.25); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := s.ReadFloat64(0x1040); err != nil || v != 3.25 {
-		t.Errorf("ReadFloat64 = %v/%v", v, err)
-	}
-}
-
-func TestZero(t *testing.T) {
-	s := NewSpace(0)
-	if err := s.Map(0x1000, 3*PageSize, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	fill := bytes.Repeat([]byte{0xFF}, 2*PageSize)
-	if err := s.Write(0x1000, fill); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Zero(0x1100, PageSize+512); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, PageSize+512)
-	if err := s.Read(0x1100, got); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range got {
-		if b != 0 {
-			t.Fatalf("byte %d not zeroed", i)
-		}
-	}
-	b := make([]byte, 1)
-	if err := s.Read(0x1000+0xFF, b); err != nil || b[0] != 0xFF {
-		t.Errorf("byte before Zero range clobbered: %#x/%v", b[0], err)
 	}
 }
 
@@ -422,51 +334,6 @@ func TestRangeHelpers(t *testing.T) {
 	}
 	if !r.Overlaps(Range{0x1fff, 1}) || r.Overlaps(Range{0x2000, 1}) {
 		t.Error("Overlaps wrong at boundaries")
-	}
-}
-
-func TestMappingsCoalesce(t *testing.T) {
-	s := NewSpace(0)
-	if err := s.Map(0x1000, 3*PageSize, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Map(0x4000, PageSize, ProtRead); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Map(0x9000, 2*PageSize, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	ms := s.Mappings()
-	if len(ms) != 3 {
-		t.Fatalf("mappings = %v", ms)
-	}
-	// Adjacent equal-prot pages coalesce.
-	if ms[0].Range.Length != 3*PageSize || ms[0].Prot != ProtRW {
-		t.Errorf("first mapping %v", ms[0])
-	}
-	// Adjacent but different-prot does NOT (0x1000..0x4000 vs 0x4000).
-	if ms[1].Range.Start != 0x4000 || ms[1].Prot != ProtRead {
-		t.Errorf("second mapping %v", ms[1])
-	}
-	// Non-adjacent stays separate.
-	if ms[2].Range.Start != 0x9000 {
-		t.Errorf("third mapping %v", ms[2])
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	s := NewSpace(1 << 30)
-	if err := s.Reserve(0x40000000, 16*PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Map(0x1000, PageSize, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	out := s.Describe()
-	for _, want := range []string{"reserved", "rw-", "virtual in use", "of 1073741824"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Describe missing %q:\n%s", want, out)
-		}
 	}
 }
 

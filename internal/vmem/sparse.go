@@ -185,31 +185,3 @@ func (s *Space) CopyInRuns(runs []Run) error {
 	}
 	return nil
 }
-
-// DirtyPages counts the dirty mapped pages in [a, a+length) (for
-// tests and accounting); an untouched page is clean.
-func (s *Space) DirtyPages(a Addr, length uint64) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for vpn := a.PageNum(); vpn < a.Add(length).PageNum(); vpn++ {
-		if f := s.pages[vpn].frame; f != nil && f.Dirty() {
-			n++
-		}
-	}
-	return n
-}
-
-// ClearDirty resets the dirty bit of every mapped page in the range —
-// the post-snapshot step for callers that keep the pages mapped (an
-// in-place checkpoint baseline). Migration does not need it: extract
-// unmaps the source pages and recycled frames come back clean.
-func (s *Space) ClearDirty(a Addr, length uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for vpn := a.PageNum(); vpn < a.Add(length).PageNum(); vpn++ {
-		if f := s.pages[vpn].frame; f != nil {
-			f.dirty.Store(false)
-		}
-	}
-}

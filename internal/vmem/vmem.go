@@ -45,26 +45,12 @@ func (a Addr) Offset() uint64 { return uint64(a) & PageMask }
 // AlignDown rounds a down to a page boundary.
 func (a Addr) AlignDown() Addr { return a &^ Addr(PageMask) }
 
-// AlignUp rounds a up to a page boundary.
-func (a Addr) AlignUp() Addr { return (a + PageMask) &^ Addr(PageMask) }
-
 // Add returns a+n; it exists to keep pointer arithmetic on simulated
 // addresses explicit and greppable.
 func (a Addr) Add(n uint64) Addr { return a + Addr(n) }
 
 // String formats the address like a pointer.
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
-
-// PageSpan returns the number of pages spanned by the byte range
-// [a, a+length).
-func PageSpan(a Addr, length uint64) uint64 {
-	if length == 0 {
-		return 0
-	}
-	first := a.PageNum()
-	last := (a + Addr(length) - 1).PageNum()
-	return last - first + 1
-}
 
 // RoundUpPages rounds a byte count up to a whole number of pages.
 func RoundUpPages(n uint64) uint64 {
