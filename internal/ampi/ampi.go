@@ -737,7 +737,19 @@ func (r *Rank) run(c *converse.Ctx) {
 	for !pc.exec() {
 		r.block()
 	}
-	r.job.remaining.Add(-1)
+	if r.job.remaining.Add(-1) == 0 {
+		r.job.endULT()
+	}
+}
+
+// endULT runs once, in the thread of whichever rank finished last: it
+// removes every rank's directory entry and deliver handler, which hold
+// the job, so a machine that runs many jobs does not keep the finished
+// ones.
+func (j *Job) endULT() {
+	for i := range j.ranks {
+		j.m.DeregisterEntity(j.entity(i))
+	}
 }
 
 // block suspends the thread until a delivery or the LB gate wakes it.

@@ -9,8 +9,8 @@ import (
 
 // TestEventStepAllocatesNothing: once built, an event-mode Step on a
 // 16×16×16 torus over 32 simulating PEs allocates nothing — each PE's
-// pre-step clock is a word of its peClock, which stays one 64-byte
-// line.
+// pre-step clock, largest target clock and cell bounds are words of its
+// peClock, which stays one 64-byte line.
 func TestEventStepAllocatesNothing(t *testing.T) {
 	if size := unsafe.Sizeof(peClock{}); size != 64 {
 		t.Errorf("peClock is %d B, want 64", size)

@@ -39,9 +39,7 @@ package bigsim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"migflow/internal/comm"
 	"migflow/internal/platform"
@@ -119,22 +117,16 @@ func DefaultConfig() Config {
 // event mode the whole flow, a plain state struct whose step body the
 // owning PE runs inline; in ULT mode the state a parked goroutine
 // steps. A ULT target's hand-off channel lives beside it in
-// Simulator.handoff, which event mode never allocates.
+// Simulator.handoff, which event mode never allocates; its target
+// clock lives in Simulator.tprev/tnext.
 type tproc struct {
 	id    int32
 	simPE int32
 
 	// nbrs caches the six torus neighbour ids (+x,-x,+y,-y,+z,-z),
 	// computed once in New instead of redoing coords/modulo math on
-	// every post of every step.
+	// every step.
 	nbrs [6]int32
-
-	// tclock is the *target* machine's virtual time on this target
-	// processor — the quantity BigSim exists to predict. It advances
-	// by target work and waits on target message arrivals,
-	// independently of how target processors are packed onto
-	// simulating PEs.
-	tclock float64
 }
 
 // StepStats reports one simulated timestep.
@@ -174,12 +166,14 @@ const (
 // begin and summarize run between the PEs' turns under both drivers,
 // and a ULT target steps only while its PE's driver waits on the
 // target's hand-off channel — so they are plain fields, not atomics.
-// The padding keeps PEs driven in parallel off each other's cache line.
+// It fills one 64-byte line, which keeps PEs driven in parallel off
+// each other's.
 type peClock struct {
 	now                     float64 // nanoseconds
 	start                   float64 // now when begin started the step
 	cross, intra, env, coal int64
-	_                       [64 - 6*8]byte
+	tmax                    float64 // the largest target clock of the PE's cells
+	c0, c1                  int32   // the PE's cells are store[c0:c1]
 }
 
 // Simulator runs the target machine, driving one slab [lo, hi) of the
@@ -187,9 +181,10 @@ type peClock struct {
 // NewShard. Every driver steps it with local (begin, runSlab,
 // summarize) and stats; a shard merges its peers' summaries between.
 //
-// A word written only by its PE's driver is a plain field (clocks,
-// aggCount, aggPend); a word other PEs write under StepParallel is
-// atomic (mail, recvPending, arrNext).
+// Every word a step writes belongs to one PE's driver: its clock, its
+// cells' next target clocks, its aggregation rows. Other PEs only read
+// the previous step's target clocks, which nobody writes during a
+// step, so no word is atomic.
 type Simulator struct {
 	cfg   Config
 	store []tproc // all targets, block-mapped: PE pe's are store[first(pe):first(pe+1)]
@@ -218,25 +213,28 @@ type Simulator struct {
 	// EventDispatch.At(flows) in event mode. The resident flow count
 	// is fixed after New, so this is precomputed once.
 	dispatch []float64
-	// workNs is the per-step force-computation cost of one cell.
-	workNs float64
+	// workNs is the per-step force-computation cost of one cell;
+	// sendNs the sender's injection overhead of one cross-PE ghost.
+	workNs, sendNs float64
+	// ghostNs is one ghost's latency on the target network.
+	ghostNs float64
 
-	// mail[i] counts ghosts delivered to target proc i for the next
-	// step (contents abstracted: MD forces are modeled work). Atomic:
-	// StepParallel posts from all simulating PEs concurrently.
-	mail []atomic.Int64
+	// recv[pe] is the handling time PE pe owes at a step's start for
+	// the previous step's per-message cross-PE ghosts. The torus fixes
+	// how many arrive, so New sums them once, in the same sequential
+	// adds of one constant a per-ghost charge would make; zero when
+	// aggregating.
+	recv []float64
 
-	// recvPending[pe] accumulates message-handling time (float64
-	// bits) each simulating PE owes at the start of its next step.
-	// Atomic: every PE that posts to pe's targets adds to it.
-	recvPending []atomic.Uint64
-
-	// Target-time prediction: ghost arrival times (target clock,
-	// float64 bits) for the current and next step, double-buffered so
-	// a step's posts constrain only the *next* step. Atomic: arrNext
-	// takes the maximum of every neighbour's post, from any PE.
-	arrNow  []atomic.Uint64
-	arrNext []atomic.Uint64
+	// Target-time prediction: tprev[i] is target i's clock — the
+	// *target* machine's virtual time, which BigSim exists to predict —
+	// after the previous step, tnext[i] after this one. A cell's step
+	// cannot start before its six neighbours' ghosts arrive on the
+	// target network, so it reads their tprev and writes its own tnext;
+	// begin swaps the two. Its clock advances by target work and waits
+	// on arrivals only, independently of how target processors are
+	// packed onto simulating PEs.
+	tprev, tnext []float64
 
 	// Streaming aggregation; the rows are nil unless Config.Aggregate.
 	// aggCount[src][dst] counts ghosts coalesced into the (src,dst)
@@ -247,29 +245,6 @@ type Simulator struct {
 	// receiver's float adds are deterministic under every driver.
 	aggCount [][]int64
 	aggPend  [][]float64
-}
-
-// atomicMaxFloat raises a (float64-bits) atomic to at least v.
-func atomicMaxFloat(a *atomic.Uint64, v float64) {
-	for {
-		old := a.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if a.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// atomicAddFloat adds v to a float64-bits atomic.
-func atomicAddFloat(a *atomic.Uint64, v float64) {
-	for {
-		old := a.Load()
-		if a.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
 }
 
 // errNegativeCharge is a Config whose costs would move a clock
@@ -336,21 +311,23 @@ func New(cfg Config) (*Simulator, error) {
 	if t < cfg.SimPEs {
 		return nil, fmt.Errorf("bigsim: %d target processors on %d simulating PEs", t, cfg.SimPEs)
 	}
+	ghost := cfg.Latency.Cost(cfg.GhostBytes)
 	s := &Simulator{
-		cfg:         cfg,
-		store:       make([]tproc, t),
-		clocks:      make([]peClock, cfg.SimPEs),
-		lat:         cfg.Latency,
-		prof:        cfg.Platform,
-		hi:          cfg.SimPEs,
-		dispatch:    make([]float64, cfg.SimPEs),
-		workNs:      float64(cfg.AtomsPerCell) * cfg.WorkPerAtomNs,
-		mail:        make([]atomic.Int64, t),
-		recvPending: make([]atomic.Uint64, cfg.SimPEs),
-		arrNow:      make([]atomic.Uint64, t),
-		arrNext:     make([]atomic.Uint64, t),
-		aggCount:    make([][]int64, cfg.SimPEs),
-		aggPend:     make([][]float64, cfg.SimPEs),
+		cfg:      cfg,
+		store:    make([]tproc, t),
+		clocks:   make([]peClock, cfg.SimPEs),
+		lat:      cfg.Latency,
+		prof:     cfg.Platform,
+		hi:       cfg.SimPEs,
+		dispatch: make([]float64, cfg.SimPEs),
+		workNs:   float64(cfg.AtomsPerCell) * cfg.WorkPerAtomNs,
+		sendNs:   ghost * sendOverheadFrac,
+		ghostNs:  cfg.TargetLatency.Cost(cfg.GhostBytes),
+		recv:     make([]float64, cfg.SimPEs),
+		tprev:    make([]float64, t),
+		tnext:    make([]float64, t),
+		aggCount: make([][]int64, cfg.SimPEs),
+		aggPend:  make([][]float64, cfg.SimPEs),
 	}
 	dispatch := s.prof.UThreadSwitch
 	if cfg.Mode == ModeEvent {
@@ -365,11 +342,25 @@ func New(cfg Config) (*Simulator, error) {
 			s.aggCount[pe] = make([]int64, cfg.SimPEs)
 			s.aggPend[pe] = make([]float64, cfg.SimPEs)
 		}
-		for i := s.first(pe); i < s.first(pe+1); i++ {
+		c0, c1 := s.first(pe), s.first(pe+1)
+		s.clocks[pe].c0, s.clocks[pe].c1 = int32(c0), int32(c1)
+		// Each cell gets one ghost from each neighbour; those from
+		// outside the PE are the cross-PE ghosts it handles per step.
+		inbound := 0
+		for i := c0; i < c1; i++ {
 			p := &s.store[i]
 			p.id, p.simPE = int32(i), int32(pe)
 			for d, dir := range torusDirs {
-				p.nbrs[d] = int32(s.neighbor(i, dir[0], dir[1], dir[2]))
+				nb := s.neighbor(i, dir[0], dir[1], dir[2])
+				p.nbrs[d] = int32(nb)
+				if nb < c0 || nb >= c1 {
+					inbound++
+				}
+			}
+		}
+		if !cfg.Aggregate {
+			for ; inbound > 0; inbound-- {
+				s.recv[pe] += ghost * recvOverheadFrac
 			}
 		}
 	}
@@ -402,7 +393,7 @@ func (s *Simulator) coords(id int) (x, y, z int) {
 }
 
 // torusDirs are the six ghost-exchange directions, in the fixed
-// (+x,-x,+y,-y,+z,-z) order both backends post in.
+// (+x,-x,+y,-y,+z,-z) order both backends send in.
 var torusDirs = [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
 
 // neighbor returns the torus neighbour of id along (dx,dy,dz).
@@ -415,7 +406,7 @@ func (s *Simulator) neighbor(id, dx, dy, dz int) int {
 }
 
 // stepBody is one target processor's MD timestep — compute, target
-// clock, ghost posts — shared verbatim by both backends, so the
+// clock, ghost sends — shared verbatim by both backends, so the
 // target-machine prediction and message counts cannot depend on the
 // mode. Only the flow-dispatch cost charged to the simulating PE's
 // clock (s.dispatch, fixed in New) differs between backends.
@@ -425,16 +416,48 @@ func (s *Simulator) stepBody(p *tproc) {
 	clock.now += s.dispatch[p.simPE]
 	// Force computation over the cell's atoms.
 	clock.now += s.workNs
-	// Target-machine prediction: this step cannot begin before
-	// last step's ghosts arrived on the target network, and costs
-	// the target processor its per-cell work.
-	if arr := math.Float64frombits(s.arrNow[p.id].Load()); arr > p.tclock {
-		p.tclock = arr
+	// Target-machine prediction: this step cannot begin before last
+	// step's ghosts arrived on the target network, and costs the
+	// target processor its per-cell work. Every ghost pays the same
+	// latency and rounding is monotone, so the latest arrival is the
+	// latest neighbour clock plus one latency.
+	t := s.tprev[p.id]
+	if s.steps > 0 {
+		arr := s.tprev[p.nbrs[0]]
+		for _, nb := range p.nbrs[1:] {
+			if tn := s.tprev[nb]; tn > arr {
+				arr = tn
+			}
+		}
+		if arr += s.ghostNs; arr > t {
+			t = arr
+		}
 	}
-	p.tclock += s.cfg.TargetWorkNs
-	// Ghost exchange with the six torus neighbours (precomputed ids).
+	t += s.cfg.TargetWorkNs
+	s.tnext[p.id] = t
+	if t > clock.tmax {
+		clock.tmax = t
+	}
+	// Ghost exchange with the six torus neighbours: the sender's share
+	// of each message's cost. The receiver's is in s.recv.
 	for _, nb := range p.nbrs {
-		s.post(p, clock, nb)
+		if nb >= clock.c0 && nb < clock.c1 {
+			// Intra-PE: a queue operation, no wire.
+			clock.now += 120
+			clock.intra++
+			continue
+		}
+		clock.cross++
+		if s.cfg.Aggregate {
+			// Coalesce into the (src,dst) envelope; costs are charged
+			// when the envelope flushes at the end of this PE's turn.
+			s.aggCount[p.simPE][s.store[nb].simPE]++
+			continue
+		}
+		// Cross-PE, per-message: the sender pays injection overhead
+		// now. (Wire latency itself overlaps with the step's
+		// computation.)
+		clock.now += s.sendNs
 	}
 }
 
@@ -450,36 +473,6 @@ func (s *Simulator) run(p *tproc, c chan struct{}) {
 		s.stepBody(p)
 		c <- struct{}{}
 	}
-}
-
-// post records a ghost message from p to target proc dst and charges
-// send/receive costs; clock is p's simulating PE's.
-func (s *Simulator) post(p *tproc, clock *peClock, dst int32) {
-	s.mail[dst].Add(1)
-	// Target-network arrival constrains dst's NEXT step on the
-	// target machine (always over the target network: every cell is
-	// its own target processor).
-	atomicMaxFloat(&s.arrNext[dst], p.tclock+s.cfg.TargetLatency.Cost(s.cfg.GhostBytes))
-	dpe := s.store[dst].simPE
-	if dpe == p.simPE {
-		// Intra-PE: a queue operation, no wire.
-		clock.now += 120
-		clock.intra++
-		return
-	}
-	clock.cross++
-	if s.cfg.Aggregate {
-		// Coalesce into the (src,dst) envelope; costs are charged when
-		// the envelope flushes at the end of this PE's turn.
-		s.aggCount[p.simPE][dpe]++
-		return
-	}
-	// Cross-PE, per-message: the sender pays injection overhead now;
-	// the receiver pays handling time at the start of its next step.
-	// (Wire latency itself overlaps with the step's computation.)
-	cost := s.lat.Cost(s.cfg.GhostBytes)
-	clock.now += cost * sendOverheadFrac
-	atomicAddFloat(&s.recvPending[dpe], cost*recvOverheadFrac)
 }
 
 // flushAgg sends PE pe's coalesced envelopes: one per destination PE
@@ -502,44 +495,20 @@ func (s *Simulator) flushAgg(pe int) {
 	}
 }
 
-// errGhostCount is a cell of the slab without one ghost from each
-// neighbour at a step's start: in one process a broken invariant (Step
-// panics with it), across processes a peer's short frame.
-var errGhostCount = errors.New("bigsim: ghost count")
-
-// ghostsPerCell is the mail every cell receives per step, one ghost
-// from each torus neighbour.
-const ghostsPerCell = 6
-
-// begin starts a step on the slab — counters reset, each clock's
-// start noted, last step's mail checked and cleared, arrival buffers
-// rotated, inbound handling charged.
-func (s *Simulator) begin() error {
+// begin starts a step on the slab — target-clock buffers swapped,
+// counters reset, each clock's start noted, inbound handling charged.
+func (s *Simulator) begin() {
+	s.tprev, s.tnext = s.tnext, s.tprev
+	// Every PE's inbound ghost handling is charged before any PE runs:
+	// last step's cross-PE messages are paid at this step's start,
+	// independent of the order (or concurrency) in which PEs execute.
 	for pe := s.lo; pe < s.hi; pe++ {
 		c := &s.clocks[pe]
 		c.cross, c.intra, c.env, c.coal = 0, 0, 0, 0
 		c.start = c.now
-	}
-	c0, c1 := s.first(s.lo), s.first(s.hi) // the slab's cells
-	if s.steps > 0 {
-		for i := c0; i < c1; i++ {
-			if n := s.mail[i].Swap(0); n != ghostsPerCell {
-				return fmt.Errorf("%w: cell %d has %d ghosts, want %d", errGhostCount, i, n, ghostsPerCell)
-			}
+		if s.steps > 0 {
+			c.now += s.recv[pe]
 		}
-	}
-	// Rotate the target-arrival buffers: last step's posts constrain
-	// this step. Cells outside the slab hold no arrivals (a shard's
-	// harvest took them), so only the slab's need clearing.
-	s.arrNow, s.arrNext = s.arrNext, s.arrNow
-	for i := c0; i < c1; i++ {
-		s.arrNext[i].Store(0)
-	}
-	// Drain every PE's inbound ghost handling before any PE runs:
-	// last step's cross-PE messages are charged at this step's start,
-	// independent of the order (or concurrency) in which PEs execute.
-	for pe := s.lo; pe < s.hi; pe++ {
-		s.clocks[pe].now += math.Float64frombits(s.recvPending[pe].Swap(0))
 	}
 	// Same, for last step's coalesced envelopes — drained in fixed
 	// (src,dst) order so receiver clocks advance identically under
@@ -552,7 +521,6 @@ func (s *Simulator) begin() error {
 			}
 		}
 	}
-	return nil
 }
 
 // runPE runs one simulating PE's resident target flows serially: in
@@ -615,9 +583,7 @@ func (s *Simulator) summarize() summary {
 		sum.env += c.env
 		sum.coal += c.coal
 		sum.maxDelta = max(sum.maxDelta, c.now-c.start)
-	}
-	for _, p := range s.store[s.first(s.lo):s.first(s.hi)] {
-		sum.tAfter = max(sum.tAfter, p.tclock)
+		sum.tAfter = max(sum.tAfter, c.tmax)
 	}
 	return sum
 }
@@ -649,31 +615,19 @@ func (s *Simulator) stats(sum summary) StepStats {
 }
 
 // local runs the slab's part of one step and returns its summary.
-func (s *Simulator) local(parallel bool) (summary, error) {
-	if err := s.begin(); err != nil {
-		return summary{}, err
-	}
+func (s *Simulator) local(parallel bool) summary {
+	s.begin()
 	s.runSlab(parallel)
-	return s.summarize(), nil
-}
-
-// step is Step and StepParallel: the whole machine is one slab with no
-// peers, so a broken ghost count can only be a bug here.
-func (s *Simulator) step(parallel bool) StepStats {
-	sum, err := s.local(parallel)
-	if err != nil {
-		panic(err)
-	}
-	return s.stats(sum)
+	return s.summarize()
 }
 
 // Step advances the whole target machine one MD timestep, driving the
 // simulating PEs from this goroutine (deterministic).
-func (s *Simulator) Step() StepStats { return s.step(false) }
+func (s *Simulator) Step() StepStats { return s.stats(s.local(false)) }
 
 // StepParallel is Step with every simulating PE driven by its own
 // goroutine; every virtual result is identical to Step's.
-func (s *Simulator) StepParallel() StepStats { return s.step(true) }
+func (s *Simulator) StepParallel() StepStats { return s.stats(s.local(true)) }
 
 // Run executes steps timesteps and returns per-step stats.
 func (s *Simulator) Run(steps int) []StepStats {

@@ -7,13 +7,13 @@ import (
 )
 
 // TestTargetFootprint pins what a target processor costs. Its state is
-// {id, simPE, nbrs, tclock} in 40 bytes. In event mode New holds that
-// plus the cell's mail count and two arrival words, ≤ 72 B of live heap
-// per target on the paper's 64×56×56 torus over 32 simulating PEs, and
-// starts no goroutine; in ULT mode it starts one goroutine per target.
+// {id, simPE, nbrs} in 32 bytes. In event mode New holds that plus the
+// cell's two target-clock words, ≤ 56 B of live heap per target on the
+// paper's 64×56×56 torus over 32 simulating PEs, and starts no
+// goroutine; in ULT mode it starts one goroutine per target.
 func TestTargetFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(tproc{}); size > 40 {
-		t.Errorf("tproc is %d B, want ≤ 40", size)
+	if size := unsafe.Sizeof(tproc{}); size > 32 {
+		t.Errorf("tproc is %d B, want ≤ 32", size)
 	}
 
 	var before, after runtime.MemStats
@@ -30,8 +30,8 @@ func TestTargetFootprint(t *testing.T) {
 	perTarget := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(s.NumTargets())
 	runtime.KeepAlive(s)
 	t.Logf("event mode: %d targets, %.1f B of live heap per target", s.NumTargets(), perTarget)
-	if perTarget > 72 {
-		t.Errorf("event mode holds %.1f B per target, want ≤ 72", perTarget)
+	if perTarget > 56 {
+		t.Errorf("event mode holds %.1f B per target, want ≤ 56", perTarget)
 	}
 	if g1 != g0 {
 		t.Errorf("event mode started %d goroutines, want none", g1-g0)

@@ -3,22 +3,21 @@
 // runtime. The caller decides the split (package shard's Cut). Each
 // worker builds the full (cheap, array-only) simulator state but
 // drives only its own slab, with the in-process Simulator's step; per
-// timestep the workers exchange one delta frame per peer carrying
-// everything a step writes across the cut:
+// timestep the workers exchange one frame per peer carrying what the
+// peer reads of this slab:
 //
-//   - ghost mail counts and target-network arrival maxima for the
-//     peer's frontier cells,
+//   - the end-of-step target clocks of this slab's cells that neighbour
+//     the peer's cells, in ascending cell order — both sides derive
+//     the list from the torus, so the frame carries no ids,
 //   - streaming-aggregation envelope pendings for the peer's PEs,
-//   - the worker's simulating-clock advance and target-clock maxima
+//   - the worker's simulating-clock advance and target-clock maximum
 //     plus its message counters, so every worker reconstructs the
 //     identical merged StepStats.
 //
 // Bitwise determinism is the contract (the 2-process prediction must
-// equal the 1-process one), so the frame never ships a pre-summed
-// receiver-side float: per-message handling costs are applied as N
-// individual adds of the same constant — associative regardless of
-// how the senders were grouped — while max-combined quantities
-// (arrival times, clock maxima) ship as partial maxima, which are
+// equal the 1-process one). Target clocks cross as the exact values
+// the in-process step reads; per-message receiver handling is fixed by
+// the torus and summed in New on every worker alike; clock maxima are
 // order-free by construction. Aggregation pendings have a single
 // writer per (src,dst) slot, so those cross as exact values.
 //
@@ -29,7 +28,7 @@ package bigsim
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 
 	"migflow/internal/pup"
 )
@@ -45,9 +44,12 @@ type Shard struct {
 	index int
 	owner func(pe int) int
 
-	// frontier[w] lists the cells owned by worker w that this slab's
-	// posts can touch (torus neighbours of local cells), ascending.
-	frontier [][]int32
+	// imports[w] lists the cells owned by worker w that neighbour this
+	// slab's cells, whose clocks w's frame carries; exports[w] the
+	// cells of this slab that neighbour w's, whose clocks this slab's
+	// frame to w carries. Both are ascending, so worker w's exports to
+	// this slab are, in order, this slab's imports from w.
+	imports, exports [][]int32
 }
 
 // NewShard builds worker index's view of the simulation: it drives the
@@ -71,16 +73,25 @@ func NewShard(cfg Config, index, workers, lo, hi int, owner func(pe int) int) (*
 		return nil, err
 	}
 	s.lo, s.hi = lo, hi
-	sh := &Shard{S: s, index: index, owner: owner, frontier: make([][]int32, workers)}
+	sh := &Shard{S: s, index: index, owner: owner, imports: make([][]int32, workers), exports: make([][]int32, workers)}
 	seen := make(map[int32]bool)
 	for _, p := range s.store[s.first(lo):s.first(hi)] {
 		for _, nb := range p.nbrs {
 			w := owner(int(s.store[nb].simPE))
-			if w != index && !seen[nb] {
+			if w == index {
+				continue
+			}
+			if !seen[nb] {
 				seen[nb] = true
-				sh.frontier[w] = append(sh.frontier[w], nb)
+				sh.imports[w] = append(sh.imports[w], nb)
+			}
+			if ex := sh.exports[w]; len(ex) == 0 || ex[len(ex)-1] != p.id {
+				sh.exports[w] = append(ex, p.id)
 			}
 		}
+	}
+	for _, im := range sh.imports {
+		slices.Sort(im)
 	}
 	return sh, nil
 }
@@ -88,20 +99,11 @@ func NewShard(cfg Config, index, workers, lo, hi int, owner func(pe int) int) (*
 // inSlab reports whether simulating PE pe is one this slab drives.
 func (s *Simulator) inSlab(pe int) bool { return pe >= s.lo && pe < s.hi }
 
-// shardFrame is one worker's per-step delta for one peer.
+// shardFrame is one worker's per-step frame for one peer.
 type shardFrame struct {
 	summary
-	cells []cellDelta
-	agg   []aggDelta
-}
-
-// cellDelta carries the ghosts a slab posted to one remote cell: the
-// mail count (which is also the number of per-message handling costs
-// the cell's PE owes) and the max target-network arrival.
-type cellDelta struct {
-	id   int32
-	mail int64
-	arr  float64
+	clocks []float64 // the target clocks of the sender's exports to the peer
+	agg    []aggDelta
 }
 
 // aggDelta is one coalesced envelope's receiver pending.
@@ -115,10 +117,7 @@ type aggDelta struct {
 // ones in the same shape; the returned stats are the full machine's,
 // identical on every worker.
 func (sh *Shard) Step(exchange func(out [][]byte) ([][]byte, error)) (StepStats, error) {
-	sum, err := sh.S.local(false)
-	if err != nil {
-		return StepStats{}, err
-	}
+	sum := sh.S.local(false)
 	out, err := sh.harvest(sum)
 	if err != nil {
 		return StepStats{}, err
@@ -140,19 +139,15 @@ func (sh *Shard) Step(exchange func(out [][]byte) ([][]byte, error)) (StepStats,
 	return sh.S.stats(sum), nil
 }
 
-// harvest drains everything the step wrote across the cut into one
-// frame per peer, each headed by the slab's summary.
+// harvest packs what each peer reads of the step into one frame per
+// peer, each headed by the slab's summary.
 func (sh *Shard) harvest(sum summary) ([][]byte, error) {
 	s := sh.S
-	frames := make([]shardFrame, len(sh.frontier))
+	frames := make([]shardFrame, len(sh.exports))
 	for w := range frames {
 		frames[w].summary = sum
-		for _, id := range sh.frontier[w] {
-			mail := s.mail[id].Swap(0)
-			arr := math.Float64frombits(s.arrNext[id].Swap(0))
-			if mail != 0 || arr != 0 {
-				frames[w].cells = append(frames[w].cells, cellDelta{id: id, mail: mail, arr: arr})
-			}
+		for _, id := range sh.exports[w] {
+			frames[w].clocks = append(frames[w].clocks, s.tnext[id])
 		}
 	}
 	if s.cfg.Aggregate {
@@ -188,24 +183,17 @@ func (sh *Shard) apply(w int, data []byte) (summary, error) {
 	if f.step != s.steps {
 		return summary{}, fmt.Errorf("%w: worker %d is at step %d, this one at %d", errBadFrame, w, f.step, s.steps)
 	}
-	// Per-message receiver handling is N adds of the same constant, so
-	// grouping by sender cannot change the accumulated bits.
-	recvCost := s.lat.Cost(s.cfg.GhostBytes) * recvOverheadFrac
-	for _, c := range f.cells {
-		if c.id < 0 || int(c.id) >= len(s.store) || !s.inSlab(int(s.store[c.id].simPE)) {
-			return summary{}, fmt.Errorf("%w: worker %d posted to cell %d, not in this slab", errBadFrame, w, c.id)
+	im := sh.imports[w]
+	if len(f.clocks) != len(im) {
+		return summary{}, fmt.Errorf("%w: worker %d sent %d target clocks, want %d", errBadFrame, w, len(f.clocks), len(im))
+	}
+	for i, t := range f.clocks {
+		if !(t >= 0) {
+			return summary{}, fmt.Errorf("%w: worker %d sent target clock %v for cell %d", errBadFrame, w, t, im[i])
 		}
-		if c.mail < 0 || c.mail > ghostsPerCell-s.mail[c.id].Load() {
-			return summary{}, fmt.Errorf("%w: worker %d posted %d ghosts to cell %d, which holds %d of %d", errBadFrame, w, c.mail, c.id, s.mail[c.id].Load(), ghostsPerCell)
-		}
-		s.mail[c.id].Add(c.mail)
-		atomicMaxFloat(&s.arrNext[c.id], c.arr)
-		if !s.cfg.Aggregate {
-			pe := int(s.store[c.id].simPE)
-			for k := int64(0); k < c.mail; k++ {
-				atomicAddFloat(&s.recvPending[pe], recvCost)
-			}
-		}
+	}
+	for i, id := range im {
+		s.tnext[id] = f.clocks[i]
 	}
 	for _, a := range f.agg {
 		if !s.cfg.Aggregate || a.src < 0 || int(a.src) >= s.cfg.SimPEs || s.inSlab(int(a.src)) || !s.inSlab(int(a.dst)) {
@@ -216,11 +204,11 @@ func (sh *Shard) apply(w int, data []byte) (summary, error) {
 	return f.summary, nil
 }
 
-// frameCellMin / frameAggMin are the minimum encoded entry sizes the
+// frameClockMin / frameAggMin are the minimum encoded entry sizes the
 // decoder validates claimed counts against.
 const (
-	frameCellMin = 8 + 8 + 8
-	frameAggMin  = 8 + 8 + 8
+	frameClockMin = 8
+	frameAggMin   = 8 + 8 + 8
 )
 
 func encodeFrame(f *shardFrame) ([]byte, error) {
@@ -228,12 +216,12 @@ func encodeFrame(f *shardFrame) ([]byte, error) {
 	if err := pupFrameHeader(p, f); err != nil {
 		return nil, err
 	}
-	ncells, nagg := len(f.cells), len(f.agg)
-	if err := p.Int(&ncells); err != nil {
+	nclocks, nagg := len(f.clocks), len(f.agg)
+	if err := p.Int(&nclocks); err != nil {
 		return nil, err
 	}
-	for i := range f.cells {
-		if err := pupCellDelta(p, &f.cells[i]); err != nil {
+	for i := range f.clocks {
+		if err := p.Float64(&f.clocks[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -254,18 +242,18 @@ func decodeFrame(data []byte) (*shardFrame, error) {
 	if err := pupFrameHeader(p, f); err != nil {
 		return nil, err
 	}
-	var ncells int
-	if err := p.Int(&ncells); err != nil {
+	var nclocks int
+	if err := p.Int(&nclocks); err != nil {
 		return nil, err
 	}
-	// Division, not ncells*frameCellMin: a hostile count near MaxInt64
-	// would overflow the product and slip past the bound.
-	if ncells < 0 || ncells > p.Remaining()/frameCellMin {
-		return nil, fmt.Errorf("frame claims %d cells with %d bytes remaining", ncells, p.Remaining())
+	// Division, not nclocks*frameClockMin: a hostile count near
+	// MaxInt64 would overflow the product and slip past the bound.
+	if nclocks < 0 || nclocks > p.Remaining()/frameClockMin {
+		return nil, fmt.Errorf("frame claims %d clocks with %d bytes remaining", nclocks, p.Remaining())
 	}
-	f.cells = make([]cellDelta, ncells)
-	for i := range f.cells {
-		if err := pupCellDelta(p, &f.cells[i]); err != nil {
+	f.clocks = make([]float64, nclocks)
+	for i := range f.clocks {
+		if err := p.Float64(&f.clocks[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -308,26 +296,6 @@ func pupFrameHeader(p *pup.PUPer, f *shardFrame) error {
 		return err
 	}
 	return p.Float64(&f.tAfter)
-}
-
-func pupCellDelta(p *pup.PUPer, c *cellDelta) error {
-	id := int64(c.id)
-	if err := p.Int64(&id); err != nil {
-		return err
-	}
-	if err := p.Int64(&c.mail); err != nil {
-		return err
-	}
-	if err := p.Float64(&c.arr); err != nil {
-		return err
-	}
-	if p.IsUnpacking() {
-		if id != int64(int32(id)) {
-			return fmt.Errorf("cell id %d beyond int32", id)
-		}
-		c.id = int32(id)
-	}
-	return nil
 }
 
 func pupAggDelta(p *pup.PUPer, a *aggDelta) error {

@@ -163,13 +163,12 @@ func TestShardOddSplit(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameHostileCounts: a frame's cell and envelope counts are
-// bounded by the bytes that follow them. 768,614,336,404,564,651 × 24
-// wraps to 8, so a product bound lets that count through to a
-// make([]cellDelta, n) that panics; the division form refuses it, and
-// the other counts that would wrap, by name.
+// TestDecodeFrameHostileCounts: a frame's clock and envelope counts
+// are bounded by the bytes that follow them. (2^61+1) × 8 and
+// 768,614,336,404,564,651 × 24 both wrap to 8, so a product bound
+// would let those counts through to a make that panics; the division
+// form refuses them, and the other counts that would wrap, by name.
 func TestDecodeFrameHostileCounts(t *testing.T) {
-	const wraps = 768_614_336_404_564_651 // ×24 ≡ 8 (mod 2^64)
 	frame := func(counts ...int) []byte {
 		p := pup.NewGrowPacker()
 		if err := pupFrameHeader(p, &shardFrame{}); err != nil {
@@ -186,8 +185,8 @@ func TestDecodeFrameHostileCounts(t *testing.T) {
 		}
 		return p.PackedBytes()
 	}
-	for _, n := range []int{-1, wraps, 1 << 62, math.MaxInt64} {
-		for name, data := range map[string][]byte{"cells": frame(n), "envelopes": frame(0, n)} {
+	for _, n := range []int{-1, 1<<61 + 1, 768_614_336_404_564_651, 1 << 62, math.MaxInt64} {
+		for name, data := range map[string][]byte{"clocks": frame(n), "envelopes": frame(0, n)} {
 			if _, err := decodeFrame(data); err == nil {
 				t.Errorf("decodeFrame accepted %d %s", n, name)
 			}
@@ -196,15 +195,16 @@ func TestDecodeFrameHostileCounts(t *testing.T) {
 }
 
 // hostileShard is worker 0 of a 4×4×4 machine split over 2 workers,
-// one PE each, and a cell of its slab.
-func hostileShard(t testing.TB) (*Shard, int32) {
+// one PE each, and the number of target clocks worker 1's frame must
+// carry.
+func hostileShard(t testing.TB) (*Shard, int) {
 	t.Helper()
 	cfg := Config{X: 4, Y: 4, Z: 4, SimPEs: 2, Mode: ModeEvent, AtomsPerCell: 4, WorkPerAtomNs: 10, GhostBytes: 64, Aggregate: true}
 	sh, err := NewShard(cfg, 0, 2, 0, 1, func(pe int) int { return pe })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sh, sh.S.store[0].id
+	return sh, len(sh.imports[1])
 }
 
 // stepWith runs one Step whose exchange hands back frame as worker 1's.
@@ -213,66 +213,76 @@ func stepWith(sh *Shard, frame []byte) error {
 	return err
 }
 
-// packFrame packs a step-0 frame of raw int64 cell entries (id, mail)
-// and envelope entries (src, dst), as a peer could put on the wire.
-func packFrame(t testing.TB, cells, envs [][2]int64) []byte {
+// packFrame packs a step-0 frame of raw target clocks and envelope
+// entries (src, dst), as a peer could put on the wire.
+func packFrame(t testing.TB, clocks []float64, envs [][2]int64) []byte {
 	t.Helper()
 	p := pup.NewGrowPacker()
 	if err := pupFrameHeader(p, &shardFrame{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, list := range [][][2]int64{cells, envs} {
-		n := len(list)
-		if err := p.Int(&n); err != nil {
+	n := len(clocks)
+	if err := p.Int(&n); err != nil {
+		t.Fatal(err)
+	}
+	for i := range clocks {
+		if err := p.Float64(&clocks[i]); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range list {
-			v := 1.0
-			if err := errors.Join(p.Int64(&e[0]), p.Int64(&e[1]), p.Float64(&v)); err != nil {
-				t.Fatal(err)
-			}
+	}
+	n = len(envs)
+	if err := p.Int(&n); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range envs {
+		v := 1.0
+		if err := errors.Join(p.Int64(&e[0]), p.Int64(&e[1]), p.Float64(&v)); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return p.PackedBytes()
 }
 
-// TestShardRejectsHostileFrames: a step frame that writes outside the
-// slab is refused by name from Step — a cell id of -1, an id that
-// aliases a local cell once truncated to int32, an envelope from PE
-// -1, and more ghosts than a cell can hold, which the next step's
-// start would otherwise trip over. None may panic.
+// clocksWith returns n zero target clocks with clock i set to v.
+func clocksWith(n, i int, v float64) []float64 {
+	c := make([]float64, n)
+	c[i] = v
+	return c
+}
+
+// TestShardRejectsHostileFrames: a step frame that is not exactly the
+// clocks this slab reads, or writes outside the slab, is refused by
+// name from the Step it arrives at — one clock too many, one too few,
+// a NaN or a negative clock, and an envelope from PE -1. None may
+// panic; the frame the slab expects passes.
 func TestShardRejectsHostileFrames(t *testing.T) {
-	_, local := hostileShard(t)
+	_, n := hostileShard(t)
 	for name, frame := range map[string][]byte{
-		"cell -1":         packFrame(t, [][2]int64{{-1, 1}}, nil),
-		"truncated id":    packFrame(t, [][2]int64{{1<<32 + int64(local), 1}}, nil),
-		"envelope src -1": packFrame(t, nil, [][2]int64{{-1, 0}}),
-		"overfilled cell": packFrame(t, [][2]int64{{int64(local), ghostsPerCell + 1}}, nil),
-		"negative mail":   packFrame(t, [][2]int64{{int64(local), -1}}, nil),
+		"one clock too many": packFrame(t, make([]float64, n+1), nil),
+		"short frame":        packFrame(t, make([]float64, n-1), nil),
+		"NaN clock":          packFrame(t, clocksWith(n, n/2, math.NaN()), nil),
+		"negative clock":     packFrame(t, clocksWith(n, 0, -1), nil),
+		"envelope src -1":    packFrame(t, make([]float64, n), [][2]int64{{-1, 0}}),
 	} {
 		sh, _ := hostileShard(t)
 		if err := stepWith(sh, frame); !errors.Is(err, errBadFrame) {
 			t.Errorf("%s: Step returned %v, want errBadFrame", name, err)
 		}
 	}
-	// A short frame passes its own step and is caught at the next one.
 	sh, _ := hostileShard(t)
-	if err := stepWith(sh, packFrame(t, nil, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := stepWith(sh, packFrame(t, nil, nil)); !errors.Is(err, errGhostCount) {
-		t.Errorf("step after a short frame returned %v, want errGhostCount", err)
+	if err := stepWith(sh, packFrame(t, make([]float64, n), [][2]int64{{1, 0}})); err != nil {
+		t.Errorf("a well-formed frame: Step returned %v", err)
 	}
 }
 
 // FuzzBigSimFrame decodes and applies arbitrary bytes as a peer's step
 // frame on a fresh shard, then steps once more: each Step ends in
-// success, errBadFrame or errGhostCount, never a panic.
+// success or errBadFrame, never a panic.
 func FuzzBigSimFrame(f *testing.F) {
-	sh, local := hostileShard(f)
+	sh, n := hostileShard(f)
 	f.Add(packFrame(f, nil, nil))
-	f.Add(packFrame(f, [][2]int64{{int64(local), 2}}, [][2]int64{{1, 0}}))
-	f.Add(packFrame(f, [][2]int64{{-1, 1}}, [][2]int64{{-1, 0}}))
+	f.Add(packFrame(f, make([]float64, n), [][2]int64{{1, 0}}))
+	f.Add(packFrame(f, clocksWith(n, 0, math.NaN()), [][2]int64{{-1, 0}}))
 	out, err := sh.harvest(summary{})
 	if err != nil {
 		f.Fatal(err)
@@ -282,8 +292,8 @@ func FuzzBigSimFrame(f *testing.F) {
 		sh, _ := hostileShard(t)
 		for i := 0; i < 2; i++ {
 			if err := stepWith(sh, frame); err != nil {
-				if !errors.Is(err, errBadFrame) && !errors.Is(err, errGhostCount) {
-					t.Fatalf("step %d: %v is neither errBadFrame nor errGhostCount", i, err)
+				if !errors.Is(err, errBadFrame) {
+					t.Fatalf("step %d: %v is not errBadFrame", i, err)
 				}
 				return
 			}

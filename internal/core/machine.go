@@ -217,6 +217,14 @@ func (m *Machine) RegisterEntity(id comm.EntityID, pe int, handler func(pe int, 
 	return nil
 }
 
+// DeregisterEntity removes what RegisterEntity added: the entity's
+// directory entry and its handler. A message still in flight to it is
+// then dropped at Pump.
+func (m *Machine) DeregisterEntity(id comm.EntityID) {
+	m.net.Deregister(id)
+	m.handlers.Delete(id)
+}
+
 // entityRange is one dense ID block sharing a handler: [lo, hi].
 type entityRange struct {
 	lo, hi  comm.EntityID

@@ -5,3 +5,11 @@ package core
 // parked with nothing to do accumulates at most a few per wake event;
 // a busy-spinning implementation accumulates millions.
 func (m *Machine) IdlePolls() uint64 { return m.idlePolls.Load() }
+
+// NumHandlers returns how many per-entity handlers RegisterEntity has
+// installed and DeregisterEntity not yet removed.
+func (m *Machine) NumHandlers() int {
+	n := 0
+	m.handlers.Range(func(any, any) bool { n++; return true })
+	return n
+}

@@ -1,10 +1,10 @@
 package shard
 
 // BigSim across processes: each worker drives a slab of the
-// simulating PEs (bigsim.Shard) and the per-step delta frames cross
-// the worker mesh as ctrlBlob control frames through a control-only
-// transport (no comm.Network attached) — BigSim has its own clocks and
-// mailboxes, so it needs the wire, not a comm.Network. The path is
+// simulating PEs (bigsim.Shard) and the per-step frames cross the
+// worker mesh as ctrlBlob control frames through a control-only
+// transport (no comm.Network attached) — BigSim has its own clocks
+// and target-clock buffers, so it needs the wire, not a comm.Network. The path is
 // the same on every fabric. Every worker reconstructs the identical
 // merged StepStats stream, and that stream must match the 1-process
 // simulator bit for bit.
