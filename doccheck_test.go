@@ -1,6 +1,7 @@
 package migflow_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -257,6 +258,55 @@ func TestRoadmapItemRefs(t *testing.T) {
 				t.Errorf("%s:%d: ROADMAP item %d is done, and the line citing it must say so", f, at, n)
 			}
 		}
+	}
+}
+
+// readmeCount matches README's count of the tests `go test ./...` runs.
+var readmeCount = regexp.MustCompile(`(\d+) top-level Test functions and (\d+) fuzz targets across (\d+) packages`)
+
+// TestReadmeTestCount checks README's count of top-level Test functions,
+// fuzz targets and the packages holding them against the tree that
+// `go test ./...` builds: every _test.go file outside bench/ (a module
+// of its own) and hidden directories. TestMain is no test.
+func TestReadmeTestCount(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func (?:(Test)[A-Z0-9_]\w*\(\w+ \*testing\.T\)|(Fuzz)[A-Z0-9_]\w*\(\w+ \*testing\.F\))`)
+	tests, fuzz, pkgs := 0, 0, map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || path == "bench"):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, "_test.go"):
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range decl.FindAllStringSubmatch(string(data), -1) {
+				if m[1] != "" {
+					tests++
+				} else {
+					fuzz++
+				}
+				pkgs[filepath.Dir(path)] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := readmeCount.FindStringSubmatch(string(data))
+	if m == nil {
+		t.Fatal("README.md states no count of Test functions, fuzz targets and packages")
+	}
+	if got := fmt.Sprintf("%d %d %d", tests, fuzz, len(pkgs)); got != strings.Join(m[1:], " ") {
+		t.Errorf("README.md says %s Test functions, %s fuzz targets and %s packages; the tree has %d, %d and %d",
+			m[1], m[2], m[3], tests, fuzz, len(pkgs))
 	}
 }
 

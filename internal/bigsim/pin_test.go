@@ -1,7 +1,9 @@
 package bigsim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -45,6 +47,64 @@ func TestStepPinnedOnOddTori(t *testing.T) {
 					t.Errorf("%s %s aggregate=%v parallel=%v step %d: %#x, want %#x",
 						pin.torus, pin.mode, pin.agg, parallel, i+1, got, pin.want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestStepReadsTheSixNeighbours pins which cells a step reads. Before
+// each step it writes seeded, distinct previous-step clocks into the
+// simulator, one cell's far above the rest, and after it checks every
+// cell's new clock against a reference that finds the six torus
+// neighbours from coordinates by its own arithmetic: the later of the
+// cell's own clock and the largest neighbour clock plus one ghost's
+// latency, plus the target work. Every cell takes the high clock once,
+// so every neighbour relation is checked exactly, not only where the
+// seeded clocks happen to make it the maximum. Odd tori, both modes,
+// both drivers, with and without aggregation.
+func TestStepReadsTheSixNeighbours(t *testing.T) {
+	for _, torus := range [][4]int{{3, 5, 7, 4}, {5, 1, 3, 2}} {
+		for _, mode := range []string{ModeEvent, ModeULT} {
+			for _, agg := range []bool{false, true} {
+				for _, parallel := range []bool{false, true} {
+					name := fmt.Sprintf("%dx%dx%d/%s/aggregate=%v/parallel=%v", torus[0], torus[1], torus[2], mode, agg, parallel)
+					t.Run(name, func(t *testing.T) { checkNeighbourReads(t, torus, mode, agg, parallel) })
+				}
+			}
+		}
+	}
+}
+
+func checkNeighbourReads(t *testing.T, torus [4]int, mode string, agg, parallel bool) {
+	X, Y, Z := torus[0], torus[1], torus[2]
+	s, err := New(Config{X: X, Y: Y, Z: Z, SimPEs: torus[3], AtomsPerCell: 10, WorkPerAtomNs: 5, GhostBytes: 64, Mode: mode, Aggregate: agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	step := s.Step
+	if parallel {
+		step = s.StepParallel
+	}
+	step() // the first step reads no ghosts
+	n := X * Y * Z
+	rng := rand.New(rand.NewSource(int64(n)))
+	prev := make([]float64, n)
+	for hot := 0; hot < n; hot++ {
+		for i, v := range rng.Perm(n) {
+			prev[i] = 1e6 + 997*float64(v)
+		}
+		prev[hot] = 1e9
+		// The next step's begin swaps tnext in as the clocks it reads.
+		copy(s.tnext, prev)
+		step()
+		for i := range prev {
+			x, y, z := i%X, i/X%Y, i/(X*Y)
+			cell := func(x, y, z int) float64 { return prev[(x+X)%X+X*((y+Y)%Y+Y*((z+Z)%Z))] }
+			arr := max(cell(x+1, y, z), cell(x-1, y, z), cell(x, y+1, z), cell(x, y-1, z), cell(x, y, z+1), cell(x, y, z-1))
+			want := max(prev[i], arr+s.ghostNs) + s.cfg.TargetWorkNs
+			if got := s.tnext[i]; got != want {
+				t.Fatalf("high clock on cell %d: cell %d (%d,%d,%d) steps to %v, want %v", hot, i, x, y, z, got, want)
 			}
 		}
 	}

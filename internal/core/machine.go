@@ -80,18 +80,11 @@ type Machine struct {
 	// handlerOf for when it is consulted.
 	ranges atomic.Pointer[[]entityRange]
 
-	// idlePolls counts the times a PE in RunParallel found no work and
-	// parked — a liveness diagnostic: a quiescent machine should park,
-	// not accumulate these.
-	idlePolls atomic.Uint64
-
-	// gates holds one wake gate per PE while RunParallel is active.
-	gates []*wakeGate
-
-	// moving counts MigrateMany batches in flight. A flow inside a batch
-	// sits in no inbox and no ready queue, so RunParallel's detector does
-	// not call the machine quiescent while one runs.
-	moving atomic.Int32
+	// det is RunParallel's quiescence detector over the local PEs, and
+	// parkCh[i] the channel local PE LocalPELo+i parks on; detMu guards both.
+	detMu  sync.Mutex
+	det    detector
+	parkCh []chan struct{}
 }
 
 // NewMachine boots the machine: one address space, kernel heap,
@@ -126,6 +119,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 		net:    comm.NewNetwork(cfg.NumPEs, cfg.Latency),
 		layout: cfg.Globals,
 	}
+	for range cfg.LocalPEHi - cfg.LocalPELo {
+		m.parkCh = append(m.parkCh, make(chan struct{}))
+	}
+	m.det = detector{armed: make([]bool, len(m.parkCh)), parked: make([]bool, len(m.parkCh))}
 	for i := 0; i < cfg.NumPEs; i++ {
 		pe, err := converse.NewPE(converse.PEConfig{
 			Index:     i,
@@ -355,13 +352,12 @@ func (m *Machine) FinishRemoteMigration(id comm.EntityID, dest int, departNs flo
 	}
 }
 
-// Pump drains PE pe's network inbox through each message's handler,
-// advancing the PE clock to each message's arrival time. It returns
-// the number of messages processed.
-// Pump does NOT advance the PE clock: a message's arrival time is
-// charged when it is *consumed* (AMPI Recv, chare dispatch), not when
-// the transport hands it over — otherwise a fast sender's timestamp
-// would serialize a receiver that still has independent work to do.
+// Pump drains PE pe's network inbox through each message's handler
+// and returns the number of messages processed. It does NOT advance
+// the PE clock: a message's arrival time is charged when it is
+// *consumed* (AMPI Recv, chare dispatch), not when the transport hands
+// it over — otherwise a fast sender's timestamp would serialize a
+// receiver that still has independent work to do.
 func (m *Machine) Pump(pe int) int {
 	ep := m.net.Endpoint(pe)
 	n := 0
@@ -422,68 +418,57 @@ func (m *Machine) RunUntilQuiescent() {
 // RunParallel runs every local PE scheduler in its own goroutine — the
 // wall-clock execution mode — until end reports true. A PE with no
 // ready thread pumps its inbox once and, if that brought no work,
-// parks on its wake gate; message delivery, thread enqueues and Wake
-// fire the gate, so a parked PE consumes no CPU.
+// parks until a delivery, a thread enqueue or Wake releases it, so a
+// parked PE consumes no CPU.
 //
 // Every PE that finds no work calls end before it parks, and tells it
-// whether the machine is quiescent: every local PE parked, every local
-// inbox and ready queue empty, no MigrateMany batch in flight, and no
-// parked PE woken while this was checked. Only the PE that parks last
-// checks, so the detector costs nothing per message. The first true
-// ends the run for every PE. end is called concurrently and must be
-// thread-safe. A machine whose end keeps answering false stays parked:
-// whoever flips the answer from outside the machine (not a thread body
-// or message handler) calls Wake so the PEs ask again.
+// whether the machine is quiescent (detector.go): every local PE
+// parked, every local inbox and ready queue empty, and no MigrateMany
+// batch in flight. Only the PE that parks last checks, so the detector
+// costs nothing per message. The first true ends the run for every PE.
+// end is called concurrently and must be thread-safe. A machine whose
+// end keeps answering false stays parked: whoever flips the answer
+// from outside the machine (not a thread body or message handler)
+// calls Wake so the PEs ask again.
 func (m *Machine) RunParallel(end func(quiet bool) bool) {
 	lo, hi := m.cfg.LocalPELo, m.cfg.LocalPEHi
-	local := int32(hi - lo)
-	var (
-		p     parking
-		ended atomic.Bool
-	)
-	gates := make([]*wakeGate, len(m.pes))
-	for i := lo; i < hi; i++ {
-		gates[i] = &wakeGate{ch: make(chan struct{}), p: &p}
-	}
-	m.mu.Lock()
-	m.gates = gates
-	m.mu.Unlock()
-	// quiescent is the detector's scan, run by the PE that parks last.
-	quiescent := func() bool {
-		w := p.woken.Load()
-		for i := lo; i < hi; i++ {
-			if m.net.Endpoint(i).Pending() > 0 || m.pes[i].Sched.ReadyLen() > 0 {
-				return false
-			}
-		}
-		return m.moving.Load() == 0 && p.parked.Load() == local && p.woken.Load() == w
-	}
+	m.detect(func(d *detector) { d.start() })
 	var wg sync.WaitGroup
 	for i := lo; i < hi; i++ {
-		i, pe, gate := i, m.pes[i], gates[i]
-		m.net.Endpoint(i).SetWakeHook(gate.wake)
-		pe.Sched.SetWakeHook(gate.wake)
+		i, k, pe := i, i-lo, m.pes[i]
+		wake := func() { m.wake(k, k+1) }
+		m.net.Endpoint(i).SetWakeHook(wake)
+		pe.Sched.SetWakeHook(wake)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			pe.Sched.Run(func() bool {
-				// Arm the gate BEFORE checking for work: any wake
-				// after this point closes the channel the PE parks
-				// on, so a delivery racing the checks below cannot be
-				// lost.
-				ch := gate.arm()
-				if ended.Load() {
+				var (
+					armed, last bool
+					ch          <-chan struct{}
+					ticket      uint64
+				)
+				// Arm the gate BEFORE checking for work: any wake after
+				// this point closes the channel the PE parks on, so a
+				// delivery racing the checks below cannot be lost.
+				m.detect(func(d *detector) { armed, ch = d.arm(k), m.parkCh[k] })
+				if !armed {
 					return false
 				}
 				if m.Pump(i) > 0 || pe.Sched.ReadyLen() > 0 {
 					return true
 				}
-				if end(gate.park() == local && quiescent()) {
-					ended.Store(true)
+				m.detect(func(d *detector) { last, ticket = d.park(k) })
+				quiet := last // the last PE to park reads every queue
+				for j := lo; j < hi && quiet; j++ {
+					quiet = m.net.Endpoint(j).Pending() == 0 && m.pes[j].Sched.ReadyLen() == 0
+				}
+				m.detect(func(d *detector) { quiet = last && d.scan(ticket, quiet) })
+				if end(quiet) {
+					m.detect(func(d *detector) { d.end() })
 					m.Wake() // the other PEs are parked; let them see it
 					return false
 				}
-				m.idlePolls.Add(1)
 				<-ch
 				return true
 			})
@@ -494,80 +479,31 @@ func (m *Machine) RunParallel(end func(quiet bool) bool) {
 		m.net.Endpoint(i).SetWakeHook(nil)
 		m.pes[i].Sched.SetWakeHook(nil)
 	}
-	m.mu.Lock()
-	m.gates = nil
-	m.mu.Unlock()
 }
 
 // Wake makes every parked PE of a running RunParallel look for work
 // and ask its end callback again. Callers that flip end's answer from
 // outside the machine use it to make the flip observable.
-func (m *Machine) Wake() {
-	m.mu.Lock()
-	gates := m.gates
-	m.mu.Unlock()
-	for _, g := range gates {
-		if g != nil {
-			g.wake()
+func (m *Machine) Wake() { m.wake(0, len(m.parkCh)) }
+
+// detect runs one detector event under detMu.
+func (m *Machine) detect(event func(d *detector)) {
+	m.detMu.Lock()
+	event(&m.det)
+	m.detMu.Unlock()
+}
+
+// wake hands the detector a wake of local PEs [lo, hi) under one lock:
+// each gate that was armed has the channel its PE parks on closed and
+// replaced. The wake hooks call it directly, not through detect, which
+// would cost them two calls more.
+func (m *Machine) wake(lo, hi int) {
+	m.detMu.Lock()
+	for k := lo; k < hi; k++ {
+		if m.det.wake(k) {
+			close(m.parkCh[k])
+			m.parkCh[k] = make(chan struct{})
 		}
 	}
-}
-
-// wakeGate parks one idle PE. arm returns the channel to park on;
-// wake closes the current channel (releasing the PE) and installs a
-// fresh one. Arming before checking for work makes wakeups impossible
-// to lose: every wake that matters happens after the arm and
-// therefore closes the armed channel. Wakes arriving while the gate is
-// not armed are no-ops, so a busy phase costs deliverers nothing but
-// the flag check.
-type wakeGate struct {
-	mu     sync.Mutex
-	ch     chan struct{}
-	armed  bool
-	parked bool // counted in p.parked; only wake uncounts it
-	p      *parking
-}
-
-// parking is what one run's gates share with its quiescence detector:
-// how many PEs are parked, and how many times a parked PE was woken.
-// Both change only under a gate's lock, together with its flags, so a
-// PE counts as parked exactly until the wake that releases it.
-type parking struct {
-	parked atomic.Int32
-	woken  atomic.Uint64
-}
-
-func (g *wakeGate) arm() <-chan struct{} {
-	g.mu.Lock()
-	g.armed = true
-	ch := g.ch
-	g.mu.Unlock()
-	return ch
-}
-
-// park counts the PE as parked and returns how many are, or 0 if a
-// wake since arm already released it.
-func (g *wakeGate) park() int32 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.armed {
-		return 0
-	}
-	g.parked = true
-	return g.p.parked.Add(1)
-}
-
-func (g *wakeGate) wake() {
-	g.mu.Lock()
-	if g.armed {
-		close(g.ch)
-		g.ch = make(chan struct{})
-		g.armed = false
-		if g.parked {
-			g.parked = false
-			g.p.parked.Add(-1)
-			g.p.woken.Add(1)
-		}
-	}
-	g.mu.Unlock()
+	m.detMu.Unlock()
 }

@@ -4,7 +4,10 @@ package core
 // and parked on its wake gate since the machine booted. A machine
 // parked with nothing to do accumulates at most a few per wake event;
 // a busy-spinning implementation accumulates millions.
-func (m *Machine) IdlePolls() uint64 { return m.idlePolls.Load() }
+func (m *Machine) IdlePolls() (n uint64) {
+	m.detect(func(d *detector) { n = d.parks })
+	return n
+}
 
 // NumHandlers returns how many per-entity handlers RegisterEntity has
 // installed and DeregisterEntity not yet removed.

@@ -31,11 +31,9 @@ type Move struct {
 // of the batch. A running RunParallel does not end while a batch is in
 // flight, and is woken when it finishes.
 func (m *Machine) MigrateMany(moves []Move) (int, error) {
-	m.moving.Add(1)
-	defer func() {
-		m.moving.Add(-1)
-		m.Wake()
-	}()
+	m.detect(func(d *detector) { d.batchBegin() })
+	defer m.Wake() // after batchEnd: deferred calls run last first
+	defer m.detect(func(d *detector) { d.batchEnd() })
 	ops := make([]migrate.Op, 0, len(moves))
 	for _, mv := range moves {
 		if mv.Dest < 0 || mv.Dest >= len(m.pes) {

@@ -84,15 +84,6 @@ func checkRegion(op string, region vmem.Range) error {
 // Region returns the heap's address range.
 func (h *Heap) Region() vmem.Range { return h.region }
 
-// Rebind points the heap at a different address space — the
-// post-migration step: the heap's addresses are globally unique
-// (isomalloc), so only the space changes, never the metadata.
-func (h *Heap) Rebind(space *vmem.Space) {
-	h.mu.Lock()
-	h.space = space
-	h.mu.Unlock()
-}
-
 // Contains reports whether a was allocated from this heap.
 func (h *Heap) Contains(a vmem.Addr) bool {
 	h.mu.Lock()
@@ -111,18 +102,6 @@ func (h *Heap) Blocks() []Block {
 		out = append(out, Block{a, s})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
-// MappedPages lists the heap's currently mapped pages (sorted vpns).
-func (h *Heap) MappedPages() []uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]uint64, 0, len(h.pageRef))
-	for vpn := range h.pageRef {
-		out = append(out, vpn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

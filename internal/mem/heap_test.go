@@ -201,43 +201,3 @@ func TestQuickHeapNoOverlap(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHeapRebind(t *testing.T) {
-	s1 := vmem.NewSpace(0)
-	s2 := vmem.NewSpace(0)
-	h, err := NewHeap(s1, vmem.Range{Start: 0x100000, Length: 4 * vmem.PageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := h.Alloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate migration: copy the mapped pages into s2, then rebind.
-	for _, vpn := range h.MappedPages() {
-		base := vmem.Addr(vpn << vmem.PageShift)
-		data, err := s1.CopyOut(base, vmem.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s2.Map(base, vmem.PageSize, vmem.ProtRW); err != nil {
-			t.Fatal(err)
-		}
-		if err := s2.Write(base, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.Rebind(s2)
-	if h.Space() != s2 {
-		t.Error("Rebind did not switch spaces")
-	}
-	// New allocations land in s2.
-	b, err := h.Alloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Write(b, []byte{9}); err != nil {
-		t.Errorf("post-rebind block unusable: %v", err)
-	}
-	_ = a
-}

@@ -5,9 +5,6 @@ import "migflow/internal/vmem"
 // Observers only tests use: heap and arena accounting, slot ownership
 // and the paper's §3.4.2 address-space arithmetic.
 
-// Space returns the address space the heap currently operates in.
-func (h *Heap) Space() *vmem.Space { return h.space }
-
 // AllocatedBytes returns the total bytes in live blocks.
 func (h *Heap) AllocatedBytes() uint64 {
 	h.mu.Lock()

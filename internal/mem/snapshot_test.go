@@ -246,6 +246,14 @@ func TestThreadHeapSnapshotRoundTrip(t *testing.T) {
 	if len(th2.Arenas()) != len(th.Arenas()) {
 		t.Errorf("arenas %d, want %d", len(th2.Arenas()), len(th.Arenas()))
 	}
+	// Growth after the move draws a slab from the destination's slot.
+	big, err := th2.Malloc(64 * vmem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if region.Owner(big) != 1 {
+		t.Errorf("an arena grown after Restore lies in PE %d's slot, want 1", region.Owner(big))
+	}
 	// An arena that is no slab of the isomalloc region is refused
 	// before anything is mapped.
 	im2.Arenas[0].Start = uint64(region.Start.Add(region.Size))

@@ -14,9 +14,10 @@ const DefaultArenaPages = 64
 // ThreadHeap is the migratable per-thread heap of §3.4.2: every
 // allocation lives in an isomalloc slab whose addresses are globally
 // unique, so after migration no pointer into the heap needs updating.
-// The metadata (arena list, block maps) travels with the thread; only
-// Rebind is needed on arrival to point the arenas at the destination
-// PE's address space and future arena requests at its allocator.
+// The metadata (arena list, block maps) travels with the thread in its
+// image: Snapshot and Detach on departure, and Restore on arrival,
+// which refills the arenas in the destination PE's address space and
+// points future arena requests at its allocator.
 type ThreadHeap struct {
 	mu         sync.Mutex
 	iso        *IsoAllocator
@@ -76,32 +77,6 @@ func (t *ThreadHeap) Free(a vmem.Addr) error {
 		}
 	}
 	return fmt.Errorf("mem: ThreadHeap.Free(%s): address not in any arena", a)
-}
-
-// MappedPages returns all mapped heap pages across arenas (the pages
-// whose contents must move with the thread).
-func (t *ThreadHeap) MappedPages() []uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []uint64
-	for _, h := range t.arenas {
-		out = append(out, h.MappedPages()...)
-	}
-	return out
-}
-
-// Rebind re-homes the heap after migration: arenas now operate on the
-// destination space (their addresses are unchanged — that is the
-// point of isomalloc) and future arenas come from the destination
-// PE's allocator.
-func (t *ThreadHeap) Rebind(iso *IsoAllocator, space *vmem.Space) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.iso = iso
-	t.space = space
-	for _, h := range t.arenas {
-		h.Rebind(space)
-	}
 }
 
 // ReleaseAll frees every arena back to its birth allocator — called

@@ -88,53 +88,6 @@ func TestThreadHeapAddressesGloballyUnique(t *testing.T) {
 	}
 }
 
-func TestThreadHeapRebindAfterMigration(t *testing.T) {
-	r, _ := NewIsoRegion(DefaultIsoBase, 4096*vmem.PageSize, 2)
-	iso0 := NewIsoAllocator(r, 0)
-	iso1 := NewIsoAllocator(r, 1)
-	src, dst := vmem.NewSpace(0), vmem.NewSpace(0)
-	th := NewThreadHeap(iso0, src, 4)
-	a, err := th.Malloc(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte("survives migration")
-	if err := src.Write(a, want); err != nil {
-		t.Fatal(err)
-	}
-	// Ship mapped pages to dst at identical addresses (what the
-	// isomalloc migration engine does).
-	for _, vpn := range th.MappedPages() {
-		base := vmem.Addr(vpn << vmem.PageShift)
-		data, err := src.CopyOut(base, vmem.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.Map(base, vmem.PageSize, vmem.ProtRW); err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.Write(base, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	th.Rebind(iso1, dst)
-	got := make([]byte, len(want))
-	if err := dst.Read(a, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("heap data after migration = %q, want %q", got, want)
-	}
-	// Post-migration growth draws addresses from the destination slot.
-	big, err := th.Malloc(64 * vmem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Owner(big) != 1 {
-		t.Errorf("post-migration arena owner = %d, want 1", r.Owner(big))
-	}
-}
-
 func TestThreadHeapReleaseAll(t *testing.T) {
 	_, iso, space := isoFixture(t)
 	th := NewThreadHeap(iso, space, 2)

@@ -161,21 +161,22 @@ func TestMigrationScenario(t *testing.T) {
 	if err := gotSrc.StoreUint64("iter", 77); err != nil {
 		t.Fatal(err)
 	}
-	// Migrate: copy the thread's heap pages to dst, rebind, swap in.
-	for _, vpn := range th.MappedPages() {
-		base := vmem.Addr(vpn << vmem.PageShift)
-		data, err := src.CopyOut(base, vmem.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.Map(base, vmem.PageSize, vmem.ProtRW); err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.Write(base, data); err != nil {
-			t.Fatal(err)
-		}
+	// Migrate as the isomalloc strategy does: image the thread's heap,
+	// unmap it from src, refill it in dst at the same addresses, swap in.
+	var im mem.ThreadHeapImage
+	if err := th.Snapshot(&im); err != nil {
+		t.Fatal(err)
 	}
-	th.Rebind(iso1, dst)
+	before := src.MappedPages()
+	if err := th.Detach(); err != nil {
+		t.Fatal(err)
+	}
+	if src.MappedPages() >= before {
+		t.Errorf("Detach left the heap's pages in the source: %d mapped before, %d after", before, src.MappedPages())
+	}
+	if err := mem.NewThreadHeap(iso1, dst, 0).Restore(iso1, dst, &im); err != nil {
+		t.Fatal(err)
+	}
 	if err := gotDst.Swap(in.Image()); err != nil {
 		t.Fatal(err)
 	}
