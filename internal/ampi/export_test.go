@@ -1,5 +1,7 @@
 package ampi
 
+import "io"
+
 // Exports for the external tests (package ampi_test), which can reach
 // jobs that packages above ampi build.
 
@@ -18,33 +20,26 @@ var (
 // there. A Seq shared by several parents stays shared.
 func ProbeStacks(j *Job, probe func(pc *PC, n, c int)) int {
 	at := Do(func(pc *PC) { probe(pc, len(pc.stack), cap(pc.stack)) })
-	done := map[*Proc]Proc{}
-	var rebuild func(Proc) Proc
-	rebuild = func(p Proc) Proc {
-		switch s := p.(type) {
-		case seqProc:
-			if len(s.ps) == 0 {
-				return s
-			}
-			if q, ok := done[&s.ps[0]]; ok {
-				return q
-			}
-			ps := []Proc{at}
-			for _, c := range s.ps {
-				ps = append(ps, rebuild(c))
-			}
-			done[&s.ps[0]] = seqProc{ps}
-			return seqProc{ps}
-		case forProc:
-			bodies := make([]Proc, s.n)
-			for i := range bodies {
-				bodies[i] = rebuild(s.body(i))
-			}
-			return For(s.n, func(i int) Proc { return bodies[i] })
+	j.prog = rebuild(j.prog, func(ps []Proc, re func(Proc) Proc) []Proc {
+		out := []Proc{at}
+		for _, c := range ps {
+			out = append(out, re(c))
 		}
-		return p
-	}
-	j.prog = rebuild(j.prog)
+		return out
+	}, func(p Proc) Proc { return p })
 	j.sites, j.siteNum, j.depth, _, j.shape = numberSites(j.prog)
 	return j.depth
+}
+
+// CheckpointGates rebuilds the event job j's program, before j starts,
+// with every Migrate gate a Checkpoint to w.
+func CheckpointGates(j *Job, w io.Writer) {
+	j.prog = rebuild(j.prog, func(ps []Proc, re func(Proc) Proc) []Proc {
+		out := make([]Proc, len(ps))
+		for i, c := range ps {
+			out[i] = re(c)
+		}
+		return out
+	}, gatesTo(w))
+	j.sites, j.siteNum, j.depth, _, j.shape = numberSites(j.prog)
 }

@@ -54,9 +54,36 @@ func instrument(prog Proc, size int, w io.Writer) (Proc, *vtTrace) {
 		}
 		return fmt.Sprintf("%T", p)
 	}
+	return rebuild(prog, func(ps []Proc, re func(Proc) Proc) []Proc {
+		var out []Proc
+		for _, c := range ps {
+			tr.names = append(tr.names, fmt.Sprintf("#%d %s", len(tr.names), name(c)))
+			out = append(out, re(c), vtProbe{tr, len(tr.names) - 1})
+		}
+		return out
+	}, gatesTo(w)), tr
+}
+
+// gatesTo returns rebuild's leaf map that turns every Migrate gate into
+// a Checkpoint to w, or leaves the leaves as they are when w is nil.
+func gatesTo(w io.Writer) func(Proc) Proc {
+	return func(p Proc) Proc {
+		if _, ok := p.(migrateProc); ok && w != nil {
+			return Checkpoint(w)
+		}
+		return p
+	}
+}
+
+// rebuild copies prog's tree: each non-empty Seq's children become
+// what seq makes of them, given the function that rebuilds one child,
+// each For body is rebuilt once per iteration, and each other statement
+// becomes leaf's image of it. A Seq shared by several parents stays
+// shared.
+func rebuild(prog Proc, seq func(ps []Proc, re func(Proc) Proc) []Proc, leaf func(Proc) Proc) Proc {
 	done := map[*Proc]Proc{}
-	var rebuild func(Proc) Proc
-	rebuild = func(p Proc) Proc {
+	var re func(Proc) Proc
+	re = func(p Proc) Proc {
 		switch s := p.(type) {
 		case seqProc:
 			if len(s.ps) == 0 {
@@ -65,27 +92,19 @@ func instrument(prog Proc, size int, w io.Writer) (Proc, *vtTrace) {
 			if q, ok := done[&s.ps[0]]; ok {
 				return q
 			}
-			var ps []Proc
-			for _, c := range s.ps {
-				tr.names = append(tr.names, fmt.Sprintf("#%d %s", len(tr.names), name(c)))
-				ps = append(ps, rebuild(c), vtProbe{tr, len(tr.names) - 1})
-			}
-			done[&s.ps[0]] = seqProc{ps}
-			return seqProc{ps}
+			q := seqProc{seq(s.ps, re)}
+			done[&s.ps[0]] = q
+			return q
 		case forProc:
 			bodies := make([]Proc, s.n)
 			for i := range bodies {
-				bodies[i] = rebuild(s.body(i))
+				bodies[i] = re(s.body(i))
 			}
 			return For(s.n, func(i int) Proc { return bodies[i] })
-		case migrateProc:
-			if w != nil {
-				return Checkpoint(w)
-			}
 		}
-		return p
+		return leaf(p)
 	}
-	return rebuild(prog), tr
+	return re(prog)
 }
 
 // vtdiff compares two runs' traces rank by rank and returns "" when
