@@ -194,21 +194,13 @@ type Job struct {
 	// in a sharded run, those of this process (event.go).
 	remaining atomic.Int64
 
-	// prog is the shared Proc tree both modes interpret; ev is the event
-	// engine in event mode; be is the backend: ultBE or ev.
-	prog Proc
-	ev   *eventEngine
-	be   backend
-
-	// sites numbers prog's collective sites and siteNum inverts it: a
-	// record names a site by number. depth is the deepest frame stack a
-	// rank running prog holds, the capacity its stack is allocated at.
-	// shape fingerprints the whole tree for a checkpoint image's header.
-	// All four come from one walk of the tree (numberSites).
-	sites   []*collSite
-	siteNum map[*collSite]int
-	depth   int
-	shape   uint64
+	// program is the shared Proc tree both modes interpret, as its
+	// statement table and what else one walk reads off it (numberSites);
+	// ev is the event engine in event mode; be is the backend: ultBE or
+	// ev.
+	program
+	ev *eventEngine
+	be backend
 
 	// mu guards traffic and err.
 	mu      sync.Mutex
@@ -733,7 +725,7 @@ func (j *Job) send(pc *PC, dest, tag int, data []byte) {
 func (r *Rank) run(c *converse.Ctx) {
 	r.ctx = c
 	pc := r.pc()
-	pc.start(r.job.prog)
+	pc.start()
 	for !pc.exec() {
 		r.block()
 	}

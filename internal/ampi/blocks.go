@@ -98,11 +98,12 @@ func (j *Job) carveRun() *collRun {
 // family returns rank r's parent and children at a collective of kind
 // rooted at root (collFamily), the children carved to their exact
 // length.
-func (j *Job) family(kind collKind, r int32, root int) (parent int, children []int) {
+func (j *Job) family(kind collKind, r int32, root int) (parent int32, children []int) {
 	bs := &j.blocks
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	parent, bs.family = collFamily(bs.family[:0], kind, int(r), j.size, &j.opts, root)
+	p, fam := collFamily(bs.family[:0], kind, int(r), j.size, &j.opts, root)
+	parent, bs.family = int32(p), fam
 	k := len(bs.family)
 	if k == 0 {
 		return parent, nil

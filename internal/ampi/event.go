@@ -24,10 +24,11 @@ package ampi
 // The stack itself is SHARED CODE plus those cursors, the CPC argument:
 // every rank runs the same immutable program tree, so the destination
 // needs no stack or code image, only the record, and rebuilds the
-// stack by one validating descent of the tree. Moving a rank is
-// therefore: batch-update the comm range table (one epoch bump per LB
-// step), flip the engine's owner word, and round-trip the record
-// through Extract/Install — no eviction, no vmem image, no adoption.
+// stack by one validating descent of the program's statement table.
+// Moving a rank is therefore: batch-update the comm range table (one
+// epoch bump per LB step), flip the engine's owner word, and round-trip
+// the record through Extract/Install — no eviction, no vmem image, no
+// adoption.
 //
 // Concurrency: each rank carries its own mutex. The owning PE's
 // dispatch paths (kick, deliver) hold it for the whole activation, and
@@ -241,7 +242,7 @@ func (e *eventEngine) kick(c *converse.Ctx, r int) {
 func (e *eventEngine) activateLocked(s *slot, pe int) {
 	e.job.m.PE(pe).Clock.Advance(e.dispatchNs(pe))
 	if len(s.pc.stack) == 0 {
-		s.pc.start(e.job.prog)
+		s.pc.start()
 	}
 	e.execLocked(s)
 }

@@ -20,26 +20,18 @@ var (
 // there. A Seq shared by several parents stays shared.
 func ProbeStacks(j *Job, probe func(pc *PC, n, c int)) int {
 	at := Do(func(pc *PC) { probe(pc, len(pc.stack), cap(pc.stack)) })
-	j.prog = rebuild(j.prog, func(ps []Proc, re func(Proc) Proc) []Proc {
+	j.program = numberSites(rebuild(j.stmts[0].p, func(ps []Proc, re func(Proc) Proc) []Proc {
 		out := []Proc{at}
 		for _, c := range ps {
 			out = append(out, re(c))
 		}
 		return out
-	}, func(p Proc) Proc { return p })
-	j.sites, j.siteNum, j.depth, _, j.shape = numberSites(j.prog)
+	}, func(p Proc) Proc { return p }))
 	return j.depth
 }
 
 // CheckpointGates rebuilds the event job j's program, before j starts,
 // with every Migrate gate a Checkpoint to w.
 func CheckpointGates(j *Job, w io.Writer) {
-	j.prog = rebuild(j.prog, func(ps []Proc, re func(Proc) Proc) []Proc {
-		out := make([]Proc, len(ps))
-		for i, c := range ps {
-			out[i] = re(c)
-		}
-		return out
-	}, gatesTo(w))
-	j.sites, j.siteNum, j.depth, _, j.shape = numberSites(j.prog)
+	j.program = numberSites(atGates(j.stmts[0].p, w))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"migflow/internal/comm"
 	"migflow/internal/vmem"
 )
 
@@ -118,6 +119,70 @@ func TestEventRankFootprint(t *testing.T) {
 		gSmall, small, gLarge, large, perRank, bound)
 	if perRank > bound {
 		t.Errorf("%.2f B of live heap per event rank before the job ran, want ≤ %.0f", perRank, bound)
+	}
+	runtime.KeepAlive(jobs)
+}
+
+// TestEventRankRunFootprint is TestEventRankFootprint's run-time twin:
+// an event rank that has run costs what it holds. 65,536 event Jacobi
+// ranks parked at a gate after one iteration with a residual Allreduce
+// grow the live heap, per rank more than 1,024 ranks do, by at most
+// their slot and owner words, a frame per level of the program's depth,
+// one collective run, their Local (jacobiState's 56 B, in the
+// collector's 64-byte size class) and a first mailbox array, plus 20 B:
+// what the rank does not carve by itself — the run's tree children
+// (one int per rank on average) and the size-class rounding of a block
+// of runs — and a few bytes of margin, less than one more word. The
+// gate is a Checkpoint whose writer fails, so the run ends there with
+// every rank's state live. Each size's growth is the least of three
+// runs, all kept live.
+func TestEventRankRunFootprint(t *testing.T) {
+	const small, large, runtimeSlack, perRankSlack, local, builds = 1 << 10, 1 << 16, 1 << 10, 20, 64, 3
+	m := newMachine(t, 4, nil)
+	liveHeap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	var jobs []*Job
+	depth := 0
+	growth := func(ranks int) float64 {
+		least := math.Inf(1)
+		for i := 0; i < builds; i++ {
+			cfg := JacobiConfig{Ranks: ranks, Iters: 2, PEs: 4, Mode: ModeEvent, ReduceEvery: 1, MigrateAt: 1, BlockPlacement: true}
+			if err := cfg.defaults(); err != nil {
+				t.Fatal(err)
+			}
+			before := liveHeap()
+			job, err := NewProgram(m, ranks, Options{Mode: ModeEvent, BlockPlacement: true, LocalPUP: jacobiLocalPUP},
+				atGates(JacobiProgram(cfg), failingWriter{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			job.Run()
+			if err := job.Err(); err == nil {
+				t.Fatalf("%d ranks: the run went past its failing checkpoint", ranks)
+			}
+			for r := range job.store() {
+				if !job.store()[r].pc.atGate() {
+					t.Fatalf("%d ranks: rank %d is in %T, not at the gate", ranks, r, job.store()[r].pc.parkedIn())
+				}
+			}
+			jobs, depth = append(jobs, job), job.depth
+			least = min(least, liveHeap()-before)
+		}
+		return least
+	}
+	gSmall, gLarge := growth(small), growth(large)
+	perRank := (gLarge - gSmall - runtimeSlack) / (large - small)
+	bound := float64(unsafe.Sizeof(slot{}) + 8 + uintptr(depth)*unsafe.Sizeof(frame{}) + unsafe.Sizeof(collRun{}) +
+		local + mboxCap*unsafe.Sizeof((*comm.Message)(nil)) + perRankSlack)
+	t.Logf("event ranks after one iteration: %.0f B for %d, %.0f B for %d: %.2f B of live heap per rank (bound %.0f, depth %d)",
+		gSmall, small, gLarge, large, perRank, bound, depth)
+	if perRank > bound {
+		t.Errorf("%.2f B of live heap per event rank after one iteration, want ≤ %.0f", perRank, bound)
 	}
 	runtime.KeepAlive(jobs)
 }

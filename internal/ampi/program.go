@@ -7,21 +7,24 @@ package ampi
 // by both BigSim backends. What differs per rank is an operand read off
 // the PC when a statement runs (RecvFrom, RecvEach, pc.Rank() in a Do),
 // so a step body is built once and running it builds nothing. Programs
-// are closed: what one execution accumulates lives where the runtime
-// can see it — pc.Local, the frame stack, the collective runs — never
-// in a closure the tree makes as it runs, so one record (shard.go)
-// carries a rank parked anywhere to any PE of any process.
+// are closed: NewProgram walks the whole tree once, For bodies
+// included, into a statement table (numberSites), and what one
+// execution accumulates lives where the runtime can see it — pc.Local,
+// the frame stack, the collective runs — never in a closure the tree
+// makes as it runs, so one record (shard.go) carries a rank parked
+// anywhere to any PE of any process.
 //
 // Every rank, whichever backend Options.Mode selects, is one slot in a
 // contiguous per-job store, interpreted by the one loop PC.exec over an
 // explicit frame stack — the lambda-lifted continuation of
 // Continuation-Passing C: a resume point is a flat record of
-// (statement, cursor) pairs, not a chain of closures. A blocking point
-// leaves the stack where it is and exec returns. What differs is who
-// re-enters it: a ModeULT rank's migratable user-level thread suspends
-// and is woken, paying the platform's thread-switch curve per
-// activation; a ModeEvent rank's PE loop re-enters it on delivery
-// (event.go), paying the much cheaper EventDispatch curve.
+// (statement index, cursor) pairs, 8 bytes each, not a chain of
+// closures. A blocking point leaves the stack where it is and exec
+// returns. What differs is who re-enters it: a ModeULT rank's
+// migratable user-level thread suspends and is woken, paying the
+// platform's thread-switch curve per activation; a ModeEvent rank's PE
+// loop re-enters it on delivery (event.go), paying the much cheaper
+// EventDispatch curve.
 //
 // Because all communication, computation, and virtual-time accounting
 // live in this shared layer, a program's predicted virtual time (VT)
@@ -44,24 +47,45 @@ import (
 	"migflow/internal/vmem"
 )
 
-// Proc is one statement of a continuation program. step makes one move
-// of the interpreter loop: it returns a child to run next, reports the
-// statement done, both (a tail call), or neither — the rank is parked
-// inside it, and the same step runs again when the rank is resumed.
+// Proc is one statement of a continuation program. kind names the
+// statement's kind in the program's shape (numberSites).
 type Proc interface {
-	step(pc *PC, f *frame) (child Proc, done bool)
+	kind() byte
+}
+
+// leaf is a statement other than Seq and For. step makes one move of
+// the interpreter loop: it reports the statement done, or leaves the
+// rank parked inside it, and the same step runs again when the rank is
+// resumed. Seq and For have no step: the interpreter runs them from
+// the program's statement table.
+type leaf interface {
+	Proc
+	step(pc *PC, f *frame) (done bool)
+}
+
+// stmt is one entry of a program's statement table (Job.stmts), which
+// numberSites fills in the walk it makes of the tree: a Seq or For
+// lists the statements it runs, a leaf is stepped. A statement shared
+// by several parents appears once only when it is a Seq; any other
+// appears once per place the walk meets it.
+type stmt struct {
+	p    Proc
+	leaf leaf // p, when it is a leaf; nil for a Seq or a For
+	// kids are the entries a Seq runs at each position, or a For at each
+	// iteration: For's body is called once per iteration, by the walk.
+	kids []uint32
 }
 
 // frame is one entry of a rank's resume point: a statement that has
-// started and not finished, and how far into it the rank is.
+// started and not finished, by its index in the program's statement
+// table, and how far into it the rank is.
 type frame struct {
-	p Proc
+	at uint32
 	// i is the cursor: Seq/For — index of the NEXT child (the running
 	// one is i-1); RecvEach — index of the source being waited for;
 	// Waitall — next request; Migrate — gate entered. A record ships
 	// exactly these, one per frame (shard.go).
-	i    int
-	reqs []*Req // Waitall's list, read from the rank on entry and again after a move
+	i int32
 }
 
 // backend is what the shared layer needs from the flow-of-control
@@ -127,45 +151,48 @@ type PC struct {
 	colls *collRun
 
 	// stack is the rank's resume point: the statements it is inside,
-	// outermost first, from its first activation to completion. It is
-	// allocated once, at the program's depth (Job.depth), so it never
-	// grows. A move ships its cursors and rebuilds it from the shared
-	// tree (shard.go). The array is the rank's carve of the job's
-	// blocks (blocks.go).
+	// outermost first, from its first activation to completion, 8 bytes
+	// each. It is allocated once, at the program's depth (Job.depth), so
+	// it never grows. A move ships its cursors and rebuilds it from the
+	// statement table (shard.go). The array is the rank's carve of the
+	// job's blocks (blocks.go).
 	stack []frame
 }
 
-// start makes prog's root the rank's whole resume point, in the frame
-// array the slot already has (an installed record that had not
-// started) or in its carve of the job's blocks, sized to the program's
-// depth.
-func (pc *PC) start(prog Proc) {
+// start makes the program's root, statement 0, the rank's whole resume
+// point, in the frame array the slot already has (an installed record
+// that had not started) or in its carve of the job's blocks, sized to
+// the program's depth.
+func (pc *PC) start() {
 	if cap(pc.stack) == 0 {
 		pc.stack = pc.job.frameStack()
 	}
-	pc.stack = append(pc.stack[:0], frame{p: prog})
+	pc.stack = append(pc.stack[:0], frame{})
 }
 
-// exec is the interpreter: it steps the innermost frame until the
+// exec is the interpreter: it runs the innermost frame until the
 // program completes (true) or a step parks the rank (false), leaving
 // the stack as the resume point for the next call, one per activation
-// on either backend. Popped
-// frames are zeroed so what they held is collectable mid-run. Finishing
-// with a collective started and never waited for is a program bug that
-// would leave the peers hanging in theirs, so it panics by name.
+// on either backend. A Seq or For frame pushes its next child from the
+// statement table, or pops when it has none left; a leaf frame steps.
+// Finishing with a collective started and never waited for is a program
+// bug that would leave the peers hanging in theirs, so it panics by
+// name.
 func (pc *PC) exec() bool {
+	stmts := pc.job.stmts
 	for n := len(pc.stack); n > 0; n = len(pc.stack) {
 		f := &pc.stack[n-1]
-		child, done := f.p.step(pc, f)
-		if done {
-			*f = frame{}
-			pc.stack = pc.stack[:n-1]
-		}
-		if child != nil {
-			pc.stack = append(pc.stack, frame{p: child})
-		} else if !done {
+		st := &stmts[f.at]
+		if st.leaf == nil {
+			if int(f.i) < len(st.kids) {
+				f.i++
+				pc.stack = append(pc.stack, frame{at: st.kids[f.i-1]})
+				continue
+			}
+		} else if !st.leaf.step(pc, f) {
 			return false
 		}
+		pc.stack = pc.stack[:n-1]
 	}
 	if site := pc.outstanding(); site != nil {
 		panic(fmt.Sprintf("ampi: rank %d finished with %s outstanding", pc.rank, site.name))
@@ -178,7 +205,7 @@ func (pc *PC) exec() bool {
 // or nil before the first activation and after completion.
 func (pc *PC) parkedIn() Proc {
 	if n := len(pc.stack); n > 0 {
-		return pc.stack[n-1].p
+		return pc.job.stmts[pc.stack[n-1].at].p
 	}
 	return nil
 }
@@ -346,9 +373,11 @@ type doProc struct{ fn func(*PC) }
 // atomic block.
 func Do(fn func(*PC)) Proc { return doProc{fn} }
 
-func (p doProc) step(pc *PC, _ *frame) (Proc, bool) {
+func (doProc) kind() byte { return 'D' }
+
+func (p doProc) step(pc *PC, _ *frame) bool {
 	p.fn(pc)
-	return nil, true
+	return true
 }
 
 type seqProc struct{ ps []Proc }
@@ -357,13 +386,7 @@ type seqProc struct{ ps []Proc }
 // completes.
 func Seq(ps ...Proc) Proc { return seqProc{ps} }
 
-func (s seqProc) step(_ *PC, f *frame) (Proc, bool) {
-	if f.i >= len(s.ps) {
-		return nil, true
-	}
-	f.i++
-	return s.ps[f.i-1], false
-}
+func (seqProc) kind() byte { return 'S' }
 
 type forProc struct {
 	n    int
@@ -373,15 +396,12 @@ type forProc struct {
 // For runs body(0) … body(n-1) in sequence — the outer iteration loop
 // of a stencil program. The backedge is one cursor increment in the
 // loop's frame, so deep iteration counts cost neither stack nor heap.
+// body is called once per iteration when the program is built
+// (NewProgram), never while it runs, so it returns statements built
+// beforehand, and an iteration costs a 4-byte table entry.
 func For(n int, body func(i int) Proc) Proc { return forProc{n, body} }
 
-func (l forProc) step(_ *PC, f *frame) (Proc, bool) {
-	if f.i >= l.n {
-		return nil, true
-	}
-	f.i++
-	return l.body(f.i - 1), false
-}
+func (forProc) kind() byte { return 'F' }
 
 type recvProc struct {
 	src, tag int
@@ -427,17 +447,19 @@ func (r recvProc) source(pc *PC) int {
 	return r.src
 }
 
-func (r recvProc) step(pc *PC, _ *frame) (Proc, bool) {
+func (recvProc) kind() byte { return 'R' }
+
+func (r recvProc) step(pc *PC, _ *frame) bool {
 	m := pc.job.be.recv(pc, r.source(pc), r.tag)
 	if m == nil {
-		return nil, false
+		return false
 	}
 	pc.consume(m)
 	if r.then != nil {
 		r.then(pc, m.Data, pc.job.senderOf(m.From))
 	}
 	m.Free()
-	return nil, true
+	return true
 }
 
 type recvEachProc struct {
@@ -459,11 +481,13 @@ func RecvEach(srcs func(*PC) []int, tag int, then func(pc *PC, data []byte, from
 	return recvEachProc{srcs: srcs, tag: tag, then: then}
 }
 
-func (r recvEachProc) step(pc *PC, f *frame) (Proc, bool) {
-	for srcs := r.srcs(pc); f.i < len(srcs); f.i++ {
+func (recvEachProc) kind() byte { return 'E' }
+
+func (r recvEachProc) step(pc *PC, f *frame) bool {
+	for srcs := r.srcs(pc); int(f.i) < len(srcs); f.i++ {
 		m := pc.job.be.recv(pc, srcs[f.i], r.tag)
 		if m == nil {
-			return nil, false
+			return false
 		}
 		pc.consume(m)
 		if r.then != nil {
@@ -471,34 +495,34 @@ func (r recvEachProc) step(pc *PC, f *frame) (Proc, bool) {
 		}
 		m.Free()
 	}
-	return nil, true
+	return true
 }
 
 type waitallProc struct{ reqs func(*PC) []*Req }
 
 // Waitall completes every request returned by reqs, in order: pending
 // receives block and fill their Data/From; nil or completed entries are
-// skipped. reqs is read again after a move, so it must return requests
-// kept in Local (see Req.Pup).
+// skipped. reqs is read again on every resume and after a move, so it
+// must return requests kept in Local (see Req.Pup), the same list each
+// time until the Waitall completes.
 func Waitall(reqs func(*PC) []*Req) Proc { return waitallProc{reqs} }
 
-func (wp waitallProc) step(pc *PC, f *frame) (Proc, bool) {
-	if f.reqs == nil {
-		f.reqs = wp.reqs(pc)
-	}
-	for ; f.i < len(f.reqs); f.i++ {
-		q := f.reqs[f.i]
+func (waitallProc) kind() byte { return 'W' }
+
+func (wp waitallProc) step(pc *PC, f *frame) bool {
+	for reqs := wp.reqs(pc); int(f.i) < len(reqs); f.i++ {
+		q := reqs[f.i]
 		if q == nil || q.done || !q.isRecv {
 			continue
 		}
 		m := pc.job.be.recv(pc, q.src, q.tag)
 		if m == nil {
-			return nil, false
+			return false
 		}
 		pc.consume(m)
 		q.done, q.Data, q.From = true, m.Data, pc.job.senderOf(m.From)
 	}
-	return nil, true
+	return true
 }
 
 // migrateProc is the job's one gate: an LB step (Migrate), or, with no
@@ -534,7 +558,9 @@ func Migrate(strategy loadbalance.Strategy) Proc {
 // sharded program holding a Checkpoint. w must not be nil.
 func Checkpoint(w io.Writer) Proc { return migrateProc{w: w} }
 
-func (mp migrateProc) step(pc *PC, f *frame) (Proc, bool) {
+func (migrateProc) kind() byte { return 'M' }
+
+func (mp migrateProc) step(pc *PC, f *frame) bool {
 	if f.i == 0 {
 		// The rank parks here, its Migrate frame on top of its stack (the
 		// record analogue of a thread suspending in MPI_Migrate), until
@@ -543,9 +569,9 @@ func (mp migrateProc) step(pc *PC, f *frame) (Proc, bool) {
 		// bit-identical with and without migration.
 		f.i = 1
 		pc.job.gateArrive(mp)
-		return nil, false
+		return false
 	}
-	return nil, true // resumed after the gate's LB step or checkpoint
+	return true // resumed after the gate's LB step or checkpoint
 }
 
 // Sendrecv is the halo-exchange primitive: an eager send followed by
@@ -603,99 +629,117 @@ type collSite struct {
 // collRun is one rank's state at one site, found by site pointer on
 // the rank's list (PC.colls). It is made by the site's first start and
 // kept: the schedule is a pure function of (rank, site), so later
-// executions reset the cursor and allocate nothing.
+// executions reset the cursor and allocate nothing. What is the same
+// for every rank — the kind, the combiner — is read through site.
 type collRun struct {
 	collState
 	site   *collSite
-	active bool // started, wait not yet complete
 	link   *collRun
+	active bool // started, wait not yet complete
 }
 
-// numberSites numbers every collective site of prog once, by identity,
-// in the order one depth-first walk meets their starts — the same
-// numbers in every process that builds the same tree — and returns the
-// deepest frame stack a rank running prog holds: one frame per
-// statement on the longest root-to-leaf path. The walk runs each For
-// body once per iteration and a Seq shared by several parents once,
-// remembering its subtree's depth for the others. It also reports
-// whether prog holds a Checkpoint, and the tree's shape: a 64-bit
-// FNV-1a hash of each statement the walk meets, in walk order — its
-// kind, a Seq's arity, a For's count, a shared Seq met again as such —
-// which a checkpoint image names its program by.
-func numberSites(prog Proc) (sites []*collSite, nums map[*collSite]int, depth int, checkpoints bool, shape uint64) {
-	nums = map[*collSite]int{}
+// program is what one walk of a program tree (numberSites) reads off it.
+type program struct {
+	// stmts is the statement table: the root is statement 0, and a frame
+	// names a statement by its index.
+	stmts []stmt
+	// sites numbers the collective sites and siteNum inverts it: a record
+	// names a site by number.
+	sites   []*collSite
+	siteNum map[*collSite]int
+	// depth is the deepest frame stack a rank running the program holds,
+	// the capacity its stack is allocated at.
+	depth int
+	// checkpoints reports a Checkpoint anywhere in the tree.
+	checkpoints bool
+	// shape fingerprints the whole tree for a checkpoint image's header.
+	shape uint64
+}
+
+// numberSites walks prog once, depth first, and returns its statement
+// table and what the walk reads off the tree. Collective sites are
+// numbered by identity, in the order the walk meets their starts — the
+// same numbers in every process that builds the same tree. depth is one
+// frame per statement on the longest root-to-leaf path. The walk runs
+// each For body once per iteration and a Seq shared by several parents
+// once, giving the others its entry and its subtree's depth. shape is a
+// 64-bit FNV-1a hash of each statement the walk meets, in walk order —
+// its kind, a Seq's arity, a For's count, a shared Seq met again as
+// such — which a checkpoint image names its program by.
+func numberSites(prog Proc) program {
+	g := program{siteNum: map[*collSite]int{}}
 	type seqKey struct {
 		first *Proc
 		n     int
 	}
-	depths := map[seqKey]int{}
+	type seen struct {
+		at    uint32
+		depth int
+	}
+	seqs := map[seqKey]seen{}
 	// FNV-1a from its offset basis: each statement's kind byte, then
 	// the 8 bytes of its count.
-	shape = 14695981039346656037
+	g.shape = 14695981039346656037
 	mix := func(kind byte, n int) {
-		shape = (shape ^ uint64(kind)) * 1099511628211
+		g.shape = (g.shape ^ uint64(kind)) * 1099511628211
 		for v, i := uint64(n), 0; i < 8; v, i = v>>8, i+1 {
-			shape = (shape ^ (v & 0xff)) * 1099511628211
+			g.shape = (g.shape ^ (v & 0xff)) * 1099511628211
 		}
 	}
-	var walk func(Proc) int
-	walk = func(p Proc) int {
-		below := 0 // the deepest stack under p's own frame
+	// walk adds p's subtree to the table and returns p's entry and the
+	// deepest stack from p's own frame down; kids does so for n children.
+	var walk func(Proc) (uint32, int)
+	kids := func(n int, child func(i int) Proc) ([]uint32, int) {
+		ats, below := make([]uint32, n), 0
+		for i := range ats {
+			var d int
+			ats[i], d = walk(child(i))
+			below = max(below, d)
+		}
+		return ats, below
+	}
+	walk = func(p Proc) (uint32, int) {
+		at, below, kind := uint32(len(g.stmts)), 0, p.kind()
+		g.stmts = append(g.stmts, stmt{p: p})
 		switch s := p.(type) {
 		case seqProc:
 			if len(s.ps) == 0 {
-				mix('S', 0)
+				mix(kind, 0)
 				break
 			}
 			key := seqKey{&s.ps[0], len(s.ps)}
-			if d, ok := depths[key]; ok {
+			if d, ok := seqs[key]; ok {
+				g.stmts = g.stmts[:at]
 				mix('s', len(s.ps))
-				return d
+				return d.at, d.depth
 			}
-			mix('S', len(s.ps))
-			depths[key] = 1 // a Seq reached again through itself adds nothing
-			for _, c := range s.ps {
-				below = max(below, walk(c))
-			}
-			depths[key] = below + 1
+			mix(kind, len(s.ps))
+			seqs[key] = seen{at, 1} // a Seq reached again through itself adds nothing
+			g.stmts[at].kids, below = kids(len(s.ps), func(i int) Proc { return s.ps[i] })
+			seqs[key] = seen{at, below + 1}
 		case forProc:
-			mix('F', s.n)
-			for i := 0; i < s.n; i++ {
-				below = max(below, walk(s.body(i)))
+			if s.n > math.MaxInt32 {
+				panic(fmt.Sprintf("ampi: For(%d): a cursor holds 32 bits", s.n))
 			}
-		case collStartProc:
-			mix('C', 0)
-			if _, ok := nums[s.site]; !ok {
-				nums[s.site] = len(sites)
-				sites = append(sites, s.site)
-			}
-		case migrateProc:
-			mix('M', 0)
-			checkpoints = checkpoints || s.strategy == nil
+			mix(kind, s.n)
+			g.stmts[at].kids, below = kids(max(s.n, 0), s.body)
 		default:
-			mix(procKind(p), 0)
+			mix(kind, 0)
+			g.stmts[at].leaf = p.(leaf)
+			switch s := p.(type) {
+			case collStartProc:
+				if _, ok := g.siteNum[s.site]; !ok {
+					g.siteNum[s.site] = len(g.sites)
+					g.sites = append(g.sites, s.site)
+				}
+			case migrateProc:
+				g.checkpoints = g.checkpoints || s.strategy == nil
+			}
 		}
-		return below + 1
+		return at, below + 1
 	}
-	depth = walk(prog)
-	return sites, nums, depth, checkpoints, shape
-}
-
-// procKind names a leaf statement's kind for numberSites' shape.
-func procKind(p Proc) byte {
-	switch p.(type) {
-	case doProc:
-		return 'D'
-	case recvProc:
-		return 'R'
-	case recvEachProc:
-		return 'E'
-	case waitallProc:
-		return 'W'
-	case collWaitProc:
-		return 'c'
-	}
-	return '?'
+	_, g.depth = walk(prog)
+	return g
 }
 
 // collAt returns the rank's run at site, or nil before its first start.
@@ -727,7 +771,7 @@ func (pc *PC) newRun(site *collSite) *collRun {
 		panic(fmt.Sprintf("ampi: rank %d: %s root %d of %d", pc.rank, site.name, site.root, pc.Size()))
 	}
 	run := pc.job.carveRun()
-	run.site, run.kind, run.combine = site, site.kind, site.combine
+	run.site = site
 	run.parent, run.children = pc.job.family(site.kind, pc.rank, site.root)
 	return run
 }
@@ -740,12 +784,12 @@ func (pc *PC) newRun(site *collSite) *collRun {
 // end in one call.
 func (run *collRun) advance(pc *PC, block bool) bool {
 	for {
-		a, ok := run.at(run.next)
+		a, ok := run.at(run.site.kind, run.next)
 		if !ok {
 			return true
 		}
 		if a.send {
-			if collKinds[run.kind].direct {
+			if collKinds[run.site.kind].direct {
 				pc.sendRaw(a.peer, a.tag, run.payload(a))
 			} else {
 				pc.sendEdge(a.peer, a.tag, run.payload(a))
@@ -777,7 +821,9 @@ func (run *collRun) advance(pc *PC, block bool) bool {
 // completes.
 type collStartProc struct{ site *collSite }
 
-func (sp collStartProc) step(pc *PC, _ *frame) (Proc, bool) {
+func (collStartProc) kind() byte { return 'C' }
+
+func (sp collStartProc) step(pc *PC, _ *frame) bool {
 	site := sp.site
 	run := pc.collAt(site)
 	if run == nil {
@@ -791,7 +837,7 @@ func (sp collStartProc) step(pc *PC, _ *frame) (Proc, bool) {
 		site.begin(pc, &run.collState)
 	}
 	run.advance(pc, false)
-	return nil, true
+	return true
 }
 
 // collWaitProc completes a started collective: remaining receives
@@ -800,20 +846,31 @@ func (sp collStartProc) step(pc *PC, _ *frame) (Proc, bool) {
 // frame's.
 type collWaitProc struct{ site *collSite }
 
-func (wp collWaitProc) step(pc *PC, _ *frame) (Proc, bool) {
+func (collWaitProc) kind() byte { return 'c' }
+
+func (wp collWaitProc) step(pc *PC, _ *frame) bool {
 	run := pc.collAt(wp.site)
 	if run == nil || !run.active {
 		panic(fmt.Sprintf("ampi: rank %d: wait for %s with no matching start", pc.rank, wp.site.name))
 	}
 	if !run.advance(pc, true) {
-		return nil, false
+		return false
 	}
 	run.active = false
 	if wp.site.end != nil {
 		wp.site.end(pc, &run.collState)
 	}
-	run.data, run.entries, run.chunks = nil, nil, nil // the payloads are the program's now
-	return nil, true
+	run.dropPayloads() // the program's now
+	return true
+}
+
+// dropPayloads lets go of what the run's accumulator holds for the
+// program, keeping its collParts for the next execution.
+func (run *collRun) dropPayloads() {
+	run.data = nil
+	if run.parts != nil {
+		*run.parts = collParts{}
+	}
 }
 
 // icoll is a site's (start, wait) pair; blocking is the two in sequence.
@@ -859,12 +916,12 @@ func bcastSite(name string, root int, val func(*PC) []byte, then func(*PC, []byt
 func gatherSite(name string, root int, val func(*PC) []byte, then func(*PC, [][]byte)) *collSite {
 	site := &collSite{name: name, kind: collGather, root: root,
 		begin: func(pc *PC, st *collState) {
-			st.entries = []gatherEntry{{rank: pc.Rank(), data: val(pc)}}
+			st.perRank().entries = []gatherEntry{{rank: pc.Rank(), data: val(pc)}}
 		}}
 	if then != nil {
 		site.end = func(pc *PC, st *collState) {
 			if st.parent < 0 {
-				then(pc, st.parts(pc.Size()))
+				then(pc, st.gathered(pc.Size()))
 			}
 		}
 	}
@@ -937,8 +994,8 @@ func Scatter(root int, val func(*PC) [][]byte, then func(*PC, []byte)) Proc {
 	site := &collSite{name: "Scatter", kind: collScatter, root: root,
 		begin: func(pc *PC, st *collState) {
 			if st.parent < 0 {
-				st.chunks = mustChunks("Scatter", pc, val(pc))
-				st.data = st.chunks[root]
+				chunks := mustChunks("Scatter", pc, val(pc))
+				st.perRank().chunks, st.data = chunks, chunks[root]
 			}
 		}}
 	if then != nil {
@@ -954,10 +1011,10 @@ func Scatter(root int, val func(*PC) [][]byte, then func(*PC, []byte)) Proc {
 func Alltoall(val func(*PC) [][]byte, then func(*PC, [][]byte)) Proc {
 	site := &collSite{name: "Alltoall", kind: collAlltoall,
 		begin: func(pc *PC, st *collState) {
-			st.chunks = append([][]byte(nil), mustChunks("Alltoall", pc, val(pc))...)
+			st.perRank().chunks = append([][]byte(nil), mustChunks("Alltoall", pc, val(pc))...)
 		}}
 	if then != nil {
-		site.end = func(pc *PC, st *collState) { then(pc, st.chunks) }
+		site.end = func(pc *PC, st *collState) { then(pc, st.parts.chunks) }
 	}
 	return blocking(site)
 }
@@ -996,10 +1053,8 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 	if err != nil {
 		return nil, err
 	}
-	j.prog = prog
-	var checkpoints bool
-	j.sites, j.siteNum, j.depth, checkpoints, j.shape = numberSites(prog)
-	if checkpoints && (j.opts.Mode != ModeEvent || m.Sharded()) {
+	j.program = numberSites(prog)
+	if j.checkpoints && (j.opts.Mode != ModeEvent || m.Sharded()) {
 		// A thread's stack image does not ride in a record, and a sharded
 		// job's gate never fills in one process.
 		return nil, fmt.Errorf("ampi: a program with a Checkpoint runs only as an in-process %q job", ModeEvent)

@@ -14,11 +14,11 @@ package ampi
 // order, each sender by rank, and, in sharded runs, the per-peer
 // stream state. Equal rank state packs to equal bytes on any placement.
 //
-// Install rebuilds the stack by one validating descent of the shared
-// tree (pupPath): every Seq/For cursor is checked against its arity,
-// and the path ends exactly at a statement the rank can be parked in,
-// waiting for what the record says (checkLeaf), or is empty for a rank
-// that has not started:
+// Install rebuilds the stack by one validating descent of the program's
+// statement table (pupPath): every Seq/For cursor is checked against
+// its arity, and the path ends exactly at a statement the rank can be
+// parked in, waiting for what the record says (checkLeaf), or is empty
+// for a rank that has not started:
 //
 //	Recv, RecvFrom    cursor 0; waits for the statement's (src, tag)
 //	RecvEach          waits for srcs(pc)[cursor]
@@ -26,11 +26,10 @@ package ampi
 //	collective wait   cursor 0; waits for what its run's cursor points at
 //	Migrate, Checkpoint  cursor 1: parked at the gate
 //
-// Only For bodies and operand functions run during the descent, so no
-// completed work re-runs and virtual time is untouched. Every count is
-// bounded by the bytes that carry it, and a record that fails any
-// check is refused before the slot, directory, epoch or rank count
-// change.
+// Only operand functions run during the descent, so no completed work
+// re-runs and virtual time is untouched. Every count is bounded by the
+// bytes that carry it, and a record that fails any check is refused
+// before the slot, directory, epoch or rank count change.
 //
 // Across processes, the source worker's ShardExtract flips its
 // directory, owner word and epoch, so stragglers chase over the socket,
@@ -88,21 +87,16 @@ func (j *Job) ShardMigratable(r int) bool {
 }
 
 // shippableLocked says why the rank has no record to extract right
-// now, or nil. Every blocking point has a wire form; what is left is a
-// finished rank, a Local without the job's LocalPUP, and a collective
-// run whose site the program's numbering never met (a For body built
-// it while running). s.mu held.
+// now, or nil. Every blocking point has a wire form, and every
+// collective site a rank can run is in the statement table, so
+// numbered; what is left is a finished rank and a Local without the
+// job's LocalPUP. s.mu held.
 func (e *eventEngine) shippableLocked(s *slot) error {
 	switch {
 	case s.done:
 		return fmt.Errorf("already finished")
 	case s.pc.Local != nil && e.job.opts.LocalPUP == nil:
 		return fmt.Errorf("has program state but the job has no LocalPUP")
-	}
-	for run := s.pc.colls; run != nil; run = run.link {
-		if _, ok := e.job.siteNum[run.site]; run.active && !ok {
-			return fmt.Errorf("inside collective %s, whose site the program's numbering never met", run.site.name)
-		}
 	}
 	return nil
 }
@@ -286,7 +280,8 @@ func (e *eventEngine) extractLocked(p *pup.PUPer, s *slot, toPE int, depart floa
 	clear(pc.stack)
 	pc.stack, pc.Local = pc.stack[:0], nil
 	for run := pc.colls; run != nil; run = run.link {
-		run.active, run.data, run.entries, run.chunks = false, nil, nil, nil
+		run.active = false
+		run.dropPayloads()
 	}
 	clear(s.mbox)
 	s.mbox, s.head, s.hasWait, s.busy = s.mbox[:0], 0, false, 0
@@ -469,7 +464,12 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 	}
 	for i := range r.runs {
 		run := &r.runs[i]
-		num, nent, nchunk := e.job.siteNum[run.site], len(run.entries), len(run.chunks)
+		var entries []gatherEntry
+		var chunks [][]byte
+		if run.parts != nil {
+			entries, chunks = run.parts.entries, run.parts.chunks
+		}
+		num, nent, nchunk := e.job.siteNum[run.site], len(entries), len(chunks)
 		if err := pupFields(p, &num, &run.next, &run.val, &run.data, &nent, &nchunk); err != nil {
 			return err
 		}
@@ -478,26 +478,29 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 				return fmt.Errorf("record names collective site %d out of order or outside the program's %d", num, len(e.job.sites))
 			}
 			site := e.job.sites[num]
-			run.site, run.kind, run.combine = site, site.kind, site.combine
+			run.site = site
 			if old := pc.collAt(site); old != nil {
 				run.parent, run.children = old.parent, old.children
 			} else {
 				run.parent, run.children = e.job.family(site.kind, pc.rank, site.root)
 			}
-			chunks, ok := 0, run.next == 0
+			want, ok := 0, run.next == 0
 			if site.kind == collAlltoall || site.kind == collScatter && run.parent < 0 {
-				chunks = e.job.size
+				want = e.job.size
 			}
 			if run.next > 0 {
-				_, ok = run.at(run.next - 1)
+				_, ok = run.at(site.kind, run.next-1)
 			}
-			if !ok || nchunk != chunks || nent < 0 || nent > p.Remaining()/entryMin {
+			if !ok || nchunk != want || nent < 0 || nent > 0 && site.kind != collGather || nent > p.Remaining()/entryMin {
 				return fmt.Errorf("%s run: cursor %d, %d entries and %d chunks do not fit its schedule", site.name, run.next, nent, nchunk)
 			}
-			run.entries, run.chunks = make([]gatherEntry, nent), make([][]byte, nchunk)
+			entries, chunks = make([]gatherEntry, nent), make([][]byte, nchunk)
+			if site.kind == collGather || site.kind == collScatter || site.kind == collAlltoall {
+				run.parts = &collParts{entries, chunks}
+			}
 		}
-		for k := range run.entries {
-			en := &run.entries[k]
+		for k := range entries {
+			en := &entries[k]
 			if err := pupFields(p, &en.rank, &en.data); err != nil {
 				return err
 			}
@@ -505,8 +508,8 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 				return fmt.Errorf("%s run holds an entry for rank %d of %d", run.site.name, en.rank, e.job.size)
 			}
 		}
-		for k := range run.chunks {
-			if err := pupFields(p, &run.chunks[k]); err != nil {
+		for k := range chunks {
+			if err := pupFields(p, &chunks[k]); err != nil {
 				return err
 			}
 		}
@@ -515,8 +518,8 @@ func (e *eventEngine) pupRuns(p *pup.PUPer, r *record, pc *PC) error {
 }
 
 // pupPath moves the frame stack as one cursor per frame, outermost
-// first. Unpacking rebuilds the stack by one descent of the program
-// tree — into the slot's spare frame array when it has one, else into
+// first. Unpacking rebuilds the stack by one descent of the statement
+// table — into the slot's spare frame array when it has one, else into
 // the rank's carve of the job's blocks — with the record's Local in
 // place for the operand functions.
 func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) (err error) {
@@ -526,7 +529,7 @@ func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) (err error) {
 	}
 	if p.IsPacking() {
 		for i := range r.stack {
-			if err := p.Int(&r.stack[i].i); err != nil {
+			if err := pupFields(p, &r.stack[i].i); err != nil {
 				return err
 			}
 		}
@@ -552,84 +555,84 @@ func (e *eventEngine) pupPath(p *pup.PUPer, r *record, pc *PC) (err error) {
 			err = fmt.Errorf("tree path: an operand panicked on the record's state: %v", v)
 		}
 	}()
-	for node := e.job.prog; len(r.stack) < n; {
-		f, depth := frame{p: node}, len(r.stack)
-		if err = p.Int(&f.i); err != nil {
+	stmts := e.job.stmts
+	for at := uint32(0); len(r.stack) < n; {
+		st, depth := &stmts[at], len(r.stack)
+		var i int // checked at full width: a cursor must not alias by truncation
+		if err = p.Int(&i); err != nil {
 			return err
 		}
-		switch s := node.(type) {
-		case seqProc:
-			if f.i < 1 || f.i > len(s.ps) {
-				return fmt.Errorf("tree path cursor %d at depth %d is outside a %d-way Seq", f.i, depth, len(s.ps))
-			}
-			node = s.ps[f.i-1]
-		case forProc:
-			if f.i < 1 || f.i > s.n {
-				return fmt.Errorf("tree path cursor %d at depth %d is outside a %d-way For", f.i, depth, s.n)
-			}
-			node = s.body(f.i - 1)
-		default:
+		switch {
+		case st.leaf != nil:
 			if depth != n-1 {
-				return fmt.Errorf("tree path reaches a %T at depth %d with %d frames unused", node, depth, n-1-depth)
+				return fmt.Errorf("tree path reaches a %T at depth %d with %d frames unused", st.p, depth, n-1-depth)
 			}
-			if err = checkLeaf(&f, r, pc); err != nil {
+			if err = checkLeaf(st.p, i, r, pc); err != nil {
 				return err
 			}
+		case i < 1 || i > len(st.kids):
+			what := "Seq"
+			if st.p.kind() == 'F' {
+				what = "For"
+			}
+			return fmt.Errorf("tree path cursor %d at depth %d is outside a %d-way %s", i, depth, len(st.kids), what)
 		}
-		r.stack = append(r.stack, f)
+		r.stack = append(r.stack, frame{at: at, i: int32(i)})
+		if st.leaf == nil {
+			at = st.kids[i-1]
+		}
 	}
 	if n > 0 {
-		switch last := r.stack[n-1].p; last.(type) {
-		case seqProc, forProc:
-			return fmt.Errorf("tree path ends inside a %T at depth %d", last, n-1)
+		if last := &stmts[r.stack[n-1].at]; last.leaf == nil {
+			return fmt.Errorf("tree path ends inside a %T at depth %d", last.p, n-1)
 		}
 	}
 	return nil
 }
 
-// checkLeaf validates the innermost frame f of a rebuilt stack: a
-// statement a rank can be parked in, at a cursor it can be parked at,
-// waiting for what the record says (the table in this file's header).
-// A Waitall's request list is read again here.
-func checkLeaf(f *frame, r *record, pc *PC) error {
+// checkLeaf validates the innermost statement p of a rebuilt stack,
+// with cursor i: a statement a rank can be parked in, at a cursor it
+// can be parked at, waiting for what the record says (the table in this
+// file's header).
+func checkLeaf(p Proc, i int, r *record, pc *PC) error {
 	var src, tag int // compared at full width: an operand must not alias by truncation
-	ok := f.i == 0
-	switch s := f.p.(type) {
+	ok := i == 0
+	switch s := p.(type) {
 	case migrateProc:
-		if f.i != 1 {
-			return fmt.Errorf("tree path parks at the LB gate with cursor %d", f.i)
+		if i != 1 {
+			return fmt.Errorf("tree path parks at the LB gate with cursor %d", i)
 		}
 		return nil
 	case recvProc:
 		src, tag = s.source(pc), s.tag
 	case recvEachProc:
 		srcs := s.srcs(pc)
-		if ok = f.i >= 0 && f.i < len(srcs); ok {
-			src, tag = srcs[f.i], s.tag
+		if ok = i >= 0 && i < len(srcs); ok {
+			src, tag = srcs[i], s.tag
 		}
 	case waitallProc:
-		f.reqs = s.reqs(pc)
-		if ok = f.i >= 0 && f.i < len(f.reqs) && f.reqs[f.i] != nil; ok {
-			q := f.reqs[f.i]
+		reqs := s.reqs(pc)
+		if ok = i >= 0 && i < len(reqs) && reqs[i] != nil; ok {
+			q := reqs[i]
 			ok, src, tag = q.isRecv && !q.done, q.src, q.tag
 		}
 	case collWaitProc:
 		var run *collRun
-		for i := range r.runs {
-			if r.runs[i].site == s.site {
-				run = &r.runs[i]
+		for k := range r.runs {
+			if r.runs[k].site == s.site {
+				run = &r.runs[k]
 			}
 		}
 		if ok = ok && run != nil; ok {
-			a, more := run.at(run.next)
+			a, more := run.at(s.site.kind, run.next)
 			ok, src, tag = more && !a.send, a.peer, a.tag
 		}
 	default:
-		return fmt.Errorf("tree path leads to a %T, which never parks", f.p)
+		return fmt.Errorf("tree path leads to a %T, which never parks", p)
 	}
 	switch {
 	case !ok:
-		return fmt.Errorf("tree path parks in a %T at cursor %d, where it cannot wait", f.p, f.i)
+		return fmt.Errorf("tree path parks in a %T at cursor %d, where it cannot wait", p, i)
 	case src != int(r.waiting.src) || tag != int(r.waiting.tag):
 		return fmt.Errorf("tree path leads to a receive from (%d, %d) but the record waits for (%d, %d)",
 			src, tag, r.waiting.src, r.waiting.tag)

@@ -37,7 +37,7 @@ func newShardedEventJob(t *testing.T, prog Proc) *Job {
 func cursors(pc *PC) []int {
 	var path []int
 	for _, f := range pc.stack {
-		path = append(path, f.i)
+		path = append(path, int(f.i))
 	}
 	return path
 }

@@ -52,6 +52,13 @@ type specColl struct {
 	next int
 }
 
+// specFrame is one entry of the spec's resume point: a statement and
+// its cursor, the For bodies called as the spec runs.
+type specFrame struct {
+	p Proc
+	i int
+}
+
 // specAct is one send to or receive from peer under tag.
 type specAct struct {
 	send, down bool
@@ -113,9 +120,9 @@ func runSpec(t *testing.T, size int, opts Options, prog Proc) ([]float64, uint64
 	s := &spec{t: t, job: j, ovh: opts.MsgOverheadNs, vt: make([]float64, size),
 		queues: map[[2]int][]*comm.Message{}, colls: map[specSite]*specColl{}}
 	j.be = s
-	pcs, stacks := make([]PC, size), make([][]frame, size)
+	pcs, stacks := make([]PC, size), make([][]specFrame, size)
 	for r := range pcs {
-		pcs[r], stacks[r] = PC{job: j, rank: int32(r)}, []frame{{p: prog}}
+		pcs[r], stacks[r] = PC{job: j, rank: int32(r)}, []specFrame{{p: prog}}
 	}
 	for progress := true; progress; {
 		progress = false
@@ -176,7 +183,7 @@ func (s *spec) take(r, src, tag int) ([]byte, bool) {
 
 // run interprets one rank from its resume point until it blocks or
 // finishes, and reports whether it got anywhere.
-func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
+func (s *spec) run(pc *PC, st *[]specFrame) (progress bool) {
 	for r := pc.Rank(); len(*st) > 0; progress = true {
 		f := &(*st)[len(*st)-1]
 		var child Proc
@@ -214,8 +221,9 @@ func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
 			}
 		case collStartProc:
 			c := &specColl{}
-			c.st.parent, c.st.children = collFamily(nil, p.site.kind, r, pc.Size(), &s.job.opts, p.site.root)
-			c.acts = textbook(s.t, p.site.kind, c.st.parent, c.st.children)
+			parent, children := collFamily(nil, p.site.kind, r, pc.Size(), &s.job.opts, p.site.root)
+			c.st.parent, c.st.children = int32(parent), children
+			c.acts = textbook(s.t, p.site.kind, parent, children)
 			s.colls[specSite{r, p.site}] = c
 			if p.site.begin != nil {
 				p.site.begin(pc, &c.st)
@@ -242,11 +250,8 @@ func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
 				p.site.end(pc, &c.st)
 			}
 		case waitallProc:
-			if f.reqs == nil {
-				f.reqs = p.reqs(pc)
-			}
-			for ; f.i < len(f.reqs); f.i++ {
-				if q := f.reqs[f.i]; q != nil && !q.done && q.isRecv {
+			for reqs := p.reqs(pc); f.i < len(reqs); f.i++ {
+				if q := reqs[f.i]; q != nil && !q.done && q.isRecv {
 					data, ok := s.take(r, q.src, q.tag)
 					if !ok {
 						return progress
@@ -259,7 +264,7 @@ func (s *spec) run(pc *PC, st *[]frame) (progress bool) {
 		}
 		if child != nil {
 			f.i++
-			*st = append(*st, frame{p: child})
+			*st = append(*st, specFrame{p: child})
 		} else {
 			*st = (*st)[:len(*st)-1]
 		}
@@ -277,7 +282,7 @@ func (s *spec) payload(site *collSite, c *specColl) []byte {
 	case collBcast:
 		return c.st.data
 	case collGather:
-		return packGather(c.st.entries)
+		return packGather(c.st.parts.entries)
 	}
 	return nil
 }
@@ -301,7 +306,7 @@ func (s *spec) absorb(site *collSite, c *specColl, a specAct, data []byte) {
 		if err != nil {
 			s.t.Fatal(err)
 		}
-		c.st.entries = append(c.st.entries, sub...)
+		c.st.parts.entries = append(c.st.parts.entries, sub...)
 	}
 }
 

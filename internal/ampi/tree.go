@@ -199,14 +199,14 @@ func collFamily(children []int, kind collKind, rank, n int, opts *Options, root 
 // A collective, for one rank, is a fixed sequence of edge actions:
 // sends to and receives from its family, in an order that encodes the
 // up-combine/down-broadcast dance. Nothing is built per execution: the
-// schedule is three values (kind, parent, children) and action i is
-// derived from the cursor. One executor runs it, collRun.advance
-// (program.go), for both program backends and for Rank.Allreduce, and a
-// blocking collective IS its nonblocking start followed immediately by
-// its wait — which is what makes the two forms bit-identical by
-// construction. Scatter and Alltoall are the same machinery with
-// per-peer payloads: two direct rows whose star carries each rank's
-// chunk straight to it.
+// schedule is three values (the site's kind, the rank's parent and
+// children) and action i is derived from the cursor. One executor runs
+// it, collRun.advance (program.go), for both program backends and for
+// Rank.Allreduce, and a blocking collective IS its nonblocking start
+// followed immediately by its wait — which is what makes the two forms
+// bit-identical by construction. Scatter and Alltoall are the same
+// machinery with per-peer payloads: two direct rows whose star carries
+// each rank's chunk straight to it.
 
 // Collective tags: negative, so they never meet an application tag
 // (user tags are ≥ 0, and AnyTag matches those only).
@@ -258,15 +258,6 @@ var collKinds = [...]struct {
 	collAlltoall:  {up: true, down: true, upTag: tagAlltoall, downTag: tagAlltoall, downFirst: true, direct: true},
 }
 
-// collSched is one rank's schedule for one collective. Depth is
-// ceil(log_k P) under the trees, and every rank handles at most k+1
-// messages per phase.
-type collSched struct {
-	kind     collKind
-	parent   int // -1 at the root
-	children []int
-}
-
 // collAct is one edge action of a schedule: a send to or a receive
 // from peer, in the up or the down phase.
 type collAct struct {
@@ -274,81 +265,97 @@ type collAct struct {
 	peer, tag  int
 }
 
-// at derives action i from the cursor: receive from each child and send
-// to the parent (up), then receive from the parent and send to each
-// child (down) — the two phases swapped for a downFirst kind. ok is
-// false past the schedule's end.
-func (s *collSched) at(i int) (a collAct, ok bool) {
-	first := collKinds[s.kind].downFirst
-	a, n, ok := s.phase(first, i)
+// collState is one rank's schedule for one collective and one
+// execution of it: the rank's family, the cursor and whichever
+// accumulator the kind uses — val (reductions; only the root's is
+// meaningful after a Reduce), data (Bcast and Scatter; pre-set on the
+// root) or, behind parts, what Gather, Scatter and Alltoall keep per
+// rank. Depth is ceil(log_k P) under the trees, and every rank handles
+// at most k+1 messages per phase.
+type collState struct {
+	children []int
+	parent   int32 // -1 at the root
+	next     int32 // the next action
+	val      float64
+	data     []byte
+	// word holds a reduction send's value; the send copies it into the
+	// message (comm.InlineBytes), so the next send may overwrite it.
+	word  [8]byte
+	parts *collParts // nil but for Gather, Scatter and Alltoall (perRank)
+}
+
+// collParts is what Gather, Scatter and Alltoall keep per rank: entries
+// (Gather; starts with the rank's own contribution) and chunks
+// (Scatter's root and Alltoall: one payload per rank, indexed by rank).
+type collParts struct {
+	entries []gatherEntry
+	// chunks is an Alltoall's result too: each receive replaces the
+	// sender's entry, whose own send has already gone out.
+	chunks [][]byte
+}
+
+// perRank returns the run's collParts, made on its first use.
+func (c *collState) perRank() *collParts {
+	if c.parts == nil {
+		c.parts = new(collParts)
+	}
+	return c.parts
+}
+
+// at derives action i of a kind's schedule from the cursor: receive
+// from each child and send to the parent (up), then receive from the
+// parent and send to each child (down) — the two phases swapped for a
+// downFirst kind. ok is false past the schedule's end.
+func (c *collState) at(kind collKind, i int32) (a collAct, ok bool) {
+	first := collKinds[kind].downFirst
+	a, n, ok := c.phase(kind, first, int(i))
 	if !ok {
-		a, _, ok = s.phase(!first, i-n)
+		a, _, ok = c.phase(kind, !first, int(i)-n)
 	}
 	return a, ok
 }
 
 // phase returns action i of the up or the down phase, or ok false and
 // the phase's length n.
-func (s *collSched) phase(down bool, i int) (a collAct, n int, ok bool) {
-	k := &collKinds[s.kind]
+func (c *collState) phase(kind collKind, down bool, i int) (a collAct, n int, ok bool) {
+	k := &collKinds[kind]
 	if down && !k.down || !down && !k.up {
 		return collAct{}, 0, false
 	}
-	n = len(s.children)
-	if s.parent >= 0 {
+	n = len(c.children)
+	if c.parent >= 0 {
 		n++
 	}
 	switch {
 	case i >= n:
 		return collAct{}, n, false
-	case !down && i < len(s.children):
-		return collAct{peer: s.children[i], tag: k.upTag}, n, true
+	case !down && i < len(c.children):
+		return collAct{peer: c.children[i], tag: k.upTag}, n, true
 	case !down:
-		return collAct{send: true, peer: s.parent, tag: k.upTag}, n, true
-	case s.parent < 0:
-		return collAct{send: true, down: true, peer: s.children[i], tag: k.downTag}, n, true
+		return collAct{send: true, peer: int(c.parent), tag: k.upTag}, n, true
+	case c.parent < 0:
+		return collAct{send: true, down: true, peer: c.children[i], tag: k.downTag}, n, true
 	case i == 0:
-		return collAct{down: true, peer: s.parent, tag: k.downTag}, n, true
+		return collAct{down: true, peer: int(c.parent), tag: k.downTag}, n, true
 	}
-	return collAct{send: true, down: true, peer: s.children[i-1], tag: k.downTag}, n, true
-}
-
-// collState is one execution of a schedule by one rank: the cursor and,
-// inline, whichever accumulator the kind uses — val (reductions; only
-// the root's is meaningful after a Reduce), data (Bcast and Scatter;
-// pre-set on the root), entries (Gather; starts with the rank's own
-// contribution) or chunks (Scatter's root and Alltoall: one payload per
-// rank, indexed by rank).
-type collState struct {
-	collSched
-	next    int
-	val     float64
-	combine func(a, b float64) float64
-	data    []byte
-	entries []gatherEntry
-	// chunks is an Alltoall's result too: each receive replaces the
-	// sender's entry, whose own send has already gone out.
-	chunks [][]byte
-	// word holds a reduction send's value; the send copies it into the
-	// message (comm.InlineBytes), so the next send may overwrite it.
-	word [8]byte
+	return collAct{send: true, down: true, peer: c.children[i-1], tag: k.downTag}, n, true
 }
 
 // payload is what send a carries, computed when it goes out: an
 // up-phase send depends on what earlier receives combined.
-func (c *collState) payload(a collAct) []byte {
-	switch c.kind {
+func (run *collRun) payload(a collAct) []byte {
+	switch run.site.kind {
 	case collAllreduce, collReduce:
-		binary.LittleEndian.PutUint64(c.word[:], math.Float64bits(c.val))
-		return c.word[:]
+		binary.LittleEndian.PutUint64(run.word[:], math.Float64bits(run.val))
+		return run.word[:]
 	case collBcast:
-		return c.data
+		return run.data
 	case collGather:
 		// One packed message per edge, so the root receives exactly its
 		// children's subtrees instead of P-1 messages.
-		return packGather(c.entries)
+		return packGather(run.parts.entries)
 	case collScatter, collAlltoall:
-		return c.chunks[a.peer]
+		return run.parts.chunks[a.peer]
 	}
 	return nil
 }
@@ -357,26 +364,26 @@ func (c *collState) payload(a collAct) []byte {
 // whether the accumulator kept d (Bcast, Scatter, Alltoall and Gather
 // hand it to the program): only a payload that was not kept lets its
 // message go back to the pool.
-func (c *collState) absorb(a collAct, d []byte, nranks int) (kept bool, err error) {
-	switch c.kind {
+func (run *collRun) absorb(a collAct, d []byte, nranks int) (kept bool, err error) {
+	switch run.site.kind {
 	case collAllreduce, collReduce:
 		if a.down {
-			c.val = f64(d)
+			run.val = f64(d)
 		} else {
-			c.val = c.combine(c.val, f64(d))
+			run.val = run.site.combine(run.val, f64(d))
 		}
 	case collBcast, collScatter:
-		c.data = d
+		run.data = d
 		return true, nil
 	case collGather:
 		sub, err := unpackGather(d, nranks)
 		if err != nil {
 			return false, err
 		}
-		c.entries = append(c.entries, sub...)
+		run.parts.entries = append(run.parts.entries, sub...)
 		return true, nil
 	case collAlltoall:
-		c.chunks[a.peer] = d
+		run.parts.chunks[a.peer] = d
 		return true, nil
 	}
 	return false, nil
@@ -408,10 +415,10 @@ func combiner(op string) (func(a, b float64) float64, error) {
 
 func f64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
-// parts is a completed Gather's result at the root, indexed by rank.
-func (c *collState) parts(nranks int) [][]byte {
+// gathered is a completed Gather's result at the root, indexed by rank.
+func (c *collState) gathered(nranks int) [][]byte {
 	out := make([][]byte, nranks)
-	for _, e := range c.entries {
+	for _, e := range c.parts.entries {
 		out[e.rank] = e.data
 	}
 	return out

@@ -272,7 +272,7 @@ func TestGatherUnpackHostile(t *testing.T) {
 	}
 }
 
-// TestDerivedScheduleMatchesBuilders pins collSched.at against the five
+// TestDerivedScheduleMatchesBuilders pins collState.at against the five
 // per-kind closure builders it replaced (one []collAct of data/on
 // closures per execution): for every kind × position in the family ×
 // topology, the (send, peer, tag) sequence below is the deleted
@@ -375,11 +375,13 @@ func TestDerivedScheduleMatchesBuilders(t *testing.T) {
 		{"topo", "last", "alltoall", 13, 12, 2, []edge{{true, 0, -204}, {true, 1, -204}, {true, 2, -204}, {true, 3, -204}, {true, 4, -204}, {true, 5, -204}, {true, 6, -204}, {true, 7, -204}, {true, 8, -204}, {true, 9, -204}, {true, 10, -204}, {true, 11, -204}, {false, 0, -204}, {false, 1, -204}, {false, 2, -204}, {false, 3, -204}, {false, 4, -204}, {false, 5, -204}, {false, 6, -204}, {false, 7, -204}, {false, 8, -204}, {false, 9, -204}, {false, 10, -204}, {false, 11, -204}}},
 	} {
 		opts := algos[tc.algo]
-		s := collSched{kind: kinds[tc.kind]}
-		s.parent, s.children = collFamily(nil, s.kind, tc.rank, tc.size, &opts, tc.root)
+		var s collState
+		kind := kinds[tc.kind]
+		parent, children := collFamily(nil, kind, tc.rank, tc.size, &opts, tc.root)
+		s.parent, s.children = int32(parent), children
 		got := []edge{}
-		for i := 0; ; i++ {
-			a, ok := s.at(i)
+		for i := int32(0); ; i++ {
+			a, ok := s.at(kind, i)
 			if !ok {
 				break
 			}
@@ -397,7 +399,7 @@ func TestDerivedScheduleMatchesBuilders(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s %s %s (rank %d of %d, root %d):\n got %v\nwant %v", tc.algo, tc.where, tc.kind, tc.rank, tc.size, tc.root, got, tc.want)
 		}
-		if _, ok := s.at(len(got) + 1); ok {
+		if _, ok := s.at(kind, int32(len(got)+1)); ok {
 			t.Errorf("%s %s %s: schedule resumes past its end", tc.algo, tc.where, tc.kind)
 		}
 	}

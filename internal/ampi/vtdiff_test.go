@@ -27,9 +27,11 @@ type vtProbe struct {
 	n  int
 }
 
-func (p vtProbe) step(pc *PC, _ *frame) (Proc, bool) {
+func (vtProbe) kind() byte { return '?' }
+
+func (p vtProbe) step(pc *PC, _ *frame) bool {
 	p.mark(pc.Rank(), pc.vt)
-	return nil, true
+	return true
 }
 
 func (p vtProbe) mark(rank int, vt float64) {
@@ -44,7 +46,7 @@ func (p vtProbe) mark(rank int, vt float64) {
 // stay as they were.
 func instrument(prog Proc, size int, w io.Writer) (Proc, *vtTrace) {
 	tr := &vtTrace{marks: make([][]vtMark, size)}
-	_, sites, _, _, _ := numberSites(prog)
+	sites := numberSites(prog).siteNum
 	name := func(p Proc) string {
 		switch s := p.(type) {
 		case collStartProc:
@@ -62,6 +64,17 @@ func instrument(prog Proc, size int, w io.Writer) (Proc, *vtTrace) {
 		}
 		return out
 	}, gatesTo(w)), tr
+}
+
+// atGates rebuilds prog with every Migrate gate a Checkpoint to w.
+func atGates(prog Proc, w io.Writer) Proc {
+	return rebuild(prog, func(ps []Proc, re func(Proc) Proc) []Proc {
+		out := make([]Proc, len(ps))
+		for i, c := range ps {
+			out[i] = re(c)
+		}
+		return out
+	}, gatesTo(w))
 }
 
 // gatesTo returns rebuild's leaf map that turns every Migrate gate into

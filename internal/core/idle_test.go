@@ -60,10 +60,11 @@ func TestRunParallelIdlePEDoesNotSpin(t *testing.T) {
 }
 
 // TestWakeDuringTeardown hammers Machine.Wake from outside while
-// RunParallel repeatedly starts and tears down: the gates slice is
-// installed and nilled under the machine lock, so concurrent Wake
-// calls must neither race nor panic — including after the final
-// teardown when gates is nil.
+// RunParallel repeatedly starts and tears down: the park channels are
+// made once, in NewMachine, and a wake closes and replaces one only
+// under detMu when the detector says its PE was armed, so concurrent
+// Wake calls must neither race nor panic — including after the final
+// teardown, when no PE is armed.
 func TestWakeDuringTeardown(t *testing.T) {
 	m, err := NewMachine(Config{NumPEs: 2})
 	if err != nil {
@@ -88,7 +89,7 @@ func TestWakeDuringTeardown(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	m.Wake() // after teardown: gates nil, must be a no-op
+	m.Wake() // after teardown: no PE armed, must be a no-op
 }
 
 // TestStealDisabledByDefault: an idle PE in RunParallel never takes

@@ -660,7 +660,7 @@ func TestCtrlExchangeHostilePeer(t *testing.T) {
 
 // end stops w's run with err, as a link fault would.
 func (w *Worker) end(err error) {
-	w.step(func(p *protocol) []ctrlFrame { p.fail(err, "run ended"); return nil })
+	w.step(w.ev(evEnded, -1, 0), func(p *protocol) []ctrlFrame { p.fail(err, "run ended"); return nil })
 }
 
 // TestShardedRejectsULT: sharded machines support event mode only —
@@ -805,5 +805,73 @@ func TestCutPartition(t *testing.T) {
 				t.Fatalf("PE %d not in worker %d's range (%d PEs, %d workers)", pe, w, numPEs, workers)
 			}
 		}
+	}
+}
+
+// TestRunErrorNamesLastEvents: a run that fails on a protocol violation
+// returns, after the violation, the last records of the worker's event
+// ring, oldest first, the frame that broke the protocol among them:
+// here worker 0 moves 8 ranks to worker 1, an extract begun and one
+// shipped each, and then worker 1 sends worker 0 a STOP, which only
+// worker 0 may send: 17 events or more (the ACKs may come in before
+// Run returns), more than the ring holds.
+func TestRunErrorNamesLastEvents(t *testing.T) {
+	cfg := ampi.JacobiConfig{
+		Mode: ampi.ModeEvent, Ranks: 32, Iters: 1 << 20, PEs: 4,
+		HaloBytes: 8, WorkNs: 900, BlockPlacement: true,
+	}
+	fabs := pairFabrics(t, "unix", 0)
+	var ws [2]*Worker
+	for i := range ws {
+		w, err := NewWorker(i, 2, cfg.PEs, fabs[i], func(m *core.Machine) (*ampi.Job, error) {
+			return ampi.NewJacobiOn(m, cfg)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = w
+	}
+	var errs [2]chan error
+	for i, w := range ws {
+		errs[i] = make(chan error, 1)
+		go func(w *Worker, errs chan error) { errs <- w.Run() }(w, errs[i])
+	}
+	for ws[0].M.Network().Snapshot().RemoteEnvelopes == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if n := ws[0].MigrateRanks(8, 1); n != 8 {
+		t.Fatalf("moved %d ranks, want 8", n)
+	}
+	if err := ws[1].T.SendControl(0, ctrlStop, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errs[0]:
+		lines := strings.Split(err.Error(), "\n")
+		if !errors.Is(err, errProtocol) || !strings.Contains(lines[0], "control kind 5 (0 bytes) from worker 1") {
+			t.Fatalf("Run returned %v, want errProtocol for the STOP frame", err)
+		}
+		var first, last int
+		if _, e := fmt.Sscanf(lines[1], "events %d to %d of the run:", &first, &last); e != nil ||
+			len(lines) != 2+ringEvents || last-first+1 != ringEvents || last <= ringEvents {
+			t.Fatalf("Run's error carries %d lines, want the violation, a heading and the last %d of more events:\n%v",
+				len(lines), ringEvents, err)
+		}
+		stop, shipped := false, false
+		for _, l := range lines[2:] {
+			stop = stop || strings.HasSuffix(l, "] arrived kind 5 from worker 1")
+			shipped = shipped || strings.Contains(l, "] extract shipped to worker 1, rank ")
+		}
+		if !stop || !shipped {
+			t.Fatalf("Run's error does not name the STOP's arrival and a shipped extract among its events:\n%v", err)
+		}
+		t.Log(err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker 0 still running 5 s after a STOP from worker 1")
+	}
+	ws[1].end(errors.New("test over"))
+	<-errs[1]
+	for _, w := range ws {
+		w.Close()
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"migflow/internal/ampi"
 	"migflow/internal/comm"
@@ -82,9 +83,11 @@ type Worker struct {
 	Job     *ampi.Job
 	T       *comm.LinkTransport
 
-	mu    sync.Mutex
-	proto protocol
-	ended atomic.Bool // proto.ended(), for the lock-free idle path
+	mu     sync.Mutex
+	proto  protocol
+	events eventRing   // the last protocol events, under mu
+	born   time.Time   // the wall clock's zero for events
+	ended  atomic.Bool // proto.ended(), for the lock-free idle path
 }
 
 // fabricTransport builds the transport over the links the fabric
@@ -130,10 +133,11 @@ func NewWorker(index, workers, numPEs int, fab Fabric, build func(*core.Machine)
 		t.Close()
 		return nil, err
 	}
-	w := &Worker{Index: index, Workers: workers, NumPEs: numPEs, M: m, Job: job, T: t, proto: newProtocol(index, workers)}
+	w := &Worker{Index: index, Workers: workers, NumPEs: numPEs, M: m, Job: job, T: t,
+		proto: newProtocol(index, workers), born: time.Now()}
 	t.SetControlHandler(w.control)
 	t.SetFaultHandler(func(peer int, err error) {
-		w.step(func(p *protocol) []ctrlFrame { p.linkFault(peer, err); return nil })
+		w.step(w.ev(evLinkFault, -1, uint64(peer)), func(p *protocol) []ctrlFrame { p.linkFault(peer, err); return nil })
 	})
 	if err := t.Start(); err != nil {
 		t.Close()
@@ -142,13 +146,28 @@ func NewWorker(index, workers, numPEs int, fab Fabric, build func(*core.Machine)
 	return w, nil
 }
 
-// step runs one protocol event and sends the frames it returns, both
-// under the lock, so frames leave in the order they were decided: two
-// reports sent out of order would leave worker 0 holding the older.
-func (w *Worker) step(event func(p *protocol) []ctrlFrame) {
+// ev is a record of kind about rank (-1 for none) with arg, on the
+// worker's first PE; step stamps it.
+func (w *Worker) ev(kind evKind, rank int, arg uint64) evRecord {
+	return evRecord{pe: int32(Cut(w.NumPEs, w.Workers, w.Index)), rank: int32(rank), kind: kind, arg: arg}
+}
+
+// step records ev, stamped with its PE's clock and the wall time, runs
+// the protocol event and sends the frames it returns, all under the
+// lock, so records and frames are in the order the events were decided:
+// two reports sent out of order would leave worker 0 holding the older.
+func (w *Worker) step(ev evRecord, fn func(p *protocol) []ctrlFrame) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, f := range event(&w.proto) {
+	ev.vt, ev.wall = w.M.PE(int(ev.pe)).Clock.Now(), time.Since(w.born).Nanoseconds()
+	w.events.add(ev)
+	w.sendLocked(fn(&w.proto))
+}
+
+// sendLocked sends frames in order, and wakes the machine once the run
+// has ended. w.mu held.
+func (w *Worker) sendLocked(frames []ctrlFrame) {
+	for _, f := range frames {
 		if err := w.T.SendControl(f.to, f.kind, f.payload); err != nil {
 			w.proto.linkFault(f.to, err)
 		}
@@ -168,7 +187,7 @@ func (w *Worker) control(from int, kind uint32, payload []byte) {
 	case kind == ctrlMoved && len(payload) == 8:
 		err = w.Job.ShardNoteMove(int(binary.LittleEndian.Uint32(payload)), int(binary.LittleEndian.Uint32(payload[4:])))
 	}
-	w.step(func(p *protocol) []ctrlFrame {
+	w.step(w.ev(evArrived, -1, uint64(from)<<32|uint64(kind)), func(p *protocol) []ctrlFrame {
 		if err != nil {
 			p.fail(errProtocol, "control kind %d from worker %d: %v", kind, from, err)
 		}
@@ -182,29 +201,35 @@ func (w *Worker) control(from int, kind uint32, payload []byte) {
 // it takes no lock.
 func (w *Worker) doneCheck() bool {
 	if w.Job.Done() && !w.ended.Load() {
-		w.step(func(p *protocol) []ctrlFrame { return p.localDone() })
+		w.step(w.ev(evLocalDone, -1, 0), func(p *protocol) []ctrlFrame { return p.localDone() })
 	}
 	return w.ended.Load()
 }
 
 // Run starts the job and drives this worker's PEs until the run ends:
 // nil at the termination barrier, else the first protocol violation,
-// link fault or send error.
+// link fault or send error, followed by the last protocol events.
 func (w *Worker) Run() error {
 	w.Job.Start()
 	w.M.RunParallel(func(bool) bool { return w.doneCheck() })
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.proto.err
+	return w.err()
 }
 
 // Close tears the links down, after Run on every worker, and returns
 // the run's error if it failed.
 func (w *Worker) Close() error {
+	return hangUp(w.T, w.err())
+}
+
+// err is the run's error, if it failed, with the records the event ring
+// holds.
+func (w *Worker) err() error {
 	w.mu.Lock()
-	err := w.proto.err
-	w.mu.Unlock()
-	return hangUp(w.T, err)
+	defer w.mu.Unlock()
+	if w.proto.err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w\n%v", w.proto.err, &w.events)
 }
 
 // hangUp closes t after a run that ended with err: with BYE after a
@@ -259,20 +284,26 @@ func (w *Worker) MigrateRanks(n, toWorker int) int {
 // rank left: not if it resumed first or the run ended.
 func (w *Worker) move(r, toWorker int, hold func()) bool {
 	toPE := Cut(w.NumPEs, w.Workers, toWorker)
-	w.step(func(p *protocol) []ctrlFrame { p.extractBegun(); return nil })
+	ev := w.ev(evExtractBegun, r, uint64(toWorker))
+	ev.pe = int32(w.Job.PEOf(r))
+	w.step(ev, func(p *protocol) []ctrlFrame { p.extractBegun(); return nil })
 	data, err := w.Job.ShardExtract(r, toPE)
 	if err != nil {
-		w.step(func(p *protocol) []ctrlFrame { p.extractAborted(); return nil })
+		ev.kind = evExtractAborted
+		w.step(ev, func(p *protocol) []ctrlFrame { p.extractAborted(); return nil })
 		return false
 	}
 	var record []ctrlFrame
-	w.step(func(p *protocol) (notices []ctrlFrame) {
+	ev.kind = evExtractShipped
+	w.step(ev, func(p *protocol) (notices []ctrlFrame) {
 		notices, record = p.extractShipped(toWorker, r, toPE, data)
 		return notices
 	})
 	if hold != nil {
 		hold()
 	}
-	w.step(func(*protocol) []ctrlFrame { return record })
+	w.mu.Lock()
+	w.sendLocked(record)
+	w.mu.Unlock()
 	return record != nil
 }
